@@ -4,25 +4,114 @@
 //! with the path written as `>`/`<`-oriented node steps. The parent
 //! pipeline renders its alignments as GAF so downstream pangenome tools
 //! (and eyeballs) can consume them.
-
-use std::fmt::Write as _;
+//!
+//! Rendering appends straight into a caller-owned byte buffer
+//! ([`chunk_to_gaf_into`]): the streaming loop and the serving executor
+//! render every chunk on the thread that also dispatches the next one, so
+//! a line costs no heap allocation once the buffer has grown to chunk size.
+//! The `String`-returning functions are wrappers over the same writer.
 
 use mg_core::types::Extension;
 use mg_graph::{Handle, Orientation};
 
 use crate::align::Alignment;
 
+/// Appends `v` in decimal.
+fn push_uint(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends a tab, then `v` in decimal.
+fn push_field(out: &mut Vec<u8>, v: u64) {
+    out.push(b'\t');
+    push_uint(out, v);
+}
+
+fn push_path(out: &mut Vec<u8>, path: &[Handle]) {
+    for h in path {
+        out.push(match h.orientation() {
+            Orientation::Forward => b'>',
+            Orientation::Reverse => b'<',
+        });
+        push_uint(out, h.node().value());
+    }
+}
+
+fn into_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("GAF is built from str and ASCII pieces")
+}
+
 /// Renders one path as GAF step syntax (`>12<13>14`).
 pub fn path_to_gaf(path: &[Handle]) -> String {
-    let mut out = String::new();
-    for h in path {
-        let sign = match h.orientation() {
-            Orientation::Forward => '>',
-            Orientation::Reverse => '<',
-        };
-        let _ = write!(out, "{sign}{}", h.node());
+    let mut out = Vec::new();
+    push_path(&mut out, path);
+    into_text(out)
+}
+
+/// Appends every column after the read name (each with its leading tab):
+/// read length, read start, read end, strand, path, path length, path
+/// start, path end, matches, alignment block length, mapq, then the
+/// `AS`/`NM`/`pp` typed tags and, when present, `hp` and `cg`.
+fn push_columns(
+    out: &mut Vec<u8>,
+    graph: &mg_graph::VariationGraph,
+    read_len: usize,
+    alignment: &Alignment,
+    extension: &Extension,
+) {
+    let path_len: usize = extension
+        .path
+        .iter()
+        .map(|h| graph.node_len(h.node()))
+        .sum();
+    let block = (alignment.read_end - alignment.read_start) as usize;
+    let matches = block - alignment.mismatches as usize;
+    let path_start = extension.pos.offset as usize;
+    let path_end = (path_start + block).min(path_len);
+    push_field(out, read_len as u64);
+    push_field(out, u64::from(alignment.read_start));
+    push_field(out, u64::from(alignment.read_end));
+    out.extend_from_slice(match extension.pos.handle.orientation() {
+        Orientation::Forward => b"\t+\t",
+        Orientation::Reverse => b"\t-\t",
+    });
+    push_path(out, &extension.path);
+    push_field(out, path_len as u64);
+    push_field(out, path_start as u64);
+    push_field(out, path_end as u64);
+    push_field(out, matches as u64);
+    push_field(out, block as u64);
+    push_field(out, u64::from(alignment.mapq));
+    out.extend_from_slice(b"\tAS:i:");
+    if alignment.score < 0 {
+        out.push(b'-');
     }
-    out
+    push_uint(out, u64::from(alignment.score.unsigned_abs()));
+    out.extend_from_slice(b"\tNM:i:");
+    push_uint(out, u64::from(alignment.mismatches));
+    out.extend_from_slice(if alignment.properly_paired { b"\tpp:A:1" } else { b"\tpp:A:0" });
+    if let Some((first, rest)) = alignment.haplotypes.split_first() {
+        out.extend_from_slice(b"\thp:Z:");
+        push_uint(out, *first);
+        for id in rest {
+            out.push(b',');
+            push_uint(out, *id);
+        }
+    }
+    if let Some(cigar) = &alignment.tail_cigar {
+        out.extend_from_slice(b"\tcg:Z:");
+        out.extend_from_slice(cigar.as_bytes());
+    }
 }
 
 /// Renders an alignment (plus the extension that produced it, for the path
@@ -38,56 +127,26 @@ pub fn alignment_to_gaf(
     alignment: &Alignment,
     extension: &Extension,
 ) -> String {
-    let path = path_to_gaf(&extension.path);
-    let path_len: usize = extension
-        .path
-        .iter()
-        .map(|h| graph.node_len(h.node()))
-        .sum();
-    let block = (alignment.read_end - alignment.read_start) as usize;
-    let matches = block - alignment.mismatches as usize;
-    let path_start = extension.pos.offset as usize;
-    let path_end = (path_start + block).min(path_len);
-    let strand = match extension.pos.handle.orientation() {
-        Orientation::Forward => '+',
-        Orientation::Reverse => '-',
-    };
-    let mut line = format!(
-        "{read_name}\t{read_len}\t{}\t{}\t{strand}\t{path}\t{path_len}\t{path_start}\t{path_end}\t{matches}\t{block}\t{}",
-        alignment.read_start, alignment.read_end, alignment.mapq
-    );
-    let _ = write!(
-        line,
-        "\tAS:i:{}\tNM:i:{}\tpp:A:{}",
-        alignment.score,
-        alignment.mismatches,
-        if alignment.properly_paired { '1' } else { '0' }
-    );
-    if !alignment.haplotypes.is_empty() {
-        let ids: Vec<String> = alignment.haplotypes.iter().map(|h| h.to_string()).collect();
-        let _ = write!(line, "\thp:Z:{}", ids.join(","));
-    }
-    if let Some(cigar) = &alignment.tail_cigar {
-        let _ = write!(line, "\tcg:Z:{cigar}");
-    }
-    line
+    let mut line = read_name.as_bytes().to_vec();
+    push_columns(&mut line, graph, read_len, alignment, extension);
+    into_text(line)
 }
 
-/// Renders one mapped chunk as GAF text, one line per emitted alignment,
-/// unmapped reads skipped. `reads`, `kernel_results`, and `alignments` are
-/// parallel slices covering reads `base_id..base_id + reads.len()` of the
-/// run (read names stay global: `{set_name}.{read_id}`), so the streaming
-/// pipeline's per-chunk output concatenates to exactly the batch
-/// [`run_to_gaf`] text.
-pub fn chunk_to_gaf(
+/// Appends one mapped chunk's GAF text to `out`, one line per emitted
+/// alignment, unmapped reads skipped. `reads`, `kernel_results`, and
+/// `alignments` are parallel slices covering reads
+/// `base_id..base_id + reads.len()` of the run (read names stay global:
+/// `{set_name}.{read_id}`), so the streaming pipeline's per-chunk output
+/// concatenates to exactly the batch [`run_to_gaf`] text.
+pub fn chunk_to_gaf_into(
     graph: &mg_graph::VariationGraph,
     set_name: &str,
     base_id: u64,
     reads: &[mg_core::types::ReadInput],
     kernel_results: &[mg_core::types::ReadResult],
     alignments: &[Vec<Alignment>],
-) -> String {
-    let mut out = String::new();
+    out: &mut Vec<u8>,
+) {
     for (result, alignments) in kernel_results.iter().zip(alignments) {
         for alignment in alignments {
             // Find the extension this alignment came from. The gapped tail
@@ -99,17 +158,27 @@ pub fn chunk_to_gaf(
                 continue;
             };
             let read_len = reads[(result.read_id - base_id) as usize].bases.len();
-            out.push_str(&alignment_to_gaf(
-                graph,
-                &format!("{set_name}.{}", result.read_id),
-                read_len,
-                alignment,
-                extension,
-            ));
-            out.push('\n');
+            out.extend_from_slice(set_name.as_bytes());
+            out.push(b'.');
+            push_uint(out, result.read_id);
+            push_columns(out, graph, read_len, alignment, extension);
+            out.push(b'\n');
         }
     }
-    out
+}
+
+/// [`chunk_to_gaf_into`] into a fresh `String`.
+pub fn chunk_to_gaf(
+    graph: &mg_graph::VariationGraph,
+    set_name: &str,
+    base_id: u64,
+    reads: &[mg_core::types::ReadInput],
+    kernel_results: &[mg_core::types::ReadResult],
+    alignments: &[Vec<Alignment>],
+) -> String {
+    let mut out = Vec::new();
+    chunk_to_gaf_into(graph, set_name, base_id, reads, kernel_results, alignments, &mut out);
+    into_text(out)
 }
 
 /// Renders a whole run (alignments zipped with their kernel extensions) as

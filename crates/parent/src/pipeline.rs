@@ -429,7 +429,7 @@ impl<'a> Parent<'a> {
     /// This is the serving entry point: a long-lived executor calls it
     /// once per (job, chunk), interleaving chunks of different jobs on the
     /// same pool, and renders each returned [`ChunkRun`] with
-    /// [`crate::gaf::chunk_to_gaf`]. Because read ids are global and
+    /// [`crate::gaf::chunk_to_gaf_into`]. Because read ids are global and
     /// per-read work is deterministic and cache-independent, the
     /// concatenated chunk GAF is byte-identical to a batch run over the
     /// same reads regardless of how jobs were interleaved. For paired
@@ -516,15 +516,37 @@ impl<'a> Parent<'a> {
             kernel_results.push(result);
             alignments.push(aligns);
         }
-        // Paired post-processing: rescue half-mapped pairs, then mate
-        // consistency via the distance index.
+        let rescued =
+            self.pair_tail(base_id, options, sink, hot, &dump_reads, &mut alignments);
+        ChunkRun { dump_reads, kernel_results, alignments, rescued }
+    }
+
+    /// Paired post-processing of one mapped chunk, shared by the
+    /// monolithic and the sharded dispatcher: rescue half-mapped pairs,
+    /// then mate consistency via the distance index. Both run against the
+    /// global index — a rescued mate can land anywhere in the graph, and
+    /// fragment distances are global-coordinate questions. Returns the
+    /// rescued mates (index = read offset in the chunk); a no-op for
+    /// single-end workflows.
+    pub(crate) fn pair_tail(
+        &self,
+        base_id: u64,
+        options: &ParentOptions,
+        sink: &(impl RegionSink + ?Sized),
+        hot: Option<&Arc<HotTier>>,
+        dump_reads: &[ReadInput],
+        alignments: &mut [Vec<Alignment>],
+    ) -> Vec<Option<ReadResult>> {
+        let n = alignments.len();
         let mut rescued: Vec<Option<ReadResult>> = vec![None; n];
-        if self.workflow == Workflow::Paired && options.enable_rescue {
+        if self.workflow != Workflow::Paired {
+            return rescued;
+        }
+        if options.enable_rescue {
             let _t = RegionTimer::start(sink, 0, "pair_rescue");
-            let mut cache =
-                CachedGbwt::new(self.mapper.gbz().gbwt(), options.mapping.cache_capacity)
-                    .with_hot(hot.map(Arc::clone));
-            let mut scratch = MapScratch::default();
+            // Built on the first half-mapped pair: most chunks have none,
+            // and rescue output does not depend on cache state.
+            let mut state: Option<(CachedGbwt<'_>, MapScratch)> = None;
             for pair_start in (0..n.saturating_sub(1)).step_by(2) {
                 let (a, b) = (pair_start, pair_start + 1);
                 let (mapped, unmapped) = match (
@@ -535,11 +557,18 @@ impl<'a> Parent<'a> {
                     (true, false) => (b, a),
                     _ => continue,
                 };
+                let (cache, scratch) = state.get_or_insert_with(|| {
+                    (
+                        CachedGbwt::new(self.mapper.gbz().gbwt(), options.mapping.cache_capacity)
+                            .with_hot(hot.map(Arc::clone)),
+                        MapScratch::default(),
+                    )
+                });
                 let anchor = alignments[mapped][0].pos;
                 if let Some(result) = rescue_mate(
                     &self.mapper,
                     self.minimizer,
-                    &mut cache,
+                    cache,
                     base_id + unmapped as u64,
                     &dump_reads[unmapped],
                     anchor,
@@ -548,30 +577,25 @@ impl<'a> Parent<'a> {
                     sink,
                     0,
                     &mut NoProbe,
-                    &mut scratch,
+                    scratch,
                 ) {
                     alignments[unmapped] = align_read(&result, &options.align);
                     rescued[unmapped] = Some(result);
                 }
             }
         }
-        if self.workflow == Workflow::Paired {
-            let _t = RegionTimer::start(sink, 0, "pair_check");
-            let mut iter = alignments.chunks_mut(2);
-            for pair in &mut iter {
-                if pair.len() == 2 {
-                    let (first, second) = pair.split_at_mut(1);
-                    pair_check(
-                        self.mapper.gbz().graph(),
-                        self.mapper.distance_index(),
-                        &mut first[0],
-                        &mut second[0],
-                        options.max_fragment,
-                    );
-                }
-            }
+        let _t = RegionTimer::start(sink, 0, "pair_check");
+        for pair in alignments.chunks_exact_mut(2) {
+            let (first, second) = pair.split_at_mut(1);
+            pair_check(
+                self.mapper.gbz().graph(),
+                self.mapper.distance_index(),
+                &mut first[0],
+                &mut second[0],
+                options.max_fragment,
+            );
         }
-        ChunkRun { dump_reads, kernel_results, alignments, rescued }
+        rescued
     }
 
     /// Runs the full pipeline over raw-read batches as they arrive,
@@ -698,6 +722,8 @@ where
     let mut write_failure: Option<std::io::Error> = None;
     let mut pending: Vec<Vec<u8>> = Vec::new();
     let mut next_id = 0u64;
+    // One render buffer for the whole stream, grown to chunk size once.
+    let mut gaf: Vec<u8> = Vec::new();
 
     let queue_stats = std::thread::scope(|scope| {
         let producer = scope.spawn(move || {
@@ -726,16 +752,18 @@ where
             let out = map_chunk(&chunk, base);
             *next_id += chunk.len() as u64;
             *chunks += 1;
-            let gaf = crate::gaf::chunk_to_gaf(
+            gaf.clear();
+            crate::gaf::chunk_to_gaf_into(
                 gbz.graph(),
                 set_name,
                 base,
                 &out.dump_reads,
                 &out.kernel_results,
                 &out.alignments,
+                &mut gaf,
             );
             if write_failure.is_none() {
-                if let Err(e) = gaf_out.write_all(gaf.as_bytes()) {
+                if let Err(e) = gaf_out.write_all(&gaf) {
                     *write_failure = Some(e);
                 }
             }
@@ -810,7 +838,7 @@ where
 /// [`Parent::map_chunk`] produces for `reads[i]` at global id
 /// `base_id + i`. The batch path assembles these into a [`ParentRun`];
 /// the serving executor renders each one to GAF with
-/// [`crate::gaf::chunk_to_gaf`] and streams it out.
+/// [`crate::gaf::chunk_to_gaf_into`] and streams it out.
 #[derive(Debug, Clone)]
 pub struct ChunkRun {
     /// Captured dump records (read bases + computed seeds), one per read.

@@ -25,21 +25,20 @@ use std::time::Instant;
 
 use mg_core::dump::SeedDump;
 use mg_core::shard::{extension_to_global, RouteScratch, ShardSet};
-use mg_core::types::{ReadInput, ReadResult, Seed, Workflow};
+use mg_core::types::{ReadInput, ReadResult, Seed};
 use mg_core::{MapScratch, Mapper, StreamOptions, ThreadPersist};
 use mg_gbwt::{CacheState, CachedGbwt, HotTier};
 use mg_index::GraphPos;
 use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
 use mg_sched::{AnyScheduler, PoolCell, PoolTask};
 use mg_support::probe::NoProbe;
-use mg_support::regions::{NullSink, RegionSink, RegionTimer};
+use mg_support::regions::{NullSink, RegionSink};
 use mg_support::{Error, Result};
 
-use crate::align::{align_read, pair_check, Alignment};
+use crate::align::Alignment;
 use crate::pipeline::{
     stream_chunks, ChunkRun, Parent, ParentOptions, ParentRun, ParentStreamSummary,
 };
-use crate::rescue::rescue_mate;
 
 /// One read's mapped record plus the shard that produced it (`None` when
 /// the monolithic fallback mapped it).
@@ -349,62 +348,8 @@ impl<'a> ShardedParent<'a> {
                 let _ = self.mappers[s].build_hot_tier(&locals, &options.mapping);
             }
         }
-        // Paired tail: rescue and pair check run against the global index —
-        // a rescued mate can land in any shard's territory, and fragment
-        // distances are global-coordinate questions.
-        let mut rescued: Vec<Option<ReadResult>> = vec![None; n];
-        if self.parent.workflow() == Workflow::Paired && options.enable_rescue {
-            let _t = RegionTimer::start(sink, 0, "pair_rescue");
-            let mut cache = CachedGbwt::new(
-                self.parent.mapper().gbz().gbwt(),
-                options.mapping.cache_capacity,
-            )
-            .with_hot(hot.map(Arc::clone));
-            let mut scratch = MapScratch::default();
-            for pair_start in (0..n.saturating_sub(1)).step_by(2) {
-                let (a, b) = (pair_start, pair_start + 1);
-                let (mapped, unmapped) =
-                    match (alignments[a].is_empty(), alignments[b].is_empty()) {
-                        (false, true) => (a, b),
-                        (true, false) => (b, a),
-                        _ => continue,
-                    };
-                let anchor = alignments[mapped][0].pos;
-                if let Some(result) = rescue_mate(
-                    self.parent.mapper(),
-                    self.parent.minimizer(),
-                    &mut cache,
-                    base_id + unmapped as u64,
-                    &dump_reads[unmapped],
-                    anchor,
-                    &options.mapping,
-                    &options.rescue,
-                    sink,
-                    0,
-                    &mut NoProbe,
-                    &mut scratch,
-                ) {
-                    alignments[unmapped] = align_read(&result, &options.align);
-                    rescued[unmapped] = Some(result);
-                }
-            }
-        }
-        if self.parent.workflow() == Workflow::Paired {
-            let _t = RegionTimer::start(sink, 0, "pair_check");
-            let mut iter = alignments.chunks_mut(2);
-            for pair in &mut iter {
-                if pair.len() == 2 {
-                    let (first, second) = pair.split_at_mut(1);
-                    pair_check(
-                        self.parent.mapper().gbz().graph(),
-                        self.parent.mapper().distance_index(),
-                        &mut first[0],
-                        &mut second[0],
-                        options.max_fragment,
-                    );
-                }
-            }
-        }
+        let rescued =
+            self.parent.pair_tail(base_id, options, sink, hot, &dump_reads, &mut alignments);
         ChunkRun { dump_reads, kernel_results, alignments, rescued }
     }
 }

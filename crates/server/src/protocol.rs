@@ -157,27 +157,25 @@ impl Frame {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
+    /// Appends the frame (header + payload) to `out`, building it in
+    /// place: the header is reserved, the payload appended, the length
+    /// patched. Several frames appended to one buffer go out as one write.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = begin_frame(out, self.kind());
         match self {
-            Frame::Ping | Frame::Stats | Frame::Shutdown | Frame::Pong => Vec::new(),
+            Frame::Ping | Frame::Stats | Frame::Shutdown | Frame::Pong => {}
             Frame::Submit { name, fastq } => {
-                let name = name.as_bytes();
-                let mut p = Vec::with_capacity(2 + name.len() + fastq.len());
-                p.extend_from_slice(&(name.len() as u16).to_le_bytes());
-                p.extend_from_slice(name);
-                p.extend_from_slice(fastq);
-                p
+                out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+                out.extend_from_slice(name.as_bytes());
+                out.extend_from_slice(fastq);
             }
-            Frame::Accept { job } => job.to_le_bytes().to_vec(),
-            Frame::Busy { reason } => reason.as_bytes().to_vec(),
+            Frame::Accept { job } => out.extend_from_slice(&job.to_le_bytes()),
+            Frame::Busy { reason } => out.extend_from_slice(reason.as_bytes()),
             Frame::Gaf { job, data } => {
-                let mut p = Vec::with_capacity(8 + data.len());
-                p.extend_from_slice(&job.to_le_bytes());
-                p.extend_from_slice(data);
-                p
+                out.extend_from_slice(&job.to_le_bytes());
+                out.extend_from_slice(data);
             }
             Frame::Done { job, summary } => {
-                let mut p = Vec::with_capacity(48);
                 for v in [
                     *job,
                     summary.reads,
@@ -186,27 +184,41 @@ impl Frame {
                     summary.queue_wait_us,
                     summary.latency_us,
                 ] {
-                    p.extend_from_slice(&v.to_le_bytes());
+                    out.extend_from_slice(&v.to_le_bytes());
                 }
-                p
             }
             Frame::Error { job, message } => {
-                let mut p = Vec::with_capacity(8 + message.len());
-                p.extend_from_slice(&job.to_le_bytes());
-                p.extend_from_slice(message.as_bytes());
-                p
+                out.extend_from_slice(&job.to_le_bytes());
+                out.extend_from_slice(message.as_bytes());
             }
-            Frame::StatsReply { json } => json.as_bytes().to_vec(),
+            Frame::StatsReply { json } => out.extend_from_slice(json.as_bytes()),
         }
+        end_frame(out, start);
+    }
+
+    /// Appends a `GAF` frame for `job` whose data is whatever `render`
+    /// appends to the buffer, and returns how many data bytes that was.
+    /// The bytes equal `Frame::Gaf { job, data }.encode()` without `data`
+    /// ever existing as a buffer of its own — the renderer writes straight
+    /// into the bytes that go on the wire.
+    pub fn encode_gaf_with(
+        out: &mut Vec<u8>,
+        job: u64,
+        render: impl FnOnce(&mut Vec<u8>),
+    ) -> usize {
+        let start = begin_frame(out, KIND_GAF);
+        out.extend_from_slice(&job.to_le_bytes());
+        let data_start = out.len();
+        render(out);
+        let data_len = out.len() - data_start;
+        end_frame(out, start);
+        data_len
     }
 
     /// Serializes the frame (header + payload) into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.payload();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.push(self.kind());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
         out
     }
 
@@ -216,6 +228,23 @@ impl Frame {
         w.write_all(&self.encode())?;
         w.flush()
     }
+}
+
+/// Appends a header for `kind` with the length still zero; returns where
+/// the frame starts, for [`end_frame`].
+fn begin_frame(out: &mut Vec<u8>, kind: u8) -> usize {
+    let start = out.len();
+    out.push(kind);
+    out.extend_from_slice(&[0; 4]);
+    start
+}
+
+/// Patches the length of the frame begun at `start` to cover everything
+/// appended since.
+fn end_frame(out: &mut [u8], start: usize) {
+    let len = u32::try_from(out.len() - start - HEADER_LEN)
+        .expect("frame payload fits the u32 length field");
+    out[start + 1..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
 fn read_u64(payload: &[u8], at: usize) -> u64 {

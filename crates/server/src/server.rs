@@ -27,10 +27,10 @@ use std::time::{Duration, Instant};
 
 use mg_core::types::Workflow;
 use mg_obs::{bucket_of, percentile, Ctr, Gauge, Hist, Metrics, Report, HIST_BUCKETS};
-use mg_parent::{chunk_to_gaf, Parent, ParentOptions, ShardedParent};
+use mg_parent::{chunk_to_gaf_into, Parent, ParentOptions, ShardedParent};
 use mg_sched::{effective_chunk_reads, AdmissionQueue};
 use mg_tuning::{Controller, ControllerConfig, ControllerStats, EpochStats, KnobState};
-use mg_workload::read_fastq;
+use mg_workload::read_fastq_bases;
 
 use crate::protocol::{Frame, FrameDecoder, JobSummary};
 use crate::transport::{Conn, ReadOutcome};
@@ -229,11 +229,16 @@ impl ServerCtl {
     }
 }
 
-/// Sends one frame, swallowing I/O errors: a client that hung up mid-job
-/// must not take the executor down with it.
-fn send(writer: &Arc<Mutex<Box<dyn Write + Send>>>, frame: &Frame) {
+/// Sends already-encoded frames as one write, swallowing I/O errors: a
+/// client that hung up mid-job must not take the executor down with it.
+fn send_bytes(writer: &Arc<Mutex<Box<dyn Write + Send>>>, frames: &[u8]) {
     let mut w = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _ = frame.write_to(&mut **w);
+    let _ = w.write_all(frames).and_then(|()| w.flush());
+}
+
+/// Sends one frame; see [`send_bytes`].
+fn send(writer: &Arc<Mutex<Box<dyn Write + Send>>>, frame: &Frame) {
+    send_bytes(writer, &frame.encode());
 }
 
 /// How many executor chunks make one controller epoch. Small enough that
@@ -490,6 +495,9 @@ impl<'a> MappingServer<'a> {
     fn executor(&self) {
         let ctl = &*self.ctl;
         let mut active: VecDeque<ActiveJob> = VecDeque::new();
+        // Every step's outbound frames are built here, in place; it grows
+        // to one chunk's GAF once and is reused for the life of the server.
+        let mut out: Vec<u8> = Vec::new();
         loop {
             while active.len() < self.config.max_active.max(1) {
                 match ctl.queue.try_pop() {
@@ -524,7 +532,7 @@ impl<'a> MappingServer<'a> {
             self.metrics.gauge_max(Gauge::ServePendingMax, stats.pending_high_water as u64);
             self.metrics.gauge_max(Gauge::ServeActiveMax, active.len() as u64);
             let mut aj = active.pop_front().expect("active job present");
-            if self.step(&mut aj) {
+            if self.step(&mut aj, &mut out) {
                 active.push_back(aj);
             }
         }
@@ -533,8 +541,14 @@ impl<'a> MappingServer<'a> {
 
     /// Maps one chunk of one job. Returns `true` while the job has reads
     /// left; emits `DONE`/`ERR` and releases admission otherwise.
-    fn step(&self, aj: &mut ActiveJob) -> bool {
+    ///
+    /// Write contract: whatever the step has to say — the chunk's `GAF`
+    /// frame, and `DONE` after a job's last chunk — is built in `out` and
+    /// leaves as exactly one write, so no small trailing write exists for
+    /// the transport to delay.
+    fn step(&self, aj: &mut ActiveJob, out: &mut Vec<u8>) -> bool {
         let ctl = &*self.ctl;
+        out.clear();
         if !aj.started {
             aj.started = true;
             aj.queue_wait_us = aj.job.submitted.elapsed().as_micros() as u64;
@@ -590,22 +604,23 @@ impl<'a> MappingServer<'a> {
             }));
             match chunk {
                 Ok(run) => {
-                    let gaf = chunk_to_gaf(
-                        mapper.gbz().graph(),
-                        &aj.job.name,
-                        lo as u64,
-                        &run.dump_reads,
-                        &run.kernel_results,
-                        &run.alignments,
-                    );
-                    if !gaf.is_empty() {
-                        send(
-                            &aj.job.writer,
-                            &Frame::Gaf { job: aj.job.id, data: gaf.clone().into_bytes() },
-                        );
+                    let gaf_len = Frame::encode_gaf_with(out, aj.job.id, |buf| {
+                        chunk_to_gaf_into(
+                            mapper.gbz().graph(),
+                            &aj.job.name,
+                            lo as u64,
+                            &run.dump_reads,
+                            &run.kernel_results,
+                            &run.alignments,
+                            buf,
+                        )
+                    });
+                    if gaf_len == 0 {
+                        // A chunk that placed no read sends no GAF frame.
+                        out.clear();
                     }
                     aj.chunks += 1;
-                    aj.gaf_bytes += gaf.len() as u64;
+                    aj.gaf_bytes += gaf_len as u64;
                     aj.next_read = hi;
                     self.adaptive_tick((hi - lo) as u64);
                 }
@@ -625,7 +640,8 @@ impl<'a> MappingServer<'a> {
                 }
             }
         }
-        if aj.next_read >= n {
+        let done = aj.next_read >= n;
+        if done {
             let latency_us = aj.job.submitted.elapsed().as_micros() as u64;
             ctl.observe_latency(latency_us);
             ctl.jobs_completed.fetch_add(1, Ordering::SeqCst);
@@ -635,23 +651,25 @@ impl<'a> MappingServer<'a> {
             self.metrics.add(Ctr::ServeGafBytes, aj.gaf_bytes);
             self.metrics.observe(Hist::ServeJobLatencyUs, latency_us);
             self.metrics.observe(Hist::ServeJobReads, n as u64);
-            send(
-                &aj.job.writer,
-                &Frame::Done {
-                    job: aj.job.id,
-                    summary: JobSummary {
-                        reads: n as u64,
-                        chunks: aj.chunks,
-                        gaf_bytes: aj.gaf_bytes,
-                        queue_wait_us: aj.queue_wait_us,
-                        latency_us,
-                    },
+            Frame::Done {
+                job: aj.job.id,
+                summary: JobSummary {
+                    reads: n as u64,
+                    chunks: aj.chunks,
+                    gaf_bytes: aj.gaf_bytes,
+                    queue_wait_us: aj.queue_wait_us,
+                    latency_us,
                 },
-            );
-            ctl.queue.finish(aj.job.client);
-            return false;
+            }
+            .encode_into(out);
         }
-        true
+        if !out.is_empty() {
+            send_bytes(&aj.job.writer, out);
+        }
+        if done {
+            ctl.queue.finish(aj.job.client);
+        }
+        !done
     }
 
     /// One connection: parse frames, answer control frames inline, hand
@@ -697,7 +715,7 @@ impl<'a> MappingServer<'a> {
             Frame::Shutdown => ctl.request_shutdown(),
             Frame::Submit { name, fastq } => {
                 let job_id = ctl.next_job.fetch_add(1, Ordering::SeqCst) + 1;
-                match read_fastq(&fastq[..]) {
+                match read_fastq_bases(&fastq[..]) {
                     Err(e) => {
                         // The job is born failed: acknowledge it so the
                         // client can correlate, then report the parse
@@ -705,14 +723,12 @@ impl<'a> MappingServer<'a> {
                         // clients' jobs are unaffected.
                         ctl.jobs_failed.fetch_add(1, Ordering::SeqCst);
                         self.metrics.add(Ctr::ServeJobsFailed, 1);
-                        let mut w =
-                            writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        let _ = Frame::Accept { job: job_id }.write_to(&mut **w);
-                        let _ = Frame::Error { job: job_id, message: format!("bad FASTQ: {e}") }
-                            .write_to(&mut **w);
+                        let mut verdict = Frame::Accept { job: job_id }.encode();
+                        Frame::Error { job: job_id, message: format!("bad FASTQ: {e}") }
+                            .encode_into(&mut verdict);
+                        send_bytes(writer, &verdict);
                     }
-                    Ok(records) => {
-                        let reads: Vec<Vec<u8>> = records.into_iter().map(|r| r.bases).collect();
+                    Ok(reads) => {
                         let job = Job {
                             id: job_id,
                             client,

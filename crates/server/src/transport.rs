@@ -47,25 +47,26 @@ impl TimedRead for TcpStream {
     }
 }
 
-/// A TCP writer with a per-frame deadline, so a client that stops reading
+/// A TCP writer with a per-message deadline, so a client that stops reading
 /// cannot pin a connection handler (and the writer mutex it holds) forever
 /// once the socket's send buffer fills.
 ///
-/// The protocol writes one frame as a single `write_all` + `flush`, so the
-/// deadline arms on the first byte of a frame and disarms on `flush`:
-/// however the kernel slices the frame into partial writes, the *whole
-/// frame* must drain within `timeout`. A stall surfaces as a hard
+/// The protocol writes one message (a frame, or an executor step's GAF +
+/// DONE frames) as a single `write_all` + `flush`, so the deadline arms on
+/// the first byte and disarms on `flush`: however the kernel slices the
+/// message into partial writes, the *whole message* must drain within
+/// `timeout`. A stall surfaces as a hard
 /// [`io::ErrorKind::TimedOut`] error — the caller drops the connection
 /// rather than retrying into the same full buffer.
 pub struct TimedWriter {
     stream: TcpStream,
     timeout: Duration,
-    /// Deadline of the frame in flight; `None` between frames.
+    /// Deadline of the message in flight; `None` between messages.
     deadline: Option<Instant>,
 }
 
 impl TimedWriter {
-    /// Wraps `stream`, bounding every frame write by `timeout`.
+    /// Wraps `stream`, bounding every message write by `timeout`.
     pub fn new(stream: TcpStream, timeout: Duration) -> TimedWriter {
         TimedWriter { stream, timeout, deadline: None }
     }
@@ -202,30 +203,30 @@ pub struct Conn {
 
 impl Conn {
     /// Wraps a TCP stream (cloned so reads and writes have independent
-    /// handles).
+    /// handles) with unbounded writes. Sets `TCP_NODELAY`, see
+    /// [`Conn::tcp_with_timeout`].
     pub fn tcp(stream: TcpStream) -> io::Result<Conn> {
-        let write_half = stream.try_clone()?;
-        Ok(Conn {
-            reader: Box::new(stream),
-            writer: std::sync::Arc::new(Mutex::new(Box::new(write_half))),
-        })
+        Conn::tcp_with_timeout(stream, Duration::ZERO)
     }
 
     /// Wraps a TCP stream like [`Conn::tcp`], but bounds every outbound
-    /// frame by `write_timeout` (see [`TimedWriter`]). A zero timeout
+    /// write by `write_timeout` (see [`TimedWriter`]). A zero timeout
     /// means unbounded writes.
+    ///
+    /// Sets `TCP_NODELAY` on the socket. Every protocol message is handed
+    /// to the kernel as one complete write, so Nagle's algorithm has
+    /// nothing to coalesce; left on, it parks the last partial segment of
+    /// a reply behind the peer's delayed ACK (~40 ms on Linux), which a
+    /// closed-loop client then spends idle.
     pub fn tcp_with_timeout(stream: TcpStream, write_timeout: Duration) -> io::Result<Conn> {
-        if write_timeout.is_zero() {
-            return Conn::tcp(stream);
-        }
+        stream.set_nodelay(true)?;
         let write_half = stream.try_clone()?;
-        Ok(Conn {
-            reader: Box::new(stream),
-            writer: std::sync::Arc::new(Mutex::new(Box::new(TimedWriter::new(
-                write_half,
-                write_timeout,
-            )))),
-        })
+        let writer: Box<dyn Write + Send> = if write_timeout.is_zero() {
+            Box::new(write_half)
+        } else {
+            Box::new(TimedWriter::new(write_half, write_timeout))
+        };
+        Ok(Conn { reader: Box::new(stream), writer: std::sync::Arc::new(Mutex::new(writer)) })
     }
 
     /// Creates a connected in-process pair: `(server_side, client_side)`.

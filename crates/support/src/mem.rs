@@ -45,8 +45,10 @@ mod tests {
         if !std::path::Path::new("/proc/self/status").exists() {
             return; // nothing to assert off-Linux
         }
-        let peak = peak_rss_bytes().expect("VmHWM present in /proc/self/status");
+        // Current first: other tests allocate concurrently, and only a
+        // peak read *after* the current reading is bound to cover it.
         let now = current_rss_bytes().expect("VmRSS present in /proc/self/status");
+        let peak = peak_rss_bytes().expect("VmHWM present in /proc/self/status");
         // A running test binary holds at least a few pages, and the peak
         // can never undercut the current reading.
         assert!(now > 64 * 1024, "current RSS {now} implausibly small");

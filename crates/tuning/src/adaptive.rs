@@ -19,7 +19,7 @@ use mg_core::dump::SeedDump;
 use mg_core::types::Workflow;
 use mg_core::{Mapper, MappingOptions, MappingResults};
 use mg_obs::{Metrics, Report};
-use mg_parent::{chunk_to_gaf, Parent, ParentOptions};
+use mg_parent::{chunk_to_gaf_into, Parent, ParentOptions};
 use mg_sched::{effective_chunk_reads, AdmissionStats};
 
 use crate::controller::{
@@ -155,7 +155,7 @@ pub fn run_adaptive_parent(
     let mapper = parent.mapper();
     let mut clock = EpochClock::new(metrics, epoch_chunks);
     let mut trajectory = Vec::new();
-    let mut gaf = String::new();
+    let mut gaf: Vec<u8> = Vec::new();
     let mut chunks = 0u64;
     let start = Instant::now();
     let mut lo = 0usize;
@@ -168,20 +168,21 @@ pub fn run_adaptive_parent(
         if hot.is_none() {
             mapper.build_hot_tier(&run.dump_reads, &options.mapping);
         }
-        gaf.push_str(&chunk_to_gaf(
+        chunk_to_gaf_into(
             mapper.gbz().graph(),
             set_name,
             lo as u64,
             &run.dump_reads,
             &run.kernel_results,
             &run.alignments,
-        ));
+            &mut gaf,
+        );
         chunks += 1;
         clock.tick(&mut controller, (hi - lo) as u64, &mut trajectory);
         lo = hi;
     }
     AdaptiveParentRun {
-        gaf,
+        gaf: String::from_utf8(gaf).expect("GAF is built from str and ASCII pieces"),
         reads: reads.len() as u64,
         chunks,
         wall: start.elapsed(),

@@ -135,6 +135,19 @@ pub fn read_fastq<R: Read>(input: R) -> Result<Vec<FastqRecord>> {
     FastqReader::new(BufReader::new(input)).collect()
 }
 
+/// Parses a FASTQ stream keeping only the base sequences — the mapping
+/// pipeline's input shape. Accepts and rejects exactly what [`read_fastq`]
+/// does (same parser, same errors), but each record's name and quality
+/// string are dropped as soon as the record has been validated instead of
+/// being held until the whole input is parsed.
+///
+/// # Errors
+///
+/// As [`read_fastq`].
+pub fn read_fastq_bases<R: Read>(input: R) -> Result<Vec<Vec<u8>>> {
+    FastqReader::new(BufReader::new(input)).map(|record| Ok(record?.bases)).collect()
+}
+
 /// A streaming FASTQ parser: an iterator of `Result<FastqRecord>` over any
 /// [`BufRead`], holding one record in memory at a time.
 ///
@@ -252,8 +265,7 @@ pub fn save_reads_fastq(
 ///
 /// Returns IO and format errors.
 pub fn load_read_bases(path: impl AsRef<Path>) -> Result<Vec<Vec<u8>>> {
-    let file = std::fs::File::open(path)?;
-    Ok(read_fastq(file)?.into_iter().map(|r| r.bases).collect())
+    read_fastq_bases(std::fs::File::open(path)?)
 }
 
 #[cfg(test)]

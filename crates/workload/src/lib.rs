@@ -25,5 +25,7 @@ pub mod inputset;
 pub mod reads;
 
 pub use inputset::{InputSetSpec, SyntheticInput};
-pub use fastq::{read_fastq, write_fastq, FastqBatches, FastqReader, FastqRecord};
+pub use fastq::{
+    read_fastq, read_fastq_bases, write_fastq, FastqBatches, FastqReader, FastqRecord,
+};
 pub use reads::{ReadSimParams, SimulatedRead};

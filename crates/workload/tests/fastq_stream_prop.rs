@@ -7,7 +7,7 @@
 //! that keeps a future divergence (a separate fast path, a rewritten batch
 //! loop) from silently changing intake semantics.
 
-use mg_workload::{read_fastq, FastqReader, FastqRecord};
+use mg_workload::{read_fastq, read_fastq_bases, FastqReader, FastqRecord};
 use proptest::prelude::*;
 
 /// One generated input segment. `kind` picks the shape, `len` the sequence
@@ -75,6 +75,15 @@ fn stream_outcome(bytes: &[u8]) -> (Vec<FastqRecord>, Option<String>) {
     (records, error)
 }
 
+/// The bases-only reader is `read_fastq` minus names and qualities: same
+/// sequences on clean input, same error on malformed input.
+fn bases_reader_agrees(bytes: &[u8]) -> bool {
+    let full = read_fastq(bytes)
+        .map(|records| records.into_iter().map(|r| r.bases).collect::<Vec<_>>())
+        .map_err(|e| e.to_string());
+    read_fastq_bases(bytes).map_err(|e| e.to_string()) == full
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -127,6 +136,7 @@ proptest! {
         }
         prop_assert_eq!(flat, streamed);
         prop_assert_eq!(batched_err, stream_err);
+        prop_assert!(bases_reader_agrees(&bytes));
     }
 
     #[test]
@@ -145,5 +155,6 @@ proptest! {
                 prop_assert_eq!(stream_err.as_deref(), Some(e.to_string().as_str()));
             }
         }
+        prop_assert!(bases_reader_agrees(&bytes));
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full verification gate for the miniGiraffe-rs workspace:
-# build, tests, lints, and the observability overhead smoke check.
+# build, tests, lints, the benchmark harness, and the gated smoke benches.
 #
 # Usage: scripts/verify.sh
 # Env:   MG_SCALE (default 0.2 here, keeps the smoke runs short),
@@ -30,6 +30,15 @@ echo "== lints (feature matrix: obs on / obs off, simd on / simd off) =="
 cargo clippy --all-targets -- -D warnings
 cargo clippy --all-targets --no-default-features -p mg-obs -- -D warnings
 cargo clippy --all-targets --no-default-features -p mg-kernels -- -D warnings
+
+echo "== benchmark harness (own tests, then every workload once at 1/20 scale) =="
+# The PR pipeline builds benchmark/ against these crates and runs it; it
+# pins library surface (chunk_to_gaf, run_to_gaf, load_read_bases, the CLI
+# flags) and re-implements the wire format in benchmark/src/serve.rs. A
+# change that breaks any of that must fail here first. --quick checks every
+# workload's output digest and the traced run's five-way byte equality.
+cargo test --release --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --quick
 
 out="${MG_OUT:-results}"
 mkdir -p "$out"
