@@ -198,6 +198,10 @@ pub struct KernelStats {
     pub batch_anchors: u64,
     /// DFS subtrees skipped by branch-and-bound pruning (`subtree_is_dead`).
     pub pruned_frames: u64,
+    /// Anchors not walked because an anchor of the same node and diagonal,
+    /// joined to them by matching read bases, yields the identical
+    /// extension (rule 1; exact duplicates included).
+    pub anchors_merged: u64,
 }
 
 impl ExtendScratch {
@@ -920,6 +924,38 @@ fn branch_states_into<P: MemProbe>(
     }
 }
 
+/// The read-vs-node diagonal of an anchor: the read offset its node's first
+/// base would align to (negative when the node starts left of the read).
+fn diagonal(seed: &Seed) -> i64 {
+    i64::from(seed.read_offset) - i64::from(seed.pos.offset)
+}
+
+/// Rule 1 (exact merge): `true` when `later` sits on `kept`'s node and
+/// diagonal, at or right of it, and the read equals the node on every base
+/// from `kept` up to `later` — then both anchors produce the same
+/// [`Extension`], field for field (DESIGN.md §4b has the proof), and only
+/// `kept` needs walking. An `N` in the read never equals a node base, and
+/// an anchor past the end of the read or the node merges with nothing.
+fn same_walk(graph: &VariationGraph, read: &[u8], kept: &Seed, later: &Seed) -> bool {
+    if kept.pos.handle != later.pos.handle
+        || diagonal(kept) != diagonal(later)
+        || later.read_offset < kept.read_offset
+    {
+        return false;
+    }
+    let node = graph.oriented_sequence(kept.pos.handle);
+    let between_read = read.get(kept.read_offset as usize..later.read_offset as usize);
+    let between_node = node.get(kept.pos.offset as usize..later.pos.offset as usize);
+    match (between_read, between_node) {
+        (Some(r), Some(g)) => {
+            (later.read_offset as usize) < read.len()
+                && (later.pos.offset as usize) < node.len()
+                && r == g
+        }
+        _ => false,
+    }
+}
+
 /// Processes a read's clusters best-first, extending each cluster's seeds
 /// until the threshold policy says stop (the `process_until_threshold_c`
 /// driver).
@@ -965,12 +1001,25 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
         if cluster.score < best_cluster_score * process.cluster_score_cutoff {
             break;
         }
-        // Deduplicate exact anchor duplicates (the same read offset hitting
-        // the same graph position via several minimizers).
         scratch.anchors.clear();
         scratch.anchors.extend(cluster.seeds.iter().map(|&i| seeds[i]));
+        // One sort brings exact duplicates (the same read offset hitting the
+        // same graph position via several minimizers) and the anchors of one
+        // node and one diagonal together. Rule 1, exact merge: of every run
+        // the read matches without a break only the leftmost anchor is
+        // walked (`same_walk`). The survivors go back to the canonical
+        // `(read_offset, pos)` order.
+        let staged = scratch.anchors.len();
+        let merge = extend.match_score >= 0;
+        let mut duplicates = 0usize;
+        scratch.anchors.sort_unstable_by_key(|s| (s.pos.handle, diagonal(s), s.read_offset));
+        scratch.anchors.dedup_by(|later, kept| {
+            let duplicate = later == kept;
+            duplicates += usize::from(duplicate);
+            duplicate || (merge && same_walk(graph, read, kept, later))
+        });
         scratch.anchors.sort_unstable();
-        scratch.anchors.dedup();
+        scratch.stats.anchors_merged += (staged - duplicates - scratch.anchors.len()) as u64;
         // Batched dataflow: reorder each batch of anchors graph-position
         // major, so consecutive extensions hit the same node's packed words
         // and the same GBWT records while they are cache-hot. The final

@@ -1,0 +1,308 @@
+//! "Extend each walk once": `process_until_threshold` against the reference
+//! it replaces — extend every anchor with the public `extend_seed`, then
+//! canonicalize — on random pangenomes with SNPs and indels.
+//!
+//! The kernel merges anchors of one node and one diagonal that the read joins
+//! without a mismatch (rule 1). That is an optimisation with a proof
+//! (DESIGN.md §4b), so the kernel must equal the reference exactly, on every
+//! comparison tier and every anchor batch size.
+
+use minigiraffe::core::{
+    extend_seed_with_scratch, process_until_threshold_with_scratch, Cluster, ExtendParams,
+    ExtendScratch, Extension, KernelStats, ProcessParams, Seed, SimdTier,
+};
+use minigiraffe::gbwt::{CachedGbwt, Gbz};
+use minigiraffe::graph::dna::reverse_complement;
+use minigiraffe::graph::pangenome::{PangenomeBuilder, Variant};
+use minigiraffe::graph::{Handle, NodeId};
+use minigiraffe::index::GraphPos;
+use minigiraffe::support::probe::NoProbe;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const BASES: &[u8; 4] = b"ACGT";
+
+/// One kernel input: a read, its seeds, and the clusters over them.
+struct Case {
+    gbz: Gbz,
+    read: Vec<u8>,
+    seeds: Vec<Seed>,
+    clusters: Vec<Cluster>,
+}
+
+/// `lens.start..lens.end` random bases.
+fn random_bases(rng: &mut StdRng, lens: std::ops::Range<usize>) -> Vec<u8> {
+    let len = rng.random_range(lens);
+    (0..len).map(|_| BASES[rng.random_range(0usize..4)]).collect()
+}
+
+/// A random pangenome (SNPs, insertions and deletions a few bases apart,
+/// one to four haplotypes, short and long nodes) and a read drawn from one
+/// of its haplotypes on either strand. Anchors are placed where the read
+/// really came from — at random read offsets, and at every base that falls
+/// on a node's first or last offset — before substitutions and `N`s are
+/// written into the read, so runs of anchors on one diagonal with and
+/// without a mismatch between them both occur. A few anchors are repeated
+/// and a few are noise.
+fn random_case(rng: &mut StdRng) -> Case {
+    let (gbz, paths) = loop {
+        let reference = random_bases(rng, 80..320);
+        let mut variants = Vec::new();
+        let mut pos = 0usize;
+        loop {
+            pos += rng.random_range(3usize..40);
+            if pos + 8 >= reference.len() {
+                break;
+            }
+            variants.push(match rng.random_range(0u32..4) {
+                0 => Variant::insertion(pos, random_bases(rng, 1..6)),
+                1 => Variant::deletion(pos, rng.random_range(1usize..5)),
+                _ => Variant::snp(pos, BASES[rng.random_range(0usize..4)]),
+            });
+        }
+        let haplotypes: Vec<Vec<usize>> = (0..rng.random_range(1usize..5))
+            .map(|_| variants.iter().map(|_| rng.random_range(0usize..2)).collect())
+            .collect();
+        let built = PangenomeBuilder::new(reference)
+            .variants(variants)
+            .haplotypes(haplotypes)
+            .max_node_len(rng.random_range(3usize..48))
+            .build();
+        // Rejected draws (overlapping sites, an alt equal to the reference
+        // base) are simply redrawn.
+        if let Ok(p) = built {
+            let paths = p.paths().to_vec();
+            if let Ok(gbz) = Gbz::from_pangenome(p) {
+                break (gbz, paths);
+            }
+        }
+    };
+    let graph = gbz.graph();
+    // Every base of one haplotype with the graph position it sits on.
+    let path = &paths[rng.random_range(0..paths.len())];
+    let mut hap: Vec<(u8, GraphPos)> = Vec::new();
+    for &h in &path.handles {
+        for (off, &b) in graph.oriented_sequence(h).iter().enumerate() {
+            hap.push((b, GraphPos::new(h, off as u32)));
+        }
+    }
+    let len = rng.random_range(12usize..=hap.len().min(150));
+    let start = rng.random_range(0..=hap.len() - len);
+    let forward = rng.random_bool(0.5);
+    // The read and, per read offset, where that base lies in the graph.
+    let (mut read, truth): (Vec<u8>, Vec<GraphPos>) = if forward {
+        hap[start..start + len].iter().copied().unzip()
+    } else {
+        let fwd: Vec<u8> = hap[start..start + len].iter().map(|&(b, _)| b).collect();
+        let truth = hap[start..start + len]
+            .iter()
+            .rev()
+            .map(|&(_, p)| {
+                let last = graph.node_len(p.handle.node()) as u32 - 1;
+                GraphPos::new(p.handle.flip(), last - p.offset)
+            })
+            .collect();
+        (reverse_complement(&fwd), truth)
+    };
+
+    let mut seeds: Vec<Seed> = Vec::new();
+    for _ in 0..rng.random_range(2usize..24) {
+        let r = rng.random_range(0..len);
+        seeds.push(Seed::new(r as u32, truth[r]));
+    }
+    for (r, p) in truth.iter().enumerate() {
+        let last = graph.node_len(p.handle.node()) as u32 - 1;
+        if (p.offset == 0 || p.offset == last) && rng.random_bool(0.5) {
+            seeds.push(Seed::new(r as u32, *p));
+        }
+    }
+    for _ in 0..rng.random_range(0usize..3) {
+        let dup = seeds[rng.random_range(0..seeds.len())];
+        seeds.push(dup);
+    }
+    for _ in 0..rng.random_range(0usize..4) {
+        let node = NodeId::new(rng.random_range(1..=graph.node_count() as u64));
+        let handle = if rng.random_bool(0.5) { Handle::forward(node) } else { Handle::reverse(node) };
+        let off = rng.random_range(0..graph.node_len(node)) as u32;
+        seeds.push(Seed::new(rng.random_range(0..len) as u32, GraphPos::new(handle, off)));
+    }
+
+    for _ in 0..rng.random_range(0usize..=4) {
+        let r = rng.random_range(0..len);
+        read[r] = BASES[(BASES.iter().position(|&b| b == read[r]).unwrap_or(0) + 1) % 4];
+    }
+    if rng.random_bool(0.3) {
+        for _ in 0..rng.random_range(1usize..3) {
+            read[rng.random_range(0..len)] = b'N';
+        }
+    }
+
+    // One to three clusters over a shuffle-free split of the seed list, all
+    // above the score cutoff so every one is processed.
+    let cuts = rng.random_range(1usize..=3.min(seeds.len()));
+    let mut bounds: Vec<usize> = (0..cuts - 1).map(|_| rng.random_range(1..seeds.len())).collect();
+    bounds.extend([0, seeds.len()]);
+    bounds.sort_unstable();
+    bounds.dedup();
+    let clusters = bounds
+        .windows(2)
+        .enumerate()
+        .map(|(i, w)| Cluster {
+            seeds: (w[0]..w[1]).collect(),
+            score: 4.0 - i as f64 * 0.5,
+            coverage: 0.5,
+        })
+        .collect();
+    Case { gbz, read, seeds, clusters }
+}
+
+fn kernel(case: &Case, extend: &ExtendParams, process: &ProcessParams) -> (Vec<Extension>, KernelStats) {
+    let mut cache = CachedGbwt::new(case.gbz.gbwt(), 64);
+    let mut scratch = ExtendScratch::default();
+    let out = process_until_threshold_with_scratch(
+        case.gbz.graph(), &mut cache, &case.read, 0, &case.seeds, &case.clusters, extend, process,
+        &mut NoProbe, &mut scratch,
+    );
+    (out, scratch.take_stats())
+}
+
+/// The reference: every distinct anchor of every processed cluster goes
+/// through the public single-seed extension; the results are canonicalized
+/// the way the kernel documents (one representative per span and start
+/// position, best score first, capped).
+fn reference(case: &Case, extend: &ExtendParams, process: &ProcessParams) -> Vec<Extension> {
+    let mut cache = CachedGbwt::new(case.gbz.gbwt(), 64);
+    let mut scratch = ExtendScratch::default();
+    let mut all: Vec<Extension> = Vec::new();
+    let best = case.clusters.first().map_or(0.0, |c| c.score);
+    for cluster in case.clusters.iter().take(process.max_clusters) {
+        if cluster.score < best * process.cluster_score_cutoff {
+            break;
+        }
+        let mut anchors: Vec<Seed> = cluster.seeds.iter().map(|&i| case.seeds[i]).collect();
+        anchors.sort_unstable();
+        anchors.dedup();
+        for anchor in anchors {
+            let ext = extend_seed_with_scratch(
+                case.gbz.graph(), &mut cache, &case.read, 0, anchor, extend, &mut NoProbe,
+                &mut scratch,
+            );
+            all.extend(ext.filter(|e| e.score >= process.min_extension_score));
+        }
+    }
+    canonicalize(all, process)
+}
+
+fn canonicalize(mut all: Vec<Extension>, process: &ProcessParams) -> Vec<Extension> {
+    all.sort_by(|a, b| {
+        (a.read_start, a.read_end, a.pos, std::cmp::Reverse(a.score), a.mismatches, &a.path).cmp(
+            &(b.read_start, b.read_end, b.pos, std::cmp::Reverse(b.score), b.mismatches, &b.path),
+        )
+    });
+    all.dedup_by_key(|e| (e.read_start, e.read_end, e.pos));
+    all.sort_by(|a, b| {
+        b.score
+            .cmp(&a.score)
+            .then_with(|| (a.read_start, a.read_end, a.pos).cmp(&(b.read_start, b.read_end, b.pos)))
+    });
+    all.truncate(process.max_extensions_per_read);
+    all
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// (a) the kernel equals the extend-every-anchor reference; (c) on the
+    /// scalar, SWAR and AVX2 comparison tiers (an unsupported tier clamps to
+    /// the best one the host has) and with anchor batches of 0, 2, 16 and
+    /// 1024.
+    #[test]
+    fn kernel_equals_extend_every_anchor_reference(case_seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(case_seed);
+        let case = random_case(&mut rng);
+        let extend = ExtendParams {
+            max_mismatches: rng.random_range(0u32..6),
+            ..Default::default()
+        };
+        let process = ProcessParams::default();
+        let want = reference(&case, &ExtendParams { force_scalar: true, ..extend }, &process);
+        let tiers = [
+            ExtendParams { force_scalar: true, ..extend },
+            ExtendParams { simd_override: Some(SimdTier::Swar), ..extend },
+            ExtendParams { simd_override: Some(SimdTier::Avx2), ..extend },
+        ];
+        for tier in &tiers {
+            for batch in [0usize, 2, 16, 1024] {
+                let process = ProcessParams { extend_batch: batch, ..process };
+                let (got, stats) = kernel(&case, tier, &process);
+                prop_assert_eq!(
+                    &got, &want,
+                    "case {} tier {:?}/{:?} batch {} read {:?} seeds {:?}",
+                    case_seed, tier.force_scalar, tier.simd_override, batch,
+                    String::from_utf8_lossy(&case.read), case.seeds
+                );
+                prop_assert!(stats.anchors_merged as usize <= case.seeds.len());
+            }
+        }
+    }
+}
+
+/// One 40-base node, one haplotype: the smallest graph on which two anchors
+/// share a node and a diagonal.
+fn one_node() -> (Gbz, Vec<u8>) {
+    let reference = b"ACGTTGCAAGCTTAGGCATCGATTACGGATCCTAGCAATG".to_vec();
+    let p = PangenomeBuilder::new(reference.clone())
+        .haplotypes(vec![vec![]])
+        .max_node_len(64)
+        .build()
+        .unwrap();
+    (Gbz::from_pangenome(p).unwrap(), reference)
+}
+
+fn two_anchor_case(gbz: Gbz, read: Vec<u8>) -> Case {
+    let node = Handle::forward(NodeId::new(1));
+    // Read offset r sits on node offset 8 + r: one diagonal for both.
+    let seeds = vec![
+        Seed::new(1, GraphPos::new(node, 9)),
+        Seed::new(12, GraphPos::new(node, 20)),
+    ];
+    let clusters = vec![Cluster { seeds: vec![0, 1], score: 2.0, coverage: 1.0 }];
+    Case { gbz, read, seeds, clusters }
+}
+
+#[test]
+fn anchors_joined_by_matching_bases_merge() {
+    let (gbz, reference) = one_node();
+    let case = two_anchor_case(gbz, reference[8..38].to_vec());
+    let (got, stats) = kernel(&case, &ExtendParams::default(), &ProcessParams::default());
+    assert_eq!(stats.anchors_merged, 1);
+    assert_eq!(got.len(), 1);
+    assert_eq!((got[0].read_start, got[0].read_end, got[0].mismatches), (0, 30, 0));
+    assert_eq!(got, reference_of(&case));
+}
+
+/// (b) A substitution or an `N` between two anchors of one diagonal keeps
+/// both, and here it must: the left anchor carries its extension across the
+/// break to the read's first base (one mismatch), the right anchor's left
+/// walk gives up at the break (two bases beyond it cannot pay for it), so
+/// the two anchors report different spans.
+#[test]
+fn a_mismatch_or_n_between_anchors_keeps_both() {
+    for broken in [b'N', b'T'] {
+        let (gbz, reference) = one_node();
+        let mut read = reference[8..38].to_vec();
+        assert_ne!(read[2], broken);
+        read[2] = broken;
+        let case = two_anchor_case(gbz, read);
+        let (got, stats) = kernel(&case, &ExtendParams::default(), &ProcessParams::default());
+        assert_eq!(stats.anchors_merged, 0, "break {}", broken as char);
+        let spans: Vec<_> = got.iter().map(|e| (e.read_start, e.read_end, e.mismatches)).collect();
+        assert_eq!(spans, vec![(3, 30, 0), (0, 30, 1)], "break {}", broken as char);
+        assert_eq!(got, reference_of(&case));
+    }
+}
+
+fn reference_of(case: &Case) -> Vec<Extension> {
+    reference(case, &ExtendParams { force_scalar: true, ..Default::default() }, &ProcessParams::default())
+}
