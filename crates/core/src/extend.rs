@@ -7,7 +7,11 @@
 //! (tracked with a bidirectional GBWT search state through the per-thread
 //! [`CachedGbwt`]), tolerating a bounded number of mismatches, and keeping
 //! the best-scoring span. [`process_until_threshold`] drives the kernel
-//! over a read's clusters in score order.
+//! over a read's clusters in score order, and walks each distinct extension
+//! once: anchors that provably yield the same extension are merged before
+//! any is walked (rule 1), and anchors lying on an exact full-length
+//! extension the read already has are not walked at all (rule 2, from
+//! Giraffe's `GaplessExtender::extend`).
 
 use mg_gbwt::gbwt::record_extend_forward_with_counts;
 use mg_gbwt::{BidirState, CachedGbwt};
@@ -97,13 +101,14 @@ pub struct ProcessParams {
     pub max_extensions_per_read: usize,
     /// Extensions scoring below this are discarded.
     pub min_extension_score: i32,
-    /// Anchor batch size of the extension dataflow: after deduplication a
-    /// cluster's anchors are processed in batches of this size, each batch
-    /// sorted by graph position so consecutive extensions walk the same
-    /// packed node words and GBWT records while they are hot. `0` or `1`
-    /// disables batching (the pre-batching anchor order). Output is
-    /// invariant: extensions are canonicalized across the whole read, so
-    /// batch size only changes locality, never the GAF (pinned by tests).
+    /// Anchor batch size of the extension dataflow: after deduplication
+    /// and merging a cluster's anchors are processed in batches of this
+    /// size, each batch sorted by graph position so consecutive extensions
+    /// walk the same packed node words and GBWT records while they are hot.
+    /// `0` or `1` disables batching (canonical anchor order). Output is
+    /// invariant: which anchors count is decided in canonical order and
+    /// extensions are canonicalized across the whole read, so batch size
+    /// only changes locality, never the GAF (pinned by tests).
     pub extend_batch: usize,
 }
 
@@ -172,8 +177,17 @@ pub struct ExtendScratch {
     /// Reconstructed paths of the two directional walks, in walk order.
     left_path: Vec<Handle>,
     right_path: Vec<Handle>,
-    /// Deduplicated anchors of the cluster being processed.
+    /// Deduplicated, merged anchors of the cluster being processed.
     anchors: Vec<Seed>,
+    /// Every `(node, diagonal)` the read's exact full-length extensions
+    /// walk (rule 2).
+    exact_walks: Vec<(Handle, i64)>,
+    /// The anchor each of the read's extensions came from, in step with the
+    /// extension list.
+    origins: Vec<Seed>,
+    /// Extensions of the current batch waiting to be admitted in canonical
+    /// anchor order, each with the anchor that produced it.
+    held: Vec<(Seed, Extension)>,
     /// The current read packed 2 bits/base, both strands, with `N` lane
     /// masks — packed once per read (every seed of the read reuses it).
     packed: PackedReadPair,
@@ -193,7 +207,7 @@ pub struct KernelStats {
     pub wide_lanes: u64,
     /// Anchor batches formed by the batched extension dataflow.
     pub batches: u64,
-    /// Anchors summed over those batches (`batch_anchors / batches` is the
+    /// Anchors walked in those batches (`batch_anchors / batches` is the
     /// mean batch fill).
     pub batch_anchors: u64,
     /// DFS subtrees skipped by branch-and-bound pruning (`subtree_is_dead`).
@@ -202,6 +216,9 @@ pub struct KernelStats {
     /// joined to them by matching read bases, yields the identical
     /// extension (rule 1; exact duplicates included).
     pub anchors_merged: u64,
+    /// Anchors not walked because they lie on an exact full-length
+    /// extension the read already has (rule 2).
+    pub anchors_skipped: u64,
 }
 
 impl ExtendScratch {
@@ -943,17 +960,112 @@ fn same_walk(graph: &VariationGraph, read: &[u8], kept: &Seed, later: &Seed) -> 
     {
         return false;
     }
+    // One diagonal and `kept` not right of `later`: both ranges run forward.
     let node = graph.oriented_sequence(kept.pos.handle);
-    let between_read = read.get(kept.read_offset as usize..later.read_offset as usize);
-    let between_node = node.get(kept.pos.offset as usize..later.pos.offset as usize);
-    match (between_read, between_node) {
-        (Some(r), Some(g)) => {
-            (later.read_offset as usize) < read.len()
-                && (later.pos.offset as usize) < node.len()
-                && r == g
+    let (r0, r1) = (kept.read_offset as usize, later.read_offset as usize);
+    let (g0, g1) = (kept.pos.offset as usize, later.pos.offset as usize);
+    r1 < read.len() && g1 < node.len() && read[r0..r1] == node[g0..g1]
+}
+
+/// `true` for an extension that covers the whole read without a mismatch.
+fn is_exact_full_length(ext: &Extension, read: &[u8]) -> bool {
+    ext.mismatches == 0 && ext.read_start == 0 && ext.read_end as usize == read.len()
+}
+
+/// Admits one extension to the read's list, remembering the anchor it came
+/// from and, for an exact full-length one, every `(node, diagonal)` it
+/// walks: an anchor with one of those lies on it.
+fn admit(
+    graph: &VariationGraph,
+    read: &[u8],
+    anchor: Seed,
+    ext: Extension,
+    scratch: &mut ExtendScratch,
+    extensions: &mut Vec<Extension>,
+) {
+    if is_exact_full_length(&ext, read) {
+        let mut node_diagonal = i64::from(ext.read_start) - i64::from(ext.pos.offset);
+        for &h in &ext.path {
+            scratch.exact_walks.push((h, node_diagonal));
+            node_diagonal += graph.node_len(h.node()) as i64;
         }
-        _ => false,
     }
+    scratch.origins.push(anchor);
+    extensions.push(ext);
+}
+
+/// `true` when `anchor` lies on one of the read's exact full-length
+/// extensions.
+fn on_exact_walk(exact_walks: &[(Handle, i64)], anchor: &Seed) -> bool {
+    exact_walks.contains(&(anchor.pos.handle, diagonal(anchor)))
+}
+
+/// Walks one batch of a cluster's anchors, `scratch.anchors[batch]`, and
+/// admits what they yield to `extensions`.
+///
+/// Rule 2 (Giraffe's `GaplessExtender::extend`): an anchor that lies on an
+/// exact full-length extension the read already has is not walked.
+/// "Already" means in canonical anchor order, whatever order the batch is
+/// walked in, so the walked set — and with it the output — does not depend
+/// on the batch size. The batch's canonically first anchor that no earlier
+/// extension covers is walked first: in canonical order nothing could stop
+/// it, so what it yields is admitted at once (for an error-free read that
+/// is the exact full-length extension, and the rest of the batch is
+/// skipped). The other anchors are then walked in batch order and their
+/// extensions held back; they are admitted in canonical order, each one only
+/// if no exact full-length extension admitted before it covers its anchor.
+#[allow(clippy::too_many_arguments)]
+fn walk_batch<P: MemProbe>(
+    graph: &VariationGraph,
+    cache: &mut CachedGbwt<'_>,
+    read: &[u8],
+    read_id: u64,
+    batch: std::ops::Range<usize>,
+    extend: &ExtendParams,
+    process: &ProcessParams,
+    probe: &mut P,
+    scratch: &mut ExtendScratch,
+    extensions: &mut Vec<Extension>,
+) {
+    let first = batch
+        .clone()
+        .filter(|&i| !on_exact_walk(&scratch.exact_walks, &scratch.anchors[i]))
+        .min_by_key(|&i| scratch.anchors[i]);
+    let mut walked = 0u64;
+    // Index loop: each anchor is copied out so the scratch can be lent to
+    // the extension below.
+    for i in first.into_iter().chain(batch.clone().filter(|&i| Some(i) != first)) {
+        let anchor = scratch.anchors[i];
+        if on_exact_walk(&scratch.exact_walks, &anchor) {
+            continue;
+        }
+        walked += 1;
+        let Some(ext) =
+            extend_seed_with_scratch(graph, cache, read, read_id, anchor, extend, probe, scratch)
+        else {
+            continue;
+        };
+        if ext.score < process.min_extension_score {
+            continue;
+        }
+        if Some(i) == first {
+            admit(graph, read, anchor, ext, scratch, extensions);
+        } else {
+            scratch.held.push((anchor, ext));
+        }
+    }
+    scratch.stats.anchors_skipped += batch.len() as u64 - walked;
+    if process.extend_batch > 1 {
+        scratch.stats.batch_anchors += walked;
+    }
+    let mut held = std::mem::take(&mut scratch.held);
+    held.sort_unstable_by_key(|&(anchor, _)| anchor);
+    for (anchor, ext) in held.drain(..) {
+        if !on_exact_walk(&scratch.exact_walks, &anchor) {
+            admit(graph, read, anchor, ext, scratch, extensions);
+        }
+    }
+    scratch.held = held;
 }
 
 /// Processes a read's clusters best-first, extending each cluster's seeds
@@ -996,6 +1108,8 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
     scratch: &mut ExtendScratch,
 ) -> Vec<Extension> {
     let mut extensions: Vec<Extension> = Vec::new();
+    scratch.exact_walks.clear();
+    scratch.origins.clear();
     let best_cluster_score = clusters.first().map_or(0.0, |c| c.score);
     for cluster in clusters.iter().take(process.max_clusters) {
         if cluster.score < best_cluster_score * process.cluster_score_cutoff {
@@ -1009,41 +1123,42 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
         // the read matches without a break only the leftmost anchor is
         // walked (`same_walk`). The survivors go back to the canonical
         // `(read_offset, pos)` order.
-        let staged = scratch.anchors.len();
-        let merge = extend.match_score >= 0;
-        let mut duplicates = 0usize;
         scratch.anchors.sort_unstable_by_key(|s| (s.pos.handle, diagonal(s), s.read_offset));
-        scratch.anchors.dedup_by(|later, kept| {
-            let duplicate = later == kept;
-            duplicates += usize::from(duplicate);
-            duplicate || (merge && same_walk(graph, read, kept, later))
-        });
+        scratch.anchors.dedup();
+        if extend.match_score >= 0 {
+            let distinct = scratch.anchors.len();
+            scratch.anchors.dedup_by(|later, kept| same_walk(graph, read, kept, later));
+            scratch.stats.anchors_merged += (distinct - scratch.anchors.len()) as u64;
+        }
         scratch.anchors.sort_unstable();
-        scratch.stats.anchors_merged += (staged - duplicates - scratch.anchors.len()) as u64;
-        // Batched dataflow: reorder each batch of anchors graph-position
-        // major, so consecutive extensions hit the same node's packed words
-        // and the same GBWT records while they are cache-hot. The final
-        // canonicalization below makes anchor order invisible in the
-        // output, so this is purely a locality transform.
-        if process.extend_batch > 1 {
-            for chunk in scratch.anchors.chunks_mut(process.extend_batch) {
-                chunk.sort_unstable_by_key(|s| (s.pos, s.read_offset));
+        // Batched dataflow: each batch of the canonical list is walked
+        // graph-position major, so consecutive extensions hit the same
+        // node's packed words and the same GBWT records while they are
+        // cache-hot.
+        let step = process.extend_batch.max(1);
+        for start in (0..scratch.anchors.len()).step_by(step) {
+            let end = (start + step).min(scratch.anchors.len());
+            if step > 1 {
+                scratch.anchors[start..end].sort_unstable_by_key(|s| (s.pos, s.read_offset));
                 scratch.stats.batches += 1;
-                scratch.stats.batch_anchors += chunk.len() as u64;
             }
+            walk_batch(
+                graph, cache, read, read_id, start..end, extend, process, probe, scratch,
+                &mut extensions,
+            );
         }
-        // Index loop: each anchor is copied out so the scratch can be lent
-        // to the extension below.
-        for ai in 0..scratch.anchors.len() {
-            let anchor = scratch.anchors[ai];
-            if let Some(ext) = extend_seed_with_scratch(
-                graph, cache, read, read_id, anchor, extend, probe, scratch,
-            ) {
-                if ext.score >= process.min_extension_score {
-                    extensions.push(ext);
-                }
-            }
-        }
+    }
+    // Rule 2 must not depend on when an exact full-length extension turned
+    // up: whatever an anchor on it yielded before that, short of another
+    // exact full-length extension, goes too (a stretch of the same walk
+    // whose search ran out of branch steps, or one that strayed onto a
+    // sequence-identical side path).
+    if !scratch.exact_walks.is_empty() {
+        let mut origins = scratch.origins.iter();
+        extensions.retain(|ext| {
+            let anchor = origins.next().expect("one origin per extension");
+            is_exact_full_length(ext, read) || !on_exact_walk(&scratch.exact_walks, anchor)
+        });
     }
     // Deduplicate identical spans, keep the best-scoring representative.
     // The key is a total order over extension content (mismatches and path

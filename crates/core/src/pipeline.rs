@@ -406,6 +406,8 @@ impl<'a> Mapper<'a> {
         obs.add(Ctr::ExtendBatches, kernel.batches);
         obs.add(Ctr::ExtendBatchAnchors, kernel.batch_anchors);
         obs.add(Ctr::ExtendPrunedFrames, kernel.pruned_frames);
+        obs.add(Ctr::ExtendAnchorsMerged, kernel.anchors_merged);
+        obs.add(Ctr::ExtendAnchorsSkipped, kernel.anchors_skipped);
         obs.gauge_max(
             Gauge::SimdDispatchTier,
             crate::extend::active_tier::<P>(&options.extend).as_index(),
@@ -1133,8 +1135,45 @@ mod tests {
     #[test]
     fn metrics_reconcile_with_results() {
         let gbz = sample_gbz();
-        let dump = sample_dump(&gbz, 40);
+        let mut dump = sample_dump(&gbz, 40);
+        // Two more anchors where each read really lies: one base further
+        // along node 1 (the kernel merges it into the first) and the first
+        // base of node 5 (on the exact full-length extension the first
+        // anchor yields, so the kernel skips it).
+        for read in &mut dump.reads {
+            let offset = read.seeds[0].pos.offset;
+            read.seeds.push(Seed::new(1, GraphPos::new(Handle::forward(NodeId::new(1)), offset + 1)));
+            read.seeds.push(Seed::new(7 - offset, GraphPos::new(Handle::forward(NodeId::new(5)), 0)));
+        }
         let mapper = Mapper::new(&gbz);
+        // The distinct anchors of the clusters the kernel processes, counted
+        // without the kernel.
+        let defaults = MappingOptions::default();
+        let distinct_anchors: u64 = dump
+            .reads
+            .iter()
+            .map(|read| {
+                let read_len = read.bases.len() as u32;
+                let mut params = defaults.cluster;
+                params.distance_limit = params.distance_limit.max(u64::from(read_len));
+                let clusters = crate::cluster::cluster_seeds(
+                    gbz.graph(), mapper.distance_index(), &read.seeds, read_len, &params,
+                    &mut NoProbe,
+                );
+                let best = clusters.first().map_or(0.0, |c| c.score);
+                clusters
+                    .iter()
+                    .take(defaults.process.max_clusters)
+                    .take_while(|c| c.score >= best * defaults.process.cluster_score_cutoff)
+                    .map(|c| {
+                        let mut anchors: Vec<Seed> = c.seeds.iter().map(|&i| read.seeds[i]).collect();
+                        anchors.sort_unstable();
+                        anchors.dedup();
+                        anchors.len() as u64
+                    })
+                    .sum::<u64>()
+            })
+            .sum();
         for threads in [1usize, 4] {
             for kind in SchedulerKind::ALL {
                 let options = MappingOptions {
@@ -1159,6 +1198,13 @@ mod tests {
                     rep.counter(Ctr::ExtensionsTotal),
                     results.total_extensions() as u64
                 );
+                // Every distinct anchor is walked, merged into another, or
+                // skipped — and this dump has all three kinds.
+                let walked = rep.counter(Ctr::ExtendBatchAnchors);
+                let merged = rep.counter(Ctr::ExtendAnchorsMerged);
+                let skipped = rep.counter(Ctr::ExtendAnchorsSkipped);
+                assert_eq!(walked + merged + skipped, distinct_anchors, "{kind}/{threads}");
+                assert_eq!((walked, merged, skipped), (n, n, n), "{kind}/{threads}");
                 // The shard mirrors of the cache statistics must agree with
                 // the aggregated MappingResults numbers exactly.
                 assert_eq!(rep.counter(Ctr::CacheHits), results.cache.hits, "{kind}/{threads}");

@@ -111,45 +111,54 @@ pub enum Ctr {
     SimdLanesActive = 20,
     /// Anchor batches formed by the batched extension dataflow.
     ExtendBatches = 21,
-    /// Anchors summed over those batches (`extend_batch_anchors /
+    /// Anchors walked in those batches (`extend_batch_anchors /
     /// extend_batches` is the mean batch fill).
     ExtendBatchAnchors = 22,
     /// Extension DFS subtrees skipped by branch-and-bound pruning (they
     /// provably could not beat the best prefix already found).
     ExtendPrunedFrames = 23,
+    /// Anchors not walked because an anchor of the same node and diagonal,
+    /// joined to them by matching read bases, yields the same extension
+    /// (the kernel's exact merge).
+    ExtendAnchorsMerged = 24,
+    /// Anchors not walked because they lie on an exact full-length
+    /// extension their read already has. With `extend_batch_anchors` (the
+    /// anchors walked) and `extend_anchors_merged` this adds up to the
+    /// distinct anchors of the clusters processed.
+    ExtendAnchorsSkipped = 25,
     /// Mapping jobs admitted by the server's pending queue.
-    ServeJobsAccepted = 24,
+    ServeJobsAccepted = 26,
     /// Mapping jobs refused with `BUSY` (queue full, per-client cap, or
     /// draining).
-    ServeJobsRejected = 25,
+    ServeJobsRejected = 27,
     /// Mapping jobs that ran to `DONE`.
-    ServeJobsCompleted = 26,
+    ServeJobsCompleted = 28,
     /// Mapping jobs that ended with a per-job error frame (corrupt input
     /// or a worker panic inside the job).
-    ServeJobsFailed = 27,
+    ServeJobsFailed = 29,
     /// GAF bytes streamed to server clients.
-    ServeGafBytes = 28,
+    ServeGafBytes = 30,
     /// Shards whose minimizer tables were probed while routing reads,
     /// summed over reads (`route_shards_probed / reads_routed` is the mean
     /// fan-out the routing gate bounds).
-    RouteShardsProbed = 29,
+    RouteShardsProbed = 31,
     /// Reads routed by the sharded pipeline (resident + fallback).
-    RouteReadsTotal = 30,
+    RouteReadsTotal = 32,
     /// Routed reads whose seeds all landed in one shard's core and were
     /// mapped entirely on that shard's local structures.
-    RouteResidentReads = 31,
+    RouteResidentReads = 33,
     /// Routed reads that straddled shard cores (or exceeded the shard
     /// halo's residency limit) and fell back to the resident global
     /// pipeline.
-    RouteFallbackReads = 32,
+    RouteFallbackReads = 34,
     /// Nanoseconds spent translating per-shard extension results back to
     /// global coordinates and merging them into the rescoring order.
-    ShardMergeNs = 33,
+    ShardMergeNs = 35,
 }
 
 impl Ctr {
     /// Number of counters.
-    pub const COUNT: usize = 34;
+    pub const COUNT: usize = 36;
     /// All counters, in declaration order.
     pub const ALL: [Ctr; Ctr::COUNT] = [
         Ctr::ReadsMapped,
@@ -176,6 +185,8 @@ impl Ctr {
         Ctr::ExtendBatches,
         Ctr::ExtendBatchAnchors,
         Ctr::ExtendPrunedFrames,
+        Ctr::ExtendAnchorsMerged,
+        Ctr::ExtendAnchorsSkipped,
         Ctr::ServeJobsAccepted,
         Ctr::ServeJobsRejected,
         Ctr::ServeJobsCompleted,
@@ -215,6 +226,8 @@ impl Ctr {
             Ctr::ExtendBatches => "extend_batches",
             Ctr::ExtendBatchAnchors => "extend_batch_anchors",
             Ctr::ExtendPrunedFrames => "extend_pruned_frames",
+            Ctr::ExtendAnchorsMerged => "extend_anchors_merged",
+            Ctr::ExtendAnchorsSkipped => "extend_anchors_skipped",
             Ctr::ServeJobsAccepted => "serve_jobs_accepted",
             Ctr::ServeJobsRejected => "serve_jobs_rejected",
             Ctr::ServeJobsCompleted => "serve_jobs_completed",

@@ -256,12 +256,14 @@ impl<'a> Parent<'a> {
         let seeds: Vec<Seed> = {
             let _t = RegionTimer::start(sink, thread, "minimizer_seeding");
             let t0 = obs.now();
-            // The seeding stage's memory traffic goes through the probe too:
-            // this is the work Giraffe interleaves with the critical
-            // functions, and it is what perturbs the parent's counters away
-            // from the proxy's in the paper's Table V.
+            // The probe stands for counters scoped to the kernel regions,
+            // as the paper's were in Giraffe: instructions retired out here
+            // are not its business, so none are charged. The memory the
+            // seeding stage walks is: this is the work Giraffe interleaves
+            // with the critical functions, what it leaves in the caches is
+            // what the kernels then find there, and it is what perturbs the
+            // parent's counters away from the proxy's in the paper's Table V.
             probe.touch(0x6000_0000_0000 + read_id * 4096, input.len() as u32);
-            probe.instret(4 * input.len() as u64);
             match mins {
                 Some(ms) => self.minimizer.query_minimizers_into(
                     ms,
@@ -286,7 +288,6 @@ impl<'a> Parent<'a> {
                 0x7000_0000_0000 + (read_id % 512) * 65536,
                 (seeds.len() * std::mem::size_of::<Seed>()).max(16) as u32,
             );
-            probe.instret(20 * seeds.len() as u64 + 10);
             obs.stage(Stage::Seeding, t0);
             seeds
         };

@@ -390,8 +390,8 @@ impl<'a> MappingServer<'a> {
     }
 
     /// The full `STATS` payload: the [`ServerCtl`] base plus cache hit
-    /// rates from the metrics registry and, when adaptive, the controller
-    /// state.
+    /// rates and the extension kernel's anchor accounting from the metrics
+    /// registry and, when adaptive, the controller state.
     pub fn stats_json(&self) -> String {
         let rep = self.metrics.report();
         let hits = rep.counter(Ctr::CacheHits);
@@ -403,7 +403,9 @@ impl<'a> MappingServer<'a> {
             concat!(
                 ",\"cache\":{{\"private_hits\":{},\"private_misses\":{},",
                 "\"private_hit_rate\":{:.4},\"hot_hits\":{},\"hot_misses\":{},",
-                "\"hot_hit_rate\":{:.4},\"decodes_saved\":{}}}"
+                "\"hot_hit_rate\":{:.4},\"decodes_saved\":{}}},",
+                "\"extend\":{{\"anchors_walked\":{},\"anchors_merged\":{},",
+                "\"anchors_skipped\":{}}}"
             ),
             hits,
             misses,
@@ -412,6 +414,9 @@ impl<'a> MappingServer<'a> {
             hot_misses,
             rate(hot_hits, hot_misses),
             rep.counter(Ctr::CacheDecodesSaved),
+            rep.counter(Ctr::ExtendBatchAnchors),
+            rep.counter(Ctr::ExtendAnchorsMerged),
+            rep.counter(Ctr::ExtendAnchorsSkipped),
         );
         if let Some((knobs, stats, converged)) = self.adaptive_status() {
             extra.push_str(&format!(

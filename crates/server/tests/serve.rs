@@ -712,4 +712,6 @@ fn adaptive_serve_matches_oracle_and_reports_state() {
     let stats_json = server.stats_json();
     assert!(stats_json.contains("\"adaptive\":{"), "{stats_json}");
     assert!(stats_json.contains("\"hot_hit_rate\":"), "{stats_json}");
+    assert!(stats_json.contains("\"extend\":{\"anchors_walked\":"), "{stats_json}");
+    assert!(stats_json.contains("\"anchors_skipped\":"), "{stats_json}");
 }

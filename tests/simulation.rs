@@ -36,8 +36,10 @@ fn counter_validation_proxy_vs_parent_kernels() {
     let input = tiny_input();
     let proxy = proxy_counters(&input);
 
-    // Parent kernels: map through the parent but only the kernel stages
-    // carry the probe (map_read is the kernel region).
+    // Parent kernels: map through the parent. Only the kernel stages charge
+    // the probe instructions (map_read is the kernel region); the seeding
+    // stage in front of them charges it the memory it walks, which is what
+    // moves the parent's cache counters off the proxy's.
     let parent = minigiraffe::parent::Parent::new(
         &input.gbz,
         &input.minimizer_index,
