@@ -252,7 +252,7 @@ mod tests {
         // 58-73 %. Ours sit in that band at default scale (EXPERIMENTS.md);
         // the lower edge is what this asserts. The shares are wall-clock, on
         // four threads, under the parallel test runner: a thread descheduled
-        // inside a region inflates that region, so every input gets three
+        // inside a region inflates that region, so every input gets five
         // runs to show its share (the cluster-vs-extension ordering is
         // noisier still; the standalone harness at default scale asserts it).
         //
@@ -262,7 +262,7 @@ mod tests {
         const INPUTS: [&str; 4] = ["A-human", "B-yeast", "C-HPRC", "D-HPRC"];
         let floor = if cfg!(debug_assertions) { 0.0 } else { 58.0 };
         let mut best = [0.0f64; 4];
-        for _ in 0..3 {
+        for _ in 0..5 {
             let report = fig3(&ctx);
             for (slot, name) in best.iter_mut().zip(INPUTS) {
                 let line = report
@@ -278,7 +278,7 @@ mod tests {
             }
         }
         for (kernels, name) in best.iter().zip(INPUTS) {
-            assert!(*kernels >= floor, "kernels only {kernels}% of {name} in three runs");
+            assert!(*kernels >= floor, "kernels only {kernels}% of {name} in five runs");
         }
         std::fs::remove_dir_all(&ctx.out_dir).ok();
     }

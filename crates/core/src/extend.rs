@@ -1000,8 +1000,8 @@ fn on_exact_walk(exact_walks: &[(Handle, i64)], anchor: &Seed) -> bool {
     exact_walks.contains(&(anchor.pos.handle, diagonal(anchor)))
 }
 
-/// Walks one batch of a cluster's anchors, `scratch.anchors[batch]`, and
-/// admits what they yield to `extensions`.
+/// Walks one batch of a cluster's anchors, `scratch.anchors[batch]`, admits
+/// what they yield to `extensions`, and returns how many it walked.
 ///
 /// Rule 2 (Giraffe's `GaplessExtender::extend`): an anchor that lies on an
 /// exact full-length extension the read already has is not walked.
@@ -1026,7 +1026,7 @@ fn walk_batch<P: MemProbe>(
     probe: &mut P,
     scratch: &mut ExtendScratch,
     extensions: &mut Vec<Extension>,
-) {
+) -> u64 {
     let first = batch
         .clone()
         .filter(|&i| !on_exact_walk(&scratch.exact_walks, &scratch.anchors[i]))
@@ -1054,10 +1054,6 @@ fn walk_batch<P: MemProbe>(
             scratch.held.push((anchor, ext));
         }
     }
-    scratch.stats.anchors_skipped += batch.len() as u64 - walked;
-    if process.extend_batch > 1 {
-        scratch.stats.batch_anchors += walked;
-    }
     let mut held = std::mem::take(&mut scratch.held);
     held.sort_unstable_by_key(|&(anchor, _)| anchor);
     for (anchor, ext) in held.drain(..) {
@@ -1066,6 +1062,7 @@ fn walk_batch<P: MemProbe>(
         }
     }
     scratch.held = held;
+    walked
 }
 
 /// Processes a read's clusters best-first, extending each cluster's seeds
@@ -1125,6 +1122,7 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
         // `(read_offset, pos)` order.
         scratch.anchors.sort_unstable_by_key(|s| (s.pos.handle, diagonal(s), s.read_offset));
         scratch.anchors.dedup();
+        // (The proof needs matches not to lower the score, as pruning does.)
         if extend.match_score >= 0 {
             let distinct = scratch.anchors.len();
             scratch.anchors.dedup_by(|later, kept| same_walk(graph, read, kept, later));
@@ -1140,12 +1138,16 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
             let end = (start + step).min(scratch.anchors.len());
             if step > 1 {
                 scratch.anchors[start..end].sort_unstable_by_key(|s| (s.pos, s.read_offset));
-                scratch.stats.batches += 1;
             }
-            walk_batch(
+            let walked = walk_batch(
                 graph, cache, read, read_id, start..end, extend, process, probe, scratch,
                 &mut extensions,
             );
+            scratch.stats.anchors_skipped += (end - start) as u64 - walked;
+            if step > 1 {
+                scratch.stats.batches += 1;
+                scratch.stats.batch_anchors += walked;
+            }
         }
     }
     // Rule 2 must not depend on when an exact full-length extension turned
