@@ -17,6 +17,9 @@ cargo test --workspace -q
 echo "== streaming oracle (golden GAF through the streaming entry point) =="
 cargo test --release -q --test oracle streaming
 
+echo "== seeding oracle (extraction vs naive windows, table vs BTreeMap; release arithmetic wraps where debug panics) =="
+cargo test --release -q --test seeding
+
 echo "== Fig. 3 region shares against the paper's band (an optimized build's shares) =="
 cargo test --release -q -p mg-bench --lib fig3_reports
 
