@@ -9,8 +9,8 @@
 //!   windows XORed against the graph's packed arenas, 32 bases per step.
 //!
 //! Also runs the parent end-to-end with a live metrics registry and
-//! reports the seeding-stage time per read, pinning the FxHash minimizer
-//! table + branchless rolling encoder that ride along in this PR.
+//! reports the seeding-stage time per read (minimizer extraction plus one
+//! table probe per minimizer).
 //!
 //! Prints all rates and writes `BENCH_PACKED.json` (under `MG_OUT`,
 //! default the working directory) with reads/sec, allocations-per-read
@@ -92,9 +92,9 @@ fn main() {
     let speedup = packed_rps / scalar_rps;
 
     // Seeding-stage timing: the parent end-to-end with a live registry.
-    // This is where the FxHash minimizer lookups and the branchless rolling
-    // encoder run; the per-read span lands in BENCH_PACKED.json so the
-    // seeding cost stays visible across PRs.
+    // This is where minimizer extraction and the table probes run; the
+    // per-read span lands in BENCH_PACKED.json so the seeding cost stays
+    // visible across PRs.
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
     let p_reads = parent_reads(&input);
     let metrics = Metrics::new();

@@ -6,9 +6,9 @@
 //! minimizer of a read, the graph positions where that k-mer occurs — the
 //! *seeds* that the clustering and extension kernels consume.
 
-use fxhash::FxHashMap;
 use mg_graph::{dna, Handle, VariationGraph};
 use mg_support::mgi::Storage;
+use mg_support::{Error, Result};
 
 /// A position in the graph: a spot on an oriented node.
 ///
@@ -76,38 +76,38 @@ impl MinimizerParams {
 
 /// Invertible 64-bit hash (Thomas Wang / minimap2 style), used to order
 /// k-mers within a window so minimizers are spread pseudo-randomly.
-///
-/// Delegates to the shared kernel definition so the vectorized 4-wide
-/// variant ([`mg_kernels::hash_kmers_x4`]) provably computes the same
-/// function; any change to one is a change to both.
 #[inline(always)]
 pub fn hash_kmer(kmer: u64) -> u64 {
     mg_kernels::hash_kmer(kmer)
 }
 
+/// Marks a k-mer slot whose k bases include a non-ACGT byte. A real k-mer
+/// is at most 62 bits (`k <= 31`), so the value cannot collide with one.
+const INVALID_KMER: u64 = u64::MAX;
+
 /// Reusable buffers for minimizer extraction and seed queries.
 ///
-/// Extraction is three passes over per-k-mer arrays (roll, hash, sweep);
-/// holding the arrays here lets a mapping thread seed every read without
-/// touching the allocator, matching the zero-alloc extension scratch.
+/// Holding them here lets a mapping thread seed every read without touching
+/// the allocator, matching the zero-alloc extension scratch.
 #[derive(Debug, Clone, Default)]
 pub struct MinimizerScratch {
-    /// Rolled 2-bit k-mer value per window position.
+    /// Packed k-mer per k-mer start, [`INVALID_KMER`] across a gap.
     kmers: Vec<u64>,
-    /// Valid-run length (consecutive ACGT bases) ending at each window.
-    runs: Vec<u32>,
-    /// Hash per window, filled four lanes at a time.
+    /// Hash per k-mer start; unwritten (stale) where the k-mer is invalid.
     hashes: Vec<u64>,
-    /// Monotonic deque of (kmer index, hash, kmer) for the sweep.
-    deque: std::collections::VecDeque<(usize, u64, u64)>,
     /// Minimizer staging buffer for [`MinimizerIndex::query_into`].
     mins: Vec<Minimizer>,
 }
 
-/// Extracts the (k, w)-minimizers of `seq` with a monotonic-deque sweep.
+/// Extracts the (k, w)-minimizers of `seq`.
 ///
-/// Windows containing a non-ACGT byte produce no minimizer. Consecutive
-/// windows sharing their minimizer report it once.
+/// A window is `w` consecutive k-mers. A k-mer spanning a non-ACGT byte is
+/// invalid and is never a minimizer. A window reports only if its *last*
+/// k-mer is valid, and then reports the valid k-mer with the smallest hash
+/// (leftmost on ties) — invalid k-mers earlier in the window are skipped
+/// rather than silencing it, so a window straddling an `N` still reports
+/// the minimum of the k-mers on either side. Consecutive windows sharing
+/// their minimizer report it once.
 pub fn extract_minimizers(seq: &[u8], params: MinimizerParams) -> Vec<Minimizer> {
     let mut scratch = MinimizerScratch::default();
     let mut out = Vec::new();
@@ -118,12 +118,11 @@ pub fn extract_minimizers(seq: &[u8], params: MinimizerParams) -> Vec<Minimizer>
 /// [`extract_minimizers`] into caller-owned buffers: clears `out`, reuses
 /// `scratch`, allocates only on high-water growth.
 ///
-/// Three passes: (1) one branchless roll of the 2-bit encoder records every
-/// window's k-mer and valid-run length, with the k-mask and encoder lookups
-/// hoisted out of any per-window work; (2) the windows are hashed four at a
-/// time through [`mg_kernels::hash_kmers_x4`] (gap windows hash garbage that
-/// pass 3 never reads); (3) a pure deque sweep over the precomputed arrays
-/// picks each window's minimizer exactly as the single-pass version did.
+/// One loop over the bases: roll the 2-bit encoder, hash the k-mer that
+/// ends here, and advance a sliding minimum that is compared against the
+/// newcomer while it is still inside the window and recomputed from the
+/// stored hashes when it has slid out (once per ~`w` steps on random
+/// sequence, so about one extra comparison per base).
 pub fn extract_minimizers_into(
     seq: &[u8],
     params: MinimizerParams,
@@ -136,92 +135,74 @@ pub fn extract_minimizers_into(
     if seq.len() < k {
         return;
     }
-    let mask = if k == 32 { u64::MAX } else { (1u64 << (2 * k)) - 1 };
+    let mask = (1u64 << (2 * k)) - 1;
     let n_kmers = seq.len() + 1 - k;
-    let MinimizerScratch { kmers, runs, hashes, deque, .. } = scratch;
+    if scratch.kmers.len() < n_kmers {
+        scratch.kmers.resize(n_kmers, 0);
+        scratch.hashes.resize(n_kmers, 0);
+    }
+    // Slots past `n_kmers` keep an earlier read's values and are never read.
+    let kmers = &mut scratch.kmers[..n_kmers];
+    let hashes = &mut scratch.hashes[..n_kmers];
 
-    // Pass 1: roll the encoder once over the bases. An invalid byte zeroes
-    // both the running k-mer and the valid-run length instead of taking an
-    // unpredictable branch, so a window reset costs the same as a base.
-    kmers.clear();
-    runs.clear();
-    kmers.reserve(n_kmers);
-    runs.reserve(n_kmers);
+    // An invalid byte zeroes both the running k-mer and the valid-run
+    // length through a mask instead of an unpredictable branch.
     let mut current = 0u64;
-    let mut valid = 0usize; // number of consecutive valid bases ending here
-    for (i, &b) in seq.iter().enumerate() {
+    let mut valid = 0usize; // consecutive valid bases ending here
+    let mut roll = |b: u8| {
         let code = dna::encode2(b);
-        let ok = (code != dna::INVALID_CODE) as u64;
-        current = (((current << 2) | (code & 0b11) as u64) & mask) * ok;
-        valid = (valid + 1) * ok as usize;
-        if i + 1 >= k {
-            kmers.push(current);
-            runs.push(valid.min(u32::MAX as usize) as u32);
-        }
+        let keep = ((code != dna::INVALID_CODE) as u64).wrapping_neg();
+        current = ((current << 2) | (code & 0b11) as u64) & mask & keep;
+        valid = (valid + 1) & keep as usize;
+        (current, valid)
+    };
+    let (head, tail) = seq.split_at(k - 1);
+    for &b in head {
+        roll(b);
     }
 
-    // Pass 2: hash four windows per iteration; the scalar tail covers the
-    // remainder with the identical bit pattern.
-    hashes.clear();
-    hashes.resize(n_kmers, 0);
-    let mut j = 0;
-    while j + 4 <= n_kmers {
-        let block: [u64; 4] = kmers[j..j + 4].try_into().unwrap();
-        let mut hs = [0u64; 4];
-        mg_kernels::hash_kmers_x4(&block, &mut hs);
-        hashes[j..j + 4].copy_from_slice(&hs);
-        j += 4;
-    }
-    for idx in j..n_kmers {
-        hashes[idx] = mg_kernels::hash_kmer(kmers[idx]);
-    }
-
-    // Pass 3: monotonic-deque sweep over the precomputed arrays.
-    deque.clear();
-    let full_run = (k + w - 1).min(u32::MAX as usize) as u32;
-    for kmer_idx in 0..n_kmers {
-        let run = runs[kmer_idx];
-        if (run as usize) < k {
-            // K-mer spans an invalid base: nothing enters the deque, so
-            // stale candidates cannot linger across the gap.
+    const NONE: usize = usize::MAX;
+    let mut min_idx = NONE; // the window's minimizer; none before the first valid k-mer
+    let mut min_hash = 0u64;
+    let mut reported = NONE;
+    for (idx, &b) in tail.iter().enumerate() {
+        let (kmer, valid) = roll(b);
+        if valid < k {
+            kmers[idx] = INVALID_KMER;
             continue;
         }
-        let h = hashes[kmer_idx];
-        // Strict comparison keeps the earliest k-mer on hash ties.
-        while deque.back().is_some_and(|&(_, bh, _)| bh > h) {
-            deque.pop_back();
-        }
-        deque.push_back((kmer_idx, h, kmers[kmer_idx]));
-        // Window of k-mers ending at kmer_idx covers [kmer_idx + 1 - w, kmer_idx];
-        // evict candidates that fell out on the left.
-        while deque.front().is_some_and(|&(idx, _, _)| idx + w <= kmer_idx) {
-            deque.pop_front();
-        }
-        if kmer_idx + 1 >= w {
-            // Window complete: the front is the minimizer, but only if the
-            // whole window is valid k-mers (no gaps since window start).
-            let window_start = kmer_idx + 1 - w;
-            if run >= full_run || window_start_valid(deque, window_start) {
-                if let Some(&(idx, _, kmer)) = deque.front() {
-                    if out.last().map(|m| m.offset as usize) != Some(idx) {
-                        out.push(Minimizer { kmer, offset: idx as u32 });
-                    }
+        let hash = hash_kmer(kmer);
+        kmers[idx] = kmer;
+        hashes[idx] = hash;
+        // The window of k-mers ending here starts at `idx + 1 - w`.
+        if min_idx == NONE || min_idx + w <= idx {
+            // The minimizer slid out (or there was none): take the leftmost
+            // minimum of the valid k-mers still inside, walking leftwards so
+            // `<=` keeps the earliest on hash ties.
+            (min_idx, min_hash) = (idx, hash);
+            for i in ((idx + 1).saturating_sub(w)..idx).rev() {
+                if kmers[i] != INVALID_KMER && hashes[i] <= min_hash {
+                    (min_idx, min_hash) = (i, hashes[i]);
                 }
             }
+        } else if hash < min_hash {
+            // Strict comparison keeps the earlier k-mer on hash ties.
+            (min_idx, min_hash) = (idx, hash);
+        }
+        if idx + 1 >= w && min_idx != reported {
+            out.push(Minimizer { kmer: kmers[min_idx], offset: min_idx as u32 });
+            reported = min_idx;
         }
     }
-}
-
-/// A window is usable if its minimum candidate is inside it; gaps drop
-/// candidates, so an up-to-date front implies enough validity for reporting.
-fn window_start_valid(
-    deque: &std::collections::VecDeque<(usize, u64, u64)>,
-    window_start: usize,
-) -> bool {
-    deque.front().is_some_and(|&(idx, _, _)| idx >= window_start)
 }
 
 /// The minimizer index over a graph's haplotype paths.
+///
+/// One layout wherever the table lives: distinct k-mers in ascending order,
+/// CSR offsets, and a position arena — owned when built or decoded, borrowed
+/// from the mapping when opened from a `.mgi` container — plus a small owned
+/// bucket directory over the k-mers' top bits, derived whenever the arrays
+/// are assembled and never stored.
 ///
 /// # Examples
 ///
@@ -243,57 +224,72 @@ fn window_start_valid(
 #[derive(Debug, Clone)]
 pub struct MinimizerIndex {
     params: MinimizerParams,
-    table: Backing,
-    total_positions: usize,
+    /// Distinct k-mers, strictly ascending, each within `2k` bits.
+    kmers: Storage<u64>,
+    /// CSR offsets into `positions`; `len == kmers.len() + 1`.
+    starts: Storage<u64>,
+    /// Concatenated per-k-mer position runs, each sorted and deduplicated.
+    positions: Storage<GraphPos>,
+    /// Bucket directory: the k-mers whose top bits equal `b` are
+    /// `kmers[dir[b]..dir[b + 1]]`. One bucket per indexed k-mer rounded up
+    /// to a power of two, so a bucket holds between a half and one k-mer on
+    /// average and a lookup is one directory read plus a search that is
+    /// usually over by its first comparison.
+    dir: Vec<u32>,
+    /// Right shift taking a `2k`-bit k-mer to its bucket number.
+    dir_shift: u32,
 }
 
-/// The two physical homes of the k-mer table. Both answer
-/// [`MinimizerIndex::positions`] with the identical sorted, deduplicated
-/// slice, so every downstream stage (and the GAF it produces) is
-/// byte-identical regardless of which backing served the seeds.
-#[derive(Debug, Clone)]
-enum Backing {
-    /// Built in memory: k-mer -> sorted, deduplicated graph positions.
-    /// FxHash-keyed: the keys are packed k-mers the seeding stage looks up
-    /// once per read minimizer, and FxHash is both faster than SipHash
-    /// there and seed-free (deterministic iteration feeding
-    /// [`MinimizerIndex::to_bytes`]' sort is cheap when the layout never
-    /// shuffles between runs).
-    Hash(FxHashMap<u64, Vec<GraphPos>>),
-    /// Loaded from a `.mgi` container: sorted k-mers with a CSR position
-    /// arena, looked up by binary search. The arrays may borrow a mapping
-    /// directly, so opening an index decodes nothing.
-    Flat {
-        /// Distinct k-mers, strictly ascending.
-        kmers: Storage<u64>,
-        /// CSR offsets into `positions`; `len == kmers.len() + 1`.
-        starts: Storage<u64>,
-        /// Concatenated per-k-mer position runs, each sorted and deduplicated.
-        positions: Storage<GraphPos>,
-    },
-}
-
-/// Semantic equality: two indexes are equal when they answer every query
-/// identically, regardless of which [`Backing`] serves the answers. This is
-/// what `.mgi` roundtrip oracles compare: built-owned (Hash) vs mapped
-/// (Flat) must be indistinguishable.
+/// Two indexes are equal when their tables are: same parameters, same
+/// k-mers, same position runs. Where the arrays live (heap or mapping) does
+/// not matter, and the directory is a function of the k-mers.
 impl PartialEq for MinimizerIndex {
     fn eq(&self, other: &Self) -> bool {
-        if self.params != other.params
-            || self.total_positions != other.total_positions
-            || self.distinct_kmers() != other.distinct_kmers()
-        {
-            return false;
-        }
-        let mut kmers: Vec<u64> = self.kmers().collect();
-        kmers.sort_unstable();
-        kmers
-            .iter()
-            .all(|&k| self.positions(k) == other.positions(k))
+        self.params == other.params
+            && self.kmers[..] == other.kmers[..]
+            && self.starts[..] == other.starts[..]
+            && self.positions[..] == other.positions[..]
     }
 }
 
 impl Eq for MinimizerIndex {}
+
+/// Checks that `kmers` is strictly ascending and every value fits `2k`
+/// bits, and in the same pass builds the bucket directory over their top
+/// bits. Returns the directory and the shift that maps a k-mer to its
+/// bucket.
+fn build_directory(kmers: &[u64], k: usize) -> Result<(Vec<u32>, u32)> {
+    if u32::try_from(kmers.len()).is_err() {
+        return Err(Error::Corrupt(format!(
+            "minimizer table of {} k-mers exceeds the 32-bit directory",
+            kmers.len()
+        )));
+    }
+    let key_bits = 2 * k as u32;
+    let max_kmer = (1u64 << key_bits) - 1;
+    let dir_bits = kmers.len().next_power_of_two().trailing_zeros().min(key_bits);
+    let dir_shift = key_bits - dir_bits;
+    let mut dir = vec![0u32; (1usize << dir_bits) + 1];
+    // Count each bucket into the slot after it, then prefix-sum: slot `b`
+    // ends up holding the number of k-mers in buckets below `b`.
+    let mut prev = None;
+    for &kmer in kmers {
+        if kmer > max_kmer {
+            return Err(Error::Corrupt(format!(
+                "minimizer k-mer {kmer:#x} is wider than {key_bits} bits"
+            )));
+        }
+        if prev.is_some_and(|p| p >= kmer) {
+            return Err(Error::Corrupt("minimizer k-mers not strictly ascending".into()));
+        }
+        prev = Some(kmer);
+        dir[(kmer >> dir_shift) as usize + 1] += 1;
+    }
+    for b in 1..dir.len() {
+        dir[b] += dir[b - 1];
+    }
+    Ok((dir, dir_shift))
+}
 
 impl MinimizerIndex {
     /// Builds the index from haplotype paths, indexing both orientations of
@@ -302,50 +298,64 @@ impl MinimizerIndex {
     where
         I: IntoIterator<Item = &'a [Handle]>,
     {
-        let mut table: FxHashMap<u64, Vec<GraphPos>> = FxHashMap::default();
+        let mut pairs: Vec<(u64, GraphPos)> = Vec::new();
         let mut scratch = MinimizerScratch::default();
         for path in paths {
-            Self::index_path(graph, path, params, &mut table, &mut scratch);
+            Self::index_path(graph, path, params, &mut pairs, &mut scratch);
             let flipped: Vec<Handle> = path.iter().rev().map(|h| h.flip()).collect();
-            Self::index_path(graph, &flipped, params, &mut table, &mut scratch);
+            Self::index_path(graph, &flipped, params, &mut pairs, &mut scratch);
         }
-        let mut total = 0;
-        for positions in table.values_mut() {
-            positions.sort_unstable();
-            positions.dedup();
-            total += positions.len();
+        // Sorting the pairs groups them by k-mer with each group's positions
+        // already in run order; haplotypes sharing a position collapse.
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut kmers: Vec<u64> = Vec::new();
+        let mut starts: Vec<u64> = Vec::new();
+        let mut positions = Vec::with_capacity(pairs.len());
+        for (kmer, pos) in pairs {
+            if kmers.last() != Some(&kmer) {
+                kmers.push(kmer);
+                starts.push(positions.len() as u64);
+            }
+            positions.push(pos);
         }
-        MinimizerIndex {
+        starts.push(positions.len() as u64);
+        Self::from_flat_parts(
             params,
-            table: Backing::Hash(table),
-            total_positions: total,
-        }
+            Storage::Owned(kmers),
+            Storage::Owned(starts),
+            Storage::Owned(positions),
+        )
+        .expect("sorted, deduplicated k-mers of k bases each")
     }
 
     fn index_path(
         graph: &VariationGraph,
         path: &[Handle],
         params: MinimizerParams,
-        table: &mut FxHashMap<u64, Vec<GraphPos>>,
+        pairs: &mut Vec<(u64, GraphPos)>,
         scratch: &mut MinimizerScratch,
     ) {
-        // Spell the path and remember, per base, its graph position.
+        // Spell the path, remembering where each node's bases end.
         let mut seq = Vec::new();
-        let mut pos_of_base: Vec<GraphPos> = Vec::new();
+        let mut node_ends = Vec::with_capacity(path.len());
         for &h in path {
-            let node_seq = graph.sequence(h);
-            for (off, &b) in node_seq.iter().enumerate() {
-                seq.push(b);
-                pos_of_base.push(GraphPos::new(h, off as u32));
-            }
+            seq.extend_from_slice(&graph.sequence(h));
+            node_ends.push(seq.len());
         }
         let mut mins = std::mem::take(&mut scratch.mins);
         extract_minimizers_into(&seq, params, scratch, &mut mins);
+        // Minimizer offsets ascend, so one cursor over the node boundaries
+        // places them all.
+        let mut step = 0;
+        let mut node_start = 0;
         for m in &mins {
-            table
-                .entry(m.kmer)
-                .or_default()
-                .push(pos_of_base[m.offset as usize]);
+            let offset = m.offset as usize;
+            while node_ends[step] <= offset {
+                node_start = node_ends[step];
+                step += 1;
+            }
+            pairs.push((m.kmer, GraphPos::new(path[step], (offset - node_start) as u32)));
         }
         scratch.mins = mins;
     }
@@ -357,69 +367,65 @@ impl MinimizerIndex {
 
     /// Number of distinct indexed k-mers.
     pub fn distinct_kmers(&self) -> usize {
-        match &self.table {
-            Backing::Hash(table) => table.len(),
-            Backing::Flat { kmers, .. } => kmers.len(),
-        }
+        self.kmers.len()
     }
 
     /// Total indexed (k-mer, position) pairs.
     pub fn total_positions(&self) -> usize {
-        self.total_positions
+        self.positions.len()
     }
 
     /// Graph positions of one k-mer, if indexed.
+    #[inline]
     pub fn positions(&self, kmer: u64) -> Option<&[GraphPos]> {
-        match &self.table {
-            Backing::Hash(table) => table.get(&kmer).map(|v| v.as_slice()),
-            Backing::Flat { kmers, starts, positions } => {
-                let i = kmers.binary_search(&kmer).ok()?;
-                Some(&positions[starts[i] as usize..starts[i + 1] as usize])
-            }
-        }
+        // A value wider than 2k bits names a bucket past the directory.
+        let bucket = (kmer >> self.dir_shift) as usize;
+        let lo = *self.dir.get(bucket)? as usize;
+        let hi = *self.dir.get(bucket + 1)? as usize;
+        let i = lo + self.kmers[lo..hi].binary_search(&kmer).ok()?;
+        Some(&self.positions[self.starts[i] as usize..self.starts[i + 1] as usize])
     }
 
     /// Whether the table borrows a mapped `.mgi` container (as opposed to
     /// owning heap memory).
     pub fn is_mapped(&self) -> bool {
-        match &self.table {
-            Backing::Hash(_) => false,
-            Backing::Flat { kmers, .. } => kmers.is_mapped(),
-        }
+        self.kmers.is_mapped()
     }
 
-    /// Iterates over all indexed k-mers (arbitrary order).
-    pub fn kmers(&self) -> Box<dyn Iterator<Item = u64> + '_> {
-        match &self.table {
-            Backing::Hash(table) => Box::new(table.keys().copied()),
-            Backing::Flat { kmers, .. } => Box::new(kmers.iter().copied()),
-        }
+    /// Iterates over all indexed k-mers in ascending order.
+    pub fn kmers(&self) -> impl Iterator<Item = u64> + '_ {
+        self.kmers.iter().copied()
     }
 
-    /// Reassembles an index from deserialized parts (see
-    /// [`MinimizerIndex::from_bytes`](crate::serialize)).
-    pub(crate) fn from_parts(
-        params: MinimizerParams,
-        table: FxHashMap<u64, Vec<GraphPos>>,
-        total_positions: usize,
-    ) -> Self {
-        MinimizerIndex { params, table: Backing::Hash(table), total_positions }
+    /// The table's arrays as stored: k-mers, CSR starts, position arena.
+    pub(crate) fn flat_parts(&self) -> (&[u64], &[u64], &[GraphPos]) {
+        (&self.kmers, &self.starts, &self.positions)
     }
 
-    /// Reassembles an index from validated flat arrays (see
-    /// [`MinimizerIndex::from_mgi`](crate::serialize)).
+    /// Position runs in k-mer order, parallel to [`MinimizerIndex::kmers`].
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &[GraphPos]> + '_ {
+        self.starts
+            .windows(2)
+            .map(|s| &self.positions[s[0] as usize..s[1] as usize])
+    }
+
+    /// Assembles an index from its flat arrays, deriving the directory.
+    /// The caller vouches for `starts` and `positions` (CSR shape, sorted
+    /// runs); the k-mers are checked here because the directory is only
+    /// meaningful over ascending `2k`-bit values.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corrupt`] when the k-mers are out of order,
+    /// repeated, or wider than `2k` bits.
     pub(crate) fn from_flat_parts(
         params: MinimizerParams,
         kmers: Storage<u64>,
         starts: Storage<u64>,
         positions: Storage<GraphPos>,
-    ) -> Self {
-        let total_positions = positions.len();
-        MinimizerIndex {
-            params,
-            table: Backing::Flat { kmers, starts, positions },
-            total_positions,
-        }
+    ) -> Result<Self> {
+        let (dir, dir_shift) = build_directory(&kmers, params.k)?;
+        Ok(MinimizerIndex { params, kmers, starts, positions, dir, dir_shift })
     }
 
     /// Projects the index onto a shard: keeps, for each k-mer, only the
@@ -437,21 +443,27 @@ impl MinimizerIndex {
         core: mg_graph::partition::IdWindow,
         window: mg_graph::partition::IdWindow,
     ) -> MinimizerIndex {
-        let mut table: FxHashMap<u64, Vec<GraphPos>> = FxHashMap::default();
-        let mut total = 0usize;
-        for kmer in self.kmers() {
-            let Some(ps) = self.positions(kmer) else { continue };
-            let filtered: Vec<GraphPos> = ps
-                .iter()
-                .filter(|p| core.contains(p.handle.node()))
-                .map(|p| GraphPos::new(window.to_local(p.handle), p.offset))
-                .collect();
-            if !filtered.is_empty() {
-                total += filtered.len();
-                table.insert(kmer, filtered);
+        let mut kmers: Vec<u64> = Vec::new();
+        let mut starts: Vec<u64> = vec![0];
+        let mut positions: Vec<GraphPos> = Vec::new();
+        for (kmer, run) in self.kmers().zip(self.runs()) {
+            positions.extend(
+                run.iter()
+                    .filter(|p| core.contains(p.handle.node()))
+                    .map(|p| GraphPos::new(window.to_local(p.handle), p.offset)),
+            );
+            if positions.len() as u64 > starts[starts.len() - 1] {
+                kmers.push(kmer);
+                starts.push(positions.len() as u64);
             }
         }
-        MinimizerIndex::from_parts(self.params, table, total)
+        Self::from_flat_parts(
+            self.params,
+            Storage::Owned(kmers),
+            Storage::Owned(starts),
+            Storage::Owned(positions),
+        )
+        .expect("a subsequence of this index's k-mers")
     }
 
     /// Finds seed hits for a read: for each minimizer of `read`, every graph
@@ -477,21 +489,11 @@ impl MinimizerIndex {
         scratch: &mut MinimizerScratch,
         out: &mut Vec<(u32, GraphPos)>,
     ) {
-        out.clear();
         // The staging buffer rides in the scratch, taken out for the call so
         // the extraction may borrow the remaining fields mutably.
         let mut mins = std::mem::take(&mut scratch.mins);
         extract_minimizers_into(read, self.params, scratch, &mut mins);
-        for m in &mins {
-            if let Some(positions) = self.positions(m.kmer) {
-                if positions.len() > hard_hit_cap {
-                    continue;
-                }
-                for &pos in positions {
-                    out.push((m.offset, pos));
-                }
-            }
-        }
+        self.query_minimizers_into(&mins, hard_hit_cap, out);
         scratch.mins = mins;
     }
 
@@ -611,19 +613,13 @@ mod tests {
         }
     }
 
-    /// Micro-bench guard for the hoisted three-pass extraction: rolling the
-    /// encoder once and hashing windows in blocks must beat a naive sweep
-    /// that re-packs and re-hashes each window from scratch. The naive
-    /// baseline does ~k times the encoding work, so even a noisy single-core
-    /// CI box cannot flip the comparison unless the rolled path regresses
-    /// catastrophically.
+    /// A long all-ACGT sequence against a sweep that re-packs and re-hashes
+    /// every k-mer of every window from scratch.
     #[test]
-    fn micro_bench_rolled_extraction_beats_naive_recompute() {
+    fn extraction_matches_naive_sweep_on_200kb() {
         let params = MinimizerParams::default(); // k = 29, w = 11
         let k = params.k;
         let w = params.w;
-        // Deterministic pseudo-random sequence, long enough to dominate
-        // timer noise.
         let mut state = 0x1234_5678_9ABC_DEF0u64;
         let seq: Vec<u8> = (0..200_000)
             .map(|_| {
@@ -632,39 +628,43 @@ mod tests {
             })
             .collect();
 
-        let mut scratch = MinimizerScratch::default();
-        let mut out = Vec::new();
-        extract_minimizers_into(&seq, params, &mut scratch, &mut out); // warm
-        let t0 = std::time::Instant::now();
-        extract_minimizers_into(&seq, params, &mut scratch, &mut out);
-        let rolled = t0.elapsed();
-
-        // Naive per-window recompute: pack and hash every k-mer of every
-        // window independently (the shape the satellite fix removes).
-        let naive_sweep = |seq: &[u8]| -> Vec<(u32, u64)> {
-            let mut mins = Vec::new();
-            for ws in 0..=(seq.len() + 1 - k - w) {
-                let best = (ws..ws + w)
-                    .min_by_key(|&i| (hash_kmer(pack(&seq[i..i + k])), i))
-                    .unwrap();
-                let entry = (best as u32, pack(&seq[best..best + k]));
-                if mins.last() != Some(&entry) {
-                    mins.push(entry);
-                }
+        let mut naive: Vec<(u32, u64)> = Vec::new();
+        for ws in 0..=(seq.len() + 1 - k - w) {
+            let best = (ws..ws + w)
+                .min_by_key(|&i| (hash_kmer(pack(&seq[i..i + k])), i))
+                .unwrap();
+            let entry = (best as u32, pack(&seq[best..best + k]));
+            if naive.last() != Some(&entry) {
+                naive.push(entry);
             }
-            mins
-        };
-        let t1 = std::time::Instant::now();
-        let naive = naive_sweep(&seq);
-        let per_window = t1.elapsed();
-
-        // Same answer, and the rolled path must not be slower.
-        let fast: Vec<(u32, u64)> = out.iter().map(|m| (m.offset, m.kmer)).collect();
+        }
+        let fast: Vec<(u32, u64)> = extract_minimizers(&seq, params)
+            .iter()
+            .map(|m| (m.offset, m.kmer))
+            .collect();
         assert_eq!(fast, naive);
-        assert!(
-            rolled <= per_window,
-            "rolled extraction ({rolled:?}) slower than naive per-window recompute ({per_window:?})"
-        );
+    }
+
+    /// `hash_kmer` is a bijection, so exactly one 64-bit value hashes to
+    /// `u64::MAX` — and it is a legal 31-mer. Extraction must rank it like
+    /// any other k-mer rather than mistake its hash for a gap marker.
+    #[test]
+    fn kmer_hashing_to_all_ones_is_still_a_minimizer() {
+        const PREIMAGE: u64 = 0x3162_8AF6_7B21_31AB;
+        assert_eq!(hash_kmer(PREIMAGE), u64::MAX);
+        assert!(PREIMAGE < 1 << 62);
+        let seq: Vec<u8> = (0..31)
+            .rev()
+            .map(|i| dna::decode_base(((PREIMAGE >> (2 * i)) & 3) as u8))
+            .collect();
+        for w in [1, 2, 5] {
+            let params = MinimizerParams::new(31, w);
+            // Alone in its window (everything else spans an N), it reports.
+            let mut gapped = vec![b'N'; w - 1];
+            gapped.extend_from_slice(&seq);
+            let ms = extract_minimizers(&gapped, params);
+            assert_eq!(ms, vec![Minimizer { kmer: PREIMAGE, offset: (w - 1) as u32 }]);
+        }
     }
 
     fn sample_index() -> (mg_graph::Pangenome, MinimizerIndex) {

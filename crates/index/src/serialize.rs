@@ -11,7 +11,7 @@ use std::path::Path;
 
 use mg_support::container::{ContainerReader, ContainerWriter};
 use mg_support::mgi::{
-    put_u32, put_u64, put_u64_slice, FixedReader, MgiFile, MgiWriter, TAG_MIN_KMERS,
+    put_u32, put_u64, put_u64_slice, FixedReader, MgiFile, MgiWriter, Storage, TAG_MIN_KMERS,
     TAG_MIN_META, TAG_MIN_POSITIONS, TAG_MIN_STARTS,
 };
 use mg_support::varint::{self, Cursor};
@@ -25,21 +25,19 @@ pub const MIN_KIND: [u8; 4] = *b"MGMI";
 pub const TAG_MINIMIZERS: u32 = 0x0020;
 
 impl MinimizerIndex {
-    /// Serializes the index to a byte payload (sorted by k-mer, so the
-    /// encoding is canonical: equal indices produce equal bytes).
+    /// Serializes the index to a byte payload (k-mers ascending, as the
+    /// table holds them, so the encoding is canonical: equal indices produce
+    /// equal bytes).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let params = self.params();
         varint::write_u64(&mut out, params.k as u64);
         varint::write_u64(&mut out, params.w as u64);
-        let mut kmers: Vec<u64> = self.kmers().collect();
-        kmers.sort_unstable();
-        varint::write_u64(&mut out, kmers.len() as u64);
+        varint::write_u64(&mut out, self.distinct_kmers() as u64);
         let mut prev_kmer = 0u64;
-        for kmer in kmers {
+        for (kmer, positions) in self.kmers().zip(self.runs()) {
             varint::write_u64(&mut out, kmer - prev_kmer);
             prev_kmer = kmer;
-            let positions = self.positions(kmer).expect("kmer from iterator");
             varint::write_u64(&mut out, positions.len() as u64);
             for pos in positions {
                 varint::write_u64(&mut out, pos.handle.packed());
@@ -74,12 +72,17 @@ impl MinimizerIndex {
             )));
         }
         let kmer_count = kmer_count as usize;
-        let mut table = fxhash::FxHashMap::default();
-        table.reserve(kmer_count);
-        let mut total = 0usize;
+        // The payload lists k-mers ascending (delta-coded), which is the
+        // table's own order: decode straight into the flat arrays.
+        let mut kmers: Vec<u64> = Vec::with_capacity(kmer_count);
+        let mut starts: Vec<u64> = Vec::with_capacity(kmer_count + 1);
+        let mut positions: Vec<GraphPos> = Vec::new();
+        starts.push(0);
         let mut kmer = 0u64;
         for _ in 0..kmer_count {
-            kmer += cur.read_u64()?;
+            kmer = kmer
+                .checked_add(cur.read_u64()?)
+                .ok_or_else(|| Error::Corrupt("minimizer k-mer delta overflows".into()))?;
             let n = cur.read_u64()?;
             // Same guard per entry: each position is at least two bytes
             // (handle varint + offset varint).
@@ -89,8 +92,7 @@ impl MinimizerIndex {
                     cur.remaining()
                 )));
             }
-            let n = n as usize;
-            let mut positions = Vec::with_capacity(n);
+            positions.reserve(n as usize);
             for _ in 0..n {
                 let handle = mg_graph::Handle::from_gbwt(cur.read_u64()?)
                     .ok_or_else(|| Error::Corrupt("minimizer position encodes endmarker".into()))?;
@@ -100,13 +102,20 @@ impl MinimizerIndex {
                 })?;
                 positions.push(GraphPos::new(handle, offset));
             }
-            total += positions.len();
-            table.insert(kmer, positions);
+            kmers.push(kmer);
+            starts.push(positions.len() as u64);
         }
         if !cur.is_at_end() {
             return Err(Error::Corrupt("trailing bytes after minimizer index".into()));
         }
-        Ok(MinimizerIndex::from_parts(params, table, total))
+        // A zero delta past the first entry repeats a k-mer; the directory
+        // pass rejects it along with values wider than 2k bits.
+        MinimizerIndex::from_flat_parts(
+            params,
+            Storage::Owned(kmers),
+            Storage::Owned(starts),
+            Storage::Owned(positions),
+        )
     }
 
     /// Appends the index to a `.mgi` container in its flat in-memory form:
@@ -115,35 +124,26 @@ impl MinimizerIndex {
     /// [`MinimizerIndex::from_mgi`] borrows without decoding.
     pub fn write_mgi(&self, w: &mut MgiWriter) {
         let params = self.params();
-        let mut kmers: Vec<u64> = self.kmers().collect();
-        kmers.sort_unstable();
-
         let mut meta = Vec::new();
         put_u64(&mut meta, params.k as u64);
         put_u64(&mut meta, params.w as u64);
-        put_u64(&mut meta, kmers.len() as u64);
+        put_u64(&mut meta, self.distinct_kmers() as u64);
         put_u64(&mut meta, self.total_positions() as u64);
         w.section(TAG_MIN_META, meta);
 
+        let (kmers, starts, arena) = self.flat_parts();
         let mut kmer_bytes = Vec::new();
-        put_u64_slice(&mut kmer_bytes, &kmers);
-
-        let mut starts = Vec::new();
-        let mut positions = Vec::new();
-        let mut running = 0u64;
-        put_u64(&mut starts, 0);
-        for &kmer in &kmers {
-            let run = self.positions(kmer).expect("kmer from iterator");
-            for pos in run {
-                put_u64(&mut positions, pos.handle.packed());
-                put_u32(&mut positions, pos.offset);
-                put_u32(&mut positions, 0); // tail padding, pinned to zero
-            }
-            running += run.len() as u64;
-            put_u64(&mut starts, running);
+        put_u64_slice(&mut kmer_bytes, kmers);
+        let mut start_bytes = Vec::new();
+        put_u64_slice(&mut start_bytes, starts);
+        let mut positions = Vec::with_capacity(arena.len() * 16);
+        for pos in arena {
+            put_u64(&mut positions, pos.handle.packed());
+            put_u32(&mut positions, pos.offset);
+            put_u32(&mut positions, 0); // tail padding, pinned to zero
         }
         w.section(TAG_MIN_KMERS, kmer_bytes);
-        w.section(TAG_MIN_STARTS, starts);
+        w.section(TAG_MIN_STARTS, start_bytes);
         w.section(TAG_MIN_POSITIONS, positions);
     }
 
@@ -182,9 +182,6 @@ impl MinimizerIndex {
                 positions.len()
             )));
         }
-        if !kmers.windows(2).all(|p| p[0] < p[1]) {
-            return Err(Error::Corrupt("minimizer k-mers not strictly ascending".into()));
-        }
         if starts.len() != kmer_count + 1
             || starts.first().copied().unwrap_or(u64::MAX) != 0
             || starts.last().copied() != Some(total_positions as u64)
@@ -192,8 +189,7 @@ impl MinimizerIndex {
             return Err(Error::Corrupt("minimizer CSR offsets malformed".into()));
         }
         // Every k-mer owns at least one position (build never records empty
-        // runs), and each run is sorted and deduplicated — the invariant
-        // that makes the flat lookup byte-compatible with the hash path.
+        // runs), and each run is sorted and deduplicated.
         if !starts.windows(2).all(|p| p[0] < p[1]) {
             return Err(Error::Corrupt("minimizer CSR offsets not strictly increasing".into()));
         }
@@ -210,7 +206,10 @@ impl MinimizerIndex {
                 ));
             }
         }
-        Ok(MinimizerIndex::from_flat_parts(params, kmers, starts, positions))
+        // Last, the pass over the k-mer section: strictly ascending, each
+        // within 2k bits, and the bucket directory filled as it goes. By
+        // now the section's length is known to match the rest of the table.
+        MinimizerIndex::from_flat_parts(params, kmers, starts, positions)
     }
 
     /// Writes a `.min`-analog file.

@@ -1,28 +1,25 @@
 //! Explicit-SIMD kernels with runtime CPU-feature dispatch.
 //!
 //! This crate is the bottom of the kernel dependency stack: the 2-bit lane
-//! primitives the packed sequence store is built on, the splitmix k-mer
-//! hash the minimizer scheme orders windows with, and 256-bit wide variants
-//! of both, selected at runtime by [`simd_tier`].
+//! primitives the packed sequence store is built on with their 256-bit wide
+//! variants, selected at runtime by [`simd_tier`], and the splitmix k-mer
+//! hash the minimizer scheme orders windows with.
 //!
 //! The dispatch ladder has three rungs:
 //!
-//! * **Scalar** — the byte-at-a-time oracle paths (`walk_scalar`, per-window
-//!   hashing). Selected by `MG_FORCE_SCALAR=1`/`MG_SIMD=off`; also what the
+//! * **Scalar** — the byte-at-a-time oracle paths (`walk_scalar`).
+//!   Selected by `MG_FORCE_SCALAR=1`/`MG_SIMD=off`; also what the
 //!   cache simulator's active probes pin, independent of this crate.
 //! * **SWAR** — 64-bit word-parallel lanes ([`mismatch_lanes`] over XORed
 //!   packed words). The portable production floor; also the fallback when
 //!   the `simd` cargo feature is off or the CPU lacks AVX2.
 //! * **AVX2** — four packed words (128 bases) per XOR-compare step
-//!   ([`wide_mismatch_lanes`]) and four k-mer hashes per step
-//!   ([`hash_kmers_x4`]), via `std::arch` intrinsics behind
+//!   ([`wide_mismatch_lanes`]), via `std::arch` intrinsics behind
 //!   `is_x86_feature_detected!`.
 //!
-//! Every wide helper is bit-identical to its narrow counterpart — the wide
-//! multiply decomposes the 64-bit wrapping products into `vpmuludq`
-//! 32×32→64 partial products, so even the hash mix matches exactly. The
-//! unit and property tests below pin that equality on whatever tier the
-//! host dispatches to.
+//! Every wide helper is bit-identical to its narrow counterpart. The unit
+//! and property tests below pin that equality on whatever tier the host
+//! dispatches to.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -187,8 +184,9 @@ unsafe fn gather_mismatch_avx2(
 
 /// Invertible 64-bit hash (Thomas Wang / minimap2 style), used to order
 /// k-mers within a minimizer window so minimizers are spread
-/// pseudo-randomly. [`hash_kmers_x4`] is the wide variant; both produce
-/// identical bits for identical inputs.
+/// pseudo-randomly. Scalar only: two 64-bit multiplies per k-mer, inlined
+/// into the extraction loop, beat a 4-wide AVX2 body that has to emulate
+/// each 64-bit multiply and sits behind a call boundary.
 #[inline]
 pub fn hash_kmer(kmer: u64) -> u64 {
     let mut x = kmer.wrapping_add(SPLITMIX_GOLDEN);
@@ -300,21 +298,6 @@ pub fn effective_tier(override_tier: Option<SimdTier>) -> SimdTier {
 mod avx2 {
     use std::arch::x86_64::*;
 
-    /// 64×64→64 wrapping multiply by a constant, decomposed into
-    /// `vpmuludq` 32×32→64 partial products:
-    /// `(xl + xh·2³²)·(cl + ch·2³²) ≡ xl·cl + (xh·cl + xl·ch)·2³² (mod 2⁶⁴)`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul64_lo(x: __m256i, c: u64) -> __m256i {
-        let cl = _mm256_set1_epi64x((c & 0xFFFF_FFFF) as i64);
-        let ch = _mm256_set1_epi64x((c >> 32) as i64);
-        // _mm256_mul_epu32 reads the low 32 bits of each 64-bit lane.
-        let lo = _mm256_mul_epu32(x, cl);
-        let xh = _mm256_srli_epi64::<32>(x);
-        let cross = _mm256_add_epi64(_mm256_mul_epu32(xh, cl), _mm256_mul_epu32(x, ch));
-        _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
-    }
-
     /// Four packed words XOR-compared and lane-folded in one 256-bit step.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -327,20 +310,6 @@ mod avx2 {
             _mm256_set1_epi64x(super::LANES_LO as i64),
         );
         _mm256_storeu_si256(out.as_mut_ptr().cast(), folded);
-    }
-
-    /// Four splitmix k-mer hashes in one 256-bit step, bit-identical to
-    /// four [`super::hash_kmer`] calls.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn hash_kmers_x4(kmers: &[u64; 4], out: &mut [u64; 4]) {
-        let mut x = _mm256_add_epi64(
-            _mm256_loadu_si256(kmers.as_ptr().cast()),
-            _mm256_set1_epi64x(super::SPLITMIX_GOLDEN as i64),
-        );
-        x = mul64_lo(_mm256_xor_si256(x, _mm256_srli_epi64::<30>(x)), super::SPLITMIX_M1);
-        x = mul64_lo(_mm256_xor_si256(x, _mm256_srli_epi64::<27>(x)), super::SPLITMIX_M2);
-        x = _mm256_xor_si256(x, _mm256_srli_epi64::<31>(x));
-        _mm256_storeu_si256(out.as_mut_ptr().cast(), x);
     }
 }
 
@@ -396,22 +365,6 @@ pub unsafe fn wide_mismatch_lanes_avx2(read: &[u64; 4], graph: &[u64; 4], out: &
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     for i in 0..WORDS_PER_BLOCK {
         out[i] = mismatch_lanes(read[i] ^ graph[i]);
-    }
-}
-
-/// Hashes four packed k-mers per step on the global [`simd_tier`], falling
-/// back to four scalar [`hash_kmer`] calls below AVX2. Identical bits
-/// either way.
-#[inline]
-pub fn hash_kmers_x4(kmers: &[u64; 4], out: &mut [u64; 4]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier Avx2 implies the runtime AVX2 check passed.
-        unsafe { avx2::hash_kmers_x4(kmers, out) };
-        return;
-    }
-    for i in 0..WORDS_PER_BLOCK {
-        out[i] = hash_kmer(kmers[i]);
     }
 }
 
@@ -523,30 +476,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wide_hash_matches_scalar_on_random_kmers() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4A5B);
-        for _ in 0..2000 {
-            let k: [u64; 4] = std::array::from_fn(|_| rng.random());
-            let mut wide = [0u64; 4];
-            hash_kmers_x4(&k, &mut wide);
-            let narrow: [u64; 4] = std::array::from_fn(|i| hash_kmer(k[i]));
-            assert_eq!(wide, narrow);
-        }
-    }
-
-    #[test]
-    fn wide_hash_matches_scalar_on_edge_values() {
-        for &v in &[0u64, 1, u64::MAX, u64::MAX - 1, 1 << 63, SPLITMIX_GOLDEN, !SPLITMIX_GOLDEN] {
-            let k = [v, v.wrapping_add(1), v.wrapping_mul(3), !v];
-            let mut wide = [0u64; 4];
-            hash_kmers_x4(&k, &mut wide);
-            for i in 0..4 {
-                assert_eq!(wide[i], hash_kmer(k[i]), "value {:#x}", k[i]);
-            }
-        }
-    }
-
     proptest! {
         #[test]
         fn prop_wide_block_equals_four_narrow_words(
@@ -558,18 +487,6 @@ mod tests {
             wide_mismatch_lanes(simd_tier(), &r, &g, &mut wide);
             for i in 0..4 {
                 prop_assert_eq!(wide[i], mismatch_lanes(r[i] ^ g[i]));
-            }
-        }
-
-        #[test]
-        fn prop_wide_hash_equals_scalar(
-            words in proptest::collection::vec(any::<u64>(), 4..5),
-        ) {
-            let k: [u64; 4] = words[..4].try_into().unwrap();
-            let mut wide = [0u64; 4];
-            hash_kmers_x4(&k, &mut wide);
-            for i in 0..4 {
-                prop_assert_eq!(wide[i], hash_kmer(k[i]));
             }
         }
 
