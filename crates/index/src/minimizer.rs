@@ -148,13 +148,13 @@ pub fn extract_minimizers_into(
     // An invalid byte zeroes both the running k-mer and the valid-run
     // length through a mask instead of an unpredictable branch.
     let mut current = 0u64;
-    let mut valid = 0usize; // consecutive valid bases ending here
+    let mut run = 0usize; // consecutive valid bases ending here
     let mut roll = |b: u8| {
         let code = dna::encode2(b);
         let keep = ((code != dna::INVALID_CODE) as u64).wrapping_neg();
         current = ((current << 2) | (code & 0b11) as u64) & mask & keep;
-        valid = (valid + 1) & keep as usize;
-        (current, valid)
+        run = (run + 1) & keep as usize;
+        (current, run)
     };
     let (head, tail) = seq.split_at(k - 1);
     for &b in head {
@@ -166,8 +166,8 @@ pub fn extract_minimizers_into(
     let mut min_hash = 0u64;
     let mut reported = NONE;
     for (idx, &b) in tail.iter().enumerate() {
-        let (kmer, valid) = roll(b);
-        if valid < k {
+        let (kmer, run) = roll(b);
+        if run < k {
             kmers[idx] = INVALID_KMER;
             continue;
         }
@@ -402,11 +402,10 @@ impl MinimizerIndex {
         (&self.kmers, &self.starts, &self.positions)
     }
 
-    /// Position runs in k-mer order, parallel to [`MinimizerIndex::kmers`].
-    pub(crate) fn runs(&self) -> impl Iterator<Item = &[GraphPos]> + '_ {
-        self.starts
-            .windows(2)
-            .map(|s| &self.positions[s[0] as usize..s[1] as usize])
+    /// Every k-mer with its position run, in ascending k-mer order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, &[GraphPos])> + '_ {
+        let runs = self.starts.windows(2).map(|s| &self.positions[s[0] as usize..s[1] as usize]);
+        self.kmers().zip(runs)
     }
 
     /// Assembles an index from its flat arrays, deriving the directory.
@@ -446,7 +445,7 @@ impl MinimizerIndex {
         let mut kmers: Vec<u64> = Vec::new();
         let mut starts: Vec<u64> = vec![0];
         let mut positions: Vec<GraphPos> = Vec::new();
-        for (kmer, run) in self.kmers().zip(self.runs()) {
+        for (kmer, run) in self.entries() {
             positions.extend(
                 run.iter()
                     .filter(|p| core.contains(p.handle.node()))

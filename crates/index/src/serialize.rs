@@ -35,7 +35,7 @@ impl MinimizerIndex {
         varint::write_u64(&mut out, params.w as u64);
         varint::write_u64(&mut out, self.distinct_kmers() as u64);
         let mut prev_kmer = 0u64;
-        for (kmer, positions) in self.kmers().zip(self.runs()) {
+        for (kmer, positions) in self.entries() {
             varint::write_u64(&mut out, kmer - prev_kmer);
             prev_kmer = kmer;
             varint::write_u64(&mut out, positions.len() as u64);

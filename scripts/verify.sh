@@ -89,7 +89,7 @@ run_gated_bench smoke_packed BENCH_PACKED.json
 # 1.10x. Since PR 13 a read costs one or two (same-diagonal anchors merge,
 # anchors on an exact full-length extension are skipped): the compare loop
 # is no longer where the time goes, packing both strands of every read is
-# paid once per read whatever happens next, and the ratio is 0.96x at full
+# paid once per read whatever happens next, and the ratio is 0.87x at full
 # scale (BENCH_PACKED.json; 0.87-1.0x at this step's 1/5 scale). A gate that
 # cannot tell its tier from noise is not lowered until it passes: the
 # throughput clause is retired, the ratio is printed for ROADMAP's

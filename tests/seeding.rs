@@ -34,9 +34,9 @@ use rand::{Rng, SeedableRng};
 
 /// The packed k-mer starting at `i`, or `None` if it spans a non-ACGT byte.
 fn kmer_at(seq: &[u8], i: usize, k: usize) -> Option<u64> {
-    seq[i..i + k]
-        .iter()
-        .try_fold(0u64, |acc, &b| Some((acc << 2) | dna::encode_base_checked(b)? as u64))
+    seq[i..i + k].iter().try_fold(0u64, |acc, &b| {
+        Some((acc << 2) | dna::encode_base_checked(b)? as u64)
+    })
 }
 
 /// The minimizer scheme as it actually behaves, one window at a time.
@@ -62,7 +62,10 @@ fn reference_minimizers(seq: &[u8], params: MinimizerParams) -> Vec<Minimizer> {
             .min()
             .expect("the window's last k-mer is valid");
         if out.last().map(|m| m.offset as usize) != Some(offset) {
-            out.push(Minimizer { kmer, offset: offset as u32 });
+            out.push(Minimizer {
+                kmer,
+                offset: offset as u32,
+            });
         }
     }
     out
@@ -87,7 +90,7 @@ fn noisy_read(rng: &mut StdRng, len: usize) -> Vec<u8> {
         }
         let at = rng.random_range(0..len);
         let run = rng.random_range(1..=6usize).min(len - at);
-        let junk = *b"NNNNna-".get(rng.random_range(0..7usize)).unwrap();
+        let junk = b"NNNNna-"[rng.random_range(0..7usize)];
         seq[at..at + run].fill(junk);
     }
     seq
@@ -132,7 +135,10 @@ fn window_with_a_gap_reports_the_minimum_of_its_valid_kmers() {
     // k=3 w=3: k-mers 2, 3 and 4 span the N. The window ending at k-mer 5
     // holds k-mers 3..=5, of which only 5 is valid — and it is reported.
     let ms = extract_minimizers(b"ACGTNACGT", MinimizerParams::new(3, 3));
-    assert_eq!(ms, reference_minimizers(b"ACGTNACGT", MinimizerParams::new(3, 3)));
+    assert_eq!(
+        ms,
+        reference_minimizers(b"ACGTNACGT", MinimizerParams::new(3, 3))
+    );
     assert!(ms.iter().any(|m| m.offset == 5), "{ms:?}");
     // A window whose last k-mer is invalid reports nothing, even though it
     // holds valid k-mers: k=3 w=2 over ACGN has windows {0,1}; k-mer 1 is
@@ -161,7 +167,10 @@ fn reference_table(p: &Pangenome, params: MinimizerParams) -> BTreeMap<u64, BTre
                 }
             }
             for m in reference_minimizers(&seq, params) {
-                table.entry(m.kmer).or_default().insert(pos_of_base[m.offset as usize]);
+                table
+                    .entry(m.kmer)
+                    .or_default()
+                    .insert(pos_of_base[m.offset as usize]);
             }
         }
     }
@@ -178,7 +187,10 @@ fn three_ways(built: MinimizerIndex, tag: &str) -> [MinimizerIndex; 3] {
     built.write_mgi(&mut w);
     w.write_to(&path).unwrap();
     let mapped = MinimizerIndex::from_mgi(&MgiFile::open(&path).unwrap()).unwrap();
-    assert!(mapped.is_mapped(), "{tag}: .mgi reopened into owned storage");
+    assert!(
+        mapped.is_mapped(),
+        "{tag}: .mgi reopened into owned storage"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
     let decoded = MinimizerIndex::from_bytes(&built.to_bytes()).unwrap();
     assert!(!built.is_mapped() && !decoded.is_mapped());
@@ -195,9 +207,17 @@ fn assert_table_matches(
 ) {
     let k = indexes[0].params().k;
     let all_ones = (1u64 << (2 * k)) - 1;
-    let mut probes: BTreeSet<u64> = [0, 1, all_ones, all_ones - 1, all_ones + 1, u64::MAX, 1 << 63]
-        .into_iter()
-        .collect();
+    let mut probes: BTreeSet<u64> = [
+        0,
+        1,
+        all_ones,
+        all_ones - 1,
+        all_ones + 1,
+        u64::MAX,
+        1 << 63,
+    ]
+    .into_iter()
+    .collect();
     for &kmer in expect.keys() {
         probes.extend([kmer, kmer.wrapping_sub(1), kmer + 1]);
     }
@@ -206,7 +226,10 @@ fn assert_table_matches(
         assert_eq!(index.distinct_kmers(), expect.len(), "{tag}/{way}");
         assert_eq!(index.total_positions(), total, "{tag}/{way}");
         let listed: BTreeSet<u64> = index.kmers().collect();
-        assert!(listed.iter().eq(expect.keys()), "{tag}/{way}: kmers() differs");
+        assert!(
+            listed.iter().eq(expect.keys()),
+            "{tag}/{way}: kmers() differs"
+        );
         for &kmer in &probes {
             let want: Option<Vec<GraphPos>> =
                 expect.get(&kmer).map(|s| s.iter().copied().collect());
@@ -217,14 +240,21 @@ fn assert_table_matches(
             );
         }
         assert_eq!(index, &indexes[0], "{tag}/{way}: PartialEq against built");
-        assert_eq!(index.to_bytes(), indexes[0].to_bytes(), "{tag}/{way}: .min bytes");
+        assert_eq!(
+            index.to_bytes(),
+            indexes[0].to_bytes(),
+            "{tag}/{way}: .min bytes"
+        );
     }
 }
 
 fn pangenome(genome: Vec<u8>, haplotypes: usize, seed: u64, max_node_len: usize) -> Pangenome {
     let variants = random_variants(
         &genome,
-        &VariantParams { mean_spacing: 120, ..Default::default() },
+        &VariantParams {
+            mean_spacing: 120,
+            ..Default::default()
+        },
         seed,
     );
     let panel = random_panel(haplotypes, &variants, seed);
@@ -237,13 +267,21 @@ fn pangenome(genome: Vec<u8>, haplotypes: usize, seed: u64, max_node_len: usize)
 }
 
 fn build(p: &Pangenome, params: MinimizerParams) -> MinimizerIndex {
-    MinimizerIndex::build(p.graph(), p.paths().iter().map(|h| h.handles.as_slice()), params)
+    MinimizerIndex::build(
+        p.graph(),
+        p.paths().iter().map(|h| h.handles.as_slice()),
+        params,
+    )
 }
 
 #[test]
 fn built_mapped_and_decoded_tables_answer_identically() {
     let genome = random_genome(
-        &GenomeParams { len: 6_000, repeat_fraction: 0.1, repeat_len: 150 },
+        &GenomeParams {
+            len: 6_000,
+            repeat_fraction: 0.1,
+            repeat_len: 150,
+        },
         7,
     );
     let p = pangenome(genome, 4, 7, 24);
@@ -256,7 +294,12 @@ fn built_mapped_and_decoded_tables_answer_identically() {
     // Whole-read seeding: 2 000 simulated reads (errors and Ns included),
     // at a cap that filters and one that does not.
     let haps: Vec<Vec<u8>> = p.paths().iter().map(|h| h.sequence(p.graph())).collect();
-    let sim = ReadSimParams { read_len: 100, error_rate: 0.02, n_rate: 0.01, ..Default::default() };
+    let sim = ReadSimParams {
+        read_len: 100,
+        error_rate: 0.02,
+        n_rate: 0.01,
+        ..Default::default()
+    };
     let mut scratch = MinimizerScratch::default();
     let mut hits = Vec::new();
     let mut seeded = 0usize;
@@ -295,8 +338,14 @@ fn skewed_prefixes_share_one_bucket_and_still_resolve() {
     let params = MinimizerParams::new(15, 1);
     let expect = reference_table(&p, params);
     assert!(expect.len() < 1 << 16, "table must stay below 2^16 k-mers");
-    let poly_a = expect.keys().filter(|&&kmer| kmer >> (2 * (15 - 8)) == 0).count();
-    assert!(poly_a >= 300, "only {poly_a} k-mers share the poly-A prefix");
+    let poly_a = expect
+        .keys()
+        .filter(|&&kmer| kmer >> (2 * (15 - 8)) == 0)
+        .count();
+    assert!(
+        poly_a >= 300,
+        "only {poly_a} k-mers share the poly-A prefix"
+    );
     let indexes = three_ways(build(&p, params), "skew");
     assert_table_matches(&indexes, &expect, "skew");
 }
@@ -307,13 +356,23 @@ fn tiny_k_tables_where_the_directory_is_as_wide_as_the_kmer() {
     // of them are indexed, so a directory with one bucket per indexed k-mer
     // needs all 10 bits of the k-mer. k = 1 and k = 2 push the same edge
     // further (2 and 4 bits).
-    let genome = random_genome(&GenomeParams { len: 4_000, repeat_fraction: 0.0, repeat_len: 50 }, 5);
+    let genome = random_genome(
+        &GenomeParams {
+            len: 4_000,
+            repeat_fraction: 0.0,
+            repeat_len: 50,
+        },
+        5,
+    );
     let p = pangenome(genome, 3, 5, 12);
     for (k, w) in [(5, 1), (5, 3), (2, 2), (1, 1)] {
         let params = MinimizerParams::new(k, w);
         let expect = reference_table(&p, params);
         if (k, w) == (5, 1) {
-            assert!(expect.len() > 512, "k=5 w=1 must index more than half of all 5-mers");
+            assert!(
+                expect.len() > 512,
+                "k=5 w=1 must index more than half of all 5-mers"
+            );
         }
         let tag = format!("k{k}w{w}");
         let indexes = three_ways(build(&p, params), &tag);
@@ -390,7 +449,14 @@ impl Sections {
 
 #[test]
 fn structurally_corrupt_minimizer_sections_are_rejected_not_indexed() {
-    let genome = random_genome(&GenomeParams { len: 1_500, repeat_fraction: 0.0, repeat_len: 50 }, 13);
+    let genome = random_genome(
+        &GenomeParams {
+            len: 1_500,
+            repeat_fraction: 0.0,
+            repeat_len: 50,
+        },
+        13,
+    );
     let p = pangenome(genome, 2, 13, 16);
     let index = build(&p, MinimizerParams::new(7, 3));
     let n = index.distinct_kmers();
@@ -404,8 +470,12 @@ fn structurally_corrupt_minimizer_sections_are_rejected_not_indexed() {
     };
     // K-mers wider than 2k bits fall outside any directory over the top
     // bits of a 2k-bit value: first, middle, last, and all of them.
-    corrupt("wide last k-mer", &|s| *s.kmers.last_mut().unwrap() = 1 << 14);
-    corrupt("widest last k-mer", &|s| *s.kmers.last_mut().unwrap() = u64::MAX);
+    corrupt("wide last k-mer", &|s| {
+        *s.kmers.last_mut().unwrap() = 1 << 14
+    });
+    corrupt("widest last k-mer", &|s| {
+        *s.kmers.last_mut().unwrap() = u64::MAX
+    });
     corrupt("wide middle k-mer", &|s| s.kmers[n / 2] = u64::MAX - 1);
     corrupt("all k-mers wide", &|s| {
         for (i, kmer) in s.kmers.iter_mut().enumerate() {
@@ -436,8 +506,12 @@ fn structurally_corrupt_minimizer_sections_are_rejected_not_indexed() {
     corrupt("starts past arena", &|s| *s.starts.last_mut().unwrap() += 1);
     corrupt("starts huge in the middle", &|s| s.starts[n / 2] = 1 << 50);
     corrupt("empty run", &|s| s.starts[5] = s.starts[4]);
-    corrupt("arena short", &|s| s.positions.truncate(s.positions.len() - 16));
-    corrupt("arena ragged", &|s| s.positions.truncate(s.positions.len() - 3));
+    corrupt("arena short", &|s| {
+        s.positions.truncate(s.positions.len() - 16)
+    });
+    corrupt("arena ragged", &|s| {
+        s.positions.truncate(s.positions.len() - 3)
+    });
     corrupt("meta total wrong", &|s| s.meta[3] -= 1);
 
     // And no strict prefix of a valid image opens.
@@ -445,7 +519,8 @@ fn structurally_corrupt_minimizer_sections_are_rejected_not_indexed() {
     index.write_mgi(&mut w);
     let image = w.finish();
     for cut in (0..image.len()).step_by(image.len() / 97 + 1) {
-        let opened = MgiFile::open_bytes(image[..cut].to_vec()).and_then(|f| MinimizerIndex::from_mgi(&f));
+        let opened =
+            MgiFile::open_bytes(image[..cut].to_vec()).and_then(|f| MinimizerIndex::from_mgi(&f));
         assert!(opened.is_err(), "prefix of {cut} bytes accepted");
     }
 }
@@ -468,8 +543,20 @@ fn min_payload_with_repeated_or_wrapping_kmers_is_rejected() {
         bytes
     };
     assert!(MinimizerIndex::from_bytes(&payload(&[5, 1, 9])).is_ok());
-    assert!(MinimizerIndex::from_bytes(&payload(&[0, 1])).is_ok(), "k-mer 0 is AAAAAAA");
-    assert!(MinimizerIndex::from_bytes(&payload(&[5, 0])).is_err(), "repeated k-mer");
-    assert!(MinimizerIndex::from_bytes(&payload(&[5, u64::MAX])).is_err(), "delta wraps");
-    assert!(MinimizerIndex::from_bytes(&payload(&[1 << 14])).is_err(), "k-mer wider than 2k bits");
+    assert!(
+        MinimizerIndex::from_bytes(&payload(&[0, 1])).is_ok(),
+        "k-mer 0 is AAAAAAA"
+    );
+    assert!(
+        MinimizerIndex::from_bytes(&payload(&[5, 0])).is_err(),
+        "repeated k-mer"
+    );
+    assert!(
+        MinimizerIndex::from_bytes(&payload(&[5, u64::MAX])).is_err(),
+        "delta wraps"
+    );
+    assert!(
+        MinimizerIndex::from_bytes(&payload(&[1 << 14])).is_err(),
+        "k-mer wider than 2k bits"
+    );
 }
