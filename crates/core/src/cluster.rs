@@ -86,15 +86,21 @@ impl UnionFind {
         root
     }
 
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Deterministic: smaller index becomes the root.
-            let (lo, hi) = (ra.min(rb), ra.max(rb));
-            self.parent[hi] = lo as u32;
-        }
+    /// Joins the sets rooted at `ra` and `rb` and returns the joint root.
+    /// Deterministic: the smaller index becomes the root, so a set's root is
+    /// always its smallest member, whatever the order of finds and unions.
+    fn link(&mut self, ra: usize, rb: usize) -> usize {
+        let (lo, hi) = (ra.min(rb), ra.max(rb));
+        self.parent[hi] = lo as u32;
+        lo
     }
+
 }
+
+/// A seed's place in the position sort, computed once per seed:
+/// `(component, linearized position, oriented node, read offset, seed
+/// index)`. The index makes the order total.
+type SortKey = (u32, u64, u64, u32, u32);
 
 /// Reusable per-thread storage of the clustering kernel: the position-sort
 /// order, the union-find, the distance-query scratch, the component
@@ -102,7 +108,7 @@ impl UnionFind {
 /// and reuses it for every read it maps.
 #[derive(Debug, Default)]
 pub struct ClusterScratch {
-    order: Vec<usize>,
+    order: Vec<SortKey>,
     uf: UnionFind,
     dist: DistanceScratch,
     rooted: Vec<(usize, usize)>,
@@ -148,30 +154,35 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
     probe.touch(REGION_SEEDS, std::mem::size_of_val(seeds) as u32);
     probe.instret(seeds.len() as u64 * 4);
 
-    // Sort indices by linearized position so nearby seeds are adjacent.
+    // Sort the seeds by linearized position so nearby seeds are adjacent.
     let order = &mut scratch.order;
     order.clear();
-    order.extend(0..seeds.len());
-    let linear = |s: &Seed| -> (u32, u64, u64) {
+    order.extend(seeds.iter().enumerate().map(|(i, s)| {
         let node = s.pos.handle.node();
         (
             dist.component(node),
             dist.approx_position(node).saturating_add(s.pos.offset as u64),
             s.pos.handle.packed(),
+            s.read_offset,
+            i as u32,
         )
-    };
-    order.sort_unstable_by_key(|&i| (linear(&seeds[i]), seeds[i].read_offset));
+    }));
+    order.sort_unstable();
     probe.instret((seeds.len() as f64 * (seeds.len() as f64).log2().max(1.0)) as u64);
 
     let uf = &mut scratch.uf;
     uf.reset(seeds.len());
     let limit = params.distance_limit;
-    for (rank, &i) in order.iter().enumerate() {
-        for &j in order.iter().skip(rank + 1).take(params.neighbor_window) {
+    for (rank, &(.., i)) in order.iter().enumerate() {
+        let i = i as usize;
+        let mut root = uf.find(i);
+        for &(.., j) in order.iter().skip(rank + 1).take(params.neighbor_window) {
+            let j = j as usize;
             // Transitivity: pairs already clustered need no distance query
             // (this is what makes the sweep near-linear, like Giraffe's
             // distance-index clustering).
-            if uf.find(i) == uf.find(j) {
+            let other = if uf.parent[j] as usize == root { root } else { uf.find(j) };
+            if other == root {
                 probe.instret(2);
                 continue;
             }
@@ -185,7 +196,7 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
                 let gap = a.offset.abs_diff(b.offset) as u64;
                 probe.instret(4);
                 if gap <= limit {
-                    uf.union(i, j);
+                    root = uf.link(root, other);
                     continue;
                 }
             }
@@ -195,7 +206,7 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
                 .min_undirected_distance_with(graph, a, b, limit, &mut scratch.dist)
                 .is_some_and(|d| d <= limit)
             {
-                uf.union(i, j);
+                root = uf.link(root, other);
             }
         }
     }
@@ -436,12 +447,16 @@ mod tests {
     fn union_find_chains_compress() {
         let mut uf = UnionFind::default();
         uf.reset(5);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        uf.union(3, 4);
+        let union = |uf: &mut UnionFind, a, b| {
+            let (ra, rb) = (uf.find(a), uf.find(b));
+            uf.link(ra, rb);
+        };
+        union(&mut uf, 0, 1);
+        union(&mut uf, 1, 2);
+        union(&mut uf, 3, 4);
         assert_eq!(uf.find(2), 0);
         assert_eq!(uf.find(4), 3);
-        uf.union(2, 4);
+        union(&mut uf, 2, 4);
         for i in 0..5 {
             assert_eq!(uf.find(i), 0);
         }

@@ -13,12 +13,9 @@
 //! extension the read already has are not walked at all (rule 2, from
 //! Giraffe's `GaplessExtender::extend`).
 
-use mg_gbwt::gbwt::record_extend_forward_with_counts;
-use mg_gbwt::{BidirState, CachedGbwt};
-use mg_graph::packed::{self, BASES_PER_WORD};
-use mg_graph::{Handle, PackedReadPair, VariationGraph};
+use mg_gbwt::{BidirState, CachedGbwt, RecordEdge, SearchState, ENDMARKER};
+use mg_graph::{Handle, VariationGraph};
 use mg_index::GraphPos;
-use mg_kernels::{SimdTier, WORDS_PER_BLOCK};
 use mg_support::probe::MemProbe;
 
 use crate::cluster::Cluster;
@@ -47,20 +44,14 @@ pub struct ExtendParams {
     /// haplotype-consistent branches.
     pub max_branch_steps: usize,
     /// Force the byte-at-a-time comparison loop even when no active probe
-    /// requires it. The scalar loop is the oracle the word-parallel packed
-    /// path is validated against; benches and differential tests flip this
-    /// to compare the two on otherwise identical pipelines.
+    /// requires it. The scalar loop is the oracle the eight-bases-a-step
+    /// production walk is validated against; benches and differential tests
+    /// flip this to compare the two on otherwise identical pipelines.
     pub force_scalar: bool,
-    /// Caps the SIMD dispatch tier for this pipeline instead of the
-    /// process-global `MG_SIMD`/`MG_FORCE_SCALAR` environment dispatch
-    /// (`None`). Clamped to the hardware tier, so `Some(Avx2)` on a
-    /// non-AVX2 host degrades to SWAR rather than faulting; benches use
-    /// this to compare tiers inside one process.
-    pub simd_override: Option<SimdTier>,
     /// Branch-and-bound pruning of DFS subtrees that provably cannot beat
     /// the running best prefix (see `subtree_is_dead`). Applied identically
-    /// by the scalar and packed walks, so differential tests stay exact;
-    /// exposed so benches can A/B the pruning inside one process.
+    /// by both walks, so differential tests stay exact; exposed so benches
+    /// can A/B the pruning inside one process.
     pub prune: bool,
 }
 
@@ -72,21 +63,8 @@ impl Default for ExtendParams {
             max_mismatches: 4,
             max_branch_steps: 64,
             force_scalar: false,
-            simd_override: None,
             prune: true,
         }
-    }
-}
-
-/// The comparison tier the extension walk will actually run for a pipeline
-/// instantiated with probe `P` and `params`: [`SimdTier::Scalar`] whenever
-/// the probe consumes per-base traffic or the oracle path is forced,
-/// otherwise the dispatched tier (see [`mg_kernels::effective_tier`]).
-pub fn active_tier<P: MemProbe>(params: &ExtendParams) -> SimdTier {
-    if P::ACTIVE || params.force_scalar {
-        SimdTier::Scalar
-    } else {
-        mg_kernels::effective_tier(params.simd_override)
     }
 }
 
@@ -104,7 +82,7 @@ pub struct ProcessParams {
     /// Anchor batch size of the extension dataflow: after deduplication
     /// and merging a cluster's anchors are processed in batches of this
     /// size, each batch sorted by graph position so consecutive extensions
-    /// walk the same packed node words and GBWT records while they are hot.
+    /// walk the same node bytes and GBWT records while they are hot.
     /// `0` or `1` disables batching (canonical anchor order). Output is
     /// invariant: which anchors count is decided in canonical order and
     /// extensions are canonicalized across the whole read, so batch size
@@ -171,12 +149,14 @@ pub struct ExtendScratch {
     arena: Vec<(u32, Handle)>,
     /// Branch states enumerated at the current node boundary.
     branches: Vec<(BidirState, Handle)>,
-    /// Per-edge visit counts before/inside the current range.
-    before: Vec<u64>,
-    counts: Vec<u64>,
+    /// Per edge of the record being branched over: visits before the
+    /// current range, visits inside it.
+    tally: Vec<[u64; 2]>,
     /// Reconstructed paths of the two directional walks, in walk order.
     left_path: Vec<Handle>,
     right_path: Vec<Handle>,
+    /// Sort keys of the cluster's anchors while they are merged.
+    anchor_keys: Vec<AnchorKey>,
     /// Deduplicated, merged anchors of the cluster being processed.
     anchors: Vec<Seed>,
     /// Every `(node, diagonal)` the read's exact full-length extensions
@@ -188,23 +168,16 @@ pub struct ExtendScratch {
     /// Extensions of the current batch waiting to be admitted in canonical
     /// anchor order, each with the anchor that produced it.
     held: Vec<(Seed, Extension)>,
-    /// The current read packed 2 bits/base, both strands, with `N` lane
-    /// masks — packed once per read (every seed of the read reuses it).
-    packed: PackedReadPair,
     /// Kernel activity accumulated since the last [`ExtendScratch::take_stats`].
     stats: KernelStats,
 }
 
-/// Counters of SIMD and batching activity inside the extension kernel,
-/// accumulated in the scratch (plain `u64`s — the kernel never touches an
-/// observability shard directly) and drained per read into mg-obs by the
-/// mapping pipeline.
+/// Counters of batching, pruning and anchor-merging activity inside the
+/// extension kernel, accumulated in the scratch (plain `u64`s — the kernel
+/// never touches an observability shard directly) and drained per read into
+/// mg-obs by the mapping pipeline.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
-    /// 256-bit comparison blocks executed by the wide walk.
-    pub wide_blocks: u64,
-    /// Base lanes compared inside those wide blocks.
-    pub wide_lanes: u64,
     /// Anchor batches formed by the batched extension dataflow.
     pub batches: u64,
     /// Anchors walked in those batches (`batch_anchors / batches` is the
@@ -292,15 +265,9 @@ pub fn extend_seed_with_scratch<P: MemProbe>(
         return None;
     }
     let init = BidirState {
-        forward: mg_gbwt::SearchState { node: sym, start: 0, end: fwd_total },
-        backward: mg_gbwt::SearchState { node: sym ^ 1, start: 0, end: bwd_total },
+        forward: SearchState { node: sym, start: 0, end: fwd_total },
+        backward: SearchState { node: sym ^ 1, start: 0, end: bwd_total },
     };
-
-    if active_tier::<P>(params) != SimdTier::Scalar {
-        // The packed walk compares word-parallel; pack both strands of the
-        // read once (a no-op for every seed of the read after the first).
-        scratch.packed.prepare(read);
-    }
 
     // Right: consume read[read_offset..], graph bases from anchor.offset.
     let right = walk(
@@ -391,12 +358,13 @@ enum Dir {
 /// body; only index arithmetic and the branch record differ (see [`Dir`]).
 ///
 /// Two interchangeable comparison loops implement the walk. The
-/// word-parallel packed loop ([`walk_packed`]) is the production path; the
+/// eight-bases-a-step loop ([`walk_words`]) is the production path; the
 /// byte-at-a-time scalar loop ([`walk_scalar`]) is the oracle, and the only
 /// path that emits per-base [`REGION_READ`]/[`REGION_GRAPH_SEQ`] probe
 /// traffic — so any probe that consumes that stream ([`MemProbe::ACTIVE`])
 /// routes here, as does [`ExtendParams::force_scalar`]. Both loops are
-/// bit-identical in every output (pinned by proptests and the GAF oracle).
+/// bit-identical in every output (pinned by `tests/extend_walk.rs` and the
+/// GAF oracle).
 #[allow(clippy::too_many_arguments)]
 fn walk<P: MemProbe>(
     dir: Dir,
@@ -410,13 +378,10 @@ fn walk<P: MemProbe>(
     probe: &mut P,
     scratch: &mut ExtendScratch,
 ) -> DirectionResult {
-    match active_tier::<P>(params) {
-        SimdTier::Scalar => {
-            walk_scalar(dir, graph, cache, read, seed, init, params, budget, probe, scratch)
-        }
-        tier => {
-            walk_packed(dir, graph, cache, read, seed, init, params, budget, probe, scratch, tier)
-        }
+    if P::ACTIVE || params.force_scalar {
+        walk_scalar(dir, graph, cache, read, seed, init, params, budget, probe, scratch)
+    } else {
+        walk_words(dir, graph, cache, read, seed, init, params, budget, probe, scratch)
     }
 }
 
@@ -523,7 +488,7 @@ fn walk_scalar<P: MemProbe>(
                 {
                     branch_states_into(
                         cache, &frame.state, dir == Dir::Left, &mut steps, params, probe,
-                        &mut scratch.branches, &mut scratch.before, &mut scratch.counts,
+                        &mut scratch.branches, &mut scratch.tally,
                     );
                     for bi in 0..scratch.branches.len() {
                         let (next_state, next_handle) = scratch.branches[bi];
@@ -649,65 +614,48 @@ fn apply_match_run(frame: &mut Frame, run: u32, params: &ExtendParams, best: &mu
     }
 }
 
-/// Walks the set lanes of one comparison word in base order — the gaps
-/// between them are match runs — over the first `chunk` lanes. Returns
-/// `true` when the mismatch budget is exhausted: the mismatch is not
-/// consumed and the caller kills the frame without branching, exactly like
-/// the scalar loop's break.
+/// Bases compared per step of the production walk: the bytes of one `u64`.
+const STEP: usize = 8;
+
+/// XOR of up to [`STEP`] read bytes with as many node bytes, arranged in
+/// walk order: the byte the walk reaches first is the low byte, so the
+/// non-zero bytes of the result, from the low end, are the mismatches in the
+/// order the scalar loop meets them. Rightward walks meet memory-first bytes
+/// first (little-endian load), leftward walks memory-last bytes first
+/// (big-endian load); a slice shorter than a step is assembled byte by byte
+/// in the same order, its missing high bytes zero — equal on both sides.
+/// Bytes are compared as they are: a read `N`, or any byte that is no
+/// uppercase base, differs from every node base by itself.
 #[inline(always)]
-fn walk_lanes(
-    mut lanes: u64,
-    chunk: usize,
-    frame: &mut Frame,
-    best: &mut DirectionResult,
-    params: &ExtendParams,
-    budget: u32,
-) -> bool {
-    let mut pos = 0usize;
-    while lanes != 0 {
-        let mm = (lanes.trailing_zeros() >> 1) as usize;
-        apply_match_run(frame, (mm - pos) as u32, params, best);
-        frame.mismatches += 1;
-        if frame.mismatches > budget {
-            return true;
+fn xor_in_walk_order(dir: Dir, read: &[u8], node: &[u8]) -> u64 {
+    debug_assert!(read.len() == node.len() && read.len() <= STEP);
+    match (dir, <[u8; STEP]>::try_from(read), <[u8; STEP]>::try_from(node)) {
+        (Dir::Right, Ok(r), Ok(g)) => u64::from_le_bytes(r) ^ u64::from_le_bytes(g),
+        (Dir::Left, Ok(r), Ok(g)) => u64::from_be_bytes(r) ^ u64::from_be_bytes(g),
+        (Dir::Right, ..) => {
+            read.iter().zip(node).rev().fold(0, |w, (r, g)| w << 8 | u64::from(r ^ g))
         }
-        frame.score -= params.mismatch_penalty;
-        frame.consumed += 1;
-        frame.node_off += 1;
-        best_check(frame, best);
-        pos = mm + 1;
-        lanes &= lanes - 1;
+        (Dir::Left, ..) => read.iter().zip(node).fold(0, |w, (r, g)| w << 8 | u64::from(r ^ g)),
     }
-    apply_match_run(frame, (chunk - pos) as u32, params, best);
-    false
 }
 
-/// The word-parallel comparison walk: XORs 2-bit packed windows of the read
-/// against the node's packed arena, 32 bases per step, and only spends
-/// per-base work on the mismatching lanes. See [`walk`].
+/// The production comparison walk: XORs eight read bytes against eight node
+/// bytes per step, straight from the read and from the graph's ASCII arena
+/// of the walked orientation, and only spends per-base work on the
+/// mismatches. See [`walk`].
 ///
-/// At `tier >= Avx2` spans longer than one word are compared as one
-/// 256-bit block ([`mg_kernels::wide_mismatch_lanes`]): four XOR/fold lanes
-/// per instruction, with the per-word lane walk unchanged — the wide path
-/// only changes how the lane words are produced, so it is bit-identical to
-/// SWAR by construction (and pinned so by proptests).
+/// A leftward walk compares the same bytes as a rightward one, back to
+/// front: the read's bytes left of the anchor against the bytes of
+/// [`VariationGraph::oriented_sequence`] of the walked handle, both taken
+/// from the end of what is left. Nothing is packed, complemented or masked
+/// beforehand, so a read pays for exactly the bases its walks compare.
 ///
-/// Both directions compare *ascending* packed buffers: a leftward walk
-/// flips to the reverse-complement read buffer against the flipped handle's
-/// reverse-complement arena (complement is a bijection on the 2-bit codes,
-/// so equality is preserved base-for-base). Read `N` lanes arrive
-/// pre-masked as forced mismatches from [`PackedReadPair`]; the graph side
-/// needs no mask because [`VariationGraph::add_node`] rejects non-`ACGT`.
-///
-/// The wide rung pays one `#[target_feature]` call per 128-base block
-/// ([`mg_kernels::wide_gather_mismatch`] — both gathers and the fold fused
-/// behind a single boundary), and only engages on spans that fill a whole
-/// block; shorter spans take the word-at-a-time loop on every tier. Both
-/// shapes were measured: hoisting the dispatch to once-per-walk (the whole
-/// body inside an AVX2 feature region) pessimized the surrounding DFS
-/// codegen by far more than the ~18k per-block calls cost.
+/// Control flow, pruning and branch enumeration mirror [`walk_scalar`] step
+/// for step; matched bases are credited a run at a time
+/// ([`apply_match_run`]), which the oracle's per-base updates cannot tell
+/// apart.
 #[allow(clippy::too_many_arguments)]
-fn walk_packed<P: MemProbe>(
+fn walk_words<P: MemProbe>(
     dir: Dir,
     graph: &VariationGraph,
     cache: &mut CachedGbwt<'_>,
@@ -718,21 +666,7 @@ fn walk_packed<P: MemProbe>(
     budget: u32,
     probe: &mut P,
     scratch: &mut ExtendScratch,
-    tier: SimdTier,
 ) -> DirectionResult {
-    // Disjoint field borrows: the packed read is lent immutably to the
-    // comparison loop while the DFS buffers are mutated.
-    let ExtendScratch {
-        stack,
-        arena,
-        branches,
-        before,
-        counts,
-        packed,
-        stats,
-        ..
-    } = scratch;
-    let wide = tier >= SimdTier::Avx2;
     let mut best = DirectionResult {
         score: 0,
         consumed: 0,
@@ -741,9 +675,9 @@ fn walk_packed<P: MemProbe>(
         state: init,
     };
     let mut steps = 0usize;
-    arena.clear();
-    stack.clear();
-    stack.push(Frame {
+    scratch.arena.clear();
+    scratch.stack.clear();
+    scratch.stack.push(Frame {
         state: init,
         handle: seed.pos.handle,
         node_off: 0,
@@ -752,156 +686,137 @@ fn walk_packed<P: MemProbe>(
         mismatches: 0,
         path: NO_PATH,
     });
-    while let Some(mut frame) = stack.pop() {
+    // The read bytes on the walk's side of the anchor, in memory order
+    // (inclusive of the anchor base on the right, exclusive on the left).
+    let read_side = match dir {
+        Dir::Right => &read[seed.read_offset as usize..],
+        Dir::Left => &read[..seed.read_offset as usize],
+    };
+    while let Some(mut frame) = scratch.stack.pop() {
         // Branch-and-bound, mirroring the scalar walk exactly (same bound,
         // same frame-local inputs, so the same frames are pruned).
-        let pop_rem = match dir {
-            Dir::Right => read.len() - seed.read_offset as usize - frame.consumed as usize,
-            Dir::Left => (seed.read_offset - frame.consumed) as usize,
-        };
-        if subtree_is_dead(&frame, pop_rem, &best, params) {
-            stats.pruned_frames += 1;
+        let mut read_rem = read_side.len() - frame.consumed as usize;
+        if subtree_is_dead(&frame, read_rem, &best, params) {
+            scratch.stats.pruned_frames += 1;
             continue;
         }
-        let node_len = graph.node_len(frame.handle.node());
-        let on_anchor = frame.path == NO_PATH;
-        let avail = match (dir, on_anchor) {
-            (Dir::Right, true) => node_len - seed.pos.offset as usize,
-            (Dir::Left, true) => seed.pos.offset as usize,
-            (_, false) => node_len,
-        };
-        // Ascending packed coordinates of the walk: base `consumed` of the
-        // read buffer is `rs0 + consumed`, base `node_off` of the node view
-        // is `gs0 + node_off` (leftward walks read the reverse-complement
-        // pair, which turns descending source indices ascending).
-        let (view, gs0, rs0, src) = match dir {
-            Dir::Right => (
-                graph.packed_view(frame.handle),
-                if on_anchor { seed.pos.offset as usize } else { 0 },
-                seed.read_offset as usize,
-                &packed.fwd,
-            ),
-            Dir::Left => (
-                graph.packed_view(frame.handle.flip()),
-                node_len - avail,
-                read.len() - seed.read_offset as usize,
-                &packed.rc,
-            ),
-        };
-        'frame: loop {
+        // One node per turn: the frame walks its node, and at the boundary
+        // carries on into the branch the stack would hand back first.
+        loop {
+            // The node bytes this frame offers, in memory order: the whole
+            // node, or on the anchor node the part on the walk's side of the
+            // anchor.
+            let node = graph.oriented_sequence(frame.handle);
+            let node_side = match (dir, frame.path == NO_PATH) {
+                (Dir::Right, true) => &node[seed.pos.offset as usize..],
+                (Dir::Left, true) => &node[..seed.pos.offset as usize],
+                (_, false) => node,
+            };
             // Same control order as the scalar loop: the read's edge ends
             // the frame before the node boundary is allowed to branch.
-            let read_rem = match dir {
-                Dir::Right => read.len() - (seed.read_offset as usize + frame.consumed as usize),
-                Dir::Left => (seed.read_offset - frame.consumed) as usize,
+            let span = read_rem.min(node_side.len() - frame.node_off);
+            // What is left of both sides' bytes, cut to the span: the walk
+            // meets `rs[i]` with `gs[i]`, rightwards from the front,
+            // leftwards from the back.
+            let (rs, gs) = match dir {
+                Dir::Right => {
+                    let (r, g) = (frame.consumed as usize, frame.node_off);
+                    (&read_side[r..r + span], &node_side[g..g + span])
+                }
+                Dir::Left => {
+                    let (r, g) = (read_rem, node_side.len() - frame.node_off);
+                    (&read_side[r - span..r], &node_side[g - span..g])
+                }
             };
-            if read_rem == 0 {
-                break;
-            }
-            let node_rem = avail - frame.node_off;
-            if node_rem == 0 {
-                if steps < params.max_branch_steps
-                    && !subtree_is_dead(&frame, read_rem, &best, params)
-                {
-                    branch_states_into(
-                        cache, &frame.state, dir == Dir::Left, &mut steps, params, probe,
-                        branches, before, counts,
-                    );
-                    for &(next_state, next_handle) in branches.iter() {
-                        arena.push((frame.path, next_handle));
-                        stack.push(Frame {
-                            state: next_state,
-                            handle: next_handle,
-                            node_off: 0,
-                            consumed: frame.consumed,
-                            score: frame.score,
-                            mismatches: frame.mismatches,
-                            path: (arena.len() - 1) as u32,
-                        });
-                    }
-                }
-                break;
-            }
-            let span = read_rem.min(node_rem);
+            // Matched bases seen since the last mismatch, not yet credited.
+            let mut run = 0u32;
             let mut done = 0usize;
-            while done < span {
-                // Spans longer than one word go through the 256-bit block
-                // compare (the trailing partial word rides along, masked
-                // like the narrow path masks it); word-at-a-time SWAR
-                // handles single-word remainders. The block is anchored at
-                // the frame's current position, so the lane word for block
-                // word `j` is the one SWAR would have produced after
-                // consuming `j` words.
-                let remaining = span - done;
-                if wide && remaining > (WORDS_PER_BLOCK - 1) * BASES_PER_WORD {
-                    // Only spans that fill a whole block go wide: the
-                    // average span here is ~2 words, and gathering a fixed
-                    // 4-word block for those wastes more than the fused
-                    // compare saves (measured ~2% end-to-end).
-                    let blk = WORDS_PER_BLOCK;
-                    let take = (blk * BASES_PER_WORD).min(remaining);
-                    let rbase = rs0 + frame.consumed as usize;
-                    let gbase = gs0 + frame.node_off;
-                    let mut lw = [0u64; WORDS_PER_BLOCK];
-                    // The graph gather may pull neighbouring nodes' lanes
-                    // past the node's span (`raw_words`); `keep_lanes`
-                    // below masks every chunk to its live span before use.
-                    mg_kernels::wide_gather_mismatch(
-                        tier,
-                        src.raw_words(),
-                        view.raw_words(),
-                        rbase,
-                        gbase,
-                        &mut lw,
-                    );
-                    stats.wide_blocks += 1;
-                    stats.wide_lanes += take as u64;
-                    let mut exhausted = false;
-                    for (j, &lane_word) in lw.iter().enumerate().take(blk) {
-                        let chunk = (take - j * BASES_PER_WORD).min(BASES_PER_WORD);
-                        let mut lanes = lane_word;
-                        if src.has_n() {
-                            lanes |= src.nmask_word(rbase + j * BASES_PER_WORD);
-                        }
-                        if chunk < BASES_PER_WORD {
-                            lanes = packed::keep_lanes(lanes, chunk);
-                        }
-                        if walk_lanes(lanes, chunk, &mut frame, &mut best, params, budget) {
-                            exhausted = true;
-                            break;
-                        }
-                    }
-                    if exhausted {
-                        break 'frame;
-                    }
-                    done += take;
-                    continue;
+            let exhausted = 'span: loop {
+                if done == span {
+                    break false;
                 }
-                let chunk = remaining.min(BASES_PER_WORD);
-                let rbase = rs0 + frame.consumed as usize;
-                let gbase = gs0 + frame.node_off;
-                let xor = src.word(rbase) ^ view.word(gbase);
-                // Clean reads (no `N`) skip the mask gather: `has_n` being
-                // false proves every nmask word is zero.
-                let nmask = if src.has_n() { src.nmask_word(rbase) } else { 0 };
-                let lanes = packed::keep_lanes(packed::mismatch_lanes(xor) | nmask, chunk);
-                if walk_lanes(lanes, chunk, &mut frame, &mut best, params, budget) {
-                    break 'frame;
+                let chunk = (span - done).min(STEP);
+                // A tail after whole steps loads the span's last whole step
+                // again and drops the bases already walked; a span shorter
+                // than a step is assembled byte by byte.
+                let width = if span >= STEP { STEP } else { chunk };
+                let at = match dir {
+                    Dir::Right => done + chunk - width..done + chunk,
+                    Dir::Left => span - done - chunk..span - done - chunk + width,
+                };
+                let mut xor =
+                    xor_in_walk_order(dir, &rs[at.clone()], &gs[at]) >> (8 * (width - chunk));
+                // Bases of this step already accounted for.
+                let mut pos = 0u32;
+                while xor != 0 {
+                    let mismatch = xor.trailing_zeros() >> 3;
+                    apply_match_run(&mut frame, run + mismatch - pos, params, &mut best);
+                    run = 0;
+                    frame.mismatches += 1;
+                    if frame.mismatches > budget {
+                        // Not consumed: the frame dies without branching,
+                        // exactly like the scalar loop's break.
+                        break 'span true;
+                    }
+                    frame.score -= params.mismatch_penalty;
+                    frame.consumed += 1;
+                    frame.node_off += 1;
+                    best_check(&frame, &mut best);
+                    pos = mismatch + 1;
+                    xor &= !(0xFF << (8 * mismatch));
                 }
+                run += chunk as u32 - pos;
                 done += chunk;
+            };
+            if exhausted {
+                break;
             }
+            apply_match_run(&mut frame, run, params, &mut best);
+            read_rem -= span;
+            if read_rem == 0
+                || steps >= params.max_branch_steps
+                || subtree_is_dead(&frame, read_rem, &best, params)
+            {
+                break;
+            }
+            // Node exhausted with read left over: branch over the
+            // haplotype-consistent edges.
+            branch_states_into(
+                cache, &frame.state, dir == Dir::Left, &mut steps, params, probe,
+                &mut scratch.branches, &mut scratch.tally,
+            );
+            // The last branch is the one a pop would return next, and the
+            // bound that would prune it at that pop was just found not to
+            // hold (it starts from this frame's exact `(score, consumed)`):
+            // walk it without the round trip through the stack.
+            let Some((&(last_state, last_handle), rest)) = scratch.branches.split_last() else {
+                break;
+            };
+            for &(state, handle) in rest {
+                scratch.arena.push((frame.path, handle));
+                let path = (scratch.arena.len() - 1) as u32;
+                scratch.stack.push(Frame { state, handle, node_off: 0, path, ..frame });
+            }
+            scratch.arena.push((frame.path, last_handle));
+            let path = (scratch.arena.len() - 1) as u32;
+            frame = Frame { state: last_state, handle: last_handle, node_off: 0, path, ..frame };
         }
     }
     best
 }
 
 /// Enumerates the haplotype-consistent branch states at a node boundary
-/// with a single run scan of the current record and no record clone,
-/// writing them into `out` (cleared first; `before`/`counts` are the
-/// per-edge count buffers). `backward` selects the direction: `false`
-/// extends the pattern forward (successors of the forward node), `true`
-/// extends it backward (predecessors via the backward record, states
-/// returned un-flipped).
+/// into `out` (cleared first), without cloning the record. `backward`
+/// selects the direction: `false` extends the pattern forward (successors of
+/// the forward node), `true` extends it backward (predecessors via the
+/// backward record, states returned un-flipped).
+///
+/// The range arithmetic is [`mg_gbwt::gbwt::record_extend_forward`]'s, done
+/// for every edge at once: a record with a single successor — most of them
+/// — needs no look at its runs (every visit of the range leaves through
+/// that edge), any other gets one scan of the runs into `tally` (per edge:
+/// visits before the range, visits inside it; grown when a record has more
+/// edges than any before it, never shrunk).
 #[allow(clippy::too_many_arguments)]
 fn branch_states_into<P: MemProbe>(
     cache: &mut CachedGbwt<'_>,
@@ -911,26 +826,30 @@ fn branch_states_into<P: MemProbe>(
     params: &ExtendParams,
     probe: &mut P,
     out: &mut Vec<(BidirState, Handle)>,
-    before: &mut Vec<u64>,
-    counts: &mut Vec<u64>,
+    tally: &mut Vec<[u64; 2]>,
 ) {
     out.clear();
     let look = if backward { state.flipped() } else { *state };
     let record = cache.record_with_probe(look.forward.node, probe);
     probe.instret(6 + 2 * record.runs.len() as u64);
-    record.range_counts_with_prefix_into(look.forward.start, look.forward.end, before, counts);
-    for (i, edge) in record.edges.iter().enumerate() {
-        if *steps >= params.max_branch_steps {
-            break;
-        }
-        if edge.symbol == mg_gbwt::ENDMARKER || counts[i] == 0 {
-            continue;
-        }
-        *steps += 1;
-        let next = record_extend_forward_with_counts(record, &look, i, before, counts);
-        if next.is_empty() {
-            continue;
-        }
+    let end = look.forward.end.min(record.total_visits());
+    let start = look.forward.start.min(end);
+    // The state after leaving through `edge`, given the visits through it
+    // before the range and inside it, and the visits inside the range
+    // through edges that sort before it in the reverse index.
+    let mut branch = |edge: &RecordEdge, before: u64, inside: u64, preceding: u64| {
+        let next = BidirState {
+            forward: SearchState {
+                node: edge.symbol,
+                start: edge.offset + before,
+                end: edge.offset + before + inside,
+            },
+            backward: SearchState {
+                node: look.backward.node,
+                start: look.backward.start + preceding,
+                end: look.backward.start + preceding + inside,
+            },
+        };
         let handle = Handle::from_gbwt(edge.symbol).expect("real symbol");
         if backward {
             // Backward branches walk the flipped handle in read space.
@@ -938,6 +857,51 @@ fn branch_states_into<P: MemProbe>(
         } else {
             out.push((next, handle));
         }
+    };
+    if let [edge] = &record.edges[..] {
+        if *steps < params.max_branch_steps && edge.symbol != ENDMARKER && start < end {
+            *steps += 1;
+            branch(edge, start, end - start, 0);
+        }
+        return;
+    }
+    let edges = record.edges.len();
+    if tally.len() < edges {
+        tally.resize(edges, [0; 2]);
+    }
+    let tally = &mut tally[..edges];
+    tally.fill([0; 2]);
+    let mut pos = 0u64;
+    for run in &record.runs {
+        let run_end = pos + run.len;
+        let [before, inside] = &mut tally[run.symbol as usize];
+        *before += run_end.min(start).saturating_sub(pos);
+        *inside += run_end.min(end).saturating_sub(pos.max(start));
+        pos = run_end;
+        if pos >= end {
+            break;
+        }
+    }
+    for (edge, &[before, inside]) in record.edges.iter().zip(tally.iter()) {
+        if *steps >= params.max_branch_steps {
+            break;
+        }
+        if edge.symbol == ENDMARKER || inside == 0 {
+            continue;
+        }
+        *steps += 1;
+        // Occurrences of the reversed (flipped) pattern are grouped by
+        // flipped successor; skip the groups that sort before. Sequence
+        // ends (endmarker edge) have no reverse counterpart and sort before
+        // every real group: the reverse sequence *starts* there.
+        let preceding = record
+            .edges
+            .iter()
+            .zip(tally.iter())
+            .filter(|(e, _)| e.symbol == ENDMARKER || (e.symbol ^ 1) < (edge.symbol ^ 1))
+            .map(|(_, t)| t[1])
+            .sum();
+        branch(edge, before, inside, preceding);
     }
 }
 
@@ -947,24 +911,61 @@ fn diagonal(seed: &Seed) -> i64 {
     i64::from(seed.read_offset) - i64::from(seed.pos.offset)
 }
 
-/// Rule 1 (exact merge): `true` when `later` sits on `kept`'s node and
-/// diagonal, at or right of it, and the read equals the node on every base
-/// from `kept` up to `later` — then both anchors produce the same
-/// [`Extension`], field for field (DESIGN.md §4b has the proof), and only
-/// `kept` needs walking. An `N` in the read never equals a node base, and
-/// an anchor past the end of the read or the node merges with nothing.
-fn same_walk(graph: &VariationGraph, read: &[u8], kept: &Seed, later: &Seed) -> bool {
-    if kept.pos.handle != later.pos.handle
-        || diagonal(kept) != diagonal(later)
-        || later.read_offset < kept.read_offset
-    {
-        return false;
+/// An anchor as the merge pass sorts it: `(node, diagonal, read offset)`,
+/// computed once per anchor. The three determine the seed.
+type AnchorKey = (Handle, i64, u32);
+
+/// Fills `scratch.anchors` with the anchors of `cluster` that need walking,
+/// in the canonical `(read_offset, pos)` order.
+///
+/// One sort brings exact duplicates (the same read offset hitting the same
+/// graph position via several minimizers) and the anchors of one node and
+/// one diagonal together. Rule 1, exact merge (`merge`; its proof needs
+/// matches not to lower the score, as pruning does): an anchor on the node
+/// and diagonal of the anchor before it, with the read equal to the node on
+/// every base between the two, produces the same [`Extension`] as that one,
+/// field for field (DESIGN.md §4b has the proof) — so of every run the read
+/// matches without a break only the leftmost anchor is kept. Each anchor is
+/// compared with its predecessor only: the predecessor either starts the
+/// run or was itself joined to it by matching bases. An `N` in the read
+/// never equals a node base, and an anchor past the end of the read or the
+/// node merges with nothing.
+fn prepare_anchors(
+    graph: &VariationGraph,
+    read: &[u8],
+    seeds: &[Seed],
+    cluster: &Cluster,
+    merge: bool,
+    scratch: &mut ExtendScratch,
+) {
+    let keys = &mut scratch.anchor_keys;
+    keys.clear();
+    keys.extend(cluster.seeds.iter().map(|&i| {
+        let s = &seeds[i];
+        (s.pos.handle, diagonal(s), s.read_offset)
+    }));
+    keys.sort_unstable();
+    keys.dedup();
+    scratch.anchors.clear();
+    let mut previous: Option<AnchorKey> = None;
+    for &(handle, diagonal, read_offset) in keys.iter() {
+        // One diagonal, ascending read offsets: both ranges run forward.
+        let (r1, g1) = (read_offset as usize, (i64::from(read_offset) - diagonal) as usize);
+        let merged = merge
+            && previous.is_some_and(|(h, d, r0)| {
+                (h, d) == (handle, diagonal) && r1 < read.len() && {
+                    let (r0, g0) = (r0 as usize, (i64::from(r0) - d) as usize);
+                    let node = graph.oriented_sequence(handle);
+                    g1 < node.len() && read[r0..r1] == node[g0..g1]
+                }
+            });
+        if !merged {
+            scratch.anchors.push(Seed::new(read_offset, GraphPos::new(handle, g1 as u32)));
+        }
+        previous = Some((handle, diagonal, read_offset));
     }
-    // One diagonal and `kept` not right of `later`: both ranges run forward.
-    let node = graph.oriented_sequence(kept.pos.handle);
-    let (r0, r1) = (kept.read_offset as usize, later.read_offset as usize);
-    let (g0, g1) = (kept.pos.offset as usize, later.pos.offset as usize);
-    r1 < read.len() && g1 < node.len() && read[r0..r1] == node[g0..g1]
+    scratch.stats.anchors_merged += (keys.len() - scratch.anchors.len()) as u64;
+    scratch.anchors.sort_unstable();
 }
 
 /// `true` for an extension that covers the whole read without a mismatch.
@@ -1112,23 +1113,7 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
         if cluster.score < best_cluster_score * process.cluster_score_cutoff {
             break;
         }
-        scratch.anchors.clear();
-        scratch.anchors.extend(cluster.seeds.iter().map(|&i| seeds[i]));
-        // One sort brings exact duplicates (the same read offset hitting the
-        // same graph position via several minimizers) and the anchors of one
-        // node and one diagonal together. Rule 1, exact merge: of every run
-        // the read matches without a break only the leftmost anchor is
-        // walked (`same_walk`). The survivors go back to the canonical
-        // `(read_offset, pos)` order.
-        scratch.anchors.sort_unstable_by_key(|s| (s.pos.handle, diagonal(s), s.read_offset));
-        scratch.anchors.dedup();
-        // (The proof needs matches not to lower the score, as pruning does.)
-        if extend.match_score >= 0 {
-            let distinct = scratch.anchors.len();
-            scratch.anchors.dedup_by(|later, kept| same_walk(graph, read, kept, later));
-            scratch.stats.anchors_merged += (distinct - scratch.anchors.len()) as u64;
-        }
-        scratch.anchors.sort_unstable();
+        prepare_anchors(graph, read, seeds, cluster, extend.match_score >= 0, scratch);
         // Batched dataflow: each batch of the canonical list is walked
         // graph-position major, so consecutive extensions hit the same
         // node's packed words and the same GBWT records while they are
@@ -1496,7 +1481,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_walk_matches_scalar_oracle() {
+    fn production_walk_matches_scalar_oracle() {
         let gbz = bubble_gbz();
         // Reads covering clean matches, mismatches, an N, budget exhaustion,
         // and the reverse strand; anchors on both sides of the bubble so
@@ -1529,7 +1514,7 @@ mod tests {
                                 let scalar_params =
                                     ExtendParams { force_scalar: true, ..*params };
                                 let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
-                                let packed = extend_seed(
+                                let production = extend_seed(
                                     gbz.graph(), &mut cache, read, 0, seed, params, &mut NoProbe,
                                 );
                                 let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
@@ -1538,7 +1523,7 @@ mod tests {
                                     &mut NoProbe,
                                 );
                                 assert_eq!(
-                                    packed, scalar,
+                                    production, scalar,
                                     "read {:?} params {:?} seed {:?}",
                                     std::str::from_utf8(read).unwrap(),
                                     params,
@@ -1550,6 +1535,129 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Checks `branch_states_into` at `state` against the index's own
+    /// one-symbol extensions, in both directions and cut short by the step
+    /// budget.
+    fn check_branches(
+        cache: &mut CachedGbwt<'_>,
+        tally: &mut Vec<[u64; 2]>,
+        state: &BidirState,
+    ) {
+        let gbwt = cache.gbwt();
+        let mut out = Vec::new();
+        for backward in [false, true] {
+            let from = if backward { state.backward.node } else { state.forward.node };
+            let want: Vec<(BidirState, Handle)> = gbwt
+                .record(from)
+                .successors()
+                .map(|symbol| {
+                    let handle = Handle::from_gbwt(symbol).unwrap();
+                    if backward {
+                        (gbwt.extend_backward(state, symbol ^ 1), handle.flip())
+                    } else {
+                        (gbwt.extend_forward(state, symbol), handle)
+                    }
+                })
+                .filter(|(next, _)| !next.is_empty())
+                .collect();
+            for budget in [64usize, 1, 0] {
+                let params = ExtendParams { max_branch_steps: budget, ..Default::default() };
+                let mut steps = 0usize;
+                branch_states_into(
+                    cache, state, backward, &mut steps, &params, &mut NoProbe, &mut out, tally,
+                );
+                let kept = want.len().min(budget);
+                assert_eq!(out, want[..kept], "backward {backward} state {state:?}");
+                assert_eq!(steps, kept);
+            }
+        }
+    }
+
+    /// States of every width the paths offer: each node's whole range, then
+    /// narrowed along the path, on both strands.
+    fn check_branches_along(gbwt: &mg_gbwt::Gbwt, paths: &[Vec<Handle>]) {
+        let mut cache = CachedGbwt::new(gbwt, 64);
+        let mut tally = Vec::new();
+        for path in paths {
+            for start in 0..path.len() {
+                let mut state = gbwt.find_bidir(path[start].to_gbwt());
+                check_branches(&mut cache, &mut tally, &state);
+                for h in path[start + 1..].iter().take(5) {
+                    state = gbwt.extend_forward(&state, h.to_gbwt());
+                    check_branches(&mut cache, &mut tally, &state);
+                }
+                let mut state = gbwt.find_bidir(path[start].flip().to_gbwt());
+                check_branches(&mut cache, &mut tally, &state);
+                for h in path[..start].iter().rev().take(5) {
+                    state = gbwt.extend_forward(&state, h.flip().to_gbwt());
+                    check_branches(&mut cache, &mut tally, &state);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branch_enumeration_matches_one_symbol_extensions_on_pangenomes() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB4A);
+        for _ in 0..40 {
+            let reference: Vec<u8> = (0..rng.random_range(40usize..160))
+                .map(|_| b"ACGT"[rng.random_range(0usize..4)])
+                .collect();
+            let mut variants = Vec::new();
+            let mut pos = 2usize;
+            while pos + 6 < reference.len() {
+                variants.push(match rng.random_range(0u32..3) {
+                    0 => Variant::insertion(pos, vec![b'T'; rng.random_range(1usize..4)]),
+                    1 => Variant::deletion(pos, rng.random_range(1usize..3)),
+                    _ => Variant::snp(pos, b"ACGT"[rng.random_range(0usize..4)]),
+                });
+                pos += rng.random_range(4usize..20);
+            }
+            let haplotypes: Vec<Vec<usize>> = (0..rng.random_range(1usize..7))
+                .map(|_| variants.iter().map(|_| rng.random_range(0usize..2)).collect())
+                .collect();
+            let Ok(p) = PangenomeBuilder::new(reference)
+                .variants(variants)
+                .haplotypes(haplotypes)
+                .max_node_len(rng.random_range(2usize..9))
+                .build()
+            else {
+                continue;
+            };
+            let paths: Vec<Vec<Handle>> = p.paths().iter().map(|p| p.handles.clone()).collect();
+            let gbz = Gbz::from_pangenome(p).unwrap();
+            check_branches_along(gbz.gbwt(), &paths);
+        }
+    }
+
+    /// What pangenome haplotypes never do: paths that end in the middle of
+    /// others (an endmarker edge beside real ones) and a node followed by
+    /// both strands of another (two successors that differ in the low bit,
+    /// whose order the reverse index swaps).
+    #[test]
+    fn branch_enumeration_handles_path_ends_and_both_strands_of_a_successor() {
+        let fwd = |i: u64| Handle::forward(NodeId::new(i));
+        let rev = |i: u64| Handle::reverse(NodeId::new(i));
+        let paths = vec![
+            vec![fwd(1), fwd(2), fwd(3), fwd(5)],
+            vec![fwd(1), fwd(2)],
+            vec![fwd(1), fwd(2), rev(3), fwd(5)],
+            vec![fwd(1), fwd(2), fwd(4), fwd(5)],
+            vec![fwd(2), fwd(3)],
+            vec![rev(4), fwd(2), rev(3)],
+            vec![fwd(1), fwd(2), fwd(4), fwd(5)],
+        ];
+        let mut builder = mg_gbwt::GbwtBuilder::new();
+        for path in &paths {
+            builder = builder.insert(path);
+        }
+        let gbwt = builder.build().unwrap();
+        let after_two = gbwt.record(fwd(2).to_gbwt());
+        assert_eq!(after_two.edges.len(), 4, "endmarker, 3+, 3-, 4+");
+        check_branches_along(&gbwt, &paths);
     }
 
     #[test]

@@ -60,10 +60,9 @@ pub mod validate;
 pub use cluster::{cluster_seeds, cluster_seeds_with_scratch, Cluster, ClusterParams, ClusterScratch};
 pub use dump::SeedDump;
 pub use extend::{
-    active_tier, extend_seed, extend_seed_with_scratch, process_until_threshold,
+    extend_seed, extend_seed_with_scratch, process_until_threshold,
     process_until_threshold_with_scratch, ExtendParams, ExtendScratch, KernelStats, ProcessParams,
 };
-pub use mg_kernels::SimdTier;
 pub use mgi::{build_minimizer_index, MgiBundle};
 pub use pipeline::{
     run_mapping, MapScratch, Mapper, MappingOptions, MappingResults, StreamOptions, StreamSummary,

@@ -401,17 +401,11 @@ impl<'a> Mapper<'a> {
         // Drain the kernel's plain-u64 activity counters into the shard
         // (the extension walk itself never touches observability state).
         let kernel = scratch.extend.take_stats();
-        obs.add(Ctr::SimdBlocksWide, kernel.wide_blocks);
-        obs.add(Ctr::SimdLanesActive, kernel.wide_lanes);
         obs.add(Ctr::ExtendBatches, kernel.batches);
         obs.add(Ctr::ExtendBatchAnchors, kernel.batch_anchors);
         obs.add(Ctr::ExtendPrunedFrames, kernel.pruned_frames);
         obs.add(Ctr::ExtendAnchorsMerged, kernel.anchors_merged);
         obs.add(Ctr::ExtendAnchorsSkipped, kernel.anchors_skipped);
-        obs.gauge_max(
-            Gauge::SimdDispatchTier,
-            crate::extend::active_tier::<P>(&options.extend).as_index(),
-        );
         ReadResult { read_id, extensions }
     }
 

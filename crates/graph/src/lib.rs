@@ -7,8 +7,7 @@
 //!
 //! - [`handle`]: node identifiers and oriented node handles;
 //! - [`dna`]: base alphabet utilities (validation, complement);
-//! - [`packed`]: 2-bit packed sequence arenas and the word-parallel
-//!   mismatch-counting primitives the extension kernel builds on;
+//! - [`packed`]: 2-bit packed sequence arenas (stored in `.mgi` containers);
 //! - [`graph::VariationGraph`]: the graph itself, with oriented traversal;
 //! - [`pangenome`]: construction of a pangenome graph from a linear
 //!   reference plus a set of variants and a haplotype panel (who carries
@@ -48,6 +47,6 @@ pub mod partition;
 
 pub use graph::VariationGraph;
 pub use partition::{project_range, IdWindow, Projection};
-pub use packed::{PackedBuf, PackedReadPair, PackedView};
+pub use packed::PackedView;
 pub use handle::{Handle, NodeId, Orientation};
 pub use pangenome::{HaplotypePath, Pangenome, PangenomeBuilder, Variant};

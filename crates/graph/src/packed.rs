@@ -1,141 +1,19 @@
-//! 2-bit packed sequence storage and word-parallel comparison primitives.
+//! 2-bit packed sequence storage.
 //!
 //! Bases pack LSB-first into `u64` words, 32 bases per word: base `j` of a
 //! buffer occupies bits `2*(j % 32)..2*(j % 32) + 2` of word `j / 32`, so
 //! ascending base order is ascending bit order and a window of 32 bases at
 //! any offset is two shifts away ([`word_at`]). The graph keeps one packed
 //! arena per strand ([`PackedSeqStore`]) with every node aligned to a fresh
-//! word boundary; reads pack per-read into a reusable [`PackedReadPair`]
-//! together with a forced-mismatch lane mask for `N` (and any other
-//! non-`ACGT`) bytes.
-//!
-//! The comparison primitive: XOR two packed windows, fold each 2-bit lane
-//! to its low bit with [`mismatch_lanes`], OR in the read's `N` mask, and
-//! the set bits are exactly the mismatching bases — popcount gives the
-//! count, `trailing_zeros` walks them in order.
+//! word boundary. The arenas are written to and mapped from `.mgi`
+//! containers; the extension kernel compares the graph's ASCII arenas, not
+//! these.
 
 use mg_support::mgi::Storage;
 
 use crate::dna;
 
-// The word-level comparison primitives (and their 256-bit wide variants)
-// live in `mg-kernels` so the extension walk, the minimizer hasher, and
-// the dispatch ladder share one definition; re-exported here because this
-// module is their historical home and every packed-buffer consumer already
-// imports them from `mg_graph::packed`.
-pub use mg_kernels::{keep_lanes, mismatch_lanes, word_at, BASES_PER_WORD, LANES_LO};
-
-use mg_kernels::WORDS_PER_BLOCK;
-
-/// Packs `seq` into `words` (cleared first). Non-`ACGT` bytes pack as code
-/// `0` with their lane set in `nmask`, so a comparison against them is
-/// forced to mismatch — exactly the ASCII-compare semantics, where a read
-/// `N` never equals a graph base. Both buffers carry [`WORDS_PER_BLOCK`]
-/// trailing zero words of padding so the vector block gather
-/// ([`mg_kernels::block_at_avx2`]) always finds its five source words in
-/// bounds; zero padding reads exactly like the out-of-bounds zeros
-/// [`word_at`] already synthesizes, so nothing downstream can tell.
-fn pack_into(seq: &[u8], rc: bool, words: &mut Vec<u64>, nmask: &mut Vec<u64>) -> bool {
-    words.clear();
-    nmask.clear();
-    let n_words = seq.len().div_ceil(BASES_PER_WORD);
-    words.resize(n_words + WORDS_PER_BLOCK, 0);
-    nmask.resize(n_words + WORDS_PER_BLOCK, 0);
-    let mut any_n = false;
-    for j in 0..seq.len() {
-        let b = if rc { seq[seq.len() - 1 - j] } else { seq[j] };
-        let code = dna::encode2(b);
-        let shift = 2 * (j % BASES_PER_WORD);
-        if code == dna::INVALID_CODE {
-            nmask[j / BASES_PER_WORD] |= 1u64 << shift;
-            any_n = true;
-        } else {
-            let code = if rc { code ^ 0b11 } else { code };
-            words[j / BASES_PER_WORD] |= (code as u64) << shift;
-        }
-    }
-    any_n
-}
-
-/// A packed buffer plus its `N` lane mask: one strand of a packed read.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PackedBuf {
-    words: Vec<u64>,
-    nmask: Vec<u64>,
-    len: usize,
-    any_n: bool,
-}
-
-impl PackedBuf {
-    /// Bases stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when no bases are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// 32 bases starting at `start` (see [`word_at`]).
-    #[inline(always)]
-    pub fn word(&self, start: usize) -> u64 {
-        word_at(&self.words, start)
-    }
-
-    /// The `N`-mask lanes aligned with [`PackedBuf::word`]: lane `j` is
-    /// `0b01` iff base `start + j` must mismatch.
-    #[inline(always)]
-    pub fn nmask_word(&self, start: usize) -> u64 {
-        word_at(&self.nmask, start)
-    }
-
-    /// Whether any base packed as a forced mismatch. `false` (the usual
-    /// case — clean `ACGT` reads) means every [`PackedBuf::nmask_word`] is
-    /// zero, so comparison loops can skip the mask gather entirely.
-    #[inline(always)]
-    pub fn has_n(&self) -> bool {
-        self.any_n
-    }
-
-    /// The packed words, including the [`WORDS_PER_BLOCK`] zero-padding
-    /// words that keep the vector block gather in bounds at any offset.
-    #[inline(always)]
-    pub fn raw_words(&self) -> &[u64] {
-        &self.words
-    }
-}
-
-/// Both strands of a read, packed once and reused across every seed of that
-/// read (held inside the extension kernel's scratch).
-#[derive(Debug, Clone, Default)]
-pub struct PackedReadPair {
-    /// Copy of the last packed read; repacking is skipped when the next
-    /// read compares equal (one memcmp instead of two packing passes).
-    src: Vec<u8>,
-    /// The read as given, ascending.
-    pub fwd: PackedBuf,
-    /// The reverse complement, ascending: `rc[j]` is the complement of
-    /// `read[len - 1 - j]`, so a leftward walk over the read becomes a
-    /// rightward walk over `rc`.
-    pub rc: PackedBuf,
-}
-
-impl PackedReadPair {
-    /// Packs `read` into both strand buffers, skipping the work when the
-    /// buffers already hold this read.
-    pub fn prepare(&mut self, read: &[u8]) {
-        if self.src == read && self.fwd.len == read.len() {
-            return;
-        }
-        self.src.clear();
-        self.src.extend_from_slice(read);
-        self.fwd.any_n = pack_into(read, false, &mut self.fwd.words, &mut self.fwd.nmask);
-        self.fwd.len = read.len();
-        self.rc.any_n = pack_into(read, true, &mut self.rc.words, &mut self.rc.nmask);
-        self.rc.len = read.len();
-    }
-}
+pub use mg_kernels::{word_at, BASES_PER_WORD};
 
 /// Word-aligned packed arenas of a graph's node sequences, one per strand.
 ///
@@ -226,15 +104,7 @@ impl PackedSeqStore {
         let start = self.word_offsets[node_index - 1] as usize;
         let end = self.word_offsets[node_index] as usize;
         let arena: &[u64] = if reverse { &self.rc_words } else { &self.words };
-        PackedView {
-            words: &arena[start..end],
-            // Up to WORDS_PER_BLOCK of the following nodes' words ride
-            // along so the vector block gather stays on its fast path deep
-            // into the node; see `PackedView::raw_words` for the masking
-            // contract.
-            padded: &arena[start..(end + WORDS_PER_BLOCK).min(arena.len())],
-            len,
-        }
+        PackedView { words: &arena[start..end], len }
     }
 
     /// Approximate heap usage in bytes (zero for mapped arenas).
@@ -247,9 +117,6 @@ impl PackedSeqStore {
 #[derive(Debug, Clone, Copy)]
 pub struct PackedView<'a> {
     words: &'a [u64],
-    /// `words` plus up to [`WORDS_PER_BLOCK`] following arena words
-    /// (neighbouring nodes' bases, clamped at the arena end).
-    padded: &'a [u64],
     len: usize,
 }
 
@@ -269,16 +136,6 @@ impl PackedView<'_> {
     #[inline(always)]
     pub fn word(&self, start: usize) -> u64 {
         word_at(self.words, start)
-    }
-
-    /// The node's words extended by the padding tail, for the vector block
-    /// gather ([`mg_kernels::block_at_avx2`]). Unlike [`PackedView::word`],
-    /// lanes past `len` may spell *neighbouring nodes'* bases rather than
-    /// zeros — the caller must mask every chunk to its live span (the
-    /// comparison loops already bound each chunk with [`keep_lanes`]).
-    #[inline(always)]
-    pub fn raw_words(&self) -> &[u64] {
-        self.padded
     }
 
     /// The 2-bit code of base `offset`.
@@ -330,48 +187,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn read_pair_packs_n_as_forced_mismatch() {
-        let mut pair = PackedReadPair::default();
-        pair.prepare(b"ACNGT");
-        assert_eq!(pair.fwd.len(), 5);
-        // Lane 2 of the forward mask is set, nothing else.
-        assert_eq!(pair.fwd.nmask_word(0), 0b01 << 4);
-        // rc: N lands at index 5 - 1 - 2 = 2 as well.
-        assert_eq!(pair.rc.nmask_word(0), 0b01 << 4);
-        // rc spells the reverse complement where defined: AC?GT -> AC?GT.
-        for (j, &want) in b"ACAGT".iter().enumerate() {
-            let code = ((pair.rc.word(0) >> (2 * j)) & 0b11) as u8;
-            // N packed as code 0 (A); the mask is what forces the mismatch.
-            assert_eq!(dna::decode_base(code), want);
-        }
-    }
-
-    #[test]
-    fn prepare_is_idempotent_and_detects_change() {
-        let mut pair = PackedReadPair::default();
-        pair.prepare(b"ACGTACGT");
-        let before = pair.fwd.clone();
-        pair.prepare(b"ACGTACGT");
-        assert_eq!(pair.fwd, before);
-        pair.prepare(b"TTTT");
-        assert_eq!(pair.fwd.len(), 4);
-    }
-
-    #[test]
-    fn mismatch_lane_fold() {
-        // Lanes from the LSB: a = T G C A, b = A G T A.
-        let a = 0b_00_01_10_11u64;
-        let b = 0b_00_11_10_00u64;
-        let lanes = mismatch_lanes(a ^ b);
-        assert_eq!(lanes, (1 << 0) | (1 << 4), "lanes 0 and 2 differ");
-        assert_eq!(lanes.count_ones(), 2);
-        assert_eq!(keep_lanes(lanes, 1), 1 << 0);
-        assert_eq!(keep_lanes(lanes, 2), 1 << 0);
-        assert_eq!(keep_lanes(lanes, 3), (1 << 0) | (1 << 4));
-        assert_eq!(keep_lanes(lanes, 32), lanes);
-    }
-
     proptest! {
         #[test]
         fn prop_views_spell_the_node(
@@ -390,32 +205,6 @@ mod tests {
                 let rc = store.view(i + 1, s.len(), true);
                 prop_assert_eq!(spell(&rc), dna::reverse_complement(s));
             }
-        }
-
-        #[test]
-        fn prop_word_parallel_mismatch_count_matches_scalar(
-            a in proptest::collection::vec(proptest::sample::select(b"ACGTN".to_vec()), 1..200),
-            b_seed in proptest::collection::vec(proptest::sample::select(b"ACGT".to_vec()), 1..200),
-        ) {
-            // Compare read `a` (N allowed) against graph sequence `b`
-            // truncated to a common span, lane-by-lane vs byte-by-byte.
-            let span = a.len().min(b_seed.len());
-            let mut pair = PackedReadPair::default();
-            pair.prepare(&a);
-            let mut store = PackedSeqStore::new();
-            store.push_node(&b_seed);
-            let view = store.view(1, b_seed.len(), false);
-            let mut packed_mismatches = 0u32;
-            let mut i = 0;
-            while i < span {
-                let chunk = (span - i).min(BASES_PER_WORD);
-                let x = pair.fwd.word(i) ^ view.word(i);
-                let lanes = keep_lanes(mismatch_lanes(x) | pair.fwd.nmask_word(i), chunk);
-                packed_mismatches += lanes.count_ones();
-                i += chunk;
-            }
-            let scalar: u32 = (0..span).filter(|&i| a[i] != b_seed[i]).count() as u32;
-            prop_assert_eq!(packed_mismatches, scalar);
         }
     }
 }

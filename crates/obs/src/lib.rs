@@ -105,60 +105,56 @@ pub enum Ctr {
     /// Record decompressions skipped because the hot tier already held the
     /// record a per-thread table would otherwise have decoded.
     CacheDecodesSaved = 18,
-    /// 256-bit comparison blocks executed by the wide extension walk.
-    SimdBlocksWide = 19,
-    /// Base lanes compared inside those wide blocks.
-    SimdLanesActive = 20,
     /// Anchor batches formed by the batched extension dataflow.
-    ExtendBatches = 21,
+    ExtendBatches = 19,
     /// Anchors walked in those batches (`extend_batch_anchors /
     /// extend_batches` is the mean batch fill).
-    ExtendBatchAnchors = 22,
+    ExtendBatchAnchors = 20,
     /// Extension DFS subtrees skipped by branch-and-bound pruning (they
     /// provably could not beat the best prefix already found).
-    ExtendPrunedFrames = 23,
+    ExtendPrunedFrames = 21,
     /// Anchors not walked because an anchor of the same node and diagonal,
     /// joined to them by matching read bases, yields the same extension
     /// (the kernel's exact merge).
-    ExtendAnchorsMerged = 24,
+    ExtendAnchorsMerged = 22,
     /// Anchors not walked because they lie on an exact full-length
     /// extension their read already has. With `extend_batch_anchors` (the
     /// anchors walked) and `extend_anchors_merged` this adds up to the
     /// distinct anchors of the clusters processed.
-    ExtendAnchorsSkipped = 25,
+    ExtendAnchorsSkipped = 23,
     /// Mapping jobs admitted by the server's pending queue.
-    ServeJobsAccepted = 26,
+    ServeJobsAccepted = 24,
     /// Mapping jobs refused with `BUSY` (queue full, per-client cap, or
     /// draining).
-    ServeJobsRejected = 27,
+    ServeJobsRejected = 25,
     /// Mapping jobs that ran to `DONE`.
-    ServeJobsCompleted = 28,
+    ServeJobsCompleted = 26,
     /// Mapping jobs that ended with a per-job error frame (corrupt input
     /// or a worker panic inside the job).
-    ServeJobsFailed = 29,
+    ServeJobsFailed = 27,
     /// GAF bytes streamed to server clients.
-    ServeGafBytes = 30,
+    ServeGafBytes = 28,
     /// Shards whose minimizer tables were probed while routing reads,
     /// summed over reads (`route_shards_probed / reads_routed` is the mean
     /// fan-out the routing gate bounds).
-    RouteShardsProbed = 31,
+    RouteShardsProbed = 29,
     /// Reads routed by the sharded pipeline (resident + fallback).
-    RouteReadsTotal = 32,
+    RouteReadsTotal = 30,
     /// Routed reads whose seeds all landed in one shard's core and were
     /// mapped entirely on that shard's local structures.
-    RouteResidentReads = 33,
+    RouteResidentReads = 31,
     /// Routed reads that straddled shard cores (or exceeded the shard
     /// halo's residency limit) and fell back to the resident global
     /// pipeline.
-    RouteFallbackReads = 34,
+    RouteFallbackReads = 32,
     /// Nanoseconds spent translating per-shard extension results back to
     /// global coordinates and merging them into the rescoring order.
-    ShardMergeNs = 35,
+    ShardMergeNs = 33,
 }
 
 impl Ctr {
     /// Number of counters.
-    pub const COUNT: usize = 36;
+    pub const COUNT: usize = 34;
     /// All counters, in declaration order.
     pub const ALL: [Ctr; Ctr::COUNT] = [
         Ctr::ReadsMapped,
@@ -180,8 +176,6 @@ impl Ctr {
         Ctr::CacheHotHits,
         Ctr::CacheHotMisses,
         Ctr::CacheDecodesSaved,
-        Ctr::SimdBlocksWide,
-        Ctr::SimdLanesActive,
         Ctr::ExtendBatches,
         Ctr::ExtendBatchAnchors,
         Ctr::ExtendPrunedFrames,
@@ -221,8 +215,6 @@ impl Ctr {
             Ctr::CacheHotHits => "cache_hot_hits",
             Ctr::CacheHotMisses => "cache_hot_misses",
             Ctr::CacheDecodesSaved => "cache_decodes_saved",
-            Ctr::SimdBlocksWide => "simd_blocks_wide",
-            Ctr::SimdLanesActive => "simd_lanes_active",
             Ctr::ExtendBatches => "extend_batches",
             Ctr::ExtendBatchAnchors => "extend_batch_anchors",
             Ctr::ExtendPrunedFrames => "extend_pruned_frames",
@@ -314,25 +306,21 @@ pub enum Gauge {
     /// per-thread tables are counted by the cache heap accounting, not
     /// here).
     HotTierBytes = 3,
-    /// Highest SIMD dispatch tier the extension kernel ran at (0 scalar,
-    /// 1 SWAR, 2 AVX2 — [`mg-kernels`]' `SimdTier::as_index`).
-    SimdDispatchTier = 4,
     /// Deepest server pending-job queue occupancy observed.
-    ServePendingMax = 5,
+    ServePendingMax = 4,
     /// Most jobs the server executor interleaved at once.
-    ServeActiveMax = 6,
+    ServeActiveMax = 5,
 }
 
 impl Gauge {
     /// Number of gauges.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 6;
     /// All gauges, in declaration order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
         Gauge::QueueDepthMax,
         Gauge::ThreadsMax,
         Gauge::StreamQueueDepthMax,
         Gauge::HotTierBytes,
-        Gauge::SimdDispatchTier,
         Gauge::ServePendingMax,
         Gauge::ServeActiveMax,
     ];
@@ -344,7 +332,6 @@ impl Gauge {
             Gauge::ThreadsMax => "threads_max",
             Gauge::StreamQueueDepthMax => "stream_queue_depth_max",
             Gauge::HotTierBytes => "hot_tier_bytes",
-            Gauge::SimdDispatchTier => "simd_dispatch_tier",
             Gauge::ServePendingMax => "serve_pending_max",
             Gauge::ServeActiveMax => "serve_active_max",
         }

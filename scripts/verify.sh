@@ -20,22 +20,15 @@ cargo test --release -q --test oracle streaming
 echo "== seeding oracle (extraction vs naive windows, table vs BTreeMap; release arithmetic wraps where debug panics) =="
 cargo test --release -q --test seeding
 
-echo "== Fig. 3 region shares against the paper's band (an optimized build's shares) =="
+echo "== Fig. 3 region shares: extension largest, the two kernels most of the time (an optimized build's shares) =="
 cargo test --release -q -p mg-bench --lib fig3_reports
 
-echo "== scalar-oracle leg (MG_FORCE_SCALAR pins the dispatch ladder's floor) =="
-# The whole golden suite again with every kernel pinned to the scalar
-# rung: proves the env kill-switch reaches production code and that the
-# byte-at-a-time oracle still produces the canonical GAF bytes.
-MG_FORCE_SCALAR=1 cargo test --release -q --test oracle
+echo "== kernel oracles (extension walk vs the per-base oracle, clustering vs the naive sweep; an optimized build's arithmetic) =="
+cargo test --release -q --test extend_walk --test cluster_oracle
 
-echo "== kernel feature matrix (simd off must still build, test, and lint) =="
-cargo test -p mg-kernels --no-default-features -q
-
-echo "== lints (feature matrix: obs on / obs off, simd on / simd off) =="
+echo "== lints (obs on / obs off) =="
 cargo clippy --all-targets -- -D warnings
 cargo clippy --all-targets --no-default-features -p mg-obs -- -D warnings
-cargo clippy --all-targets --no-default-features -p mg-kernels -- -D warnings
 
 echo "== benchmark harness (own tests, then every workload once at 1/20 scale) =="
 # The PR pipeline builds benchmark/ against these crates and runs it; it
@@ -79,59 +72,6 @@ print(f"metrics-off slowdown vs plain: {slowdown:+.2%}")
 if slowdown > 0.10:
     sys.exit(f"FAIL: metrics-off path is {slowdown:.2%} slower than plain")
 print("overhead gate: OK")
-EOF
-
-echo "== packed extension smoke (scalar vs word-parallel reads/sec) =="
-run_gated_bench smoke_packed BENCH_PACKED.json
-
-# The word-parallel packed walk was worth 1.28x over the scalar oracle on
-# B-yeast while a read cost ~19 extension walks, and this step gated it at
-# 1.10x. Since PR 13 a read costs one or two (same-diagonal anchors merge,
-# anchors on an exact full-length extension are skipped): the compare loop
-# is no longer where the time goes, packing both strands of every read is
-# paid once per read whatever happens next, and the ratio is 0.87x at full
-# scale (BENCH_PACKED.json; 0.87-1.0x at this step's 1/5 scale). A gate that
-# cannot tell its tier from noise is not lowered until it passes: the
-# throughput clause is retired, the ratio is printed for ROADMAP's
-# earn-your-keep audit (which now has to decide what the tier is for), and
-# what still gates is what still means something: equal output (asserted
-# inside the bench) and no extra allocation.
-python3 - "$out/BENCH_PACKED.json" <<'EOF'
-import json, sys
-rep = json.load(open(sys.argv[1]))
-print(f"packed/scalar speedup: {rep['speedup']:.2f}x (audit input, not gated)")
-sa, pa = rep["scalar_allocs_per_read"], rep["packed_allocs_per_read"]
-print(f"allocs/read: scalar {sa:.2f}, packed {pa:.2f}")
-if pa > sa + 0.5:
-    sys.exit(f"FAIL: packed path allocates more per read ({pa:.2f} > {sa:.2f})")
-print(f"seeding: {rep['seeding_ns_per_read']:.0f} ns/read")
-print("packed gate: OK")
-EOF
-
-echo "== SIMD dispatch smoke (PR-4 SWAR baseline vs dispatched tier + batching + pruning) =="
-run_gated_bench smoke_simd BENCH_SIMD.json
-
-# The dispatched default (runtime tier, batched extension dataflow,
-# branch-and-bound pruning) against the PR-4 production shape (SWAR,
-# unbatched, no pruning) on B-yeast, interleaved round-robin inside each
-# process and taken as the median across five fresh processes. It measured
-# 1.03-1.05x and was gated at 1.02x. All three ingredients save work per
-# extension walk, and since PR 13 there are an order of magnitude fewer
-# walks: the ratio is 1.01x at full scale (BENCH_SIMD.json), inside the
-# harness's own spread. As with the packed gate above, the throughput
-# clause is retired rather than lowered and the ratio goes to the
-# earn-your-keep audit; equal output (asserted inside the bench before any
-# timing) and allocations still gate.
-python3 - "$out/BENCH_SIMD.json" <<'EOF'
-import json, sys
-rep = json.load(open(sys.argv[1]))
-print(f"dispatched tier: {rep['dispatched_tier']}")
-print(f"simd/swar-baseline speedup: {rep['speedup']:.3f}x (audit input, not gated)")
-sa, pa = rep["swar_allocs_per_read"], rep["simd_allocs_per_read"]
-print(f"allocs/read: swar {sa:.2f}, simd {pa:.2f}")
-if pa > sa + 0.5:
-    sys.exit(f"FAIL: dispatched path allocates more per read ({pa:.2f} > {sa:.2f})")
-print("simd gate: OK")
 EOF
 
 echo "== streaming smoke (peak RSS + throughput vs batch) =="

@@ -171,8 +171,8 @@ fn streaming_ingestion_reproduces_golden_gaf_across_schedulers() {
 }
 
 #[test]
-fn packed_extension_matches_scalar_oracle_gaf_across_schedulers() {
-    // The word-parallel packed extension path (the production default —
+fn production_walk_matches_scalar_oracle_gaf_across_schedulers() {
+    // The eight-bases-a-step extension walk (the production default —
     // pooled workers map with no active probe) must land on the same GAF
     // bytes as the scalar comparison loop, for every golden workload under
     // every scheduler. `force_scalar` flips only the comparison loop; any
@@ -180,18 +180,18 @@ fn packed_extension_matches_scalar_oracle_gaf_across_schedulers() {
     for (name, input) in workloads() {
         let (parent, run, _) = parent_gaf(&input, &name);
         for kind in minigiraffe::sched::SchedulerKind::ALL {
-            let mut packed_options = ParentOptions::default();
-            packed_options.mapping.scheduler = kind;
-            packed_options.mapping.threads = 4;
-            packed_options.mapping.batch_size = 3;
-            let mut scalar_options = packed_options.clone();
+            let mut production_options = ParentOptions::default();
+            production_options.mapping.scheduler = kind;
+            production_options.mapping.threads = 4;
+            production_options.mapping.batch_size = 3;
+            let mut scalar_options = production_options.clone();
             scalar_options.mapping.extend.force_scalar = true;
-            let packed = proxy_gaf(&parent, &run, &input, &name, &packed_options);
+            let production = proxy_gaf(&parent, &run, &input, &name, &production_options);
             let scalar = proxy_gaf(&parent, &run, &input, &name, &scalar_options);
-            assert!(!packed.is_empty(), "{name}: no alignments under {kind}");
+            assert!(!production.is_empty(), "{name}: no alignments under {kind}");
             assert_eq!(
-                packed, scalar,
-                "{name}: packed extension diverged from the scalar oracle under {kind}"
+                production, scalar,
+                "{name}: production walk diverged from the scalar oracle under {kind}"
             );
         }
     }
@@ -244,22 +244,12 @@ fn hot_tier_leaves_gaf_byte_identical_across_schedulers() {
 }
 
 #[test]
-fn simd_tiers_and_batching_leave_gaf_byte_identical_across_schedulers() {
-    // The explicit-SIMD dispatch ladder and the batched extension dataflow
-    // are pure locality/throughput transforms: every dispatch tier the host
-    // supports, batched or unbatched, must land on the same GAF bytes as
-    // the scalar comparison loop with batching disabled, for every golden
-    // workload under every scheduler — in both the batch replay and the
-    // streaming pipeline.
-    let top = mg_kernels::hardware_tier();
-    let tiers: Vec<mg_kernels::SimdTier> = [
-        mg_kernels::SimdTier::Scalar,
-        mg_kernels::SimdTier::Swar,
-        mg_kernels::SimdTier::Avx2,
-    ]
-    .into_iter()
-    .filter(|&t| t <= top)
-    .collect();
+fn extend_batching_leaves_gaf_byte_identical_across_schedulers() {
+    // The batched extension dataflow is a pure locality transform: the
+    // production walk, batched or unbatched, must land on the same GAF
+    // bytes as the scalar comparison loop with batching disabled, for every
+    // golden workload under every scheduler — in both the batch replay and
+    // the streaming pipeline.
     for (name, input) in workloads() {
         let (parent, run, _) = parent_gaf(&input, &name);
         let fastq = fastq_bytes(&input);
@@ -272,31 +262,26 @@ fn simd_tiers_and_batching_leave_gaf_byte_identical_across_schedulers() {
             oracle.mapping.process.extend_batch = 1;
             let expected = proxy_gaf(&parent, &run, &input, &name, &oracle);
             assert!(!expected.is_empty(), "{name}: no alignments under {kind}");
-            for &tier in &tiers {
-                for batch in [1usize, 16, 64] {
-                    let mut options = oracle.clone();
-                    options.mapping.extend.force_scalar = false;
-                    options.mapping.extend.simd_override = Some(tier);
-                    options.mapping.process.extend_batch = batch;
-                    let got = proxy_gaf(&parent, &run, &input, &name, &options);
-                    assert_eq!(
-                        got, expected,
-                        "{name}: {} tier with extend_batch {batch} diverged \
-                         from the scalar unbatched oracle under {kind}",
-                        tier.name()
-                    );
-                }
+            for batch in [1usize, 16, 64] {
+                let mut options = oracle.clone();
+                options.mapping.extend.force_scalar = false;
+                options.mapping.process.extend_batch = batch;
+                let got = proxy_gaf(&parent, &run, &input, &name, &options);
+                assert_eq!(
+                    got, expected,
+                    "{name}: production walk with extend_batch {batch} diverged \
+                     from the scalar unbatched oracle under {kind}"
+                );
             }
 
-            // Streaming: top tier, batched, against the scalar unbatched
-            // oracle through the same chunked entry point.
+            // Streaming: production walk, batched, against the scalar
+            // unbatched oracle through the same chunked entry point.
             let stream = StreamOptions { queue_batches: 2, chunk_reads: 7 };
             let mut stream_gafs = Vec::new();
-            let mut top_options = oracle.clone();
-            top_options.mapping.extend.force_scalar = false;
-            top_options.mapping.extend.simd_override = Some(top);
-            top_options.mapping.process.extend_batch = 16;
-            for options in [&oracle, &top_options] {
+            let mut batched = oracle.clone();
+            batched.mapping.extend.force_scalar = false;
+            batched.mapping.process.extend_batch = 16;
+            for options in [&oracle, &batched] {
                 let batches = FastqReader::new(&fastq[..])
                     .batches(5)
                     .map(|item| item.map(|recs| recs.into_iter().map(|r| r.bases).collect()));
@@ -308,7 +293,7 @@ fn simd_tiers_and_batching_leave_gaf_byte_identical_across_schedulers() {
             }
             assert_eq!(
                 stream_gafs[1], stream_gafs[0],
-                "{name}: SIMD batched streaming GAF diverged from the scalar \
+                "{name}: batched streaming GAF diverged from the scalar \
                  unbatched oracle under {kind}"
             );
         }
