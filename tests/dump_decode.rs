@@ -1,0 +1,346 @@
+//! Decode oracle for the seed-dump (`.bin`) reader and the varint decoder
+//! under it: the production reader against a naive byte-at-a-time reference
+//! on dumps whose fields need one, two, five and ten varint bytes.
+//!
+//! The reference below parses the container by hand (header, two sections,
+//! trailer) and decodes every varint one byte per loop turn with no fast
+//! path, so a change to `mg_support::varint` or to `SeedDump`'s reader that
+//! alters a decoded value, an accepted length or an error class shows here.
+
+use minigiraffe::core::dump::SeedDump;
+use minigiraffe::core::types::{ReadInput, Seed, Workflow};
+use minigiraffe::graph::Handle;
+use minigiraffe::index::GraphPos;
+use minigiraffe::support::varint::{self, Cursor};
+use minigiraffe::support::Error;
+use proptest::prelude::*;
+
+/// How a varint decode can fail.
+#[derive(Debug, PartialEq, Eq)]
+enum Bad {
+    Eof,
+    Overflow,
+}
+
+/// The reference varint: one byte per turn, no shortcuts.
+fn naive_varint(input: &[u8]) -> Result<(u64, usize), Bad> {
+    let mut value = 0u64;
+    for (i, &byte) in input.iter().enumerate() {
+        if i >= 10 {
+            return Err(Bad::Overflow);
+        }
+        let payload = u64::from(byte & 0x7F);
+        if i == 9 && payload > 1 {
+            return Err(Bad::Overflow);
+        }
+        value |= payload << (7 * i);
+        if byte & 0x80 == 0 {
+            return Ok((value, i + 1));
+        }
+    }
+    Err(Bad::Eof)
+}
+
+fn production_varint(input: &[u8]) -> Result<(u64, usize), Bad> {
+    varint::read_u64(input).map_err(|e| match e {
+        Error::UnexpectedEof { .. } => Bad::Eof,
+        Error::VarintOverflow => Bad::Overflow,
+        other => panic!("varint decode returned {other:?}"),
+    })
+}
+
+/// Byte-at-a-time reader over the reference decoder's input.
+struct Naive<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Naive<'a> {
+    fn varint(&mut self) -> Option<u64> {
+        let (v, n) = naive_varint(&self.data[self.pos..]).ok()?;
+        self.pos += n;
+        Some(v)
+    }
+
+    fn bytes(&mut self, len: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(len)?;
+        let slice = self.data.get(self.pos..end)?;
+        self.pos = end;
+        Some(slice)
+    }
+
+    fn le_u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
+    }
+
+    fn le_u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+    }
+
+    /// One container section with the expected tag: `[tag u32][len u64]
+    /// [payload][fnv1a u64]`.
+    fn section(&mut self, tag: u32) -> Option<&'a [u8]> {
+        if self.le_u32()? != tag {
+            return None;
+        }
+        let len = usize::try_from(self.le_u64()?).ok()?;
+        let payload = self.bytes(len)?;
+        let mut hash = 0xcbf29ce484222325u64;
+        for &b in payload {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x100000001b3);
+        }
+        (self.le_u64()? == hash).then_some(payload)
+    }
+}
+
+/// The reference dump decoder; `None` for anything it cannot parse.
+fn naive_decode(image: &[u8]) -> Option<SeedDump> {
+    let mut file = Naive { data: image, pos: 0 };
+    if file.bytes(4)? != b"MGZ\0" || file.bytes(4)? != b"SEED" || file.le_u32()? != 1 {
+        return None;
+    }
+    let mut meta = Naive { data: file.section(0x0010)?, pos: 0 };
+    let workflow = if meta.varint()? != 0 {
+        Workflow::Paired
+    } else {
+        Workflow::Single
+    };
+    let read_count = meta.varint()?;
+    let mut cur = Naive { data: file.section(0x0011)?, pos: 0 };
+    let mut reads = Vec::new();
+    for _ in 0..read_count {
+        let len = usize::try_from(cur.varint()?).ok()?;
+        let bases = cur.bytes(len)?.to_vec();
+        let seed_count = cur.varint()?;
+        let mut seeds = Vec::new();
+        let mut read_offset = 0u64;
+        for _ in 0..seed_count {
+            read_offset = read_offset.checked_add(cur.varint()?)?;
+            let handle = Handle::from_gbwt(cur.varint()?)?;
+            let offset = u32::try_from(cur.varint()?).ok()?;
+            seeds.push(Seed::new(
+                u32::try_from(read_offset).ok()?,
+                GraphPos::new(handle, offset),
+            ));
+        }
+        reads.push(ReadInput { bases, seeds });
+    }
+    (cur.pos == cur.data.len()).then_some(SeedDump { workflow, reads })
+}
+
+/// A value of the varint length class `class` (0: one byte, 1: two bytes,
+/// 2: five bytes, 3: ten bytes) derived from `raw`, clamped to `max`.
+fn sized(class: u8, raw: u64, max: u64) -> u64 {
+    let v = match class {
+        0 => raw % 128,
+        1 => 128 + raw % ((1 << 14) - 128),
+        2 => (1 << 28) + raw % ((1 << 35) - (1 << 28)),
+        _ => (1 << 63) | raw,
+    };
+    v.min(max)
+}
+
+type RawSeed = (u8, u64, u8, u64, u8, u64);
+type RawRead = (Vec<u8>, Vec<RawSeed>);
+
+fn build_dump(raw: Vec<RawRead>, paired: bool) -> SeedDump {
+    let reads = raw
+        .into_iter()
+        .map(|(bases, seeds)| {
+            // The format delta-encodes read offsets, so they are built as a
+            // running sum that stays inside `u32`.
+            let mut read_offset = 0u64;
+            let seeds = seeds
+                .into_iter()
+                .map(|(dc, draw, hc, hraw, oc, oraw)| {
+                    let room = u64::from(u32::MAX) - read_offset;
+                    read_offset += sized(dc, draw, room);
+                    // Packed handles: < 2^7, >= 2^14, >= 2^35 and >= 2^63.
+                    let packed = match hc {
+                        1 => (1 << 14) + hraw % (1 << 20),
+                        2 => (1 << 35) + hraw % (1 << 40),
+                        _ => sized(hc, hraw, u64::MAX),
+                    }
+                    .max(2);
+                    let offset = match oc {
+                        2 => u64::from(u32::MAX) - oraw % 1000,
+                        _ => sized(oc, oraw, u64::from(u32::MAX)),
+                    };
+                    Seed::new(
+                        read_offset as u32,
+                        GraphPos::new(Handle::from_gbwt(packed).unwrap(), offset as u32),
+                    )
+                })
+                .collect();
+            ReadInput { bases, seeds }
+        })
+        .collect();
+    let workflow = if paired { Workflow::Paired } else { Workflow::Single };
+    SeedDump::new(workflow, reads)
+}
+
+fn raw_reads() -> impl Strategy<Value = Vec<RawRead>> {
+    let seed = (0u8..4, any::<u64>(), 0u8..4, any::<u64>(), 0u8..3, any::<u64>());
+    proptest::collection::vec(
+        (
+            // Empty reads, and reads whose length needs a two-byte varint.
+            proptest::collection::vec(proptest::sample::select(b"ACGTN".to_vec()), 0..300),
+            // Reads with no seeds, and seed counts past one varint byte.
+            proptest::collection::vec(seed, 0..140),
+        ),
+        0..8,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The reader, the naive reference and the value that was encoded agree
+    /// on every dump, in both workflows.
+    #[test]
+    fn reader_equals_naive_reference(raw in raw_reads(), paired: bool) {
+        let dump = build_dump(raw, paired);
+        let image = dump.to_bytes().unwrap();
+        let reference = naive_decode(&image);
+        prop_assert_eq!(reference.as_ref(), Some(&dump));
+        prop_assert_eq!(SeedDump::from_bytes(&image).unwrap(), dump);
+    }
+
+    /// `varint::read_u64` equals the reference on arbitrary bytes: value,
+    /// consumed length and error class.
+    #[test]
+    fn varint_equals_reference_on_noise(bytes in proptest::collection::vec(any::<u8>(), 0..14)) {
+        prop_assert_eq!(production_varint(&bytes), naive_varint(&bytes));
+    }
+}
+
+#[test]
+fn field_widths_cover_one_two_five_and_ten_bytes() {
+    // The generator above is only an oracle if it reaches the widths it is
+    // meant to: pin one dump by hand and check the encoded sizes.
+    let seed = |delta_class, handle_class, offset_class| {
+        (delta_class, 5u64, handle_class, 7u64, offset_class, 9u64)
+    };
+    let dump = build_dump(
+        vec![
+            (Vec::new(), Vec::new()),
+            (b"ACGT".to_vec(), vec![seed(0, 0, 0), seed(1, 1, 1), seed(2, 2, 2), seed(0, 3, 0)]),
+        ],
+        true,
+    );
+    let seeds = &dump.reads[1].seeds;
+    let width = |v: u64| varint::write_u64(&mut Vec::new(), v);
+    assert_eq!(width(u64::from(seeds[0].read_offset)), 1);
+    assert_eq!(width(u64::from(seeds[1].read_offset - seeds[0].read_offset)), 2);
+    assert_eq!(width(u64::from(seeds[2].read_offset - seeds[1].read_offset)), 5);
+    assert_eq!(width(seeds[0].pos.handle.packed()), 1);
+    assert!(seeds[1].pos.handle.packed() >= 1 << 14);
+    assert!(seeds[2].pos.handle.packed() >= 1 << 35);
+    assert_eq!(width(seeds[3].pos.handle.packed()), 10);
+    assert_eq!(width(u64::from(seeds[1].pos.offset)), 2);
+    assert!(seeds[2].pos.offset > u32::MAX - 1000);
+    let image = dump.to_bytes().unwrap();
+    assert_eq!(naive_decode(&image).as_ref(), Some(&dump));
+    assert_eq!(SeedDump::from_bytes(&image).unwrap(), dump);
+}
+
+#[test]
+fn load_equals_from_bytes_on_the_same_file() {
+    let seed = (1u8, 11u64, 2u8, 13u64, 2u8, 17u64);
+    let raw: Vec<RawRead> = (0..40usize)
+        .map(|i| (vec![b"ACGT"[i % 4]; i * 7 % 200], vec![seed; i % 5]))
+        .collect();
+    for paired in [false, true] {
+        let dump = build_dump(raw.clone(), paired);
+        let path = std::env::temp_dir().join(format!(
+            "mg-dump-decode-{}-{paired}.bin",
+            std::process::id()
+        ));
+        dump.save(&path).unwrap();
+        let image = std::fs::read(&path).unwrap();
+        let loaded = SeedDump::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(image, dump.to_bytes().unwrap());
+        assert_eq!(loaded, SeedDump::from_bytes(&image).unwrap());
+        assert_eq!(loaded, dump);
+    }
+}
+
+#[test]
+fn varint_every_length_equals_the_loop() {
+    for len in 1..=10u32 {
+        // Smallest and largest value of each encoded length, and one inside.
+        let low = if len == 1 { 0 } else { 1u64 << (7 * (len - 1)) };
+        let high = if len == 10 { u64::MAX } else { (1u64 << (7 * len)) - 1 };
+        for value in [low, low + (high - low) / 3, high] {
+            let mut buf = Vec::new();
+            assert_eq!(varint::write_u64(&mut buf, value), len as usize);
+            assert_eq!(production_varint(&buf), Ok((value, len as usize)));
+            assert_eq!(production_varint(&buf), naive_varint(&buf));
+            // Bytes after the varint are not consumed.
+            buf.extend_from_slice(&[0xFF, 0x00, 0x80]);
+            assert_eq!(production_varint(&buf), Ok((value, len as usize)));
+            // Truncation anywhere inside the varint is an EOF.
+            for cut in 0..len as usize {
+                assert_eq!(production_varint(&buf[..cut]), Err(Bad::Eof), "{value} cut {cut}");
+                assert_eq!(naive_varint(&buf[..cut]), Err(Bad::Eof));
+            }
+        }
+        // A padded (non-minimal) encoding of a small value at this length.
+        let mut padded = vec![0x85u8];
+        padded.resize(len as usize, 0x80);
+        *padded.last_mut().unwrap() &= 0x7F;
+        assert_eq!(production_varint(&padded), naive_varint(&padded));
+        assert_eq!(production_varint(&padded), Ok((5, len as usize)));
+    }
+}
+
+#[test]
+fn varint_overflow_at_the_tenth_byte_and_beyond() {
+    // The tenth byte may carry one payload bit.
+    let mut buf = [0x80u8; 10];
+    for last in 0u8..=0x7F {
+        buf[9] = last;
+        let expect = if last > 1 { Err(Bad::Overflow) } else { Ok((u64::from(last) << 63, 10)) };
+        assert_eq!(production_varint(&buf), expect, "last byte {last:#x}");
+        assert_eq!(naive_varint(&buf), expect);
+    }
+    // Ten continuation bytes: EOF when nothing follows, overflow when an
+    // eleventh byte does.
+    buf[9] = 0x81;
+    assert_eq!(production_varint(&buf), Err(Bad::Eof));
+    assert_eq!(naive_varint(&buf), Err(Bad::Eof));
+    let mut eleven = buf.to_vec();
+    eleven.push(0x00);
+    assert_eq!(production_varint(&eleven), Err(Bad::Overflow));
+    assert_eq!(naive_varint(&eleven), Err(Bad::Overflow));
+}
+
+#[test]
+fn cursor_walks_mixed_widths_like_the_reference() {
+    let values = [0u64, 127, 128, 300, (1 << 14) - 1, 1 << 14, 1 << 35, u64::from(u32::MAX), u64::MAX, 1];
+    let mut buf = Vec::new();
+    for &v in &values {
+        varint::write_u64(&mut buf, v);
+        buf.extend_from_slice(b"ACG");
+    }
+    // A varint cut short at the very end.
+    buf.extend_from_slice(&[0x80, 0x80]);
+    let mut cur = Cursor::new(&buf);
+    let mut naive = Naive { data: &buf, pos: 0 };
+    for &v in &values {
+        assert_eq!(cur.read_u64().unwrap(), v);
+        assert_eq!(naive.varint(), Some(v));
+        assert_eq!(cur.read_bytes(3).unwrap(), b"ACG");
+        assert_eq!(naive.bytes(3), Some(&b"ACG"[..]));
+        assert_eq!(cur.position(), naive.pos);
+    }
+    let before = cur.position();
+    assert_eq!(cur.remaining(), 2);
+    assert!(matches!(cur.read_u64(), Err(Error::UnexpectedEof { .. })));
+    assert_eq!(cur.position(), before, "a failed read consumes nothing");
+    assert!(!cur.is_at_end());
+    assert_eq!(cur.read_bytes(2).unwrap(), &[0x80, 0x80]);
+    assert!(cur.is_at_end());
+    assert!(matches!(cur.read_u64(), Err(Error::UnexpectedEof { .. })));
+}
