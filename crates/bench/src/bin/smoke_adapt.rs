@@ -10,9 +10,8 @@
 //! its axes even at small `MG_SCALE`.
 //!
 //! The offline optimum is a small batch × cache grid timed under the same
-//! single-thread pipeline (the two axes the controller probes by default;
-//! the chunk window is a serve-path knob and the hot axis is gated off in
-//! the stock config). The convergence signal is
+//! single-thread pipeline (the two axes the controller probes here; the
+//! chunk window is a serve-path knob). The convergence signal is
 //! `throughput(converged knobs) / throughput(grid optimum)`, measured as a
 //! paired ratio and hardened across fresh child processes exactly like
 //! `smoke_shard` — per-process memory layout biases a single process's

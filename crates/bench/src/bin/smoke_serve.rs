@@ -2,12 +2,12 @@
 //! concurrent-client load, over real TCP loopback.
 //!
 //! Brings up a [`MappingServer`] holding the resident state (pangenome,
-//! minimizer index, distance index, worker pool, hot tier), then fires 8
+//! minimizer index, distance index, worker pool), then fires 8
 //! concurrent clients (half steady, half bursty) at it, each submitting
 //! several FASTQ jobs. For every completed job the streamed GAF is
 //! byte-compared against the sequential one-shot oracle ([`Parent::run`]
 //! on a server-untouched parent instance). Reports client-observed and
-//! server-side latency quantiles plus admission/residency counters, and
+//! server-side latency quantiles plus admission counters, and
 //! writes `BENCH_SERVE.json` under `MG_OUT` for the verify gate.
 
 use std::net::{TcpListener, TcpStream};
@@ -56,7 +56,7 @@ fn main() {
     options.mapping.batch_size = 64;
 
     // Each job maps a deterministic slice; slices overlap across clients
-    // so the hot tier and caches see repeated traffic, like a real
+    // so the caches see repeated traffic, like a real
     // multi-tenant window over one pangenome.
     let job_len = (n / 8).clamp(16, 2048).min(n);
     let span = (n - job_len).max(1);
@@ -164,10 +164,6 @@ fn main() {
         ctl.latency_quantile_us(0.50),
         ctl.latency_quantile_us(0.99)
     );
-    println!(
-        "residency       : hot tier rebuilds {} (must stay at 1 across {total_jobs} jobs)",
-        ctl.hot_rebuilds()
-    );
     println!("oracle          : {}", if oracle_match { "byte-identical" } else { "DIVERGED" });
 
     let json = format!(
@@ -180,7 +176,6 @@ fn main() {
             "  \"jobs_completed\": {},\n",
             "  \"jobs_expected\": {},\n",
             "  \"oracle_match\": {},\n",
-            "  \"hot_tier_rebuilds\": {},\n",
             "  \"wall_secs\": {:.3},\n",
             "  \"reads_per_sec\": {:.1},\n",
             "  \"client_p50_ms\": {:.3},\n",
@@ -196,7 +191,6 @@ fn main() {
         completed,
         total_jobs,
         oracle_match,
-        ctl.hot_rebuilds(),
         wall.as_secs_f64(),
         total_reads as f64 / wall.as_secs_f64(),
         p50.as_secs_f64() * 1e3,

@@ -178,12 +178,9 @@ fn main() {
             }
             let rep = m.report();
             eprintln!(
-                "profile {side}: cache hits {} misses {} hot_hits {} hot_misses {} decodes_saved {} seeding_ns/read {:.0} cluster/extend/rescore ns/read {:?}",
+                "profile {side}: cache hits {} misses {} seeding_ns/read {:.0} cluster/extend/rescore ns/read {:?}",
                 rep.counter(Ctr::CacheHits),
                 rep.counter(Ctr::CacheMisses),
-                rep.counter(Ctr::CacheHotHits),
-                rep.counter(Ctr::CacheHotMisses),
-                rep.counter(Ctr::CacheDecodesSaved),
                 rep.stage_ns(mg_obs::Stage::Seeding) as f64 / reads.len() as f64,
                 [mg_obs::Stage::Clustering, mg_obs::Stage::Extension, mg_obs::Stage::Rescoring]
                     .map(|st| (rep.stage_ns(st) as f64 / reads.len() as f64).round()),
@@ -194,7 +191,7 @@ fn main() {
 
     if std::env::var_os(CHILD_ENV).is_some() {
         // Fresh-process timing sample: identical deterministic setup, one
-        // untimed warm-up pass per side (tiers and caches built), then the
+        // untimed warm-up pass per side (caches warm), then the
         // paired loop. The parent gates on the median across processes.
         black_box(parent.run(&reads, &options));
         black_box(sharded.run(&reads, &options));
@@ -221,7 +218,7 @@ fn main() {
     let resident_fraction = resident as f64 / routed as f64;
     let fanout_p99 = report.hist_quantile(Hist::RouteFanout, 0.99);
 
-    // Throughput: both pipelines are warm (tiers built above); interleave
+    // Throughput: both pipelines are warm (warmed above); interleave
     // the timed reps round-robin so host drift hits both sides equally,
     // and keep the best rep of each (the least-perturbed sample).
     // Each rep times the two sides back-to-back and contributes one paired
@@ -301,7 +298,7 @@ fn main() {
     );
     println!("ratio samples   : [{ratio_line}] across {} processes", ratios.len());
     println!(
-        "throughput      : sharded/mono = {throughput_ratio:.3} (median across processes, gate target >= 0.90)"
+        "throughput      : sharded/mono = {throughput_ratio:.3} (median across processes; audit input, not gated)"
     );
     println!("cold start      : parse+rebuild {parsed_s:.4}s, open {k} shards {open_all_s:.4}s ({cold_speedup:.1}x)");
     println!(

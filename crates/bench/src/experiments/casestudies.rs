@@ -302,13 +302,11 @@ pub fn fig8(ctx: &Ctx, study: &TuningStudy) -> String {
             let mut row = vec![batch.to_string()];
             for &capacity in &space.cache_capacities {
                 // The heat map stays two-dimensional per scheduler: cells are
-                // shown at the default hot-tier budget (the simulated sweep
-                // is budget-insensitive, see run_sim_sweep_cached).
+                // shown at the default extension batch.
                 let point = TuningPoint {
                     scheduler,
                     batch_size: batch,
                     cache_capacity: capacity,
-                    hot_tier_budget: TuningPoint::default_config().hot_tier_budget,
                     extend_batch: TuningPoint::default_config().extend_batch,
                 };
                 let cell = sweep
@@ -354,14 +352,13 @@ pub fn anova(ctx: &Ctx, study: &TuningStudy) -> String {
     else {
         return "anova: D-HPRC @ chi-intel sweep missing".to_string();
     };
-    let (sched, batch, capacity, hot, extend) = sweep.anova_by_parameter();
+    let (sched, batch, capacity, extend) = sweep.anova_by_parameter();
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (name, result) in [
         ("scheduler", sched),
         ("batch size", batch),
         ("cache capacity", capacity),
-        ("hot-tier budget", hot),
         ("extension batch", extend),
     ] {
         match result {

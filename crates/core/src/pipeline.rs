@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use std::sync::Arc;
 
-use mg_gbwt::{CacheState, CacheStats, CachedGbwt, Gbz, HotTier, HotTierBuilder};
+use mg_gbwt::{CacheState, CacheStats, CachedGbwt, Gbz, HotTier};
 use mg_index::DistanceIndex;
 use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
 use mg_sched::{bounded_queue, PoolCell, PoolTask, SchedulerKind, WorkerPool};
@@ -53,12 +53,6 @@ pub struct MappingOptions {
     pub batch_size: usize,
     /// Initial capacity of each thread's [`CachedGbwt`].
     pub cache_capacity: usize,
-    /// Entry budget of the shared pre-decoded hot tier in front of the
-    /// per-thread caches ([`HotTier`]). `0` disables the tier (the
-    /// single-tier baseline). The tier is built once per run from seed
-    /// frequency (previous-chunk frequency in streaming mode) and shared
-    /// lock-free by every worker; it never changes mapping output.
-    pub hot_tier_budget: usize,
     /// Which scheduler distributes batches.
     pub scheduler: SchedulerKind,
     /// Seed clustering parameters.
@@ -75,7 +69,6 @@ impl Default for MappingOptions {
             threads: 1,
             batch_size: 512,
             cache_capacity: 256,
-            hot_tier_budget: 256,
             scheduler: SchedulerKind::Dynamic,
             cluster: ClusterParams::default(),
             extend: ExtendParams::default(),
@@ -131,8 +124,7 @@ pub struct StreamSummary {
     /// Cache statistics aggregated across worker threads and chunks.
     pub cache: CacheStats,
     /// Peak aggregate cache heap across chunks: the sum of every worker's
-    /// private-tier footprint at its high-water chunk, plus the shared hot
-    /// tier (counted once).
+    /// cache footprint at its high-water chunk.
     pub cache_heap_bytes: u64,
     /// Deepest hand-off queue occupancy observed, in batches.
     pub queue_high_water: usize,
@@ -150,8 +142,7 @@ pub struct MappingResults {
     pub wall: Duration,
     /// Cache statistics aggregated across worker threads.
     pub cache: CacheStats,
-    /// Aggregate cache heap: the sum of every worker's private-tier
-    /// footprint plus the shared hot tier (counted once).
+    /// Aggregate cache heap: the sum of every worker's cache footprint.
     pub cache_heap_bytes: u64,
 }
 
@@ -209,11 +200,6 @@ pub struct Mapper<'a> {
     /// and kernel scratch), reused by every `run` on this mapper. Runs on
     /// the same mapper serialize on this lock.
     pool: std::sync::Mutex<WorkerPool>,
-    /// The shared hot tier kept warm across runs, keyed by the budget it
-    /// was built with (the `CacheState` warm-rebind idea, one level up): a
-    /// later run with the same budget reuses the frozen tier instead of
-    /// re-counting and re-decoding. A different budget rebuilds.
-    hot: std::sync::Mutex<Option<(usize, Arc<HotTier>)>>,
 }
 
 impl<'a> Mapper<'a> {
@@ -230,56 +216,16 @@ impl<'a> Mapper<'a> {
             gbz,
             dist,
             pool: std::sync::Mutex::new(WorkerPool::new()),
-            hot: std::sync::Mutex::new(None),
         }
     }
 
-    /// The warm hot tier for `options`, if one matching the configured
-    /// budget is already frozen from an earlier run (or chunk).
-    pub fn warm_hot_tier(&self, options: &MappingOptions) -> Option<Arc<HotTier>> {
-        if options.hot_tier_budget == 0 {
-            return None;
-        }
-        let slot = self.hot.lock().unwrap();
-        slot.as_ref()
-            .filter(|(budget, _)| *budget == options.hot_tier_budget)
-            .map(|(_, tier)| Arc::clone(tier))
-    }
-
-    /// Builds the shared hot tier from a frequency pre-pass over the seed
-    /// anchors of `reads` (both orientations: the extension kernel looks up
-    /// each anchor and its flip), freezes it, and stores it as the mapper's
-    /// warm tier. Returns `None` — and clears the warm slot — when the
-    /// budget is 0 or there is nothing to count.
+    /// Returns `None`; see [`HotTier`].
     pub fn build_hot_tier(
         &self,
-        reads: &[ReadInput],
-        options: &MappingOptions,
+        _reads: &[ReadInput],
+        _options: &MappingOptions,
     ) -> Option<Arc<HotTier>> {
-        let mut slot = self.hot.lock().unwrap();
-        if options.hot_tier_budget == 0 {
-            *slot = None;
-            return None;
-        }
-        let mut builder = HotTierBuilder::new();
-        for read in reads {
-            for seed in &read.seeds {
-                builder.observe_bidir(seed.pos.handle.to_gbwt());
-            }
-        }
-        if builder.distinct() == 0 {
-            return None;
-        }
-        let tier = Arc::new(builder.build(self.gbz.gbwt(), options.hot_tier_budget));
-        *slot = Some((options.hot_tier_budget, Arc::clone(&tier)));
-        Some(tier)
-    }
-
-    /// The tier a batch run should map with: the warm one when the budget
-    /// matches, otherwise a fresh build from `reads`.
-    fn hot_tier_for(&self, reads: &[ReadInput], options: &MappingOptions) -> Option<Arc<HotTier>> {
-        self.warm_hot_tier(options)
-            .or_else(|| self.build_hot_tier(reads, options))
+        None
     }
 
     /// The pangenome this mapper maps against.
@@ -450,26 +396,21 @@ impl<'a> Mapper<'a> {
     ) -> MappingResults {
         let mut pool = self.lock_pool();
         let start = Instant::now();
-        // Frequency pre-pass over the seed stream (or a warm tier from an
-        // earlier run at the same budget), then the one parallel dispatch.
-        let hot = self.hot_tier_for(&dump.reads, options);
-        let hot_bytes = hot.as_deref().map_or(0, HotTier::heap_bytes) as u64;
-        metrics.gauge_max(Gauge::HotTierBytes, hot_bytes);
-        let (per_read, cache, private_bytes) =
-            self.map_chunk(&mut pool, &dump.reads, 0, options, sink, hot.as_ref(), metrics);
+        let (per_read, cache, cache_heap_bytes) =
+            self.map_chunk(&mut pool, &dump.reads, 0, options, sink, metrics);
         let wall = start.elapsed();
         MappingResults {
             per_read,
             wall,
             cache,
-            cache_heap_bytes: private_bytes + hot_bytes,
+            cache_heap_bytes,
         }
     }
 
     /// Maps one chunk of reads with *per-call* options on the persistent
     /// pool: the public chunk-at-a-time entry the adaptive batch driver
-    /// uses, so batch size, cache capacity, and hot-tier budget can move
-    /// between chunks without touching mapper construction. `base_id`
+    /// uses, so batch size and cache capacity can move between chunks
+    /// without touching mapper construction. `base_id`
     /// keeps global read ids correct across chunks — per-read work is
     /// cache-independent, so concatenated results are identical to a
     /// one-shot [`Mapper::run`] over the same reads.
@@ -478,11 +419,10 @@ impl<'a> Mapper<'a> {
         reads: &[ReadInput],
         base_id: u64,
         options: &MappingOptions,
-        hot: Option<&Arc<HotTier>>,
         metrics: &Metrics,
     ) -> (Vec<ReadResult>, CacheStats, u64) {
         let mut pool = self.lock_pool();
-        self.map_chunk(&mut pool, reads, base_id, options, &NullSink, hot, metrics)
+        self.map_chunk(&mut pool, reads, base_id, options, &NullSink, metrics)
     }
 
     /// Maps `reads` in parallel on the (already locked) worker pool, with
@@ -498,7 +438,6 @@ impl<'a> Mapper<'a> {
         base_id: u64,
         options: &MappingOptions,
         sink: &(impl RegionSink + ?Sized),
-        hot: Option<&Arc<HotTier>>,
         metrics: &Metrics,
     ) -> (Vec<ReadResult>, CacheStats, u64) {
         let n = reads.len();
@@ -531,8 +470,7 @@ impl<'a> Mapper<'a> {
                         self.gbz.gbwt(),
                         options.cache_capacity,
                         persist.cache,
-                    )
-                    .with_hot(hot.map(Arc::clone)),
+                    ),
                     scratch: persist.scratch,
                     metrics,
                     obs: metrics.shard(),
@@ -619,11 +557,6 @@ impl<'a> Mapper<'a> {
         let mut failure: Option<mg_support::Error> = None;
         let mut pending: Vec<ReadInput> = Vec::new();
         let mut next_id = 0u64;
-        // Streaming hot-tier build policy: the first chunk maps with a warm
-        // tier when one exists (same budget, earlier run); otherwise it maps
-        // single-tier and its seed frequencies freeze the tier the chunks
-        // after it share.
-        let mut hot = self.warm_hot_tier(options);
         let mut heap_high_water = 0u64;
 
         let queue_stats = std::thread::scope(|scope| {
@@ -644,7 +577,6 @@ impl<'a> Mapper<'a> {
                                    next_id: &mut u64,
                                    cache: &mut CacheStats,
                                    chunks: &mut u64,
-                                   hot: &mut Option<Arc<HotTier>>,
                                    heap_high_water: &mut u64,
                                    take: usize| {
                 let rest = pending.split_off(take.min(pending.len()));
@@ -654,17 +586,12 @@ impl<'a> Mapper<'a> {
                 }
                 let base = *next_id;
                 metrics.observe(Hist::StreamChunkReads, chunk.len() as u64);
-                let (results, chunk_cache, private_bytes) =
-                    self.map_chunk(pool, &chunk, base, options, sink, hot.as_ref(), metrics);
+                let (results, chunk_cache, heap_bytes) =
+                    self.map_chunk(pool, &chunk, base, options, sink, metrics);
                 *cache = merge_cache_stats(*cache, chunk_cache);
-                *heap_high_water = (*heap_high_water).max(private_bytes);
+                *heap_high_water = (*heap_high_water).max(heap_bytes);
                 *next_id += chunk.len() as u64;
                 *chunks += 1;
-                if hot.is_none() {
-                    // This chunk's seed frequencies freeze the tier for the
-                    // chunks that follow.
-                    *hot = self.build_hot_tier(&chunk, options);
-                }
                 emit(base, chunk, results);
             };
 
@@ -681,7 +608,6 @@ impl<'a> Mapper<'a> {
                                 &mut next_id,
                                 &mut cache,
                                 &mut chunks,
-                                &mut hot,
                                 &mut heap_high_water,
                                 chunk_target,
                             );
@@ -701,7 +627,6 @@ impl<'a> Mapper<'a> {
                 &mut next_id,
                 &mut cache,
                 &mut chunks,
-                &mut hot,
                 &mut heap_high_water,
                 take,
             );
@@ -709,9 +634,6 @@ impl<'a> Mapper<'a> {
             producer.join().expect("streaming producer panicked")
         });
         drop(pool);
-
-        let hot_bytes = hot.as_deref().map_or(0, HotTier::heap_bytes) as u64;
-        metrics.gauge_max(Gauge::HotTierBytes, hot_bytes);
 
         metrics.add(Ctr::StreamBatches, batches_consumed);
         metrics.add(Ctr::StreamReads, reads);
@@ -727,7 +649,7 @@ impl<'a> Mapper<'a> {
             chunks,
             wall: start.elapsed(),
             cache,
-            cache_heap_bytes: heap_high_water + hot_bytes,
+            cache_heap_bytes: heap_high_water,
             queue_high_water: queue_stats.high_water,
             producer_blocked_ns: queue_stats.blocked_ns,
         })
@@ -739,7 +661,7 @@ fn merge_cache_stats(mut acc: CacheStats, s: CacheStats) -> CacheStats {
     acc
 }
 
-/// Per-worker (statistics, private-tier heap bytes) pairs, folded into the
+/// Per-worker (statistics, cache heap bytes) pairs, folded into the
 /// run aggregate after the dispatch.
 type StatsCollector = std::sync::Mutex<Vec<(CacheStats, u64)>>;
 
@@ -806,9 +728,6 @@ impl<S: RegionSink + ?Sized> PoolTask for PooledWorker<'_, '_, S> {
         this.obs.add(Ctr::CacheEvictions, cache_stats.evictions);
         this.obs.add(Ctr::CacheResizes, cache_stats.rehashes);
         this.obs.add(Ctr::CacheRehashedSlots, cache_stats.rehashed_slots);
-        this.obs.add(Ctr::CacheHotHits, cache_stats.hot_hits);
-        this.obs.add(Ctr::CacheHotMisses, cache_stats.hot_misses);
-        this.obs.add(Ctr::CacheDecodesSaved, cache_stats.decodes_saved);
         this.metrics.absorb(&this.obs);
         *cell = Box::new(ThreadPersist {
             cache: this.cache.into_state(),
@@ -886,6 +805,7 @@ mod tests {
         }
         assert!(results.mapped_fraction() > 0.999);
         assert!(results.cache.hits + results.cache.misses > 0);
+        assert!(results.cache_heap_bytes > 0);
     }
 
     #[test]
@@ -954,131 +874,6 @@ mod tests {
         );
         assert!(resized.cache.evictions > 0, "cold re-bind discards the warm table");
         assert_eq!(fresh.cache.evictions, 0);
-    }
-
-    #[test]
-    fn hot_tier_never_changes_results() {
-        let gbz = sample_gbz();
-        let dump = sample_dump(&gbz, 30);
-        let mapper = Mapper::new(&gbz);
-        let single = mapper.run(
-            &dump,
-            &MappingOptions { hot_tier_budget: 0, ..Default::default() },
-        );
-        assert_eq!(single.cache.hot_hits, 0);
-        assert_eq!(single.cache.hot_misses, 0);
-        for budget in [1usize, 64, 4096] {
-            for threads in [1usize, 4] {
-                let options = MappingOptions {
-                    threads,
-                    hot_tier_budget: budget,
-                    batch_size: 4,
-                    ..Default::default()
-                };
-                let tiered = mapper.run(&dump, &options);
-                assert_eq!(
-                    tiered.per_read, single.per_read,
-                    "budget {budget} with {threads} threads diverged"
-                );
-                assert!(tiered.cache.hot_hits > 0, "budget {budget}");
-                // Every lookup goes through the tier first: the fall-through
-                // count is exactly what the private tier absorbed.
-                assert_eq!(
-                    tiered.cache.hot_misses,
-                    tiered.cache.hits + tiered.cache.misses
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hot_tier_saves_decodes_at_many_workers() {
-        let gbz = sample_gbz();
-        let dump = sample_dump(&gbz, 60);
-        // Static scheduling: both runs assign identical read ranges to each
-        // thread, so the decode accounting below reconciles exactly.
-        let options = |budget: usize| MappingOptions {
-            threads: 4,
-            batch_size: 2,
-            hot_tier_budget: budget,
-            scheduler: SchedulerKind::Static,
-            ..Default::default()
-        };
-        // Fresh mappers so neither run sees a warm private table.
-        let single = Mapper::new(&gbz).run(&dump, &options(0));
-        let tiered = Mapper::new(&gbz).run(&dump, &options(4096));
-        assert_eq!(single.per_read, tiered.per_read);
-        assert!(
-            tiered.cache.misses < single.cache.misses,
-            "shared tier must reduce total decodes: {} vs {}",
-            tiered.cache.misses,
-            single.cache.misses
-        );
-        assert!(tiered.cache.decodes_saved > 0);
-        assert_eq!(
-            tiered.cache.misses + tiered.cache.decodes_saved,
-            single.cache.misses,
-            "every saved decode is one the single-tier run paid"
-        );
-    }
-
-    #[test]
-    fn hot_tier_stays_warm_across_runs_and_rebuilds_on_budget_change() {
-        let gbz = sample_gbz();
-        let dump = sample_dump(&gbz, 10);
-        let mapper = Mapper::new(&gbz);
-        let options = MappingOptions::default();
-        let _ = mapper.run(&dump, &options);
-        let first = mapper.warm_hot_tier(&options).expect("tier frozen by the run");
-        let _ = mapper.run(&dump, &options);
-        let second = mapper.warm_hot_tier(&options).expect("tier still warm");
-        assert_eq!(first.token(), second.token(), "same budget must reuse the frozen tier");
-        let resized = MappingOptions { hot_tier_budget: 64, ..Default::default() };
-        let _ = mapper.run(&dump, &resized);
-        let rebuilt = mapper.warm_hot_tier(&resized).expect("tier rebuilt");
-        assert_ne!(first.token(), rebuilt.token(), "budget change must rebuild");
-        // And a zero budget clears nothing retroactively but maps without.
-        let off = MappingOptions { hot_tier_budget: 0, ..Default::default() };
-        let plain = mapper.run(&dump, &off);
-        assert_eq!(plain.cache.hot_hits + plain.cache.hot_misses, 0);
-        assert!(mapper.warm_hot_tier(&off).is_none());
-    }
-
-    #[test]
-    fn streaming_builds_tier_from_first_chunk() {
-        let gbz = sample_gbz();
-        let dump = sample_dump(&gbz, 33);
-        let base = run_mapping(&dump, &gbz, &MappingOptions::default());
-        let mapper = Mapper::new(&gbz);
-        let options = MappingOptions { threads: 2, batch_size: 3, ..Default::default() };
-        let stream = StreamOptions { queue_batches: 2, chunk_reads: 7 };
-        let mut collected: Vec<ReadResult> = Vec::new();
-        let batches = dump.reads.chunks(5).map(|c| Ok(c.to_vec()));
-        let summary = mapper
-            .run_streaming(batches, &options, &stream, |_, _, results| {
-                collected.extend(results)
-            })
-            .unwrap();
-        assert_eq!(collected, base.per_read);
-        // Chunk 0 maps single-tier and freezes the tier; chunks 1.. share it.
-        assert!(summary.cache.hot_hits > 0, "later chunks must hit the frozen tier");
-        assert!(summary.cache_heap_bytes > 0);
-        assert!(mapper.warm_hot_tier(&options).is_some());
-    }
-
-    #[test]
-    fn heap_accounting_reports_private_and_hot_tiers() {
-        let gbz = sample_gbz();
-        let dump = sample_dump(&gbz, 20);
-        let single = Mapper::new(&gbz).run(
-            &dump,
-            &MappingOptions { hot_tier_budget: 0, ..Default::default() },
-        );
-        let tiered = Mapper::new(&gbz).run(&dump, &MappingOptions::default());
-        assert!(single.cache_heap_bytes > 0);
-        // The tier adds its own frozen footprint on top of the private
-        // table (whose capacity is unchanged here).
-        assert!(tiered.cache_heap_bytes > single.cache_heap_bytes);
     }
 
     #[test]
@@ -1179,14 +974,6 @@ mod tests {
                 assert_eq!(rep.counter(Ctr::CacheEvictions), results.cache.evictions);
                 assert_eq!(rep.counter(Ctr::CacheResizes), results.cache.rehashes);
                 assert_eq!(rep.counter(Ctr::CacheRehashedSlots), results.cache.rehashed_slots);
-                assert_eq!(rep.counter(Ctr::CacheHotHits), results.cache.hot_hits);
-                assert_eq!(rep.counter(Ctr::CacheHotMisses), results.cache.hot_misses);
-                assert_eq!(rep.counter(Ctr::CacheDecodesSaved), results.cache.decodes_saved);
-                // The seed anchors are hot by construction, so the default
-                // budget must serve lookups from the shared tier, and the
-                // gauge must carry its frozen footprint.
-                assert!(results.cache.hot_hits > 0, "{kind}/{threads}");
-                assert!(rep.gauge(Gauge::HotTierBytes) > 0, "{kind}/{threads}");
                 // Histograms carry the same totals as the counters.
                 assert_eq!(rep.hist_count(Hist::SeedsPerRead), n);
                 assert_eq!(rep.hist_sum(Hist::SeedsPerRead), rep.counter(Ctr::SeedsTotal));
@@ -1252,6 +1039,7 @@ mod tests {
             assert_eq!(summary.batches, 7);
             assert_eq!(summary.chunks, 5);
             assert!(summary.queue_high_water <= stream.queue_batches);
+            assert!(summary.cache_heap_bytes > 0);
         }
     }
 

@@ -15,7 +15,6 @@ use std::sync::Arc;
 use mg_support::probe::{CacheEvent, MemProbe};
 
 use crate::gbwt::Gbwt;
-use crate::hot::HotTier;
 use crate::record::DecodedRecord;
 
 /// Logical address region of cache table slots (for the cache simulator).
@@ -38,17 +37,18 @@ pub struct CacheStats {
     /// against a different index or capacity). The cache itself never evicts
     /// under pressure — it only grows — so this is the only eviction source.
     pub evictions: u64,
-    /// Lookups served by the shared pre-decoded hot tier (before the
-    /// per-thread table was probed).
+    /// Always 0; see [`HotTier`].
     pub hot_hits: u64,
-    /// Lookups that fell through the hot tier to the per-thread table.
-    /// When a tier is attached, `hot_misses == hits + misses`.
-    pub hot_misses: u64,
-    /// Record decompressions this thread skipped because the hot tier
-    /// already held the record: the first hot hit per (thread, slot) would
-    /// have been a decoding miss in the single-tier cache.
-    pub decodes_saved: u64,
 }
+
+/// What is left of the deleted shared hot tier, kept only because
+/// `benchmark/src/layers.rs` (frozen in any PR that claims a gain) names
+/// it: this uninhabited type (`Option<Arc<HotTier>>` is always `None`),
+/// [`CachedGbwt::set_hot`]/[`CachedGbwt::with_hot`] (no-ops),
+/// `Mapper::build_hot_tier` (returns `None`) and [`CacheStats::hot_hits`]
+/// (always 0). A `benchmark` PR that drops those calls deletes all five.
+#[derive(Debug)]
+pub enum HotTier {}
 
 impl CacheStats {
     /// Folds `other` into this accumulator — the one definition of
@@ -59,42 +59,16 @@ impl CacheStats {
         self.rehashes += other.rehashes;
         self.rehashed_slots += other.rehashed_slots;
         self.evictions += other.evictions;
-        self.hot_hits += other.hot_hits;
-        self.hot_misses += other.hot_misses;
-        self.decodes_saved += other.decodes_saved;
     }
 
-    /// Total record lookups, across both tiers.
+    /// Total record lookups.
     pub fn total_lookups(&self) -> u64 {
-        self.hot_hits + self.hits + self.misses
+        self.hits + self.misses
     }
 
-    /// Combined hit rate in `[0, 1]` — lookups served from *either* tier
-    /// over all lookups; 0 when no lookups happened.
+    /// Hit rate in `[0, 1]`; 0 when no lookups happened.
     pub fn hit_rate(&self) -> f64 {
         let total = self.total_lookups();
-        if total == 0 {
-            0.0
-        } else {
-            (self.hot_hits + self.hits) as f64 / total as f64
-        }
-    }
-
-    /// Fraction of all lookups served by the shared hot tier; 0 when no
-    /// lookups happened.
-    pub fn hot_hit_rate(&self) -> f64 {
-        let total = self.total_lookups();
-        if total == 0 {
-            0.0
-        } else {
-            self.hot_hits as f64 / total as f64
-        }
-    }
-
-    /// Hit rate of the per-thread tier over the lookups that reached it;
-    /// 0 when none did.
-    pub fn private_hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
         if total == 0 {
             0.0
         } else {
@@ -127,11 +101,6 @@ impl CacheStats {
 pub struct CachedGbwt<'a> {
     gbwt: &'a Gbwt,
     state: CacheState,
-    /// Optional shared pre-decoded hot tier, consulted before the
-    /// per-thread table (production path only; bypassed while a
-    /// cache-simulator probe is active — see
-    /// [`CachedGbwt::record_with_probe`]).
-    hot: Option<Arc<HotTier>>,
 }
 
 /// The detachable storage of a [`CachedGbwt`]: table, statistics, and the
@@ -164,16 +133,7 @@ pub struct CacheState {
     /// Recycled decode target: disabled-mode lookups and cache misses
     /// decompress into this, reusing its buffers.
     scratch: DecodedRecord,
-    /// [`HotTier::token`] of the tier the seen-bits below were tracked
-    /// against (0 = none; tokens start at 1).
-    hot_token: u64,
-    /// One bit per hot-tier slot: set on this thread's first hit of that
-    /// slot. A first hit is a decode the single-tier cache would have paid,
-    /// so it increments [`CacheStats::decodes_saved`]. The bits persist
-    /// across warm rebinds (where the private table would not re-decode
-    /// either) and reset with the private table or on a new tier.
-    hot_seen: Vec<u64>,
-    /// Most-recently-returned private-table entry, `(symbol + 1, slot)`
+    /// Most-recently-returned table entry, `(symbol + 1, slot)`
     /// (key 0 = no memo). The batched extension dataflow looks the same
     /// record up back-to-back (anchor batches sorted by graph position);
     /// the memo short-circuits the hash-and-probe loop for that case. It is
@@ -195,10 +155,6 @@ impl CacheState {
             ..CacheStats::default()
         };
         self.len = 0;
-        // A cold private table re-decodes everything, so hot-tier first-use
-        // tracking starts over with it.
-        self.hot_token = 0;
-        self.hot_seen.clear();
         self.mru = (0, 0);
         if initial_capacity == 0 {
             self.disabled = true;
@@ -250,50 +206,15 @@ impl<'a> CachedGbwt<'a> {
         } else {
             state.reset_for(gbwt.uid(), initial_capacity);
         }
-        CachedGbwt {
-            gbwt,
-            state,
-            hot: None,
-        }
+        CachedGbwt { gbwt, state }
     }
 
-    /// Attaches (or detaches, with `None`) a shared hot tier. A tier built
-    /// from a different index is rejected and the cache runs single-tier.
-    /// Re-attaching the same tier build keeps the per-thread first-use
-    /// tracking warm; a new build resets it.
-    pub fn set_hot(&mut self, tier: Option<Arc<HotTier>>) {
-        // The memo replays private-hit statistics, which are only correct
-        // while the hot tier it bypasses stays the same; drop it on any
-        // tier change so the first lookup re-runs the full two-tier path.
-        self.state.mru = (0, 0);
-        let Some(tier) = tier else {
-            self.hot = None;
-            return;
-        };
-        // A mismatched uid is a legitimate runtime condition (a warm state
-        // rebound to another index with a stale tier still in hand), not a
-        // programmer error: reject it and run single-tier.
-        if tier.gbwt_uid() != self.gbwt.uid() {
-            self.hot = None;
-            return;
-        }
-        if self.state.hot_token != tier.token() {
-            self.state.hot_token = tier.token();
-            self.state.hot_seen.clear();
-            self.state.hot_seen.resize(tier.capacity().div_ceil(64), 0);
-        }
-        self.hot = Some(tier);
-    }
+    /// No-op; see [`HotTier`].
+    pub fn set_hot(&mut self, _tier: Option<Arc<HotTier>>) {}
 
-    /// Builder-style [`CachedGbwt::set_hot`].
-    pub fn with_hot(mut self, tier: Option<Arc<HotTier>>) -> Self {
-        self.set_hot(tier);
+    /// No-op; see [`HotTier`].
+    pub fn with_hot(self, _tier: Option<Arc<HotTier>>) -> Self {
         self
-    }
-
-    /// The attached hot tier, if any.
-    pub fn hot(&self) -> Option<&Arc<HotTier>> {
-        self.hot.as_ref()
     }
 
     /// Detaches the storage so a pooled worker can keep it warm for the
@@ -351,13 +272,6 @@ impl<'a> CachedGbwt<'a> {
 
     /// [`CachedGbwt::record`] with instrumentation: probe-visible table slot
     /// touches, plus the decompression accesses on a miss.
-    ///
-    /// When an *active* probe is attached (`P::ACTIVE`, the cache-simulator
-    /// contract) the hot tier is bypassed entirely: every lookup runs the
-    /// single-tier path, so the simulated access trace is bit-identical to a
-    /// cache without a hot tier. Production probes ([`NoProbe`]
-    /// (mg_support::probe::NoProbe), `CacheTally`) consult the tier first;
-    /// the branch is a compile-time constant either way.
     pub fn record_with_probe<P: MemProbe>(
         &mut self,
         symbol: u64,
@@ -367,15 +281,9 @@ impl<'a> CachedGbwt<'a> {
             // MRU memo: the extension kernel asks for the same record
             // back-to-back (both strands of an anchor node, batches of
             // anchors sorted by position). A validated memo hit replays the
-            // full path's accounting — the private hit itself, plus the
-            // hot-tier miss the bypassed lookup would have recorded (the
-            // tier is frozen, so a symbol once served privately keeps
-            // missing it while the same tier is attached).
+            // accounting of the table hit it skips.
             let (mkey, mslot) = self.state.mru;
             if mkey == symbol + 1 && self.state.keys.get(mslot) == Some(&mkey) {
-                if self.hot.is_some() {
-                    self.state.stats.hot_misses += 1;
-                }
                 self.state.stats.hits += 1;
                 probe.touch(REGION_CACHE + mslot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
                 probe.instret(3);
@@ -383,26 +291,6 @@ impl<'a> CachedGbwt<'a> {
                 probe.touch(REGION_CACHE + mslot as u64 * SLOT_BYTES + 8, 64);
                 return &self.state.values[mslot];
             }
-        }
-        if !P::ACTIVE && self.hot.is_some() {
-            // Decide with a short-lived borrow, then re-borrow to return:
-            // borrowck cannot see that the early-returned reference and the
-            // later table mutation are on disjoint paths otherwise.
-            let found = self
-                .hot
-                .as_deref()
-                .and_then(|hot| hot.lookup(symbol).map(|(slot, _)| slot));
-            if let Some(slot) = found {
-                self.state.stats.hot_hits += 1;
-                let (word, bit) = (slot / 64, 1u64 << (slot % 64));
-                if self.state.hot_seen[word] & bit == 0 {
-                    self.state.hot_seen[word] |= bit;
-                    self.state.stats.decodes_saved += 1;
-                }
-                probe.cache_event(CacheEvent::HotHit);
-                return self.hot.as_deref().unwrap().slot_record(slot);
-            }
-            self.state.stats.hot_misses += 1;
         }
         if self.state.disabled {
             self.state.stats.misses += 1;
@@ -707,149 +595,7 @@ mod tests {
         stats.hits = 3;
         stats.misses = 1;
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
-        stats.hot_hits = 4;
-        assert!((stats.hit_rate() - 7.0 / 8.0).abs() < 1e-12);
-        assert!((stats.hot_hit_rate() - 0.5).abs() < 1e-12);
-        assert!((stats.private_hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rate_methods_guard_zero_lookups() {
-        // A fresh cache has no lookups in either tier: every rate must be
-        // 0.0, never NaN.
-        let stats = CacheStats::default();
-        assert_eq!(stats.total_lookups(), 0);
-        assert_eq!(stats.hit_rate(), 0.0);
-        assert_eq!(stats.hot_hit_rate(), 0.0);
-        assert_eq!(stats.private_hit_rate(), 0.0);
-        // Hot tier absorbing *every* lookup: the private tier saw nothing,
-        // so its rate is still the 0.0 sentinel, not 0/0.
-        let hot_only = CacheStats {
-            hot_hits: 5,
-            ..CacheStats::default()
-        };
-        assert_eq!(hot_only.private_hit_rate(), 0.0);
-        assert_eq!(hot_only.hit_rate(), 1.0);
-        assert_eq!(hot_only.hot_hit_rate(), 1.0);
-    }
-
-    fn full_tier(g: &Gbwt) -> Arc<HotTier> {
-        let mut b = crate::hot::HotTierBuilder::new();
-        for sym in 2..g.alphabet_size() {
-            b.observe(sym);
-        }
-        Arc::new(b.build(g, usize::MAX))
-    }
-
-    #[test]
-    fn hot_tier_serves_hits_before_the_private_table() {
-        let g = chain_gbwt(8);
-        let tier = full_tier(&g);
-        let mut cache = CachedGbwt::new(&g, 64).with_hot(Some(Arc::clone(&tier)));
-        for sym in 2..g.alphabet_size() {
-            assert_eq!(*cache.record(sym), g.record(sym), "symbol {sym}");
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.hot_hits, g.alphabet_size() - 2);
-        assert_eq!(stats.hot_misses, 0);
-        assert_eq!(stats.misses, 0);
-        // Nothing reached the private table.
-        assert_eq!(cache.len(), 0);
-        // Every first hit replaced a would-be decode.
-        assert_eq!(stats.decodes_saved, g.alphabet_size() - 2);
-        // Second pass: hot hits again, but no further decodes saved.
-        for sym in 2..g.alphabet_size() {
-            let _ = cache.record(sym);
-        }
-        assert_eq!(cache.stats().decodes_saved, g.alphabet_size() - 2);
-    }
-
-    #[test]
-    fn hot_miss_falls_through_to_private_tier() {
-        let g = chain_gbwt(8);
-        let mut b = crate::hot::HotTierBuilder::new();
-        b.observe(2); // only one record is hot
-        let tier = Arc::new(b.build(&g, usize::MAX));
-        let mut cache = CachedGbwt::new(&g, 64).with_hot(Some(tier));
-        let _ = cache.record(2);
-        let _ = cache.record(4);
-        let _ = cache.record(4);
-        let stats = cache.stats();
-        assert_eq!(stats.hot_hits, 1);
-        assert_eq!(stats.hot_misses, 2);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.hot_misses, stats.hits + stats.misses);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(*cache.record(4), g.record(4));
-    }
-
-    #[test]
-    fn active_probe_bypasses_hot_tier() {
-        // The cache-simulator contract: an ACTIVE probe must see the exact
-        // single-tier access trace, so the hot tier is skipped entirely.
-        let g = chain_gbwt(8);
-        let tier = full_tier(&g);
-        let mut with_tier = CachedGbwt::new(&g, 64).with_hot(Some(tier));
-        let mut without = CachedGbwt::new(&g, 64);
-        for sym in 2..g.alphabet_size() {
-            let mut pa = CountingProbe::default();
-            let mut pb = CountingProbe::default();
-            assert_eq!(
-                *with_tier.record_with_probe(sym, &mut pa),
-                *without.record_with_probe(sym, &mut pb),
-            );
-            assert_eq!(pa, pb, "symbol {sym}");
-        }
-        let stats = with_tier.stats();
-        assert_eq!(stats.hot_hits, 0);
-        assert_eq!(stats.hot_misses, 0);
-        assert_eq!(stats, without.stats());
-    }
-
-    #[test]
-    fn warm_rebind_keeps_first_use_bits_for_same_tier() {
-        let g = chain_gbwt(8);
-        let tier = full_tier(&g);
-        let mut cache = CachedGbwt::new(&g, 64).with_hot(Some(Arc::clone(&tier)));
-        let _ = cache.record(2);
-        assert_eq!(cache.stats().decodes_saved, 1);
-        // Warm rebind + same tier build: the private table would not have
-        // re-decoded, so no new decode is "saved".
-        let state = cache.into_state();
-        let mut cache = CachedGbwt::with_state(&g, 64, state).with_hot(Some(Arc::clone(&tier)));
-        let _ = cache.record(2);
-        assert_eq!(cache.stats().decodes_saved, 0);
-        // A *new* tier build resets the tracking.
-        let mut b = crate::hot::HotTierBuilder::new();
-        b.observe(2);
-        let fresh = Arc::new(b.build(&g, usize::MAX));
-        cache.set_hot(Some(fresh));
-        let _ = cache.record(2);
-        assert_eq!(cache.stats().decodes_saved, 1);
-    }
-
-    #[test]
-    fn probe_tally_matches_tiered_stats() {
-        use mg_support::probe::CacheTally;
-        let g = chain_gbwt(16);
-        let mut b = crate::hot::HotTierBuilder::new();
-        for sym in 2..10 {
-            b.observe(sym);
-        }
-        let tier = Arc::new(b.build(&g, usize::MAX));
-        let mut cache = CachedGbwt::new(&g, 8).with_hot(Some(tier));
-        let mut tally = CacheTally::default();
-        for _ in 0..2 {
-            for sym in 2..g.alphabet_size() {
-                let _ = cache.record_with_probe(sym, &mut tally);
-            }
-        }
-        let stats = cache.stats();
-        assert!(stats.hot_hits > 0 && stats.misses > 0 && stats.hits > 0);
-        assert_eq!(tally.hot_hits, stats.hot_hits);
-        assert_eq!(tally.hits, stats.hits);
-        assert_eq!(tally.misses, stats.misses);
+        assert_eq!(stats.total_lookups(), 4);
     }
 
     #[test]

@@ -38,12 +38,10 @@ pub mod build;
 pub mod cache;
 pub mod gbwt;
 pub mod gbz;
-pub mod hot;
 pub mod record;
 
 pub use build::GbwtBuilder;
-pub use cache::{CacheState, CacheStats, CachedGbwt};
-pub use hot::{HotTier, HotTierBuilder};
+pub use cache::{CacheState, CacheStats, CachedGbwt, HotTier};
 pub use gbwt::{BidirState, Gbwt, GbwtStatistics, SearchState};
 pub use gbz::Gbz;
 pub use record::{DecodedRecord, RecordEdge, ENDMARKER};

@@ -96,65 +96,56 @@ pub enum Ctr {
     /// Nanoseconds the streaming producer spent blocked on a full queue
     /// (backpressure applied by the mapping consumer).
     StreamProducerBlockedNs = 15,
-    /// `CachedGbwt` record lookups served by the shared pre-decoded hot
-    /// tier (before the per-thread table was probed).
-    CacheHotHits = 16,
-    /// Record lookups that fell through the hot tier to the per-thread
-    /// table.
-    CacheHotMisses = 17,
-    /// Record decompressions skipped because the hot tier already held the
-    /// record a per-thread table would otherwise have decoded.
-    CacheDecodesSaved = 18,
     /// Anchor batches formed by the batched extension dataflow.
-    ExtendBatches = 19,
+    ExtendBatches = 16,
     /// Anchors walked in those batches (`extend_batch_anchors /
     /// extend_batches` is the mean batch fill).
-    ExtendBatchAnchors = 20,
+    ExtendBatchAnchors = 17,
     /// Extension DFS subtrees skipped by branch-and-bound pruning (they
     /// provably could not beat the best prefix already found).
-    ExtendPrunedFrames = 21,
+    ExtendPrunedFrames = 18,
     /// Anchors not walked because an anchor of the same node and diagonal,
     /// joined to them by matching read bases, yields the same extension
     /// (the kernel's exact merge).
-    ExtendAnchorsMerged = 22,
+    ExtendAnchorsMerged = 19,
     /// Anchors not walked because they lie on an exact full-length
     /// extension their read already has. With `extend_batch_anchors` (the
     /// anchors walked) and `extend_anchors_merged` this adds up to the
     /// distinct anchors of the clusters processed.
-    ExtendAnchorsSkipped = 23,
+    ExtendAnchorsSkipped = 20,
     /// Mapping jobs admitted by the server's pending queue.
-    ServeJobsAccepted = 24,
+    ServeJobsAccepted = 21,
     /// Mapping jobs refused with `BUSY` (queue full, per-client cap, or
     /// draining).
-    ServeJobsRejected = 25,
+    ServeJobsRejected = 22,
     /// Mapping jobs that ran to `DONE`.
-    ServeJobsCompleted = 26,
+    ServeJobsCompleted = 23,
     /// Mapping jobs that ended with a per-job error frame (corrupt input
     /// or a worker panic inside the job).
-    ServeJobsFailed = 27,
+    ServeJobsFailed = 24,
     /// GAF bytes streamed to server clients.
-    ServeGafBytes = 28,
+    ServeGafBytes = 25,
     /// Shards whose minimizer tables were probed while routing reads,
     /// summed over reads (`route_shards_probed / reads_routed` is the mean
     /// fan-out the routing gate bounds).
-    RouteShardsProbed = 29,
+    RouteShardsProbed = 26,
     /// Reads routed by the sharded pipeline (resident + fallback).
-    RouteReadsTotal = 30,
+    RouteReadsTotal = 27,
     /// Routed reads whose seeds all landed in one shard's core and were
     /// mapped entirely on that shard's local structures.
-    RouteResidentReads = 31,
+    RouteResidentReads = 28,
     /// Routed reads that straddled shard cores (or exceeded the shard
     /// halo's residency limit) and fell back to the resident global
     /// pipeline.
-    RouteFallbackReads = 32,
+    RouteFallbackReads = 29,
     /// Nanoseconds spent translating per-shard extension results back to
     /// global coordinates and merging them into the rescoring order.
-    ShardMergeNs = 33,
+    ShardMergeNs = 30,
 }
 
 impl Ctr {
     /// Number of counters.
-    pub const COUNT: usize = 34;
+    pub const COUNT: usize = 31;
     /// All counters, in declaration order.
     pub const ALL: [Ctr; Ctr::COUNT] = [
         Ctr::ReadsMapped,
@@ -173,9 +164,6 @@ impl Ctr {
         Ctr::StreamBatches,
         Ctr::StreamReads,
         Ctr::StreamProducerBlockedNs,
-        Ctr::CacheHotHits,
-        Ctr::CacheHotMisses,
-        Ctr::CacheDecodesSaved,
         Ctr::ExtendBatches,
         Ctr::ExtendBatchAnchors,
         Ctr::ExtendPrunedFrames,
@@ -212,9 +200,6 @@ impl Ctr {
             Ctr::StreamBatches => "stream_batches",
             Ctr::StreamReads => "stream_reads",
             Ctr::StreamProducerBlockedNs => "stream_producer_blocked_ns",
-            Ctr::CacheHotHits => "cache_hot_hits",
-            Ctr::CacheHotMisses => "cache_hot_misses",
-            Ctr::CacheDecodesSaved => "cache_decodes_saved",
             Ctr::ExtendBatches => "extend_batches",
             Ctr::ExtendBatchAnchors => "extend_batch_anchors",
             Ctr::ExtendPrunedFrames => "extend_pruned_frames",
@@ -302,25 +287,20 @@ pub enum Gauge {
     ThreadsMax = 1,
     /// Deepest streaming-ingestion queue occupancy observed (in batches).
     StreamQueueDepthMax = 2,
-    /// Heap bytes frozen in the shared hot tier (one figure per run; the
-    /// per-thread tables are counted by the cache heap accounting, not
-    /// here).
-    HotTierBytes = 3,
     /// Deepest server pending-job queue occupancy observed.
-    ServePendingMax = 4,
+    ServePendingMax = 3,
     /// Most jobs the server executor interleaved at once.
-    ServeActiveMax = 5,
+    ServeActiveMax = 4,
 }
 
 impl Gauge {
     /// Number of gauges.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
     /// All gauges, in declaration order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
         Gauge::QueueDepthMax,
         Gauge::ThreadsMax,
         Gauge::StreamQueueDepthMax,
-        Gauge::HotTierBytes,
         Gauge::ServePendingMax,
         Gauge::ServeActiveMax,
     ];
@@ -331,7 +311,6 @@ impl Gauge {
             Gauge::QueueDepthMax => "queue_depth_max",
             Gauge::ThreadsMax => "threads_max",
             Gauge::StreamQueueDepthMax => "stream_queue_depth_max",
-            Gauge::HotTierBytes => "hot_tier_bytes",
             Gauge::ServePendingMax => "serve_pending_max",
             Gauge::ServeActiveMax => "serve_active_max",
         }

@@ -16,8 +16,9 @@ use mg_graph::{Handle, Orientation};
 
 use crate::align::Alignment;
 
-/// Appends `v` in decimal.
-fn push_uint(out: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` in decimal. Shared with the CLI's CSV writer: one integer
+/// renderer for every text output, no `format!` per field.
+pub fn push_uint(out: &mut Vec<u8>, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -29,6 +30,14 @@ fn push_uint(out: &mut Vec<u8>, mut v: u64) {
         }
     }
     out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `v` in decimal, with a leading `-` when negative.
+pub fn push_int(out: &mut Vec<u8>, v: i64) {
+    if v < 0 {
+        out.push(b'-');
+    }
+    push_uint(out, v.unsigned_abs());
 }
 
 /// Appends a tab, then `v` in decimal.
@@ -93,10 +102,7 @@ fn push_columns(
     push_field(out, block as u64);
     push_field(out, u64::from(alignment.mapq));
     out.extend_from_slice(b"\tAS:i:");
-    if alignment.score < 0 {
-        out.push(b'-');
-    }
-    push_uint(out, u64::from(alignment.score.unsigned_abs()));
+    push_int(out, i64::from(alignment.score));
     out.extend_from_slice(b"\tNM:i:");
     push_uint(out, u64::from(alignment.mismatches));
     out.extend_from_slice(if alignment.properly_paired { b"\tpp:A:1" } else { b"\tpp:A:0" });
@@ -200,6 +206,18 @@ mod tests {
     use crate::{Parent, ParentOptions};
     use mg_graph::NodeId;
     use mg_workload::{InputSetSpec, SyntheticInput};
+
+    #[test]
+    fn integers_render_like_display() {
+        for v in [0i64, 7, -7, 10, 99, 100, i64::from(i32::MIN), i64::MAX, i64::MIN] {
+            let mut out = Vec::new();
+            push_int(&mut out, v);
+            assert_eq!(out, v.to_string().as_bytes());
+        }
+        let mut out = Vec::new();
+        push_uint(&mut out, u64::MAX);
+        assert_eq!(out, u64::MAX.to_string().as_bytes());
+    }
 
     #[test]
     fn path_syntax() {

@@ -14,13 +14,13 @@
 //! instrumented through [`mg_support::regions::RegionSink`], which is what
 //! regenerates Figures 2–4.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use mg_core::dump::SeedDump;
 use mg_core::types::{ReadInput, ReadResult, Seed, Workflow};
 use mg_core::{MapScratch, Mapper, MappingOptions, StreamOptions, ThreadPersist};
-use mg_gbwt::{CachedGbwt, Gbz, HotTier};
+use mg_gbwt::{CachedGbwt, Gbz};
 use mg_index::minimizer::Minimizer;
 use mg_index::{DistanceIndex, MinimizerIndex};
 use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
@@ -313,9 +313,6 @@ impl<'a> Parent<'a> {
             obs.add(Ctr::CacheEvictions, after.evictions - before.evictions);
             obs.add(Ctr::CacheResizes, after.rehashes - before.rehashes);
             obs.add(Ctr::CacheRehashedSlots, after.rehashed_slots - before.rehashed_slots);
-            obs.add(Ctr::CacheHotHits, after.hot_hits - before.hot_hits);
-            obs.add(Ctr::CacheHotMisses, after.hot_misses - before.hot_misses);
-            obs.add(Ctr::CacheDecodesSaved, after.decodes_saved - before.decodes_saved);
         }
         (read_input, result, alignments)
     }
@@ -400,18 +397,7 @@ impl<'a> Parent<'a> {
         metrics: &Metrics,
     ) -> ParentRun {
         let start = Instant::now();
-        // The parent computes seeds *during* the run, so a cold first run
-        // maps single-tier; its captured dump then freezes the tier later
-        // runs (and the streaming chunks) share.
-        let hot = self.mapper.warm_hot_tier(&options.mapping);
-        metrics.gauge_max(
-            Gauge::HotTierBytes,
-            hot.as_deref().map_or(0, HotTier::heap_bytes) as u64,
-        );
-        let chunk = self.run_chunk(reads, 0, options, sink, hot.as_ref(), metrics);
-        if hot.is_none() {
-            let _ = self.mapper.build_hot_tier(&chunk.dump_reads, &options.mapping);
-        }
+        let chunk = self.run_chunk(reads, 0, options, sink, metrics);
         let wall = start.elapsed();
         ParentRun {
             kernel_results: chunk.kernel_results,
@@ -441,10 +427,9 @@ impl<'a> Parent<'a> {
         reads: &[Vec<u8>],
         base_id: u64,
         options: &ParentOptions,
-        hot: Option<&Arc<HotTier>>,
         metrics: &Metrics,
     ) -> ChunkRun {
-        self.run_chunk(reads, base_id, options, &NullSink, hot, metrics)
+        self.run_chunk(reads, base_id, options, &NullSink, metrics)
     }
 
     /// Maps `reads` (global ids `base_id..`) through the full per-read
@@ -460,7 +445,6 @@ impl<'a> Parent<'a> {
         base_id: u64,
         options: &ParentOptions,
         sink: &(impl RegionSink + ?Sized),
-        hot: Option<&Arc<HotTier>>,
         metrics: &Metrics,
     ) -> ChunkRun {
         let n = reads.len();
@@ -497,8 +481,7 @@ impl<'a> Parent<'a> {
                         self.mapper.gbz().gbwt(),
                         options.mapping.cache_capacity,
                         persist.cache,
-                    )
-                    .with_hot(hot.map(Arc::clone)),
+                    ),
                     scratch: persist.scratch,
                     metrics,
                     obs: metrics.shard(),
@@ -517,8 +500,7 @@ impl<'a> Parent<'a> {
             kernel_results.push(result);
             alignments.push(aligns);
         }
-        let rescued =
-            self.pair_tail(base_id, options, sink, hot, &dump_reads, &mut alignments);
+        let rescued = self.pair_tail(base_id, options, sink, &dump_reads, &mut alignments);
         ChunkRun { dump_reads, kernel_results, alignments, rescued }
     }
 
@@ -534,7 +516,6 @@ impl<'a> Parent<'a> {
         base_id: u64,
         options: &ParentOptions,
         sink: &(impl RegionSink + ?Sized),
-        hot: Option<&Arc<HotTier>>,
         dump_reads: &[ReadInput],
         alignments: &mut [Vec<Alignment>],
     ) -> Vec<Option<ReadResult>> {
@@ -560,8 +541,7 @@ impl<'a> Parent<'a> {
                 };
                 let (cache, scratch) = state.get_or_insert_with(|| {
                     (
-                        CachedGbwt::new(self.mapper.gbz().gbwt(), options.mapping.cache_capacity)
-                            .with_hot(hot.map(Arc::clone)),
+                        CachedGbwt::new(self.mapper.gbz().gbwt(), options.mapping.cache_capacity),
                         MapScratch::default(),
                     )
                 });
@@ -654,11 +634,7 @@ impl<'a> Parent<'a> {
         I: Iterator<Item = mg_support::Result<Vec<Vec<u8>>>> + Send,
         W: std::io::Write,
     {
-        // Chunk 0 maps with a warm tier when an earlier run froze one;
-        // otherwise single-tier, and its computed seeds freeze the tier the
-        // chunks after it share.
-        let mut hot = self.mapper.warm_hot_tier(&options.mapping);
-        let result = stream_chunks(
+        stream_chunks(
             self.workflow,
             self.mapper.gbz(),
             options,
@@ -667,19 +643,8 @@ impl<'a> Parent<'a> {
             batches,
             gaf_out,
             metrics,
-            |chunk, base| {
-                let out = self.run_chunk(chunk, base, options, sink, hot.as_ref(), metrics);
-                if hot.is_none() {
-                    hot = self.mapper.build_hot_tier(&out.dump_reads, &options.mapping);
-                }
-                out
-            },
-        );
-        metrics.gauge_max(
-            Gauge::HotTierBytes,
-            hot.as_deref().map_or(0, HotTier::heap_bytes) as u64,
-        );
-        result
+            |chunk, base| self.run_chunk(chunk, base, options, sink, metrics),
+        )
     }
 }
 

@@ -20,16 +20,16 @@
 //! ([`Ctr::RouteResidentReads`] vs [`Ctr::RouteFallbackReads`]) say how
 //! much of the work actually stayed shard-local.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use mg_core::dump::SeedDump;
 use mg_core::shard::{extension_to_global, RouteScratch, ShardSet};
 use mg_core::types::{ReadInput, ReadResult, Seed};
 use mg_core::{MapScratch, Mapper, StreamOptions, ThreadPersist};
-use mg_gbwt::{CacheState, CachedGbwt, HotTier};
+use mg_gbwt::{CacheState, CachedGbwt};
 use mg_index::GraphPos;
-use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
+use mg_obs::{Ctr, Hist, Metrics, ObsShard, Stage};
 use mg_sched::{AnyScheduler, PoolCell, PoolTask};
 use mg_support::probe::NoProbe;
 use mg_support::regions::{NullSink, RegionSink};
@@ -42,7 +42,7 @@ use crate::pipeline::{
 
 /// One read's mapped record plus the shard that produced it (`None` when
 /// the monolithic fallback mapped it).
-type Mapped = (ReadInput, ReadResult, Vec<Alignment>, Option<u32>);
+type Mapped = (ReadInput, ReadResult, Vec<Alignment>);
 
 /// A parent mapper that dispatches reads to partitioned shards.
 ///
@@ -127,18 +127,7 @@ impl<'a> ShardedParent<'a> {
         metrics: &Metrics,
     ) -> ParentRun {
         let start = Instant::now();
-        let hot = self.parent.mapper().warm_hot_tier(&options.mapping);
-        metrics.gauge_max(
-            Gauge::HotTierBytes,
-            hot.as_deref().map_or(0, HotTier::heap_bytes) as u64,
-        );
-        let chunk = self.run_chunk(reads, 0, options, sink, hot.as_ref(), metrics);
-        if hot.is_none() {
-            let _ = self
-                .parent
-                .mapper()
-                .build_hot_tier(&chunk.dump_reads, &options.mapping);
-        }
+        let chunk = self.run_chunk(reads, 0, options, sink, metrics);
         let wall = start.elapsed();
         ParentRun {
             kernel_results: chunk.kernel_results,
@@ -152,17 +141,15 @@ impl<'a> ShardedParent<'a> {
     /// Maps one chunk of reads (global ids `base_id..`) on the parent
     /// mapper's persistent pool — the serving entry point, signature-
     /// compatible with [`Parent::map_chunk`] so the serving executor can
-    /// swap pipelines per job. The `hot` tier is the *global* tier used by
-    /// fallback reads and rescue; per-shard tiers are managed internally.
+    /// swap pipelines per job.
     pub fn map_chunk(
         &self,
         reads: &[Vec<u8>],
         base_id: u64,
         options: &ParentOptions,
-        hot: Option<&Arc<HotTier>>,
         metrics: &Metrics,
     ) -> ChunkRun {
-        self.run_chunk(reads, base_id, options, &NullSink, hot, metrics)
+        self.run_chunk(reads, base_id, options, &NullSink, metrics)
     }
 
     /// Streaming ingestion over the sharded pipeline. Chunking, pair
@@ -208,8 +195,7 @@ impl<'a> ShardedParent<'a> {
         I: Iterator<Item = Result<Vec<Vec<u8>>>> + Send,
         W: std::io::Write,
     {
-        let mut hot = self.parent.mapper().warm_hot_tier(&options.mapping);
-        let result = stream_chunks(
+        stream_chunks(
             self.parent.workflow(),
             self.parent.mapper().gbz(),
             options,
@@ -218,22 +204,8 @@ impl<'a> ShardedParent<'a> {
             batches,
             gaf_out,
             metrics,
-            |chunk, base| {
-                let out = self.run_chunk(chunk, base, options, sink, hot.as_ref(), metrics);
-                if hot.is_none() {
-                    hot = self
-                        .parent
-                        .mapper()
-                        .build_hot_tier(&out.dump_reads, &options.mapping);
-                }
-                out
-            },
-        );
-        metrics.gauge_max(
-            Gauge::HotTierBytes,
-            hot.as_deref().map_or(0, HotTier::heap_bytes) as u64,
-        );
-        result
+            |chunk, base| self.run_chunk(chunk, base, options, sink, metrics),
+        )
     }
 
     /// Maps `reads` through route-dispatch-merge plus the pair-local tail.
@@ -248,18 +220,10 @@ impl<'a> ShardedParent<'a> {
         base_id: u64,
         options: &ParentOptions,
         sink: &(impl RegionSink + ?Sized),
-        hot: Option<&Arc<HotTier>>,
         metrics: &Metrics,
     ) -> ChunkRun {
         let n = reads.len();
         let k = self.shard_count();
-        // Per-shard hot tiers warm independently of the global one: a
-        // shard's tier counts only the GBWT rows its resident reads touch.
-        let shard_hots: Vec<Option<Arc<HotTier>>> = self
-            .mappers
-            .iter()
-            .map(|m| m.warm_hot_tier(&options.mapping))
-            .collect();
         let slots: Vec<OnceLock<Mapped>> = (0..n).map(|_| OnceLock::new()).collect();
         let scheduler: Box<dyn AnyScheduler> =
             options.mapping.scheduler.build(options.mapping.batch_size);
@@ -291,11 +255,9 @@ impl<'a> ShardedParent<'a> {
                         self.parent.mapper().gbz().gbwt(),
                         options.mapping.cache_capacity,
                         persist.global.cache,
-                    )
-                    .with_hot(hot.map(Arc::clone)),
+                    ),
                     shard_caches: (0..k).map(|_| None).collect(),
                     shard_states,
-                    shard_hots: &shard_hots,
                     scratch: persist.global.scratch,
                     route: persist.route,
                     seed_buf: Vec::new(),
@@ -308,48 +270,15 @@ impl<'a> ShardedParent<'a> {
         let mut dump_reads = Vec::with_capacity(n);
         let mut kernel_results = Vec::with_capacity(n);
         let mut alignments = Vec::with_capacity(n);
-        let mut shard_of = Vec::with_capacity(n);
         for (i, slot) in slots.into_iter().enumerate() {
-            let (input, result, aligns, shard) = slot
+            let (input, result, aligns) = slot
                 .into_inner()
                 .unwrap_or_else(|| panic!("read {i} not mapped"));
             dump_reads.push(input);
             kernel_results.push(result);
             alignments.push(aligns);
-            shard_of.push(shard);
         }
-        // Freeze cold per-shard hot tiers from this chunk's resident reads,
-        // the same chunk-0-seeds-the-tier policy the monolithic path uses.
-        // Tiers only steer cache decode order, never results.
-        for (s, shard_hot) in shard_hots.iter().enumerate() {
-            if shard_hot.is_some() {
-                continue;
-            }
-            let window = self.set.shards[s].meta.window;
-            let locals: Vec<ReadInput> = dump_reads
-                .iter()
-                .zip(&shard_of)
-                .filter(|&(_, sh)| *sh == Some(s as u32))
-                .map(|(input, _)| ReadInput {
-                    bases: Vec::new(),
-                    seeds: input
-                        .seeds
-                        .iter()
-                        .map(|sd| {
-                            Seed::new(
-                                sd.read_offset,
-                                GraphPos::new(window.to_local(sd.pos.handle), sd.pos.offset),
-                            )
-                        })
-                        .collect(),
-                })
-                .collect();
-            if !locals.is_empty() {
-                let _ = self.mappers[s].build_hot_tier(&locals, &options.mapping);
-            }
-        }
-        let rescued =
-            self.parent.pair_tail(base_id, options, sink, hot, &dump_reads, &mut alignments);
+        let rescued = self.parent.pair_tail(base_id, options, sink, &dump_reads, &mut alignments);
         ChunkRun { dump_reads, kernel_results, alignments, rescued }
     }
 }
@@ -385,7 +314,6 @@ struct ShardWorker<'e, 'g, S: RegionSink + ?Sized> {
     shard_caches: Vec<Option<CachedGbwt<'g>>>,
     /// Parked cache states for shards whose cache is not yet rebound.
     shard_states: Vec<CacheState>,
-    shard_hots: &'e [Option<Arc<HotTier>>],
     scratch: MapScratch,
     route: RouteScratch,
     seed_buf: Vec<Seed>,
@@ -434,7 +362,7 @@ impl<S: RegionSink + ?Sized> PoolTask for ShardWorker<'_, '_, S> {
                 &mut self.obs,
             );
             self.slots[i]
-                .set((input, result, aligns, None))
+                .set((input, result, aligns))
                 .expect("each read mapped once");
             return;
         };
@@ -449,14 +377,11 @@ impl<S: RegionSink + ?Sized> PoolTask for ShardWorker<'_, '_, S> {
         let mut input = ReadInput { bases: bases.clone(), seeds: self.seed_buf.clone() };
         if self.shard_caches[s].is_none() {
             let state = std::mem::take(&mut self.shard_states[s]);
-            self.shard_caches[s] = Some(
-                CachedGbwt::with_state(
-                    self.sp.set.shards[s].bundle.gbz().gbwt(),
-                    self.options.mapping.cache_capacity,
-                    state,
-                )
-                .with_hot(self.shard_hots[s].clone()),
-            );
+            self.shard_caches[s] = Some(CachedGbwt::with_state(
+                self.sp.set.shards[s].bundle.gbz().gbwt(),
+                self.options.mapping.cache_capacity,
+                state,
+            ));
         }
         let cache = self.shard_caches[s].as_mut().expect("cache just created");
         let local = self.sp.mappers[s].map_read_with_scratch(
@@ -494,7 +419,7 @@ impl<S: RegionSink + ?Sized> PoolTask for ShardWorker<'_, '_, S> {
             .post_process(&input, &result, self.options, self.sink, self.thread);
         self.obs.stage(Stage::Rescoring, t0);
         self.slots[i]
-            .set((input, result, aligns, Some(s as u32)))
+            .set((input, result, aligns))
             .expect("each read mapped once");
     }
 

@@ -1,7 +1,7 @@
 //! `minigiraffe serve`: a long-lived multi-tenant mapping server.
 //!
 //! The one-shot CLI pays the heavy setup — GBZ load, minimizer index,
-//! distance index, worker-pool warmup, hot-tier construction — on every
+//! distance index, worker-pool warmup — on every
 //! invocation. This crate amortizes all of it: a [`MappingServer`] holds
 //! that state resident and maps *jobs* submitted over a socket, streaming
 //! each job's GAF back as it is produced.

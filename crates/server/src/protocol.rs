@@ -3,7 +3,7 @@
 //! Every message is one frame: a 1-byte kind tag, a little-endian `u32`
 //! payload length, then the payload. The framing is deliberately dumb —
 //! no compression, no negotiation — because the interesting state (the
-//! index, the arenas, the hot tier) lives on the server, and the protocol
+//! index, the arenas, the warm caches) lives on the server, and the protocol
 //! only has to move FASTQ bytes in and GAF bytes out.
 //!
 //! Decoding is push-based: [`FrameDecoder`] accumulates whatever byte

@@ -2,7 +2,7 @@
 //!
 //! One [`MappingServer`] owns the expensive state — the pangenome, the
 //! minimizer index, the distance index, the mapper's persistent worker
-//! pool and its GBWT hot tier — and multiplexes mapping jobs from many
+//! pool and its warm caches — and multiplexes mapping jobs from many
 //! concurrent clients onto it. Connections are cheap threads that parse
 //! frames and talk to the admission queue; all mapping happens on one
 //! executor thread that interleaves admitted jobs *chunk by chunk* on the
@@ -39,7 +39,7 @@ use crate::transport::{Conn, ReadOutcome};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Mapping configuration shared by every job (threads, scheduler,
-    /// cache capacity, hot-tier budget, post-processing).
+    /// cache capacity, post-processing).
     pub options: ParentOptions,
     /// Reads per executor chunk; `0` picks `threads × batch_size`. Paired
     /// workflows clamp this to an even value so chunks keep pairs whole.
@@ -107,7 +107,6 @@ pub struct ServerCtl {
     jobs_failed: AtomicU64,
     reads_mapped: AtomicU64,
     gaf_bytes: AtomicU64,
-    hot_rebuilds: AtomicU64,
     proto_errors: AtomicU64,
     latency_buckets: [AtomicU64; HIST_BUCKETS],
     latency_count: AtomicU64,
@@ -126,7 +125,6 @@ impl ServerCtl {
             jobs_failed: AtomicU64::new(0),
             reads_mapped: AtomicU64::new(0),
             gaf_bytes: AtomicU64::new(0),
-            hot_rebuilds: AtomicU64::new(0),
             proto_errors: AtomicU64::new(0),
             latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             latency_count: AtomicU64::new(0),
@@ -155,13 +153,6 @@ impl ServerCtl {
     /// Jobs that failed (corrupt input or a mapping fault).
     pub fn jobs_failed(&self) -> u64 {
         self.jobs_failed.load(Ordering::SeqCst)
-    }
-
-    /// Hot-tier builds since start. Staying at 1 across many jobs is the
-    /// residency property the serve tests assert: the tier is built once
-    /// and every later job maps against the warm copy.
-    pub fn hot_rebuilds(&self) -> u64 {
-        self.hot_rebuilds.load(Ordering::SeqCst)
     }
 
     /// Connections dropped for unparseable bytes.
@@ -197,7 +188,6 @@ impl ServerCtl {
                 "\"pending\":{},\"executing\":{},\"pending_high_water\":{}}},",
                 "\"latency_us\":{{\"count\":{},\"p50\":{},\"p99\":{}}},",
                 "\"reads_mapped\":{},\"gaf_bytes\":{},",
-                "\"hot_tier\":{{\"rebuilds\":{}}},",
                 "\"proto_errors\":{},\"draining\":{},\"uptime_ms\":{}{}}}"
             ),
             a.accepted,
@@ -214,7 +204,6 @@ impl ServerCtl {
             self.latency_quantile_us(0.99),
             self.reads_mapped.load(Ordering::SeqCst),
             self.gaf_bytes.load(Ordering::SeqCst),
-            self.hot_rebuilds(),
             self.proto_errors(),
             self.queue.is_draining(),
             self.started_at.elapsed().as_millis(),
@@ -291,7 +280,6 @@ impl<'a> MappingServer<'a> {
                 mapping.batch_size,
             ),
             cache_capacity: mapping.cache_capacity.max(1),
-            hot_tier_budget: mapping.hot_tier_budget,
         };
         self.adaptive = Some(Mutex::new(AdaptiveState {
             controller: Controller::new(controller_config, initial),
@@ -336,7 +324,6 @@ impl<'a> MappingServer<'a> {
                 batch_size: mapping.batch_size,
                 chunk_reads: self.config.chunk_reads,
                 cache_capacity: mapping.cache_capacity,
-                hot_tier_budget: mapping.hot_tier_budget,
             },
         }
     }
@@ -396,24 +383,17 @@ impl<'a> MappingServer<'a> {
         let rep = self.metrics.report();
         let hits = rep.counter(Ctr::CacheHits);
         let misses = rep.counter(Ctr::CacheMisses);
-        let hot_hits = rep.counter(Ctr::CacheHotHits);
-        let hot_misses = rep.counter(Ctr::CacheHotMisses);
         let rate = |h: u64, m: u64| if h + m == 0 { 0.0 } else { h as f64 / (h + m) as f64 };
         let mut extra = format!(
             concat!(
                 ",\"cache\":{{\"private_hits\":{},\"private_misses\":{},",
-                "\"private_hit_rate\":{:.4},\"hot_hits\":{},\"hot_misses\":{},",
-                "\"hot_hit_rate\":{:.4},\"decodes_saved\":{}}},",
+                "\"private_hit_rate\":{:.4}}},",
                 "\"extend\":{{\"anchors_walked\":{},\"anchors_merged\":{},",
                 "\"anchors_skipped\":{}}}"
             ),
             hits,
             misses,
             rate(hits, misses),
-            hot_hits,
-            hot_misses,
-            rate(hot_hits, hot_misses),
-            rep.counter(Ctr::CacheDecodesSaved),
             rep.counter(Ctr::ExtendBatchAnchors),
             rep.counter(Ctr::ExtendAnchorsMerged),
             rep.counter(Ctr::ExtendAnchorsSkipped),
@@ -422,13 +402,12 @@ impl<'a> MappingServer<'a> {
             extra.push_str(&format!(
                 concat!(
                     ",\"adaptive\":{{\"batch_size\":{},\"chunk_reads\":{},",
-                    "\"cache_capacity\":{},\"hot_tier_budget\":{},\"epochs\":{},",
+                    "\"cache_capacity\":{},\"epochs\":{},",
                     "\"accepted\":{},\"reverted\":{},\"skipped\":{},\"converged\":{}}}"
                 ),
                 knobs.batch_size,
                 knobs.chunk_reads,
                 knobs.cache_capacity,
-                knobs.hot_tier_budget,
                 stats.epochs,
                 stats.accepted,
                 stats.reverted,
@@ -565,13 +544,12 @@ impl<'a> MappingServer<'a> {
         if lo < hi {
             let mut options = self.config.options.clone();
             if self.adaptive.is_some() {
-                // Controller knobs apply from this chunk boundary. All
-                // three are result-invariant, so the job's GAF cannot
-                // observe the move.
+                // Controller knobs apply from this chunk boundary. Both
+                // are result-invariant, so the job's GAF cannot observe
+                // the move.
                 let k = self.knobs();
                 options.mapping.batch_size = k.batch_size.max(1);
                 options.mapping.cache_capacity = k.cache_capacity.max(1);
-                options.mapping.hot_tier_budget = k.hot_tier_budget;
             }
             if let Some((job, read)) = self.config.fault_job {
                 if job == aj.job.id {
@@ -579,33 +557,10 @@ impl<'a> MappingServer<'a> {
                 }
             }
             let mapper = self.parent.mapper();
-            let chunk = catch_unwind(AssertUnwindSafe(|| {
-                // Warm tier when resident, else build from this chunk's
-                // freshly-computed seeds — the one rebuild the residency
-                // tests allow.
-                let hot = mapper.warm_hot_tier(&options.mapping);
-                let run = match self.sharded {
-                    Some(sharded) => sharded.map_chunk(
-                        &aj.job.reads[lo..hi],
-                        lo as u64,
-                        &options,
-                        hot.as_ref(),
-                        &self.metrics,
-                    ),
-                    None => self.parent.map_chunk(
-                        &aj.job.reads[lo..hi],
-                        lo as u64,
-                        &options,
-                        hot.as_ref(),
-                        &self.metrics,
-                    ),
-                };
-                if hot.is_none()
-                    && mapper.build_hot_tier(&run.dump_reads, &options.mapping).is_some()
-                {
-                    ctl.hot_rebuilds.fetch_add(1, Ordering::SeqCst);
-                }
-                run
+            let reads = &aj.job.reads[lo..hi];
+            let chunk = catch_unwind(AssertUnwindSafe(|| match self.sharded {
+                Some(sharded) => sharded.map_chunk(reads, lo as u64, &options, &self.metrics),
+                None => self.parent.map_chunk(reads, lo as u64, &options, &self.metrics),
             }));
             match chunk {
                 Ok(run) => {

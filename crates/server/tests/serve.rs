@@ -1,7 +1,7 @@
 //! The concurrent-client lock on `minigiraffe serve`.
 //!
 //! Every test drives a real [`MappingServer`] — admission queue, chunk
-//! executor, shared worker pool, hot tier — through the harness client
+//! executor, shared worker pool — through the harness client
 //! over in-process loopback (one test uses real TCP), and holds the
 //! streamed GAF to the sequential one-shot oracle: for each job,
 //! [`Parent::run`] over the same reads on a *separate* parent instance.
@@ -63,7 +63,7 @@ fn options(scheduler: SchedulerKind, threads: usize) -> ParentOptions {
 }
 
 /// The sequential oracle: a one-shot batch run on a parent instance the
-/// server never touches (own pool, own caches, own hot tier).
+/// server never touches (own pool, own caches).
 fn oracle_gaf(
     input: &SyntheticInput,
     reads: &[Vec<u8>],
@@ -83,8 +83,7 @@ fn expect_done(outcome: &JobOutcome) -> (&[u8], mg_server::JobSummary) {
 
 /// Eight concurrent clients (mixed steady/bursty pacing), two jobs each,
 /// over in-process loopback: every job's streamed GAF must be
-/// byte-identical to the sequential oracle, with the hot tier built
-/// exactly once across all sixteen jobs.
+/// byte-identical to the sequential oracle.
 fn eight_clients_match_oracle(scheduler: SchedulerKind) {
     let input = fixture(11);
     let reads = raw_reads(&input);
@@ -139,11 +138,6 @@ fn eight_clients_match_oracle(scheduler: SchedulerKind) {
     });
     assert_eq!(server.ctl().jobs_completed(), 16);
     assert_eq!(server.ctl().jobs_failed(), 0);
-    assert_eq!(
-        server.ctl().hot_rebuilds(),
-        1,
-        "hot tier must be built once, then stay resident across all jobs"
-    );
 }
 
 #[test]
@@ -188,7 +182,6 @@ fn ping_stats_and_clean_drain() {
             "\"failed\":0",
             "\"rejected_full\":0",
             "\"latency_us\":{\"count\":1",
-            "\"hot_tier\":{\"rebuilds\":1}",
             "\"draining\":false",
         ] {
             assert!(stats.contains(needle), "STATS missing {needle}: {stats}");
@@ -641,7 +634,6 @@ fn adaptive_serve_matches_oracle_and_reports_state() {
             batch: (2, 64),
             chunk: (2, 64),
             cache: (32, 1024),
-            hot: (0, 1024),
         },
         ..mg_server::ControllerConfig::default()
     };
@@ -701,17 +693,13 @@ fn adaptive_serve_matches_oracle_and_reports_state() {
     assert_eq!(server.ctl().jobs_failed(), 0);
     let (knobs, stats, _converged) = server.adaptive_status().expect("adaptive server");
     assert!(stats.epochs > 0, "no epochs closed across 18 jobs");
-    // Probes stay inside the guard rails...
+    // Probes stay inside the guard rails.
     assert!(knobs.batch_size >= 2 && knobs.batch_size <= 64, "batch escaped bounds: {knobs}");
     assert!(knobs.cache_capacity >= 32 && knobs.cache_capacity <= 1024);
-    // ...and the hot axis never moves by default, preserving the
-    // residency contract even under adaptation.
-    assert_eq!(knobs.hot_tier_budget, options.mapping.hot_tier_budget);
-    assert_eq!(server.ctl().hot_rebuilds(), 1, "adaptive serve must keep the hot tier resident");
     // The final drain stats JSON carries the same extended sections.
     let stats_json = server.stats_json();
     assert!(stats_json.contains("\"adaptive\":{"), "{stats_json}");
-    assert!(stats_json.contains("\"hot_hit_rate\":"), "{stats_json}");
+    assert!(stats_json.contains("\"private_hit_rate\":"), "{stats_json}");
     assert!(stats_json.contains("\"extend\":{\"anchors_walked\":"), "{stats_json}");
     assert!(stats_json.contains("\"anchors_skipped\":"), "{stats_json}");
 }

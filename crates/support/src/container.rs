@@ -132,6 +132,18 @@ impl<W: Write> ContainerWriter<W> {
 /// Sentinel tag closing a container.
 const END_TAG: u32 = 0xFFFF_FFFF;
 
+/// The payload of `section` if it carries `tag`.
+fn expect_tag<T>(section: Option<(u32, T)>, tag: u32) -> Result<T> {
+    match section {
+        Some((found, payload)) if found == tag => Ok(payload),
+        Some((found, _)) => Err(Error::BadTag {
+            found,
+            expected: Some(tag),
+        }),
+        None => Err(Error::UnexpectedEof { context: "expected section" }),
+    }
+}
+
 /// Reads containers section by section, verifying checksums.
 #[derive(Debug)]
 pub struct ContainerReader<R: Read> {
@@ -174,14 +186,9 @@ impl<R: Read> ContainerReader<R> {
         })
     }
 
-    /// Reads the next section, or `None` at the end-of-container marker.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ChecksumMismatch`] if a payload is corrupt,
-    /// [`Error::Corrupt`] if the trailer section count disagrees, plus
-    /// EOF/IO errors.
-    pub fn next_section(&mut self) -> Result<Option<(u32, Vec<u8>)>> {
+    /// Reads the next section header: `(tag, payload length)`, or `None`
+    /// at the end-of-container marker (whose section count is checked).
+    fn next_header(&mut self) -> Result<Option<(u32, usize)>> {
         if self.done {
             return Ok(None);
         }
@@ -200,6 +207,31 @@ impl<R: Read> ContainerReader<R> {
         let len = read_u64_raw(&mut self.inner)?;
         let len = usize::try_from(len)
             .map_err(|_| Error::Corrupt(format!("section length {len} overflows usize")))?;
+        Ok(Some((tag, len)))
+    }
+
+    /// Reads the stored checksum that follows a payload and compares it.
+    fn verify(&mut self, payload: &[u8]) -> Result<()> {
+        let stored = read_u64_raw(&mut self.inner)?;
+        let computed = fnv1a(payload);
+        if stored != computed {
+            return Err(Error::ChecksumMismatch { stored, computed });
+        }
+        self.sections_read += 1;
+        Ok(())
+    }
+
+    /// Reads the next section, or `None` at the end-of-container marker.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ChecksumMismatch`] if a payload is corrupt,
+    /// [`Error::Corrupt`] if the trailer section count disagrees, plus
+    /// EOF/IO errors.
+    pub fn next_section(&mut self) -> Result<Option<(u32, Vec<u8>)>> {
+        let Some((tag, len)) = self.next_header()? else {
+            return Ok(None);
+        };
         // The length is untrusted: read through `take` and let the buffer
         // grow with the bytes that actually arrive, so a hostile length
         // fails with UnexpectedEof instead of aborting on a huge upfront
@@ -211,12 +243,7 @@ impl<R: Read> ContainerReader<R> {
         if got < len {
             return Err(Error::UnexpectedEof { context: "section payload" });
         }
-        let stored = read_u64_raw(&mut self.inner)?;
-        let computed = fnv1a(&payload);
-        if stored != computed {
-            return Err(Error::ChecksumMismatch { stored, computed });
-        }
-        self.sections_read += 1;
+        self.verify(&payload)?;
         Ok(Some((tag, payload)))
     }
 
@@ -227,14 +254,7 @@ impl<R: Read> ContainerReader<R> {
     /// [`Error::BadTag`] on a tag mismatch or a premature end marker, plus
     /// the conditions of [`ContainerReader::next_section`].
     pub fn expect_section(&mut self, tag: u32) -> Result<Vec<u8>> {
-        match self.next_section()? {
-            Some((found, payload)) if found == tag => Ok(payload),
-            Some((found, _)) => Err(Error::BadTag {
-                found,
-                expected: Some(tag),
-            }),
-            None => Err(Error::UnexpectedEof { context: "expected section" }),
-        }
+        expect_tag(self.next_section()?, tag)
     }
 
     /// Consumes the end-of-container marker and verifies nothing follows:
@@ -273,6 +293,34 @@ impl<R: Read> ContainerReader<R> {
             out.push(section);
         }
         Ok(out)
+    }
+}
+
+impl<'a> ContainerReader<&'a [u8]> {
+    /// [`ContainerReader::next_section`] over an in-memory image, lending
+    /// the payload out of the image instead of copying it. The image's own
+    /// length bounds the untrusted section length.
+    fn next_section_borrowed(&mut self) -> Result<Option<(u32, &'a [u8])>> {
+        let Some((tag, len)) = self.next_header()? else {
+            return Ok(None);
+        };
+        if len > self.inner.len() {
+            return Err(Error::UnexpectedEof { context: "section payload" });
+        }
+        let (payload, rest) = self.inner.split_at(len);
+        self.inner = rest;
+        self.verify(payload)?;
+        Ok(Some((tag, payload)))
+    }
+
+    /// [`ContainerReader::expect_section`] over an in-memory image,
+    /// lending the payload out of the image instead of copying it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ContainerReader::expect_section`].
+    pub fn expect_section_borrowed(&mut self, tag: u32) -> Result<&'a [u8]> {
+        expect_tag(self.next_section_borrowed()?, tag)
     }
 }
 

@@ -13,9 +13,6 @@
 pub enum CacheEvent {
     /// A record lookup was served from the cache.
     Hit,
-    /// A record lookup was served from the shared pre-decoded hot tier
-    /// (before the per-thread table was even probed).
-    HotHit,
     /// A record lookup decoded from the backing index.
     Miss,
     /// `n` cached entries were discarded (cold re-bind of a warm cache).
@@ -118,8 +115,6 @@ impl MemProbe for CountingProbe {
 pub struct CacheTally {
     /// Lookups served from the per-thread cache.
     pub hits: u64,
-    /// Lookups served from the shared hot tier.
-    pub hot_hits: u64,
     /// Lookups that decoded from the backing index.
     pub misses: u64,
     /// Entries discarded by cold re-binds.
@@ -145,7 +140,6 @@ impl MemProbe for CacheTally {
     fn cache_event(&mut self, e: CacheEvent) {
         match e {
             CacheEvent::Hit => self.hits += 1,
-            CacheEvent::HotHit => self.hot_hits += 1,
             CacheEvent::Miss => self.misses += 1,
             CacheEvent::Eviction(n) => self.evictions += n,
             CacheEvent::Resize { moved_slots } => {
@@ -225,14 +219,12 @@ mod tests {
         let mut t = CacheTally::default();
         t.cache_event(CacheEvent::Hit);
         t.cache_event(CacheEvent::Hit);
-        t.cache_event(CacheEvent::HotHit);
         t.cache_event(CacheEvent::Miss);
         t.cache_event(CacheEvent::Eviction(4));
         t.cache_event(CacheEvent::Resize { moved_slots: 16 });
         t.cache_event(CacheEvent::Resize { moved_slots: 32 });
         t.touch(0, 64); // ignored
         assert_eq!(t.hits, 2);
-        assert_eq!(t.hot_hits, 1);
         assert_eq!(t.misses, 1);
         assert_eq!(t.evictions, 4);
         assert_eq!(t.resizes, 2);

@@ -39,7 +39,18 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
 ///
 /// Returns [`Error::UnexpectedEof`] if `input` ends mid-varint and
 /// [`Error::VarintOverflow`] if the encoding exceeds 64 bits.
+#[inline]
 pub fn read_u64(input: &[u8]) -> Result<(u64, usize)> {
+    // Most values in every format here (deltas, counts, small offsets) fit
+    // seven bits: answer those without entering the loop.
+    match input.first() {
+        Some(&byte) if byte < 0x80 => Ok((u64::from(byte), 1)),
+        _ => read_u64_multibyte(input),
+    }
+}
+
+/// The general decode loop behind [`read_u64`].
+fn read_u64_multibyte(input: &[u8]) -> Result<(u64, usize)> {
     let mut value = 0u64;
     let mut shift = 0u32;
     for (i, &byte) in input.iter().enumerate() {
@@ -133,6 +144,7 @@ impl<'a> Cursor<'a> {
     /// # Errors
     ///
     /// Same conditions as [`read_u64`].
+    #[inline]
     pub fn read_u64(&mut self) -> Result<u64> {
         let (v, n) = read_u64(&self.data[self.pos..])?;
         self.pos += n;

@@ -120,7 +120,6 @@ fn initial_knobs(mapping: &MappingOptions, chunk_reads: usize) -> KnobState {
         batch_size: mapping.batch_size.max(1),
         chunk_reads: effective_chunk_reads(chunk_reads, mapping.threads, mapping.batch_size),
         cache_capacity: mapping.cache_capacity.max(1),
-        hot_tier_budget: mapping.hot_tier_budget,
     }
 }
 
@@ -129,7 +128,6 @@ fn initial_knobs(mapping: &MappingOptions, chunk_reads: usize) -> KnobState {
 fn apply_knobs(mapping: &mut MappingOptions, k: KnobState, paired: bool) -> usize {
     mapping.batch_size = k.batch_size.max(1);
     mapping.cache_capacity = k.cache_capacity.max(1);
-    mapping.hot_tier_budget = k.hot_tier_budget;
     let mut chunk = effective_chunk_reads(k.chunk_reads, mapping.threads, k.batch_size);
     if paired {
         chunk = (chunk & !1).max(2);
@@ -163,11 +161,7 @@ pub fn run_adaptive_parent(
         let mut options = base.clone();
         let window = apply_knobs(&mut options.mapping, controller.knobs(), paired);
         let hi = (lo + window).min(reads.len());
-        let hot = mapper.warm_hot_tier(&options.mapping);
-        let run = parent.map_chunk(&reads[lo..hi], lo as u64, &options, hot.as_ref(), metrics);
-        if hot.is_none() {
-            mapper.build_hot_tier(&run.dump_reads, &options.mapping);
-        }
+        let run = parent.map_chunk(&reads[lo..hi], lo as u64, &options, metrics);
         chunk_to_gaf_into(
             mapper.gbz().graph(),
             set_name,
@@ -215,8 +209,6 @@ pub fn run_adaptive_map(
         cache: Default::default(),
         cache_heap_bytes: 0,
     };
-    let mut private_high_water = 0u64;
-    let mut hot_bytes = 0u64;
     let mut chunks = 0u64;
     let start = Instant::now();
     let mut lo = 0usize;
@@ -224,23 +216,16 @@ pub fn run_adaptive_map(
         let mut options = base.clone();
         let window = apply_knobs(&mut options, controller.knobs(), false);
         let hi = (lo + window).min(dump.reads.len());
-        let hot = mapper.warm_hot_tier(&options);
-        let hot = match hot {
-            Some(tier) => Some(tier),
-            None => mapper.build_hot_tier(&dump.reads[lo..hi], &options),
-        };
-        hot_bytes = hot.as_deref().map_or(0, |t| t.heap_bytes() as u64).max(hot_bytes);
-        let (per_read, cache, private_bytes) =
-            mapper.map_chunk_reads(&dump.reads[lo..hi], lo as u64, &options, hot.as_ref(), metrics);
+        let (per_read, cache, heap_bytes) =
+            mapper.map_chunk_reads(&dump.reads[lo..hi], lo as u64, &options, metrics);
         results.per_read.extend(per_read);
         results.cache.merge(&cache);
-        private_high_water = private_high_water.max(private_bytes);
+        results.cache_heap_bytes = results.cache_heap_bytes.max(heap_bytes);
         chunks += 1;
         clock.tick(&mut controller, (hi - lo) as u64, &mut trajectory);
         lo = hi;
     }
     results.wall = start.elapsed();
-    results.cache_heap_bytes = private_high_water + hot_bytes;
     AdaptiveMapRun {
         results,
         chunks,
@@ -263,7 +248,7 @@ mod tests {
     fn tiny_config() -> ControllerConfig {
         ControllerConfig {
             min_reads: 1,
-            bounds: KnobBounds { batch: (2, 32), chunk: (2, 32), cache: (16, 512), hot: (0, 512) },
+            bounds: KnobBounds { batch: (2, 32), chunk: (2, 32), cache: (16, 512) },
             ..ControllerConfig::default()
         }
     }

@@ -11,9 +11,9 @@
 //!   delta and wall time for the epoch, and feeds an [`EpochStats`] to
 //!   [`Controller::observe_epoch`]. The returned knobs apply from the next
 //!   chunk boundary — never mid-chunk — so every knob the controller moves
-//!   (`batch_size`, `chunk_reads`, `cache_capacity`, `hot_tier_budget`) is
-//!   one the pipeline already proves result-invariant, and GAF output stays
-//!   byte-identical to a fixed-knob run.
+//!   (`batch_size`, `chunk_reads`, `cache_capacity`) is one the pipeline
+//!   already proves result-invariant, and GAF output stays byte-identical
+//!   to a fixed-knob run.
 //! - **Hill climbing with hysteresis.** One axis moves at a time, by one
 //!   guarded multiplicative step (×2 / ÷2 within bounds). A trial step is
 //!   kept only if throughput improves by at least [`ControllerConfig::
@@ -29,9 +29,9 @@
 //!   at the optimum rather than probing around it.
 //! - **Signal-directed probes.** The mg-obs deltas pick each axis's first
 //!   probe direction: worker idle time steers `batch_size`, admission
-//!   pending high-water steers the in-flight window, the private and hot
-//!   cache hit rates steer the two cache budgets. The *accept* decision is
-//!   always measured throughput — hints only order the search.
+//!   pending high-water steers the in-flight window, the cache hit rate
+//!   steers the cache capacity. The *accept* decision is always measured
+//!   throughput — hints only order the search.
 //!
 //! The controller is pure and deterministic: identical `EpochStats`
 //! sequences produce identical knob trajectories (the simulation tests
@@ -42,8 +42,8 @@ use mg_sched::{effective_chunk_reads, AdmissionStats};
 
 /// The live-tunable knobs the controller drives.
 ///
-/// All four are result-invariant: they move work between batches, chunks
-/// and cache tiers without changing any per-read outcome.
+/// All three are result-invariant: they move work between batches and
+/// chunks and resize the cache without changing any per-read outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnobState {
     /// Reads handed to a pool worker at a time.
@@ -53,19 +53,16 @@ pub struct KnobState {
     pub chunk_reads: usize,
     /// Initial per-thread CachedGBWT capacity.
     pub cache_capacity: usize,
-    /// Shared pre-decoded hot-tier budget in records (0 = disabled).
-    pub hot_tier_budget: usize,
 }
 
 impl KnobState {
-    /// The serve defaults: Giraffe's batch/capacity/hot-tier plus the
-    /// derived chunk window for the given thread count.
+    /// The serve defaults: Giraffe's batch and capacity plus the derived
+    /// chunk window for the given thread count.
     pub fn default_for(threads: usize) -> KnobState {
         KnobState {
             batch_size: 512,
             chunk_reads: effective_chunk_reads(0, threads, 512),
             cache_capacity: 256,
-            hot_tier_budget: 256,
         }
     }
 }
@@ -74,8 +71,8 @@ impl std::fmt::Display for KnobState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "bs{}/cr{}/cc{}/ht{}",
-            self.batch_size, self.chunk_reads, self.cache_capacity, self.hot_tier_budget
+            "bs{}/cr{}/cc{}",
+            self.batch_size, self.chunk_reads, self.cache_capacity
         )
     }
 }
@@ -89,9 +86,6 @@ pub struct KnobBounds {
     pub chunk: (usize, usize),
     /// Private cache capacity range (≤ 4096 after Figure 6).
     pub cache: (usize, usize),
-    /// Hot-tier budget range; a `min` of 0 lets the controller disable
-    /// the tier entirely (halving 1 → 0).
-    pub hot: (usize, usize),
 }
 
 impl Default for KnobBounds {
@@ -100,12 +94,11 @@ impl Default for KnobBounds {
             batch: (64, 2048),
             chunk: (64, 1 << 16),
             cache: (64, 4096),
-            hot: (0, 4096),
         }
     }
 }
 
-/// Controller tuning — thresholds, guards, and which axes may move.
+/// Controller tuning — thresholds and guards.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Minimum relative throughput gain for a probe step to be kept
@@ -119,11 +112,6 @@ pub struct ControllerConfig {
     pub hold_epochs: u32,
     /// Guard rails per knob.
     pub bounds: KnobBounds,
-    /// Whether the hot-tier budget axis may move. Serving keeps this off
-    /// by default: a budget change forces a hot-tier rebuild, which the
-    /// residency contract (`hot_rebuilds == 1`) deliberately makes
-    /// expensive and observable.
-    pub tune_hot_tier: bool,
 }
 
 impl Default for ControllerConfig {
@@ -133,7 +121,6 @@ impl Default for ControllerConfig {
             min_reads: 64,
             hold_epochs: 8,
             bounds: KnobBounds::default(),
-            tune_hot_tier: false,
         }
     }
 }
@@ -148,14 +135,10 @@ pub struct EpochStats {
     pub wall_ns: u64,
     /// Pool worker idle nanoseconds accumulated this epoch.
     pub idle_ns: u64,
-    /// Private CachedGBWT hits / misses this epoch.
+    /// CachedGBWT hits / misses this epoch.
     pub cache_hits: u64,
     /// See [`EpochStats::cache_hits`].
     pub cache_misses: u64,
-    /// Shared hot-tier hits / misses this epoch.
-    pub hot_hits: u64,
-    /// See [`EpochStats::hot_hits`].
-    pub hot_misses: u64,
     /// Seeding / extension stage nanoseconds this epoch.
     pub seeding_ns: u64,
     /// See [`EpochStats::seeding_ns`].
@@ -177,8 +160,6 @@ impl EpochStats {
             idle_ns: delta.counter(Ctr::PoolIdleNs),
             cache_hits: delta.counter(Ctr::CacheHits),
             cache_misses: delta.counter(Ctr::CacheMisses),
-            hot_hits: delta.counter(Ctr::CacheHotHits),
-            hot_misses: delta.counter(Ctr::CacheHotMisses),
             seeding_ns: delta.stage_ns(Stage::Seeding),
             extension_ns: delta.stage_ns(Stage::Extension),
             queue_high_water: delta.gauge(Gauge::QueueDepthMax),
@@ -202,7 +183,7 @@ impl EpochStats {
         (self.idle_ns as f64 / self.wall_ns as f64).min(1.0)
     }
 
-    /// Private cache hit rate (1.0 when no lookups happened).
+    /// Cache hit rate (1.0 when no lookups happened).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -211,14 +192,6 @@ impl EpochStats {
         self.cache_hits as f64 / total as f64
     }
 
-    /// Hot-tier hit rate (1.0 when no lookups happened).
-    pub fn hot_hit_rate(&self) -> f64 {
-        let total = self.hot_hits + self.hot_misses;
-        if total == 0 {
-            return 1.0;
-        }
-        self.hot_hits as f64 / total as f64
-    }
 }
 
 /// The knob axes, in probe order.
@@ -227,11 +200,10 @@ enum Axis {
     Batch,
     Chunk,
     Cache,
-    Hot,
 }
 
 impl Axis {
-    const ALL: [Axis; 4] = [Axis::Batch, Axis::Chunk, Axis::Cache, Axis::Hot];
+    const ALL: [Axis; 3] = [Axis::Batch, Axis::Chunk, Axis::Cache];
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,25 +325,14 @@ impl Controller {
         matches!(self.state, State::Hold { .. })
     }
 
-    /// Number of axes eligible to move.
-    fn axes(&self) -> usize {
-        if self.config.tune_hot_tier {
-            Axis::ALL.len()
-        } else {
-            Axis::ALL.len() - 1
-        }
-    }
-
     /// A sweep without this many consecutive failed probes in a row has
     /// not yet visited both directions of every axis.
     fn probe_quota(&self) -> usize {
-        self.axes() * 2
+        Axis::ALL.len() * 2
     }
 
     fn axis_at(&self, idx: usize) -> Axis {
-        // Hot is last in ALL, so truncating the modulus excludes it when
-        // it may not move.
-        Axis::ALL[idx % self.axes()]
+        Axis::ALL[idx % Axis::ALL.len()]
     }
 
     /// The signal-directed first probe direction for an axis.
@@ -396,18 +357,10 @@ impl Controller {
                     Dir::Up
                 }
             }
-            // A cold private cache wants more capacity; a saturated one
+            // A cold cache wants more capacity; a saturated one
             // may be paying eviction scans for nothing.
             Axis::Cache => {
                 if e.cache_hit_rate() < 0.9 {
-                    Dir::Up
-                } else {
-                    Dir::Down
-                }
-            }
-            // Same logic for the shared tier.
-            Axis::Hot => {
-                if e.hot_hit_rate() < 0.5 {
                     Dir::Up
                 } else {
                     Dir::Down
@@ -424,7 +377,6 @@ impl Controller {
             Axis::Batch => (&mut next.batch_size, self.config.bounds.batch),
             Axis::Chunk => (&mut next.chunk_reads, self.config.bounds.chunk),
             Axis::Cache => (&mut next.cache_capacity, self.config.bounds.cache),
-            Axis::Hot => (&mut next.hot_tier_budget, self.config.bounds.hot),
         };
         let stepped = match dir {
             Dir::Up => value.saturating_mul(2).max(1).min(hi),
@@ -463,7 +415,7 @@ impl Controller {
                 flipped = true;
             }
         }
-        self.sweep_start = (self.sweep_start + 1) % self.axes();
+        self.sweep_start = (self.sweep_start + 1) % Axis::ALL.len();
         self.stale_probes = 0;
         let hold = self.config.hold_epochs.max(1) << self.hold_backoff.min(3);
         self.hold_backoff = (self.hold_backoff + 1).min(3);
@@ -494,7 +446,7 @@ impl Controller {
                     self.stats.accepted += 1;
                     self.stale_probes = 0;
                     self.hold_backoff = 0;
-                    self.sweep_start = axis_idx % self.axes();
+                    self.sweep_start = axis_idx % Axis::ALL.len();
                     self.state = State::Measure;
                     Decision::Accepted
                 } else {
@@ -654,7 +606,6 @@ mod tests {
             batch_size: 1024,
             chunk_reads: 4096,
             cache_capacity: 1024,
-            hot_tier_budget: 256,
         };
         let mut c = Controller::new(ControllerConfig::default(), flat_start);
         let trajectory = drive(&mut c, 300, 1234, |_| 1.0, 0.01);
@@ -728,14 +679,13 @@ mod tests {
     #[test]
     fn bounds_are_hard_guards() {
         let config = ControllerConfig {
-            bounds: KnobBounds { batch: (256, 512), chunk: (512, 512), cache: (256, 256), hot: (0, 0) },
+            bounds: KnobBounds { batch: (256, 512), chunk: (512, 512), cache: (256, 256) },
             ..ControllerConfig::default()
         };
         let start = KnobState {
             batch_size: 512,
             chunk_reads: 512,
             cache_capacity: 256,
-            hot_tier_budget: 0,
         };
         let mut c = Controller::new(config, start);
         let trajectory = drive(&mut c, 64, 3, |_| 1.0, 0.0);
@@ -743,26 +693,7 @@ mod tests {
             assert!(k.batch_size >= 256 && k.batch_size <= 512);
             assert_eq!(k.chunk_reads, 512);
             assert_eq!(k.cache_capacity, 256);
-            assert_eq!(k.hot_tier_budget, 0);
         }
-    }
-
-    #[test]
-    fn hot_tier_axis_is_gated() {
-        let mut on = Controller::new(
-            ControllerConfig { tune_hot_tier: true, ..ControllerConfig::default() },
-            KnobState::default_for(4),
-        );
-        let mut off = Controller::new(ControllerConfig::default(), KnobState::default_for(4));
-        assert_eq!(on.axes(), 4);
-        assert_eq!(off.axes(), 3);
-        drive(&mut off, 256, 21, |_| 1.0, 0.0);
-        assert_eq!(
-            off.knobs().hot_tier_budget,
-            256,
-            "hot budget moved with tune_hot_tier off"
-        );
-        drive(&mut on, 4, 21, |_| 1.0, 0.0);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The autotuning parameter space (§VII-B).
 //!
-//! Five parameters are swept exhaustively (full cross-product): the
+//! Four parameters are swept exhaustively (full cross-product): the
 //! scheduler (OpenMP-dynamic vs the in-house work-stealing), the batch size
 //! (powers of two, 128–2048), the initial CachedGBWT capacity (bounded
 //! to ≤ 4096 after the Figure 6 preliminary showed larger capacities
-//! degrade), the shared hot-tier budget (0 disables the shared tier), and
-//! the extension anchor batch (0/1 disables the batched dataflow).
-//! The defaults are Giraffe's: OpenMP, 512, 256, plus a 256-record hot
-//! tier and 16-anchor extension batches.
+//! degrade), and the extension anchor batch (0/1 disables the batched
+//! dataflow). The defaults are Giraffe's: OpenMP, 512, 256, plus
+//! 16-anchor extension batches.
 
 use mg_sched::SchedulerKind;
 
@@ -20,8 +19,6 @@ pub struct TuningPoint {
     pub batch_size: usize,
     /// Initial CachedGBWT capacity.
     pub cache_capacity: usize,
-    /// Shared pre-decoded hot-tier budget in records (0 = disabled).
-    pub hot_tier_budget: usize,
     /// Extension anchor batch size (0/1 = unbatched anchor order).
     pub extend_batch: usize,
 }
@@ -30,25 +27,20 @@ impl std::fmt::Display for TuningPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}/bs{}/cc{}/ht{}/xb{}",
-            self.scheduler,
-            self.batch_size,
-            self.cache_capacity,
-            self.hot_tier_budget,
-            self.extend_batch
+            "{}/bs{}/cc{}/xb{}",
+            self.scheduler, self.batch_size, self.cache_capacity, self.extend_batch
         )
     }
 }
 
 impl TuningPoint {
     /// Giraffe's default configuration: OpenMP-dynamic, batch 512,
-    /// capacity 256, hot tier 256, extension batch 16.
+    /// capacity 256, extension batch 16.
     pub fn default_config() -> Self {
         TuningPoint {
             scheduler: SchedulerKind::Dynamic,
             batch_size: 512,
             cache_capacity: 256,
-            hot_tier_budget: 256,
             extend_batch: 16,
         }
     }
@@ -63,22 +55,18 @@ pub struct ParamSpace {
     pub batch_sizes: Vec<usize>,
     /// Cache capacities considered.
     pub cache_capacities: Vec<usize>,
-    /// Hot-tier budgets considered (0 = per-thread tier only).
-    pub hot_tier_budgets: Vec<usize>,
     /// Extension anchor batches considered (1 = unbatched).
     pub extend_batches: Vec<usize>,
 }
 
 impl Default for ParamSpace {
     /// The paper's space: {OpenMP, work-stealing} × {128..2048} ×
-    /// {256..4096}, powers of two, plus hot-tier budgets {0, 256, 1024}
-    /// and extension batches {1, 16, 64}.
+    /// {256..4096}, powers of two, plus extension batches {1, 16, 64}.
     fn default() -> Self {
         ParamSpace {
             schedulers: SchedulerKind::TUNED.to_vec(),
             batch_sizes: vec![128, 256, 512, 1024, 2048],
             cache_capacities: vec![256, 512, 1024, 2048, 4096],
-            hot_tier_budgets: vec![0, 256, 1024],
             extend_batches: vec![1, 16, 64],
         }
     }
@@ -91,7 +79,6 @@ impl ParamSpace {
             schedulers: SchedulerKind::TUNED.to_vec(),
             batch_sizes: vec![128, 512],
             cache_capacities: vec![256, 1024],
-            hot_tier_budgets: vec![0, 256],
             extend_batches: vec![1, 16],
         }
     }
@@ -101,7 +88,6 @@ impl ParamSpace {
         self.schedulers.len()
             * self.batch_sizes.len()
             * self.cache_capacities.len()
-            * self.hot_tier_budgets.len()
             * self.extend_batches.len()
     }
 
@@ -115,14 +101,11 @@ impl ParamSpace {
         self.schedulers.iter().flat_map(move |&scheduler| {
             self.batch_sizes.iter().flat_map(move |&batch_size| {
                 self.cache_capacities.iter().flat_map(move |&cache_capacity| {
-                    self.hot_tier_budgets.iter().flat_map(move |&hot_tier_budget| {
-                        self.extend_batches.iter().map(move |&extend_batch| TuningPoint {
-                            scheduler,
-                            batch_size,
-                            cache_capacity,
-                            hot_tier_budget,
-                            extend_batch,
-                        })
+                    self.extend_batches.iter().map(move |&extend_batch| TuningPoint {
+                        scheduler,
+                        batch_size,
+                        cache_capacity,
+                        extend_batch,
                     })
                 })
             })
@@ -137,11 +120,10 @@ mod tests {
     #[test]
     fn default_space_matches_paper() {
         let space = ParamSpace::default();
-        assert_eq!(space.len(), 2 * 5 * 5 * 3 * 3);
+        assert_eq!(space.len(), 2 * 5 * 5 * 3);
         assert!(space.batch_sizes.contains(&128));
         assert!(space.batch_sizes.contains(&2048));
         assert!(space.cache_capacities.iter().all(|&c| c <= 4096));
-        assert!(space.hot_tier_budgets.contains(&0));
         assert!(space.extend_batches.contains(&1));
     }
 
@@ -160,13 +142,12 @@ mod tests {
         assert_eq!(d.scheduler, SchedulerKind::Dynamic);
         assert_eq!(d.batch_size, 512);
         assert_eq!(d.cache_capacity, 256);
-        assert_eq!(d.hot_tier_budget, 256);
         assert_eq!(d.extend_batch, 16);
     }
 
     #[test]
     fn display_is_parseable_by_eye() {
         let p = TuningPoint::default_config();
-        assert_eq!(p.to_string(), "openmp-dynamic/bs512/cc256/ht256/xb16");
+        assert_eq!(p.to_string(), "openmp-dynamic/bs512/cc256/xb16");
     }
 }

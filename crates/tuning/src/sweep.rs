@@ -65,12 +65,10 @@ impl SweepResult {
     }
 
     /// One-way ANOVA of makespan grouped by each parameter, in the order
-    /// `(scheduler, batch size, cache capacity, hot-tier budget,
-    /// extension batch)`.
-    #[allow(clippy::type_complexity)]
+    /// `(scheduler, batch size, cache capacity, extension batch)`.
     pub fn anova_by_parameter(
         &self,
-    ) -> (Option<Anova>, Option<Anova>, Option<Anova>, Option<Anova>, Option<Anova>) {
+    ) -> (Option<Anova>, Option<Anova>, Option<Anova>, Option<Anova>) {
         let group = |key: &dyn Fn(&TuningPoint) -> u64| -> Vec<Vec<f64>> {
             let mut groups: std::collections::BTreeMap<u64, Vec<f64>> =
                 std::collections::BTreeMap::new();
@@ -82,13 +80,11 @@ impl SweepResult {
         let by_sched = group(&|p: &TuningPoint| p.scheduler as u64);
         let by_batch = group(&|p: &TuningPoint| p.batch_size as u64);
         let by_capacity = group(&|p: &TuningPoint| p.cache_capacity as u64);
-        let by_hot = group(&|p: &TuningPoint| p.hot_tier_budget as u64);
         let by_extend = group(&|p: &TuningPoint| p.extend_batch as u64);
         (
             one_way_anova(&by_sched),
             one_way_anova(&by_batch),
             one_way_anova(&by_capacity),
-            one_way_anova(&by_hot),
             one_way_anova(&by_extend),
         )
     }
@@ -131,7 +127,6 @@ pub fn run_host_sweep_metrics(
             batch_size: point.batch_size,
             cache_capacity: point.cache_capacity,
             scheduler: point.scheduler,
-            hot_tier_budget: point.hot_tier_budget,
             ..base_options.clone()
         };
         // Nested field: the struct-update spread above cannot reach it.
@@ -258,9 +253,6 @@ pub fn run_sim_sweep_cached(
 ) -> SweepResult {
     let mut records = Vec::with_capacity(space.len());
     let mut infeasible = 0usize;
-    // The machine model has no shared-cache term, so `hot_tier_budget` does
-    // not change simulated makespan; points differing only in budget get
-    // equal times (documented simplification, see EXPERIMENTS.md).
     for point in space.points() {
         let workload = cache
             .features(
@@ -304,7 +296,6 @@ mod tests {
                 scheduler: s,
                 batch_size: b,
                 cache_capacity: c,
-                hot_tier_budget: 256,
                 extend_batch: 16,
             },
             makespan_s: t,
@@ -345,7 +336,6 @@ mod tests {
             scheduler: SchedulerKind::Static,
             batch_size: 1,
             cache_capacity: 1,
-            hot_tier_budget: 0,
             extend_batch: 1,
         };
         assert!(sweep.speedup_over(missing).is_none());
@@ -370,15 +360,13 @@ mod tests {
             }
         }
         let sweep = SweepResult { records, infeasible: 0 };
-        let (sched, batch, capacity, hot, extend) = sweep.anova_by_parameter();
+        let (sched, batch, capacity, extend) = sweep.anova_by_parameter();
         let capacity = capacity.unwrap();
         assert!(capacity.is_significant(), "capacity p={}", capacity.p_value);
         assert!(!sched.unwrap().is_significant());
         assert!(!batch.unwrap().is_significant());
-        // Every record shares one hot-tier budget (and one extension
-        // batch), so those axes have a single group each and no ANOVA can
-        // be computed for them.
-        assert!(hot.is_none());
+        // Every record shares one extension batch, so that axis has a
+        // single group and no ANOVA can be computed for it.
         assert!(extend.is_none());
     }
 

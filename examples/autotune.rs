@@ -54,13 +54,12 @@ fn main() {
         sweep.worst().expect("non-empty sweep").makespan_s / best.makespan_s
     );
 
-    let (sched, batch, capacity, hot, extend_batch) = sweep.anova_by_parameter();
+    let (sched, batch, capacity, extend_batch) = sweep.anova_by_parameter();
     println!("\nANOVA (which parameter matters?):");
     for (name, anova) in [
         ("scheduler", sched),
         ("batch size", batch),
         ("cache capacity", capacity),
-        ("hot-tier budget", hot),
         ("extend batch", extend_batch),
     ] {
         match anova {

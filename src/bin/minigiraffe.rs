@@ -597,20 +597,28 @@ fn options_from_flags(
     })
 }
 
-fn results_csv(results: &minigiraffe::core::MappingResults) -> String {
-    let mut out = String::from("read_id,read_start,read_end,handle,offset,score,mismatches\n");
+fn results_csv(results: &minigiraffe::core::MappingResults) -> Vec<u8> {
+    use minigiraffe::parent::gaf::{push_int, push_uint};
+    const HEADER: &[u8] = b"read_id,read_start,read_end,handle,offset,score,mismatches\n";
+    // A row is seven short integers; 48 bytes covers all but outliers.
+    let mut out = Vec::with_capacity(HEADER.len() + results.total_extensions() * 48);
+    out.extend_from_slice(HEADER);
     for read in &results.per_read {
         for e in &read.extensions {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
+            for v in [
                 e.read_id,
-                e.read_start,
-                e.read_end,
+                u64::from(e.read_start),
+                u64::from(e.read_end),
                 e.pos.handle.packed(),
-                e.pos.offset,
-                e.score,
-                e.mismatches
-            ));
+                u64::from(e.pos.offset),
+            ] {
+                push_uint(&mut out, v);
+                out.push(b',');
+            }
+            push_int(&mut out, i64::from(e.score));
+            out.push(b',');
+            push_uint(&mut out, u64::from(e.mismatches));
+            out.push(b'\n');
         }
     }
     out
@@ -734,7 +742,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     let (dump, gbz) = load_inputs(&[dump_path.clone(), gbz_path.clone()])?;
     let options = options_from_flags(&flags)?;
     let results = run_mapping(&dump, &gbz, &options);
-    let actual = results_csv(&results);
+    let actual = String::from_utf8(results_csv(&results)).expect("CSV is ASCII digits");
     let expected = std::fs::read_to_string(expected_path)
         .map_err(|e| format!("reading {expected_path}: {e}"))?;
     // Order-independent comparison of the CSV rows (multiset).
@@ -791,12 +799,11 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         ),
         None => println!("default configuration not in the sweep space"),
     }
-    let (sched, batch, capacity, hot, extend) = sweep.anova_by_parameter();
+    let (sched, batch, capacity, extend) = sweep.anova_by_parameter();
     for (name, a) in [
         ("scheduler", sched),
         ("batch", batch),
         ("capacity", capacity),
-        ("hot-tier", hot),
         ("extend-batch", extend),
     ] {
         if let Some(a) = a {

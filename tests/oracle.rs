@@ -198,52 +198,6 @@ fn production_walk_matches_scalar_oracle_gaf_across_schedulers() {
 }
 
 #[test]
-fn hot_tier_leaves_gaf_byte_identical_across_schedulers() {
-    // The shared pre-decoded hot tier is a pure cache: enabling it must not
-    // move a single GAF byte relative to the per-thread-only baseline, for
-    // every golden workload under every scheduler, in both the batch replay
-    // and the streaming pipeline.
-    for (name, input) in workloads() {
-        let (parent, run, _) = parent_gaf(&input, &name);
-        let fastq = fastq_bytes(&input);
-        for kind in minigiraffe::sched::SchedulerKind::ALL {
-            let mut baseline = ParentOptions::default();
-            baseline.mapping.scheduler = kind;
-            baseline.mapping.threads = 4;
-            baseline.mapping.batch_size = 3;
-            baseline.mapping.hot_tier_budget = 0;
-            let mut tiered = baseline.clone();
-            tiered.mapping.hot_tier_budget = 512;
-
-            let flat = proxy_gaf(&parent, &run, &input, &name, &baseline);
-            let hot = proxy_gaf(&parent, &run, &input, &name, &tiered);
-            assert!(!flat.is_empty(), "{name}: no alignments under {kind}");
-            assert_eq!(
-                hot, flat,
-                "{name}: hot tier changed batch GAF under {kind}"
-            );
-
-            let stream = StreamOptions { queue_batches: 2, chunk_reads: 7 };
-            let mut stream_gafs = Vec::new();
-            for options in [&baseline, &tiered] {
-                let batches = FastqReader::new(&fastq[..])
-                    .batches(5)
-                    .map(|item| item.map(|recs| recs.into_iter().map(|r| r.bases).collect()));
-                let p = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-                let mut gaf = Vec::new();
-                p.run_streaming(batches, options, &stream, &name, &mut gaf)
-                    .unwrap_or_else(|e| panic!("{name}: streaming run failed under {kind}: {e}"));
-                stream_gafs.push(gaf);
-            }
-            assert_eq!(
-                stream_gafs[1], stream_gafs[0],
-                "{name}: hot tier changed streaming GAF under {kind}"
-            );
-        }
-    }
-}
-
-#[test]
 fn extend_batching_leaves_gaf_byte_identical_across_schedulers() {
     // The batched extension dataflow is a pure locality transform: the
     // production walk, batched or unbatched, must land on the same GAF
