@@ -19,7 +19,7 @@ use mg_support::regions::{NullSink, RegionSink, RegionTimer};
 
 use crate::cluster::{cluster_seeds_with_scratch, ClusterParams, ClusterScratch};
 use crate::extend::{process_until_threshold_with_scratch, ExtendParams, ExtendScratch, ProcessParams};
-use crate::types::{ReadInput, ReadResult};
+use crate::types::{ReadInput, ReadResult, Seed};
 
 /// Reusable per-thread buffers for the two hot kernels.
 ///
@@ -90,8 +90,9 @@ pub struct StreamOptions {
     /// many batches.
     pub queue_batches: usize,
     /// Reads the consumer accumulates into one parallel mapping chunk.
-    /// `0` derives `threads × batch_size` from the [`MappingOptions`], so
-    /// every worker gets at least one full batch per chunk.
+    /// `0` derives `threads × batch_size` from the [`MappingOptions`]: one
+    /// full batch per worker on the proxy path; the parent's chunk dispatch
+    /// cuts it finer ([`mg_sched::chunk_grain_reads`]).
     pub chunk_reads: usize,
 }
 
@@ -290,6 +291,7 @@ impl<'a> Mapper<'a> {
     /// counters. Pass [`ObsShard::disabled`] when not observing; every
     /// record below is then a no-op.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn map_read_with_scratch<P: MemProbe>(
         &self,
         cache: &mut CachedGbwt<'_>,
@@ -302,7 +304,38 @@ impl<'a> Mapper<'a> {
         scratch: &mut MapScratch,
         obs: &mut ObsShard,
     ) -> ReadResult {
-        let read_len = input.bases.len() as u32;
+        self.map_read_seeded(
+            cache,
+            read_id,
+            &input.bases,
+            &input.seeds,
+            options,
+            sink,
+            thread,
+            probe,
+            scratch,
+            obs,
+        )
+    }
+
+    /// [`Mapper::map_read_with_scratch`] over borrowed bases and seeds, for
+    /// callers that seed a read into buffers they keep and never build a
+    /// [`ReadInput`] for it (the parent's chunk workers, mate rescue).
+    #[allow(clippy::too_many_arguments)]
+    pub fn map_read_seeded<P: MemProbe>(
+        &self,
+        cache: &mut CachedGbwt<'_>,
+        read_id: u64,
+        bases: &[u8],
+        seeds: &[Seed],
+        options: &MappingOptions,
+        sink: &(impl RegionSink + ?Sized),
+        thread: usize,
+        probe: &mut P,
+        scratch: &mut MapScratch,
+        obs: &mut ObsShard,
+    ) -> ReadResult {
+        let read_len = bases.len() as u32;
         let mut cluster_params = options.cluster;
         // Giraffe derives the clustering limit from the read length.
         cluster_params.distance_limit = cluster_params.distance_limit.max(read_len as u64);
@@ -312,7 +345,7 @@ impl<'a> Mapper<'a> {
             let clusters = cluster_seeds_with_scratch(
                 self.gbz.graph(),
                 &self.dist,
-                &input.seeds,
+                seeds,
                 read_len,
                 &cluster_params,
                 probe,
@@ -327,9 +360,9 @@ impl<'a> Mapper<'a> {
             let extensions = process_until_threshold_with_scratch(
                 self.gbz.graph(),
                 cache,
-                &input.bases,
+                bases,
                 read_id,
-                &input.seeds,
+                seeds,
                 &clusters,
                 &options.extend,
                 &options.process,
@@ -340,9 +373,9 @@ impl<'a> Mapper<'a> {
             extensions
         };
         obs.inc(Ctr::ReadsMapped);
-        obs.add(Ctr::SeedsTotal, input.seeds.len() as u64);
+        obs.add(Ctr::SeedsTotal, seeds.len() as u64);
         obs.add(Ctr::ExtensionsTotal, extensions.len() as u64);
-        obs.observe(Hist::SeedsPerRead, input.seeds.len() as u64);
+        obs.observe(Hist::SeedsPerRead, seeds.len() as u64);
         obs.observe(Hist::ExtensionsPerRead, extensions.len() as u64);
         // Drain the kernel's plain-u64 activity counters into the shard
         // (the extension walk itself never touches observability state).

@@ -9,8 +9,9 @@
 //!   path, and the shard is merged back with [`Metrics::absorb`] when the
 //!   worker finishes — the same collection discipline the mapper already
 //!   uses for `CacheStats`-style per-thread state.
-//! - [`Stage`] spans: accumulated wall time + entry counts for the four
-//!   pipeline stages (seeding → clustering → extension → rescoring).
+//! - [`Stage`] spans: accumulated wall time + entry counts for the six
+//!   pipeline stages (seeding → clustering → extension → rescoring →
+//!   pairing → render).
 //! - [`Ctr`] counters, [`Hist`] histograms with fixed log2 buckets, and
 //!   max-merged [`Gauge`]s.
 //! - [`Report`]: the merged result, exportable as JSON or CSV for the bench
@@ -36,14 +37,26 @@ pub enum Stage {
     Extension = 2,
     /// Alignment scoring / gapped fallback (parent pipeline).
     Rescoring = 3,
+    /// Mate rescue and the fragment check, once per mate pair (parent
+    /// pipeline, paired workflows).
+    Pairing = 4,
+    /// GAF rendering of a finished read on the worker that mapped it
+    /// (parent pipeline, GAF-producing paths).
+    Render = 5,
 }
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 6;
     /// All stages in pipeline order.
-    pub const ALL: [Stage; Stage::COUNT] =
-        [Stage::Seeding, Stage::Clustering, Stage::Extension, Stage::Rescoring];
+    pub const ALL: [Stage; Stage::COUNT] = [
+        Stage::Seeding,
+        Stage::Clustering,
+        Stage::Extension,
+        Stage::Rescoring,
+        Stage::Pairing,
+        Stage::Render,
+    ];
 
     /// Stable lowercase name used by the exporters.
     pub fn name(self) -> &'static str {
@@ -52,6 +65,8 @@ impl Stage {
             Stage::Clustering => "clustering",
             Stage::Extension => "extension",
             Stage::Rescoring => "rescoring",
+            Stage::Pairing => "pairing",
+            Stage::Render => "render",
         }
     }
 }
@@ -83,7 +98,8 @@ pub enum Ctr {
     PoolSteals = 8,
     /// Batches dispatched across all schedulers.
     PoolBatches = 9,
-    /// Tasks (reads) completed by scheduler workers.
+    /// Tasks completed by scheduler workers: reads on the proxy path,
+    /// fragments (one read, or one mate pair) on the parent's.
     PoolTasksCompleted = 10,
     /// Nanoseconds VG-style workers spent blocked on the shared queue.
     PoolIdleNs = 11,

@@ -5,11 +5,12 @@
 //! pipeline renders its alignments as GAF so downstream pangenome tools
 //! (and eyeballs) can consume them.
 //!
-//! Rendering appends straight into a caller-owned byte buffer
-//! ([`chunk_to_gaf_into`]): the streaming loop and the serving executor
-//! render every chunk on the thread that also dispatches the next one, so
-//! a line costs no heap allocation once the buffer has grown to chunk size.
-//! The `String`-returning functions are wrappers over the same writer.
+//! Rendering appends straight into a caller-owned byte buffer: the chunk
+//! workers render each fragment they finish into a buffer their thread
+//! keeps, so a line costs no heap allocation once that buffer has grown to
+//! the thread's share of a chunk. [`chunk_to_gaf_into`] and the
+//! `String`-returning functions render a captured run through the same
+//! writer.
 
 use mg_core::types::Extension;
 use mg_graph::{Handle, Orientation};
@@ -138,12 +139,42 @@ pub fn alignment_to_gaf(
     into_text(line)
 }
 
+/// Appends one read's GAF lines to `out`: one per alignment whose extension
+/// is found in `result`, the read's *un-rescued* kernel output — an
+/// alignment a rescued mate brought along has no extension there and emits
+/// nothing. The chunk workers render through here as each fragment
+/// finishes; [`chunk_to_gaf_into`] loops over it.
+pub(crate) fn read_to_gaf_into(
+    graph: &mg_graph::VariationGraph,
+    set_name: &str,
+    read_len: usize,
+    result: &mg_core::types::ReadResult,
+    alignments: &[Alignment],
+    out: &mut Vec<u8>,
+) {
+    for alignment in alignments {
+        // Find the extension this alignment came from. The gapped tail
+        // fallback may have advanced read_end past the extension's, so
+        // match on start + position only.
+        let Some(extension) = result.extensions.iter().find(|e| {
+            e.read_start == alignment.read_start && e.pos == alignment.pos
+        }) else {
+            continue;
+        };
+        out.extend_from_slice(set_name.as_bytes());
+        out.push(b'.');
+        push_uint(out, result.read_id);
+        push_columns(out, graph, read_len, alignment, extension);
+        out.push(b'\n');
+    }
+}
+
 /// Appends one mapped chunk's GAF text to `out`, one line per emitted
 /// alignment, unmapped reads skipped. `reads`, `kernel_results`, and
 /// `alignments` are parallel slices covering reads
 /// `base_id..base_id + reads.len()` of the run (read names stay global:
-/// `{set_name}.{read_id}`), so the streaming pipeline's per-chunk output
-/// concatenates to exactly the batch [`run_to_gaf`] text.
+/// `{set_name}.{read_id}`), so per-chunk output concatenates to exactly the
+/// batch [`run_to_gaf`] text.
 pub fn chunk_to_gaf_into(
     graph: &mg_graph::VariationGraph,
     set_name: &str,
@@ -154,22 +185,8 @@ pub fn chunk_to_gaf_into(
     out: &mut Vec<u8>,
 ) {
     for (result, alignments) in kernel_results.iter().zip(alignments) {
-        for alignment in alignments {
-            // Find the extension this alignment came from. The gapped tail
-            // fallback may have advanced read_end past the extension's, so
-            // match on start + position only.
-            let Some(extension) = result.extensions.iter().find(|e| {
-                e.read_start == alignment.read_start && e.pos == alignment.pos
-            }) else {
-                continue;
-            };
-            let read_len = reads[(result.read_id - base_id) as usize].bases.len();
-            out.extend_from_slice(set_name.as_bytes());
-            out.push(b'.');
-            push_uint(out, result.read_id);
-            push_columns(out, graph, read_len, alignment, extension);
-            out.push(b'\n');
-        }
+        let read_len = reads[(result.read_id - base_id) as usize].bases.len();
+        read_to_gaf_into(graph, set_name, read_len, result, alignments, out);
     }
 }
 

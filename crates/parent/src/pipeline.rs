@@ -10,11 +10,17 @@
 //! 5. `score_extensions` / `emit_alignment` — post-processing;
 //! 6. `pair_check` — fragment consistency for paired workflows.
 //!
-//! Work is distributed by the VG-style batch scheduler. Every region is
-//! instrumented through [`mg_support::regions::RegionSink`], which is what
-//! regenerates Figures 2–4.
+//! Work is distributed by the VG-style batch scheduler, and the unit it
+//! distributes is the *fragment*: one read when single-end, the mate pair
+//! `2i`/`2i+1` when paired. The pool worker that maps a fragment also
+//! finishes it — rescue, pair check, and then one of two emitters: GAF
+//! bytes into a buffer the thread keeps (streaming, serving, the adaptive
+//! driver) or the captured per-read records of a [`ParentRun`] (the batch
+//! path, the paper's capture boundary). Every region is instrumented
+//! through [`mg_support::regions::RegionSink`], which is what regenerates
+//! Figures 2–4.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use mg_core::dump::SeedDump;
@@ -24,12 +30,13 @@ use mg_gbwt::{CachedGbwt, Gbz};
 use mg_index::minimizer::Minimizer;
 use mg_index::{DistanceIndex, MinimizerIndex};
 use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
-use mg_sched::{bounded_queue, AnyScheduler, PoolCell, PoolTask, SchedulerKind};
+use mg_sched::{bounded_queue, chunk_grain_reads, PoolCell, PoolTask, SchedulerKind, WorkerPool};
 use mg_support::probe::{MemProbe, NoProbe};
 use mg_support::regions::{NullSink, RegionSink, RegionTimer};
 
 use crate::align::{align_read, pair_check, AlignParams, Alignment};
-use crate::rescue::{rescue_mate, RescueParams};
+use crate::gaf::read_to_gaf_into;
+use crate::rescue::{rescue_mate_bases, RescueParams};
 
 /// Parent-pipeline configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,6 +111,114 @@ pub struct Parent<'a> {
     mapper: Mapper<'a>,
     minimizer: &'a MinimizerIndex,
     workflow: Workflow,
+    /// Fragment buffers of the mapper's pool threads, parked here between
+    /// dispatches so a chunk does not grow them from zero.
+    bufs: Parked<FragmentBufs>,
+}
+
+/// Per-thread state parked between dispatches, one slot per pool thread.
+/// Dispatches serialize on the pool lock, so a slot is only ever taken by
+/// the one worker running on its thread; the mutex is held for the swap
+/// alone. A worker that panics never puts its slot back, which leaves it
+/// at its default.
+pub(crate) struct Parked<T>(Mutex<Vec<T>>);
+
+impl<T: Default> Parked<T> {
+    pub(crate) fn new() -> Self {
+        Parked(Mutex::new(Vec::new()))
+    }
+
+    fn slots(&self) -> std::sync::MutexGuard<'_, Vec<T>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes `thread`'s slot, leaving a default in its place.
+    pub(crate) fn take(&self, thread: usize) -> T {
+        let mut slots = self.slots();
+        if slots.len() <= thread {
+            slots.resize_with(thread + 1, T::default);
+        }
+        std::mem::take(&mut slots[thread])
+    }
+
+    /// Puts `thread`'s slot back; `take` made room for it.
+    pub(crate) fn put(&self, thread: usize, value: T) {
+        self.slots()[thread] = value;
+    }
+}
+
+/// What one pool thread keeps for the fragments it finishes: the seed lists
+/// of the fragment in flight (one per mate) and, on the GAF-producing
+/// paths, the bytes it rendered this chunk with the runs of consecutive
+/// fragments they belong to.
+#[derive(Default)]
+struct FragmentBufs {
+    seeds: [Vec<Seed>; 2],
+    gaf: Vec<u8>,
+    runs: Vec<GafRun>,
+}
+
+/// Fragments `first..next` of a chunk, rendered back to back by one worker:
+/// their bytes end at `end` in its buffer and start where its previous run
+/// ended.
+struct GafRun {
+    first: usize,
+    next: usize,
+    end: usize,
+}
+
+/// One read as the capture emitter records it: the dump record, the raw
+/// kernel output, and the alignments.
+type Captured = (ReadInput, ReadResult, Vec<Alignment>);
+
+/// Where a finished fragment goes: the two ends of the one fragment routine.
+#[derive(Clone, Copy)]
+enum Emitter<'e> {
+    /// Render the fragment's GAF lines into the worker's buffer.
+    Gaf { set_name: &'e str },
+    /// Move everything the fragment produced into per-read slots; `rescued`
+    /// is empty for single-end workflows, which rescue nothing.
+    Capture { reads: &'e [OnceLock<Captured>], rescued: &'e [OnceLock<ReadResult>] },
+}
+
+/// The per-read step a fragment worker delegates: seed one read and run the
+/// kernels on it. [`Parent`] seeds from the whole index;
+/// [`crate::ShardedParent`] routes to a shard first. Everything after that
+/// — rescoring, rescue, pair check, emission — is the worker's, and the
+/// same for both.
+pub(crate) trait ReadStep<'g>: Sync {
+    /// Per-thread state the step holds open for one dispatch.
+    type Lane: Send;
+
+    /// Opens `thread`'s lane at the start of a dispatch.
+    fn open(&self, thread: usize) -> Self::Lane;
+
+    /// Fills `seeds` with the read's seeds and returns its raw kernel
+    /// output, both in global coordinates.
+    fn map_read<S: RegionSink + ?Sized>(
+        &self,
+        lane: &mut Self::Lane,
+        worker: &mut WorkerCore<'_, 'g, S>,
+        read_id: u64,
+        bases: &[u8],
+        seeds: &mut Vec<Seed>,
+    ) -> ReadResult;
+
+    /// Parks whatever the lane keeps for the thread's next dispatch.
+    fn close(&self, thread: usize, lane: Self::Lane);
+}
+
+/// The part of a fragment worker every [`ReadStep`] maps through: the
+/// monolithic parent with its options and sink, and the thread's global
+/// cache, scratch and metrics shard.
+pub(crate) struct WorkerCore<'e, 'g, S: RegionSink + ?Sized> {
+    parent: &'e Parent<'g>,
+    pub(crate) options: &'e ParentOptions,
+    pub(crate) sink: &'e S,
+    pub(crate) thread: usize,
+    pub(crate) cache: CachedGbwt<'g>,
+    pub(crate) scratch: MapScratch,
+    pub(crate) obs: ObsShard,
 }
 
 impl<'a> Parent<'a> {
@@ -126,6 +241,7 @@ impl<'a> Parent<'a> {
             mapper: Mapper::with_distance(gbz, distance),
             minimizer,
             workflow,
+            bufs: Parked::new(),
         }
     }
 
@@ -144,9 +260,11 @@ impl<'a> Parent<'a> {
         self.workflow
     }
 
-    /// Maps one read end-to-end: seeding, kernels, post-processing.
-    /// Returns the captured [`ReadInput`] (the dump record), the raw kernel
-    /// result, and the alignments.
+    /// Maps one read end-to-end on throwaway scratch: seeding, kernels,
+    /// post-processing. Returns the captured [`ReadInput`] (the dump
+    /// record), the raw kernel result, and the alignments. This is the
+    /// probed single-read entry the characterization experiments drive;
+    /// the pooled paths run the same steps per fragment.
     #[allow(clippy::too_many_arguments)]
     pub fn map_read_full<P: MemProbe>(
         &self,
@@ -158,82 +276,36 @@ impl<'a> Parent<'a> {
         thread: usize,
         probe: &mut P,
     ) -> (ReadInput, ReadResult, Vec<Alignment>) {
-        self.map_read_full_obs(
+        let mut seeds = Vec::new();
+        let result = self.seed_and_map(
             cache,
             read_id,
             bases,
+            None,
             options,
             sink,
             thread,
             probe,
             &mut MapScratch::default(),
+            &mut seeds,
             &mut ObsShard::disabled(),
-        )
+        );
+        let alignments = self.post_process_bases(bases, &result, options, sink, thread);
+        (ReadInput { bases: bases.to_vec(), seeds }, result, alignments)
     }
 
-    /// [`Parent::map_read_full`] with a metrics shard and caller-owned
-    /// scratch: records the seeding span, the kernel spans and counters
-    /// (via the shared mapper), the rescoring span, and the per-read
-    /// cache-statistics delta. The scratch carries the kernel buffers *and*
-    /// the seeding buffers, so a worker that holds one maps every read —
-    /// extraction, query, clustering, extension — without per-read heap
-    /// allocation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn map_read_full_obs<P: MemProbe>(
-        &self,
-        cache: &mut CachedGbwt<'_>,
-        read_id: u64,
-        bases: &[u8],
-        options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
-        thread: usize,
-        probe: &mut P,
-        scratch: &mut MapScratch,
-        obs: &mut ObsShard,
-    ) -> (ReadInput, ReadResult, Vec<Alignment>) {
-        self.map_read_obs_inner(
-            cache, read_id, bases, None, options, sink, thread, probe, scratch, obs,
-        )
-    }
-
-    /// [`Parent::map_read_full_obs`] with the extraction sweep already paid:
-    /// seeding queries the whole-index table from `mins` (the shard
-    /// router's minimizers for this read) through the same hard-hit-cap
-    /// filter, so a routing miss costs one extraction, not two. Everything
-    /// downstream is byte-identical to the unrouted path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn map_read_routed_obs<P: MemProbe>(
-        &self,
-        cache: &mut CachedGbwt<'_>,
-        read_id: u64,
-        bases: &[u8],
-        mins: &[Minimizer],
-        options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
-        thread: usize,
-        probe: &mut P,
-        scratch: &mut MapScratch,
-        obs: &mut ObsShard,
-    ) -> (ReadInput, ReadResult, Vec<Alignment>) {
-        self.map_read_obs_inner(
-            cache,
-            read_id,
-            bases,
-            Some(mins),
-            options,
-            sink,
-            thread,
-            probe,
-            scratch,
-            obs,
-        )
-    }
-
-    // Inlined into both public wrappers so the `mins` Option constant-folds
-    // away and neither entry point pays for the other's seeding source.
+    /// Seeds one read from the whole index into `seeds` — from `mins` when
+    /// the caller already swept the read's minimizers (the shard router, so
+    /// a routing miss costs one extraction, not two), else by extracting
+    /// them — and runs the kernels. The seeding buffers, the seed list and
+    /// the kernel buffers all belong to the caller, so a worker that keeps
+    /// them maps every read without per-read heap allocation beyond the
+    /// result it returns.
+    // Inlined so the `mins` Option and a `NoProbe` constant-fold away at
+    // each call site.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn map_read_obs_inner<P: MemProbe>(
+    pub(crate) fn seed_and_map<P: MemProbe>(
         &self,
         cache: &mut CachedGbwt<'_>,
         read_id: u64,
@@ -244,16 +316,10 @@ impl<'a> Parent<'a> {
         thread: usize,
         probe: &mut P,
         scratch: &mut MapScratch,
+        seeds: &mut Vec<Seed>,
         obs: &mut ObsShard,
-    ) -> (ReadInput, ReadResult, Vec<Alignment>) {
-        let stats_before = if obs.is_on() { Some(cache.stats()) } else { None };
-        let input = {
-            let _t = RegionTimer::start(sink, thread, "parse_input");
-            // Intake: validate/copy the read (standing in for FASTQ
-            // parsing, which the characterization excludes from kernels).
-            bases.to_vec()
-        };
-        let seeds: Vec<Seed> = {
+    ) -> ReadResult {
+        {
             let _t = RegionTimer::start(sink, thread, "minimizer_seeding");
             let t0 = obs.now();
             // The probe stands for counters scoped to the kernel regions,
@@ -263,7 +329,7 @@ impl<'a> Parent<'a> {
             // with the critical functions, what it leaves in the caches is
             // what the kernels then find there, and it is what perturbs the
             // parent's counters away from the proxy's in the paper's Table V.
-            probe.touch(0x6000_0000_0000 + read_id * 4096, input.len() as u32);
+            probe.touch(0x6000_0000_0000 + read_id * 4096, bases.len() as u32);
             match mins {
                 Some(ms) => self.minimizer.query_minimizers_into(
                     ms,
@@ -271,50 +337,32 @@ impl<'a> Parent<'a> {
                     &mut scratch.seed_hits,
                 ),
                 None => self.minimizer.query_into(
-                    &input,
+                    bases,
                     options.hard_hit_cap,
                     &mut scratch.seeding,
                     &mut scratch.seed_hits,
                 ),
             }
-            // The seed list itself moves into the dump record below, so this
-            // one Vec per read is part of the output, not scratch churn.
-            let seeds: Vec<Seed> = scratch
-                .seed_hits
-                .iter()
-                .map(|&(off, pos)| Seed::new(off, pos))
-                .collect();
+            seeds.clear();
+            seeds.extend(scratch.seed_hits.iter().map(|&(off, pos)| Seed::new(off, pos)));
             probe.touch(
                 0x7000_0000_0000 + (read_id % 512) * 65536,
                 (seeds.len() * std::mem::size_of::<Seed>()).max(16) as u32,
             );
             obs.stage(Stage::Seeding, t0);
-            seeds
-        };
-        let read_input = ReadInput { bases: input, seeds };
-        let result = self.mapper.map_read_with_scratch(
+        }
+        self.mapper.map_read_seeded(
             cache,
             read_id,
-            &read_input,
+            bases,
+            seeds,
             &options.mapping,
             sink,
             thread,
             probe,
             scratch,
             obs,
-        );
-        let t0 = obs.now();
-        let alignments = self.post_process(&read_input, &result, options, sink, thread);
-        obs.stage(Stage::Rescoring, t0);
-        if let Some(before) = stats_before {
-            let after = cache.stats();
-            obs.add(Ctr::CacheHits, after.hits - before.hits);
-            obs.add(Ctr::CacheMisses, after.misses - before.misses);
-            obs.add(Ctr::CacheEvictions, after.evictions - before.evictions);
-            obs.add(Ctr::CacheResizes, after.rehashes - before.rehashes);
-            obs.add(Ctr::CacheRehashedSlots, after.rehashed_slots - before.rehashed_slots);
-        }
-        (read_input, result, alignments)
+        )
     }
 
     /// Post-processes one read's raw kernel output into alignments:
@@ -332,6 +380,19 @@ impl<'a> Parent<'a> {
         sink: &(impl RegionSink + ?Sized),
         thread: usize,
     ) -> Vec<Alignment> {
+        self.post_process_bases(&read_input.bases, result, options, sink, thread)
+    }
+
+    /// [`Parent::post_process`] from the read's bases alone (it never looks
+    /// at the seeds).
+    pub(crate) fn post_process_bases(
+        &self,
+        bases: &[u8],
+        result: &ReadResult,
+        options: &ParentOptions,
+        sink: &(impl RegionSink + ?Sized),
+        thread: usize,
+    ) -> Vec<Alignment> {
         let mut alignments = {
             let _t = RegionTimer::start(sink, thread, "score_extensions");
             align_read(result, &options.align)
@@ -341,10 +402,10 @@ impl<'a> Parent<'a> {
         if let (Some(alignment), Some(extension)) =
             (alignments.first_mut(), result.extensions.first())
         {
-            let read_len = read_input.bases.len() as u32;
+            let read_len = bases.len() as u32;
             if alignment.read_end < read_len {
                 let _t = RegionTimer::start(sink, thread, "gapped_fallback");
-                let tail = &read_input.bases[alignment.read_end as usize..];
+                let tail = &bases[alignment.read_end as usize..];
                 if let Some((gapped, consumed)) = crate::gapped::align_tail(
                     self.mapper.gbz().graph(),
                     extension,
@@ -386,9 +447,9 @@ impl<'a> Parent<'a> {
         self.run_with_sink_metrics(reads, options, sink, Metrics::off_ref())
     }
 
-    /// [`Parent::run_with_sink`] plus a metrics registry. Each scoped
-    /// worker records into a [`mg_obs::ShardGuard`] whose drop folds the
-    /// shard into the registry, so shards survive even if a worker panics.
+    /// [`Parent::run_with_sink`] plus a metrics registry. Each worker
+    /// records into a private [`ObsShard`] folded into the registry when it
+    /// finishes, so the hot loop never touches the registry lock.
     pub fn run_with_sink_metrics(
         &self,
         reads: &[Vec<u8>],
@@ -396,99 +457,117 @@ impl<'a> Parent<'a> {
         sink: &(impl RegionSink + ?Sized),
         metrics: &Metrics,
     ) -> ParentRun {
-        let start = Instant::now();
-        let chunk = self.run_chunk(reads, 0, options, sink, metrics);
-        let wall = start.elapsed();
-        ParentRun {
-            kernel_results: chunk.kernel_results,
-            alignments: chunk.alignments,
-            dump: SeedDump::new(self.workflow, chunk.dump_reads),
-            rescued: chunk.rescued,
-            wall,
-        }
+        self.capture_run(self, reads, options, sink, metrics)
     }
 
     /// Maps one chunk of reads (global ids `base_id..base_id + reads.len()`)
-    /// through the full per-read workflow plus the pair-local
-    /// post-processing, on the mapper's persistent worker pool, without
-    /// region instrumentation.
+    /// on the mapper's persistent worker pool and appends the chunk's GAF
+    /// to `out`, without region instrumentation.
     ///
-    /// This is the serving entry point: a long-lived executor calls it
+    /// This is the one chunk primitive of every GAF-producing path: the
+    /// streaming loop calls it per chunk, a long-lived executor calls it
     /// once per (job, chunk), interleaving chunks of different jobs on the
-    /// same pool, and renders each returned [`ChunkRun`] with
-    /// [`crate::gaf::chunk_to_gaf_into`]. Because read ids are global and
-    /// per-read work is deterministic and cache-independent, the
-    /// concatenated chunk GAF is byte-identical to a batch run over the
-    /// same reads regardless of how jobs were interleaved. For paired
-    /// workflows `reads` must start on a pair boundary (`base_id` even)
-    /// so rescue and pair check see whole pairs.
-    pub fn map_chunk(
+    /// same pool, and the adaptive driver calls it with knobs that move
+    /// between chunks. Because read ids are global and per-read work is
+    /// deterministic and cache-independent, the concatenated chunk GAF is
+    /// byte-identical to [`crate::run_to_gaf`] over a batch run of the same
+    /// reads however chunks were cut or interleaved. For paired workflows
+    /// `reads` must start on a pair boundary (`base_id` even) so rescue and
+    /// pair check see whole pairs.
+    ///
+    /// The scheduler is handed [`chunk_grain_reads`] reads per grain, not
+    /// `batch_size`: a chunk is usually `threads × batch_size` reads, and
+    /// one grain per thread leaves a balancing scheduler nothing to balance.
+    ///
+    /// A panic in a worker unwinds out of this call after every worker has
+    /// stopped; `out` is then as it was on entry.
+    pub fn map_chunk_gaf(
         &self,
         reads: &[Vec<u8>],
         base_id: u64,
+        set_name: &str,
         options: &ParentOptions,
         metrics: &Metrics,
-    ) -> ChunkRun {
-        self.run_chunk(reads, base_id, options, &NullSink, metrics)
+        out: &mut Vec<u8>,
+    ) {
+        self.chunk_gaf(self, reads, base_id, set_name, options, &NullSink, metrics, out);
     }
 
-    /// Maps `reads` (global ids `base_id..`) through the full per-read
-    /// workflow plus the pair-local post-processing (rescue + pair check).
-    /// Both the batch path (whole input, base 0) and the streaming path
-    /// (one chunk at a time, on even pair boundaries) go through here, so
-    /// results cannot diverge between them: pairs are read-id-local
-    /// (`2i`/`2i+1`) and per-read work is deterministic, independent of any
-    /// cache state carried between chunks.
-    fn run_chunk(
+    /// The GAF emitter over `step`: dispatches the chunk's fragments, then
+    /// copies what each worker rendered into `out` in fragment order.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn chunk_gaf<R: ReadStep<'a>>(
         &self,
+        step: &R,
         reads: &[Vec<u8>],
         base_id: u64,
+        set_name: &str,
         options: &ParentOptions,
         sink: &(impl RegionSink + ?Sized),
         metrics: &Metrics,
-    ) -> ChunkRun {
-        let n = reads.len();
-        let slots: Vec<OnceLock<(ReadInput, ReadResult, Vec<Alignment>)>> =
-            (0..n).map(|_| OnceLock::new()).collect();
-        let scheduler: Box<dyn AnyScheduler> =
-            options.mapping.scheduler.build(options.mapping.batch_size);
-        // Dispatch onto the mapper's persistent pool: each pool thread
-        // rebinds its kept cache storage warm (same pangenome, same
-        // capacity) and reuses its scratch, sharing the cells the proxy
-        // loop stashes. Parent runs on one mapper serialize on the pool
-        // lock, which is what lets a long-lived server interleave many
-        // jobs chunk-by-chunk on one set of threads.
+        out: &mut Vec<u8>,
+    ) {
+        let threads = options.mapping.threads.max(1);
+        let grain = chunk_grain_reads(reads.len(), threads, options.mapping.batch_size);
         let mut pool = self.mapper.lock_pool();
-        scheduler.run_pooled_erased_obs(
+        self.dispatch(
             &mut pool,
-            n,
-            options.mapping.threads.max(1),
+            step,
+            reads,
+            base_id,
+            grain,
+            options,
+            sink,
             metrics,
-            &|thread, cell| {
-                let persist = match cell.downcast_mut::<ThreadPersist>() {
-                    Some(p) => std::mem::take(p),
-                    None => ThreadPersist::default(),
-                };
-                Box::new(ParentWorker {
-                    parent: self,
-                    reads,
-                    base_id,
-                    options,
-                    sink,
-                    thread,
-                    slots: &slots,
-                    cache: CachedGbwt::with_state(
-                        self.mapper.gbz().gbwt(),
-                        options.mapping.cache_capacity,
-                        persist.cache,
-                    ),
-                    scratch: persist.scratch,
-                    metrics,
-                    obs: metrics.shard(),
-                })
-            },
+            Emitter::Gaf { set_name },
         );
-        drop(pool);
+        // Still under the pool lock: the buffers belong to this dispatch
+        // until they are copied out.
+        let bufs = self.bufs.slots();
+        let mut pieces: Vec<(usize, &[u8])> = Vec::new();
+        for worker in bufs.iter().take(threads) {
+            let mut start = 0;
+            for run in &worker.runs {
+                pieces.push((run.first, &worker.gaf[start..run.end]));
+                start = run.end;
+            }
+        }
+        pieces.sort_unstable_by_key(|&(first, _)| first);
+        for (_, bytes) in pieces {
+            out.extend_from_slice(bytes);
+        }
+    }
+
+    /// The capture emitter over `step`: one whole-input dispatch at
+    /// `batch_size` reads per grain, every read's records moved into a
+    /// [`ParentRun`] — the paper's capture boundary (`--dump`, proxy
+    /// validation).
+    pub(crate) fn capture_run<R: ReadStep<'a>>(
+        &self,
+        step: &R,
+        reads: &[Vec<u8>],
+        options: &ParentOptions,
+        sink: &(impl RegionSink + ?Sized),
+        metrics: &Metrics,
+    ) -> ParentRun {
+        let start = Instant::now();
+        let n = reads.len();
+        let slots: Vec<OnceLock<Captured>> = (0..n).map(|_| OnceLock::new()).collect();
+        let rescue_slots: Vec<OnceLock<ReadResult>> = match self.workflow {
+            Workflow::Paired => (0..n).map(|_| OnceLock::new()).collect(),
+            Workflow::Single => Vec::new(),
+        };
+        self.dispatch(
+            &mut self.mapper.lock_pool(),
+            step,
+            reads,
+            0,
+            options.mapping.batch_size,
+            options,
+            sink,
+            metrics,
+            Emitter::Capture { reads: &slots, rescued: &rescue_slots },
+        );
         let mut dump_reads = Vec::with_capacity(n);
         let mut kernel_results = Vec::with_capacity(n);
         let mut alignments = Vec::with_capacity(n);
@@ -500,83 +579,80 @@ impl<'a> Parent<'a> {
             kernel_results.push(result);
             alignments.push(aligns);
         }
-        let rescued = self.pair_tail(base_id, options, sink, &dump_reads, &mut alignments);
-        ChunkRun { dump_reads, kernel_results, alignments, rescued }
+        let mut rescued: Vec<Option<ReadResult>> =
+            rescue_slots.into_iter().map(OnceLock::into_inner).collect();
+        rescued.resize(n, None);
+        ParentRun {
+            kernel_results,
+            alignments,
+            dump: SeedDump::new(self.workflow, dump_reads),
+            rescued,
+            wall: start.elapsed(),
+        }
     }
 
-    /// Paired post-processing of one mapped chunk, shared by the
-    /// monolithic and the sharded dispatcher: rescue half-mapped pairs,
-    /// then mate consistency via the distance index. Both run against the
-    /// global index — a rescued mate can land anywhere in the graph, and
-    /// fragment distances are global-coordinate questions. Returns the
-    /// rescued mates (index = read offset in the chunk); a no-op for
-    /// single-end workflows.
-    pub(crate) fn pair_tail(
+    /// The one scheduler dispatch behind both emitters: `reads` cut into
+    /// fragments (pairs are read-id-local, `2i`/`2i+1`; a trailing odd read
+    /// is a fragment of one), `grain_reads` reads' worth of fragments per
+    /// grain, one [`FragmentWorker`] per pool thread. Each thread rebinds
+    /// its kept cache storage warm (same pangenome, same capacity) and
+    /// reuses its scratch and fragment buffers, sharing the pool cells the
+    /// proxy loop stashes.
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch<R: ReadStep<'a>>(
         &self,
+        pool: &mut WorkerPool,
+        step: &R,
+        reads: &[Vec<u8>],
         base_id: u64,
+        grain_reads: usize,
         options: &ParentOptions,
         sink: &(impl RegionSink + ?Sized),
-        dump_reads: &[ReadInput],
-        alignments: &mut [Vec<Alignment>],
-    ) -> Vec<Option<ReadResult>> {
-        let n = alignments.len();
-        let mut rescued: Vec<Option<ReadResult>> = vec![None; n];
-        if self.workflow != Workflow::Paired {
-            return rescued;
-        }
-        if options.enable_rescue {
-            let _t = RegionTimer::start(sink, 0, "pair_rescue");
-            // Built on the first half-mapped pair: most chunks have none,
-            // and rescue output does not depend on cache state.
-            let mut state: Option<(CachedGbwt<'_>, MapScratch)> = None;
-            for pair_start in (0..n.saturating_sub(1)).step_by(2) {
-                let (a, b) = (pair_start, pair_start + 1);
-                let (mapped, unmapped) = match (
-                    alignments[a].is_empty(),
-                    alignments[b].is_empty(),
-                ) {
-                    (false, true) => (a, b),
-                    (true, false) => (b, a),
-                    _ => continue,
+        metrics: &Metrics,
+        emit: Emitter<'_>,
+    ) {
+        let width = if self.workflow == Workflow::Paired { 2 } else { 1 };
+        let scheduler = options.mapping.scheduler.build((grain_reads / width).max(1));
+        scheduler.run_pooled_erased_obs(
+            pool,
+            reads.len().div_ceil(width),
+            options.mapping.threads.max(1),
+            metrics,
+            &|thread, cell| {
+                let persist = match cell.downcast_mut::<ThreadPersist>() {
+                    Some(p) => std::mem::take(p),
+                    None => ThreadPersist::default(),
                 };
-                let (cache, scratch) = state.get_or_insert_with(|| {
-                    (
-                        CachedGbwt::new(self.mapper.gbz().gbwt(), options.mapping.cache_capacity),
-                        MapScratch::default(),
-                    )
-                });
-                let anchor = alignments[mapped][0].pos;
-                if let Some(result) = rescue_mate(
-                    &self.mapper,
-                    self.minimizer,
-                    cache,
-                    base_id + unmapped as u64,
-                    &dump_reads[unmapped],
-                    anchor,
-                    &options.mapping,
-                    &options.rescue,
-                    sink,
-                    0,
-                    &mut NoProbe,
-                    scratch,
-                ) {
-                    alignments[unmapped] = align_read(&result, &options.align);
-                    rescued[unmapped] = Some(result);
-                }
-            }
-        }
-        let _t = RegionTimer::start(sink, 0, "pair_check");
-        for pair in alignments.chunks_exact_mut(2) {
-            let (first, second) = pair.split_at_mut(1);
-            pair_check(
-                self.mapper.gbz().graph(),
-                self.mapper.distance_index(),
-                &mut first[0],
-                &mut second[0],
-                options.max_fragment,
-            );
-        }
-        rescued
+                let mut bufs = self.bufs.take(thread);
+                // A dispatch that panicked leaves its survivors' bytes
+                // behind; every dispatch starts from empty buffers.
+                bufs.gaf.clear();
+                bufs.runs.clear();
+                Box::new(FragmentWorker {
+                    step,
+                    lane: step.open(thread),
+                    core: WorkerCore {
+                        parent: self,
+                        options,
+                        sink,
+                        thread,
+                        cache: CachedGbwt::with_state(
+                            self.mapper.gbz().gbwt(),
+                            options.mapping.cache_capacity,
+                            persist.cache,
+                        ),
+                        scratch: persist.scratch,
+                        obs: metrics.shard(),
+                    },
+                    reads,
+                    base_id,
+                    width,
+                    bufs,
+                    emit,
+                    metrics,
+                })
+            },
+        );
     }
 
     /// Runs the full pipeline over raw-read batches as they arrive,
@@ -608,17 +684,18 @@ impl<'a> Parent<'a> {
     /// Streaming ingestion for the parent pipeline: a producer thread pulls
     /// raw-read batches (e.g. [`mg_workload::FastqBatches`](../mg_workload/fastq))
     /// into a bounded queue — blocking on a full queue, which is what
-    /// bounds ingestion memory — while the calling thread maps chunks of
-    /// [`StreamOptions::chunk_target`] reads and appends each chunk's GAF
-    /// lines to `gaf_out`.
+    /// bounds ingestion memory — while the calling thread dispatches chunks
+    /// of [`StreamOptions::chunk_target`] reads, stitches what the workers
+    /// rendered and writes it to `gaf_out`.
     ///
     /// For paired workflows chunks split on even read indexes, so every
-    /// mate pair (`2i`, `2i+1`) is rescued and pair-checked inside one
-    /// chunk and the emitted GAF is byte-identical to the batch
-    /// [`crate::run_to_gaf`] over the concatenated input.
+    /// mate pair (`2i`, `2i+1`) is one fragment of one chunk and the
+    /// emitted GAF is byte-identical to the batch [`crate::run_to_gaf`]
+    /// over the concatenated input.
     ///
     /// On a producer error the good prefix is still mapped and emitted,
-    /// then the error is returned.
+    /// then the error is returned. Once `gaf_out` has failed nothing more
+    /// is mapped.
     #[allow(clippy::too_many_arguments)]
     pub fn run_streaming_with_sink_metrics<I, W>(
         &self,
@@ -634,34 +711,57 @@ impl<'a> Parent<'a> {
         I: Iterator<Item = mg_support::Result<Vec<Vec<u8>>>> + Send,
         W: std::io::Write,
     {
-        stream_chunks(
-            self.workflow,
-            self.mapper.gbz(),
-            options,
-            stream,
-            set_name,
-            batches,
-            gaf_out,
-            metrics,
-            |chunk, base| self.run_chunk(chunk, base, options, sink, metrics),
+        stream_chunks(self.workflow, options, stream, batches, gaf_out, metrics, |chunk, base, out| {
+            self.chunk_gaf(self, chunk, base, set_name, options, sink, metrics, out)
+        })
+    }
+}
+
+/// The monolithic step: seed from the whole index, run the kernels on the
+/// worker's global cache. No lane state of its own.
+impl<'g> ReadStep<'g> for Parent<'g> {
+    type Lane = ();
+
+    fn open(&self, _thread: usize) {}
+
+    fn map_read<S: RegionSink + ?Sized>(
+        &self,
+        _lane: &mut (),
+        worker: &mut WorkerCore<'_, 'g, S>,
+        read_id: u64,
+        bases: &[u8],
+        seeds: &mut Vec<Seed>,
+    ) -> ReadResult {
+        self.seed_and_map(
+            &mut worker.cache,
+            read_id,
+            bases,
+            None,
+            worker.options,
+            worker.sink,
+            worker.thread,
+            &mut NoProbe,
+            &mut worker.scratch,
+            seeds,
+            &mut worker.obs,
         )
     }
+
+    fn close(&self, _thread: usize, _lane: ()) {}
 }
 
 /// The shared streaming loop both the monolithic and the sharded parent
 /// drive: a producer thread pulls raw-read batches into a bounded queue
 /// (blocking on a full queue, which is what bounds ingestion memory) while
-/// the calling thread maps [`StreamOptions::chunk_target`]-read chunks via
-/// `map_chunk` and appends each chunk's GAF to `gaf_out`. Chunking, pair
-/// alignment, id assignment, and error handling live here exactly once, so
-/// the two pipelines cannot diverge in stream shape.
-#[allow(clippy::too_many_arguments)]
+/// the calling thread hands [`StreamOptions::chunk_target`]-read chunks to
+/// `map_chunk`, which appends the chunk's GAF to the buffer it is given,
+/// and writes that buffer to `gaf_out`. Chunking, pair alignment, id
+/// assignment, and error handling live here exactly once, so the two
+/// pipelines cannot diverge in stream shape.
 pub(crate) fn stream_chunks<I, W, F>(
     workflow: Workflow,
-    gbz: &Gbz,
     options: &ParentOptions,
     stream: &StreamOptions,
-    set_name: &str,
     batches: I,
     gaf_out: &mut W,
     metrics: &Metrics,
@@ -670,12 +770,11 @@ pub(crate) fn stream_chunks<I, W, F>(
 where
     I: Iterator<Item = mg_support::Result<Vec<Vec<u8>>>> + Send,
     W: std::io::Write,
-    F: FnMut(&[Vec<u8>], u64) -> ChunkRun,
+    F: FnMut(&[Vec<u8>], u64, &mut Vec<u8>),
 {
     let mut chunk_target = stream.chunk_target(&options.mapping).max(1);
     if workflow == Workflow::Paired {
-        // Chunks must break on pair boundaries so rescue and pair_check
-        // see whole pairs.
+        // Chunks must break on pair boundaries so a pair is one fragment.
         chunk_target = (chunk_target & !1usize).max(2);
     }
     let (tx, rx) = bounded_queue(stream.queue_batches.max(1));
@@ -688,7 +787,7 @@ where
     let mut write_failure: Option<std::io::Error> = None;
     let mut pending: Vec<Vec<u8>> = Vec::new();
     let mut next_id = 0u64;
-    // One render buffer for the whole stream, grown to chunk size once.
+    // One stitch buffer for the whole stream, grown to chunk size once.
     let mut gaf: Vec<u8> = Vec::new();
 
     let queue_stats = std::thread::scope(|scope| {
@@ -702,36 +801,26 @@ where
             tx.stats()
         });
 
+        // Maps and writes the first `take` pending reads — unless the sink
+        // is already gone, when mapping them would only produce bytes to
+        // throw away.
         let mut map_pending = |pending: &mut Vec<Vec<u8>>,
                                next_id: &mut u64,
                                chunks: &mut u64,
-                               map_chunk: &mut F,
                                write_failure: &mut Option<std::io::Error>,
                                take: usize| {
-            let rest = pending.split_off(take.min(pending.len()));
-            let chunk = std::mem::replace(pending, rest);
-            if chunk.is_empty() {
+            let take = take.min(pending.len());
+            if take == 0 || write_failure.is_some() {
                 return;
             }
-            let base = *next_id;
-            metrics.observe(Hist::StreamChunkReads, chunk.len() as u64);
-            let out = map_chunk(&chunk, base);
-            *next_id += chunk.len() as u64;
-            *chunks += 1;
+            metrics.observe(Hist::StreamChunkReads, take as u64);
             gaf.clear();
-            crate::gaf::chunk_to_gaf_into(
-                gbz.graph(),
-                set_name,
-                base,
-                &out.dump_reads,
-                &out.kernel_results,
-                &out.alignments,
-                &mut gaf,
-            );
-            if write_failure.is_none() {
-                if let Err(e) = gaf_out.write_all(&gaf) {
-                    *write_failure = Some(e);
-                }
+            map_chunk(&pending[..take], *next_id, &mut gaf);
+            pending.drain(..take);
+            *next_id += take as u64;
+            *chunks += 1;
+            if let Err(e) = gaf_out.write_all(&gaf) {
+                *write_failure = Some(e);
             }
         };
 
@@ -746,12 +835,11 @@ where
                     batches_consumed += 1;
                     reads += batch.len() as u64;
                     pending.extend(batch);
-                    while pending.len() >= chunk_target {
+                    while pending.len() >= chunk_target && write_failure.is_none() {
                         map_pending(
                             &mut pending,
                             &mut next_id,
                             &mut chunks,
-                            &mut map_chunk,
                             &mut write_failure,
                             chunk_target,
                         );
@@ -763,18 +851,11 @@ where
                 }
             }
         }
-        // Flush the tail (or, on error, the good prefix read so far) —
-        // including a trailing unpaired read, which the batch path also
-        // leaves unpaired.
+        // Flush the tail (or, on a producer error, the good prefix read so
+        // far) — including a trailing unpaired read, which the batch path
+        // also leaves unpaired.
         let take = pending.len();
-        map_pending(
-            &mut pending,
-            &mut next_id,
-            &mut chunks,
-            &mut map_chunk,
-            &mut write_failure,
-            take,
-        );
+        map_pending(&mut pending, &mut next_id, &mut chunks, &mut write_failure, take);
         drop(rx);
         producer.join().expect("streaming producer panicked")
     });
@@ -800,70 +881,166 @@ where
     })
 }
 
-/// One mapped chunk of a parent run: everything
-/// [`Parent::map_chunk`] produces for `reads[i]` at global id
-/// `base_id + i`. The batch path assembles these into a [`ParentRun`];
-/// the serving executor renders each one to GAF with
-/// [`crate::gaf::chunk_to_gaf_into`] and streams it out.
-#[derive(Debug, Clone)]
-pub struct ChunkRun {
-    /// Captured dump records (read bases + computed seeds), one per read.
-    pub dump_reads: Vec<ReadInput>,
-    /// Raw kernel outputs, one per read.
-    pub kernel_results: Vec<ReadResult>,
-    /// Post-processed alignments per read.
-    pub alignments: Vec<Vec<Alignment>>,
-    /// Mates recovered by rescue (index = read offset in the chunk).
-    pub rescued: Vec<Option<ReadResult>>,
-}
-
-/// Per-thread mapping state for one parent chunk on the mapper's worker
-/// pool: owns the thread's warm-rebound `CachedGbwt` and scratch, maps the
-/// reads the scheduler assigns it, and at `finish` merges its metrics
-/// shard and stashes the warm state back into the thread's pool cell (the
-/// same [`ThreadPersist`] cell the proxy loop uses, so warmth carries
-/// across proxy and parent dispatches).
-struct ParentWorker<'e, 'g, S: RegionSink + ?Sized> {
-    parent: &'e Parent<'g>,
+/// One pool thread's worker for one dispatch: maps the fragments the
+/// scheduler assigns it through `step`, finishes each one — rescoring,
+/// and for a pair mate rescue and the fragment check, all on this thread's
+/// cache and scratch — and hands it to the emitter. At `finish` it merges
+/// its metrics shard and parks the warm state: cache and scratch in the
+/// thread's pool cell (the same [`ThreadPersist`] cell the proxy loop
+/// uses, so warmth carries across proxy and parent dispatches), fragment
+/// buffers with the parent, the lane with its step.
+struct FragmentWorker<'e, 'g, S: RegionSink + ?Sized, R: ReadStep<'g>> {
+    step: &'e R,
+    lane: R::Lane,
+    core: WorkerCore<'e, 'g, S>,
     reads: &'e [Vec<u8>],
     base_id: u64,
-    options: &'e ParentOptions,
-    sink: &'e S,
-    thread: usize,
-    slots: &'e [OnceLock<(ReadInput, ReadResult, Vec<Alignment>)>],
-    cache: CachedGbwt<'g>,
-    scratch: MapScratch,
+    /// Reads per fragment: 2 when paired, else 1.
+    width: usize,
+    bufs: FragmentBufs,
+    emit: Emitter<'e>,
     metrics: &'e Metrics,
-    obs: ObsShard,
 }
 
-impl<S: RegionSink + ?Sized> PoolTask for ParentWorker<'_, '_, S> {
-    fn run(&mut self, i: usize) {
-        let read_id = self.base_id + i as u64;
-        if self.options.fault_read == Some(read_id) {
-            panic!("injected fault mapping read {read_id}");
+impl<'g, S: RegionSink + ?Sized, R: ReadStep<'g>> FragmentWorker<'_, 'g, S, R> {
+    /// Mate rescue, then mate consistency, for the pair at `lo`/`lo + 1`.
+    /// Both run against the global index — a rescued mate can land anywhere
+    /// in the graph, and fragment distances are global-coordinate questions
+    /// — and on this worker's own cache: rescue output does not depend on
+    /// cache state. Returns the rescued results (index = mate).
+    fn pair(&mut self, lo: usize, alignments: &mut [Vec<Alignment>; 2]) -> [Option<ReadResult>; 2] {
+        let w = &mut self.core;
+        let t0 = w.obs.now();
+        let mapper = &w.parent.mapper;
+        let mut rescued = [None, None];
+        let half_mapped = match (alignments[0].is_empty(), alignments[1].is_empty()) {
+            (false, true) => Some((0, 1)),
+            (true, false) => Some((1, 0)),
+            _ => None,
+        };
+        if let (true, Some((mapped, unmapped))) = (w.options.enable_rescue, half_mapped) {
+            let _t = RegionTimer::start(w.sink, w.thread, "pair_rescue");
+            if let Some(result) = rescue_mate_bases(
+                mapper,
+                w.parent.minimizer,
+                &mut w.cache,
+                self.base_id + (lo + unmapped) as u64,
+                &self.reads[lo + unmapped],
+                alignments[mapped][0].pos,
+                &w.options.mapping,
+                &w.options.rescue,
+                w.sink,
+                w.thread,
+                &mut NoProbe,
+                &mut w.scratch,
+            ) {
+                alignments[unmapped] = align_read(&result, &w.options.align);
+                rescued[unmapped] = Some(result);
+            }
         }
-        let out = self.parent.map_read_full_obs(
-            &mut self.cache,
-            read_id,
-            &self.reads[i],
-            self.options,
-            self.sink,
-            self.thread,
-            &mut NoProbe,
-            &mut self.scratch,
-            &mut self.obs,
-        );
-        self.slots[i].set(out).expect("each read mapped once");
+        {
+            let _t = RegionTimer::start(w.sink, w.thread, "pair_check");
+            let (first, second) = alignments.split_at_mut(1);
+            pair_check(
+                mapper.gbz().graph(),
+                mapper.distance_index(),
+                &mut first[0],
+                &mut second[0],
+                w.options.max_fragment,
+            );
+        }
+        w.obs.stage(Stage::Pairing, t0);
+        rescued
+    }
+}
+
+impl<'g, S: RegionSink + ?Sized, R: ReadStep<'g>> PoolTask for FragmentWorker<'_, 'g, S, R> {
+    fn run(&mut self, fragment: usize) {
+        let lo = fragment * self.width;
+        let count = self.width.min(self.reads.len() - lo);
+        let stats_before = self.core.obs.is_on().then(|| self.core.cache.stats());
+        // A fragment is at most two reads: everything it produces lives in
+        // fixed arrays until the emitter takes it.
+        let mut results: [Option<ReadResult>; 2] = [None, None];
+        let mut alignments: [Vec<Alignment>; 2] = [Vec::new(), Vec::new()];
+        for k in 0..count {
+            let w = &mut self.core;
+            let read_id = self.base_id + (lo + k) as u64;
+            if w.options.fault_read == Some(read_id) {
+                panic!("injected fault mapping read {read_id}");
+            }
+            let bases = &self.reads[lo + k];
+            let result =
+                self.step.map_read(&mut self.lane, w, read_id, bases, &mut self.bufs.seeds[k]);
+            let t0 = w.obs.now();
+            alignments[k] = w.parent.post_process_bases(bases, &result, w.options, w.sink, w.thread);
+            w.obs.stage(Stage::Rescoring, t0);
+            results[k] = Some(result);
+        }
+        let mut rescued = if count == 2 { self.pair(lo, &mut alignments) } else { [None, None] };
+        let w = &mut self.core;
+        for k in 0..count {
+            let bases = &self.reads[lo + k];
+            let result = results[k].take().expect("every read of the fragment was mapped");
+            match self.emit {
+                // Rendered from the un-rescued kernel output: a rescued
+                // mate's alignments find no extension there and emit
+                // nothing, on every path alike.
+                Emitter::Gaf { set_name } => {
+                    let t0 = w.obs.now();
+                    read_to_gaf_into(
+                        w.parent.mapper.gbz().graph(),
+                        set_name,
+                        bases.len(),
+                        &result,
+                        &alignments[k],
+                        &mut self.bufs.gaf,
+                    );
+                    w.obs.stage(Stage::Render, t0);
+                }
+                Emitter::Capture { reads, rescued: rescue_slots } => {
+                    let input = {
+                        let _t = RegionTimer::start(w.sink, w.thread, "parse_input");
+                        // Intake for the dump record: the one place the
+                        // read and its seed list are copied.
+                        ReadInput { bases: bases.clone(), seeds: self.bufs.seeds[k].clone() }
+                    };
+                    let record = (input, result, std::mem::take(&mut alignments[k]));
+                    let mut fresh = reads[lo + k].set(record).is_ok();
+                    if let Some(result) = rescued[k].take() {
+                        fresh &= rescue_slots[lo + k].set(result).is_ok();
+                    }
+                    assert!(fresh, "each read mapped once");
+                }
+            }
+        }
+        if matches!(self.emit, Emitter::Gaf { .. }) {
+            let end = self.bufs.gaf.len();
+            match self.bufs.runs.last_mut() {
+                Some(run) if run.next == fragment => {
+                    run.next = fragment + 1;
+                    run.end = end;
+                }
+                _ => self.bufs.runs.push(GafRun { first: fragment, next: fragment + 1, end }),
+            }
+        }
+        if let Some(before) = stats_before {
+            let after = w.cache.stats();
+            w.obs.add(Ctr::CacheHits, after.hits - before.hits);
+            w.obs.add(Ctr::CacheMisses, after.misses - before.misses);
+            w.obs.add(Ctr::CacheEvictions, after.evictions - before.evictions);
+            w.obs.add(Ctr::CacheResizes, after.rehashes - before.rehashes);
+            w.obs.add(Ctr::CacheRehashedSlots, after.rehashed_slots - before.rehashed_slots);
+        }
     }
 
     fn finish(self: Box<Self>, cell: &mut PoolCell) {
         let this = *self;
-        this.metrics.absorb(&this.obs);
-        *cell = Box::new(ThreadPersist {
-            cache: this.cache.into_state(),
-            scratch: this.scratch,
-        });
+        let core = this.core;
+        this.metrics.absorb(&core.obs);
+        this.step.close(core.thread, this.lane);
+        core.parent.bufs.put(core.thread, this.bufs);
+        *cell = Box::new(ThreadPersist { cache: core.cache.into_state(), scratch: core.scratch });
     }
 }
 
@@ -975,23 +1152,92 @@ mod tests {
     #[test]
     fn parent_metrics_cover_all_stages_and_reconcile() {
         use mg_obs::Stage;
+        for workflow in [Workflow::Single, Workflow::Paired] {
+            let mut spec = InputSetSpec::tiny_for_tests();
+            spec.workflow = workflow;
+            spec.read_sim.fragment_len = 300;
+            spec.read_sim.fragment_jitter = 30;
+            let input = SyntheticInput::generate(&spec, 123);
+            let parent = Parent::new(&input.gbz, &input.minimizer_index, workflow);
+            let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
+            let options = ParentOptions::default();
+            let n = reads.len() as u64;
+            // The scheduler's task is the fragment: a read, or a mate pair.
+            let (fragments, pairs) = match workflow {
+                Workflow::Single => (n, 0),
+                Workflow::Paired => (n / 2, n / 2),
+            };
+            let check = |rep: &mg_obs::Report, rendered: u64| {
+                assert_eq!(rep.counter(Ctr::ReadsMapped), n);
+                assert_eq!(rep.counter(Ctr::PoolTasksCompleted), fragments, "{workflow}");
+                for stage in [Stage::Seeding, Stage::Clustering, Stage::Extension, Stage::Rescoring]
+                {
+                    assert_eq!(rep.stage_count(stage), n, "stage {} count", stage.name());
+                }
+                assert_eq!(rep.stage_count(Stage::Pairing), pairs, "{workflow}");
+                assert_eq!(rep.stage_count(Stage::Render), rendered, "{workflow}");
+                assert!(rep.counter(Ctr::CacheHits) + rep.counter(Ctr::CacheMisses) > 0);
+            };
+            // The capture emitter renders nothing; the GAF emitter renders
+            // every read (a read with no alignment is an empty render).
+            let metrics = Metrics::new();
+            let run = parent.run_with_metrics(&reads, &options, &metrics);
+            check(&metrics.report(), 0);
+            let metrics = Metrics::new();
+            let mut gaf = Vec::new();
+            parent.map_chunk_gaf(&reads, 0, "tiny", &options, &metrics, &mut gaf);
+            check(&metrics.report(), n);
+            // Instrumentation must not change behavior, and the two
+            // emitters must agree.
+            let plain = parent.run(&reads, &options);
+            assert_eq!(plain.kernel_results, run.kernel_results);
+            assert_eq!(plain.alignments, run.alignments);
+            assert_eq!(gaf, crate::run_to_gaf(input.gbz.graph(), &plain, "tiny").into_bytes());
+        }
+    }
+
+    #[test]
+    fn a_failed_sink_stops_the_mapping() {
+        /// Takes one write, fails every later one.
+        struct FailsOnSecondWrite(usize);
+        impl std::io::Write for FailsOnSecondWrite {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                if self.0 >= 2 {
+                    return Err(std::io::Error::other("sink closed"));
+                }
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
         let input = tiny_input();
         let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
         let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
+        assert_eq!(reads.len(), 40);
+        // 8-read chunks out of 5-read batches: the second chunk's write
+        // fails with 4 reads pending and 20 more still to arrive.
+        let stream = StreamOptions { queue_batches: 2, chunk_reads: 8 };
         let metrics = Metrics::new();
-        let run = parent.run_with_metrics(&reads, &ParentOptions::default(), &metrics);
-        let rep = metrics.report();
-        let n = reads.len() as u64;
-        assert_eq!(rep.counter(Ctr::ReadsMapped), n);
-        assert_eq!(rep.counter(Ctr::PoolTasksCompleted), n);
-        for stage in [Stage::Seeding, Stage::Clustering, Stage::Extension, Stage::Rescoring] {
-            assert_eq!(rep.stage_count(stage), n, "stage {} count", stage.name());
-        }
-        assert!(rep.counter(Ctr::CacheHits) + rep.counter(Ctr::CacheMisses) > 0);
-        // Instrumentation must not change behavior.
-        let plain = parent.run(&reads, &ParentOptions::default());
-        assert_eq!(plain.kernel_results, run.kernel_results);
-        assert_eq!(plain.alignments, run.alignments);
+        let mut sink = FailsOnSecondWrite(0);
+        let err = parent
+            .run_streaming_with_sink_metrics(
+                reads.chunks(5).map(|c| Ok(c.to_vec())),
+                &ParentOptions::default(),
+                &stream,
+                "tiny",
+                &mut sink,
+                &NullSink,
+                &metrics,
+            )
+            .unwrap_err();
+        assert!(err.to_string().contains("sink closed"), "got: {err}");
+        assert_eq!(sink.0, 2, "no write is attempted after the failed one");
+        // The chunk that was written and the chunk whose write failed, and
+        // not one read more: once the sink is gone the pending tail is not
+        // mapped for bytes nobody can take.
+        assert_eq!(metrics.report().counter(Ctr::ReadsMapped), 16);
     }
 
     #[test]

@@ -54,12 +54,46 @@ pub fn rescue_mate<P: MemProbe>(
     probe: &mut P,
     scratch: &mut MapScratch,
 ) -> Option<ReadResult> {
+    rescue_mate_bases(
+        mapper,
+        minimizer,
+        cache,
+        mate_id,
+        &mate_input.bases,
+        anchor,
+        options,
+        params,
+        sink,
+        thread,
+        probe,
+        scratch,
+    )
+}
+
+/// [`rescue_mate`] from the mate's bases alone: the chunk workers rescue
+/// from the chunk's own read bytes and hold no [`ReadInput`] for the mate
+/// (the relaxed re-seed never looks at its first-pass seeds).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rescue_mate_bases<P: MemProbe>(
+    mapper: &Mapper<'_>,
+    minimizer: &MinimizerIndex,
+    cache: &mut CachedGbwt<'_>,
+    mate_id: u64,
+    bases: &[u8],
+    anchor: GraphPos,
+    options: &MappingOptions,
+    params: &RescueParams,
+    sink: &(impl RegionSink + ?Sized),
+    thread: usize,
+    probe: &mut P,
+    scratch: &mut MapScratch,
+) -> Option<ReadResult> {
     let graph = mapper.gbz().graph();
     let dist = mapper.distance_index();
     // Relaxed re-seed into the scratch buffers, restricted to the fragment
     // neighbourhood.
     minimizer.query_into(
-        &mate_input.bases,
+        bases,
         params.rescue_hit_cap,
         &mut scratch.seeding,
         &mut scratch.seed_hits,
@@ -82,14 +116,11 @@ pub fn rescue_mate<P: MemProbe>(
     if seeds.is_empty() {
         return None;
     }
-    let rescoped = ReadInput {
-        bases: mate_input.bases.clone(),
-        seeds,
-    };
-    let result = mapper.map_read_with_scratch(
+    let result = mapper.map_read_seeded(
         cache,
         mate_id,
-        &rescoped,
+        bases,
+        &seeds,
         options,
         sink,
         thread,

@@ -9,40 +9,36 @@
 //! clustering radius fits inside the shard's halo — only that shard's
 //! kernel state (subgraph, minimizer slice, distance slice, projected
 //! GBWT) is touched. Extensions come back in window-local coordinates and
-//! are shifted to global ids before post-processing, so everything
-//! downstream of the kernel (rescoring, gapped tails, rescue, pair check,
-//! GAF) runs the exact monolithic code on exactly the monolithic data.
+//! are shifted to global ids before post-processing.
 //!
-//! Reads the router cannot prove resident fall back to the monolithic
-//! per-read path ([`Parent::map_read_full_obs`]), which makes output
-//! equality unconditional: the sharded pipeline is byte-identical to the
-//! unsharded parent on every input, and the routing statistics
-//! ([`Ctr::RouteResidentReads`] vs [`Ctr::RouteFallbackReads`]) say how
-//! much of the work actually stayed shard-local.
+//! That route-then-map step is all this module supplies. Dispatch, the
+//! fragment routine downstream of the kernel (rescoring, gapped tails,
+//! rescue, pair check) and both emitters are the monolithic parent's, run
+//! on exactly the monolithic data.
+//!
+//! Reads the router cannot prove resident fall back to whole-index seeding
+//! ([`Parent::seed_and_map`]), which makes output equality unconditional:
+//! the sharded pipeline is byte-identical to the unsharded parent on every
+//! input, and the routing statistics ([`Ctr::RouteResidentReads`] vs
+//! [`Ctr::RouteFallbackReads`]) say how much of the work actually stayed
+//! shard-local.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
-use mg_core::dump::SeedDump;
 use mg_core::shard::{extension_to_global, RouteScratch, ShardSet};
-use mg_core::types::{ReadInput, ReadResult, Seed};
-use mg_core::{MapScratch, Mapper, StreamOptions, ThreadPersist};
+use mg_core::types::{ReadResult, Seed};
+use mg_core::{Mapper, StreamOptions};
 use mg_gbwt::{CacheState, CachedGbwt};
 use mg_index::GraphPos;
-use mg_obs::{Ctr, Hist, Metrics, ObsShard, Stage};
-use mg_sched::{AnyScheduler, PoolCell, PoolTask};
+use mg_obs::{Ctr, Hist, Metrics, Stage};
 use mg_support::probe::NoProbe;
 use mg_support::regions::{NullSink, RegionSink};
 use mg_support::{Error, Result};
 
-use crate::align::Alignment;
 use crate::pipeline::{
-    stream_chunks, ChunkRun, Parent, ParentOptions, ParentRun, ParentStreamSummary,
+    stream_chunks, Parent, ParentOptions, ParentRun, ParentStreamSummary, Parked, ReadStep,
+    WorkerCore,
 };
-
-/// One read's mapped record plus the shard that produced it (`None` when
-/// the monolithic fallback mapped it).
-type Mapped = (ReadInput, ReadResult, Vec<Alignment>);
 
 /// A parent mapper that dispatches reads to partitioned shards.
 ///
@@ -55,6 +51,28 @@ pub struct ShardedParent<'a> {
     parent: &'a Parent<'a>,
     set: &'a ShardSet,
     mappers: Vec<Mapper<'a>>,
+    /// What each pool thread keeps between dispatches beside the shared
+    /// cache and scratch (index = thread): one cache state per shard and
+    /// the routing buffers. Kept here, not in the pool cell, so sharded and
+    /// monolithic dispatches can alternate on one pool without dropping
+    /// each other's warm state.
+    parked: Parked<ParkedLane>,
+}
+
+#[derive(Default)]
+struct ParkedLane {
+    shards: Vec<CacheState>,
+    route: RouteScratch,
+}
+
+/// One thread's routing state for one dispatch.
+pub(crate) struct ShardLane<'g> {
+    /// Per-shard caches, created lazily on first resident read — a thread
+    /// that never touches shard `s` never pays for its cache.
+    caches: Vec<Option<CachedGbwt<'g>>>,
+    /// Parked cache states for shards whose cache is not yet rebound.
+    states: Vec<CacheState>,
+    route: RouteScratch,
 }
 
 impl<'a> ShardedParent<'a> {
@@ -83,7 +101,7 @@ impl<'a> ShardedParent<'a> {
             .iter()
             .map(|s| Mapper::with_distance(s.bundle.gbz(), s.bundle.distance().clone()))
             .collect();
-        Ok(ShardedParent { parent, set, mappers })
+        Ok(ShardedParent { parent, set, mappers, parked: Parked::new() })
     }
 
     /// The monolithic parent this dispatcher falls back to.
@@ -126,30 +144,24 @@ impl<'a> ShardedParent<'a> {
         sink: &(impl RegionSink + ?Sized),
         metrics: &Metrics,
     ) -> ParentRun {
-        let start = Instant::now();
-        let chunk = self.run_chunk(reads, 0, options, sink, metrics);
-        let wall = start.elapsed();
-        ParentRun {
-            kernel_results: chunk.kernel_results,
-            alignments: chunk.alignments,
-            dump: SeedDump::new(self.parent.workflow(), chunk.dump_reads),
-            rescued: chunk.rescued,
-            wall,
-        }
+        self.parent.capture_run(self, reads, options, sink, metrics)
     }
 
-    /// Maps one chunk of reads (global ids `base_id..`) on the parent
-    /// mapper's persistent pool — the serving entry point, signature-
-    /// compatible with [`Parent::map_chunk`] so the serving executor can
-    /// swap pipelines per job.
-    pub fn map_chunk(
+    /// [`Parent::map_chunk_gaf`] through the router: same pool (sharded
+    /// and monolithic jobs interleave on one set of threads, which is the
+    /// whole point of shard-tagged tasks — no per-shard thread pools), same
+    /// signature, same bytes, so the serving executor can swap pipelines
+    /// per job.
+    pub fn map_chunk_gaf(
         &self,
         reads: &[Vec<u8>],
         base_id: u64,
+        set_name: &str,
         options: &ParentOptions,
         metrics: &Metrics,
-    ) -> ChunkRun {
-        self.run_chunk(reads, base_id, options, &NullSink, metrics)
+        out: &mut Vec<u8>,
+    ) {
+        self.parent.chunk_gaf(self, reads, base_id, set_name, options, &NullSink, metrics, out);
     }
 
     /// Streaming ingestion over the sharded pipeline. Chunking, pair
@@ -195,209 +207,93 @@ impl<'a> ShardedParent<'a> {
         I: Iterator<Item = Result<Vec<Vec<u8>>>> + Send,
         W: std::io::Write,
     {
-        stream_chunks(
-            self.parent.workflow(),
-            self.parent.mapper().gbz(),
-            options,
-            stream,
-            set_name,
-            batches,
-            gaf_out,
-            metrics,
-            |chunk, base| self.run_chunk(chunk, base, options, sink, metrics),
-        )
+        let parent = self.parent;
+        stream_chunks(parent.workflow(), options, stream, batches, gaf_out, metrics, |chunk, base, out| {
+            parent.chunk_gaf(self, chunk, base, set_name, options, sink, metrics, out)
+        })
     }
+}
 
-    /// Maps `reads` through route-dispatch-merge plus the pair-local tail.
-    /// Mirrors `Parent::run_chunk`: same pool, same scheduler, same slot
-    /// assembly, same rescue and pair check (both run on the *global*
-    /// index — rescue windows and fragment distances cross shard
-    /// boundaries by construction), so the only difference is which kernel
-    /// state each resident read touches.
-    fn run_chunk(
-        &self,
-        reads: &[Vec<u8>],
-        base_id: u64,
-        options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
-        metrics: &Metrics,
-    ) -> ChunkRun {
-        let n = reads.len();
+/// The routed step: route the read, run the resident shard's kernel (or
+/// the whole-index fallback), and translate shard-local output back to
+/// global coordinates.
+impl<'g> ReadStep<'g> for ShardedParent<'g> {
+    type Lane = ShardLane<'g>;
+
+    fn open(&self, thread: usize) -> ShardLane<'g> {
+        let kept = self.parked.take(thread);
         let k = self.shard_count();
-        let slots: Vec<OnceLock<Mapped>> = (0..n).map(|_| OnceLock::new()).collect();
-        let scheduler: Box<dyn AnyScheduler> =
-            options.mapping.scheduler.build(options.mapping.batch_size);
-        // Dispatch on the *parent* mapper's resident pool: sharded and
-        // monolithic jobs interleave on one set of threads, which is the
-        // whole point of shard-tagged tasks (no per-shard thread pools).
-        let mut pool = self.parent.mapper().lock_pool();
-        scheduler.run_pooled_erased_obs(
-            &mut pool,
-            n,
-            options.mapping.threads.max(1),
-            metrics,
-            &|thread, cell| {
-                let persist = match cell.downcast_mut::<ShardThreadPersist>() {
-                    Some(p) => std::mem::take(p),
-                    None => ShardThreadPersist::default(),
-                };
-                let mut shard_states = persist.shards;
-                shard_states.resize_with(k, CacheState::default);
-                Box::new(ShardWorker {
-                    sp: self,
-                    reads,
-                    base_id,
-                    options,
-                    sink,
-                    thread,
-                    slots: &slots,
-                    cache: CachedGbwt::with_state(
-                        self.parent.mapper().gbz().gbwt(),
-                        options.mapping.cache_capacity,
-                        persist.global.cache,
-                    ),
-                    shard_caches: (0..k).map(|_| None).collect(),
-                    shard_states,
-                    scratch: persist.global.scratch,
-                    route: persist.route,
-                    seed_buf: Vec::new(),
-                    metrics,
-                    obs: metrics.shard(),
-                })
-            },
-        );
-        drop(pool);
-        let mut dump_reads = Vec::with_capacity(n);
-        let mut kernel_results = Vec::with_capacity(n);
-        let mut alignments = Vec::with_capacity(n);
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (input, result, aligns) = slot
-                .into_inner()
-                .unwrap_or_else(|| panic!("read {i} not mapped"));
-            dump_reads.push(input);
-            kernel_results.push(result);
-            alignments.push(aligns);
-        }
-        let rescued = self.parent.pair_tail(base_id, options, sink, &dump_reads, &mut alignments);
-        ChunkRun { dump_reads, kernel_results, alignments, rescued }
+        let mut states = kept.shards;
+        states.resize_with(k, CacheState::default);
+        ShardLane { caches: (0..k).map(|_| None).collect(), states, route: kept.route }
     }
-}
 
-/// Per-thread state the sharded dispatcher parks in its pool cell between
-/// chunks: the monolithic cache/scratch (for fallback reads and their
-/// warmth across chunks) plus one cache state per shard and the routing
-/// buffers. Replaces the plain [`ThreadPersist`] cell; alternating
-/// monolithic and sharded dispatches on one pool therefore restarts the
-/// other pipeline's caches cold, which costs warmth but never correctness.
-#[derive(Default)]
-struct ShardThreadPersist {
-    global: ThreadPersist,
-    shards: Vec<CacheState>,
-    route: RouteScratch,
-}
-
-/// One pool thread's worker for a sharded chunk: routes each assigned
-/// read, runs the resident shard's kernel (or the monolithic fallback),
-/// and translates shard-local output back to global coordinates.
-struct ShardWorker<'e, 'g, S: RegionSink + ?Sized> {
-    sp: &'e ShardedParent<'g>,
-    reads: &'e [Vec<u8>],
-    base_id: u64,
-    options: &'e ParentOptions,
-    sink: &'e S,
-    thread: usize,
-    slots: &'e [OnceLock<Mapped>],
-    /// Monolithic cache for fallback reads.
-    cache: CachedGbwt<'g>,
-    /// Per-shard caches, created lazily on first resident read — a thread
-    /// that never touches shard `s` never pays for its cache.
-    shard_caches: Vec<Option<CachedGbwt<'g>>>,
-    /// Parked cache states for shards whose cache is not yet rebound.
-    shard_states: Vec<CacheState>,
-    scratch: MapScratch,
-    route: RouteScratch,
-    seed_buf: Vec<Seed>,
-    metrics: &'e Metrics,
-    obs: ObsShard,
-}
-
-impl<S: RegionSink + ?Sized> PoolTask for ShardWorker<'_, '_, S> {
-    fn run(&mut self, i: usize) {
-        let read_id = self.base_id + i as u64;
-        if self.options.fault_read == Some(read_id) {
-            panic!("injected fault mapping read {read_id}");
-        }
-        let bases = &self.reads[i];
-        let t_route = self.obs.now();
-        let outcome = self.sp.set.route_read(
-            bases,
-            self.options.hard_hit_cap,
-            &mut self.route,
-            &mut self.seed_buf,
-        );
-        self.obs.inc(Ctr::RouteReadsTotal);
-        self.obs.add(Ctr::RouteShardsProbed, outcome.probed as u64);
-        self.obs.observe(Hist::RouteFanout, outcome.fanout as u64);
+    fn map_read<S: RegionSink + ?Sized>(
+        &self,
+        lane: &mut ShardLane<'g>,
+        worker: &mut WorkerCore<'_, 'g, S>,
+        read_id: u64,
+        bases: &[u8],
+        seeds: &mut Vec<Seed>,
+    ) -> ReadResult {
+        let options = worker.options;
+        let t_route = worker.obs.now();
+        // A resident read's seed list comes out shard-local and ordered
+        // exactly as the monolithic query would order these seeds.
+        let outcome = self.set.route_read(bases, options.hard_hit_cap, &mut lane.route, seeds);
+        worker.obs.inc(Ctr::RouteReadsTotal);
+        worker.obs.add(Ctr::RouteShardsProbed, outcome.probed as u64);
+        worker.obs.observe(Hist::RouteFanout, outcome.fanout as u64);
         // Residency needs more than single-shard seeds: the clustering
         // radius (and thus any graph walk the kernel can make) must fit
         // inside the shard's halo, or local distances could diverge.
-        let radius = (bases.len() as u64).max(self.options.mapping.cluster.distance_limit);
+        let radius = (bases.len() as u64).max(options.mapping.cluster.distance_limit);
         let resident = outcome
             .resident
-            .filter(|_| radius <= self.sp.set.manifest.resident_limit);
+            .filter(|_| radius <= self.set.manifest.resident_limit);
         let Some(s) = resident else {
-            self.obs.inc(Ctr::RouteFallbackReads);
+            worker.obs.inc(Ctr::RouteFallbackReads);
             // The router already swept this read's minimizers; seed the
             // whole-index fallback from them instead of extracting twice.
-            let (input, result, aligns) = self.sp.parent.map_read_routed_obs(
-                &mut self.cache,
+            return self.parent.seed_and_map(
+                &mut worker.cache,
                 read_id,
                 bases,
-                self.route.minimizers(),
-                self.options,
-                self.sink,
-                self.thread,
+                Some(lane.route.minimizers()),
+                options,
+                worker.sink,
+                worker.thread,
                 &mut NoProbe,
-                &mut self.scratch,
-                &mut self.obs,
+                &mut worker.scratch,
+                seeds,
+                &mut worker.obs,
             );
-            self.slots[i]
-                .set((input, result, aligns))
-                .expect("each read mapped once");
-            return;
         };
-        self.obs.inc(Ctr::RouteResidentReads);
-        self.obs.stage(Stage::Seeding, t_route);
-        let window = self.sp.set.shards[s].meta.window;
-        // The routed seed list is already shard-local and ordered exactly
-        // as the monolithic query would order these seeds.
-        // Clone the routed seeds (exact-size allocation) rather than moving
-        // the buffer out: `seed_buf` keeps its capacity, so routing the next
-        // read appends without regrowing from zero.
-        let mut input = ReadInput { bases: bases.clone(), seeds: self.seed_buf.clone() };
-        if self.shard_caches[s].is_none() {
-            let state = std::mem::take(&mut self.shard_states[s]);
-            self.shard_caches[s] = Some(CachedGbwt::with_state(
-                self.sp.set.shards[s].bundle.gbz().gbwt(),
-                self.options.mapping.cache_capacity,
-                state,
-            ));
-        }
-        let cache = self.shard_caches[s].as_mut().expect("cache just created");
-        let local = self.sp.mappers[s].map_read_with_scratch(
+        worker.obs.inc(Ctr::RouteResidentReads);
+        worker.obs.stage(Stage::Seeding, t_route);
+        let window = self.set.shards[s].meta.window;
+        let cache = lane.caches[s].get_or_insert_with(|| {
+            CachedGbwt::with_state(
+                self.set.shards[s].bundle.gbz().gbwt(),
+                options.mapping.cache_capacity,
+                std::mem::take(&mut lane.states[s]),
+            )
+        });
+        let local = self.mappers[s].map_read_seeded(
             cache,
             read_id,
-            &input,
-            &self.options.mapping,
-            self.sink,
-            self.thread,
+            bases,
+            seeds,
+            &options.mapping,
+            worker.sink,
+            worker.thread,
             &mut NoProbe,
-            &mut self.scratch,
-            &mut self.obs,
+            &mut worker.scratch,
+            &mut worker.obs,
         );
-        // Merge: shift extensions and the dump seeds back to global ids so
-        // every consumer downstream sees monolithic-identical records.
-        let t_merge = self.obs.is_on().then(Instant::now);
+        // Merge: shift extensions and the seeds back to global ids so every
+        // consumer downstream sees monolithic-identical records.
+        let t_merge = worker.obs.is_on().then(Instant::now);
         let result = ReadResult {
             read_id,
             extensions: local
@@ -406,40 +302,23 @@ impl<S: RegionSink + ?Sized> PoolTask for ShardWorker<'_, '_, S> {
                 .map(|e| extension_to_global(window, e))
                 .collect(),
         };
-        for sd in &mut input.seeds {
+        for sd in seeds.iter_mut() {
             sd.pos = GraphPos::new(window.to_global(sd.pos.handle), sd.pos.offset);
         }
         if let Some(t) = t_merge {
-            self.obs.add(Ctr::ShardMergeNs, t.elapsed().as_nanos() as u64);
+            worker.obs.add(Ctr::ShardMergeNs, t.elapsed().as_nanos() as u64);
         }
-        let t0 = self.obs.now();
-        let aligns = self
-            .sp
-            .parent
-            .post_process(&input, &result, self.options, self.sink, self.thread);
-        self.obs.stage(Stage::Rescoring, t0);
-        self.slots[i]
-            .set((input, result, aligns))
-            .expect("each read mapped once");
+        result
     }
 
-    fn finish(self: Box<Self>, cell: &mut PoolCell) {
-        let this = *self;
-        this.metrics.absorb(&this.obs);
-        let mut shards = this.shard_states;
-        for (s, cache) in this.shard_caches.into_iter().enumerate() {
+    fn close(&self, thread: usize, lane: ShardLane<'g>) {
+        let mut shards = lane.states;
+        for (s, cache) in lane.caches.into_iter().enumerate() {
             if let Some(c) = cache {
                 shards[s] = c.into_state();
             }
         }
-        *cell = Box::new(ShardThreadPersist {
-            global: ThreadPersist {
-                cache: this.cache.into_state(),
-                scratch: this.scratch,
-            },
-            shards,
-            route: this.route,
-        });
+        self.parked.put(thread, ParkedLane { shards, route: lane.route });
     }
 }
 

@@ -61,6 +61,31 @@ pub fn effective_chunk_reads(requested: usize, threads: usize, batch_size: usize
     }
 }
 
+/// Dispatch grains every thread gets out of one chunk, at least: with
+/// fewer, a chunk of `threads × batch_size` reads is one grain per thread
+/// and the balancing schedulers have nothing to balance. Picked by
+/// measurement between 4 and 8 (EXPERIMENTS.md, PR 18).
+pub const CHUNK_GRAINS_PER_THREAD: usize = 8;
+
+/// Reads per scheduler grain when one chunk of `chunk_reads` reads is
+/// dispatched on its own: `batch_size`, capped so every thread gets at
+/// least [`CHUNK_GRAINS_PER_THREAD`] grains. A whole-input batch run has
+/// grains to spare and keeps `batch_size` as given. Always >= 1.
+///
+/// ```
+/// use mg_sched::chunk_grain_reads;
+/// assert_eq!(chunk_grain_reads(1024, 2, 512), 64); // 16 grains, 8 a thread
+/// assert_eq!(chunk_grain_reads(1000, 2, 512), 63); // rounded up: never a 17th
+/// assert_eq!(chunk_grain_reads(90_000, 1, 512), 512); // long chunks keep the batch
+/// assert_eq!(chunk_grain_reads(1024, 2, 16), 16); // a smaller batch wins
+/// assert_eq!(chunk_grain_reads(0, 0, 0), 1); // degenerate inputs clamp
+/// ```
+#[inline]
+pub fn chunk_grain_reads(chunk_reads: usize, threads: usize, batch_size: usize) -> usize {
+    let per_grain = chunk_reads.div_ceil(threads.max(1).saturating_mul(CHUNK_GRAINS_PER_THREAD));
+    batch_size.min(per_grain).max(1)
+}
+
 /// Runs `n` independent tasks across worker threads.
 ///
 /// Implementors decide how indexes are distributed; every index in `0..n`

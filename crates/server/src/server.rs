@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mg_core::types::Workflow;
-use mg_obs::{bucket_of, percentile, Ctr, Gauge, Hist, Metrics, Report, HIST_BUCKETS};
-use mg_parent::{chunk_to_gaf_into, Parent, ParentOptions, ShardedParent};
+use mg_obs::{bucket_of, percentile, Ctr, Gauge, Hist, Metrics, Report, Stage, HIST_BUCKETS};
+use mg_parent::{Parent, ParentOptions, ShardedParent};
 use mg_sched::{effective_chunk_reads, AdmissionQueue};
 use mg_tuning::{Controller, ControllerConfig, ControllerStats, EpochStats, KnobState};
 use mg_workload::read_fastq_bases;
@@ -377,8 +377,9 @@ impl<'a> MappingServer<'a> {
     }
 
     /// The full `STATS` payload: the [`ServerCtl`] base plus cache hit
-    /// rates and the extension kernel's anchor accounting from the metrics
-    /// registry and, when adaptive, the controller state.
+    /// rates, the extension kernel's anchor accounting and the per-stage
+    /// time and span counts from the metrics registry and, when adaptive,
+    /// the controller state.
     pub fn stats_json(&self) -> String {
         let rep = self.metrics.report();
         let hits = rep.counter(Ctr::CacheHits);
@@ -398,6 +399,20 @@ impl<'a> MappingServer<'a> {
             rep.counter(Ctr::ExtendAnchorsMerged),
             rep.counter(Ctr::ExtendAnchorsSkipped),
         );
+        // Where the pool's time went, in the stage vocabulary of the metrics
+        // export and the benchmark ledger.
+        let stages: Vec<String> = Stage::ALL
+            .iter()
+            .map(|&st| {
+                format!(
+                    "\"{}\":{{\"ns\":{},\"count\":{}}}",
+                    st.name(),
+                    rep.stage_ns(st),
+                    rep.stage_count(st)
+                )
+            })
+            .collect();
+        extra.push_str(&format!(",\"stages\":{{{}}}", stages.join(",")));
         if let Some((knobs, stats, converged)) = self.adaptive_status() {
             extra.push_str(&format!(
                 concat!(
@@ -556,25 +571,31 @@ impl<'a> MappingServer<'a> {
                     options.fault_read = Some(read);
                 }
             }
-            let mapper = self.parent.mapper();
             let reads = &aj.job.reads[lo..hi];
-            let chunk = catch_unwind(AssertUnwindSafe(|| match self.sharded {
-                Some(sharded) => sharded.map_chunk(reads, lo as u64, &options, &self.metrics),
-                None => self.parent.map_chunk(reads, lo as u64, &options, &self.metrics),
+            // The workers render while they map, and what they rendered
+            // is stitched straight into the frame being built.
+            let rendered = catch_unwind(AssertUnwindSafe(|| {
+                Frame::encode_gaf_with(out, aj.job.id, |buf| match self.sharded {
+                    Some(sharded) => sharded.map_chunk_gaf(
+                        reads,
+                        lo as u64,
+                        &aj.job.name,
+                        &options,
+                        &self.metrics,
+                        buf,
+                    ),
+                    None => self.parent.map_chunk_gaf(
+                        reads,
+                        lo as u64,
+                        &aj.job.name,
+                        &options,
+                        &self.metrics,
+                        buf,
+                    ),
+                })
             }));
-            match chunk {
-                Ok(run) => {
-                    let gaf_len = Frame::encode_gaf_with(out, aj.job.id, |buf| {
-                        chunk_to_gaf_into(
-                            mapper.gbz().graph(),
-                            &aj.job.name,
-                            lo as u64,
-                            &run.dump_reads,
-                            &run.kernel_results,
-                            &run.alignments,
-                            buf,
-                        )
-                    });
+            match rendered {
+                Ok(gaf_len) => {
                     if gaf_len == 0 {
                         // A chunk that placed no read sends no GAF frame.
                         out.clear();
@@ -585,6 +606,9 @@ impl<'a> MappingServer<'a> {
                     self.adaptive_tick((hi - lo) as u64);
                 }
                 Err(panic) => {
+                    // The fault struck with a GAF frame half built: none of
+                    // it may reach the client ahead of the ERR.
+                    out.clear();
                     let what = panic_message(&*panic);
                     send(
                         &aj.job.writer,

@@ -183,6 +183,11 @@ fn ping_stats_and_clean_drain() {
             "\"rejected_full\":0",
             "\"latency_us\":{\"count\":1",
             "\"draining\":false",
+            // Six reads of a single-end job: rendered on the workers, no
+            // pair to check.
+            "\"stages\":{\"seeding\":{",
+            "\"pairing\":{\"ns\":0,\"count\":0}",
+            "\"count\":6}}",
         ] {
             assert!(stats.contains(needle), "STATS missing {needle}: {stats}");
         }
@@ -470,6 +475,151 @@ fn worker_panic_fails_job_pool_survives() {
     });
     assert_eq!(server.ctl().jobs_failed(), 1);
     assert_eq!(server.ctl().jobs_completed(), 1);
+}
+
+/// The fault path frame by frame. Workers render GAF while they map and
+/// the executor stitches it into the frame it is building, so a fault in a
+/// job's *second* chunk must leave on the wire exactly: the first chunk's
+/// `GAF`, then `ERR` — no byte of the faulted chunk. A job interleaved on
+/// the same pool at that moment completes untouched, and the next job maps
+/// on the worker buffers the fault unwound past exactly as a fresh server
+/// would.
+#[test]
+fn worker_panic_leaks_no_partial_gaf_and_spares_the_interleaved_job() {
+    use mg_server::{Frame, FrameDecoder, ReadOutcome};
+
+    let input = fixture(19);
+    let reads = raw_reads(&input);
+    // Fifty chunks of bystander against the doomed job's two: still
+    // running when the fault strikes.
+    let long: Vec<Vec<u8>> = reads.iter().cycle().take(400).cloned().collect();
+    let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
+    let options = options(SchedulerKind::Dynamic, 2);
+    let config = |fault_job| ServerConfig {
+        options: options.clone(),
+        chunk_reads: 8,
+        max_pending: 8,
+        max_active: 2,
+        per_client_cap: 4,
+        fault_job,
+        write_timeout: std::time::Duration::from_secs(30),
+    };
+    let submit = |conn: &Conn, name: &str, reads: &[Vec<u8>]| {
+        let mut w = conn.writer.lock().unwrap();
+        Frame::Submit { name: name.to_string(), fastq: fastq_of(reads) }
+            .write_to(&mut **w)
+            .expect("submit");
+    };
+    /// Every frame up to and including job `job`'s `DONE`, in wire order.
+    fn frames_until_done(conn: &mut Conn, decoder: &mut FrameDecoder, job: u64) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        let mut buf = vec![0u8; 64 * 1024];
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+        loop {
+            while let Some(frame) = decoder.next_frame().expect("server frames parse") {
+                let last = matches!(frame, Frame::Done { job: j, .. } if j == job);
+                frames.push(frame);
+                if last {
+                    return frames;
+                }
+            }
+            assert!(std::time::Instant::now() < deadline, "server hung; got {frames:?}");
+            match conn.reader.read_timed(&mut buf, std::time::Duration::from_millis(100)) {
+                Ok(ReadOutcome::Data(n)) => decoder.push(&buf[..n]),
+                Ok(ReadOutcome::TimedOut) => {}
+                other => panic!("connection lost: {other:?}"),
+            }
+        }
+    }
+    let gaf_of = |frames: &[Frame], job: u64| -> Vec<u8> {
+        let mut gaf = Vec::new();
+        for frame in frames {
+            if let Frame::Gaf { job: j, data } = frame {
+                if *j == job {
+                    gaf.extend_from_slice(data);
+                }
+            }
+        }
+        gaf
+    };
+
+    // Job 2, read 10: the second chunk of the second job submitted.
+    let server = MappingServer::new(&parent, config(Some((2, 10))));
+    let (tx, rx) = channel::<Conn>();
+    let retried = std::thread::scope(|scope| {
+        scope.spawn(|| server.serve(rx));
+        let _guard = ShutdownGuard(server.ctl());
+        // One connection, so both jobs' frames arrive as one ordered
+        // stream and "at the time" can be read off it.
+        let (server_side, mut conn) = Conn::pair();
+        tx.send(server_side).unwrap();
+        let mut decoder = FrameDecoder::new();
+        submit(&conn, "bystander", &long);
+        submit(&conn, "doomed", &reads[..24]);
+        let frames = frames_until_done(&mut conn, &mut decoder, 1);
+
+        let doomed: Vec<&Frame> = frames
+            .iter()
+            .filter(|f| {
+                matches!(f, Frame::Accept { job: 2 } | Frame::Gaf { job: 2, .. }
+                    | Frame::Done { job: 2, .. } | Frame::Error { job: 2, .. })
+            })
+            .collect();
+        match &doomed[..] {
+            [Frame::Accept { .. }, Frame::Gaf { data, .. }, Frame::Error { message, .. }] => {
+                assert_eq!(
+                    std::str::from_utf8(data).unwrap(),
+                    oracle_gaf(&input, &reads[..8], &options, "doomed"),
+                    "the chunk before the fault arrives whole, and nothing after it"
+                );
+                assert!(message.contains("injected fault"), "wrong error: {message}");
+            }
+            other => panic!("faulted job's stream must be ACCEPT, GAF, ERR; got {other:?}"),
+        }
+        // The stream ends with the bystander's DONE, so the ERR came before
+        // it: the bystander was mid-job on the same pool when the fault
+        // struck.
+        assert!(matches!(frames.last(), Some(Frame::Done { job: 1, .. })));
+        assert_eq!(
+            String::from_utf8(gaf_of(&frames, 1)).unwrap(),
+            oracle_gaf(&input, &long, &options, "bystander"),
+            "the interleaved job diverged from the oracle"
+        );
+
+        // Same payload as the doomed job, on the executor and worker
+        // buffers the fault unwound past.
+        submit(&conn, "retry", &reads[..24]);
+        let frames = frames_until_done(&mut conn, &mut decoder, 3);
+        server.ctl().request_shutdown();
+        let summary = match frames.last() {
+            Some(Frame::Done { summary, .. }) => *summary,
+            _ => unreachable!("frames_until_done ends on DONE"),
+        };
+        (gaf_of(&frames, 3), summary)
+    });
+    assert_eq!(server.ctl().jobs_failed(), 1);
+    assert_eq!(server.ctl().jobs_completed(), 2);
+
+    // The same job on a server that never faulted.
+    let fresh_parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
+    let fresh = MappingServer::new(&fresh_parent, config(None));
+    let (tx, rx) = channel::<Conn>();
+    std::thread::scope(|scope| {
+        scope.spawn(|| fresh.serve(rx));
+        let _guard = ShutdownGuard(fresh.ctl());
+        let (server_side, client_side) = Conn::pair();
+        tx.send(server_side).unwrap();
+        let mut client = BlockingClient::new(client_side);
+        let outcome = client.run_job("retry", &fastq_of(&reads[..24])).expect("fresh job ran");
+        let (gaf, summary) = expect_done(&outcome);
+        assert!(!gaf.is_empty());
+        assert_eq!(retried.0, gaf, "job after the fault diverged from a fresh server");
+        assert_eq!(
+            (retried.1.reads, retried.1.chunks, retried.1.gaf_bytes),
+            (summary.reads, summary.chunks, summary.gaf_bytes)
+        );
+        client.shutdown().unwrap();
+    });
 }
 
 /// Satellite 4: per-job aggregation resets between jobs on the warm pool.

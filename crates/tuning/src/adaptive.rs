@@ -7,7 +7,7 @@
 //! `smoke_adapt` bench and the `--adaptive` CLI flag sit on them). Both
 //! walk the input in controller-sized chunks through the public
 //! chunk-at-a-time entries ([`mg_core::Mapper::map_chunk_reads`],
-//! [`mg_parent::Parent::map_chunk`]), feed the controller one epoch every
+//! [`mg_parent::Parent::map_chunk_gaf`]), feed the controller one epoch every
 //! [`ControllerConfig`]-caller-chosen number of chunks, and apply any knob
 //! move at the next chunk boundary — so output stays byte-identical to a
 //! fixed-knob run over the same reads while batch size, chunk window, and
@@ -19,7 +19,7 @@ use mg_core::dump::SeedDump;
 use mg_core::types::Workflow;
 use mg_core::{Mapper, MappingOptions, MappingResults};
 use mg_obs::{Metrics, Report};
-use mg_parent::{chunk_to_gaf_into, Parent, ParentOptions};
+use mg_parent::{Parent, ParentOptions};
 use mg_sched::{effective_chunk_reads, AdmissionStats};
 
 use crate::controller::{
@@ -150,7 +150,6 @@ pub fn run_adaptive_parent(
 ) -> AdaptiveParentRun {
     let mut controller = Controller::new(config, initial_knobs(&base.mapping, 0));
     let paired = parent.workflow() == Workflow::Paired;
-    let mapper = parent.mapper();
     let mut clock = EpochClock::new(metrics, epoch_chunks);
     let mut trajectory = Vec::new();
     let mut gaf: Vec<u8> = Vec::new();
@@ -161,16 +160,7 @@ pub fn run_adaptive_parent(
         let mut options = base.clone();
         let window = apply_knobs(&mut options.mapping, controller.knobs(), paired);
         let hi = (lo + window).min(reads.len());
-        let run = parent.map_chunk(&reads[lo..hi], lo as u64, &options, metrics);
-        chunk_to_gaf_into(
-            mapper.gbz().graph(),
-            set_name,
-            lo as u64,
-            &run.dump_reads,
-            &run.kernel_results,
-            &run.alignments,
-            &mut gaf,
-        );
+        parent.map_chunk_gaf(&reads[lo..hi], lo as u64, set_name, &options, metrics, &mut gaf);
         chunks += 1;
         clock.tick(&mut controller, (hi - lo) as u64, &mut trajectory);
         lo = hi;

@@ -17,6 +17,12 @@ cargo test --workspace -q
 echo "== streaming oracle (golden GAF through the streaming entry point) =="
 cargo test --release -q --test oracle streaming
 
+echo "== GAF path oracle (streaming, served, sharded and adaptive bytes == batch bytes; an optimized build's thread timing) =="
+cargo test --release -q --test gaf_paths
+
+echo "== streaming memory bound (peak RSS over 50 windows of reads stays within the window) =="
+cargo test --release -q -p mg-parent --test stream_rss
+
 echo "== seeding oracle (extraction vs naive windows, table vs BTreeMap; release arithmetic wraps where debug panics) =="
 cargo test --release -q --test seeding
 
@@ -75,32 +81,6 @@ print(f"metrics-off slowdown vs plain: {slowdown:+.2%}")
 if slowdown > 0.10:
     sys.exit(f"FAIL: metrics-off path is {slowdown:.2%} slower than plain")
 print("overhead gate: OK")
-EOF
-
-echo "== streaming smoke (peak RSS + throughput vs batch) =="
-run_gated_bench smoke_stream BENCH_STREAM.json
-
-# Peak-RSS regression gate: the streaming path's footprint must be bounded
-# by its queue-and-chunk window, not the input size. The batch path
-# materializes everything, so its RSS delta is the input-size yardstick;
-# streaming must stay well under it. Throughput target is parity within 5%,
-# gated at 10% for single-core CI noise (the JSON holds the real number —
-# streaming usually *beats* batch because parsing overlaps mapping).
-python3 - "$out/BENCH_STREAM.json" <<'EOF'
-import json, sys
-rep = json.load(open(sys.argv[1]))
-ratio = rep["throughput_ratio"]
-print(f"stream/batch throughput: {ratio:.3f}")
-if ratio < 0.90:
-    sys.exit(f"FAIL: streaming throughput {ratio:.3f}x of batch (< 0.90)")
-sd, bd = rep["stream_peak_rss_delta"], rep["batch_peak_rss_delta"]
-if sd is None or bd is None:
-    print("peak RSS unavailable on this platform; skipping memory gate")
-else:
-    print(f"peak RSS delta: stream +{sd/2**20:.1f} MiB vs batch +{bd/2**20:.1f} MiB")
-    if bd > 0 and sd > 0.5 * bd:
-        sys.exit(f"FAIL: streaming RSS delta {sd} is not bounded vs batch {bd}")
-print("streaming gate: OK")
 EOF
 
 echo "== serve smoke (8 concurrent clients over TCP vs sequential oracle) =="
