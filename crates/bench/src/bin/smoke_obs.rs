@@ -4,9 +4,9 @@
 //! Maps a synthetic dump with the paper's default tuning point three ways:
 //!
 //! * **plain** — `Mapper::run`, no registry anywhere near the hot loop;
-//! * **off** — `Mapper::run_with_metrics` with a disabled registry, the
-//!   cost of threading the observability layer through when it is off;
-//! * **on** — `Mapper::run_with_metrics` with a live registry.
+//! * **off** — `Mapper::run_with_sink_metrics` with a disabled registry,
+//!   the cost of threading the observability layer through when it is off;
+//! * **on** — `Mapper::run_with_sink_metrics` with a live registry.
 //!
 //! Prints all three rates and writes `METRICS.json` / `METRICS.csv` (the
 //! merged report: per-stage timings, cache hits/misses/evictions,
@@ -19,6 +19,7 @@ use std::time::Instant;
 use mg_bench::Ctx;
 use mg_core::{Mapper, MappingOptions};
 use mg_obs::{Ctr, Metrics, Stage};
+use mg_support::regions::NullSink;
 use mg_workload::InputSetSpec;
 
 fn main() {
@@ -42,14 +43,14 @@ fn main() {
     let off = Metrics::off();
     let t0 = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(mapper.run_with_metrics(&input.dump, &options, &off));
+        std::hint::black_box(mapper.run_with_sink_metrics(&input.dump, &options, &NullSink, &off));
     }
     let off_secs = t0.elapsed().as_secs_f64();
 
     let metrics = Metrics::new();
     let t0 = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(mapper.run_with_metrics(&input.dump, &options, &metrics));
+        std::hint::black_box(mapper.run_with_sink_metrics(&input.dump, &options, &NullSink, &metrics));
     }
     let on_secs = t0.elapsed().as_secs_f64();
 

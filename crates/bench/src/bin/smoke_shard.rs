@@ -28,6 +28,7 @@ use mg_gbwt::Gbz;
 use mg_index::DistanceIndex;
 use mg_obs::{Ctr, Hist, Metrics};
 use mg_parent::{run_to_gaf, Parent, ParentOptions, ShardedParent};
+use mg_support::regions::NullSink;
 use mg_workload::InputSetSpec;
 
 /// Extra fresh-process timing samples beyond this process's own (see the
@@ -171,10 +172,10 @@ fn main() {
             let m = Metrics::new();
             if side == "mono" {
                 black_box(parent.run(&reads, &options));
-                black_box(parent.run_with_metrics(&reads, &options, &m));
+                black_box(parent.run_with_sink_metrics(&reads, &options, &NullSink, &m));
             } else {
                 black_box(sharded.run(&reads, &options));
-                black_box(sharded.run_with_metrics(&reads, &options, &m));
+                black_box(sharded.run_with_sink_metrics(&reads, &options, &NullSink, &m));
             }
             let rep = m.report();
             eprintln!(
@@ -203,7 +204,7 @@ fn main() {
     // Differential oracle + routing counters in one instrumented pass.
     let metrics = Metrics::new();
     let mono_run = parent.run(&reads, &options);
-    let shard_run = sharded.run_with_metrics(&reads, &options, &metrics);
+    let shard_run = sharded.run_with_sink_metrics(&reads, &options, &NullSink, &metrics);
     let mono_gaf = run_to_gaf(input.gbz.graph(), &mono_run, "smoke");
     let shard_gaf = run_to_gaf(input.gbz.graph(), &shard_run, "smoke");
     let oracle_match = !mono_gaf.is_empty() && mono_gaf == shard_gaf;

@@ -2,6 +2,7 @@
 
 use crate::{parent_reads, render_table, required_memory_gb, Ctx};
 use mg_gbwt::CachedGbwt;
+use mg_obs::Metrics;
 use mg_perf::{
     collect_features_from, simulate, CacheSimProbe, MachineModel, Profiler, SimSched, SimWorkload,
     TopDown,
@@ -19,7 +20,7 @@ pub fn fig2(ctx: &Ctx) -> String {
     let mut options = ParentOptions::default();
     options.mapping.threads = 16;
     options.mapping.batch_size = 8;
-    let _ = parent.run_with_sink(&parent_reads(&input), &options, &profiler);
+    let _ = parent.run_with_sink_metrics(&parent_reads(&input), &options, &profiler, Metrics::off_ref());
     let timeline = profiler.timeline();
     let mut rows = Vec::new();
     for (thread, events) in &timeline {
@@ -68,7 +69,7 @@ pub fn fig3(ctx: &Ctx) -> String {
         let profiler = Profiler::new();
         let mut options = ParentOptions { hard_hit_cap: input.spec.hard_hit_cap, ..Default::default() };
         options.mapping.threads = 4;
-        let _ = parent.run_with_sink(&parent_reads(&input), &options, &profiler);
+        let _ = parent.run_with_sink_metrics(&parent_reads(&input), &options, &profiler, Metrics::off_ref());
         let summary = profiler.region_summary();
         let share_of = |region: &str| -> f64 {
             summary

@@ -4,6 +4,7 @@
 use crate::{parent_reads, render_table, Ctx};
 use mg_core::{run_mapping, validate, Mapper, MappingOptions};
 use mg_gbwt::CachedGbwt;
+use mg_obs::Metrics;
 use mg_perf::{cosine_similarity, CacheSimProbe, HwCounters, MachineModel, Profiler};
 use mg_parent::{Parent, ParentOptions};
 use mg_support::regions::NullSink;
@@ -97,7 +98,7 @@ pub fn table6(ctx: &Ctx) -> String {
         let mut proxy_s = f64::INFINITY;
         for _ in 0..REPEATS {
             let profiler = Profiler::new();
-            let _ = parent.run_with_sink(&parent_reads(&input), &options, &profiler);
+            let _ = parent.run_with_sink_metrics(&parent_reads(&input), &options, &profiler, Metrics::off_ref());
             let kernel_us: u64 = profiler
                 .region_summary()
                 .iter()

@@ -65,8 +65,7 @@ pub use extend::{
 };
 pub use mgi::{build_minimizer_index, MgiBundle};
 pub use pipeline::{
-    run_mapping, MapScratch, Mapper, MappingOptions, MappingResults, StreamOptions, StreamSummary,
-    ThreadPersist,
+    run_mapping, MapScratch, Mapper, MappingOptions, MappingResults, StreamOptions, ThreadPersist,
 };
 pub use types::{Extension, ExtensionKey, ReadInput, ReadResult, Seed, Workflow};
 pub use validate::{validate, ValidationReport};

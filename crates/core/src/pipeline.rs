@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use mg_gbwt::{CacheState, CacheStats, CachedGbwt, Gbz, HotTier};
 use mg_index::DistanceIndex;
-use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
-use mg_sched::{bounded_queue, PoolCell, PoolTask, SchedulerKind, WorkerPool};
+use mg_obs::{Ctr, Hist, Metrics, ObsShard, Stage};
+use mg_sched::{PoolCell, PoolTask, SchedulerKind, WorkerPool};
 use mg_support::probe::{MemProbe, NoProbe};
 use mg_support::regions::{NullSink, RegionSink, RegionTimer};
 
@@ -77,7 +77,10 @@ impl Default for MappingOptions {
     }
 }
 
-/// Knobs of the streaming-ingestion path, on top of [`MappingOptions`].
+/// Knobs of the parent pipeline's streaming-ingestion path, on top of
+/// [`MappingOptions`]. (The proxy maps a whole dump in one dispatch and
+/// does not stream; the type lives here beside the options it derives
+/// from.)
 ///
 /// The streaming pipeline's in-flight memory is bounded by
 /// `(queue_batches + 1) × ingestion batch + one mapping chunk`: the queue
@@ -90,9 +93,8 @@ pub struct StreamOptions {
     /// many batches.
     pub queue_batches: usize,
     /// Reads the consumer accumulates into one parallel mapping chunk.
-    /// `0` derives `threads × batch_size` from the [`MappingOptions`]: one
-    /// full batch per worker on the proxy path; the parent's chunk dispatch
-    /// cuts it finer ([`mg_sched::chunk_grain_reads`]).
+    /// `0` derives `threads × batch_size` from the [`MappingOptions`]; the
+    /// chunk dispatch cuts it finer ([`mg_sched::chunk_grain_reads`]).
     pub chunk_reads: usize,
 }
 
@@ -108,29 +110,6 @@ impl StreamOptions {
     pub fn chunk_target(&self, options: &MappingOptions) -> usize {
         mg_sched::effective_chunk_reads(self.chunk_reads, options.threads, options.batch_size)
     }
-}
-
-/// What a streaming run reports. Per-read results left through the `emit`
-/// callback as they were produced; this carries the aggregate view.
-#[derive(Debug, Clone)]
-pub struct StreamSummary {
-    /// Reads mapped.
-    pub reads: u64,
-    /// Ingestion batches consumed from the queue.
-    pub batches: u64,
-    /// Parallel mapping chunks dispatched.
-    pub chunks: u64,
-    /// Wall-clock time of the whole streaming run (ingestion + mapping).
-    pub wall: Duration,
-    /// Cache statistics aggregated across worker threads and chunks.
-    pub cache: CacheStats,
-    /// Peak aggregate cache heap across chunks: the sum of every worker's
-    /// cache footprint at its high-water chunk.
-    pub cache_heap_bytes: u64,
-    /// Deepest hand-off queue occupancy observed, in batches.
-    pub queue_high_water: usize,
-    /// Nanoseconds the producer spent blocked on a full queue.
-    pub producer_blocked_ns: u64,
 }
 
 /// Results of a mapping run.
@@ -390,36 +369,15 @@ impl<'a> Mapper<'a> {
 
     /// Runs the full parallel mapping loop without instrumentation.
     pub fn run(&self, dump: &crate::dump::SeedDump, options: &MappingOptions) -> MappingResults {
-        self.run_with_sink(dump, options, &NullSink)
+        self.run_with_sink_metrics(dump, options, &NullSink, Metrics::off_ref())
     }
 
-    /// Runs the full parallel mapping loop, recording per-stage spans,
-    /// per-read counters, cache events, and scheduler activity in
-    /// `metrics`.
-    pub fn run_with_metrics(
-        &self,
-        dump: &crate::dump::SeedDump,
-        options: &MappingOptions,
-        metrics: &Metrics,
-    ) -> MappingResults {
-        self.run_with_sink_metrics(dump, options, &NullSink, metrics)
-    }
-
-    /// Runs the full parallel mapping loop, reporting region timings to
-    /// `sink`.
-    pub fn run_with_sink(
-        &self,
-        dump: &crate::dump::SeedDump,
-        options: &MappingOptions,
-        sink: &(impl RegionSink + ?Sized),
-    ) -> MappingResults {
-        self.run_with_sink_metrics(dump, options, sink, Metrics::off_ref())
-    }
-
-    /// [`Mapper::run_with_sink`] plus a metrics registry. Each worker
-    /// thread records into a private [`ObsShard`] and folds its cache
-    /// statistics in at `finish`, so the hot loop never touches the
-    /// registry lock.
+    /// Runs the full parallel mapping loop — the proxy's one scheduler
+    /// dispatch — reporting region timings to `sink` and recording
+    /// per-stage spans, per-read counters, cache events and scheduler
+    /// activity in `metrics`. Each worker thread records into a private
+    /// [`ObsShard`] and folds its cache statistics in at `finish`, so the
+    /// hot loop never touches the registry lock.
     pub fn run_with_sink_metrics(
         &self,
         dump: &crate::dump::SeedDump,
@@ -429,56 +387,13 @@ impl<'a> Mapper<'a> {
     ) -> MappingResults {
         let mut pool = self.lock_pool();
         let start = Instant::now();
-        let (per_read, cache, cache_heap_bytes) =
-            self.map_chunk(&mut pool, &dump.reads, 0, options, sink, metrics);
-        let wall = start.elapsed();
-        MappingResults {
-            per_read,
-            wall,
-            cache,
-            cache_heap_bytes,
-        }
-    }
-
-    /// Maps one chunk of reads with *per-call* options on the persistent
-    /// pool: the public chunk-at-a-time entry the adaptive batch driver
-    /// uses, so batch size and cache capacity can move between chunks
-    /// without touching mapper construction. `base_id`
-    /// keeps global read ids correct across chunks — per-read work is
-    /// cache-independent, so concatenated results are identical to a
-    /// one-shot [`Mapper::run`] over the same reads.
-    pub fn map_chunk_reads(
-        &self,
-        reads: &[ReadInput],
-        base_id: u64,
-        options: &MappingOptions,
-        metrics: &Metrics,
-    ) -> (Vec<ReadResult>, CacheStats, u64) {
-        let mut pool = self.lock_pool();
-        self.map_chunk(&mut pool, reads, base_id, options, &NullSink, metrics)
-    }
-
-    /// Maps `reads` in parallel on the (already locked) worker pool, with
-    /// global read ids `base_id..base_id + reads.len()`. This is the one
-    /// scheduler dispatch both the batch path (whole dump, base 0) and the
-    /// streaming path (one chunk at a time) go through, so per-read results
-    /// cannot diverge between them.
-    #[allow(clippy::too_many_arguments)]
-    fn map_chunk(
-        &self,
-        pool: &mut WorkerPool,
-        reads: &[ReadInput],
-        base_id: u64,
-        options: &MappingOptions,
-        sink: &(impl RegionSink + ?Sized),
-        metrics: &Metrics,
-    ) -> (Vec<ReadResult>, CacheStats, u64) {
+        let reads = &dump.reads[..];
         let n = reads.len();
         let slots: Vec<OnceLock<ReadResult>> = (0..n).map(|_| OnceLock::new()).collect();
         let stats: StatsCollector = std::sync::Mutex::new(Vec::new());
-        let scheduler = options.scheduler.build(options.batch_size);
-        scheduler.run_pooled_erased_obs(
-            pool,
+        options.scheduler.run(
+            options.batch_size,
+            &mut pool,
             n,
             options.threads.max(1),
             metrics,
@@ -493,7 +408,6 @@ impl<'a> Mapper<'a> {
                 Box::new(PooledWorker {
                     mapper: self,
                     reads,
-                    base_id,
                     options,
                     sink,
                     thread,
@@ -518,174 +432,16 @@ impl<'a> Mapper<'a> {
                     .unwrap_or_else(|| panic!("scheduler never processed read {i}"))
             })
             .collect();
-        let (cache, private_bytes) = stats.lock().unwrap().iter().fold(
+        let (cache, cache_heap_bytes) = stats.lock().unwrap().iter().fold(
             (CacheStats::default(), 0u64),
             |(acc, bytes), (s, b)| (merge_cache_stats(acc, *s), bytes + b),
         );
-        (per_read, cache, private_bytes)
-    }
-
-    /// Maps reads as they arrive from a fallible batch producer, with
-    /// bounded memory, without instrumentation. See
-    /// [`Mapper::run_streaming_with_sink_metrics`].
-    pub fn run_streaming<I, F>(
-        &self,
-        batches: I,
-        options: &MappingOptions,
-        stream: &StreamOptions,
-        emit: F,
-    ) -> mg_support::Result<StreamSummary>
-    where
-        I: Iterator<Item = mg_support::Result<Vec<ReadInput>>> + Send,
-        F: FnMut(u64, Vec<ReadInput>, Vec<ReadResult>),
-    {
-        self.run_streaming_with_sink_metrics(
-            batches,
-            options,
-            stream,
-            &NullSink,
-            Metrics::off_ref(),
-            emit,
-        )
-    }
-
-    /// The streaming-ingestion pipeline: a producer thread pulls batches
-    /// from `batches` into a bounded hand-off queue (blocking when the
-    /// mapper falls behind — that backpressure is what bounds memory),
-    /// while the calling thread accumulates batches into chunks of
-    /// [`StreamOptions::chunk_target`] reads, maps each chunk on the worker
-    /// pool, and hands the owned inputs and results to `emit(base_id,
-    /// reads, results)` in input order.
-    ///
-    /// Read ids are global (`base_id + index within the chunk`), so the
-    /// emitted results are byte-identical to a batch [`Mapper::run`] over
-    /// the concatenated input.
-    ///
-    /// On a producer error the good prefix is still mapped and emitted,
-    /// then the error is returned — mirroring how
-    /// [`mg_workload::FastqBatches`](../mg_workload/fastq) flushes parsed
-    /// records before reporting the malformed one.
-    pub fn run_streaming_with_sink_metrics<I, F>(
-        &self,
-        batches: I,
-        options: &MappingOptions,
-        stream: &StreamOptions,
-        sink: &(impl RegionSink + ?Sized),
-        metrics: &Metrics,
-        mut emit: F,
-    ) -> mg_support::Result<StreamSummary>
-    where
-        I: Iterator<Item = mg_support::Result<Vec<ReadInput>>> + Send,
-        F: FnMut(u64, Vec<ReadInput>, Vec<ReadResult>),
-    {
-        let chunk_target = stream.chunk_target(options);
-        let (tx, rx) = bounded_queue(stream.queue_batches.max(1));
-        let mut pool = self.lock_pool();
-        let start = Instant::now();
-
-        let mut reads = 0u64;
-        let mut batches_consumed = 0u64;
-        let mut chunks = 0u64;
-        let mut cache = CacheStats::default();
-        let mut failure: Option<mg_support::Error> = None;
-        let mut pending: Vec<ReadInput> = Vec::new();
-        let mut next_id = 0u64;
-        let mut heap_high_water = 0u64;
-
-        let queue_stats = std::thread::scope(|scope| {
-            let producer = scope.spawn(move || {
-                for item in batches {
-                    let stop = item.is_err();
-                    // An Err from send means the consumer hung up early;
-                    // stop pulling from the reader either way.
-                    if tx.send(item).is_err() || stop {
-                        break;
-                    }
-                }
-                tx.stats()
-            });
-
-            let mut map_pending = |pool: &mut WorkerPool,
-                                   pending: &mut Vec<ReadInput>,
-                                   next_id: &mut u64,
-                                   cache: &mut CacheStats,
-                                   chunks: &mut u64,
-                                   heap_high_water: &mut u64,
-                                   take: usize| {
-                let rest = pending.split_off(take.min(pending.len()));
-                let chunk = std::mem::replace(pending, rest);
-                if chunk.is_empty() {
-                    return;
-                }
-                let base = *next_id;
-                metrics.observe(Hist::StreamChunkReads, chunk.len() as u64);
-                let (results, chunk_cache, heap_bytes) =
-                    self.map_chunk(pool, &chunk, base, options, sink, metrics);
-                *cache = merge_cache_stats(*cache, chunk_cache);
-                *heap_high_water = (*heap_high_water).max(heap_bytes);
-                *next_id += chunk.len() as u64;
-                *chunks += 1;
-                emit(base, chunk, results);
-            };
-
-            while let Some(item) = rx.recv() {
-                match item {
-                    Ok(batch) => {
-                        batches_consumed += 1;
-                        reads += batch.len() as u64;
-                        pending.extend(batch);
-                        while pending.len() >= chunk_target {
-                            map_pending(
-                                &mut pool,
-                                &mut pending,
-                                &mut next_id,
-                                &mut cache,
-                                &mut chunks,
-                                &mut heap_high_water,
-                                chunk_target,
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            // Flush the tail (or, on error, the good prefix read so far).
-            let take = pending.len();
-            map_pending(
-                &mut pool,
-                &mut pending,
-                &mut next_id,
-                &mut cache,
-                &mut chunks,
-                &mut heap_high_water,
-                take,
-            );
-            drop(rx);
-            producer.join().expect("streaming producer panicked")
-        });
-        drop(pool);
-
-        metrics.add(Ctr::StreamBatches, batches_consumed);
-        metrics.add(Ctr::StreamReads, reads);
-        metrics.add(Ctr::StreamProducerBlockedNs, queue_stats.blocked_ns);
-        metrics.gauge_max(Gauge::StreamQueueDepthMax, queue_stats.high_water as u64);
-
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        Ok(StreamSummary {
-            reads,
-            batches: batches_consumed,
-            chunks,
+        MappingResults {
+            per_read,
             wall: start.elapsed(),
             cache,
-            cache_heap_bytes: heap_high_water,
-            queue_high_water: queue_stats.high_water,
-            producer_blocked_ns: queue_stats.blocked_ns,
-        })
+            cache_heap_bytes,
+        }
     }
 }
 
@@ -722,7 +478,6 @@ pub struct ThreadPersist {
 struct PooledWorker<'e, 'g, S: RegionSink + ?Sized> {
     mapper: &'e Mapper<'g>,
     reads: &'e [ReadInput],
-    base_id: u64,
     options: &'e MappingOptions,
     sink: &'e S,
     thread: usize,
@@ -738,7 +493,7 @@ impl<S: RegionSink + ?Sized> PoolTask for PooledWorker<'_, '_, S> {
     fn run(&mut self, i: usize) {
         let result = self.mapper.map_read_with_scratch(
             &mut self.cache,
-            self.base_id + i as u64,
+            i as u64,
             &self.reads[i],
             self.options,
             self.sink,
@@ -945,7 +700,12 @@ mod tests {
         let dump = sample_dump(&gbz, 5);
         let sink = Collector(Mutex::new(Vec::new()));
         let mapper = Mapper::new(&gbz);
-        let _ = mapper.run_with_sink(&dump, &MappingOptions::default(), &sink);
+        let _ = mapper.run_with_sink_metrics(
+            &dump,
+            &MappingOptions::default(),
+            &sink,
+            Metrics::off_ref(),
+        );
         let regions = sink.0.into_inner().unwrap();
         assert_eq!(regions.iter().filter(|r| **r == "cluster_seeds").count(), 5);
         assert_eq!(
@@ -977,7 +737,7 @@ mod tests {
                     ..Default::default()
                 };
                 let metrics = Metrics::new();
-                let results = mapper.run_with_metrics(&dump, &options, &metrics);
+                let results = mapper.run_with_sink_metrics(&dump, &options, &NullSink, &metrics);
                 let rep = metrics.report();
                 let n = results.per_read.len() as u64;
                 assert_eq!(rep.counter(Ctr::ReadsMapped), n, "{kind}/{threads}");
@@ -1023,12 +783,12 @@ mod tests {
         let options = MappingOptions::default();
         let plain = mapper.run(&dump, &options);
         let metrics = Metrics::new();
-        let observed = mapper.run_with_metrics(&dump, &options, &metrics);
+        let observed = mapper.run_with_sink_metrics(&dump, &options, &NullSink, &metrics);
         assert_eq!(plain.per_read, observed.per_read, "instrumentation must not change results");
         // And a disabled registry stays empty even through the
         // instrumented entry point.
         let off = Metrics::off();
-        let _ = mapper.run_with_metrics(&dump, &options, &off);
+        let _ = mapper.run_with_sink_metrics(&dump, &options, &NullSink, &off);
         assert_eq!(off.report().counter(Ctr::ReadsMapped), 0);
     }
 
@@ -1040,80 +800,6 @@ mod tests {
         assert!(results.per_read.is_empty());
         assert_eq!(results.total_extensions(), 0);
         assert_eq!(results.mapped_fraction(), 0.0);
-    }
-
-    #[test]
-    fn streaming_matches_batch_across_schedulers() {
-        let gbz = sample_gbz();
-        let dump = sample_dump(&gbz, 33);
-        let base = run_mapping(&dump, &gbz, &MappingOptions::default());
-        let mapper = Mapper::new(&gbz);
-        for kind in SchedulerKind::ALL {
-            let options = MappingOptions {
-                threads: 4,
-                batch_size: 3,
-                scheduler: kind,
-                ..Default::default()
-            };
-            // Ingestion batches (5) deliberately misaligned with mapping
-            // chunks (7) and scheduler batches (3).
-            let stream = StreamOptions { queue_batches: 2, chunk_reads: 7 };
-            let mut collected: Vec<ReadResult> = Vec::new();
-            let batches = dump.reads.chunks(5).map(|c| Ok(c.to_vec()));
-            let summary = mapper
-                .run_streaming(batches, &options, &stream, |base_id, reads, results| {
-                    assert_eq!(base_id as usize, collected.len(), "chunks in input order");
-                    assert_eq!(reads.len(), results.len());
-                    collected.extend(results);
-                })
-                .unwrap();
-            assert_eq!(collected, base.per_read, "scheduler {kind} diverged");
-            assert_eq!(summary.reads, 33);
-            assert_eq!(summary.batches, 7);
-            assert_eq!(summary.chunks, 5);
-            assert!(summary.queue_high_water <= stream.queue_batches);
-            assert!(summary.cache_heap_bytes > 0);
-        }
-    }
-
-    #[test]
-    fn streaming_error_still_maps_the_good_prefix() {
-        let gbz = sample_gbz();
-        let dump = sample_dump(&gbz, 10);
-        let base = run_mapping(&dump, &gbz, &MappingOptions::default());
-        let mapper = Mapper::new(&gbz);
-        let batches = dump
-            .reads
-            .chunks(5)
-            .map(|c| Ok(c.to_vec()))
-            .chain(std::iter::once(Err(mg_support::Error::Corrupt("bad record".into()))));
-        let mut collected: Vec<ReadResult> = Vec::new();
-        let err = mapper
-            .run_streaming(
-                batches,
-                &MappingOptions::default(),
-                &StreamOptions::default(),
-                |_, _, results| collected.extend(results),
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("bad record"), "got: {err}");
-        assert_eq!(collected, base.per_read, "good prefix must still be mapped");
-    }
-
-    #[test]
-    fn streaming_empty_input_is_fine() {
-        let gbz = sample_gbz();
-        let mapper = Mapper::new(&gbz);
-        let summary = mapper
-            .run_streaming(
-                std::iter::empty(),
-                &MappingOptions::default(),
-                &StreamOptions::default(),
-                |_, _, _| panic!("nothing to emit"),
-            )
-            .unwrap();
-        assert_eq!(summary.reads, 0);
-        assert_eq!(summary.chunks, 0);
     }
 
     #[test]

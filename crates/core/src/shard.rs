@@ -769,9 +769,9 @@ pub fn run_mapping_sharded(
     let start = Instant::now();
     let n = dump.reads.len();
     let slots: Vec<OnceLock<crate::ReadResult>> = (0..n).map(|_| OnceLock::new()).collect();
-    let scheduler = options.scheduler.build(options.batch_size);
     let mut pool = mapper.lock_pool();
-    scheduler.run_pooled_erased_obs(
+    options.scheduler.run(
+        options.batch_size,
         &mut pool,
         n,
         options.threads.max(1),

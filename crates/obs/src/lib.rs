@@ -466,35 +466,6 @@ impl Report {
         percentile(&self.hist_buckets[h as usize], q)
     }
 
-    /// The per-epoch view the adaptive controller consumes: everything
-    /// accumulated since `earlier` (an older snapshot of the same
-    /// registry). Counters, stage spans, and histograms subtract
-    /// (saturating, so a snapshot from a different registry can't
-    /// underflow); gauges are high-water levels, not rates, so the delta
-    /// carries the *current* values unchanged — callers that want
-    /// per-epoch high-waters reset the underlying gauge at rollover
-    /// (see `AdmissionQueue::epoch_rollover` in mg-sched).
-    pub fn delta(&self, earlier: &Report) -> Report {
-        let mut d = Report::default();
-        for i in 0..Ctr::COUNT {
-            d.counters[i] = self.counters[i].saturating_sub(earlier.counters[i]);
-        }
-        for i in 0..Stage::COUNT {
-            d.stage_ns[i] = self.stage_ns[i].saturating_sub(earlier.stage_ns[i]);
-            d.stage_hits[i] = self.stage_hits[i].saturating_sub(earlier.stage_hits[i]);
-        }
-        for i in 0..Hist::COUNT {
-            for b in 0..HIST_BUCKETS {
-                d.hist_buckets[i][b] =
-                    self.hist_buckets[i][b].saturating_sub(earlier.hist_buckets[i][b]);
-            }
-            d.hist_counts[i] = self.hist_counts[i].saturating_sub(earlier.hist_counts[i]);
-            d.hist_sums[i] = self.hist_sums[i].saturating_sub(earlier.hist_sums[i]);
-        }
-        d.gauges = self.gauges;
-        d
-    }
-
     #[inline]
     fn inc(&mut self, c: Ctr, n: u64) {
         self.counters[c as usize] += n;
@@ -1140,40 +1111,6 @@ mod tests {
                 percentile(rep.hist_buckets(Hist::ServeJobLatencyUs), q)
             );
         }
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn delta_subtracts_flows_and_carries_gauge_levels() {
-        let metrics = Metrics::new();
-        metrics.add(Ctr::ReadsMapped, 10);
-        metrics.observe(Hist::BatchReads, 100);
-        metrics.span(Stage::Extension, 500);
-        metrics.gauge_max(Gauge::QueueDepthMax, 4);
-        let epoch0 = metrics.report();
-        metrics.add(Ctr::ReadsMapped, 7);
-        metrics.observe(Hist::BatchReads, 100);
-        metrics.observe(Hist::BatchReads, 3);
-        metrics.span(Stage::Extension, 250);
-        metrics.gauge_max(Gauge::QueueDepthMax, 9);
-        let epoch1 = metrics.report();
-        let d = epoch1.delta(&epoch0);
-        assert_eq!(d.counter(Ctr::ReadsMapped), 7);
-        assert_eq!(d.hist_count(Hist::BatchReads), 2);
-        assert_eq!(d.hist_sum(Hist::BatchReads), 103);
-        assert_eq!(d.hist_buckets(Hist::BatchReads)[bucket_of(100)], 1);
-        assert_eq!(d.stage_ns(Stage::Extension), 250);
-        assert_eq!(d.stage_count(Stage::Extension), 1);
-        // Gauges are levels: the delta reports the current high-water.
-        assert_eq!(d.gauge(Gauge::QueueDepthMax), 9);
-        // Deltas never underflow, even against a foreign snapshot.
-        let mut foreign = Report::default();
-        foreign.inc(Ctr::ReadsMapped, 1_000_000);
-        assert_eq!(epoch1.delta(&foreign).counter(Ctr::ReadsMapped), 0);
-        // Delta against self is empty flows.
-        let zero = epoch1.delta(&epoch1);
-        assert_eq!(zero.counter(Ctr::ReadsMapped), 0);
-        assert_eq!(zero.hist_count(Hist::BatchReads), 0);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! distributes is the *fragment*: one read when single-end, the mate pair
 //! `2i`/`2i+1` when paired. The pool worker that maps a fragment also
 //! finishes it — rescue, pair check, and then one of two emitters: GAF
-//! bytes into a buffer the thread keeps (streaming, serving, the adaptive
-//! driver) or the captured per-read records of a [`ParentRun`] (the batch
-//! path, the paper's capture boundary). Every region is instrumented
+//! bytes into a buffer the thread keeps (streaming, serving) or the
+//! captured per-read records of a [`ParentRun`] (the batch path, the
+//! paper's capture boundary). Every region is instrumented
 //! through [`mg_support::regions::RegionSink`], which is what regenerates
 //! Figures 2–4.
 
@@ -423,33 +423,13 @@ impl<'a> Parent<'a> {
 
     /// Runs the full pipeline over raw reads without instrumentation.
     pub fn run(&self, reads: &[Vec<u8>], options: &ParentOptions) -> ParentRun {
-        self.run_with_sink(reads, options, &NullSink)
+        self.run_with_sink_metrics(reads, options, &NullSink, Metrics::off_ref())
     }
 
-    /// Runs the full pipeline, recording per-stage spans, counters, and
-    /// scheduler activity in `metrics`.
-    pub fn run_with_metrics(
-        &self,
-        reads: &[Vec<u8>],
-        options: &ParentOptions,
-        metrics: &Metrics,
-    ) -> ParentRun {
-        self.run_with_sink_metrics(reads, options, &NullSink, metrics)
-    }
-
-    /// Runs the full pipeline, reporting regions to `sink`.
-    pub fn run_with_sink(
-        &self,
-        reads: &[Vec<u8>],
-        options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
-    ) -> ParentRun {
-        self.run_with_sink_metrics(reads, options, sink, Metrics::off_ref())
-    }
-
-    /// [`Parent::run_with_sink`] plus a metrics registry. Each worker
-    /// records into a private [`ObsShard`] folded into the registry when it
-    /// finishes, so the hot loop never touches the registry lock.
+    /// Runs the full pipeline, reporting regions to `sink` and recording
+    /// per-stage spans, counters, and scheduler activity in `metrics`. Each
+    /// worker records into a private [`ObsShard`] folded into the registry
+    /// when it finishes, so the hot loop never touches the registry lock.
     pub fn run_with_sink_metrics(
         &self,
         reads: &[Vec<u8>],
@@ -465,15 +445,14 @@ impl<'a> Parent<'a> {
     /// to `out`, without region instrumentation.
     ///
     /// This is the one chunk primitive of every GAF-producing path: the
-    /// streaming loop calls it per chunk, a long-lived executor calls it
-    /// once per (job, chunk), interleaving chunks of different jobs on the
-    /// same pool, and the adaptive driver calls it with knobs that move
-    /// between chunks. Because read ids are global and per-read work is
-    /// deterministic and cache-independent, the concatenated chunk GAF is
-    /// byte-identical to [`crate::run_to_gaf`] over a batch run of the same
-    /// reads however chunks were cut or interleaved. For paired workflows
-    /// `reads` must start on a pair boundary (`base_id` even) so rescue and
-    /// pair check see whole pairs.
+    /// streaming loop calls it per chunk, and a long-lived executor calls
+    /// it once per (job, chunk), interleaving chunks of different jobs on
+    /// the same pool with per-call options. Because read ids are global
+    /// and per-read work is deterministic and cache-independent, the
+    /// concatenated chunk GAF is byte-identical to [`crate::run_to_gaf`]
+    /// over a batch run of the same reads however chunks were cut or
+    /// interleaved. For paired workflows `reads` must start on a pair
+    /// boundary (`base_id` even) so rescue and pair check see whole pairs.
     ///
     /// The scheduler is handed [`chunk_grain_reads`] reads per grain, not
     /// `batch_size`: a chunk is usually `threads × batch_size` reads, and
@@ -612,8 +591,8 @@ impl<'a> Parent<'a> {
         emit: Emitter<'_>,
     ) {
         let width = if self.workflow == Workflow::Paired { 2 } else { 1 };
-        let scheduler = options.mapping.scheduler.build((grain_reads / width).max(1));
-        scheduler.run_pooled_erased_obs(
+        options.mapping.scheduler.run(
+            grain_reads / width,
             pool,
             reads.len().div_ceil(width),
             options.mapping.threads.max(1),
@@ -1107,7 +1086,12 @@ mod tests {
         let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
         let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
         let profiler = Profiler::new();
-        let _ = parent.run_with_sink(&reads, &ParentOptions::default(), &profiler);
+        let _ = parent.run_with_sink_metrics(
+            &reads,
+            &ParentOptions::default(),
+            &profiler,
+            Metrics::off_ref(),
+        );
         let regions: std::collections::HashSet<&str> = profiler
             .region_summary()
             .iter()
@@ -1135,7 +1119,12 @@ mod tests {
         let parent = Parent::new(&input.gbz, &input.minimizer_index, Workflow::Paired);
         let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
         let profiler = Profiler::new();
-        let run = parent.run_with_sink(&reads, &ParentOptions::default(), &profiler);
+        let run = parent.run_with_sink_metrics(
+            &reads,
+            &ParentOptions::default(),
+            &profiler,
+            Metrics::off_ref(),
+        );
         assert_eq!(run.dump.workflow, Workflow::Paired);
         let regions: Vec<&str> = profiler.region_summary().iter().map(|s| s.region).collect();
         assert!(regions.contains(&"pair_check"));
@@ -1181,7 +1170,7 @@ mod tests {
             // The capture emitter renders nothing; the GAF emitter renders
             // every read (a read with no alignment is an empty render).
             let metrics = Metrics::new();
-            let run = parent.run_with_metrics(&reads, &options, &metrics);
+            let run = parent.run_with_sink_metrics(&reads, &options, &NullSink, &metrics);
             check(&metrics.report(), 0);
             let metrics = Metrics::new();
             let mut gaf = Vec::new();

@@ -125,16 +125,6 @@ impl<'a> ShardedParent<'a> {
         self.run_with_sink_metrics(reads, options, &NullSink, Metrics::off_ref())
     }
 
-    /// [`ShardedParent::run`] recording routing counters and stage spans.
-    pub fn run_with_metrics(
-        &self,
-        reads: &[Vec<u8>],
-        options: &ParentOptions,
-        metrics: &Metrics,
-    ) -> ParentRun {
-        self.run_with_sink_metrics(reads, options, &NullSink, metrics)
-    }
-
     /// Runs the full sharded pipeline with a region sink and metrics
     /// registry — the sharded analog of [`Parent::run_with_sink_metrics`].
     pub fn run_with_sink_metrics(
@@ -368,7 +358,12 @@ mod tests {
         let sharded = ShardedParent::new(&parent, &set).unwrap();
         let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
         let metrics = Metrics::new();
-        let _ = sharded.run_with_metrics(&reads, &ParentOptions::default(), &metrics);
+        let _ = sharded.run_with_sink_metrics(
+            &reads,
+            &ParentOptions::default(),
+            &NullSink,
+            &metrics,
+        );
         let rep = metrics.report();
         let n = reads.len() as u64;
         assert_eq!(rep.counter(Ctr::RouteReadsTotal), n);

@@ -79,25 +79,10 @@ struct Inner<T> {
     in_flight: HashMap<u64, usize>,
     draining: bool,
     stats: AdmissionStats,
-    limits: AdmissionLimits,
-}
-
-/// The queue's live-reconfigurable admission limits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionLimits {
     /// Maximum pending (admitted, not yet popped) jobs.
-    pub capacity: usize,
+    capacity: usize,
     /// Maximum in-flight (pending + executing) jobs per client.
-    pub per_client_cap: usize,
-}
-
-impl AdmissionLimits {
-    fn clamped(self) -> AdmissionLimits {
-        AdmissionLimits {
-            capacity: self.capacity.max(1),
-            per_client_cap: self.per_client_cap.max(1),
-        }
-    }
+    per_client_cap: usize,
 }
 
 /// A bounded, drain-aware pending-job queue with per-client in-flight caps.
@@ -134,7 +119,8 @@ impl<T> AdmissionQueue<T> {
                 in_flight: HashMap::new(),
                 draining: false,
                 stats: AdmissionStats::default(),
-                limits: AdmissionLimits { capacity, per_client_cap }.clamped(),
+                capacity: capacity.max(1),
+                per_client_cap: per_client_cap.max(1),
             }),
             ready: Condvar::new(),
         }
@@ -154,7 +140,7 @@ impl<T> AdmissionQueue<T> {
         }
         // The client cap is checked first: a hog that saturated its own
         // allowance is told so even when it also filled the shared queue.
-        let AdmissionLimits { capacity, per_client_cap } = inner.limits;
+        let (capacity, per_client_cap) = (inner.capacity, inner.per_client_cap);
         let in_flight = inner.in_flight.get(&client).copied().unwrap_or(0);
         if in_flight >= per_client_cap {
             inner.stats.rejected_client += 1;
@@ -247,44 +233,11 @@ impl<T> AdmissionQueue<T> {
         inner.draining && inner.pending.is_empty() && inner.stats.executing == 0
     }
 
-    /// Snapshot of the queue's counters.
-    ///
-    /// `pending_high_water` is cumulative across the queue's whole life —
-    /// including a graceful drain — and resets only on an explicit
-    /// [`AdmissionQueue::epoch_rollover`]. The adaptive controller depends
-    /// on this contract: a drain between epochs must not erase the
-    /// congestion evidence the epoch accumulated.
+    /// Snapshot of the queue's counters. `pending_high_water` is
+    /// cumulative across the queue's whole life, including a graceful
+    /// drain.
     pub fn stats(&self) -> AdmissionStats {
         self.lock().stats
-    }
-
-    /// Closes a metrics epoch: returns the stats as of this instant, then
-    /// resets `pending_high_water` to the *current* pending depth so the
-    /// next epoch's high-water measures only its own congestion. Nothing
-    /// else resets — accepted/rejected counters stay cumulative (epoch
-    /// consumers difference them).
-    pub fn epoch_rollover(&self) -> AdmissionStats {
-        let mut inner = self.lock();
-        let snapshot = inner.stats;
-        inner.stats.pending_high_water = inner.pending.len();
-        snapshot
-    }
-
-    /// The current admission limits.
-    pub fn limits(&self) -> AdmissionLimits {
-        self.lock().limits
-    }
-
-    /// Replaces the admission limits live (clamped to >= 1 each). Safe at
-    /// any point: already-admitted jobs are never evicted, so shrinking
-    /// `capacity` below the current pending depth only refuses *new*
-    /// submissions until the queue drains down; shrinking the per-client
-    /// cap likewise only gates future submits. Growing either takes effect
-    /// on the next submit. Blocked poppers are woken so a capacity change
-    /// is observed promptly.
-    pub fn set_limits(&self, limits: AdmissionLimits) {
-        self.lock().limits = limits.clamped();
-        self.ready.notify_all();
     }
 
     /// Jobs `client` currently has in flight (pending + executing).
@@ -359,15 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn pending_high_water_survives_drain_and_resets_only_on_rollover() {
+    fn pending_high_water_survives_drain() {
         let q: AdmissionQueue<u32> = AdmissionQueue::new(8, 8);
         q.try_submit(1, 10).unwrap();
         q.try_submit(2, 20).unwrap();
         q.try_submit(3, 30).unwrap();
         assert_eq!(q.stats().pending_high_water, 3);
         // A graceful drain — reject new, pop and finish everything — must
-        // not erase the high-water: the controller reads it *after* the
-        // epoch's jobs completed.
+        // not erase the high-water: `STATS` reports it after the jobs that
+        // caused it completed.
         q.drain();
         while let Some((client, _)) = q.try_pop() {
             q.finish(client);
@@ -375,55 +328,6 @@ mod tests {
         assert!(q.drained());
         assert_eq!(q.stats().pending, 0);
         assert_eq!(q.stats().pending_high_water, 3, "drain erased the high-water");
-        // Repeated reads don't reset it either.
-        assert_eq!(q.stats().pending_high_water, 3);
-        // Only the explicit rollover resets, and it returns the closing
-        // epoch's snapshot.
-        let closed = q.epoch_rollover();
-        assert_eq!(closed.pending_high_water, 3);
-        assert_eq!(q.stats().pending_high_water, 0);
-    }
-
-    #[test]
-    fn epoch_rollover_resets_to_current_depth_not_zero() {
-        let q: AdmissionQueue<u32> = AdmissionQueue::new(8, 8);
-        for c in 0..4 {
-            q.try_submit(c, 0).unwrap();
-        }
-        q.try_pop().unwrap();
-        q.try_pop().unwrap();
-        // 2 still pending: the next epoch starts at depth 2, not 0 — those
-        // jobs are live congestion the new epoch inherits.
-        assert_eq!(q.epoch_rollover().pending_high_water, 4);
-        assert_eq!(q.stats().pending_high_water, 2);
-        // Cumulative counters are untouched by rollover.
-        assert_eq!(q.stats().accepted, 4);
-    }
-
-    #[test]
-    fn set_limits_applies_live() {
-        let q: AdmissionQueue<u32> = AdmissionQueue::new(2, 1);
-        q.try_submit(1, 0).unwrap();
-        q.try_submit(2, 0).unwrap();
-        assert!(q.try_submit(3, 0).is_err(), "capacity 2 full");
-        assert!(q.try_submit(1, 1).is_err(), "client 1 at cap 1");
-        q.set_limits(AdmissionLimits { capacity: 4, per_client_cap: 2 });
-        q.try_submit(3, 0).unwrap();
-        q.try_submit(1, 1).unwrap();
-        assert_eq!(q.limits(), AdmissionLimits { capacity: 4, per_client_cap: 2 });
-        // Shrinking below the current depth evicts nothing; it only gates
-        // new submissions.
-        q.set_limits(AdmissionLimits { capacity: 1, per_client_cap: 1 });
-        assert_eq!(q.stats().pending, 4);
-        let (err, _) = q.try_submit(4, 0).unwrap_err();
-        assert_eq!(err, AdmissionError::QueueFull { capacity: 1 });
-        for _ in 0..4 {
-            let (client, _) = q.try_pop().unwrap();
-            q.finish(client);
-        }
-        // Zero limits clamp to 1 instead of deadlocking every submit.
-        q.set_limits(AdmissionLimits { capacity: 0, per_client_cap: 0 });
-        q.try_submit(9, 0).unwrap();
     }
 
     #[test]

@@ -7,42 +7,49 @@
 //! static partitioner ([`StaticScheduler`]) rounds out the set for ablation.
 //!
 //! All schedulers run `n` independent tasks (reads to map) on `threads`
-//! worker threads with per-thread mutable state (each worker owns its
-//! `CachedGbwt`, like Giraffe's per-thread caches).
+//! threads of a persistent [`WorkerPool`] with per-thread mutable state
+//! (each worker owns its `CachedGbwt`, like Giraffe's per-thread caches),
+//! and there is one way in: [`SchedulerKind::run`].
 //!
 //! # Examples
 //!
 //! ```
-//! use mg_sched::{Scheduler, SchedulerKind, DynamicScheduler};
+//! use mg_obs::Metrics;
+//! use mg_sched::{PoolTask, SchedulerKind, WorkerPool};
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
-//! let scheduler = DynamicScheduler::new(64);
+//! struct Sum<'a>(&'a AtomicU64);
+//! impl PoolTask for Sum<'_> {
+//!     fn run(&mut self, i: usize) {
+//!         self.0.fetch_add(i as u64, Ordering::Relaxed);
+//!     }
+//! }
+//!
+//! let mut pool = WorkerPool::new();
 //! let sum = AtomicU64::new(0);
-//! scheduler.run(1000, 4, |_thread| (), &|_state, i| {
-//!     sum.fetch_add(i as u64, Ordering::Relaxed);
+//! SchedulerKind::Dynamic.run(64, &mut pool, 1000, 4, Metrics::off_ref(), &|_thread, _cell| {
+//!     Box::new(Sum(&sum))
 //! });
 //! assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
-//! # let _ = SchedulerKind::Dynamic;
 //! ```
 
 mod admission;
 mod pool;
 mod queue;
 
-pub use admission::{AdmissionError, AdmissionLimits, AdmissionQueue, AdmissionStats};
+pub use admission::{AdmissionError, AdmissionQueue, AdmissionStats};
 pub use pool::{PoolCell, PoolTask, WorkerPool};
 pub use queue::{bounded_queue, QueueStats, StreamReceiver, StreamSender};
-
-use pool::{Launch, ScopeLaunch};
 
 use mg_obs::{Ctr, Gauge, Hist, Metrics};
 
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The one definition of the in-flight chunk window default, shared by the
-/// streaming pipelines, the serving executor, and the adaptive controller:
+/// streaming pipelines and the serving executor:
 /// `requested` reads per chunk when nonzero, else one full dispatch worth
 /// of work (`threads × batch_size`). Always >= 1.
 ///
@@ -86,97 +93,6 @@ pub fn chunk_grain_reads(chunk_reads: usize, threads: usize, batch_size: usize) 
     batch_size.min(per_grain).max(1)
 }
 
-/// Runs `n` independent tasks across worker threads.
-///
-/// Implementors decide how indexes are distributed; every index in `0..n`
-/// is processed exactly once.
-pub trait Scheduler: Send + Sync {
-    /// A short stable name (used in result tables: `openmp-dynamic`,
-    /// `work-stealing`, ...).
-    fn name(&self) -> &'static str;
-
-    /// The batch size this scheduler hands to threads at a time (0 when the
-    /// scheduler has no batching notion).
-    fn batch_size(&self) -> usize;
-
-    /// Processes tasks `0..n` on `threads` threads.
-    ///
-    /// `init(thread_id)` builds the per-thread state; `task(&mut state, i)`
-    /// processes item `i`. With `threads <= 1` everything runs inline on
-    /// the calling thread.
-    fn run<'env, S, I>(
-        &self,
-        n: usize,
-        threads: usize,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-    ) where
-        S: Send,
-        I: Fn(usize) -> S + Sync + 'env;
-
-    /// Processes tasks `0..n` on a persistent [`WorkerPool`] instead of
-    /// throwaway scoped threads.
-    ///
-    /// Dispatch is identical to [`Scheduler::run`]; the difference is where
-    /// per-thread state lives. `init(thread_id, cell)` builds the run state
-    /// (pulling warm pieces out of the thread's persistent [`PoolCell`] if
-    /// it wants), and `fini(thread_id, state, cell)` runs after the
-    /// thread's last task so warm state can be stashed back for the next
-    /// run. With `threads <= 1` everything runs inline on the calling
-    /// thread against cell 0.
-    fn run_pooled<'env, S, I, F>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env;
-
-    /// [`Scheduler::run`] with scheduler-level metrics (dispatched batches,
-    /// completions, steals, queue depths, idle time) recorded into
-    /// `metrics`. The default ignores the registry.
-    fn run_obs<'env, S, I>(
-        &self,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-    ) where
-        S: Send,
-        I: Fn(usize) -> S + Sync + 'env,
-    {
-        let _ = metrics;
-        self.run(n, threads, init, task);
-    }
-
-    /// [`Scheduler::run_pooled`] with scheduler-level metrics recorded into
-    /// `metrics`. The default ignores the registry.
-    #[allow(clippy::too_many_arguments)]
-    fn run_pooled_obs<'env, S, I, F>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        let _ = metrics;
-        self.run_pooled(pool, n, threads, init, task, fini);
-    }
-}
-
 /// Identifies a scheduler implementation; the tuning harness sweeps this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SchedulerKind {
@@ -205,13 +121,51 @@ impl SchedulerKind {
     /// The two schedulers the paper's autotuning study sweeps.
     pub const TUNED: [SchedulerKind; 2] = [SchedulerKind::Dynamic, SchedulerKind::WorkStealing];
 
-    /// Instantiates the scheduler with a batch size.
-    pub fn build(self, batch_size: usize) -> Box<dyn AnyScheduler> {
+    /// Processes tasks `0..n` on `threads` threads of `pool`, handing out
+    /// `batch` indexes at a time (clamped to at least 1; the static
+    /// partitioner ignores it). Every index is processed exactly once.
+    ///
+    /// `make_task(thread_id, cell)` builds the per-thread [`PoolTask`] on
+    /// its pool thread, with the thread's persistent [`PoolCell`] available
+    /// to warm-start from; the task's `finish` gets the cell back after the
+    /// thread's last index. With `threads <= 1` everything runs inline on
+    /// the calling thread against cell 0, in index order. Dispatched
+    /// batches, completions, steals, queue depths and idle time are recorded
+    /// into `metrics`; pass [`Metrics::off_ref`] when not observing.
+    ///
+    /// A panicking task unwinds out of this call after every thread has
+    /// stopped, and the pool stays usable.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run<'env>(
+        self,
+        batch: usize,
+        pool: &mut WorkerPool,
+        n: usize,
+        threads: usize,
+        metrics: &Metrics,
+        make_task: &(dyn Fn(usize, &mut PoolCell) -> Box<dyn PoolTask + 'env> + Sync + 'env),
+    ) {
+        if threads <= 1 || n == 0 {
+            // One body on thread 0 processes everything in order, as one
+            // batch, so metric reconciliation holds at every thread count.
+            return pool.scoped(1, &|t, cell| {
+                let mut task = make_task(t, cell);
+                let mut tally = Tally::default();
+                if n > 0 {
+                    metrics.gauge_max(Gauge::ThreadsMax, 1);
+                    tally.batch(&mut *task, 0..n, metrics);
+                }
+                tally.flush(metrics);
+                task.finish(cell);
+            });
+        }
+        metrics.gauge_max(Gauge::ThreadsMax, threads as u64);
+        let batch = batch.max(1);
         match self {
-            SchedulerKind::Static => Box::new(StaticScheduler),
-            SchedulerKind::Dynamic => Box::new(DynamicScheduler::new(batch_size)),
-            SchedulerKind::WorkStealing => Box::new(WorkStealingScheduler::new(batch_size)),
-            SchedulerKind::Vg => Box::new(VgScheduler::new(batch_size)),
+            SchedulerKind::Static => run_static(pool, n, threads, metrics, make_task),
+            SchedulerKind::Dynamic => run_dynamic(batch, pool, n, threads, metrics, make_task),
+            SchedulerKind::WorkStealing => run_stealing(batch, pool, n, threads, metrics, make_task),
+            SchedulerKind::Vg => run_vg(batch, pool, n, threads, metrics, make_task),
         }
     }
 }
@@ -242,749 +196,206 @@ impl FromStr for SchedulerKind {
     }
 }
 
-/// Object-safe wrapper over [`Scheduler`] for loops whose concrete
-/// scheduler is picked at runtime (e.g. by the tuning sweep).
-pub trait AnyScheduler: Send + Sync {
-    /// See [`Scheduler::name`].
-    fn name(&self) -> &'static str;
-    /// See [`Scheduler::batch_size`].
-    fn batch_size(&self) -> usize;
-    /// Type-erased run: `make_worker(thread_id)` returns the closure that
-    /// processes one index on that thread.
-    fn run_erased<'env>(
-        &self,
-        n: usize,
-        threads: usize,
-        make_worker: &(dyn Fn(usize) -> Box<dyn FnMut(usize) + Send + 'env> + Sync + 'env),
-    );
 
-    /// Type-erased [`Scheduler::run_pooled`]: `make_task(thread_id, cell)`
-    /// builds the per-thread [`PoolTask`] on its pool thread, with the
-    /// thread's persistent cell available to warm-start from; the task's
-    /// `finish` gets the cell back after the thread's last index.
-    fn run_pooled_erased<'env>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        make_task: &(dyn Fn(usize, &mut PoolCell) -> Box<dyn PoolTask + 'env> + Sync + 'env),
-    );
+/// Builds one thread's [`PoolTask`] for a dispatch; see [`SchedulerKind::run`].
+type MakeTask<'a, 'env> =
+    &'a (dyn Fn(usize, &mut PoolCell) -> Box<dyn PoolTask + 'env> + Sync + 'env);
 
-    /// [`AnyScheduler::run_erased`] with scheduler-level metrics.
-    fn run_erased_obs<'env>(
-        &self,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        make_worker: &(dyn Fn(usize) -> Box<dyn FnMut(usize) + Send + 'env> + Sync + 'env),
-    );
-
-    /// [`AnyScheduler::run_pooled_erased`] with scheduler-level metrics.
-    fn run_pooled_erased_obs<'env>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        make_task: &(dyn Fn(usize, &mut PoolCell) -> Box<dyn PoolTask + 'env> + Sync + 'env),
-    );
+/// One thread's batch and completion counts for one dispatch, folded into
+/// the registry once at the end.
+#[derive(Default)]
+struct Tally {
+    batches: u64,
+    done: u64,
 }
 
-impl<T: Scheduler> AnyScheduler for T {
-    fn name(&self) -> &'static str {
-        Scheduler::name(self)
+impl Tally {
+    /// Runs `range` on `task` as one counted batch.
+    fn batch(&mut self, task: &mut dyn PoolTask, range: Range<usize>, metrics: &Metrics) {
+        let len = range.len() as u64;
+        for i in range {
+            task.run(i);
+        }
+        self.batches += 1;
+        self.done += len;
+        metrics.observe(Hist::BatchReads, len);
     }
 
-    fn batch_size(&self) -> usize {
-        Scheduler::batch_size(self)
-    }
-
-    fn run_erased<'env>(
-        &self,
-        n: usize,
-        threads: usize,
-        make_worker: &(dyn Fn(usize) -> Box<dyn FnMut(usize) + Send + 'env> + Sync + 'env),
-    ) {
-        self.run(
-            n,
-            threads,
-            |t| make_worker(t),
-            &|worker: &mut Box<dyn FnMut(usize) + Send + 'env>, i| worker(i),
-        );
-    }
-
-    fn run_pooled_erased<'env>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        make_task: &(dyn Fn(usize, &mut PoolCell) -> Box<dyn PoolTask + 'env> + Sync + 'env),
-    ) {
-        self.run_pooled(
-            pool,
-            n,
-            threads,
-            |t, cell: &mut PoolCell| make_task(t, cell),
-            &|task: &mut Box<dyn PoolTask + 'env>, i| task.run(i),
-            |_t, task: Box<dyn PoolTask + 'env>, cell: &mut PoolCell| task.finish(cell),
-        );
-    }
-
-    fn run_erased_obs<'env>(
-        &self,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        make_worker: &(dyn Fn(usize) -> Box<dyn FnMut(usize) + Send + 'env> + Sync + 'env),
-    ) {
-        self.run_obs(
-            n,
-            threads,
-            metrics,
-            |t| make_worker(t),
-            &|worker: &mut Box<dyn FnMut(usize) + Send + 'env>, i| worker(i),
-        );
-    }
-
-    fn run_pooled_erased_obs<'env>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        make_task: &(dyn Fn(usize, &mut PoolCell) -> Box<dyn PoolTask + 'env> + Sync + 'env),
-    ) {
-        self.run_pooled_obs(
-            pool,
-            n,
-            threads,
-            metrics,
-            |t, cell: &mut PoolCell| make_task(t, cell),
-            &|task: &mut Box<dyn PoolTask + 'env>, i| task.run(i),
-            |_t, task: Box<dyn PoolTask + 'env>, cell: &mut PoolCell| task.finish(cell),
-        );
+    fn flush(&self, metrics: &Metrics) {
+        if self.batches > 0 {
+            metrics.add(Ctr::PoolBatches, self.batches);
+            metrics.add(Ctr::PoolTasksCompleted, self.done);
+        }
     }
 }
 
 /// Contiguous equal chunks, one per thread. No balancing at all: the
 /// baseline the dynamic schedulers are measured against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticScheduler;
-
-impl StaticScheduler {
-    #[allow(clippy::too_many_arguments)]
-    fn drive<'env, S, I, F>(
-        &self,
-        launch: &mut dyn Launch,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        if threads <= 1 || n == 0 {
-            return drive_inline(launch, n, metrics, &init, task, &fini);
-        }
-        metrics.gauge_max(Gauge::ThreadsMax, threads as u64);
-        let chunk = n.div_ceil(threads);
-        launch.launch(threads, &|t, cell| {
-            let mut state = init(t, cell);
-            let start = (t * chunk).min(n);
-            let end = ((t + 1) * chunk).min(n);
-            for i in start..end {
-                task(&mut state, i);
-            }
-            if end > start {
-                // Each thread's contiguous share is one "batch".
-                metrics.add(Ctr::PoolBatches, 1);
-                metrics.add(Ctr::PoolTasksCompleted, (end - start) as u64);
-                metrics.observe(Hist::BatchReads, (end - start) as u64);
-            }
-            fini(t, state, cell);
-        });
-    }
-}
-
-impl Scheduler for StaticScheduler {
-    fn name(&self) -> &'static str {
-        "static"
-    }
-
-    fn batch_size(&self) -> usize {
-        0
-    }
-
-    fn run<'env, S, I>(
-        &self,
-        n: usize,
-        threads: usize,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-    ) where
-        S: Send,
-        I: Fn(usize) -> S + Sync + 'env,
-    {
-        self.drive(&mut ScopeLaunch, n, threads, Metrics::off_ref(), unpooled_init(init), task, unpooled_fini());
-    }
-
-    fn run_pooled<'env, S, I, F>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        self.drive(pool, n, threads, Metrics::off_ref(), init, task, fini);
-    }
-
-    fn run_obs<'env, S, I>(
-        &self,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-    ) where
-        S: Send,
-        I: Fn(usize) -> S + Sync + 'env,
-    {
-        self.drive(&mut ScopeLaunch, n, threads, metrics, unpooled_init(init), task, unpooled_fini());
-    }
-
-    fn run_pooled_obs<'env, S, I, F>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        self.drive(pool, n, threads, metrics, init, task, fini);
-    }
-}
-
-/// Shared `threads <= 1 || n == 0` path: one body on thread 0 processes
-/// everything in order (and still reports completions, so metric
-/// reconciliation holds at every thread count).
-fn drive_inline<'env, S>(
-    launch: &mut dyn Launch,
+fn run_static(
+    pool: &mut WorkerPool,
     n: usize,
+    threads: usize,
     metrics: &Metrics,
-    init: &(dyn Fn(usize, &mut PoolCell) -> S + Sync + 'env),
-    task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-    fini: &(dyn Fn(usize, S, &mut PoolCell) + Sync + 'env),
-) where
-    S: Send,
-{
-    launch.launch(1, &|t, cell| {
-        let mut state = init(t, cell);
-        for i in 0..n {
-            task(&mut state, i);
+    make_task: MakeTask<'_, '_>,
+) {
+    let chunk = n.div_ceil(threads);
+    pool.scoped(threads, &|t, cell| {
+        let mut task = make_task(t, cell);
+        let mut tally = Tally::default();
+        let start = (t * chunk).min(n);
+        let end = ((t + 1) * chunk).min(n);
+        if end > start {
+            // Each thread's contiguous share is one "batch".
+            tally.batch(&mut *task, start..end, metrics);
         }
-        if n > 0 {
-            metrics.gauge_max(Gauge::ThreadsMax, 1);
-            metrics.add(Ctr::PoolBatches, 1);
-            metrics.add(Ctr::PoolTasksCompleted, n as u64);
-            metrics.observe(Hist::BatchReads, n as u64);
-        }
-        fini(t, state, cell);
+        tally.flush(metrics);
+        task.finish(cell);
     });
-}
-
-/// Adapts a pool-less `init` (no cell access) for `drive`.
-fn unpooled_init<'env, S, I>(init: I) -> impl Fn(usize, &mut PoolCell) -> S + Sync + 'env
-where
-    I: Fn(usize) -> S + Sync + 'env,
-{
-    move |t, _cell| init(t)
-}
-
-/// A `fini` that just drops the run state.
-fn unpooled_fini<S>() -> impl Fn(usize, S, &mut PoolCell) + Sync {
-    |_t, state, _cell| drop(state)
 }
 
 /// Dynamic batches off a shared atomic counter — the behaviour of OpenMP's
 /// `schedule(dynamic, batch)` that miniGiraffe uses by default.
-#[derive(Debug, Clone, Copy)]
-pub struct DynamicScheduler {
+fn run_dynamic(
     batch: usize,
-}
-
-impl DynamicScheduler {
-    /// Creates the scheduler; `batch` is clamped to at least 1.
-    pub fn new(batch: usize) -> Self {
-        DynamicScheduler { batch: batch.max(1) }
-    }
-}
-
-impl DynamicScheduler {
-    #[allow(clippy::too_many_arguments)]
-    fn drive<'env, S, I, F>(
-        &self,
-        launch: &mut dyn Launch,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        if threads <= 1 || n == 0 {
-            return drive_inline(launch, n, metrics, &init, task, &fini);
+    pool: &mut WorkerPool,
+    n: usize,
+    threads: usize,
+    metrics: &Metrics,
+    make_task: MakeTask<'_, '_>,
+) {
+    let cursor = AtomicUsize::new(0);
+    pool.scoped(threads, &|t, cell| {
+        let mut task = make_task(t, cell);
+        let mut tally = Tally::default();
+        loop {
+            let start = cursor.fetch_add(batch, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            tally.batch(&mut *task, start..(start + batch).min(n), metrics);
         }
-        metrics.gauge_max(Gauge::ThreadsMax, threads as u64);
-        let cursor = AtomicUsize::new(0);
-        launch.launch(threads, &|t, cell| {
-            let mut state = init(t, cell);
-            let mut batches = 0u64;
-            let mut done = 0u64;
-            loop {
-                let start = cursor.fetch_add(self.batch, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + self.batch).min(n);
-                for i in start..end {
-                    task(&mut state, i);
-                }
-                batches += 1;
-                done += (end - start) as u64;
-                metrics.observe(Hist::BatchReads, (end - start) as u64);
-            }
-            if batches > 0 {
-                metrics.add(Ctr::PoolBatches, batches);
-                metrics.add(Ctr::PoolTasksCompleted, done);
-            }
-            fini(t, state, cell);
-        });
-    }
-}
-
-impl Scheduler for DynamicScheduler {
-    fn name(&self) -> &'static str {
-        "openmp-dynamic"
-    }
-
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
-    fn run<'env, S, I>(
-        &self,
-        n: usize,
-        threads: usize,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-    ) where
-        S: Send,
-        I: Fn(usize) -> S + Sync + 'env,
-    {
-        self.drive(&mut ScopeLaunch, n, threads, Metrics::off_ref(), unpooled_init(init), task, unpooled_fini());
-    }
-
-    fn run_pooled<'env, S, I, F>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        self.drive(pool, n, threads, Metrics::off_ref(), init, task, fini);
-    }
-
-    fn run_obs<'env, S, I>(
-        &self,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-    ) where
-        S: Send,
-        I: Fn(usize) -> S + Sync + 'env,
-    {
-        self.drive(&mut ScopeLaunch, n, threads, metrics, unpooled_init(init), task, unpooled_fini());
-    }
-
-    fn run_pooled_obs<'env, S, I, F>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        self.drive(pool, n, threads, metrics, init, task, fini);
-    }
+        tally.flush(metrics);
+        task.finish(cell);
+    });
 }
 
 /// The paper's in-house scheduler: the range is pre-split evenly; each
 /// thread consumes its own share in `batch`-sized chunks through a
 /// per-thread atomic cursor, and when it runs dry it steals batches from
 /// victims round-robin with an atomic read-modify-write.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkStealingScheduler {
+fn run_stealing(
     batch: usize,
-}
-
-impl WorkStealingScheduler {
-    /// Creates the scheduler; `batch` is clamped to at least 1.
-    pub fn new(batch: usize) -> Self {
-        WorkStealingScheduler { batch: batch.max(1) }
-    }
-}
-
-impl WorkStealingScheduler {
-    #[allow(clippy::too_many_arguments)]
-    fn drive<'env, S, I, F>(
-        &self,
-        launch: &mut dyn Launch,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        if threads <= 1 || n == 0 {
-            return drive_inline(launch, n, metrics, &init, task, &fini);
-        }
-        metrics.gauge_max(Gauge::ThreadsMax, threads as u64);
-        let chunk = n.div_ceil(threads);
-        let shares: Vec<(AtomicUsize, usize)> = (0..threads)
-            .map(|t| {
-                let start = (t * chunk).min(n);
-                let end = ((t + 1) * chunk).min(n);
-                (AtomicUsize::new(start), end)
-            })
-            .collect();
-        launch.launch(threads, &|t, cell| {
-            let mut state = init(t, cell);
-            let mut batches = 0u64;
-            let mut steals = 0u64;
-            let mut done = 0u64;
-            // Own share first, then victims round-robin from t + 1.
-            for v in 0..threads {
-                let victim = (t + v) % threads;
-                let (cursor, end) = &shares[victim];
-                loop {
-                    let start = cursor.fetch_add(self.batch, Ordering::Relaxed);
-                    if start >= *end {
-                        break;
-                    }
-                    let stop = (start + self.batch).min(*end);
-                    for i in start..stop {
-                        task(&mut state, i);
-                    }
-                    batches += 1;
-                    done += (stop - start) as u64;
-                    if v > 0 {
-                        steals += 1;
-                    }
-                    metrics.observe(Hist::BatchReads, (stop - start) as u64);
+    pool: &mut WorkerPool,
+    n: usize,
+    threads: usize,
+    metrics: &Metrics,
+    make_task: MakeTask<'_, '_>,
+) {
+    let chunk = n.div_ceil(threads);
+    let shares: Vec<(AtomicUsize, usize)> = (0..threads)
+        .map(|t| {
+            let start = (t * chunk).min(n);
+            let end = ((t + 1) * chunk).min(n);
+            (AtomicUsize::new(start), end)
+        })
+        .collect();
+    pool.scoped(threads, &|t, cell| {
+        let mut task = make_task(t, cell);
+        let mut tally = Tally::default();
+        let mut steals = 0u64;
+        // Own share first, then victims round-robin from t + 1.
+        for v in 0..threads {
+            let (cursor, end) = &shares[(t + v) % threads];
+            loop {
+                let start = cursor.fetch_add(batch, Ordering::Relaxed);
+                if start >= *end {
+                    break;
+                }
+                tally.batch(&mut *task, start..(start + batch).min(*end), metrics);
+                if v > 0 {
+                    steals += 1;
                 }
             }
-            if batches > 0 {
-                metrics.add(Ctr::PoolBatches, batches);
-                metrics.add(Ctr::PoolTasksCompleted, done);
-            }
-            if steals > 0 {
-                metrics.add(Ctr::PoolSteals, steals);
-            }
-            fini(t, state, cell);
-        });
-    }
-}
-
-impl Scheduler for WorkStealingScheduler {
-    fn name(&self) -> &'static str {
-        "work-stealing"
-    }
-
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
-    fn run<'env, S, I>(
-        &self,
-        n: usize,
-        threads: usize,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-    ) where
-        S: Send,
-        I: Fn(usize) -> S + Sync + 'env,
-    {
-        self.drive(&mut ScopeLaunch, n, threads, Metrics::off_ref(), unpooled_init(init), task, unpooled_fini());
-    }
-
-    fn run_pooled<'env, S, I, F>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        self.drive(pool, n, threads, Metrics::off_ref(), init, task, fini);
-    }
-
-    fn run_obs<'env, S, I>(
-        &self,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-    ) where
-        S: Send,
-        I: Fn(usize) -> S + Sync + 'env,
-    {
-        self.drive(&mut ScopeLaunch, n, threads, metrics, unpooled_init(init), task, unpooled_fini());
-    }
-
-    fn run_pooled_obs<'env, S, I, F>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        self.drive(pool, n, threads, metrics, init, task, fini);
-    }
+        }
+        tally.flush(metrics);
+        if steals > 0 {
+            metrics.add(Ctr::PoolSteals, steals);
+        }
+        task.finish(cell);
+    });
 }
 
 /// VG-style batch dispatcher: worker threads pull batches from a bounded
 /// queue fed by the main thread; when every worker is busy (queue full) the
 /// main thread processes a batch itself, mirroring VG's task launcher that
 /// the workload characterization observed.
-#[derive(Debug, Clone, Copy)]
-pub struct VgScheduler {
+fn run_vg(
     batch: usize,
-}
-
-impl VgScheduler {
-    /// Creates the scheduler; `batch` is clamped to at least 1.
-    pub fn new(batch: usize) -> Self {
-        VgScheduler { batch: batch.max(1) }
-    }
-}
-
-impl VgScheduler {
-    #[allow(clippy::too_many_arguments)]
-    fn drive<'env, S, I, F>(
-        &self,
-        launch: &mut dyn Launch,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        if threads <= 1 || n == 0 {
-            return drive_inline(launch, n, metrics, &init, task, &fini);
+    pool: &mut WorkerPool,
+    n: usize,
+    threads: usize,
+    metrics: &Metrics,
+    make_task: MakeTask<'_, '_>,
+) {
+    let observe = metrics.enabled();
+    // Thread 0 is the dispatcher; the rest are workers fed by a bounded
+    // channel. The dispatcher takes the sender out of the slot and drops it
+    // when dispatch ends, which winds the workers down.
+    let (tx, rx) = crossbeam::channel::bounded::<Range<usize>>(threads - 1);
+    let tx_slot = std::sync::Mutex::new(Some(tx));
+    // In-flight batch count, maintained only when observing: the shim
+    // channel has no len(), so the dispatcher and workers keep the depth
+    // themselves for the queue-depth gauge.
+    let depth = AtomicUsize::new(0);
+    pool.scoped(threads, &|t, cell| {
+        let mut task = make_task(t, cell);
+        let mut tally = Tally::default();
+        if t == 0 {
+            let tx = tx_slot.lock().unwrap().take().expect("dispatcher runs once");
+            // Dispatch batches; on backpressure, map a batch here.
+            let mut next = 0usize;
+            while next < n {
+                let end = (next + batch).min(n);
+                // Count the batch as in flight *before* sending: once
+                // try_send succeeds a worker may already have received and
+                // decremented it.
+                if observe {
+                    let d = depth.fetch_add(1, Ordering::Relaxed) + 1;
+                    metrics.gauge_max(Gauge::QueueDepthMax, d as u64);
+                }
+                match tx.try_send(next..end) {
+                    Ok(()) => {}
+                    Err(crossbeam::channel::TrySendError::Full(range)) => {
+                        if observe {
+                            depth.fetch_sub(1, Ordering::Relaxed);
+                        }
+                        tally.batch(&mut *task, range, metrics);
+                    }
+                    Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
+                        unreachable!("workers outlive the dispatch loop")
+                    }
+                }
+                next = end;
+            }
+        } else {
+            let rx = rx.clone();
+            let mut idle_ns = 0u64;
+            loop {
+                let waited = observe.then(std::time::Instant::now);
+                let Ok(range) = rx.recv() else { break };
+                if let Some(t0) = waited {
+                    idle_ns += t0.elapsed().as_nanos() as u64;
+                    depth.fetch_sub(1, Ordering::Relaxed);
+                }
+                tally.batch(&mut *task, range, metrics);
+            }
+            if idle_ns > 0 {
+                metrics.add(Ctr::PoolIdleNs, idle_ns);
+            }
         }
-        metrics.gauge_max(Gauge::ThreadsMax, threads as u64);
-        let observe = metrics.enabled();
-        // Thread 0 is the dispatcher; the rest are workers fed by a
-        // bounded channel. The dispatcher takes the sender out of the slot
-        // and drops it when dispatch ends, which winds the workers down.
-        let workers = threads - 1;
-        let (tx, rx) = crossbeam::channel::bounded::<(usize, usize)>(workers.max(1));
-        let tx_slot = std::sync::Mutex::new(Some(tx));
-        // In-flight batch count, maintained only when observing: the shim
-        // channel has no len(), so the dispatcher and workers keep the
-        // depth themselves for the queue-depth gauge.
-        let depth = AtomicUsize::new(0);
-        launch.launch(threads, &|t, cell| {
-            let mut state = init(t, cell);
-            let mut batches = 0u64;
-            let mut done = 0u64;
-            if t == 0 {
-                let tx = tx_slot.lock().unwrap().take().expect("dispatcher runs once");
-                // Dispatch batches; on backpressure, map a batch here.
-                let mut next = 0usize;
-                while next < n {
-                    let end = (next + self.batch).min(n);
-                    // Count the batch as in flight *before* sending: once
-                    // try_send succeeds a worker may already have received
-                    // and decremented it.
-                    if observe {
-                        let d = depth.fetch_add(1, Ordering::Relaxed) + 1;
-                        metrics.gauge_max(Gauge::QueueDepthMax, d as u64);
-                    }
-                    match tx.try_send((next, end)) {
-                        Ok(()) => {}
-                        Err(crossbeam::channel::TrySendError::Full(_)) => {
-                            if observe {
-                                depth.fetch_sub(1, Ordering::Relaxed);
-                            }
-                            for i in next..end {
-                                task(&mut state, i);
-                            }
-                            batches += 1;
-                            done += (end - next) as u64;
-                            metrics.observe(Hist::BatchReads, (end - next) as u64);
-                        }
-                        Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
-                            unreachable!("workers outlive the dispatch loop")
-                        }
-                    }
-                    next = end;
-                }
-            } else {
-                let rx = rx.clone();
-                let mut idle_ns = 0u64;
-                loop {
-                    let waited = if observe { Some(std::time::Instant::now()) } else { None };
-                    let Ok((start, end)) = rx.recv() else { break };
-                    if let Some(t0) = waited {
-                        idle_ns += t0.elapsed().as_nanos() as u64;
-                        depth.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    for i in start..end {
-                        task(&mut state, i);
-                    }
-                    batches += 1;
-                    done += (end - start) as u64;
-                    metrics.observe(Hist::BatchReads, (end - start) as u64);
-                }
-                if idle_ns > 0 {
-                    metrics.add(Ctr::PoolIdleNs, idle_ns);
-                }
-            }
-            if batches > 0 {
-                metrics.add(Ctr::PoolBatches, batches);
-                metrics.add(Ctr::PoolTasksCompleted, done);
-            }
-            fini(t, state, cell);
-        });
-    }
-}
-
-impl Scheduler for VgScheduler {
-    fn name(&self) -> &'static str {
-        "vg-batch"
-    }
-
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
-    fn run<'env, S, I>(
-        &self,
-        n: usize,
-        threads: usize,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-    ) where
-        S: Send,
-        I: Fn(usize) -> S + Sync + 'env,
-    {
-        self.drive(&mut ScopeLaunch, n, threads, Metrics::off_ref(), unpooled_init(init), task, unpooled_fini());
-    }
-
-    fn run_pooled<'env, S, I, F>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        self.drive(pool, n, threads, Metrics::off_ref(), init, task, fini);
-    }
-
-    fn run_obs<'env, S, I>(
-        &self,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-    ) where
-        S: Send,
-        I: Fn(usize) -> S + Sync + 'env,
-    {
-        self.drive(&mut ScopeLaunch, n, threads, metrics, unpooled_init(init), task, unpooled_fini());
-    }
-
-    fn run_pooled_obs<'env, S, I, F>(
-        &self,
-        pool: &mut WorkerPool,
-        n: usize,
-        threads: usize,
-        metrics: &Metrics,
-        init: I,
-        task: &(dyn Fn(&mut S, usize) + Sync + 'env),
-        fini: F,
-    ) where
-        S: Send,
-        I: Fn(usize, &mut PoolCell) -> S + Sync + 'env,
-        F: Fn(usize, S, &mut PoolCell) + Sync + 'env,
-    {
-        self.drive(pool, n, threads, metrics, init, task, fini);
-    }
+        tally.flush(metrics);
+        task.finish(cell);
+    });
 }
 
 #[cfg(test)]
@@ -993,28 +404,41 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Mutex;
 
-    fn all_schedulers() -> Vec<Box<dyn AnyScheduler>> {
-        SchedulerKind::ALL.iter().map(|k| k.build(16)).collect()
+    /// Bumps `seen[i]` for every index it is handed.
+    struct Count<'a>(&'a [AtomicU64]);
+
+    impl PoolTask for Count<'_> {
+        fn run(&mut self, i: usize) {
+            self.0[i].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Calls the closure on every index it is handed.
+    struct RunFn<R>(R);
+
+    impl<R: FnMut(usize) + Send> PoolTask for RunFn<R> {
+        fn run(&mut self, i: usize) {
+            (self.0)(i);
+        }
     }
 
     #[test]
     fn every_index_processed_exactly_once() {
-        for sched in all_schedulers() {
+        // One persistent pool shared by all four kinds and many run shapes:
+        // the scheduler contract must hold on recycled threads too.
+        let mut pool = WorkerPool::new();
+        for kind in SchedulerKind::ALL {
             for n in [0usize, 1, 7, 100, 1000] {
                 for threads in [1usize, 2, 4, 7] {
                     let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                    let seen_ref = &seen;
-                    sched.run_erased(n, threads, &move |_t| {
-                        Box::new(move |i| {
-                            seen_ref[i].fetch_add(1, Ordering::Relaxed);
-                        })
+                    kind.run(16, &mut pool, n, threads, Metrics::off_ref(), &|_t, _cell| {
+                        Box::new(Count(&seen))
                     });
                     for (i, c) in seen.iter().enumerate() {
                         assert_eq!(
                             c.load(Ordering::Relaxed),
                             1,
-                            "{}: index {i} with n={n} threads={threads}",
-                            sched.name()
+                            "{kind}: index {i} with n={n} threads={threads}"
                         );
                     }
                 }
@@ -1024,15 +448,15 @@ mod tests {
 
     #[test]
     fn per_thread_state_sums_to_total() {
+        let mut pool = WorkerPool::new();
         for kind in SchedulerKind::ALL {
             let counted = Mutex::new(0u64);
-            let counted_ref = &counted;
             struct State<'a> {
                 count: u64,
                 sink: &'a Mutex<u64>,
             }
-            impl State<'_> {
-                fn bump(&mut self) {
+            impl PoolTask for State<'_> {
+                fn run(&mut self, _i: usize) {
                     self.count += 1;
                 }
             }
@@ -1041,9 +465,8 @@ mod tests {
                     *self.sink.lock().unwrap() += self.count;
                 }
             }
-            kind.build(8).run_erased(500, 4, &move |_t| {
-                let mut state = State { count: 0, sink: counted_ref };
-                Box::new(move |_i| state.bump())
+            kind.run(8, &mut pool, 500, 4, Metrics::off_ref(), &|_t, _cell| {
+                Box::new(State { count: 0, sink: &counted })
             });
             assert_eq!(*counted.lock().unwrap(), 500, "{kind}");
         }
@@ -1053,53 +476,48 @@ mod tests {
     fn dynamic_balances_skewed_work() {
         // One heavy task must not serialize the rest: with dynamic batches
         // of 1, fast threads take the remainder while one sleeps.
-        let sched = DynamicScheduler::new(1);
         let done = AtomicU64::new(0);
-        sched.run(
+        SchedulerKind::Dynamic.run(
+            1,
+            &mut WorkerPool::new(),
             64,
             4,
-            |_t| (),
-            &|_s, i| {
-                if i == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
-                done.fetch_add(1, Ordering::Relaxed);
+            Metrics::off_ref(),
+            &|_t, _cell| {
+                Box::new(RunFn(|i| {
+                    if i == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                    }
+                    done.fetch_add(1, Ordering::Relaxed);
+                }))
             },
         );
         assert_eq!(done.load(Ordering::Relaxed), 64);
     }
 
     #[test]
-    fn work_stealing_processes_all_with_uneven_shares() {
-        let processed = Mutex::new(vec![0u64; 4]);
-        let pb = &processed;
-        WorkStealingScheduler::new(4).run(
-            4001, // not divisible by 4: last share is short
+    fn work_stealing_uneven_shares_exactly_once() {
+        let n = 4001; // not divisible by 4: last share is short
+        let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        SchedulerKind::WorkStealing.run(
             4,
-            |t| t,
-            &|t, _i| {
-                pb.lock().unwrap()[*t] += 1;
-            },
+            &mut WorkerPool::new(),
+            n,
+            4,
+            Metrics::off_ref(),
+            &|_t, _cell| Box::new(Count(&seen)),
         );
-        assert_eq!(processed.lock().unwrap().iter().sum::<u64>(), 4001);
+        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn vg_scheduler_two_threads() {
         // threads = 2 means one worker + the dispatching main thread.
-        let seen = Mutex::new(vec![false; 300]);
-        let seen_ref = &seen;
-        VgScheduler::new(32).run(
-            300,
-            2,
-            |_t| (),
-            &|_s, i| {
-                let mut v = seen_ref.lock().unwrap();
-                assert!(!v[i], "index {i} processed twice");
-                v[i] = true;
-            },
-        );
-        assert!(seen.lock().unwrap().iter().all(|&b| b));
+        let seen: Vec<AtomicU64> = (0..300).map(|_| AtomicU64::new(0)).collect();
+        SchedulerKind::Vg.run(32, &mut WorkerPool::new(), 300, 2, Metrics::off_ref(), &|_t, _cell| {
+            Box::new(Count(&seen))
+        });
+        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -1114,84 +532,36 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_reported_and_clamped() {
-        assert_eq!(SchedulerKind::Dynamic.build(128).batch_size(), 128);
-        assert_eq!(SchedulerKind::WorkStealing.build(256).batch_size(), 256);
-        assert_eq!(SchedulerKind::Vg.build(512).batch_size(), 512);
-        assert_eq!(Scheduler::batch_size(&DynamicScheduler::new(0)), 1);
-    }
-
-    #[test]
-    fn pooled_every_index_processed_exactly_once() {
-        // One persistent pool shared by all four kinds and many run shapes:
-        // the scheduler contract must hold on recycled threads too.
-        let mut pool = WorkerPool::new();
-        for sched in all_schedulers() {
-            for n in [0usize, 1, 7, 1000] {
-                for threads in [1usize, 2, 7] {
-                    let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                    let seen_ref = &seen;
-                    sched.run_pooled_erased(&mut pool, n, threads, &move |_t, _cell| {
-                        struct Count<'a>(&'a [AtomicU64]);
-                        impl PoolTask for Count<'_> {
-                            fn run(&mut self, i: usize) {
-                                self.0[i].fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Box::new(Count(seen_ref))
-                    });
-                    for (i, c) in seen.iter().enumerate() {
-                        assert_eq!(
-                            c.load(Ordering::Relaxed),
-                            1,
-                            "{}: index {i} with n={n} threads={threads}",
-                            sched.name()
-                        );
-                    }
-                }
-            }
+    fn zero_batch_is_clamped_to_one() {
+        let metrics = Metrics::new();
+        let seen: Vec<AtomicU64> = (0..10).map(|_| AtomicU64::new(0)).collect();
+        SchedulerKind::Dynamic.run(0, &mut WorkerPool::new(), 10, 2, &metrics, &|_t, _cell| {
+            Box::new(Count(&seen))
+        });
+        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        if metrics.enabled() {
+            assert_eq!(metrics.report().counter(Ctr::PoolBatches), 10);
         }
     }
 
     #[test]
-    fn pooled_work_stealing_uneven_shares_exactly_once() {
-        let mut pool = WorkerPool::new();
-        let n = 4001; // not divisible by 4: last share is short
-        let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let seen_ref = &seen;
-        WorkStealingScheduler::new(4).run_pooled(
-            &mut pool,
-            n,
-            4,
-            |_t, _cell| (),
-            &|_s, i| {
-                seen_ref[i].fetch_add(1, Ordering::Relaxed);
-            },
-            |_t, _s, _cell| {},
-        );
-        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn pooled_state_round_trips_through_cells() {
+    fn state_round_trips_through_cells() {
         // Each thread counts its tasks into run state, stashes the total in
-        // its cell at fini, and the next run warm-starts from it.
+        // its cell at finish, and the next run warm-starts from it.
+        struct Warm(u64);
+        impl PoolTask for Warm {
+            fn run(&mut self, _i: usize) {
+                self.0 += 1;
+            }
+            fn finish(self: Box<Self>, cell: &mut PoolCell) {
+                *cell = Box::new(self.0);
+            }
+        }
         let mut pool = WorkerPool::new();
-        let sched = DynamicScheduler::new(8);
         for round in 1u64..=3 {
-            sched.run_pooled(
-                &mut pool,
-                200,
-                3,
-                |_t, cell: &mut PoolCell| {
-                    let warm = cell.downcast_ref::<u64>().copied().unwrap_or(0);
-                    (warm, 0u64)
-                },
-                &|state: &mut (u64, u64), _i| state.1 += 1,
-                |_t, (warm, count), cell: &mut PoolCell| {
-                    *cell = Box::new(warm + count);
-                },
-            );
+            SchedulerKind::Dynamic.run(8, &mut pool, 200, 3, Metrics::off_ref(), &|_t, cell| {
+                Box::new(Warm(cell.downcast_ref::<u64>().copied().unwrap_or(0)))
+            });
             let total: u64 = (0..3)
                 .map(|t| pool.cell_mut(t).downcast_ref::<u64>().copied().unwrap_or(0))
                 .sum();
@@ -1200,20 +570,19 @@ mod tests {
     }
 
     #[test]
-    fn pooled_finish_runs_on_every_thread() {
+    fn finish_runs_on_every_thread() {
+        struct Fin<'a>(&'a AtomicU64);
+        impl PoolTask for Fin<'_> {
+            fn run(&mut self, _i: usize) {}
+            fn finish(self: Box<Self>, _cell: &mut PoolCell) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         let mut pool = WorkerPool::new();
         for kind in SchedulerKind::ALL {
             let finished = AtomicU64::new(0);
-            let fref = &finished;
-            kind.build(8).run_pooled_erased(&mut pool, 100, 4, &move |_t, _cell| {
-                struct Fin<'a>(&'a AtomicU64);
-                impl PoolTask for Fin<'_> {
-                    fn run(&mut self, _i: usize) {}
-                    fn finish(self: Box<Self>, _cell: &mut PoolCell) {
-                        self.0.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Box::new(Fin(fref))
+            kind.run(8, &mut pool, 100, 4, Metrics::off_ref(), &|_t, _cell| {
+                Box::new(Fin(&finished))
             });
             assert_eq!(finished.load(Ordering::Relaxed), 4, "{kind}");
         }
@@ -1223,15 +592,15 @@ mod tests {
     fn single_thread_runs_inline_in_order() {
         let order = Mutex::new(Vec::new());
         let tid = std::thread::current().id();
-        DynamicScheduler::new(8).run(
-            20,
-            1,
-            |_t| (),
-            &|_s, i| {
-                assert_eq!(std::thread::current().id(), tid);
-                order.lock().unwrap().push(i);
-            },
-        );
-        assert_eq!(*order.lock().unwrap(), (0..20).collect::<Vec<_>>());
+        for kind in SchedulerKind::ALL {
+            order.lock().unwrap().clear();
+            kind.run(8, &mut WorkerPool::new(), 20, 1, Metrics::off_ref(), &|_t, _cell| {
+                Box::new(RunFn(|i| {
+                    assert_eq!(std::thread::current().id(), tid);
+                    order.lock().unwrap().push(i);
+                }))
+            });
+            assert_eq!(*order.lock().unwrap(), (0..20).collect::<Vec<_>>(), "{kind}");
+        }
     }
 }

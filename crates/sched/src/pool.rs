@@ -31,11 +31,10 @@ fn empty_cell() -> PoolCell {
 }
 
 /// A per-thread unit of work for
-/// [`AnyScheduler::run_pooled_erased`](crate::AnyScheduler::run_pooled_erased):
-/// built on its thread at the start of a run (with access to the thread's
-/// [`PoolCell`]), fed every index the scheduler assigns to that thread, and
-/// finished with the cell again so warm state can be stashed for the next
-/// run.
+/// [`SchedulerKind::run`](crate::SchedulerKind::run): built on its thread at
+/// the start of a run (with access to the thread's [`PoolCell`]), fed every
+/// index the scheduler assigns to that thread, and finished with the cell
+/// again so warm state can be stashed for the next run.
 pub trait PoolTask: Send {
     /// Processes one task index.
     fn run(&mut self, i: usize);
@@ -221,51 +220,6 @@ impl Drop for WorkerPool {
                 let _ = handle.join();
             }
         }
-    }
-}
-
-/// How a scheduler's per-thread bodies get executed: either on throwaway
-/// scoped threads (the pool-less [`Scheduler::run`](crate::Scheduler::run)
-/// path) or on a persistent [`WorkerPool`].
-pub(crate) trait Launch {
-    fn launch<'env>(&mut self, threads: usize, body: &(dyn Fn(usize, &mut PoolCell) + Sync + 'env));
-}
-
-/// Throwaway threads via [`std::thread::scope`]; every body gets a fresh,
-/// discarded cell.
-pub(crate) struct ScopeLaunch;
-
-impl Launch for ScopeLaunch {
-    fn launch<'env>(
-        &mut self,
-        threads: usize,
-        body: &(dyn Fn(usize, &mut PoolCell) + Sync + 'env),
-    ) {
-        if threads <= 1 {
-            let mut cell = empty_cell();
-            body(0, &mut cell);
-            return;
-        }
-        std::thread::scope(|scope| {
-            for t in 1..threads {
-                scope.spawn(move || {
-                    let mut cell = empty_cell();
-                    body(t, &mut cell);
-                });
-            }
-            let mut cell = empty_cell();
-            body(0, &mut cell);
-        });
-    }
-}
-
-impl Launch for WorkerPool {
-    fn launch<'env>(
-        &mut self,
-        threads: usize,
-        body: &(dyn Fn(usize, &mut PoolCell) + Sync + 'env),
-    ) {
-        self.scoped(threads, body);
     }
 }
 

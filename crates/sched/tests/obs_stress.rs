@@ -27,13 +27,9 @@ fn metrics_reconcile_to_exactly_once_processing() {
                 let metrics = Metrics::new();
                 let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
                 let seen_ref = &seen;
-                kind.build(16).run_pooled_erased_obs(
-                    &mut pool,
-                    n,
-                    threads,
-                    &metrics,
-                    &move |_t, _cell| Box::new(Count(seen_ref)),
-                );
+                kind.run(16, &mut pool, n, threads, &metrics, &move |_t, _cell| {
+                    Box::new(Count(seen_ref))
+                });
                 for (i, c) in seen.iter().enumerate() {
                     assert_eq!(
                         c.load(Ordering::Relaxed),
@@ -69,38 +65,23 @@ fn metrics_reconcile_to_exactly_once_processing() {
 }
 
 #[test]
-fn unpooled_obs_path_reconciles_too() {
-    // The parent pipeline drives scoped (unpooled) workers; the same
-    // reconciliation must hold there.
-    for kind in SchedulerKind::ALL {
-        let metrics = Metrics::new();
-        let n = 300usize;
-        let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let seen_ref = &seen;
-        kind.build(8).run_erased_obs(n, 4, &metrics, &move |_t| {
-            Box::new(move |i| {
-                seen_ref[i].fetch_add(1, Ordering::Relaxed);
-            })
-        });
-        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1), "{kind}");
-        assert_eq!(metrics.report().counter(Ctr::PoolTasksCompleted), n as u64, "{kind}");
-    }
-}
-
-#[test]
 fn steals_reported_under_forced_imbalance() {
     // Thread 0's share is made slow so the others run dry and steal.
     let metrics = Metrics::new();
     let n = 64usize;
-    let done = AtomicU64::new(0);
-    let done_ref = &done;
-    SchedulerKind::WorkStealing.build(1).run_erased_obs(n, 4, &metrics, &move |_t| {
-        Box::new(move |i| {
-            if i < n / 4 {
+    struct SlowFirstShare<'a>(&'a AtomicU64, usize);
+    impl PoolTask for SlowFirstShare<'_> {
+        fn run(&mut self, i: usize) {
+            if i < self.1 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
-            done_ref.fetch_add(1, Ordering::Relaxed);
-        })
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let done = AtomicU64::new(0);
+    let done_ref = &done;
+    SchedulerKind::WorkStealing.run(1, &mut WorkerPool::new(), n, 4, &metrics, &move |_t, _cell| {
+        Box::new(SlowFirstShare(done_ref, n / 4))
     });
     assert_eq!(done.load(Ordering::Relaxed), n as u64);
     let rep = metrics.report();
@@ -133,13 +114,9 @@ fn panicking_worker_neither_poisons_metrics_nor_wedges_the_pool() {
     let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let seen_ref = &seen;
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        SchedulerKind::Dynamic.build(4).run_pooled_erased_obs(
-            &mut pool,
-            n,
-            4,
-            &metrics,
-            &move |_t, _cell| Box::new(PanicAt { seen: seen_ref, bomb: 50 }),
-        );
+        SchedulerKind::Dynamic.run(4, &mut pool, n, 4, &metrics, &move |_t, _cell| {
+            Box::new(PanicAt { seen: seen_ref, bomb: 50 })
+        });
     }));
     assert!(caught.is_err(), "the worker panic must surface");
     // The registry is still usable: not poisoned, still recording, and the
@@ -151,13 +128,9 @@ fn panicking_worker_neither_poisons_metrics_nor_wedges_the_pool() {
     let metrics2 = Metrics::new();
     let seen2: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let seen2_ref = &seen2;
-    SchedulerKind::Dynamic.build(4).run_pooled_erased_obs(
-        &mut pool,
-        n,
-        4,
-        &metrics2,
-        &move |_t, _cell| Box::new(Count(seen2_ref)),
-    );
+    SchedulerKind::Dynamic.run(4, &mut pool, n, 4, &metrics2, &move |_t, _cell| {
+        Box::new(Count(seen2_ref))
+    });
     assert!(seen2.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     assert_eq!(metrics2.report().counter(Ctr::PoolTasksCompleted), n as u64);
 }

@@ -30,7 +30,4 @@ pub use harness::{
 };
 pub use protocol::{decode_frame, Frame, FrameDecoder, JobSummary, ProtoError, MAX_FRAME};
 pub use server::{MappingServer, ServerConfig, ServerCtl};
-// The adaptive-serve surface: re-exported so callers configuring
-// `with_adaptive` need not depend on mg-tuning directly.
-pub use mg_tuning::{ControllerConfig, ControllerStats, KnobBounds, KnobState};
 pub use transport::{pipe, Conn, PipeReader, PipeWriter, ReadOutcome, TimedRead};

@@ -26,10 +26,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mg_core::types::Workflow;
-use mg_obs::{bucket_of, percentile, Ctr, Gauge, Hist, Metrics, Report, Stage, HIST_BUCKETS};
+use mg_obs::{bucket_of, percentile, Ctr, Gauge, Hist, Metrics, Stage, HIST_BUCKETS};
 use mg_parent::{Parent, ParentOptions, ShardedParent};
 use mg_sched::{effective_chunk_reads, AdmissionQueue};
-use mg_tuning::{Controller, ControllerConfig, ControllerStats, EpochStats, KnobState};
 use mg_workload::read_fastq_bases;
 
 use crate::protocol::{Frame, FrameDecoder, JobSummary};
@@ -177,8 +176,8 @@ impl ServerCtl {
 
     /// The base `STATS` payload: admission counters, job outcomes,
     /// latency quantiles, and resident-state health. `extra` is spliced
-    /// in before the closing brace (the server adds cache and adaptive
-    /// sections there).
+    /// in before the closing brace (the server adds the cache, kernel and
+    /// stage sections there).
     fn stats_json_with(&self, extra: &str) -> String {
         let a = self.queue.stats();
         format!(
@@ -212,7 +211,7 @@ impl ServerCtl {
     }
 
     /// The `STATS` payload without server-level extras (cache hit rates,
-    /// adaptive knobs); [`MappingServer::stats_json`] is the full view.
+    /// stage times); [`MappingServer::stats_json`] is the full view.
     pub fn stats_json(&self) -> String {
         self.stats_json_with("")
     }
@@ -230,23 +229,6 @@ fn send(writer: &Arc<Mutex<Box<dyn Write + Send>>>, frame: &Frame) {
     send_bytes(writer, &frame.encode());
 }
 
-/// How many executor chunks make one controller epoch. Small enough that
-/// the controller reacts within a job, large enough that one epoch's
-/// throughput sample spans several pool dispatches.
-const EPOCH_CHUNKS: u64 = 8;
-
-/// Live adaptive-tuning state: the controller plus the open epoch it is
-/// accumulating (metrics snapshot at epoch start, wall clock, chunk and
-/// read counts). Guarded by one mutex — the executor touches it once per
-/// chunk, stats readers occasionally.
-struct AdaptiveState {
-    controller: Controller,
-    epoch_base: Report,
-    epoch_started: Instant,
-    chunks: u64,
-    reads: u64,
-}
-
 /// The long-lived multi-tenant mapping server.
 pub struct MappingServer<'a> {
     parent: &'a Parent<'a>,
@@ -254,7 +236,6 @@ pub struct MappingServer<'a> {
     config: ServerConfig,
     ctl: Arc<ServerCtl>,
     metrics: Metrics,
-    adaptive: Option<Mutex<AdaptiveState>>,
 }
 
 impl<'a> MappingServer<'a> {
@@ -262,33 +243,7 @@ impl<'a> MappingServer<'a> {
     /// distance index built, pool cold).
     pub fn new(parent: &'a Parent<'a>, config: ServerConfig) -> MappingServer<'a> {
         let ctl = Arc::new(ServerCtl::new(&config));
-        MappingServer { parent, sharded: None, config, ctl, metrics: Metrics::new(), adaptive: None }
-    }
-
-    /// Turns on closed-loop tuning: a [`Controller`] drives `batch_size`,
-    /// the chunk window, and the cache budgets from live metric deltas,
-    /// starting from this config's knobs. Knob changes land only at chunk
-    /// boundaries, so the streamed GAF stays byte-identical to a
-    /// fixed-knob run.
-    pub fn with_adaptive(mut self, controller_config: ControllerConfig) -> MappingServer<'a> {
-        let mapping = &self.config.options.mapping;
-        let initial = KnobState {
-            batch_size: mapping.batch_size.max(1),
-            chunk_reads: effective_chunk_reads(
-                self.config.chunk_reads,
-                mapping.threads,
-                mapping.batch_size,
-            ),
-            cache_capacity: mapping.cache_capacity.max(1),
-        };
-        self.adaptive = Some(Mutex::new(AdaptiveState {
-            controller: Controller::new(controller_config, initial),
-            epoch_base: self.metrics.report(),
-            epoch_started: Instant::now(),
-            chunks: 0,
-            reads: 0,
-        }));
-        self
+        MappingServer { parent, sharded: None, config, ctl, metrics: Metrics::new() }
     }
 
     /// Routes every chunk through the sharded pipeline instead of the
@@ -312,74 +267,20 @@ impl<'a> MappingServer<'a> {
         &self.metrics
     }
 
-    /// The knobs in force for the next chunk: the controller's when
-    /// adaptive, the static config's otherwise.
-    fn knobs(&self) -> KnobState {
-        let mapping = &self.config.options.mapping;
-        match &self.adaptive {
-            Some(state) => {
-                state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).controller.knobs()
-            }
-            None => KnobState {
-                batch_size: mapping.batch_size,
-                chunk_reads: self.config.chunk_reads,
-                cache_capacity: mapping.cache_capacity,
-            },
-        }
-    }
-
     /// Reads per executor chunk, honouring pair boundaries.
     fn chunk_reads(&self) -> usize {
         let mapping = &self.config.options.mapping;
-        let k = self.knobs();
-        let mut chunk = effective_chunk_reads(k.chunk_reads, mapping.threads, k.batch_size);
+        let mut chunk =
+            effective_chunk_reads(self.config.chunk_reads, mapping.threads, mapping.batch_size);
         if self.parent.workflow() == Workflow::Paired {
             chunk = (chunk & !1).max(2);
         }
-        chunk.max(1)
-    }
-
-    /// Closes the chunk for the controller: every [`EPOCH_CHUNKS`] chunks
-    /// it assembles an [`EpochStats`] from the metrics delta, the
-    /// admission epoch rollover, and the executor's own read count, and
-    /// lets the controller move the knobs. Runs on the executor thread
-    /// only, between chunks — never mid-chunk.
-    fn adaptive_tick(&self, chunk_reads_mapped: u64) {
-        let Some(state) = &self.adaptive else { return };
-        let mut st = state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        st.chunks += 1;
-        st.reads += chunk_reads_mapped;
-        if st.chunks < EPOCH_CHUNKS {
-            return;
-        }
-        let report = self.metrics.report();
-        let delta = report.delta(&st.epoch_base);
-        let admission = self.ctl.queue.epoch_rollover();
-        let wall_ns = st.epoch_started.elapsed().as_nanos() as u64;
-        let mut epoch = EpochStats::from_delta(&delta, &admission, wall_ns);
-        // The executor counts mapped reads itself so throughput steering
-        // works even when mg-obs is compiled out.
-        epoch.reads = st.reads;
-        st.controller.observe_epoch(&epoch);
-        st.epoch_base = report;
-        st.epoch_started = Instant::now();
-        st.chunks = 0;
-        st.reads = 0;
-    }
-
-    /// The adaptive controller's current view: knobs in force, rolling
-    /// accept/revert counters, and whether it has converged. `None` when
-    /// the server runs fixed knobs.
-    pub fn adaptive_status(&self) -> Option<(KnobState, ControllerStats, bool)> {
-        let state = self.adaptive.as_ref()?;
-        let st = state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        Some((st.controller.knobs(), st.controller.stats(), st.controller.converged()))
+        chunk
     }
 
     /// The full `STATS` payload: the [`ServerCtl`] base plus cache hit
     /// rates, the extension kernel's anchor accounting and the per-stage
-    /// time and span counts from the metrics registry and, when adaptive,
-    /// the controller state.
+    /// time and span counts from the metrics registry.
     pub fn stats_json(&self) -> String {
         let rep = self.metrics.report();
         let hits = rep.counter(Ctr::CacheHits);
@@ -413,23 +314,6 @@ impl<'a> MappingServer<'a> {
             })
             .collect();
         extra.push_str(&format!(",\"stages\":{{{}}}", stages.join(",")));
-        if let Some((knobs, stats, converged)) = self.adaptive_status() {
-            extra.push_str(&format!(
-                concat!(
-                    ",\"adaptive\":{{\"batch_size\":{},\"chunk_reads\":{},",
-                    "\"cache_capacity\":{},\"epochs\":{},",
-                    "\"accepted\":{},\"reverted\":{},\"skipped\":{},\"converged\":{}}}"
-                ),
-                knobs.batch_size,
-                knobs.chunk_reads,
-                knobs.cache_capacity,
-                stats.epochs,
-                stats.accepted,
-                stats.reverted,
-                stats.skipped,
-                converged,
-            ));
-        }
         self.ctl.stats_json_with(&extra)
     }
 
@@ -557,20 +441,15 @@ impl<'a> MappingServer<'a> {
         let lo = aj.next_read;
         let hi = (lo + self.chunk_reads()).min(n);
         if lo < hi {
-            let mut options = self.config.options.clone();
-            if self.adaptive.is_some() {
-                // Controller knobs apply from this chunk boundary. Both
-                // are result-invariant, so the job's GAF cannot observe
-                // the move.
-                let k = self.knobs();
-                options.mapping.batch_size = k.batch_size.max(1);
-                options.mapping.cache_capacity = k.cache_capacity.max(1);
-            }
-            if let Some((job, read)) = self.config.fault_job {
-                if job == aj.job.id {
-                    options.fault_read = Some(read);
-                }
-            }
+            // Only the job a fault is aimed at maps with options of its own.
+            let faulted = match self.config.fault_job {
+                Some((job, read)) if job == aj.job.id => Some(ParentOptions {
+                    fault_read: Some(read),
+                    ..self.config.options.clone()
+                }),
+                _ => None,
+            };
+            let options = faulted.as_ref().unwrap_or(&self.config.options);
             let reads = &aj.job.reads[lo..hi];
             // The workers render while they map, and what they rendered
             // is stitched straight into the frame being built.
@@ -580,7 +459,7 @@ impl<'a> MappingServer<'a> {
                         reads,
                         lo as u64,
                         &aj.job.name,
-                        &options,
+                        options,
                         &self.metrics,
                         buf,
                     ),
@@ -588,7 +467,7 @@ impl<'a> MappingServer<'a> {
                         reads,
                         lo as u64,
                         &aj.job.name,
-                        &options,
+                        options,
                         &self.metrics,
                         buf,
                     ),
@@ -603,7 +482,6 @@ impl<'a> MappingServer<'a> {
                     aj.chunks += 1;
                     aj.gaf_bytes += gaf_len as u64;
                     aj.next_read = hi;
-                    self.adaptive_tick((hi - lo) as u64);
                 }
                 Err(panic) => {
                     // The fault struck with a GAF frame half built: none of

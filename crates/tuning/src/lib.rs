@@ -5,23 +5,13 @@
 //! cross-product ([`ParamSpace`]) with either real host runs or the
 //! simulated machines of [`mg_perf`] ([`sweep`]), and analyses the results:
 //! best/worst/default comparisons, geometric-mean speedups, and a one-way
-//! ANOVA per parameter ([`stats`]). The [`controller`] module closes the
-//! loop online: an epoch-based feedback controller drives the same knobs
-//! from live mg-obs deltas while serving, converging toward the sweep
-//! optimum with zero a priori configuration.
+//! ANOVA per parameter ([`stats`]). Tuning is offline, as in the paper: the
+//! sweep names a configuration and a run is started with it.
 
-pub mod adaptive;
-pub mod controller;
 pub mod space;
 pub mod stats;
 pub mod sweep;
 
-pub use adaptive::{
-    run_adaptive_map, run_adaptive_parent, AdaptiveMapRun, AdaptiveParentRun, AdaptiveReport,
-};
-pub use controller::{
-    Controller, ControllerConfig, ControllerStats, Decision, EpochStats, KnobBounds, KnobState,
-};
 pub use space::{ParamSpace, TuningPoint};
 pub use stats::{f_distribution_p_value, geometric_mean, one_way_anova, Anova};
 pub use sweep::{

@@ -10,6 +10,7 @@ use mg_core::{Mapper, MappingOptions};
 use mg_gbwt::Gbz;
 use mg_obs::{Ctr, Hist, Metrics};
 use mg_perf::{collect_features, simulate, MachineModel, SimSched, SimWorkload};
+use mg_support::regions::NullSink;
 
 use crate::space::{ParamSpace, TuningPoint};
 use crate::stats::{one_way_anova, Anova};
@@ -133,7 +134,7 @@ pub fn run_host_sweep_metrics(
         options.process.extend_batch = point.extend_batch;
         let mut best = f64::INFINITY;
         for _ in 0..repeats.max(1) {
-            let out = mapper.run_with_metrics(dump, &options, metrics);
+            let out = mapper.run_with_sink_metrics(dump, &options, &NullSink, metrics);
             best = best.min(out.wall.as_secs_f64());
         }
         metrics.add(Ctr::SweepPoints, 1);

@@ -79,21 +79,17 @@ USAGE:
   minigiraffe map <seeds.bin> <pangenome.mgz | --mgi <index.mgi>>
                   [--threads N] [--batch N] [--capacity N]
                   [--scheduler static|dynamic|ws|vg]
-                  [--shards <dir>] [--adaptive true]
+                  [--shards <dir>]
                   [--instrument <timeline.csv>] [--out <results.csv>]
       Run the proxy kernels; prints a summary and optionally writes
       per-extension results and a region timeline. With --shards,
       reads whose seeds stay inside one shard core run that shard's
-      kernel only (identical output, shard-local working set). With
-      --adaptive, a feedback controller drives batch/chunk/cache
-      knobs from per-epoch deltas while mapping (identical output;
-      prints the knob trajectory for A/B against a fixed run).
+      kernel only (identical output, shard-local working set).
 
   minigiraffe parent <reads.fastq> <pangenome.mgz | --mgi <index.mgi>>
                      [--threads N] [--batch N] [--capacity N]
                      [--gaf <out.gaf>] [--dump <seeds.bin>]
                      [--stream <reads-per-batch>] [--shards <dir>]
-                     [--adaptive true]
       Run the full Giraffe-like parent pipeline on raw reads: seeding,
       kernels, post-processing. Optionally writes GAF alignments and
       the seed dump the proxy consumes. With --stream, reads are
@@ -107,7 +103,7 @@ USAGE:
                     [--threads N] [--batch N] [--capacity N]
                     [--scheduler static|dynamic|ws|vg]
                     [--max-pending N] [--max-active N] [--client-cap N]
-                    [--chunk-reads N] [--paired true] [--adaptive true]
+                    [--chunk-reads N] [--paired true]
                     [--write-timeout-ms N] [--shards <dir>]
       Run the long-lived mapping server: loads the pangenome and builds
       the minimizer index once (or mmaps everything from --mgi), then
@@ -116,10 +112,7 @@ USAGE:
       control bounds the pending queue and per-client in-flight jobs;
       SHUTDOWN drains gracefully. A client that stops reading its GAF
       stream is disconnected after --write-timeout-ms (default 30000;
-      0 disables). With --adaptive, a closed-loop controller tunes
-      batch size, chunk window, and cache capacity from live metric
-      epochs while serving (GAF stays byte-identical; STATS reports
-      the knobs). See README \"server mode\" for the frame protocol.
+      0 disables). See README \"server mode\" for the frame protocol.
 
   minigiraffe validate <seeds.bin> <pangenome.mgz> <expected.csv>
       Map the dump and compare against an expected-output CSV
@@ -135,12 +128,28 @@ USAGE:
       Print structural statistics of a data file.
 ";
 
-fn parse_flags(args: &[String]) -> Result<(Vec<String>, std::collections::HashMap<String, String>), String> {
+/// Flags of `options_from_flags`.
+const MAPPING_FLAGS: &[&str] = &["threads", "batch", "capacity", "scheduler"];
+/// Flags of `load_bundle`.
+const BUNDLE_FLAGS: &[&str] = &["mgi", "k", "w"];
+
+/// Splits `args` into positionals and `--name value` flags. Every flag
+/// must be one `subcommand` reads — a name in one of the `known` lists —
+/// so a misspelt flag fails instead of silently leaving its default in
+/// force.
+fn parse_flags(
+    args: &[String],
+    subcommand: &str,
+    known: &[&[&str]],
+) -> Result<(Vec<String>, std::collections::HashMap<String, String>), String> {
     let mut positional = Vec::new();
     let mut flags = std::collections::HashMap::new();
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         if let Some(name) = arg.strip_prefix("--") {
+            if !known.iter().any(|list| list.contains(&name)) {
+                return Err(format!("unknown flag --{name} for {subcommand}"));
+            }
             let value = iter
                 .next()
                 .ok_or_else(|| format!("--{name} requires a value"))?;
@@ -215,7 +224,7 @@ fn load_bundle(
 fn cmd_build_mgi(args: &[String]) -> Result<(), String> {
     use minigiraffe::core::MgiBundle;
 
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, "build-mgi", &[&["out", "k", "w"]])?;
     let [mgz_path] = &positional[..] else {
         return Err("expected <pangenome.mgz>".into());
     };
@@ -265,7 +274,11 @@ fn cmd_build_mgi(args: &[String]) -> Result<(), String> {
 fn cmd_build_shards(args: &[String]) -> Result<(), String> {
     use minigiraffe::core::shard::{ShardParams, ShardSet};
 
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        "build-shards",
+        &[BUNDLE_FLAGS, &["out", "shard-count", "resident-limit"]],
+    )?;
     let gbz_path = match &positional[..] {
         [] => None,
         [p] => Some(p),
@@ -341,7 +354,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     use minigiraffe::parent::{Parent, ParentOptions};
     use minigiraffe::server::{MappingServer, ServerConfig};
 
-    let (positional, flags) = parse_flags(args)?;
+    const SERVE_FLAGS: &[&str] = &[
+        "addr",
+        "port",
+        "max-pending",
+        "max-active",
+        "client-cap",
+        "chunk-reads",
+        "paired",
+        "write-timeout-ms",
+        "shards",
+    ];
+    let (positional, flags) =
+        parse_flags(args, "serve", &[BUNDLE_FLAGS, MAPPING_FLAGS, SERVE_FLAGS])?;
     let gbz_path = match &positional[..] {
         [] => None,
         [p] => Some(p),
@@ -392,10 +417,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(sharded) = &sharded {
         server = server.with_sharded(sharded);
     }
-    if flag(&flags, "adaptive", false)? {
-        eprintln!("adaptive tuning on: batch, chunk window, and cache capacity follow live metrics");
-        server = server.with_adaptive(minigiraffe::server::ControllerConfig::default());
-    }
     server.serve_tcp(listener).map_err(|e| format!("serving: {e}"))?;
     println!("{}", server.stats_json());
     Ok(())
@@ -405,7 +426,11 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
     use minigiraffe::core::Workflow;
     use minigiraffe::parent::{run_to_gaf, Parent, ParentOptions};
 
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        "parent",
+        &[BUNDLE_FLAGS, MAPPING_FLAGS, &["gaf", "dump", "stream", "shards"]],
+    )?;
     let (reads_path, gbz_path) = match &positional[..] {
         [reads] => (reads, None),
         [reads, gbz] => (reads, Some(gbz)),
@@ -477,43 +502,6 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
     let reads = minigiraffe::workload::fastq::load_read_bases(reads_path)
         .map_err(|e| format!("loading {reads_path}: {e}"))?;
 
-    if flag(&flags, "adaptive", false)? {
-        use minigiraffe::obs::Metrics;
-        use minigiraffe::tuning::{run_adaptive_parent, ControllerConfig};
-        if sharded.is_some() {
-            return Err("--adaptive requires the monolithic path (drop --shards)".into());
-        }
-        eprintln!("mapping {} reads with adaptive knobs...", reads.len());
-        let metrics = Metrics::new();
-        let run = run_adaptive_parent(
-            &parent,
-            "read",
-            &reads,
-            &options,
-            ControllerConfig::default(),
-            8,
-            &metrics,
-        );
-        println!(
-            "mapped {} reads in {:.3}s ({} chunks, {} epochs: {} accepted / {} reverted moves; final knobs {})",
-            run.reads,
-            run.wall.as_secs_f64(),
-            run.chunks,
-            run.report.stats.epochs,
-            run.report.stats.accepted,
-            run.report.stats.reverted,
-            run.report.knobs,
-        );
-        if let Some(gaf) = flags.get("gaf") {
-            std::fs::write(gaf, &run.gaf).map_err(|e| format!("writing {gaf}: {e}"))?;
-            println!("wrote alignments to {gaf}");
-        }
-        if flags.contains_key("dump") {
-            return Err("--dump requires the fixed-knob batch path (drop --adaptive)".into());
-        }
-        return Ok(());
-    }
-
     eprintln!("mapping {} reads...", reads.len());
     let run = match &sharded {
         Some(sp) => sp.run(&reads, &options),
@@ -539,7 +527,7 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse_flags(args)?;
+    let (_, flags) = parse_flags(args, "generate", &[&["input-set", "seed", "scale", "out"]])?;
     let set = flags
         .get("input-set")
         .ok_or("--input-set is required")?
@@ -625,7 +613,11 @@ fn results_csv(results: &minigiraffe::core::MappingResults) -> Vec<u8> {
 }
 
 fn cmd_map(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        "map",
+        &[BUNDLE_FLAGS, MAPPING_FLAGS, &["shards", "instrument", "out"]],
+    )?;
     let (dump_path, gbz_path) = match &positional[..] {
         [dump] => (dump, None),
         [dump, gbz] => (dump, Some(gbz)),
@@ -673,40 +665,14 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let mapper = Mapper::with_distance(bundle.gbz(), bundle.distance().clone());
-    if flag(&flags, "adaptive", false)? {
-        use minigiraffe::tuning::{run_adaptive_map, ControllerConfig};
-        if flags.contains_key("instrument") {
-            return Err("--instrument requires the fixed-knob path (drop --adaptive)".into());
-        }
-        let run = run_adaptive_map(
-            &mapper,
-            &dump,
-            &options,
-            ControllerConfig::default(),
-            8,
-            minigiraffe::obs::Metrics::off_ref(),
-        );
-        println!(
-            "mapped {:.2}% of reads; {} extensions; makespan {:.3}s ({} chunks, {} epochs: {} accepted / {} reverted; final knobs {})",
-            run.results.mapped_fraction() * 100.0,
-            run.results.total_extensions(),
-            run.results.wall.as_secs_f64(),
-            run.chunks,
-            run.report.stats.epochs,
-            run.report.stats.accepted,
-            run.report.stats.reverted,
-            run.report.knobs,
-        );
-        if let Some(out) = flags.get("out") {
-            std::fs::write(out, results_csv(&run.results))
-                .map_err(|e| format!("writing {out}: {e}"))?;
-            println!("wrote extensions to {out}");
-        }
-        return Ok(());
-    }
     let results = if let Some(timeline) = flags.get("instrument") {
         let profiler = Profiler::new();
-        let results = mapper.run_with_sink(&dump, &options, &profiler);
+        let results = mapper.run_with_sink_metrics(
+            &dump,
+            &options,
+            &profiler,
+            minigiraffe::obs::Metrics::off_ref(),
+        );
         std::fs::write(timeline, profiler.timeline_csv())
             .map_err(|e| format!("writing {timeline}: {e}"))?;
         eprintln!("wrote region timeline to {timeline}");
@@ -735,7 +701,7 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, "validate", &[MAPPING_FLAGS])?;
     let [dump_path, gbz_path, expected_path] = &positional[..] else {
         return Err("expected <seeds.bin> <pangenome.mgz> <expected.csv>".into());
     };
@@ -770,7 +736,8 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 fn cmd_tune(args: &[String]) -> Result<(), String> {
     use minigiraffe::tuning::{run_host_sweep, ParamSpace, TuningPoint};
 
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) =
+        parse_flags(args, "tune", &[&["threads", "subsample", "repeats"]])?;
     let (dump, gbz) = load_inputs(&positional)?;
     let threads: usize = flag(&flags, "threads", 4)?;
     let subsample: f64 = flag(&flags, "subsample", 0.1)?;
@@ -819,7 +786,7 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let (positional, _) = parse_flags(args)?;
+    let (positional, _) = parse_flags(args, "info", &[])?;
     let [path] = &positional[..] else {
         return Err("expected one data file".into());
     };

@@ -173,6 +173,18 @@ fn bad_usage_fails_cleanly() {
     ]);
     assert!(!ok);
     assert!(stderr.contains("--threads"));
+    // A flag the subcommand does not read is refused, not ignored: a
+    // misspelt --threads would otherwise map on one thread without a word.
+    let (ok, _, stderr) = run(&[
+        "map", &dir.path("tiny.bin"), &dir.path("tiny.mgz"), "--thread", "4",
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag --thread for map"), "got: {stderr}");
+    let (ok, _, stderr) = run(&[
+        "parent", &dir.path("tiny.fastq"), &dir.path("tiny.mgz"), "--adaptive", "true",
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag --adaptive for parent"), "got: {stderr}");
     // Nonexistent input file.
     let (ok, _, stderr) = run(&["info", "/nonexistent.mgz"]);
     assert!(!ok);

@@ -6,9 +6,11 @@
 //! four schedulers, batch sizes and chunk windows (so chunk, grain and pair
 //! boundaries land everywhere); the same reads as a server job over the
 //! in-process transport; `ShardedParent::run_streaming`; and
-//! `run_adaptive_parent`. The inputs are chosen for the pair-local tail:
-//! a paired set in which mate rescue fires, the same set with a trailing
-//! unpaired read, and a set with reads that cannot be seeded at all.
+//! `Parent::map_chunk_gaf` called chunk by chunk with the batch size and
+//! cache capacity changing between calls. The inputs are chosen for the
+//! pair-local tail: a paired set in which mate rescue fires, the same set
+//! with a trailing unpaired read, and a set with reads that cannot be
+//! seeded at all.
 //!
 //! The batch path's `ParentRun::rescued` is held to a serial reference
 //! rescue over the finished run, kept here as the independent
@@ -29,7 +31,6 @@ use minigiraffe::sched::SchedulerKind;
 use minigiraffe::server::{BlockingClient, Conn, JobOutcome, MappingServer, ServerConfig};
 use minigiraffe::support::probe::NoProbe;
 use minigiraffe::support::regions::NullSink;
-use minigiraffe::tuning::{run_adaptive_parent, ControllerConfig, KnobBounds};
 use minigiraffe::workload::{write_fastq, FastqRecord, InputSetSpec, SyntheticInput};
 
 /// One oracle case: a pangenome, the reads to map on it, and the options
@@ -284,29 +285,45 @@ fn sharded_streaming_matches_batch() {
 }
 
 #[test]
-fn adaptive_driver_matches_batch() {
+fn chunk_calls_with_knobs_moving_between_them_match_batch() {
+    // What a long-lived executor does to one warm parent: chunk after chunk
+    // on the same pool, with the scheduler grain and the cache capacity
+    // different from one call to the next (a capacity change rebinds every
+    // thread's kept cache cold).
+    const BATCHES: [usize; 3] = [1, 3, 512];
+    const CAPACITIES: [usize; 3] = [1, 64, 256];
     for case in cases() {
         let expected = case.expected();
         let parent = case.parent();
-        let mut options = case.options.clone();
-        options.mapping.threads = 2;
-        options.mapping.batch_size = 4;
-        let config = ControllerConfig {
-            min_reads: 1,
-            bounds: KnobBounds { batch: (2, 32), chunk: (2, 32), cache: (16, 512) },
-            ..ControllerConfig::default()
-        };
-        let run = run_adaptive_parent(
-            &parent,
-            case.name,
-            &case.reads,
-            &options,
-            config,
-            1,
-            Metrics::off_ref(),
-        );
-        assert!(run.chunks > 1, "{}: one chunk exercises nothing", case.name);
-        assert_eq!(run.gaf, expected, "{}: adaptive GAF diverged", case.name);
+        let paired = parent.workflow() == Workflow::Paired;
+        for chunk_reads in [2usize, 7, 64] {
+            // Cuts stay on pair boundaries when paired.
+            let step = if paired { chunk_reads & !1 } else { chunk_reads };
+            let mut gaf = Vec::new();
+            for (call, lo) in (0..case.reads.len()).step_by(step).enumerate() {
+                let hi = (lo + step).min(case.reads.len());
+                let mut options = case.options.clone();
+                options.mapping.threads = 2;
+                options.mapping.batch_size = BATCHES[call % 3];
+                // Out of step with the batch cycle: nine calls see all nine
+                // combinations.
+                options.mapping.cache_capacity = CAPACITIES[(call + call / 3) % 3];
+                parent.map_chunk_gaf(
+                    &case.reads[lo..hi],
+                    lo as u64,
+                    case.name,
+                    &options,
+                    Metrics::off_ref(),
+                    &mut gaf,
+                );
+            }
+            assert_eq!(
+                String::from_utf8(gaf).expect("GAF is UTF-8"),
+                expected,
+                "{}: chunk calls of {chunk_reads} reads diverged",
+                case.name
+            );
+        }
     }
 }
 

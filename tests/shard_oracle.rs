@@ -10,6 +10,7 @@ use minigiraffe::core::{run_mapping, StreamOptions, Workflow};
 use minigiraffe::index::DistanceIndex;
 use minigiraffe::obs::{Ctr, Metrics};
 use minigiraffe::parent::{run_to_gaf, Parent, ParentOptions, ShardedParent};
+use minigiraffe::support::regions::NullSink;
 use minigiraffe::workload::{write_fastq, FastqReader, FastqRecord, InputSetSpec, SyntheticInput};
 
 /// The same seeded workloads the monolithic oracle covers (`tests/oracle.rs`).
@@ -72,7 +73,7 @@ fn sharded_batch_matches_monolithic_gaf_for_every_shard_count() {
             assert_eq!(set.shard_count(), k, "{name}: builder dropped a shard");
             let sharded = ShardedParent::new(&parent, &set).expect("wire sharded parent");
             let metrics = Metrics::new();
-            let run = sharded.run_with_metrics(&reads, &options, &metrics);
+            let run = sharded.run_with_sink_metrics(&reads, &options, &NullSink, &metrics);
             let got = run_to_gaf(input.gbz.graph(), &run, &name);
             assert_eq!(
                 got, expected,
@@ -174,7 +175,7 @@ fn routing_miss_falls_back_and_rescue_still_fires() {
     let set = build_set(&input, 3);
     let sharded = ShardedParent::new(&parent, &set).expect("wire sharded parent");
     let metrics = Metrics::new();
-    let run = sharded.run_with_metrics(&reads, &options, &metrics);
+    let run = sharded.run_with_sink_metrics(&reads, &options, &NullSink, &metrics);
     let got = run_to_gaf(input.gbz.graph(), &run, "rescue");
     assert_eq!(got, expected, "sharded paired GAF diverged from the monolithic run");
     assert_eq!(run.rescued, mono.rescued, "rescue outcomes diverged under sharding");
