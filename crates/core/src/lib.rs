@@ -53,7 +53,6 @@ pub mod dump;
 pub mod extend;
 pub mod mgi;
 pub mod pipeline;
-pub mod shard;
 pub mod types;
 pub mod validate;
 

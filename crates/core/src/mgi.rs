@@ -192,17 +192,6 @@ impl MgiBundle {
         Self::from_mgi(&MgiFile::open(path.as_ref())?)
     }
 
-    /// Like [`MgiBundle::open`] but skips per-section checksum
-    /// verification (structural validation still runs). For repeated
-    /// opens of a file already verified once.
-    ///
-    /// # Errors
-    ///
-    /// Returns IO errors and [`Error::Corrupt`] for malformed files.
-    pub fn open_trusted(path: impl AsRef<Path>) -> Result<Self> {
-        Self::from_mgi(&MgiFile::open_trusted(path.as_ref())?)
-    }
-
     /// Opens an in-memory `.mgi` image (checksums verified).
     ///
     /// # Errors
@@ -241,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip_and_trusted_open() {
+    fn file_roundtrip() {
         let bundle = sample_bundle();
         let dir = std::env::temp_dir().join(format!("mgi-bundle-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -249,8 +238,6 @@ mod tests {
         bundle.save(&path).unwrap();
         let mapped = MgiBundle::open(&path).unwrap();
         assert_eq!(bundle, mapped);
-        let trusted = MgiBundle::open_trusted(&path).unwrap();
-        assert_eq!(bundle, trusted);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -29,8 +29,11 @@ fn sample_gbz() -> Gbz {
     Gbz::from_pangenome(p).unwrap()
 }
 
+/// One generated read: bases, and `(read offset, node, backward, node offset)` per seed.
+type RawRead = (Vec<u8>, Vec<(u32, u64, bool, u32)>);
+
 /// Maps raw generated tuples onto in-bounds seeds for `gbz`'s graph.
-fn build_dump(gbz: &Gbz, raw: Vec<(Vec<u8>, Vec<(u32, u64, bool, u32)>)>) -> SeedDump {
+fn build_dump(gbz: &Gbz, raw: Vec<RawRead>) -> SeedDump {
     let node_count = gbz.graph().node_count() as u64;
     let reads = raw
         .into_iter()

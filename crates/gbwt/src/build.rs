@@ -60,18 +60,6 @@ impl GbwtBuilder {
         self
     }
 
-    /// Queues a path given directly as GBWT symbols (all must be `>= 2`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path is empty or contains endmarker symbols.
-    pub fn insert_symbols(mut self, symbols: Vec<u64>) -> Self {
-        assert!(!symbols.is_empty(), "cannot index an empty path");
-        assert!(symbols.iter().all(|&s| s >= 2), "symbols must be >= 2");
-        self.paths.push(symbols);
-        self
-    }
-
     /// Number of queued paths.
     pub fn path_count(&self) -> usize {
         self.paths.len()

@@ -10,13 +10,11 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
 
-use mg_graph::partition::IdWindow;
-use mg_graph::{Handle, NodeId, VariationGraph};
+use mg_graph::VariationGraph;
 use mg_support::container::{ContainerReader, ContainerWriter};
 use mg_support::mgi::{MgiFile, MgiWriter};
 use mg_support::Result;
 
-use crate::build::GbwtBuilder;
 use crate::gbwt::Gbwt;
 
 /// Container kind discriminator for `.mgz` files.
@@ -89,50 +87,6 @@ impl Gbz {
     /// Decomposes into `(graph, gbwt)`.
     pub fn into_parts(self) -> (VariationGraph, Gbwt) {
         (self.graph, self.gbwt)
-    }
-
-    /// Projects the GBZ onto a shard's node-id window: the induced
-    /// subgraph (via [`mg_graph::partition::project_range`]) plus a GBWT
-    /// over the clipped haplotype walks, in window-local coordinates.
-    ///
-    /// Every maximal run of consecutive in-window symbols of every forward
-    /// haplotype walk becomes one path fragment in the local GBWT. This
-    /// preserves, at every node whose relevant neighborhood lies strictly
-    /// inside the window, the exact multiset of haplotype subpaths through
-    /// that node — so the GBWT-constrained extension walk sees identical
-    /// branch counts locally and globally, the property the sharded mapper
-    /// relies on for byte-stable output. Fragment identities are *not*
-    /// preserved (one haplotype may contribute several fragments), which is
-    /// why haplotype annotation stays a global-index operation.
-    ///
-    /// Also returns the boundary edges (global coordinates) whose links the
-    /// shard manifest records.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the window is out of range or no haplotype walk
-    /// intersects it (a shard with no haplotype support cannot map reads).
-    pub fn project_window(&self, window: IdWindow) -> Result<(Gbz, Vec<(Handle, Handle)>)> {
-        let projection = mg_graph::partition::project_range(&self.graph, window)?;
-        let shift = window.packed_shift();
-        let mut builder = GbwtBuilder::new();
-        for p in 0..self.gbwt.path_count() {
-            let id = if self.gbwt.is_bidirectional() { 2 * p } else { p };
-            let walk = self.gbwt.sequence(id)?;
-            let mut run: Vec<u64> = Vec::new();
-            for &sym in &walk {
-                if sym >= 2 && window.contains(NodeId::new(sym >> 1)) {
-                    run.push(sym - shift);
-                } else if !run.is_empty() {
-                    builder = builder.insert_symbols(std::mem::take(&mut run));
-                }
-            }
-            if !run.is_empty() {
-                builder = builder.insert_symbols(run);
-            }
-        }
-        let gbwt = builder.build()?;
-        Ok((Gbz::new(projection.graph, gbwt), projection.boundary))
     }
 
     /// Serializes to an in-memory `.mgz` image.

@@ -43,10 +43,8 @@ pub mod graph;
 pub mod handle;
 pub mod packed;
 pub mod pangenome;
-pub mod partition;
 
 pub use graph::VariationGraph;
-pub use partition::{project_range, IdWindow, Projection};
 pub use packed::PackedView;
 pub use handle::{Handle, NodeId, Orientation};
 pub use pangenome::{HaplotypePath, Pangenome, PangenomeBuilder, Variant};

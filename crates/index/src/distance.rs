@@ -154,38 +154,6 @@ impl DistanceIndex {
         }
     }
 
-    /// Projects the index onto a shard's id window.
-    ///
-    /// The per-node arrays are sliced to local ids `1..=window.len()` but
-    /// keep their **global** values: component ids and approximate offsets
-    /// answer exactly as the unsharded index does, which is what makes the
-    /// shard kernel's cluster ordering byte-stable. The per-component
-    /// cyclic table and component count are kept whole (local component
-    /// ids still index the global table), and the chain decomposition is
-    /// rebuilt over the local graph — both decompositions answer exact
-    /// queries, so in-window answers agree.
-    pub fn project_window(
-        &self,
-        local_graph: &VariationGraph,
-        window: mg_graph::partition::IdWindow,
-    ) -> DistanceIndex {
-        assert_eq!(
-            local_graph.node_count() as u64,
-            window.len(),
-            "local graph does not match window"
-        );
-        let lo = (window.lo - 1) as usize;
-        let hi = window.hi as usize;
-        DistanceIndex {
-            component: self.component[lo..hi].to_vec().into(),
-            offset_min: self.offset_min[lo..hi].to_vec().into(),
-            offset_max: self.offset_max[lo..hi].to_vec().into(),
-            cyclic: self.cyclic.to_vec().into(),
-            component_count: self.component_count,
-            chains: ChainIndex::build(local_graph),
-        }
-    }
-
     /// Appends the index (including its chain decomposition) to a `.mgi`
     /// container in its in-memory array layout.
     pub fn write_mgi(&self, w: &mut MgiWriter) {

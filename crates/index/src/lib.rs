@@ -12,12 +12,10 @@
 
 pub mod distance;
 pub mod minimizer;
-pub mod router;
 pub mod serialize;
 pub mod snarl;
 
 pub use distance::{DistanceIndex, DistanceScratch};
-pub use router::{KmerBloom, ShardMaskFilter};
 pub use snarl::{ChainAnswer, ChainIndex};
 pub use minimizer::{
     extract_minimizers, extract_minimizers_into, GraphPos, Minimizer, MinimizerIndex,

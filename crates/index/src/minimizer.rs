@@ -427,44 +427,6 @@ impl MinimizerIndex {
         Ok(MinimizerIndex { params, kmers, starts, positions, dir, dir_shift })
     }
 
-    /// Projects the index onto a shard: keeps, for each k-mer, only the
-    /// positions whose node lies inside `core`, translated into the
-    /// coordinates of the shard's id `window` (see
-    /// [`mg_graph::partition::IdWindow`]).
-    ///
-    /// Because shard cores partition the node-id space in ascending order
-    /// and each per-k-mer position run is sorted by packed handle,
-    /// concatenating the projected runs of consecutive shards reproduces
-    /// the global run exactly — the invariant the shard router relies on
-    /// to rebuild byte-identical seed lists.
-    pub fn project_range(
-        &self,
-        core: mg_graph::partition::IdWindow,
-        window: mg_graph::partition::IdWindow,
-    ) -> MinimizerIndex {
-        let mut kmers: Vec<u64> = Vec::new();
-        let mut starts: Vec<u64> = vec![0];
-        let mut positions: Vec<GraphPos> = Vec::new();
-        for (kmer, run) in self.entries() {
-            positions.extend(
-                run.iter()
-                    .filter(|p| core.contains(p.handle.node()))
-                    .map(|p| GraphPos::new(window.to_local(p.handle), p.offset)),
-            );
-            if positions.len() as u64 > starts[starts.len() - 1] {
-                kmers.push(kmer);
-                starts.push(positions.len() as u64);
-            }
-        }
-        Self::from_flat_parts(
-            self.params,
-            Storage::Owned(kmers),
-            Storage::Owned(starts),
-            Storage::Owned(positions),
-        )
-        .expect("a subsequence of this index's k-mers")
-    }
-
     /// Finds seed hits for a read: for each minimizer of `read`, every graph
     /// position of that k-mer. Minimizers with more than `hard_hit_cap`
     /// positions are skipped (Giraffe's repeat filter).
@@ -492,21 +454,8 @@ impl MinimizerIndex {
         // the extraction may borrow the remaining fields mutably.
         let mut mins = std::mem::take(&mut scratch.mins);
         extract_minimizers_into(read, self.params, scratch, &mut mins);
-        self.query_minimizers_into(&mins, hard_hit_cap, out);
-        scratch.mins = mins;
-    }
-
-    /// [`MinimizerIndex::query_into`] from minimizers the caller already
-    /// extracted (e.g. the shard router's sweep): the same cap filter and
-    /// output order, without a second extraction pass over the read.
-    pub fn query_minimizers_into(
-        &self,
-        mins: &[Minimizer],
-        hard_hit_cap: usize,
-        out: &mut Vec<(u32, GraphPos)>,
-    ) {
         out.clear();
-        for m in mins {
+        for m in &mins {
             if let Some(positions) = self.positions(m.kmer) {
                 if positions.len() > hard_hit_cap {
                     continue;
@@ -516,6 +465,7 @@ impl MinimizerIndex {
                 }
             }
         }
+        scratch.mins = mins;
     }
 }
 
@@ -651,7 +601,7 @@ mod tests {
     fn kmer_hashing_to_all_ones_is_still_a_minimizer() {
         const PREIMAGE: u64 = 0x3162_8AF6_7B21_31AB;
         assert_eq!(hash_kmer(PREIMAGE), u64::MAX);
-        assert!(PREIMAGE < 1 << 62);
+        const { assert!(PREIMAGE < 1 << 62) };
         let seq: Vec<u8> = (0..31)
             .rev()
             .map(|i| dna::decode_base(((PREIMAGE >> (2 * i)) & 3) as u8))
@@ -769,9 +719,9 @@ mod tests {
             params,
         );
         // Poly-A k-mer occurs everywhere; a tight cap suppresses it.
-        let with_cap = index.query(&vec![b'A'; 30], 3);
+        let with_cap = index.query(&[b'A'; 30], 3);
         assert!(with_cap.is_empty());
-        let without_cap = index.query(&vec![b'A'; 30], 10_000);
+        let without_cap = index.query(&[b'A'; 30], 10_000);
         assert!(!without_cap.is_empty());
     }
 

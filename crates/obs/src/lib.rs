@@ -141,27 +141,11 @@ pub enum Ctr {
     ServeJobsFailed = 24,
     /// GAF bytes streamed to server clients.
     ServeGafBytes = 25,
-    /// Shards whose minimizer tables were probed while routing reads,
-    /// summed over reads (`route_shards_probed / reads_routed` is the mean
-    /// fan-out the routing gate bounds).
-    RouteShardsProbed = 26,
-    /// Reads routed by the sharded pipeline (resident + fallback).
-    RouteReadsTotal = 27,
-    /// Routed reads whose seeds all landed in one shard's core and were
-    /// mapped entirely on that shard's local structures.
-    RouteResidentReads = 28,
-    /// Routed reads that straddled shard cores (or exceeded the shard
-    /// halo's residency limit) and fell back to the resident global
-    /// pipeline.
-    RouteFallbackReads = 29,
-    /// Nanoseconds spent translating per-shard extension results back to
-    /// global coordinates and merging them into the rescoring order.
-    ShardMergeNs = 30,
 }
 
 impl Ctr {
     /// Number of counters.
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 26;
     /// All counters, in declaration order.
     pub const ALL: [Ctr; Ctr::COUNT] = [
         Ctr::ReadsMapped,
@@ -190,11 +174,6 @@ impl Ctr {
         Ctr::ServeJobsCompleted,
         Ctr::ServeJobsFailed,
         Ctr::ServeGafBytes,
-        Ctr::RouteShardsProbed,
-        Ctr::RouteReadsTotal,
-        Ctr::RouteResidentReads,
-        Ctr::RouteFallbackReads,
-        Ctr::ShardMergeNs,
     ];
 
     /// Stable lowercase name used by the exporters.
@@ -226,11 +205,6 @@ impl Ctr {
             Ctr::ServeJobsCompleted => "serve_jobs_completed",
             Ctr::ServeJobsFailed => "serve_jobs_failed",
             Ctr::ServeGafBytes => "serve_gaf_bytes",
-            Ctr::RouteShardsProbed => "route_shards_probed",
-            Ctr::RouteReadsTotal => "route_reads_total",
-            Ctr::RouteResidentReads => "route_resident_reads",
-            Ctr::RouteFallbackReads => "route_fallback_reads",
-            Ctr::ShardMergeNs => "shard_merge_ns",
         }
     }
 }
@@ -256,14 +230,11 @@ pub enum Hist {
     ServeQueueWaitUs = 6,
     /// Reads per served mapping job.
     ServeJobReads = 7,
-    /// Shards probed per routed read (the routing fan-out distribution;
-    /// its mass should sit far below the shard count).
-    RouteFanout = 8,
 }
 
 impl Hist {
     /// Number of histograms.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
     /// All histograms, in declaration order.
     pub const ALL: [Hist; Hist::COUNT] = [
         Hist::SeedsPerRead,
@@ -274,7 +245,6 @@ impl Hist {
         Hist::ServeJobLatencyUs,
         Hist::ServeQueueWaitUs,
         Hist::ServeJobReads,
-        Hist::RouteFanout,
     ];
 
     /// Stable lowercase name used by the exporters.
@@ -288,7 +258,6 @@ impl Hist {
             Hist::ServeJobLatencyUs => "serve_job_latency_us",
             Hist::ServeQueueWaitUs => "serve_queue_wait_us",
             Hist::ServeJobReads => "serve_job_reads",
-            Hist::RouteFanout => "route_fanout",
         }
     }
 }

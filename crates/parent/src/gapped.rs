@@ -329,6 +329,8 @@ mod tests {
     }
 
     /// Unbanded reference implementation for cross-checking scores.
+    // Written in the recurrence's own indices.
+    #[allow(clippy::needless_range_loop)]
     fn full_global(read: &[u8], reference: &[u8], params: &GapParams) -> i32 {
         let (n, m) = (read.len(), reference.len());
         let mut m_mat = vec![vec![NEG; m + 1]; n + 1];

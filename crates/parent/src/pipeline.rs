@@ -27,7 +27,6 @@ use mg_core::dump::SeedDump;
 use mg_core::types::{ReadInput, ReadResult, Seed, Workflow};
 use mg_core::{MapScratch, Mapper, MappingOptions, StreamOptions, ThreadPersist};
 use mg_gbwt::{CachedGbwt, Gbz};
-use mg_index::minimizer::Minimizer;
 use mg_index::{DistanceIndex, MinimizerIndex};
 use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
 use mg_sched::{bounded_queue, chunk_grain_reads, PoolCell, PoolTask, SchedulerKind, WorkerPool};
@@ -121,10 +120,10 @@ pub struct Parent<'a> {
 /// the one worker running on its thread; the mutex is held for the swap
 /// alone. A worker that panics never puts its slot back, which leaves it
 /// at its default.
-pub(crate) struct Parked<T>(Mutex<Vec<T>>);
+struct Parked<T>(Mutex<Vec<T>>);
 
 impl<T: Default> Parked<T> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Parked(Mutex::new(Vec::new()))
     }
 
@@ -133,7 +132,7 @@ impl<T: Default> Parked<T> {
     }
 
     /// Takes `thread`'s slot, leaving a default in its place.
-    pub(crate) fn take(&self, thread: usize) -> T {
+    fn take(&self, thread: usize) -> T {
         let mut slots = self.slots();
         if slots.len() <= thread {
             slots.resize_with(thread + 1, T::default);
@@ -142,7 +141,7 @@ impl<T: Default> Parked<T> {
     }
 
     /// Puts `thread`'s slot back; `take` made room for it.
-    pub(crate) fn put(&self, thread: usize, value: T) {
+    fn put(&self, thread: usize, value: T) {
         self.slots()[thread] = value;
     }
 }
@@ -179,46 +178,6 @@ enum Emitter<'e> {
     /// Move everything the fragment produced into per-read slots; `rescued`
     /// is empty for single-end workflows, which rescue nothing.
     Capture { reads: &'e [OnceLock<Captured>], rescued: &'e [OnceLock<ReadResult>] },
-}
-
-/// The per-read step a fragment worker delegates: seed one read and run the
-/// kernels on it. [`Parent`] seeds from the whole index;
-/// [`crate::ShardedParent`] routes to a shard first. Everything after that
-/// — rescoring, rescue, pair check, emission — is the worker's, and the
-/// same for both.
-pub(crate) trait ReadStep<'g>: Sync {
-    /// Per-thread state the step holds open for one dispatch.
-    type Lane: Send;
-
-    /// Opens `thread`'s lane at the start of a dispatch.
-    fn open(&self, thread: usize) -> Self::Lane;
-
-    /// Fills `seeds` with the read's seeds and returns its raw kernel
-    /// output, both in global coordinates.
-    fn map_read<S: RegionSink + ?Sized>(
-        &self,
-        lane: &mut Self::Lane,
-        worker: &mut WorkerCore<'_, 'g, S>,
-        read_id: u64,
-        bases: &[u8],
-        seeds: &mut Vec<Seed>,
-    ) -> ReadResult;
-
-    /// Parks whatever the lane keeps for the thread's next dispatch.
-    fn close(&self, thread: usize, lane: Self::Lane);
-}
-
-/// The part of a fragment worker every [`ReadStep`] maps through: the
-/// monolithic parent with its options and sink, and the thread's global
-/// cache, scratch and metrics shard.
-pub(crate) struct WorkerCore<'e, 'g, S: RegionSink + ?Sized> {
-    parent: &'e Parent<'g>,
-    pub(crate) options: &'e ParentOptions,
-    pub(crate) sink: &'e S,
-    pub(crate) thread: usize,
-    pub(crate) cache: CachedGbwt<'g>,
-    pub(crate) scratch: MapScratch,
-    pub(crate) obs: ObsShard,
 }
 
 impl<'a> Parent<'a> {
@@ -281,7 +240,6 @@ impl<'a> Parent<'a> {
             cache,
             read_id,
             bases,
-            None,
             options,
             sink,
             thread,
@@ -294,23 +252,18 @@ impl<'a> Parent<'a> {
         (ReadInput { bases: bases.to_vec(), seeds }, result, alignments)
     }
 
-    /// Seeds one read from the whole index into `seeds` — from `mins` when
-    /// the caller already swept the read's minimizers (the shard router, so
-    /// a routing miss costs one extraction, not two), else by extracting
-    /// them — and runs the kernels. The seeding buffers, the seed list and
-    /// the kernel buffers all belong to the caller, so a worker that keeps
-    /// them maps every read without per-read heap allocation beyond the
-    /// result it returns.
-    // Inlined so the `mins` Option and a `NoProbe` constant-fold away at
-    // each call site.
+    /// Seeds one read from the index into `seeds` and runs the kernels. The
+    /// seeding buffers, the seed list and the kernel buffers all belong to
+    /// the caller, so a worker that keeps them maps every read without
+    /// per-read heap allocation beyond the result it returns.
+    // Inlined so a `NoProbe` constant-folds away at each call site.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub(crate) fn seed_and_map<P: MemProbe>(
+    fn seed_and_map<P: MemProbe>(
         &self,
         cache: &mut CachedGbwt<'_>,
         read_id: u64,
         bases: &[u8],
-        mins: Option<&[Minimizer]>,
         options: &ParentOptions,
         sink: &(impl RegionSink + ?Sized),
         thread: usize,
@@ -330,19 +283,12 @@ impl<'a> Parent<'a> {
             // what the kernels then find there, and it is what perturbs the
             // parent's counters away from the proxy's in the paper's Table V.
             probe.touch(0x6000_0000_0000 + read_id * 4096, bases.len() as u32);
-            match mins {
-                Some(ms) => self.minimizer.query_minimizers_into(
-                    ms,
-                    options.hard_hit_cap,
-                    &mut scratch.seed_hits,
-                ),
-                None => self.minimizer.query_into(
-                    bases,
-                    options.hard_hit_cap,
-                    &mut scratch.seeding,
-                    &mut scratch.seed_hits,
-                ),
-            }
+            self.minimizer.query_into(
+                bases,
+                options.hard_hit_cap,
+                &mut scratch.seeding,
+                &mut scratch.seed_hits,
+            );
             seeds.clear();
             seeds.extend(scratch.seed_hits.iter().map(|&(off, pos)| Seed::new(off, pos)));
             probe.touch(
@@ -430,100 +376,13 @@ impl<'a> Parent<'a> {
     /// per-stage spans, counters, and scheduler activity in `metrics`. Each
     /// worker records into a private [`ObsShard`] folded into the registry
     /// when it finishes, so the hot loop never touches the registry lock.
-    pub fn run_with_sink_metrics(
-        &self,
-        reads: &[Vec<u8>],
-        options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
-        metrics: &Metrics,
-    ) -> ParentRun {
-        self.capture_run(self, reads, options, sink, metrics)
-    }
-
-    /// Maps one chunk of reads (global ids `base_id..base_id + reads.len()`)
-    /// on the mapper's persistent worker pool and appends the chunk's GAF
-    /// to `out`, without region instrumentation.
     ///
-    /// This is the one chunk primitive of every GAF-producing path: the
-    /// streaming loop calls it per chunk, and a long-lived executor calls
-    /// it once per (job, chunk), interleaving chunks of different jobs on
-    /// the same pool with per-call options. Because read ids are global
-    /// and per-read work is deterministic and cache-independent, the
-    /// concatenated chunk GAF is byte-identical to [`crate::run_to_gaf`]
-    /// over a batch run of the same reads however chunks were cut or
-    /// interleaved. For paired workflows `reads` must start on a pair
-    /// boundary (`base_id` even) so rescue and pair check see whole pairs.
-    ///
-    /// The scheduler is handed [`chunk_grain_reads`] reads per grain, not
-    /// `batch_size`: a chunk is usually `threads × batch_size` reads, and
-    /// one grain per thread leaves a balancing scheduler nothing to balance.
-    ///
-    /// A panic in a worker unwinds out of this call after every worker has
-    /// stopped; `out` is then as it was on entry.
-    pub fn map_chunk_gaf(
-        &self,
-        reads: &[Vec<u8>],
-        base_id: u64,
-        set_name: &str,
-        options: &ParentOptions,
-        metrics: &Metrics,
-        out: &mut Vec<u8>,
-    ) {
-        self.chunk_gaf(self, reads, base_id, set_name, options, &NullSink, metrics, out);
-    }
-
-    /// The GAF emitter over `step`: dispatches the chunk's fragments, then
-    /// copies what each worker rendered into `out` in fragment order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn chunk_gaf<R: ReadStep<'a>>(
-        &self,
-        step: &R,
-        reads: &[Vec<u8>],
-        base_id: u64,
-        set_name: &str,
-        options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
-        metrics: &Metrics,
-        out: &mut Vec<u8>,
-    ) {
-        let threads = options.mapping.threads.max(1);
-        let grain = chunk_grain_reads(reads.len(), threads, options.mapping.batch_size);
-        let mut pool = self.mapper.lock_pool();
-        self.dispatch(
-            &mut pool,
-            step,
-            reads,
-            base_id,
-            grain,
-            options,
-            sink,
-            metrics,
-            Emitter::Gaf { set_name },
-        );
-        // Still under the pool lock: the buffers belong to this dispatch
-        // until they are copied out.
-        let bufs = self.bufs.slots();
-        let mut pieces: Vec<(usize, &[u8])> = Vec::new();
-        for worker in bufs.iter().take(threads) {
-            let mut start = 0;
-            for run in &worker.runs {
-                pieces.push((run.first, &worker.gaf[start..run.end]));
-                start = run.end;
-            }
-        }
-        pieces.sort_unstable_by_key(|&(first, _)| first);
-        for (_, bytes) in pieces {
-            out.extend_from_slice(bytes);
-        }
-    }
-
-    /// The capture emitter over `step`: one whole-input dispatch at
+    /// This is the capture emitter: one whole-input dispatch at
     /// `batch_size` reads per grain, every read's records moved into a
     /// [`ParentRun`] — the paper's capture boundary (`--dump`, proxy
     /// validation).
-    pub(crate) fn capture_run<R: ReadStep<'a>>(
+    pub fn run_with_sink_metrics(
         &self,
-        step: &R,
         reads: &[Vec<u8>],
         options: &ParentOptions,
         sink: &(impl RegionSink + ?Sized),
@@ -538,7 +397,6 @@ impl<'a> Parent<'a> {
         };
         self.dispatch(
             &mut self.mapper.lock_pool(),
-            step,
             reads,
             0,
             options.mapping.batch_size,
@@ -570,6 +428,81 @@ impl<'a> Parent<'a> {
         }
     }
 
+    /// Maps one chunk of reads (global ids `base_id..base_id + reads.len()`)
+    /// on the mapper's persistent worker pool and appends the chunk's GAF
+    /// to `out`, without region instrumentation.
+    ///
+    /// This is the one chunk primitive of every GAF-producing path: the
+    /// streaming loop calls it per chunk, and a long-lived executor calls
+    /// it once per (job, chunk), interleaving chunks of different jobs on
+    /// the same pool with per-call options. Because read ids are global
+    /// and per-read work is deterministic and cache-independent, the
+    /// concatenated chunk GAF is byte-identical to [`crate::run_to_gaf`]
+    /// over a batch run of the same reads however chunks were cut or
+    /// interleaved. For paired workflows `reads` must start on a pair
+    /// boundary (`base_id` even) so rescue and pair check see whole pairs.
+    ///
+    /// The scheduler is handed [`chunk_grain_reads`] reads per grain, not
+    /// `batch_size`: a chunk is usually `threads × batch_size` reads, and
+    /// one grain per thread leaves a balancing scheduler nothing to balance.
+    ///
+    /// A panic in a worker unwinds out of this call after every worker has
+    /// stopped; `out` is then as it was on entry.
+    pub fn map_chunk_gaf(
+        &self,
+        reads: &[Vec<u8>],
+        base_id: u64,
+        set_name: &str,
+        options: &ParentOptions,
+        metrics: &Metrics,
+        out: &mut Vec<u8>,
+    ) {
+        self.chunk_gaf(reads, base_id, set_name, options, &NullSink, metrics, out);
+    }
+
+    /// The GAF emitter: dispatches the chunk's fragments, then copies what
+    /// each worker rendered into `out` in fragment order.
+    #[allow(clippy::too_many_arguments)]
+    fn chunk_gaf(
+        &self,
+        reads: &[Vec<u8>],
+        base_id: u64,
+        set_name: &str,
+        options: &ParentOptions,
+        sink: &(impl RegionSink + ?Sized),
+        metrics: &Metrics,
+        out: &mut Vec<u8>,
+    ) {
+        let threads = options.mapping.threads.max(1);
+        let grain = chunk_grain_reads(reads.len(), threads, options.mapping.batch_size);
+        let mut pool = self.mapper.lock_pool();
+        self.dispatch(
+            &mut pool,
+            reads,
+            base_id,
+            grain,
+            options,
+            sink,
+            metrics,
+            Emitter::Gaf { set_name },
+        );
+        // Still under the pool lock: the buffers belong to this dispatch
+        // until they are copied out.
+        let bufs = self.bufs.slots();
+        let mut pieces: Vec<(usize, &[u8])> = Vec::new();
+        for worker in bufs.iter().take(threads) {
+            let mut start = 0;
+            for run in &worker.runs {
+                pieces.push((run.first, &worker.gaf[start..run.end]));
+                start = run.end;
+            }
+        }
+        pieces.sort_unstable_by_key(|&(first, _)| first);
+        for (_, bytes) in pieces {
+            out.extend_from_slice(bytes);
+        }
+    }
+
     /// The one scheduler dispatch behind both emitters: `reads` cut into
     /// fragments (pairs are read-id-local, `2i`/`2i+1`; a trailing odd read
     /// is a fragment of one), `grain_reads` reads' worth of fragments per
@@ -578,10 +511,9 @@ impl<'a> Parent<'a> {
     /// reuses its scratch and fragment buffers, sharing the pool cells the
     /// proxy loop stashes.
     #[allow(clippy::too_many_arguments)]
-    fn dispatch<R: ReadStep<'a>>(
+    fn dispatch(
         &self,
         pool: &mut WorkerPool,
-        step: &R,
         reads: &[Vec<u8>],
         base_id: u64,
         grain_reads: usize,
@@ -608,21 +540,17 @@ impl<'a> Parent<'a> {
                 bufs.gaf.clear();
                 bufs.runs.clear();
                 Box::new(FragmentWorker {
-                    step,
-                    lane: step.open(thread),
-                    core: WorkerCore {
-                        parent: self,
-                        options,
-                        sink,
-                        thread,
-                        cache: CachedGbwt::with_state(
-                            self.mapper.gbz().gbwt(),
-                            options.mapping.cache_capacity,
-                            persist.cache,
-                        ),
-                        scratch: persist.scratch,
-                        obs: metrics.shard(),
-                    },
+                    parent: self,
+                    options,
+                    sink,
+                    thread,
+                    cache: CachedGbwt::with_state(
+                        self.mapper.gbz().gbwt(),
+                        options.mapping.cache_capacity,
+                        persist.cache,
+                    ),
+                    scratch: persist.scratch,
+                    obs: metrics.shard(),
                     reads,
                     base_id,
                     width,
@@ -690,188 +618,133 @@ impl<'a> Parent<'a> {
         I: Iterator<Item = mg_support::Result<Vec<Vec<u8>>>> + Send,
         W: std::io::Write,
     {
-        stream_chunks(self.workflow, options, stream, batches, gaf_out, metrics, |chunk, base, out| {
-            self.chunk_gaf(self, chunk, base, set_name, options, sink, metrics, out)
+        let mut chunk_target = stream.chunk_target(&options.mapping).max(1);
+        if self.workflow == Workflow::Paired {
+            // Chunks must break on pair boundaries so a pair is one fragment.
+            chunk_target = (chunk_target & !1usize).max(2);
+        }
+        let (tx, rx) = bounded_queue(stream.queue_batches.max(1));
+        let start = Instant::now();
+
+        let mut reads = 0u64;
+        let mut batches_consumed = 0u64;
+        let mut chunks = 0u64;
+        let mut failure: Option<mg_support::Error> = None;
+        let mut write_failure: Option<std::io::Error> = None;
+        let mut pending: Vec<Vec<u8>> = Vec::new();
+        let mut next_id = 0u64;
+        // One stitch buffer for the whole stream, grown to chunk size once.
+        let mut gaf: Vec<u8> = Vec::new();
+
+        let queue_stats = std::thread::scope(|scope| {
+            let producer = scope.spawn(move || {
+                for item in batches {
+                    let stop = item.is_err();
+                    if tx.send(item).is_err() || stop {
+                        break;
+                    }
+                }
+                tx.stats()
+            });
+
+            // Maps and writes the first `take` pending reads — unless the sink
+            // is already gone, when mapping them would only produce bytes to
+            // throw away.
+            let mut map_pending = |pending: &mut Vec<Vec<u8>>,
+                                   next_id: &mut u64,
+                                   chunks: &mut u64,
+                                   write_failure: &mut Option<std::io::Error>,
+                                   take: usize| {
+                let take = take.min(pending.len());
+                if take == 0 || write_failure.is_some() {
+                    return;
+                }
+                metrics.observe(Hist::StreamChunkReads, take as u64);
+                gaf.clear();
+                let chunk = &pending[..take];
+                self.chunk_gaf(chunk, *next_id, set_name, options, sink, metrics, &mut gaf);
+                pending.drain(..take);
+                *next_id += take as u64;
+                *chunks += 1;
+                if let Err(e) = gaf_out.write_all(&gaf) {
+                    *write_failure = Some(e);
+                }
+            };
+
+            while let Some(item) = rx.recv() {
+                if write_failure.is_some() {
+                    // The output is gone; stop pulling so the producer
+                    // unblocks and the error surfaces.
+                    break;
+                }
+                match item {
+                    Ok(batch) => {
+                        batches_consumed += 1;
+                        reads += batch.len() as u64;
+                        pending.extend(batch);
+                        while pending.len() >= chunk_target && write_failure.is_none() {
+                            map_pending(
+                                &mut pending,
+                                &mut next_id,
+                                &mut chunks,
+                                &mut write_failure,
+                                chunk_target,
+                            );
+                        }
+                    }
+                    Err(e) => {
+                        failure = Some(e);
+                        break;
+                    }
+                }
+            }
+            // Flush the tail (or, on a producer error, the good prefix read so
+            // far) — including a trailing unpaired read, which the batch path
+            // also leaves unpaired.
+            let take = pending.len();
+            map_pending(&mut pending, &mut next_id, &mut chunks, &mut write_failure, take);
+            drop(rx);
+            producer.join().expect("streaming producer panicked")
+        });
+
+        metrics.add(Ctr::StreamBatches, batches_consumed);
+        metrics.add(Ctr::StreamReads, reads);
+        metrics.add(Ctr::StreamProducerBlockedNs, queue_stats.blocked_ns);
+        metrics.gauge_max(Gauge::StreamQueueDepthMax, queue_stats.high_water as u64);
+
+        if let Some(e) = write_failure {
+            return Err(e.into());
+        }
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        Ok(ParentStreamSummary {
+            reads,
+            batches: batches_consumed,
+            chunks,
+            wall: start.elapsed(),
+            queue_high_water: queue_stats.high_water,
+            producer_blocked_ns: queue_stats.blocked_ns,
         })
     }
 }
 
-/// The monolithic step: seed from the whole index, run the kernels on the
-/// worker's global cache. No lane state of its own.
-impl<'g> ReadStep<'g> for Parent<'g> {
-    type Lane = ();
-
-    fn open(&self, _thread: usize) {}
-
-    fn map_read<S: RegionSink + ?Sized>(
-        &self,
-        _lane: &mut (),
-        worker: &mut WorkerCore<'_, 'g, S>,
-        read_id: u64,
-        bases: &[u8],
-        seeds: &mut Vec<Seed>,
-    ) -> ReadResult {
-        self.seed_and_map(
-            &mut worker.cache,
-            read_id,
-            bases,
-            None,
-            worker.options,
-            worker.sink,
-            worker.thread,
-            &mut NoProbe,
-            &mut worker.scratch,
-            seeds,
-            &mut worker.obs,
-        )
-    }
-
-    fn close(&self, _thread: usize, _lane: ()) {}
-}
-
-/// The shared streaming loop both the monolithic and the sharded parent
-/// drive: a producer thread pulls raw-read batches into a bounded queue
-/// (blocking on a full queue, which is what bounds ingestion memory) while
-/// the calling thread hands [`StreamOptions::chunk_target`]-read chunks to
-/// `map_chunk`, which appends the chunk's GAF to the buffer it is given,
-/// and writes that buffer to `gaf_out`. Chunking, pair alignment, id
-/// assignment, and error handling live here exactly once, so the two
-/// pipelines cannot diverge in stream shape.
-pub(crate) fn stream_chunks<I, W, F>(
-    workflow: Workflow,
-    options: &ParentOptions,
-    stream: &StreamOptions,
-    batches: I,
-    gaf_out: &mut W,
-    metrics: &Metrics,
-    mut map_chunk: F,
-) -> mg_support::Result<ParentStreamSummary>
-where
-    I: Iterator<Item = mg_support::Result<Vec<Vec<u8>>>> + Send,
-    W: std::io::Write,
-    F: FnMut(&[Vec<u8>], u64, &mut Vec<u8>),
-{
-    let mut chunk_target = stream.chunk_target(&options.mapping).max(1);
-    if workflow == Workflow::Paired {
-        // Chunks must break on pair boundaries so a pair is one fragment.
-        chunk_target = (chunk_target & !1usize).max(2);
-    }
-    let (tx, rx) = bounded_queue(stream.queue_batches.max(1));
-    let start = Instant::now();
-
-    let mut reads = 0u64;
-    let mut batches_consumed = 0u64;
-    let mut chunks = 0u64;
-    let mut failure: Option<mg_support::Error> = None;
-    let mut write_failure: Option<std::io::Error> = None;
-    let mut pending: Vec<Vec<u8>> = Vec::new();
-    let mut next_id = 0u64;
-    // One stitch buffer for the whole stream, grown to chunk size once.
-    let mut gaf: Vec<u8> = Vec::new();
-
-    let queue_stats = std::thread::scope(|scope| {
-        let producer = scope.spawn(move || {
-            for item in batches {
-                let stop = item.is_err();
-                if tx.send(item).is_err() || stop {
-                    break;
-                }
-            }
-            tx.stats()
-        });
-
-        // Maps and writes the first `take` pending reads — unless the sink
-        // is already gone, when mapping them would only produce bytes to
-        // throw away.
-        let mut map_pending = |pending: &mut Vec<Vec<u8>>,
-                               next_id: &mut u64,
-                               chunks: &mut u64,
-                               write_failure: &mut Option<std::io::Error>,
-                               take: usize| {
-            let take = take.min(pending.len());
-            if take == 0 || write_failure.is_some() {
-                return;
-            }
-            metrics.observe(Hist::StreamChunkReads, take as u64);
-            gaf.clear();
-            map_chunk(&pending[..take], *next_id, &mut gaf);
-            pending.drain(..take);
-            *next_id += take as u64;
-            *chunks += 1;
-            if let Err(e) = gaf_out.write_all(&gaf) {
-                *write_failure = Some(e);
-            }
-        };
-
-        while let Some(item) = rx.recv() {
-            if write_failure.is_some() {
-                // The output is gone; stop pulling so the producer
-                // unblocks and the error surfaces.
-                break;
-            }
-            match item {
-                Ok(batch) => {
-                    batches_consumed += 1;
-                    reads += batch.len() as u64;
-                    pending.extend(batch);
-                    while pending.len() >= chunk_target && write_failure.is_none() {
-                        map_pending(
-                            &mut pending,
-                            &mut next_id,
-                            &mut chunks,
-                            &mut write_failure,
-                            chunk_target,
-                        );
-                    }
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        // Flush the tail (or, on a producer error, the good prefix read so
-        // far) — including a trailing unpaired read, which the batch path
-        // also leaves unpaired.
-        let take = pending.len();
-        map_pending(&mut pending, &mut next_id, &mut chunks, &mut write_failure, take);
-        drop(rx);
-        producer.join().expect("streaming producer panicked")
-    });
-
-    metrics.add(Ctr::StreamBatches, batches_consumed);
-    metrics.add(Ctr::StreamReads, reads);
-    metrics.add(Ctr::StreamProducerBlockedNs, queue_stats.blocked_ns);
-    metrics.gauge_max(Gauge::StreamQueueDepthMax, queue_stats.high_water as u64);
-
-    if let Some(e) = write_failure {
-        return Err(e.into());
-    }
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    Ok(ParentStreamSummary {
-        reads,
-        batches: batches_consumed,
-        chunks,
-        wall: start.elapsed(),
-        queue_high_water: queue_stats.high_water,
-        producer_blocked_ns: queue_stats.blocked_ns,
-    })
-}
-
-/// One pool thread's worker for one dispatch: maps the fragments the
-/// scheduler assigns it through `step`, finishes each one — rescoring,
-/// and for a pair mate rescue and the fragment check, all on this thread's
-/// cache and scratch — and hands it to the emitter. At `finish` it merges
-/// its metrics shard and parks the warm state: cache and scratch in the
-/// thread's pool cell (the same [`ThreadPersist`] cell the proxy loop
-/// uses, so warmth carries across proxy and parent dispatches), fragment
-/// buffers with the parent, the lane with its step.
-struct FragmentWorker<'e, 'g, S: RegionSink + ?Sized, R: ReadStep<'g>> {
-    step: &'e R,
-    lane: R::Lane,
-    core: WorkerCore<'e, 'g, S>,
+/// One pool thread's worker for one dispatch: seeds and maps the fragments
+/// the scheduler assigns it, finishes each one — rescoring, and for a pair
+/// mate rescue and the fragment check, all on this thread's cache and
+/// scratch — and hands it to the emitter. At `finish` it merges its metrics
+/// shard and parks the warm state: cache and scratch in the thread's pool
+/// cell (the same [`ThreadPersist`] cell the proxy loop uses, so warmth
+/// carries across proxy and parent dispatches), fragment buffers with the
+/// parent.
+struct FragmentWorker<'e, 'g, S: RegionSink + ?Sized> {
+    parent: &'e Parent<'g>,
+    options: &'e ParentOptions,
+    sink: &'e S,
+    thread: usize,
+    cache: CachedGbwt<'g>,
+    scratch: MapScratch,
+    obs: ObsShard,
     reads: &'e [Vec<u8>],
     base_id: u64,
     /// Reads per fragment: 2 when paired, else 1.
@@ -881,83 +754,94 @@ struct FragmentWorker<'e, 'g, S: RegionSink + ?Sized, R: ReadStep<'g>> {
     metrics: &'e Metrics,
 }
 
-impl<'g, S: RegionSink + ?Sized, R: ReadStep<'g>> FragmentWorker<'_, 'g, S, R> {
-    /// Mate rescue, then mate consistency, for the pair at `lo`/`lo + 1`.
-    /// Both run against the global index — a rescued mate can land anywhere
-    /// in the graph, and fragment distances are global-coordinate questions
-    /// — and on this worker's own cache: rescue output does not depend on
-    /// cache state. Returns the rescued results (index = mate).
+impl<S: RegionSink + ?Sized> FragmentWorker<'_, '_, S> {
+    /// Mate rescue, then mate consistency, for the pair at `lo`/`lo + 1`,
+    /// on this worker's own cache: rescue output does not depend on cache
+    /// state. Returns the rescued results (index = mate).
     fn pair(&mut self, lo: usize, alignments: &mut [Vec<Alignment>; 2]) -> [Option<ReadResult>; 2] {
-        let w = &mut self.core;
-        let t0 = w.obs.now();
-        let mapper = &w.parent.mapper;
+        let t0 = self.obs.now();
+        let mapper = &self.parent.mapper;
         let mut rescued = [None, None];
         let half_mapped = match (alignments[0].is_empty(), alignments[1].is_empty()) {
             (false, true) => Some((0, 1)),
             (true, false) => Some((1, 0)),
             _ => None,
         };
-        if let (true, Some((mapped, unmapped))) = (w.options.enable_rescue, half_mapped) {
-            let _t = RegionTimer::start(w.sink, w.thread, "pair_rescue");
+        if let (true, Some((mapped, unmapped))) = (self.options.enable_rescue, half_mapped) {
+            let _t = RegionTimer::start(self.sink, self.thread, "pair_rescue");
             if let Some(result) = rescue_mate_bases(
                 mapper,
-                w.parent.minimizer,
-                &mut w.cache,
+                self.parent.minimizer,
+                &mut self.cache,
                 self.base_id + (lo + unmapped) as u64,
                 &self.reads[lo + unmapped],
                 alignments[mapped][0].pos,
-                &w.options.mapping,
-                &w.options.rescue,
-                w.sink,
-                w.thread,
+                &self.options.mapping,
+                &self.options.rescue,
+                self.sink,
+                self.thread,
                 &mut NoProbe,
-                &mut w.scratch,
+                &mut self.scratch,
             ) {
-                alignments[unmapped] = align_read(&result, &w.options.align);
+                alignments[unmapped] = align_read(&result, &self.options.align);
                 rescued[unmapped] = Some(result);
             }
         }
         {
-            let _t = RegionTimer::start(w.sink, w.thread, "pair_check");
+            let _t = RegionTimer::start(self.sink, self.thread, "pair_check");
             let (first, second) = alignments.split_at_mut(1);
             pair_check(
                 mapper.gbz().graph(),
                 mapper.distance_index(),
                 &mut first[0],
                 &mut second[0],
-                w.options.max_fragment,
+                self.options.max_fragment,
             );
         }
-        w.obs.stage(Stage::Pairing, t0);
+        self.obs.stage(Stage::Pairing, t0);
         rescued
     }
 }
 
-impl<'g, S: RegionSink + ?Sized, R: ReadStep<'g>> PoolTask for FragmentWorker<'_, 'g, S, R> {
+impl<S: RegionSink + ?Sized> PoolTask for FragmentWorker<'_, '_, S> {
     fn run(&mut self, fragment: usize) {
         let lo = fragment * self.width;
         let count = self.width.min(self.reads.len() - lo);
-        let stats_before = self.core.obs.is_on().then(|| self.core.cache.stats());
+        let stats_before = self.obs.is_on().then(|| self.cache.stats());
         // A fragment is at most two reads: everything it produces lives in
         // fixed arrays until the emitter takes it.
         let mut results: [Option<ReadResult>; 2] = [None, None];
         let mut alignments: [Vec<Alignment>; 2] = [Vec::new(), Vec::new()];
         for k in 0..count {
-            let w = &mut self.core;
             let read_id = self.base_id + (lo + k) as u64;
-            if w.options.fault_read == Some(read_id) {
+            if self.options.fault_read == Some(read_id) {
                 panic!("injected fault mapping read {read_id}");
             }
             let bases = &self.reads[lo + k];
-            let result =
-                self.step.map_read(&mut self.lane, w, read_id, bases, &mut self.bufs.seeds[k]);
-            let t0 = w.obs.now();
-            alignments[k] = w.parent.post_process_bases(bases, &result, w.options, w.sink, w.thread);
-            w.obs.stage(Stage::Rescoring, t0);
+            let result = self.parent.seed_and_map(
+                &mut self.cache,
+                read_id,
+                bases,
+                self.options,
+                self.sink,
+                self.thread,
+                &mut NoProbe,
+                &mut self.scratch,
+                &mut self.bufs.seeds[k],
+                &mut self.obs,
+            );
+            let t0 = self.obs.now();
+            alignments[k] = self.parent.post_process_bases(
+                bases,
+                &result,
+                self.options,
+                self.sink,
+                self.thread,
+            );
+            self.obs.stage(Stage::Rescoring, t0);
             results[k] = Some(result);
         }
         let mut rescued = if count == 2 { self.pair(lo, &mut alignments) } else { [None, None] };
-        let w = &mut self.core;
         for k in 0..count {
             let bases = &self.reads[lo + k];
             let result = results[k].take().expect("every read of the fragment was mapped");
@@ -966,20 +850,20 @@ impl<'g, S: RegionSink + ?Sized, R: ReadStep<'g>> PoolTask for FragmentWorker<'_
                 // mate's alignments find no extension there and emit
                 // nothing, on every path alike.
                 Emitter::Gaf { set_name } => {
-                    let t0 = w.obs.now();
+                    let t0 = self.obs.now();
                     read_to_gaf_into(
-                        w.parent.mapper.gbz().graph(),
+                        self.parent.mapper.gbz().graph(),
                         set_name,
                         bases.len(),
                         &result,
                         &alignments[k],
                         &mut self.bufs.gaf,
                     );
-                    w.obs.stage(Stage::Render, t0);
+                    self.obs.stage(Stage::Render, t0);
                 }
                 Emitter::Capture { reads, rescued: rescue_slots } => {
                     let input = {
-                        let _t = RegionTimer::start(w.sink, w.thread, "parse_input");
+                        let _t = RegionTimer::start(self.sink, self.thread, "parse_input");
                         // Intake for the dump record: the one place the
                         // read and its seed list are copied.
                         ReadInput { bases: bases.clone(), seeds: self.bufs.seeds[k].clone() }
@@ -1004,22 +888,20 @@ impl<'g, S: RegionSink + ?Sized, R: ReadStep<'g>> PoolTask for FragmentWorker<'_
             }
         }
         if let Some(before) = stats_before {
-            let after = w.cache.stats();
-            w.obs.add(Ctr::CacheHits, after.hits - before.hits);
-            w.obs.add(Ctr::CacheMisses, after.misses - before.misses);
-            w.obs.add(Ctr::CacheEvictions, after.evictions - before.evictions);
-            w.obs.add(Ctr::CacheResizes, after.rehashes - before.rehashes);
-            w.obs.add(Ctr::CacheRehashedSlots, after.rehashed_slots - before.rehashed_slots);
+            let after = self.cache.stats();
+            self.obs.add(Ctr::CacheHits, after.hits - before.hits);
+            self.obs.add(Ctr::CacheMisses, after.misses - before.misses);
+            self.obs.add(Ctr::CacheEvictions, after.evictions - before.evictions);
+            self.obs.add(Ctr::CacheResizes, after.rehashes - before.rehashes);
+            self.obs.add(Ctr::CacheRehashedSlots, after.rehashed_slots - before.rehashed_slots);
         }
     }
 
     fn finish(self: Box<Self>, cell: &mut PoolCell) {
         let this = *self;
-        let core = this.core;
-        this.metrics.absorb(&core.obs);
-        this.step.close(core.thread, this.lane);
-        core.parent.bufs.put(core.thread, this.bufs);
-        *cell = Box::new(ThreadPersist { cache: core.cache.into_state(), scratch: core.scratch });
+        this.metrics.absorb(&this.obs);
+        this.parent.bufs.put(this.thread, this.bufs);
+        *cell = Box::new(ThreadPersist { cache: this.cache.into_state(), scratch: this.scratch });
     }
 }
 

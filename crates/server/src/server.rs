@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use mg_core::types::Workflow;
 use mg_obs::{bucket_of, percentile, Ctr, Gauge, Hist, Metrics, Stage, HIST_BUCKETS};
-use mg_parent::{Parent, ParentOptions, ShardedParent};
+use mg_parent::{Parent, ParentOptions};
 use mg_sched::{effective_chunk_reads, AdmissionQueue};
 use mg_workload::read_fastq_bases;
 
@@ -232,7 +232,6 @@ fn send(writer: &Arc<Mutex<Box<dyn Write + Send>>>, frame: &Frame) {
 /// The long-lived multi-tenant mapping server.
 pub struct MappingServer<'a> {
     parent: &'a Parent<'a>,
-    sharded: Option<&'a ShardedParent<'a>>,
     config: ServerConfig,
     ctl: Arc<ServerCtl>,
     metrics: Metrics,
@@ -243,18 +242,7 @@ impl<'a> MappingServer<'a> {
     /// distance index built, pool cold).
     pub fn new(parent: &'a Parent<'a>, config: ServerConfig) -> MappingServer<'a> {
         let ctl = Arc::new(ServerCtl::new(&config));
-        MappingServer { parent, sharded: None, config, ctl, metrics: Metrics::new() }
-    }
-
-    /// Routes every chunk through the sharded pipeline instead of the
-    /// monolithic one. Chunks of different jobs still interleave on the
-    /// one resident pool, and the streamed GAF stays byte-identical (the
-    /// sharded parent falls back per read when routing cannot prove
-    /// residency), so clients cannot observe the switch except through
-    /// the routing metrics.
-    pub fn with_sharded(mut self, sharded: &'a ShardedParent<'a>) -> MappingServer<'a> {
-        self.sharded = Some(sharded);
-        self
+        MappingServer { parent, config, ctl, metrics: Metrics::new() }
     }
 
     /// The shared control block (shutdown, counters, `STATS`).
@@ -454,23 +442,15 @@ impl<'a> MappingServer<'a> {
             // The workers render while they map, and what they rendered
             // is stitched straight into the frame being built.
             let rendered = catch_unwind(AssertUnwindSafe(|| {
-                Frame::encode_gaf_with(out, aj.job.id, |buf| match self.sharded {
-                    Some(sharded) => sharded.map_chunk_gaf(
+                Frame::encode_gaf_with(out, aj.job.id, |buf| {
+                    self.parent.map_chunk_gaf(
                         reads,
                         lo as u64,
                         &aj.job.name,
                         options,
                         &self.metrics,
                         buf,
-                    ),
-                    None => self.parent.map_chunk_gaf(
-                        reads,
-                        lo as u64,
-                        &aj.job.name,
-                        options,
-                        &self.metrics,
-                        buf,
-                    ),
+                    )
                 })
             }));
             match rendered {

@@ -610,8 +610,8 @@ mod tests {
             let val = val & max_ok;
             let pos = pos_seed % raw.len();
             v.set(pos, val);
-            for i in 0..raw.len() {
-                let expect = if i == pos { val } else { raw[i] };
+            for (i, &old) in raw.iter().enumerate() {
+                let expect = if i == pos { val } else { old };
                 prop_assert_eq!(v.get(i), expect);
             }
         }

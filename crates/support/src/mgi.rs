@@ -653,9 +653,9 @@ struct SectionEntry {
 ///
 /// Opening validates the preamble (magic, version, endianness, exact file
 /// length), the canonical section layout (recomputed and compared, so
-/// overlaps, gaps, and trailing garbage are rejected), and — by default —
-/// every section checksum. Section payloads are then borrowed straight out
-/// of the mapping.
+/// overlaps, gaps, and trailing garbage are rejected), and every section
+/// checksum. Section payloads are then borrowed straight out of the
+/// mapping.
 #[derive(Debug)]
 pub struct MgiFile {
     map: Arc<Mapping>,
@@ -671,14 +671,7 @@ impl MgiFile {
     /// [`Error::UnsupportedVersion`] / [`Error::Corrupt`] /
     /// [`Error::ChecksumMismatch`] on validation failure.
     pub fn open(path: &Path) -> Result<MgiFile> {
-        MgiFile::from_mapping(Arc::new(Mapping::open(path)?), true)
-    }
-
-    /// Like [`MgiFile::open`] but skips checksum verification, trusting the
-    /// file (e.g. one this process just wrote and re-read). Structural
-    /// validation still runs in full.
-    pub fn open_trusted(path: &Path) -> Result<MgiFile> {
-        MgiFile::from_mapping(Arc::new(Mapping::open(path)?), false)
+        MgiFile::from_mapping(Arc::new(Mapping::open(path)?))
     }
 
     /// Validates an in-memory image (tests, in-process round trips).
@@ -687,10 +680,10 @@ impl MgiFile {
     ///
     /// Same conditions as [`MgiFile::open`].
     pub fn open_bytes(bytes: Vec<u8>) -> Result<MgiFile> {
-        MgiFile::from_mapping(Arc::new(Mapping::from_vec(bytes)), true)
+        MgiFile::from_mapping(Arc::new(Mapping::from_vec(bytes)))
     }
 
-    fn from_mapping(map: Arc<Mapping>, verify_checksums: bool) -> Result<MgiFile> {
+    fn from_mapping(map: Arc<Mapping>) -> Result<MgiFile> {
         let data = map.bytes();
         if data.len() < PREAMBLE_LEN {
             return Err(Error::Corrupt(format!(
@@ -781,14 +774,12 @@ impl MgiFile {
                 .ok_or_else(|| {
                     Error::Corrupt(format!("section {tag:#x} of {len} bytes exceeds the file"))
                 })?;
-            if verify_checksums {
-                let computed = fnv1a(&data[offset..end]);
-                if computed != stored {
-                    return Err(Error::ChecksumMismatch {
-                        stored,
-                        computed,
-                    });
-                }
+            let computed = fnv1a(&data[offset..end]);
+            if computed != stored {
+                return Err(Error::ChecksumMismatch {
+                    stored,
+                    computed,
+                });
             }
             expected = align_up(end, MGI_ALIGN);
             entries.push(SectionEntry { tag, offset, len });
@@ -1005,8 +996,6 @@ mod tests {
         assert_eq!(f.section(TAG_GRAPH_SEQ).unwrap(), b"ACGT");
         drop(words);
         drop(f);
-        let trusted = MgiFile::open_trusted(&path).unwrap();
-        assert_eq!(trusted.section(TAG_GRAPH_SEQ).unwrap(), b"ACGT");
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();
     }

@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn collapse_merges_adjacent_only() {
-        let runs = collapse([1, 1, 2, 1].into_iter());
+        let runs = collapse([1, 1, 2, 1]);
         assert_eq!(
             runs,
             vec![Run::new(1, 2), Run::new(2, 1), Run::new(1, 1)]

@@ -17,7 +17,7 @@ proptest! {
         let mut buf = Vec::new();
         let written = varint::write_u64(&mut buf, value);
         prop_assert_eq!(written, buf.len());
-        prop_assert!(written >= 1 && written <= 10, "LEB128 u64 takes 1..=10 bytes");
+        prop_assert!((1..=10).contains(&written), "LEB128 u64 takes 1..=10 bytes");
         let (decoded, read) = varint::read_u64(&buf).unwrap();
         prop_assert_eq!(decoded, value);
         prop_assert_eq!(read, written);

@@ -17,7 +17,7 @@ cargo test --workspace -q
 echo "== streaming oracle (golden GAF through the streaming entry point) =="
 cargo test --release -q --test oracle streaming
 
-echo "== GAF path oracle (streaming, served, sharded and chunk-by-chunk bytes == batch bytes; an optimized build's thread timing) =="
+echo "== GAF path oracle (streaming, served and chunk-by-chunk bytes == batch bytes; an optimized build's thread timing) =="
 cargo test --release -q --test gaf_paths
 
 echo "== streaming memory bound (peak RSS over 50 windows of reads stays within the window) =="
@@ -129,44 +129,6 @@ if speedup < 1.5:
     sys.exit(f"FAIL: .mgi cold start only {speedup:.2f}x of parse+rebuild (< 1.5)")
 print(f"file sizes: mgz {rep['mgz_bytes']} B, mgi {rep['mgi_bytes']} B")
 print("mgi gate: OK")
-EOF
-
-echo "== shard smoke (routing selectivity + sharded/mono parity + cold start) =="
-run_gated_bench smoke_shard BENCH_SHARD.json
-
-# Sharding must be an execution strategy, never a result change: the bench
-# byte-compares the sharded GAF against the monolithic run before timing
-# anything, and the router must prune most shards (mean shards probed per
-# read under half the shard count). The sharded/monolithic throughput ratio
-# was gated at 0.95x when it measured 0.9985 and re-based to 0.90x after
-# PR 13: routing and merging cost a fixed ~0.6 us a read, and every PR that
-# makes the monolithic read cheaper (13, 15, 16, and 17's single-tier
-# cache) moves the same cost further down the ratio — 0.900 and 0.917 in
-# two runs at this step's scale, 0.85-0.94 across processes. A gate that
-# tracks the other side's speed is not lowered until it passes: the
-# throughput clause is retired, the ratio is printed for ROADMAP's
-# earn-your-keep audit (which has to decide whether sharding stays for cold
-# open only), and what still gates is what still means something: equal
-# output, routing selectivity, and the cold start. Opening one shard's .mgi
-# should beat parse+rebuild superlinearly (more than shard_count times).
-python3 - "$out/BENCH_SHARD.json" <<'EOF'
-import json, sys
-rep = json.load(open(sys.argv[1]))
-if not rep["oracle_match"]:
-    sys.exit("FAIL: sharded GAF diverged from the monolithic oracle")
-k, probed = rep["shard_count"], rep["mean_shards_probed"]
-print(f"routing: mean {probed:.2f} shards probed / read of {k} "
-      f"(resident {rep['resident_fraction']:.1%})")
-if probed >= 0.5 * k:
-    sys.exit(f"FAIL: router probes {probed:.2f} shards per read (>= {0.5 * k:.1f})")
-print(f"sharded/mono throughput: {rep['throughput_ratio']:.3f} (audit input, not gated)")
-print(f"cold start: parse+rebuild {rep['parsed_startup_s']:.4f}s, "
-      f"{k}-shard open {rep['shard_dir_open_s']:.4f}s ({rep['cold_speedup']:.1f}x), "
-      f"one shard {rep['one_shard_open_s']:.4f}s ({rep['one_shard_speedup']:.1f}x)")
-if rep["one_shard_speedup"] <= k:
-    sys.exit(f"FAIL: one-shard open only {rep['one_shard_speedup']:.1f}x of "
-             f"parse+rebuild (not superlinear for {k} shards)")
-print("shard gate: OK")
 EOF
 
 echo "verify: all gates passed"

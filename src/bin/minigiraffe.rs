@@ -26,7 +26,6 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("generate") => cmd_generate(&args[1..]),
         Some("build-mgi") => cmd_build_mgi(&args[1..]),
-        Some("build-shards") => cmd_build_shards(&args[1..]),
         Some("map") => cmd_map(&args[1..]),
         Some("parent") => cmd_parent(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -67,29 +66,17 @@ USAGE:
       verified (checksums + structural invariants + GBWT record
       decode) before the command reports success.
 
-  minigiraffe build-shards <pangenome.mgz | --mgi <index.mgi>>
-                           --out <dir> [--shard-count N]
-                           [--resident-limit N] [--k N] [--w N]
-      Partition the pangenome into per-region shards: writes one
-      shard-NNN.mgi per shard plus the shards.mgsm routing manifest
-      (core ranges + k-mer Bloom summaries) into <dir>. The directory
-      is reopened and validated before the command reports success;
-      map/parent/serve consume it via --shards.
-
   minigiraffe map <seeds.bin> <pangenome.mgz | --mgi <index.mgi>>
                   [--threads N] [--batch N] [--capacity N]
                   [--scheduler static|dynamic|ws|vg]
-                  [--shards <dir>]
                   [--instrument <timeline.csv>] [--out <results.csv>]
       Run the proxy kernels; prints a summary and optionally writes
-      per-extension results and a region timeline. With --shards,
-      reads whose seeds stay inside one shard core run that shard's
-      kernel only (identical output, shard-local working set).
+      per-extension results and a region timeline.
 
   minigiraffe parent <reads.fastq> <pangenome.mgz | --mgi <index.mgi>>
                      [--threads N] [--batch N] [--capacity N]
                      [--gaf <out.gaf>] [--dump <seeds.bin>]
-                     [--stream <reads-per-batch>] [--shards <dir>]
+                     [--stream <reads-per-batch>]
       Run the full Giraffe-like parent pipeline on raw reads: seeding,
       kernels, post-processing. Optionally writes GAF alignments and
       the seed dump the proxy consumes. With --stream, reads are
@@ -104,7 +91,7 @@ USAGE:
                     [--scheduler static|dynamic|ws|vg]
                     [--max-pending N] [--max-active N] [--client-cap N]
                     [--chunk-reads N] [--paired true]
-                    [--write-timeout-ms N] [--shards <dir>]
+                    [--write-timeout-ms N]
       Run the long-lived mapping server: loads the pangenome and builds
       the minimizer index once (or mmaps everything from --mgi), then
       multiplexes concurrent FASTQ mapping jobs from TCP clients onto
@@ -202,6 +189,12 @@ fn load_bundle(
     use minigiraffe::core::MgiBundle;
     match (flags.get("mgi"), mgz_path) {
         (Some(mgi), None) => {
+            if let Some(name) = ["k", "w"].into_iter().find(|name| flags.contains_key(*name)) {
+                return Err(format!(
+                    "--{name} has no effect with --mgi: the container carries the minimizer \
+                     parameters it was built with (pass --{name} to build-mgi)"
+                ));
+            }
             let start = std::time::Instant::now();
             let bundle =
                 MgiBundle::open(mgi).map_err(|e| format!("opening {mgi}: {e}"))?;
@@ -271,84 +264,6 @@ fn cmd_build_mgi(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_build_shards(args: &[String]) -> Result<(), String> {
-    use minigiraffe::core::shard::{ShardParams, ShardSet};
-
-    let (positional, flags) = parse_flags(
-        args,
-        "build-shards",
-        &[BUNDLE_FLAGS, &["out", "shard-count", "resident-limit"]],
-    )?;
-    let gbz_path = match &positional[..] {
-        [] => None,
-        [p] => Some(p),
-        _ => return Err("expected <pangenome.mgz> or --mgi <index.mgi>".into()),
-    };
-    let out = flags.get("out").ok_or("--out is required")?.clone();
-    let bundle = load_bundle(gbz_path, &flags)?;
-    let defaults = ShardParams::default();
-    let params = ShardParams {
-        shard_count: flag(&flags, "shard-count", defaults.shard_count)?,
-        resident_limit: flag(&flags, "resident-limit", defaults.resident_limit)?,
-    };
-    if params.shard_count == 0 {
-        return Err("--shard-count must be >= 1".into());
-    }
-    let start = std::time::Instant::now();
-    let set = ShardSet::build(bundle.gbz(), bundle.minimizer(), bundle.distance(), &params)
-        .map_err(|e| format!("partitioning: {e}"))?;
-    eprintln!(
-        "partitioned {} nodes into {} shards in {:.3}s",
-        bundle.gbz().graph().node_count(),
-        set.shard_count(),
-        start.elapsed().as_secs_f64()
-    );
-    std::fs::create_dir_all(&out).map_err(|e| format!("creating {out}: {e}"))?;
-    set.save_dir(&out).map_err(|e| format!("writing {out}: {e}"))?;
-
-    // Reopen and fully validate what we just wrote (manifest invariants,
-    // per-shard container checksums, geometry vs manifest).
-    let verify_start = std::time::Instant::now();
-    let reopened = ShardSet::open_dir(&out).map_err(|e| format!("verifying {out}: {e}"))?;
-    for (i, shard) in reopened.shards.iter().enumerate() {
-        println!(
-            "  shard {i}: core {}..={} window {}..={} ({} nodes, {} k-mers)",
-            shard.meta.core.lo,
-            shard.meta.core.hi,
-            shard.meta.window.lo,
-            shard.meta.window.hi,
-            shard.bundle.gbz().graph().node_count(),
-            shard.bundle.minimizer().distinct_kmers()
-        );
-    }
-    println!(
-        "wrote {} shards + manifest to {out}; verified in {:.3}s",
-        reopened.shard_count(),
-        verify_start.elapsed().as_secs_f64()
-    );
-    Ok(())
-}
-
-/// Loads (and validates) a `--shards` directory when the flag is present.
-fn load_shards(
-    flags: &std::collections::HashMap<String, String>,
-) -> Result<Option<minigiraffe::core::shard::ShardSet>, String> {
-    match flags.get("shards") {
-        Some(dir) => {
-            let start = std::time::Instant::now();
-            let set = minigiraffe::core::shard::ShardSet::open_dir(dir)
-                .map_err(|e| format!("opening shards {dir}: {e}"))?;
-            eprintln!(
-                "opened {} shards from {dir} in {:.3}s",
-                set.shard_count(),
-                start.elapsed().as_secs_f64()
-            );
-            Ok(Some(set))
-        }
-        None => Ok(None),
-    }
-}
-
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use minigiraffe::core::Workflow;
     use minigiraffe::parent::{Parent, ParentOptions};
@@ -363,7 +278,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         "chunk-reads",
         "paired",
         "write-timeout-ms",
-        "shards",
     ];
     let (positional, flags) =
         parse_flags(args, "serve", &[BUNDLE_FLAGS, MAPPING_FLAGS, SERVE_FLAGS])?;
@@ -406,17 +320,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         bundle.distance().clone(),
         workflow,
     );
-    let shards = load_shards(&flags)?;
-    let sharded = match &shards {
-        Some(set) => Some(
-            minigiraffe::parent::ShardedParent::new(&parent, set).map_err(|e| e.to_string())?,
-        ),
-        None => None,
-    };
-    let mut server = MappingServer::new(&parent, config);
-    if let Some(sharded) = &sharded {
-        server = server.with_sharded(sharded);
-    }
+    let server = MappingServer::new(&parent, config);
     server.serve_tcp(listener).map_err(|e| format!("serving: {e}"))?;
     println!("{}", server.stats_json());
     Ok(())
@@ -429,7 +333,7 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse_flags(
         args,
         "parent",
-        &[BUNDLE_FLAGS, MAPPING_FLAGS, &["gaf", "dump", "stream", "shards"]],
+        &[BUNDLE_FLAGS, MAPPING_FLAGS, &["gaf", "dump", "stream"]],
     )?;
     let (reads_path, gbz_path) = match &positional[..] {
         [reads] => (reads, None),
@@ -447,13 +351,6 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
         bundle.distance().clone(),
         Workflow::Single,
     );
-    let shards = load_shards(&flags)?;
-    let sharded = match &shards {
-        Some(set) => Some(
-            minigiraffe::parent::ShardedParent::new(&parent, set).map_err(|e| e.to_string())?,
-        ),
-        None => None,
-    };
 
     if let Some(raw) = flags.get("stream") {
         use minigiraffe::core::StreamOptions;
@@ -477,11 +374,9 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
         };
         eprintln!("streaming reads in batches of {ingest}...");
         let stream = StreamOptions::default();
-        let summary = match &sharded {
-            Some(sp) => sp.run_streaming(batches, &options, &stream, "read", &mut gaf_out),
-            None => parent.run_streaming(batches, &options, &stream, "read", &mut gaf_out),
-        }
-        .map_err(|e| e.to_string())?;
+        let summary = parent
+            .run_streaming(batches, &options, &stream, "read", &mut gaf_out)
+            .map_err(|e| e.to_string())?;
         use std::io::Write as _;
         gaf_out.flush().map_err(|e| format!("flushing GAF: {e}"))?;
         println!(
@@ -503,10 +398,7 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("loading {reads_path}: {e}"))?;
 
     eprintln!("mapping {} reads...", reads.len());
-    let run = match &sharded {
-        Some(sp) => sp.run(&reads, &options),
-        None => parent.run(&reads, &options),
-    };
+    let run = parent.run(&reads, &options);
     let aligned = run.alignments.iter().filter(|a| !a.is_empty()).count();
     println!(
         "aligned {aligned}/{} reads ({} alignments) in {:.3}s",
@@ -616,7 +508,7 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse_flags(
         args,
         "map",
-        &[BUNDLE_FLAGS, MAPPING_FLAGS, &["shards", "instrument", "out"]],
+        &[BUNDLE_FLAGS, MAPPING_FLAGS, &["instrument", "out"]],
     )?;
     let (dump_path, gbz_path) = match &positional[..] {
         [dump] => (dump, None),
@@ -638,32 +530,6 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
         options.cache_capacity,
         options.scheduler
     );
-    if let Some(set) = load_shards(&flags)? {
-        if flags.contains_key("instrument") {
-            return Err("--instrument requires the monolithic path (drop --shards)".into());
-        }
-        let results = minigiraffe::core::shard::run_mapping_sharded(
-            &dump,
-            bundle.gbz(),
-            bundle.distance().clone(),
-            &set,
-            &options,
-            minigiraffe::obs::Metrics::off_ref(),
-        );
-        println!(
-            "mapped {:.2}% of reads; {} extensions; makespan {:.3}s ({} shards)",
-            results.mapped_fraction() * 100.0,
-            results.total_extensions(),
-            results.wall.as_secs_f64(),
-            set.shard_count()
-        );
-        if let Some(out) = flags.get("out") {
-            std::fs::write(out, results_csv(&results))
-                .map_err(|e| format!("writing {out}: {e}"))?;
-            println!("wrote extensions to {out}");
-        }
-        return Ok(());
-    }
     let mapper = Mapper::with_distance(bundle.gbz(), bundle.distance().clone());
     let results = if let Some(timeline) = flags.get("instrument") {
         let profiler = Profiler::new();

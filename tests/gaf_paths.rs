@@ -5,12 +5,11 @@
 //! touches. Against it: `Parent::run_streaming` across thread counts, all
 //! four schedulers, batch sizes and chunk windows (so chunk, grain and pair
 //! boundaries land everywhere); the same reads as a server job over the
-//! in-process transport; `ShardedParent::run_streaming`; and
-//! `Parent::map_chunk_gaf` called chunk by chunk with the batch size and
-//! cache capacity changing between calls. The inputs are chosen for the
-//! pair-local tail: a paired set in which mate rescue fires, the same set
-//! with a trailing unpaired read, and a set with reads that cannot be
-//! seeded at all.
+//! in-process transport; and `Parent::map_chunk_gaf` called chunk by chunk
+//! with the batch size and cache capacity changing between calls. The
+//! inputs are chosen for the pair-local tail: a paired set in which mate
+//! rescue fires, the same set with a trailing unpaired read, and a set
+//! with reads that cannot be seeded at all.
 //!
 //! The batch path's `ParentRun::rescued` is held to a serial reference
 //! rescue over the finished run, kept here as the independent
@@ -18,14 +17,12 @@
 
 use std::sync::mpsc::channel;
 
-use minigiraffe::core::shard::{ShardParams, ShardSet};
 use minigiraffe::core::types::{ReadResult, Workflow};
 use minigiraffe::core::{MapScratch, StreamOptions};
 use minigiraffe::gbwt::CachedGbwt;
 use minigiraffe::obs::Metrics;
 use minigiraffe::parent::{
     align_read, pair_check, rescue_mate, run_to_gaf, Alignment, Parent, ParentOptions, ParentRun,
-    ShardedParent,
 };
 use minigiraffe::sched::SchedulerKind;
 use minigiraffe::server::{BlockingClient, Conn, JobOutcome, MappingServer, ServerConfig};
@@ -247,39 +244,6 @@ fn server_job_matches_batch() {
                     JobOutcome::Failed { message } => panic!("{}: job failed: {message}", case.name),
                 }
             });
-        }
-    }
-}
-
-#[test]
-fn sharded_streaming_matches_batch() {
-    for case in cases() {
-        let expected = case.expected();
-        let parent = case.parent();
-        let set = ShardSet::build(
-            &case.input.gbz,
-            &case.input.minimizer_index,
-            parent.mapper().distance_index(),
-            &ShardParams { shard_count: 3, ..Default::default() },
-        )
-        .expect("shard build failed");
-        let sharded = ShardedParent::new(&parent, &set).expect("wire sharded parent");
-        for (threads, batch_size, chunk_reads) in [(1usize, 512usize, 0usize), (3, 3, 7), (2, 1, 2)] {
-            let mut options = case.options.clone();
-            options.mapping.threads = threads;
-            options.mapping.batch_size = batch_size;
-            let stream = StreamOptions { queue_batches: 2, chunk_reads };
-            let mut gaf = Vec::new();
-            sharded
-                .run_streaming(batches(&case.reads), &options, &stream, case.name, &mut gaf)
-                .expect("in-memory batches cannot fail");
-            assert_eq!(
-                String::from_utf8(gaf).expect("GAF is UTF-8"),
-                expected,
-                "{}: sharded streaming diverged at threads={threads} batch={batch_size} \
-                 chunk={chunk_reads}",
-                case.name
-            );
         }
     }
 }
