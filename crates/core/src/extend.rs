@@ -168,6 +168,9 @@ pub struct ExtendScratch {
     /// Extensions of the current batch waiting to be admitted in canonical
     /// anchor order, each with the anchor that produced it.
     held: Vec<(Seed, Extension)>,
+    /// The read's candidate extensions; the few that survive deduplication
+    /// leave in a vector of their own length.
+    extensions: Vec<Extension>,
     /// Kernel activity accumulated since the last [`ExtendScratch::take_stats`].
     stats: KernelStats,
 }
@@ -1105,7 +1108,7 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
     probe: &mut P,
     scratch: &mut ExtendScratch,
 ) -> Vec<Extension> {
-    let mut extensions: Vec<Extension> = Vec::new();
+    let mut extensions = std::mem::take(&mut scratch.extensions);
     scratch.exact_walks.clear();
     scratch.origins.clear();
     let best_cluster_score = clusters.first().map_or(0.0, |c| c.score);
@@ -1166,7 +1169,11 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
     });
     extensions.truncate(process.max_extensions_per_read);
     probe.instret(extensions.len() as u64 * 10);
-    extensions
+    // Out at their length; the scratch keeps the capacity the walk grew.
+    let mut kept = Vec::with_capacity(extensions.len());
+    kept.append(&mut extensions);
+    scratch.extensions = extensions;
+    kept
 }
 
 #[cfg(test)]

@@ -47,80 +47,25 @@ pub fn write_fastq<W: Write>(mut out: W, records: &[FastqRecord]) -> Result<()> 
     Ok(())
 }
 
-/// Parses the next record off `reader`, or `Ok(None)` at end of stream.
-///
-/// This is the single parsing core behind both [`read_fastq`] and
-/// [`FastqReader`], so the batch and streaming entry points agree on
-/// records, errors, and error positions by construction.
-fn next_record<R: BufRead>(
-    reader: &mut R,
-    lineno: &mut usize,
-    line: &mut String,
-) -> Result<Option<FastqRecord>> {
-    let header_line = loop {
-        line.clear();
-        if reader.read_line(line)? == 0 {
-            return Ok(None);
-        }
-        *lineno += 1;
-        if !line.trim_end().is_empty() {
-            break line.trim_end().to_string();
-        }
-        // Blank lines between records (and trailing ones) are tolerated.
-    };
-    let name = header_line
-        .strip_prefix('@')
-        .ok_or_else(|| {
-            Error::Corrupt(format!("line {lineno}: expected '@', got {header_line:?}"))
-        })?
-        .split_whitespace()
-        .next()
-        .unwrap_or("")
-        .to_string();
-    line.clear();
-    if reader.read_line(line)? == 0 {
-        return Err(Error::Corrupt(format!("record {name:?}: missing sequence line")));
-    }
-    *lineno += 1;
-    let bases = line.trim_end().as_bytes().to_vec();
-    if bases.is_empty() {
-        // A blank sequence line is a four-line record with zero bases; its
-        // empty quality line passes the length check, so without this the
-        // zero-length read flows all the way into the mapping kernels.
-        return Err(Error::Corrupt(format!("record {name:?}: blank sequence line")));
-    }
-    if let Err(Error::InvalidBase { byte, pos }) = mg_graph::dna::validate_read_bases(&bases) {
-        return Err(Error::Corrupt(format!(
-            "record {name:?}: invalid base {:?} at position {pos}",
-            byte as char
-        )));
-    }
-    line.clear();
-    if reader.read_line(line)? == 0 || !line.starts_with('+') {
-        return Err(Error::Corrupt(format!("record {name:?}: missing '+' separator")));
-    }
-    *lineno += 1;
-    line.clear();
-    if reader.read_line(line)? == 0 {
-        return Err(Error::Corrupt(format!("record {name:?}: missing quality line")));
-    }
-    *lineno += 1;
-    let quality = line.trim_end().as_bytes().to_vec();
-    if quality.len() != bases.len() {
-        return Err(Error::Corrupt(format!(
-            "record {name:?}: {} quality values for {} bases",
-            quality.len(),
-            bases.len()
-        )));
-    }
-    Ok(Some(FastqRecord { name, bases, quality }))
+/// What one parsed record becomes. It is called with the record's name,
+/// bases and quality string while they still sit in the reader's line
+/// buffers, after every check has passed, so each entry point copies out
+/// only what it keeps.
+type Build<T> = fn(name: &str, bases: &[u8], quality: &[u8]) -> T;
+
+fn whole_record(name: &str, bases: &[u8], quality: &[u8]) -> FastqRecord {
+    FastqRecord { name: name.to_string(), bases: bases.to_vec(), quality: quality.to_vec() }
+}
+
+fn bases_only(_name: &str, bases: &[u8], _quality: &[u8]) -> Vec<u8> {
+    bases.to_vec()
 }
 
 /// Parses a FASTQ stream into a fully materialized vector.
 ///
 /// Streaming consumers that must not hold the whole file in memory should
 /// use [`FastqReader`] (record at a time) or [`FastqBatches`] (batch at a
-/// time) instead; all three share the same parser.
+/// time) instead; all of them share the same parser.
 ///
 /// # Errors
 ///
@@ -137,15 +82,15 @@ pub fn read_fastq<R: Read>(input: R) -> Result<Vec<FastqRecord>> {
 
 /// Parses a FASTQ stream keeping only the base sequences — the mapping
 /// pipeline's input shape. Accepts and rejects exactly what [`read_fastq`]
-/// does (same parser, same errors), but each record's name and quality
-/// string are dropped as soon as the record has been validated instead of
-/// being held until the whole input is parsed.
+/// does (same parser, same errors), but a record's name and quality string
+/// are checked where they were read and never copied.
 ///
 /// # Errors
 ///
 /// As [`read_fastq`].
 pub fn read_fastq_bases<R: Read>(input: R) -> Result<Vec<Vec<u8>>> {
-    FastqReader::new(BufReader::new(input)).map(|record| Ok(record?.bases)).collect()
+    let mut reader = FastqReader::new(BufReader::new(input));
+    std::iter::from_fn(|| reader.next_with(bases_only)).collect()
 }
 
 /// A streaming FASTQ parser: an iterator of `Result<FastqRecord>` over any
@@ -158,6 +103,11 @@ pub fn read_fastq_bases<R: Read>(input: R) -> Result<Vec<Vec<u8>>> {
 pub struct FastqReader<R: BufRead> {
     reader: R,
     lineno: usize,
+    /// Line buffers reused for every record: the header (the record's name
+    /// is read out of it until the record is done), the sequence, and the
+    /// separator and then the quality.
+    header: String,
+    seq: String,
     line: String,
     failed: bool,
 }
@@ -165,24 +115,38 @@ pub struct FastqReader<R: BufRead> {
 impl<R: BufRead> FastqReader<R> {
     /// Wraps a buffered reader.
     pub fn new(reader: R) -> Self {
-        FastqReader { reader, lineno: 0, line: String::new(), failed: false }
+        FastqReader {
+            reader,
+            lineno: 0,
+            header: String::new(),
+            seq: String::new(),
+            line: String::new(),
+            failed: false,
+        }
     }
 
     /// Groups this reader's records into batches of up to `batch_size`.
     pub fn batches(self, batch_size: usize) -> FastqBatches<R> {
-        FastqBatches { reader: self, batch_size: batch_size.max(1), pending_err: None }
+        FastqBatches::new(self, batch_size, whole_record)
     }
-}
 
-impl<R: BufRead> Iterator for FastqReader<R> {
-    type Item = Result<FastqRecord>;
+    /// Groups this reader's base sequences into batches of up to
+    /// `batch_size` — the shape the streaming mapping path consumes. Every
+    /// record is checked exactly as [`FastqReader::batches`] checks it, in
+    /// the reader's own line buffers; the bases are the one allocation per
+    /// record.
+    pub fn base_batches(self, batch_size: usize) -> FastqBatches<R, Vec<u8>> {
+        FastqBatches::new(self, batch_size, bases_only)
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
+    /// The next record as `build` makes it; `None` at end of stream and
+    /// after the first error.
+    fn next_with<T>(&mut self, build: Build<T>) -> Option<Result<T>> {
         if self.failed {
             return None;
         }
-        match next_record(&mut self.reader, &mut self.lineno, &mut self.line) {
-            Ok(Some(record)) => Some(Ok(record)),
+        match self.parse_record(build) {
+            Ok(Some(item)) => Some(Ok(item)),
             Ok(None) => None,
             Err(e) => {
                 self.failed = true;
@@ -190,23 +154,106 @@ impl<R: BufRead> Iterator for FastqReader<R> {
             }
         }
     }
+
+    /// Parses the next record, or `Ok(None)` at end of stream.
+    ///
+    /// This is the single parsing core behind every entry point — records,
+    /// bases, whole file or batches — so they agree on records, errors, and
+    /// error positions by construction.
+    fn parse_record<T>(&mut self, build: Build<T>) -> Result<Option<T>> {
+        let FastqReader { reader, lineno, header, seq, line, .. } = self;
+        loop {
+            header.clear();
+            if reader.read_line(header)? == 0 {
+                return Ok(None);
+            }
+            *lineno += 1;
+            if !header.trim_end().is_empty() {
+                break;
+            }
+            // Blank lines between records (and trailing ones) are tolerated.
+        }
+        let header_line = header.trim_end();
+        let name = header_line
+            .strip_prefix('@')
+            .ok_or_else(|| {
+                Error::Corrupt(format!("line {lineno}: expected '@', got {header_line:?}"))
+            })?
+            .split_whitespace()
+            .next()
+            .unwrap_or("");
+        seq.clear();
+        if reader.read_line(seq)? == 0 {
+            return Err(Error::Corrupt(format!("record {name:?}: missing sequence line")));
+        }
+        *lineno += 1;
+        let bases = seq.trim_end().as_bytes();
+        if bases.is_empty() {
+            // A blank sequence line is a four-line record with zero bases; its
+            // empty quality line passes the length check, so without this the
+            // zero-length read flows all the way into the mapping kernels.
+            return Err(Error::Corrupt(format!("record {name:?}: blank sequence line")));
+        }
+        if let Err(Error::InvalidBase { byte, pos }) = mg_graph::dna::validate_read_bases(bases) {
+            return Err(Error::Corrupt(format!(
+                "record {name:?}: invalid base {:?} at position {pos}",
+                byte as char
+            )));
+        }
+        line.clear();
+        if reader.read_line(line)? == 0 || !line.starts_with('+') {
+            return Err(Error::Corrupt(format!("record {name:?}: missing '+' separator")));
+        }
+        *lineno += 1;
+        line.clear();
+        if reader.read_line(line)? == 0 {
+            return Err(Error::Corrupt(format!("record {name:?}: missing quality line")));
+        }
+        *lineno += 1;
+        let quality = line.trim_end().as_bytes();
+        if quality.len() != bases.len() {
+            return Err(Error::Corrupt(format!(
+                "record {name:?}: {} quality values for {} bases",
+                quality.len(),
+                bases.len()
+            )));
+        }
+        Ok(Some(build(name, bases, quality)))
+    }
 }
 
-/// Batched view of a [`FastqReader`]: yields `Ok(Vec<FastqRecord>)` chunks
-/// of up to `batch_size` records — the unit the streaming mapping path
-/// hands across its bounded queue — with constant memory in the input size.
+impl<R: BufRead> Iterator for FastqReader<R> {
+    type Item = Result<FastqRecord>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_with(whole_record)
+    }
+}
+
+/// Batched view of a [`FastqReader`]: yields `Ok(Vec<T>)` chunks of up to
+/// `batch_size` records — whole [`FastqRecord`]s from
+/// [`FastqReader::batches`], base sequences from
+/// [`FastqReader::base_batches`] — the unit the streaming mapping path
+/// hands across its bounded queue, with constant memory in the input size.
 ///
 /// Records parsed before a malformed one are flushed as a final short
 /// `Ok` batch, then the error is yielded, then the iterator fuses.
 #[derive(Debug)]
-pub struct FastqBatches<R: BufRead> {
+pub struct FastqBatches<R: BufRead, T = FastqRecord> {
     reader: FastqReader<R>,
+    build: Build<T>,
     batch_size: usize,
     pending_err: Option<Error>,
 }
 
-impl<R: BufRead> Iterator for FastqBatches<R> {
-    type Item = Result<Vec<FastqRecord>>;
+impl<R: BufRead, T> FastqBatches<R, T> {
+    fn new(reader: FastqReader<R>, batch_size: usize, build: Build<T>) -> Self {
+        FastqBatches { reader, build, batch_size: batch_size.max(1), pending_err: None }
+    }
+}
+
+impl<R: BufRead, T> Iterator for FastqBatches<R, T> {
+    type Item = Result<Vec<T>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if let Some(e) = self.pending_err.take() {
@@ -214,8 +261,8 @@ impl<R: BufRead> Iterator for FastqBatches<R> {
         }
         let mut batch = Vec::new();
         while batch.len() < self.batch_size {
-            match self.reader.next() {
-                Some(Ok(record)) => batch.push(record),
+            match self.reader.next_with(self.build) {
+                Some(Ok(item)) => batch.push(item),
                 Some(Err(e)) => {
                     if batch.is_empty() {
                         return Some(Err(e));

@@ -2,6 +2,8 @@
 //! must agree on arbitrary well-formed *and* malformed inputs — same
 //! records, same error, same error position — including CRLF line endings,
 //! blank lines between records, and every corruption the parser rejects.
+//! The base batches the streaming CLI maps are held to `read_fastq_bases`
+//! the same way.
 //!
 //! `read_fastq` is built on the streaming core, so this suite is the lock
 //! that keeps a future divergence (a separate fast path, a rewritten batch
@@ -84,6 +86,40 @@ fn bases_reader_agrees(bytes: &[u8]) -> bool {
     read_fastq_bases(bytes).map_err(|e| e.to_string()) == full
 }
 
+/// The base batches the streaming CLI maps flatten to `read_fastq_bases`:
+/// the same sequences on clean input; on malformed input the same good
+/// prefix, then the same first error, then nothing.
+fn base_batches_agree(bytes: &[u8], batch_size: usize) {
+    let mut flat = Vec::new();
+    let mut error = None;
+    let mut batches = FastqReader::new(bytes).base_batches(batch_size);
+    for item in batches.by_ref() {
+        match item {
+            Ok(mut b) => {
+                prop_assert!(!b.is_empty() && b.len() <= batch_size);
+                flat.append(&mut b);
+            }
+            Err(e) => {
+                error = Some(e.to_string());
+                break;
+            }
+        }
+    }
+    prop_assert!(batches.next().is_none(), "base batches must fuse after an error");
+    match (read_fastq_bases(bytes), error) {
+        (Ok(all), None) => prop_assert_eq!(flat, all),
+        (Err(e), Some(got)) => {
+            prop_assert_eq!(got, e.to_string());
+            let (prefix, _) = stream_outcome(bytes);
+            prop_assert_eq!(flat, prefix.into_iter().map(|r| r.bases).collect::<Vec<_>>());
+        }
+        (whole, batched) => panic!(
+            "read_fastq_bases {:?} but base batches ended with {batched:?}",
+            whole.map(|b| b.len()).map_err(|e| e.to_string())
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -137,11 +173,13 @@ proptest! {
         prop_assert_eq!(flat, streamed);
         prop_assert_eq!(batched_err, stream_err);
         prop_assert!(bases_reader_agrees(&bytes));
+        base_batches_agree(&bytes, batch_size);
     }
 
     #[test]
     fn streaming_reader_never_panics_on_arbitrary_bytes(
         bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        batch_size in 1usize..6,
     ) {
         // Raw fuzz: any byte soup must parse or error, never panic, and
         // both entry points must agree on which.
@@ -156,5 +194,6 @@ proptest! {
             }
         }
         prop_assert!(bases_reader_agrees(&bytes));
+        base_batches_agree(&bytes, batch_size);
     }
 }

@@ -23,6 +23,29 @@ cargo test --release -q --test gaf_paths
 echo "== streaming memory bound (peak RSS over 50 windows of reads stays within the window) =="
 cargo test --release -q -p mg-parent --test stream_rss
 
+echo "== CLI memory bound (parent without --stream streams: 30000 reads peak within 2x of 2 reads) =="
+# A default that fell back to capturing every read's results would grow
+# with the input. Peak RSS is the kernel's max RSS of the child (what
+# `time -v` reports); both runs carry the launcher's pre-exec pages alike.
+peak_rss_kib() {
+    python3 - "$@" <<'EOF'
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+EOF
+}
+rss_dir="$(mktemp -d)"
+./target/release/minigiraffe generate --input-set B-yeast --scale 5 --out "$rss_dir" >/dev/null 2>&1
+head -n 8 "$rss_dir/B-yeast.fastq" > "$rss_dir/two.fastq"
+small=$(peak_rss_kib ./target/release/minigiraffe parent "$rss_dir/two.fastq" "$rss_dir/B-yeast.mgz" --gaf "$rss_dir/two.gaf")
+large=$(peak_rss_kib ./target/release/minigiraffe parent "$rss_dir/B-yeast.fastq" "$rss_dir/B-yeast.mgz" --gaf "$rss_dir/all.gaf")
+rm -rf "$rss_dir"
+echo "peak RSS: 2 reads ${small} KiB, 30000 reads ${large} KiB"
+if [ "$large" -gt $((2 * small)) ]; then
+    echo "FAIL: parent on 30000 reads peaked above twice its 2-read peak" >&2
+    exit 1
+fi
+
 echo "== seeding oracle (extraction vs naive windows, table vs BTreeMap; release arithmetic wraps where debug panics) =="
 cargo test --release -q --test seeding
 

@@ -75,15 +75,20 @@ USAGE:
 
   minigiraffe parent <reads.fastq> <pangenome.mgz | --mgi <index.mgi>>
                      [--threads N] [--batch N] [--capacity N]
-                     [--gaf <out.gaf>] [--dump <seeds.bin>]
-                     [--stream <reads-per-batch>]
+                     [--gaf <out.gaf>] [--paired true]
+                     [--stream <reads-per-batch> | --dump <seeds.bin>]
       Run the full Giraffe-like parent pipeline on raw reads: seeding,
-      kernels, post-processing. Optionally writes GAF alignments and
-      the seed dump the proxy consumes. With --stream, reads are
-      ingested in batches of the given size through a bounded
-      backpressure queue and GAF is written incrementally, so memory
-      stays constant in the input size (--dump is unavailable: the
-      whole point is never holding the full dump).
+      kernels, post-processing, and with --paired true mate rescue and
+      pair checks on reads 2i, 2i+1. Reads are ingested in batches of
+      --stream reads (default 512) through a bounded backpressure queue
+      and GAF is written incrementally, so memory stays constant in the
+      input size. A malformed record stops the run with an error naming
+      it; the GAF of the reads before it has been written. --dump
+      instead captures the whole run — every read's seeds and kernel
+      results, held to the end — and writes the seed dump the proxy
+      consumes (and GAF with --gaf); it cannot be combined with
+      --stream, and a malformed record fails it before anything is
+      written.
 
   minigiraffe serve <pangenome.mgz | --mgi <index.mgi>>
                     [--addr HOST] [--port N]
@@ -264,8 +269,16 @@ fn cmd_build_mgi(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+/// `--paired true` maps mate pairs (reads `2i`, `2i+1`) as fragments;
+/// the default is single-end.
+fn workflow_from_flags(
+    flags: &std::collections::HashMap<String, String>,
+) -> Result<minigiraffe::core::Workflow, String> {
     use minigiraffe::core::Workflow;
+    Ok(if flag(flags, "paired", false)? { Workflow::Paired } else { Workflow::Single })
+}
+
+fn cmd_serve(args: &[String]) -> Result<(), String> {
     use minigiraffe::parent::{Parent, ParentOptions};
     use minigiraffe::server::{MappingServer, ServerConfig};
 
@@ -288,7 +301,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     let bundle = load_bundle(gbz_path, &flags)?;
     let source = gbz_path.or_else(|| flags.get("mgi")).cloned().unwrap_or_default();
-    let workflow = if flag(&flags, "paired", false)? { Workflow::Paired } else { Workflow::Single };
+    let workflow = workflow_from_flags(&flags)?;
     let options = ParentOptions {
         mapping: options_from_flags(&flags)?,
         ..Default::default()
@@ -327,19 +340,25 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_parent(args: &[String]) -> Result<(), String> {
-    use minigiraffe::core::Workflow;
+    use minigiraffe::core::StreamOptions;
     use minigiraffe::parent::{run_to_gaf, Parent, ParentOptions};
+    use minigiraffe::workload::FastqReader;
+    use std::io::Write as _;
 
     let (positional, flags) = parse_flags(
         args,
         "parent",
-        &[BUNDLE_FLAGS, MAPPING_FLAGS, &["gaf", "dump", "stream"]],
+        &[BUNDLE_FLAGS, MAPPING_FLAGS, &["gaf", "dump", "stream", "paired"]],
     )?;
     let (reads_path, gbz_path) = match &positional[..] {
         [reads] => (reads, None),
         [reads, gbz] => (reads, Some(gbz)),
         _ => return Err("expected <reads.fastq> <pangenome.mgz | --mgi index.mgi>".into()),
     };
+    let ingest: usize = flag(&flags, "stream", 512)?;
+    if flags.contains_key("dump") && flags.contains_key("stream") {
+        return Err("--dump captures the whole run; drop --stream".into());
+    }
     let bundle = load_bundle(gbz_path, &flags)?;
     let options = ParentOptions {
         mapping: options_from_flags(&flags)?,
@@ -349,71 +368,66 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
         bundle.gbz(),
         bundle.minimizer(),
         bundle.distance().clone(),
-        Workflow::Single,
+        workflow_from_flags(&flags)?,
     );
 
-    if let Some(raw) = flags.get("stream") {
-        use minigiraffe::core::StreamOptions;
-        use minigiraffe::workload::FastqReader;
-        let ingest: usize = raw
-            .parse()
-            .map_err(|e| format!("invalid --stream {raw:?}: {e}"))?;
-        if flags.contains_key("dump") {
-            return Err("--dump requires the batch path (drop --stream)".into());
-        }
-        let file = std::fs::File::open(reads_path)
-            .map_err(|e| format!("opening {reads_path}: {e}"))?;
-        let batches = FastqReader::new(std::io::BufReader::new(file))
-            .batches(ingest.max(1))
-            .map(|item| item.map(|recs| recs.into_iter().map(|r| r.bases).collect()));
-        let mut gaf_out: Box<dyn std::io::Write> = match flags.get("gaf") {
-            Some(path) => Box::new(std::io::BufWriter::new(
-                std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?,
-            )),
-            None => Box::new(std::io::sink()),
-        };
-        eprintln!("streaming reads in batches of {ingest}...");
-        let stream = StreamOptions::default();
-        let summary = parent
-            .run_streaming(batches, &options, &stream, "read", &mut gaf_out)
-            .map_err(|e| e.to_string())?;
-        use std::io::Write as _;
-        gaf_out.flush().map_err(|e| format!("flushing GAF: {e}"))?;
+    if let Some(dump) = flags.get("dump") {
+        // The capture boundary: every read's seeds and kernel results are
+        // held to the end of the run, because the dump needs all of them.
+        let reads = minigiraffe::workload::fastq::load_read_bases(reads_path)
+            .map_err(|e| format!("loading {reads_path}: {e}"))?;
+        eprintln!("mapping {} reads...", reads.len());
+        let run = parent.run(&reads, &options);
+        let aligned = run.alignments.iter().filter(|a| !a.is_empty()).count();
         println!(
-            "mapped {} reads in {:.3}s ({} batches, {} chunks; queue high water {}, producer blocked {:.1} ms)",
-            summary.reads,
-            summary.wall.as_secs_f64(),
-            summary.batches,
-            summary.chunks,
-            summary.queue_high_water,
-            summary.producer_blocked_ns as f64 / 1e6
+            "aligned {aligned}/{} reads ({} alignments) in {:.3}s",
+            reads.len(),
+            run.total_alignments(),
+            run.wall.as_secs_f64()
         );
         if let Some(gaf) = flags.get("gaf") {
+            std::fs::write(gaf, run_to_gaf(bundle.gbz().graph(), &run, "read"))
+                .map_err(|e| format!("writing {gaf}: {e}"))?;
             println!("wrote alignments to {gaf}");
         }
+        run.dump.save(dump).map_err(|e| format!("writing {dump}: {e}"))?;
+        println!("wrote seed dump to {dump}");
         return Ok(());
     }
 
-    let reads = minigiraffe::workload::fastq::load_read_bases(reads_path)
-        .map_err(|e| format!("loading {reads_path}: {e}"))?;
-
-    eprintln!("mapping {} reads...", reads.len());
-    let run = parent.run(&reads, &options);
-    let aligned = run.alignments.iter().filter(|a| !a.is_empty()).count();
+    let file =
+        std::fs::File::open(reads_path).map_err(|e| format!("opening {reads_path}: {e}"))?;
+    let batches = FastqReader::new(std::io::BufReader::new(file)).base_batches(ingest);
+    let mut gaf_out: Box<dyn std::io::Write> = match flags.get("gaf") {
+        Some(path) => Box::new(std::io::BufWriter::new(
+            std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?,
+        )),
+        None => Box::new(std::io::sink()),
+    };
+    eprintln!("streaming reads in batches of {ingest}...");
+    let mapped = parent.run_streaming(
+        batches,
+        &options,
+        &StreamOptions::default(),
+        "read",
+        &mut gaf_out,
+    );
+    // A malformed record stops the run after the reads before it were
+    // mapped: their GAF is flushed before the error is reported.
+    let flushed = gaf_out.flush();
+    let summary = mapped.map_err(|e| e.to_string())?;
+    flushed.map_err(|e| format!("flushing GAF: {e}"))?;
     println!(
-        "aligned {aligned}/{} reads ({} alignments) in {:.3}s",
-        reads.len(),
-        run.total_alignments(),
-        run.wall.as_secs_f64()
+        "mapped {} reads in {:.3}s ({} batches, {} chunks; queue high water {}, producer blocked {:.1} ms)",
+        summary.reads,
+        summary.wall.as_secs_f64(),
+        summary.batches,
+        summary.chunks,
+        summary.queue_high_water,
+        summary.producer_blocked_ns as f64 / 1e6
     );
     if let Some(gaf) = flags.get("gaf") {
-        std::fs::write(gaf, run_to_gaf(bundle.gbz().graph(), &run, "read"))
-            .map_err(|e| format!("writing {gaf}: {e}"))?;
         println!("wrote alignments to {gaf}");
-    }
-    if let Some(dump) = flags.get("dump") {
-        run.dump.save(dump).map_err(|e| format!("writing {dump}: {e}"))?;
-        println!("wrote seed dump to {dump}");
     }
     Ok(())
 }

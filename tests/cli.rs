@@ -82,6 +82,24 @@ fn full_toolchain_generate_parent_map_validate() {
     assert!(gaf.lines().count() >= 40);
     assert!(gaf.contains("AS:i:"));
 
+    // Without --dump the same command streams, in batches of 512 reads or
+    // of --stream: one command, one GAF, whichever emitter wrote it.
+    let (fastq, mgz) = (dir.path("tiny.fastq"), dir.path("tiny.mgz"));
+    let streamed = dir.path("streamed.gaf");
+    for stream in [&[][..], &["--stream", "7"][..]] {
+        let mut args = vec!["parent", &fastq, &mgz, "--gaf", &streamed];
+        args.extend(stream);
+        let (ok, stdout, stderr) = run(&args);
+        assert!(ok, "parent {stream:?} failed: {stderr}");
+        assert!(stdout.contains("mapped 40 reads"), "{stdout}");
+        assert_eq!(std::fs::read_to_string(&streamed).unwrap(), gaf, "parent {stream:?}");
+    }
+    let (ok, _, stderr) = run(&[
+        "parent", &dir.path("tiny.fastq"), &dir.path("tiny.mgz"), "--dump", &dir.path("x.bin"),
+        "--stream", "7",
+    ]);
+    assert!(!ok && stderr.contains("--dump"), "--dump with --stream must be refused: {stderr}");
+
     // proxy map on the exported dump, writing results
     let (ok, stdout, stderr) = run(&[
         "map",
@@ -211,4 +229,98 @@ fn bad_usage_fails_cleanly() {
     let (ok, stdout, _) = run(&["--help"]);
     assert!(ok);
     assert!(stdout.contains("USAGE"));
+}
+
+/// The FASTQ records of `text`, four lines each (the simulator writes no
+/// blank lines).
+fn fastq_records(text: &str) -> Vec<String> {
+    let lines: Vec<&str> = text.lines().collect();
+    lines.chunks(4).map(|r| r.join("\n") + "\n").collect()
+}
+
+#[test]
+fn a_truncated_record_fails_the_run_after_the_good_prefix() {
+    let dir = TempDir::new("truncated");
+    let (ok, _, _) = run(&["generate", "--input-set", "tiny", "--out", &dir.path("")]);
+    assert!(ok);
+    let records = fastq_records(&std::fs::read_to_string(dir.path("tiny.fastq")).unwrap());
+    assert_eq!(records.len(), 40);
+    let (good, last) = records.split_at(39);
+    let (prefix_fastq, prefix_gaf) = (dir.path("prefix.fastq"), dir.path("prefix.gaf"));
+    let (truncated, out) = (dir.path("truncated.fastq"), dir.path("truncated.gaf"));
+    std::fs::write(&prefix_fastq, good.concat()).unwrap();
+    // The last record cut in the middle of its quality line, as a partial
+    // download leaves it.
+    let cut = &last[0][..last[0].len() - 40];
+    std::fs::write(&truncated, good.concat() + cut).unwrap();
+
+    let mgz = dir.path("tiny.mgz");
+    let (ok, _, stderr) = run(&["parent", &prefix_fastq, &mgz, "--gaf", &prefix_gaf]);
+    assert!(ok, "{stderr}");
+    let prefix = std::fs::read(&prefix_gaf).unwrap();
+    assert!(!prefix.is_empty());
+    for stream in [&[][..], &["--stream", "7"][..]] {
+        let mut args = vec!["parent", &truncated, &mgz, "--gaf", &out];
+        args.extend(stream);
+        let (ok, _, stderr) = run(&args);
+        assert!(!ok, "a truncated record must fail the run");
+        assert!(stderr.contains("record \"tiny.39\""), "the error must name the record: {stderr}");
+        assert_eq!(std::fs::read(&out).unwrap(), prefix, "the good prefix's GAF, {stream:?}");
+    }
+    // The capture path reads the whole file before it maps anything.
+    let (ok, _, stderr) = run(&[
+        "parent", &truncated, &mgz, "--gaf", &dir.path("captured.gaf"),
+        "--dump", &dir.path("captured.bin"),
+    ]);
+    assert!(!ok && stderr.contains("record \"tiny.39\""), "{stderr}");
+    assert!(!std::path::Path::new(&dir.path("captured.gaf")).exists());
+    assert!(!std::path::Path::new(&dir.path("captured.bin")).exists());
+}
+
+#[test]
+fn paired_flag_maps_mate_pairs_like_the_library() {
+    use minigiraffe::core::types::Workflow;
+    use minigiraffe::core::MgiBundle;
+    use minigiraffe::gbwt::Gbz;
+    use minigiraffe::index::MinimizerParams;
+    use minigiraffe::parent::{run_to_gaf, Parent, ParentOptions};
+    use minigiraffe::workload::fastq::{load_read_bases, save_reads_fastq};
+    use minigiraffe::workload::{InputSetSpec, SyntheticInput};
+
+    let dir = TempDir::new("paired");
+    let mut spec = InputSetSpec::tiny_for_tests();
+    spec.workflow = Workflow::Paired;
+    // Fragments either side of the pair check's 1200 bp limit, so the
+    // paired output differs from the single-end one.
+    spec.read_sim.fragment_len = 1100;
+    spec.read_sim.fragment_jitter = 300;
+    let input = SyntheticInput::generate(&spec, 5);
+    let (mgz, fastq) = (dir.path("paired.mgz"), dir.path("paired.fastq"));
+    input.gbz.save(&mgz).unwrap();
+    save_reads_fastq(&fastq, &input.sim_reads, "paired").unwrap();
+
+    // The reference: the capture emitter on the bundle the CLI builds.
+    let bundle = MgiBundle::build(Gbz::load(&mgz).unwrap(), MinimizerParams::default()).unwrap();
+    let parent = Parent::with_distance(
+        bundle.gbz(),
+        bundle.minimizer(),
+        bundle.distance().clone(),
+        Workflow::Paired,
+    );
+    let reads = load_read_bases(&fastq).unwrap();
+    let run_all = parent.run(&reads, &ParentOptions::default());
+    let expected = run_to_gaf(bundle.gbz().graph(), &run_all, "read");
+    assert!(
+        expected.contains("pp:A:1") && expected.contains("pp:A:0"),
+        "the reference must pair some mates and reject others"
+    );
+
+    let paired_gaf = dir.path("p.gaf");
+    let (ok, _, stderr) = run(&["parent", &fastq, &mgz, "--paired", "true", "--gaf", &paired_gaf]);
+    assert!(ok, "{stderr}");
+    assert_eq!(std::fs::read_to_string(&paired_gaf).unwrap(), expected);
+    // Single-end is still the default: no pair check rejects anything.
+    let (ok, _, stderr) = run(&["parent", &fastq, &mgz, "--gaf", &dir.path("s.gaf")]);
+    assert!(ok, "{stderr}");
+    assert!(!std::fs::read_to_string(dir.path("s.gaf")).unwrap().contains("pp:A:0"));
 }
