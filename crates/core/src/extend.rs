@@ -171,6 +171,15 @@ pub struct ExtendScratch {
     /// The read's candidate extensions; the few that survive deduplication
     /// leave in a vector of their own length.
     extensions: Vec<Extension>,
+    /// The walk [`extend_first`] made of a read it did not settle: its
+    /// anchor and what it yielded. `walk_batch` takes it instead of walking
+    /// that anchor again; the read's `process_until_threshold` call clears
+    /// it.
+    first_walk: Option<(Seed, Option<Extension>)>,
+    /// Read offsets, and nodes of the first walk, that the read's seeds hit
+    /// ([`extend_first`]'s anchor accounting), one bit each.
+    offsets_hit: Vec<u64>,
+    nodes_hit: Vec<u64>,
     /// Kernel activity accumulated since the last [`ExtendScratch::take_stats`].
     stats: KernelStats,
 }
@@ -1044,9 +1053,13 @@ fn walk_batch<P: MemProbe>(
             continue;
         }
         walked += 1;
-        let Some(ext) =
-            extend_seed_with_scratch(graph, cache, read, read_id, anchor, extend, probe, scratch)
-        else {
+        let walk = match scratch.first_walk.take_if(|(first, _)| *first == anchor) {
+            Some((_, remembered)) => remembered,
+            None => {
+                extend_seed_with_scratch(graph, cache, read, read_id, anchor, extend, probe, scratch)
+            }
+        };
+        let Some(ext) = walk else {
             continue;
         };
         if ext.score < process.min_extension_score {
@@ -1067,6 +1080,99 @@ fn walk_batch<P: MemProbe>(
     }
     scratch.held = held;
     walked
+}
+
+/// Sets bit `i` of a bit set.
+fn mark(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// Bits set in a bit set.
+fn marked(bits: &[u64]) -> u64 {
+    bits.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// Extend first: walks the read's canonically first seed (the least by
+/// `(read_offset, pos)`) and returns the extension when that one walk is what
+/// clustering and [`process_until_threshold`] would report — an exact
+/// full-length extension scoring at least `min_extension_score` on which
+/// every seed lies, at a read offset inside the read and a node offset
+/// inside its node. Otherwise returns `None` and leaves the walk in
+/// `scratch` for the read's `process_until_threshold` call to reuse.
+///
+/// Why that is the whole answer (DESIGN.md §4b): seeds on one walk are at
+/// most `read_len − 1` bases apart along it, so with the mapper's distance
+/// limit of at least `read_len` and a neighbour window of at least one they
+/// are one cluster; its canonically first anchor is this seed, which rule 1
+/// never merges away and `walk_batch` walks first; rule 2 then skips every
+/// other anchor. The caller checks the window and that one cluster and one
+/// extension survive `max_clusters`, `cluster_score_cutoff` and
+/// `max_extensions_per_read`. The kernel statistics of a settled read are
+/// the ones that path records: one anchor walked, the rest merged (same
+/// node and diagonal — the read matches the node between them) or skipped.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn extend_first<P: MemProbe>(
+    graph: &VariationGraph,
+    cache: &mut CachedGbwt<'_>,
+    read: &[u8],
+    read_id: u64,
+    seeds: &[Seed],
+    extend: &ExtendParams,
+    process: &ProcessParams,
+    probe: &mut P,
+    scratch: &mut ExtendScratch,
+) -> Option<Extension> {
+    let &first = seeds.iter().min()?;
+    let walked = extend_seed_with_scratch(graph, cache, read, read_id, first, extend, probe, scratch);
+    let exact = walked.as_ref().filter(|ext| {
+        ext.score >= process.min_extension_score && is_exact_full_length(ext, read)
+    });
+    if let Some(ext) = exact {
+        scratch.exact_walks.clear();
+        let mut node_diagonal = -i64::from(ext.pos.offset);
+        for &h in &ext.path {
+            scratch.exact_walks.push((h, node_diagonal));
+            node_diagonal += graph.node_len(h.node()) as i64;
+        }
+        let (walk, offsets, nodes) =
+            (&scratch.exact_walks, &mut scratch.offsets_hit, &mut scratch.nodes_hit);
+        offsets.clear();
+        offsets.resize(read.len().div_ceil(64), 0);
+        nodes.clear();
+        nodes.resize(walk.len().div_ceil(64), 0);
+        let on_walk = seeds.iter().all(|s| {
+            let Some(node) = walk.iter().position(|&w| w == (s.pos.handle, diagonal(s))) else {
+                return false;
+            };
+            // The walk's node holds the read from its diagonal up to the
+            // next node's, the last one up to the read's end: a seed below
+            // that is inside the read and inside its node.
+            let end = walk.get(node + 1).map_or(read.len() as i64, |&(_, d)| d);
+            let inside = i64::from(s.read_offset) < end;
+            if inside {
+                mark(offsets, s.read_offset as usize);
+                mark(nodes, node);
+            }
+            inside
+        });
+        if on_walk {
+            // A read offset on the walk determines the seed, so the distinct
+            // anchors are the offsets hit; rule 1 leaves one per node hit.
+            let distinct = marked(offsets);
+            let anchors = if extend.match_score >= 0 { marked(nodes) } else { distinct };
+            let stats = &mut scratch.stats;
+            stats.anchors_merged += distinct - anchors;
+            stats.anchors_skipped += anchors - 1;
+            let step = process.extend_batch.max(1) as u64;
+            if step > 1 {
+                stats.batches += anchors.div_ceil(step);
+                stats.batch_anchors += 1;
+            }
+            return walked;
+        }
+    }
+    scratch.first_walk = Some((first, walked));
+    None
 }
 
 /// Processes a read's clusters best-first, extending each cluster's seeds
@@ -1169,6 +1275,7 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
     });
     extensions.truncate(process.max_extensions_per_read);
     probe.instret(extensions.len() as u64 * 10);
+    scratch.first_walk = None;
     // Out at their length; the scratch keeps the capacity the walk grew.
     let mut kept = Vec::with_capacity(extensions.len());
     kept.append(&mut extensions);

@@ -12,6 +12,11 @@
 //!    haplotype-consistent edges, comparing read bases against node bases
 //!    (Giraffe's `process_until_threshold_c` region).
 //!
+//! The mapper walks each read's canonically first seed before step 1; when
+//! that walk is an exact full-length extension every seed lies on, it is
+//! the read's whole result and neither step runs — byte-identical to what
+//! they would report (DESIGN.md §4b).
+//!
 //! The outer read loop is parallel and exposes the paper's three tuning
 //! parameters (scheduler, batch size, initial `CachedGBWT` capacity) via
 //! [`MappingOptions`]. Output is the raw extension set (offsets + scores),

@@ -3,7 +3,8 @@
 //! Mirrors the proxy's main loop: iterate over reads and their seeds in a
 //! parallel outer loop (scheduler, batch size, and CachedGBWT capacity are
 //! the tuning parameters), run `cluster_seeds` then
-//! `process_until_threshold_c` per read, and collect raw mapping results.
+//! `process_until_threshold_c` per read — unless the walk of the read's
+//! first seed already settles it — and collect raw mapping results.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -15,10 +16,12 @@ use mg_index::DistanceIndex;
 use mg_obs::{Ctr, Hist, Metrics, ObsShard, Stage};
 use mg_sched::{PoolCell, PoolTask, SchedulerKind, WorkerPool};
 use mg_support::probe::{MemProbe, NoProbe};
-use mg_support::regions::{NullSink, RegionSink, RegionTimer};
+use mg_support::regions::{NullSink, RegionSink};
 
 use crate::cluster::{cluster_seeds_with_scratch, ClusterParams, ClusterScratch};
-use crate::extend::{process_until_threshold_with_scratch, ExtendParams, ExtendScratch, ProcessParams};
+use crate::extend::{
+    extend_first, process_until_threshold_with_scratch, ExtendParams, ExtendScratch, ProcessParams,
+};
 use crate::types::{ReadInput, ReadResult, Seed};
 
 /// Reusable per-thread buffers for the two hot kernels.
@@ -300,6 +303,15 @@ impl<'a> Mapper<'a> {
     /// [`Mapper::map_read_with_scratch`] over borrowed bases and seeds, for
     /// callers that seed a read into buffers they keep and never build a
     /// [`ReadInput`] for it (the parent's chunk workers, mate rescue).
+    ///
+    /// The read's canonically first seed is walked before anything else;
+    /// when that walk is an exact full-length extension through every seed
+    /// it is the read's result, and clustering never runs (DESIGN.md §4b).
+    /// Otherwise the seeds are clustered and the clusters extended, and the
+    /// first walk is not repeated. The extension region and stage cover both
+    /// parts of the kernel's work: on a read that reaches `cluster_seeds` the
+    /// region is entered twice, around the first walk and around the
+    /// cluster-driven rest, and the stage records their sum as one span.
     #[allow(clippy::too_many_arguments)]
     pub fn map_read_seeded<P: MemProbe>(
         &self,
@@ -314,43 +326,83 @@ impl<'a> Mapper<'a> {
         scratch: &mut MapScratch,
         obs: &mut ObsShard,
     ) -> ReadResult {
-        let read_len = bases.len() as u32;
-        let mut cluster_params = options.cluster;
-        // Giraffe derives the clustering limit from the read length.
-        cluster_params.distance_limit = cluster_params.distance_limit.max(read_len as u64);
-        let clusters = {
-            let _t = RegionTimer::start(sink, thread, "cluster_seeds");
-            let t0 = obs.now();
-            let clusters = cluster_seeds_with_scratch(
-                self.gbz.graph(),
-                &self.dist,
-                seeds,
-                read_len,
-                &cluster_params,
-                probe,
-                &mut scratch.cluster,
-            );
-            obs.stage(Stage::Clustering, t0);
-            clusters
+        let graph = self.gbz.graph();
+        let process = &options.process;
+        // Where one exact walk through every seed is exactly what
+        // cluster-then-extend reports: neighbours in the position sort are
+        // compared, and one cluster and one extension survive the policy (a
+        // cluster is cut when its score is below `cutoff ×` the best one's,
+        // its own when it is the only one).
+        let may_settle = options.cluster.neighbor_window >= 1
+            && process.max_clusters >= 1
+            && process.max_extensions_per_read >= 1
+            && process.cluster_score_cutoff.partial_cmp(&1.0) != Some(std::cmp::Ordering::Greater);
+        // Regions and stage spans share clock reads, and no clock is read
+        // when neither is recorded.
+        let timed = sink.is_recording() || obs.is_on();
+        let clock = || timed.then(Instant::now);
+        // Hands `[from, to)` to the sink as `region` and returns its length.
+        let region = |name: &'static str, from: Option<Instant>, to: Option<Instant>| match (from, to) {
+            (Some(from), Some(to)) => {
+                sink.record(thread, name, from, to);
+                to - from
+            }
+            _ => Duration::ZERO,
         };
-        let extensions = {
-            let _t = RegionTimer::start(sink, thread, "process_until_threshold_c");
-            let t0 = obs.now();
-            let extensions = process_until_threshold_with_scratch(
-                self.gbz.graph(),
-                cache,
-                bases,
-                read_id,
-                seeds,
-                &clusters,
-                &options.extend,
-                &options.process,
-                probe,
-                &mut scratch.extend,
-            );
-            obs.stage(Stage::Extension, t0);
-            extensions
+        let start = clock();
+        let settled = may_settle
+            .then(|| {
+                extend_first(
+                    graph, cache, bases, read_id, seeds, &options.extend, process, probe,
+                    &mut scratch.extend,
+                )
+            })
+            .flatten();
+        let walked = clock();
+        let first_walk = if may_settle {
+            region("process_until_threshold_c", start, walked)
+        } else {
+            Duration::ZERO
         };
+        let (extensions, extension_time) = match settled {
+            Some(extension) => {
+                obs.inc(Ctr::ExtendFirstReads);
+                (vec![extension], first_walk)
+            }
+            None => {
+                let read_len = bases.len() as u32;
+                let mut cluster_params = options.cluster;
+                // Giraffe derives the clustering limit from the read length.
+                cluster_params.distance_limit = cluster_params.distance_limit.max(read_len as u64);
+                let clusters = cluster_seeds_with_scratch(
+                    graph,
+                    &self.dist,
+                    seeds,
+                    read_len,
+                    &cluster_params,
+                    probe,
+                    &mut scratch.cluster,
+                );
+                let clustered = clock();
+                let clustering = region("cluster_seeds", walked, clustered);
+                obs.span(Stage::Clustering, clustering.as_nanos() as u64);
+                let extensions = process_until_threshold_with_scratch(
+                    graph,
+                    cache,
+                    bases,
+                    read_id,
+                    seeds,
+                    &clusters,
+                    &options.extend,
+                    process,
+                    probe,
+                    &mut scratch.extend,
+                );
+                let extended = region("process_until_threshold_c", clustered, clock());
+                (extensions, first_walk + extended)
+            }
+        };
+        obs.span(Stage::Extension, extension_time.as_nanos() as u64);
         obs.inc(Ctr::ReadsMapped);
         obs.add(Ctr::SeedsTotal, seeds.len() as u64);
         obs.add(Ctr::ExtensionsTotal, extensions.len() as u64);
@@ -682,6 +734,13 @@ mod tests {
         assert_eq!(large.cache.rehashes, 0);
     }
 
+    /// An extra anchor where no read lies: read offset 0 on the first base
+    /// of node 5 (each read's walk has node 5 at diagonal `7 − offset`), so
+    /// the read's first walk does not settle it and it is clustered.
+    fn off_walk_anchor() -> Seed {
+        Seed::new(0, GraphPos::new(Handle::forward(NodeId::new(5)), 0))
+    }
+
     #[test]
     fn region_sink_sees_both_kernels() {
         struct Collector(Mutex<Vec<&'static str>>);
@@ -697,7 +756,12 @@ mod tests {
             }
         }
         let gbz = sample_gbz();
-        let dump = sample_dump(&gbz, 5);
+        let mut dump = sample_dump(&gbz, 5);
+        // Reads 1 and 3 fall through to clustering; 0, 2 and 4 are settled
+        // by their first walk.
+        for read in dump.reads.iter_mut().skip(1).step_by(2) {
+            read.seeds.push(off_walk_anchor());
+        }
         let sink = Collector(Mutex::new(Vec::new()));
         let mapper = Mapper::new(&gbz);
         let _ = mapper.run_with_sink_metrics(
@@ -707,10 +771,11 @@ mod tests {
             Metrics::off_ref(),
         );
         let regions = sink.0.into_inner().unwrap();
-        assert_eq!(regions.iter().filter(|r| **r == "cluster_seeds").count(), 5);
+        assert_eq!(regions.iter().filter(|r| **r == "cluster_seeds").count(), 2);
+        // Once per read around the first walk, once more per clustered read.
         assert_eq!(
             regions.iter().filter(|r| **r == "process_until_threshold_c").count(),
-            5
+            5 + 2
         );
     }
 
@@ -721,12 +786,18 @@ mod tests {
         // Two more anchors where each read really lies: one base further
         // along node 1 (the kernel merges it into the first) and the first
         // base of node 5 (on the exact full-length extension the first
-        // anchor yields, so the kernel skips it).
-        for read in &mut dump.reads {
+        // anchor yields, so the kernel skips it). Every other read also
+        // gets an anchor where it does not lie, which its first walk cannot
+        // settle: it is clustered, and that anchor is walked too.
+        for (i, read) in dump.reads.iter_mut().enumerate() {
             let offset = read.seeds[0].pos.offset;
             read.seeds.push(Seed::new(1, GraphPos::new(Handle::forward(NodeId::new(1)), offset + 1)));
             read.seeds.push(Seed::new(7 - offset, GraphPos::new(Handle::forward(NodeId::new(5)), 0)));
+            if i % 2 == 1 {
+                read.seeds.push(off_walk_anchor());
+            }
         }
+        let clustered = dump.reads.len() as u64 / 2;
         let mapper = Mapper::new(&gbz);
         for threads in [1usize, 4] {
             for kind in SchedulerKind::ALL {
@@ -742,7 +813,12 @@ mod tests {
                 let n = results.per_read.len() as u64;
                 assert_eq!(rep.counter(Ctr::ReadsMapped), n, "{kind}/{threads}");
                 assert_eq!(rep.counter(Ctr::PoolTasksCompleted), n, "{kind}/{threads}");
-                assert_eq!(rep.stage_count(Stage::Clustering), n, "{kind}/{threads}");
+                assert_eq!(rep.counter(Ctr::ExtendFirstReads), n - clustered, "{kind}/{threads}");
+                assert_eq!(
+                    rep.stage_count(Stage::Clustering),
+                    n - rep.counter(Ctr::ExtendFirstReads),
+                    "{kind}/{threads}"
+                );
                 assert_eq!(rep.stage_count(Stage::Extension), n, "{kind}/{threads}");
                 assert_eq!(
                     rep.counter(Ctr::SeedsTotal),
@@ -753,13 +829,15 @@ mod tests {
                     results.total_extensions() as u64
                 );
                 // Every distinct anchor is walked, merged into another, or
-                // skipped. Each read's three seeds are distinct anchors of
-                // its one cluster, one of each kind.
+                // skipped, whether the read was clustered or not. Each read's
+                // three seeds on its walk are distinct anchors of its one
+                // cluster, one of each kind; the anchor off the walk is
+                // walked.
                 let walked = rep.counter(Ctr::ExtendBatchAnchors);
                 let merged = rep.counter(Ctr::ExtendAnchorsMerged);
                 let skipped = rep.counter(Ctr::ExtendAnchorsSkipped);
                 assert_eq!(walked + merged + skipped, rep.counter(Ctr::SeedsTotal));
-                assert_eq!((walked, merged, skipped), (n, n, n), "{kind}/{threads}");
+                assert_eq!((walked, merged, skipped), (n + clustered, n, n), "{kind}/{threads}");
                 // The shard mirrors of the cache statistics must agree with
                 // the aggregated MappingResults numbers exactly.
                 assert_eq!(rep.counter(Ctr::CacheHits), results.cache.hits, "{kind}/{threads}");

@@ -141,11 +141,15 @@ pub enum Ctr {
     ServeJobsFailed = 24,
     /// GAF bytes streamed to server clients.
     ServeGafBytes = 25,
+    /// Reads settled by the extension kernel's first walk — an exact
+    /// full-length extension every seed lies on — without clustering.
+    /// `reads_mapped − extend_first_reads` reads reached `cluster_seeds`.
+    ExtendFirstReads = 26,
 }
 
 impl Ctr {
     /// Number of counters.
-    pub const COUNT: usize = 26;
+    pub const COUNT: usize = 27;
     /// All counters, in declaration order.
     pub const ALL: [Ctr; Ctr::COUNT] = [
         Ctr::ReadsMapped,
@@ -174,6 +178,7 @@ impl Ctr {
         Ctr::ServeJobsCompleted,
         Ctr::ServeJobsFailed,
         Ctr::ServeGafBytes,
+        Ctr::ExtendFirstReads,
     ];
 
     /// Stable lowercase name used by the exporters.
@@ -205,6 +210,7 @@ impl Ctr {
             Ctr::ServeJobsCompleted => "serve_jobs_completed",
             Ctr::ServeJobsFailed => "serve_jobs_failed",
             Ctr::ServeGafBytes => "serve_gaf_bytes",
+            Ctr::ExtendFirstReads => "extend_first_reads",
         }
     }
 }
@@ -655,6 +661,17 @@ impl ObsShard {
             if self.on {
                 self.rep.span(_s, t0.elapsed().as_nanos() as u64);
             }
+        }
+    }
+
+    /// Attributes `ns` nanoseconds, timed by the caller, to `stage` as one
+    /// span — for a span the caller assembles from clock reads it takes
+    /// anyway, or one interrupted by another stage's.
+    #[inline(always)]
+    pub fn span(&mut self, _s: Stage, _ns: u64) {
+        #[cfg(feature = "enabled")]
+        if self.on {
+            self.rep.span(_s, _ns);
         }
     }
 

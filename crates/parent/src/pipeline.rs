@@ -5,7 +5,8 @@
 //!
 //! 1. `parse_input` — read intake;
 //! 2. `minimizer_seeding` — minimizer lookup producing seeds;
-//! 3. `cluster_seeds` — the first critical function (shared with the proxy);
+//! 3. `cluster_seeds` — the first critical function (shared with the proxy;
+//!    skipped for a read the walk of its first seed settles);
 //! 4. `process_until_threshold_c` — the second critical function (shared);
 //! 5. `score_extensions` / `emit_alignment` — post-processing;
 //! 6. `pair_check` — fragment consistency for paired workflows.
@@ -1041,10 +1042,13 @@ mod tests {
             let check = |rep: &mg_obs::Report, rendered: u64| {
                 assert_eq!(rep.counter(Ctr::ReadsMapped), n);
                 assert_eq!(rep.counter(Ctr::PoolTasksCompleted), fragments, "{workflow}");
-                for stage in [Stage::Seeding, Stage::Clustering, Stage::Extension, Stage::Rescoring]
-                {
+                for stage in [Stage::Seeding, Stage::Extension, Stage::Rescoring] {
                     assert_eq!(rep.stage_count(stage), n, "stage {} count", stage.name());
                 }
+                // Only reads their first walk did not settle are clustered.
+                let settled = rep.counter(Ctr::ExtendFirstReads);
+                assert!(settled > 0 && settled < n, "{settled} of {n} settled by the first walk");
+                assert_eq!(rep.stage_count(Stage::Clustering), n - settled);
                 assert_eq!(rep.stage_count(Stage::Pairing), pairs, "{workflow}");
                 assert_eq!(rep.stage_count(Stage::Render), rendered, "{workflow}");
                 assert!(rep.counter(Ctr::CacheHits) + rep.counter(Ctr::CacheMisses) > 0);

@@ -267,7 +267,8 @@ impl<'a> MappingServer<'a> {
     }
 
     /// The full `STATS` payload: the [`ServerCtl`] base plus cache hit
-    /// rates, the extension kernel's anchor accounting and the per-stage
+    /// rates, the extension kernel's anchor accounting (and how many reads
+    /// its first walk settled without clustering) and the per-stage
     /// time and span counts from the metrics registry.
     pub fn stats_json(&self) -> String {
         let rep = self.metrics.report();
@@ -279,7 +280,7 @@ impl<'a> MappingServer<'a> {
                 ",\"cache\":{{\"private_hits\":{},\"private_misses\":{},",
                 "\"private_hit_rate\":{:.4}}},",
                 "\"extend\":{{\"anchors_walked\":{},\"anchors_merged\":{},",
-                "\"anchors_skipped\":{}}}"
+                "\"anchors_skipped\":{},\"extend_first_reads\":{}}}"
             ),
             hits,
             misses,
@@ -287,6 +288,7 @@ impl<'a> MappingServer<'a> {
             rep.counter(Ctr::ExtendBatchAnchors),
             rep.counter(Ctr::ExtendAnchorsMerged),
             rep.counter(Ctr::ExtendAnchorsSkipped),
+            rep.counter(Ctr::ExtendFirstReads),
         );
         // Where the pool's time went, in the stage vocabulary of the metrics
         // export and the benchmark ledger.

@@ -81,6 +81,19 @@ fn expect_done(outcome: &JobOutcome) -> (&[u8], mg_server::JobSummary) {
     }
 }
 
+/// Polls `STATS` until the executor reports `jobs` executing jobs. Used
+/// while the test holds the mapper's pool, so the state cannot pass by.
+fn wait_for_executing(client: &mut BlockingClient, jobs: usize) {
+    let needle = format!("\"executing\":{jobs},");
+    for _ in 0..10_000 {
+        if client.stats().expect("STATS").contains(&needle) {
+            return;
+        }
+        std::thread::yield_now();
+    }
+    panic!("the executor never reported {jobs} executing");
+}
+
 /// Eight concurrent clients (mixed steady/bursty pacing), two jobs each,
 /// over in-process loopback: every job's streamed GAF must be
 /// byte-identical to the sequential oracle.
@@ -187,6 +200,7 @@ fn ping_stats_and_clean_drain() {
             "\"private_hit_rate\":",
             "\"extend\":{\"anchors_walked\":",
             "\"anchors_skipped\":",
+            "\"extend_first_reads\":",
             // Six reads of a single-end job: rendered on the workers, no
             // pair to check.
             "\"stages\":{\"seeding\":{",
@@ -258,9 +272,14 @@ fn small_job_finishes_under_a_hog() {
         tx.send(small_server).unwrap();
         let mut hog = BlockingClient::new(hog_side);
         let mut small = BlockingClient::new(small_side);
+        // Both jobs are in before the hog maps a read: the executor pops the
+        // hog and then waits for the pool the test holds.
+        let pool = parent.mapper().lock_pool();
         let hog_job = hog.submit("hog", &fastq_of(&reads[..32])).unwrap().expect("admitted");
+        wait_for_executing(&mut hog, 1);
         let small_job =
             small.submit("small", &fastq_of(&reads[..4])).unwrap().expect("admitted");
+        drop(pool);
         let small_done = expect_done(&small.wait_job(small_job).unwrap()).1;
         let hog_done = expect_done(&hog.wait_job(hog_job).unwrap()).1;
         // The small job was submitted later yet finished earlier, so its
@@ -304,23 +323,18 @@ fn queue_full_and_client_caps_reject_with_busy() {
         tx.send(b_server).unwrap();
         let mut a = BlockingClient::new(a_side);
         let mut b = BlockingClient::new(b_side);
-        // Long jobs (80 chunks each): job 1 must still be executing while
-        // the submits below race it, or the cap/queue slots free up and
-        // the rejections never happen.
-        let big: Vec<Vec<u8>> = reads.iter().cycle().take(320).cloned().collect();
-        let fastq = fastq_of(&big);
+        let fastq = fastq_of(&reads[..8]);
+        // Job 1 must still be executing while the submits below race it, or
+        // the cap and queue slots free up and the rejections never happen.
+        // Holding the mapper's pool keeps it there: the executor pops it and
+        // then waits for the pool before mapping a single read.
+        let pool = parent.mapper().lock_pool();
         // Client A fills its own cap: two in flight, the third bounces
         // off the per-client limit (freed only when a job *finishes*).
         let job1 = a.submit("a0", &fastq).unwrap().expect("first admitted");
-        // Wait until the executor has popped job1 (it is long: 8 chunks),
-        // so job2 lands in the now-empty 1-slot pending queue instead of
-        // racing the pop.
-        for _ in 0..200 {
-            if a.stats().expect("STATS").contains("\"executing\":1") {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+        // Wait until the executor has popped job1, so job2 lands in the
+        // now-empty 1-slot pending queue instead of racing the pop.
+        wait_for_executing(&mut a, 1);
         let job2 = a.submit("a1", &fastq).unwrap().expect("second admitted");
         let saturated = a.submit("a2", &fastq).unwrap().expect_err("third must bounce");
         assert!(saturated.contains("in flight"), "wrong BUSY reason: {saturated}");
@@ -328,6 +342,7 @@ fn queue_full_and_client_caps_reject_with_busy() {
         // (A's second job is parked there while the first executes).
         let full = b.submit("b0", &fastq).unwrap().expect_err("queue is full");
         assert!(full.contains("queue full"), "wrong BUSY reason: {full}");
+        drop(pool);
         // Rejection is not punishment: everything admitted still runs.
         expect_done(&a.wait_job(job1).unwrap());
         expect_done(&a.wait_job(job2).unwrap());

@@ -15,6 +15,14 @@ use std::time::Instant;
 pub trait RegionSink: Sync {
     /// Records that `thread` spent `start..end` in `region`.
     fn record(&self, thread: usize, region: &'static str, start: Instant, end: Instant);
+
+    /// Whether [`RegionSink::record`] keeps anything. A caller that reads
+    /// the clock only to hand the instants to `record` skips the reads when
+    /// it does not, so timing a region into a [`NullSink`] costs nothing.
+    #[inline(always)]
+    fn is_recording(&self) -> bool {
+        true
+    }
 }
 
 /// Ignores every event; the default when profiling is off.
@@ -24,9 +32,15 @@ pub struct NullSink;
 impl RegionSink for NullSink {
     #[inline(always)]
     fn record(&self, _thread: usize, _region: &'static str, _start: Instant, _end: Instant) {}
+
+    #[inline(always)]
+    fn is_recording(&self) -> bool {
+        false
+    }
 }
 
-/// RAII timer: records the region on drop.
+/// RAII timer: records the region on drop. Reads the clock only for a sink
+/// that is recording.
 ///
 /// ```
 /// use mg_support::regions::{NullSink, RegionTimer};
@@ -40,7 +54,7 @@ pub struct RegionTimer<'a, S: RegionSink + ?Sized> {
     sink: &'a S,
     thread: usize,
     region: &'static str,
-    start: Instant,
+    start: Option<Instant>,
 }
 
 impl<'a, S: RegionSink + ?Sized> RegionTimer<'a, S> {
@@ -50,14 +64,16 @@ impl<'a, S: RegionSink + ?Sized> RegionTimer<'a, S> {
             sink,
             thread,
             region,
-            start: Instant::now(),
+            start: sink.is_recording().then(Instant::now),
         }
     }
 }
 
 impl<S: RegionSink + ?Sized> Drop for RegionTimer<'_, S> {
     fn drop(&mut self) {
-        self.sink.record(self.thread, self.region, self.start, Instant::now());
+        if let Some(start) = self.start {
+            self.sink.record(self.thread, self.region, start, Instant::now());
+        }
     }
 }
 
@@ -95,6 +111,21 @@ mod tests {
             }
         }
         assert_eq!(*sink.0.lock().unwrap(), vec![(0, "inner"), (0, "outer")]);
+    }
+
+    #[test]
+    fn a_sink_that_is_not_recording_is_handed_nothing() {
+        struct Deaf;
+        impl RegionSink for Deaf {
+            fn record(&self, _: usize, region: &'static str, _: Instant, _: Instant) {
+                panic!("{region} handed to a sink that is not recording");
+            }
+            fn is_recording(&self) -> bool {
+                false
+            }
+        }
+        let _t = RegionTimer::start(&Deaf, 0, "extend");
+        let _d = RegionTimer::start(&Deaf as &dyn RegionSink, 0, "cluster");
     }
 
     #[test]

@@ -58,6 +58,9 @@ cargo test --release -q -p mg-bench --lib fig3_reports
 echo "== kernel oracles (extension walk vs the per-base oracle, clustering vs the naive sweep; an optimized build's arithmetic) =="
 cargo test --release -q --test extend_walk --test cluster_oracle
 
+echo "== extend first / extend once (mapper vs cluster-then-extend, kernel vs every anchor extended; an optimized build's arithmetic) =="
+cargo test --release -q --test extend_first --test extend_once
+
 echo "== lints (obs on / obs off) =="
 cargo clippy --all-targets -- -D warnings
 cargo clippy --all-targets --no-default-features -p mg-obs -- -D warnings

@@ -1,0 +1,441 @@
+//! "Extend first": `Mapper::map_read_seeded` against the composition it may
+//! short-cut — `cluster_seeds_with_scratch` with the read-length distance
+//! limit, then `process_until_threshold_with_scratch` over its clusters.
+//!
+//! The mapper may walk the read's canonically first seed before clustering
+//! and, when that walk is an exact full-length extension every seed lies on,
+//! report it without clustering (DESIGN.md §4b). Whatever it does, the whole
+//! `ReadResult` must equal the composition's, field for field; so must the
+//! kernel's anchor accounting (walked + merged + skipped, batches). And the
+//! first walk is not paid for twice: the mapper performs exactly the
+//! composition's `CachedGbwt` record lookups and pruned DFS frames — or, when
+//! the composition never walks the first seed (its cluster is not the first
+//! one processed, and an exact walk found before it may cover it), those
+//! plus one walk of that seed.
+//!
+//! Inputs: random pangenomes (the generator `extend_once.rs` uses), reads
+//! of every input-set profile, and hand-built geometry where a shortcut
+//! would be tempted — two exact walks sharing anchors, a repeat with one
+//! seed off the walk, an indel whose arms share a prefix — on both
+//! comparison walks, every anchor batch size and the option settings under
+//! which one cluster or one extension is not what the composition reports.
+
+use minigiraffe::core::{
+    build_minimizer_index, cluster_seeds_with_scratch, extend_seed_with_scratch,
+    process_until_threshold_with_scratch, ClusterScratch, ExtendScratch, KernelStats, MapScratch,
+    Mapper, MappingOptions, ReadResult, Seed, Workflow,
+};
+use minigiraffe::gbwt::{CachedGbwt, Gbz};
+use minigiraffe::graph::pangenome::{PangenomeBuilder, Variant};
+use minigiraffe::graph::{Handle, NodeId};
+use minigiraffe::index::{GraphPos, MinimizerParams};
+use minigiraffe::obs::{Ctr, Metrics};
+use minigiraffe::parent::{Parent, ParentOptions};
+use minigiraffe::support::probe::NoProbe;
+use minigiraffe::support::regions::NullSink;
+use minigiraffe::workload::{InputSetSpec, SyntheticInput};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+mod common;
+
+/// Random cases per run of the property.
+const CASES: u32 = 1000;
+
+/// Record lookups a cache has served (hits and decodes alike): one per
+/// `record_with_probe` call, whatever the cache held.
+fn lookups(cache: &CachedGbwt<'_>) -> u64 {
+    let s = cache.stats();
+    s.hits + s.misses
+}
+
+/// What the composition did with one read.
+struct Reference {
+    result: ReadResult,
+    stats: KernelStats,
+    /// Record lookups of its extension kernel.
+    lookups: u64,
+    /// Whether it certainly walked the canonically first seed: that seed is
+    /// in the first cluster, and the first cluster is processed.
+    walks_first: bool,
+}
+
+/// The composition: cluster with the read-length limit, extend the clusters.
+fn reference(mapper: &Mapper<'_>, read: &[u8], seeds: &[Seed], options: &MappingOptions) -> Reference {
+    let graph = mapper.gbz().graph();
+    let read_len = read.len() as u32;
+    let mut cluster = options.cluster;
+    cluster.distance_limit = cluster.distance_limit.max(u64::from(read_len));
+    let clusters = cluster_seeds_with_scratch(
+        graph,
+        mapper.distance_index(),
+        seeds,
+        read_len,
+        &cluster,
+        &mut NoProbe,
+        &mut ClusterScratch::default(),
+    );
+    let mut cache = CachedGbwt::new(mapper.gbz().gbwt(), 64);
+    let mut scratch = ExtendScratch::default();
+    let extensions = process_until_threshold_with_scratch(
+        graph,
+        &mut cache,
+        read,
+        7,
+        seeds,
+        &clusters,
+        &options.extend,
+        &options.process,
+        &mut NoProbe,
+        &mut scratch,
+    );
+    let first = seeds.iter().min();
+    let walks_first = options.process.max_clusters >= 1
+        && clusters.first().is_some_and(|c| {
+            // The kernel cuts a cluster scoring below `cutoff ×` the best.
+            c.score.partial_cmp(&(c.score * options.process.cluster_score_cutoff))
+                != Some(std::cmp::Ordering::Less)
+                && c.seeds.iter().any(|&i| Some(&seeds[i]) == first)
+        });
+    Reference {
+        result: ReadResult { read_id: 7, extensions },
+        stats: scratch.take_stats(),
+        lookups: lookups(&cache),
+        walks_first,
+    }
+}
+
+/// One walk of the canonically first seed alone: its record lookups and
+/// pruned frames.
+fn first_walk(mapper: &Mapper<'_>, read: &[u8], seeds: &[Seed], options: &MappingOptions) -> (u64, u64) {
+    let Some(&first) = seeds.iter().min() else {
+        return (0, 0);
+    };
+    let mut cache = CachedGbwt::new(mapper.gbz().gbwt(), 64);
+    let mut scratch = ExtendScratch::default();
+    let _ = extend_seed_with_scratch(
+        mapper.gbz().graph(),
+        &mut cache,
+        read,
+        7,
+        first,
+        &options.extend,
+        &mut NoProbe,
+        &mut scratch,
+    );
+    (lookups(&cache), scratch.take_stats().pruned_frames)
+}
+
+/// Maps one read through the mapper — on `scratch`, which the caller keeps
+/// across reads as a worker does — and holds it to the composition.
+fn check(
+    mapper: &Mapper<'_>,
+    scratch: &mut MapScratch,
+    read: &[u8],
+    seeds: &[Seed],
+    options: &MappingOptions,
+    what: &str,
+) {
+    let metrics = Metrics::new();
+    let mut obs = metrics.shard();
+    let mut cache = CachedGbwt::new(mapper.gbz().gbwt(), 64);
+    let got = mapper.map_read_seeded(
+        &mut cache, 7, read, seeds, options, &NullSink, 0, &mut NoProbe, scratch, &mut obs,
+    );
+    let want = reference(mapper, read, seeds, options);
+    let context = || {
+        format!("{what}: read {:?} seeds {seeds:?} options {options:?}", String::from_utf8_lossy(read))
+    };
+    assert_eq!(got, want.result, "{}", context());
+    if !obs.is_on() {
+        return;
+    }
+    let rep = obs.report();
+    assert_eq!(
+        [
+            rep.counter(Ctr::ExtendBatches),
+            rep.counter(Ctr::ExtendBatchAnchors),
+            rep.counter(Ctr::ExtendAnchorsMerged),
+            rep.counter(Ctr::ExtendAnchorsSkipped),
+        ],
+        [
+            want.stats.batches,
+            want.stats.batch_anchors,
+            want.stats.anchors_merged,
+            want.stats.anchors_skipped,
+        ],
+        "anchor accounting, {}",
+        context()
+    );
+    let extra = (
+        lookups(&cache) as i64 - want.lookups as i64,
+        rep.counter(Ctr::ExtendPrunedFrames) as i64 - want.stats.pruned_frames as i64,
+    );
+    let (walk_lookups, walk_pruned) = first_walk(mapper, read, seeds, options);
+    let one_walk = (walk_lookups as i64, walk_pruned as i64);
+    assert!(
+        extra == (0, 0) || (!want.walks_first && extra == one_walk),
+        "work beyond the composition: {extra:?}, one walk of the first seed is {one_walk:?}; {}",
+        context()
+    );
+}
+
+/// Both comparison walks and every anchor batch size.
+fn walks_and_batches() -> Vec<MappingOptions> {
+    let mut all = Vec::new();
+    for force_scalar in [true, false] {
+        for extend_batch in [0usize, 2, 16, 1024] {
+            let mut options = MappingOptions::default();
+            options.extend.force_scalar = force_scalar;
+            options.process.extend_batch = extend_batch;
+            all.push(options);
+        }
+    }
+    all
+}
+
+/// Settings under which the composition does not simply report the one
+/// exact extension: no neighbour is ever compared, no cluster or no
+/// extension is kept, matches cost, the one cluster falls below its own
+/// cutoff, the exact extension scores under the floor — plus a tight
+/// branch budget, no mismatch budget and the prefilter off.
+fn guards() -> Vec<MappingOptions> {
+    let edit = |f: &dyn Fn(&mut MappingOptions)| {
+        let mut options = MappingOptions::default();
+        f(&mut options);
+        options
+    };
+    vec![
+        edit(&|o| o.cluster.neighbor_window = 0),
+        edit(&|o| o.process.max_clusters = 0),
+        edit(&|o| o.process.max_extensions_per_read = 0),
+        edit(&|o| o.extend.match_score = -1),
+        edit(&|o| {
+            o.extend.match_score = -1;
+            o.process.min_extension_score = -1000;
+        }),
+        edit(&|o| {
+            o.extend.match_score = 0;
+            o.process.min_extension_score = 0;
+        }),
+        edit(&|o| o.process.cluster_score_cutoff = 1.5),
+        edit(&|o| o.process.min_extension_score = 1000),
+        edit(&|o| o.extend.max_branch_steps = 3),
+        edit(&|o| o.extend.max_mismatches = 0),
+        edit(&|o| o.cluster.use_prefilter = false),
+        edit(&|o| o.cluster.neighbor_window = 1),
+    ]
+}
+
+fn every_configuration() -> Vec<MappingOptions> {
+    let mut all = walks_and_batches();
+    all.extend(guards());
+    all
+}
+
+fn check_random_case(case_seed: u64) {
+    let mut rng = StdRng::seed_from_u64(case_seed);
+    let (gbz, read, seeds) = common::random_read(&mut rng);
+    let mapper = Mapper::new(&gbz);
+    let mut scratch = MapScratch::default();
+    for options in every_configuration() {
+        check(&mapper, &mut scratch, &read, &seeds, &options, &format!("case {case_seed}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn mapper_equals_cluster_then_extend_on_random_pangenomes(case_seed in 0u64..1_000_000) {
+        check_random_case(case_seed);
+    }
+}
+
+/// Two exact full-length walks that share anchors (`extend_once.rs`'s
+/// pinned cases): an anchor on the shared nodes yields one of them and lies
+/// on both, so the walk of the *rarest* seed, or of any other than the
+/// canonically first, would settle these reads differently.
+#[test]
+fn two_exact_walks_sharing_anchors() {
+    for case_seed in [546_951, 367_046] {
+        check_random_case(case_seed);
+    }
+}
+
+/// Every base of haplotype `hap` with the graph position it sits on.
+fn haplotype_bases(p: &minigiraffe::graph::Pangenome, hap: usize) -> Vec<(u8, GraphPos)> {
+    let mut out = Vec::new();
+    for &h in &p.paths()[hap].handles {
+        for (off, &b) in p.graph().oriented_sequence(h).iter().enumerate() {
+            out.push((b, GraphPos::new(h, off as u32)));
+        }
+    }
+    out
+}
+
+/// A 60-base unit written twice, `gap` unique bases apart: an error-free
+/// read from the first copy, every fourth base anchored where it came from,
+/// and one more anchor on the second copy — at the read's first offset (the
+/// canonically first seed is then off the walk or on it, by position) or in
+/// its middle. Far apart the stray anchor is a cluster of its own, close by
+/// it joins the read's.
+#[test]
+fn read_in_a_repeat_with_one_seed_off_the_walk() {
+    let unit = b"ACGTTGCAAGCTTAGGCATCGATTACGGATCCTAGCAATGCCATGACTGATCGTAGCTAG";
+    for gap in [20usize, 400] {
+        let mut reference = b"TTGACCAGTA".to_vec();
+        reference.extend_from_slice(unit);
+        reference.extend((0..gap).map(|i| b"CAGT"[(i * 7 + i / 3) % 4]));
+        reference.extend_from_slice(unit);
+        reference.extend_from_slice(b"GATTACAGGC");
+        let p = PangenomeBuilder::new(reference)
+            .variants(vec![Variant::snp(5, b'G')])
+            .haplotypes(vec![vec![0], vec![1]])
+            .max_node_len(16)
+            .build()
+            .unwrap();
+        let bases = haplotype_bases(&p, 0);
+        let copy2 = 10 + unit.len() + gap;
+        let gbz = Gbz::from_pangenome(p).unwrap();
+        let mapper = Mapper::new(&gbz);
+        let mut scratch = MapScratch::default();
+        let (start, len) = (14, 40);
+        let read: Vec<u8> = bases[start..start + len].iter().map(|&(b, _)| b).collect();
+        let on_walk: Vec<Seed> =
+            (0..len).step_by(4).map(|r| Seed::new(r as u32, bases[start + r].1)).collect();
+        for stray_offset in [0usize, 17] {
+            let stray = Seed::new(stray_offset as u32, bases[copy2 + 4 + stray_offset].1);
+            let mut seeds = on_walk.clone();
+            seeds.push(stray);
+            seeds.reverse();
+            for options in every_configuration() {
+                let what = format!("gap {gap}, stray anchor at read offset {stray_offset}");
+                check(&mapper, &mut scratch, &read, &seeds, &options, &what);
+            }
+        }
+        // The same read with its anchors all on the walk.
+        for options in every_configuration() {
+            check(&mapper, &mut scratch, &read, &on_walk, &options, &format!("gap {gap}, on the walk"));
+        }
+    }
+}
+
+/// `extend_once.rs`'s regression geometry: a SNP, sixty shared bases, then
+/// a 6-base deletion whose far side begins with the deleted stretch's first
+/// four bases. An error-free read of the first haplotype from two bases
+/// before the SNP to three into the deleted stretch: anchors on the shared
+/// bases walk onto the deletion arm and stop at the SNP; only anchors left
+/// of the SNP find the exact alignment. Anchored at every base, from the
+/// third base on (the first walk is then not exact), and by minimizers.
+#[test]
+fn read_spanning_an_indel_whose_arms_share_a_prefix() {
+    let reference = b"CATCAATCGGCATTTGCGACGCTCAGTATCCAAGATTGCCGGATCGGTGATGGTACGATCTCTTGCACGTTCC\
+        AATGGCACGCGTACCGGCCAAGAATCGCAGTGCTAGTGTAAACATACTGGAGCCATGAGTATACGCGCGGCGACACTC";
+    let p = PangenomeBuilder::new(reference.to_vec())
+        .variants(vec![Variant::snp(40, b'T'), Variant::deletion(101, 6)])
+        .haplotypes(vec![vec![0, 0], vec![1, 1]])
+        .max_node_len(32)
+        .build()
+        .unwrap();
+    let bases = haplotype_bases(&p, 0);
+    let gbz = Gbz::from_pangenome(p).unwrap();
+    let mapper = Mapper::new(&gbz);
+    let mut scratch = MapScratch::default();
+    let read = reference[38..104].to_vec();
+    let everywhere: Vec<Seed> = (0..read.len()).map(|r| Seed::new(r as u32, bases[38 + r].1)).collect();
+    let index = build_minimizer_index(&gbz, MinimizerParams::default()).unwrap();
+    let parent = Parent::new(&gbz, &index, Workflow::Single);
+    let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
+    let (captured, ..) =
+        parent.map_read_full(&mut cache, 0, &read, &ParentOptions::default(), &NullSink, 0, &mut NoProbe);
+    for (what, seeds) in [
+        ("every base", everywhere.clone()),
+        ("from the third base", everywhere[3..].to_vec()),
+        ("minimizers", captured.seeds),
+    ] {
+        for options in every_configuration() {
+            check(&mapper, &mut scratch, &read, &seeds, &options, what);
+        }
+    }
+}
+
+/// Reads of every input-set profile, seeded as the parent seeds them (the
+/// proxy's dump), through one scratch per set.
+#[test]
+fn reads_of_every_input_set() {
+    let mut specs = vec![InputSetSpec::tiny_for_tests()];
+    specs.extend(InputSetSpec::all());
+    for spec in specs {
+        let spec = spec.scaled(0.02);
+        let input = SyntheticInput::generate(&spec, 11);
+        let mapper = Mapper::new(&input.gbz);
+        let mut scratch = MapScratch::default();
+        let reads = input.dump.reads.iter().take(40);
+        for (i, r) in reads.enumerate() {
+            let configurations = if i % 8 == 0 { every_configuration() } else { walks_and_batches() };
+            for options in configurations {
+                check(&mapper, &mut scratch, &r.bases, &r.seeds, &options, &format!("{} read {i}", spec.name));
+            }
+        }
+    }
+}
+
+/// Reads the mapper cannot settle from one walk, next to ones it can, on
+/// one scratch: nothing remembered from one read reaches the next.
+#[test]
+fn remembered_walk_never_leaks_into_the_next_read() {
+    let p = PangenomeBuilder::new(b"AAAACCCCGGGGTTTTACGTACGTAACCGGTT".to_vec())
+        .variants(vec![Variant::snp(6, b'T'), Variant::deletion(20, 2)])
+        .haplotypes(vec![vec![0, 0], vec![1, 0], vec![0, 1]])
+        .max_node_len(5)
+        .build()
+        .unwrap();
+    let bases = haplotype_bases(&p, 0);
+    let gbz = Gbz::from_pangenome(p).unwrap();
+    let mapper = Mapper::new(&gbz);
+    let mut scratch = MapScratch::default();
+    let exact: Vec<u8> = bases[2..18].iter().map(|&(b, _)| b).collect();
+    let mut mismatched = exact.clone();
+    mismatched[9] = if mismatched[9] == b'A' { b'C' } else { b'A' };
+    let seed = Seed::new(0, bases[2].1);
+    let off_walk = Seed::new(3, GraphPos::new(Handle::forward(NodeId::new(1)), 0));
+    for options in walks_and_batches() {
+        // Same first seed on different bases, alternating fast path and
+        // fall-through in both orders.
+        for (read, seeds) in [
+            (&mismatched, vec![seed]),
+            (&exact, vec![seed]),
+            (&exact, vec![seed, off_walk]),
+            (&mismatched, vec![seed]),
+            (&exact, vec![seed, off_walk]),
+            (&exact, vec![seed]),
+        ] {
+            check(&mapper, &mut scratch, read, &seeds, &options, "alternating reads");
+        }
+    }
+}
+
+/// One 40-base node and a read of its bases 8..38: an anchor on the read's
+/// diagonal whose read offset is past the read's end. It lies on the exact
+/// walk by `(node, diagonal)`, but no walk starts from it and rule 1 does not
+/// merge it (nothing of the read lies between it and the first anchor's
+/// run), so the composition counts it as skipped, not merged.
+#[test]
+fn anchor_past_the_read_end_on_its_walk() {
+    let reference = b"ACGTTGCAAGCTTAGGCATCGATTACGGATCCTAGCAATG".to_vec();
+    let p = PangenomeBuilder::new(reference.clone())
+        .haplotypes(vec![vec![]])
+        .max_node_len(64)
+        .build()
+        .unwrap();
+    let gbz = Gbz::from_pangenome(p).unwrap();
+    let mapper = Mapper::new(&gbz);
+    let mut scratch = MapScratch::default();
+    let node = Handle::forward(NodeId::new(1));
+    let seeds = vec![Seed::new(1, GraphPos::new(node, 9)), Seed::new(31, GraphPos::new(node, 39))];
+    for options in every_configuration() {
+        check(&mapper, &mut scratch, &reference[8..38], &seeds, &options, "anchor past the read");
+    }
+}
