@@ -4,7 +4,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use mg_core::{cluster_seeds, extend_seed, ClusterParams, ExtendParams, Mapper, MappingOptions};
+use mg_core::{
+    cluster_seeds_with_scratch, extend_seed_with_scratch, ClusterParams, ClusterScratch,
+    ExtendParams, ExtendScratch, Mapper, MappingOptions,
+};
 use mg_gbwt::CachedGbwt;
 use mg_index::{
     extract_minimizers, extract_minimizers_into, DistanceIndex, MinimizerParams, MinimizerScratch,
@@ -86,22 +89,25 @@ fn bench_kernels(c: &mut Criterion) {
         .expect("reads exist");
     let mut group = c.benchmark_group("kernels");
     group.bench_function("cluster_seeds", |b| {
+        let mut scratch = ClusterScratch::default();
         b.iter(|| {
-            black_box(cluster_seeds(
+            black_box(cluster_seeds_with_scratch(
                 graph,
                 &dist,
                 black_box(&read.seeds),
                 read.bases.len() as u32,
                 &ClusterParams::default(),
                 &mut NoProbe,
+                &mut scratch,
             ))
         })
     });
     group.bench_function("extend_seed", |b| {
         let mut cache = CachedGbwt::new(input.gbz.gbwt(), 256);
+        let mut scratch = ExtendScratch::default();
         let seed = read.seeds[0];
         b.iter(|| {
-            black_box(extend_seed(
+            black_box(extend_seed_with_scratch(
                 graph,
                 &mut cache,
                 &read.bases,
@@ -109,6 +115,7 @@ fn bench_kernels(c: &mut Criterion) {
                 black_box(seed),
                 &ExtendParams::default(),
                 &mut NoProbe,
+                &mut scratch,
             ))
         })
     });

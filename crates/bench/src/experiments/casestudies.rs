@@ -301,14 +301,7 @@ pub fn fig8(ctx: &Ctx, study: &TuningStudy) -> String {
         for &batch in &space.batch_sizes {
             let mut row = vec![batch.to_string()];
             for &capacity in &space.cache_capacities {
-                // The heat map stays two-dimensional per scheduler: cells are
-                // shown at the default extension batch.
-                let point = TuningPoint {
-                    scheduler,
-                    batch_size: batch,
-                    cache_capacity: capacity,
-                    extend_batch: TuningPoint::default_config().extend_batch,
-                };
+                let point = TuningPoint { scheduler, batch_size: batch, cache_capacity: capacity };
                 let cell = sweep
                     .find(point)
                     .map_or("-".to_string(), |r| format!("{:.4}", r.makespan_s));
@@ -352,15 +345,10 @@ pub fn anova(ctx: &Ctx, study: &TuningStudy) -> String {
     else {
         return "anova: D-HPRC @ chi-intel sweep missing".to_string();
     };
-    let (sched, batch, capacity, extend) = sweep.anova_by_parameter();
+    let (sched, batch, capacity) = sweep.anova_by_parameter();
     let mut rows = Vec::new();
     let mut csv = Vec::new();
-    for (name, result) in [
-        ("scheduler", sched),
-        ("batch size", batch),
-        ("cache capacity", capacity),
-        ("extension batch", extend),
-    ] {
+    for (name, result) in [("scheduler", sched), ("batch size", batch), ("cache capacity", capacity)] {
         match result {
             Some(a) => {
                 rows.push(vec![

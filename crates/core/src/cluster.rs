@@ -27,12 +27,6 @@ pub struct ClusterParams {
     pub neighbor_window: usize,
     /// K-mer length used to convert seed counts into read coverage.
     pub kmer_len: u32,
-    /// Screen each sorted-neighbour pair with the distance index's cheap
-    /// [`DistanceIndex::maybe_within`] bound before paying for the exact
-    /// minimum-distance walk. The bound is conservative (it never excludes
-    /// a pair that is actually within the limit), so toggling this can
-    /// never change clustering output — only how many exact queries run.
-    pub use_prefilter: bool,
 }
 
 impl Default for ClusterParams {
@@ -41,7 +35,6 @@ impl Default for ClusterParams {
             distance_limit: 200,
             neighbor_window: 12,
             kmer_len: 29,
-            use_prefilter: true,
         }
     }
 }
@@ -115,12 +108,9 @@ pub struct ClusterScratch {
     offsets: Vec<u32>,
 }
 
-/// Clusters the seeds of one read.
-///
-/// Convenience wrapper over [`cluster_seeds_with_scratch`] that allocates a
-/// fresh [`ClusterScratch`]; loops should hold one scratch and call the
-/// `_with_scratch` variant.
-pub fn cluster_seeds<P: MemProbe>(
+/// [`cluster_seeds_with_scratch`] on a fresh scratch, for unit tests.
+#[cfg(test)]
+fn cluster_seeds<P: MemProbe>(
     graph: &mg_graph::VariationGraph,
     dist: &DistanceIndex,
     seeds: &[Seed],
@@ -132,13 +122,16 @@ pub fn cluster_seeds<P: MemProbe>(
     cluster_seeds_with_scratch(graph, dist, seeds, read_len, params, probe, &mut scratch)
 }
 
-/// [`cluster_seeds`] reusing caller-provided scratch storage.
+/// Clusters the seeds of one read on caller-provided scratch storage.
 ///
 /// Seeds are sorted by their linearized graph position; each seed is
-/// checked against the next `neighbor_window` seeds with the distance-index
-/// prefilter and an exact bounded distance query, and close pairs are
-/// unioned. Clusters come back sorted by score (descending), ties broken by
-/// first seed index — a deterministic order regardless of thread count.
+/// checked against the next `neighbor_window` seeds with the distance
+/// index's cheap [`DistanceIndex::maybe_within`] bound and then an exact
+/// bounded distance query, and close pairs are unioned. The bound is
+/// conservative (it never excludes a pair within the limit), so it only
+/// saves exact queries. Clusters come back sorted by score (descending),
+/// ties broken by first seed index — a deterministic order regardless of
+/// thread count.
 pub fn cluster_seeds_with_scratch<P: MemProbe>(
     graph: &mg_graph::VariationGraph,
     dist: &DistanceIndex,
@@ -188,7 +181,7 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
             }
             let (a, b) = (seeds[i].pos, seeds[j].pos);
             probe.instret(6);
-            if params.use_prefilter && !dist.maybe_within(a, b, limit) {
+            if !dist.maybe_within(a, b, limit) {
                 continue;
             }
             // Same-handle fast path: the offset gap is itself a walk.
@@ -337,26 +330,6 @@ mod tests {
         assert_eq!(out[0].seeds, vec![0, 1, 2]);
         assert_eq!(out[0].score, 3.0);
         assert_eq!(out[1].seeds, vec![3, 4]);
-    }
-
-    #[test]
-    fn prefilter_toggle_never_changes_clusters() {
-        let (p, d) = linear();
-        // A mix of tight groups, chains, and far-apart singletons so both
-        // prefilter outcomes (screened out, passed through) occur.
-        let seeds: Vec<Seed> = [100u64, 110, 120, 360, 380, 900, 1500, 1530, 1900]
-            .iter()
-            .enumerate()
-            .map(|(i, &pos)| seed_at(&p, (i * 7) as u32, pos))
-            .collect();
-        for limit in [30u64, 100, 150, 400] {
-            let on = ClusterParams { distance_limit: limit, ..Default::default() };
-            let off = ClusterParams { use_prefilter: false, ..on };
-            assert!(on.use_prefilter);
-            let with = cluster_seeds(p.graph(), &d, &seeds, 120, &on, &mut NoProbe);
-            let without = cluster_seeds(p.graph(), &d, &seeds, 120, &off, &mut NoProbe);
-            assert_eq!(with, without, "limit {limit}: prefilter changed clustering");
-        }
     }
 
     #[test]

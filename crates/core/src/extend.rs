@@ -6,12 +6,12 @@
 //! read bases with node bases, following only haplotype-consistent edges
 //! (tracked with a bidirectional GBWT search state through the per-thread
 //! [`CachedGbwt`]), tolerating a bounded number of mismatches, and keeping
-//! the best-scoring span. [`process_until_threshold`] drives the kernel
-//! over a read's clusters in score order, and walks each distinct extension
-//! once: anchors that provably yield the same extension are merged before
-//! any is walked (rule 1), and anchors lying on an exact full-length
-//! extension the read already has are not walked at all (rule 2, from
-//! Giraffe's `GaplessExtender::extend`).
+//! the best-scoring span. [`process_until_threshold_with_scratch`] drives
+//! the kernel over a read's clusters in score order, and walks each distinct
+//! extension once: anchors that provably yield the same extension are
+//! merged before any is walked (rule 1), and anchors lying on an exact
+//! full-length extension the read already has are not walked at all (rule 2,
+//! from Giraffe's `GaplessExtender::extend`).
 
 use mg_gbwt::{BidirState, CachedGbwt, RecordEdge, SearchState, ENDMARKER};
 use mg_graph::{Handle, VariationGraph};
@@ -48,11 +48,6 @@ pub struct ExtendParams {
     /// production walk is validated against; benches and differential tests
     /// flip this to compare the two on otherwise identical pipelines.
     pub force_scalar: bool,
-    /// Branch-and-bound pruning of DFS subtrees that provably cannot beat
-    /// the running best prefix (see `subtree_is_dead`). Applied identically
-    /// by both walks, so differential tests stay exact; exposed so benches
-    /// can A/B the pruning inside one process.
-    pub prune: bool,
 }
 
 impl Default for ExtendParams {
@@ -63,7 +58,6 @@ impl Default for ExtendParams {
             max_mismatches: 4,
             max_branch_steps: 64,
             force_scalar: false,
-            prune: true,
         }
     }
 }
@@ -79,15 +73,6 @@ pub struct ProcessParams {
     pub max_extensions_per_read: usize,
     /// Extensions scoring below this are discarded.
     pub min_extension_score: i32,
-    /// Anchor batch size of the extension dataflow: after deduplication
-    /// and merging a cluster's anchors are processed in batches of this
-    /// size, each batch sorted by graph position so consecutive extensions
-    /// walk the same node bytes and GBWT records while they are hot.
-    /// `0` or `1` disables batching (canonical anchor order). Output is
-    /// invariant: which anchors count is decided in canonical order and
-    /// extensions are canonicalized across the whole read, so batch size
-    /// only changes locality, never the GAF (pinned by tests).
-    pub extend_batch: usize,
 }
 
 impl Default for ProcessParams {
@@ -97,7 +82,6 @@ impl Default for ProcessParams {
             cluster_score_cutoff: 0.5,
             max_extensions_per_read: 16,
             min_extension_score: 1,
-            extend_batch: 16,
         }
     }
 }
@@ -165,16 +149,13 @@ pub struct ExtendScratch {
     /// The anchor each of the read's extensions came from, in step with the
     /// extension list.
     origins: Vec<Seed>,
-    /// Extensions of the current batch waiting to be admitted in canonical
-    /// anchor order, each with the anchor that produced it.
-    held: Vec<(Seed, Extension)>,
     /// The read's candidate extensions; the few that survive deduplication
     /// leave in a vector of their own length.
     extensions: Vec<Extension>,
     /// The walk [`extend_first`] made of a read it did not settle: its
-    /// anchor and what it yielded. `walk_batch` takes it instead of walking
-    /// that anchor again; the read's `process_until_threshold` call clears
-    /// it.
+    /// anchor and what it yielded. The read's
+    /// [`process_until_threshold_with_scratch`] call takes it instead of
+    /// walking that anchor again, and clears it.
     first_walk: Option<(Seed, Option<Extension>)>,
     /// Read offsets, and nodes of the first walk, that the read's seeds hit
     /// ([`extend_first`]'s anchor accounting), one bit each.
@@ -184,17 +165,16 @@ pub struct ExtendScratch {
     stats: KernelStats,
 }
 
-/// Counters of batching, pruning and anchor-merging activity inside the
-/// extension kernel, accumulated in the scratch (plain `u64`s — the kernel
-/// never touches an observability shard directly) and drained per read into
-/// mg-obs by the mapping pipeline.
+/// Counters of anchor walking, merging and pruning inside the extension
+/// kernel, accumulated in the scratch (plain `u64`s — the kernel never
+/// touches an observability shard directly) and drained per read into mg-obs
+/// by the mapping pipeline. Walked, merged and skipped add up to the
+/// distinct anchors of the clusters processed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Anchor batches formed by the batched extension dataflow.
-    pub batches: u64,
-    /// Anchors walked in those batches (`batch_anchors / batches` is the
-    /// mean batch fill).
-    pub batch_anchors: u64,
+    /// Anchors walked, including the first walk of a read
+    /// [`extend_first`] settles and a remembered first walk reused.
+    pub anchors_walked: u64,
     /// DFS subtrees skipped by branch-and-bound pruning (`subtree_is_dead`).
     pub pruned_frames: u64,
     /// Anchors not walked because an anchor of the same node and diagonal,
@@ -225,13 +205,9 @@ fn reconstruct_path(arena: &[(u32, Handle)], mut idx: u32, out: &mut Vec<Handle>
     out.reverse();
 }
 
-/// Extends one seed bidirectionally; returns `None` when the anchor is not
-/// on any haplotype.
-///
-/// Convenience wrapper over [`extend_seed_with_scratch`] that allocates a
-/// fresh [`ExtendScratch`]; loops should hold one scratch and call the
-/// `_with_scratch` variant.
-pub fn extend_seed<P: MemProbe>(
+/// [`extend_seed_with_scratch`] on a fresh scratch, for unit tests.
+#[cfg(test)]
+fn extend_seed<P: MemProbe>(
     graph: &VariationGraph,
     cache: &mut CachedGbwt<'_>,
     read: &[u8],
@@ -244,7 +220,8 @@ pub fn extend_seed<P: MemProbe>(
     extend_seed_with_scratch(graph, cache, read, read_id, seed, params, probe, &mut scratch)
 }
 
-/// [`extend_seed`] reusing caller-provided scratch storage.
+/// Extends one seed bidirectionally on caller-provided scratch storage;
+/// returns `None` when the anchor is not on any haplotype.
 ///
 /// The walk extends right from the anchor first (including the anchor
 /// base), then left from the resulting haplotype state, each direction
@@ -575,7 +552,7 @@ fn subtree_is_dead(
     best: &DirectionResult,
     params: &ExtendParams,
 ) -> bool {
-    if !params.prune || params.match_score < 0 || params.mismatch_penalty < 0 {
+    if params.match_score < 0 || params.mismatch_penalty < 0 {
         return false;
     }
     let smax = frame.score + params.match_score * read_rem as i32;
@@ -1013,73 +990,45 @@ fn on_exact_walk(exact_walks: &[(Handle, i64)], anchor: &Seed) -> bool {
     exact_walks.contains(&(anchor.pos.handle, diagonal(anchor)))
 }
 
-/// Walks one batch of a cluster's anchors, `scratch.anchors[batch]`, admits
-/// what they yield to `extensions`, and returns how many it walked.
+/// Walks a cluster's anchors, `scratch.anchors`, one at a time in canonical
+/// order and admits what they yield to `extensions`.
 ///
 /// Rule 2 (Giraffe's `GaplessExtender::extend`): an anchor that lies on an
-/// exact full-length extension the read already has is not walked.
-/// "Already" means in canonical anchor order, whatever order the batch is
-/// walked in, so the walked set — and with it the output — does not depend
-/// on the batch size. The batch's canonically first anchor that no earlier
-/// extension covers is walked first: in canonical order nothing could stop
-/// it, so what it yields is admitted at once (for an error-free read that
-/// is the exact full-length extension, and the rest of the batch is
-/// skipped). The other anchors are then walked in batch order and their
-/// extensions held back; they are admitted in canonical order, each one only
-/// if no exact full-length extension admitted before it covers its anchor.
+/// exact full-length extension the read already has — from an anchor before
+/// it in canonical order, or from an earlier cluster — is not walked. For an
+/// error-free read the first anchor yields that extension and the rest are
+/// skipped.
 #[allow(clippy::too_many_arguments)]
-fn walk_batch<P: MemProbe>(
+fn walk_anchors<P: MemProbe>(
     graph: &VariationGraph,
     cache: &mut CachedGbwt<'_>,
     read: &[u8],
     read_id: u64,
-    batch: std::ops::Range<usize>,
     extend: &ExtendParams,
     process: &ProcessParams,
     probe: &mut P,
     scratch: &mut ExtendScratch,
     extensions: &mut Vec<Extension>,
-) -> u64 {
-    let first = batch
-        .clone()
-        .filter(|&i| !on_exact_walk(&scratch.exact_walks, &scratch.anchors[i]))
-        .min_by_key(|&i| scratch.anchors[i]);
-    let mut walked = 0u64;
+) {
     // Index loop: each anchor is copied out so the scratch can be lent to
     // the extension below.
-    for i in first.into_iter().chain(batch.clone().filter(|&i| Some(i) != first)) {
+    for i in 0..scratch.anchors.len() {
         let anchor = scratch.anchors[i];
         if on_exact_walk(&scratch.exact_walks, &anchor) {
+            scratch.stats.anchors_skipped += 1;
             continue;
         }
-        walked += 1;
+        scratch.stats.anchors_walked += 1;
         let walk = match scratch.first_walk.take_if(|(first, _)| *first == anchor) {
             Some((_, remembered)) => remembered,
             None => {
                 extend_seed_with_scratch(graph, cache, read, read_id, anchor, extend, probe, scratch)
             }
         };
-        let Some(ext) = walk else {
-            continue;
-        };
-        if ext.score < process.min_extension_score {
-            continue;
-        }
-        if Some(i) == first {
-            admit(graph, read, anchor, ext, scratch, extensions);
-        } else {
-            scratch.held.push((anchor, ext));
-        }
-    }
-    let mut held = std::mem::take(&mut scratch.held);
-    held.sort_unstable_by_key(|&(anchor, _)| anchor);
-    for (anchor, ext) in held.drain(..) {
-        if !on_exact_walk(&scratch.exact_walks, &anchor) {
+        if let Some(ext) = walk.filter(|ext| ext.score >= process.min_extension_score) {
             admit(graph, read, anchor, ext, scratch, extensions);
         }
     }
-    scratch.held = held;
-    walked
 }
 
 /// Sets bit `i` of a bit set.
@@ -1094,17 +1043,18 @@ fn marked(bits: &[u64]) -> u64 {
 
 /// Extend first: walks the read's canonically first seed (the least by
 /// `(read_offset, pos)`) and returns the extension when that one walk is what
-/// clustering and [`process_until_threshold`] would report — an exact
-/// full-length extension scoring at least `min_extension_score` on which
-/// every seed lies, at a read offset inside the read and a node offset
+/// clustering and [`process_until_threshold_with_scratch`] would report — an
+/// exact full-length extension scoring at least `min_extension_score` on
+/// which every seed lies, at a read offset inside the read and a node offset
 /// inside its node. Otherwise returns `None` and leaves the walk in
-/// `scratch` for the read's `process_until_threshold` call to reuse.
+/// `scratch` for the read's `process_until_threshold_with_scratch` call to
+/// reuse.
 ///
 /// Why that is the whole answer (DESIGN.md §4b): seeds on one walk are at
 /// most `read_len − 1` bases apart along it, so with the mapper's distance
 /// limit of at least `read_len` and a neighbour window of at least one they
 /// are one cluster; its canonically first anchor is this seed, which rule 1
-/// never merges away and `walk_batch` walks first; rule 2 then skips every
+/// never merges away and which is walked first; rule 2 then skips every
 /// other anchor. The caller checks the window and that one cluster and one
 /// extension survive `max_clusters`, `cluster_score_cutoff` and
 /// `max_extensions_per_read`. The kernel statistics of a settled read are
@@ -1161,13 +1111,9 @@ pub(crate) fn extend_first<P: MemProbe>(
             let distinct = marked(offsets);
             let anchors = if extend.match_score >= 0 { marked(nodes) } else { distinct };
             let stats = &mut scratch.stats;
+            stats.anchors_walked += 1;
             stats.anchors_merged += distinct - anchors;
             stats.anchors_skipped += anchors - 1;
-            let step = process.extend_batch.max(1) as u64;
-            if step > 1 {
-                stats.batches += anchors.div_ceil(step);
-                stats.batch_anchors += 1;
-            }
             return walked;
         }
     }
@@ -1175,15 +1121,11 @@ pub(crate) fn extend_first<P: MemProbe>(
     None
 }
 
-/// Processes a read's clusters best-first, extending each cluster's seeds
-/// until the threshold policy says stop (the `process_until_threshold_c`
-/// driver).
-///
-/// Convenience wrapper over [`process_until_threshold_with_scratch`] that
-/// allocates a fresh [`ExtendScratch`]; loops should hold one scratch and
-/// call the `_with_scratch` variant.
+/// [`process_until_threshold_with_scratch`] on a fresh scratch, for unit
+/// tests.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn process_until_threshold<P: MemProbe>(
+fn process_until_threshold<P: MemProbe>(
     graph: &VariationGraph,
     cache: &mut CachedGbwt<'_>,
     read: &[u8],
@@ -1200,7 +1142,9 @@ pub fn process_until_threshold<P: MemProbe>(
     )
 }
 
-/// [`process_until_threshold`] reusing caller-provided scratch storage.
+/// Processes a read's clusters best-first, extending each cluster's
+/// anchors until the threshold policy says stop (the
+/// `process_until_threshold_c` driver), on caller-provided scratch storage.
 #[allow(clippy::too_many_arguments)]
 pub fn process_until_threshold_with_scratch<P: MemProbe>(
     graph: &VariationGraph,
@@ -1223,26 +1167,7 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
             break;
         }
         prepare_anchors(graph, read, seeds, cluster, extend.match_score >= 0, scratch);
-        // Batched dataflow: each batch of the canonical list is walked
-        // graph-position major, so consecutive extensions hit the same
-        // node's packed words and the same GBWT records while they are
-        // cache-hot.
-        let step = process.extend_batch.max(1);
-        for start in (0..scratch.anchors.len()).step_by(step) {
-            let end = (start + step).min(scratch.anchors.len());
-            if step > 1 {
-                scratch.anchors[start..end].sort_unstable_by_key(|s| (s.pos, s.read_offset));
-            }
-            let walked = walk_batch(
-                graph, cache, read, read_id, start..end, extend, process, probe, scratch,
-                &mut extensions,
-            );
-            scratch.stats.anchors_skipped += (end - start) as u64 - walked;
-            if step > 1 {
-                scratch.stats.batches += 1;
-                scratch.stats.batch_anchors += walked;
-            }
-        }
+        walk_anchors(graph, cache, read, read_id, extend, process, probe, scratch, &mut extensions);
     }
     // Rule 2 must not depend on when an exact full-length extension turned
     // up: whatever an anchor on it yielded before that, short of another
@@ -1258,9 +1183,8 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
     }
     // Deduplicate identical spans, keep the best-scoring representative.
     // The key is a total order over extension content (mismatches and path
-    // break residual ties), so the representative each span keeps is
-    // independent of the order anchors were extended in — batching and
-    // anchor reordering provably cannot change the output.
+    // break residual ties), so the representative each span keeps does not
+    // depend on the order the anchors were extended in.
     extensions.sort_by(|a, b| {
         (a.read_start, a.read_end, a.pos, std::cmp::Reverse(a.score), a.mismatches, &a.path).cmp(
             &(b.read_start, b.read_end, b.pos, std::cmp::Reverse(b.score), b.mismatches, &b.path),

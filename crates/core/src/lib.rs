@@ -5,9 +5,10 @@
 //! seeds Giraffe's preprocessing found for them, captured right before the
 //! critical functions) and a [`mg_gbwt::Gbz`] pangenome, and runs:
 //!
-//! 1. [`cluster::cluster_seeds`] — group seeds by graph distance and score
-//!    the clusters (Giraffe's `cluster_seeds` region);
-//! 2. [`extend::process_until_threshold`] — the seed-and-extend kernel:
+//! 1. [`cluster::cluster_seeds_with_scratch`] — group seeds by graph
+//!    distance and score the clusters (Giraffe's `cluster_seeds` region);
+//! 2. [`extend::process_until_threshold_with_scratch`] — the
+//!    seed-and-extend kernel:
 //!    walk the graph from each promising seed in both directions over
 //!    haplotype-consistent edges, comparing read bases against node bases
 //!    (Giraffe's `process_until_threshold_c` region).
@@ -61,11 +62,11 @@ pub mod pipeline;
 pub mod types;
 pub mod validate;
 
-pub use cluster::{cluster_seeds, cluster_seeds_with_scratch, Cluster, ClusterParams, ClusterScratch};
+pub use cluster::{cluster_seeds_with_scratch, Cluster, ClusterParams, ClusterScratch};
 pub use dump::SeedDump;
 pub use extend::{
-    extend_seed, extend_seed_with_scratch, process_until_threshold,
-    process_until_threshold_with_scratch, ExtendParams, ExtendScratch, KernelStats, ProcessParams,
+    extend_seed_with_scratch, process_until_threshold_with_scratch, ExtendParams, ExtendScratch,
+    KernelStats, ProcessParams,
 };
 pub use mgi::{build_minimizer_index, MgiBundle};
 pub use pipeline::{

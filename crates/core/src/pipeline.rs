@@ -411,8 +411,7 @@ impl<'a> Mapper<'a> {
         // Drain the kernel's plain-u64 activity counters into the shard
         // (the extension walk itself never touches observability state).
         let kernel = scratch.extend.take_stats();
-        obs.add(Ctr::ExtendBatches, kernel.batches);
-        obs.add(Ctr::ExtendBatchAnchors, kernel.batch_anchors);
+        obs.add(Ctr::ExtendAnchorsWalked, kernel.anchors_walked);
         obs.add(Ctr::ExtendPrunedFrames, kernel.pruned_frames);
         obs.add(Ctr::ExtendAnchorsMerged, kernel.anchors_merged);
         obs.add(Ctr::ExtendAnchorsSkipped, kernel.anchors_skipped);
@@ -829,11 +828,11 @@ mod tests {
                     results.total_extensions() as u64
                 );
                 // Every distinct anchor is walked, merged into another, or
-                // skipped, whether the read was clustered or not. Each read's
-                // three seeds on its walk are distinct anchors of its one
-                // cluster, one of each kind; the anchor off the walk is
-                // walked.
-                let walked = rep.counter(Ctr::ExtendBatchAnchors);
+                // skipped, whether the read was clustered or not, and every
+                // seed here is a distinct anchor of its read's one cluster.
+                // The three seeds on the walk are one of each kind; the
+                // anchor off the walk is walked.
+                let walked = rep.counter(Ctr::ExtendAnchorsWalked);
                 let merged = rep.counter(Ctr::ExtendAnchorsMerged);
                 let skipped = rep.counter(Ctr::ExtendAnchorsSkipped);
                 assert_eq!(walked + merged + skipped, rep.counter(Ctr::SeedsTotal));

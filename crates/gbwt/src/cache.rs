@@ -133,14 +133,6 @@ pub struct CacheState {
     /// Recycled decode target: disabled-mode lookups and cache misses
     /// decompress into this, reusing its buffers.
     scratch: DecodedRecord,
-    /// Most-recently-returned table entry, `(symbol + 1, slot)`
-    /// (key 0 = no memo). The batched extension dataflow looks the same
-    /// record up back-to-back (anchor batches sorted by graph position);
-    /// the memo short-circuits the hash-and-probe loop for that case. It is
-    /// validated against `keys[slot]` on use — a key match implies the slot
-    /// still holds this symbol's record whatever rehashing happened — and
-    /// replays the exact statistics and probe events of the hit it skips.
-    mru: (u64, usize),
 }
 
 impl CacheState {
@@ -155,7 +147,6 @@ impl CacheState {
             ..CacheStats::default()
         };
         self.len = 0;
-        self.mru = (0, 0);
         if initial_capacity == 0 {
             self.disabled = true;
             self.capacity = 0;
@@ -277,21 +268,6 @@ impl<'a> CachedGbwt<'a> {
         symbol: u64,
         probe: &mut P,
     ) -> &DecodedRecord {
-        if !P::ACTIVE && !self.state.disabled {
-            // MRU memo: the extension kernel asks for the same record
-            // back-to-back (both strands of an anchor node, batches of
-            // anchors sorted by position). A validated memo hit replays the
-            // accounting of the table hit it skips.
-            let (mkey, mslot) = self.state.mru;
-            if mkey == symbol + 1 && self.state.keys.get(mslot) == Some(&mkey) {
-                self.state.stats.hits += 1;
-                probe.touch(REGION_CACHE + mslot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
-                probe.instret(3);
-                probe.cache_event(CacheEvent::Hit);
-                probe.touch(REGION_CACHE + mslot as u64 * SLOT_BYTES + 8, 64);
-                return &self.state.values[mslot];
-            }
-        }
         if self.state.disabled {
             self.state.stats.misses += 1;
             probe.cache_event(CacheEvent::Miss);
@@ -311,7 +287,6 @@ impl<'a> CachedGbwt<'a> {
                 // header. (The caller's scan of edges/runs is charged by the
                 // kernels themselves, identically for hits and misses.)
                 probe.touch(REGION_CACHE + slot as u64 * SLOT_BYTES + 8, 64);
-                self.state.mru = (key, slot);
                 return &self.state.values[slot];
             }
             if self.state.keys[slot] == 0 {
@@ -337,7 +312,6 @@ impl<'a> CachedGbwt<'a> {
         std::mem::swap(&mut self.state.values[slot], &mut self.state.scratch);
         self.state.len += 1;
         probe.touch(REGION_CACHE + slot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
-        self.state.mru = (key, slot);
         &self.state.values[slot]
     }
 

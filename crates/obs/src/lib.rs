@@ -112,44 +112,42 @@ pub enum Ctr {
     /// Nanoseconds the streaming producer spent blocked on a full queue
     /// (backpressure applied by the mapping consumer).
     StreamProducerBlockedNs = 15,
-    /// Anchor batches formed by the batched extension dataflow.
-    ExtendBatches = 16,
-    /// Anchors walked in those batches (`extend_batch_anchors /
-    /// extend_batches` is the mean batch fill).
-    ExtendBatchAnchors = 17,
+    /// Anchors the extension kernel walked, the first walk of every read
+    /// included.
+    ExtendAnchorsWalked = 16,
     /// Extension DFS subtrees skipped by branch-and-bound pruning (they
     /// provably could not beat the best prefix already found).
-    ExtendPrunedFrames = 18,
+    ExtendPrunedFrames = 17,
     /// Anchors not walked because an anchor of the same node and diagonal,
     /// joined to them by matching read bases, yields the same extension
     /// (the kernel's exact merge).
-    ExtendAnchorsMerged = 19,
+    ExtendAnchorsMerged = 18,
     /// Anchors not walked because they lie on an exact full-length
-    /// extension their read already has. With `extend_batch_anchors` (the
-    /// anchors walked) and `extend_anchors_merged` this adds up to the
-    /// distinct anchors of the clusters processed.
-    ExtendAnchorsSkipped = 20,
+    /// extension their read already has. With `extend_anchors_walked` and
+    /// `extend_anchors_merged` this adds up to the distinct anchors of the
+    /// clusters processed.
+    ExtendAnchorsSkipped = 19,
     /// Mapping jobs admitted by the server's pending queue.
-    ServeJobsAccepted = 21,
+    ServeJobsAccepted = 20,
     /// Mapping jobs refused with `BUSY` (queue full, per-client cap, or
     /// draining).
-    ServeJobsRejected = 22,
+    ServeJobsRejected = 21,
     /// Mapping jobs that ran to `DONE`.
-    ServeJobsCompleted = 23,
+    ServeJobsCompleted = 22,
     /// Mapping jobs that ended with a per-job error frame (corrupt input
     /// or a worker panic inside the job).
-    ServeJobsFailed = 24,
+    ServeJobsFailed = 23,
     /// GAF bytes streamed to server clients.
-    ServeGafBytes = 25,
+    ServeGafBytes = 24,
     /// Reads settled by the extension kernel's first walk — an exact
     /// full-length extension every seed lies on — without clustering.
     /// `reads_mapped − extend_first_reads` reads reached `cluster_seeds`.
-    ExtendFirstReads = 26,
+    ExtendFirstReads = 25,
 }
 
 impl Ctr {
     /// Number of counters.
-    pub const COUNT: usize = 27;
+    pub const COUNT: usize = 26;
     /// All counters, in declaration order.
     pub const ALL: [Ctr; Ctr::COUNT] = [
         Ctr::ReadsMapped,
@@ -168,8 +166,7 @@ impl Ctr {
         Ctr::StreamBatches,
         Ctr::StreamReads,
         Ctr::StreamProducerBlockedNs,
-        Ctr::ExtendBatches,
-        Ctr::ExtendBatchAnchors,
+        Ctr::ExtendAnchorsWalked,
         Ctr::ExtendPrunedFrames,
         Ctr::ExtendAnchorsMerged,
         Ctr::ExtendAnchorsSkipped,
@@ -200,8 +197,7 @@ impl Ctr {
             Ctr::StreamBatches => "stream_batches",
             Ctr::StreamReads => "stream_reads",
             Ctr::StreamProducerBlockedNs => "stream_producer_blocked_ns",
-            Ctr::ExtendBatches => "extend_batches",
-            Ctr::ExtendBatchAnchors => "extend_batch_anchors",
+            Ctr::ExtendAnchorsWalked => "extend_anchors_walked",
             Ctr::ExtendPrunedFrames => "extend_pruned_frames",
             Ctr::ExtendAnchorsMerged => "extend_anchors_merged",
             Ctr::ExtendAnchorsSkipped => "extend_anchors_skipped",

@@ -285,7 +285,7 @@ impl<'a> MappingServer<'a> {
             hits,
             misses,
             rate(hits, misses),
-            rep.counter(Ctr::ExtendBatchAnchors),
+            rep.counter(Ctr::ExtendAnchorsWalked),
             rep.counter(Ctr::ExtendAnchorsMerged),
             rep.counter(Ctr::ExtendAnchorsSkipped),
             rep.counter(Ctr::ExtendFirstReads),

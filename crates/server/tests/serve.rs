@@ -10,13 +10,15 @@
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 
-use mg_core::types::Workflow;
+use mg_core::types::{Seed, Workflow};
+use mg_core::{cluster_seeds_with_scratch, ClusterParams, ClusterScratch};
 use mg_parent::{run_to_gaf, Parent, ParentOptions};
 use mg_sched::SchedulerKind;
 use mg_server::{
     drive_clients, BlockingClient, ClientPlan, Conn, JobOutcome, MappingServer, Profile,
     ServerConfig, ServerCtl,
 };
+use mg_support::probe::NoProbe;
 use mg_workload::{write_fastq, FastqRecord, InputSetSpec, SyntheticInput};
 
 /// Requests drain on drop so a failing assertion unwinds cleanly instead
@@ -72,6 +74,57 @@ fn oracle_gaf(
 ) -> String {
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
     run_to_gaf(input.gbz.graph(), &parent.run(reads, options), name)
+}
+
+/// Distinct anchors of the clusters the kernel processes for `reads`,
+/// seeded as the parent seeds them: every one is walked, merged into
+/// another or skipped, whether the read's first walk settled it (then its
+/// seeds are the one cluster clustering would have formed) or not.
+fn distinct_anchors(parent: &Parent<'_>, reads: &[Vec<u8>], options: &ParentOptions) -> u64 {
+    let mapper = parent.mapper();
+    let (cluster, process) = (options.mapping.cluster, options.mapping.process);
+    let mut scratch = ClusterScratch::default();
+    let run = parent.run(reads, options);
+    run.dump
+        .reads
+        .iter()
+        .map(|read| {
+            let read_len = read.bases.len() as u32;
+            let params = ClusterParams {
+                distance_limit: cluster.distance_limit.max(u64::from(read_len)),
+                ..cluster
+            };
+            let clusters = cluster_seeds_with_scratch(
+                mapper.gbz().graph(),
+                mapper.distance_index(),
+                &read.seeds,
+                read_len,
+                &params,
+                &mut NoProbe,
+                &mut scratch,
+            );
+            let best = clusters.first().map_or(0.0, |c| c.score);
+            clusters
+                .iter()
+                .take(process.max_clusters)
+                .take_while(|c| c.score >= best * process.cluster_score_cutoff)
+                .map(|c| {
+                    let mut anchors: Vec<Seed> = c.seeds.iter().map(|&i| read.seeds[i]).collect();
+                    anchors.sort_unstable();
+                    anchors.dedup();
+                    anchors.len() as u64
+                })
+                .sum::<u64>()
+        })
+        .sum()
+}
+
+/// The unsigned integer after `"key":` in a JSON text.
+fn json_u64(json: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\":");
+    let at = json.find(&needle).unwrap_or_else(|| panic!("{key} missing: {json}")) + needle.len();
+    let digits: String = json[at..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap_or_else(|_| panic!("{key} is no number: {json}"))
 }
 
 fn expect_done(outcome: &JobOutcome) -> (&[u8], mg_server::JobSummary) {
@@ -209,6 +262,11 @@ fn ping_stats_and_clean_drain() {
         ] {
             assert!(stats.contains(needle), "STATS missing {needle}: {stats}");
         }
+        let accounted: u64 = ["anchors_walked", "anchors_merged", "anchors_skipped"]
+            .iter()
+            .map(|key| json_u64(&stats, key))
+            .sum();
+        assert_eq!(accounted, distinct_anchors(&parent, &reads[..6], &options), "{stats}");
         client.shutdown().expect("SHUTDOWN sent");
     });
     assert!(server.ctl().stopped());

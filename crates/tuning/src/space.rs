@@ -1,12 +1,10 @@
 //! The autotuning parameter space (§VII-B).
 //!
-//! Four parameters are swept exhaustively (full cross-product): the
+//! Three parameters are swept exhaustively (full cross-product): the
 //! scheduler (OpenMP-dynamic vs the in-house work-stealing), the batch size
-//! (powers of two, 128–2048), the initial CachedGBWT capacity (bounded
+//! (powers of two, 128–2048) and the initial CachedGBWT capacity (bounded
 //! to ≤ 4096 after the Figure 6 preliminary showed larger capacities
-//! degrade), and the extension anchor batch (0/1 disables the batched
-//! dataflow). The defaults are Giraffe's: OpenMP, 512, 256, plus
-//! 16-anchor extension batches.
+//! degrade). The defaults are Giraffe's: OpenMP, 512, 256.
 
 use mg_sched::SchedulerKind;
 
@@ -19,29 +17,22 @@ pub struct TuningPoint {
     pub batch_size: usize,
     /// Initial CachedGBWT capacity.
     pub cache_capacity: usize,
-    /// Extension anchor batch size (0/1 = unbatched anchor order).
-    pub extend_batch: usize,
 }
 
 impl std::fmt::Display for TuningPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}/bs{}/cc{}/xb{}",
-            self.scheduler, self.batch_size, self.cache_capacity, self.extend_batch
-        )
+        write!(f, "{}/bs{}/cc{}", self.scheduler, self.batch_size, self.cache_capacity)
     }
 }
 
 impl TuningPoint {
     /// Giraffe's default configuration: OpenMP-dynamic, batch 512,
-    /// capacity 256, extension batch 16.
+    /// capacity 256.
     pub fn default_config() -> Self {
         TuningPoint {
             scheduler: SchedulerKind::Dynamic,
             batch_size: 512,
             cache_capacity: 256,
-            extend_batch: 16,
         }
     }
 }
@@ -55,19 +46,16 @@ pub struct ParamSpace {
     pub batch_sizes: Vec<usize>,
     /// Cache capacities considered.
     pub cache_capacities: Vec<usize>,
-    /// Extension anchor batches considered (1 = unbatched).
-    pub extend_batches: Vec<usize>,
 }
 
 impl Default for ParamSpace {
     /// The paper's space: {OpenMP, work-stealing} × {128..2048} ×
-    /// {256..4096}, powers of two, plus extension batches {1, 16, 64}.
+    /// {256..4096}, powers of two.
     fn default() -> Self {
         ParamSpace {
             schedulers: SchedulerKind::TUNED.to_vec(),
             batch_sizes: vec![128, 256, 512, 1024, 2048],
             cache_capacities: vec![256, 512, 1024, 2048, 4096],
-            extend_batches: vec![1, 16, 64],
         }
     }
 }
@@ -79,16 +67,12 @@ impl ParamSpace {
             schedulers: SchedulerKind::TUNED.to_vec(),
             batch_sizes: vec![128, 512],
             cache_capacities: vec![256, 1024],
-            extend_batches: vec![1, 16],
         }
     }
 
     /// Number of points in the cross-product.
     pub fn len(&self) -> usize {
-        self.schedulers.len()
-            * self.batch_sizes.len()
-            * self.cache_capacities.len()
-            * self.extend_batches.len()
+        self.schedulers.len() * self.batch_sizes.len() * self.cache_capacities.len()
     }
 
     /// Returns `true` for an empty space.
@@ -100,13 +84,10 @@ impl ParamSpace {
     pub fn points(&self) -> impl Iterator<Item = TuningPoint> + '_ {
         self.schedulers.iter().flat_map(move |&scheduler| {
             self.batch_sizes.iter().flat_map(move |&batch_size| {
-                self.cache_capacities.iter().flat_map(move |&cache_capacity| {
-                    self.extend_batches.iter().map(move |&extend_batch| TuningPoint {
-                        scheduler,
-                        batch_size,
-                        cache_capacity,
-                        extend_batch,
-                    })
+                self.cache_capacities.iter().map(move |&cache_capacity| TuningPoint {
+                    scheduler,
+                    batch_size,
+                    cache_capacity,
                 })
             })
         })
@@ -120,11 +101,10 @@ mod tests {
     #[test]
     fn default_space_matches_paper() {
         let space = ParamSpace::default();
-        assert_eq!(space.len(), 2 * 5 * 5 * 3);
+        assert_eq!(space.len(), 2 * 5 * 5);
         assert!(space.batch_sizes.contains(&128));
         assert!(space.batch_sizes.contains(&2048));
         assert!(space.cache_capacities.iter().all(|&c| c <= 4096));
-        assert!(space.extend_batches.contains(&1));
     }
 
     #[test]
@@ -142,12 +122,11 @@ mod tests {
         assert_eq!(d.scheduler, SchedulerKind::Dynamic);
         assert_eq!(d.batch_size, 512);
         assert_eq!(d.cache_capacity, 256);
-        assert_eq!(d.extend_batch, 16);
     }
 
     #[test]
     fn display_is_parseable_by_eye() {
         let p = TuningPoint::default_config();
-        assert_eq!(p.to_string(), "openmp-dynamic/bs512/cc256/xb16");
+        assert_eq!(p.to_string(), "openmp-dynamic/bs512/cc256");
     }
 }

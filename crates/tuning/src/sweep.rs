@@ -66,10 +66,8 @@ impl SweepResult {
     }
 
     /// One-way ANOVA of makespan grouped by each parameter, in the order
-    /// `(scheduler, batch size, cache capacity, extension batch)`.
-    pub fn anova_by_parameter(
-        &self,
-    ) -> (Option<Anova>, Option<Anova>, Option<Anova>, Option<Anova>) {
+    /// `(scheduler, batch size, cache capacity)`.
+    pub fn anova_by_parameter(&self) -> (Option<Anova>, Option<Anova>, Option<Anova>) {
         let group = |key: &dyn Fn(&TuningPoint) -> u64| -> Vec<Vec<f64>> {
             let mut groups: std::collections::BTreeMap<u64, Vec<f64>> =
                 std::collections::BTreeMap::new();
@@ -81,13 +79,7 @@ impl SweepResult {
         let by_sched = group(&|p: &TuningPoint| p.scheduler as u64);
         let by_batch = group(&|p: &TuningPoint| p.batch_size as u64);
         let by_capacity = group(&|p: &TuningPoint| p.cache_capacity as u64);
-        let by_extend = group(&|p: &TuningPoint| p.extend_batch as u64);
-        (
-            one_way_anova(&by_sched),
-            one_way_anova(&by_batch),
-            one_way_anova(&by_capacity),
-            one_way_anova(&by_extend),
-        )
+        (one_way_anova(&by_sched), one_way_anova(&by_batch), one_way_anova(&by_capacity))
     }
 }
 
@@ -123,15 +115,13 @@ pub fn run_host_sweep_metrics(
     let mapper = Mapper::new(gbz);
     let mut records = Vec::with_capacity(space.len());
     for point in space.points() {
-        let mut options = MappingOptions {
+        let options = MappingOptions {
             threads,
             batch_size: point.batch_size,
             cache_capacity: point.cache_capacity,
             scheduler: point.scheduler,
             ..base_options.clone()
         };
-        // Nested field: the struct-update spread above cannot reach it.
-        options.process.extend_batch = point.extend_batch;
         let mut best = f64::INFINITY;
         for _ in 0..repeats.max(1) {
             let out = mapper.run_with_sink_metrics(dump, &options, &NullSink, metrics);
@@ -293,12 +283,7 @@ mod tests {
 
     fn record(s: SchedulerKind, b: usize, c: usize, t: f64) -> TuningRecord {
         TuningRecord {
-            point: TuningPoint {
-                scheduler: s,
-                batch_size: b,
-                cache_capacity: c,
-                extend_batch: 16,
-            },
+            point: TuningPoint { scheduler: s, batch_size: b, cache_capacity: c },
             makespan_s: t,
         }
     }
@@ -337,7 +322,6 @@ mod tests {
             scheduler: SchedulerKind::Static,
             batch_size: 1,
             cache_capacity: 1,
-            extend_batch: 1,
         };
         assert!(sweep.speedup_over(missing).is_none());
     }
@@ -361,14 +345,11 @@ mod tests {
             }
         }
         let sweep = SweepResult { records, infeasible: 0 };
-        let (sched, batch, capacity, extend) = sweep.anova_by_parameter();
+        let (sched, batch, capacity) = sweep.anova_by_parameter();
         let capacity = capacity.unwrap();
         assert!(capacity.is_significant(), "capacity p={}", capacity.p_value);
         assert!(!sched.unwrap().is_significant());
         assert!(!batch.unwrap().is_significant());
-        // Every record shares one extension batch, so that axis has a
-        // single group and no ANOVA can be computed for it.
-        assert!(extend.is_none());
     }
 
     #[test]
@@ -495,6 +476,47 @@ mod tests {
             4,
         );
         assert_eq!(sweep, sweep2);
+    }
+
+    /// Every axis of the small space moves some simulated makespan on the
+    /// tiny input: some two points that differ along that axis alone take
+    /// different times. An axis the simulator ignores only repeats points.
+    #[test]
+    fn every_axis_of_the_small_space_moves_the_simulated_makespan() {
+        use mg_workload::{InputSetSpec, SyntheticInput};
+
+        let input = SyntheticInput::generate(&InputSetSpec::tiny_for_tests(), 42);
+        let mapper = Mapper::new(&input.gbz);
+        let space = ParamSpace::small();
+        let sweep = run_sim_sweep(
+            &MachineModel::local_amd(),
+            &mapper,
+            &input.dump,
+            &space,
+            16,
+            &MappingOptions::default(),
+            1.0,
+            "tiny",
+            100,
+        );
+        assert_eq!(sweep.records.len(), space.len());
+        // `along(p, q)` is `p` moved to `q`'s value on one axis.
+        type Along = fn(TuningPoint, TuningPoint) -> TuningPoint;
+        let axes: [(&str, Along); 3] = [
+            ("scheduler", |p, q| TuningPoint { scheduler: q.scheduler, ..p }),
+            ("batch size", |p, q| TuningPoint { batch_size: q.batch_size, ..p }),
+            ("cache capacity", |p, q| TuningPoint { cache_capacity: q.cache_capacity, ..p }),
+        ];
+        for (name, along) in axes {
+            let moves = sweep.records.iter().any(|a| {
+                sweep.records.iter().any(|b| {
+                    b.point != a.point
+                        && along(a.point, b.point) == b.point
+                        && a.makespan_s != b.makespan_s
+                })
+            });
+            assert!(moves, "{name} never moves the makespan: {:?}", sweep.records);
+        }
     }
 
     #[test]

@@ -54,14 +54,9 @@ fn main() {
         sweep.worst().expect("non-empty sweep").makespan_s / best.makespan_s
     );
 
-    let (sched, batch, capacity, extend_batch) = sweep.anova_by_parameter();
+    let (sched, batch, capacity) = sweep.anova_by_parameter();
     println!("\nANOVA (which parameter matters?):");
-    for (name, anova) in [
-        ("scheduler", sched),
-        ("batch size", batch),
-        ("cache capacity", capacity),
-        ("extend batch", extend_batch),
-    ] {
+    for (name, anova) in [("scheduler", sched), ("batch size", batch), ("cache capacity", capacity)] {
         match anova {
             Some(a) => println!(
                 "  {name:<15} F = {:>8.3}  p = {:.3}  {}",

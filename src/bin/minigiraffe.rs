@@ -646,13 +646,8 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         ),
         None => println!("default configuration not in the sweep space"),
     }
-    let (sched, batch, capacity, extend) = sweep.anova_by_parameter();
-    for (name, a) in [
-        ("scheduler", sched),
-        ("batch", batch),
-        ("capacity", capacity),
-        ("extend-batch", extend),
-    ] {
+    let (sched, batch, capacity) = sweep.anova_by_parameter();
+    for (name, a) in [("scheduler", sched), ("batch", batch), ("capacity", capacity)] {
         if let Some(a) = a {
             println!(
                 "anova {name:<9} F={:<8.2} p={:.3} {}",

@@ -1,9 +1,10 @@
 //! `cluster_seeds` against a naive reference: sort the seeds by linearized
 //! position, test every seed against its next `neighbor_window` neighbours
 //! with the distance index — every pair, no shortcut for pairs already
-//! joined — take connected components, score them. The kernel must return
-//! the same `Vec<Cluster>` (members, scores, coverage, order), reusing one
-//! scratch across reads, with and without the distance prefilter.
+//! joined, no prefilter — take connected components, score them. The kernel
+//! must return the same `Vec<Cluster>` (members, scores, coverage, order),
+//! reusing one scratch across reads; so every case also proves the kernel's
+//! `maybe_within` prefilter never drops a pair within the limit.
 
 use minigiraffe::core::{cluster_seeds_with_scratch, Cluster, ClusterParams, ClusterScratch, Seed};
 use minigiraffe::graph::pangenome::{PangenomeBuilder, Variant};
@@ -38,9 +39,6 @@ fn reference(
     let limit = params.distance_limit;
     let mut scratch = DistanceScratch::default();
     let mut close = |a: GraphPos, b: GraphPos| {
-        if params.use_prefilter && !dist.maybe_within(a, b, limit) {
-            return false;
-        }
         if a.handle == b.handle && u64::from(a.offset.abs_diff(b.offset)) <= limit {
             return true;
         }
@@ -145,7 +143,6 @@ fn check_case(case_seed: u64, scratch: &mut ClusterScratch) {
             distance_limit: rng.random_range(0u64..300),
             neighbor_window: rng.random_range(1usize..14),
             kmer_len: rng.random_range(5u32..32),
-            use_prefilter: rng.random_bool(0.5),
         };
         let got = cluster_seeds_with_scratch(graph, &dist, &seeds, read_len, &params, &mut NoProbe, scratch);
         let want = reference(graph, &dist, &seeds, read_len, &params);

@@ -6,7 +6,7 @@
 //! and, when that walk is an exact full-length extension every seed lies on,
 //! report it without clustering (DESIGN.md §4b). Whatever it does, the whole
 //! `ReadResult` must equal the composition's, field for field; so must the
-//! kernel's anchor accounting (walked + merged + skipped, batches). And the
+//! kernel's anchor accounting (walked, merged, skipped). And the
 //! first walk is not paid for twice: the mapper performs exactly the
 //! composition's `CachedGbwt` record lookups and pruned DFS frames — or, when
 //! the composition never walks the first seed (its cluster is not the first
@@ -17,8 +17,8 @@
 //! of every input-set profile, and hand-built geometry where a shortcut
 //! would be tempted — two exact walks sharing anchors, a repeat with one
 //! seed off the walk, an indel whose arms share a prefix — on both
-//! comparison walks, every anchor batch size and the option settings under
-//! which one cluster or one extension is not what the composition reports.
+//! comparison walks and the option settings under which one cluster or one
+//! extension is not what the composition reports.
 
 use minigiraffe::core::{
     build_minimizer_index, cluster_seeds_with_scratch, extend_seed_with_scratch,
@@ -154,17 +154,11 @@ fn check(
     let rep = obs.report();
     assert_eq!(
         [
-            rep.counter(Ctr::ExtendBatches),
-            rep.counter(Ctr::ExtendBatchAnchors),
+            rep.counter(Ctr::ExtendAnchorsWalked),
             rep.counter(Ctr::ExtendAnchorsMerged),
             rep.counter(Ctr::ExtendAnchorsSkipped),
         ],
-        [
-            want.stats.batches,
-            want.stats.batch_anchors,
-            want.stats.anchors_merged,
-            want.stats.anchors_skipped,
-        ],
+        [want.stats.anchors_walked, want.stats.anchors_merged, want.stats.anchors_skipped],
         "anchor accounting, {}",
         context()
     );
@@ -181,25 +175,23 @@ fn check(
     );
 }
 
-/// Both comparison walks and every anchor batch size.
-fn walks_and_batches() -> Vec<MappingOptions> {
-    let mut all = Vec::new();
-    for force_scalar in [true, false] {
-        for extend_batch in [0usize, 2, 16, 1024] {
+/// Both comparison walks.
+fn both_walks() -> Vec<MappingOptions> {
+    [true, false]
+        .into_iter()
+        .map(|force_scalar| {
             let mut options = MappingOptions::default();
             options.extend.force_scalar = force_scalar;
-            options.process.extend_batch = extend_batch;
-            all.push(options);
-        }
-    }
-    all
+            options
+        })
+        .collect()
 }
 
 /// Settings under which the composition does not simply report the one
 /// exact extension: no neighbour is ever compared, no cluster or no
 /// extension is kept, matches cost, the one cluster falls below its own
 /// cutoff, the exact extension scores under the floor — plus a tight
-/// branch budget, no mismatch budget and the prefilter off.
+/// branch budget and no mismatch budget.
 fn guards() -> Vec<MappingOptions> {
     let edit = |f: &dyn Fn(&mut MappingOptions)| {
         let mut options = MappingOptions::default();
@@ -223,13 +215,12 @@ fn guards() -> Vec<MappingOptions> {
         edit(&|o| o.process.min_extension_score = 1000),
         edit(&|o| o.extend.max_branch_steps = 3),
         edit(&|o| o.extend.max_mismatches = 0),
-        edit(&|o| o.cluster.use_prefilter = false),
         edit(&|o| o.cluster.neighbor_window = 1),
     ]
 }
 
 fn every_configuration() -> Vec<MappingOptions> {
-    let mut all = walks_and_batches();
+    let mut all = both_walks();
     all.extend(guards());
     all
 }
@@ -374,7 +365,7 @@ fn reads_of_every_input_set() {
         let mut scratch = MapScratch::default();
         let reads = input.dump.reads.iter().take(40);
         for (i, r) in reads.enumerate() {
-            let configurations = if i % 8 == 0 { every_configuration() } else { walks_and_batches() };
+            let configurations = if i % 8 == 0 { every_configuration() } else { both_walks() };
             for options in configurations {
                 check(&mapper, &mut scratch, &r.bases, &r.seeds, &options, &format!("{} read {i}", spec.name));
             }
@@ -401,7 +392,7 @@ fn remembered_walk_never_leaks_into_the_next_read() {
     mismatched[9] = if mismatched[9] == b'A' { b'C' } else { b'A' };
     let seed = Seed::new(0, bases[2].1);
     let off_walk = Seed::new(3, GraphPos::new(Handle::forward(NodeId::new(1)), 0));
-    for options in walks_and_batches() {
+    for options in both_walks() {
         // Same first seed on different bases, alternating fast path and
         // fall-through in both orders.
         for (read, seeds) in [

@@ -1,6 +1,7 @@
-//! "Extend each walk once": `process_until_threshold` against the reference
-//! it replaces — extend every anchor with the public `extend_seed`, then
-//! canonicalize — on random pangenomes with SNPs and indels.
+//! "Extend each walk once": `process_until_threshold_with_scratch` against
+//! the reference it replaces — extend every anchor with the public
+//! `extend_seed_with_scratch`, then canonicalize — on random pangenomes with
+//! SNPs and indels.
 //!
 //! Rule 1 merges anchors of one node and one diagonal that the read joins
 //! without a mismatch; that is an optimisation with a proof (DESIGN.md §4b).
@@ -8,7 +9,7 @@
 //! the read already has is not walked, and whatever such an anchor yielded
 //! before that extension turned up, short of another exact full-length
 //! extension, is dropped. So the kernel must equal the reference after the
-//! same drop, on both comparison walks and every anchor batch size. The one
+//! same drop, on both comparison walks. The one
 //! documented exception — an anchor lying on one exact full-length walk
 //! yields a *different* one — is decided by canonical anchor order, and for
 //! those cases the test checks exactly that.
@@ -194,8 +195,8 @@ fn canonicalize(mut all: Vec<Extension>, process: &ProcessParams) -> Vec<Extensi
 }
 
 /// (a) the kernel equals the extend-every-anchor reference after the drop;
-/// (c) on the scalar oracle walk and the production walk, with anchor batches
-/// of 0, 2, 16 and 1024.
+/// (b) on the scalar oracle walk and the production walk; (c) every distinct
+/// anchor is walked, merged away or skipped.
 fn check_case(case_seed: u64) {
     let mut rng = StdRng::seed_from_u64(case_seed);
     let case = random_case(&mut rng);
@@ -214,24 +215,17 @@ fn check_case(case_seed: u64) {
     }
     for force_scalar in [true, false] {
         let walk = ExtendParams { force_scalar, ..extend };
-        for batch in [0usize, 2, 16, 1024] {
-            let process = ProcessParams { extend_batch: batch, ..process };
-            let (got, stats) = kernel(&case, &walk, &process);
-            assert_eq!(
-                got, want,
-                "case {case_seed} force_scalar {force_scalar} batch {batch} read {:?} seeds {:?}",
-                String::from_utf8_lossy(&case.read), case.seeds
-            );
-            // Every distinct anchor is merged away, skipped, or walked
-            // (batches count the walks when batching is on).
-            if batch > 1 {
-                assert_eq!(
-                    stats.batch_anchors + stats.anchors_merged + stats.anchors_skipped,
-                    all.len() as u64,
-                    "case {case_seed} stats {stats:?}"
-                );
-            }
-        }
+        let (got, stats) = kernel(&case, &walk, &process);
+        assert_eq!(
+            got, want,
+            "case {case_seed} force_scalar {force_scalar} read {:?} seeds {:?}",
+            String::from_utf8_lossy(&case.read), case.seeds
+        );
+        assert_eq!(
+            stats.anchors_walked + stats.anchors_merged + stats.anchors_skipped,
+            all.len() as u64,
+            "case {case_seed} stats {stats:?}"
+        );
     }
 }
 
@@ -249,10 +243,10 @@ proptest! {
 /// first and last nodes and share the anchors between — 546951:
 /// `[25,21,19,15,13]` and `[23,21,19,17,13]`, every anchor on node 21 or 19
 /// lies on both and yields the second. Which walks are reported then depends
-/// on which anchor is asked first, and the answer must be "the canonical
-/// order's", not "the batch's": the first of these inputs has a batch whose
-/// graph-position order starts with another anchor than its canonical
-/// order, the second finds its two walks inside one batch.
+/// on which anchor is asked first, and the answer must be the canonical
+/// order's: in the first of these inputs graph-position order starts with
+/// another anchor than canonical order, the second finds its two walks
+/// inside one cluster.
 #[test]
 fn two_exact_walks_sharing_anchors_are_settled_in_canonical_order() {
     for case_seed in [546_951, 367_046] {

@@ -198,84 +198,6 @@ fn production_walk_matches_scalar_oracle_gaf_across_schedulers() {
 }
 
 #[test]
-fn extend_batching_leaves_gaf_byte_identical_across_schedulers() {
-    // The batched extension dataflow is a pure locality transform: the
-    // production walk, batched or unbatched, must land on the same GAF
-    // bytes as the scalar comparison loop with batching disabled, for every
-    // golden workload under every scheduler — in both the batch replay and
-    // the streaming pipeline.
-    for (name, input) in workloads() {
-        let (parent, run, _) = parent_gaf(&input, &name);
-        let fastq = fastq_bytes(&input);
-        for kind in minigiraffe::sched::SchedulerKind::ALL {
-            let mut oracle = ParentOptions::default();
-            oracle.mapping.scheduler = kind;
-            oracle.mapping.threads = 4;
-            oracle.mapping.batch_size = 3;
-            oracle.mapping.extend.force_scalar = true;
-            oracle.mapping.process.extend_batch = 1;
-            let expected = proxy_gaf(&parent, &run, &input, &name, &oracle);
-            assert!(!expected.is_empty(), "{name}: no alignments under {kind}");
-            for batch in [1usize, 16, 64] {
-                let mut options = oracle.clone();
-                options.mapping.extend.force_scalar = false;
-                options.mapping.process.extend_batch = batch;
-                let got = proxy_gaf(&parent, &run, &input, &name, &options);
-                assert_eq!(
-                    got, expected,
-                    "{name}: production walk with extend_batch {batch} diverged \
-                     from the scalar unbatched oracle under {kind}"
-                );
-            }
-
-            // Streaming: production walk, batched, against the scalar
-            // unbatched oracle through the same chunked entry point.
-            let stream = StreamOptions { queue_batches: 2, chunk_reads: 7 };
-            let mut stream_gafs = Vec::new();
-            let mut batched = oracle.clone();
-            batched.mapping.extend.force_scalar = false;
-            batched.mapping.process.extend_batch = 16;
-            for options in [&oracle, &batched] {
-                let batches = FastqReader::new(&fastq[..])
-                    .batches(5)
-                    .map(|item| item.map(|recs| recs.into_iter().map(|r| r.bases).collect()));
-                let p = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-                let mut gaf = Vec::new();
-                p.run_streaming(batches, options, &stream, &name, &mut gaf)
-                    .unwrap_or_else(|e| panic!("{name}: streaming run failed under {kind}: {e}"));
-                stream_gafs.push(gaf);
-            }
-            assert_eq!(
-                stream_gafs[1], stream_gafs[0],
-                "{name}: batched streaming GAF diverged from the scalar \
-                 unbatched oracle under {kind}"
-            );
-        }
-    }
-}
-
-#[test]
-fn distance_prefilter_leaves_gaf_byte_identical() {
-    // `maybe_within` is a conservative bound: pairs it screens out are
-    // provably beyond the clustering limit, so disabling the prefilter must
-    // reproduce the same GAF bytes on every golden workload.
-    for (name, input) in workloads() {
-        let (parent, run, _) = parent_gaf(&input, &name);
-        let on = ParentOptions::default();
-        assert!(on.mapping.cluster.use_prefilter);
-        let mut off = on.clone();
-        off.mapping.cluster.use_prefilter = false;
-        let filtered = proxy_gaf(&parent, &run, &input, &name, &on);
-        let exhaustive = proxy_gaf(&parent, &run, &input, &name, &off);
-        assert!(!filtered.is_empty(), "{name}: parent emitted no alignments");
-        assert_eq!(
-            filtered, exhaustive,
-            "{name}: distance prefilter changed the GAF output"
-        );
-    }
-}
-
-#[test]
 fn oracle_holds_across_schedulers_and_threads() {
     // The dump replay must be bit-stable under every scheduler the proxy
     // sweeps — otherwise the oracle would only pin one configuration.
