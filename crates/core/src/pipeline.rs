@@ -242,7 +242,7 @@ impl<'a> Mapper<'a> {
     /// exact per-read work both pipelines share.
     ///
     /// Allocates throwaway scratch; hot paths should hold a [`MapScratch`]
-    /// and call [`Mapper::map_read_with_scratch`] instead.
+    /// and call [`Mapper::map_read_seeded`] instead.
     #[allow(clippy::too_many_arguments)]
     pub fn map_read<P: MemProbe>(
         &self,
@@ -254,38 +254,6 @@ impl<'a> Mapper<'a> {
         thread: usize,
         probe: &mut P,
     ) -> ReadResult {
-        let mut scratch = MapScratch::default();
-        self.map_read_with_scratch(
-            cache,
-            read_id,
-            input,
-            options,
-            sink,
-            thread,
-            probe,
-            &mut scratch,
-            &mut ObsShard::disabled(),
-        )
-    }
-
-    /// [`Mapper::map_read`] with caller-owned kernel scratch, reused across
-    /// reads, and a metrics shard fed with per-stage spans and per-read
-    /// counters. Pass [`ObsShard::disabled`] when not observing; every
-    /// record below is then a no-op.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn map_read_with_scratch<P: MemProbe>(
-        &self,
-        cache: &mut CachedGbwt<'_>,
-        read_id: u64,
-        input: &ReadInput,
-        options: &MappingOptions,
-        sink: &(impl RegionSink + ?Sized),
-        thread: usize,
-        probe: &mut P,
-        scratch: &mut MapScratch,
-        obs: &mut ObsShard,
-    ) -> ReadResult {
         self.map_read_seeded(
             cache,
             read_id,
@@ -295,14 +263,18 @@ impl<'a> Mapper<'a> {
             sink,
             thread,
             probe,
-            scratch,
-            obs,
+            &mut MapScratch::default(),
+            &mut ObsShard::disabled(),
         )
     }
 
-    /// [`Mapper::map_read_with_scratch`] over borrowed bases and seeds, for
-    /// callers that seed a read into buffers they keep and never build a
-    /// [`ReadInput`] for it (the parent's chunk workers, mate rescue).
+    /// [`Mapper::map_read`] over borrowed bases and seeds, with
+    /// caller-owned kernel scratch reused across reads and a metrics shard
+    /// fed with per-stage spans and per-read counters (pass
+    /// [`ObsShard::disabled`] when not observing; every record below is
+    /// then a no-op). Callers that seed a read into buffers they keep never
+    /// build a [`ReadInput`] for it (the parent's chunk workers, mate
+    /// rescue).
     ///
     /// The read's canonically first seed is walked before anything else;
     /// when that walk is an exact full-length extension through every seed
@@ -542,10 +514,12 @@ struct PooledWorker<'e, 'g, S: RegionSink + ?Sized> {
 
 impl<S: RegionSink + ?Sized> PoolTask for PooledWorker<'_, '_, S> {
     fn run(&mut self, i: usize) {
-        let result = self.mapper.map_read_with_scratch(
+        let input = &self.reads[i];
+        let result = self.mapper.map_read_seeded(
             &mut self.cache,
             i as u64,
-            &self.reads[i],
+            &input.bases,
+            &input.seeds,
             self.options,
             self.sink,
             self.thread,

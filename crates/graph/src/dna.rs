@@ -10,10 +10,9 @@ pub const BASES: [u8; 4] = *b"ACGT";
 /// Sentinel code returned by [`encode2`] for bytes outside `ACGT`.
 pub const INVALID_CODE: u8 = 0xFF;
 
-/// Byte → 2-bit code table: the one encoder shared by the packed sequence
-/// store, the extension kernel's read packer, and the minimizer's rolling
-/// k-mer construction. Invalid bytes (including `N`) map to
-/// [`INVALID_CODE`].
+/// Byte → 2-bit code table: the one encoder shared by base validation and
+/// the minimizer's rolling k-mer construction. Invalid bytes (including
+/// `N`) map to [`INVALID_CODE`].
 const ENCODE_LUT: [u8; 256] = {
     let mut lut = [INVALID_CODE; 256];
     lut[b'A' as usize] = 0;

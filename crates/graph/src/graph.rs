@@ -11,15 +11,13 @@ use std::borrow::Cow;
 
 use mg_support::mgi::{
     self, FixedReader, MgiFile, MgiWriter, Storage, TAG_GRAPH_ADJ_OFFSETS, TAG_GRAPH_ADJ_TARGETS,
-    TAG_GRAPH_META, TAG_GRAPH_SEQ, TAG_GRAPH_SEQ_OFFSETS, TAG_GRAPH_SEQ_RC, TAG_PACKED_OFFSETS,
-    TAG_PACKED_RC_WORDS, TAG_PACKED_WORDS,
+    TAG_GRAPH_META, TAG_GRAPH_SEQ, TAG_GRAPH_SEQ_OFFSETS,
 };
 use mg_support::varint::{self, Cursor};
 use mg_support::{Error, Result};
 
 use crate::dna;
 use crate::handle::{Handle, NodeId, Orientation};
-use crate::packed::{PackedSeqStore, PackedView, BASES_PER_WORD};
 
 /// Successor lists per oriented handle: nested vectors while the graph is
 /// being built, a flat CSR borrowed from a mapped `.mgi` afterwards. Both
@@ -86,11 +84,10 @@ pub struct VariationGraph {
     seq_data: Storage<u8>,
     /// Concatenated reverse-complement sequences, same offsets as
     /// `seq_data`: the precomputed arena that makes [`VariationGraph::sequence`]
-    /// on a reverse handle a borrow instead of an allocation.
-    rc_seq_data: Storage<u8>,
-    /// 2-bit packed arenas (both strands, word-aligned per node) backing
-    /// [`VariationGraph::packed_view`].
-    packed: PackedSeqStore,
+    /// on a reverse handle a borrow instead of an allocation. Derived from
+    /// `seq_data` (by `add_node`, or in one pass by `from_mgi`) and never
+    /// stored, so it cannot disagree with the forward arena.
+    rc_seq_data: Vec<u8>,
     /// `seq_offsets[i]..seq_offsets[i + 1]` is the sequence of node `i + 1`.
     seq_offsets: Storage<u64>,
     /// Successor handles per oriented handle, indexed by `packed - 2`.
@@ -110,8 +107,7 @@ impl VariationGraph {
     pub fn new() -> Self {
         VariationGraph {
             seq_data: Storage::default(),
-            rc_seq_data: Storage::default(),
-            packed: PackedSeqStore::new(),
+            rc_seq_data: Vec::new(),
             seq_offsets: vec![0u64].into(),
             adjacency: AdjStore::Dynamic(Vec::new()),
             edge_count: 0,
@@ -162,10 +158,7 @@ impl VariationGraph {
             return Err(Error::Corrupt("node sequence contains non-ACGT bytes".into()));
         }
         self.seq_data.vec_mut().extend_from_slice(sequence);
-        self.rc_seq_data
-            .vec_mut()
-            .extend(sequence.iter().rev().map(|&b| dna::complement(b)));
-        self.packed.push_node(sequence);
+        push_reverse_complement(&mut self.rc_seq_data, sequence);
         let total = self.seq_data.len() as u64;
         self.seq_offsets.vec_mut().push(total);
         let rows = self.dynamic_rows();
@@ -265,21 +258,6 @@ impl VariationGraph {
         }
     }
 
-    /// The word-aligned 2-bit packed view of the sequence read along
-    /// `handle` (reverse handles read the packed reverse-complement arena;
-    /// no per-call work on either strand).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle's node does not exist.
-    #[inline]
-    pub fn packed_view(&self, handle: Handle) -> PackedView<'_> {
-        let i = handle.node().value() as usize;
-        assert!(i <= self.node_count(), "missing node {}", handle.node());
-        let len = (self.seq_offsets[i] - self.seq_offsets[i - 1]) as usize;
-        self.packed.view(i, len, handle.orientation() == Orientation::Reverse)
-    }
-
     /// The base at `offset` along `handle`, without allocating.
     ///
     /// # Panics
@@ -360,8 +338,7 @@ impl VariationGraph {
             AdjStore::Csr { offsets, targets } => offsets.heap_bytes() + targets.heap_bytes(),
         };
         self.seq_data.heap_bytes()
-            + self.rc_seq_data.heap_bytes()
-            + self.packed.heap_bytes()
+            + self.rc_seq_data.capacity()
             + self.seq_offsets.heap_bytes()
             + adj
     }
@@ -416,9 +393,10 @@ impl VariationGraph {
         Ok(graph)
     }
 
-    /// Emits the graph's `.mgi` sections: both ASCII arenas, the packed
-    /// 2-bit arenas, and the adjacency lists flattened to CSR — each in its
-    /// in-memory little-endian layout.
+    /// Emits the graph's five `.mgi` sections: metadata, the forward ASCII
+    /// arena and its node offsets, and the adjacency lists flattened to CSR
+    /// — each in its in-memory little-endian layout. The reverse-complement
+    /// arena is not written; [`VariationGraph::from_mgi`] derives it.
     pub fn write_mgi(&self, w: &mut MgiWriter) {
         let mut meta = Vec::new();
         mgi::put_u64(&mut meta, self.node_count() as u64);
@@ -426,7 +404,6 @@ impl VariationGraph {
         mgi::put_u64(&mut meta, self.seq_data.len() as u64);
         w.section(TAG_GRAPH_META, meta);
         w.section(TAG_GRAPH_SEQ, self.seq_data.to_vec());
-        w.section(TAG_GRAPH_SEQ_RC, self.rc_seq_data.to_vec());
         let mut offs = Vec::new();
         mgi::put_u64_slice(&mut offs, &self.seq_offsets);
         w.section(TAG_GRAPH_SEQ_OFFSETS, offs);
@@ -445,21 +422,14 @@ impl VariationGraph {
         }
         w.section(TAG_GRAPH_ADJ_OFFSETS, adj_offsets);
         w.section(TAG_GRAPH_ADJ_TARGETS, targets);
-        let mut words = Vec::new();
-        mgi::put_u64_slice(&mut words, self.packed.words());
-        w.section(TAG_PACKED_WORDS, words);
-        let mut rc_words = Vec::new();
-        mgi::put_u64_slice(&mut rc_words, self.packed.rc_words());
-        w.section(TAG_PACKED_RC_WORDS, rc_words);
-        let mut word_offsets = Vec::new();
-        mgi::put_u64_slice(&mut word_offsets, self.packed.word_offsets());
-        w.section(TAG_PACKED_OFFSETS, word_offsets);
     }
 
-    /// Rebuilds a graph from a mapped `.mgi`, borrowing every arena
-    /// zero-copy and validating the structural invariants the accessors
-    /// rely on (offset monotonicity, alphabet, packed-word consistency,
-    /// sorted in-bounds adjacency rows) instead of decoding elements.
+    /// Rebuilds a graph from a mapped `.mgi`, borrowing the forward arena,
+    /// its offsets and the adjacency zero-copy and validating the
+    /// structural invariants the accessors rely on (offset monotonicity,
+    /// alphabet, sorted in-bounds adjacency rows) instead of decoding
+    /// elements. The reverse-complement arena is derived from the forward
+    /// one in a single pass.
     ///
     /// # Errors
     ///
@@ -474,13 +444,11 @@ impl VariationGraph {
             return Err(Error::Corrupt("trailing bytes in graph metadata".into()));
         }
         let seq_data: Storage<u8> = f.section_storage(TAG_GRAPH_SEQ)?;
-        let rc_seq_data: Storage<u8> = f.section_storage(TAG_GRAPH_SEQ_RC)?;
         let seq_offsets: Storage<u64> = f.section_storage(TAG_GRAPH_SEQ_OFFSETS)?;
-        if seq_data.len() != seq_len || rc_seq_data.len() != seq_len {
+        if seq_data.len() != seq_len {
             return Err(Error::Corrupt(format!(
-                "sequence arenas of {} / {} bytes, metadata says {seq_len}",
-                seq_data.len(),
-                rc_seq_data.len()
+                "sequence arena of {} bytes, metadata says {seq_len}",
+                seq_data.len()
             )));
         }
         if seq_offsets.len() != node_count + 1 || seq_offsets.first() != Some(&0) {
@@ -492,31 +460,12 @@ impl VariationGraph {
         if *seq_offsets.last().expect("nonempty offsets") != seq_len as u64 {
             return Err(Error::Corrupt("last sequence offset does not close the arena".into()));
         }
-        if !dna::is_valid_sequence(&seq_data) || !dna::is_valid_sequence(&rc_seq_data) {
+        if !dna::is_valid_sequence(&seq_data) {
             return Err(Error::Corrupt("sequence arena contains non-ACGT bytes".into()));
         }
-        let words: Storage<u64> = f.section_storage(TAG_PACKED_WORDS)?;
-        let rc_words: Storage<u64> = f.section_storage(TAG_PACKED_RC_WORDS)?;
-        let word_offsets: Storage<u64> = f.section_storage(TAG_PACKED_OFFSETS)?;
-        if words.len() != rc_words.len() {
-            return Err(Error::Corrupt("packed strand arenas differ in length".into()));
-        }
-        if word_offsets.len() != node_count + 1
-            || word_offsets.first() != Some(&0)
-            || *word_offsets.last().expect("nonempty offsets") != words.len() as u64
-        {
-            return Err(Error::Corrupt("packed word offsets do not cover the arena".into()));
-        }
-        for i in 0..node_count {
-            let bases = (seq_offsets[i + 1] - seq_offsets[i]) as usize;
-            let want = bases.div_ceil(BASES_PER_WORD) as u64;
-            if word_offsets[i + 1] - word_offsets[i] != want {
-                return Err(Error::Corrupt(format!(
-                    "node {}: {bases} bases but {} packed words",
-                    i + 1,
-                    word_offsets[i + 1] - word_offsets[i]
-                )));
-            }
+        let mut rc_seq_data = Vec::with_capacity(seq_len);
+        for w in seq_offsets.windows(2) {
+            push_reverse_complement(&mut rc_seq_data, &seq_data[w[0] as usize..w[1] as usize]);
         }
         let adj_offsets: Storage<u64> = f.section_storage(TAG_GRAPH_ADJ_OFFSETS)?;
         let targets: Storage<Handle> = f.section_storage(TAG_GRAPH_ADJ_TARGETS)?;
@@ -552,12 +501,17 @@ impl VariationGraph {
         Ok(VariationGraph {
             seq_data,
             rc_seq_data,
-            packed: PackedSeqStore::from_parts(words, rc_words, word_offsets),
             seq_offsets,
             adjacency: AdjStore::Csr { offsets: adj_offsets, targets },
             edge_count,
         })
     }
+}
+
+/// Appends the reverse complement of one node's sequence (already
+/// validated as `ACGT`) to the reverse arena.
+fn push_reverse_complement(rc_seq_data: &mut Vec<u8>, sequence: &[u8]) {
+    rc_seq_data.extend(sequence.iter().rev().map(|&b| dna::complement(b)));
 }
 
 #[cfg(test)]
@@ -720,15 +674,33 @@ mod tests {
 
     #[test]
     fn mgi_roundtrip_preserves_everything() {
-        let (g, [a, b, _, d]) = diamond();
-        let back = mgi_roundtrip(&g);
+        let (mut g, [a, b, _, d]) = diamond();
+        let long: Vec<u8> = (0..70).map(|i| dna::BASES[(i * 7 + 3) % 4]).collect();
+        let e = g.add_node(&long).unwrap();
+        g.add_edge(Handle::forward(d), Handle::reverse(e));
+        let mut w = MgiWriter::new();
+        g.write_mgi(&mut w);
+        let f = MgiFile::open_bytes(w.finish()).unwrap();
+        // Each node sequence is stored once: no reverse-complement arena
+        // (0x0102) and no 2-bit packed arenas (0x0110..=0x0112).
+        let tags: Vec<u32> = f.tags().collect();
+        assert_eq!(
+            tags,
+            [
+                TAG_GRAPH_META,
+                TAG_GRAPH_SEQ,
+                TAG_GRAPH_SEQ_OFFSETS,
+                TAG_GRAPH_ADJ_OFFSETS,
+                TAG_GRAPH_ADJ_TARGETS
+            ]
+        );
+        let back = VariationGraph::from_mgi(&f).unwrap();
         assert_eq!(back, g);
         assert_eq!(back.successors(Handle::forward(a)), g.successors(Handle::forward(a)));
         assert!(back.has_edge(Handle::forward(b), Handle::forward(d)));
         assert_eq!(back.sequence(Handle::reverse(a)).as_ref(), b"CGT");
-        let view = back.packed_view(Handle::forward(a));
-        let spelled: Vec<u8> = (0..view.len()).map(|i| dna::decode_base(view.code(i))).collect();
-        assert_eq!(spelled, b"ACG");
+        // A 70-base node: its reverse handle spells the derived arena.
+        assert_eq!(back.oriented_sequence(Handle::reverse(e)), dna::reverse_complement(&long));
         // Mapped graphs are immutable.
         let mut mapped = mgi_roundtrip(&g);
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -795,15 +767,14 @@ mod tests {
         }
 
         #[test]
-        fn prop_packed_view_matches_ascii(g in graph_strategy()) {
-            for id in g.node_ids() {
-                for h in [Handle::forward(id), Handle::reverse(id)] {
-                    let seq = g.sequence(h);
-                    let view = g.packed_view(h);
-                    prop_assert_eq!(view.len(), seq.len());
-                    for (i, &b) in seq.iter().enumerate() {
-                        prop_assert_eq!(dna::decode_base(view.code(i)), b);
-                    }
+        fn prop_reverse_arena_is_the_reverse_complement(g in graph_strategy()) {
+            // Built by `add_node`, and derived again by `from_mgi`.
+            for graph in [&g, &mgi_roundtrip(&g)] {
+                for id in graph.node_ids() {
+                    prop_assert_eq!(
+                        graph.oriented_sequence(Handle::reverse(id)),
+                        dna::reverse_complement(graph.forward_sequence(id))
+                    );
                 }
             }
         }
@@ -812,14 +783,10 @@ mod tests {
     #[test]
     fn reverse_sequence_borrows_the_revcomp_arena() {
         let mut g = VariationGraph::new();
-        // 70 bases: exercises multi-word packing per node.
         let seq: Vec<u8> = (0..70).map(|i| dna::BASES[(i * 7 + 3) % 4]).collect();
         let a = g.add_node(&seq).unwrap();
         let h = Handle::reverse(a);
         assert!(matches!(g.sequence(h), Cow::Borrowed(_)));
         assert_eq!(g.sequence(h).as_ref(), dna::reverse_complement(&seq));
-        let view = g.packed_view(h);
-        let spelled: Vec<u8> = (0..view.len()).map(|i| dna::decode_base(view.code(i))).collect();
-        assert_eq!(spelled, dna::reverse_complement(&seq));
     }
 }

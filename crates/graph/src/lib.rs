@@ -7,8 +7,9 @@
 //!
 //! - [`handle`]: node identifiers and oriented node handles;
 //! - [`dna`]: base alphabet utilities (validation, complement);
-//! - [`packed`]: 2-bit packed sequence arenas (stored in `.mgi` containers);
-//! - [`graph::VariationGraph`]: the graph itself, with oriented traversal;
+//! - [`graph::VariationGraph`]: the graph itself, with oriented traversal
+//!   over one ASCII arena per strand (only the forward one is written to
+//!   `.mgi` containers; the reverse-complement arena is derived on load);
 //! - [`pangenome`]: construction of a pangenome graph from a linear
 //!   reference plus a set of variants and a haplotype panel (who carries
 //!   which allele) — the synthetic stand-in for HPRC/1000GP graphs;
@@ -41,10 +42,8 @@ pub mod dna;
 pub mod gfa;
 pub mod graph;
 pub mod handle;
-pub mod packed;
 pub mod pangenome;
 
 pub use graph::VariationGraph;
-pub use packed::PackedView;
 pub use handle::{Handle, NodeId, Orientation};
 pub use pangenome::{HaplotypePath, Pangenome, PangenomeBuilder, Variant};

@@ -76,10 +76,20 @@ impl MinimizerParams {
 
 /// Invertible 64-bit hash (Thomas Wang / minimap2 style), used to order
 /// k-mers within a window so minimizers are spread pseudo-randomly.
+/// Scalar only: two 64-bit multiplies per k-mer, inlined into the
+/// extraction loop, beat a 4-wide AVX2 body that has to emulate each 64-bit
+/// multiply and sits behind a call boundary.
 #[inline(always)]
 pub fn hash_kmer(kmer: u64) -> u64 {
-    mg_kernels::hash_kmer(kmer)
+    let mut x = kmer.wrapping_add(SPLITMIX_GOLDEN);
+    x = (x ^ (x >> 30)).wrapping_mul(SPLITMIX_M1);
+    x = (x ^ (x >> 27)).wrapping_mul(SPLITMIX_M2);
+    x ^ (x >> 31)
 }
+
+const SPLITMIX_GOLDEN: u64 = 0x9E3779B97F4A7C15;
+const SPLITMIX_M1: u64 = 0xBF58476D1CE4E5B9;
+const SPLITMIX_M2: u64 = 0x94D049BB133111EB;
 
 /// Marks a k-mer slot whose k bases include a non-ACGT byte. A real k-mer
 /// is at most 62 bits (`k <= 31`), so the value cannot collide with one.

@@ -335,8 +335,7 @@ pub fn bucket_of(v: u64) -> usize {
 /// `[2^(b-1), 2^b)` and reports `2^b - 1`, overshooting by less than 2×.
 /// Slices longer than 64 buckets saturate to `u64::MAX` past the widest
 /// representable edge. This is the single quantile definition shared by
-/// [`Report::hist_quantile`], the server's always-on latency histogram,
-/// and the smoke benches.
+/// [`Report::hist_quantile`] and the server's always-on latency histogram.
 pub fn percentile(buckets: &[u64], p: f64) -> u64 {
     let total: u64 = buckets.iter().sum();
     if total == 0 {

@@ -7,9 +7,8 @@
 //! - the per-thread timeline of region intervals (Figure 2);
 //! - the aggregate share of runtime per region (Figure 3).
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use mg_support::regions::RegionSink;
 
@@ -81,21 +80,28 @@ impl Profiler {
         }
     }
 
+    /// Locks the event buffer, shrugging off poison: every update under the
+    /// lock is one `Vec` push or clear, so a panic while it was held left a
+    /// valid buffer.
+    fn lock_events(&self) -> MutexGuard<'_, Vec<RegionEvent>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// All events recorded so far, in arrival order.
     pub fn events(&self) -> Vec<RegionEvent> {
-        self.events.lock().clone()
+        self.lock_events().clone()
     }
 
     /// Clears recorded events.
     pub fn reset(&self) {
-        self.events.lock().clear();
+        self.lock_events().clear();
     }
 
     /// The per-thread timelines (events sorted by start time) — Figure 2.
     pub fn timeline(&self) -> Vec<(usize, Vec<RegionEvent>)> {
         let mut by_thread: std::collections::BTreeMap<usize, Vec<RegionEvent>> =
             std::collections::BTreeMap::new();
-        for e in self.events.lock().iter() {
+        for e in self.lock_events().iter() {
             by_thread.entry(e.thread).or_default().push(*e);
         }
         by_thread
@@ -113,7 +119,7 @@ impl Profiler {
     pub fn region_summary(&self) -> Vec<RegionShare> {
         let mut totals: std::collections::BTreeMap<&'static str, (u64, u64)> =
             std::collections::BTreeMap::new();
-        for e in self.events.lock().iter() {
+        for e in self.lock_events().iter() {
             let entry = totals.entry(e.region).or_insert((0, 0));
             entry.0 += e.duration_us();
             entry.1 += 1;
@@ -148,7 +154,7 @@ impl RegionSink for Profiler {
     fn record(&self, thread: usize, region: &'static str, start: Instant, end: Instant) {
         let start_us = start.duration_since(self.origin).as_micros() as u64;
         let end_us = end.duration_since(self.origin).as_micros() as u64;
-        self.events.lock().push(RegionEvent {
+        self.lock_events().push(RegionEvent {
             thread,
             region,
             start_us,

@@ -2,10 +2,10 @@
 //!
 //! This is the instrument that locks the server's behaviour down: a
 //! blocking protocol client plus a synthetic multi-client driver with
-//! seeded, reproducible traffic shapes. The integration tests and the
-//! `smoke_serve` bench both drive the server exclusively through this
-//! module, over either transport ([`Conn::pair`] loopback or real TCP),
-//! and hold every job's streamed GAF to the sequential one-shot oracle.
+//! seeded, reproducible traffic shapes. The integration tests drive the
+//! server exclusively through this module, over either transport
+//! ([`Conn::pair`] loopback or real TCP), and hold every job's streamed
+//! GAF to the sequential one-shot oracle.
 
 use std::io::Write;
 use std::sync::mpsc::Sender;

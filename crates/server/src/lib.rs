@@ -17,7 +17,7 @@
 //!   caps, drain), the chunk-interleaving executor on the shared worker
 //!   pool, and `STATS` export;
 //! - [`harness`] — the blocking client and the seeded multi-client driver
-//!   the integration tests and `smoke_serve` bench are built on.
+//!   the integration tests are built on.
 
 pub mod harness;
 pub mod protocol;

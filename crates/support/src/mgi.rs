@@ -1,10 +1,12 @@
 //! The `.mgi` mappable index container: validate, don't parse.
 //!
-//! A `.mgi` file holds the mapper's resident state — packed 2-bit sequence
-//! arenas, minimizer table, distance/snarl index, and compressed GBWT — in
-//! the exact little-endian layouts the in-memory structures use, so loading
-//! is `mmap` plus bounds/invariant validation with zero per-element
-//! decoding. The pieces:
+//! A `.mgi` file holds the mapper's resident state — the forward node
+//! sequence arena and CSR adjacency, minimizer table, distance/snarl index,
+//! and compressed GBWT — in the exact little-endian layouts the in-memory
+//! structures use, so loading is `mmap` plus bounds/invariant validation
+//! with zero per-element decoding. Each node sequence is stored once: the
+//! graph derives its reverse-complement arena from the forward one on load.
+//! The pieces:
 //!
 //! - [`Mapping`]: a read-only memory map of a file (aligned heap buffer on
 //!   non-unix hosts and for in-memory images).
@@ -44,8 +46,9 @@ use crate::error::{Error, Result};
 
 /// Magic bytes opening a `.mgi` container.
 pub const MGI_MAGIC: [u8; 8] = *b"MGIDX\0\0\0";
-/// Current `.mgi` format version.
-pub const MGI_VERSION: u32 = 1;
+/// Current `.mgi` format version. There is no reader for older versions:
+/// a container is rebuilt from its `.mgz` with `minigiraffe build-mgi`.
+pub const MGI_VERSION: u32 = 2;
 /// Endianness marker; written as a native u32, so a big-endian writer
 /// produces different bytes and is rejected by little-endian readers.
 pub const MGI_ENDIAN: u32 = 0x0102_0304;
@@ -62,20 +65,12 @@ const TABLE_ENTRY_LEN: usize = 32;
 pub const TAG_GRAPH_META: u32 = 0x0100;
 /// Forward ASCII sequence arena (`u8`).
 pub const TAG_GRAPH_SEQ: u32 = 0x0101;
-/// Reverse-complement ASCII sequence arena (`u8`).
-pub const TAG_GRAPH_SEQ_RC: u32 = 0x0102;
-/// Per-node byte offsets into the ASCII arenas (`u64`, node_count + 1).
+/// Per-node byte offsets into the ASCII arena (`u64`, node_count + 1).
 pub const TAG_GRAPH_SEQ_OFFSETS: u32 = 0x0103;
 /// CSR adjacency row offsets (`u64`, 2 * node_count + 1).
 pub const TAG_GRAPH_ADJ_OFFSETS: u32 = 0x0104;
 /// CSR adjacency targets as packed handles (`u64`).
 pub const TAG_GRAPH_ADJ_TARGETS: u32 = 0x0105;
-/// Packed 2-bit forward words (`u64`).
-pub const TAG_PACKED_WORDS: u32 = 0x0110;
-/// Packed 2-bit reverse-complement words (`u64`).
-pub const TAG_PACKED_RC_WORDS: u32 = 0x0111;
-/// Per-node word offsets into the packed arenas (`u64`, node_count + 1).
-pub const TAG_PACKED_OFFSETS: u32 = 0x0112;
 /// Minimizer scalar metadata (k, w, kmer count, total positions).
 pub const TAG_MIN_META: u32 = 0x0200;
 /// Sorted distinct minimizer keys (`u64`).
@@ -887,7 +882,7 @@ mod tests {
     fn sections_roundtrip_with_alignment() {
         let sections = vec![
             (TAG_GRAPH_SEQ, b"ACGT".to_vec()),
-            (TAG_GRAPH_SEQ_RC, vec![7u8; 33]),
+            (TAG_GBWT_RECORDS, vec![7u8; 33]),
             (TAG_GRAPH_SEQ_OFFSETS, Vec::new()),
         ];
         let f = MgiFile::open_bytes(image(&sections)).unwrap();
@@ -895,17 +890,17 @@ mod tests {
             assert_eq!(f.section(*tag).unwrap(), &payload[..], "tag {tag:#x}");
         }
         let tags: Vec<u32> = f.tags().collect();
-        assert_eq!(tags, vec![TAG_GRAPH_SEQ, TAG_GRAPH_SEQ_RC, TAG_GRAPH_SEQ_OFFSETS]);
+        assert_eq!(tags, vec![TAG_GRAPH_SEQ, TAG_GBWT_RECORDS, TAG_GRAPH_SEQ_OFFSETS]);
     }
 
     #[test]
     fn typed_slices_decode_le_words() {
         let mut payload = Vec::new();
         put_u64_slice(&mut payload, &[1, u64::MAX, 0x0102_0304_0506_0708]);
-        let f = MgiFile::open_bytes(image(&[(TAG_PACKED_WORDS, payload)])).unwrap();
-        let words: MappedSlice<u64> = f.section_slice(TAG_PACKED_WORDS).unwrap();
+        let f = MgiFile::open_bytes(image(&[(TAG_GRAPH_SEQ_OFFSETS, payload)])).unwrap();
+        let words: MappedSlice<u64> = f.section_slice(TAG_GRAPH_SEQ_OFFSETS).unwrap();
         assert_eq!(&words[..], &[1, u64::MAX, 0x0102_0304_0506_0708]);
-        let via_storage: Storage<u64> = f.section_storage(TAG_PACKED_WORDS).unwrap();
+        let via_storage: Storage<u64> = f.section_storage(TAG_GRAPH_SEQ_OFFSETS).unwrap();
         assert!(via_storage.is_mapped());
         assert_eq!(via_storage.heap_bytes(), 0);
         assert_eq!(&via_storage[..], &words[..]);
@@ -913,9 +908,9 @@ mod tests {
 
     #[test]
     fn misaligned_element_size_rejected() {
-        let f = MgiFile::open_bytes(image(&[(TAG_PACKED_WORDS, vec![0u8; 12])])).unwrap();
+        let f = MgiFile::open_bytes(image(&[(TAG_GRAPH_SEQ_OFFSETS, vec![0u8; 12])])).unwrap();
         assert!(matches!(
-            f.section_slice::<u64>(TAG_PACKED_WORDS),
+            f.section_slice::<u64>(TAG_GRAPH_SEQ_OFFSETS),
             Err(Error::Corrupt(_))
         ));
     }
@@ -925,7 +920,7 @@ mod tests {
         let mut sections = Vec::new();
         let mut payload = Vec::new();
         put_u64_slice(&mut payload, &(0..64u64).collect::<Vec<_>>());
-        sections.push((TAG_PACKED_WORDS, payload));
+        sections.push((TAG_GRAPH_SEQ_OFFSETS, payload));
         sections.push((TAG_GRAPH_SEQ, vec![b'A'; 100]));
         let good = image(&sections);
         assert!(MgiFile::open_bytes(good.clone()).is_ok());
@@ -964,12 +959,14 @@ mod tests {
             MgiFile::open_bytes(wrong_magic),
             Err(Error::BadMagic)
         ));
-        let mut wrong_version = good.clone();
-        wrong_version[8] = 99;
-        assert!(matches!(
-            MgiFile::open_bytes(wrong_version),
-            Err(Error::UnsupportedVersion(99))
-        ));
+        for version in [1u8, 99] {
+            let mut wrong_version = good.clone();
+            wrong_version[8] = version;
+            assert!(matches!(
+                MgiFile::open_bytes(wrong_version),
+                Err(Error::UnsupportedVersion(v)) if v == u32::from(version)
+            ));
+        }
         // A big-endian writer stores the marker's bytes reversed.
         let mut wrong_endian = good;
         wrong_endian[12..16].copy_from_slice(&[0x01, 0x02, 0x03, 0x04]);
@@ -987,11 +984,11 @@ mod tests {
         let mut payload = Vec::new();
         put_u64_slice(&mut payload, &[42, 43, 44]);
         let mut w = MgiWriter::new();
-        w.section(TAG_PACKED_WORDS, payload);
+        w.section(TAG_GRAPH_SEQ_OFFSETS, payload);
         w.section(TAG_GRAPH_SEQ, b"ACGT".to_vec());
         w.write_to(&path).unwrap();
         let f = MgiFile::open(&path).unwrap();
-        let words: MappedSlice<u64> = f.section_slice(TAG_PACKED_WORDS).unwrap();
+        let words: MappedSlice<u64> = f.section_slice(TAG_GRAPH_SEQ_OFFSETS).unwrap();
         assert_eq!(&words[..], &[42, 43, 44]);
         assert_eq!(f.section(TAG_GRAPH_SEQ).unwrap(), b"ACGT");
         drop(words);
@@ -1016,8 +1013,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot mutate mapped storage")]
     fn mapped_storage_rejects_mutation() {
-        let f = MgiFile::open_bytes(image(&[(TAG_PACKED_WORDS, vec![0u8; 8])])).unwrap();
-        let mut s: Storage<u64> = f.section_storage(TAG_PACKED_WORDS).unwrap();
+        let f = MgiFile::open_bytes(image(&[(TAG_GRAPH_SEQ_OFFSETS, vec![0u8; 8])])).unwrap();
+        let mut s: Storage<u64> = f.section_storage(TAG_GRAPH_SEQ_OFFSETS).unwrap();
         s.vec_mut().push(1);
     }
 

@@ -201,8 +201,14 @@ fn load_bundle(
                 ));
             }
             let start = std::time::Instant::now();
-            let bundle =
-                MgiBundle::open(mgi).map_err(|e| format!("opening {mgi}: {e}"))?;
+            let bundle = MgiBundle::open(mgi).map_err(|e| match e {
+                minigiraffe::support::Error::UnsupportedVersion(found) => format!(
+                    "opening {mgi}: .mgi version {found}, this build reads version {}; \
+                     rebuild it with `minigiraffe build-mgi`",
+                    minigiraffe::support::mgi::MGI_VERSION
+                ),
+                e => format!("opening {mgi}: {e}"),
+            })?;
             eprintln!("mapped {mgi} in {:.3}s (zero-copy)", start.elapsed().as_secs_f64());
             Ok(bundle)
         }

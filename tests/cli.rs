@@ -231,6 +231,26 @@ fn bad_usage_fails_cleanly() {
     assert!(stdout.contains("USAGE"));
 }
 
+#[test]
+fn a_version_1_mgi_is_refused_with_a_rebuild_hint() {
+    let dir = TempDir::new("mgi-v1");
+    let (ok, _, stderr) = run(&["generate", "--input-set", "tiny", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    let (ok, _, stderr) =
+        run(&["build-mgi", &dir.path("tiny.mgz"), "--out", &dir.path("tiny.mgi")]);
+    assert!(ok, "build-mgi failed: {stderr}");
+    // The preamble's version field: a little-endian u32 after the 8-byte magic.
+    let mut image = std::fs::read(dir.path("tiny.mgi")).unwrap();
+    image[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(dir.path("v1.mgi"), image).unwrap();
+    let gaf = dir.path("out.gaf");
+    let (ok, _, stderr) =
+        run(&["parent", &dir.path("tiny.fastq"), "--mgi", &dir.path("v1.mgi"), "--gaf", &gaf]);
+    assert!(!ok, "a version-1 container must be refused");
+    assert!(stderr.contains("version 1") && stderr.contains("build-mgi"), "got: {stderr}");
+    assert!(!std::path::Path::new(&gaf).exists(), "no GAF may be written");
+}
+
 /// The FASTQ records of `text`, four lines each (the simulator writes no
 /// blank lines).
 fn fastq_records(text: &str) -> Vec<String> {

@@ -70,6 +70,12 @@ fn mapped_bundle_reproduces_parent_gaf_byte_for_byte() {
             input.spec.workflow,
         );
         let got = gaf_of(&mapped_parent, &reads, mapped.gbz().graph(), &name);
+        // Reverse-strand reads walk the reverse-complement arena that
+        // `open()` derives from the stored forward one.
+        assert!(
+            got.lines().any(|l| l.split('\t').nth(4) == Some("-")),
+            "{name}: no reverse-strand alignment through the mapped bundle"
+        );
         assert_eq!(
             got, expected,
             "{name}: GAF from the mapped bundle diverged from the owned pipeline"
