@@ -216,19 +216,12 @@ impl<'a> Mapper<'a> {
         self.gbz
     }
 
-    /// The persistent worker pool, for callers that drive their own pooled
-    /// scheduler dispatch against this mapper's threads (the parent
-    /// pipeline, the serving executor). Dispatches serialize on the lock;
-    /// lock it with [`Mapper::lock_pool`] so a panic that unwound through
-    /// an earlier dispatch (the pool itself survives worker panics) does
-    /// not poison every later run.
-    pub fn worker_pool(&self) -> &std::sync::Mutex<WorkerPool> {
-        &self.pool
-    }
-
-    /// Locks the worker pool, shrugging off poison: the pool catches
-    /// worker panics internally and stays usable, so a panic that escaped
-    /// a previous dispatch left the pool itself coherent.
+    /// Locks the persistent worker pool, for callers that drive their own
+    /// pooled scheduler dispatch against this mapper's threads (the parent
+    /// pipeline, the serving executor); dispatches serialize on the lock.
+    /// Poison is shrugged off: the pool catches worker panics internally
+    /// and stays usable, so a panic that escaped a previous dispatch left
+    /// the pool itself coherent.
     pub fn lock_pool(&self) -> std::sync::MutexGuard<'_, WorkerPool> {
         self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }

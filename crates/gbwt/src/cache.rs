@@ -214,11 +214,6 @@ impl<'a> CachedGbwt<'a> {
         self.state
     }
 
-    /// Returns `true` when caching is disabled (capacity 0).
-    pub fn is_disabled(&self) -> bool {
-        self.state.disabled
-    }
-
     /// The wrapped index.
     pub fn gbwt(&self) -> &'a Gbwt {
         self.gbwt
@@ -242,11 +237,6 @@ impl<'a> CachedGbwt<'a> {
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.state.stats
-    }
-
-    /// Resets statistics (the cache contents stay).
-    pub fn reset_stats(&mut self) {
-        self.state.stats = CacheStats::default();
     }
 
     #[inline]
@@ -396,7 +386,7 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let g = chain_gbwt(4);
         let mut cache = CachedGbwt::new(&g, 0);
-        assert!(cache.is_disabled());
+        assert_eq!(cache.capacity(), 0, "disabled");
         let direct = g.record(4);
         assert_eq!(*cache.record(4), direct);
         assert_eq!(*cache.record(4), direct);
@@ -464,7 +454,8 @@ mod tests {
         let g = chain_gbwt(4);
         let mut cache = CachedGbwt::new(&g, 16);
         let _ = cache.record(2);
-        cache.reset_stats();
+        // A warm rebind resets the statistics; the contents stay.
+        let cache = CachedGbwt::with_state(&g, 16, cache.into_state());
         assert_eq!(cache.stats(), CacheStats::default());
         assert_eq!(cache.len(), 1);
     }
@@ -515,7 +506,7 @@ mod tests {
         // Capacity 0 after a warm run: disabled mode.
         let state = cache.into_state();
         let mut cache = CachedGbwt::with_state(&g1, 0, state);
-        assert!(cache.is_disabled());
+        assert_eq!(cache.capacity(), 0, "disabled");
         let _ = cache.record(2);
         let _ = cache.record(2);
         assert_eq!(cache.stats().misses, 2);

@@ -123,42 +123,29 @@ pub fn record_extend_forward(
             backward: SearchState::empty(state.backward.node),
         };
     };
-    let (before, counts) =
-        record.range_counts_with_prefix(state.forward.start, state.forward.end);
-    record_extend_forward_with_counts(record, state, edge_idx, &before, &counts)
-}
-
-/// The range arithmetic of [`record_extend_forward`] given precomputed
-/// per-edge counts: `before[e]` visits through edge `e` before the range
-/// and `counts[e]` inside it (from
-/// [`DecodedRecord::range_counts_with_prefix`]). Lets the extension kernel
-/// branch over every edge of a node with a single run scan.
-pub fn record_extend_forward_with_counts(
-    record: &DecodedRecord,
-    state: &BidirState,
-    edge_idx: usize,
-    before: &[u64],
-    counts: &[u64],
-) -> BidirState {
-    let symbol = record.edges[edge_idx].symbol;
-    let inside = counts[edge_idx];
+    let start = state.forward.start;
+    let end = state.forward.end;
+    let before = record.rank_at(start, edge_idx);
+    let inside = record.count_in_range(start, end, edge_idx);
     // Forward range: standard LF over the restriction to `symbol`.
+    let offset = record.edges[edge_idx].offset;
     let forward = SearchState {
         node: symbol,
-        start: record.edges[edge_idx].offset + before[edge_idx],
-        end: record.edges[edge_idx].offset + before[edge_idx] + inside,
+        start: offset + before,
+        end: offset + before + inside,
     };
     // Backward range: occurrences of the reversed (flipped) pattern are
     // grouped by flipped successor; skip the groups that sort before.
     // Sequence ends (endmarker edge) have no reverse counterpart and sort
     // before every real group in the reversed index: the reverse sequence
     // *starts* there.
-    let mut preceding = 0u64;
-    for (i, e) in record.edges.iter().enumerate() {
-        if e.symbol == ENDMARKER || (e.symbol ^ 1) < (symbol ^ 1) {
-            preceding += counts[i];
-        }
-    }
+    let preceding: u64 = record
+        .edges
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.symbol == ENDMARKER || (e.symbol ^ 1) < (symbol ^ 1))
+        .map(|(i, _)| record.count_in_range(start, end, i))
+        .sum();
     let backward = SearchState {
         node: state.backward.node,
         start: state.backward.start + preceding,
@@ -301,11 +288,6 @@ impl Gbwt {
         self.total_visits
     }
 
-    /// Number of node records (two per node id, one per orientation).
-    pub fn record_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// Size in bytes of the compressed record blob.
     pub fn compressed_bytes(&self) -> usize {
         self.records.len() + self.endmarker.len()
@@ -407,12 +389,7 @@ impl Gbwt {
 
     /// All visits of `symbol`: the starting point of a backward search.
     pub fn find(&self, symbol: u64) -> SearchState {
-        self.find_with_probe(symbol, &mut mg_support::probe::NoProbe)
-    }
-
-    /// [`Gbwt::find`] with instrumentation.
-    pub fn find_with_probe<P: MemProbe>(&self, symbol: u64, probe: &mut P) -> SearchState {
-        let record = self.record_with_probe(symbol, probe);
+        let record = self.record(symbol);
         SearchState {
             node: symbol,
             start: 0,
@@ -422,22 +399,10 @@ impl Gbwt {
 
     /// Extends a search state one symbol forward.
     pub fn extend(&self, state: &SearchState, symbol: u64) -> SearchState {
-        self.extend_with_probe(state, symbol, &mut mg_support::probe::NoProbe)
-    }
-
-    /// [`Gbwt::extend`] with instrumentation.
-    pub fn extend_with_probe<P: MemProbe>(
-        &self,
-        state: &SearchState,
-        symbol: u64,
-        probe: &mut P,
-    ) -> SearchState {
         if state.is_empty() {
             return SearchState::empty(symbol);
         }
-        let record = self.record_with_probe(state.node, probe);
-        probe.instret(4 * record.runs.len() as u64 + 8);
-        record_extend(&record, state, symbol)
+        record_extend(&self.record(state.node), state, symbol)
     }
 
     /// Starts a bidirectional search at a single symbol.
@@ -459,20 +424,6 @@ impl Gbwt {
     ///
     /// Panics if the index is not bidirectional.
     pub fn extend_forward(&self, state: &BidirState, symbol: u64) -> BidirState {
-        self.extend_forward_with_probe(state, symbol, &mut mg_support::probe::NoProbe)
-    }
-
-    /// [`Gbwt::extend_forward`] with instrumentation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is not bidirectional.
-    pub fn extend_forward_with_probe<P: MemProbe>(
-        &self,
-        state: &BidirState,
-        symbol: u64,
-        probe: &mut P,
-    ) -> BidirState {
         assert!(self.bidirectional, "bidirectional search needs a bidirectional index");
         if state.is_empty() {
             return BidirState {
@@ -480,9 +431,7 @@ impl Gbwt {
                 backward: SearchState::empty(state.backward.node),
             };
         }
-        let record = self.record_with_probe(state.forward.node, probe);
-        probe.instret(4 * record.runs.len() as u64 + 8);
-        record_extend_forward(&record, state, symbol)
+        record_extend_forward(&self.record(state.forward.node), state, symbol)
     }
 
     /// Extends a bidirectional state backward by `symbol` (the new first
@@ -492,22 +441,7 @@ impl Gbwt {
     ///
     /// Panics if the index is not bidirectional.
     pub fn extend_backward(&self, state: &BidirState, symbol: u64) -> BidirState {
-        self.extend_backward_with_probe(state, symbol, &mut mg_support::probe::NoProbe)
-    }
-
-    /// [`Gbwt::extend_backward`] with instrumentation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is not bidirectional.
-    pub fn extend_backward_with_probe<P: MemProbe>(
-        &self,
-        state: &BidirState,
-        symbol: u64,
-        probe: &mut P,
-    ) -> BidirState {
-        let flipped = self.extend_forward_with_probe(&state.flipped(), symbol ^ 1, probe);
-        flipped.flipped()
+        self.extend_forward(&state.flipped(), symbol ^ 1).flipped()
     }
 
     /// Identifies the sequence that visit `(symbol, offset)` belongs to by
@@ -805,7 +739,6 @@ mod tests {
         assert_eq!(g.sequence_count(), 8);
         assert_eq!(g.path_count(), 4);
         assert!(g.is_bidirectional());
-        assert_eq!(g.record_count(), (g.alphabet_size() - 2) as usize);
         // 4 paths * 4 nodes * 2 orientations of visits.
         assert_eq!(g.total_visits(), 32);
     }

@@ -162,87 +162,10 @@ impl DecodedRecord {
         count
     }
 
-    /// Per-edge visit counts within `start..end` (clamped), indexed like
-    /// [`DecodedRecord::edges`].
-    pub fn range_counts(&self, start: u64, end: u64) -> Vec<u64> {
-        let end = end.min(self.total);
-        let mut counts = vec![0u64; self.edges.len()];
-        if start >= end {
-            return counts;
-        }
-        let mut pos = 0u64;
-        for run in &self.runs {
-            let run_start = pos;
-            let run_end = pos + run.len;
-            let lo = run_start.max(start);
-            let hi = run_end.min(end);
-            if lo < hi {
-                counts[run.symbol as usize] += hi - lo;
-            }
-            pos = run_end;
-            if pos >= end {
-                break;
-            }
-        }
-        counts
-    }
-
     /// Number of visits among the first `prefix` that continue through
     /// `edge_idx` (the rank query behind [`crate::Gbwt::extend`]).
     pub fn rank_at(&self, prefix: u64, edge_idx: usize) -> u64 {
         self.count_in_range(0, prefix, edge_idx)
-    }
-
-    /// One-pass combination of `range_counts(0, start)` and
-    /// `range_counts(start, end)`: per-edge counts before the range and
-    /// inside it. The hot path of bidirectional extension calls this once
-    /// per node boundary instead of scanning the runs per edge.
-    pub fn range_counts_with_prefix(&self, start: u64, end: u64) -> (Vec<u64>, Vec<u64>) {
-        let mut before = Vec::new();
-        let mut inside = Vec::new();
-        self.range_counts_with_prefix_into(start, end, &mut before, &mut inside);
-        (before, inside)
-    }
-
-    /// Like [`DecodedRecord::range_counts_with_prefix`], but writes into
-    /// caller-provided buffers (cleared and resized to the edge count). The
-    /// extension kernel keeps two such buffers in its per-thread scratch so
-    /// the innermost branch enumeration allocates nothing.
-    pub fn range_counts_with_prefix_into(
-        &self,
-        start: u64,
-        end: u64,
-        before: &mut Vec<u64>,
-        inside: &mut Vec<u64>,
-    ) {
-        let end = end.min(self.total);
-        let start = start.min(end);
-        before.clear();
-        before.resize(self.edges.len(), 0);
-        inside.clear();
-        inside.resize(self.edges.len(), 0);
-        let mut pos = 0u64;
-        for run in &self.runs {
-            let run_start = pos;
-            let run_end = pos + run.len;
-            let edge = run.symbol as usize;
-            // Portion before `start`.
-            let lo = run_start;
-            let hi = run_end.min(start);
-            if lo < hi {
-                before[edge] += hi - lo;
-            }
-            // Portion inside `start..end`.
-            let lo = run_start.max(start);
-            let hi = run_end.min(end);
-            if lo < hi {
-                inside[edge] += hi - lo;
-            }
-            pos = run_end;
-            if pos >= end {
-                break;
-            }
-        }
     }
 
     /// Successor symbols excluding the endmarker, in ascending order.
@@ -335,14 +258,6 @@ impl DecodedRecord {
         self.total = self.runs.iter().map(|r| r.len).sum();
         Ok(())
     }
-
-    /// Approximate decoded size in bytes (used by the cache simulator to
-    /// model the footprint of cached records).
-    pub fn decoded_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.edges.len() * std::mem::size_of::<RecordEdge>()
-            + self.runs.len() * std::mem::size_of::<Run>()
-    }
 }
 
 #[cfg(test)]
@@ -413,7 +328,8 @@ mod tests {
         assert_eq!(rec.count_in_range(1, 5, 1), 2);
         assert_eq!(rec.count_in_range(3, 3, 1), 0);
         assert_eq!(rec.count_in_range(5, 100, 2), 2);
-        assert_eq!(rec.range_counts(1, 6), vec![1, 2, 2]);
+        let counts: Vec<u64> = (0..3).map(|e| rec.count_in_range(1, 6, e)).collect();
+        assert_eq!(counts, vec![1, 2, 2]);
         assert_eq!(rec.rank_at(3, 1), 2);
     }
 
@@ -459,18 +375,6 @@ mod tests {
         assert!(target.decode_into(&mut Cursor::new(&bytes)).is_err());
         assert!(target.is_empty());
         assert_eq!(target, DecodedRecord::empty());
-    }
-
-    #[test]
-    fn range_counts_with_prefix_into_reuses_buffers() {
-        let rec = sample_record();
-        let mut before = vec![99u64; 10];
-        let mut inside = vec![99u64; 10];
-        rec.range_counts_with_prefix_into(1, 6, &mut before, &mut inside);
-        let (b, i) = rec.range_counts_with_prefix(1, 6);
-        assert_eq!(before, b);
-        assert_eq!(inside, i);
-        assert_eq!(inside, rec.range_counts(1, 6));
     }
 
     #[test]
@@ -535,11 +439,12 @@ mod tests {
         }
 
         #[test]
-        fn prop_range_counts_sum_to_range(rec in record_strategy(), a: u64, b: u64) {
+        fn prop_edge_counts_sum_to_range(rec in record_strategy(), a: u64, b: u64) {
             let total = rec.total_visits();
             let (start, end) = ((a % (total + 1)).min(b % (total + 1)), (a % (total + 1)).max(b % (total + 1)));
-            let counts = rec.range_counts(start, end);
-            prop_assert_eq!(counts.iter().sum::<u64>(), end - start);
+            let counted: u64 =
+                (0..rec.edge_count()).map(|e| rec.count_in_range(start, end, e)).sum();
+            prop_assert_eq!(counted, end - start);
         }
 
         #[test]

@@ -118,28 +118,6 @@ pub fn complement(b: u8) -> u8 {
     complement_checked(b).unwrap_or_else(|| panic!("invalid base {:?}", b as char))
 }
 
-/// Reverse complement of a sequence, rejecting invalid bytes instead of
-/// panicking. Validates and complements in one pass over the table, then
-/// reverses in place — no separate validation sweep.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidBase`](mg_support::Error::InvalidBase) for the
-/// first byte that is neither a base nor `N` (position given in the
-/// original, un-reversed sequence).
-pub fn try_reverse_complement(seq: &[u8]) -> mg_support::Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(seq.len());
-    for (pos, &b) in seq.iter().enumerate() {
-        let c = COMPLEMENT_LUT[b as usize];
-        if c == 0 {
-            return Err(mg_support::Error::InvalidBase { byte: b, pos });
-        }
-        out.push(c);
-    }
-    out.reverse();
-    Ok(out)
-}
-
 /// Reverse complement of a sequence.
 ///
 /// ```
@@ -148,14 +126,6 @@ pub fn try_reverse_complement(seq: &[u8]) -> mg_support::Result<Vec<u8>> {
 /// ```
 pub fn reverse_complement(seq: &[u8]) -> Vec<u8> {
     seq.iter().rev().map(|&b| complement(b)).collect()
-}
-
-/// Reverse-complements `seq` in place without allocating.
-pub fn reverse_complement_in_place(seq: &mut [u8]) {
-    seq.reverse();
-    for b in seq.iter_mut() {
-        *b = complement(*b);
-    }
 }
 
 #[cfg(test)]
@@ -197,14 +167,6 @@ mod tests {
     #[test]
     fn revcomp_empty() {
         assert_eq!(reverse_complement(b""), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn revcomp_in_place_matches_allocating() {
-        let mut buf = b"GATTACA".to_vec();
-        let expect = reverse_complement(&buf);
-        reverse_complement_in_place(&mut buf);
-        assert_eq!(buf, expect);
     }
 
     #[test]
@@ -252,15 +214,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn try_revcomp_errors_instead_of_aborting() {
-        assert_eq!(try_reverse_complement(b"AACG").unwrap(), b"CGTT");
-        assert!(matches!(
-            try_reverse_complement(b"AC!T"),
-            Err(mg_support::Error::InvalidBase { byte: b'!', pos: 2 })
-        ));
-    }
-
     fn dna_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
         proptest::collection::vec(proptest::sample::select(BASES.to_vec()), 0..max_len)
     }
@@ -274,13 +227,6 @@ mod tests {
         #[test]
         fn prop_revcomp_preserves_validity(seq in dna_strategy(300)) {
             prop_assert!(is_valid_sequence(&reverse_complement(&seq)));
-        }
-
-        #[test]
-        fn prop_try_revcomp_single_pass_matches_two_pass(
-            seq in proptest::collection::vec(proptest::sample::select(b"ACGTN".to_vec()), 0..300)
-        ) {
-            prop_assert_eq!(try_reverse_complement(&seq).unwrap(), reverse_complement(&seq));
         }
     }
 }

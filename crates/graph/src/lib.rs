@@ -12,8 +12,7 @@
 //!   `.mgi` containers; the reverse-complement arena is derived on load);
 //! - [`pangenome`]: construction of a pangenome graph from a linear
 //!   reference plus a set of variants and a haplotype panel (who carries
-//!   which allele) — the synthetic stand-in for HPRC/1000GP graphs;
-//! - [`gfa`]: a GFA-flavoured text dump for inspection and debugging.
+//!   which allele) — the synthetic stand-in for HPRC/1000GP graphs.
 //!
 //! # Examples
 //!
@@ -39,7 +38,6 @@
 //! ```
 
 pub mod dna;
-pub mod gfa;
 pub mod graph;
 pub mod handle;
 pub mod pangenome;

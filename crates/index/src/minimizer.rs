@@ -412,12 +412,6 @@ impl MinimizerIndex {
         (&self.kmers, &self.starts, &self.positions)
     }
 
-    /// Every k-mer with its position run, in ascending k-mer order.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, &[GraphPos])> + '_ {
-        let runs = self.starts.windows(2).map(|s| &self.positions[s[0] as usize..s[1] as usize]);
-        self.kmers().zip(runs)
-    }
-
     /// Assembles an index from its flat arrays, deriving the directory.
     /// The caller vouches for `starts` and `positions` (CSR shape, sorted
     /// runs); the k-mers are checked here because the directory is only

@@ -337,22 +337,6 @@ impl ChainIndex {
         self.chain_starts[c as usize] as usize..self.chain_starts[c as usize + 1] as usize
     }
 
-    /// Anchor node ids of chain `i`, in topological order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.chain_count()`.
-    pub fn chain_anchors(&self, i: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.anchors[self.chain_range(i as u32)]
-            .iter()
-            .map(|&u| NodeId::new(u as u64 + 1))
-    }
-
-    /// Whether `node` lies on an answerable chain.
-    pub fn is_on_chain(&self, node: NodeId) -> bool {
-        self.chain_of[(node.value() - 1) as usize] != NONE32
-    }
-
     /// Appends the decomposition to a `.mgi` container in its in-memory
     /// CSR layout.
     pub fn write_mgi(&self, w: &mut MgiWriter) {
@@ -574,10 +558,13 @@ mod tests {
         let index = ChainIndex::build(p.graph());
         assert_eq!(index.chain_count(), 1);
         for id in p.graph().node_ids() {
-            assert!(index.is_on_chain(id));
+            assert_ne!(index.chain_of[(id.value() - 1) as usize], NONE32, "{id:?} off chain");
         }
         // Anchors include source, sink, and the between-bubble nodes.
-        let anchors: Vec<_> = index.chain_anchors(0).collect();
+        let anchors: Vec<NodeId> = index.anchors[index.chain_range(0)]
+            .iter()
+            .map(|&u| NodeId::new(u as u64 + 1))
+            .collect();
         assert!(anchors.len() >= 4, "anchors: {anchors:?}");
         assert_eq!(anchors.first(), Some(&NodeId::new(1)));
         assert_eq!(anchors.last(), Some(&p.graph().max_node_id().unwrap()));

@@ -67,15 +67,6 @@ impl CacheLevel {
             false
         }
     }
-
-    /// Miss rate in `[0, 1]`.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// The counter vector of Table V.

@@ -239,11 +239,6 @@ impl<T> AdmissionQueue<T> {
     pub fn stats(&self) -> AdmissionStats {
         self.lock().stats
     }
-
-    /// Jobs `client` currently has in flight (pending + executing).
-    pub fn client_in_flight(&self, client: u64) -> usize {
-        self.lock().in_flight.get(&client).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -264,9 +259,7 @@ mod tests {
             assert_eq!(q.try_pop(), Some((u64::from(i), i)));
         }
         assert_eq!(q.try_pop(), None);
-        // Popping freed queue slots, but client 0 is still in flight until
-        // finish().
-        assert_eq!(q.client_in_flight(0), 1);
+        // Popping freed queue slots.
         q.try_submit(9, 99).unwrap();
     }
 

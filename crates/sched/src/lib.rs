@@ -47,6 +47,8 @@ use std::fmt;
 use std::ops::Range;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, TrySendError};
+use std::sync::{Mutex, PoisonError};
 
 /// The one definition of the in-flight chunk window default, shared by the
 /// streaming pipelines and the serving executor:
@@ -338,14 +340,15 @@ fn run_vg(
     make_task: MakeTask<'_, '_>,
 ) {
     let observe = metrics.enabled();
-    // Thread 0 is the dispatcher; the rest are workers fed by a bounded
-    // channel. The dispatcher takes the sender out of the slot and drops it
-    // when dispatch ends, which winds the workers down.
-    let (tx, rx) = crossbeam::channel::bounded::<Range<usize>>(threads - 1);
-    let tx_slot = std::sync::Mutex::new(Some(tx));
-    // In-flight batch count, maintained only when observing: the shim
-    // channel has no len(), so the dispatcher and workers keep the depth
-    // themselves for the queue-depth gauge.
+    // Thread 0 is the dispatcher; the rest are workers sharing the receiver
+    // of a bounded channel. The dispatcher takes the sender out of the slot
+    // and drops it when dispatch ends, which winds the workers down.
+    let (tx, rx) = mpsc::sync_channel::<Range<usize>>(threads - 1);
+    let tx_slot = Mutex::new(Some(tx));
+    let rx = Mutex::new(rx);
+    // In-flight batch count, maintained only when observing: the channel
+    // has no len(), so the dispatcher and workers keep the depth themselves
+    // for the queue-depth gauge.
     let depth = AtomicUsize::new(0);
     pool.scoped(threads, &|t, cell| {
         let mut task = make_task(t, cell);
@@ -365,24 +368,28 @@ fn run_vg(
                 }
                 match tx.try_send(next..end) {
                     Ok(()) => {}
-                    Err(crossbeam::channel::TrySendError::Full(range)) => {
+                    Err(TrySendError::Full(range)) => {
                         if observe {
                             depth.fetch_sub(1, Ordering::Relaxed);
                         }
                         tally.batch(&mut *task, range, metrics);
                     }
-                    Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
+                    Err(TrySendError::Disconnected(_)) => {
                         unreachable!("workers outlive the dispatch loop")
                     }
                 }
                 next = end;
             }
         } else {
-            let rx = rx.clone();
             let mut idle_ns = 0u64;
             loop {
                 let waited = observe.then(std::time::Instant::now);
-                let Ok(range) = rx.recv() else { break };
+                // The guard is a temporary, so the lock is released before
+                // the batch runs and a panicking task holds none. Poison is
+                // shrugged off as `Mapper::lock_pool` does: the receiver
+                // stays coherent whoever unwound.
+                let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                let Ok(range) = next else { break };
                 if let Some(t0) = waited {
                     idle_ns += t0.elapsed().as_nanos() as u64;
                     depth.fetch_sub(1, Ordering::Relaxed);
@@ -402,7 +409,6 @@ fn run_vg(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-    use std::sync::Mutex;
 
     /// Bumps `seen[i]` for every index it is handed.
     struct Count<'a>(&'a [AtomicU64]);

@@ -122,13 +122,6 @@ impl WorkerPool {
         &mut self.cells[thread]
     }
 
-    /// Drops every thread's persistent state (the threads stay alive).
-    pub fn clear_state(&mut self) {
-        for cell in &mut self.cells {
-            *cell = empty_cell();
-        }
-    }
-
     fn ensure(&mut self, threads: usize) {
         while self.cells.len() < threads {
             self.cells.push(empty_cell());
@@ -267,7 +260,8 @@ mod tests {
             seen.lock().unwrap()[t] = *cell.downcast_ref::<u64>().unwrap();
         });
         assert_eq!(*seen.lock().unwrap(), vec![100, 101, 102]);
-        pool.clear_state();
+        // A body that clears its cell leaves it clear for the next run.
+        pool.scoped(3, &|_t, cell| *cell = empty_cell());
         pool.scoped(3, &|_t, cell| {
             assert!(cell.downcast_ref::<u64>().is_none());
         });

@@ -1,20 +1,22 @@
 //! Bounded hand-off queue for streaming ingestion.
 //!
-//! [`bounded_queue`] wraps the crossbeam bounded channel with the
-//! instrumentation the streaming pipeline reports: queue depth with its
-//! high-water mark, and how long the producer sat blocked on a full queue
-//! (the backpressure that keeps ingestion memory bounded). The channel
-//! itself provides the blocking semantics; this layer only counts.
-
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+//! [`bounded_queue`] wraps `std`'s bounded channel with the instrumentation
+//! the streaming pipeline reports: queue depth with its high-water mark,
+//! and how long the producer sat blocked on a full queue (the backpressure
+//! that keeps ingestion memory bounded). The channel itself provides the
+//! blocking semantics; this layer only counts.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Counters shared by both halves of a [`bounded_queue`].
 #[derive(Debug, Default)]
 struct QueueCounters {
+    /// Items sent and not yet received, kept here because the channel does
+    /// not report its length.
+    depth: AtomicUsize,
     high_water: AtomicUsize,
     blocked_ns: AtomicU64,
     sends: AtomicU64,
@@ -33,7 +35,8 @@ pub struct QueueStats {
 
 /// Sending half of a [`bounded_queue`].
 pub struct StreamSender<T> {
-    tx: Sender<T>,
+    tx: SyncSender<T>,
+    capacity: usize,
     counters: Arc<QueueCounters>,
 }
 
@@ -43,16 +46,18 @@ pub struct StreamReceiver<T> {
     counters: Arc<QueueCounters>,
 }
 
-/// Creates a bounded hand-off queue of `capacity` slots (minimum 1).
+/// Creates a bounded hand-off queue of `capacity` slots (minimum 1), for
+/// one producer and one consumer.
 ///
 /// `send` blocks while the queue is full — that blocking *is* the
 /// backpressure bounding the producer's memory — and the time spent
 /// blocked is accounted in [`QueueStats::blocked_ns`].
 pub fn bounded_queue<T>(capacity: usize) -> (StreamSender<T>, StreamReceiver<T>) {
-    let (tx, rx) = bounded(capacity.max(1));
+    let capacity = capacity.max(1);
+    let (tx, rx) = sync_channel(capacity);
     let counters = Arc::new(QueueCounters::default());
     (
-        StreamSender { tx, counters: Arc::clone(&counters) },
+        StreamSender { tx, capacity, counters: Arc::clone(&counters) },
         StreamReceiver { rx, counters },
     )
 }
@@ -87,9 +92,14 @@ impl<T> StreamSender<T> {
 
     fn sent(&self) {
         self.counters.sends.fetch_add(1, Ordering::Relaxed);
-        // The channel's instantaneous length can never exceed capacity, so
-        // the recorded high-water mark can't either.
-        self.counters.high_water.fetch_max(self.tx.len(), Ordering::Relaxed);
+        // Every send so far is counted, so the depth is the items in the
+        // channel plus at most one the consumer has received and not yet
+        // subtracted. The channel never holds more than `capacity`, so the
+        // clamp only drops that lag.
+        let depth = self.counters.depth.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
+        self.counters
+            .high_water
+            .fetch_max(depth.min(self.capacity), Ordering::Relaxed);
     }
 
     /// This queue's activity so far.
@@ -102,7 +112,9 @@ impl<T> StreamReceiver<T> {
     /// Receives the next item, blocking until one arrives; `None` once the
     /// sender is dropped and the queue drained.
     pub fn recv(&self) -> Option<T> {
-        self.rx.recv().ok()
+        let value = self.rx.recv().ok()?;
+        self.counters.depth.fetch_sub(1, Ordering::Relaxed);
+        Some(value)
     }
 
     /// This queue's activity so far.

@@ -109,28 +109,38 @@ impl PoolTask for PanicAt<'_> {
 #[test]
 fn panicking_worker_neither_poisons_metrics_nor_wedges_the_pool() {
     let mut pool = WorkerPool::new();
-    let metrics = Metrics::new();
     let n = 200usize;
-    let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let seen_ref = &seen;
-    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        SchedulerKind::Dynamic.run(4, &mut pool, n, 4, &metrics, &move |_t, _cell| {
-            Box::new(PanicAt { seen: seen_ref, bomb: 50 })
-        });
-    }));
-    assert!(caught.is_err(), "the worker panic must surface");
-    // The registry is still usable: not poisoned, still recording, and the
-    // partial counts it holds stay readable.
-    let partial = metrics.report().counter(Ctr::PoolTasksCompleted);
-    metrics.add(Ctr::PoolTasksCompleted, 1);
-    assert_eq!(metrics.report().counter(Ctr::PoolTasksCompleted), partial + 1);
-    // The pool survives: a fresh run on the same pool reconciles exactly.
-    let metrics2 = Metrics::new();
-    let seen2: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let seen2_ref = &seen2;
-    SchedulerKind::Dynamic.run(4, &mut pool, n, 4, &metrics2, &move |_t, _cell| {
-        Box::new(Count(seen2_ref))
-    });
-    assert!(seen2.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    assert_eq!(metrics2.report().counter(Ctr::PoolTasksCompleted), n as u64);
+    // The bomb on the first index lands on the first grain dispatched (for
+    // VG, a worker's or the dispatcher's); on the last, on the last one.
+    for kind in SchedulerKind::ALL {
+        for bomb in [0, n - 1] {
+            let metrics = Metrics::new();
+            let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            let seen_ref = &seen;
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                kind.run(4, &mut pool, n, 4, &metrics, &move |_t, _cell| {
+                    Box::new(PanicAt { seen: seen_ref, bomb })
+                });
+            }));
+            assert!(caught.is_err(), "{kind}: the worker panic at {bomb} must surface");
+            // The registry is still usable: not poisoned, still recording,
+            // and the partial counts it holds stay readable.
+            let partial = metrics.report().counter(Ctr::PoolTasksCompleted);
+            metrics.add(Ctr::PoolTasksCompleted, 1);
+            assert_eq!(metrics.report().counter(Ctr::PoolTasksCompleted), partial + 1);
+            // The pool survives: a fresh run on the same pool reconciles
+            // exactly.
+            let metrics2 = Metrics::new();
+            let seen2: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            let seen2_ref = &seen2;
+            kind.run(4, &mut pool, n, 4, &metrics2, &move |_t, _cell| {
+                Box::new(Count(seen2_ref))
+            });
+            assert!(
+                seen2.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "{kind}: rerun after a panic at {bomb} missed or repeated an index"
+            );
+            assert_eq!(metrics2.report().counter(Ctr::PoolTasksCompleted), n as u64);
+        }
+    }
 }

@@ -282,18 +282,6 @@ impl<R: Read> ContainerReader<R> {
         }
     }
 
-    /// Reads all remaining sections into `(tag, payload)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ContainerReader::next_section`].
-    pub fn read_all(mut self) -> Result<Vec<(u32, Vec<u8>)>> {
-        let mut out = Vec::new();
-        while let Some(section) = self.next_section()? {
-            out.push(section);
-        }
-        Ok(out)
-    }
 }
 
 impl<'a> ContainerReader<&'a [u8]> {
@@ -336,10 +324,12 @@ mod tests {
             w.section(*tag, payload).unwrap();
         }
         w.finish().unwrap();
-        ContainerReader::new(&bytes[..], *b"TEST")
-            .unwrap()
-            .read_all()
-            .unwrap()
+        let mut r = ContainerReader::new(&bytes[..], *b"TEST").unwrap();
+        let mut out = Vec::new();
+        while let Some(section) = r.next_section().unwrap() {
+            out.push(section);
+        }
+        out
     }
 
     #[test]

@@ -16,12 +16,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     proc_status_bytes("VmHWM:")
 }
 
-/// Current resident-set size of this process (`VmRSS`), in bytes, or
-/// `None` when unavailable.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmRSS:")
-}
-
 /// Reads a `kB` field out of `/proc/self/status`.
 fn proc_status_bytes(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -47,7 +41,7 @@ mod tests {
         }
         // Current first: other tests allocate concurrently, and only a
         // peak read *after* the current reading is bound to cover it.
-        let now = current_rss_bytes().expect("VmRSS present in /proc/self/status");
+        let now = proc_status_bytes("VmRSS:").expect("VmRSS present in /proc/self/status");
         let peak = peak_rss_bytes().expect("VmHWM present in /proc/self/status");
         // A running test binary holds at least a few pages, and the peak
         // can never undercut the current reading.

@@ -19,6 +19,9 @@ cargo test --release -q --test oracle streaming
 echo "== GAF path oracle (streaming, served and chunk-by-chunk bytes == batch bytes; an optimized build's thread timing) =="
 cargo test --release -q --test gaf_paths
 
+echo "== schedulers and the streaming queue (std channels under an optimized build's thread timing) =="
+cargo test --release -q -p mg-sched
+
 echo "== streaming memory bound (peak RSS over 50 windows of reads stays within the window) =="
 cargo test --release -q -p mg-parent --test stream_rss
 
@@ -60,7 +63,7 @@ cargo test --release -q --test extend_walk --test cluster_oracle
 echo "== extend first / extend once (mapper vs cluster-then-extend, kernel vs every anchor extended; an optimized build's arithmetic) =="
 cargo test --release -q --test extend_first --test extend_once
 
-echo "== lints (obs on / obs off) =="
+echo "== lints (obs on / obs off; --all-targets covers tests and examples, there are no benches) =="
 cargo clippy --all-targets -- -D warnings
 cargo clippy --all-targets --no-default-features -p mg-obs -- -D warnings
 

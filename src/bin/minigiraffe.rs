@@ -530,14 +530,14 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
         "map",
         &[BUNDLE_FLAGS, MAPPING_FLAGS, &["instrument", "out"]],
     )?;
+    // A usage error surfaces before the dump is read, and the dump is read
+    // before the bundle is opened: its raw bytes are freed by then, so the
+    // bundle's pages do not stack on them at the peak.
     let (dump_path, gbz_path) = match &positional[..] {
-        [dump] => (dump, None),
+        [dump] if flags.contains_key("mgi") => (dump, None),
         [dump, gbz] => (dump, Some(gbz)),
         _ => return Err("expected <seeds.bin> <pangenome.mgz | --mgi index.mgi>".into()),
     };
-    if gbz_path.is_none() && !flags.contains_key("mgi") {
-        return Err("expected <seeds.bin> <pangenome.mgz | --mgi index.mgi>".into());
-    }
     let dump = SeedDump::load(dump_path).map_err(|e| format!("loading {dump_path}: {e}"))?;
     let bundle = load_bundle(gbz_path, &flags)?;
     let options = options_from_flags(&flags)?;

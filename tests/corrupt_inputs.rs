@@ -1,6 +1,5 @@
-//! Property suite for every on-disk reader: `.min` (minimizer index),
-//! `.mgz` (pangenome container), `.mgi` (zero-copy index bundle), and
-//! `.bin` (seed dump).
+//! Property suite for every on-disk reader: `.mgz` (pangenome container),
+//! `.mgi` (zero-copy index bundle), and `.bin` (seed dump).
 //!
 //! These files cross a trust boundary — they arrive from disks, object
 //! stores, and other machines — so the decoding contract is absolute:
@@ -17,7 +16,7 @@ use minigiraffe::core::types::{ReadInput, Seed, Workflow};
 use minigiraffe::core::MgiBundle;
 use minigiraffe::gbwt::Gbz;
 use minigiraffe::graph::{Handle, NodeId};
-use minigiraffe::index::{DistanceIndex, GraphPos, MinimizerIndex};
+use minigiraffe::index::{DistanceIndex, GraphPos};
 use minigiraffe::support::container::ContainerWriter;
 use minigiraffe::support::{varint, Error};
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
@@ -26,11 +25,6 @@ use proptest::prelude::*;
 fn sample_input() -> &'static SyntheticInput {
     static INPUT: OnceLock<SyntheticInput> = OnceLock::new();
     INPUT.get_or_init(|| SyntheticInput::generate(&InputSetSpec::tiny_for_tests(), 17))
-}
-
-fn min_image() -> &'static [u8] {
-    static IMG: OnceLock<Vec<u8>> = OnceLock::new();
-    IMG.get_or_init(|| sample_input().minimizer_index.to_bytes())
 }
 
 fn mgz_image() -> &'static [u8] {
@@ -53,16 +47,17 @@ fn mgi_image() -> &'static [u8] {
 
 /// Feeds `bytes` to each decoder. Returns whether each accepted the input;
 /// a panic anywhere fails the property.
-fn decode_min(bytes: &[u8]) -> bool {
-    MinimizerIndex::from_bytes(bytes).is_ok()
-}
-
 fn decode_mgz(bytes: &[u8]) -> bool {
     Gbz::from_bytes(bytes).is_ok()
 }
 
 fn decode_mgi(bytes: Vec<u8>) -> bool {
     MgiBundle::open_bytes(bytes).is_ok()
+}
+
+/// The index `frac` of the way into `0..len`.
+fn at(len: usize, frac: f64) -> usize {
+    ((len as f64 * frac) as usize).min(len - 1)
 }
 
 proptest! {
@@ -72,18 +67,8 @@ proptest! {
     /// and section tables make a strict prefix structurally incomplete).
     #[test]
     fn truncations_are_rejected(frac in 0.0f64..1.0) {
-        for (image, is_mgi) in [(min_image(), false), (mgz_image(), false), (mgi_image(), true)] {
-            let cut = ((image.len() as f64 * frac) as usize).min(image.len() - 1);
-            let prefix = &image[..cut];
-            if is_mgi {
-                prop_assert!(!decode_mgi(prefix.to_vec()));
-            } else {
-                prop_assert!(!decode_min(prefix) || cut == 0);
-                prop_assert!(!decode_mgz(prefix));
-            }
-        }
-        // `.min` of zero bytes: an empty index may be legal; anything else
-        // truncated must fail, which the loop above asserts for cut > 0.
+        prop_assert!(!decode_mgz(&mgz_image()[..at(mgz_image().len(), frac)]));
+        prop_assert!(!decode_mgi(mgi_image()[..at(mgi_image().len(), frac)].to_vec()));
     }
 
     /// A single flipped bit never panics any decoder, and the checksummed
@@ -93,19 +78,15 @@ proptest! {
         byte_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        for (image, kind) in [(min_image(), 0), (mgz_image(), 1), (mgi_image(), 2)] {
-            let mut bytes = image.to_vec();
-            let idx = ((bytes.len() as f64 * byte_frac) as usize).min(bytes.len() - 1);
-            bytes[idx] ^= 1 << bit;
-            match kind {
-                0 => { let _ = decode_min(&bytes); }
-                1 => { let _ = decode_mgz(&bytes); }
-                _ => prop_assert!(
-                    !decode_mgi(bytes),
-                    "mgi accepted a bit flip at byte {idx} bit {bit}"
-                ),
-            }
-        }
+        let mut bytes = mgz_image().to_vec();
+        let idx = at(bytes.len(), byte_frac);
+        bytes[idx] ^= 1 << bit;
+        let _ = decode_mgz(&bytes);
+
+        let mut bytes = mgi_image().to_vec();
+        let idx = at(bytes.len(), byte_frac);
+        bytes[idx] ^= 1 << bit;
+        prop_assert!(!decode_mgi(bytes), "mgi accepted a bit flip at byte {idx} bit {bit}");
     }
 
     /// Stamping a huge little-endian length/count over any 8 aligned bytes
@@ -117,44 +98,30 @@ proptest! {
         word_frac in 0.0f64..1.0,
         huge in (1u64 << 40)..(1u64 << 62),
     ) {
-        for (image, kind) in [(min_image(), 0), (mgz_image(), 1), (mgi_image(), 2)] {
+        let stamp = |image: &[u8]| {
             let mut bytes = image.to_vec();
-            if bytes.len() < 8 {
-                continue;
-            }
-            let words = bytes.len() / 8;
-            let w = ((words as f64 * word_frac) as usize).min(words - 1);
+            let w = at(bytes.len() / 8, word_frac);
             bytes[w * 8..w * 8 + 8].copy_from_slice(&huge.to_le_bytes());
-            match kind {
-                0 => { let _ = decode_min(&bytes); }
-                1 => { let _ = decode_mgz(&bytes); }
-                _ => prop_assert!(!decode_mgi(bytes)),
-            }
-        }
+            bytes
+        };
+        let _ = decode_mgz(&stamp(mgz_image()));
+        prop_assert!(!decode_mgi(stamp(mgi_image())));
     }
 
-    /// Appending trailing garbage is detected everywhere: `.min` checks
-    /// its cursor drained, `.mgz` checks the end-of-container marker is
-    /// final, and the `.mgi` preamble records the exact file length.
+    /// Appending trailing garbage is detected everywhere: `.mgz` checks the
+    /// end-of-container marker is final, and the `.mgi` preamble records
+    /// the exact file length.
     #[test]
     fn trailing_garbage_is_rejected(
         garbage in proptest::collection::vec(any::<u8>(), 1..64),
     ) {
-        for (image, kind) in [(min_image(), 0), (mgz_image(), 1), (mgi_image(), 2)] {
-            let mut bytes = image.to_vec();
-            bytes.extend_from_slice(&garbage);
-            match kind {
-                0 => prop_assert!(!decode_min(&bytes)),
-                1 => prop_assert!(!decode_mgz(&bytes)),
-                _ => prop_assert!(!decode_mgi(bytes)),
-            }
-        }
+        prop_assert!(!decode_mgz(&[mgz_image(), &garbage].concat()));
+        prop_assert!(!decode_mgi([mgi_image(), &garbage].concat()));
     }
 
     /// Raw noise is never a valid file and never a panic.
     #[test]
     fn random_noise_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode_min(&bytes);
         let _ = decode_mgz(&bytes);
         prop_assert!(!decode_mgi(bytes));
     }

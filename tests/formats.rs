@@ -1,85 +1,11 @@
-//! Integration tests of the interchange formats: GFA, FASTQ, GAF, `.mgz`,
-//! `.min`, and seed dumps, exercised across crate boundaries.
+//! Integration tests of the interchange formats: FASTQ, GAF, `.mgz`,
+//! `.mgi`, and seed dumps, exercised across crate boundaries.
 
-use minigiraffe::gbwt::{Gbz, GbwtBuilder};
-use minigiraffe::graph::gfa::{parse_gfa, pangenome_to_gfa};
-use minigiraffe::index::MinimizerIndex;
+use minigiraffe::core::{MgiBundle, SeedDump};
+use minigiraffe::gbwt::Gbz;
 use minigiraffe::parent::{run_to_gaf, Parent, ParentOptions};
 use minigiraffe::workload::fastq::{load_read_bases, save_reads_fastq};
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
-
-#[test]
-fn gfa_roundtrip_rebuilds_an_equivalent_mappable_pangenome() {
-    // Generate a pangenome, dump it as GFA, parse it back, rebuild GBWT +
-    // minimizer index from the parsed paths, and map reads against the
-    // rebuilt reference: results must match the original.
-    let input = SyntheticInput::generate(&InputSetSpec::tiny_for_tests(), 77);
-    let spec = &input.spec;
-
-    // Reconstruct haplotype paths from the original GBWT to dump as GFA.
-    let gbwt = input.gbz.gbwt();
-    let mut paths = Vec::new();
-    for p in 0..gbwt.path_count() {
-        let symbols = gbwt.sequence(2 * p).unwrap();
-        let handles: Vec<minigiraffe::graph::Handle> = symbols
-            .into_iter()
-            .map(|s| minigiraffe::graph::Handle::from_gbwt(s).unwrap())
-            .collect();
-        paths.push(handles);
-    }
-    // Render GFA by hand (graph + P lines) and parse it back.
-    let mut text = pangenome_to_gfa(&rebuild_pangenome_for_gfa(&input, &paths));
-    text.push('\n');
-    let (graph, parsed_paths) = parse_gfa(&text).unwrap();
-    assert_eq!(&graph, input.gbz.graph());
-    assert_eq!(parsed_paths.len(), paths.len());
-
-    // Rebuild the searchable reference from the parsed artifacts.
-    let mut builder = GbwtBuilder::new();
-    for (_, handles) in &parsed_paths {
-        builder = builder.insert(handles);
-    }
-    let rebuilt = Gbz::new(graph, builder.build().unwrap());
-    let index = MinimizerIndex::build(
-        rebuilt.graph(),
-        parsed_paths.iter().map(|(_, h)| h.as_slice()),
-        spec.minimizer,
-    );
-
-    // Map the same reads against original and rebuilt references.
-    let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
-    let options = ParentOptions::default();
-    let original = Parent::new(&input.gbz, &input.minimizer_index, spec.workflow)
-        .run(&reads, &options);
-    let roundtripped = Parent::new(&rebuilt, &index, spec.workflow).run(&reads, &options);
-    assert_eq!(original.kernel_results, roundtripped.kernel_results);
-}
-
-/// Rebuild a `Pangenome`-shaped value purely for the GFA writer (which
-/// wants paths); uses the generated graph and GBWT-reconstructed paths.
-fn rebuild_pangenome_for_gfa(
-    input: &SyntheticInput,
-    paths: &[Vec<minigiraffe::graph::Handle>],
-) -> minigiraffe::graph::Pangenome {
-    // The pangenome builder is the only constructor; easiest is to re-run
-    // generation deterministically. (The test already asserts equality via
-    // the graph, so regenerating is sound.)
-    let reference_like = SyntheticInput::generate(&input.spec, 77);
-    let _ = paths;
-    regenerate_pangenome(&reference_like)
-}
-
-fn regenerate_pangenome(input: &SyntheticInput) -> minigiraffe::graph::Pangenome {
-    use minigiraffe::workload::genome::{random_genome, random_panel, random_variants};
-    let reference = random_genome(&input.spec.genome, 77);
-    let variants = random_variants(&reference, &input.spec.variants, 77);
-    let panel = random_panel(input.spec.haplotypes, &variants, 77);
-    minigiraffe::graph::pangenome::PangenomeBuilder::new(reference)
-        .variants(variants)
-        .haplotypes(panel)
-        .build()
-        .unwrap()
-}
 
 #[test]
 fn fastq_to_gaf_pipeline_via_files() {
@@ -113,20 +39,23 @@ fn all_binary_formats_reject_cross_loading() {
     std::fs::create_dir_all(&dir).unwrap();
     let gbz_path = dir.join("x.mgz");
     let dump_path = dir.join("x.bin");
-    let min_path = dir.join("x.min");
+    let mgi_path = dir.join("x.mgi");
     input.gbz.save(&gbz_path).unwrap();
     input.dump.save(&dump_path).unwrap();
-    input.minimizer_index.save(&min_path).unwrap();
+    MgiBundle::build(input.gbz.clone(), input.spec.minimizer)
+        .unwrap()
+        .save(&mgi_path)
+        .unwrap();
 
     assert!(Gbz::load(&dump_path).is_err());
-    assert!(Gbz::load(&min_path).is_err());
-    assert!(minigiraffe::core::SeedDump::load(&gbz_path).is_err());
-    assert!(minigiraffe::core::SeedDump::load(&min_path).is_err());
-    assert!(MinimizerIndex::load(&gbz_path).is_err());
-    assert!(MinimizerIndex::load(&dump_path).is_err());
+    assert!(Gbz::load(&mgi_path).is_err());
+    assert!(SeedDump::load(&gbz_path).is_err());
+    assert!(SeedDump::load(&mgi_path).is_err());
+    assert!(MgiBundle::open(&gbz_path).is_err());
+    assert!(MgiBundle::open(&dump_path).is_err());
     // And each loads as itself.
     assert!(Gbz::load(&gbz_path).is_ok());
-    assert!(minigiraffe::core::SeedDump::load(&dump_path).is_ok());
-    assert!(MinimizerIndex::load(&min_path).is_ok());
+    assert!(SeedDump::load(&dump_path).is_ok());
+    assert!(MgiBundle::open(&mgi_path).is_ok());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,7 +1,7 @@
 //! Seeding oracle: minimizer extraction against a naive per-window
 //! reference, and the k-mer table against an independently built map —
-//! through every way an index comes to exist (built, `.mgi` reopened from a
-//! real file, `.min` payload decoded).
+//! through both ways an index comes to exist (built, and `.mgi` reopened
+//! from a real file).
 //!
 //! Both references are deliberately slow and obvious: the extraction one
 //! re-packs and re-hashes every k-mer of every window, the table one keeps
@@ -177,9 +177,9 @@ fn reference_table(p: &Pangenome, params: MinimizerParams) -> BTreeMap<u64, BTre
     table
 }
 
-/// The same index three ways: as built, reopened from a `.mgi` file on
-/// disk (really mapped), and decoded from its `.min` payload.
-fn three_ways(built: MinimizerIndex, tag: &str) -> [MinimizerIndex; 3] {
+/// The same index two ways: as built, and reopened from a `.mgi` file on
+/// disk (really mapped).
+fn two_ways(built: MinimizerIndex, tag: &str) -> [MinimizerIndex; 2] {
     let dir = std::env::temp_dir().join(format!("mg-seeding-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("index.mgi");
@@ -192,16 +192,15 @@ fn three_ways(built: MinimizerIndex, tag: &str) -> [MinimizerIndex; 3] {
         "{tag}: .mgi reopened into owned storage"
     );
     std::fs::remove_dir_all(&dir).unwrap();
-    let decoded = MinimizerIndex::from_bytes(&built.to_bytes()).unwrap();
-    assert!(!built.is_mapped() && !decoded.is_mapped());
-    [built, mapped, decoded]
+    assert!(!built.is_mapped());
+    [built, mapped]
 }
 
-/// Every lookup a table can be asked, checked against the reference on all
-/// three indexes: each indexed k-mer, its absent `±1` neighbours, the
+/// Every lookup a table can be asked, checked against the reference on
+/// both indexes: each indexed k-mer, its absent `±1` neighbours, the
 /// smallest and largest k-mer of the scheme, and values wider than 2k bits.
 fn assert_table_matches(
-    indexes: &[MinimizerIndex; 3],
+    indexes: &[MinimizerIndex; 2],
     expect: &BTreeMap<u64, BTreeSet<GraphPos>>,
     tag: &str,
 ) {
@@ -222,7 +221,7 @@ fn assert_table_matches(
         probes.extend([kmer, kmer.wrapping_sub(1), kmer + 1]);
     }
     let total: usize = expect.values().map(|s| s.len()).sum();
-    for (way, index) in ["built", "mapped", "decoded"].iter().zip(indexes) {
+    for (way, index) in ["built", "mapped"].iter().zip(indexes) {
         assert_eq!(index.distinct_kmers(), expect.len(), "{tag}/{way}");
         assert_eq!(index.total_positions(), total, "{tag}/{way}");
         let listed: BTreeSet<u64> = index.kmers().collect();
@@ -240,11 +239,6 @@ fn assert_table_matches(
             );
         }
         assert_eq!(index, &indexes[0], "{tag}/{way}: PartialEq against built");
-        assert_eq!(
-            index.to_bytes(),
-            indexes[0].to_bytes(),
-            "{tag}/{way}: .min bytes"
-        );
     }
 }
 
@@ -275,7 +269,7 @@ fn build(p: &Pangenome, params: MinimizerParams) -> MinimizerIndex {
 }
 
 #[test]
-fn built_mapped_and_decoded_tables_answer_identically() {
+fn built_and_mapped_tables_answer_identically() {
     let genome = random_genome(
         &GenomeParams {
             len: 6_000,
@@ -288,7 +282,7 @@ fn built_mapped_and_decoded_tables_answer_identically() {
     let params = MinimizerParams::new(15, 5);
     let expect = reference_table(&p, params);
     assert!(expect.len() > 1_000);
-    let indexes = three_ways(build(&p, params), "tables");
+    let indexes = two_ways(build(&p, params), "tables");
     assert_table_matches(&indexes, &expect, "tables");
 
     // Whole-read seeding: 2 000 simulated reads (errors and Ns included),
@@ -346,7 +340,7 @@ fn skewed_prefixes_share_one_bucket_and_still_resolve() {
         poly_a >= 300,
         "only {poly_a} k-mers share the poly-A prefix"
     );
-    let indexes = three_ways(build(&p, params), "skew");
+    let indexes = two_ways(build(&p, params), "skew");
     assert_table_matches(&indexes, &expect, "skew");
 }
 
@@ -375,7 +369,7 @@ fn tiny_k_tables_where_the_directory_is_as_wide_as_the_kmer() {
             );
         }
         let tag = format!("k{k}w{w}");
-        let indexes = three_ways(build(&p, params), &tag);
+        let indexes = two_ways(build(&p, params), &tag);
         assert_table_matches(&indexes, &expect, &tag);
     }
 }
@@ -393,7 +387,7 @@ fn empty_and_single_kmer_tables() {
         let expect = reference_table(&p, params);
         assert_eq!(expect.len(), distinct);
         let tag = format!("n{distinct}");
-        let indexes = three_ways(build(&p, params), &tag);
+        let indexes = two_ways(build(&p, params), &tag);
         assert_table_matches(&indexes, &expect, &tag);
     }
 }
@@ -526,37 +520,26 @@ fn structurally_corrupt_minimizer_sections_are_rejected_not_indexed() {
 }
 
 #[test]
-fn min_payload_with_repeated_or_wrapping_kmers_is_rejected() {
-    use minigiraffe::support::varint::write_u64;
-    let handle = Handle::forward(minigiraffe::graph::NodeId::new(1)).packed();
-    let payload = |deltas: &[u64]| {
-        let mut bytes = Vec::new();
-        write_u64(&mut bytes, 7); // k
-        write_u64(&mut bytes, 3); // w
-        write_u64(&mut bytes, deltas.len() as u64);
-        for &delta in deltas {
-            write_u64(&mut bytes, delta);
-            write_u64(&mut bytes, 1); // one position
-            write_u64(&mut bytes, handle);
-            write_u64(&mut bytes, 0);
+fn crafted_mgi_with_repeated_or_wide_kmers_is_rejected() {
+    // A hand-written image: k = 7, w = 3, each k-mer one position.
+    let crafted = |kmers: &[u64]| {
+        let n = kmers.len() as u64;
+        let handle = Handle::forward(minigiraffe::graph::NodeId::new(1)).packed();
+        let mut positions = Vec::new();
+        for _ in kmers {
+            positions.extend_from_slice(&handle.to_le_bytes());
+            positions.extend_from_slice(&[0; 8]); // offset 0, zero padding
         }
-        bytes
+        Sections {
+            meta: [7, 3, n, n],
+            kmers: kmers.to_vec(),
+            starts: (0..=n).collect(),
+            positions,
+        }
+        .open()
     };
-    assert!(MinimizerIndex::from_bytes(&payload(&[5, 1, 9])).is_ok());
-    assert!(
-        MinimizerIndex::from_bytes(&payload(&[0, 1])).is_ok(),
-        "k-mer 0 is AAAAAAA"
-    );
-    assert!(
-        MinimizerIndex::from_bytes(&payload(&[5, 0])).is_err(),
-        "repeated k-mer"
-    );
-    assert!(
-        MinimizerIndex::from_bytes(&payload(&[5, u64::MAX])).is_err(),
-        "delta wraps"
-    );
-    assert!(
-        MinimizerIndex::from_bytes(&payload(&[1 << 14])).is_err(),
-        "k-mer wider than 2k bits"
-    );
+    assert!(crafted(&[5, 6, 15]).is_ok());
+    assert!(crafted(&[0, 1]).is_ok(), "k-mer 0 is AAAAAAA");
+    assert!(crafted(&[5, 5]).is_err(), "repeated k-mer");
+    assert!(crafted(&[1 << 14]).is_err(), "k-mer wider than 2k bits");
 }
