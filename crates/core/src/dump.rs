@@ -5,25 +5,22 @@
 //! seeds — captured right before the critical functions execute. The parent
 //! pipeline ([`mg_parent`](../../parent)) exports these; the workload
 //! generator synthesizes them directly.
+//!
+//! A `.bin` file is an [`mg_support::mgi`] container with two sections:
+//! [`TAG_DUMP_META`] (workflow flag and read count) and [`TAG_DUMP_READS`]
+//! (each read's bases and delta-encoded seeds), both varint streams.
+//! [`SeedDump::load`] maps the file and decodes straight out of the
+//! mapping.
 
-use std::fs::File;
-use std::io::BufWriter;
 use std::path::Path;
 
 use mg_graph::Handle;
 use mg_index::GraphPos;
-use mg_support::container::{ContainerReader, ContainerWriter};
+use mg_support::mgi::{MgiFile, MgiWriter, TAG_DUMP_META, TAG_DUMP_READS};
 use mg_support::varint::{self, Cursor};
 use mg_support::{Error, Result};
 
 use crate::types::{ReadInput, Seed, Workflow};
-
-/// Container kind discriminator for seed dumps.
-pub const DUMP_KIND: [u8; 4] = *b"SEED";
-/// Section tag for dump metadata.
-pub const TAG_META: u32 = 0x0010;
-/// Section tag for the read + seed payload.
-pub const TAG_READS: u32 = 0x0011;
 
 /// A full proxy input: every read with its seeds.
 ///
@@ -95,20 +92,15 @@ impl SeedDump {
     ///
     /// # Errors
     ///
-    /// Returns IO errors (not expected in-memory).
+    /// Never fails; the `Result` is kept for API stability.
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let mut bytes = Vec::new();
-        let mut writer = ContainerWriter::new(&mut bytes, DUMP_KIND)?;
-        self.write_sections(&mut writer)?;
-        writer.finish()?;
-        Ok(bytes)
+        Ok(self.writer().finish())
     }
 
-    fn write_sections<W: std::io::Write>(&self, writer: &mut ContainerWriter<W>) -> Result<()> {
+    fn writer(&self) -> MgiWriter {
         let mut meta = Vec::new();
         varint::write_u64(&mut meta, matches!(self.workflow, Workflow::Paired) as u64);
         varint::write_u64(&mut meta, self.reads.len() as u64);
-        writer.section(TAG_META, &meta)?;
         let mut payload = Vec::new();
         for read in &self.reads {
             varint::write_u64(&mut payload, read.bases.len() as u64);
@@ -123,8 +115,10 @@ impl SeedDump {
                 varint::write_u64(&mut payload, seed.pos.offset as u64);
             }
         }
-        writer.section(TAG_READS, &payload)?;
-        Ok(())
+        let mut w = MgiWriter::new();
+        w.section(TAG_DUMP_META, meta);
+        w.section(TAG_DUMP_READS, payload);
+        w
     }
 
     /// Deserializes an image written by [`SeedDump::to_bytes`].
@@ -133,16 +127,21 @@ impl SeedDump {
     ///
     /// Returns container and codec errors on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut reader = ContainerReader::new(bytes, DUMP_KIND)?;
-        let mut meta = Cursor::new(reader.expect_section_borrowed(TAG_META)?);
+        Self::from_mgi(&MgiFile::open_bytes(bytes.to_vec())?)
+    }
+
+    /// Decodes the two dump sections of a validated container, borrowing
+    /// them from its mapping.
+    fn from_mgi(f: &MgiFile) -> Result<Self> {
+        f.expect_only(&[TAG_DUMP_META, TAG_DUMP_READS])?;
+        let mut meta = Cursor::new(f.section(TAG_DUMP_META)?);
         let workflow = if meta.read_u64()? != 0 {
             Workflow::Paired
         } else {
             Workflow::Single
         };
         let read_count = meta.read_u64()?;
-        let mut cur = Cursor::new(reader.expect_section_borrowed(TAG_READS)?);
-        reader.expect_end()?;
+        let mut cur = Cursor::new(f.section(TAG_DUMP_READS)?);
         // Counts and lengths are untrusted even under a valid checksum:
         // each is bounded by the payload bytes left before anything is
         // reserved for it (a read occupies at least 2 bytes, a seed 3).
@@ -179,11 +178,7 @@ impl SeedDump {
     ///
     /// Returns filesystem errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let file = BufWriter::new(File::create(path)?);
-        let mut writer = ContainerWriter::new(file, DUMP_KIND)?;
-        self.write_sections(&mut writer)?;
-        writer.finish()?;
-        Ok(())
+        self.writer().write_to(path.as_ref())
     }
 
     /// Reads a `.bin` dump file.
@@ -192,9 +187,9 @@ impl SeedDump {
     ///
     /// Returns filesystem and format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        // One read into a buffer sized from the file's length; the decoder
-        // borrows its sections from it, so the payload is never copied.
-        Self::from_bytes(&std::fs::read(path)?)
+        // Mapped, not read: the decoder borrows its sections from the
+        // mapping, so the payload is never copied onto the heap.
+        Self::from_mgi(&MgiFile::open(path.as_ref())?)
     }
 }
 

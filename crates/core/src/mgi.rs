@@ -1,15 +1,15 @@
 //! The `.mgi` bundle: every index miniGiraffe needs, in one mappable file.
 //!
-//! A `.mgz` pangenome stores *compressed* serializations that must be
-//! decoded element-by-element at startup, and the minimizer and distance
-//! indexes are rebuilt from scratch on every run. [`MgiBundle`] instead
-//! persists the **in-memory layouts** of all four structures — the forward
-//! sequence arena, CSR adjacency, flat minimizer table, distance / chain
-//! index, and the compressed GBWT — into one [`mg_support::mgi`]
-//! container. Opening it is `mmap` + bounds/checksum validation plus one
-//! pass that derives the graph's reverse-complement arena: no per-element
-//! decoding, no index rebuilds, and the page cache shares the mapped
-//! arenas across processes.
+//! A `.mgz` pangenome holds only the graph and the GBWT, so the minimizer
+//! and distance indexes are rebuilt from scratch on every run that starts
+//! from one. [`MgiBundle`] persists the **in-memory layouts** of all four
+//! structures — the forward sequence arena, CSR adjacency, flat minimizer
+//! table, distance / chain index, and the compressed GBWT — into one
+//! [`mg_support::mgi`] container: the `.mgz`'s ten sections plus the
+//! minimizer and distance sections. Opening it is `mmap` +
+//! bounds/checksum validation plus one pass that derives the graph's
+//! reverse-complement arena: no per-element decoding, no index rebuilds,
+//! and the page cache shares the mapped arenas across processes.
 //!
 //! The owned and mapped paths produce interchangeable values: every
 //! component type is backed by [`mg_support::mgi::Storage`], so a bundle

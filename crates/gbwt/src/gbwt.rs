@@ -7,7 +7,7 @@ use mg_support::mgi::{
     TAG_GBWT_END_IDS, TAG_GBWT_META, TAG_GBWT_OFFSETS, TAG_GBWT_RECORDS,
 };
 use mg_support::probe::MemProbe;
-use mg_support::varint::{self, Cursor};
+use mg_support::varint::Cursor;
 use mg_support::{Error, Result};
 
 use crate::record::{DecodedRecord, ENDMARKER};
@@ -503,106 +503,6 @@ impl Gbwt {
         }
     }
 
-    /// Serializes the index to a byte payload.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        varint::write_u64(&mut out, self.sequence_count);
-        varint::write_u64(&mut out, self.path_count);
-        varint::write_u64(&mut out, self.bidirectional as u64);
-        varint::write_u64(&mut out, self.alphabet_size);
-        varint::write_u64(&mut out, self.total_visits);
-        varint::write_u64(&mut out, self.end_ids.len() as u64);
-        for &id in self.end_ids.iter() {
-            varint::write_u64(&mut out, id);
-        }
-        varint::write_u64(&mut out, self.endmarker.len() as u64);
-        out.extend_from_slice(&self.endmarker);
-        varint::write_u64(&mut out, self.offsets.len() as u64);
-        let mut prev = 0u64;
-        for &o in self.offsets.iter() {
-            varint::write_u64(&mut out, o - prev);
-            prev = o;
-        }
-        varint::write_u64(&mut out, self.records.len() as u64);
-        out.extend_from_slice(&self.records);
-        out
-    }
-
-    /// Deserializes an index written by [`Gbwt::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns decoding errors and [`Error::Corrupt`] on structural
-    /// inconsistencies.
-    pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        let mut cur = Cursor::new(data);
-        let sequence_count = cur.read_u64()?;
-        let path_count = cur.read_u64()?;
-        let bidirectional = cur.read_u64()? != 0;
-        let alphabet_size = cur.read_u64()?;
-        let total_visits = cur.read_u64()?;
-        let end_count = cur.read_u64()?;
-        // Counts are untrusted until the bytes behind them exist: every
-        // entry costs at least one encoded byte, so a count the remaining
-        // input cannot hold is corruption — reject before reserving.
-        if end_count > cur.remaining() as u64 {
-            return Err(Error::Corrupt(format!(
-                "end-id count {end_count} exceeds {} remaining bytes",
-                cur.remaining()
-            )));
-        }
-        let end_count = end_count as usize;
-        let mut end_ids = Vec::with_capacity(end_count);
-        for _ in 0..end_count {
-            end_ids.push(cur.read_u64()?);
-        }
-        let end_len = cur.read_u64()? as usize;
-        let endmarker = cur.read_bytes(end_len)?.to_vec();
-        let offset_count = cur.read_u64()?;
-        if offset_count == 0 {
-            return Err(Error::Corrupt("missing record offsets".into()));
-        }
-        if offset_count > cur.remaining() as u64 {
-            return Err(Error::Corrupt(format!(
-                "offset count {offset_count} exceeds {} remaining bytes",
-                cur.remaining()
-            )));
-        }
-        let offset_count = offset_count as usize;
-        let mut offsets = Vec::with_capacity(offset_count);
-        let mut acc = 0u64;
-        for _ in 0..offset_count {
-            acc += cur.read_u64()?;
-            offsets.push(acc);
-        }
-        let rec_len = cur.read_u64()? as usize;
-        if *offsets.last().unwrap() != rec_len as u64 {
-            return Err(Error::Corrupt("record offsets disagree with blob size".into()));
-        }
-        if alphabet_size < 2 || offsets.len() as u64 != alphabet_size - 1 {
-            return Err(Error::Corrupt(format!(
-                "alphabet size {alphabet_size} disagrees with {} record offsets",
-                offsets.len()
-            )));
-        }
-        let records = cur.read_bytes(rec_len)?.to_vec();
-        if !cur.is_at_end() {
-            return Err(Error::Corrupt("trailing bytes after GBWT".into()));
-        }
-        Ok(Gbwt {
-            records: records.into(),
-            offsets: offsets.into(),
-            endmarker: endmarker.into(),
-            sequence_count,
-            path_count,
-            bidirectional,
-            alphabet_size,
-            total_visits,
-            end_ids: end_ids.into(),
-            uid: NEXT_GBWT_UID.fetch_add(1, Ordering::Relaxed),
-        })
-    }
-
     /// Whether the record blob borrows a mapped `.mgi` container.
     pub fn is_mapped(&self) -> bool {
         self.records.is_mapped()
@@ -629,13 +529,12 @@ impl Gbwt {
         w.section(TAG_GBWT_END_IDS, buf);
     }
 
-    /// Borrows an index out of a validated `.mgi` container.
+    /// Borrows an index out of a validated container (`.mgz` or `.mgi`).
     ///
     /// Structural invariants (monotonic offsets covering the blob, the
     /// offset table matching the alphabet) are checked here; the encoded
     /// record bytes themselves are vouched for by the container's section
-    /// checksums, exactly as the `.mgz` path trusts its checksummed
-    /// payloads. [`Gbwt::validate_records`] is the opt-in deep check.
+    /// checksums. [`Gbwt::validate_records`] is the opt-in deep check.
     ///
     /// # Errors
     ///
@@ -863,11 +762,49 @@ mod tests {
         let _ = g.find_bidir(2);
     }
 
+    /// `g` written with `write_mgi` and read back with `from_mgi` twice:
+    /// from the in-memory image, and from a file mapped with
+    /// `MgiFile::open`.
+    fn mgi_roundtrips(g: &Gbwt) -> [Gbwt; 2] {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "mg-gbwt-{}-{}.mgi",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let mut w = MgiWriter::new();
+        g.write_mgi(&mut w);
+        let image = w.finish();
+        std::fs::write(&path, &image).unwrap();
+        let mapped = Gbwt::from_mgi(&MgiFile::open(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let owned = Gbwt::from_mgi(&MgiFile::open_bytes(image).unwrap()).unwrap();
+        [owned, mapped]
+    }
+
+    /// The diamond's five sections with `edit` applied, re-sectioned with
+    /// fresh checksums: what a hostile writer, not a damaged disk,
+    /// produces.
+    fn crafted(edit: impl FnOnce(&mut [(u32, Vec<u8>)])) -> Result<Gbwt> {
+        let mut w = MgiWriter::new();
+        diamond_gbwt().write_mgi(&mut w);
+        let f = MgiFile::open_bytes(w.finish()).unwrap();
+        let mut sections: Vec<(u32, Vec<u8>)> =
+            f.tags().map(|tag| (tag, f.section(tag).unwrap().to_vec())).collect();
+        edit(&mut sections);
+        let mut w = MgiWriter::new();
+        for (tag, payload) in sections {
+            w.section(tag, payload);
+        }
+        Gbwt::from_mgi(&MgiFile::open_bytes(w.finish()).unwrap())
+    }
+
     #[test]
     fn serialization_roundtrip() {
         let g = diamond_gbwt();
-        let back = Gbwt::from_bytes(&g.to_bytes()).unwrap();
-        assert_eq!(g, back);
+        for back in mgi_roundtrips(&g) {
+            assert_eq!(g, back);
+        }
     }
 
     #[test]
@@ -932,29 +869,25 @@ mod tests {
 
     #[test]
     fn huge_counts_rejected_without_allocating() {
-        // A truncated payload claiming 2^40 end ids (or offsets) used to
-        // reserve the full count before reading a single entry.
-        let mut bytes = Vec::new();
-        for v in [8u64, 4, 1, 12, 32] {
-            varint::write_u64(&mut bytes, v); // plausible header
-        }
-        varint::write_u64(&mut bytes, 1 << 40); // absurd end-id count
-        assert!(matches!(Gbwt::from_bytes(&bytes), Err(Error::Corrupt(_))));
-
-        let mut bytes = Vec::new();
-        for v in [8u64, 4, 1, 12, 32, 0, 0] {
-            varint::write_u64(&mut bytes, v); // header + no end ids + empty endmarker
-        }
-        varint::write_u64(&mut bytes, 1 << 40); // absurd offset count
-        assert!(matches!(Gbwt::from_bytes(&bytes), Err(Error::Corrupt(_))));
+        // Array lengths come from the section table, never from a stored
+        // count: metadata claiming 2^40 symbols is rejected against the
+        // offset table it disagrees with, and nothing is sized by it.
+        let meta_with = |field: usize, value: u64| {
+            crafted(|s| s[0].1[field * 8..field * 8 + 8].copy_from_slice(&value.to_le_bytes()))
+        };
+        assert!(matches!(meta_with(3, 1 << 40), Err(Error::Corrupt(_))));
+        assert!(matches!(meta_with(2, 2), Err(Error::Corrupt(_))), "bidirectional flag");
+        assert!(crafted(|_| ()).is_ok());
     }
 
     #[test]
-    fn from_bytes_rejects_truncation() {
-        let bytes = diamond_gbwt().to_bytes();
-        for cut in [1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(Gbwt::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
+    fn from_mgi_rejects_truncated_sections() {
+        // The offset table cut by one entry, and the record blob cut by
+        // one byte, no longer cover each other.
+        let cut_offsets = crafted(|s| s[2].1.truncate(s[2].1.len() - 8));
+        assert!(matches!(cut_offsets, Err(Error::Corrupt(_))));
+        let cut_records = crafted(|s| s[1].1.truncate(s[1].1.len() - 1));
+        assert!(matches!(cut_records, Err(Error::Corrupt(_))));
     }
 
     #[test]
@@ -1046,7 +979,11 @@ mod tests {
                 builder = builder.insert(&fwd(ids));
             }
             let g = builder.build().unwrap();
-            prop_assert_eq!(Gbwt::from_bytes(&g.to_bytes()).unwrap(), g);
+            for back in mgi_roundtrips(&g) {
+                prop_assert!(back.is_mapped());
+                prop_assert_eq!(&back, &g);
+                prop_assert!(back.validate_records().is_ok());
+            }
         }
     }
 }

@@ -1,28 +1,39 @@
-//! The `.mgz` container: a variation graph bundled with its GBWT.
+//! The `.mgz` file: a variation graph bundled with its GBWT.
 //!
 //! This is our analog of the GBZ file format Giraffe loads its pangenomes
-//! from: one compressed file holding both the sequence graph and the
-//! haplotype index, decompressed at runtime. The container layout comes from
-//! [`mg_support::container`]; payload sections are the serializations of
-//! [`VariationGraph`] and [`Gbwt`].
+//! from: one file holding both the sequence graph and the haplotype index,
+//! whose GBWT records stay run-length compressed and are decoded one node
+//! at a time by the record cache. The file is an [`mg_support::mgi`]
+//! container holding exactly the ten sections [`Gbz::write_mgi`] emits —
+//! five for the graph, five for the GBWT — so loading is a memory map plus
+//! validation, and an `.mgi` bundle is the same sections plus the prebuilt
+//! minimizer and distance indexes.
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
 use std::path::Path;
 
 use mg_graph::VariationGraph;
-use mg_support::container::{ContainerReader, ContainerWriter};
-use mg_support::mgi::{MgiFile, MgiWriter};
+use mg_support::mgi::{
+    MgiFile, MgiWriter, TAG_GBWT_ENDMARKER, TAG_GBWT_END_IDS, TAG_GBWT_META, TAG_GBWT_OFFSETS,
+    TAG_GBWT_RECORDS, TAG_GRAPH_ADJ_OFFSETS, TAG_GRAPH_ADJ_TARGETS, TAG_GRAPH_META, TAG_GRAPH_SEQ,
+    TAG_GRAPH_SEQ_OFFSETS,
+};
 use mg_support::Result;
 
 use crate::gbwt::Gbwt;
 
-/// Container kind discriminator for `.mgz` files.
-pub const GBZ_KIND: [u8; 4] = *b"GBZG";
-/// Section tag of the graph payload.
-pub const TAG_GRAPH: u32 = 0x0001;
-/// Section tag of the GBWT payload.
-pub const TAG_GBWT: u32 = 0x0002;
+/// The sections of a `.mgz`: the graph's five, then the GBWT's five.
+const GBZ_TAGS: [u32; 10] = [
+    TAG_GRAPH_META,
+    TAG_GRAPH_SEQ,
+    TAG_GRAPH_SEQ_OFFSETS,
+    TAG_GRAPH_ADJ_OFFSETS,
+    TAG_GRAPH_ADJ_TARGETS,
+    TAG_GBWT_META,
+    TAG_GBWT_RECORDS,
+    TAG_GBWT_OFFSETS,
+    TAG_GBWT_ENDMARKER,
+    TAG_GBWT_END_IDS,
+];
 
 /// A pangenome reference ready for mapping: graph + haplotype index.
 ///
@@ -93,27 +104,32 @@ impl Gbz {
     ///
     /// # Errors
     ///
-    /// Returns any underlying IO error (not expected for in-memory writes).
+    /// Never fails; the `Result` is kept for API stability.
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let mut bytes = Vec::new();
-        let mut writer = ContainerWriter::new(&mut bytes, GBZ_KIND)?;
-        writer.section(TAG_GRAPH, &self.graph.to_bytes())?;
-        writer.section(TAG_GBWT, &self.gbwt.to_bytes())?;
-        writer.finish()?;
-        Ok(bytes)
+        Ok(self.mgz_writer().finish())
     }
 
-    /// Deserializes from an in-memory `.mgz` image.
+    /// Deserializes from an in-memory `.mgz` image, copying it into an
+    /// aligned buffer the graph and GBWT then borrow from.
     ///
     /// # Errors
     ///
-    /// Returns container/codec errors for malformed input.
+    /// Returns container errors for malformed input, and
+    /// [`mg_support::Error::BadTag`] for a container holding any section
+    /// besides the ten of a `.mgz` (an `.mgi` bundle, a seed dump).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut reader = ContainerReader::new(bytes, GBZ_KIND)?;
-        let graph = VariationGraph::from_bytes(&reader.expect_section(TAG_GRAPH)?)?;
-        let gbwt = Gbwt::from_bytes(&reader.expect_section(TAG_GBWT)?)?;
-        reader.expect_end()?;
-        Ok(Gbz { graph, gbwt })
+        Self::from_mgz(&MgiFile::open_bytes(bytes.to_vec())?)
+    }
+
+    fn mgz_writer(&self) -> MgiWriter {
+        let mut w = MgiWriter::new();
+        self.write_mgi(&mut w);
+        w
+    }
+
+    fn from_mgz(f: &MgiFile) -> Result<Self> {
+        f.expect_only(&GBZ_TAGS)?;
+        Self::from_mgi(f)
     }
 
     /// Appends graph and GBWT to a `.mgi` container in their in-memory
@@ -140,26 +156,18 @@ impl Gbz {
     ///
     /// Returns IO errors from the filesystem.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let file = BufWriter::new(File::create(path)?);
-        let mut writer = ContainerWriter::new(file, GBZ_KIND)?;
-        writer.section(TAG_GRAPH, &self.graph.to_bytes())?;
-        writer.section(TAG_GBWT, &self.gbwt.to_bytes())?;
-        writer.finish()?;
-        Ok(())
+        self.mgz_writer().write_to(path.as_ref())
     }
 
-    /// Reads a `.mgz` file.
+    /// Maps a `.mgz` file and validates it; the graph and GBWT borrow their
+    /// arrays from the mapping.
     ///
     /// # Errors
     ///
-    /// Returns IO and format errors.
+    /// Returns IO and format errors, including
+    /// [`mg_support::Error::BadTag`] for a container that is not a `.mgz`.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let file = BufReader::new(File::open(path)?);
-        let mut reader = ContainerReader::new(file, GBZ_KIND)?;
-        let graph = VariationGraph::from_bytes(&reader.expect_section(TAG_GRAPH)?)?;
-        let gbwt = Gbwt::from_bytes(&reader.expect_section(TAG_GBWT)?)?;
-        reader.expect_end()?;
-        Ok(Gbz { graph, gbwt })
+        Self::from_mgz(&MgiFile::open(path.as_ref())?)
     }
 }
 
@@ -181,8 +189,12 @@ mod tests {
     #[test]
     fn bytes_roundtrip() {
         let gbz = sample_gbz();
-        let back = Gbz::from_bytes(&gbz.to_bytes().unwrap()).unwrap();
+        let bytes = gbz.to_bytes().unwrap();
+        let f = MgiFile::open_bytes(bytes.clone()).unwrap();
+        assert_eq!(f.tags().collect::<Vec<_>>(), GBZ_TAGS);
+        let back = Gbz::from_bytes(&bytes).unwrap();
         assert_eq!(gbz, back);
+        assert_eq!(back.to_bytes().unwrap(), bytes);
     }
 
     #[test]
@@ -217,8 +229,15 @@ mod tests {
     fn rejects_wrong_kind() {
         let gbz = sample_gbz();
         let mut bytes = gbz.to_bytes().unwrap();
-        bytes[4] = b'X'; // corrupt the kind field
+        bytes[0] = b'X'; // corrupt the magic
         assert!(Gbz::from_bytes(&bytes).is_err());
+        // Every section of a `.mgz` plus one more is not a `.mgz`.
+        let mut w = gbz.mgz_writer();
+        w.section(mg_support::mgi::TAG_DUMP_META, Vec::new());
+        assert!(matches!(
+            Gbz::from_bytes(&w.finish()),
+            Err(mg_support::Error::BadTag { expected: None, .. })
+        ));
     }
 
     #[test]

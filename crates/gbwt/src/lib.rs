@@ -11,8 +11,9 @@
 //!   seed-and-extend kernel makes on every step;
 //! - the [`CachedGbwt`] decompressed-record cache whose initial capacity is
 //!   one of miniGiraffe's three tuning parameters;
-//! - the [`Gbz`] container (`.mgz`), our analog of the GBZ file format,
-//!   bundling graph + index in one compressed, checksummed file.
+//! - the [`Gbz`] file (`.mgz`), our analog of the GBZ file format,
+//!   bundling graph + index (its records still run-length compressed) in
+//!   one checksummed, memory-mapped container.
 //!
 //! # Examples
 //!

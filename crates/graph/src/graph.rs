@@ -13,7 +13,6 @@ use mg_support::mgi::{
     self, FixedReader, MgiFile, MgiWriter, Storage, TAG_GRAPH_ADJ_OFFSETS, TAG_GRAPH_ADJ_TARGETS,
     TAG_GRAPH_META, TAG_GRAPH_SEQ, TAG_GRAPH_SEQ_OFFSETS,
 };
-use mg_support::varint::{self, Cursor};
 use mg_support::{Error, Result};
 
 use crate::dna;
@@ -24,7 +23,7 @@ use crate::handle::{Handle, NodeId, Orientation};
 /// forms serve [`VariationGraph::successors`] as a plain slice.
 #[derive(Debug, Clone)]
 enum AdjStore {
-    /// Mutable per-handle vectors (build path, legacy deserializers).
+    /// Mutable per-handle vectors (build path).
     Dynamic(Vec<Vec<Handle>>),
     /// Flat compressed-sparse-row form (zero-copy path).
     Csr {
@@ -343,56 +342,6 @@ impl VariationGraph {
             + adj
     }
 
-    /// Serializes the graph to a byte payload (for container sections).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        varint::write_u64(&mut out, self.node_count() as u64);
-        for id in self.node_ids() {
-            let seq = self.forward_sequence(id);
-            varint::write_u64(&mut out, seq.len() as u64);
-            out.extend_from_slice(seq);
-        }
-        // Edges in canonical direction only; the mirror is re-derived.
-        let edges: Vec<(Handle, Handle)> = self.edges().collect();
-        varint::write_u64(&mut out, edges.len() as u64);
-        for (from, to) in edges {
-            varint::write_u64(&mut out, from.packed());
-            varint::write_u64(&mut out, to.packed());
-        }
-        out
-    }
-
-    /// Deserializes a graph written by [`VariationGraph::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns decoding errors and [`Error::Corrupt`] for invalid structure.
-    pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        let mut cur = Cursor::new(data);
-        let node_count = cur.read_u64()?;
-        let mut graph = VariationGraph::new();
-        for _ in 0..node_count {
-            let len = cur.read_u64()? as usize;
-            let seq = cur.read_bytes(len)?;
-            graph.add_node(seq)?;
-        }
-        let edge_count = cur.read_u64()?;
-        for _ in 0..edge_count {
-            let from = Handle::from_gbwt(cur.read_u64()?)
-                .ok_or_else(|| Error::Corrupt("edge endpoint encodes endmarker".into()))?;
-            let to = Handle::from_gbwt(cur.read_u64()?)
-                .ok_or_else(|| Error::Corrupt("edge endpoint encodes endmarker".into()))?;
-            if !graph.has_node(from.node()) || !graph.has_node(to.node()) {
-                return Err(Error::Corrupt("edge references missing node".into()));
-            }
-            graph.add_edge(from, to);
-        }
-        if !cur.is_at_end() {
-            return Err(Error::Corrupt("trailing bytes after graph".into()));
-        }
-        Ok(graph)
-    }
-
     /// Emits the graph's five `.mgi` sections: metadata, the forward ASCII
     /// arena and its node offsets, and the adjacency lists flattened to CSR
     /// — each in its in-memory little-endian layout. The reverse-complement
@@ -424,12 +373,13 @@ impl VariationGraph {
         w.section(TAG_GRAPH_ADJ_TARGETS, targets);
     }
 
-    /// Rebuilds a graph from a mapped `.mgi`, borrowing the forward arena,
-    /// its offsets and the adjacency zero-copy and validating the
-    /// structural invariants the accessors rely on (offset monotonicity,
-    /// alphabet, sorted in-bounds adjacency rows) instead of decoding
-    /// elements. The reverse-complement arena is derived from the forward
-    /// one in a single pass.
+    /// Rebuilds a graph from a mapped container (`.mgz` or `.mgi`),
+    /// borrowing the forward arena, its offsets and the adjacency zero-copy
+    /// and validating the structural invariants the accessors rely on
+    /// (offset monotonicity, alphabet, sorted in-bounds adjacency rows,
+    /// every edge's mirror present, the stored edge count exact) instead of
+    /// decoding elements. The reverse-complement arena is derived from the
+    /// forward one in a single pass.
     ///
     /// # Errors
     ///
@@ -495,16 +445,29 @@ impl VariationGraph {
                 return Err(Error::Corrupt("adjacency row not strictly sorted".into()));
             }
         }
-        if edge_count > targets.len() {
-            return Err(Error::Corrupt("edge count exceeds adjacency entries".into()));
-        }
-        Ok(VariationGraph {
+        let graph = VariationGraph {
             seq_data,
             rc_seq_data,
             seq_offsets,
             adjacency: AdjStore::Csr { offsets: adj_offsets, targets },
             edge_count,
-        })
+        };
+        // `add_edge` gives every edge its mirror and counts it once; a
+        // mapped graph must hold the same, or backward walks and the
+        // distance index see a one-sided edge.
+        for from in (2..=max_symbol).filter_map(Handle::from_gbwt) {
+            let successors = graph.successors(from);
+            if let Some(to) = successors.iter().find(|to| !graph.has_edge(to.flip(), from.flip())) {
+                return Err(Error::Corrupt(format!("edge {from} -> {to} has no mirror")));
+            }
+        }
+        let edges = graph.edges().count();
+        if edges != edge_count {
+            return Err(Error::Corrupt(format!(
+                "metadata says {edge_count} edges, adjacency holds {edges}"
+            )));
+        }
+        Ok(graph)
     }
 }
 
@@ -623,25 +586,81 @@ mod tests {
     #[test]
     fn serialization_roundtrip() {
         let (g, _) = diamond();
-        let bytes = g.to_bytes();
-        let g2 = VariationGraph::from_bytes(&bytes).unwrap();
-        assert_eq!(g, g2);
+        for g2 in mgi_roundtrips(&g) {
+            assert_eq!(g2, g);
+        }
     }
 
     #[test]
     fn deserialize_rejects_trailing_garbage() {
-        let (g, _) = diamond();
-        let mut bytes = g.to_bytes();
-        bytes.push(0);
-        assert!(VariationGraph::from_bytes(&bytes).is_err());
+        let mut sections = diamond_sections();
+        sections[0].1.push(0);
+        assert!(matches!(load_sections(sections), Err(Error::Corrupt(_))));
     }
 
     #[test]
     fn empty_graph_roundtrip() {
         let g = VariationGraph::new();
-        let g2 = VariationGraph::from_bytes(&g.to_bytes()).unwrap();
-        assert_eq!(g2.node_count(), 0);
-        assert_eq!(g2.edge_count(), 0);
+        for g2 in mgi_roundtrips(&g) {
+            assert_eq!(g2.node_count(), 0);
+            assert_eq!(g2.edge_count(), 0);
+        }
+    }
+
+    /// The diamond's five `.mgi` sections, in file order, for crafting
+    /// containers.
+    fn diamond_sections() -> Vec<(u32, Vec<u8>)> {
+        let (g, _) = diamond();
+        let mut w = MgiWriter::new();
+        g.write_mgi(&mut w);
+        let f = MgiFile::open_bytes(w.finish()).unwrap();
+        f.tags().map(|tag| (tag, f.section(tag).unwrap().to_vec())).collect()
+    }
+
+    /// Loads `sections` re-sectioned with fresh checksums: what a hostile
+    /// writer, not a damaged disk, produces.
+    fn load_sections(sections: Vec<(u32, Vec<u8>)>) -> Result<VariationGraph> {
+        let mut w = MgiWriter::new();
+        for (tag, payload) in sections {
+            w.section(tag, payload);
+        }
+        VariationGraph::from_mgi(&MgiFile::open_bytes(w.finish()).unwrap())
+    }
+
+    /// The diamond with its adjacency rows and edge count replaced.
+    fn crafted(rows: &[Vec<Handle>], edge_count: u64) -> Result<VariationGraph> {
+        let mut sections = diamond_sections();
+        sections[0].1[8..16].copy_from_slice(&edge_count.to_le_bytes());
+        let (mut offsets, mut targets) = (vec![0u64], Vec::new());
+        for row in rows {
+            targets.extend(row.iter().map(|h| h.packed()));
+            offsets.push(targets.len() as u64);
+        }
+        sections[3].1.clear();
+        mgi::put_u64_slice(&mut sections[3].1, &offsets);
+        sections[4].1.clear();
+        mgi::put_u64_slice(&mut sections[4].1, &targets);
+        load_sections(sections)
+    }
+
+    #[test]
+    fn crafted_one_sided_edge_or_wrong_edge_count_is_corrupt() {
+        let (g, [a, b, ..]) = diamond();
+        let rows: Vec<Vec<Handle>> = (0..2 * g.node_count())
+            .map(|i| g.successors(Handle::from_gbwt(i as u64 + 2).unwrap()).to_vec())
+            .collect();
+        // The untouched rows and count load.
+        assert_eq!(crafted(&rows, g.edge_count() as u64).unwrap(), g);
+        // Drop the mirror 2- -> 1- of the edge 1+ -> 2+.
+        let mut one_sided = rows.clone();
+        let mirror = (Handle::reverse(b).packed() - 2) as usize;
+        one_sided[mirror].retain(|&h| h != Handle::reverse(a));
+        assert!(matches!(crafted(&one_sided, 4), Err(Error::Corrupt(_))));
+        assert!(matches!(crafted(&one_sided, 3), Err(Error::Corrupt(_))));
+        // Every edge mirrored, but the metadata's count is off by one.
+        for count in [3, 5] {
+            assert!(matches!(crafted(&rows, count), Err(Error::Corrupt(_))), "{count}");
+        }
     }
 
     /// Random small graphs for property tests.
@@ -670,6 +689,25 @@ mod tests {
         g.write_mgi(&mut w);
         let f = MgiFile::open_bytes(w.finish()).unwrap();
         VariationGraph::from_mgi(&f).unwrap()
+    }
+
+    /// `g` written with `write_mgi` and read back with `from_mgi` twice:
+    /// from the in-memory image, and from a file mapped with
+    /// `MgiFile::open`.
+    fn mgi_roundtrips(g: &VariationGraph) -> [VariationGraph; 2] {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "mg-graph-{}-{}.mgi",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let mut w = MgiWriter::new();
+        g.write_mgi(&mut w);
+        w.write_to(&path).unwrap();
+        let mapped = VariationGraph::from_mgi(&MgiFile::open(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        [mgi_roundtrip(g), mapped]
     }
 
     #[test]
@@ -712,8 +750,10 @@ mod tests {
     proptest! {
         #[test]
         fn prop_serialization_roundtrip(g in graph_strategy()) {
-            let g2 = VariationGraph::from_bytes(&g.to_bytes()).unwrap();
-            prop_assert_eq!(g, g2);
+            for g2 in mgi_roundtrips(&g) {
+                prop_assert_eq!(&g2, &g);
+                prop_assert_eq!(g2.edge_count(), g2.edges().count());
+            }
         }
 
         #[test]

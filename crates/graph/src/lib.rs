@@ -9,7 +9,8 @@
 //! - [`dna`]: base alphabet utilities (validation, complement);
 //! - [`graph::VariationGraph`]: the graph itself, with oriented traversal
 //!   over one ASCII arena per strand (only the forward one is written to
-//!   `.mgi` containers; the reverse-complement arena is derived on load);
+//!   `.mgz` and `.mgi` containers; the reverse-complement arena is derived
+//!   on load);
 //! - [`pangenome`]: construction of a pangenome graph from a linear
 //!   reference plus a set of variants and a haplotype panel (who carries
 //!   which allele) — the synthetic stand-in for HPRC/1000GP graphs.

@@ -1,33 +1,31 @@
 //! Low-level substrate for the miniGiraffe reproduction.
 //!
-//! This crate provides the succinct data structures and binary IO that the
-//! GBWT ([`mg-gbwt`]) and the rest of the stack are built on:
+//! This crate provides the binary IO and the instrumentation hooks that the
+//! GBWT (`mg-gbwt`) and the rest of the stack are built on:
 //!
-//! - [`bits::BitVec`]: a plain bit vector with O(1) rank and O(log n) select,
-//!   used for record boundaries and sparse marks.
-//! - [`bits::IntVec`]: a bit-packed vector of fixed-width integers, used for
-//!   node identifiers and offsets inside compressed records.
-//! - [`varint`]: LEB128-style variable-length integers with ZigZag support,
-//!   the byte-level encoding of GBWT records.
-//! - [`rle`]: run-length encoding of `(symbol, run)` pairs used by the GBWT
-//!   body.
-//! - [`container`]: a tagged, checksummed binary container format — the
-//!   skeleton of the `.mgz` (GBZ-analog) file format and of seed dumps.
+//! - [`varint`]: LEB128-style variable-length unsigned integers, the
+//!   byte-level encoding of GBWT records and seed dumps.
+//! - [`rle`]: run-length encoding of `(symbol, run)` pairs, the body of
+//!   each GBWT node record.
+//! - [`mgi`]: the one on-disk container — a checksummed section table over
+//!   16-byte-aligned payloads, memory-mapped on open — that `.mgz`
+//!   pangenomes, `.mgi` index bundles and `.bin` seed dumps all use.
+//! - [`probe`], [`regions`], [`mem`]: memory-access probes, region timers
+//!   and RSS readings for the characterization experiments.
 //!
 //! # Examples
 //!
 //! ```
-//! use mg_support::bits::BitVec;
+//! use mg_support::rle::{collapse, Run};
+//! use mg_support::varint;
 //!
-//! let mut bv = BitVec::new(100);
-//! bv.set(3, true);
-//! bv.set(97, true);
-//! assert_eq!(bv.rank1(98), 2);
-//! assert_eq!(bv.select1(1), Some(97));
+//! let runs = collapse([2, 2, 2, 5]);
+//! assert_eq!(runs, vec![Run::new(2, 3), Run::new(5, 1)]);
+//! let mut buf = Vec::new();
+//! varint::write_u64(&mut buf, 300);
+//! assert_eq!(varint::read_u64(&buf).unwrap(), (300, 2));
 //! ```
 
-pub mod bits;
-pub mod container;
 pub mod error;
 pub mod mem;
 pub mod mgi;

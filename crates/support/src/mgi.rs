@@ -1,4 +1,4 @@
-//! The `.mgi` mappable index container: validate, don't parse.
+//! The one on-disk container: validate, don't parse.
 //!
 //! A `.mgi` file holds the mapper's resident state — the forward node
 //! sequence arena and CSR adjacency, minimizer table, distance/snarl index,
@@ -6,7 +6,9 @@
 //! structures use, so loading is `mmap` plus bounds/invariant validation
 //! with zero per-element decoding. Each node sequence is stored once: the
 //! graph derives its reverse-complement arena from the forward one on load.
-//! The pieces:
+//! The other two binary files use the same container with fewer sections:
+//! a `.mgz` pangenome holds exactly the graph and GBWT sections, a `.bin`
+//! seed dump its two dump sections. The pieces:
 //!
 //! - [`Mapping`]: a read-only memory map of a file (aligned heap buffer on
 //!   non-unix hosts and for in-memory images).
@@ -41,13 +43,13 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::container::fnv1a;
 use crate::error::{Error, Result};
 
 /// Magic bytes opening a `.mgi` container.
 pub const MGI_MAGIC: [u8; 8] = *b"MGIDX\0\0\0";
-/// Current `.mgi` format version. There is no reader for older versions:
-/// a container is rebuilt from its `.mgz` with `minigiraffe build-mgi`.
+/// Current container format version (`.mgi`, `.mgz` and `.bin` alike).
+/// There is no reader for older versions: an `.mgi` is rebuilt from its
+/// `.mgz` with `minigiraffe build-mgi`.
 pub const MGI_VERSION: u32 = 2;
 /// Endianness marker; written as a native u32, so a big-endian writer
 /// produces different bytes and is rejected by little-endian readers.
@@ -117,6 +119,10 @@ pub const TAG_GBWT_OFFSETS: u32 = 0x0402;
 pub const TAG_GBWT_ENDMARKER: u32 = 0x0403;
 /// Sequence-end record ids (`u64`).
 pub const TAG_GBWT_END_IDS: u32 = 0x0404;
+/// Seed-dump metadata: workflow flag and read count (varints).
+pub const TAG_DUMP_META: u32 = 0x0500;
+/// Seed-dump reads: each read's bases and delta-encoded seeds (varints).
+pub const TAG_DUMP_READS: u32 = 0x0501;
 
 /// Marker for plain-old-data element types that may be reinterpreted from
 /// mapped little-endian bytes.
@@ -135,6 +141,21 @@ unsafe impl Pod for u8 {}
 unsafe impl Pod for u16 {}
 unsafe impl Pod for u32 {}
 unsafe impl Pod for u64 {}
+
+/// FNV-1a 64-bit hash: the checksum of the section table and of every
+/// section payload.
+///
+/// ```
+/// assert_eq!(mg_support::mgi::fnv1a(b""), 0xcbf29ce484222325);
+/// ```
+pub fn fnv1a(data: &[u8]) -> u64 {
+    let mut hash = 0xcbf29ce484222325u64;
+    for &b in data {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x100000001b3);
+    }
+    hash
+}
 
 fn align_up(n: usize, align: usize) -> usize {
     n.div_ceil(align) * align
@@ -816,6 +837,21 @@ impl MgiFile {
         self.entries.iter().map(|e| e.tag)
     }
 
+    /// Rejects a container holding any section outside `allowed`. The
+    /// three file kinds share this container, so a reader whose sections
+    /// are a subset of another kind's (the `.mgz` sections are a subset of
+    /// an `.mgi`'s) calls this to refuse the other kind.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::BadTag`] naming the first section not in `allowed`.
+    pub fn expect_only(&self, allowed: &[u32]) -> Result<()> {
+        match self.tags().find(|tag| !allowed.contains(tag)) {
+            Some(found) => Err(Error::BadTag { found, expected: None }),
+            None => Ok(()),
+        }
+    }
+
     fn entry(&self, tag: u32) -> Result<&SectionEntry> {
         self.entries.iter().find(|e| e.tag == tag).ok_or(Error::BadTag {
             found: 0,
@@ -869,6 +905,26 @@ mod tests {
             w.section(*tag, payload.clone());
         }
         w.finish()
+    }
+
+    #[test]
+    fn fnv_reference_values() {
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn expect_only_rejects_a_foreign_section() {
+        let f = MgiFile::open_bytes(image(&[
+            (TAG_DUMP_META, vec![0, 0]),
+            (TAG_DUMP_READS, Vec::new()),
+        ]))
+        .unwrap();
+        assert!(f.expect_only(&[TAG_DUMP_META, TAG_DUMP_READS, TAG_GRAPH_SEQ]).is_ok());
+        assert!(matches!(
+            f.expect_only(&[TAG_DUMP_META]),
+            Err(Error::BadTag { found: TAG_DUMP_READS, expected: None })
+        ));
     }
 
     #[test]

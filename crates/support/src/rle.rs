@@ -30,54 +30,14 @@ impl Run {
     }
 }
 
-/// Encodes runs with the generic two-varint scheme.
-pub fn encode_runs(out: &mut Vec<u8>, runs: &[Run]) {
-    for run in runs {
-        varint::write_u64(out, run.symbol);
-        varint::write_u64(out, run.len - 1);
-    }
-}
-
-/// Decodes `count` runs previously written by [`encode_runs`].
-///
-/// # Errors
-///
-/// Propagates varint decoding errors; returns [`Error::Corrupt`] if a
-/// run-length field overflows.
-pub fn decode_runs(cur: &mut varint::Cursor<'_>, count: usize) -> Result<Vec<Run>> {
-    let mut runs = Vec::with_capacity(count);
-    decode_runs_into(cur, count, &mut runs)?;
-    Ok(runs)
-}
-
-/// Like [`decode_runs`], but appends into `runs` after clearing it, reusing
-/// its allocation. The record cache decodes every miss through this path so
-/// steady-state decompression stays allocation-free.
-pub fn decode_runs_into(
-    cur: &mut varint::Cursor<'_>,
-    count: usize,
-    runs: &mut Vec<Run>,
-) -> Result<()> {
-    runs.clear();
-    runs.reserve(count);
-    for _ in 0..count {
-        let symbol = cur.read_u64()?;
-        let len_minus_one = cur.read_u64()?;
-        let len = len_minus_one
-            .checked_add(1)
-            .ok_or_else(|| Error::Corrupt("run length overflow".into()))?;
-        runs.push(Run { symbol, len });
-    }
-    Ok(())
-}
-
 /// Encodes runs with the small-alphabet packed scheme.
 ///
 /// When `sigma` (the alphabet size) satisfies `sigma <= 16`, a byte packs the
 /// symbol in its low 4 bits and `min(run - 1, 14)` in its high 4 bits; the
 /// high nibble value 15 flags that the remaining run length follows as a
-/// varint. For larger alphabets this falls back to [`encode_runs`] with a
-/// leading scheme marker either way, so decoding is self-describing.
+/// varint. For larger alphabets it uses the generic scheme, two varints
+/// (`symbol`, `len - 1`) per run. A leading scheme marker says which, so
+/// decoding is self-describing.
 pub fn encode_runs_packed(out: &mut Vec<u8>, runs: &[Run], sigma: u64) {
     if sigma <= 16 {
         out.push(1); // packed scheme marker
@@ -92,39 +52,43 @@ pub fn encode_runs_packed(out: &mut Vec<u8>, runs: &[Run], sigma: u64) {
         }
     } else {
         out.push(0); // generic scheme marker
-        encode_runs(out, runs);
+        for run in runs {
+            varint::write_u64(out, run.symbol);
+            varint::write_u64(out, run.len - 1);
+        }
     }
 }
 
-/// Decodes `count` runs written by [`encode_runs_packed`].
+/// Decodes `count` runs written by [`encode_runs_packed`] into `runs`,
+/// clearing it first and reusing its allocation. The record cache decodes
+/// every miss through this path so steady-state decompression stays
+/// allocation-free.
 ///
 /// # Errors
 ///
 /// Propagates varint/EOF errors; returns [`Error::Corrupt`] on an unknown
-/// scheme marker.
-pub fn decode_runs_packed(cur: &mut varint::Cursor<'_>, count: usize) -> Result<Vec<Run>> {
-    let mut runs = Vec::with_capacity(count);
-    decode_runs_packed_into(cur, count, &mut runs)?;
-    Ok(runs)
-}
-
-/// Like [`decode_runs_packed`], but reuses the allocation of `runs`.
-///
-/// # Errors
-///
-/// Propagates varint/EOF errors; returns [`Error::Corrupt`] on an unknown
-/// scheme marker.
+/// scheme marker or a run length that overflows.
 pub fn decode_runs_packed_into(
     cur: &mut varint::Cursor<'_>,
     count: usize,
     runs: &mut Vec<Run>,
 ) -> Result<()> {
     let scheme = cur.read_bytes(1)?[0];
+    runs.clear();
+    runs.reserve(count);
     match scheme {
-        0 => decode_runs_into(cur, count, runs),
+        0 => {
+            for _ in 0..count {
+                let symbol = cur.read_u64()?;
+                let len = cur
+                    .read_u64()?
+                    .checked_add(1)
+                    .ok_or_else(|| Error::Corrupt("run length overflow".into()))?;
+                runs.push(Run { symbol, len });
+            }
+            Ok(())
+        }
         1 => {
-            runs.clear();
-            runs.reserve(count);
             for _ in 0..count {
                 let byte = cur.read_bytes(1)?[0];
                 let symbol = (byte & 0x0F) as u64;
@@ -178,6 +142,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn decode(buf: &[u8], count: usize) -> Result<Vec<Run>> {
+        let mut runs = Vec::new();
+        decode_runs_packed_into(&mut varint::Cursor::new(buf), count, &mut runs)?;
+        Ok(runs)
+    }
+
     #[test]
     fn collapse_empty() {
         assert!(collapse(std::iter::empty()).is_empty());
@@ -199,16 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_roundtrip() {
-        let runs = vec![Run::new(0, 1), Run::new(5, 1000), Run::new(u64::MAX, 3)];
-        let mut buf = Vec::new();
-        encode_runs(&mut buf, &runs);
-        let mut cur = varint::Cursor::new(&buf);
-        assert_eq!(decode_runs(&mut cur, runs.len()).unwrap(), runs);
-        assert!(cur.is_at_end());
-    }
-
-    #[test]
     fn packed_roundtrip_small_alphabet() {
         let runs = vec![
             Run::new(0, 1),
@@ -220,7 +180,9 @@ mod tests {
         let mut buf = Vec::new();
         encode_runs_packed(&mut buf, &runs, 16);
         let mut cur = varint::Cursor::new(&buf);
-        assert_eq!(decode_runs_packed(&mut cur, runs.len()).unwrap(), runs);
+        let mut back = Vec::new();
+        decode_runs_packed_into(&mut cur, runs.len(), &mut back).unwrap();
+        assert_eq!(back, runs);
         assert!(cur.is_at_end());
     }
 
@@ -230,28 +192,34 @@ mod tests {
         let mut buf = Vec::new();
         encode_runs_packed(&mut buf, &runs, 600);
         assert_eq!(buf[0], 0, "should use generic scheme");
+        assert_eq!(decode(&buf, runs.len()).unwrap(), runs);
+    }
+
+    #[test]
+    fn generic_roundtrip() {
+        let runs = vec![Run::new(0, 1), Run::new(5, 1000), Run::new(u64::MAX, 3)];
+        let mut buf = Vec::new();
+        encode_runs_packed(&mut buf, &runs, u64::MAX);
         let mut cur = varint::Cursor::new(&buf);
-        assert_eq!(decode_runs_packed(&mut cur, runs.len()).unwrap(), runs);
+        let mut back = Vec::new();
+        decode_runs_packed_into(&mut cur, runs.len(), &mut back).unwrap();
+        assert_eq!(back, runs);
+        assert!(cur.is_at_end());
     }
 
     #[test]
     fn packed_is_smaller_for_short_runs() {
         let runs: Vec<Run> = (0..100).map(|i| Run::new(i % 4, 1 + i % 5)).collect();
         let mut generic = Vec::new();
-        encode_runs(&mut generic, &runs);
+        encode_runs_packed(&mut generic, &runs, 17);
         let mut packed = Vec::new();
         encode_runs_packed(&mut packed, &runs, 4);
-        assert!(packed.len() < generic.len() + 1);
+        assert!(packed.len() < generic.len());
     }
 
     #[test]
     fn unknown_scheme_is_corrupt() {
-        let buf = [9u8, 0, 0];
-        let mut cur = varint::Cursor::new(&buf);
-        assert!(matches!(
-            decode_runs_packed(&mut cur, 1),
-            Err(Error::Corrupt(_))
-        ));
+        assert!(matches!(decode(&[9u8, 0, 0], 1), Err(Error::Corrupt(_))));
     }
 
     #[test]
@@ -272,21 +240,19 @@ mod tests {
         }
 
         #[test]
-        fn prop_generic_roundtrip(raw in proptest::collection::vec((any::<u64>(), 1u64..1_000_000), 0..100)) {
-            let runs: Vec<Run> = raw.iter().map(|&(s, l)| Run::new(s, l)).collect();
-            let mut buf = Vec::new();
-            encode_runs(&mut buf, &runs);
-            let mut cur = varint::Cursor::new(&buf);
-            prop_assert_eq!(decode_runs(&mut cur, runs.len()).unwrap(), runs);
-        }
-
-        #[test]
         fn prop_packed_roundtrip(raw in proptest::collection::vec((0u64..16, 1u64..1_000_000), 0..100)) {
             let runs: Vec<Run> = raw.iter().map(|&(s, l)| Run::new(s, l)).collect();
             let mut buf = Vec::new();
             encode_runs_packed(&mut buf, &runs, 16);
-            let mut cur = varint::Cursor::new(&buf);
-            prop_assert_eq!(decode_runs_packed(&mut cur, runs.len()).unwrap(), runs);
+            prop_assert_eq!(decode(&buf, runs.len()).unwrap(), runs);
+        }
+
+        #[test]
+        fn prop_generic_roundtrip(raw in proptest::collection::vec((any::<u64>(), 1u64..1_000_000), 0..100)) {
+            let runs: Vec<Run> = raw.iter().map(|&(s, l)| Run::new(s, l)).collect();
+            let mut buf = Vec::new();
+            encode_runs_packed(&mut buf, &runs, u64::MAX);
+            prop_assert_eq!(decode(&buf, runs.len()).unwrap(), runs);
         }
     }
 }

@@ -1,8 +1,7 @@
 //! LEB128-style variable-length integers.
 //!
 //! Each byte carries 7 payload bits, with the high bit marking continuation.
-//! Signed values go through ZigZag so small magnitudes stay small. This is
-//! the byte-level encoding of GBWT record bodies and seed dumps.
+//! This is the byte-level encoding of GBWT record bodies and seed dumps.
 
 use crate::error::{Error, Result};
 
@@ -70,31 +69,6 @@ fn read_u64_multibyte(input: &[u8]) -> Result<(u64, usize)> {
     Err(Error::UnexpectedEof { context: "varint" })
 }
 
-/// ZigZag-encodes a signed value so small magnitudes encode short.
-pub fn zigzag_encode(value: i64) -> u64 {
-    ((value << 1) ^ (value >> 63)) as u64
-}
-
-/// Inverse of [`zigzag_encode`].
-pub fn zigzag_decode(value: u64) -> i64 {
-    ((value >> 1) as i64) ^ -((value & 1) as i64)
-}
-
-/// Appends a ZigZag varint.
-pub fn write_i64(out: &mut Vec<u8>, value: i64) -> usize {
-    write_u64(out, zigzag_encode(value))
-}
-
-/// Decodes a ZigZag varint.
-///
-/// # Errors
-///
-/// Same conditions as [`read_u64`].
-pub fn read_i64(input: &[u8]) -> Result<(i64, usize)> {
-    let (raw, n) = read_u64(input)?;
-    Ok((zigzag_decode(raw), n))
-}
-
 /// A cursor for decoding a sequence of varints from a byte slice.
 ///
 /// ```
@@ -147,17 +121,6 @@ impl<'a> Cursor<'a> {
     #[inline]
     pub fn read_u64(&mut self) -> Result<u64> {
         let (v, n) = read_u64(&self.data[self.pos..])?;
-        self.pos += n;
-        Ok(v)
-    }
-
-    /// Decodes the next ZigZag varint.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`read_u64`].
-    pub fn read_i64(&mut self) -> Result<i64> {
-        let (v, n) = read_i64(&self.data[self.pos..])?;
         self.pos += n;
         Ok(v)
     }
@@ -222,25 +185,15 @@ mod tests {
     }
 
     #[test]
-    fn zigzag_known_values() {
-        assert_eq!(zigzag_encode(0), 0);
-        assert_eq!(zigzag_encode(-1), 1);
-        assert_eq!(zigzag_encode(1), 2);
-        assert_eq!(zigzag_encode(-2), 3);
-        assert_eq!(zigzag_encode(i64::MIN), u64::MAX);
-        assert_eq!(zigzag_decode(u64::MAX), i64::MIN);
-    }
-
-    #[test]
     fn cursor_sequence() {
         let mut buf = Vec::new();
         write_u64(&mut buf, 5);
-        write_i64(&mut buf, -77);
+        write_u64(&mut buf, 77);
         buf.extend_from_slice(b"ACGT");
         write_u64(&mut buf, 1 << 50);
         let mut cur = Cursor::new(&buf);
         assert_eq!(cur.read_u64().unwrap(), 5);
-        assert_eq!(cur.read_i64().unwrap(), -77);
+        assert_eq!(cur.read_u64().unwrap(), 77);
         assert_eq!(cur.read_bytes(4).unwrap(), b"ACGT");
         assert_eq!(cur.read_u64().unwrap(), 1 << 50);
         assert!(cur.is_at_end());
@@ -263,20 +216,6 @@ mod tests {
             let n = write_u64(&mut buf, v);
             prop_assert_eq!(buf.len(), n);
             prop_assert_eq!(read_u64(&buf).unwrap(), (v, n));
-        }
-
-        #[test]
-        fn prop_i64_roundtrip(v: i64) {
-            let mut buf = Vec::new();
-            write_i64(&mut buf, v);
-            let (decoded, n) = read_i64(&buf).unwrap();
-            prop_assert_eq!(decoded, v);
-            prop_assert_eq!(n, buf.len());
-        }
-
-        #[test]
-        fn prop_zigzag_roundtrip(v: i64) {
-            prop_assert_eq!(zigzag_decode(zigzag_encode(v)), v);
         }
 
         #[test]

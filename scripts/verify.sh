@@ -51,8 +51,8 @@ fi
 echo "== seeding oracle (extraction vs naive windows, table vs BTreeMap; release arithmetic wraps where debug panics) =="
 cargo test --release -q --test seeding
 
-echo "== decode oracle (seed-dump reader and varint vs a byte-at-a-time reference; hostile .bin files; an optimized build's arithmetic) =="
-cargo test --release -q --test dump_decode --test corrupt_inputs
+echo "== decode oracle (seed-dump reader and varint vs a byte-at-a-time reference; hostile .mgz/.mgi/.bin files and cross-loading between them; an optimized build's arithmetic) =="
+cargo test --release -q --test dump_decode --test corrupt_inputs --test formats
 
 echo "== Fig. 3 region shares: extension largest, the two kernels most of the time (an optimized build's shares) =="
 cargo test --release -q -p mg-bench --lib fig3_reports

@@ -184,9 +184,29 @@ fn minimizer_params_from_flags(
     Ok(minigiraffe::index::MinimizerParams { k, w })
 }
 
+/// The message for a `.mgz` or `.bin` that failed to load. A file that
+/// opens with `MGZ\0` was written in the stream container both formats
+/// used before they moved onto the `.mgi` section table; no reader for that
+/// layout remains, so the message says how to replace the file.
+fn load_error(path: &str, e: minigiraffe::support::Error) -> String {
+    use std::io::Read;
+    let mut magic = [0u8; 4];
+    let retired = std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut magic)).is_ok()
+        && &magic == b"MGZ\0";
+    if retired {
+        format!(
+            "loading {path}: written in the container layout of an older build, which this \
+             build no longer reads; regenerate it with `minigiraffe generate`, then rebuild \
+             any .mgi from the new .mgz with `minigiraffe build-mgi`"
+        )
+    } else {
+        format!("loading {path}: {e}")
+    }
+}
+
 /// Resolves the pangenome + indexes for `map`/`parent`/`serve`: either a
 /// `--mgi` container mmapped with zero per-element decoding, or a `.mgz`
-/// positional that is parsed and indexed from scratch.
+/// positional that is mapped the same way and then indexed from scratch.
 fn load_bundle(
     mgz_path: Option<&String>,
     flags: &std::collections::HashMap<String, String>,
@@ -213,7 +233,7 @@ fn load_bundle(
             Ok(bundle)
         }
         (None, Some(mgz)) => {
-            let gbz = Gbz::load(mgz).map_err(|e| format!("loading {mgz}: {e}"))?;
+            let gbz = Gbz::load(mgz).map_err(|e| load_error(mgz, e))?;
             eprintln!(
                 "building minimizer + distance indexes from {} haplotypes...",
                 gbz.gbwt().path_count()
@@ -243,7 +263,7 @@ fn cmd_build_mgi(args: &[String]) -> Result<(), String> {
     let params = minimizer_params_from_flags(&flags)?;
 
     let start = std::time::Instant::now();
-    let gbz = Gbz::load(mgz_path).map_err(|e| format!("loading {mgz_path}: {e}"))?;
+    let gbz = Gbz::load(mgz_path).map_err(|e| load_error(mgz_path, e))?;
     eprintln!(
         "loaded {mgz_path} in {:.3}s; indexing {} haplotypes (k={}, w={})...",
         start.elapsed().as_secs_f64(),
@@ -476,8 +496,8 @@ fn load_inputs(positional: &[String]) -> Result<(SeedDump, Gbz), String> {
     let [dump_path, gbz_path] = positional else {
         return Err("expected <seeds.bin> <pangenome.mgz>".into());
     };
-    let dump = SeedDump::load(dump_path).map_err(|e| format!("loading {dump_path}: {e}"))?;
-    let gbz = Gbz::load(gbz_path).map_err(|e| format!("loading {gbz_path}: {e}"))?;
+    let dump = SeedDump::load(dump_path).map_err(|e| load_error(dump_path, e))?;
+    let gbz = Gbz::load(gbz_path).map_err(|e| load_error(gbz_path, e))?;
     Ok((dump, gbz))
 }
 
@@ -538,7 +558,7 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
         [dump, gbz] => (dump, Some(gbz)),
         _ => return Err("expected <seeds.bin> <pangenome.mgz | --mgi index.mgi>".into()),
     };
-    let dump = SeedDump::load(dump_path).map_err(|e| format!("loading {dump_path}: {e}"))?;
+    let dump = SeedDump::load(dump_path).map_err(|e| load_error(dump_path, e))?;
     let bundle = load_bundle(gbz_path, &flags)?;
     let options = options_from_flags(&flags)?;
     eprintln!(
@@ -672,7 +692,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         return Err("expected one data file".into());
     };
     if path.ends_with(".mgz") {
-        let gbz = Gbz::load(path).map_err(|e| format!("loading {path}: {e}"))?;
+        let gbz = Gbz::load(path).map_err(|e| load_error(path, e))?;
         println!("pangenome {path}");
         println!("  nodes:        {}", gbz.graph().node_count());
         println!("  edges:        {}", gbz.graph().edge_count());
@@ -684,7 +704,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         println!("  bwt runs:     {} ({:.2}/record)", stats.total_runs, stats.avg_runs_per_record);
         println!("  bytes/visit:  {:.2}", stats.bytes_per_visit);
     } else {
-        let dump = SeedDump::load(path).map_err(|e| format!("loading {path}: {e}"))?;
+        let dump = SeedDump::load(path).map_err(|e| load_error(path, e))?;
         println!("seed dump {path}");
         println!("  workflow:     {}", dump.workflow);
         println!("  reads:        {}", dump.reads.len());

@@ -4,7 +4,7 @@
 //! and downstream users need a single dependency. See the individual crates
 //! for details:
 //!
-//! - [`support`]: succinct bit structures, varints, binary containers.
+//! - [`support`]: varints, run-length codecs, and the one binary container.
 //! - [`graph`]: variation graphs and pangenome construction.
 //! - [`gbwt`]: the GBWT haplotype index, `.mgz` (GBZ-analog) files, and the
 //!   tunable `CachedGbwt`.

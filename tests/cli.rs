@@ -251,6 +251,68 @@ fn a_version_1_mgi_is_refused_with_a_rebuild_hint() {
     assert!(!std::path::Path::new(&gaf).exists(), "no GAF may be written");
 }
 
+#[test]
+fn build_mgi_from_a_saved_mgz_equals_the_in_memory_build() {
+    // Loading a `.mgz` loses nothing: the index `build-mgi` writes from the
+    // saved file is byte for byte the one built from the generator's
+    // in-memory pangenome.
+    use minigiraffe::core::MgiBundle;
+    use minigiraffe::index::MinimizerParams;
+    use minigiraffe::workload::{InputSetSpec, SyntheticInput};
+
+    let dir = TempDir::new("mgz-lossless");
+    let (ok, _, stderr) =
+        run(&["generate", "--input-set", "tiny", "--seed", "42", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    let (ok, _, stderr) =
+        run(&["build-mgi", &dir.path("tiny.mgz"), "--out", &dir.path("tiny.mgi")]);
+    assert!(ok, "build-mgi failed: {stderr}");
+    let input = SyntheticInput::generate(&InputSetSpec::tiny_for_tests(), 42);
+    let built = MgiBundle::build(input.gbz, MinimizerParams::default()).unwrap();
+    assert!(std::fs::read(dir.path("tiny.mgi")).unwrap() == built.to_bytes());
+}
+
+#[test]
+fn an_mgz_or_bin_in_the_retired_layout_is_refused_with_a_regenerate_hint() {
+    let dir = TempDir::new("old-layout");
+    let (ok, _, stderr) = run(&["generate", "--input-set", "tiny", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    // The header of the stream container `.mgz` and `.bin` files used
+    // before they moved onto the `.mgi` section table: magic, kind,
+    // version 1, then an empty end-of-container trailer.
+    let old = |kind: &[u8]| {
+        [b"MGZ\0", kind, &1u32.to_le_bytes(), &u32::MAX.to_le_bytes(), &0u64.to_le_bytes()]
+            .concat()
+    };
+    std::fs::write(dir.path("old.mgz"), old(b"GBZG")).unwrap();
+    std::fs::write(dir.path("old.bin"), old(b"SEED")).unwrap();
+    let (fastq, mgz, old_mgz, old_bin) =
+        (dir.path("tiny.fastq"), dir.path("tiny.mgz"), dir.path("old.mgz"), dir.path("old.bin"));
+    let (gaf, mgi) = (dir.path("out.gaf"), dir.path("x.mgi"));
+    let cases = [
+        ("old.mgz", vec!["parent", &fastq, &old_mgz, "--gaf", &gaf]),
+        ("old.mgz", vec!["build-mgi", &old_mgz, "--out", &mgi]),
+        ("old.bin", vec!["map", &old_bin, &mgz]),
+        ("old.bin", vec!["info", &old_bin]),
+    ];
+    for (file, args) in cases {
+        let (ok, _, stderr) = run(&args);
+        assert!(!ok, "{args:?} accepted a retired-layout file");
+        assert!(
+            stderr.contains(file)
+                && stderr.contains("minigiraffe generate")
+                && stderr.contains("build-mgi"),
+            "{args:?} got: {stderr}"
+        );
+    }
+    assert!(!std::path::Path::new(&gaf).exists(), "no GAF may be written");
+    // Any other unreadable file keeps the plain error.
+    std::fs::write(dir.path("noise.mgz"), b"not a pangenome").unwrap();
+    let (ok, _, stderr) = run(&["info", &dir.path("noise.mgz")]);
+    assert!(!ok);
+    assert!(!stderr.contains("minigiraffe generate"), "got: {stderr}");
+}
+
 /// The FASTQ records of `text`, four lines each (the simulator writes no
 /// blank lines).
 fn fastq_records(text: &str) -> Vec<String> {

@@ -1,23 +1,24 @@
-//! Property suite for every on-disk reader: `.mgz` (pangenome container),
-//! `.mgi` (zero-copy index bundle), and `.bin` (seed dump).
+//! Property suite for every on-disk reader: `.mgz` (pangenome), `.mgi`
+//! (zero-copy index bundle), and `.bin` (seed dump) — three section sets in
+//! the one checksummed `.mgi` container.
 //!
 //! These files cross a trust boundary — they arrive from disks, object
 //! stores, and other machines — so the decoding contract is absolute:
 //! any corruption (truncation, bit flips, oversized length fields,
 //! trailing garbage, raw noise) must come back as a typed
 //! [`mg_support::Error`], never a panic and never an allocation sized by
-//! attacker-controlled counts. For the checksummed `.mgi` format the
-//! contract is stronger: *every* single-bit flip must be detected.
+//! attacker-controlled counts. Every file is checksummed end to end, so
+//! the contract is stronger still: *every* single-bit flip is detected.
 
 use std::sync::OnceLock;
 
-use minigiraffe::core::dump::{SeedDump, DUMP_KIND, TAG_META, TAG_READS};
+use minigiraffe::core::dump::SeedDump;
 use minigiraffe::core::types::{ReadInput, Seed, Workflow};
 use minigiraffe::core::MgiBundle;
 use minigiraffe::gbwt::Gbz;
 use minigiraffe::graph::{Handle, NodeId};
 use minigiraffe::index::{DistanceIndex, GraphPos};
-use minigiraffe::support::container::ContainerWriter;
+use minigiraffe::support::mgi::{fnv1a, MgiWriter, TAG_DUMP_META, TAG_DUMP_READS};
 use minigiraffe::support::{varint, Error};
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 use proptest::prelude::*;
@@ -72,7 +73,7 @@ proptest! {
     }
 
     /// A single flipped bit never panics any decoder, and the checksummed
-    /// `.mgi` always detects it.
+    /// container always detects it, in a `.mgz` as in an `.mgi`.
     #[test]
     fn single_bit_flips_never_panic_and_mgi_detects_them(
         byte_frac in 0.0f64..1.0,
@@ -81,7 +82,7 @@ proptest! {
         let mut bytes = mgz_image().to_vec();
         let idx = at(bytes.len(), byte_frac);
         bytes[idx] ^= 1 << bit;
-        let _ = decode_mgz(&bytes);
+        prop_assert!(!decode_mgz(&bytes), "mgz accepted a bit flip at byte {idx} bit {bit}");
 
         let mut bytes = mgi_image().to_vec();
         let idx = at(bytes.len(), byte_frac);
@@ -89,28 +90,26 @@ proptest! {
         prop_assert!(!decode_mgi(bytes), "mgi accepted a bit flip at byte {idx} bit {bit}");
     }
 
-    /// Stamping a huge little-endian length/count over any 8 aligned bytes
-    /// must be rejected (or survive harmlessly) without the decoder
-    /// allocating anywhere near that much — the suite itself would die on
-    /// an allocation abort.
+    /// Stamping a huge length into one section-table entry must be
+    /// rejected without the decoder allocating anywhere near that much —
+    /// the suite itself would die on an allocation abort — both as stamped
+    /// (the table checksum catches it) and with the table checksum
+    /// recomputed over the stamped table, as a hostile writer would.
     #[test]
     fn oversized_length_fields_do_not_allocate(
-        word_frac in 0.0f64..1.0,
+        entry_frac in 0.0f64..1.0,
         huge in (1u64 << 40)..(1u64 << 62),
     ) {
-        let stamp = |image: &[u8]| {
-            let mut bytes = image.to_vec();
-            let w = at(bytes.len() / 8, word_frac);
-            bytes[w * 8..w * 8 + 8].copy_from_slice(&huge.to_le_bytes());
-            bytes
-        };
-        let _ = decode_mgz(&stamp(mgz_image()));
-        prop_assert!(!decode_mgi(stamp(mgi_image())));
+        let (stamped, resummed) = stamp_section_length(mgz_image(), entry_frac, huge);
+        prop_assert!(!decode_mgz(&stamped));
+        prop_assert!(!decode_mgz(&resummed));
+        let (stamped, resummed) = stamp_section_length(mgi_image(), entry_frac, huge);
+        prop_assert!(!decode_mgi(stamped));
+        prop_assert!(!decode_mgi(resummed));
     }
 
-    /// Appending trailing garbage is detected everywhere: `.mgz` checks the
-    /// end-of-container marker is final, and the `.mgi` preamble records
-    /// the exact file length.
+    /// Appending trailing garbage is detected everywhere: the container
+    /// preamble records the exact file length.
     #[test]
     fn trailing_garbage_is_rejected(
         garbage in proptest::collection::vec(any::<u8>(), 1..64),
@@ -122,9 +121,26 @@ proptest! {
     /// Raw noise is never a valid file and never a panic.
     #[test]
     fn random_noise_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode_mgz(&bytes);
+        prop_assert!(!decode_mgz(&bytes));
         prop_assert!(!decode_mgi(bytes));
     }
+}
+
+/// `image` with the length field of the section-table entry `frac` of the
+/// way through the table set to `huge`: as stamped, and with the table
+/// checksum in the preamble recomputed.
+fn stamp_section_length(image: &[u8], frac: f64, huge: u64) -> (Vec<u8>, Vec<u8>) {
+    // Preamble: the section count is the u32 at byte 24, the table
+    // checksum the u64 at byte 40; the table starts at byte 48 with one
+    // 32-byte entry per section, whose length is the u64 at byte 16.
+    let count = u32::from_le_bytes(image[24..28].try_into().unwrap()) as usize;
+    let mut stamped = image.to_vec();
+    let len_at = 48 + 32 * at(count, frac) + 16;
+    stamped[len_at..len_at + 8].copy_from_slice(&huge.to_le_bytes());
+    let mut resummed = stamped.clone();
+    let table_sum = fnv1a(&resummed[48..48 + 32 * count]);
+    resummed[40..48].copy_from_slice(&table_sum.to_le_bytes());
+    (stamped, resummed)
 }
 
 /// A small seed dump: an empty read, a read without seeds, and seeds whose
@@ -150,12 +166,10 @@ fn small_dump() -> SeedDump {
 /// A `.bin` image with valid framing and checksums around the given meta
 /// and read payloads: what a hostile writer, not a damaged disk, produces.
 fn resectioned_dump(meta: &[u64], payload: &[u8]) -> Vec<u8> {
-    let mut image = Vec::new();
-    let mut writer = ContainerWriter::new(&mut image, DUMP_KIND).unwrap();
-    writer.section(TAG_META, &varints(meta)).unwrap();
-    writer.section(TAG_READS, payload).unwrap();
-    writer.finish().unwrap();
-    image
+    let mut writer = MgiWriter::new();
+    writer.section(TAG_DUMP_META, varints(meta));
+    writer.section(TAG_DUMP_READS, payload.to_vec());
+    writer.finish()
 }
 
 fn varints(values: &[u64]) -> Vec<u8> {

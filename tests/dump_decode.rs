@@ -2,10 +2,11 @@
 //! under it: the production reader against a naive byte-at-a-time reference
 //! on dumps whose fields need one, two, five and ten varint bytes.
 //!
-//! The reference below parses the container by hand (header, two sections,
-//! trailer) and decodes every varint one byte per loop turn with no fast
-//! path, so a change to `mg_support::varint` or to `SeedDump`'s reader that
-//! alters a decoded value, an accepted length or an error class shows here.
+//! The reference below parses the `.mgi` container by hand (preamble,
+//! section table, two aligned payloads) and decodes every varint one byte
+//! per loop turn with no fast path, so a change to `mg_support::varint` or
+//! to `SeedDump`'s reader that alters a decoded value, an accepted length
+//! or an error class shows here.
 
 use minigiraffe::core::dump::SeedDump;
 use minigiraffe::core::types::{ReadInput, Seed, Workflow};
@@ -77,36 +78,66 @@ impl<'a> Naive<'a> {
         Some(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
-    /// One container section with the expected tag: `[tag u32][len u64]
-    /// [payload][fnv1a u64]`.
-    fn section(&mut self, tag: u32) -> Option<&'a [u8]> {
-        if self.le_u32()? != tag {
+    /// One 32-byte section-table entry with the expected tag, whose
+    /// payload must sit at `offset` in `image`: `[tag u32][0 u32]
+    /// [offset u64][len u64][fnv1a u64]`. Returns the payload and the
+    /// offset where the next payload must start.
+    fn entry(&mut self, image: &'a [u8], tag: u32, offset: usize) -> Option<(&'a [u8], usize)> {
+        if self.le_u32()? != tag || self.le_u32()? != 0 || self.le_u64()? != offset as u64 {
             return None;
         }
         let len = usize::try_from(self.le_u64()?).ok()?;
-        let payload = self.bytes(len)?;
-        let mut hash = 0xcbf29ce484222325u64;
-        for &b in payload {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x100000001b3);
-        }
-        (self.le_u64()? == hash).then_some(payload)
+        let payload = image.get(offset..offset.checked_add(len)?)?;
+        (self.le_u64()? == fnv1a(payload)).then_some((payload, align16(offset + len)))
     }
+}
+
+fn fnv1a(data: &[u8]) -> u64 {
+    let mut hash = 0xcbf29ce484222325u64;
+    for &b in data {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x100000001b3);
+    }
+    hash
+}
+
+fn align16(n: usize) -> usize {
+    n.div_ceil(16) * 16
 }
 
 /// The reference dump decoder; `None` for anything it cannot parse.
 fn naive_decode(image: &[u8]) -> Option<SeedDump> {
+    // Preamble (48 bytes): magic, version 2, endianness marker, file
+    // length, section count 2, reserved, table offset 48, table checksum.
     let mut file = Naive { data: image, pos: 0 };
-    if file.bytes(4)? != b"MGZ\0" || file.bytes(4)? != b"SEED" || file.le_u32()? != 1 {
+    if file.bytes(8)? != b"MGIDX\0\0\0"
+        || file.le_u32()? != 2
+        || file.le_u32()? != 0x0102_0304
+        || file.le_u64()? != image.len() as u64
+        || file.le_u32()? != 2
+        || file.le_u32()? != 0
+        || file.le_u64()? != 48
+    {
         return None;
     }
-    let mut meta = Naive { data: file.section(0x0010)?, pos: 0 };
+    let table_sum = file.le_u64()?;
+    let mut table = Naive { data: file.bytes(64)?, pos: 0 };
+    if fnv1a(table.data) != table_sum {
+        return None;
+    }
+    // Payloads follow the table, each 16-byte aligned, zero padded.
+    let (meta, next) = table.entry(image, 0x0500, align16(48 + 64))?;
+    let (reads, end) = table.entry(image, 0x0501, next)?;
+    if end != image.len() {
+        return None;
+    }
+    let mut meta = Naive { data: meta, pos: 0 };
     let workflow = if meta.varint()? != 0 {
         Workflow::Paired
     } else {
         Workflow::Single
     };
     let read_count = meta.varint()?;
-    let mut cur = Naive { data: file.section(0x0011)?, pos: 0 };
+    let mut cur = Naive { data: reads, pos: 0 };
     let mut reads = Vec::new();
     for _ in 0..read_count {
         let len = usize::try_from(cur.varint()?).ok()?;
