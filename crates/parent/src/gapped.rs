@@ -4,8 +4,12 @@
 //! read bases uncovered, Giraffe hands the tails to a gapped aligner
 //! (dozeu/gssw banded Smith-Waterman). This module implements the same
 //! role: a banded global aligner with affine gap penalties (Gotoh's three
-//! matrices), used by the parent's post-processing to stitch uncovered read
-//! tails onto the graph walk.
+//! states, kept in two rolling band rows plus a one-byte-per-cell
+//! traceback), used by the parent's post-processing to stitch uncovered
+//! read tails onto the graph walk. Tails that cannot score above zero are
+//! refused by a closed-form bound before the DP runs.
+
+use std::fmt::Write as _;
 
 /// Scoring parameters (Giraffe's defaults: match 1, mismatch 4, gap open
 /// 6, gap extend 1).
@@ -67,7 +71,11 @@ impl CigarOp {
 
 /// Renders a CIGAR string (`12=1X3I4=`).
 pub fn cigar_string(ops: &[CigarOp]) -> String {
-    ops.iter().map(|op| format!("{}{}", op.len(), op.symbol())).collect()
+    let mut out = String::new();
+    for op in ops {
+        write!(out, "{}{}", op.len(), op.symbol()).expect("writing to a String cannot fail");
+    }
+    out
 }
 
 /// A finished gapped alignment.
@@ -105,6 +113,22 @@ impl GappedAlignment {
 
 const NEG: i32 = i32::MIN / 4;
 
+/// One band cell's three Gotoh scores: M (diagonal), X (gap in reference:
+/// insertion), Y (gap in read: deletion).
+#[derive(Clone, Copy)]
+struct Cell {
+    m: i32,
+    x: i32,
+    y: i32,
+}
+
+const NEG_CELL: Cell = Cell { m: NEG, x: NEG, y: NEG };
+
+/// Traceback byte: the low two bits are M's source (0 = M, 1 = X, 2 = Y);
+/// these two flag X and Y extending themselves rather than opening from M.
+const X_EXTENDS: u8 = 4;
+const Y_EXTENDS: u8 = 8;
+
 /// Globally aligns `read` against `reference` inside a diagonal band.
 ///
 /// Returns `None` when the length difference exceeds the band (the global
@@ -116,105 +140,80 @@ pub fn banded_global(read: &[u8], reference: &[u8], params: &GapParams) -> Optio
     }
     let band = params.band;
     let width = 2 * band + 1;
-    let idx = |i: usize, j: usize| -> Option<usize> {
-        // Column j sits at offset j - i + band within row i's band window.
-        let lo = i.saturating_sub(band);
-        if j < lo || j > i + band || j > m {
-            None
-        } else {
-            Some(j + band - i)
-        }
-    };
-    // Three Gotoh matrices, band-compressed rows: M (diagonal), X (gap in
-    // reference: insertion), Y (gap in read: deletion).
-    let rows = n + 1;
-    let mut matrix_m = vec![NEG; rows * width];
-    let mut matrix_x = vec![NEG; rows * width];
-    let mut matrix_y = vec![NEG; rows * width];
-    // Tracebacks: 0 = from M, 1 = from X, 2 = from Y.
-    let mut back_m = vec![0u8; rows * width];
-    let mut back_x = vec![0u8; rows * width];
-    let mut back_y = vec![0u8; rows * width];
+    let (gap_open, gap_extend) = (params.gap_open, params.gap_extend);
+    // Two rolling score rows. Row i's window holds columns i - band ..=
+    // i + band; column j sits at offset k = j + band - i, in slot k + 1 of
+    // a row with a NEG guard slot on each side. Then (i - 1, j - 1) is the
+    // previous row's same slot, (i - 1, j) its next slot, and (i, j - 1)
+    // this row's previous slot, carried in `left`; a neighbour outside the
+    // band reads a guard. Under non-negative gap penalties, guards and
+    // unreachable cells hold scores at or below NEG and never win against
+    // a reachable one.
+    // Only the traceback keeps every row: one byte per band cell.
+    let slot = |i: usize, j: usize| j + band + 1 - i;
+    let mut prev = vec![NEG_CELL; width + 2];
+    let mut cur = vec![NEG_CELL; width + 2];
+    let mut trace = vec![0u8; (n + 1) * width];
 
-    let at = |i: usize, k: usize| i * width + k;
-    matrix_m[at(0, band)] = 0;
     // First row: deletions only.
+    prev[slot(0, 0)].m = 0;
     for j in 1..=m.min(band) {
-        let k = idx(0, j).expect("in band");
-        matrix_y[at(0, k)] = -(params.gap_open + (j as i32 - 1) * params.gap_extend);
-        back_y[at(0, k)] = if j == 1 { 0 } else { 2 };
+        prev[slot(0, j)].y = -(gap_open + (j as i32 - 1) * gap_extend);
+        trace[j + band] = if j == 1 { 0 } else { Y_EXTENDS };
     }
     for i in 1..=n {
         let lo = i.saturating_sub(band);
         let hi = (i + band).min(m);
-        for j in lo..=hi {
-            let k = idx(i, j).expect("in band");
-            // X: gap in reference (consume read base i).
-            if let Some(pk) = idx(i - 1, j) {
-                let open = matrix_m[at(i - 1, pk)] - params.gap_open;
-                let extend = matrix_x[at(i - 1, pk)] - params.gap_extend;
-                if open >= extend {
-                    matrix_x[at(i, k)] = open;
-                    back_x[at(i, k)] = 0;
-                } else {
-                    matrix_x[at(i, k)] = extend;
-                    back_x[at(i, k)] = 1;
-                }
-            }
-            // Y: gap in read (consume reference base j).
-            if j >= 1 {
-                if let Some(pk) = idx(i, j - 1) {
-                    let open = matrix_m[at(i, pk)] - params.gap_open;
-                    let extend = matrix_y[at(i, pk)] - params.gap_extend;
-                    if open >= extend {
-                        matrix_y[at(i, k)] = open;
-                        back_y[at(i, k)] = 0;
-                    } else {
-                        matrix_y[at(i, k)] = extend;
-                        back_y[at(i, k)] = 2;
-                    }
-                }
-            }
-            // M: diagonal.
-            if j >= 1 {
-                if let Some(pk) = idx(i - 1, j - 1) {
-                    let sub = if read[i - 1] == reference[j - 1] {
-                        params.match_score
-                    } else {
-                        -params.mismatch
-                    };
-                    let from_m = matrix_m[at(i - 1, pk)];
-                    let from_x = matrix_x[at(i - 1, pk)];
-                    let from_y = matrix_y[at(i - 1, pk)];
-                    let (best, who) = if from_m >= from_x && from_m >= from_y {
-                        (from_m, 0)
-                    } else if from_x >= from_y {
-                        (from_x, 1)
-                    } else {
-                        (from_y, 2)
-                    };
-                    if best > NEG {
-                        matrix_m[at(i, k)] = best + sub;
-                        back_m[at(i, k)] = who;
-                    }
-                }
-            }
+        let row = &mut trace[i * width..(i + 1) * width];
+        let read_base = read[i - 1];
+        let mut first = lo;
+        if lo == 0 {
+            // Column 0: only X, an insertion run down from (0, 0).
+            let s = slot(i, 0);
+            let up = prev[s + 1];
+            let (open, extend) = (up.m - gap_open, up.x - gap_extend);
+            let (x, from) = if open >= extend { (open, 0) } else { (extend, X_EXTENDS) };
+            cur[s] = Cell { m: NEG, x, y: NEG };
+            row[s - 1] = from;
+            first = 1;
         }
+        let (s_first, s_hi) = (slot(i, first), slot(i, hi));
+        let mut left = cur[s_first - 1];
+        let cells = cur[s_first..=s_hi].iter_mut().zip(&mut row[s_first - 1..s_hi]);
+        let above = prev[s_first..=s_hi + 1].windows(2);
+        for (((cell, from), pair), &ref_base) in cells.zip(above).zip(&reference[first - 1..hi]) {
+            let (diag, up) = (pair[0], pair[1]);
+            // X: gap in reference (consume read base i).
+            let (open, extend) = (up.m - gap_open, up.x - gap_extend);
+            let (x, x_from) = if open >= extend { (open, 0) } else { (extend, X_EXTENDS) };
+            // Y: gap in read (consume reference base j).
+            let (open, extend) = (left.m - gap_open, left.y - gap_extend);
+            let (y, y_from) = if open >= extend { (open, 0) } else { (extend, Y_EXTENDS) };
+            // M: diagonal.
+            let (best, m_from) = if diag.m >= diag.x && diag.m >= diag.y {
+                (diag.m, 0)
+            } else if diag.x >= diag.y {
+                (diag.x, 1)
+            } else {
+                (diag.y, 2)
+            };
+            let sub = if read_base == ref_base { params.match_score } else { -params.mismatch };
+            let m_score = if best > NEG { best + sub } else { NEG };
+            left = Cell { m: m_score, x, y };
+            *cell = left;
+            *from = m_from | x_from | y_from;
+        }
+        std::mem::swap(&mut prev, &mut cur);
     }
 
-    // Final cell.
-    let k_end = idx(n, m)?;
-    let (mut state, score) = {
-        let m_score = matrix_m[at(n, k_end)];
-        let x_score = matrix_x[at(n, k_end)];
-        let y_score = matrix_y[at(n, k_end)];
-        if m_score >= x_score && m_score >= y_score {
-            (0u8, m_score)
-        } else if x_score >= y_score {
-            (1, x_score)
-        } else {
-            (2, y_score)
-        }
+    // Final cell, now in `prev`.
+    let end = prev[slot(n, m)];
+    let (mut state, score) = if end.m >= end.x && end.m >= end.y {
+        (0u8, end.m)
+    } else if end.x >= end.y {
+        (1, end.x)
+    } else {
+        (2, end.y)
     };
     if score <= NEG {
         return None;
@@ -231,7 +230,7 @@ pub fn banded_global(read: &[u8], reference: &[u8], params: &GapParams) -> Optio
         _ => ops.push(op),
     };
     while i > 0 || j > 0 {
-        let k = idx(i, j).expect("traceback stays in band");
+        let from = trace[i * width + j + band - i];
         match state {
             0 => {
                 let op = if read[i - 1] == reference[j - 1] {
@@ -240,24 +239,43 @@ pub fn banded_global(read: &[u8], reference: &[u8], params: &GapParams) -> Optio
                     CigarOp::Mismatch(1)
                 };
                 push(&mut ops_rev, op);
-                state = back_m[at(i, k)];
+                state = from & 3;
                 i -= 1;
                 j -= 1;
             }
             1 => {
                 push(&mut ops_rev, CigarOp::Insertion(1));
-                state = back_x[at(i, k)];
+                state = if from & X_EXTENDS != 0 { 1 } else { 0 };
                 i -= 1;
             }
             _ => {
                 push(&mut ops_rev, CigarOp::Deletion(1));
-                state = back_y[at(i, k)];
+                state = if from & Y_EXTENDS != 0 { 2 } else { 0 };
                 j -= 1;
             }
         }
     }
     ops_rev.reverse();
     Some(GappedAlignment { score, cigar: ops_rev })
+}
+
+/// An upper bound on the score of any global alignment of an `n`-base read
+/// against an `m`-base reference, or `None` when a negative gap penalty
+/// voids it.
+///
+/// At most `min(n, m)` columns pair a read base with a reference base, each
+/// scoring at most the better of a match and a mismatch; the other columns
+/// are gaps, at least `|n - m|` of them, which cost least as one run or as
+/// runs of one base each, whichever is cheaper.
+fn score_bound(n: usize, m: usize, params: &GapParams) -> Option<i64> {
+    if params.gap_open < 0 || params.gap_extend < 0 {
+        return None;
+    }
+    let paired = n.min(m) as i64 * i64::from(params.match_score.max(-params.mismatch).max(0));
+    let gaps = n.abs_diff(m) as i64;
+    let (open, extend) = (i64::from(params.gap_open), i64::from(params.gap_extend));
+    let gap_cost = if gaps > 0 { (open + (gaps - 1) * extend).min(gaps * open) } else { 0 };
+    Some(paired - gap_cost)
 }
 
 #[cfg(test)]
@@ -365,6 +383,163 @@ mod tests {
         m_mat[n][m].max(x_mat[n][m]).max(y_mat[n][m])
     }
 
+    /// The three-matrix aligner `banded_global` replaced, kept verbatim as
+    /// its oracle: six full band matrices, neighbours found through `idx`.
+    fn banded_global_reference(
+        read: &[u8],
+        reference: &[u8],
+        params: &GapParams,
+    ) -> Option<GappedAlignment> {
+        let (n, m) = (read.len(), reference.len());
+        if n == 0 || m == 0 || n.abs_diff(m) > params.band {
+            return None;
+        }
+        let band = params.band;
+        let width = 2 * band + 1;
+        let idx = |i: usize, j: usize| -> Option<usize> {
+            // Column j sits at offset j - i + band within row i's band window.
+            let lo = i.saturating_sub(band);
+            if j < lo || j > i + band || j > m {
+                None
+            } else {
+                Some(j + band - i)
+            }
+        };
+        // Three Gotoh matrices, band-compressed rows: M (diagonal), X (gap in
+        // reference: insertion), Y (gap in read: deletion).
+        let rows = n + 1;
+        let mut matrix_m = vec![NEG; rows * width];
+        let mut matrix_x = vec![NEG; rows * width];
+        let mut matrix_y = vec![NEG; rows * width];
+        // Tracebacks: 0 = from M, 1 = from X, 2 = from Y.
+        let mut back_m = vec![0u8; rows * width];
+        let mut back_x = vec![0u8; rows * width];
+        let mut back_y = vec![0u8; rows * width];
+
+        let at = |i: usize, k: usize| i * width + k;
+        matrix_m[at(0, band)] = 0;
+        // First row: deletions only.
+        for j in 1..=m.min(band) {
+            let k = idx(0, j).expect("in band");
+            matrix_y[at(0, k)] = -(params.gap_open + (j as i32 - 1) * params.gap_extend);
+            back_y[at(0, k)] = if j == 1 { 0 } else { 2 };
+        }
+        for i in 1..=n {
+            let lo = i.saturating_sub(band);
+            let hi = (i + band).min(m);
+            for j in lo..=hi {
+                let k = idx(i, j).expect("in band");
+                // X: gap in reference (consume read base i).
+                if let Some(pk) = idx(i - 1, j) {
+                    let open = matrix_m[at(i - 1, pk)] - params.gap_open;
+                    let extend = matrix_x[at(i - 1, pk)] - params.gap_extend;
+                    if open >= extend {
+                        matrix_x[at(i, k)] = open;
+                        back_x[at(i, k)] = 0;
+                    } else {
+                        matrix_x[at(i, k)] = extend;
+                        back_x[at(i, k)] = 1;
+                    }
+                }
+                // Y: gap in read (consume reference base j).
+                if j >= 1 {
+                    if let Some(pk) = idx(i, j - 1) {
+                        let open = matrix_m[at(i, pk)] - params.gap_open;
+                        let extend = matrix_y[at(i, pk)] - params.gap_extend;
+                        if open >= extend {
+                            matrix_y[at(i, k)] = open;
+                            back_y[at(i, k)] = 0;
+                        } else {
+                            matrix_y[at(i, k)] = extend;
+                            back_y[at(i, k)] = 2;
+                        }
+                    }
+                }
+                // M: diagonal.
+                if j >= 1 {
+                    if let Some(pk) = idx(i - 1, j - 1) {
+                        let sub = if read[i - 1] == reference[j - 1] {
+                            params.match_score
+                        } else {
+                            -params.mismatch
+                        };
+                        let from_m = matrix_m[at(i - 1, pk)];
+                        let from_x = matrix_x[at(i - 1, pk)];
+                        let from_y = matrix_y[at(i - 1, pk)];
+                        let (best, who) = if from_m >= from_x && from_m >= from_y {
+                            (from_m, 0)
+                        } else if from_x >= from_y {
+                            (from_x, 1)
+                        } else {
+                            (from_y, 2)
+                        };
+                        if best > NEG {
+                            matrix_m[at(i, k)] = best + sub;
+                            back_m[at(i, k)] = who;
+                        }
+                    }
+                }
+            }
+        }
+
+        // Final cell.
+        let k_end = idx(n, m)?;
+        let (mut state, score) = {
+            let m_score = matrix_m[at(n, k_end)];
+            let x_score = matrix_x[at(n, k_end)];
+            let y_score = matrix_y[at(n, k_end)];
+            if m_score >= x_score && m_score >= y_score {
+                (0u8, m_score)
+            } else if x_score >= y_score {
+                (1, x_score)
+            } else {
+                (2, y_score)
+            }
+        };
+        if score <= NEG {
+            return None;
+        }
+
+        // Traceback.
+        let (mut i, mut j) = (n, m);
+        let mut ops_rev: Vec<CigarOp> = Vec::new();
+        let push = |ops: &mut Vec<CigarOp>, op: CigarOp| match (ops.last_mut(), op) {
+            (Some(CigarOp::Match(n)), CigarOp::Match(d)) => *n += d,
+            (Some(CigarOp::Mismatch(n)), CigarOp::Mismatch(d)) => *n += d,
+            (Some(CigarOp::Insertion(n)), CigarOp::Insertion(d)) => *n += d,
+            (Some(CigarOp::Deletion(n)), CigarOp::Deletion(d)) => *n += d,
+            _ => ops.push(op),
+        };
+        while i > 0 || j > 0 {
+            let k = idx(i, j).expect("traceback stays in band");
+            match state {
+                0 => {
+                    let op = if read[i - 1] == reference[j - 1] {
+                        CigarOp::Match(1)
+                    } else {
+                        CigarOp::Mismatch(1)
+                    };
+                    push(&mut ops_rev, op);
+                    state = back_m[at(i, k)];
+                    i -= 1;
+                    j -= 1;
+                }
+                1 => {
+                    push(&mut ops_rev, CigarOp::Insertion(1));
+                    state = back_x[at(i, k)];
+                    i -= 1;
+                }
+                _ => {
+                    push(&mut ops_rev, CigarOp::Deletion(1));
+                    state = back_y[at(i, k)];
+                    j -= 1;
+                }
+            }
+        }
+        ops_rev.reverse();
+        Some(GappedAlignment { score, cigar: ops_rev })
+    }
+
     proptest! {
         /// With a band at least as wide as both sequences, the banded score
         /// equals the unbanded optimum, and the CIGAR reproduces it.
@@ -393,6 +568,125 @@ mod tests {
             prop_assert_eq!(score, banded.score);
         }
     }
+
+    fn bases(len: impl Into<proptest::collection::SizeRange>) -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(proptest::sample::select(b"ACGT".to_vec()), len)
+    }
+
+    /// Non-negative scoring with the given band; zero weights make ties
+    /// everywhere, so the tie-breaks are exercised as hard as the scores.
+    fn gap_params(band: usize) -> impl Strategy<Value = GapParams> {
+        (0i32..4, 0i32..8, 0i32..12, 0i32..4).prop_map(
+            move |(match_score, mismatch, gap_open, gap_extend)| GapParams {
+                match_score,
+                mismatch,
+                gap_open,
+                gap_extend,
+                band,
+            },
+        )
+    }
+
+    /// A read of length 0..160, a reference whose length lies within
+    /// `band + 8` of it (so most pairs fit the band and some do not), and
+    /// random non-negative scoring.
+    fn random_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>, GapParams)> {
+        (0usize..160, 0usize..24, 0usize..32, any::<bool>()).prop_flat_map(
+            |(n, band, delta, longer)| {
+                let delta = delta % (band + 9);
+                let m = if longer { (n + delta).min(159) } else { n.saturating_sub(delta) };
+                (bases(n), bases(m), gap_params(band))
+            },
+        )
+    }
+
+    /// The shape `align_tail` produces: a read that is a copy of the
+    /// reference's prefix with substitutions, insertions and deletions,
+    /// against that prefix plus 0–20 trailing bases.
+    fn edited_pair(
+        params: impl Strategy<Value = GapParams>,
+    ) -> impl Strategy<Value = (Vec<u8>, Vec<u8>, GapParams)> {
+        let edit = (0usize..1000, 0u8..3, proptest::sample::select(b"ACGT".to_vec()));
+        (bases(1..140), proptest::collection::vec(edit, 0..12), bases(0..21), params).prop_map(
+            |(truth, edits, trailing, params)| {
+                let mut read = truth.clone();
+                for (at, kind, base) in edits {
+                    let at = at % (read.len() + 1);
+                    match kind {
+                        0 if at < read.len() => read[at] = base,
+                        1 => read.insert(at, base),
+                        2 if at < read.len() => {
+                            read.remove(at);
+                        }
+                        _ => {}
+                    }
+                }
+                let mut reference = truth;
+                reference.extend_from_slice(&trailing);
+                (read, reference, params)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whenever the bound says a pair cannot score above zero, the
+        /// reference DP agrees: it scores at most zero or finds no path.
+        #[test]
+        fn prop_bound_never_rejects_a_positive_score(
+            case in edited_pair((0usize..24).prop_flat_map(gap_params)),
+            defaults: bool,
+        ) {
+            let (read, reference, mut params) = case;
+            if defaults {
+                params = GapParams { band: params.band, ..GapParams::default() };
+            }
+            let bound = score_bound(read.len(), reference.len(), &params).expect("non-negative gaps");
+            let aligned = banded_global_reference(&read, &reference, &params);
+            if let Some(aligned) = &aligned {
+                let score = i64::from(aligned.score);
+                prop_assert!(score <= bound, "score {score} above bound {bound}");
+            }
+            if bound <= 0 {
+                prop_assert!(aligned.is_none_or(|a| a.score <= 0));
+            }
+        }
+
+        /// Random pairs: the same `Option`, score and CIGAR as the
+        /// three-matrix reference, in band and out of it.
+        #[test]
+        fn prop_random_pairs_match_reference(case in random_pair()) {
+            let (read, reference, params) = case;
+            prop_assert_eq!(
+                banded_global(&read, &reference, &params),
+                banded_global_reference(&read, &reference, &params)
+            );
+        }
+
+        /// Edited reads against their source plus trailing bases, under the
+        /// default scoring and the default band.
+        #[test]
+        fn prop_edited_pairs_match_reference(case in edited_pair(Just(GapParams::default()))) {
+            let (read, reference, params) = case;
+            prop_assert_eq!(
+                banded_global(&read, &reference, &params),
+                banded_global_reference(&read, &reference, &params)
+            );
+        }
+
+        /// Edited reads under random non-negative scoring and bands.
+        #[test]
+        fn prop_edited_pairs_random_params_match_reference(
+            case in edited_pair((0usize..24).prop_flat_map(gap_params)),
+        ) {
+            let (read, reference, params) = case;
+            prop_assert_eq!(
+                banded_global(&read, &reference, &params),
+                banded_global_reference(&read, &reference, &params)
+            );
+        }
+    }
 }
 
 /// Aligns an uncovered read tail against the graph continuation beyond an
@@ -401,8 +695,8 @@ mod tests {
 /// The reference is spelled by following the extension's last handle
 /// greedily (first graph successor) until `tail.len() + band` bases are
 /// gathered. Returns the alignment plus the number of read bases it
-/// consumed, or `None` when no continuation exists or the aligner scores
-/// the tail negatively (keeping the trimmed gapless result is better).
+/// consumed, or `None` when no continuation exists or the tail scores at
+/// most zero (keeping the trimmed gapless result is better).
 pub fn align_tail(
     graph: &mg_graph::VariationGraph,
     extension: &mg_core::types::Extension,
@@ -446,10 +740,14 @@ pub fn align_tail(
         return None;
     }
     reference.truncate(want);
-    // Global over the tail, semi-global over the reference: trim the
-    // reference to the tail's length window that fits the band.
-    let ref_len = reference.len().min(tail.len() + params.band);
-    let aligned = banded_global(tail, &reference[..ref_len.min(reference.len())], params)?;
+    // Global over both: a full continuation is `band` bases longer than
+    // the tail, so every alignment has `band` more deletions than
+    // insertions. A tail the closed-form bound says cannot score above
+    // zero skips the DP.
+    if score_bound(tail.len(), reference.len(), params).is_some_and(|bound| bound <= 0) {
+        return None;
+    }
+    let aligned = banded_global(tail, &reference, params)?;
     (aligned.score > 0).then_some((aligned, tail.len() as u32))
 }
 

@@ -63,6 +63,9 @@ cargo test --release -q --test extend_walk --test cluster_oracle
 echo "== extend first / extend once (mapper vs cluster-then-extend, kernel vs every anchor extended; an optimized build's arithmetic) =="
 cargo test --release -q --test extend_first --test extend_once
 
+echo "== gapped oracle (banded aligner vs the three-matrix reference, tail bound; an optimized build's arithmetic) =="
+cargo test --release -q -p mg-parent --lib gapped
+
 echo "== lints (obs on / obs off; --all-targets covers tests and examples, there are no benches) =="
 cargo clippy --all-targets -- -D warnings
 cargo clippy --all-targets --no-default-features -p mg-obs -- -D warnings

@@ -18,7 +18,8 @@ use minigiraffe::workload::{write_fastq, FastqReader, FastqRecord, InputSetSpec,
 
 /// The seeded workloads the oracle covers. Distinct seeds give distinct
 /// pangenomes, haplotype walks, and read errors; the error-dense spec
-/// exercises trimmed extensions and the gapped tail fallback.
+/// exercises trimmed extensions, and the noisy 150 bp spec the gapped tail
+/// fallback.
 fn workloads() -> Vec<(String, SyntheticInput)> {
     let mut out = Vec::new();
     for seed in [11u64, 23, 47] {
@@ -27,7 +28,19 @@ fn workloads() -> Vec<(String, SyntheticInput)> {
     let mut dense = InputSetSpec::tiny_for_tests();
     dense.read_sim.error_rate = 0.03;
     out.push(("dense-29".to_string(), SyntheticInput::generate(&dense, 29)));
+    out.push(("noisy-29".to_string(), SyntheticInput::generate(&noisy_spec(), 29)));
     out
+}
+
+/// 150 bp reads at 4 % errors: long enough that trimmed extensions leave
+/// tails the gapped fallback aligns (the 60 bp workloads never get a
+/// `cg:Z:` tag).
+fn noisy_spec() -> InputSetSpec {
+    let mut noisy = InputSetSpec::tiny_for_tests();
+    noisy.reads = 200;
+    noisy.read_sim.read_len = 150;
+    noisy.read_sim.error_rate = 0.04;
+    noisy
 }
 
 /// Runs the parent end-to-end and renders its GAF.
@@ -107,6 +120,15 @@ fn parent_gaf_matches_golden_snapshot() {
              re-bless with MG_BLESS=1 cargo test --test oracle and review the diff"
         );
     }
+}
+
+#[test]
+fn noisy_golden_pins_the_gapped_tail_fallback() {
+    // The snapshot only guards the fallback if the fallback fires in it:
+    // every `cg:Z:` tag is a tail the gapped aligner placed.
+    let golden = std::fs::read_to_string(golden_path("noisy-29")).expect("noisy-29 golden snapshot");
+    let tails = golden.lines().filter(|line| line.contains("cg:Z:")).count();
+    assert!(tails >= 20, "noisy-29: only {tails} gapped tails in the golden snapshot");
 }
 
 /// Serializes a workload's simulated reads as FASTQ bytes, the wire form
