@@ -124,14 +124,12 @@ fn cluster_seeds<P: MemProbe>(
 
 /// Clusters the seeds of one read on caller-provided scratch storage.
 ///
-/// Seeds are sorted by their linearized graph position; each seed is
-/// checked against the next `neighbor_window` seeds with the distance
-/// index's cheap [`DistanceIndex::maybe_within`] bound and then an exact
-/// bounded distance query, and close pairs are unioned. The bound is
-/// conservative (it never excludes a pair within the limit), so it only
-/// saves exact queries. Clusters come back sorted by score (descending),
-/// ties broken by first seed index — a deterministic order regardless of
-/// thread count.
+/// Seeds are sorted by (component, linearized graph position), one node
+/// record read per seed; each seed is checked against the next
+/// `neighbor_window` seeds, those in its component with an exact bounded
+/// distance query, and close pairs are unioned. Clusters come back sorted
+/// by score (descending), ties broken by first seed index — a
+/// deterministic order regardless of thread count.
 pub fn cluster_seeds_with_scratch<P: MemProbe>(
     graph: &mg_graph::VariationGraph,
     dist: &DistanceIndex,
@@ -151,10 +149,10 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
     let order = &mut scratch.order;
     order.clear();
     order.extend(seeds.iter().enumerate().map(|(i, s)| {
-        let node = s.pos.handle.node();
+        let node = dist.node(s.pos.handle.node());
         (
-            dist.component(node),
-            dist.approx_position(node).saturating_add(s.pos.offset as u64),
+            node.component,
+            u64::from(node.offset_min).saturating_add(s.pos.offset as u64),
             s.pos.handle.packed(),
             s.read_offset,
             i as u32,
@@ -166,10 +164,10 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
     let uf = &mut scratch.uf;
     uf.reset(seeds.len());
     let limit = params.distance_limit;
-    for (rank, &(.., i)) in order.iter().enumerate() {
+    for (rank, &(component, .., i)) in order.iter().enumerate() {
         let i = i as usize;
         let mut root = uf.find(i);
-        for &(.., j) in order.iter().skip(rank + 1).take(params.neighbor_window) {
+        for &(other_component, .., j) in order.iter().skip(rank + 1).take(params.neighbor_window) {
             let j = j as usize;
             // Transitivity: pairs already clustered need no distance query
             // (this is what makes the sweep near-linear, like Giraffe's
@@ -181,7 +179,9 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
             }
             let (a, b) = (seeds[i].pos, seeds[j].pos);
             probe.instret(6);
-            if !dist.maybe_within(a, b, limit) {
+            // Seeds in different components are never close; the sort key
+            // already holds both components.
+            if component != other_component {
                 continue;
             }
             // Same-handle fast path: the offset gap is itself a walk.

@@ -847,7 +847,7 @@ fn branch_states_into<P: MemProbe>(
             out.push((next, handle));
         }
     };
-    if let [edge] = &record.edges[..] {
+    if let [edge] = record.edges {
         if *steps < params.max_branch_steps && edge.symbol != ENDMARKER && start < end {
             *steps += 1;
             branch(edge, start, end - start, 0);
@@ -861,7 +861,7 @@ fn branch_states_into<P: MemProbe>(
     let tally = &mut tally[..edges];
     tally.fill([0; 2]);
     let mut pos = 0u64;
-    for run in &record.runs {
+    for run in record.runs {
         let run_end = pos + run.len;
         let [before, inside] = &mut tally[run.symbol as usize];
         *before += run_end.min(start).saturating_sub(pos);

@@ -175,6 +175,18 @@ impl MgiBundle {
         let gbz = Gbz::from_mgi(f)?;
         let minimizer = MinimizerIndex::from_mgi(f)?;
         let distance = DistanceIndex::from_mgi(f)?;
+        // The distance queries index node records by node id and trust
+        // their lengths, so the records must be exactly the graph's nodes.
+        let graph = gbz.graph();
+        if distance.node_count() != graph.node_count()
+            || graph
+                .node_ids()
+                .any(|id| distance.node(id).len as usize != graph.node_len(id))
+        {
+            return Err(Error::Corrupt(
+                "distance index node records disagree with the graph".into(),
+            ));
+        }
         Ok(MgiBundle {
             gbz,
             minimizer,

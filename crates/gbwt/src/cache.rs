@@ -9,13 +9,20 @@
 //! too small means repeated rehash storms, too large means slow
 //! initialization and poor locality. This implementation reproduces those
 //! trade-offs directly.
+//!
+//! A table entry is one 64-byte [`Slot`], aligned to a cache line: the key,
+//! the visit count and up to two edges inline, plus arena references for the
+//! runs and for the edges of records with more than two. A hit on a record
+//! with at most two edges — nearly all of them — reads that one line until
+//! the caller scans its runs.
 
 use std::sync::Arc;
 
 use mg_support::probe::{CacheEvent, MemProbe};
+use mg_support::rle::Run;
 
 use crate::gbwt::Gbwt;
-use crate::record::DecodedRecord;
+use crate::record::{DecodedRecord, RecordEdge, RecordView};
 
 /// Logical address region of cache table slots (for the cache simulator).
 pub const REGION_CACHE: u64 = 0x2000_0000_0000;
@@ -103,8 +110,39 @@ pub struct CachedGbwt<'a> {
     state: CacheState,
 }
 
-/// The detachable storage of a [`CachedGbwt`]: table, statistics, and the
-/// identity of the index it was warmed against.
+/// One table entry, exactly one cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Slot {
+    /// `symbol + 1`; 0 marks an empty slot.
+    key: u64,
+    /// Haplotype visits at the node.
+    total: u64,
+    /// The edges, when there are at most two.
+    inline: [RecordEdge; 2],
+    /// Where the edges start in [`CacheState::edges`] when there are more
+    /// than two.
+    edge_start: u32,
+    edge_count: u32,
+    /// Where the runs start in [`CacheState::runs`].
+    run_start: u32,
+    run_count: u32,
+}
+
+const NO_EDGE: RecordEdge = RecordEdge { symbol: 0, offset: 0 };
+const EMPTY_SLOT: Slot = Slot {
+    key: 0,
+    total: 0,
+    inline: [NO_EDGE; 2],
+    edge_start: 0,
+    edge_count: 0,
+    run_start: 0,
+    run_count: 0,
+};
+const _: () = assert!(std::mem::size_of::<Slot>() == SLOT_BYTES as usize);
+
+/// The detachable storage of a [`CachedGbwt`]: table, arenas, statistics,
+/// and the identity of the index it was warmed against.
 ///
 /// A persistent worker pool keeps one `CacheState` per thread across `run()`
 /// calls and rebinds it with [`CachedGbwt::with_state`]. When the next run
@@ -120,16 +158,16 @@ pub struct CacheState {
     /// tuning sweep that varies the capacity never reuses a table built
     /// under a different setting.
     initial_capacity: usize,
-    /// Open-addressing table: `keys[i]` holds `symbol + 1`; key 0 means
-    /// empty.
-    keys: Vec<u64>,
-    values: Vec<DecodedRecord>,
-    capacity: usize,
+    /// Open-addressing table, a power of two long; empty when caching is
+    /// disabled (capacity 0: the "no caching structure" baseline of the
+    /// paper's Figure 6, where every lookup decompresses).
+    slots: Vec<Slot>,
+    /// Edges of the cached records with more than two, appended on a miss.
+    edges: Vec<RecordEdge>,
+    /// Runs of every cached record, appended on a miss.
+    runs: Vec<Run>,
     len: usize,
     stats: CacheStats,
-    /// When `true` every lookup decompresses (capacity 0: the "no caching
-    /// structure" baseline of the paper's Figure 6).
-    disabled: bool,
     /// Recycled decode target: disabled-mode lookups and cache misses
     /// decompress into this, reusing its buffers.
     scratch: DecodedRecord,
@@ -147,30 +185,62 @@ impl CacheState {
             ..CacheStats::default()
         };
         self.len = 0;
-        if initial_capacity == 0 {
-            self.disabled = true;
-            self.capacity = 0;
-            self.keys.clear();
-            self.values.clear();
-            return;
+        let capacity = if initial_capacity == 0 {
+            0
+        } else {
+            initial_capacity.max(8).next_power_of_two()
+        };
+        self.slots.clear();
+        self.slots.resize(capacity, EMPTY_SLOT);
+        self.edges.clear();
+        self.runs.clear();
+        // Shrinking (a sweep stepping 4096 → 8) must not pin the old
+        // table: return the surplus storage to the allocator, keeping
+        // arenas about as large as one run per slot. `shrink_to` is a no-op
+        // when the table grew.
+        self.slots.shrink_to(capacity);
+        self.edges.shrink_to(capacity);
+        self.runs.shrink_to(capacity);
+    }
+
+    /// The record a filled slot describes.
+    #[inline]
+    fn view(&self, slot: usize) -> RecordView<'_> {
+        let s = &self.slots[slot];
+        let edge_count = s.edge_count as usize;
+        let edges = if edge_count <= s.inline.len() {
+            &s.inline[..edge_count]
+        } else {
+            &self.edges[s.edge_start as usize..][..edge_count]
+        };
+        RecordView {
+            total: s.total,
+            edges,
+            runs: &self.runs[s.run_start as usize..][..s.run_count as usize],
         }
-        self.disabled = false;
-        self.capacity = initial_capacity.max(8).next_power_of_two();
-        self.keys.clear();
-        self.keys.resize(self.capacity, 0);
-        // Shrinking (a sweep stepping 4096 → 8) must not pin the old table:
-        // drop the surplus slots before recycling what remains, so their
-        // DecodedRecord allocations are freed rather than kept in slots the
-        // smaller table will never reuse.
-        self.values.truncate(self.capacity);
-        for v in &mut self.values {
-            v.clear();
+    }
+
+    /// Fills `slot` with the record in `scratch` under `key`, appending its
+    /// runs (and edges beyond two) to the arenas.
+    fn fill(&mut self, slot: usize, key: u64) {
+        let record = &self.scratch;
+        let arena_index = |len: usize| u32::try_from(len).expect("cache arena exceeds u32 range");
+        let mut filled = Slot {
+            key,
+            total: record.total_visits(),
+            edge_count: arena_index(record.edges.len()),
+            run_start: arena_index(self.runs.len()),
+            run_count: arena_index(record.runs.len()),
+            ..EMPTY_SLOT
+        };
+        if record.edges.len() <= filled.inline.len() {
+            filled.inline[..record.edges.len()].copy_from_slice(&record.edges);
+        } else {
+            filled.edge_start = arena_index(self.edges.len());
+            self.edges.extend_from_slice(&record.edges);
         }
-        self.values.resize(self.capacity, DecodedRecord::empty());
-        // And return the surplus backing storage of both vectors to the
-        // allocator; `shrink_to` is a no-op when the table grew.
-        self.keys.shrink_to(self.capacity);
-        self.values.shrink_to(self.capacity);
+        self.runs.extend_from_slice(&record.runs);
+        self.slots[slot] = filled;
     }
 }
 
@@ -221,7 +291,7 @@ impl<'a> CachedGbwt<'a> {
 
     /// Current table capacity (slots).
     pub fn capacity(&self) -> usize {
-        self.state.capacity
+        self.state.slots.len()
     }
 
     /// Number of cached records.
@@ -243,93 +313,86 @@ impl<'a> CachedGbwt<'a> {
     fn slot_of(&self, symbol: u64) -> usize {
         // Fibonacci hashing over the symbol.
         let h = symbol.wrapping_mul(0x9E3779B97F4A7C15);
-        (h >> (64 - self.state.capacity.trailing_zeros())) as usize
+        (h >> (64 - self.capacity().trailing_zeros())) as usize
+    }
+
+    /// The first empty slot at or after `symbol`'s home slot.
+    #[inline]
+    fn free_slot(&self, symbol: u64) -> usize {
+        let mask = self.capacity() - 1;
+        let mut slot = self.slot_of(symbol);
+        while self.state.slots[slot].key != 0 {
+            slot = (slot + 1) & mask;
+        }
+        slot
     }
 
     /// Looks up the record of `symbol`, decompressing and inserting on miss.
-    pub fn record(&mut self, symbol: u64) -> &DecodedRecord {
+    pub fn record(&mut self, symbol: u64) -> RecordView<'_> {
         self.record_with_probe(symbol, &mut mg_support::probe::NoProbe)
     }
 
     /// [`CachedGbwt::record`] with instrumentation: probe-visible table slot
     /// touches, plus the decompression accesses on a miss.
-    pub fn record_with_probe<P: MemProbe>(
-        &mut self,
-        symbol: u64,
-        probe: &mut P,
-    ) -> &DecodedRecord {
-        if self.state.disabled {
+    pub fn record_with_probe<P: MemProbe>(&mut self, symbol: u64, probe: &mut P) -> RecordView<'_> {
+        if self.state.slots.is_empty() {
             self.state.stats.misses += 1;
             probe.cache_event(CacheEvent::Miss);
             self.gbwt
                 .record_into_with_probe(symbol, probe, &mut self.state.scratch);
-            return &self.state.scratch;
+            return self.state.scratch.view();
         }
         let key = symbol + 1;
+        let mask = self.capacity() - 1;
         let mut slot = self.slot_of(symbol);
         loop {
             probe.touch(REGION_CACHE + slot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
             probe.instret(3);
-            if self.state.keys[slot] == key {
+            let found = self.state.slots[slot].key;
+            if found == key {
                 self.state.stats.hits += 1;
                 probe.cache_event(CacheEvent::Hit);
-                // A hit is a pointer chase: the slot line plus the record
-                // header. (The caller's scan of edges/runs is charged by the
-                // kernels themselves, identically for hits and misses.)
+                // A hit is modelled as the slot line plus the record header
+                // (the caller's scan of edges/runs is charged by the kernels
+                // themselves, identically for hits and misses).
                 probe.touch(REGION_CACHE + slot as u64 * SLOT_BYTES + 8, 64);
-                return &self.state.values[slot];
+                return self.state.view(slot);
             }
-            if self.state.keys[slot] == 0 {
+            if found == 0 {
                 break;
             }
-            slot = (slot + 1) & (self.state.capacity - 1);
+            slot = (slot + 1) & mask;
         }
-        // Miss: decompress into the recycled scratch record, then swap it
-        // into the table slot (the displaced empty record becomes the next
-        // decode target).
+        // Miss: decompress into the recycled scratch record, then copy it
+        // into the slot and the arenas.
         self.state.stats.misses += 1;
         probe.cache_event(CacheEvent::Miss);
         self.gbwt
             .record_into_with_probe(symbol, probe, &mut self.state.scratch);
-        if (self.state.len + 1) * LOAD_DEN > self.state.capacity * LOAD_NUM {
+        if (self.state.len + 1) * LOAD_DEN > self.capacity() * LOAD_NUM {
             self.grow(probe);
-            slot = self.slot_of(symbol);
-            while self.state.keys[slot] != 0 {
-                slot = (slot + 1) & (self.state.capacity - 1);
-            }
+            slot = self.free_slot(symbol);
         }
-        self.state.keys[slot] = key;
-        std::mem::swap(&mut self.state.values[slot], &mut self.state.scratch);
+        self.state.fill(slot, key);
         self.state.len += 1;
         probe.touch(REGION_CACHE + slot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
-        &self.state.values[slot]
+        self.state.view(slot)
     }
 
     /// Doubles the table and reinserts every entry (the expensive rehash the
-    /// paper's capacity tuning avoids).
+    /// paper's capacity tuning avoids). The arenas do not move.
     fn grow<P: MemProbe>(&mut self, probe: &mut P) {
-        let old_keys = std::mem::replace(&mut self.state.keys, vec![0; self.state.capacity * 2]);
-        let old_values = std::mem::replace(
-            &mut self.state.values,
-            vec![DecodedRecord::empty(); self.state.capacity * 2],
-        );
-        self.state.capacity *= 2;
+        let doubled = vec![EMPTY_SLOT; self.capacity() * 2];
+        let old = std::mem::replace(&mut self.state.slots, doubled);
         self.state.stats.rehashes += 1;
         let moved_before = self.state.stats.rehashed_slots;
-        for (key, value) in old_keys.into_iter().zip(old_values) {
-            if key == 0 {
-                continue;
-            }
+        for entry in old.into_iter().filter(|s| s.key != 0) {
             self.state.stats.rehashed_slots += 1;
             // Rehash cost: read the old slot, write the new one.
             probe.instret(6);
-            let mut slot = self.slot_of(key - 1);
-            while self.state.keys[slot] != 0 {
-                slot = (slot + 1) & (self.state.capacity - 1);
-            }
+            let slot = self.free_slot(entry.key - 1);
             probe.touch(REGION_CACHE + slot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
-            self.state.keys[slot] = key;
-            self.state.values[slot] = value;
+            self.state.slots[slot] = entry;
         }
         probe.cache_event(CacheEvent::Resize {
             moved_slots: self.state.stats.rehashed_slots - moved_before,
@@ -339,14 +402,9 @@ impl<'a> CachedGbwt<'a> {
     /// Approximate heap footprint of the cache in bytes (drives the memory
     /// pressure model in the simulated-machine experiments).
     pub fn heap_bytes(&self) -> usize {
-        self.state.keys.capacity() * 8
-            + self.state.values.capacity() * std::mem::size_of::<DecodedRecord>()
-            + self
-                .state
-                .values
-                .iter()
-                .map(|v| v.edges.capacity() * 16 + v.runs.capacity() * 16)
-                .sum::<usize>()
+        self.state.slots.capacity() * std::mem::size_of::<Slot>()
+            + self.state.edges.capacity() * std::mem::size_of::<RecordEdge>()
+            + self.state.runs.capacity() * std::mem::size_of::<Run>()
     }
 }
 
@@ -367,8 +425,8 @@ mod tests {
         let g = chain_gbwt(4);
         let mut cache = CachedGbwt::new(&g, 16);
         let direct = g.record(4);
-        assert_eq!(*cache.record(4), direct);
-        assert_eq!(*cache.record(4), direct);
+        assert_eq!(cache.record(4), direct.view());
+        assert_eq!(cache.record(4), direct.view());
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.len(), 1);
@@ -388,8 +446,8 @@ mod tests {
         let mut cache = CachedGbwt::new(&g, 0);
         assert_eq!(cache.capacity(), 0, "disabled");
         let direct = g.record(4);
-        assert_eq!(*cache.record(4), direct);
-        assert_eq!(*cache.record(4), direct);
+        assert_eq!(cache.record(4), direct.view());
+        assert_eq!(cache.record(4), direct.view());
         // Every lookup is a miss; nothing is retained.
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 2);
@@ -409,7 +467,7 @@ mod tests {
         // Everything still correct and now hits.
         let before_hits = cache.stats().hits;
         for sym in 2..g.alphabet_size() {
-            assert_eq!(*cache.record(sym), g.record(sym), "symbol {sym}");
+            assert_eq!(cache.record(sym), g.record(sym).view(), "symbol {sym}");
         }
         assert_eq!(
             cache.stats().hits - before_hits,
@@ -476,7 +534,7 @@ mod tests {
         assert_eq!(cache.len(), warmed_len);
         assert_eq!(cache.stats(), CacheStats::default());
         for sym in 2..g.alphabet_size() {
-            assert_eq!(*cache.record(sym), g.record(sym), "symbol {sym}");
+            assert_eq!(cache.record(sym), g.record(sym).view(), "symbol {sym}");
         }
         assert_eq!(cache.stats().misses, 0);
         assert_eq!(cache.stats().hits, g.alphabet_size() - 2);
@@ -590,6 +648,180 @@ mod tests {
 
         // And the shrunk cache still works.
         let mut shrunk = shrunk;
-        assert_eq!(*shrunk.record(2), *CachedGbwt::new(&g, 8).record(2));
+        assert_eq!(shrunk.record(2), g.record(2).view());
+    }
+
+    /// One probe event, in the order the cache reported it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Ev {
+        Touch(u64, u32),
+        Instret(u64),
+        Cache(CacheEvent),
+    }
+
+    /// A probe that keeps the whole event stream.
+    #[derive(Debug, Default)]
+    struct Trace(Vec<Ev>);
+
+    impl MemProbe for Trace {
+        fn touch(&mut self, addr: u64, len: u32) {
+            self.0.push(Ev::Touch(addr, len));
+        }
+        fn instret(&mut self, n: u64) {
+            self.0.push(Ev::Instret(n));
+        }
+        fn cache_event(&mut self, e: CacheEvent) {
+            self.0.push(Ev::Cache(e));
+        }
+    }
+
+    /// The table the cache must behave as, written out longhand: Fibonacci
+    /// hash, linear probing, power-of-two capacity of at least 8, growth
+    /// past a 3/4 load by doubling and reinserting in old-slot order, and
+    /// capacity 0 as "decode every time". It keeps only keys; a miss
+    /// replays the index's own decode into the trace, so the expected event
+    /// stream (slot touches included) is exact.
+    #[derive(Debug)]
+    struct ReferenceTable {
+        initial: usize,
+        keys: Vec<u64>,
+        len: usize,
+        stats: CacheStats,
+    }
+
+    impl ReferenceTable {
+        fn new(initial: usize) -> Self {
+            let capacity = if initial == 0 { 0 } else { initial.max(8).next_power_of_two() };
+            ReferenceTable { initial, keys: vec![0; capacity], len: 0, stats: CacheStats::default() }
+        }
+
+        fn slot(&self, symbol: u64) -> usize {
+            let bits = self.keys.len().trailing_zeros();
+            (symbol.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+        }
+
+        fn free_slot(&self, symbol: u64) -> usize {
+            let mut slot = self.slot(symbol);
+            while self.keys[slot] != 0 {
+                slot = (slot + 1) % self.keys.len();
+            }
+            slot
+        }
+
+        /// A warm rebind keeps the keys and resets the statistics; any
+        /// other rebind starts cold and counts what it discards.
+        fn rebind(&mut self, same_index: bool, initial: usize) {
+            if same_index && initial == self.initial {
+                self.stats = CacheStats::default();
+            } else {
+                let discarded = self.len as u64;
+                *self = ReferenceTable::new(initial);
+                self.stats.evictions = discarded;
+            }
+        }
+
+        fn lookup(&mut self, gbwt: &Gbwt, symbol: u64, trace: &mut Trace) {
+            let region = |slot: usize| REGION_CACHE + slot as u64 * 64;
+            if self.keys.is_empty() {
+                self.stats.misses += 1;
+                trace.cache_event(CacheEvent::Miss);
+                let _ = gbwt.record_with_probe(symbol, trace);
+                return;
+            }
+            let mut slot = self.slot(symbol);
+            loop {
+                trace.touch(region(slot), 64);
+                trace.instret(3);
+                if self.keys[slot] == symbol + 1 {
+                    self.stats.hits += 1;
+                    trace.cache_event(CacheEvent::Hit);
+                    trace.touch(region(slot) + 8, 64);
+                    return;
+                }
+                if self.keys[slot] == 0 {
+                    break;
+                }
+                slot = (slot + 1) % self.keys.len();
+            }
+            self.stats.misses += 1;
+            trace.cache_event(CacheEvent::Miss);
+            let _ = gbwt.record_with_probe(symbol, trace);
+            if (self.len + 1) * 4 > self.keys.len() * 3 {
+                let doubled = vec![0; self.keys.len() * 2];
+                let old = std::mem::replace(&mut self.keys, doubled);
+                self.stats.rehashes += 1;
+                let mut moved = 0;
+                for key in old.into_iter().filter(|&k| k != 0) {
+                    moved += 1;
+                    trace.instret(6);
+                    let to = self.free_slot(key - 1);
+                    trace.touch(region(to), 64);
+                    self.keys[to] = key;
+                }
+                self.stats.rehashed_slots += moved;
+                trace.cache_event(CacheEvent::Resize { moved_slots: moved });
+                slot = self.free_slot(symbol);
+            }
+            self.keys[slot] = symbol + 1;
+            self.len += 1;
+            trace.touch(region(slot), 64);
+        }
+    }
+
+    fn gbwt_of(paths: &[Vec<u64>]) -> Gbwt {
+        let mut builder = GbwtBuilder::new();
+        for ids in paths {
+            let path: Vec<Handle> = ids.iter().map(|&s| Handle::from_gbwt(s).unwrap()).collect();
+            builder = builder.insert(&path);
+        }
+        builder.build().unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Random haplotypes (nodes repeat within a path, paths end
+        /// anywhere) and random lookup traces, across the paper's capacity
+        /// range, a warm rebind and a capacity change: every lookup equals
+        /// the index's own decode, and after every step the statistics,
+        /// table shape and probe stream equal the reference table's.
+        #[test]
+        fn prop_lookups_and_stats_match_the_reference_table(
+            paths in proptest::collection::vec(proptest::collection::vec(2u64..24, 1..14), 1..8),
+            trace in proptest::collection::vec(0u64..30, 1..160),
+            next_capacity in proptest::sample::select(vec![0usize, 8, 64, 256, 4096]),
+        ) {
+            let gbwt = gbwt_of(&paths);
+            for initial in [0usize, 8, 64, 256, 4096] {
+                let mut cache = CachedGbwt::new(&gbwt, initial);
+                let mut reference = ReferenceTable::new(initial);
+                // Fresh, then warm on the same index and capacity, then
+                // cold at another capacity.
+                for phase in 0..3 {
+                    if phase == 1 {
+                        cache = CachedGbwt::with_state(&gbwt, initial, cache.into_state());
+                        reference.rebind(true, initial);
+                    } else if phase == 2 {
+                        cache = CachedGbwt::with_state(&gbwt, next_capacity, cache.into_state());
+                        reference.rebind(true, next_capacity);
+                    }
+                    proptest::prop_assert_eq!(cache.stats(), reference.stats);
+                    for &symbol in &trace[phase * trace.len() / 3..] {
+                        let mut got = Trace::default();
+                        let mut want = Trace::default();
+                        let record = cache.record_with_probe(symbol, &mut got);
+                        let direct = gbwt.record(symbol);
+                        proptest::prop_assert_eq!(record.total_visits(), direct.total_visits());
+                        proptest::prop_assert_eq!(record.edges, &direct.edges[..]);
+                        proptest::prop_assert_eq!(record.runs, &direct.runs[..]);
+                        reference.lookup(&gbwt, symbol, &mut want);
+                        proptest::prop_assert_eq!(got.0, want.0, "probe stream of symbol {}", symbol);
+                        proptest::prop_assert_eq!(cache.stats(), reference.stats);
+                        proptest::prop_assert_eq!(cache.capacity(), reference.keys.len());
+                        proptest::prop_assert_eq!(cache.len(), reference.len);
+                    }
+                }
+            }
+        }
     }
 }

@@ -45,4 +45,4 @@ pub use build::GbwtBuilder;
 pub use cache::{CacheState, CacheStats, CachedGbwt, HotTier};
 pub use gbwt::{BidirState, Gbwt, GbwtStatistics, SearchState};
 pub use gbz::Gbz;
-pub use record::{DecodedRecord, RecordEdge, ENDMARKER};
+pub use record::{DecodedRecord, RecordEdge, RecordView, ENDMARKER};

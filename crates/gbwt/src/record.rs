@@ -50,6 +50,30 @@ pub struct DecodedRecord {
     total: u64,
 }
 
+/// A borrowed record: what a [`crate::CachedGbwt`] lookup returns, with
+/// the same fields a [`DecodedRecord`] has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordView<'a> {
+    /// Number of haplotype visits at this node.
+    pub total: u64,
+    /// Outgoing edges, sorted by destination symbol.
+    pub edges: &'a [RecordEdge],
+    /// BWT body: runs of edge ranks covering all visits in BWT order.
+    pub runs: &'a [Run],
+}
+
+impl RecordView<'_> {
+    /// Number of haplotype visits at this node.
+    pub fn total_visits(&self) -> u64 {
+        self.total
+    }
+
+    /// Returns `true` if no haplotype visits this node.
+    pub fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+}
+
 impl DecodedRecord {
     /// Assembles a record from its parts.
     ///
@@ -84,6 +108,11 @@ impl DecodedRecord {
     /// Returns `true` if no haplotype visits this node.
     pub fn is_empty(&self) -> bool {
         self.total == 0
+    }
+
+    /// The record as a [`RecordView`].
+    pub fn view(&self) -> RecordView<'_> {
+        RecordView { total: self.total, edges: &self.edges, runs: &self.runs }
     }
 
     /// Number of outgoing edges (including a possible endmarker edge).

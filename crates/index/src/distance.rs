@@ -4,10 +4,9 @@
 //! small. The real tool uses a snarl-tree distance index; we substitute a
 //! two-tier oracle with the same interface and complexity profile:
 //!
-//! 1. a precomputed per-node summary (connected component id plus, for
-//!    acyclic components, lower/upper distance-from-source bounds) that
-//!    answers "definitely unreachable / definitely farther than the limit"
-//!    in O(1); and
+//! 1. the chain decomposition ([`ChainIndex`]), whose per-node records
+//!    answer "different component" and most exact distances on bubble
+//!    chains in O(1); and
 //! 2. an exact bounded Dijkstra over node lengths for everything else —
 //!    cheap because clustering limits are a few hundred bases and pangenome
 //!    nodes are short.
@@ -15,15 +14,11 @@
 use std::collections::{BinaryHeap, HashMap};
 
 use mg_graph::{Handle, NodeId, VariationGraph};
-use mg_support::mgi::{
-    put_u32, put_u32_slice, put_u64, put_u64_slice, FixedReader, MgiFile, MgiWriter, Storage,
-    TAG_DIST_COMPONENT, TAG_DIST_CYCLIC, TAG_DIST_META, TAG_DIST_OFFSET_MAX,
-    TAG_DIST_OFFSET_MIN,
-};
-use mg_support::{Error, Result};
+use mg_support::mgi::{MgiFile, MgiWriter};
+use mg_support::Result;
 
 use crate::minimizer::GraphPos;
-use crate::snarl::{ChainAnswer, ChainIndex};
+use crate::snarl::{ChainAnswer, ChainIndex, NodeRecord};
 
 /// Reusable buffers for the bounded Dijkstra in
 /// [`DistanceIndex::min_distance_with`]; one per thread/kernel invocation
@@ -34,144 +29,28 @@ pub struct DistanceScratch {
     heap: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
 }
 
-/// Per-node precomputed summaries.
+/// The distance index: per-node records and the chain decomposition
+/// ([`ChainIndex`]), plus the exact search behind them.
 ///
-/// All arrays live in [`Storage`], so an index loaded from a `.mgi`
-/// container borrows the mapping directly instead of owning heap copies.
+/// The arrays live in [`mg_support::mgi::Storage`], so an index loaded from
+/// a `.mgi` container borrows the mapping directly instead of owning heap
+/// copies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceIndex {
-    /// Connected component of each node (undirected), indexed by `id - 1`.
-    component: Storage<u32>,
-    /// For acyclic components: minimum bases from a component source to the
-    /// *start* of the node's forward orientation.
-    offset_min: Storage<u64>,
-    /// Maximum bases from a component source to the node start (along any
-    /// simple path); saturates for cyclic components.
-    offset_max: Storage<u64>,
-    /// Per component, nonzero when it contains a directed cycle (no pruning
-    /// there). Stored as bytes rather than bools so the array can be
-    /// borrowed from a mapped file where any bit pattern must be tolerable.
-    cyclic: Storage<u8>,
-    component_count: u32,
-    /// Snarl-lite chain decomposition: the O(1) fast path for exact
-    /// distances on bubble chains (the architecture of Giraffe's real
-    /// distance index).
+    /// Snarl-lite chain decomposition and the per-node records: the O(1)
+    /// fast path for exact distances on bubble chains (the architecture of
+    /// Giraffe's real distance index).
     chains: ChainIndex,
 }
 
 impl DistanceIndex {
     /// Preprocesses `graph`.
     pub fn build(graph: &VariationGraph) -> Self {
-        let n = graph.node_count();
-        let mut component = vec![u32::MAX; n];
-        let mut component_count = 0u32;
-        // Undirected components over node ids.
-        for start in 0..n {
-            if component[start] != u32::MAX {
-                continue;
-            }
-            let mut stack = vec![start];
-            component[start] = component_count;
-            while let Some(u) = stack.pop() {
-                let id = NodeId::new(u as u64 + 1);
-                for h in [Handle::forward(id), Handle::reverse(id)] {
-                    for &next in graph.successors(h) {
-                        let v = (next.node().value() - 1) as usize;
-                        if component[v] == u32::MAX {
-                            component[v] = component_count;
-                            stack.push(v);
-                        }
-                    }
-                }
-            }
-            component_count += 1;
-        }
-
-        // Kahn's algorithm over forward-orientation edges to detect cycles
-        // and compute min/max start offsets. Reverse-orientation edges are
-        // ignored here (our pangenomes are forward DAGs; graphs using them
-        // simply fall back to exact search).
-        let mut indegree = vec![0u32; n];
-        let mut uses_reverse = vec![false; component_count as usize];
-        for u in 0..n {
-            let id = NodeId::new(u as u64 + 1);
-            for h in [Handle::forward(id), Handle::reverse(id)] {
-                for &next in graph.successors(h) {
-                    if h.orientation().is_reverse() || next.orientation().is_reverse() {
-                        uses_reverse[component[u] as usize] = true;
-                    } else {
-                        indegree[(next.node().value() - 1) as usize] += 1;
-                    }
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&u| indegree[u] == 0).collect();
-        let mut offset_min = vec![u64::MAX; n];
-        let mut offset_max = vec![0u64; n];
-        for &u in &queue {
-            offset_min[u] = 0;
-        }
-        let mut processed = 0usize;
-        while let Some(u) = queue.pop() {
-            processed += 1;
-            let id = NodeId::new(u as u64 + 1);
-            let len = graph.node_len(id) as u64;
-            for &next in graph.successors(Handle::forward(id)) {
-                if next.orientation().is_reverse() {
-                    continue;
-                }
-                let v = (next.node().value() - 1) as usize;
-                offset_min[v] = offset_min[v].min(offset_min[u].saturating_add(len));
-                offset_max[v] = offset_max[v].max(offset_max[u] + len);
-                indegree[v] -= 1;
-                if indegree[v] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-        // Unreached nodes keep offset_min = MAX; normalize for safety.
-        for offset in offset_min.iter_mut() {
-            if *offset == u64::MAX {
-                *offset = 0;
-            }
-        }
-        let mut cyclic = uses_reverse;
-        if processed < n {
-            // Mark every component containing an unprocessed node as cyclic.
-            for u in 0..n {
-                if indegree[u] > 0 {
-                    cyclic[component[u] as usize] = true;
-                }
-            }
-        }
-        DistanceIndex {
-            component: component.into(),
-            offset_min: offset_min.into(),
-            offset_max: offset_max.into(),
-            cyclic: cyclic.iter().map(|&b| b as u8).collect::<Vec<u8>>().into(),
-            component_count,
-            chains: ChainIndex::build(graph),
-        }
+        DistanceIndex { chains: ChainIndex::build(graph) }
     }
 
-    /// Appends the index (including its chain decomposition) to a `.mgi`
-    /// container in its in-memory array layout.
+    /// Appends the index to a `.mgi` container in its in-memory layout.
     pub fn write_mgi(&self, w: &mut MgiWriter) {
-        let mut meta = Vec::new();
-        put_u64(&mut meta, self.component.len() as u64);
-        put_u32(&mut meta, self.component_count);
-        put_u32(&mut meta, 0); // reserved / alignment
-        w.section(TAG_DIST_META, meta);
-        let mut buf = Vec::new();
-        put_u32_slice(&mut buf, &self.component);
-        w.section(TAG_DIST_COMPONENT, buf);
-        let mut buf = Vec::new();
-        put_u64_slice(&mut buf, &self.offset_min);
-        w.section(TAG_DIST_OFFSET_MIN, buf);
-        let mut buf = Vec::new();
-        put_u64_slice(&mut buf, &self.offset_max);
-        w.section(TAG_DIST_OFFSET_MAX, buf);
-        w.section(TAG_DIST_CYCLIC, self.cyclic.to_vec());
         self.chains.write_mgi(w);
     }
 
@@ -179,45 +58,10 @@ impl DistanceIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Corrupt`] when any structural invariant fails.
+    /// Returns [`mg_support::Error::Corrupt`] when any structural invariant
+    /// fails.
     pub fn from_mgi(f: &MgiFile) -> Result<Self> {
-        let mut meta = FixedReader::new(f.section(TAG_DIST_META)?);
-        let n = meta.read_u64()? as usize;
-        let component_count = meta.read_u32()?;
-        let _reserved = meta.read_u32()?;
-        if !meta.is_at_end() {
-            return Err(Error::Corrupt("distance meta has trailing bytes".into()));
-        }
-        let component = f.section_storage::<u32>(TAG_DIST_COMPONENT)?;
-        let offset_min = f.section_storage::<u64>(TAG_DIST_OFFSET_MIN)?;
-        let offset_max = f.section_storage::<u64>(TAG_DIST_OFFSET_MAX)?;
-        let cyclic = f.section_storage::<u8>(TAG_DIST_CYCLIC)?;
-        if component.len() != n || offset_min.len() != n || offset_max.len() != n {
-            return Err(Error::Corrupt(format!(
-                "distance arrays disagree with node count {n}"
-            )));
-        }
-        if cyclic.len() != component_count as usize {
-            return Err(Error::Corrupt(format!(
-                "cyclic flags hold {} entries for {component_count} components",
-                cyclic.len()
-            )));
-        }
-        if component.iter().any(|&c| c >= component_count) {
-            return Err(Error::Corrupt("node assigned to nonexistent component".into()));
-        }
-        if cyclic.iter().any(|&b| b > 1) {
-            return Err(Error::Corrupt("cyclic flag is not 0 or 1".into()));
-        }
-        let chains = ChainIndex::from_mgi(f, n)?;
-        Ok(DistanceIndex {
-            component,
-            offset_min,
-            offset_max,
-            cyclic,
-            component_count,
-            chains,
-        })
+        Ok(DistanceIndex { chains: ChainIndex::from_mgi(f)? })
     }
 
     /// The chain decomposition backing the O(1) fast path.
@@ -225,41 +69,39 @@ impl DistanceIndex {
         &self.chains
     }
 
+    /// Number of indexed nodes.
+    pub fn node_count(&self) -> usize {
+        self.chains.nodes().len()
+    }
+
     /// Number of connected components.
     pub fn component_count(&self) -> u32 {
-        self.component_count
+        self.chains.component_count()
+    }
+
+    /// The record of `node`: its component, sort offset, length and chain
+    /// coordinates in one read.
+    #[inline]
+    pub fn node(&self, node: NodeId) -> &NodeRecord {
+        self.chains.node(node)
     }
 
     /// Component id of a node.
     pub fn component(&self, node: NodeId) -> u32 {
-        self.component[(node.value() - 1) as usize]
+        self.node(node).component
     }
 
     /// A linearized approximate position of the node (minimum bases from a
     /// component source). Seeds sorted by this key put graph-nearby seeds
     /// adjacent, which is how the clustering kernel bounds its pair checks.
     pub fn approx_position(&self, node: NodeId) -> u64 {
-        self.offset_min[(node.value() - 1) as usize]
+        u64::from(self.node(node).offset_min)
     }
 
-    /// Whether two positions can possibly be within `limit` bases; `false`
-    /// is definitive, `true` means "ask [`DistanceIndex::min_distance`]".
-    pub fn maybe_within(&self, a: GraphPos, b: GraphPos, limit: u64) -> bool {
-        let ca = self.component(a.handle.node());
-        let cb = self.component(b.handle.node());
-        if ca != cb {
-            return false;
-        }
-        if self.cyclic[ca as usize] != 0 {
-            return true;
-        }
-        // Safe lower bound on forward distance u -> v:
-        // offset_min(v) - offset_max(u) - len(u). Check both directions.
-        let ia = (a.handle.node().value() - 1) as usize;
-        let ib = (b.handle.node().value() - 1) as usize;
-        let forward_lb = self.offset_min[ib].saturating_sub(self.offset_max[ia]);
-        let backward_lb = self.offset_min[ia].saturating_sub(self.offset_max[ib]);
-        forward_lb.min(backward_lb) <= limit.saturating_add(64)
+    /// Whether two positions lie in one connected component; `false` means
+    /// no distance between them exists.
+    pub fn same_component(&self, a: GraphPos, b: GraphPos) -> bool {
+        self.component(a.handle.node()) == self.component(b.handle.node())
     }
 
     /// Exact minimum oriented distance from `a` to `b`, walking forward
@@ -288,11 +130,11 @@ impl DistanceIndex {
         limit: u64,
         scratch: &mut DistanceScratch,
     ) -> Option<u64> {
-        if self.component(a.handle.node()) != self.component(b.handle.node()) {
+        if !self.same_component(a, b) {
             return None;
         }
         // Chain fast path: exact O(1) answers on bubble chains.
-        match self.chains.exact_distance(graph, a, b) {
+        match self.chains.exact_distance(a, b) {
             ChainAnswer::Distance(d) => return (d <= limit).then_some(d),
             ChainAnswer::Unreachable => return None,
             ChainAnswer::Unanswerable => {}
@@ -313,7 +155,7 @@ impl DistanceIndex {
         limit: u64,
         scratch: &mut DistanceScratch,
     ) -> Option<u64> {
-        if self.component(a.handle.node()) != self.component(b.handle.node()) {
+        if !self.same_component(a, b) {
             return None;
         }
         // Same handle, b ahead of a: direct.
@@ -481,32 +323,8 @@ mod tests {
         assert_eq!(d.component_count(), 2);
         let pa = GraphPos::new(Handle::forward(a), 0);
         let pb = GraphPos::new(Handle::forward(b), 0);
-        assert!(!d.maybe_within(pa, pb, 1_000_000));
+        assert!(!d.same_component(pa, pb));
         assert_eq!(d.min_distance(&g, pa, pb, 1_000_000), None);
-    }
-
-    #[test]
-    fn maybe_within_is_safe() {
-        // maybe_within must never return false for pairs that are actually
-        // within the limit.
-        let (p, d) = bubble();
-        let g = p.graph();
-        for u in g.node_ids() {
-            for v in g.node_ids() {
-                let a = GraphPos::new(Handle::forward(u), 0);
-                let b = GraphPos::new(Handle::forward(v), 0);
-                for limit in [0u64, 3, 10, 50] {
-                    if let Some(dist) = d.min_undirected_distance(g, a, b, limit) {
-                        if dist <= limit {
-                            assert!(
-                                d.maybe_within(a, b, limit),
-                                "pruned a reachable pair {u}->{v} at {limit}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -529,8 +347,8 @@ mod tests {
         let d = DistanceIndex::build(&g);
         let pa = GraphPos::new(Handle::forward(a), 0);
         let pb = GraphPos::new(Handle::forward(b), 0);
-        // No pruning in cyclic components.
-        assert!(d.maybe_within(pa, pb, 0));
+        assert!(d.same_component(pa, pb));
+        assert_eq!(d.chains().chain_count(), 0, "no chain through a cycle");
         // Distance still exact: a->b = 2 bases.
         assert_eq!(d.min_distance(&g, pa, pb, 100), Some(2));
         // And b -> a around the cycle = 2.
@@ -554,7 +372,7 @@ mod tests {
             for v in g.node_ids() {
                 let a = GraphPos::new(Handle::forward(u), 0);
                 let b = GraphPos::new(Handle::forward(v), 0);
-                assert_eq!(back.maybe_within(a, b, 10), d.maybe_within(a, b, 10));
+                assert_eq!(back.same_component(a, b), d.same_component(a, b));
                 assert_eq!(
                     back.min_distance(g, a, b, 1000),
                     d.min_distance(g, a, b, 1000)
@@ -578,5 +396,105 @@ mod tests {
         // 200 bases total; last node starts at 198 (22 nodes of 9, last 2).
         let expect = 198 - 3;
         assert_eq!(d.min_distance(p.graph(), a, b, 1000), Some(expect));
+    }
+
+    /// A random pangenome from `seed`: SNPs, insertions, deletions and
+    /// two-allele sites, some adjacent, on short nodes.
+    fn random_pangenome(seed: u64) -> mg_graph::Pangenome {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |bound: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % bound
+        };
+        let base = |x: u64| b"ACGT"[x as usize];
+        let reference: Vec<u8> = (0..140).map(|_| base(next(4))).collect();
+        let mut variants = Vec::new();
+        let mut at = 1 + next(5) as usize;
+        while at + 6 < reference.len() {
+            let v = match next(4) {
+                0 => Variant::snp(at, base(next(4))),
+                1 => Variant::insertion(at, (0..1 + next(4)).map(|_| base(next(4))).collect()),
+                2 => Variant::deletion(at, 1 + next(3) as usize),
+                _ => Variant {
+                    position: at,
+                    ref_len: 1 + next(2) as usize,
+                    alt_alleles: vec![vec![base(next(4)); 3], Vec::new()],
+                },
+            };
+            at = v.ref_end().max(v.position + 1) + 1 + next(6) as usize;
+            variants.push(v);
+        }
+        let haplotypes = (0..2 + next(2))
+            .map(|_| variants.iter().map(|v| next(1 + v.alt_alleles.len() as u64) as usize).collect())
+            .collect();
+        PangenomeBuilder::new(reference)
+            .variants(variants)
+            .haplotypes(haplotypes)
+            .max_node_len(3 + next(5) as usize)
+            .build()
+            .unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+
+        /// The chain fast path against the bounded Dijkstra on random
+        /// pangenomes with SNPs and indels: sampled node pairs, every
+        /// offset of both nodes, all four orientation pairs. Wherever the
+        /// decomposition answers it must be exact, and the integrated query
+        /// must equal the Dijkstra at every limit.
+        #[test]
+        fn prop_chain_fast_path_equals_dijkstra_at_every_offset(seed in 0u64..1_000_000) {
+            let p = random_pangenome(seed);
+            let g = p.graph();
+            let d = DistanceIndex::build(g);
+            proptest::prop_assert!(d.chains().chain_count() > 0);
+            let mut scratch = DistanceScratch::default();
+            let mut pick = seed;
+            let n = g.node_count() as u64;
+            let mut answered = 0usize;
+            for pair in 0..24 {
+                pick = pick.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                // Half the pairs are near in id order (as seeds of one read
+                // are), half anywhere.
+                let u = 1 + (pick >> 33) % n;
+                let v = if pair % 2 == 0 { (u + (pick >> 13) % 6).min(n) } else { 1 + (pick >> 13) % n };
+                let (u, v) = (NodeId::new(u), NodeId::new(v));
+                let limit = (pick >> 40) % 60;
+                for (ou, ov) in [
+                    (Orientation::Forward, Orientation::Forward),
+                    (Orientation::Reverse, Orientation::Reverse),
+                    (Orientation::Forward, Orientation::Reverse),
+                    (Orientation::Reverse, Orientation::Forward),
+                ] {
+                    for au in 0..g.node_len(u) as u32 {
+                        for bv in 0..g.node_len(v) as u32 {
+                            let a = GraphPos::new(Handle::new(u, ou), au);
+                            let b = GraphPos::new(Handle::new(v, ov), bv);
+                            let truth = d.min_distance_dijkstra(g, a, b, 10_000, &mut scratch);
+                            match d.chains().exact_distance(a, b) {
+                                ChainAnswer::Distance(x) => {
+                                    answered += 1;
+                                    proptest::prop_assert_eq!(truth, Some(x), "{:?} -> {:?}", a, b);
+                                }
+                                ChainAnswer::Unreachable => {
+                                    answered += 1;
+                                    proptest::prop_assert_eq!(truth, None, "{:?} -> {:?}", a, b);
+                                }
+                                ChainAnswer::Unanswerable => {}
+                            }
+                            proptest::prop_assert_eq!(
+                                d.min_distance_with(g, a, b, limit, &mut scratch),
+                                d.min_distance_dijkstra(g, a, b, limit, &mut scratch),
+                                "{:?} -> {:?} within {}", a, b, limit
+                            );
+                        }
+                    }
+                }
+            }
+            proptest::prop_assert!(answered > 0, "the fast path never answered");
+        }
     }
 }

@@ -16,7 +16,7 @@ pub mod serialize;
 pub mod snarl;
 
 pub use distance::{DistanceIndex, DistanceScratch};
-pub use snarl::{ChainAnswer, ChainIndex};
+pub use snarl::{ChainAnswer, ChainIndex, NodeRecord};
 pub use minimizer::{
     extract_minimizers, extract_minimizers_into, GraphPos, Minimizer, MinimizerIndex,
     MinimizerParams, MinimizerScratch,

@@ -206,13 +206,39 @@ pub fn extract_minimizers_into(
     }
 }
 
+/// One distinct k-mer of the table, 32 bytes (two to a cache line, never
+/// straddling one): the k-mer, how many positions it has, its first
+/// position, and — for a k-mer with more than one — where the rest start in
+/// the arena. A single hit, the common case, is answered from the entry
+/// alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(32))]
+pub(crate) struct KmerEntry {
+    /// Packed 2-bit k-mer value.
+    pub kmer: u64,
+    /// The k-mer's first position (in position order).
+    pub pos: GraphPos,
+    /// Where its other `count - 1` positions start in the arena; 0 when
+    /// `count == 1`.
+    pub start: u32,
+    /// Number of positions; at least 1.
+    pub count: u32,
+}
+
+// Plain integers plus a `GraphPos` (itself `Pod`); the 4 padding bytes
+// inside `pos` are never read, and the writer emits them as zeros.
+unsafe impl mg_support::mgi::Pod for KmerEntry {}
+
+const _: () = assert!(std::mem::size_of::<KmerEntry>() == 32);
+
 /// The minimizer index over a graph's haplotype paths.
 ///
-/// One layout wherever the table lives: distinct k-mers in ascending order,
-/// CSR offsets, and a position arena — owned when built or decoded, borrowed
-/// from the mapping when opened from a `.mgi` container — plus a small owned
-/// bucket directory over the k-mers' top bits, derived whenever the arrays
-/// are assembled and never stored.
+/// One layout wherever the table lives: one [`KmerEntry`] per distinct
+/// k-mer in ascending order, and an arena holding, for each k-mer with more
+/// than one hit, the positions after its first — owned when built, borrowed
+/// from the mapping when opened from a `.mgi` container — plus a small
+/// owned bucket directory over the k-mers' top bits, derived whenever the
+/// arrays are assembled and never stored. Every position is stored once.
 ///
 /// # Examples
 ///
@@ -234,16 +260,19 @@ pub fn extract_minimizers_into(
 #[derive(Debug, Clone)]
 pub struct MinimizerIndex {
     params: MinimizerParams,
-    /// Distinct k-mers, strictly ascending, each within `2k` bits.
-    kmers: Storage<u64>,
-    /// CSR offsets into `positions`; `len == kmers.len() + 1`.
-    starts: Storage<u64>,
-    /// Concatenated per-k-mer position runs, each sorted and deduplicated.
+    /// One entry per distinct k-mer, strictly ascending, each within `2k`
+    /// bits.
+    entries: Storage<KmerEntry>,
+    /// Every position but the first of each multi-hit k-mer, concatenated
+    /// in k-mer order; with the entry's first, each k-mer's run is sorted
+    /// and deduplicated.
     positions: Storage<GraphPos>,
+    /// Sum of every entry's count.
+    total_positions: usize,
     /// Bucket directory: the k-mers whose top bits equal `b` are
-    /// `kmers[dir[b]..dir[b + 1]]`. One bucket per indexed k-mer rounded up
-    /// to a power of two, so a bucket holds between a half and one k-mer on
-    /// average and a lookup is one directory read plus a search that is
+    /// `entries[dir[b]..dir[b + 1]]`. One bucket per indexed k-mer rounded
+    /// up to a power of two, so a bucket holds between a half and one k-mer
+    /// on average and a lookup is one directory read plus a search that is
     /// usually over by its first comparison.
     dir: Vec<u32>,
     /// Right shift taking a `2k`-bit k-mer to its bucket number.
@@ -251,39 +280,38 @@ pub struct MinimizerIndex {
 }
 
 /// Two indexes are equal when their tables are: same parameters, same
-/// k-mers, same position runs. Where the arrays live (heap or mapping) does
-/// not matter, and the directory is a function of the k-mers.
+/// entries, same arena. Where the arrays live (heap or mapping) does not
+/// matter, and the directory is a function of the k-mers.
 impl PartialEq for MinimizerIndex {
     fn eq(&self, other: &Self) -> bool {
         self.params == other.params
-            && self.kmers[..] == other.kmers[..]
-            && self.starts[..] == other.starts[..]
+            && self.entries[..] == other.entries[..]
             && self.positions[..] == other.positions[..]
     }
 }
 
 impl Eq for MinimizerIndex {}
 
-/// Checks that `kmers` is strictly ascending and every value fits `2k`
-/// bits, and in the same pass builds the bucket directory over their top
-/// bits. Returns the directory and the shift that maps a k-mer to its
-/// bucket.
-fn build_directory(kmers: &[u64], k: usize) -> Result<(Vec<u32>, u32)> {
-    if u32::try_from(kmers.len()).is_err() {
+/// Checks that the entries' k-mers are strictly ascending and every value
+/// fits `2k` bits, and in the same pass builds the bucket directory over
+/// their top bits. Returns the directory and the shift that maps a k-mer to
+/// its bucket.
+fn build_directory(entries: &[KmerEntry], k: usize) -> Result<(Vec<u32>, u32)> {
+    if u32::try_from(entries.len()).is_err() {
         return Err(Error::Corrupt(format!(
             "minimizer table of {} k-mers exceeds the 32-bit directory",
-            kmers.len()
+            entries.len()
         )));
     }
     let key_bits = 2 * k as u32;
     let max_kmer = (1u64 << key_bits) - 1;
-    let dir_bits = kmers.len().next_power_of_two().trailing_zeros().min(key_bits);
+    let dir_bits = entries.len().next_power_of_two().trailing_zeros().min(key_bits);
     let dir_shift = key_bits - dir_bits;
     let mut dir = vec![0u32; (1usize << dir_bits) + 1];
     // Count each bucket into the slot after it, then prefix-sum: slot `b`
     // ends up holding the number of k-mers in buckets below `b`.
     let mut prev = None;
-    for &kmer in kmers {
+    for kmer in entries.iter().map(|e| e.kmer) {
         if kmer > max_kmer {
             return Err(Error::Corrupt(format!(
                 "minimizer k-mer {kmer:#x} is wider than {key_bits} bits"
@@ -304,6 +332,10 @@ fn build_directory(kmers: &[u64], k: usize) -> Result<(Vec<u32>, u32)> {
 impl MinimizerIndex {
     /// Builds the index from haplotype paths, indexing both orientations of
     /// every path so reverse-strand reads seed on flipped handles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena outgrows 32-bit starts.
     pub fn build<'a, I>(graph: &VariationGraph, paths: I, params: MinimizerParams) -> Self
     where
         I: IntoIterator<Item = &'a [Handle]>,
@@ -319,24 +351,24 @@ impl MinimizerIndex {
         // already in run order; haplotypes sharing a position collapse.
         pairs.sort_unstable();
         pairs.dedup();
-        let mut kmers: Vec<u64> = Vec::new();
-        let mut starts: Vec<u64> = Vec::new();
-        let mut positions = Vec::with_capacity(pairs.len());
-        for (kmer, pos) in pairs {
-            if kmers.last() != Some(&kmer) {
-                kmers.push(kmer);
-                starts.push(positions.len() as u64);
+        let distinct = pairs.chunk_by(|a, b| a.0 == b.0).count();
+        let mut entries: Vec<KmerEntry> = Vec::with_capacity(distinct);
+        let mut positions = Vec::with_capacity(pairs.len() - distinct);
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let mut entry = KmerEntry {
+                kmer: group[0].0,
+                pos: group[0].1,
+                start: 0,
+                count: u32::try_from(group.len()).expect("k-mer with over 2^32 positions"),
+            };
+            if group.len() > 1 {
+                entry.start = u32::try_from(positions.len()).expect("position arena exceeds u32 range");
+                positions.extend(group[1..].iter().map(|&(_, pos)| pos));
             }
-            positions.push(pos);
+            entries.push(entry);
         }
-        starts.push(positions.len() as u64);
-        Self::from_flat_parts(
-            params,
-            Storage::Owned(kmers),
-            Storage::Owned(starts),
-            Storage::Owned(positions),
-        )
-        .expect("sorted, deduplicated k-mers of k bases each")
+        Self::from_flat_parts(params, Storage::Owned(entries), Storage::Owned(positions))
+            .expect("sorted, deduplicated k-mers of k bases each")
     }
 
     fn index_path(
@@ -377,45 +409,61 @@ impl MinimizerIndex {
 
     /// Number of distinct indexed k-mers.
     pub fn distinct_kmers(&self) -> usize {
-        self.kmers.len()
+        self.entries.len()
     }
 
     /// Total indexed (k-mer, position) pairs.
     pub fn total_positions(&self) -> usize {
-        self.positions.len()
+        self.total_positions
     }
 
-    /// Graph positions of one k-mer, if indexed.
+    /// The entry of one k-mer, if indexed.
     #[inline]
-    pub fn positions(&self, kmer: u64) -> Option<&[GraphPos]> {
+    fn entry(&self, kmer: u64) -> Option<&KmerEntry> {
         // A value wider than 2k bits names a bucket past the directory.
         let bucket = (kmer >> self.dir_shift) as usize;
         let lo = *self.dir.get(bucket)? as usize;
         let hi = *self.dir.get(bucket + 1)? as usize;
-        let i = lo + self.kmers[lo..hi].binary_search(&kmer).ok()?;
-        Some(&self.positions[self.starts[i] as usize..self.starts[i + 1] as usize])
+        let bucket = &self.entries[lo..hi];
+        bucket.get(bucket.binary_search_by_key(&kmer, |e| e.kmer).ok()?)
+    }
+
+    /// An entry's positions after its first.
+    #[inline]
+    fn rest(&self, entry: &KmerEntry) -> &[GraphPos] {
+        if entry.count == 1 {
+            &[]
+        } else {
+            &self.positions[entry.start as usize..][..entry.count as usize - 1]
+        }
+    }
+
+    /// Graph positions of one k-mer in ascending order, if indexed.
+    pub fn positions(&self, kmer: u64) -> Option<impl Iterator<Item = GraphPos> + '_> {
+        let entry = self.entry(kmer)?;
+        Some(std::iter::once(entry.pos).chain(self.rest(entry).iter().copied()))
     }
 
     /// Whether the table borrows a mapped `.mgi` container (as opposed to
     /// owning heap memory).
     pub fn is_mapped(&self) -> bool {
-        self.kmers.is_mapped()
+        self.entries.is_mapped()
     }
 
     /// Iterates over all indexed k-mers in ascending order.
     pub fn kmers(&self) -> impl Iterator<Item = u64> + '_ {
-        self.kmers.iter().copied()
+        self.entries.iter().map(|e| e.kmer)
     }
 
-    /// The table's arrays as stored: k-mers, CSR starts, position arena.
-    pub(crate) fn flat_parts(&self) -> (&[u64], &[u64], &[GraphPos]) {
-        (&self.kmers, &self.starts, &self.positions)
+    /// The table's arrays as stored: entries and the arena.
+    pub(crate) fn flat_parts(&self) -> (&[KmerEntry], &[GraphPos]) {
+        (&self.entries, &self.positions)
     }
 
     /// Assembles an index from its flat arrays, deriving the directory.
-    /// The caller vouches for `starts` and `positions` (CSR shape, sorted
-    /// runs); the k-mers are checked here because the directory is only
-    /// meaningful over ascending `2k`-bit values.
+    /// The caller vouches for the counts, runs and inline positions; the
+    /// k-mers are checked here because the directory is only meaningful
+    /// over ascending `2k`-bit values.
     ///
     /// # Errors
     ///
@@ -423,12 +471,12 @@ impl MinimizerIndex {
     /// repeated, or wider than `2k` bits.
     pub(crate) fn from_flat_parts(
         params: MinimizerParams,
-        kmers: Storage<u64>,
-        starts: Storage<u64>,
+        entries: Storage<KmerEntry>,
         positions: Storage<GraphPos>,
     ) -> Result<Self> {
-        let (dir, dir_shift) = build_directory(&kmers, params.k)?;
-        Ok(MinimizerIndex { params, kmers, starts, positions, dir, dir_shift })
+        let (dir, dir_shift) = build_directory(&entries, params.k)?;
+        let total_positions = entries.iter().map(|e| e.count as usize).sum();
+        Ok(MinimizerIndex { params, entries, positions, total_positions, dir, dir_shift })
     }
 
     /// Finds seed hits for a read: for each minimizer of `read`, every graph
@@ -460,13 +508,17 @@ impl MinimizerIndex {
         extract_minimizers_into(read, self.params, scratch, &mut mins);
         out.clear();
         for m in &mins {
-            if let Some(positions) = self.positions(m.kmer) {
-                if positions.len() > hard_hit_cap {
-                    continue;
-                }
-                for &pos in positions {
-                    out.push((m.offset, pos));
-                }
+            // The entry alone says whether the repeat filter drops the
+            // k-mer, and holds the position of a single hit.
+            let Some(entry) = self.entry(m.kmer) else {
+                continue;
+            };
+            if entry.count as usize > hard_hit_cap {
+                continue;
+            }
+            out.push((m.offset, entry.pos));
+            if entry.count > 1 {
+                out.extend(self.rest(entry).iter().map(|&pos| (m.offset, pos)));
             }
         }
         scratch.mins = mins;
@@ -735,6 +787,7 @@ mod tests {
         let mut found = false;
         for kmer in 0..(1u64 << 14) {
             if let Some(ps) = index.positions(kmer) {
+                let ps: Vec<GraphPos> = ps.collect();
                 assert!(!ps.is_empty());
                 // Sorted and deduplicated.
                 assert!(ps.windows(2).all(|w| w[0] < w[1]));

@@ -6,18 +6,27 @@
 //! mapping without decoding.
 
 use mg_support::mgi::{
-    put_u32, put_u64, put_u64_slice, FixedReader, MgiFile, MgiWriter, TAG_MIN_KMERS, TAG_MIN_META,
-    TAG_MIN_POSITIONS, TAG_MIN_STARTS,
+    put_u32, put_u64, FixedReader, MgiFile, MgiWriter, TAG_MIN_ENTRIES, TAG_MIN_META,
+    TAG_MIN_POSITIONS,
 };
 use mg_support::{Error, Result};
 
-use crate::minimizer::{GraphPos, MinimizerIndex, MinimizerParams};
+use crate::minimizer::{GraphPos, KmerEntry, MinimizerIndex, MinimizerParams};
+
+/// Appends one position as its 16 stored bytes: handle, offset, and the
+/// tail padding pinned to zero.
+fn put_pos(out: &mut Vec<u8>, pos: &GraphPos) {
+    put_u64(out, pos.handle.packed());
+    put_u32(out, pos.offset);
+    put_u32(out, 0);
+}
 
 impl MinimizerIndex {
     /// Appends the index to a `.mgi` container in its flat in-memory form:
-    /// sorted k-mers, CSR starts, and a 16-byte-per-entry position arena
-    /// (handle, offset, explicit zero padding) that
-    /// [`MinimizerIndex::from_mgi`] borrows without decoding.
+    /// one 32-byte entry per k-mer (k-mer, first position, arena start,
+    /// count) and the 16-byte-per-position arena, every field and padding
+    /// byte written explicitly, so [`MinimizerIndex::from_mgi`] borrows both
+    /// without decoding.
     pub fn write_mgi(&self, w: &mut MgiWriter) {
         let params = self.params();
         let mut meta = Vec::new();
@@ -27,19 +36,19 @@ impl MinimizerIndex {
         put_u64(&mut meta, self.total_positions() as u64);
         w.section(TAG_MIN_META, meta);
 
-        let (kmers, starts, arena) = self.flat_parts();
-        let mut kmer_bytes = Vec::new();
-        put_u64_slice(&mut kmer_bytes, kmers);
-        let mut start_bytes = Vec::new();
-        put_u64_slice(&mut start_bytes, starts);
+        let (entries, arena) = self.flat_parts();
+        let mut entry_bytes = Vec::with_capacity(entries.len() * 32);
+        for e in entries {
+            put_u64(&mut entry_bytes, e.kmer);
+            put_pos(&mut entry_bytes, &e.pos);
+            put_u32(&mut entry_bytes, e.start);
+            put_u32(&mut entry_bytes, e.count);
+        }
         let mut positions = Vec::with_capacity(arena.len() * 16);
         for pos in arena {
-            put_u64(&mut positions, pos.handle.packed());
-            put_u32(&mut positions, pos.offset);
-            put_u32(&mut positions, 0); // tail padding, pinned to zero
+            put_pos(&mut positions, pos);
         }
-        w.section(TAG_MIN_KMERS, kmer_bytes);
-        w.section(TAG_MIN_STARTS, start_bytes);
+        w.section(TAG_MIN_ENTRIES, entry_bytes);
         w.section(TAG_MIN_POSITIONS, positions);
     }
 
@@ -53,8 +62,8 @@ impl MinimizerIndex {
         let mut meta = FixedReader::new(f.section(TAG_MIN_META)?);
         let k = meta.read_u64()? as usize;
         let w = meta.read_u64()? as usize;
-        let kmer_count = meta.read_u64()? as usize;
-        let total_positions = meta.read_u64()? as usize;
+        let kmer_count = meta.read_u64()?;
+        let total_positions = meta.read_u64()?;
         if !meta.is_at_end() {
             return Err(Error::Corrupt("minimizer meta has trailing bytes".into()));
         }
@@ -63,51 +72,62 @@ impl MinimizerIndex {
         }
         let params = MinimizerParams::new(k, w);
 
-        let kmers = f.section_storage::<u64>(TAG_MIN_KMERS)?;
-        let starts = f.section_storage::<u64>(TAG_MIN_STARTS)?;
+        let entries = f.section_storage::<KmerEntry>(TAG_MIN_ENTRIES)?;
         let positions = f.section_storage::<GraphPos>(TAG_MIN_POSITIONS)?;
-        if kmers.len() != kmer_count {
+        if entries.len() as u64 != kmer_count {
             return Err(Error::Corrupt(format!(
-                "minimizer k-mer section holds {} entries, meta claims {kmer_count}",
-                kmers.len()
+                "minimizer entry section holds {} entries, meta claims {kmer_count}",
+                entries.len()
             )));
         }
-        if positions.len() != total_positions {
-            return Err(Error::Corrupt(format!(
-                "minimizer position arena holds {} entries, meta claims {total_positions}",
-                positions.len()
-            )));
-        }
-        if starts.len() != kmer_count + 1
-            || starts.first().copied().unwrap_or(u64::MAX) != 0
-            || starts.last().copied() != Some(total_positions as u64)
-        {
-            return Err(Error::Corrupt("minimizer CSR offsets malformed".into()));
-        }
-        // Every k-mer owns at least one position (build never records empty
-        // runs), and each run is sorted and deduplicated.
-        if !starts.windows(2).all(|p| p[0] < p[1]) {
-            return Err(Error::Corrupt("minimizer CSR offsets not strictly increasing".into()));
-        }
-        for pos in positions.iter() {
-            if mg_graph::Handle::from_gbwt(pos.handle.packed()).is_none() {
-                return Err(Error::Corrupt("minimizer position encodes endmarker".into()));
+        let real = |pos: &GraphPos| mg_graph::Handle::from_gbwt(pos.handle.packed()).is_some();
+        // Every entry owns at least one position and names a real first
+        // one. A single hit owns no arena; the other `count - 1` positions
+        // of each multi-hit k-mer tile the arena in k-mer order, so
+        // `start + count - 1` never passes its end, and each run — the
+        // entry's first, then its arena slice — is sorted and deduplicated.
+        let mut cursor = 0u64;
+        let mut total = 0u64;
+        for e in entries.iter() {
+            if e.count == 0 || !real(&e.pos) {
+                return Err(Error::Corrupt("minimizer entry with no real position".into()));
             }
-        }
-        for i in 0..kmer_count {
-            let run = &positions[starts[i] as usize..starts[i + 1] as usize];
-            if !run.windows(2).all(|p| p[0] < p[1]) {
+            total += u64::from(e.count);
+            if e.count == 1 {
+                if e.start != 0 {
+                    return Err(Error::Corrupt("single-hit minimizer entry names a run".into()));
+                }
+                continue;
+            }
+            let end = cursor + u64::from(e.count) - 1;
+            if u64::from(e.start) != cursor || end > positions.len() as u64 {
+                return Err(Error::Corrupt(
+                    "minimizer runs do not tile the position arena".into(),
+                ));
+            }
+            let rest = &positions[cursor as usize..end as usize];
+            if e.pos >= rest[0] || !rest.iter().all(real) || !rest.windows(2).all(|p| p[0] < p[1]) {
                 return Err(Error::Corrupt(
                     "minimizer position run not sorted and deduplicated".into(),
                 ));
             }
+            cursor = end;
         }
-        // Last, the pass over the k-mer section: strictly ascending, each
-        // within 2k bits, and the bucket directory filled as it goes. By
-        // now the section's length is known to match the rest of the table.
-        MinimizerIndex::from_flat_parts(params, kmers, starts, positions)
+        if cursor != positions.len() as u64 {
+            return Err(Error::Corrupt(format!(
+                "minimizer position arena holds {} entries, the runs cover {cursor}",
+                positions.len()
+            )));
+        }
+        if total != total_positions {
+            return Err(Error::Corrupt(format!(
+                "minimizer entries count {total} positions, meta claims {total_positions}"
+            )));
+        }
+        // Last, the pass over the k-mers: strictly ascending, each within
+        // 2k bits, and the bucket directory filled as it goes.
+        MinimizerIndex::from_flat_parts(params, entries, positions)
     }
-
 }
 
 #[cfg(test)]
@@ -141,7 +161,7 @@ mod tests {
     fn resectioned(edit: impl Fn(u32, &mut Vec<u8>)) -> Result<MinimizerIndex> {
         let f = MgiFile::open_bytes(mgi_bytes(&sample_index())).unwrap();
         let mut w = MgiWriter::new();
-        for tag in [TAG_MIN_META, TAG_MIN_KMERS, TAG_MIN_STARTS, TAG_MIN_POSITIONS] {
+        for tag in [TAG_MIN_META, TAG_MIN_ENTRIES, TAG_MIN_POSITIONS] {
             let mut payload = f.section(tag).unwrap().to_vec();
             edit(tag, &mut payload);
             w.section(tag, payload);
@@ -174,7 +194,7 @@ mod tests {
             assert_eq!(back.query(read, cap), index.query(read, cap));
         }
         for kmer in index.kmers() {
-            assert_eq!(back.positions(kmer), index.positions(kmer));
+            assert!(back.positions(kmer).unwrap().eq(index.positions(kmer).unwrap()));
         }
     }
 
@@ -204,9 +224,9 @@ mod tests {
     #[test]
     fn mgi_rejects_unsorted_kmers() {
         let swapped = resectioned(|tag, payload| {
-            if tag == TAG_MIN_KMERS {
-                let (a, b) = payload.split_at_mut(8);
-                a.swap_with_slice(&mut b[..8]);
+            if tag == TAG_MIN_ENTRIES {
+                let (a, b) = payload.split_at_mut(32);
+                a.swap_with_slice(&mut b[..32]);
             }
         });
         assert!(matches!(swapped, Err(Error::Corrupt(_))));

@@ -12,48 +12,85 @@
 //!   distances to its entry and exit anchors;
 //! - chain prefix sums answer anchor-to-anchor minima.
 //!
-//! [`ChainIndex::exact_distance`] then answers most oriented queries in
-//! O(1); cyclic or reverse-edge components, cross-chain pairs, and
-//! same-segment pairs report "unanswerable" and the caller falls back to
-//! the bounded Dijkstra.
+//! Everything a query asks of one node lives in one 32-byte [`NodeRecord`]
+//! (component, sort offset, length, chain, entry/exit anchors and the
+//! distances to them), so [`ChainIndex::exact_distance`] reads two records
+//! and two prefix sums. It answers most oriented queries in O(1); cyclic or
+//! reverse-edge components, cross-chain pairs, and same-segment pairs
+//! report "unanswerable" and the caller falls back to the bounded Dijkstra.
 
 use mg_graph::{Handle, NodeId, Orientation, VariationGraph};
 use mg_support::mgi::{
-    put_u32_slice, put_u64_slice, MgiFile, MgiWriter, Storage, TAG_CHAIN_ANCHORS, TAG_CHAIN_D_IN,
-    TAG_CHAIN_D_OUT, TAG_CHAIN_ENTRY, TAG_CHAIN_EXIT, TAG_CHAIN_OF, TAG_CHAIN_PREFIX,
-    TAG_CHAIN_STARTS,
+    put_u32, put_u32_slice, put_u64, put_u64_slice, FixedReader, MgiFile, MgiWriter, Pod, Storage,
+    TAG_CHAIN_ANCHORS, TAG_CHAIN_PREFIX, TAG_CHAIN_STARTS, TAG_DIST_META, TAG_DIST_NODES,
 };
 use mg_support::{Error, Result};
 
 use crate::minimizer::GraphPos;
 
-const NONE32: u32 = u32::MAX;
+/// "No chain" / "no anchor", and "no distance" in a record's 32-bit fields.
+pub const NONE32: u32 = u32::MAX;
 const INF: u64 = u64::MAX;
 
-/// The decomposition over a whole graph.
+/// Everything the sort key and a chain query need to know about one node,
+/// in one 32-byte record (two to a cache line, never straddling one).
+///
+/// Distances and the sort offset are stored in 32 bits. A distance that
+/// does not fit is stored as [`NONE32`], which makes the pair unanswerable
+/// (the exact search takes over); a sort offset that does not fit
+/// saturates, which only ties seeds past 4 Gbp in one component.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(32))]
+pub struct NodeRecord {
+    /// Connected component (undirected).
+    pub component: u32,
+    /// Minimum bases from a component source to the start of the node's
+    /// forward orientation: the clustering sort key.
+    pub offset_min: u32,
+    /// Node length in bases.
+    pub len: u32,
+    /// Chain id, or [`NONE32`] for nodes in components the decomposition
+    /// cannot answer (cyclic, reverse edges).
+    pub chain: u32,
+    /// Index into the anchor arena of the anchor every forward path into
+    /// this node last crossed (its own index for an anchor); [`NONE32`]
+    /// before the chain's first anchor.
+    pub entry: u32,
+    /// Index into the anchor arena of the anchor every forward path from
+    /// this node must cross next (its own index for an anchor); [`NONE32`]
+    /// past the chain's last anchor.
+    pub exit: u32,
+    /// Min bases from the entry anchor's start to this node's start (0 for
+    /// anchors); [`NONE32`] when there is no entry or no path from it.
+    pub d_in: u32,
+    /// Min bases from this node's start to the exit anchor's start (0 for
+    /// anchors); [`NONE32`] when there is no exit or no path to it.
+    pub d_out: u32,
+}
+
+// Eight `u32`s: no padding, and every bit pattern is a value (the reader
+// checks the semantic invariants).
+unsafe impl Pod for NodeRecord {}
+
+const _: () = assert!(std::mem::size_of::<NodeRecord>() == 32);
+
+/// A 64-bit distance in a 32-bit field: [`NONE32`] when it does not fit
+/// (or is [`INF`]).
+fn narrow(d: u64) -> u32 {
+    u32::try_from(d).unwrap_or(NONE32)
+}
+
+/// The per-node records and the chain decomposition over a whole graph.
 ///
 /// Chains are stored in CSR form — one concatenated anchor/prefix arena
-/// plus per-chain start offsets — so the whole index is a handful of flat
-/// arrays that serialize to (and borrow from) a `.mgi` container verbatim.
+/// plus per-chain start offsets — and the records address anchors by their
+/// arena index, so a query never reads the CSR offsets. Every array
+/// serializes to (and borrows from) a `.mgi` container verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainIndex {
-    /// Chain id per node (`id - 1`), or `NONE32` for nodes in components
-    /// the decomposition cannot answer (cyclic, reverse edges).
-    chain_of: Storage<u32>,
-    /// Index of the *exit* anchor (position in the chain's anchor list)
-    /// every forward path from this node must cross next; `NONE32` past
-    /// the last anchor. For an anchor node: its own index.
-    exit_idx: Storage<u32>,
-    /// Index of the *entry* anchor every forward path into this node last
-    /// crossed; `NONE32` before the first anchor. For an anchor: its own
-    /// index.
-    entry_idx: Storage<u32>,
-    /// Min bases from the entry anchor's start to this node's start
-    /// (0 for anchors); `INF` when `entry_idx` is `NONE32`.
-    d_in: Storage<u64>,
-    /// Min bases from this node's start to the exit anchor's start
-    /// (0 for anchors); `INF` when `exit_idx` is `NONE32`.
-    d_out: Storage<u64>,
+    /// One record per node, indexed by `id - 1`.
+    nodes: Storage<NodeRecord>,
+    component_count: u32,
     /// CSR offsets into `anchors`/`prefix_min`; chain `c` owns the range
     /// `chain_starts[c]..chain_starts[c + 1]`. Always at least `[0]`.
     chain_starts: Storage<u64>,
@@ -77,24 +114,21 @@ pub enum ChainAnswer {
 }
 
 impl ChainIndex {
-    /// Decomposes `graph`. Components containing directed cycles or
-    /// reverse-orientation edges are left unanswerable (the exact search
-    /// still covers them).
+    /// Labels components, computes every node's sort offset, and decomposes
+    /// `graph`. Components containing directed cycles or reverse-orientation
+    /// edges are left unanswerable (the exact search still covers them).
     pub fn build(graph: &VariationGraph) -> Self {
         let n = graph.node_count();
-        let mut index = ChainIndex {
-            chain_of: vec![NONE32; n].into(),
-            exit_idx: vec![NONE32; n].into(),
-            entry_idx: vec![NONE32; n].into(),
-            d_in: vec![INF; n].into(),
-            d_out: vec![INF; n].into(),
-            chain_starts: vec![0u64].into(),
-            anchors: Storage::default(),
-            prefix_min: Storage::default(),
+        let mut build = Build {
+            chain_of: vec![NONE32; n],
+            exit_idx: vec![NONE32; n],
+            entry_idx: vec![NONE32; n],
+            d_in: vec![INF; n],
+            d_out: vec![INF; n],
+            chain_starts: vec![0],
+            anchors: Vec::new(),
+            prefix_min: Vec::new(),
         };
-        if n == 0 {
-            return index;
-        }
         // Component labelling (undirected) + eligibility (no reverse
         // orientation edges).
         let mut component = vec![NONE32; n];
@@ -132,22 +166,310 @@ impl ChainIndex {
             eligible.push(ok);
             comp_nodes.push(nodes);
         }
-
         for (cid, nodes) in comp_nodes.iter().enumerate() {
-            if !eligible[cid] {
-                continue;
+            if eligible[cid] {
+                build.decompose_component(graph, nodes);
             }
-            index.decompose_component(graph, nodes);
         }
-        index
+        let offset_min = offsets_from_sources(graph);
+        let nodes: Vec<NodeRecord> = (0..n)
+            .map(|u| NodeRecord {
+                component: component[u],
+                offset_min: u32::try_from(offset_min[u]).unwrap_or(u32::MAX),
+                len: u32::try_from(graph.node_len(NodeId::new(u as u64 + 1)))
+                    .expect("node longer than a graph position can address"),
+                chain: build.chain_of[u],
+                entry: build.entry_idx[u],
+                exit: build.exit_idx[u],
+                d_in: narrow(build.d_in[u]),
+                d_out: narrow(build.d_out[u]),
+            })
+            .collect();
+        ChainIndex {
+            nodes: nodes.into(),
+            component_count: comp_nodes.len() as u32,
+            chain_starts: build.chain_starts.into(),
+            anchors: build.anchors.into(),
+            prefix_min: build.prefix_min.into(),
+        }
     }
 
+    /// Number of chains found.
+    pub fn chain_count(&self) -> usize {
+        self.chain_starts.len() - 1
+    }
+
+    /// Number of connected components.
+    pub fn component_count(&self) -> u32 {
+        self.component_count
+    }
+
+    /// The record of `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of the indexed graph.
+    #[inline]
+    pub fn node(&self, node: NodeId) -> &NodeRecord {
+        &self.nodes[(node.value() - 1) as usize]
+    }
+
+    /// Every node's record, indexed by `id - 1`.
+    pub fn nodes(&self) -> &[NodeRecord] {
+        &self.nodes
+    }
+
+    /// Appends the records and the decomposition to a `.mgi` container in
+    /// their in-memory layouts: a meta section (node count, component
+    /// count), 32-byte records written field by field, and the chains'
+    /// CSR arrays.
+    pub fn write_mgi(&self, w: &mut MgiWriter) {
+        let mut meta = Vec::new();
+        put_u64(&mut meta, self.nodes.len() as u64);
+        put_u32(&mut meta, self.component_count);
+        put_u32(&mut meta, 0); // reserved / alignment
+        w.section(TAG_DIST_META, meta);
+        let mut buf = Vec::with_capacity(self.nodes.len() * 32);
+        for r in self.nodes.iter() {
+            let fields = [r.component, r.offset_min, r.len, r.chain, r.entry, r.exit, r.d_in, r.d_out];
+            put_u32_slice(&mut buf, &fields);
+        }
+        w.section(TAG_DIST_NODES, buf);
+        let mut buf = Vec::new();
+        put_u64_slice(&mut buf, &self.chain_starts);
+        w.section(TAG_CHAIN_STARTS, buf);
+        let mut buf = Vec::new();
+        put_u32_slice(&mut buf, &self.anchors);
+        w.section(TAG_CHAIN_ANCHORS, buf);
+        let mut buf = Vec::new();
+        put_u64_slice(&mut buf, &self.prefix_min);
+        w.section(TAG_CHAIN_PREFIX, buf);
+    }
+
+    /// Borrows the records and the decomposition out of a validated `.mgi`
+    /// container.
+    ///
+    /// Validation is strict enough that no later query can index out of
+    /// bounds or underflow, whatever the (checksum-valid) bytes claim.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corrupt`] when any structural invariant fails.
+    pub fn from_mgi(f: &MgiFile) -> Result<Self> {
+        let mut meta = FixedReader::new(f.section(TAG_DIST_META)?);
+        let n = meta.read_u64()?;
+        let component_count = meta.read_u32()?;
+        let _reserved = meta.read_u32()?;
+        if !meta.is_at_end() {
+            return Err(Error::Corrupt("distance meta has trailing bytes".into()));
+        }
+        let nodes = f.section_storage::<NodeRecord>(TAG_DIST_NODES)?;
+        let chain_starts = f.section_storage::<u64>(TAG_CHAIN_STARTS)?;
+        let anchors = f.section_storage::<u32>(TAG_CHAIN_ANCHORS)?;
+        let prefix_min = f.section_storage::<u64>(TAG_CHAIN_PREFIX)?;
+        if nodes.len() as u64 != n {
+            return Err(Error::Corrupt(format!(
+                "distance index holds {} node records, meta claims {n}",
+                nodes.len()
+            )));
+        }
+        if chain_starts.first().copied() != Some(0)
+            || chain_starts.last().copied() != Some(anchors.len() as u64)
+            || !chain_starts.windows(2).all(|p| p[0] < p[1])
+        {
+            return Err(Error::Corrupt("chain CSR offsets malformed".into()));
+        }
+        if prefix_min.len() != anchors.len() {
+            return Err(Error::Corrupt("chain prefix arena disagrees with anchors".into()));
+        }
+        if anchors.iter().any(|&u| u as usize >= nodes.len()) {
+            return Err(Error::Corrupt("chain anchor references nonexistent node".into()));
+        }
+        for pm in chain_starts.windows(2).map(|c| &prefix_min[c[0] as usize..c[1] as usize]) {
+            if pm[0] != 0 || !pm.windows(2).all(|p| p[0] <= p[1]) {
+                return Err(Error::Corrupt(
+                    "chain prefix minima not zero-based and non-decreasing".into(),
+                ));
+            }
+        }
+        let chain_count = chain_starts.len() - 1;
+        for r in nodes.iter() {
+            if r.component >= component_count {
+                return Err(Error::Corrupt("node assigned to nonexistent component".into()));
+            }
+            // An anchor index must lie inside its node's own chain; a node
+            // on no chain names no anchor.
+            let range = match r.chain {
+                NONE32 => 0..0,
+                c if (c as usize) < chain_count => {
+                    chain_starts[c as usize]..chain_starts[c as usize + 1]
+                }
+                _ => return Err(Error::Corrupt("node assigned to nonexistent chain".into())),
+            };
+            for idx in [r.entry, r.exit] {
+                if idx != NONE32 && !range.contains(&u64::from(idx)) {
+                    return Err(Error::Corrupt(
+                        "anchor index beyond its chain's anchor list".into(),
+                    ));
+                }
+            }
+        }
+        Ok(ChainIndex {
+            nodes,
+            component_count,
+            chain_starts,
+            anchors,
+            prefix_min,
+        })
+    }
+
+    /// Exact minimum oriented distance from `a` to `b` (bases advanced
+    /// walking forward from `a`), answered from the two nodes' records and
+    /// the prefix sums alone.
+    pub fn exact_distance(&self, a: GraphPos, b: GraphPos) -> ChainAnswer {
+        let (ra, rb) = (self.node(a.handle.node()), self.node(b.handle.node()));
+        // Out-of-range offsets (offset must be < node length) are not a
+        // position this index reasons about.
+        if a.offset >= ra.len || b.offset >= rb.len {
+            return ChainAnswer::Unanswerable;
+        }
+        let same_node = a.handle.node() == b.handle.node();
+        // Reverse-orientation walks mirror to forward walks in the
+        // opposite direction: dist(a⁻ -> b⁻) = dist(mirror(b) -> mirror(a)),
+        // where mirroring maps offset o on a node of length l to l - 1 - o.
+        match (a.handle.orientation(), b.handle.orientation()) {
+            (Orientation::Forward, Orientation::Forward) => {
+                self.forward_distance(ra, a.offset, rb, b.offset, same_node)
+            }
+            (Orientation::Reverse, Orientation::Reverse) => {
+                self.forward_distance(rb, rb.len - 1 - b.offset, ra, ra.len - 1 - a.offset, same_node)
+            }
+            _ => ChainAnswer::Unanswerable,
+        }
+    }
+
+    /// [`ChainIndex::exact_distance`] between forward positions: offset
+    /// `a_off` on the node of `ra` to offset `b_off` on the node of `rb`.
+    fn forward_distance(
+        &self,
+        ra: &NodeRecord,
+        a_off: u32,
+        rb: &NodeRecord,
+        b_off: u32,
+        same_node: bool,
+    ) -> ChainAnswer {
+        if ra.chain == NONE32 || rb.chain != ra.chain {
+            return ChainAnswer::Unanswerable;
+        }
+        if same_node {
+            // Same node: DAG components cannot loop back.
+            return if b_off >= a_off {
+                ChainAnswer::Distance((b_off - a_off) as u64)
+            } else {
+                ChainAnswer::Unreachable
+            };
+        }
+        let (exit, entry) = (ra.exit, rb.entry);
+        if exit == NONE32 || entry == NONE32 {
+            return ChainAnswer::Unanswerable;
+        }
+        // Dead ends inside a segment (no path to the exit anchor) and
+        // unseeded entries (no path from the entry anchor, e.g. a second
+        // source) cannot be answered from the decomposition.
+        if ra.d_out == NONE32 || rb.d_in == NONE32 {
+            return ChainAnswer::Unanswerable;
+        }
+        if exit > entry {
+            let (entry_a, exit_b) = (ra.entry, rb.exit);
+            // Same bubble: the decomposition cannot see inside it.
+            if entry_a == entry && exit_b == exit {
+                return ChainAnswer::Unanswerable;
+            }
+            // b's region strictly precedes a's: impossible in a DAG.
+            if entry_a != NONE32 && entry < entry_a {
+                return ChainAnswer::Unreachable;
+            }
+            // b is the entry anchor of a's segment (or earlier anchor).
+            if rb.d_in == 0 && rb.d_out == 0 && entry <= entry_a {
+                return ChainAnswer::Unreachable;
+            }
+            return ChainAnswer::Unanswerable;
+        }
+        // Both anchors lie in the one chain (checked at open), so the
+        // prefix sums do not decrease from `exit` to `entry`.
+        let span = self.prefix_min[entry as usize] - self.prefix_min[exit as usize];
+        let total = i128::from(ra.d_out) + i128::from(span) + i128::from(rb.d_in)
+            + i128::from(b_off)
+            - i128::from(a_off);
+        if total < 0 {
+            ChainAnswer::Unreachable
+        } else {
+            ChainAnswer::Distance(total as u64)
+        }
+    }
+}
+
+/// The per-node arrays of a build, in 64-bit arithmetic, before they are
+/// packed into records.
+struct Build {
+    chain_of: Vec<u32>,
+    exit_idx: Vec<u32>,
+    entry_idx: Vec<u32>,
+    d_in: Vec<u64>,
+    d_out: Vec<u64>,
+    chain_starts: Vec<u64>,
+    anchors: Vec<u32>,
+    prefix_min: Vec<u64>,
+}
+
+/// Minimum bases from a component source to each node's forward start, by
+/// Kahn's algorithm over forward-orientation edges (reverse-orientation
+/// edges are ignored; nodes a cycle keeps unprocessed get what their
+/// processed predecessors give, or 0).
+fn offsets_from_sources(graph: &VariationGraph) -> Vec<u64> {
+    let n = graph.node_count();
+    let mut indegree = vec![0u32; n];
+    for u in 0..n {
+        let id = NodeId::new(u as u64 + 1);
+        for &next in graph.successors(Handle::forward(id)) {
+            if !next.orientation().is_reverse() {
+                indegree[(next.node().value() - 1) as usize] += 1;
+            }
+        }
+    }
+    let mut queue: Vec<usize> = (0..n).filter(|&u| indegree[u] == 0).collect();
+    let mut offset_min = vec![u64::MAX; n];
+    for &u in &queue {
+        offset_min[u] = 0;
+    }
+    while let Some(u) = queue.pop() {
+        let id = NodeId::new(u as u64 + 1);
+        let len = graph.node_len(id) as u64;
+        for &next in graph.successors(Handle::forward(id)) {
+            if next.orientation().is_reverse() {
+                continue;
+            }
+            let v = (next.node().value() - 1) as usize;
+            offset_min[v] = offset_min[v].min(offset_min[u].saturating_add(len));
+            indegree[v] -= 1;
+            if indegree[v] == 0 {
+                queue.push(v);
+            }
+        }
+    }
+    for offset in offset_min.iter_mut() {
+        if *offset == u64::MAX {
+            *offset = 0;
+        }
+    }
+    offset_min
+}
+
+impl Build {
     /// Topologically sorts one eligible component and builds its chain.
     /// Components with cycles are skipped (left unanswerable).
     fn decompose_component(&mut self, graph: &VariationGraph, nodes: &[u32]) {
-        // Building always runs on heap-backed storage; split the struct so
-        // the per-node arrays and the CSR arenas can be written in one pass.
-        let ChainIndex {
+        let Build {
             chain_of,
             exit_idx,
             entry_idx,
@@ -157,12 +479,6 @@ impl ChainIndex {
             anchors: all_anchors,
             prefix_min: all_prefix,
         } = self;
-        let chain_of = chain_of.vec_mut();
-        let exit_idx = exit_idx.vec_mut();
-        let entry_idx = entry_idx.vec_mut();
-        let d_in = d_in.vec_mut();
-        let d_out = d_out.vec_mut();
-        let chain_starts = chain_starts.vec_mut();
 
         // Kahn over forward edges, restricted to the component.
         let mut indeg: std::collections::HashMap<u32, u32> = nodes.iter().map(|&u| (u, 0)).collect();
@@ -227,6 +543,8 @@ impl ChainIndex {
         }
 
         let chain_id = (chain_starts.len() - 1) as u32;
+        // Anchors are addressed by their index in the whole arena.
+        let base = u32::try_from(all_anchors.len()).expect("anchor arena exceeds u32 range");
         // Entry/exit indices per node, via the topo order: a node between
         // anchors i and i+1 entered from i, exits at i+1.
         let mut seen_anchors: u32 = 0;
@@ -234,14 +552,14 @@ impl ChainIndex {
             chain_of[u as usize] = chain_id;
             if let Some(&pos) = anchor_pos.get(&u) {
                 seen_anchors = pos + 1;
-                entry_idx[u as usize] = pos;
-                exit_idx[u as usize] = pos;
+                entry_idx[u as usize] = base + pos;
+                exit_idx[u as usize] = base + pos;
                 d_in[u as usize] = 0;
                 d_out[u as usize] = 0;
             } else {
-                entry_idx[u as usize] = if seen_anchors == 0 { NONE32 } else { seen_anchors - 1 };
+                entry_idx[u as usize] = if seen_anchors == 0 { NONE32 } else { base + seen_anchors - 1 };
                 exit_idx[u as usize] = if (seen_anchors as usize) < anchors.len() {
-                    seen_anchors
+                    base + seen_anchors
                 } else {
                     NONE32
                 };
@@ -322,210 +640,10 @@ impl ChainIndex {
             }
             prefix_min[i] = prefix_min[i - 1] + seg;
         }
-        all_anchors.vec_mut().extend(anchors.iter().copied());
-        all_prefix.vec_mut().extend(prefix_min);
+        all_anchors.extend(anchors.iter().copied());
+        all_prefix.extend(prefix_min);
         chain_starts.push(all_anchors.len() as u64);
     }
-
-    /// Number of chains found.
-    pub fn chain_count(&self) -> usize {
-        self.chain_starts.len() - 1
-    }
-
-    /// The anchor/prefix arena range of chain `c`.
-    fn chain_range(&self, c: u32) -> std::ops::Range<usize> {
-        self.chain_starts[c as usize] as usize..self.chain_starts[c as usize + 1] as usize
-    }
-
-    /// Appends the decomposition to a `.mgi` container in its in-memory
-    /// CSR layout.
-    pub fn write_mgi(&self, w: &mut MgiWriter) {
-        let mut buf = Vec::new();
-        put_u32_slice(&mut buf, &self.chain_of);
-        w.section(TAG_CHAIN_OF, buf);
-        let mut buf = Vec::new();
-        put_u32_slice(&mut buf, &self.exit_idx);
-        w.section(TAG_CHAIN_EXIT, buf);
-        let mut buf = Vec::new();
-        put_u32_slice(&mut buf, &self.entry_idx);
-        w.section(TAG_CHAIN_ENTRY, buf);
-        let mut buf = Vec::new();
-        put_u64_slice(&mut buf, &self.d_in);
-        w.section(TAG_CHAIN_D_IN, buf);
-        let mut buf = Vec::new();
-        put_u64_slice(&mut buf, &self.d_out);
-        w.section(TAG_CHAIN_D_OUT, buf);
-        let mut buf = Vec::new();
-        put_u64_slice(&mut buf, &self.chain_starts);
-        w.section(TAG_CHAIN_STARTS, buf);
-        let mut buf = Vec::new();
-        put_u32_slice(&mut buf, &self.anchors);
-        w.section(TAG_CHAIN_ANCHORS, buf);
-        let mut buf = Vec::new();
-        put_u64_slice(&mut buf, &self.prefix_min);
-        w.section(TAG_CHAIN_PREFIX, buf);
-    }
-
-    /// Borrows a decomposition out of a validated `.mgi` container built
-    /// for a graph of `n` nodes.
-    ///
-    /// Validation is strict enough that no later query can index out of
-    /// bounds or underflow, whatever the (checksum-valid) bytes claim.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corrupt`] when any structural invariant fails.
-    pub fn from_mgi(f: &MgiFile, n: usize) -> Result<Self> {
-        let chain_of = f.section_storage::<u32>(TAG_CHAIN_OF)?;
-        let exit_idx = f.section_storage::<u32>(TAG_CHAIN_EXIT)?;
-        let entry_idx = f.section_storage::<u32>(TAG_CHAIN_ENTRY)?;
-        let d_in = f.section_storage::<u64>(TAG_CHAIN_D_IN)?;
-        let d_out = f.section_storage::<u64>(TAG_CHAIN_D_OUT)?;
-        let chain_starts = f.section_storage::<u64>(TAG_CHAIN_STARTS)?;
-        let anchors = f.section_storage::<u32>(TAG_CHAIN_ANCHORS)?;
-        let prefix_min = f.section_storage::<u64>(TAG_CHAIN_PREFIX)?;
-        if chain_of.len() != n
-            || exit_idx.len() != n
-            || entry_idx.len() != n
-            || d_in.len() != n
-            || d_out.len() != n
-        {
-            return Err(Error::Corrupt(format!(
-                "chain arrays disagree with node count {n}"
-            )));
-        }
-        if chain_starts.first().copied() != Some(0)
-            || chain_starts.last().copied() != Some(anchors.len() as u64)
-            || !chain_starts.windows(2).all(|p| p[0] < p[1])
-        {
-            return Err(Error::Corrupt("chain CSR offsets malformed".into()));
-        }
-        if prefix_min.len() != anchors.len() {
-            return Err(Error::Corrupt("chain prefix arena disagrees with anchors".into()));
-        }
-        if anchors.iter().any(|&u| u as usize >= n) {
-            return Err(Error::Corrupt("chain anchor references nonexistent node".into()));
-        }
-        let chain_count = (chain_starts.len() - 1) as u32;
-        for c in 0..chain_count as usize {
-            let pm = &prefix_min[chain_starts[c] as usize..chain_starts[c + 1] as usize];
-            if pm[0] != 0 || !pm.windows(2).all(|p| p[0] <= p[1]) {
-                return Err(Error::Corrupt(
-                    "chain prefix minima not zero-based and non-decreasing".into(),
-                ));
-            }
-        }
-        for u in 0..n {
-            let c = chain_of[u];
-            if c == NONE32 {
-                continue;
-            }
-            if c >= chain_count {
-                return Err(Error::Corrupt("node assigned to nonexistent chain".into()));
-            }
-            let chain_len = (chain_starts[c as usize + 1] - chain_starts[c as usize]) as u32;
-            for idx in [exit_idx[u], entry_idx[u]] {
-                if idx != NONE32 && idx >= chain_len {
-                    return Err(Error::Corrupt(
-                        "anchor index beyond its chain's anchor list".into(),
-                    ));
-                }
-            }
-        }
-        Ok(ChainIndex {
-            chain_of,
-            exit_idx,
-            entry_idx,
-            d_in,
-            d_out,
-            chain_starts,
-            anchors,
-            prefix_min,
-        })
-    }
-
-    /// Exact minimum oriented distance from `a` to `b` (bases advanced
-    /// walking forward from `a`), answered from the decomposition alone.
-    pub fn exact_distance(
-        &self,
-        graph: &VariationGraph,
-        a: GraphPos,
-        b: GraphPos,
-    ) -> ChainAnswer {
-        // Out-of-range offsets (offset must be < node length) are not a
-        // position this index reasons about.
-        if a.offset as usize >= graph.node_len(a.handle.node())
-            || b.offset as usize >= graph.node_len(b.handle.node())
-        {
-            return ChainAnswer::Unanswerable;
-        }
-        // Reverse-orientation walks mirror to forward walks in the
-        // opposite direction: dist(a⁻ -> b⁻) = dist(mirror(b) -> mirror(a)).
-        match (a.handle.orientation(), b.handle.orientation()) {
-            (Orientation::Forward, Orientation::Forward) => {}
-            (Orientation::Reverse, Orientation::Reverse) => {
-                return self.exact_distance(graph, mirror(graph, b), mirror(graph, a));
-            }
-            _ => return ChainAnswer::Unanswerable,
-        }
-        let ia = (a.handle.node().value() - 1) as usize;
-        let ib = (b.handle.node().value() - 1) as usize;
-        let chain = self.chain_of[ia];
-        if chain == NONE32 || self.chain_of[ib] != chain {
-            return ChainAnswer::Unanswerable;
-        }
-        if ia == ib {
-            // Same node: DAG components cannot loop back.
-            return if b.offset >= a.offset {
-                ChainAnswer::Distance((b.offset - a.offset) as u64)
-            } else {
-                ChainAnswer::Unreachable
-            };
-        }
-        let (exit, entry) = (self.exit_idx[ia], self.entry_idx[ib]);
-        if exit == NONE32 || entry == NONE32 {
-            return ChainAnswer::Unanswerable;
-        }
-        // Dead ends inside a segment (no path to the exit anchor) and
-        // unseeded entries (no path from the entry anchor, e.g. a second
-        // source) cannot be answered from the decomposition.
-        if self.d_out[ia] == INF || self.d_in[ib] == INF {
-            return ChainAnswer::Unanswerable;
-        }
-        if exit > entry {
-            let (entry_a, exit_b) = (self.entry_idx[ia], self.exit_idx[ib]);
-            // Same bubble: the decomposition cannot see inside it.
-            if entry_a == entry && exit_b == exit {
-                return ChainAnswer::Unanswerable;
-            }
-            // b's region strictly precedes a's: impossible in a DAG.
-            if entry_a != NONE32 && entry < entry_a {
-                return ChainAnswer::Unreachable;
-            }
-            // b is the entry anchor of a's segment (or earlier anchor).
-            if self.d_in[ib] == 0 && self.d_out[ib] == 0 && entry <= entry_a {
-                return ChainAnswer::Unreachable;
-            }
-            return ChainAnswer::Unanswerable;
-        }
-        let pm = &self.prefix_min[self.chain_range(chain)];
-        let span = pm[entry as usize] - pm[exit as usize];
-        let total = self.d_out[ia] as i128 + span as i128 + self.d_in[ib] as i128
-            + b.offset as i128
-            - a.offset as i128;
-        if total < 0 {
-            ChainAnswer::Unreachable
-        } else {
-            ChainAnswer::Distance(total as u64)
-        }
-    }
-}
-
-/// Mirrors a reverse-orientation position into forward coordinates: the
-/// same physical base on the forward strand.
-fn mirror(graph: &VariationGraph, p: GraphPos) -> GraphPos {
-    let len = graph.node_len(p.handle.node()) as u32;
-    GraphPos::new(p.handle.flip(), len - 1 - p.offset)
 }
 
 #[cfg(test)]
@@ -558,10 +676,10 @@ mod tests {
         let index = ChainIndex::build(p.graph());
         assert_eq!(index.chain_count(), 1);
         for id in p.graph().node_ids() {
-            assert_ne!(index.chain_of[(id.value() - 1) as usize], NONE32, "{id:?} off chain");
+            assert_ne!(index.node(id).chain, NONE32, "{id:?} off chain");
         }
         // Anchors include source, sink, and the between-bubble nodes.
-        let anchors: Vec<NodeId> = index.anchors[index.chain_range(0)]
+        let anchors: Vec<NodeId> = index.anchors[index.chain_starts[0] as usize..index.chain_starts[1] as usize]
             .iter()
             .map(|&u| NodeId::new(u as u64 + 1))
             .collect();
@@ -587,7 +705,7 @@ mod tests {
                     let a = GraphPos::new(Handle::forward(a_id), ao);
                     let b = GraphPos::new(Handle::forward(b_id), bo);
                     let truth = dist.min_distance_dijkstra(graph, a, b, 10_000, &mut DistanceScratch::default());
-                    match chains.exact_distance(graph, a, b) {
+                    match chains.exact_distance(a, b) {
                         ChainAnswer::Distance(d) => {
                             answered += 1;
                             assert_eq!(truth, Some(d), "{a_id}:{ao} -> {b_id}:{bo}");
@@ -613,7 +731,7 @@ mod tests {
         let last = graph.max_node_id().unwrap();
         let a = GraphPos::new(Handle::reverse(last), 0);
         let b = GraphPos::new(Handle::reverse(NodeId::new(1)), 0);
-        match chains.exact_distance(graph, a, b) {
+        match chains.exact_distance(a, b) {
             ChainAnswer::Distance(d) => {
                 assert_eq!(dist.min_distance_dijkstra(graph, a, b, 10_000, &mut DistanceScratch::default()), Some(d));
             }
@@ -622,7 +740,7 @@ mod tests {
         // Mixed orientations are unanswerable.
         let mixed = GraphPos::new(Handle::forward(NodeId::new(1)), 0);
         assert_eq!(
-            chains.exact_distance(graph, mixed, b),
+            chains.exact_distance(mixed, b),
             ChainAnswer::Unanswerable
         );
     }
@@ -638,7 +756,6 @@ mod tests {
         assert_eq!(chains.chain_count(), 0);
         assert_eq!(
             chains.exact_distance(
-                &g,
                 GraphPos::new(Handle::forward(a), 0),
                 GraphPos::new(Handle::forward(b), 0)
             ),
@@ -654,7 +771,6 @@ mod tests {
         let chains = ChainIndex::build(&g);
         assert_eq!(
             chains.exact_distance(
-                &g,
                 GraphPos::new(Handle::forward(a), 0),
                 GraphPos::new(Handle::forward(b), 0)
             ),
@@ -678,7 +794,7 @@ mod tests {
         let pa = GraphPos::new(Handle::forward(a), 1);
         let pb = GraphPos::new(Handle::forward(b), 2);
         let pc = GraphPos::new(Handle::forward(c), 0);
-        match chains.exact_distance(&g, pa, pb) {
+        match chains.exact_distance(pa, pb) {
             ChainAnswer::Distance(d) => {
                 assert_eq!(dist.min_distance_dijkstra(&g, pa, pb, 1000, &mut DistanceScratch::default()), Some(d));
             }
@@ -686,7 +802,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // C-side queries fall back rather than answering wrongly.
-        match chains.exact_distance(&g, pc, pb) {
+        match chains.exact_distance(pc, pb) {
             ChainAnswer::Distance(d) => {
                 assert_eq!(dist.min_distance_dijkstra(&g, pc, pb, 1000, &mut DistanceScratch::default()), Some(d));
             }
@@ -716,10 +832,10 @@ mod tests {
         // From the dead end, d is unreachable; the chain index must not
         // fabricate a distance.
         assert_ne!(
-            chains.exact_distance(&g, pb, pd),
+            chains.exact_distance(pb, pd),
             ChainAnswer::Distance(0),
         );
-        match chains.exact_distance(&g, pb, pd) {
+        match chains.exact_distance(pb, pd) {
             ChainAnswer::Unanswerable | ChainAnswer::Unreachable => {}
             ChainAnswer::Distance(x) => panic!("fabricated distance {x}"),
         }
@@ -734,8 +850,8 @@ mod tests {
         let len = graph.node_len(NodeId::new(1)) as u32;
         let bad = GraphPos::new(Handle::forward(NodeId::new(1)), len);
         let ok = GraphPos::new(Handle::forward(NodeId::new(2)), 0);
-        assert_eq!(chains.exact_distance(graph, bad, ok), ChainAnswer::Unanswerable);
-        assert_eq!(chains.exact_distance(graph, ok, bad), ChainAnswer::Unanswerable);
+        assert_eq!(chains.exact_distance(bad, ok), ChainAnswer::Unanswerable);
+        assert_eq!(chains.exact_distance(ok, bad), ChainAnswer::Unanswerable);
     }
 
     #[test]
@@ -745,7 +861,7 @@ mod tests {
         let chains = ChainIndex::build(graph);
         let a = GraphPos::new(Handle::forward(NodeId::new(1)), 3);
         let b = GraphPos::new(Handle::forward(NodeId::new(1)), 1);
-        assert_eq!(chains.exact_distance(graph, a, b), ChainAnswer::Unreachable);
+        assert_eq!(chains.exact_distance(a, b), ChainAnswer::Unreachable);
     }
 
     proptest! {
@@ -792,7 +908,7 @@ mod tests {
                 let b_id = NodeId::new(1 + next() % n);
                 let a = GraphPos::new(Handle::forward(a_id), (next() % graph.node_len(a_id) as u64) as u32);
                 let b = GraphPos::new(Handle::forward(b_id), (next() % graph.node_len(b_id) as u64) as u32);
-                match chains.exact_distance(graph, a, b) {
+                match chains.exact_distance(a, b) {
                     ChainAnswer::Distance(d) => {
                         prop_assert_eq!(dist.min_distance_dijkstra(graph, a, b, 100_000, &mut DistanceScratch::default()), Some(d));
                     }

@@ -105,10 +105,8 @@ pub(crate) fn rescue_mate_bases<P: MemProbe>(
             let near = [pos, GraphPos::new(pos.handle.flip(), 0)]
                 .iter()
                 .any(|&candidate| {
-                    dist.maybe_within(anchor, candidate, params.max_fragment)
-                        && dist
-                            .min_undirected_distance(graph, anchor, candidate, params.max_fragment)
-                            .is_some()
+                    dist.min_undirected_distance(graph, anchor, candidate, params.max_fragment)
+                        .is_some()
                 });
             near.then_some(Seed::new(off, pos))
         })

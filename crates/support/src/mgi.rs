@@ -19,7 +19,7 @@
 //! - [`Pod`]: the marker trait for types whose slices may be reinterpreted
 //!   from mapped bytes.
 //! - [`MgiWriter`] / [`MgiFile`]: the container format itself — preamble,
-//!   fixed section table, 16-byte-aligned checksummed payloads.
+//!   fixed section table, 64-byte-aligned checksummed payloads.
 //!
 //! # Layout
 //!
@@ -29,7 +29,7 @@
 //!                  | table_offset u64 | table_fnv1a u64
 //! table:           section_count × 32 B entries:
 //!                  tag u32 | reserved u32 | offset u64 | len u64 | fnv1a u64
-//! payloads:        each at its table offset, 16-byte aligned, zero padded
+//! payloads:        each at its table offset, 64-byte aligned, zero padded
 //! ```
 //!
 //! The layout is *canonical*: payload offsets must be exactly the sequence
@@ -49,14 +49,16 @@ use crate::error::{Error, Result};
 pub const MGI_MAGIC: [u8; 8] = *b"MGIDX\0\0\0";
 /// Current container format version (`.mgi`, `.mgz` and `.bin` alike).
 /// There is no reader for older versions: an `.mgi` is rebuilt from its
-/// `.mgz` with `minigiraffe build-mgi`.
-pub const MGI_VERSION: u32 = 2;
+/// `.mgz` with `minigiraffe build-mgi`. Version 3 stores the minimizer
+/// table and the distance index as packed per-k-mer and per-node records.
+pub const MGI_VERSION: u32 = 3;
 /// Endianness marker; written as a native u32, so a big-endian writer
 /// produces different bytes and is rejected by little-endian readers.
 pub const MGI_ENDIAN: u32 = 0x0102_0304;
-/// Section payload alignment. Covers every array element type we map
-/// (u8/u32/u64 and 16-byte `GraphPos`).
-pub const MGI_ALIGN: usize = 16;
+/// Section payload alignment: one cache line, so the 32-byte records the
+/// index readers map (k-mer entries, node records) never straddle a line.
+/// Covers every element type's own alignment too.
+pub const MGI_ALIGN: usize = 64;
 
 const PREAMBLE_LEN: usize = 48;
 const TABLE_ENTRY_LEN: usize = 32;
@@ -75,34 +77,17 @@ pub const TAG_GRAPH_ADJ_OFFSETS: u32 = 0x0104;
 pub const TAG_GRAPH_ADJ_TARGETS: u32 = 0x0105;
 /// Minimizer scalar metadata (k, w, kmer count, total positions).
 pub const TAG_MIN_META: u32 = 0x0200;
-/// Sorted distinct minimizer keys (`u64`).
-pub const TAG_MIN_KMERS: u32 = 0x0201;
-/// Per-key start offsets into the position array (`u64`, kmer_count + 1).
-pub const TAG_MIN_STARTS: u32 = 0x0202;
-/// Flattened graph positions (`GraphPos`, 16 B each).
+/// Every multi-hit k-mer's positions after its first, concatenated in k-mer
+/// order (`GraphPos`, 16 B each).
 pub const TAG_MIN_POSITIONS: u32 = 0x0203;
-/// Distance-index scalar metadata (component count, node count).
+/// One entry per distinct k-mer, ascending: k-mer, first position, arena
+/// start, count (`KmerEntry`, 32 B each).
+pub const TAG_MIN_ENTRIES: u32 = 0x0204;
+/// Distance-index scalar metadata (node count, component count).
 pub const TAG_DIST_META: u32 = 0x0300;
-/// Per-node component ids (`u32`).
-pub const TAG_DIST_COMPONENT: u32 = 0x0301;
-/// Per-node minimum topological offsets (`u64`).
-pub const TAG_DIST_OFFSET_MIN: u32 = 0x0302;
-/// Per-node maximum topological offsets (`u64`).
-pub const TAG_DIST_OFFSET_MAX: u32 = 0x0303;
-/// Per-component cyclic flags (`u8`, 0 or 1).
-pub const TAG_DIST_CYCLIC: u32 = 0x0304;
-/// Chain-index scalar metadata (chain count, node count).
-pub const TAG_CHAIN_META: u32 = 0x0310;
-/// Per-node owning chain id (`u32`).
-pub const TAG_CHAIN_OF: u32 = 0x0311;
-/// Per-node chain exit anchor index (`u32`).
-pub const TAG_CHAIN_EXIT: u32 = 0x0312;
-/// Per-node chain entry anchor index (`u32`).
-pub const TAG_CHAIN_ENTRY: u32 = 0x0313;
-/// Per-node distance into the entry anchor (`u64`).
-pub const TAG_CHAIN_D_IN: u32 = 0x0314;
-/// Per-node distance out of the exit anchor (`u64`).
-pub const TAG_CHAIN_D_OUT: u32 = 0x0315;
+/// One record per node: component, sort offset, length, chain, entry and
+/// exit anchors, distances to them (`NodeRecord`, 32 B each).
+pub const TAG_DIST_NODES: u32 = 0x0305;
 /// CSR chain row offsets (`u64`, chain_count + 1).
 pub const TAG_CHAIN_STARTS: u32 = 0x0316;
 /// Flattened chain anchor node ids (`u32`).

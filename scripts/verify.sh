@@ -66,6 +66,11 @@ cargo test --release -q --test extend_first --test extend_once
 echo "== gapped oracle (banded aligner vs the three-matrix reference, tail bound; an optimized build's arithmetic) =="
 cargo test --release -q -p mg-parent --lib gapped
 
+echo "== layout oracles (CachedGbwt slots vs the index's own decode and a reference hash table, the chain fast path vs Dijkstra at every offset, k-mers at one hit, the cap and one past it; an optimized build's arithmetic) =="
+cargo test --release -q -p mg-gbwt --lib prop_lookups_and_stats_match_the_reference_table
+cargo test --release -q -p mg-index --lib prop_chain_fast_path_equals_dijkstra_at_every_offset
+cargo test --release -q --test seeding kmers_at_one_at_the_cap_and_one_past_the_cap
+
 echo "== lints (obs on / obs off; --all-targets covers tests and examples, there are no benches) =="
 cargo clippy --all-targets -- -D warnings
 cargo clippy --all-targets --no-default-features -p mg-obs -- -D warnings

@@ -186,13 +186,15 @@ fn minimizer_params_from_flags(
 
 /// The message for a `.mgz` or `.bin` that failed to load. A file that
 /// opens with `MGZ\0` was written in the stream container both formats
-/// used before they moved onto the `.mgi` section table; no reader for that
-/// layout remains, so the message says how to replace the file.
+/// used before they moved onto the `.mgi` section table, and one with an
+/// older container version by an older build; no reader for either
+/// remains, so the message says how to replace the file.
 fn load_error(path: &str, e: minigiraffe::support::Error) -> String {
     use std::io::Read;
     let mut magic = [0u8; 4];
-    let retired = std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut magic)).is_ok()
-        && &magic == b"MGZ\0";
+    let retired = (std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut magic)).is_ok()
+        && &magic == b"MGZ\0")
+        || matches!(e, minigiraffe::support::Error::UnsupportedVersion(_));
     if retired {
         format!(
             "loading {path}: written in the container layout of an older build, which this \

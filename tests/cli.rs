@@ -252,6 +252,33 @@ fn a_version_1_mgi_is_refused_with_a_rebuild_hint() {
 }
 
 #[test]
+fn version_2_files_are_refused_with_a_rebuild_hint() {
+    // Version 2 is the container before the packed k-mer entries and node
+    // records: an `.mgi` of that version must be rebuilt, and a `.mgz`
+    // regenerated.
+    let dir = TempDir::new("v2");
+    let (ok, _, stderr) = run(&["generate", "--input-set", "tiny", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    let (ok, _, stderr) =
+        run(&["build-mgi", &dir.path("tiny.mgz"), "--out", &dir.path("tiny.mgi")]);
+    assert!(ok, "build-mgi failed: {stderr}");
+    for name in ["tiny.mgi", "tiny.mgz"] {
+        let mut image = std::fs::read(dir.path(name)).unwrap();
+        image[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(dir.path(&format!("v2-{name}")), image).unwrap();
+    }
+    let (fastq, gaf) = (dir.path("tiny.fastq"), dir.path("out.gaf"));
+    let (old_mgi, old_mgz) = (dir.path("v2-tiny.mgi"), dir.path("v2-tiny.mgz"));
+    let (ok, _, stderr) = run(&["parent", &fastq, "--mgi", &old_mgi, "--gaf", &gaf]);
+    assert!(!ok, "a version-2 .mgi must be refused");
+    assert!(stderr.contains("version 2") && stderr.contains("build-mgi"), "got: {stderr}");
+    let (ok, _, stderr) = run(&["parent", &fastq, &old_mgz, "--gaf", &gaf]);
+    assert!(!ok, "a version-2 .mgz must be refused");
+    assert!(stderr.contains("minigiraffe generate"), "got: {stderr}");
+    assert!(!std::path::Path::new(&gaf).exists(), "no GAF may be written");
+}
+
+#[test]
 fn build_mgi_from_a_saved_mgz_equals_the_in_memory_build() {
     // Loading a `.mgz` loses nothing: the index `build-mgi` writes from the
     // saved file is byte for byte the one built from the generator's

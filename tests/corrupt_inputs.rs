@@ -18,7 +18,10 @@ use minigiraffe::core::MgiBundle;
 use minigiraffe::gbwt::Gbz;
 use minigiraffe::graph::{Handle, NodeId};
 use minigiraffe::index::{DistanceIndex, GraphPos};
-use minigiraffe::support::mgi::{fnv1a, MgiWriter, TAG_DUMP_META, TAG_DUMP_READS};
+use minigiraffe::support::mgi::{
+    fnv1a, MgiFile, MgiWriter, TAG_CHAIN_STARTS, TAG_DIST_NODES, TAG_DUMP_META, TAG_DUMP_READS,
+    TAG_MIN_ENTRIES,
+};
 use minigiraffe::support::{varint, Error};
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 use proptest::prelude::*;
@@ -251,4 +254,112 @@ fn seed_dump_hostile_counts_are_corrupt_not_allocations() {
     let honest = SeedDump::from_bytes(&resectioned_dump(&[0, 1], &payload)).unwrap();
     assert_eq!(honest.reads.len(), 1);
     assert_eq!(honest.total_seeds(), 1);
+}
+
+/// The sample pangenome's `.mgi` at k = 5, w = 2: short enough k-mers that
+/// many repeat, so the table holds multi-hit runs beside single hits.
+fn short_kmer_mgi_image() -> &'static [u8] {
+    static IMG: OnceLock<Vec<u8>> = OnceLock::new();
+    IMG.get_or_init(|| {
+        let params = minigiraffe::index::MinimizerParams::new(5, 2);
+        MgiBundle::build(sample_input().gbz.clone(), params).unwrap().to_bytes()
+    })
+}
+
+/// `image` with section `tag`'s payload passed through `edit` and every
+/// section re-checksummed, so the container accepts the image and only the
+/// index readers can object to it.
+fn resectioned_mgi(image: &[u8], tag: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let f = MgiFile::open_bytes(image.to_vec()).unwrap();
+    let mut w = MgiWriter::new();
+    let mut edit = Some(edit);
+    for t in f.tags().collect::<Vec<_>>() {
+        let mut payload = f.section(t).unwrap().to_vec();
+        if t == tag {
+            (edit.take().unwrap())(&mut payload);
+        }
+        w.section(t, payload);
+    }
+    assert!(edit.is_none(), "section {tag:#x} missing from the sample");
+    w.finish()
+}
+
+/// Overwrites the little-endian `u32` at byte `at` of 32-byte record `r`.
+fn set_u32(payload: &mut [u8], r: usize, at: usize, value: u32) {
+    payload[32 * r + at..32 * r + at + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+fn get_u32(payload: &[u8], r: usize, at: usize) -> u32 {
+    u32::from_le_bytes(payload[32 * r + at..32 * r + at + 4].try_into().unwrap())
+}
+
+/// The two sections of packed 32-byte records — the distance index's node
+/// records and the minimizer table's k-mer entries — truncated, re-strided,
+/// and with each checked field out of range: every one is `Err`.
+#[test]
+fn packed_record_sections_reject_truncation_wrong_stride_and_out_of_range_fields() {
+    let short = short_kmer_mgi_image();
+    assert!(decode_mgi(resectioned_mgi(short, TAG_DIST_NODES, |_| {})), "an unedited copy opens");
+    for tag in [TAG_DIST_NODES, TAG_MIN_ENTRIES] {
+        type Edit = dyn Fn(&mut Vec<u8>);
+        let cases: [(&str, &Edit); 5] = [
+            ("one record short", &|p| p.truncate(p.len() - 32)),
+            ("one byte short", &|p| p.truncate(p.len() - 1)),
+            ("emptied", &|p| p.clear()),
+            ("24-byte stride", &|p| {
+                *p = p.chunks_exact(32).flat_map(|r| r[..24].to_vec()).collect()
+            }),
+            ("48-byte stride", &|p| {
+                *p = p.chunks_exact(32).flat_map(|r| [r, &[0; 16]].concat()).collect()
+            }),
+        ];
+        for (name, edit) in cases {
+            assert!(!decode_mgi(resectioned_mgi(short, tag, edit)), "{tag:#x} {name}: accepted");
+        }
+    }
+
+    // Node records: component, offset, len, chain, entry, exit, d_in,
+    // d_out, eight u32s. Node 1 is the source anchor of the tiny
+    // pangenome's one chain.
+    let anchors = {
+        let f = MgiFile::open_bytes(short.to_vec()).unwrap();
+        let starts = f.section(TAG_CHAIN_STARTS).unwrap();
+        u64::from_le_bytes(starts[starts.len() - 8..].try_into().unwrap()) as u32
+    };
+    let node_cases: [(&str, usize, u32); 7] = [
+        ("component out of range", 0, u32::MAX - 1),
+        ("length disagrees with the graph", 8, 1),
+        ("chain out of range", 12, 7),
+        ("anchor without a chain", 12, u32::MAX),
+        ("entry past the anchors", 16, anchors),
+        ("exit past the anchors", 20, anchors),
+        ("exit far out", 20, u32::MAX - 1),
+    ];
+    for (name, at, value) in node_cases {
+        let image = resectioned_mgi(short, TAG_DIST_NODES, |p| {
+            assert_ne!(get_u32(p, 0, 12), u32::MAX, "node 1 sits on a chain");
+            let value = if at == 8 { get_u32(p, 0, 8) + value } else { value };
+            set_u32(p, 0, at, value);
+        });
+        assert!(!decode_mgi(image), "node record {name}: accepted");
+    }
+
+    // K-mer entries: k-mer u64, handle u64, offset, padding, start and
+    // count, edited on the first single-hit or multi-hit entry.
+    let entry_cases: [(&str, bool, usize, u32); 4] = [
+        ("count zero", false, 28, 0),
+        ("single hit with a run start", false, 24, 3),
+        ("run start far out", true, 24, u32::MAX),
+        ("run count past the arena", true, 28, u32::MAX),
+    ];
+    for (name, run, at, value) in entry_cases {
+        let image = resectioned_mgi(short, TAG_MIN_ENTRIES, |p| {
+            let r = (0..p.len() / 32).find(|&r| (get_u32(p, r, 28) > 1) == run).unwrap();
+            set_u32(p, r, at, value);
+        });
+        assert!(!decode_mgi(image), "k-mer entry {name}: accepted");
+    }
+    let image =
+        resectioned_mgi(short, TAG_MIN_ENTRIES, |p| p[8..16].copy_from_slice(&0u64.to_le_bytes()));
+    assert!(!decode_mgi(image), "k-mer entry on the endmarker: accepted");
 }

@@ -88,7 +88,7 @@ impl<'a> Naive<'a> {
         }
         let len = usize::try_from(self.le_u64()?).ok()?;
         let payload = image.get(offset..offset.checked_add(len)?)?;
-        (self.le_u64()? == fnv1a(payload)).then_some((payload, align16(offset + len)))
+        (self.le_u64()? == fnv1a(payload)).then_some((payload, align64(offset + len)))
     }
 }
 
@@ -100,17 +100,17 @@ fn fnv1a(data: &[u8]) -> u64 {
     hash
 }
 
-fn align16(n: usize) -> usize {
-    n.div_ceil(16) * 16
+fn align64(n: usize) -> usize {
+    n.div_ceil(64) * 64
 }
 
 /// The reference dump decoder; `None` for anything it cannot parse.
 fn naive_decode(image: &[u8]) -> Option<SeedDump> {
-    // Preamble (48 bytes): magic, version 2, endianness marker, file
+    // Preamble (48 bytes): magic, version 3, endianness marker, file
     // length, section count 2, reserved, table offset 48, table checksum.
     let mut file = Naive { data: image, pos: 0 };
     if file.bytes(8)? != b"MGIDX\0\0\0"
-        || file.le_u32()? != 2
+        || file.le_u32()? != 3
         || file.le_u32()? != 0x0102_0304
         || file.le_u64()? != image.len() as u64
         || file.le_u32()? != 2
@@ -124,8 +124,8 @@ fn naive_decode(image: &[u8]) -> Option<SeedDump> {
     if fnv1a(table.data) != table_sum {
         return None;
     }
-    // Payloads follow the table, each 16-byte aligned, zero padded.
-    let (meta, next) = table.entry(image, 0x0500, align16(48 + 64))?;
+    // Payloads follow the table, each 64-byte aligned, zero padded.
+    let (meta, next) = table.entry(image, 0x0500, align64(48 + 64))?;
     let (reads, end) = table.entry(image, 0x0501, next)?;
     if end != image.len() {
         return None;

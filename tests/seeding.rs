@@ -18,8 +18,8 @@ use minigiraffe::index::{
     MinimizerParams, MinimizerScratch,
 };
 use minigiraffe::support::mgi::{
-    put_u64_slice, MgiFile, MgiWriter, TAG_MIN_KMERS, TAG_MIN_META, TAG_MIN_POSITIONS,
-    TAG_MIN_STARTS,
+    put_u32, put_u64, put_u64_slice, MgiFile, MgiWriter, TAG_MIN_ENTRIES, TAG_MIN_META,
+    TAG_MIN_POSITIONS,
 };
 use minigiraffe::workload::genome::{random_genome, random_panel, random_variants};
 use minigiraffe::workload::genome::{GenomeParams, VariantParams};
@@ -233,7 +233,7 @@ fn assert_table_matches(
             let want: Option<Vec<GraphPos>> =
                 expect.get(&kmer).map(|s| s.iter().copied().collect());
             assert_eq!(
-                index.positions(kmer).map(|ps| ps.to_vec()),
+                index.positions(kmer).map(|ps| ps.collect::<Vec<_>>()),
                 want,
                 "{tag}/{way}: positions({kmer:#x})"
             );
@@ -392,15 +392,76 @@ fn empty_and_single_kmer_tables() {
     }
 }
 
+#[test]
+fn kmers_at_one_at_the_cap_and_one_past_the_cap() {
+    // Three 15-base motifs planted in a random background: once, `cap`
+    // times and `cap + 1` times. With w = 1 every k-mer is indexed, so the
+    // motifs' own k-mers hold exactly 1, `cap` and `cap + 1` positions per
+    // strand: the single hit, the largest run the repeat filter keeps, and
+    // the smallest it drops.
+    const CAP: usize = 4;
+    let mut rng = StdRng::seed_from_u64(0xCA9);
+    let mut random = |n: usize| -> Vec<u8> {
+        (0..n).map(|_| b"ACGT"[rng.random_range(0..4usize)]).collect()
+    };
+    let motifs: Vec<(Vec<u8>, usize)> = [1, CAP, CAP + 1].iter().map(|&c| (random(15), c)).collect();
+    let mut genome = random(40);
+    for (motif, copies) in &motifs {
+        for _ in 0..*copies {
+            genome.extend_from_slice(motif);
+            genome.extend(random(40));
+        }
+    }
+    let p = PangenomeBuilder::new(genome).haplotypes(vec![vec![]]).build().unwrap();
+    let params = MinimizerParams::new(15, 1);
+    let expect = reference_table(&p, params);
+    let indexes = two_ways(build(&p, params), "cap");
+    assert_table_matches(&indexes, &expect, "cap");
+
+    let pack = |seq: &[u8]| kmer_at(seq, 0, 15).unwrap();
+    for (motif, copies) in &motifs {
+        let kept = *copies <= CAP;
+        for kmer in [pack(motif), pack(&dna::reverse_complement(motif))] {
+            assert_eq!(expect[&kmer].len(), *copies, "planted motif collided");
+            for index in &indexes {
+                assert_eq!(index.positions(kmer).map(Iterator::count), Some(*copies));
+            }
+        }
+        // A read that is the motif alone seeds on it exactly when the run
+        // fits under the cap, on either strand.
+        for read in [motif.clone(), dna::reverse_complement(motif)] {
+            let want: Vec<(u32, GraphPos)> = if kept {
+                expect[&pack(&read)].iter().map(|&pos| (0, pos)).collect()
+            } else {
+                Vec::new()
+            };
+            for index in &indexes {
+                assert_eq!(index.query(&read, CAP), want, "{copies} copies at cap {CAP}");
+                assert_eq!(index.query(&read, CAP + 1).len(), *copies);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // (d) Corrupt containers that reach the index reader
 // ---------------------------------------------------------------------------
 
-/// The four minimizer sections of a small valid index, as raw payloads.
+/// One 32-byte k-mer entry as stored: k-mer, first position (handle,
+/// offset, zero padding), run start, count.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    kmer: u64,
+    handle: u64,
+    offset: u32,
+    start: u32,
+    count: u32,
+}
+
+/// The three minimizer sections of a small valid index, as raw payloads.
 struct Sections {
     meta: [u64; 4],
-    kmers: Vec<u64>,
-    starts: Vec<u64>,
+    entries: Vec<Entry>,
     positions: Vec<u8>,
 }
 
@@ -409,17 +470,26 @@ impl Sections {
         let mut w = MgiWriter::new();
         index.write_mgi(&mut w);
         let f = MgiFile::open_bytes(w.finish()).unwrap();
-        let words = |tag| -> Vec<u64> {
-            f.section(tag)
-                .unwrap()
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect()
-        };
+        let word = |c: &[u8], at: usize| u64::from_le_bytes(c[at..at + 8].try_into().unwrap());
+        let half = |c: &[u8], at: usize| u32::from_le_bytes(c[at..at + 4].try_into().unwrap());
+        let meta = f.section(TAG_MIN_META).unwrap();
         Sections {
-            meta: words(TAG_MIN_META).try_into().unwrap(),
-            kmers: words(TAG_MIN_KMERS),
-            starts: words(TAG_MIN_STARTS),
+            meta: std::array::from_fn(|i| word(meta, 8 * i)),
+            entries: f
+                .section(TAG_MIN_ENTRIES)
+                .unwrap()
+                .chunks_exact(32)
+                .map(|c| {
+                    assert_eq!(half(c, 20), 0, "padding is written as zeros");
+                    Entry {
+                        kmer: word(c, 0),
+                        handle: word(c, 8),
+                        offset: half(c, 16),
+                        start: half(c, 24),
+                        count: half(c, 28),
+                    }
+                })
+                .collect(),
             positions: f.section(TAG_MIN_POSITIONS).unwrap().to_vec(),
         }
     }
@@ -431,13 +501,29 @@ impl Sections {
         let mut meta = Vec::new();
         put_u64_slice(&mut meta, &self.meta);
         w.section(TAG_MIN_META, meta);
-        for (tag, words) in [(TAG_MIN_KMERS, &self.kmers), (TAG_MIN_STARTS, &self.starts)] {
-            let mut bytes = Vec::new();
-            put_u64_slice(&mut bytes, words);
-            w.section(tag, bytes);
+        let mut bytes = Vec::new();
+        for e in &self.entries {
+            put_u64(&mut bytes, e.kmer);
+            put_u64(&mut bytes, e.handle);
+            for half in [e.offset, 0, e.start, e.count] {
+                put_u32(&mut bytes, half);
+            }
         }
+        w.section(TAG_MIN_ENTRIES, bytes);
         w.section(TAG_MIN_POSITIONS, self.positions.clone());
         MinimizerIndex::from_mgi(&MgiFile::open_bytes(w.finish())?)
+    }
+
+    /// Index of the first entry with one position, and of the first and
+    /// last with more.
+    fn single(&self) -> usize {
+        self.entries.iter().position(|e| e.count == 1).unwrap()
+    }
+    fn first_run(&self) -> usize {
+        self.entries.iter().position(|e| e.count > 1).unwrap()
+    }
+    fn last_run(&self) -> usize {
+        self.entries.iter().rposition(|e| e.count > 1).unwrap()
     }
 }
 
@@ -455,7 +541,9 @@ fn structurally_corrupt_minimizer_sections_are_rejected_not_indexed() {
     let index = build(&p, MinimizerParams::new(7, 3));
     let n = index.distinct_kmers();
     assert!(n > 100);
-    assert_eq!(Sections::of(&index).open().unwrap(), index);
+    let valid = Sections::of(&index);
+    assert_eq!(valid.open().unwrap(), index);
+    assert!(valid.entries.iter().any(|e| e.count == 1) && valid.entries.iter().any(|e| e.count > 1));
 
     let corrupt = |name: &str, edit: &dyn Fn(&mut Sections)| {
         let mut s = Sections::of(&index);
@@ -465,44 +553,81 @@ fn structurally_corrupt_minimizer_sections_are_rejected_not_indexed() {
     // K-mers wider than 2k bits fall outside any directory over the top
     // bits of a 2k-bit value: first, middle, last, and all of them.
     corrupt("wide last k-mer", &|s| {
-        *s.kmers.last_mut().unwrap() = 1 << 14
+        s.entries.last_mut().unwrap().kmer = 1 << 14
     });
     corrupt("widest last k-mer", &|s| {
-        *s.kmers.last_mut().unwrap() = u64::MAX
+        s.entries.last_mut().unwrap().kmer = u64::MAX
     });
-    corrupt("wide middle k-mer", &|s| s.kmers[n / 2] = u64::MAX - 1);
+    corrupt("wide middle k-mer", &|s| s.entries[n / 2].kmer = u64::MAX - 1);
     corrupt("all k-mers wide", &|s| {
-        for (i, kmer) in s.kmers.iter_mut().enumerate() {
-            *kmer = (1 << 40) + i as u64;
+        for (i, e) in s.entries.iter_mut().enumerate() {
+            e.kmer = (1 << 40) + i as u64;
         }
     });
     // Order and count.
-    corrupt("swapped k-mers", &|s| s.kmers.swap(3, 4));
-    corrupt("duplicate k-mer", &|s| s.kmers[10] = s.kmers[9]);
-    corrupt("k-mer section short", &|s| {
-        s.kmers.pop();
+    corrupt("swapped k-mers", &|s| {
+        let (a, b) = (s.entries[3].kmer, s.entries[4].kmer);
+        (s.entries[3].kmer, s.entries[4].kmer) = (b, a);
     });
-    corrupt("k-mer section long", &|s| s.kmers.push((1 << 14) - 1));
+    corrupt("duplicate k-mer", &|s| s.entries[10].kmer = s.entries[9].kmer);
+    corrupt("entry section short", &|s| {
+        s.entries.pop();
+    });
+    corrupt("entry section long", &|s| {
+        let mut extra = s.entries[s.single()];
+        extra.kmer = (1 << 14) - 1;
+        s.entries.push(extra);
+    });
     corrupt("meta count too large", &|s| s.meta[2] += 1);
     corrupt("meta count huge", &|s| s.meta[2] = 1 << 40);
     corrupt("meta count zero", &|s| s.meta[2] = 0);
-    corrupt("k-mer section empty", &|s| s.kmers.clear());
+    corrupt("entry section empty", &|s| s.entries.clear());
     // Parameters the directory's shift is derived from.
     corrupt("k = 0", &|s| s.meta[0] = 0);
     corrupt("k = 32", &|s| s.meta[0] = 32);
     corrupt("k = 2^32", &|s| s.meta[0] = 1 << 32);
     corrupt("k too small for the k-mers", &|s| s.meta[0] = 3);
-    // CSR offsets and the arena behind them.
-    corrupt("starts short", &|s| {
-        s.starts.pop();
+    // Counts, inline positions, and the runs behind them.
+    corrupt("count zero", &|s| {
+        let i = s.single();
+        s.entries[i].count = 0;
     });
-    corrupt("starts not from zero", &|s| s.starts[0] = 1);
-    corrupt("starts past arena", &|s| *s.starts.last_mut().unwrap() += 1);
-    corrupt("starts huge in the middle", &|s| s.starts[n / 2] = 1 << 50);
-    corrupt("empty run", &|s| s.starts[5] = s.starts[4]);
+    corrupt("single hit names a run", &|s| {
+        let i = s.single();
+        s.entries[i].start = 1;
+    });
+    corrupt("inline endmarker", &|s| {
+        let i = s.single();
+        s.entries[i].handle = 1;
+    });
+    corrupt("run start off the tiling", &|s| {
+        let i = s.first_run();
+        s.entries[i].start += 1;
+    });
+    corrupt("run start huge", &|s| {
+        let i = s.last_run();
+        s.entries[i].start = u32::MAX;
+    });
+    corrupt("run past arena", &|s| {
+        let i = s.last_run();
+        s.entries[i].count += 1;
+    });
+    corrupt("first position repeated in the rest of its run", &|s| {
+        let i = s.first_run();
+        let at = s.entries[i].start as usize * 16;
+        let stored = &s.positions[at..at + 16];
+        s.entries[i].handle = u64::from_le_bytes(stored[..8].try_into().unwrap());
+        s.entries[i].offset = u32::from_le_bytes(stored[8..12].try_into().unwrap());
+    });
+    corrupt("run demoted to a single hit", &|s| {
+        let i = s.last_run();
+        s.entries[i].count = 1;
+        s.entries[i].start = 0;
+    });
     corrupt("arena short", &|s| {
         s.positions.truncate(s.positions.len() - 16)
     });
+    corrupt("arena long", &|s| s.positions.extend_from_within(..16));
     corrupt("arena ragged", &|s| {
         s.positions.truncate(s.positions.len() - 3)
     });
@@ -525,16 +650,13 @@ fn crafted_mgi_with_repeated_or_wide_kmers_is_rejected() {
     let crafted = |kmers: &[u64]| {
         let n = kmers.len() as u64;
         let handle = Handle::forward(minigiraffe::graph::NodeId::new(1)).packed();
-        let mut positions = Vec::new();
-        for _ in kmers {
-            positions.extend_from_slice(&handle.to_le_bytes());
-            positions.extend_from_slice(&[0; 8]); // offset 0, zero padding
-        }
         Sections {
             meta: [7, 3, n, n],
-            kmers: kmers.to_vec(),
-            starts: (0..=n).collect(),
-            positions,
+            entries: kmers
+                .iter()
+                .map(|&kmer| Entry { kmer, handle, offset: 0, start: 0, count: 1 })
+                .collect(),
+            positions: Vec::new(),
         }
         .open()
     };
