@@ -13,6 +13,8 @@
 //! Scale and seed come from the environment: `MG_SEED` (default 42) and
 //! `MG_SCALE` (default 1.0, multiplies read counts).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 
 use std::io::Write as _;

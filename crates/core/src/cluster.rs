@@ -108,20 +108,6 @@ pub struct ClusterScratch {
     offsets: Vec<u32>,
 }
 
-/// [`cluster_seeds_with_scratch`] on a fresh scratch, for unit tests.
-#[cfg(test)]
-fn cluster_seeds<P: MemProbe>(
-    graph: &mg_graph::VariationGraph,
-    dist: &DistanceIndex,
-    seeds: &[Seed],
-    read_len: u32,
-    params: &ClusterParams,
-    probe: &mut P,
-) -> Vec<Cluster> {
-    let mut scratch = ClusterScratch::default();
-    cluster_seeds_with_scratch(graph, dist, seeds, read_len, params, probe, &mut scratch)
-}
-
 /// Clusters the seeds of one read on caller-provided scratch storage.
 ///
 /// Seeds are sorted by (component, linearized graph position), one node
@@ -298,7 +284,15 @@ mod tests {
     #[test]
     fn empty_seeds_give_no_clusters() {
         let (p, d) = linear();
-        let out = cluster_seeds(p.graph(), &d, &[], 100, &ClusterParams::default(), &mut NoProbe);
+        let out = cluster_seeds_with_scratch(
+            p.graph(),
+            &d,
+            &[],
+            100,
+            &ClusterParams::default(),
+            &mut NoProbe,
+            &mut ClusterScratch::default(),
+        );
         assert!(out.is_empty());
     }
 
@@ -306,7 +300,15 @@ mod tests {
     fn single_seed_is_one_cluster() {
         let (p, d) = linear();
         let seeds = [seed_at(&p, 0, 100)];
-        let out = cluster_seeds(p.graph(), &d, &seeds, 100, &ClusterParams::default(), &mut NoProbe);
+        let out = cluster_seeds_with_scratch(
+            p.graph(),
+            &d,
+            &seeds,
+            100,
+            &ClusterParams::default(),
+            &mut NoProbe,
+            &mut ClusterScratch::default(),
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].seeds, vec![0]);
         assert_eq!(out[0].score, 1.0);
@@ -324,7 +326,15 @@ mod tests {
             seed_at(&p, 30, 1530),
         ];
         let params = ClusterParams { distance_limit: 150, ..Default::default() };
-        let out = cluster_seeds(p.graph(), &d, &seeds, 100, &params, &mut NoProbe);
+        let out = cluster_seeds_with_scratch(
+            p.graph(),
+            &d,
+            &seeds,
+            100,
+            &params,
+            &mut NoProbe,
+            &mut ClusterScratch::default(),
+        );
         assert_eq!(out.len(), 2);
         // Best cluster first: 3 distinct offsets beats 2.
         assert_eq!(out[0].seeds, vec![0, 1, 2]);
@@ -339,7 +349,15 @@ mod tests {
         let (p, d) = linear();
         let seeds: Vec<Seed> = (0..8).map(|i| seed_at(&p, i * 5, 100 + i as u64 * 100)).collect();
         let params = ClusterParams { distance_limit: 120, ..Default::default() };
-        let out = cluster_seeds(p.graph(), &d, &seeds, 150, &params, &mut NoProbe);
+        let out = cluster_seeds_with_scratch(
+            p.graph(),
+            &d,
+            &seeds,
+            150,
+            &params,
+            &mut NoProbe,
+            &mut ClusterScratch::default(),
+        );
         assert_eq!(out.len(), 1, "chain should union into one cluster");
         assert_eq!(out[0].seeds.len(), 8);
     }
@@ -350,7 +368,15 @@ mod tests {
         // Two seeds whose k-mers overlap on the read.
         let seeds = [seed_at(&p, 0, 100), seed_at(&p, 10, 110)];
         let params = ClusterParams { distance_limit: 100, kmer_len: 29, ..Default::default() };
-        let out = cluster_seeds(p.graph(), &d, &seeds, 100, &params, &mut NoProbe);
+        let out = cluster_seeds_with_scratch(
+            p.graph(),
+            &d,
+            &seeds,
+            100,
+            &params,
+            &mut NoProbe,
+            &mut ClusterScratch::default(),
+        );
         assert_eq!(out.len(), 1);
         // Covered: [0, 39) = 39 bases of 100.
         assert!((out[0].coverage - 0.39).abs() < 1e-9, "coverage {}", out[0].coverage);
@@ -366,7 +392,15 @@ mod tests {
             Seed::new(0, GraphPos::new(Handle::forward(a), 0)),
             Seed::new(1, GraphPos::new(Handle::forward(b), 0)),
         ];
-        let out = cluster_seeds(&g, &d, &seeds, 50, &ClusterParams::default(), &mut NoProbe);
+        let out = cluster_seeds_with_scratch(
+            &g,
+            &d,
+            &seeds,
+            50,
+            &ClusterParams::default(),
+            &mut NoProbe,
+            &mut ClusterScratch::default(),
+        );
         assert_eq!(out.len(), 2);
     }
 
@@ -383,13 +417,14 @@ mod tests {
         let before = Seed::new(0, GraphPos::new(Handle::forward(NodeId::new(1)), 2));
         let after_node = p.graph().max_node_id().unwrap();
         let after = Seed::new(12, GraphPos::new(Handle::forward(after_node), 1));
-        let out = cluster_seeds(
+        let out = cluster_seeds_with_scratch(
             p.graph(),
             &d,
             &[before, after],
             50,
             &ClusterParams { distance_limit: 30, ..Default::default() },
             &mut NoProbe,
+            &mut ClusterScratch::default(),
         );
         assert_eq!(out.len(), 1, "seeds straddling the bubble must cluster");
     }
@@ -401,8 +436,24 @@ mod tests {
             .map(|i| seed_at(&p, (i * 7) % 60, ((i * 137) % 1900) as u64))
             .collect();
         let params = ClusterParams { distance_limit: 100, ..Default::default() };
-        let a = cluster_seeds(p.graph(), &d, &seeds, 100, &params, &mut NoProbe);
-        let b = cluster_seeds(p.graph(), &d, &seeds, 100, &params, &mut NoProbe);
+        let a = cluster_seeds_with_scratch(
+            p.graph(),
+            &d,
+            &seeds,
+            100,
+            &params,
+            &mut NoProbe,
+            &mut ClusterScratch::default(),
+        );
+        let b = cluster_seeds_with_scratch(
+            p.graph(),
+            &d,
+            &seeds,
+            100,
+            &params,
+            &mut NoProbe,
+            &mut ClusterScratch::default(),
+        );
         assert_eq!(a, b);
     }
 
@@ -411,7 +462,15 @@ mod tests {
         let (p, d) = linear();
         let seeds: Vec<Seed> = (0..10).map(|i| seed_at(&p, i, 100 + i as u64 * 10)).collect();
         let mut probe = CountingProbe::default();
-        let _ = cluster_seeds(p.graph(), &d, &seeds, 100, &ClusterParams::default(), &mut probe);
+        let _ = cluster_seeds_with_scratch(
+            p.graph(),
+            &d,
+            &seeds,
+            100,
+            &ClusterParams::default(),
+            &mut probe,
+            &mut ClusterScratch::default(),
+        );
         assert!(probe.instructions > 0);
         assert!(probe.touches > 0);
     }

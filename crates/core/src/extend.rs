@@ -205,21 +205,6 @@ fn reconstruct_path(arena: &[(u32, Handle)], mut idx: u32, out: &mut Vec<Handle>
     out.reverse();
 }
 
-/// [`extend_seed_with_scratch`] on a fresh scratch, for unit tests.
-#[cfg(test)]
-fn extend_seed<P: MemProbe>(
-    graph: &VariationGraph,
-    cache: &mut CachedGbwt<'_>,
-    read: &[u8],
-    read_id: u64,
-    seed: Seed,
-    params: &ExtendParams,
-    probe: &mut P,
-) -> Option<Extension> {
-    let mut scratch = ExtendScratch::default();
-    extend_seed_with_scratch(graph, cache, read, read_id, seed, params, probe, &mut scratch)
-}
-
 /// Extends one seed bidirectionally on caller-provided scratch storage;
 /// returns `None` when the anchor is not on any haplotype.
 ///
@@ -1121,27 +1106,6 @@ pub(crate) fn extend_first<P: MemProbe>(
     None
 }
 
-/// [`process_until_threshold_with_scratch`] on a fresh scratch, for unit
-/// tests.
-#[cfg(test)]
-#[allow(clippy::too_many_arguments)]
-fn process_until_threshold<P: MemProbe>(
-    graph: &VariationGraph,
-    cache: &mut CachedGbwt<'_>,
-    read: &[u8],
-    read_id: u64,
-    seeds: &[Seed],
-    clusters: &[Cluster],
-    extend: &ExtendParams,
-    process: &ProcessParams,
-    probe: &mut P,
-) -> Vec<Extension> {
-    let mut scratch = ExtendScratch::default();
-    process_until_threshold_with_scratch(
-        graph, cache, read, read_id, seeds, clusters, extend, process, probe, &mut scratch,
-    )
-}
-
 /// Processes a read's clusters best-first, extending each cluster's
 /// anchors until the threshold policy says stop (the
 /// `process_until_threshold_c` driver), on caller-provided scratch storage.
@@ -1238,7 +1202,7 @@ mod tests {
         let read = b"AAAACCCCGGGGTTTT";
         // Anchor in the middle of node 1 (AAAA), read offset 2.
         let seed = anchor(1, 2, 2);
-        let ext = extend_seed(
+        let ext = extend_seed_with_scratch(
             gbz.graph(),
             &mut cache,
             read,
@@ -1246,6 +1210,7 @@ mod tests {
             seed,
             &ExtendParams::default(),
             &mut NoProbe,
+            &mut ExtendScratch::default(),
         )
         .expect("extension exists");
         assert_eq!(ext.read_start, 0);
@@ -1263,7 +1228,7 @@ mod tests {
         // Haplotype 1: AAAACC G CGGGGTTTT (SNP at position 6).
         let read = b"AAAACCGCGGGGTTTT";
         let seed = anchor(1, 0, 0);
-        let ext = extend_seed(
+        let ext = extend_seed_with_scratch(
             gbz.graph(),
             &mut cache,
             read,
@@ -1271,6 +1236,7 @@ mod tests {
             seed,
             &ExtendParams::default(),
             &mut NoProbe,
+            &mut ExtendScratch::default(),
         )
         .unwrap();
         assert_eq!(ext.read_end - ext.read_start, 16);
@@ -1293,7 +1259,16 @@ mod tests {
             mismatch_penalty: 1,
             ..Default::default()
         };
-        let ext = extend_seed(gbz.graph(), &mut cache, &read, 0, seed, &params, &mut NoProbe)
+        let ext = extend_seed_with_scratch(
+            gbz.graph(),
+            &mut cache,
+            &read,
+            0,
+            seed,
+            &params,
+            &mut NoProbe,
+            &mut ExtendScratch::default(),
+        )
             .unwrap();
         assert_eq!(ext.mismatches, 2);
         assert_eq!(ext.read_start, 0);
@@ -1312,7 +1287,16 @@ mod tests {
         read[1] = b'G'; // one match beyond it on the left edge
         let seed = anchor(2, 1, 5);
         let params = ExtendParams { max_mismatches: 2, ..Default::default() };
-        let ext = extend_seed(gbz.graph(), &mut cache, &read, 0, seed, &params, &mut NoProbe)
+        let ext = extend_seed_with_scratch(
+            gbz.graph(),
+            &mut cache,
+            &read,
+            0,
+            seed,
+            &params,
+            &mut NoProbe,
+            &mut ExtendScratch::default(),
+        )
             .unwrap();
         // Trimmed to [2, 16): 14 matches, no mismatches.
         assert_eq!(ext.read_start, 2);
@@ -1329,7 +1313,16 @@ mod tests {
         let read = b"AAAACCCCTTTTAAAA".to_vec();
         let seed = anchor(1, 0, 0);
         let params = ExtendParams { max_mismatches: 1, ..Default::default() };
-        let ext = extend_seed(gbz.graph(), &mut cache, &read, 0, seed, &params, &mut NoProbe)
+        let ext = extend_seed_with_scratch(
+            gbz.graph(),
+            &mut cache,
+            &read,
+            0,
+            seed,
+            &params,
+            &mut NoProbe,
+            &mut ExtendScratch::default(),
+        )
             .unwrap();
         // First 8 bases match the reference haplotype.
         assert_eq!(ext.read_start, 0);
@@ -1360,14 +1353,15 @@ mod tests {
         let node = unvisited.expect("alt node unvisited");
         let seed = Seed::new(0, GraphPos::new(Handle::forward(node), 0));
         let read = b"GGGG";
-        assert!(extend_seed(
+        assert!(extend_seed_with_scratch(
             gbz.graph(),
             &mut cache,
             read,
             0,
             seed,
             &ExtendParams::default(),
-            &mut NoProbe
+            &mut NoProbe,
+            &mut ExtendScratch::default(),
         )
         .is_none());
     }
@@ -1387,7 +1381,7 @@ mod tests {
                 && !gbz.gbwt().find(h.to_gbwt()).is_empty()
             {
                 let seed = Seed::new(0, GraphPos::new(h, 0));
-                if let Some(ext) = extend_seed(
+                if let Some(ext) = extend_seed_with_scratch(
                     gbz.graph(),
                     &mut cache,
                     &read,
@@ -1395,6 +1389,7 @@ mod tests {
                     seed,
                     &ExtendParams::default(),
                     &mut NoProbe,
+                    &mut ExtendScratch::default(),
                 ) {
                     if ext.len() == 16 && ext.mismatches == 0 {
                         found = true;
@@ -1412,26 +1407,28 @@ mod tests {
         let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
         // read_offset beyond the read.
         let seed = anchor(1, 0, 10);
-        assert!(extend_seed(
+        assert!(extend_seed_with_scratch(
             gbz.graph(),
             &mut cache,
             b"ACGT",
             0,
             seed,
             &ExtendParams::default(),
-            &mut NoProbe
+            &mut NoProbe,
+            &mut ExtendScratch::default(),
         )
         .is_none());
         // node offset beyond the node.
         let seed = anchor(1, 100, 0);
-        assert!(extend_seed(
+        assert!(extend_seed_with_scratch(
             gbz.graph(),
             &mut cache,
             b"ACGT",
             0,
             seed,
             &ExtendParams::default(),
-            &mut NoProbe
+            &mut NoProbe,
+            &mut ExtendScratch::default(),
         )
         .is_none());
     }
@@ -1442,7 +1439,7 @@ mod tests {
         let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
         let read = b"AAAACCCCGGGGTTTT";
         let mut probe = CountingProbe::default();
-        let _ = extend_seed(
+        let _ = extend_seed_with_scratch(
             gbz.graph(),
             &mut cache,
             read,
@@ -1450,6 +1447,7 @@ mod tests {
             anchor(1, 0, 0),
             &ExtendParams::default(),
             &mut probe,
+            &mut ExtendScratch::default(),
         );
         // At least one touch per compared base (read + graph).
         assert!(probe.touches >= 32, "touches {}", probe.touches);
@@ -1464,7 +1462,7 @@ mod tests {
         // Two seeds anchoring the same alignment + one bogus seed.
         let seeds = vec![anchor(1, 0, 0), anchor(1, 2, 2), anchor(4, 0, 1)];
         let clusters = vec![Cluster { seeds: vec![0, 1, 2], score: 3.0, coverage: 1.0 }];
-        let exts = process_until_threshold(
+        let exts = process_until_threshold_with_scratch(
             gbz.graph(),
             &mut cache,
             read,
@@ -1474,6 +1472,7 @@ mod tests {
             &ExtendParams::default(),
             &ProcessParams::default(),
             &mut NoProbe,
+            &mut ExtendScratch::default(),
         );
         assert!(!exts.is_empty());
         // Scores descending.
@@ -1500,7 +1499,7 @@ mod tests {
             Cluster { seeds: vec![1], score: 1.0, coverage: 0.1 },
         ];
         let process = ProcessParams { cluster_score_cutoff: 0.5, ..Default::default() };
-        let exts = process_until_threshold(
+        let exts = process_until_threshold_with_scratch(
             gbz.graph(),
             &mut cache,
             read,
@@ -1510,6 +1509,7 @@ mod tests {
             &ExtendParams::default(),
             &process,
             &mut NoProbe,
+            &mut ExtendScratch::default(),
         );
         // Weak cluster (score 1 < 5) skipped: all extensions from cluster 0's
         // anchor, which starts at node 1.
@@ -1552,13 +1552,26 @@ mod tests {
                                 let scalar_params =
                                     ExtendParams { force_scalar: true, ..*params };
                                 let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
-                                let production = extend_seed(
-                                    gbz.graph(), &mut cache, read, 0, seed, params, &mut NoProbe,
+                                let production = extend_seed_with_scratch(
+                                    gbz.graph(),
+                                    &mut cache,
+                                    read,
+                                    0,
+                                    seed,
+                                    params,
+                                    &mut NoProbe,
+                                    &mut ExtendScratch::default(),
                                 );
                                 let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
-                                let scalar = extend_seed(
-                                    gbz.graph(), &mut cache, read, 0, seed, &scalar_params,
+                                let scalar = extend_seed_with_scratch(
+                                    gbz.graph(),
+                                    &mut cache,
+                                    read,
+                                    0,
+                                    seed,
+                                    &scalar_params,
                                     &mut NoProbe,
+                                    &mut ExtendScratch::default(),
                                 );
                                 assert_eq!(
                                     production, scalar,
@@ -1706,7 +1719,7 @@ mod tests {
         let clusters = vec![Cluster { seeds: vec![0, 1, 2], score: 3.0, coverage: 0.9 }];
         let run = || {
             let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
-            process_until_threshold(
+            process_until_threshold_with_scratch(
                 gbz.graph(),
                 &mut cache,
                 read,
@@ -1716,6 +1729,7 @@ mod tests {
                 &ExtendParams::default(),
                 &ProcessParams::default(),
                 &mut NoProbe,
+                &mut ExtendScratch::default(),
             )
         };
         assert_eq!(run(), run());

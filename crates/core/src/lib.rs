@@ -54,6 +54,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod dump;
 pub mod extend;
@@ -71,6 +73,7 @@ pub use extend::{
 pub use mgi::{build_minimizer_index, MgiBundle};
 pub use pipeline::{
     run_mapping, MapScratch, Mapper, MappingOptions, MappingResults, StreamOptions, ThreadPersist,
+    Workers,
 };
 pub use types::{Extension, ExtensionKey, ReadInput, ReadResult, Seed, Workflow};
 pub use validate::{validate, ValidationReport};

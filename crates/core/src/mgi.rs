@@ -6,10 +6,10 @@
 //! structures — the forward sequence arena, CSR adjacency, flat minimizer
 //! table, distance / chain index, and the compressed GBWT — into one
 //! [`mg_support::mgi`] container: the `.mgz`'s ten sections plus the
-//! minimizer and distance sections. Opening it is `mmap` +
-//! bounds/checksum validation plus one pass that derives the graph's
-//! reverse-complement arena: no per-element decoding, no index rebuilds,
-//! and the page cache shares the mapped arenas across processes.
+//! minimizer and distance sections. Opening it is one read into an aligned
+//! buffer + bounds/checksum validation plus one pass that derives the
+//! graph's reverse-complement arena: no per-element decoding and no index
+//! rebuilds.
 //!
 //! The owned and mapped paths produce interchangeable values: every
 //! component type is backed by [`mg_support::mgi::Storage`], so a bundle

@@ -6,15 +6,13 @@
 //! `process_until_threshold_c` per read — unless the walk of the read's
 //! first seed already settles it — and collect raw mapping results.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
-
-use std::sync::Arc;
 
 use mg_gbwt::{CacheState, CacheStats, CachedGbwt, Gbz, HotTier};
 use mg_index::DistanceIndex;
 use mg_obs::{Ctr, Hist, Metrics, ObsShard, Stage};
-use mg_sched::{PoolCell, PoolTask, SchedulerKind, WorkerPool};
+use mg_sched::{SchedulerKind, WorkerPool};
 use mg_support::probe::{MemProbe, NoProbe};
 use mg_support::regions::{NullSink, RegionSink};
 
@@ -179,10 +177,30 @@ impl MappingResults {
 pub struct Mapper<'a> {
     gbz: &'a Gbz,
     dist: DistanceIndex,
-    /// Persistent worker threads plus per-thread warm state (cache storage
-    /// and kernel scratch), reused by every `run` on this mapper. Runs on
-    /// the same mapper serialize on this lock.
-    pool: std::sync::Mutex<WorkerPool>,
+    /// Persistent scheduler threads plus their warm state, reused by every
+    /// dispatch on this mapper. Dispatches serialize on this lock.
+    workers: Mutex<Workers>,
+}
+
+/// A [`Mapper`]'s persistent scheduler threads and what each keeps between
+/// dispatches, one slot per thread.
+#[derive(Debug, Default)]
+pub struct Workers {
+    /// The threads dispatches run on.
+    pool: WorkerPool,
+    /// Per-thread warm state, indexed by scheduler thread.
+    slots: Vec<ThreadPersist>,
+}
+
+impl Workers {
+    /// The pool and the first `threads` slots, grown as needed, ready for
+    /// [`SchedulerKind::run`].
+    pub fn split(&mut self, threads: usize) -> (&mut WorkerPool, &mut [ThreadPersist]) {
+        if self.slots.len() < threads {
+            self.slots.resize_with(threads, ThreadPersist::default);
+        }
+        (&mut self.pool, &mut self.slots[..threads])
+    }
 }
 
 impl<'a> Mapper<'a> {
@@ -198,7 +216,7 @@ impl<'a> Mapper<'a> {
         Mapper {
             gbz,
             dist,
-            pool: std::sync::Mutex::new(WorkerPool::new()),
+            workers: Mutex::new(Workers::default()),
         }
     }
 
@@ -216,14 +234,14 @@ impl<'a> Mapper<'a> {
         self.gbz
     }
 
-    /// Locks the persistent worker pool, for callers that drive their own
-    /// pooled scheduler dispatch against this mapper's threads (the parent
-    /// pipeline, the serving executor); dispatches serialize on the lock.
-    /// Poison is shrugged off: the pool catches worker panics internally
-    /// and stays usable, so a panic that escaped a previous dispatch left
-    /// the pool itself coherent.
-    pub fn lock_pool(&self) -> std::sync::MutexGuard<'_, WorkerPool> {
-        self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Locks the persistent worker pool and its per-thread warm state, for
+    /// callers that drive their own scheduler dispatch against this
+    /// mapper's threads (the parent pipeline, the serving executor);
+    /// dispatches serialize on the lock. Poison is shrugged off: the pool
+    /// catches worker panics internally and stays usable, and a thread that
+    /// panicked took its state out of its slot first and left the default.
+    pub fn lock_pool(&self) -> MutexGuard<'_, Workers> {
+        self.workers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The distance index.
@@ -392,8 +410,8 @@ impl<'a> Mapper<'a> {
     /// dispatch — reporting region timings to `sink` and recording
     /// per-stage spans, per-read counters, cache events and scheduler
     /// activity in `metrics`. Each worker thread records into a private
-    /// [`ObsShard`] and folds its cache statistics in at `finish`, so the
-    /// hot loop never touches the registry lock.
+    /// [`ObsShard`] and folds it and its cache statistics in once, after its
+    /// last read, so the hot loop never touches the registry lock.
     pub fn run_with_sink_metrics(
         &self,
         dump: &crate::dump::SeedDump,
@@ -401,43 +419,58 @@ impl<'a> Mapper<'a> {
         sink: &(impl RegionSink + ?Sized),
         metrics: &Metrics,
     ) -> MappingResults {
-        let mut pool = self.lock_pool();
+        let threads = options.threads.max(1);
+        let mut workers = self.lock_pool();
+        let (pool, persist) = workers.split(threads);
         let start = Instant::now();
         let reads = &dump.reads[..];
         let n = reads.len();
         let slots: Vec<OnceLock<ReadResult>> = (0..n).map(|_| OnceLock::new()).collect();
-        let stats: StatsCollector = std::sync::Mutex::new(Vec::new());
+        let stats: StatsCollector = Mutex::new(Vec::new());
         options.scheduler.run(
             options.batch_size,
-            &mut pool,
+            pool,
+            persist,
             n,
-            options.threads.max(1),
+            threads,
             metrics,
-            &|thread, cell| {
-                // Warm-start from whatever this pool thread kept from the
-                // last run; `with_state` rebinds the cache storage warm when
-                // the pangenome and capacity are unchanged, cold otherwise.
-                let persist = match cell.downcast_mut::<ThreadPersist>() {
-                    Some(p) => std::mem::take(p),
-                    None => ThreadPersist::default(),
-                };
-                Box::new(PooledWorker {
-                    mapper: self,
-                    reads,
-                    options,
-                    sink,
-                    thread,
-                    slots: &slots,
-                    stats: &stats,
-                    cache: CachedGbwt::with_state(
-                        self.gbz.gbwt(),
-                        options.cache_capacity,
-                        persist.cache,
-                    ),
-                    scratch: persist.scratch,
-                    metrics,
-                    obs: metrics.shard(),
-                })
+            &|thread, slot, grains| {
+                // Warm-start from whatever this thread's slot kept from the
+                // last dispatch; `with_state` rebinds the cache storage warm
+                // when the pangenome and capacity are unchanged, cold
+                // otherwise. Taken, not borrowed: a panic leaves the default.
+                let ThreadPersist { cache, mut scratch } = std::mem::take(slot);
+                let mut cache =
+                    CachedGbwt::with_state(self.gbz.gbwt(), options.cache_capacity, cache);
+                let mut obs = metrics.shard();
+                for i in grains {
+                    let input = &reads[i];
+                    let result = self.map_read_seeded(
+                        &mut cache,
+                        i as u64,
+                        &input.bases,
+                        &input.seeds,
+                        options,
+                        sink,
+                        thread,
+                        &mut NoProbe,
+                        &mut scratch,
+                        &mut obs,
+                    );
+                    slots[i].set(result).expect("each read mapped once");
+                }
+                let cache_stats = cache.stats();
+                stats.lock().unwrap().push((cache_stats, cache.heap_bytes() as u64));
+                // The cache tracks its own statistics; mirror them into the
+                // shard once per dispatch rather than plumbing a probe
+                // through the kernels.
+                obs.add(Ctr::CacheHits, cache_stats.hits);
+                obs.add(Ctr::CacheMisses, cache_stats.misses);
+                obs.add(Ctr::CacheEvictions, cache_stats.evictions);
+                obs.add(Ctr::CacheResizes, cache_stats.rehashes);
+                obs.add(Ctr::CacheRehashedSlots, cache_stats.rehashed_slots);
+                metrics.absorb(&obs);
+                *slot = ThreadPersist { cache: cache.into_state(), scratch };
             },
         );
         let per_read = slots
@@ -468,16 +501,17 @@ fn merge_cache_stats(mut acc: CacheStats, s: CacheStats) -> CacheStats {
 
 /// Per-worker (statistics, cache heap bytes) pairs, folded into the
 /// run aggregate after the dispatch.
-type StatsCollector = std::sync::Mutex<Vec<(CacheStats, u64)>>;
+type StatsCollector = Mutex<Vec<(CacheStats, u64)>>;
 
-/// What a pool thread keeps between runs: its cache storage (rebound warm
-/// when the pangenome and capacity match) and the kernel scratch buffers.
+/// What a scheduler thread keeps between dispatches: its cache storage
+/// (rebound warm when the pangenome and capacity match) and the kernel
+/// scratch buffers.
 ///
-/// Public so every pooled dispatch against a [`Mapper`]'s worker pool —
-/// the proxy loop here, the parent pipeline's chunk mapper, the serving
-/// executor — stashes the same cell type, and warm state carries across
-/// them instead of being cold-dropped at each boundary.
-#[derive(Default)]
+/// Public so every dispatch against a [`Mapper`] — the proxy loop here, the
+/// parent pipeline's chunk mapper, the serving executor — uses the same
+/// slots ([`Mapper::lock_pool`]), and warm state carries across them
+/// instead of being cold-dropped at each boundary.
+#[derive(Debug, Default)]
 pub struct ThreadPersist {
     /// Detached `CachedGbwt` storage; rebind with
     /// [`CachedGbwt::with_state`], which starts warm when the GBWT and
@@ -485,61 +519,6 @@ pub struct ThreadPersist {
     pub cache: CacheState,
     /// Kernel + seeding scratch buffers.
     pub scratch: MapScratch,
-}
-
-/// Per-thread mapping state for one run: owns the thread's `CachedGbwt`
-/// and scratch, maps the reads the scheduler assigns it, and at `finish`
-/// pushes its cache statistics to the collector and stashes the warm state
-/// back into the thread's pool cell for the next run.
-struct PooledWorker<'e, 'g, S: RegionSink + ?Sized> {
-    mapper: &'e Mapper<'g>,
-    reads: &'e [ReadInput],
-    options: &'e MappingOptions,
-    sink: &'e S,
-    thread: usize,
-    slots: &'e [OnceLock<ReadResult>],
-    stats: &'e StatsCollector,
-    cache: CachedGbwt<'g>,
-    scratch: MapScratch,
-    metrics: &'e Metrics,
-    obs: ObsShard,
-}
-
-impl<S: RegionSink + ?Sized> PoolTask for PooledWorker<'_, '_, S> {
-    fn run(&mut self, i: usize) {
-        let input = &self.reads[i];
-        let result = self.mapper.map_read_seeded(
-            &mut self.cache,
-            i as u64,
-            &input.bases,
-            &input.seeds,
-            self.options,
-            self.sink,
-            self.thread,
-            &mut NoProbe,
-            &mut self.scratch,
-            &mut self.obs,
-        );
-        self.slots[i].set(result).expect("each read mapped once");
-    }
-
-    fn finish(self: Box<Self>, cell: &mut PoolCell) {
-        let mut this = *self;
-        let cache_stats = this.cache.stats();
-        this.stats.lock().unwrap().push((cache_stats, this.cache.heap_bytes() as u64));
-        // The cache tracks its own statistics; mirror them into the shard
-        // once per run rather than plumbing a probe through the kernels.
-        this.obs.add(Ctr::CacheHits, cache_stats.hits);
-        this.obs.add(Ctr::CacheMisses, cache_stats.misses);
-        this.obs.add(Ctr::CacheEvictions, cache_stats.evictions);
-        this.obs.add(Ctr::CacheResizes, cache_stats.rehashes);
-        this.obs.add(Ctr::CacheRehashedSlots, cache_stats.rehashed_slots);
-        this.metrics.absorb(&this.obs);
-        *cell = Box::new(ThreadPersist {
-            cache: this.cache.into_state(),
-            scratch: this.scratch,
-        });
-    }
 }
 
 /// One-shot convenience: map `dump` against `gbz` with `options`.

@@ -5,8 +5,8 @@
 //! whose GBWT records stay run-length compressed and are decoded one node
 //! at a time by the record cache. The file is an [`mg_support::mgi`]
 //! container holding exactly the ten sections [`Gbz::write_mgi`] emits —
-//! five for the graph, five for the GBWT — so loading is a memory map plus
-//! validation, and an `.mgi` bundle is the same sections plus the prebuilt
+//! five for the graph, five for the GBWT — so loading is one read of the
+//! file plus validation, and an `.mgi` bundle is the same sections plus the prebuilt
 //! minimizer and distance indexes.
 
 use std::path::Path;

@@ -13,7 +13,7 @@
 //!   one of miniGiraffe's three tuning parameters;
 //! - the [`Gbz`] file (`.mgz`), our analog of the GBZ file format,
 //!   bundling graph + index (its records still run-length compressed) in
-//!   one checksummed, memory-mapped container.
+//!   one checksummed container, borrowed from without decoding.
 //!
 //! # Examples
 //!
@@ -34,6 +34,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod build;
 pub mod cache;

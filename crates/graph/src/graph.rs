@@ -147,8 +147,8 @@ impl VariationGraph {
     ///
     /// # Panics
     ///
-    /// Panics if the graph is backed by a memory map (mapped graphs are
-    /// immutable).
+    /// Panics if the graph is borrowed from a `.mgi`/`.mgz` container
+    /// (mapped graphs are immutable).
     pub fn add_node(&mut self, sequence: &[u8]) -> Result<NodeId> {
         if sequence.is_empty() {
             return Err(Error::Corrupt("empty node sequence".into()));
@@ -179,7 +179,7 @@ impl VariationGraph {
     /// # Panics
     ///
     /// Panics if either endpoint node does not exist, or if the graph is
-    /// backed by a memory map.
+    /// borrowed from a container.
     pub fn add_edge(&mut self, from: Handle, to: Handle) {
         assert!(self.has_node(from.node()), "edge from missing node {}", from.node());
         assert!(self.has_node(to.node()), "edge to missing node {}", to.node());

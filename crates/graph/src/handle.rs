@@ -97,8 +97,8 @@ impl fmt::Display for Orientation {
 #[repr(transparent)]
 pub struct Handle(u64);
 
-// A handle is layout-identical to its packed `u64`, so slices of handles
-// can be borrowed straight out of a mapped `.mgi` section. Any bit pattern
+// SAFETY: a handle is layout-identical to its packed `u64`, so slices of
+// handles can be borrowed straight out of a `.mgi` section. Any bit pattern
 // is structurally valid; semantic validity (the node exists) is checked by
 // the container readers.
 unsafe impl mg_support::mgi::Pod for Handle {}

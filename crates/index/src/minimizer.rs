@@ -25,7 +25,7 @@ pub struct GraphPos {
     pub offset: u32,
 }
 
-// Every field tolerates any bit pattern (`Handle` is a transparent `u64`,
+// SAFETY: every field tolerates any bit pattern (`Handle` is a transparent `u64`,
 // the offset a plain `u32`); semantic validity is the readers' job.
 unsafe impl mg_support::mgi::Pod for GraphPos {}
 
@@ -225,7 +225,7 @@ pub(crate) struct KmerEntry {
     pub count: u32,
 }
 
-// Plain integers plus a `GraphPos` (itself `Pod`); the 4 padding bytes
+// SAFETY: plain integers plus a `GraphPos` (itself `Pod`); the 4 padding bytes
 // inside `pos` are never read, and the writer emits them as zeros.
 unsafe impl mg_support::mgi::Pod for KmerEntry {}
 

@@ -68,7 +68,7 @@ pub struct NodeRecord {
     pub d_out: u32,
 }
 
-// Eight `u32`s: no padding, and every bit pattern is a value (the reader
+// SAFETY: eight `u32`s: no padding, and every bit pattern is a value (the reader
 // checks the semantic invariants).
 unsafe impl Pod for NodeRecord {}
 

@@ -22,6 +22,8 @@
 //! additionally gated by a runtime switch: shards handed out by
 //! [`Metrics::off`] skip all recording behind a single predictable branch.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 

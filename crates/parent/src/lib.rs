@@ -22,6 +22,8 @@
 //! assert_eq!(run.dump.reads.len(), reads.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod align;
 pub mod gaf;
 pub mod gapped;

@@ -21,7 +21,7 @@
 //! through [`mg_support::regions::RegionSink`], which is what regenerates
 //! Figures 2–4.
 
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use mg_core::dump::SeedDump;
@@ -30,7 +30,7 @@ use mg_core::{MapScratch, Mapper, MappingOptions, StreamOptions, ThreadPersist};
 use mg_gbwt::{CachedGbwt, Gbz};
 use mg_index::{DistanceIndex, MinimizerIndex};
 use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
-use mg_sched::{bounded_queue, chunk_grain_reads, PoolCell, PoolTask, SchedulerKind, WorkerPool};
+use mg_sched::{bounded_queue, chunk_grain_reads, SchedulerKind};
 use mg_support::probe::{MemProbe, NoProbe};
 use mg_support::regions::{NullSink, RegionSink, RegionTimer};
 
@@ -111,40 +111,11 @@ pub struct Parent<'a> {
     mapper: Mapper<'a>,
     minimizer: &'a MinimizerIndex,
     workflow: Workflow,
-    /// Fragment buffers of the mapper's pool threads, parked here between
-    /// dispatches so a chunk does not grow them from zero.
-    bufs: Parked<FragmentBufs>,
-}
-
-/// Per-thread state parked between dispatches, one slot per pool thread.
-/// Dispatches serialize on the pool lock, so a slot is only ever taken by
-/// the one worker running on its thread; the mutex is held for the swap
-/// alone. A worker that panics never puts its slot back, which leaves it
-/// at its default.
-struct Parked<T>(Mutex<Vec<T>>);
-
-impl<T: Default> Parked<T> {
-    fn new() -> Self {
-        Parked(Mutex::new(Vec::new()))
-    }
-
-    fn slots(&self) -> std::sync::MutexGuard<'_, Vec<T>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Takes `thread`'s slot, leaving a default in its place.
-    fn take(&self, thread: usize) -> T {
-        let mut slots = self.slots();
-        if slots.len() <= thread {
-            slots.resize_with(thread + 1, T::default);
-        }
-        std::mem::take(&mut slots[thread])
-    }
-
-    /// Puts `thread`'s slot back; `take` made room for it.
-    fn put(&self, thread: usize, value: T) {
-        self.slots()[thread] = value;
-    }
+    /// Fragment buffers of the mapper's pool threads, one per thread, kept
+    /// between dispatches so a chunk does not grow them from zero. Locked
+    /// for a dispatch and the stitch after it, always before
+    /// [`Mapper::lock_pool`].
+    bufs: Mutex<Vec<FragmentBufs>>,
 }
 
 /// What one pool thread keeps for the fragments it finishes: the seed lists
@@ -201,7 +172,7 @@ impl<'a> Parent<'a> {
             mapper: Mapper::with_distance(gbz, distance),
             minimizer,
             workflow,
-            bufs: Parked::new(),
+            bufs: Mutex::new(Vec::new()),
         }
     }
 
@@ -397,7 +368,7 @@ impl<'a> Parent<'a> {
             Workflow::Single => Vec::new(),
         };
         self.dispatch(
-            &mut self.mapper.lock_pool(),
+            &mut self.lock_bufs(),
             reads,
             0,
             options.mapping.batch_size,
@@ -476,9 +447,9 @@ impl<'a> Parent<'a> {
     ) {
         let threads = options.mapping.threads.max(1);
         let grain = chunk_grain_reads(reads.len(), threads, options.mapping.batch_size);
-        let mut pool = self.mapper.lock_pool();
+        let mut bufs = self.lock_bufs();
         self.dispatch(
-            &mut pool,
+            &mut bufs,
             reads,
             base_id,
             grain,
@@ -487,9 +458,8 @@ impl<'a> Parent<'a> {
             metrics,
             Emitter::Gaf { set_name },
         );
-        // Still under the pool lock: the buffers belong to this dispatch
-        // until they are copied out.
-        let bufs = self.bufs.slots();
+        // Still under the lock: the buffers belong to this dispatch until
+        // they are copied out.
         let mut pieces: Vec<(usize, &[u8])> = Vec::new();
         for worker in bufs.iter().take(threads) {
             let mut start = 0;
@@ -504,17 +474,22 @@ impl<'a> Parent<'a> {
         }
     }
 
+    /// Locks the fragment buffers.
+    fn lock_bufs(&self) -> MutexGuard<'_, Vec<FragmentBufs>> {
+        self.bufs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The one scheduler dispatch behind both emitters: `reads` cut into
     /// fragments (pairs are read-id-local, `2i`/`2i+1`; a trailing odd read
     /// is a fragment of one), `grain_reads` reads' worth of fragments per
     /// grain, one [`FragmentWorker`] per pool thread. Each thread rebinds
     /// its kept cache storage warm (same pangenome, same capacity) and
-    /// reuses its scratch and fragment buffers, sharing the pool cells the
-    /// proxy loop stashes.
+    /// reuses its scratch and fragment buffers; cache and scratch live in
+    /// the mapper's per-thread slots, which the proxy loop uses too.
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
-        pool: &mut WorkerPool,
+        bufs: &mut Vec<FragmentBufs>,
         reads: &[Vec<u8>],
         base_id: u64,
         grain_reads: usize,
@@ -524,23 +499,28 @@ impl<'a> Parent<'a> {
         emit: Emitter<'_>,
     ) {
         let width = if self.workflow == Workflow::Paired { 2 } else { 1 };
+        let threads = options.mapping.threads.max(1);
+        if bufs.len() < threads {
+            bufs.resize_with(threads, FragmentBufs::default);
+        }
+        let mut workers = self.mapper.lock_pool();
+        let (pool, persist) = workers.split(threads);
+        let mut slots: Vec<_> = persist.iter_mut().zip(bufs.iter_mut()).collect();
         options.mapping.scheduler.run(
             grain_reads / width,
             pool,
+            &mut slots,
             reads.len().div_ceil(width),
-            options.mapping.threads.max(1),
+            threads,
             metrics,
-            &|thread, cell| {
-                let persist = match cell.downcast_mut::<ThreadPersist>() {
-                    Some(p) => std::mem::take(p),
-                    None => ThreadPersist::default(),
-                };
-                let mut bufs = self.bufs.take(thread);
+            &|thread, (persist, bufs), grains| {
+                // Taken, not borrowed: a panic leaves the default.
+                let ThreadPersist { cache, scratch } = std::mem::take(*persist);
                 // A dispatch that panicked leaves its survivors' bytes
                 // behind; every dispatch starts from empty buffers.
                 bufs.gaf.clear();
                 bufs.runs.clear();
-                Box::new(FragmentWorker {
+                let mut worker = FragmentWorker {
                     parent: self,
                     options,
                     sink,
@@ -548,17 +528,22 @@ impl<'a> Parent<'a> {
                     cache: CachedGbwt::with_state(
                         self.mapper.gbz().gbwt(),
                         options.mapping.cache_capacity,
-                        persist.cache,
+                        cache,
                     ),
-                    scratch: persist.scratch,
+                    scratch,
                     obs: metrics.shard(),
                     reads,
                     base_id,
                     width,
                     bufs,
                     emit,
-                    metrics,
-                })
+                };
+                for fragment in grains {
+                    worker.map_fragment(fragment);
+                }
+                metrics.absorb(&worker.obs);
+                **persist =
+                    ThreadPersist { cache: worker.cache.into_state(), scratch: worker.scratch };
             },
         );
     }
@@ -731,13 +716,9 @@ impl<'a> Parent<'a> {
 }
 
 /// One pool thread's worker for one dispatch: seeds and maps the fragments
-/// the scheduler assigns it, finishes each one — rescoring, and for a pair
-/// mate rescue and the fragment check, all on this thread's cache and
-/// scratch — and hands it to the emitter. At `finish` it merges its metrics
-/// shard and parks the warm state: cache and scratch in the thread's pool
-/// cell (the same [`ThreadPersist`] cell the proxy loop uses, so warmth
-/// carries across proxy and parent dispatches), fragment buffers with the
-/// parent.
+/// the scheduler assigns it and finishes each one — rescoring, and for a
+/// pair mate rescue and the fragment check, all on this thread's cache and
+/// scratch — then hands it to the emitter.
 struct FragmentWorker<'e, 'g, S: RegionSink + ?Sized> {
     parent: &'e Parent<'g>,
     options: &'e ParentOptions,
@@ -750,9 +731,8 @@ struct FragmentWorker<'e, 'g, S: RegionSink + ?Sized> {
     base_id: u64,
     /// Reads per fragment: 2 when paired, else 1.
     width: usize,
-    bufs: FragmentBufs,
+    bufs: &'e mut FragmentBufs,
     emit: Emitter<'e>,
-    metrics: &'e Metrics,
 }
 
 impl<S: RegionSink + ?Sized> FragmentWorker<'_, '_, S> {
@@ -802,10 +782,9 @@ impl<S: RegionSink + ?Sized> FragmentWorker<'_, '_, S> {
         self.obs.stage(Stage::Pairing, t0);
         rescued
     }
-}
 
-impl<S: RegionSink + ?Sized> PoolTask for FragmentWorker<'_, '_, S> {
-    fn run(&mut self, fragment: usize) {
+    /// Maps, finishes and emits one fragment.
+    fn map_fragment(&mut self, fragment: usize) {
         let lo = fragment * self.width;
         let count = self.width.min(self.reads.len() - lo);
         let stats_before = self.obs.is_on().then(|| self.cache.stats());
@@ -896,13 +875,6 @@ impl<S: RegionSink + ?Sized> PoolTask for FragmentWorker<'_, '_, S> {
             self.obs.add(Ctr::CacheResizes, after.rehashes - before.rehashes);
             self.obs.add(Ctr::CacheRehashedSlots, after.rehashed_slots - before.rehashed_slots);
         }
-    }
-
-    fn finish(self: Box<Self>, cell: &mut PoolCell) {
-        let this = *self;
-        this.metrics.absorb(&this.obs);
-        this.parent.bufs.put(this.thread, this.bufs);
-        *cell = Box::new(ThreadPersist { cache: this.cache.into_state(), scratch: this.scratch });
     }
 }
 

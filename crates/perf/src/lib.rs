@@ -17,6 +17,8 @@
 //! - [`topdown::TopDown`] — the Table IV top-down breakdown as a model over
 //!   simulated counters.
 
+#![forbid(unsafe_code)]
+
 pub mod cachesim;
 pub mod features;
 pub mod machine;

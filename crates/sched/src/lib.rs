@@ -1,44 +1,44 @@
 //! Parallel schedulers for the mapping loop.
 //!
 //! The scheduler is one of miniGiraffe's three tuning parameters. The proxy
-//! ships the OpenMP-dynamic analog ([`DynamicScheduler`]) plus an in-house
-//! work-stealing scheduler ([`WorkStealingScheduler`]); the parent pipeline
-//! uses the VG-style main-thread dispatcher ([`VgScheduler`]). A plain
-//! static partitioner ([`StaticScheduler`]) rounds out the set for ablation.
+//! ships the OpenMP-dynamic analog ([`SchedulerKind::Dynamic`]) plus an
+//! in-house work-stealing scheduler ([`SchedulerKind::WorkStealing`]); the
+//! parent pipeline uses the VG-style main-thread dispatcher
+//! ([`SchedulerKind::Vg`]). A plain static partitioner
+//! ([`SchedulerKind::Static`]) rounds out the set for ablation.
 //!
 //! All schedulers run `n` independent tasks (reads to map) on `threads`
-//! threads of a persistent [`WorkerPool`] with per-thread mutable state
-//! (each worker owns its `CachedGbwt`, like Giraffe's per-thread caches),
-//! and there is one way in: [`SchedulerKind::run`].
+//! threads of a persistent [`WorkerPool`] — the caller is thread 0 — and
+//! give each thread `&mut` its own slot of caller-kept state (each worker's
+//! `CachedGbwt`, like Giraffe's per-thread caches). There is one way in:
+//! [`SchedulerKind::run`].
 //!
 //! # Examples
 //!
 //! ```
 //! use mg_obs::Metrics;
-//! use mg_sched::{PoolTask, SchedulerKind, WorkerPool};
-//! use std::sync::atomic::{AtomicU64, Ordering};
-//!
-//! struct Sum<'a>(&'a AtomicU64);
-//! impl PoolTask for Sum<'_> {
-//!     fn run(&mut self, i: usize) {
-//!         self.0.fetch_add(i as u64, Ordering::Relaxed);
-//!     }
-//! }
+//! use mg_sched::{SchedulerKind, WorkerPool};
 //!
 //! let mut pool = WorkerPool::new();
-//! let sum = AtomicU64::new(0);
-//! SchedulerKind::Dynamic.run(64, &mut pool, 1000, 4, Metrics::off_ref(), &|_thread, _cell| {
-//!     Box::new(Sum(&sum))
+//! // One slot per thread: here, each thread's running sum.
+//! let mut sums = [0u64; 4];
+//! let off = Metrics::off_ref();
+//! SchedulerKind::Dynamic.run(64, &mut pool, &mut sums, 1000, 4, off, &|_thread, sum, grains| {
+//!     for i in grains {
+//!         *sum += i as u64;
+//!     }
 //! });
-//! assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
+//! assert_eq!(sums.iter().sum::<u64>(), 999 * 1000 / 2);
 //! ```
+
+#![deny(unsafe_code)]
 
 mod admission;
 mod pool;
 mod queue;
 
 pub use admission::{AdmissionError, AdmissionQueue, AdmissionStats};
-pub use pool::{PoolCell, PoolTask, WorkerPool};
+pub use pool::WorkerPool;
 pub use queue::{bounded_queue, QueueStats, StreamReceiver, StreamSender};
 
 use mg_obs::{Ctr, Gauge, Hist, Metrics};
@@ -127,47 +127,65 @@ impl SchedulerKind {
     /// `batch` indexes at a time (clamped to at least 1; the static
     /// partitioner ignores it). Every index is processed exactly once.
     ///
-    /// `make_task(thread_id, cell)` builds the per-thread [`PoolTask`] on
-    /// its pool thread, with the thread's persistent [`PoolCell`] available
-    /// to warm-start from; the task's `finish` gets the cell back after the
-    /// thread's last index. With `threads <= 1` everything runs inline on
-    /// the calling thread against cell 0, in index order. Dispatched
-    /// batches, completions, steals, queue depths and idle time are recorded
-    /// into `metrics`; pass [`Metrics::off_ref`] when not observing.
+    /// `body(thread, slot, grains)` runs once on every thread with `&mut
+    /// state[thread]` — warm state the caller keeps from one dispatch to
+    /// the next — and must drain `grains`, the indexes the scheduler hands
+    /// that thread. Thread 0 is the caller. With `threads <= 1` everything
+    /// runs inline on the calling thread against slot 0, in index order.
+    /// Dispatched batches, completions, steals, queue depths and idle time
+    /// are recorded into `metrics`; pass [`Metrics::off_ref`] when not
+    /// observing.
     ///
-    /// A panicking task unwinds out of this call after every thread has
-    /// stopped, and the pool stays usable.
+    /// A panicking body unwinds out of this call with its own payload after
+    /// every thread has stopped; the other threads' slots are as their
+    /// bodies left them, and the pool stays usable.
+    ///
+    /// # Panics
+    ///
+    /// If `state` has fewer slots than `threads` (or none).
     #[allow(clippy::too_many_arguments)]
-    pub fn run<'env>(
+    pub fn run<S: Send>(
         self,
         batch: usize,
         pool: &mut WorkerPool,
+        state: &mut [S],
         n: usize,
         threads: usize,
         metrics: &Metrics,
-        make_task: &(dyn Fn(usize, &mut PoolCell) -> Box<dyn PoolTask + 'env> + Sync + 'env),
+        body: &Body<'_, S>,
     ) {
-        if threads <= 1 || n == 0 {
-            // One body on thread 0 processes everything in order, as one
-            // batch, so metric reconciliation holds at every thread count.
-            return pool.scoped(1, &|t, cell| {
-                let mut task = make_task(t, cell);
-                let mut tally = Tally::default();
-                if n > 0 {
-                    metrics.gauge_max(Gauge::ThreadsMax, 1);
-                    tally.batch(&mut *task, 0..n, metrics);
-                }
-                tally.flush(metrics);
-                task.finish(cell);
-            });
+        assert!(
+            state.len() >= threads.max(1),
+            "{threads} threads need as many state slots, got {}",
+            state.len()
+        );
+        let inline = threads <= 1 || n == 0;
+        // Each thread takes its own slot once. Only this shim is generic:
+        // the four schedulers are compiled once, whatever the state type.
+        let slots: Vec<Mutex<Option<&mut S>>> = state[..if inline { 1 } else { threads }]
+            .iter_mut()
+            .map(|s| Mutex::new(Some(s)))
+            .collect();
+        let each = |t: usize, grains: &mut Grains<'_>| {
+            let slot = slots[t].lock().unwrap_or_else(PoisonError::into_inner).take();
+            body(t, slot.expect("one body per thread"), grains)
+        };
+        if inline {
+            // One grain on thread 0 covers everything in order, so metric
+            // reconciliation holds at every thread count.
+            if n > 0 {
+                metrics.gauge_max(Gauge::ThreadsMax, 1);
+            }
+            let mut all = (n > 0).then_some(0..n);
+            return feed(0, metrics, &mut || all.take(), &each);
         }
         metrics.gauge_max(Gauge::ThreadsMax, threads as u64);
         let batch = batch.max(1);
         match self {
-            SchedulerKind::Static => run_static(pool, n, threads, metrics, make_task),
-            SchedulerKind::Dynamic => run_dynamic(batch, pool, n, threads, metrics, make_task),
-            SchedulerKind::WorkStealing => run_stealing(batch, pool, n, threads, metrics, make_task),
-            SchedulerKind::Vg => run_vg(batch, pool, n, threads, metrics, make_task),
+            SchedulerKind::Static => run_static(pool, threads, n, metrics, &each),
+            SchedulerKind::Dynamic => run_dynamic(batch, pool, threads, n, metrics, &each),
+            SchedulerKind::WorkStealing => run_stealing(batch, pool, threads, n, metrics, &each),
+            SchedulerKind::Vg => run_vg(batch, pool, threads, n, metrics, &each),
         }
     }
 }
@@ -198,36 +216,72 @@ impl FromStr for SchedulerKind {
     }
 }
 
+/// What [`SchedulerKind::run`] calls once per thread: `(thread, slot, grains)`.
+pub type Body<'b, S> = dyn Fn(usize, &mut S, &mut Grains<'_>) + Sync + 'b;
 
-/// Builds one thread's [`PoolTask`] for a dispatch; see [`SchedulerKind::run`].
-type MakeTask<'a, 'env> =
-    &'a (dyn Fn(usize, &mut PoolCell) -> Box<dyn PoolTask + 'env> + Sync + 'env);
+/// One thread's body once its slot is bound: `(thread, grains)`.
+type ThreadBody<'b> = dyn Fn(usize, &mut Grains<'_>) + Sync + 'b;
 
-/// One thread's batch and completion counts for one dispatch, folded into
-/// the registry once at the end.
-#[derive(Default)]
-struct Tally {
+/// The indexes [`SchedulerKind::run`] hands one thread in one dispatch,
+/// grain by grain; the thread's body iterates it to the end.
+pub struct Grains<'a> {
+    grain: Range<usize>,
+    /// Length of `grain` when it was handed out.
+    len: u64,
+    next_grain: &'a mut dyn FnMut() -> Option<Range<usize>>,
+    metrics: &'a Metrics,
     batches: u64,
     done: u64,
+    drained: bool,
 }
 
-impl Tally {
-    /// Runs `range` on `task` as one counted batch.
-    fn batch(&mut self, task: &mut dyn PoolTask, range: Range<usize>, metrics: &Metrics) {
-        let len = range.len() as u64;
-        for i in range {
-            task.run(i);
-        }
-        self.batches += 1;
-        self.done += len;
-        metrics.observe(Hist::BatchReads, len);
-    }
+impl Iterator for Grains<'_> {
+    type Item = usize;
 
-    fn flush(&self, metrics: &Metrics) {
-        if self.batches > 0 {
-            metrics.add(Ctr::PoolBatches, self.batches);
-            metrics.add(Ctr::PoolTasksCompleted, self.done);
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self.grain.next() {
+            Some(i) => Some(i),
+            None => self.advance(),
         }
+    }
+}
+
+impl Grains<'_> {
+    /// Counts the grain just finished, then starts the next one.
+    fn advance(&mut self) -> Option<usize> {
+        if self.len > 0 {
+            self.batches += 1;
+            self.done += self.len;
+            self.metrics.observe(Hist::BatchReads, self.len);
+            self.len = 0;
+        }
+        let Some(grain) = (self.next_grain)() else {
+            self.drained = true;
+            return None;
+        };
+        debug_assert!(!grain.is_empty(), "schedulers hand out non-empty grains");
+        self.len = grain.len() as u64;
+        self.grain = grain;
+        self.grain.next()
+    }
+}
+
+/// Runs one thread's body over the grains `next_grain` hands it, then folds
+/// the thread's batch and completion counts into the registry at once.
+fn feed(
+    thread: usize,
+    metrics: &Metrics,
+    next_grain: &mut dyn FnMut() -> Option<Range<usize>>,
+    body: &ThreadBody<'_>,
+) {
+    let mut grains =
+        Grains { grain: 0..0, len: 0, next_grain, metrics, batches: 0, done: 0, drained: false };
+    body(thread, &mut grains);
+    debug_assert!(grains.drained, "a scheduler body must drain its grains");
+    if grains.batches > 0 {
+        metrics.add(Ctr::PoolBatches, grains.batches);
+        metrics.add(Ctr::PoolTasksCompleted, grains.done);
     }
 }
 
@@ -235,23 +289,16 @@ impl Tally {
 /// baseline the dynamic schedulers are measured against.
 fn run_static(
     pool: &mut WorkerPool,
-    n: usize,
     threads: usize,
+    n: usize,
     metrics: &Metrics,
-    make_task: MakeTask<'_, '_>,
+    body: &ThreadBody<'_>,
 ) {
     let chunk = n.div_ceil(threads);
-    pool.scoped(threads, &|t, cell| {
-        let mut task = make_task(t, cell);
-        let mut tally = Tally::default();
-        let start = (t * chunk).min(n);
-        let end = ((t + 1) * chunk).min(n);
-        if end > start {
-            // Each thread's contiguous share is one "batch".
-            tally.batch(&mut *task, start..end, metrics);
-        }
-        tally.flush(metrics);
-        task.finish(cell);
+    pool.scoped(threads, &|t| {
+        // Each thread's contiguous share is one grain.
+        let mut own = Some((t * chunk).min(n)..((t + 1) * chunk).min(n)).filter(|r| !r.is_empty());
+        feed(t, metrics, &mut || own.take(), body);
     });
 }
 
@@ -260,24 +307,18 @@ fn run_static(
 fn run_dynamic(
     batch: usize,
     pool: &mut WorkerPool,
-    n: usize,
     threads: usize,
+    n: usize,
     metrics: &Metrics,
-    make_task: MakeTask<'_, '_>,
+    body: &ThreadBody<'_>,
 ) {
     let cursor = AtomicUsize::new(0);
-    pool.scoped(threads, &|t, cell| {
-        let mut task = make_task(t, cell);
-        let mut tally = Tally::default();
-        loop {
+    pool.scoped(threads, &|t| {
+        let mut next = || {
             let start = cursor.fetch_add(batch, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            tally.batch(&mut *task, start..(start + batch).min(n), metrics);
-        }
-        tally.flush(metrics);
-        task.finish(cell);
+            (start < n).then(|| start..(start + batch).min(n))
+        };
+        feed(t, metrics, &mut next, body);
     });
 }
 
@@ -288,10 +329,10 @@ fn run_dynamic(
 fn run_stealing(
     batch: usize,
     pool: &mut WorkerPool,
-    n: usize,
     threads: usize,
+    n: usize,
     metrics: &Metrics,
-    make_task: MakeTask<'_, '_>,
+    body: &ThreadBody<'_>,
 ) {
     let chunk = n.div_ceil(threads);
     let shares: Vec<(AtomicUsize, usize)> = (0..threads)
@@ -301,29 +342,26 @@ fn run_stealing(
             (AtomicUsize::new(start), end)
         })
         .collect();
-    pool.scoped(threads, &|t, cell| {
-        let mut task = make_task(t, cell);
-        let mut tally = Tally::default();
+    pool.scoped(threads, &|t| {
         let mut steals = 0u64;
         // Own share first, then victims round-robin from t + 1.
-        for v in 0..threads {
-            let (cursor, end) = &shares[(t + v) % threads];
-            loop {
+        let mut victim = 0;
+        let mut next = || {
+            while victim < threads {
+                let (cursor, end) = &shares[(t + victim) % threads];
                 let start = cursor.fetch_add(batch, Ordering::Relaxed);
-                if start >= *end {
-                    break;
+                if start < *end {
+                    steals += u64::from(victim > 0);
+                    return Some(start..(start + batch).min(*end));
                 }
-                tally.batch(&mut *task, start..(start + batch).min(*end), metrics);
-                if v > 0 {
-                    steals += 1;
-                }
+                victim += 1;
             }
-        }
-        tally.flush(metrics);
+            None
+        };
+        feed(t, metrics, &mut next, body);
         if steals > 0 {
             metrics.add(Ctr::PoolSteals, steals);
         }
-        task.finish(cell);
     });
 }
 
@@ -334,15 +372,16 @@ fn run_stealing(
 fn run_vg(
     batch: usize,
     pool: &mut WorkerPool,
-    n: usize,
     threads: usize,
+    n: usize,
     metrics: &Metrics,
-    make_task: MakeTask<'_, '_>,
+    body: &ThreadBody<'_>,
 ) {
     let observe = metrics.enabled();
     // Thread 0 is the dispatcher; the rest are workers sharing the receiver
     // of a bounded channel. The dispatcher takes the sender out of the slot
-    // and drops it when dispatch ends, which winds the workers down.
+    // and drops it when dispatch ends (or it unwinds), which winds the
+    // workers down.
     let (tx, rx) = mpsc::sync_channel::<Range<usize>>(threads - 1);
     let tx_slot = Mutex::new(Some(tx));
     let rx = Mutex::new(rx);
@@ -350,96 +389,88 @@ fn run_vg(
     // has no len(), so the dispatcher and workers keep the depth themselves
     // for the queue-depth gauge.
     let depth = AtomicUsize::new(0);
-    pool.scoped(threads, &|t, cell| {
-        let mut task = make_task(t, cell);
-        let mut tally = Tally::default();
+    pool.scoped(threads, &|t| {
         if t == 0 {
-            let tx = tx_slot.lock().unwrap().take().expect("dispatcher runs once");
-            // Dispatch batches; on backpressure, map a batch here.
+            let mut tx = tx_slot.lock().unwrap_or_else(PoisonError::into_inner).take();
             let mut next = 0usize;
-            while next < n {
-                let end = (next + batch).min(n);
-                // Count the batch as in flight *before* sending: once
-                // try_send succeeds a worker may already have received and
-                // decremented it.
-                if observe {
-                    let d = depth.fetch_add(1, Ordering::Relaxed) + 1;
-                    metrics.gauge_max(Gauge::QueueDepthMax, d as u64);
-                }
-                match tx.try_send(next..end) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(range)) => {
-                        if observe {
-                            depth.fetch_sub(1, Ordering::Relaxed);
+            // Dispatch batches; on backpressure, map a batch here.
+            let mut dispatch = || {
+                while next < n {
+                    let grain = next..(next + batch).min(n);
+                    next = grain.end;
+                    // Count the batch as in flight *before* sending: once
+                    // try_send succeeds a worker may already have received
+                    // and decremented it.
+                    if observe {
+                        let d = depth.fetch_add(1, Ordering::Relaxed) + 1;
+                        metrics.gauge_max(Gauge::QueueDepthMax, d as u64);
+                    }
+                    match tx.as_ref().expect("one dispatcher per run").try_send(grain) {
+                        Ok(()) => {}
+                        Err(TrySendError::Full(grain)) => {
+                            if observe {
+                                depth.fetch_sub(1, Ordering::Relaxed);
+                            }
+                            return Some(grain);
                         }
-                        tally.batch(&mut *task, range, metrics);
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        unreachable!("workers outlive the dispatch loop")
+                        Err(TrySendError::Disconnected(_)) => {
+                            unreachable!("workers outlive the dispatch loop")
+                        }
                     }
                 }
-                next = end;
-            }
+                tx = None;
+                None
+            };
+            feed(0, metrics, &mut dispatch, body);
         } else {
             let mut idle_ns = 0u64;
-            loop {
+            let mut pull = || {
                 let waited = observe.then(std::time::Instant::now);
                 // The guard is a temporary, so the lock is released before
-                // the batch runs and a panicking task holds none. Poison is
-                // shrugged off as `Mapper::lock_pool` does: the receiver
-                // stays coherent whoever unwound.
-                let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                let Ok(range) = next else { break };
+                // the batch runs and a panicking body holds none. Poison is
+                // shrugged off: the receiver stays coherent whoever unwound.
+                let grain = rx.lock().unwrap_or_else(PoisonError::into_inner).recv().ok()?;
                 if let Some(t0) = waited {
                     idle_ns += t0.elapsed().as_nanos() as u64;
                     depth.fetch_sub(1, Ordering::Relaxed);
                 }
-                tally.batch(&mut *task, range, metrics);
-            }
+                Some(grain)
+            };
+            feed(t, metrics, &mut pull, body);
             if idle_ns > 0 {
                 metrics.add(Ctr::PoolIdleNs, idle_ns);
             }
         }
-        tally.flush(metrics);
-        task.finish(cell);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicU64;
 
-    /// Bumps `seen[i]` for every index it is handed.
-    struct Count<'a>(&'a [AtomicU64]);
-
-    impl PoolTask for Count<'_> {
-        fn run(&mut self, i: usize) {
-            self.0[i].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Calls the closure on every index it is handed.
-    struct RunFn<R>(R);
-
-    impl<R: FnMut(usize) + Send> PoolTask for RunFn<R> {
-        fn run(&mut self, i: usize) {
-            (self.0)(i);
+    /// Bumps `seen[i]` for every index a thread is handed.
+    fn count(seen: &[AtomicU64]) -> impl Fn(usize, &mut (), &mut Grains<'_>) + Sync + '_ {
+        move |_t, _slot, grains| {
+            for i in grains {
+                seen[i].fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
     #[test]
     fn every_index_processed_exactly_once() {
-        // One persistent pool shared by all four kinds and many run shapes:
-        // the scheduler contract must hold on recycled threads too.
+        // One pool and one state array shared by all four kinds and many
+        // run shapes, as a mapper keeps them from dispatch to dispatch.
         let mut pool = WorkerPool::new();
+        let mut state = [(); 7];
         for kind in SchedulerKind::ALL {
             for n in [0usize, 1, 7, 100, 1000] {
                 for threads in [1usize, 2, 4, 7] {
                     let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                    kind.run(16, &mut pool, n, threads, Metrics::off_ref(), &|_t, _cell| {
-                        Box::new(Count(&seen))
-                    });
+                    let off = Metrics::off_ref();
+                    kind.run(16, &mut pool, &mut state, n, threads, off, &count(&seen));
                     for (i, c) in seen.iter().enumerate() {
                         assert_eq!(
                             c.load(Ordering::Relaxed),
@@ -456,25 +487,46 @@ mod tests {
     fn per_thread_state_sums_to_total() {
         let mut pool = WorkerPool::new();
         for kind in SchedulerKind::ALL {
-            let counted = Mutex::new(0u64);
-            struct State<'a> {
-                count: u64,
-                sink: &'a Mutex<u64>,
-            }
-            impl PoolTask for State<'_> {
-                fn run(&mut self, _i: usize) {
-                    self.count += 1;
-                }
-            }
-            impl Drop for State<'_> {
-                fn drop(&mut self) {
-                    *self.sink.lock().unwrap() += self.count;
-                }
-            }
-            kind.run(8, &mut pool, 500, 4, Metrics::off_ref(), &|_t, _cell| {
-                Box::new(State { count: 0, sink: &counted })
+            let mut counts = [0u64; 4];
+            kind.run(8, &mut pool, &mut counts, 500, 4, Metrics::off_ref(), &|_t, count, grains| {
+                *count += grains.count() as u64;
             });
-            assert_eq!(*counted.lock().unwrap(), 500, "{kind}");
+            assert_eq!(counts.iter().sum::<u64>(), 500, "{kind}");
+        }
+    }
+
+    #[test]
+    fn state_round_trips_through_cells() {
+        // Each thread counts its indexes into its own typed cell (its slot
+        // of `state`), and the next dispatch starts from what the last one
+        // left there.
+        let mut pool = WorkerPool::new();
+        for kind in SchedulerKind::ALL {
+            let mut state = [0u64; 3];
+            for round in 1u64..=3 {
+                kind.run(8, &mut pool, &mut state, 200, 3, Metrics::off_ref(), &|_t, seen, grains| {
+                    *seen += grains.count() as u64;
+                });
+                assert_eq!(state.iter().sum::<u64>(), 200 * round, "{kind} round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_thread_gets_its_own_slot() {
+        let mut pool = WorkerPool::new();
+        for kind in SchedulerKind::ALL {
+            let caller = std::thread::current().id();
+            let mut state = vec![None; 5];
+            kind.run(8, &mut pool, &mut state, 100, 4, Metrics::off_ref(), &|t, slot, grains| {
+                grains.for_each(drop);
+                *slot = Some((t, std::thread::current().id()));
+            });
+            assert_eq!(state[4], None, "{kind}: a slot past `threads` is left alone");
+            let ids: Vec<_> = state[..4].iter().map(|s| s.expect("every thread ran")).collect();
+            assert_eq!(ids.iter().map(|&(t, _)| t).collect::<Vec<_>>(), [0, 1, 2, 3], "{kind}");
+            assert_eq!(ids[0].1, caller, "{kind}: thread 0 is the caller");
+            assert!(ids[1..].iter().all(|&(_, id)| id != caller), "{kind}");
         }
     }
 
@@ -483,21 +535,16 @@ mod tests {
         // One heavy task must not serialize the rest: with dynamic batches
         // of 1, fast threads take the remainder while one sleeps.
         let done = AtomicU64::new(0);
-        SchedulerKind::Dynamic.run(
-            1,
-            &mut WorkerPool::new(),
-            64,
-            4,
-            Metrics::off_ref(),
-            &|_t, _cell| {
-                Box::new(RunFn(|i| {
-                    if i == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                }))
-            },
-        );
+        let mut pool = WorkerPool::new();
+        let off = Metrics::off_ref();
+        SchedulerKind::Dynamic.run(1, &mut pool, &mut [(); 4], 64, 4, off, &|_t, _slot, grains| {
+            for i in grains {
+                if i == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                done.fetch_add(1, Ordering::Relaxed);
+            }
+        });
         assert_eq!(done.load(Ordering::Relaxed), 64);
     }
 
@@ -505,14 +552,8 @@ mod tests {
     fn work_stealing_uneven_shares_exactly_once() {
         let n = 4001; // not divisible by 4: last share is short
         let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        SchedulerKind::WorkStealing.run(
-            4,
-            &mut WorkerPool::new(),
-            n,
-            4,
-            Metrics::off_ref(),
-            &|_t, _cell| Box::new(Count(&seen)),
-        );
+        let (mut pool, off) = (WorkerPool::new(), Metrics::off_ref());
+        SchedulerKind::WorkStealing.run(4, &mut pool, &mut [(); 4], n, 4, off, &count(&seen));
         assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
@@ -520,9 +561,8 @@ mod tests {
     fn vg_scheduler_two_threads() {
         // threads = 2 means one worker + the dispatching main thread.
         let seen: Vec<AtomicU64> = (0..300).map(|_| AtomicU64::new(0)).collect();
-        SchedulerKind::Vg.run(32, &mut WorkerPool::new(), 300, 2, Metrics::off_ref(), &|_t, _cell| {
-            Box::new(Count(&seen))
-        });
+        let (mut pool, off) = (WorkerPool::new(), Metrics::off_ref());
+        SchedulerKind::Vg.run(32, &mut pool, &mut [(); 2], 300, 2, off, &count(&seen));
         assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
@@ -541,9 +581,8 @@ mod tests {
     fn zero_batch_is_clamped_to_one() {
         let metrics = Metrics::new();
         let seen: Vec<AtomicU64> = (0..10).map(|_| AtomicU64::new(0)).collect();
-        SchedulerKind::Dynamic.run(0, &mut WorkerPool::new(), 10, 2, &metrics, &|_t, _cell| {
-            Box::new(Count(&seen))
-        });
+        let mut pool = WorkerPool::new();
+        SchedulerKind::Dynamic.run(0, &mut pool, &mut [(); 2], 10, 2, &metrics, &count(&seen));
         assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
         if metrics.enabled() {
             assert_eq!(metrics.report().counter(Ctr::PoolBatches), 10);
@@ -551,62 +590,81 @@ mod tests {
     }
 
     #[test]
-    fn state_round_trips_through_cells() {
-        // Each thread counts its tasks into run state, stashes the total in
-        // its cell at finish, and the next run warm-starts from it.
-        struct Warm(u64);
-        impl PoolTask for Warm {
-            fn run(&mut self, _i: usize) {
-                self.0 += 1;
-            }
-            fn finish(self: Box<Self>, cell: &mut PoolCell) {
-                *cell = Box::new(self.0);
-            }
-        }
-        let mut pool = WorkerPool::new();
-        for round in 1u64..=3 {
-            SchedulerKind::Dynamic.run(8, &mut pool, 200, 3, Metrics::off_ref(), &|_t, cell| {
-                Box::new(Warm(cell.downcast_ref::<u64>().copied().unwrap_or(0)))
-            });
-            let total: u64 = (0..3)
-                .map(|t| pool.cell_mut(t).downcast_ref::<u64>().copied().unwrap_or(0))
-                .sum();
-            assert_eq!(total, 200 * round, "round {round}");
-        }
-    }
-
-    #[test]
-    fn finish_runs_on_every_thread() {
-        struct Fin<'a>(&'a AtomicU64);
-        impl PoolTask for Fin<'_> {
-            fn run(&mut self, _i: usize) {}
-            fn finish(self: Box<Self>, _cell: &mut PoolCell) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let mut pool = WorkerPool::new();
-        for kind in SchedulerKind::ALL {
-            let finished = AtomicU64::new(0);
-            kind.run(8, &mut pool, 100, 4, Metrics::off_ref(), &|_t, _cell| {
-                Box::new(Fin(&finished))
-            });
-            assert_eq!(finished.load(Ordering::Relaxed), 4, "{kind}");
-        }
-    }
-
-    #[test]
     fn single_thread_runs_inline_in_order() {
         let order = Mutex::new(Vec::new());
         let tid = std::thread::current().id();
+        let mut pool = WorkerPool::new();
         for kind in SchedulerKind::ALL {
             order.lock().unwrap().clear();
-            kind.run(8, &mut WorkerPool::new(), 20, 1, Metrics::off_ref(), &|_t, _cell| {
-                Box::new(RunFn(|i| {
+            kind.run(8, &mut pool, &mut [()], 20, 1, Metrics::off_ref(), &|_t, _slot, grains| {
+                for i in grains {
                     assert_eq!(std::thread::current().id(), tid);
                     order.lock().unwrap().push(i);
-                }))
+                }
             });
             assert_eq!(*order.lock().unwrap(), (0..20).collect::<Vec<_>>(), "{kind}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "4 threads need as many state slots, got 3")]
+    fn too_few_state_slots_is_refused() {
+        let (mut pool, off) = (WorkerPool::new(), Metrics::off_ref());
+        SchedulerKind::Dynamic.run(8, &mut pool, &mut [(); 3], 10, 4, off, &|_t, _slot, grains| {
+            grains.for_each(drop);
+        });
+    }
+
+    #[test]
+    fn caller_panic_still_waits_for_workers() {
+        let mut pool = WorkerPool::new();
+        for kind in SchedulerKind::ALL {
+            let finished = AtomicU64::new(0);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                let off = Metrics::off_ref();
+                kind.run(4, &mut pool, &mut [(); 4], 100, 4, off, &|t, _slot, grains| {
+                    if t == 0 {
+                        panic!("boom on caller");
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    grains.for_each(drop);
+                    finished.fetch_add(1, Ordering::Relaxed);
+                });
+            }))
+            .expect_err("panic must propagate");
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"boom on caller"), "{kind}");
+            // Every worker ran to completion before the panic resumed.
+            assert_eq!(finished.load(Ordering::Relaxed), 3, "{kind}");
+        }
+    }
+
+    #[test]
+    fn worker_panic_payload_is_reraised_and_the_state_stays_usable() {
+        let mut pool = WorkerPool::new();
+        for kind in SchedulerKind::ALL {
+            let mut state = [0u64; 3];
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                let off = Metrics::off_ref();
+                kind.run(4, &mut pool, &mut state, 100, 3, off, &|t, _slot, grains| {
+                    if t == 1 {
+                        panic!("boom on worker");
+                    }
+                    grains.for_each(drop);
+                });
+            }))
+            .expect_err("panic must propagate");
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"boom on worker"), "{kind}");
+            // The next dispatch on the same pool and state runs every index
+            // once.
+            let seen: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
+            kind.run(4, &mut pool, &mut state, 100, 3, Metrics::off_ref(), &|_t, slot, grains| {
+                for i in grains {
+                    *slot += 1;
+                    seen[i].fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1), "{kind}");
+            assert_eq!(state.iter().sum::<u64>(), 100, "{kind}");
         }
     }
 }

@@ -7,29 +7,29 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mg_obs::{Ctr, Hist, Metrics};
-use mg_sched::{PoolTask, SchedulerKind, WorkerPool};
+use mg_sched::{Grains, SchedulerKind, WorkerPool};
 
-struct Count<'a>(&'a [AtomicU64]);
-
-impl PoolTask for Count<'_> {
-    fn run(&mut self, i: usize) {
-        self.0[i].fetch_add(1, Ordering::Relaxed);
+/// Bumps `seen[i]` for every index a thread is handed.
+fn count(seen: &[AtomicU64]) -> impl Fn(usize, &mut (), &mut Grains<'_>) + Sync + '_ {
+    move |_t, _slot, grains| {
+        for i in grains {
+            seen[i].fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
 #[test]
 fn metrics_reconcile_to_exactly_once_processing() {
-    // One persistent pool across every configuration, like the mapper's.
+    // One pool and one state array across every configuration, like the
+    // mapper's.
     let mut pool = WorkerPool::new();
+    let mut state = [(); 8];
     for kind in SchedulerKind::ALL {
         for threads in [1usize, 2, 8] {
             for n in [0usize, 1, 97, 1000] {
                 let metrics = Metrics::new();
                 let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                let seen_ref = &seen;
-                kind.run(16, &mut pool, n, threads, &metrics, &move |_t, _cell| {
-                    Box::new(Count(seen_ref))
-                });
+                kind.run(16, &mut pool, &mut state, n, threads, &metrics, &count(&seen));
                 for (i, c) in seen.iter().enumerate() {
                     assert_eq!(
                         c.load(Ordering::Relaxed),
@@ -69,19 +69,16 @@ fn steals_reported_under_forced_imbalance() {
     // Thread 0's share is made slow so the others run dry and steal.
     let metrics = Metrics::new();
     let n = 64usize;
-    struct SlowFirstShare<'a>(&'a AtomicU64, usize);
-    impl PoolTask for SlowFirstShare<'_> {
-        fn run(&mut self, i: usize) {
-            if i < self.1 {
+    let done = AtomicU64::new(0);
+    let mut pool = WorkerPool::new();
+    let mut state = [(); 4];
+    SchedulerKind::WorkStealing.run(1, &mut pool, &mut state, n, 4, &metrics, &|_t, _slot, grains| {
+        for i in grains {
+            if i < n / 4 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
-            self.0.fetch_add(1, Ordering::Relaxed);
+            done.fetch_add(1, Ordering::Relaxed);
         }
-    }
-    let done = AtomicU64::new(0);
-    let done_ref = &done;
-    SchedulerKind::WorkStealing.run(1, &mut WorkerPool::new(), n, 4, &metrics, &move |_t, _cell| {
-        Box::new(SlowFirstShare(done_ref, n / 4))
     });
     assert_eq!(done.load(Ordering::Relaxed), n as u64);
     let rep = metrics.report();
@@ -92,23 +89,10 @@ fn steals_reported_under_forced_imbalance() {
     );
 }
 
-struct PanicAt<'a> {
-    seen: &'a [AtomicU64],
-    bomb: usize,
-}
-
-impl PoolTask for PanicAt<'_> {
-    fn run(&mut self, i: usize) {
-        if i == self.bomb {
-            panic!("task {i} explodes");
-        }
-        self.seen[i].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 #[test]
 fn panicking_worker_neither_poisons_metrics_nor_wedges_the_pool() {
     let mut pool = WorkerPool::new();
+    let mut state = [(); 4];
     let n = 200usize;
     // The bomb on the first index lands on the first grain dispatched (for
     // VG, a worker's or the dispatcher's); on the last, on the last one.
@@ -116,10 +100,14 @@ fn panicking_worker_neither_poisons_metrics_nor_wedges_the_pool() {
         for bomb in [0, n - 1] {
             let metrics = Metrics::new();
             let seen: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            let seen_ref = &seen;
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                kind.run(4, &mut pool, n, 4, &metrics, &move |_t, _cell| {
-                    Box::new(PanicAt { seen: seen_ref, bomb })
+                kind.run(4, &mut pool, &mut state, n, 4, &metrics, &|_t, _slot, grains| {
+                    for i in grains {
+                        if i == bomb {
+                            panic!("task {i} explodes");
+                        }
+                        seen[i].fetch_add(1, Ordering::Relaxed);
+                    }
                 });
             }));
             assert!(caught.is_err(), "{kind}: the worker panic at {bomb} must surface");
@@ -128,14 +116,11 @@ fn panicking_worker_neither_poisons_metrics_nor_wedges_the_pool() {
             let partial = metrics.report().counter(Ctr::PoolTasksCompleted);
             metrics.add(Ctr::PoolTasksCompleted, 1);
             assert_eq!(metrics.report().counter(Ctr::PoolTasksCompleted), partial + 1);
-            // The pool survives: a fresh run on the same pool reconciles
-            // exactly.
+            // The pool survives: a fresh run on the same pool and state
+            // reconciles exactly.
             let metrics2 = Metrics::new();
             let seen2: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            let seen2_ref = &seen2;
-            kind.run(4, &mut pool, n, 4, &metrics2, &move |_t, _cell| {
-                Box::new(Count(seen2_ref))
-            });
+            kind.run(4, &mut pool, &mut state, n, 4, &metrics2, &count(&seen2));
             assert!(
                 seen2.iter().all(|c| c.load(Ordering::Relaxed) == 1),
                 "{kind}: rerun after a panic at {bomb} missed or repeated an index"

@@ -19,6 +19,8 @@
 //! - [`harness`] — the blocking client and the seeded multi-client driver
 //!   the integration tests are built on.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod protocol;
 pub mod server;

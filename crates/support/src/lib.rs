@@ -8,8 +8,8 @@
 //! - [`rle`]: run-length encoding of `(symbol, run)` pairs, the body of
 //!   each GBWT node record.
 //! - [`mgi`]: the one on-disk container — a checksummed section table over
-//!   16-byte-aligned payloads, memory-mapped on open — that `.mgz`
-//!   pangenomes, `.mgi` index bundles and `.bin` seed dumps all use.
+//!   64-byte-aligned payloads, read into one aligned buffer on open — that
+//!   `.mgz` pangenomes, `.mgi` index bundles and `.bin` seed dumps all use.
 //! - [`probe`], [`regions`], [`mem`]: memory-access probes, region timers
 //!   and RSS readings for the characterization experiments.
 //!

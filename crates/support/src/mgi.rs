@@ -3,21 +3,23 @@
 //! A `.mgi` file holds the mapper's resident state — the forward node
 //! sequence arena and CSR adjacency, minimizer table, distance/snarl index,
 //! and compressed GBWT — in the exact little-endian layouts the in-memory
-//! structures use, so loading is `mmap` plus bounds/invariant validation
-//! with zero per-element decoding. Each node sequence is stored once: the
-//! graph derives its reverse-complement arena from the forward one on load.
+//! structures use, so loading is one read of the file into an aligned
+//! buffer plus bounds/invariant validation, with zero per-element
+//! decoding. Each node sequence is stored once: the graph derives its
+//! reverse-complement arena from the forward one on load.
 //! The other two binary files use the same container with fewer sections:
 //! a `.mgz` pangenome holds exactly the graph and GBWT sections, a `.bin`
 //! seed dump its two dump sections. The pieces:
 //!
-//! - [`Mapping`]: a read-only memory map of a file (aligned heap buffer on
-//!   non-unix hosts and for in-memory images).
+//! - [`Mapping`]: a file's bytes, read once into a read-only heap buffer
+//!   aligned to [`MGI_ALIGN`] (never `mmap`ed: a file truncated on disk
+//!   after open cannot fault a reader).
 //! - [`MappedSlice`]: a typed `&[T]` view into a [`Mapping`] that keeps the
-//!   map alive via reference counting.
+//!   buffer alive via reference counting.
 //! - [`Storage`]: the owned-or-mapped backing used by index structures, so
 //!   one concrete type serves both the build path and the zero-copy path.
 //! - [`Pod`]: the marker trait for types whose slices may be reinterpreted
-//!   from mapped bytes.
+//!   from container bytes.
 //! - [`MgiWriter`] / [`MgiFile`]: the container format itself — preamble,
 //!   fixed section table, 64-byte-aligned checksummed payloads.
 //!
@@ -39,8 +41,11 @@
 //! rejects anything else — overlapping sections, gaps, or trailing garbage
 //! are structurally impossible to accept.
 
+use std::alloc::Layout;
+use std::io::Read;
 use std::ops::Deref;
 use std::path::Path;
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
@@ -110,7 +115,7 @@ pub const TAG_DUMP_META: u32 = 0x0500;
 pub const TAG_DUMP_READS: u32 = 0x0501;
 
 /// Marker for plain-old-data element types that may be reinterpreted from
-/// mapped little-endian bytes.
+/// container little-endian bytes.
 ///
 /// # Safety
 ///
@@ -122,9 +127,14 @@ pub const TAG_DUMP_READS: u32 = 0x0501;
 /// padding bytes are never read.
 pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 
+// SAFETY: primitive integers: every bit pattern is a value, no padding, no
+// pointers.
 unsafe impl Pod for u8 {}
+// SAFETY: as for `u8`.
 unsafe impl Pod for u16 {}
+// SAFETY: as for `u8`.
 unsafe impl Pod for u32 {}
+// SAFETY: as for `u8`.
 unsafe impl Pod for u64 {}
 
 /// FNV-1a 64-bit hash: the checksum of the section table and of every
@@ -147,140 +157,81 @@ fn align_up(n: usize, align: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Mapping: a read-only map of a whole file.
+// Mapping: a whole file in one aligned, read-only buffer.
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
-mod sys {
-    use std::ffi::c_void;
-
-    pub const PROT_READ: i32 = 1;
-    pub const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-
-    pub fn map_failed(ptr: *mut c_void) -> bool {
-        ptr as isize == -1
-    }
-}
-
-#[derive(Debug)]
-enum MapKind {
-    /// `munmap` on drop.
-    #[cfg(unix)]
-    Mmap,
-    /// Deallocate with the stored layout on drop.
-    Heap(std::alloc::Layout),
-    /// Nothing to release (empty mapping).
-    Empty,
-}
-
-/// A read-only memory image of a file, page-aligned.
+/// A file's bytes in one read-only heap buffer aligned to [`MGI_ALIGN`],
+/// which preserves every alignment guarantee the typed section views rely
+/// on.
 ///
-/// On unix this is a real `mmap(2)` of the file, so untouched index
-/// sections never leave the page cache. Elsewhere (and for in-memory
-/// images built by tests) the bytes live in a heap buffer aligned to
-/// [`MGI_ALIGN`], which preserves every alignment guarantee the mapped
-/// readers rely on.
+/// The file is read into the buffer at open, not memory-mapped: opening
+/// checksums every section, so every byte is read then anyway, and a file
+/// truncated or rewritten on disk afterwards cannot reach the views.
 #[derive(Debug)]
 pub struct Mapping {
-    ptr: *const u8,
+    /// `len` bytes allocated with `layout`; dangling (never dereferenced or
+    /// freed) when `len` is 0.
+    ptr: NonNull<u8>,
     len: usize,
-    kind: MapKind,
+    layout: Layout,
 }
 
-// The mapping is read-only for its whole lifetime.
+// SAFETY: a `Mapping` owns its buffer outright, and nothing writes to the
+// buffer after construction, so sharing or sending it is sharing or sending
+// plain immutable bytes.
 unsafe impl Send for Mapping {}
+// SAFETY: as for `Send`: the buffer is never written after construction.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
-    /// Maps `path` read-only.
+    /// Reads all of `path` into an aligned buffer.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] if the file cannot be opened or mapped.
-    #[cfg(unix)]
+    /// Returns [`Error::Io`] if the file cannot be read in full.
     pub fn open(path: &Path) -> Result<Mapping> {
-        use std::os::unix::io::AsRawFd;
-
-        let file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        let len = usize::try_from(len)
-            .map_err(|_| Error::Corrupt("file too large to map".into()))?;
-        if len == 0 {
-            return Ok(Mapping {
-                ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
-                len: 0,
-                kind: MapKind::Empty,
-            });
-        }
-        let ptr = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_READ,
-                sys::MAP_PRIVATE,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if sys::map_failed(ptr) {
-            return Err(Error::Io(std::io::Error::last_os_error()));
-        }
-        Ok(Mapping {
-            ptr: ptr as *const u8,
-            len,
-            kind: MapKind::Mmap,
-        })
-    }
-
-    /// Reads `path` into an aligned heap buffer (non-unix fallback).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] if the file cannot be read.
-    #[cfg(not(unix))]
-    pub fn open(path: &Path) -> Result<Mapping> {
-        Ok(Mapping::from_vec(std::fs::read(path)?))
+        let mut file = std::fs::File::open(path)?;
+        let len = usize::try_from(file.metadata()?.len())
+            .map_err(|_| Error::Corrupt("file too large to read".into()))?;
+        let mut map = Mapping::zeroed(len);
+        file.read_exact(map.bytes_mut())?;
+        Ok(map)
     }
 
     /// Wraps an in-memory image, copying it into an aligned buffer.
     pub fn from_vec(bytes: Vec<u8>) -> Mapping {
-        let len = bytes.len();
-        if len == 0 {
-            return Mapping {
-                ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
-                len: 0,
-                kind: MapKind::Empty,
-            };
-        }
-        let layout = std::alloc::Layout::from_size_align(len, MGI_ALIGN)
-            .expect("valid mapping layout");
-        let ptr = unsafe { std::alloc::alloc(layout) };
-        if ptr.is_null() {
-            std::alloc::handle_alloc_error(layout);
-        }
-        unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), ptr, len) };
-        Mapping {
-            ptr,
-            len,
-            kind: MapKind::Heap(layout),
-        }
+        let mut map = Mapping::zeroed(bytes.len());
+        map.bytes_mut().copy_from_slice(&bytes);
+        map
+    }
+
+    /// A zero-filled aligned buffer of `len` bytes.
+    fn zeroed(len: usize) -> Mapping {
+        let layout = Layout::from_size_align(len, MGI_ALIGN).expect("valid mapping layout");
+        let ptr = if len == 0 {
+            NonNull::dangling()
+        } else {
+            // SAFETY: `layout` has a nonzero size.
+            let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+            NonNull::new(ptr).unwrap_or_else(|| std::alloc::handle_alloc_error(layout))
+        };
+        Mapping { ptr, len, layout }
+    }
+
+    /// The buffer, writable while the mapping is built.
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        // SAFETY: `ptr` is valid for `len` initialized (zeroed) bytes, or
+        // dangling and well aligned when `len` is 0; `&mut self` makes this
+        // the only reference to them.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 
     /// The mapped bytes.
     pub fn bytes(&self) -> &[u8] {
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        // SAFETY: `ptr` is valid for `len` initialized bytes (or dangling and
+        // well aligned when `len` is 0), and they are not written while
+        // `self` is borrowed.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
     /// Total mapped length in bytes.
@@ -296,15 +247,10 @@ impl Mapping {
 
 impl Drop for Mapping {
     fn drop(&mut self) {
-        match self.kind {
-            #[cfg(unix)]
-            MapKind::Mmap => unsafe {
-                sys::munmap(self.ptr as *mut std::ffi::c_void, self.len);
-            },
-            MapKind::Heap(layout) => unsafe {
-                std::alloc::dealloc(self.ptr as *mut u8, layout);
-            },
-            MapKind::Empty => {}
+        if self.len > 0 {
+            // SAFETY: `ptr` came from `alloc_zeroed(self.layout)` and is freed
+            // only here.
+            unsafe { std::alloc::dealloc(self.ptr.as_ptr(), self.layout) };
         }
     }
 }
@@ -316,12 +262,17 @@ impl Drop for Mapping {
 /// A `&[T]` view into a [`Mapping`], holding a reference count on the map
 /// so the view is self-contained ('static).
 pub struct MappedSlice<T: Pod> {
+    /// Keeps the bytes `ptr` points into alive and unchanged.
     _map: Arc<Mapping>,
+    /// `len` elements of `T` inside `_map`, aligned for `T`.
     ptr: *const T,
     len: usize,
 }
 
+// SAFETY: the view only reads immutable bytes owned by the `Arc<Mapping>`
+// it holds (itself `Send + Sync`), and `T: Pod` is `Send + Sync`.
 unsafe impl<T: Pod> Send for MappedSlice<T> {}
+// SAFETY: as for `Send`: shared access is read-only.
 unsafe impl<T: Pod> Sync for MappedSlice<T> {}
 
 impl<T: Pod> MappedSlice<T> {
@@ -347,7 +298,7 @@ impl<T: Pod> MappedSlice<T> {
                 "mapped slice of {len_bytes} bytes is not a whole number of {size}-byte elements"
             )));
         }
-        let ptr = unsafe { map.ptr.add(offset) };
+        let ptr = map.bytes()[offset..end].as_ptr();
         if !(ptr as usize).is_multiple_of(std::mem::align_of::<T>()) {
             return Err(Error::Corrupt(format!(
                 "mapped slice at offset {offset} is misaligned for {}-byte alignment",
@@ -366,6 +317,10 @@ impl<T: Pod> Deref for MappedSlice<T> {
     type Target = [T];
 
     fn deref(&self) -> &[T] {
+        // SAFETY: `new` checked that the `len * size_of::<T>()` bytes at
+        // `ptr` lie inside the mapping and that `ptr` is aligned for `T`;
+        // `_map` keeps them alive and unwritten; and `T: Pod` makes every
+        // bit pattern of them a valid `T`.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
@@ -427,7 +382,7 @@ impl<T: Pod> Storage<T> {
         }
     }
 
-    /// Whether the backing is a live memory map.
+    /// Whether the backing is borrowed from a container [`Mapping`].
     pub fn is_mapped(&self) -> bool {
         matches!(self, Storage::Mapped(_))
     }
@@ -664,11 +619,11 @@ pub struct MgiFile {
 }
 
 impl MgiFile {
-    /// Maps and validates `path`, verifying all section checksums.
+    /// Reads and validates `path`, verifying all section checksums.
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] on map failure, [`Error::BadMagic`] /
+    /// [`Error::Io`] on read failure, [`Error::BadMagic`] /
     /// [`Error::UnsupportedVersion`] / [`Error::Corrupt`] /
     /// [`Error::ChecksumMismatch`] on validation failure.
     pub fn open(path: &Path) -> Result<MgiFile> {
@@ -1018,7 +973,7 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip_via_mmap() {
+    fn file_roundtrip_via_open() {
         let dir = std::env::temp_dir().join(format!("mgi-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.mgi");

@@ -8,6 +8,8 @@
 //! ANOVA per parameter ([`stats`]). Tuning is offline, as in the paper: the
 //! sweep names a configuration and a run is started with it.
 
+#![forbid(unsafe_code)]
+
 pub mod space;
 pub mod stats;
 pub mod sweep;

@@ -19,6 +19,8 @@
 //! assert!(input.dump.total_seeds() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fastq;
 pub mod genome;
 pub mod inputset;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate for the miniGiraffe-rs workspace:
-# build, tests, the release oracles, the CLI memory bound, lints, and the
-# benchmark harness.
+# build, tests, the release oracles, the CLI memory bound, the unsafe audit,
+# lints, and the benchmark harness.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -53,6 +53,18 @@ cargo test --release -q --test seeding
 
 echo "== decode oracle (seed-dump reader and varint vs a byte-at-a-time reference; hostile .mgz/.mgi/.bin files and cross-loading between them; an optimized build's arithmetic) =="
 cargo test --release -q --test dump_decode --test corrupt_inputs --test formats
+
+echo "== unsafe audit (unsafe only in the container, its Pod impls and the worker pool; files truncated on disk after open stay readable, in an optimized build) =="
+# The benchmark harness is a separate package outside this audit: its
+# allocation counter is a GlobalAlloc, which cannot be written without it.
+allowed='^(crates/support/src/mgi\.rs|crates/sched/src/pool\.rs|crates/graph/src/handle\.rs|crates/index/src/minimizer\.rs|crates/index/src/snarl\.rs)$'
+stray=$(grep -rlw --include='*.rs' unsafe crates src tests examples shims | grep -Ev "$allowed" || true)
+if [ -n "$stray" ]; then
+    echo "FAIL: unsafe outside the audited files:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+cargo test --release -q --test corrupt_inputs files_truncated_after_open_leave_the_loaded_indexes_intact
 
 echo "== Fig. 3 region shares: extension largest, the two kernels most of the time (an optimized build's shares) =="
 cargo test --release -q -p mg-bench --lib fig3_reports

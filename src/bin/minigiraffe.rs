@@ -12,6 +12,8 @@
 //! minigiraffe validate data/A-human.bin data/A-human.mgz data/expected.csv
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -61,7 +63,7 @@ USAGE:
       Build the zero-copy index container: pangenome + minimizer index
       + distance index, persisted in their in-memory layouts. `map`,
       `parent`, and `serve` accept it via --mgi and then start by
-      mmapping the file instead of decoding the pangenome and
+      reading the file instead of decoding the pangenome and
       rebuilding both indexes. The file is reopened and fully
       verified (checksums + structural invariants + GBWT record
       decode) before the command reports success.
@@ -98,7 +100,7 @@ USAGE:
                     [--chunk-reads N] [--paired true]
                     [--write-timeout-ms N]
       Run the long-lived mapping server: loads the pangenome and builds
-      the minimizer index once (or mmaps everything from --mgi), then
+      the minimizer index once (or reads everything from --mgi), then
       multiplexes concurrent FASTQ mapping jobs from TCP clients onto
       one resident worker pool, streaming GAF back per job. Admission
       control bounds the pending queue and per-client in-flight jobs;
@@ -207,8 +209,8 @@ fn load_error(path: &str, e: minigiraffe::support::Error) -> String {
 }
 
 /// Resolves the pangenome + indexes for `map`/`parent`/`serve`: either a
-/// `--mgi` container mmapped with zero per-element decoding, or a `.mgz`
-/// positional that is mapped the same way and then indexed from scratch.
+/// `--mgi` container read with zero per-element decoding, or a `.mgz`
+/// positional that is read the same way and then indexed from scratch.
 fn load_bundle(
     mgz_path: Option<&String>,
     flags: &std::collections::HashMap<String, String>,
@@ -231,7 +233,7 @@ fn load_bundle(
                 ),
                 e => format!("opening {mgi}: {e}"),
             })?;
-            eprintln!("mapped {mgi} in {:.3}s (zero-copy)", start.elapsed().as_secs_f64());
+            eprintln!("opened {mgi} in {:.3}s (no decoding)", start.elapsed().as_secs_f64());
             Ok(bundle)
         }
         (None, Some(mgz)) => {

@@ -37,6 +37,8 @@
 //! assert_eq!(results.per_read.len(), input.dump.reads.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mg_core as core;
 pub use mg_gbwt as gbwt;
 pub use mg_graph as graph;

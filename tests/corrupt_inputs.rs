@@ -18,6 +18,7 @@ use minigiraffe::core::MgiBundle;
 use minigiraffe::gbwt::Gbz;
 use minigiraffe::graph::{Handle, NodeId};
 use minigiraffe::index::{DistanceIndex, GraphPos};
+use minigiraffe::parent::{run_to_gaf, Parent, ParentOptions};
 use minigiraffe::support::mgi::{
     fnv1a, MgiFile, MgiWriter, TAG_CHAIN_STARTS, TAG_DIST_NODES, TAG_DUMP_META, TAG_DUMP_READS,
     TAG_MIN_ENTRIES,
@@ -362,4 +363,47 @@ fn packed_record_sections_reject_truncation_wrong_stride_and_out_of_range_fields
     let image =
         resectioned_mgi(short, TAG_MIN_ENTRIES, |p| p[8..16].copy_from_slice(&0u64.to_le_bytes()));
     assert!(!decode_mgi(image), "k-mer entry on the endmarker: accepted");
+}
+
+/// A loaded `.mgz` and `.mgi` own their bytes: truncating both files on
+/// disk afterwards changes nothing the mapper reads, and the GAF mapped
+/// from them after the truncation equals the GAF from before it. (A
+/// memory-mapped container would fault on its next read instead.)
+#[test]
+fn files_truncated_after_open_leave_the_loaded_indexes_intact() {
+    let input = sample_input();
+    let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
+    let dir = std::env::temp_dir().join(format!("mg-truncated-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mgz_path = dir.join("graph.mgz");
+    let mgi_path = dir.join("graph.mgi");
+    std::fs::write(&mgz_path, mgz_image()).unwrap();
+    std::fs::write(&mgi_path, mgi_image()).unwrap();
+    let gbz = Gbz::load(&mgz_path).unwrap();
+    let bundle = MgiBundle::open(&mgi_path).unwrap();
+    assert!(bundle.is_mapped(), "the bundle borrows its sections from the container");
+
+    // Fresh parents each time, so the second pass decodes every GBWT
+    // record it needs again, from the loaded bytes.
+    let gaf = || {
+        let from_mgz = Parent::new(&gbz, &input.minimizer_index, input.spec.workflow);
+        let from_mgi = Parent::with_distance(
+            bundle.gbz(),
+            bundle.minimizer(),
+            bundle.distance().clone(),
+            input.spec.workflow,
+        );
+        let options = ParentOptions::default();
+        (
+            run_to_gaf(gbz.graph(), &from_mgz.run(&reads, &options), "mgz"),
+            run_to_gaf(bundle.gbz().graph(), &from_mgi.run(&reads, &options), "mgi"),
+        )
+    };
+    let before = gaf();
+    assert!(!before.0.is_empty() && !before.1.is_empty(), "the parent mapped nothing");
+    for path in [&mgz_path, &mgi_path] {
+        std::fs::OpenOptions::new().write(true).open(path).unwrap().set_len(0).unwrap();
+    }
+    assert_eq!(gaf(), before, "GAF changed after the files were truncated on disk");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

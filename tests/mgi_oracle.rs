@@ -1,5 +1,5 @@
 //! Differential oracle for the zero-copy `.mgi` container: a bundle
-//! roundtripped through a real file and mmapped back must drive the parent
+//! roundtripped through a real file and opened back must drive the parent
 //! pipeline to the *byte-identical* GAF the owned, freshly-built indexes
 //! produce — on every golden workload. The mapped structures are not
 //! "equivalent"; they are the same arrays served from the page cache, and
@@ -50,7 +50,7 @@ fn mapped_bundle_reproduces_parent_gaf_byte_for_byte() {
         let expected = gaf_of(&owned_parent, &reads, input.gbz.graph(), &name);
         assert!(!expected.is_empty(), "{name}: parent emitted no alignments");
 
-        // Persist those same indexes and mmap them back.
+        // Persist those same indexes and open them back.
         let bundle = MgiBundle::from_parts(
             input.gbz.clone(),
             input.minimizer_index.clone(),
