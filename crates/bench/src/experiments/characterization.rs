@@ -2,7 +2,7 @@
 
 use crate::{parent_reads, render_table, required_memory_gb, Ctx};
 use mg_gbwt::CachedGbwt;
-use mg_obs::Metrics;
+use mg_obs::{Metrics, Stage};
 use mg_perf::{
     collect_features_from, simulate, CacheSimProbe, MachineModel, Profiler, SimSched, SimWorkload,
     TopDown,
@@ -11,7 +11,7 @@ use mg_parent::{Parent, ParentOptions};
 use mg_support::regions::NullSink;
 use mg_workload::{InputSetSpec, SyntheticInput};
 
-/// Figure 2 — per-thread timeline of instrumented regions while the parent
+/// Figure 2 — per-thread timeline of the pipeline stages while the parent
 /// maps A-human on 16 threads.
 pub fn fig2(ctx: &Ctx) -> String {
     let input = ctx.generate(&InputSetSpec::a_human());
@@ -58,7 +58,11 @@ pub fn fig2(ctx: &Ctx) -> String {
     report
 }
 
-/// Figure 3 — percentage of runtime per instrumented region, per input set.
+/// Figure 3 — percentage of instrumented runtime per stage, per input set,
+/// from the metrics registry's stage totals. The columns keep the paper's
+/// region names; "score %" is the rescoring stage (the gapped tail fallback
+/// included) and "pair %" the pairing stage (mate rescue included). The
+/// capture run renders nothing, so the render stage has no column.
 pub fn fig3(ctx: &Ctx) -> String {
     let mut rows = Vec::new();
     let mut csv = Vec::new();
@@ -66,32 +70,26 @@ pub fn fig3(ctx: &Ctx) -> String {
     for spec in InputSetSpec::all() {
         let input = ctx.generate(&spec);
         let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-        let profiler = Profiler::new();
         let mut options = ParentOptions { hard_hit_cap: input.spec.hard_hit_cap, ..Default::default() };
         options.mapping.threads = 4;
-        let _ = parent.run_with_sink_metrics(&parent_reads(&input), &options, &profiler, Metrics::off_ref());
-        let summary = profiler.region_summary();
-        let share_of = |region: &str| -> f64 {
-            summary
-                .iter()
-                .find(|s| s.region == region)
-                .map_or(0.0, |s| s.share)
-        };
-        let extend = share_of("process_until_threshold_c");
-        let cluster = share_of("cluster_seeds");
-        if extend < cluster {
+        let metrics = Metrics::new();
+        let _ = parent.run_with_sink_metrics(&parent_reads(&input), &options, &NullSink, &metrics);
+        let report = metrics.report();
+        let total: u64 = Stage::ALL.iter().map(|&s| report.stage_ns(s)).sum();
+        let share_of = |stage: Stage| report.stage_ns(stage) as f64 / total.max(1) as f64;
+        if share_of(Stage::Extension) < share_of(Stage::Clustering) {
             extension_dominates = false;
         }
         let mut row = vec![spec.name.to_string()];
-        for region in [
-            "parse_input",
-            "minimizer_seeding",
-            "cluster_seeds",
-            "process_until_threshold_c",
-            "score_extensions",
-            "pair_check",
+        for stage in [
+            Stage::Parse,
+            Stage::Seeding,
+            Stage::Clustering,
+            Stage::Extension,
+            Stage::Rescoring,
+            Stage::Pairing,
         ] {
-            row.push(format!("{:.1}", share_of(region) * 100.0));
+            row.push(format!("{:.1}", share_of(stage) * 100.0));
         }
         csv.push(row.join(","));
         rows.push(row);
@@ -107,12 +105,12 @@ pub fn fig3(ctx: &Ctx) -> String {
     ];
     ctx.write_csv("fig3_regions.csv", &header.join(","), &csv);
     let mut report = render_table(
-        "Figure 3: share of instrumented runtime per region",
+        "Figure 3: share of instrumented runtime per stage",
         &header,
         &rows,
     );
     report.push_str(&format!(
-        "extension region dominates clustering on every input: {}\n",
+        "extension stage dominates clustering on every input: {}\n",
         if extension_dominates { "yes (as in the paper)" } else { "NO" }
     ));
     report
@@ -133,15 +131,7 @@ pub fn parent_features(input: &SyntheticInput, name: &str) -> SimWorkload {
         mg_perf::cache_setup_instructions(options.mapping.cache_capacity),
         64 << 10, // refined after the run below
         |i, probe| {
-            let _ = parent.map_read_full(
-                &mut cache,
-                i as u64,
-                &reads[i],
-                &options,
-                &NullSink,
-                0,
-                probe,
-            );
+            let _ = parent.map_read_full(&mut cache, i as u64, &reads[i], &options, probe);
             let stats = cache.stats();
             let delta = (stats.hits - prev.hits, stats.misses - prev.misses);
             prev = stats;
@@ -200,7 +190,7 @@ pub fn table4(ctx: &Ctx) -> String {
     let options = ParentOptions { hard_hit_cap: input.spec.hard_hit_cap, ..Default::default() };
     let mut cache = CachedGbwt::new(input.gbz.gbwt(), options.mapping.cache_capacity);
     for (i, read) in parent_reads(&input).iter().enumerate() {
-        let _ = parent.map_read_full(&mut cache, i as u64, read, &options, &NullSink, 0, &mut probe);
+        let _ = parent.map_read_full(&mut cache, i as u64, read, &options, &mut probe);
     }
     let counters = probe.counters();
     let td = TopDown::from_counters(&counters);

@@ -4,10 +4,10 @@
 use crate::{parent_reads, render_table, Ctx};
 use mg_core::{run_mapping, validate, Mapper, MappingOptions};
 use mg_gbwt::CachedGbwt;
-use mg_obs::Metrics;
-use mg_perf::{cosine_similarity, CacheSimProbe, HwCounters, MachineModel, Profiler};
-use mg_parent::{Parent, ParentOptions};
+use mg_obs::{Metrics, Stage};
+use mg_perf::{cosine_similarity, CacheSimProbe, HwCounters, MachineModel};
 use mg_support::regions::NullSink;
+use mg_parent::{Parent, ParentOptions};
 use mg_workload::{InputSetSpec, SyntheticInput};
 
 fn proxy_counters(input: &SyntheticInput, machine: &MachineModel) -> HwCounters {
@@ -16,7 +16,7 @@ fn proxy_counters(input: &SyntheticInput, machine: &MachineModel) -> HwCounters 
     let options = MappingOptions::default();
     let mut cache = CachedGbwt::new(input.gbz.gbwt(), options.cache_capacity);
     for (i, read) in input.dump.reads.iter().enumerate() {
-        let _ = mapper.map_read(&mut cache, i as u64, read, &options, &NullSink, 0, &mut probe);
+        let _ = mapper.map_read(&mut cache, i as u64, read, &options, &mut probe);
     }
     probe.counters()
 }
@@ -29,7 +29,7 @@ fn parent_kernel_counters(input: &SyntheticInput, machine: &MachineModel) -> HwC
     for (i, read) in parent_reads(input).iter().enumerate() {
         // The probe instruments only the kernel-bearing map path (the
         // seed-and-extend sections the paper measured in Giraffe).
-        let _ = parent.map_read_full(&mut cache, i as u64, read, &options, &NullSink, 0, &mut probe);
+        let _ = parent.map_read_full(&mut cache, i as u64, read, &options, &mut probe);
     }
     probe.counters()
 }
@@ -88,7 +88,7 @@ pub fn table6(ctx: &Ctx) -> String {
     const REPEATS: usize = 2;
     for spec in InputSetSpec::all() {
         let input = ctx.generate(&spec);
-        // Parent: time only the instrumented kernel regions. One untimed
+        // Parent: time only the kernel stages. One untimed
         // warm-up run captures the dump and heats caches/allocator, then
         // parent and proxy measurements interleave.
         let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
@@ -97,17 +97,11 @@ pub fn table6(ctx: &Ctx) -> String {
         let mut parent_kernel_s = f64::INFINITY;
         let mut proxy_s = f64::INFINITY;
         for _ in 0..REPEATS {
-            let profiler = Profiler::new();
-            let _ = parent.run_with_sink_metrics(&parent_reads(&input), &options, &profiler, Metrics::off_ref());
-            let kernel_us: u64 = profiler
-                .region_summary()
-                .iter()
-                .filter(|s| {
-                    s.region == "cluster_seeds" || s.region == "process_until_threshold_c"
-                })
-                .map(|s| s.total_us)
-                .sum();
-            parent_kernel_s = parent_kernel_s.min(kernel_us as f64 / 1e6);
+            let metrics = Metrics::new();
+            let _ = parent.run_with_sink_metrics(&parent_reads(&input), &options, &NullSink, &metrics);
+            let report = metrics.report();
+            let kernel_ns = report.stage_ns(Stage::Clustering) + report.stage_ns(Stage::Extension);
+            parent_kernel_s = parent_kernel_s.min(kernel_ns as f64 / 1e9);
             // Proxy: end-to-end wall on the captured dump.
             let proxy = run_mapping(&dump, &input.gbz, &options.mapping);
             proxy_s = proxy_s.min(proxy.wall.as_secs_f64());

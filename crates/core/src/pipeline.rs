@@ -249,20 +249,17 @@ impl<'a> Mapper<'a> {
         &self.dist
     }
 
-    /// Maps a single read with caller-provided cache, sink, and probe: the
-    /// exact per-read work both pipelines share.
+    /// Maps a single read with caller-provided cache and probe: the exact
+    /// per-read work both pipelines share, uninstrumented.
     ///
     /// Allocates throwaway scratch; hot paths should hold a [`MapScratch`]
     /// and call [`Mapper::map_read_seeded`] instead.
-    #[allow(clippy::too_many_arguments)]
     pub fn map_read<P: MemProbe>(
         &self,
         cache: &mut CachedGbwt<'_>,
         read_id: u64,
         input: &ReadInput,
         options: &MappingOptions,
-        sink: &(impl RegionSink + ?Sized),
-        thread: usize,
         probe: &mut P,
     ) -> ReadResult {
         self.map_read_seeded(
@@ -271,8 +268,6 @@ impl<'a> Mapper<'a> {
             &input.bases,
             &input.seeds,
             options,
-            sink,
-            thread,
             probe,
             &mut MapScratch::default(),
             &mut ObsShard::disabled(),
@@ -281,20 +276,21 @@ impl<'a> Mapper<'a> {
 
     /// [`Mapper::map_read`] over borrowed bases and seeds, with
     /// caller-owned kernel scratch reused across reads and a metrics shard
-    /// fed with per-stage spans and per-read counters (pass
+    /// fed with per-stage spans and per-read counters, and with stage
+    /// intervals for the region sink it carries (pass
     /// [`ObsShard::disabled`] when not observing; every record below is
-    /// then a no-op). Callers that seed a read into buffers they keep never
-    /// build a [`ReadInput`] for it (the parent's chunk workers, mate
-    /// rescue).
+    /// then a no-op and no clock is read). Callers that seed a read into
+    /// buffers they keep never build a [`ReadInput`] for it (the parent's
+    /// chunk workers, mate rescue).
     ///
     /// The read's canonically first seed is walked before anything else;
     /// when that walk is an exact full-length extension through every seed
     /// it is the read's result, and clustering never runs (DESIGN.md §4b).
     /// Otherwise the seeds are clustered and the clusters extended, and the
-    /// first walk is not repeated. The extension region and stage cover both
-    /// parts of the kernel's work: on a read that reaches `cluster_seeds` the
-    /// region is entered twice, around the first walk and around the
-    /// cluster-driven rest, and the stage records their sum as one span.
+    /// first walk is not repeated. The extension stage covers both parts of
+    /// the kernel's work: on a read that reaches `cluster_seeds` the sink is
+    /// handed two extension intervals, the first walk and the
+    /// cluster-driven rest, and the shard records their sum as one span.
     #[allow(clippy::too_many_arguments)]
     pub fn map_read_seeded<P: MemProbe>(
         &self,
@@ -303,11 +299,9 @@ impl<'a> Mapper<'a> {
         bases: &[u8],
         seeds: &[Seed],
         options: &MappingOptions,
-        sink: &(impl RegionSink + ?Sized),
-        thread: usize,
         probe: &mut P,
         scratch: &mut MapScratch,
-        obs: &mut ObsShard,
+        obs: &mut ObsShard<'_>,
     ) -> ReadResult {
         let graph = self.gbz.graph();
         let process = &options.process;
@@ -320,19 +314,7 @@ impl<'a> Mapper<'a> {
             && process.max_clusters >= 1
             && process.max_extensions_per_read >= 1
             && process.cluster_score_cutoff.partial_cmp(&1.0) != Some(std::cmp::Ordering::Greater);
-        // Regions and stage spans share clock reads, and no clock is read
-        // when neither is recorded.
-        let timed = sink.is_recording() || obs.is_on();
-        let clock = || timed.then(Instant::now);
-        // Hands `[from, to)` to the sink as `region` and returns its length.
-        let region = |name: &'static str, from: Option<Instant>, to: Option<Instant>| match (from, to) {
-            (Some(from), Some(to)) => {
-                sink.record(thread, name, from, to);
-                to - from
-            }
-            _ => Duration::ZERO,
-        };
-        let start = clock();
+        let start = obs.now();
         let settled = may_settle
             .then(|| {
                 extend_first(
@@ -341,13 +323,9 @@ impl<'a> Mapper<'a> {
                 )
             })
             .flatten();
-        let walked = clock();
-        let first_walk = if may_settle {
-            region("process_until_threshold_c", start, walked)
-        } else {
-            Duration::ZERO
-        };
-        let (extensions, extension_time) = match settled {
+        let (walked, first_walk) =
+            if may_settle { obs.part(Stage::Extension, start) } else { (start, 0) };
+        let (extensions, extension_ns) = match settled {
             Some(extension) => {
                 obs.inc(Ctr::ExtendFirstReads);
                 (vec![extension], first_walk)
@@ -366,9 +344,7 @@ impl<'a> Mapper<'a> {
                     probe,
                     &mut scratch.cluster,
                 );
-                let clustered = clock();
-                let clustering = region("cluster_seeds", walked, clustered);
-                obs.span(Stage::Clustering, clustering.as_nanos() as u64);
+                let clustered = obs.stage(Stage::Clustering, walked);
                 let extensions = process_until_threshold_with_scratch(
                     graph,
                     cache,
@@ -381,11 +357,11 @@ impl<'a> Mapper<'a> {
                     probe,
                     &mut scratch.extend,
                 );
-                let extended = region("process_until_threshold_c", clustered, clock());
-                (extensions, first_walk + extended)
+                let (_, rest) = obs.part(Stage::Extension, clustered);
+                (extensions, first_walk + rest)
             }
         };
-        obs.span(Stage::Extension, extension_time.as_nanos() as u64);
+        obs.span(Stage::Extension, extension_ns);
         obs.inc(Ctr::ReadsMapped);
         obs.add(Ctr::SeedsTotal, seeds.len() as u64);
         obs.add(Ctr::ExtensionsTotal, extensions.len() as u64);
@@ -407,16 +383,17 @@ impl<'a> Mapper<'a> {
     }
 
     /// Runs the full parallel mapping loop — the proxy's one scheduler
-    /// dispatch — reporting region timings to `sink` and recording
-    /// per-stage spans, per-read counters, cache events and scheduler
-    /// activity in `metrics`. Each worker thread records into a private
-    /// [`ObsShard`] and folds it and its cache statistics in once, after its
-    /// last read, so the hot loop never touches the registry lock.
+    /// dispatch — recording per-stage spans, per-read counters, cache
+    /// events and scheduler activity in `metrics` and handing every stage
+    /// interval to `sink`. Each worker thread records into a private
+    /// [`ObsShard`] that carries the sink and its thread index, and folds it
+    /// and its cache statistics in once, after its last read, so the hot
+    /// loop never touches the registry lock.
     pub fn run_with_sink_metrics(
         &self,
         dump: &crate::dump::SeedDump,
         options: &MappingOptions,
-        sink: &(impl RegionSink + ?Sized),
+        sink: &dyn RegionSink,
         metrics: &Metrics,
     ) -> MappingResults {
         let threads = options.threads.max(1);
@@ -442,7 +419,7 @@ impl<'a> Mapper<'a> {
                 let ThreadPersist { cache, mut scratch } = std::mem::take(slot);
                 let mut cache =
                     CachedGbwt::with_state(self.gbz.gbwt(), options.cache_capacity, cache);
-                let mut obs = metrics.shard();
+                let mut obs = metrics.shard().with_sink(sink, thread);
                 for i in grains {
                     let input = &reads[i];
                     let result = self.map_read_seeded(
@@ -451,8 +428,6 @@ impl<'a> Mapper<'a> {
                         &input.bases,
                         &input.seeds,
                         options,
-                        sink,
-                        thread,
                         &mut NoProbe,
                         &mut scratch,
                         &mut obs,
@@ -688,16 +663,16 @@ mod tests {
 
     #[test]
     fn region_sink_sees_both_kernels() {
-        struct Collector(Mutex<Vec<&'static str>>);
+        struct Collector(Mutex<Vec<Stage>>);
         impl RegionSink for Collector {
             fn record(
                 &self,
                 _thread: usize,
-                region: &'static str,
+                stage: Stage,
                 _start: std::time::Instant,
                 _end: std::time::Instant,
             ) {
-                self.0.lock().unwrap().push(region);
+                self.0.lock().unwrap().push(stage);
             }
         }
         let gbz = sample_gbz();
@@ -715,13 +690,10 @@ mod tests {
             &sink,
             Metrics::off_ref(),
         );
-        let regions = sink.0.into_inner().unwrap();
-        assert_eq!(regions.iter().filter(|r| **r == "cluster_seeds").count(), 2);
+        let stages = sink.0.into_inner().unwrap();
+        assert_eq!(stages.iter().filter(|s| **s == Stage::Clustering).count(), 2);
         // Once per read around the first walk, once more per clustered read.
-        assert_eq!(
-            regions.iter().filter(|r| **r == "process_until_threshold_c").count(),
-            5 + 2
-        );
+        assert_eq!(stages.iter().filter(|s| **s == Stage::Extension).count(), 5 + 2);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use mg_graph::{Handle, NodeId};
 use mg_index::GraphPos;
 use mg_sched::SchedulerKind;
 use mg_support::probe::NoProbe;
-use mg_support::regions::NullSink;
 use proptest::prelude::*;
 
 fn sample_gbz() -> Gbz {
@@ -70,7 +69,7 @@ fn reference_results(mapper: &Mapper<'_>, gbz: &Gbz, dump: &SeedDump, options: &
         .enumerate()
         .map(|(i, input)| {
             let mut cache = CachedGbwt::new(gbz.gbwt(), options.cache_capacity);
-            mapper.map_read(&mut cache, i as u64, input, options, &NullSink, 0, &mut NoProbe)
+            mapper.map_read(&mut cache, i as u64, input, options, &mut NoProbe)
         })
         .collect()
 }

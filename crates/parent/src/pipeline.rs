@@ -3,13 +3,18 @@
 //! Where the proxy starts from a seed dump, the parent starts from raw
 //! reads and runs the whole workflow the paper characterizes:
 //!
-//! 1. `parse_input` — read intake;
-//! 2. `minimizer_seeding` — minimizer lookup producing seeds;
-//! 3. `cluster_seeds` — the first critical function (shared with the proxy;
-//!    skipped for a read the walk of its first seed settles);
-//! 4. `process_until_threshold_c` — the second critical function (shared);
-//! 5. `score_extensions` / `emit_alignment` — post-processing;
-//! 6. `pair_check` — fragment consistency for paired workflows.
+//! 1. [`Stage::Parse`] — read intake (the capture emitter's dump record);
+//! 2. [`Stage::Seeding`] — minimizer lookup producing seeds;
+//! 3. [`Stage::Clustering`] — `cluster_seeds`, the first critical function
+//!    (shared with the proxy; skipped for a read the walk of its first seed
+//!    settles);
+//! 4. [`Stage::Extension`] — `process_until_threshold_c`, the second
+//!    critical function (shared);
+//! 5. [`Stage::Rescoring`] — `score_extensions` and the gapped tail
+//!    fallback;
+//! 6. [`Stage::Pairing`] — mate rescue and the fragment check for paired
+//!    workflows;
+//! 7. [`Stage::Render`] — the read's GAF lines, on the GAF-producing paths.
 //!
 //! Work is distributed by the VG-style batch scheduler, and the unit it
 //! distributes is the *fragment*: one read when single-end, the mate pair
@@ -17,9 +22,9 @@
 //! finishes it — rescue, pair check, and then one of two emitters: GAF
 //! bytes into a buffer the thread keeps (streaming, serving) or the
 //! captured per-read records of a [`ParentRun`] (the batch path, the
-//! paper's capture boundary). Every region is instrumented
-//! through [`mg_support::regions::RegionSink`], which is what regenerates
-//! Figures 2–4.
+//! paper's capture boundary). Each stage boundary reads the clock once into
+//! the worker's [`ObsShard`], which feeds the metrics registry (Figure 3,
+//! Table VI) and the [`RegionSink`] it carries (the Figure 2 timeline).
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -32,7 +37,7 @@ use mg_index::{DistanceIndex, MinimizerIndex};
 use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
 use mg_sched::{bounded_queue, chunk_grain_reads, SchedulerKind};
 use mg_support::probe::{MemProbe, NoProbe};
-use mg_support::regions::{NullSink, RegionSink, RegionTimer};
+use mg_support::regions::{NullSink, RegionSink};
 
 use crate::align::{align_read, pair_check, AlignParams, Alignment};
 use crate::gaf::read_to_gaf_into;
@@ -152,6 +157,14 @@ enum Emitter<'e> {
     Capture { reads: &'e [OnceLock<Captured>], rescued: &'e [OnceLock<ReadResult>] },
 }
 
+/// Where a dispatch's instrumentation goes: the registry its workers'
+/// shards merge into, and the region sink each shard carries.
+#[derive(Clone, Copy)]
+struct Sinks<'e> {
+    metrics: &'e Metrics,
+    regions: &'e dyn RegionSink,
+}
+
 impl<'a> Parent<'a> {
     /// Builds the parent from a pangenome and its minimizer index,
     /// computing the distance index from the graph.
@@ -191,36 +204,33 @@ impl<'a> Parent<'a> {
         self.workflow
     }
 
-    /// Maps one read end-to-end on throwaway scratch: seeding, kernels,
-    /// post-processing. Returns the captured [`ReadInput`] (the dump
-    /// record), the raw kernel result, and the alignments. This is the
-    /// probed single-read entry the characterization experiments drive;
-    /// the pooled paths run the same steps per fragment.
-    #[allow(clippy::too_many_arguments)]
+    /// Maps one read end-to-end on throwaway scratch, uninstrumented:
+    /// seeding, kernels, post-processing. Returns the captured
+    /// [`ReadInput`] (the dump record), the raw kernel result, and the
+    /// alignments. This is the probed single-read entry the
+    /// characterization experiments drive; the pooled paths run the same
+    /// steps per fragment.
     pub fn map_read_full<P: MemProbe>(
         &self,
         cache: &mut CachedGbwt<'_>,
         read_id: u64,
         bases: &[u8],
         options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
-        thread: usize,
         probe: &mut P,
     ) -> (ReadInput, ReadResult, Vec<Alignment>) {
         let mut seeds = Vec::new();
+        let mut obs = ObsShard::disabled();
         let result = self.seed_and_map(
             cache,
             read_id,
             bases,
             options,
-            sink,
-            thread,
             probe,
             &mut MapScratch::default(),
             &mut seeds,
-            &mut ObsShard::disabled(),
+            &mut obs,
         );
-        let alignments = self.post_process_bases(bases, &result, options, sink, thread);
+        let alignments = self.post_process_bases(bases, &result, options, &mut obs);
         (ReadInput { bases: bases.to_vec(), seeds }, result, alignments)
     }
 
@@ -237,15 +247,12 @@ impl<'a> Parent<'a> {
         read_id: u64,
         bases: &[u8],
         options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
-        thread: usize,
         probe: &mut P,
         scratch: &mut MapScratch,
         seeds: &mut Vec<Seed>,
-        obs: &mut ObsShard,
+        obs: &mut ObsShard<'_>,
     ) -> ReadResult {
         {
-            let _t = RegionTimer::start(sink, thread, "minimizer_seeding");
             let t0 = obs.now();
             // The probe stands for counters scoped to the kernel regions,
             // as the paper's were in Giraffe: instructions retired out here
@@ -275,8 +282,6 @@ impl<'a> Parent<'a> {
             bases,
             seeds,
             &options.mapping,
-            sink,
-            thread,
             probe,
             scratch,
             obs,
@@ -289,32 +294,31 @@ impl<'a> Parent<'a> {
     ///
     /// Public so validation harnesses can post-process proxy kernel output
     /// through the exact code path the parent uses and compare final
-    /// alignments byte-for-byte.
+    /// alignments byte-for-byte. The rescoring interval goes to `sink` as
+    /// worker `thread`'s.
     pub fn post_process(
         &self,
         read_input: &ReadInput,
         result: &ReadResult,
         options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
+        sink: &dyn RegionSink,
         thread: usize,
     ) -> Vec<Alignment> {
-        self.post_process_bases(&read_input.bases, result, options, sink, thread)
+        let mut obs = ObsShard::disabled().with_sink(sink, thread);
+        self.post_process_bases(&read_input.bases, result, options, &mut obs)
     }
 
     /// [`Parent::post_process`] from the read's bases alone (it never looks
-    /// at the seeds).
+    /// at the seeds), timed as one [`Stage::Rescoring`] span.
     pub(crate) fn post_process_bases(
         &self,
         bases: &[u8],
         result: &ReadResult,
         options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
-        thread: usize,
+        obs: &mut ObsShard<'_>,
     ) -> Vec<Alignment> {
-        let mut alignments = {
-            let _t = RegionTimer::start(sink, thread, "score_extensions");
-            align_read(result, &options.align)
-        };
+        let t0 = obs.now();
+        let mut alignments = align_read(result, &options.align);
         // Gapped fallback: when the best extension leaves a read tail
         // uncovered, align the tail against the graph walk's continuation.
         if let (Some(alignment), Some(extension)) =
@@ -322,7 +326,6 @@ impl<'a> Parent<'a> {
         {
             let read_len = bases.len() as u32;
             if alignment.read_end < read_len {
-                let _t = RegionTimer::start(sink, thread, "gapped_fallback");
                 let tail = &bases[alignment.read_end as usize..];
                 if let Some((gapped, consumed)) = crate::gapped::align_tail(
                     self.mapper.gbz().graph(),
@@ -336,6 +339,7 @@ impl<'a> Parent<'a> {
                 }
             }
         }
+        obs.stage(Stage::Rescoring, t0);
         alignments
     }
 
@@ -344,10 +348,11 @@ impl<'a> Parent<'a> {
         self.run_with_sink_metrics(reads, options, &NullSink, Metrics::off_ref())
     }
 
-    /// Runs the full pipeline, reporting regions to `sink` and recording
-    /// per-stage spans, counters, and scheduler activity in `metrics`. Each
-    /// worker records into a private [`ObsShard`] folded into the registry
-    /// when it finishes, so the hot loop never touches the registry lock.
+    /// Runs the full pipeline, recording per-stage spans, counters, and
+    /// scheduler activity in `metrics` and handing every stage interval to
+    /// `sink`. Each worker records into a private [`ObsShard`] that carries
+    /// the sink, folded into the registry when it finishes, so the hot loop
+    /// never touches the registry lock.
     ///
     /// This is the capture emitter: one whole-input dispatch at
     /// `batch_size` reads per grain, every read's records moved into a
@@ -357,7 +362,7 @@ impl<'a> Parent<'a> {
         &self,
         reads: &[Vec<u8>],
         options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
+        sink: &dyn RegionSink,
         metrics: &Metrics,
     ) -> ParentRun {
         let start = Instant::now();
@@ -373,8 +378,7 @@ impl<'a> Parent<'a> {
             0,
             options.mapping.batch_size,
             options,
-            sink,
-            metrics,
+            Sinks { metrics, regions: sink },
             Emitter::Capture { reads: &slots, rescued: &rescue_slots },
         );
         let mut dump_reads = Vec::with_capacity(n);
@@ -402,7 +406,8 @@ impl<'a> Parent<'a> {
 
     /// Maps one chunk of reads (global ids `base_id..base_id + reads.len()`)
     /// on the mapper's persistent worker pool and appends the chunk's GAF
-    /// to `out`, without region instrumentation.
+    /// to `out`, recording into `metrics` but handing no stage interval to
+    /// a region sink.
     ///
     /// This is the one chunk primitive of every GAF-producing path: the
     /// streaming loop calls it per chunk, and a long-lived executor calls
@@ -429,20 +434,19 @@ impl<'a> Parent<'a> {
         metrics: &Metrics,
         out: &mut Vec<u8>,
     ) {
-        self.chunk_gaf(reads, base_id, set_name, options, &NullSink, metrics, out);
+        let sinks = Sinks { metrics, regions: &NullSink };
+        self.chunk_gaf(reads, base_id, set_name, options, sinks, out);
     }
 
     /// The GAF emitter: dispatches the chunk's fragments, then copies what
     /// each worker rendered into `out` in fragment order.
-    #[allow(clippy::too_many_arguments)]
     fn chunk_gaf(
         &self,
         reads: &[Vec<u8>],
         base_id: u64,
         set_name: &str,
         options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
-        metrics: &Metrics,
+        sinks: Sinks<'_>,
         out: &mut Vec<u8>,
     ) {
         let threads = options.mapping.threads.max(1);
@@ -454,8 +458,7 @@ impl<'a> Parent<'a> {
             base_id,
             grain,
             options,
-            sink,
-            metrics,
+            sinks,
             Emitter::Gaf { set_name },
         );
         // Still under the lock: the buffers belong to this dispatch until
@@ -494,8 +497,7 @@ impl<'a> Parent<'a> {
         base_id: u64,
         grain_reads: usize,
         options: &ParentOptions,
-        sink: &(impl RegionSink + ?Sized),
-        metrics: &Metrics,
+        sinks: Sinks<'_>,
         emit: Emitter<'_>,
     ) {
         let width = if self.workflow == Workflow::Paired { 2 } else { 1 };
@@ -512,7 +514,7 @@ impl<'a> Parent<'a> {
             &mut slots,
             reads.len().div_ceil(width),
             threads,
-            metrics,
+            sinks.metrics,
             &|thread, (persist, bufs), grains| {
                 // Taken, not borrowed: a panic leaves the default.
                 let ThreadPersist { cache, scratch } = std::mem::take(*persist);
@@ -523,15 +525,13 @@ impl<'a> Parent<'a> {
                 let mut worker = FragmentWorker {
                     parent: self,
                     options,
-                    sink,
-                    thread,
                     cache: CachedGbwt::with_state(
                         self.mapper.gbz().gbwt(),
                         options.mapping.cache_capacity,
                         cache,
                     ),
                     scratch,
-                    obs: metrics.shard(),
+                    obs: sinks.metrics.shard().with_sink(sinks.regions, thread),
                     reads,
                     base_id,
                     width,
@@ -541,7 +541,7 @@ impl<'a> Parent<'a> {
                 for fragment in grains {
                     worker.map_fragment(fragment);
                 }
-                metrics.absorb(&worker.obs);
+                sinks.metrics.absorb(&worker.obs);
                 **persist =
                     ThreadPersist { cache: worker.cache.into_state(), scratch: worker.scratch };
             },
@@ -597,7 +597,7 @@ impl<'a> Parent<'a> {
         stream: &StreamOptions,
         set_name: &str,
         gaf_out: &mut W,
-        sink: &(impl RegionSink + ?Sized),
+        sink: &dyn RegionSink,
         metrics: &Metrics,
     ) -> mg_support::Result<ParentStreamSummary>
     where
@@ -611,6 +611,7 @@ impl<'a> Parent<'a> {
         }
         let (tx, rx) = bounded_queue(stream.queue_batches.max(1));
         let start = Instant::now();
+        let sinks = Sinks { metrics, regions: sink };
 
         let mut reads = 0u64;
         let mut batches_consumed = 0u64;
@@ -648,7 +649,7 @@ impl<'a> Parent<'a> {
                 metrics.observe(Hist::StreamChunkReads, take as u64);
                 gaf.clear();
                 let chunk = &pending[..take];
-                self.chunk_gaf(chunk, *next_id, set_name, options, sink, metrics, &mut gaf);
+                self.chunk_gaf(chunk, *next_id, set_name, options, sinks, &mut gaf);
                 pending.drain(..take);
                 *next_id += take as u64;
                 *chunks += 1;
@@ -719,14 +720,13 @@ impl<'a> Parent<'a> {
 /// the scheduler assigns it and finishes each one — rescoring, and for a
 /// pair mate rescue and the fragment check, all on this thread's cache and
 /// scratch — then hands it to the emitter.
-struct FragmentWorker<'e, 'g, S: RegionSink + ?Sized> {
+struct FragmentWorker<'e, 'g> {
     parent: &'e Parent<'g>,
     options: &'e ParentOptions,
-    sink: &'e S,
-    thread: usize,
     cache: CachedGbwt<'g>,
     scratch: MapScratch,
-    obs: ObsShard,
+    /// Carries the dispatch's region sink and this worker's thread index.
+    obs: ObsShard<'e>,
     reads: &'e [Vec<u8>],
     base_id: u64,
     /// Reads per fragment: 2 when paired, else 1.
@@ -735,10 +735,11 @@ struct FragmentWorker<'e, 'g, S: RegionSink + ?Sized> {
     emit: Emitter<'e>,
 }
 
-impl<S: RegionSink + ?Sized> FragmentWorker<'_, '_, S> {
+impl FragmentWorker<'_, '_> {
     /// Mate rescue, then mate consistency, for the pair at `lo`/`lo + 1`,
     /// on this worker's own cache: rescue output does not depend on cache
-    /// state. Returns the rescued results (index = mate).
+    /// state. The rescue's kernels are part of the pairing span and record
+    /// nothing of their own. Returns the rescued results (index = mate).
     fn pair(&mut self, lo: usize, alignments: &mut [Vec<Alignment>; 2]) -> [Option<ReadResult>; 2] {
         let t0 = self.obs.now();
         let mapper = &self.parent.mapper;
@@ -749,7 +750,6 @@ impl<S: RegionSink + ?Sized> FragmentWorker<'_, '_, S> {
             _ => None,
         };
         if let (true, Some((mapped, unmapped))) = (self.options.enable_rescue, half_mapped) {
-            let _t = RegionTimer::start(self.sink, self.thread, "pair_rescue");
             if let Some(result) = rescue_mate_bases(
                 mapper,
                 self.parent.minimizer,
@@ -759,26 +759,22 @@ impl<S: RegionSink + ?Sized> FragmentWorker<'_, '_, S> {
                 alignments[mapped][0].pos,
                 &self.options.mapping,
                 &self.options.rescue,
-                self.sink,
-                self.thread,
                 &mut NoProbe,
                 &mut self.scratch,
+                &mut ObsShard::disabled(),
             ) {
                 alignments[unmapped] = align_read(&result, &self.options.align);
                 rescued[unmapped] = Some(result);
             }
         }
-        {
-            let _t = RegionTimer::start(self.sink, self.thread, "pair_check");
-            let (first, second) = alignments.split_at_mut(1);
-            pair_check(
-                mapper.gbz().graph(),
-                mapper.distance_index(),
-                &mut first[0],
-                &mut second[0],
-                self.options.max_fragment,
-            );
-        }
+        let (first, second) = alignments.split_at_mut(1);
+        pair_check(
+            mapper.gbz().graph(),
+            mapper.distance_index(),
+            &mut first[0],
+            &mut second[0],
+            self.options.max_fragment,
+        );
         self.obs.stage(Stage::Pairing, t0);
         rescued
     }
@@ -803,22 +799,13 @@ impl<S: RegionSink + ?Sized> FragmentWorker<'_, '_, S> {
                 read_id,
                 bases,
                 self.options,
-                self.sink,
-                self.thread,
                 &mut NoProbe,
                 &mut self.scratch,
                 &mut self.bufs.seeds[k],
                 &mut self.obs,
             );
-            let t0 = self.obs.now();
-            alignments[k] = self.parent.post_process_bases(
-                bases,
-                &result,
-                self.options,
-                self.sink,
-                self.thread,
-            );
-            self.obs.stage(Stage::Rescoring, t0);
+            alignments[k] =
+                self.parent.post_process_bases(bases, &result, self.options, &mut self.obs);
             results[k] = Some(result);
         }
         let mut rescued = if count == 2 { self.pair(lo, &mut alignments) } else { [None, None] };
@@ -842,12 +829,12 @@ impl<S: RegionSink + ?Sized> FragmentWorker<'_, '_, S> {
                     self.obs.stage(Stage::Render, t0);
                 }
                 Emitter::Capture { reads, rescued: rescue_slots } => {
-                    let input = {
-                        let _t = RegionTimer::start(self.sink, self.thread, "parse_input");
-                        // Intake for the dump record: the one place the
-                        // read and its seed list are copied.
-                        ReadInput { bases: bases.clone(), seeds: self.bufs.seeds[k].clone() }
-                    };
+                    // Intake for the dump record: the one place the read and
+                    // its seed list are copied.
+                    let t0 = self.obs.now();
+                    let input =
+                        ReadInput { bases: bases.clone(), seeds: self.bufs.seeds[k].clone() };
+                    self.obs.stage(Stage::Parse, t0);
                     let record = (input, result, std::mem::take(&mut alignments[k]));
                     let mut fresh = reads[lo + k].set(record).is_ok();
                     if let Some(result) = rescued[k].take() {
@@ -947,19 +934,16 @@ mod tests {
             &profiler,
             Metrics::off_ref(),
         );
-        let regions: std::collections::HashSet<&str> = profiler
-            .region_summary()
-            .iter()
-            .map(|s| s.region)
-            .collect();
+        let stages: std::collections::HashSet<Stage> =
+            profiler.events().iter().map(|e| e.stage).collect();
         for expected in [
-            "parse_input",
-            "minimizer_seeding",
-            "cluster_seeds",
-            "process_until_threshold_c",
-            "score_extensions",
+            Stage::Parse,
+            Stage::Seeding,
+            Stage::Clustering,
+            Stage::Extension,
+            Stage::Rescoring,
         ] {
-            assert!(regions.contains(expected), "missing region {expected}");
+            assert!(stages.contains(&expected), "missing stage {}", expected.name());
         }
     }
 
@@ -981,8 +965,7 @@ mod tests {
             Metrics::off_ref(),
         );
         assert_eq!(run.dump.workflow, Workflow::Paired);
-        let regions: Vec<&str> = profiler.region_summary().iter().map(|s| s.region).collect();
-        assert!(regions.contains(&"pair_check"));
+        assert!(profiler.events().iter().any(|e| e.stage == Stage::Pairing));
         // At least one pair is properly paired (mates from one fragment).
         let proper = run
             .alignments
@@ -995,7 +978,6 @@ mod tests {
 
     #[test]
     fn parent_metrics_cover_all_stages_and_reconcile() {
-        use mg_obs::Stage;
         for workflow in [Workflow::Single, Workflow::Paired] {
             let mut spec = InputSetSpec::tiny_for_tests();
             spec.workflow = workflow;
@@ -1011,7 +993,7 @@ mod tests {
                 Workflow::Single => (n, 0),
                 Workflow::Paired => (n / 2, n / 2),
             };
-            let check = |rep: &mg_obs::Report, rendered: u64| {
+            let check = |rep: &mg_obs::Report, parsed: u64, rendered: u64| {
                 assert_eq!(rep.counter(Ctr::ReadsMapped), n);
                 assert_eq!(rep.counter(Ctr::PoolTasksCompleted), fragments, "{workflow}");
                 for stage in [Stage::Seeding, Stage::Extension, Stage::Rescoring] {
@@ -1022,24 +1004,85 @@ mod tests {
                 assert!(settled > 0 && settled < n, "{settled} of {n} settled by the first walk");
                 assert_eq!(rep.stage_count(Stage::Clustering), n - settled);
                 assert_eq!(rep.stage_count(Stage::Pairing), pairs, "{workflow}");
+                assert_eq!(rep.stage_count(Stage::Parse), parsed, "{workflow}");
                 assert_eq!(rep.stage_count(Stage::Render), rendered, "{workflow}");
                 assert!(rep.counter(Ctr::CacheHits) + rep.counter(Ctr::CacheMisses) > 0);
             };
-            // The capture emitter renders nothing; the GAF emitter renders
-            // every read (a read with no alignment is an empty render).
+            // The capture emitter parses every read into its dump record
+            // and renders nothing; the GAF emitter parses nothing and
+            // renders every read (a read with no alignment is an empty
+            // render).
             let metrics = Metrics::new();
             let run = parent.run_with_sink_metrics(&reads, &options, &NullSink, &metrics);
-            check(&metrics.report(), 0);
+            check(&metrics.report(), n, 0);
             let metrics = Metrics::new();
             let mut gaf = Vec::new();
             parent.map_chunk_gaf(&reads, 0, "tiny", &options, &metrics, &mut gaf);
-            check(&metrics.report(), n);
+            check(&metrics.report(), 0, n);
             // Instrumentation must not change behavior, and the two
             // emitters must agree.
             let plain = parent.run(&reads, &options);
             assert_eq!(plain.kernel_results, run.kernel_results);
             assert_eq!(plain.alignments, run.alignments);
             assert_eq!(gaf, crate::run_to_gaf(input.gbz.graph(), &plain, "tiny").into_bytes());
+        }
+    }
+
+    #[test]
+    fn the_profiler_and_the_metrics_agree_on_every_stage() {
+        for workflow in [Workflow::Single, Workflow::Paired] {
+            let mut spec = InputSetSpec::tiny_for_tests();
+            spec.workflow = workflow;
+            spec.read_sim.fragment_len = 300;
+            spec.read_sim.fragment_jitter = 30;
+            let input = SyntheticInput::generate(&spec, 123);
+            let parent = Parent::new(&input.gbz, &input.minimizer_index, workflow);
+            let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
+            let mut options = ParentOptions::default();
+            options.mapping.threads = 2;
+            for emitter in ["capture", "stream"] {
+                let (profiler, metrics) = (Profiler::new(), Metrics::new());
+                if emitter == "capture" {
+                    parent.run_with_sink_metrics(&reads, &options, &profiler, &metrics);
+                } else {
+                    parent
+                        .run_streaming_with_sink_metrics(
+                            reads.chunks(7).map(|c| Ok(c.to_vec())),
+                            &options,
+                            &StreamOptions::default(),
+                            "tiny",
+                            &mut Vec::new(),
+                            &profiler,
+                            &metrics,
+                        )
+                        .unwrap();
+                }
+                let rep = metrics.report();
+                let events = profiler.events();
+                for stage in Stage::ALL {
+                    let what = format!("{workflow} {emitter} {}", stage.name());
+                    let of_stage: Vec<_> = events.iter().filter(|e| e.stage == stage).collect();
+                    // The sink is handed the extension stage's two parts on
+                    // a read that reached clustering; the shard sums them.
+                    let expected = match stage {
+                        Stage::Extension => {
+                            let mapped = rep.counter(Ctr::ReadsMapped);
+                            mapped + (mapped - rep.counter(Ctr::ExtendFirstReads))
+                        }
+                        _ => rep.stage_count(stage),
+                    };
+                    assert_eq!(of_stage.len() as u64, expected, "{what}");
+                    let summed_us: u64 = of_stage.iter().map(|e| e.duration_us()).sum();
+                    let shard_us = rep.stage_ns(stage) / 1000;
+                    assert!(
+                        summed_us.abs_diff(shard_us) <= of_stage.len() as u64,
+                        "{what}: events sum to {summed_us} µs, the shard to {shard_us} µs"
+                    );
+                }
+                let pairs = if workflow == Workflow::Paired { reads.len() as u64 / 2 } else { 0 };
+                assert_eq!(rep.stage_count(Stage::Pairing), pairs, "{workflow} {emitter}");
+                assert!(rep.stage_count(Stage::Clustering) > 0, "{workflow} {emitter}");
+            }
         }
     }
 

@@ -37,8 +37,9 @@ impl Default for RescueParams {
 ///
 /// Re-seeds `mate_input` with the relaxed hit cap, keeps only seeds within
 /// `max_fragment` of `anchor` (either direction, either strand), and runs
-/// the normal kernels on the filtered seed set. Returns the new result if
-/// any extension was found.
+/// the normal kernels on the filtered seed set, handing their stage
+/// intervals to `sink` as worker `thread`'s. Returns the new result if any
+/// extension was found.
 #[allow(clippy::too_many_arguments)]
 pub fn rescue_mate<P: MemProbe>(
     mapper: &Mapper<'_>,
@@ -49,11 +50,12 @@ pub fn rescue_mate<P: MemProbe>(
     anchor: GraphPos,
     options: &MappingOptions,
     params: &RescueParams,
-    sink: &(impl RegionSink + ?Sized),
+    sink: &dyn RegionSink,
     thread: usize,
     probe: &mut P,
     scratch: &mut MapScratch,
 ) -> Option<ReadResult> {
+    let mut obs = ObsShard::disabled().with_sink(sink, thread);
     rescue_mate_bases(
         mapper,
         minimizer,
@@ -63,16 +65,16 @@ pub fn rescue_mate<P: MemProbe>(
         anchor,
         options,
         params,
-        sink,
-        thread,
         probe,
         scratch,
+        &mut obs,
     )
 }
 
 /// [`rescue_mate`] from the mate's bases alone: the chunk workers rescue
 /// from the chunk's own read bytes and hold no [`ReadInput`] for the mate
-/// (the relaxed re-seed never looks at its first-pass seeds).
+/// (the relaxed re-seed never looks at its first-pass seeds). The kernels
+/// record into `obs`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rescue_mate_bases<P: MemProbe>(
     mapper: &Mapper<'_>,
@@ -83,10 +85,9 @@ pub(crate) fn rescue_mate_bases<P: MemProbe>(
     anchor: GraphPos,
     options: &MappingOptions,
     params: &RescueParams,
-    sink: &(impl RegionSink + ?Sized),
-    thread: usize,
     probe: &mut P,
     scratch: &mut MapScratch,
+    obs: &mut ObsShard<'_>,
 ) -> Option<ReadResult> {
     let graph = mapper.gbz().graph();
     let dist = mapper.distance_index();
@@ -114,18 +115,8 @@ pub(crate) fn rescue_mate_bases<P: MemProbe>(
     if seeds.is_empty() {
         return None;
     }
-    let result = mapper.map_read_seeded(
-        cache,
-        mate_id,
-        bases,
-        &seeds,
-        options,
-        sink,
-        thread,
-        probe,
-        scratch,
-        &mut ObsShard::disabled(),
-    );
+    let result =
+        mapper.map_read_seeded(cache, mate_id, bases, &seeds, options, probe, scratch, obs);
     (!result.extensions.is_empty()).then_some(result)
 }
 
@@ -161,15 +152,8 @@ mod tests {
             if r1.seeds.is_empty() || r2.seeds.is_empty() {
                 continue;
             }
-            let r1_result = mapper.map_read(
-                &mut cache,
-                pair_start as u64,
-                r1,
-                &options,
-                &NullSink,
-                0,
-                &mut NoProbe,
-            );
+            let r1_result =
+                mapper.map_read(&mut cache, pair_start as u64, r1, &options, &mut NoProbe);
             let Some(best) = r1_result.extensions.first() else {
                 continue;
             };
@@ -181,8 +165,6 @@ mod tests {
                 (pair_start + 1) as u64,
                 &stripped,
                 &options,
-                &NullSink,
-                0,
                 &mut NoProbe,
             );
             assert!(unmapped.extensions.is_empty());
@@ -209,8 +191,6 @@ mod tests {
                 (pair_start + 1) as u64,
                 r2,
                 &options,
-                &NullSink,
-                0,
                 &mut NoProbe,
             );
             assert_eq!(rescued.best_score(), direct.best_score());

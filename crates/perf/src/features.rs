@@ -13,7 +13,6 @@ use mg_core::dump::SeedDump;
 use mg_core::{Mapper, MappingOptions};
 use mg_gbwt::CachedGbwt;
 use mg_support::probe::CountingProbe;
-use mg_support::regions::NullSink;
 
 /// Cost profile of mapping one read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -149,15 +148,7 @@ pub fn collect_features(
     let mut probe = CountingProbe::default();
     let mut prev_stats = cache.stats();
     for (i, read) in dump.reads.iter().enumerate() {
-        let _ = mapper.map_read(
-            &mut cache,
-            i as u64,
-            read,
-            options,
-            &NullSink,
-            0,
-            &mut probe,
-        );
+        let _ = mapper.map_read(&mut cache, i as u64, read, options, &mut probe);
         let stats = cache.stats();
         tasks.push(TaskFeatures {
             instructions: probe.instructions - prev_probe.instructions,

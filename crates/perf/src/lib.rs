@@ -29,6 +29,6 @@ pub mod topdown;
 pub use cachesim::{cosine_similarity, CacheSimProbe, HwCounters};
 pub use features::{cache_setup_instructions, collect_features, collect_features_from, SimWorkload, TaskFeatures};
 pub use machine::MachineModel;
-pub use profiler::{Profiler, RegionEvent, RegionShare};
+pub use profiler::{Profiler, RegionEvent};
 pub use simexec::{simulate, SimOutcome, SimSched};
 pub use topdown::TopDown;

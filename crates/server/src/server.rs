@@ -94,8 +94,8 @@ struct ActiveJob {
 }
 
 /// Shared control block: admission queue, lifecycle flags, and always-on
-/// counters (kept outside `mg_obs` so `STATS` answers truthfully even when
-/// the `enabled` feature is compiled out).
+/// counters (kept outside `mg_obs`, whose registry records nothing when it
+/// is switched off, so `STATS` answers truthfully either way).
 pub struct ServerCtl {
     queue: AdmissionQueue<Job>,
     shutdown: AtomicBool,

@@ -254,9 +254,9 @@ fn ping_stats_and_clean_drain() {
             "\"extend\":{\"anchors_walked\":",
             "\"anchors_skipped\":",
             "\"extend_first_reads\":",
-            // Six reads of a single-end job: rendered on the workers, no
-            // pair to check.
-            "\"stages\":{\"seeding\":{",
+            // Six reads of a single-end job: parsed into no dump record,
+            // rendered on the workers, no pair to check.
+            "\"stages\":{\"parse\":{\"ns\":0,\"count\":0},\"seeding\":{",
             "\"pairing\":{\"ns\":0,\"count\":0}",
             "\"count\":6}}",
         ] {
@@ -745,18 +745,16 @@ fn identical_jobs_back_to_back_report_identical_summaries() {
         per_job = Some(s1);
         client.shutdown().unwrap();
     });
-    // The obs registry (when compiled in) agrees with the wire summaries:
-    // server-wide totals are exactly the two-job sums.
-    if server.metrics().enabled() {
-        use mg_obs::{Ctr, Hist};
-        let s1 = per_job.expect("summaries captured");
-        let report = server.metrics().report();
-        assert_eq!(report.counter(Ctr::ServeJobsCompleted), 2);
-        assert_eq!(report.counter(Ctr::ServeGafBytes), 2 * s1.gaf_bytes);
-        assert_eq!(report.hist_count(Hist::ServeJobReads), 2);
-        assert_eq!(report.hist_sum(Hist::ServeJobReads), 2 * s1.reads);
-        assert_eq!(report.hist_count(Hist::ServeJobLatencyUs), 2);
-    }
+    // The obs registry agrees with the wire summaries: server-wide totals
+    // are exactly the two-job sums.
+    use mg_obs::{Ctr, Hist};
+    let s1 = per_job.expect("summaries captured");
+    let report = server.metrics().report();
+    assert_eq!(report.counter(Ctr::ServeJobsCompleted), 2);
+    assert_eq!(report.counter(Ctr::ServeGafBytes), 2 * s1.gaf_bytes);
+    assert_eq!(report.hist_count(Hist::ServeJobReads), 2);
+    assert_eq!(report.hist_sum(Hist::ServeJobReads), 2 * s1.reads);
+    assert_eq!(report.hist_count(Hist::ServeJobLatencyUs), 2);
 }
 
 /// Unparseable bytes on a connection drop that connection only; the

@@ -1,24 +1,84 @@
-//! Region timing sinks: the instrumentation seam of the pipelines.
+//! The stage vocabulary and the region sinks: the instrumentation seam of
+//! the pipelines.
 //!
 //! The paper's methodology instruments Giraffe with a low-overhead
 //! timestamp-collecting header whose data is dumped after the run. Our
-//! pipelines are generic over a [`RegionSink`]; the profiler in `mg-perf`
-//! implements it and reconstructs the paper's thread timelines (Fig. 2) and
-//! per-region runtime shares (Fig. 3). [`NullSink`] compiles to nothing.
+//! pipelines name every timed region with one [`Stage`]: each stage boundary
+//! reads the clock once (through `mg_obs::ObsShard`), and the interval goes
+//! both to the worker's metrics shard and, when one is attached, to a
+//! [`RegionSink`]. The profiler in `mg-perf` implements the sink and
+//! reconstructs the paper's thread timelines (Fig. 2). [`NullSink`] keeps
+//! nothing, and a shard never attaches it, so it costs no clock read.
+//!
+//! `Stage` lives here rather than in `mg-obs` so that this crate, which
+//! `mg-obs` depends on, can name it in [`RegionSink::record`]; `mg_obs`
+//! re-exports it.
 
 use std::time::Instant;
 
-/// Receives `(thread, region, start, end)` interval events.
+/// Pipeline stages: the one vocabulary of the metrics spans and the region
+/// timeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(usize)]
+pub enum Stage {
+    /// Read intake: the capture emitter's copy of a read and its seed list
+    /// into the dump record (parent pipeline).
+    Parse = 0,
+    /// Minimizer extraction + index lookup (parent pipeline).
+    Seeding = 1,
+    /// The `cluster_seeds` kernel.
+    Clustering = 2,
+    /// The `process_until_threshold_c` seed-and-extend kernel.
+    Extension = 3,
+    /// Alignment scoring and the gapped tail fallback (parent pipeline).
+    Rescoring = 4,
+    /// Mate rescue and the fragment check, once per mate pair (parent
+    /// pipeline, paired workflows).
+    Pairing = 5,
+    /// GAF rendering of a finished read on the worker that mapped it
+    /// (parent pipeline, GAF-producing paths).
+    Render = 6,
+}
+
+impl Stage {
+    /// Number of stages.
+    pub const COUNT: usize = 7;
+    /// All stages in pipeline order (which is also index order).
+    pub const ALL: [Stage; Stage::COUNT] = [
+        Stage::Parse,
+        Stage::Seeding,
+        Stage::Clustering,
+        Stage::Extension,
+        Stage::Rescoring,
+        Stage::Pairing,
+        Stage::Render,
+    ];
+
+    /// Stable lowercase name used by the exporters and the timeline CSV.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Parse => "parse",
+            Stage::Seeding => "seeding",
+            Stage::Clustering => "clustering",
+            Stage::Extension => "extension",
+            Stage::Rescoring => "rescoring",
+            Stage::Pairing => "pairing",
+            Stage::Render => "render",
+        }
+    }
+}
+
+/// Receives `(thread, stage, start, end)` interval events.
 ///
 /// Implementations must be cheap and thread-safe: the mapping loop calls
-/// this from every worker for every instrumented region.
+/// this from every worker for every stage boundary.
 pub trait RegionSink: Sync {
-    /// Records that `thread` spent `start..end` in `region`.
-    fn record(&self, thread: usize, region: &'static str, start: Instant, end: Instant);
+    /// Records that `thread` spent `start..end` in `stage`.
+    fn record(&self, thread: usize, stage: Stage, start: Instant, end: Instant);
 
-    /// Whether [`RegionSink::record`] keeps anything. A caller that reads
-    /// the clock only to hand the instants to `record` skips the reads when
-    /// it does not, so timing a region into a [`NullSink`] costs nothing.
+    /// Whether [`RegionSink::record`] keeps anything. A sink that does not
+    /// is never attached to a worker's shard, so timing into a
+    /// [`NullSink`] reads no clock.
     #[inline(always)]
     fn is_recording(&self) -> bool {
         true
@@ -31,7 +91,7 @@ pub struct NullSink;
 
 impl RegionSink for NullSink {
     #[inline(always)]
-    fn record(&self, _thread: usize, _region: &'static str, _start: Instant, _end: Instant) {}
+    fn record(&self, _thread: usize, _stage: Stage, _start: Instant, _end: Instant) {}
 
     #[inline(always)]
     fn is_recording(&self) -> bool {
@@ -39,98 +99,24 @@ impl RegionSink for NullSink {
     }
 }
 
-/// RAII timer: records the region on drop. Reads the clock only for a sink
-/// that is recording.
-///
-/// ```
-/// use mg_support::regions::{NullSink, RegionTimer};
-/// let sink = NullSink;
-/// {
-///     let _t = RegionTimer::start(&sink, 0, "cluster_seeds");
-///     // ... timed work ...
-/// }
-/// ```
-pub struct RegionTimer<'a, S: RegionSink + ?Sized> {
-    sink: &'a S,
-    thread: usize,
-    region: &'static str,
-    start: Option<Instant>,
-}
-
-impl<'a, S: RegionSink + ?Sized> RegionTimer<'a, S> {
-    /// Starts timing `region` on `thread`.
-    pub fn start(sink: &'a S, thread: usize, region: &'static str) -> Self {
-        RegionTimer {
-            sink,
-            thread,
-            region,
-            start: sink.is_recording().then(Instant::now),
-        }
-    }
-}
-
-impl<S: RegionSink + ?Sized> Drop for RegionTimer<'_, S> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.sink.record(self.thread, self.region, start, Instant::now());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    struct Collector(Mutex<Vec<(usize, &'static str)>>);
-
-    impl RegionSink for Collector {
-        fn record(&self, thread: usize, region: &'static str, start: Instant, end: Instant) {
-            assert!(end >= start);
-            self.0.lock().unwrap().push((thread, region));
-        }
-    }
-
-    #[test]
-    fn timer_records_on_drop() {
-        let sink = Collector(Mutex::new(Vec::new()));
-        {
-            let _t = RegionTimer::start(&sink, 3, "extend");
-            assert!(sink.0.lock().unwrap().is_empty());
-        }
-        assert_eq!(*sink.0.lock().unwrap(), vec![(3, "extend")]);
-    }
-
-    #[test]
-    fn nested_timers_record_inner_first() {
-        let sink = Collector(Mutex::new(Vec::new()));
-        {
-            let _outer = RegionTimer::start(&sink, 0, "outer");
-            {
-                let _inner = RegionTimer::start(&sink, 0, "inner");
-            }
-        }
-        assert_eq!(*sink.0.lock().unwrap(), vec![(0, "inner"), (0, "outer")]);
-    }
-
-    #[test]
-    fn a_sink_that_is_not_recording_is_handed_nothing() {
-        struct Deaf;
-        impl RegionSink for Deaf {
-            fn record(&self, _: usize, region: &'static str, _: Instant, _: Instant) {
-                panic!("{region} handed to a sink that is not recording");
-            }
-            fn is_recording(&self) -> bool {
-                false
-            }
-        }
-        let _t = RegionTimer::start(&Deaf, 0, "extend");
-        let _d = RegionTimer::start(&Deaf as &dyn RegionSink, 0, "cluster");
-    }
 
     #[test]
     fn null_sink_is_usable_through_dyn() {
         let sink: &dyn RegionSink = &NullSink;
-        let _t = RegionTimer::start(sink, 0, "x");
+        assert!(!sink.is_recording());
+        let t = Instant::now();
+        sink.record(0, Stage::Extension, t, t);
+    }
+
+    #[test]
+    fn stages_are_in_index_order_with_distinct_names() {
+        for (i, stage) in Stage::ALL.iter().enumerate() {
+            assert_eq!(*stage as usize, i);
+        }
+        let names: std::collections::HashSet<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(names.len(), Stage::COUNT);
     }
 }

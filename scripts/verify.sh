@@ -66,8 +66,11 @@ if [ -n "$stray" ]; then
 fi
 cargo test --release -q --test corrupt_inputs files_truncated_after_open_leave_the_loaded_indexes_intact
 
-echo "== Fig. 3 region shares: extension largest, the two kernels most of the time (an optimized build's shares) =="
+echo "== Fig. 3 stage shares: extension largest, the two kernels most of the time (an optimized build's shares) =="
 cargo test --release -q -p mg-bench --lib fig3_reports
+
+echo "== the two sinks agree: profiler events and metrics spans per stage, count and time (an optimized build's timing) =="
+cargo test --release -q -p mg-parent --lib the_profiler_and_the_metrics_agree_on_every_stage
 
 echo "== kernel oracles (extension walk vs the per-base oracle, clustering vs the naive sweep; an optimized build's arithmetic) =="
 cargo test --release -q --test extend_walk --test cluster_oracle
@@ -83,9 +86,8 @@ cargo test --release -q -p mg-gbwt --lib prop_lookups_and_stats_match_the_refere
 cargo test --release -q -p mg-index --lib prop_chain_fast_path_equals_dijkstra_at_every_offset
 cargo test --release -q --test seeding kmers_at_one_at_the_cap_and_one_past_the_cap
 
-echo "== lints (obs on / obs off; --all-targets covers tests and examples, there are no benches) =="
+echo "== lints (--all-targets covers tests and examples, there are no benches) =="
 cargo clippy --all-targets -- -D warnings
-cargo clippy --all-targets --no-default-features -p mg-obs -- -D warnings
 
 echo "== benchmark harness (own tests, then every workload once at 1/20 scale) =="
 # The PR pipeline builds benchmark/ against these crates and runs it; it

@@ -5,6 +5,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use minigiraffe::obs::Stage;
+
 fn binary() -> PathBuf {
     // Integration tests live next to the binary under target/<profile>/.
     let mut path = std::env::current_exe().expect("test binary path");
@@ -139,6 +141,46 @@ fn full_toolchain_generate_parent_map_validate() {
     ]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("PASS"));
+}
+
+#[test]
+fn map_instrument_writes_a_stage_timeline() {
+    let dir = TempDir::new("instrument");
+    let (ok, _, stderr) = run(&[
+        "generate", "--input-set", "tiny", "--seed", "9", "--out", &dir.path(""),
+    ]);
+    assert!(ok, "generate failed: {stderr}");
+    let timeline = dir.path("timeline.csv");
+    let (ok, stdout, stderr) = run(&[
+        "map",
+        &dir.path("tiny.bin"),
+        &dir.path("tiny.mgz"),
+        "--threads",
+        "2",
+        "--instrument",
+        &timeline,
+    ]);
+    assert!(ok, "map --instrument failed: {stderr}");
+    assert!(stdout.contains("mapped 100.00%"), "{stdout}");
+    let csv = std::fs::read_to_string(&timeline).unwrap();
+    let mut lines = csv.lines();
+    assert_eq!(lines.next(), Some("thread,region,start_us,end_us"));
+    let mut rows = std::collections::HashMap::<&str, usize>::new();
+    for line in lines {
+        let fields: Vec<&str> = line.split(',').collect();
+        let [thread, label, start, end] = fields[..] else {
+            panic!("not four fields: {line}");
+        };
+        assert!(
+            Stage::ALL.iter().any(|s| s.name() == label),
+            "{label} is not a stage name: {line}"
+        );
+        assert!(thread.parse::<usize>().unwrap() < 2, "{line}");
+        assert!(start.parse::<u64>().unwrap() <= end.parse::<u64>().unwrap(), "{line}");
+        *rows.entry(label).or_default() += 1;
+    }
+    assert!(rows.get("clustering").is_some_and(|&n| n >= 1), "no clustering row: {rows:?}");
+    assert!(rows.get("extension").is_some_and(|&n| n >= 1), "no extension row: {rows:?}");
 }
 
 #[test]

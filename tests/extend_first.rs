@@ -32,7 +32,6 @@ use minigiraffe::index::{GraphPos, MinimizerParams};
 use minigiraffe::obs::{Ctr, Metrics};
 use minigiraffe::parent::{Parent, ParentOptions};
 use minigiraffe::support::probe::NoProbe;
-use minigiraffe::support::regions::NullSink;
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -140,17 +139,12 @@ fn check(
     let metrics = Metrics::new();
     let mut obs = metrics.shard();
     let mut cache = CachedGbwt::new(mapper.gbz().gbwt(), 64);
-    let got = mapper.map_read_seeded(
-        &mut cache, 7, read, seeds, options, &NullSink, 0, &mut NoProbe, scratch, &mut obs,
-    );
+    let got = mapper.map_read_seeded(&mut cache, 7, read, seeds, options, &mut NoProbe, scratch, &mut obs);
     let want = reference(mapper, read, seeds, options);
     let context = || {
         format!("{what}: read {:?} seeds {seeds:?} options {options:?}", String::from_utf8_lossy(read))
     };
     assert_eq!(got, want.result, "{}", context());
-    if !obs.is_on() {
-        return;
-    }
     let rep = obs.report();
     assert_eq!(
         [
@@ -340,7 +334,7 @@ fn read_spanning_an_indel_whose_arms_share_a_prefix() {
     let parent = Parent::new(&gbz, &index, Workflow::Single);
     let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
     let (captured, ..) =
-        parent.map_read_full(&mut cache, 0, &read, &ParentOptions::default(), &NullSink, 0, &mut NoProbe);
+        parent.map_read_full(&mut cache, 0, &read, &ParentOptions::default(), &mut NoProbe);
     for (what, seeds) in [
         ("every base", everywhere.clone()),
         ("from the third base", everywhere[3..].to_vec()),

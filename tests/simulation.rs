@@ -7,7 +7,6 @@ use minigiraffe::gbwt::CachedGbwt;
 use minigiraffe::perf::{
     collect_features, cosine_similarity, simulate, CacheSimProbe, MachineModel, SimSched, TopDown,
 };
-use minigiraffe::support::regions::NullSink;
 use minigiraffe::tuning::{run_sim_sweep, ParamSpace, TuningPoint};
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 
@@ -23,7 +22,7 @@ fn proxy_counters(input: &SyntheticInput) -> minigiraffe::perf::HwCounters {
     let mut cache = CachedGbwt::new(input.gbz.gbwt(), 256);
     let options = MappingOptions::default();
     for (i, read) in input.dump.reads.iter().enumerate() {
-        let _ = mapper.map_read(&mut cache, i as u64, read, &options, &NullSink, 0, &mut probe);
+        let _ = mapper.map_read(&mut cache, i as u64, read, &options, &mut probe);
     }
     probe.counters()
 }
@@ -51,15 +50,7 @@ fn counter_validation_proxy_vs_parent_kernels() {
     let options = minigiraffe::parent::ParentOptions::default();
     let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
     for (i, bases) in reads.iter().enumerate() {
-        let _ = parent.map_read_full(
-            &mut cache,
-            i as u64,
-            bases,
-            &options,
-            &NullSink,
-            0,
-            &mut probe,
-        );
+        let _ = parent.map_read_full(&mut cache, i as u64, bases, &options, &mut probe);
     }
     let parent_counters = probe.counters();
 
