@@ -72,8 +72,8 @@ pub use extend::{
 };
 pub use mgi::{build_minimizer_index, MgiBundle};
 pub use pipeline::{
-    run_mapping, MapScratch, Mapper, MappingOptions, MappingResults, StreamOptions, ThreadPersist,
-    Workers,
+    record_cache_stats, run_mapping, MapScratch, Mapper, MappingOptions, MappingResults,
+    StreamOptions, ThreadPersist, Workers,
 };
 pub use types::{Extension, ExtensionKey, ReadInput, ReadResult, Seed, Workflow};
 pub use validate::{validate, ValidationReport};

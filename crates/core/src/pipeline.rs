@@ -86,30 +86,19 @@ impl Default for MappingOptions {
 /// The streaming pipeline's in-flight memory is bounded by
 /// `(queue_batches + 1) × ingestion batch + one mapping chunk`: the queue
 /// holds at most `queue_batches` batches, the blocked producer holds one
-/// more, and the consumer accumulates up to a chunk before mapping it.
+/// more, and the consumer accumulates up to a chunk — `threads ×
+/// batch_size` reads, even for paired workflows — before mapping it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamOptions {
     /// Capacity of the reader→mapper hand-off queue, in batches. The
     /// producer blocks (backpressure) when the mapper falls behind by this
     /// many batches.
     pub queue_batches: usize,
-    /// Reads the consumer accumulates into one parallel mapping chunk.
-    /// `0` derives `threads × batch_size` from the [`MappingOptions`]; the
-    /// chunk dispatch cuts it finer ([`mg_sched::chunk_grain_reads`]).
-    pub chunk_reads: usize,
 }
 
 impl Default for StreamOptions {
     fn default() -> Self {
-        StreamOptions { queue_batches: 4, chunk_reads: 0 }
-    }
-}
-
-impl StreamOptions {
-    /// The chunk size a run with `options` will use (the shared
-    /// [`mg_sched::effective_chunk_reads`] definition).
-    pub fn chunk_target(&self, options: &MappingOptions) -> usize {
-        mg_sched::effective_chunk_reads(self.chunk_reads, options.threads, options.batch_size)
+        StreamOptions { queue_batches: 4 }
     }
 }
 
@@ -436,14 +425,7 @@ impl<'a> Mapper<'a> {
                 }
                 let cache_stats = cache.stats();
                 stats.lock().unwrap().push((cache_stats, cache.heap_bytes() as u64));
-                // The cache tracks its own statistics; mirror them into the
-                // shard once per dispatch rather than plumbing a probe
-                // through the kernels.
-                obs.add(Ctr::CacheHits, cache_stats.hits);
-                obs.add(Ctr::CacheMisses, cache_stats.misses);
-                obs.add(Ctr::CacheEvictions, cache_stats.evictions);
-                obs.add(Ctr::CacheResizes, cache_stats.rehashes);
-                obs.add(Ctr::CacheRehashedSlots, cache_stats.rehashed_slots);
+                record_cache_stats(&mut obs, &cache_stats);
                 metrics.absorb(&obs);
                 *slot = ThreadPersist { cache: cache.into_state(), scratch };
             },
@@ -467,6 +449,18 @@ impl<'a> Mapper<'a> {
             cache_heap_bytes,
         }
     }
+}
+
+/// Mirrors a worker's cache statistics for one dispatch into its shard as
+/// the five `Cache*` counters. The cache tracks its own statistics (reset
+/// when [`CachedGbwt::with_state`] rebinds it), so a worker adds them once,
+/// after its last read, rather than plumbing a probe through the kernels.
+pub fn record_cache_stats(obs: &mut ObsShard<'_>, stats: &CacheStats) {
+    obs.add(Ctr::CacheHits, stats.hits);
+    obs.add(Ctr::CacheMisses, stats.misses);
+    obs.add(Ctr::CacheEvictions, stats.evictions);
+    obs.add(Ctr::CacheResizes, stats.rehashes);
+    obs.add(Ctr::CacheRehashedSlots, stats.rehashed_slots);
 }
 
 fn merge_cache_stats(mut acc: CacheStats, s: CacheStats) -> CacheStats {

@@ -86,27 +86,24 @@ pub enum Ctr {
     /// `extend_anchors_merged` this adds up to the distinct anchors of the
     /// clusters processed.
     ExtendAnchorsSkipped = 19,
-    /// Mapping jobs admitted by the server's pending queue.
-    ServeJobsAccepted = 20,
-    /// Mapping jobs refused with `BUSY` (queue full, per-client cap, or
-    /// draining).
-    ServeJobsRejected = 21,
     /// Mapping jobs that ran to `DONE`.
-    ServeJobsCompleted = 22,
+    ServeJobsCompleted = 20,
     /// Mapping jobs that ended with a per-job error frame (corrupt input
     /// or a worker panic inside the job).
-    ServeJobsFailed = 23,
+    ServeJobsFailed = 21,
     /// GAF bytes streamed to server clients.
-    ServeGafBytes = 24,
+    ServeGafBytes = 22,
+    /// Server connections dropped for bytes that do not parse as frames.
+    ServeProtoErrors = 23,
     /// Reads settled by the extension kernel's first walk — an exact
     /// full-length extension every seed lies on — without clustering.
     /// `reads_mapped − extend_first_reads` reads reached `cluster_seeds`.
-    ExtendFirstReads = 25,
+    ExtendFirstReads = 24,
 }
 
 impl Ctr {
     /// Number of counters.
-    pub const COUNT: usize = 26;
+    pub const COUNT: usize = 25;
     /// All counters, in declaration order.
     pub const ALL: [Ctr; Ctr::COUNT] = [
         Ctr::ReadsMapped,
@@ -129,11 +126,10 @@ impl Ctr {
         Ctr::ExtendPrunedFrames,
         Ctr::ExtendAnchorsMerged,
         Ctr::ExtendAnchorsSkipped,
-        Ctr::ServeJobsAccepted,
-        Ctr::ServeJobsRejected,
         Ctr::ServeJobsCompleted,
         Ctr::ServeJobsFailed,
         Ctr::ServeGafBytes,
+        Ctr::ServeProtoErrors,
         Ctr::ExtendFirstReads,
     ];
 
@@ -160,11 +156,10 @@ impl Ctr {
             Ctr::ExtendPrunedFrames => "extend_pruned_frames",
             Ctr::ExtendAnchorsMerged => "extend_anchors_merged",
             Ctr::ExtendAnchorsSkipped => "extend_anchors_skipped",
-            Ctr::ServeJobsAccepted => "serve_jobs_accepted",
-            Ctr::ServeJobsRejected => "serve_jobs_rejected",
             Ctr::ServeJobsCompleted => "serve_jobs_completed",
             Ctr::ServeJobsFailed => "serve_jobs_failed",
             Ctr::ServeGafBytes => "serve_gaf_bytes",
+            Ctr::ServeProtoErrors => "serve_proto_errors",
             Ctr::ExtendFirstReads => "extend_first_reads",
         }
     }
@@ -233,21 +228,18 @@ pub enum Gauge {
     ThreadsMax = 1,
     /// Deepest streaming-ingestion queue occupancy observed (in batches).
     StreamQueueDepthMax = 2,
-    /// Deepest server pending-job queue occupancy observed.
-    ServePendingMax = 3,
     /// Most jobs the server executor interleaved at once.
-    ServeActiveMax = 4,
+    ServeActiveMax = 3,
 }
 
 impl Gauge {
     /// Number of gauges.
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 4;
     /// All gauges, in declaration order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
         Gauge::QueueDepthMax,
         Gauge::ThreadsMax,
         Gauge::StreamQueueDepthMax,
-        Gauge::ServePendingMax,
         Gauge::ServeActiveMax,
     ];
 
@@ -257,7 +249,6 @@ impl Gauge {
             Gauge::QueueDepthMax => "queue_depth_max",
             Gauge::ThreadsMax => "threads_max",
             Gauge::StreamQueueDepthMax => "stream_queue_depth_max",
-            Gauge::ServePendingMax => "serve_pending_max",
             Gauge::ServeActiveMax => "serve_active_max",
         }
     }
@@ -293,8 +284,9 @@ pub fn bucket_of(v: u64) -> usize {
 /// zeros exactly, so the estimate is exact there; bucket `b >= 1` holds
 /// `[2^(b-1), 2^b)` and reports `2^b - 1`, overshooting by less than 2×.
 /// Slices longer than 64 buckets saturate to `u64::MAX` past the widest
-/// representable edge. This is the single quantile definition shared by
-/// [`Report::hist_quantile`] and the server's always-on latency histogram.
+/// representable edge. This is the quantile definition behind
+/// [`Report::hist_quantile`], and so behind the server's `STATS` latency
+/// figures.
 pub fn percentile(buckets: &[u64], p: f64) -> u64 {
     let total: u64 = buckets.iter().sum();
     if total == 0 {

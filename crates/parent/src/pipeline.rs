@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use mg_core::dump::SeedDump;
 use mg_core::types::{ReadInput, ReadResult, Seed, Workflow};
-use mg_core::{MapScratch, Mapper, MappingOptions, StreamOptions, ThreadPersist};
+use mg_core::{record_cache_stats, MapScratch, Mapper, MappingOptions, StreamOptions, ThreadPersist};
 use mg_gbwt::{CachedGbwt, Gbz};
 use mg_index::{DistanceIndex, MinimizerIndex};
 use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
@@ -202,6 +202,19 @@ impl<'a> Parent<'a> {
     /// The workflow this parent was built for.
     pub fn workflow(&self) -> Workflow {
         self.workflow
+    }
+
+    /// Reads per mapping chunk on the GAF-producing paths, streaming and
+    /// serving alike: one dispatch's worth, `threads × batch_size`, made
+    /// even (and at least 2) for paired workflows so that every chunk
+    /// starts on a pair boundary.
+    pub fn chunk_reads(&self, options: &ParentOptions) -> usize {
+        let mapping = &options.mapping;
+        let chunk = mapping.threads.max(1).saturating_mul(mapping.batch_size.max(1));
+        match self.workflow {
+            Workflow::Paired => (chunk & !1).max(2),
+            Workflow::Single => chunk,
+        }
     }
 
     /// Maps one read end-to-end on throwaway scratch, uninstrumented:
@@ -541,6 +554,7 @@ impl<'a> Parent<'a> {
                 for fragment in grains {
                     worker.map_fragment(fragment);
                 }
+                record_cache_stats(&mut worker.obs, &worker.cache.stats());
                 sinks.metrics.absorb(&worker.obs);
                 **persist =
                     ThreadPersist { cache: worker.cache.into_state(), scratch: worker.scratch };
@@ -578,8 +592,8 @@ impl<'a> Parent<'a> {
     /// raw-read batches (e.g. [`mg_workload::FastqBatches`](../mg_workload/fastq))
     /// into a bounded queue — blocking on a full queue, which is what
     /// bounds ingestion memory — while the calling thread dispatches chunks
-    /// of [`StreamOptions::chunk_target`] reads, stitches what the workers
-    /// rendered and writes it to `gaf_out`.
+    /// of [`Parent::chunk_reads`] reads, stitches what the workers rendered
+    /// and writes it to `gaf_out`.
     ///
     /// For paired workflows chunks split on even read indexes, so every
     /// mate pair (`2i`, `2i+1`) is one fragment of one chunk and the
@@ -604,11 +618,7 @@ impl<'a> Parent<'a> {
         I: Iterator<Item = mg_support::Result<Vec<Vec<u8>>>> + Send,
         W: std::io::Write,
     {
-        let mut chunk_target = stream.chunk_target(&options.mapping).max(1);
-        if self.workflow == Workflow::Paired {
-            // Chunks must break on pair boundaries so a pair is one fragment.
-            chunk_target = (chunk_target & !1usize).max(2);
-        }
+        let chunk_target = self.chunk_reads(options);
         let (tx, rx) = bounded_queue(stream.queue_batches.max(1));
         let start = Instant::now();
         let sinks = Sinks { metrics, regions: sink };
@@ -783,7 +793,6 @@ impl FragmentWorker<'_, '_> {
     fn map_fragment(&mut self, fragment: usize) {
         let lo = fragment * self.width;
         let count = self.width.min(self.reads.len() - lo);
-        let stats_before = self.obs.is_on().then(|| self.cache.stats());
         // A fragment is at most two reads: everything it produces lives in
         // fixed arrays until the emitter takes it.
         let mut results: [Option<ReadResult>; 2] = [None, None];
@@ -854,14 +863,6 @@ impl FragmentWorker<'_, '_> {
                 _ => self.bufs.runs.push(GafRun { first: fragment, next: fragment + 1, end }),
             }
         }
-        if let Some(before) = stats_before {
-            let after = self.cache.stats();
-            self.obs.add(Ctr::CacheHits, after.hits - before.hits);
-            self.obs.add(Ctr::CacheMisses, after.misses - before.misses);
-            self.obs.add(Ctr::CacheEvictions, after.evictions - before.evictions);
-            self.obs.add(Ctr::CacheResizes, after.rehashes - before.rehashes);
-            self.obs.add(Ctr::CacheRehashedSlots, after.rehashed_slots - before.rehashed_slots);
-        }
     }
 }
 
@@ -920,6 +921,45 @@ mod tests {
         let report = validate(&run.kernel_results, &proxy.per_read);
         assert!(report.is_exact(), "validation failed: {report}");
         assert!(report.matched > 0, "validation must compare something");
+    }
+
+    #[test]
+    fn cache_counters_match_the_proxy_over_the_captured_dump() {
+        // At one thread the parent and the proxy look up the same records
+        // in the same order (same reads, same seeds), and both add each
+        // worker's cache statistics once per dispatch. The second dispatch
+        // changes the capacity, so each kept cache is rebound cold and
+        // the entries it discards count as evictions.
+        let input = tiny_input();
+        assert_eq!(input.spec.workflow, Workflow::Single);
+        let parent = Parent::new(&input.gbz, &input.minimizer_index, Workflow::Single);
+        let proxy = Mapper::new(&input.gbz);
+        let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
+        let mut dump = None;
+        for capacity in [8usize, 256] {
+            let mut options = ParentOptions::default();
+            options.mapping.cache_capacity = capacity;
+            let (ours, theirs) = (Metrics::new(), Metrics::new());
+            let run = parent.run_with_sink_metrics(&reads, &options, &NullSink, &ours);
+            let dump = dump.get_or_insert(run.dump);
+            proxy.run_with_sink_metrics(dump, &options.mapping, &NullSink, &theirs);
+            let (ours, theirs) = (ours.report(), theirs.report());
+            for c in [
+                Ctr::CacheHits,
+                Ctr::CacheMisses,
+                Ctr::CacheEvictions,
+                Ctr::CacheResizes,
+                Ctr::CacheRehashedSlots,
+            ] {
+                assert_eq!(ours.counter(c), theirs.counter(c), "{} at {capacity}", c.name());
+            }
+            let (resizes, evictions) =
+                (ours.counter(Ctr::CacheResizes), ours.counter(Ctr::CacheEvictions));
+            match capacity {
+                8 => assert!(resizes > 0 && evictions == 0, "{resizes} resizes, {evictions}"),
+                _ => assert!(evictions > 0, "the cold rebind discarded nothing"),
+            }
+        }
     }
 
     #[test]
@@ -1106,15 +1146,18 @@ mod tests {
         let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
         let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
         assert_eq!(reads.len(), 40);
-        // 8-read chunks out of 5-read batches: the second chunk's write
-        // fails with 4 reads pending and 20 more still to arrive.
-        let stream = StreamOptions { queue_batches: 2, chunk_reads: 8 };
+        // 8-read chunks (one thread × batch 8) out of 5-read batches: the
+        // second chunk's write fails with 4 reads pending and 20 more still
+        // to arrive.
+        let mut options = ParentOptions::default();
+        options.mapping.batch_size = 8;
+        let stream = StreamOptions { queue_batches: 2 };
         let metrics = Metrics::new();
         let mut sink = FailsOnSecondWrite(0);
         let err = parent
             .run_streaming_with_sink_metrics(
                 reads.chunks(5).map(|c| Ok(c.to_vec())),
-                &ParentOptions::default(),
+                &options,
                 &stream,
                 "tiny",
                 &mut sink,

@@ -39,8 +39,10 @@ fn streaming_rss_is_bounded_by_the_window_not_the_input() {
     let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
     let mut options = ParentOptions::default();
+    // A mapping chunk is `threads × batch_size` reads: one ingestion batch.
     options.mapping.threads = 2;
-    let stream = StreamOptions { queue_batches: QUEUE_BATCHES, chunk_reads: BATCH_READS };
+    options.mapping.batch_size = BATCH_READS / 2;
+    let stream = StreamOptions { queue_batches: QUEUE_BATCHES };
 
     // Batches are made as the producer asks for them: the input never
     // exists whole, exactly as with a FASTQ file read incrementally.

@@ -11,11 +11,12 @@
 use crate::features::SimWorkload;
 use crate::machine::MachineModel;
 
-/// Scheduler policy in the simulated executor (mirrors
-/// [`mg_sched::SchedulerKind`]).
+/// Scheduler policy in the simulated executor: the three
+/// [`mg_sched::SchedulerKind`]s, plus a static partitioner the simulations
+/// use as their no-balancing baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimSched {
-    /// Contiguous equal chunks.
+    /// Contiguous equal chunks, no balancing.
     Static,
     /// Self-scheduling batches off a shared queue (OpenMP dynamic).
     Dynamic {
@@ -38,7 +39,6 @@ impl SimSched {
     /// Translates a runtime scheduler kind + batch size.
     pub fn from_kind(kind: mg_sched::SchedulerKind, batch: usize) -> Self {
         match kind {
-            mg_sched::SchedulerKind::Static => SimSched::Static,
             mg_sched::SchedulerKind::Dynamic => SimSched::Dynamic { batch },
             mg_sched::SchedulerKind::WorkStealing => SimSched::WorkStealing { batch },
             mg_sched::SchedulerKind::Vg => SimSched::Vg { batch },

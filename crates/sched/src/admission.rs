@@ -57,7 +57,8 @@ impl fmt::Display for AdmissionError {
 /// Counters the queue keeps about its own behaviour, for `STATS` export.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
-    /// Jobs admitted to the pending queue.
+    /// Jobs acknowledged: admitted to the pending queue, or failed on
+    /// arrival ([`AdmissionQueue::admit_failed`]).
     pub accepted: u64,
     /// Jobs refused because the queue was full.
     pub rejected_full: u64,
@@ -161,6 +162,14 @@ impl<T> AdmissionQueue<T> {
         drop(inner);
         self.ready.notify_one();
         Ok(())
+    }
+
+    /// Counts a job the caller acknowledged but failed before it could be
+    /// queued (its payload did not parse): accepted and finished at once,
+    /// so it holds no slot, and `accepted` still equals completed plus
+    /// failed once the queue is idle.
+    pub fn admit_failed(&self) {
+        self.lock().stats.accepted += 1;
     }
 
     /// Pops the oldest pending job without blocking.
@@ -321,6 +330,17 @@ mod tests {
         assert!(q.drained());
         assert_eq!(q.stats().pending, 0);
         assert_eq!(q.stats().pending_high_water, 3, "drain erased the high-water");
+    }
+
+    #[test]
+    fn a_job_failed_on_arrival_is_accepted_and_holds_no_slot() {
+        let q: AdmissionQueue<u32> = AdmissionQueue::new(1, 1);
+        q.admit_failed();
+        let s = q.stats();
+        assert_eq!((s.accepted, s.pending, s.executing), (1, 0, 0));
+        // Neither the queue slot nor the client's cap is taken.
+        q.try_submit(1, 0).unwrap();
+        assert_eq!(q.stats().accepted, 2);
     }
 
     #[test]

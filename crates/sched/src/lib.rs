@@ -4,8 +4,7 @@
 //! ships the OpenMP-dynamic analog ([`SchedulerKind::Dynamic`]) plus an
 //! in-house work-stealing scheduler ([`SchedulerKind::WorkStealing`]); the
 //! parent pipeline uses the VG-style main-thread dispatcher
-//! ([`SchedulerKind::Vg`]). A plain static partitioner
-//! ([`SchedulerKind::Static`]) rounds out the set for ablation.
+//! ([`SchedulerKind::Vg`]).
 //!
 //! All schedulers run `n` independent tasks (reads to map) on `threads`
 //! threads of a persistent [`WorkerPool`] — the caller is thread 0 — and
@@ -50,26 +49,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Mutex, PoisonError};
 
-/// The one definition of the in-flight chunk window default, shared by the
-/// streaming pipelines and the serving executor:
-/// `requested` reads per chunk when nonzero, else one full dispatch worth
-/// of work (`threads × batch_size`). Always >= 1.
-///
-/// ```
-/// use mg_sched::effective_chunk_reads;
-/// assert_eq!(effective_chunk_reads(0, 4, 512), 2048); // default: threads × batch
-/// assert_eq!(effective_chunk_reads(100, 4, 512), 100); // explicit wins
-/// assert_eq!(effective_chunk_reads(0, 0, 0), 1); // degenerate inputs clamp
-/// ```
-#[inline]
-pub fn effective_chunk_reads(requested: usize, threads: usize, batch_size: usize) -> usize {
-    if requested == 0 {
-        threads.max(1).saturating_mul(batch_size.max(1)).max(1)
-    } else {
-        requested
-    }
-}
-
 /// Dispatch grains every thread gets out of one chunk, at least: with
 /// fewer, a chunk of `threads × batch_size` reads is one grain per thread
 /// and the balancing schedulers have nothing to balance. Picked by
@@ -98,8 +77,6 @@ pub fn chunk_grain_reads(chunk_reads: usize, threads: usize, batch_size: usize) 
 /// Identifies a scheduler implementation; the tuning harness sweeps this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SchedulerKind {
-    /// Contiguous equal chunks, no balancing.
-    Static,
     /// Shared-counter dynamic batches (the OpenMP `schedule(dynamic)`
     /// analog miniGiraffe defaults to).
     Dynamic,
@@ -113,8 +90,7 @@ pub enum SchedulerKind {
 
 impl SchedulerKind {
     /// All kinds, in sweep order.
-    pub const ALL: [SchedulerKind; 4] = [
-        SchedulerKind::Static,
+    pub const ALL: [SchedulerKind; 3] = [
         SchedulerKind::Dynamic,
         SchedulerKind::WorkStealing,
         SchedulerKind::Vg,
@@ -124,8 +100,8 @@ impl SchedulerKind {
     pub const TUNED: [SchedulerKind; 2] = [SchedulerKind::Dynamic, SchedulerKind::WorkStealing];
 
     /// Processes tasks `0..n` on `threads` threads of `pool`, handing out
-    /// `batch` indexes at a time (clamped to at least 1; the static
-    /// partitioner ignores it). Every index is processed exactly once.
+    /// `batch` indexes at a time (clamped to at least 1). Every index is
+    /// processed exactly once.
     ///
     /// `body(thread, slot, grains)` runs once on every thread with `&mut
     /// state[thread]` — warm state the caller keeps from one dispatch to
@@ -161,7 +137,7 @@ impl SchedulerKind {
         );
         let inline = threads <= 1 || n == 0;
         // Each thread takes its own slot once. Only this shim is generic:
-        // the four schedulers are compiled once, whatever the state type.
+        // the three schedulers are compiled once, whatever the state type.
         let slots: Vec<Mutex<Option<&mut S>>> = state[..if inline { 1 } else { threads }]
             .iter_mut()
             .map(|s| Mutex::new(Some(s)))
@@ -182,7 +158,6 @@ impl SchedulerKind {
         metrics.gauge_max(Gauge::ThreadsMax, threads as u64);
         let batch = batch.max(1);
         match self {
-            SchedulerKind::Static => run_static(pool, threads, n, metrics, &each),
             SchedulerKind::Dynamic => run_dynamic(batch, pool, threads, n, metrics, &each),
             SchedulerKind::WorkStealing => run_stealing(batch, pool, threads, n, metrics, &each),
             SchedulerKind::Vg => run_vg(batch, pool, threads, n, metrics, &each),
@@ -193,7 +168,6 @@ impl SchedulerKind {
 impl fmt::Display for SchedulerKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            SchedulerKind::Static => "static",
             SchedulerKind::Dynamic => "openmp-dynamic",
             SchedulerKind::WorkStealing => "work-stealing",
             SchedulerKind::Vg => "vg-batch",
@@ -207,7 +181,6 @@ impl FromStr for SchedulerKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "static" => Ok(SchedulerKind::Static),
             "openmp-dynamic" | "dynamic" | "openmp" => Ok(SchedulerKind::Dynamic),
             "work-stealing" | "ws" => Ok(SchedulerKind::WorkStealing),
             "vg-batch" | "vg" => Ok(SchedulerKind::Vg),
@@ -283,23 +256,6 @@ fn feed(
         metrics.add(Ctr::PoolBatches, grains.batches);
         metrics.add(Ctr::PoolTasksCompleted, grains.done);
     }
-}
-
-/// Contiguous equal chunks, one per thread. No balancing at all: the
-/// baseline the dynamic schedulers are measured against.
-fn run_static(
-    pool: &mut WorkerPool,
-    threads: usize,
-    n: usize,
-    metrics: &Metrics,
-    body: &ThreadBody<'_>,
-) {
-    let chunk = n.div_ceil(threads);
-    pool.scoped(threads, &|t| {
-        // Each thread's contiguous share is one grain.
-        let mut own = Some((t * chunk).min(n)..((t + 1) * chunk).min(n)).filter(|r| !r.is_empty());
-        feed(t, metrics, &mut || own.take(), body);
-    });
 }
 
 /// Dynamic batches off a shared atomic counter — the behaviour of OpenMP's
@@ -461,7 +417,7 @@ mod tests {
 
     #[test]
     fn every_index_processed_exactly_once() {
-        // One pool and one state array shared by all four kinds and many
+        // One pool and one state array shared by all three kinds and many
         // run shapes, as a mapper keeps them from dispatch to dispatch.
         let mut pool = WorkerPool::new();
         let mut state = [(); 7];
@@ -573,6 +529,7 @@ mod tests {
             assert_eq!(s.parse::<SchedulerKind>().unwrap(), kind);
         }
         assert!("garbage".parse::<SchedulerKind>().is_err());
+        assert!("static".parse::<SchedulerKind>().is_err());
         assert_eq!("ws".parse::<SchedulerKind>().unwrap(), SchedulerKind::WorkStealing);
         assert_eq!("openmp".parse::<SchedulerKind>().unwrap(), SchedulerKind::Dynamic);
     }

@@ -25,10 +25,9 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mg_core::types::Workflow;
-use mg_obs::{bucket_of, percentile, Ctr, Gauge, Hist, Metrics, Stage, HIST_BUCKETS};
+use mg_obs::{Ctr, Gauge, Hist, Metrics, Stage};
 use mg_parent::{Parent, ParentOptions};
-use mg_sched::{effective_chunk_reads, AdmissionQueue};
+use mg_sched::AdmissionQueue;
 use mg_workload::read_fastq_bases;
 
 use crate::protocol::{Frame, FrameDecoder, JobSummary};
@@ -38,11 +37,9 @@ use crate::transport::{Conn, ReadOutcome};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Mapping configuration shared by every job (threads, scheduler,
-    /// cache capacity, post-processing).
+    /// cache capacity, post-processing). A job is mapped in chunks of
+    /// [`Parent::chunk_reads`] reads, as a stream is.
     pub options: ParentOptions,
-    /// Reads per executor chunk; `0` picks `threads × batch_size`. Paired
-    /// workflows clamp this to an even value so chunks keep pairs whole.
-    pub chunk_reads: usize,
     /// Admission: jobs the pending queue holds before `BUSY`.
     pub max_pending: usize,
     /// Jobs the executor interleaves at once; admitted jobs beyond this
@@ -63,7 +60,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             options: ParentOptions::default(),
-            chunk_reads: 0,
             max_pending: 16,
             max_active: 4,
             per_client_cap: 4,
@@ -93,22 +89,21 @@ struct ActiveJob {
     started: bool,
 }
 
-/// Shared control block: admission queue, lifecycle flags, and always-on
-/// counters (kept outside `mg_obs`, whose registry records nothing when it
-/// is switched off, so `STATS` answers truthfully either way).
+impl ActiveJob {
+    fn new(job: Job) -> ActiveJob {
+        ActiveJob { job, next_read: 0, chunks: 0, gaf_bytes: 0, queue_wait_us: 0, started: false }
+    }
+}
+
+/// Shared control block: the admission queue, which keeps the admission
+/// figures of `STATS`, the executor's stopped flag and the id counters.
+/// Job outcomes are counted in the server's metrics registry
+/// ([`MappingServer::metrics`]).
 pub struct ServerCtl {
     queue: AdmissionQueue<Job>,
-    shutdown: AtomicBool,
     stopped: AtomicBool,
     next_job: AtomicU64,
     next_client: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    reads_mapped: AtomicU64,
-    gaf_bytes: AtomicU64,
-    proto_errors: AtomicU64,
-    latency_buckets: [AtomicU64; HIST_BUCKETS],
-    latency_count: AtomicU64,
     started_at: Instant,
 }
 
@@ -116,17 +111,9 @@ impl ServerCtl {
     fn new(config: &ServerConfig) -> ServerCtl {
         ServerCtl {
             queue: AdmissionQueue::new(config.max_pending, config.per_client_cap),
-            shutdown: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
             next_job: AtomicU64::new(0),
             next_client: AtomicU64::new(0),
-            jobs_completed: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            reads_mapped: AtomicU64::new(0),
-            gaf_bytes: AtomicU64::new(0),
-            proto_errors: AtomicU64::new(0),
-            latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency_count: AtomicU64::new(0),
             started_at: Instant::now(),
         }
     }
@@ -135,85 +122,12 @@ impl ServerCtl {
     /// finish, new submissions get `BUSY (draining)`, and once the queue
     /// is empty the executor exits.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
         self.queue.drain();
     }
 
     /// Whether the executor has exited (drain complete).
     pub fn stopped(&self) -> bool {
         self.stopped.load(Ordering::SeqCst)
-    }
-
-    /// Jobs completed successfully so far.
-    pub fn jobs_completed(&self) -> u64 {
-        self.jobs_completed.load(Ordering::SeqCst)
-    }
-
-    /// Jobs that failed (corrupt input or a mapping fault).
-    pub fn jobs_failed(&self) -> u64 {
-        self.jobs_failed.load(Ordering::SeqCst)
-    }
-
-    /// Connections dropped for unparseable bytes.
-    pub fn proto_errors(&self) -> u64 {
-        self.proto_errors.load(Ordering::SeqCst)
-    }
-
-    fn observe_latency(&self, us: u64) {
-        self.latency_buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `q`-quantile (upper bucket edge) of completed-job latency, in
-    /// microseconds, from the always-on histogram. Delegates to
-    /// [`mg_obs::percentile`] — one quantile definition for every log2
-    /// histogram in the tree.
-    pub fn latency_quantile_us(&self, q: f64) -> u64 {
-        let buckets: [u64; HIST_BUCKETS] =
-            std::array::from_fn(|b| self.latency_buckets[b].load(Ordering::Relaxed));
-        percentile(&buckets, q)
-    }
-
-    /// The base `STATS` payload: admission counters, job outcomes,
-    /// latency quantiles, and resident-state health. `extra` is spliced
-    /// in before the closing brace (the server adds the cache, kernel and
-    /// stage sections there).
-    fn stats_json_with(&self, extra: &str) -> String {
-        let a = self.queue.stats();
-        format!(
-            concat!(
-                "{{\"jobs\":{{\"accepted\":{},\"completed\":{},\"failed\":{},",
-                "\"rejected_full\":{},\"rejected_client\":{},\"rejected_draining\":{},",
-                "\"pending\":{},\"executing\":{},\"pending_high_water\":{}}},",
-                "\"latency_us\":{{\"count\":{},\"p50\":{},\"p99\":{}}},",
-                "\"reads_mapped\":{},\"gaf_bytes\":{},",
-                "\"proto_errors\":{},\"draining\":{},\"uptime_ms\":{}{}}}"
-            ),
-            a.accepted,
-            self.jobs_completed(),
-            self.jobs_failed(),
-            a.rejected_full,
-            a.rejected_client,
-            a.rejected_draining,
-            a.pending,
-            a.executing,
-            a.pending_high_water,
-            self.latency_count.load(Ordering::Relaxed),
-            self.latency_quantile_us(0.50),
-            self.latency_quantile_us(0.99),
-            self.reads_mapped.load(Ordering::SeqCst),
-            self.gaf_bytes.load(Ordering::SeqCst),
-            self.proto_errors(),
-            self.queue.is_draining(),
-            self.started_at.elapsed().as_millis(),
-            extra,
-        )
-    }
-
-    /// The `STATS` payload without server-level extras (cache hit rates,
-    /// stage times); [`MappingServer::stats_json`] is the full view.
-    pub fn stats_json(&self) -> String {
-        self.stats_json_with("")
     }
 }
 
@@ -245,51 +159,28 @@ impl<'a> MappingServer<'a> {
         MappingServer { parent, config, ctl, metrics: Metrics::new() }
     }
 
-    /// The shared control block (shutdown, counters, `STATS`).
+    /// The shared control block (shutdown, admission, lifecycle).
     pub fn ctl(&self) -> &Arc<ServerCtl> {
         &self.ctl
     }
 
-    /// The server's metrics registry (populated when `mg-obs/enabled`).
+    /// The server's metrics registry: job outcomes, proto errors, and
+    /// everything the mapping records.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
 
-    /// Reads per executor chunk, honouring pair boundaries.
-    fn chunk_reads(&self) -> usize {
-        let mapping = &self.config.options.mapping;
-        let mut chunk =
-            effective_chunk_reads(self.config.chunk_reads, mapping.threads, mapping.batch_size);
-        if self.parent.workflow() == Workflow::Paired {
-            chunk = (chunk & !1).max(2);
-        }
-        chunk
-    }
-
-    /// The full `STATS` payload: the [`ServerCtl`] base plus cache hit
-    /// rates, the extension kernel's anchor accounting (and how many reads
-    /// its first walk settled without clustering) and the per-stage
-    /// time and span counts from the metrics registry.
+    /// The `STATS` payload. Admission figures come from the admission
+    /// queue; job outcomes, latency quantiles, cache hit rates, the
+    /// extension kernel's anchor accounting (and how many reads its first
+    /// walk settled without clustering) and the per-stage time and span
+    /// counts come from the metrics registry.
     pub fn stats_json(&self) -> String {
+        let a = self.ctl.queue.stats();
         let rep = self.metrics.report();
         let hits = rep.counter(Ctr::CacheHits);
         let misses = rep.counter(Ctr::CacheMisses);
-        let rate = |h: u64, m: u64| if h + m == 0 { 0.0 } else { h as f64 / (h + m) as f64 };
-        let mut extra = format!(
-            concat!(
-                ",\"cache\":{{\"private_hits\":{},\"private_misses\":{},",
-                "\"private_hit_rate\":{:.4}}},",
-                "\"extend\":{{\"anchors_walked\":{},\"anchors_merged\":{},",
-                "\"anchors_skipped\":{},\"extend_first_reads\":{}}}"
-            ),
-            hits,
-            misses,
-            rate(hits, misses),
-            rep.counter(Ctr::ExtendAnchorsWalked),
-            rep.counter(Ctr::ExtendAnchorsMerged),
-            rep.counter(Ctr::ExtendAnchorsSkipped),
-            rep.counter(Ctr::ExtendFirstReads),
-        );
+        let hit_rate = if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 };
         // Where the pool's time went, in the stage vocabulary of the metrics
         // export and the benchmark ledger.
         let stages: Vec<String> = Stage::ALL
@@ -303,8 +194,46 @@ impl<'a> MappingServer<'a> {
                 )
             })
             .collect();
-        extra.push_str(&format!(",\"stages\":{{{}}}", stages.join(",")));
-        self.ctl.stats_json_with(&extra)
+        format!(
+            concat!(
+                "{{\"jobs\":{{\"accepted\":{},\"completed\":{},\"failed\":{},",
+                "\"rejected_full\":{},\"rejected_client\":{},\"rejected_draining\":{},",
+                "\"pending\":{},\"executing\":{},\"pending_high_water\":{}}},",
+                "\"latency_us\":{{\"count\":{},\"p50\":{},\"p99\":{}}},",
+                "\"reads_mapped\":{},\"gaf_bytes\":{},",
+                "\"proto_errors\":{},\"draining\":{},\"uptime_ms\":{},",
+                "\"cache\":{{\"private_hits\":{},\"private_misses\":{},",
+                "\"private_hit_rate\":{:.4}}},",
+                "\"extend\":{{\"anchors_walked\":{},\"anchors_merged\":{},",
+                "\"anchors_skipped\":{},\"extend_first_reads\":{}}},",
+                "\"stages\":{{{}}}}}"
+            ),
+            a.accepted,
+            rep.counter(Ctr::ServeJobsCompleted),
+            rep.counter(Ctr::ServeJobsFailed),
+            a.rejected_full,
+            a.rejected_client,
+            a.rejected_draining,
+            a.pending,
+            a.executing,
+            a.pending_high_water,
+            rep.hist_count(Hist::ServeJobLatencyUs),
+            rep.hist_quantile(Hist::ServeJobLatencyUs, 0.50),
+            rep.hist_quantile(Hist::ServeJobLatencyUs, 0.99),
+            rep.hist_sum(Hist::ServeJobReads),
+            rep.counter(Ctr::ServeGafBytes),
+            rep.counter(Ctr::ServeProtoErrors),
+            self.ctl.queue.is_draining(),
+            self.ctl.started_at.elapsed().as_millis(),
+            hits,
+            misses,
+            hit_rate,
+            rep.counter(Ctr::ExtendAnchorsWalked),
+            rep.counter(Ctr::ExtendAnchorsMerged),
+            rep.counter(Ctr::ExtendAnchorsSkipped),
+            rep.counter(Ctr::ExtendFirstReads),
+            stages.join(","),
+        )
     }
 
     /// Serves connections from `conns` until a client (or
@@ -374,14 +303,7 @@ impl<'a> MappingServer<'a> {
         loop {
             while active.len() < self.config.max_active.max(1) {
                 match ctl.queue.try_pop() {
-                    Some((_client, job)) => active.push_back(ActiveJob {
-                        job,
-                        next_read: 0,
-                        chunks: 0,
-                        gaf_bytes: 0,
-                        queue_wait_us: 0,
-                        started: false,
-                    }),
+                    Some((_client, job)) => active.push_back(ActiveJob::new(job)),
                     None => break,
                 }
             }
@@ -390,19 +312,10 @@ impl<'a> MappingServer<'a> {
                     break;
                 }
                 match ctl.queue.pop_wait(Duration::from_millis(50)) {
-                    Some((_client, job)) => active.push_back(ActiveJob {
-                        job,
-                        next_read: 0,
-                        chunks: 0,
-                        gaf_bytes: 0,
-                        queue_wait_us: 0,
-                        started: false,
-                    }),
+                    Some((_client, job)) => active.push_back(ActiveJob::new(job)),
                     None => continue,
                 }
             }
-            let stats = ctl.queue.stats();
-            self.metrics.gauge_max(Gauge::ServePendingMax, stats.pending_high_water as u64);
             self.metrics.gauge_max(Gauge::ServeActiveMax, active.len() as u64);
             let mut aj = active.pop_front().expect("active job present");
             if self.step(&mut aj, &mut out) {
@@ -429,7 +342,7 @@ impl<'a> MappingServer<'a> {
         }
         let n = aj.job.reads.len();
         let lo = aj.next_read;
-        let hi = (lo + self.chunk_reads()).min(n);
+        let hi = (lo + self.parent.chunk_reads(&self.config.options)).min(n);
         if lo < hi {
             // Only the job a fault is aimed at maps with options of its own.
             let faulted = match self.config.fault_job {
@@ -470,6 +383,7 @@ impl<'a> MappingServer<'a> {
                     // it may reach the client ahead of the ERR.
                     out.clear();
                     let what = panic_message(&*panic);
+                    self.metrics.add(Ctr::ServeJobsFailed, 1);
                     send(
                         &aj.job.writer,
                         &Frame::Error {
@@ -477,8 +391,6 @@ impl<'a> MappingServer<'a> {
                             message: format!("mapping fault: {what}"),
                         },
                     );
-                    ctl.jobs_failed.fetch_add(1, Ordering::SeqCst);
-                    self.metrics.add(Ctr::ServeJobsFailed, 1);
                     ctl.queue.finish(aj.job.client);
                     return false;
                 }
@@ -487,10 +399,6 @@ impl<'a> MappingServer<'a> {
         let done = aj.next_read >= n;
         if done {
             let latency_us = aj.job.submitted.elapsed().as_micros() as u64;
-            ctl.observe_latency(latency_us);
-            ctl.jobs_completed.fetch_add(1, Ordering::SeqCst);
-            ctl.reads_mapped.fetch_add(n as u64, Ordering::SeqCst);
-            ctl.gaf_bytes.fetch_add(aj.gaf_bytes, Ordering::SeqCst);
             self.metrics.add(Ctr::ServeJobsCompleted, 1);
             self.metrics.add(Ctr::ServeGafBytes, aj.gaf_bytes);
             self.metrics.observe(Hist::ServeJobLatencyUs, latency_us);
@@ -535,7 +443,7 @@ impl<'a> MappingServer<'a> {
                             Err(_) => {
                                 // Framing is lost; nothing sensible can be
                                 // sent on a stream we can no longer parse.
-                                ctl.proto_errors.fetch_add(1, Ordering::SeqCst);
+                                self.metrics.add(Ctr::ServeProtoErrors, 1);
                                 return;
                             }
                         }
@@ -563,9 +471,10 @@ impl<'a> MappingServer<'a> {
                     Err(e) => {
                         // The job is born failed: acknowledge it so the
                         // client can correlate, then report the parse
-                        // error. It never touches the queue, so other
-                        // clients' jobs are unaffected.
-                        ctl.jobs_failed.fetch_add(1, Ordering::SeqCst);
+                        // error. It is counted as accepted and failed but
+                        // never queued, so other clients' jobs are
+                        // unaffected.
+                        ctl.queue.admit_failed();
                         self.metrics.add(Ctr::ServeJobsFailed, 1);
                         let mut verdict = Frame::Accept { job: job_id }.encode();
                         Frame::Error { job: job_id, message: format!("bad FASTQ: {e}") }
@@ -586,16 +495,11 @@ impl<'a> MappingServer<'a> {
                         // this job cannot overtake our ACCEPT.
                         let mut w =
                             writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        match ctl.queue.try_submit(client, job) {
-                            Ok(()) => {
-                                self.metrics.add(Ctr::ServeJobsAccepted, 1);
-                                let _ = Frame::Accept { job: job_id }.write_to(&mut **w);
-                            }
-                            Err((why, _job)) => {
-                                self.metrics.add(Ctr::ServeJobsRejected, 1);
-                                let _ = Frame::Busy { reason: why.to_string() }.write_to(&mut **w);
-                            }
-                        }
+                        let verdict = match ctl.queue.try_submit(client, job) {
+                            Ok(()) => Frame::Accept { job: job_id },
+                            Err((why, _job)) => Frame::Busy { reason: why.to_string() },
+                        };
+                        let _ = verdict.write_to(&mut **w);
                     }
                 }
             }

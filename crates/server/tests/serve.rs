@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use mg_core::types::{Seed, Workflow};
 use mg_core::{cluster_seeds_with_scratch, ClusterParams, ClusterScratch};
+use mg_obs::{Ctr, Hist};
 use mg_parent::{run_to_gaf, Parent, ParentOptions};
 use mg_sched::SchedulerKind;
 use mg_server::{
@@ -56,12 +57,19 @@ fn fastq_of(reads: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-fn options(scheduler: SchedulerKind, threads: usize) -> ParentOptions {
+/// Mapping options; the server maps a job in chunks of `threads ×
+/// batch_size` reads.
+fn options(scheduler: SchedulerKind, threads: usize, batch_size: usize) -> ParentOptions {
     let mut options = ParentOptions::default();
     options.mapping.scheduler = scheduler;
     options.mapping.threads = threads;
-    options.mapping.batch_size = 8;
+    options.mapping.batch_size = batch_size;
     options
+}
+
+/// A counter of the server's metrics registry.
+fn counter(server: &MappingServer<'_>, c: Ctr) -> u64 {
+    server.metrics().report().counter(c)
 }
 
 /// The sequential oracle: a one-shot batch run on a parent instance the
@@ -154,12 +162,11 @@ fn eight_clients_match_oracle(scheduler: SchedulerKind) {
     let input = fixture(11);
     let reads = raw_reads(&input);
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-    let options = options(scheduler, 2);
+    let options = options(scheduler, 2, 4);
     let server = MappingServer::new(
         &parent,
         ServerConfig {
             options: options.clone(),
-            chunk_reads: 8,
             max_pending: 32,
             max_active: 4,
             per_client_cap: 4,
@@ -197,13 +204,13 @@ fn eight_clients_match_oracle(scheduler: SchedulerKind) {
                     "client {c} job {j} GAF diverged from the sequential oracle"
                 );
                 assert_eq!(summary.reads, 10);
-                assert_eq!(summary.chunks, 2, "10 reads at chunk_reads=8 is 2 chunks");
+                assert_eq!(summary.chunks, 2, "10 reads at 2 threads × batch 4 is 2 chunks");
                 assert_eq!(summary.gaf_bytes, expect.len() as u64);
             }
         }
     });
-    assert_eq!(server.ctl().jobs_completed(), 16);
-    assert_eq!(server.ctl().jobs_failed(), 0);
+    assert_eq!(counter(&server, Ctr::ServeJobsCompleted), 16);
+    assert_eq!(counter(&server, Ctr::ServeJobsFailed), 0);
 }
 
 #[test]
@@ -221,7 +228,7 @@ fn ping_stats_and_clean_drain() {
     let input = fixture(3);
     let reads = raw_reads(&input);
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-    let options = options(SchedulerKind::Dynamic, 1);
+    let options = options(SchedulerKind::Dynamic, 1, 8);
     let server = MappingServer::new(
         &parent,
         ServerConfig { options: options.clone(), ..ServerConfig::default() },
@@ -277,7 +284,7 @@ fn real_tcp_round_trip() {
     let input = fixture(5);
     let reads = raw_reads(&input);
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-    let options = options(SchedulerKind::Dynamic, 2);
+    let options = options(SchedulerKind::Dynamic, 2, 8);
     let server = MappingServer::new(
         &parent,
         ServerConfig { options: options.clone(), ..ServerConfig::default() },
@@ -307,12 +314,11 @@ fn small_job_finishes_under_a_hog() {
     let input = fixture(7);
     let reads = raw_reads(&input);
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-    let options = options(SchedulerKind::Dynamic, 1);
+    let options = options(SchedulerKind::Dynamic, 1, 4);
     let server = MappingServer::new(
         &parent,
         ServerConfig {
             options: options.clone(),
-            chunk_reads: 4,
             max_pending: 8,
             max_active: 2,
             per_client_cap: 2,
@@ -351,7 +357,7 @@ fn small_job_finishes_under_a_hog() {
         assert_eq!(hog_done.chunks, 8);
         small.shutdown().unwrap();
     });
-    assert_eq!(server.ctl().jobs_completed(), 2);
+    assert_eq!(counter(&server, Ctr::ServeJobsCompleted), 2);
 }
 
 #[test]
@@ -362,8 +368,7 @@ fn queue_full_and_client_caps_reject_with_busy() {
     let server = MappingServer::new(
         &parent,
         ServerConfig {
-            options: options(SchedulerKind::Dynamic, 1),
-            chunk_reads: 4,
+            options: options(SchedulerKind::Dynamic, 1, 4),
             max_pending: 1,
             max_active: 1,
             per_client_cap: 2,
@@ -406,8 +411,8 @@ fn queue_full_and_client_caps_reject_with_busy() {
         expect_done(&a.wait_job(job2).unwrap());
         b.shutdown().unwrap();
     });
-    assert_eq!(server.ctl().jobs_completed(), 2);
-    let stats = server.ctl().stats_json();
+    assert_eq!(counter(&server, Ctr::ServeJobsCompleted), 2);
+    let stats = server.stats_json();
     assert!(stats.contains("\"rejected_full\":1"), "{stats}");
     assert!(stats.contains("\"rejected_client\":1"), "{stats}");
 }
@@ -419,12 +424,11 @@ fn drain_loses_no_accepted_jobs() {
     let input = fixture(13);
     let reads = raw_reads(&input);
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-    let options = options(SchedulerKind::Dynamic, 1);
+    let options = options(SchedulerKind::Dynamic, 1, 4);
     let server = MappingServer::new(
         &parent,
         ServerConfig {
             options: options.clone(),
-            chunk_reads: 4,
             max_pending: 8,
             max_active: 2,
             per_client_cap: 4,
@@ -461,7 +465,7 @@ fn drain_loses_no_accepted_jobs() {
         }
     });
     assert!(server.ctl().stopped());
-    assert_eq!(server.ctl().jobs_completed(), 3, "drain must not lose accepted jobs");
+    assert_eq!(counter(&server, Ctr::ServeJobsCompleted), 3, "drain must not lose accepted jobs");
 }
 
 /// A job whose FASTQ does not parse fails alone: the submitting client
@@ -471,7 +475,7 @@ fn corrupt_fastq_fails_one_job_not_the_server() {
     let input = fixture(17);
     let reads = raw_reads(&input);
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-    let options = options(SchedulerKind::Dynamic, 1);
+    let options = options(SchedulerKind::Dynamic, 1, 8);
     let server = MappingServer::new(
         &parent,
         ServerConfig { options: options.clone(), ..ServerConfig::default() },
@@ -498,8 +502,112 @@ fn corrupt_fastq_fails_one_job_not_the_server() {
         );
         client.shutdown().unwrap();
     });
-    assert_eq!(server.ctl().jobs_failed(), 1);
-    assert_eq!(server.ctl().jobs_completed(), 1);
+    assert_eq!(counter(&server, Ctr::ServeJobsFailed), 1);
+    assert_eq!(counter(&server, Ctr::ServeJobsCompleted), 1);
+}
+
+/// Every SUBMIT answered with `ACCEPT` is counted once, a malformed one
+/// too: once the server is idle, `accepted == completed + failed`.
+#[test]
+fn malformed_and_good_jobs_balance_the_job_books() {
+    let input = fixture(17);
+    let reads = raw_reads(&input);
+    let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
+    let server = MappingServer::new(
+        &parent,
+        ServerConfig { options: options(SchedulerKind::Dynamic, 1, 8), ..ServerConfig::default() },
+    );
+    let (tx, rx) = channel::<Conn>();
+    std::thread::scope(|scope| {
+        scope.spawn(|| server.serve(rx));
+        let _guard = ShutdownGuard(server.ctl());
+        let (server_side, client_side) = Conn::pair();
+        tx.send(server_side).unwrap();
+        let mut client = BlockingClient::new(client_side);
+        let bad = client.run_job("bad", b"this is not FASTQ\n").expect("client survives");
+        assert!(matches!(bad, JobOutcome::Failed { .. }), "corrupt FASTQ must fail");
+        expect_done(&client.run_job("good", &fastq_of(&reads[..6])).expect("job ran"));
+        let stats = client.stats().expect("STATS");
+        let [accepted, completed, failed] =
+            ["accepted", "completed", "failed"].map(|key| json_u64(&stats, key));
+        assert_eq!((completed, failed), (1, 1), "{stats}");
+        assert_eq!(accepted, completed + failed, "{stats}");
+        client.shutdown().unwrap();
+    });
+}
+
+/// Every leaf key of a JSON object as a dotted path, in document order.
+/// Enough JSON for `STATS`: objects, numbers, booleans and plain strings.
+fn key_paths(json: &str) -> Vec<String> {
+    let (mut paths, mut stack, mut key) = (Vec::new(), Vec::<String>::new(), None::<String>);
+    let mut rest = json;
+    while let Some(c) = rest.chars().next() {
+        rest = &rest[c.len_utf8()..];
+        match c {
+            '"' => {
+                let end = rest.find('"').expect("string closes");
+                let text = &rest[..end];
+                rest = &rest[end + 1..];
+                match rest.strip_prefix(':') {
+                    Some(after) => {
+                        key = Some(text.to_string());
+                        rest = after;
+                    }
+                    None => paths.extend(key.take().map(|k| [&stack[..], &[k]].concat().join("."))),
+                }
+            }
+            '{' => stack.extend(key.take()),
+            '}' => {
+                stack.pop();
+            }
+            ',' | ' ' | '\n' => {}
+            _ => paths.extend(key.take().map(|k| [&stack[..], &[k]].concat().join("."))),
+        }
+    }
+    paths
+}
+
+/// The `STATS` keys, in order, are a contract: the benchmark harness and
+/// operators' scripts read them by name.
+#[test]
+fn stats_schema_is_pinned() {
+    let input = fixture(3);
+    let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
+    let server = MappingServer::new(&parent, ServerConfig::default());
+    let mut expected: Vec<String> = [
+        "jobs.accepted",
+        "jobs.completed",
+        "jobs.failed",
+        "jobs.rejected_full",
+        "jobs.rejected_client",
+        "jobs.rejected_draining",
+        "jobs.pending",
+        "jobs.executing",
+        "jobs.pending_high_water",
+        "latency_us.count",
+        "latency_us.p50",
+        "latency_us.p99",
+        "reads_mapped",
+        "gaf_bytes",
+        "proto_errors",
+        "draining",
+        "uptime_ms",
+        "cache.private_hits",
+        "cache.private_misses",
+        "cache.private_hit_rate",
+        "extend.anchors_walked",
+        "extend.anchors_merged",
+        "extend.anchors_skipped",
+        "extend.extend_first_reads",
+    ]
+    .map(String::from)
+    .to_vec();
+    for stage in ["parse", "seeding", "clustering", "extension", "rescoring", "pairing", "render"] {
+        expected.push(format!("stages.{stage}.ns"));
+        expected.push(format!("stages.{stage}.count"));
+    }
+    assert_eq!(key_paths(&server.stats_json()), expected);
+    assert_eq!(key_paths(r#"{"a":{"b":1,"c":"x"},"d":false}"#), ["a.b", "a.c", "d"]);
 }
 
 /// Satellite 3's serving half: a worker panic inside a served job fails
@@ -510,12 +618,11 @@ fn worker_panic_fails_job_pool_survives() {
     let input = fixture(19);
     let reads = raw_reads(&input);
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-    let options = options(SchedulerKind::Dynamic, 2);
+    let options = options(SchedulerKind::Dynamic, 2, 4);
     let server = MappingServer::new(
         &parent,
         ServerConfig {
             options: options.clone(),
-            chunk_reads: 8,
             max_pending: 8,
             max_active: 2,
             per_client_cap: 4,
@@ -550,8 +657,8 @@ fn worker_panic_fails_job_pool_survives() {
         );
         client.shutdown().unwrap();
     });
-    assert_eq!(server.ctl().jobs_failed(), 1);
-    assert_eq!(server.ctl().jobs_completed(), 1);
+    assert_eq!(counter(&server, Ctr::ServeJobsFailed), 1);
+    assert_eq!(counter(&server, Ctr::ServeJobsCompleted), 1);
 }
 
 /// The fault path frame by frame. Workers render GAF while they map and
@@ -571,10 +678,9 @@ fn worker_panic_leaks_no_partial_gaf_and_spares_the_interleaved_job() {
     // running when the fault strikes.
     let long: Vec<Vec<u8>> = reads.iter().cycle().take(400).cloned().collect();
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-    let options = options(SchedulerKind::Dynamic, 2);
+    let options = options(SchedulerKind::Dynamic, 2, 4);
     let config = |fault_job| ServerConfig {
         options: options.clone(),
-        chunk_reads: 8,
         max_pending: 8,
         max_active: 2,
         per_client_cap: 4,
@@ -674,8 +780,8 @@ fn worker_panic_leaks_no_partial_gaf_and_spares_the_interleaved_job() {
         };
         (gaf_of(&frames, 3), summary)
     });
-    assert_eq!(server.ctl().jobs_failed(), 1);
-    assert_eq!(server.ctl().jobs_completed(), 2);
+    assert_eq!(counter(&server, Ctr::ServeJobsFailed), 1);
+    assert_eq!(counter(&server, Ctr::ServeJobsCompleted), 2);
 
     // The same job on a server that never faulted.
     let fresh_parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
@@ -708,12 +814,11 @@ fn identical_jobs_back_to_back_report_identical_summaries() {
     let input = fixture(23);
     let reads = raw_reads(&input);
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-    let options = options(SchedulerKind::Dynamic, 2);
+    let options = options(SchedulerKind::Dynamic, 2, 2);
     let server = MappingServer::new(
         &parent,
         ServerConfig {
             options: options.clone(),
-            chunk_reads: 4,
             ..ServerConfig::default()
         },
     );
@@ -747,7 +852,6 @@ fn identical_jobs_back_to_back_report_identical_summaries() {
     });
     // The obs registry agrees with the wire summaries: server-wide totals
     // are exactly the two-job sums.
-    use mg_obs::{Ctr, Hist};
     let s1 = per_job.expect("summaries captured");
     let report = server.metrics().report();
     assert_eq!(report.counter(Ctr::ServeJobsCompleted), 2);
@@ -765,7 +869,7 @@ fn garbage_bytes_drop_the_connection_not_the_server() {
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
     let server = MappingServer::new(
         &parent,
-        ServerConfig { options: options(SchedulerKind::Dynamic, 1), ..ServerConfig::default() },
+        ServerConfig { options: options(SchedulerKind::Dynamic, 1, 8), ..ServerConfig::default() },
     );
     let (tx, rx) = channel::<Conn>();
     std::thread::scope(|scope| {
@@ -784,7 +888,7 @@ fn garbage_bytes_drop_the_connection_not_the_server() {
         client.ping().expect("server still alive");
         client.shutdown().unwrap();
     });
-    assert_eq!(server.ctl().proto_errors(), 1);
+    assert_eq!(counter(&server, Ctr::ServeProtoErrors), 1);
 }
 
 /// Paired workflow over the server: chunks clamp to pair boundaries, and
@@ -795,14 +899,13 @@ fn paired_workflow_matches_oracle() {
     let input = paired_fixture(31);
     let reads = raw_reads(&input);
     let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
-    let options = options(SchedulerKind::Dynamic, 2);
+    // One thread × batch 5: odd on purpose, the chunk must clamp to even so
+    // pairs stay whole within a chunk.
+    let options = options(SchedulerKind::Dynamic, 1, 5);
     let server = MappingServer::new(
         &parent,
         ServerConfig {
             options: options.clone(),
-            // Odd on purpose: the server must clamp to even so pairs stay
-            // whole within a chunk.
-            chunk_reads: 5,
             max_pending: 8,
             max_active: 2,
             per_client_cap: 2,
@@ -837,5 +940,5 @@ fn paired_workflow_matches_oracle() {
         }
         server.ctl().request_shutdown();
     });
-    assert_eq!(server.ctl().jobs_completed(), 2);
+    assert_eq!(counter(&server, Ctr::ServeJobsCompleted), 2);
 }

@@ -319,7 +319,7 @@ mod tests {
         assert!((speedup - 10.0 / 6.0).abs() < 1e-12);
         // Missing baseline -> None.
         let missing = TuningPoint {
-            scheduler: SchedulerKind::Static,
+            scheduler: SchedulerKind::Vg,
             batch_size: 1,
             cache_capacity: 1,
         };

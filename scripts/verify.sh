@@ -19,6 +19,9 @@ cargo test --release -q --test oracle streaming
 echo "== GAF path oracle (streaming, served and chunk-by-chunk bytes == batch bytes; an optimized build's thread timing) =="
 cargo test --release -q --test gaf_paths
 
+echo "== serve suite (concurrent clients, admission, drain, faults and the STATS books; an optimized build's thread timing) =="
+cargo test --release -q -p mg-server
+
 echo "== schedulers and the streaming queue (std channels under an optimized build's thread timing) =="
 cargo test --release -q -p mg-sched
 

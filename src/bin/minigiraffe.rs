@@ -70,7 +70,7 @@ USAGE:
 
   minigiraffe map <seeds.bin> <pangenome.mgz | --mgi <index.mgi>>
                   [--threads N] [--batch N] [--capacity N]
-                  [--scheduler static|dynamic|ws|vg]
+                  [--scheduler dynamic|ws|vg]
                   [--instrument <timeline.csv>] [--out <results.csv>]
       Run the proxy kernels; prints a summary and optionally writes
       per-extension results and a region timeline.
@@ -95,14 +95,15 @@ USAGE:
   minigiraffe serve <pangenome.mgz | --mgi <index.mgi>>
                     [--addr HOST] [--port N]
                     [--threads N] [--batch N] [--capacity N]
-                    [--scheduler static|dynamic|ws|vg]
+                    [--scheduler dynamic|ws|vg]
                     [--max-pending N] [--max-active N] [--client-cap N]
-                    [--chunk-reads N] [--paired true]
-                    [--write-timeout-ms N]
+                    [--paired true] [--write-timeout-ms N]
       Run the long-lived mapping server: loads the pangenome and builds
       the minimizer index once (or reads everything from --mgi), then
       multiplexes concurrent FASTQ mapping jobs from TCP clients onto
-      one resident worker pool, streaming GAF back per job. Admission
+      one resident worker pool, streaming GAF back per job. Jobs are
+      interleaved one chunk of --threads x --batch reads at a time
+      (even when --paired true), as `parent` streams. Admission
       control bounds the pending queue and per-client in-flight jobs;
       SHUTDOWN drains gracefully. A client that stops reading its GAF
       stream is disconnected after --write-timeout-ms (default 30000;
@@ -318,7 +319,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         "max-pending",
         "max-active",
         "client-cap",
-        "chunk-reads",
         "paired",
         "write-timeout-ms",
     ];
@@ -338,7 +338,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     let config = ServerConfig {
         options,
-        chunk_reads: flag(&flags, "chunk-reads", 0)?,
         max_pending: flag(&flags, "max-pending", 16)?,
         max_active: flag(&flags, "max-active", 4)?,
         per_client_cap: flag(&flags, "client-cap", 4)?,

@@ -3,8 +3,9 @@
 //!
 //! The reference is `run_to_gaf(Parent::run)` on a parent nothing else
 //! touches. Against it: `Parent::run_streaming` across thread counts, all
-//! four schedulers, batch sizes and chunk windows (so chunk, grain and pair
-//! boundaries land everywhere); the same reads as a server job over the
+//! three schedulers and batch sizes, and so chunk windows of `threads ×
+//! batch_size` reads (chunk, grain and pair boundaries land everywhere);
+//! the same reads as a server job over the
 //! in-process transport; and `Parent::map_chunk_gaf` called chunk by chunk
 //! with the batch size and cache capacity changing between calls. The
 //! inputs are chosen for the pair-local tail: a paired set in which mate
@@ -176,32 +177,25 @@ fn streaming_matches_batch_across_threads_schedulers_batches_and_chunks() {
         let parent = case.parent();
         for threads in [1usize, 2, 3] {
             for kind in SchedulerKind::ALL {
-                for batch_size in [1usize, 3, 512] {
-                    for chunk_reads in [2usize, 7, 0] {
-                        let mut options = case.options.clone();
-                        options.mapping.threads = threads;
-                        options.mapping.scheduler = kind;
-                        options.mapping.batch_size = batch_size;
-                        let stream = StreamOptions { queue_batches: 2, chunk_reads };
-                        let mut gaf = Vec::new();
-                        let summary = parent
-                            .run_streaming(
-                                batches(&case.reads),
-                                &options,
-                                &stream,
-                                case.name,
-                                &mut gaf,
-                            )
-                            .expect("in-memory batches cannot fail");
-                        assert_eq!(summary.reads as usize, case.reads.len());
-                        assert_eq!(
-                            String::from_utf8(gaf).expect("GAF is UTF-8"),
-                            expected,
-                            "{}: streaming diverged at threads={threads} {kind} \
-                             batch={batch_size} chunk={chunk_reads}",
-                            case.name
-                        );
-                    }
+                // A chunk is `threads × batch_size` reads (even when
+                // paired): 1 to 1,536 reads across the matrix, odd and even.
+                for batch_size in [1usize, 3, 7, 512] {
+                    let mut options = case.options.clone();
+                    options.mapping.threads = threads;
+                    options.mapping.scheduler = kind;
+                    options.mapping.batch_size = batch_size;
+                    let stream = StreamOptions { queue_batches: 2 };
+                    let mut gaf = Vec::new();
+                    let summary = parent
+                        .run_streaming(batches(&case.reads), &options, &stream, case.name, &mut gaf)
+                        .expect("in-memory batches cannot fail");
+                    assert_eq!(summary.reads as usize, case.reads.len());
+                    assert_eq!(
+                        String::from_utf8(gaf).expect("GAF is UTF-8"),
+                        expected,
+                        "{}: streaming diverged at threads={threads} {kind} batch={batch_size}",
+                        case.name
+                    );
                 }
             }
         }
@@ -213,14 +207,15 @@ fn server_job_matches_batch() {
     for case in cases() {
         let expected = case.expected();
         let parent = case.parent();
-        let mut options = case.options.clone();
-        options.mapping.threads = 2;
-        options.mapping.scheduler = SchedulerKind::Dynamic;
-        options.mapping.batch_size = 3;
-        for chunk_reads in [7usize, 0] {
+        // Chunks of `threads × batch_size` reads: 7 (6 when paired), then 6.
+        for (threads, batch_size) in [(1usize, 7usize), (2, 3)] {
+            let mut options = case.options.clone();
+            options.mapping.threads = threads;
+            options.mapping.scheduler = SchedulerKind::Dynamic;
+            options.mapping.batch_size = batch_size;
             let server = MappingServer::new(
                 &parent,
-                ServerConfig { options: options.clone(), chunk_reads, ..Default::default() },
+                ServerConfig { options: options.clone(), ..Default::default() },
             );
             let (tx, rx) = channel::<Conn>();
             std::thread::scope(|scope| {
@@ -237,7 +232,7 @@ fn server_job_matches_batch() {
                         assert_eq!(
                             String::from_utf8(gaf).expect("GAF is UTF-8"),
                             expected,
-                            "{}: served GAF diverged at chunk_reads={chunk_reads}",
+                            "{}: served GAF diverged at {threads} × {batch_size}",
                             case.name
                         );
                     }

@@ -155,8 +155,8 @@ fn streaming_ingestion_reproduces_golden_gaf_across_schedulers() {
     // across the bounded hand-off queue, mapped chunk by chunk, GAF
     // rendered incrementally — must land on the same bytes as the batch
     // pipeline (and therefore the committed golden snapshots) for every
-    // workload under every scheduler. Ingestion batches (5 records),
-    // mapping chunks (7 reads), and scheduler batches (3) are deliberately
+    // workload under every scheduler. Ingestion batches (5 records) and
+    // mapping chunks (4 threads × batch 3 = 12 reads) are deliberately
     // misaligned so chunk boundaries land everywhere.
     for (name, input) in workloads() {
         let (_, _, expected) = parent_gaf(&input, &name);
@@ -169,7 +169,7 @@ fn streaming_ingestion_reproduces_golden_gaf_across_schedulers() {
             options.mapping.scheduler = kind;
             options.mapping.threads = 4;
             options.mapping.batch_size = 3;
-            let stream = StreamOptions { queue_batches: 2, chunk_reads: 7 };
+            let stream = StreamOptions { queue_batches: 2 };
             let batches = FastqReader::new(&fastq[..])
                 .batches(5)
                 .map(|item| item.map(|recs| recs.into_iter().map(|r| r.bases).collect()));

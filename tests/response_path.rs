@@ -87,23 +87,22 @@ fn served_messages(
     })
 }
 
-/// (a) `chunk_reads` reads per chunk over a `reads`-read job: ACCEPT, then
-/// one message per chunk, the last one carrying GAF and DONE together.
-fn one_message_per_step(workflow: Workflow, chunk_reads: usize, reads: usize) {
+/// (a) Two threads × `batch_size` reads per chunk over a `reads`-read job:
+/// ACCEPT, then one message per chunk, the last one carrying GAF and DONE
+/// together.
+fn one_message_per_step(workflow: Workflow, batch_size: usize, reads: usize) {
     let mut spec = InputSetSpec::tiny_for_tests();
     spec.workflow = workflow;
     let input = SyntheticInput::generate(&spec, 17);
     let raw: Vec<Vec<u8>> = input.sim_reads[..reads].iter().map(|r| r.bases.clone()).collect();
     let mut options = ParentOptions::default();
     options.mapping.threads = 2;
-    options.mapping.batch_size = 4;
+    options.mapping.batch_size = batch_size;
     let parent = Parent::new(&input.gbz, &input.minimizer_index, workflow);
-    let server = MappingServer::new(
-        &parent,
-        ServerConfig { options: options.clone(), chunk_reads, ..ServerConfig::default() },
-    );
+    let config = ServerConfig { options: options.clone(), ..ServerConfig::default() };
+    let server = MappingServer::new(&parent, config);
     let messages = served_messages(&server, "job", &raw);
-    let chunks = reads.div_ceil(chunk_reads);
+    let chunks = reads.div_ceil(2 * batch_size);
     assert_eq!(messages.len(), chunks + 1, "ACCEPT plus one message per chunk");
 
     let job = match frames_of(&messages[0]).as_slice() {
@@ -136,13 +135,13 @@ fn one_message_per_step(workflow: Workflow, chunk_reads: usize, reads: usize) {
 
 #[test]
 fn one_chunk_job_is_accept_then_gaf_with_done() {
-    one_message_per_step(Workflow::Single, 64, 12);
+    one_message_per_step(Workflow::Single, 32, 12);
 }
 
 #[test]
 fn k_chunk_job_is_k_plus_one_messages() {
-    one_message_per_step(Workflow::Single, 8, 24);
-    one_message_per_step(Workflow::Paired, 8, 20);
+    one_message_per_step(Workflow::Single, 4, 24);
+    one_message_per_step(Workflow::Paired, 4, 20);
 }
 
 /// (b) Both TCP constructors leave Nagle off. The option lives on the
