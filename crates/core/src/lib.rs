@@ -72,7 +72,7 @@ pub use extend::{
 };
 pub use mgi::{build_minimizer_index, MgiBundle};
 pub use pipeline::{
-    record_cache_stats, run_mapping, MapScratch, Mapper, MappingOptions, MappingResults,
+    run_mapping, MapScratch, Mapper, MappingOptions, MappingResults,
     StreamOptions, ThreadPersist, Workers,
 };
 pub use types::{Extension, ExtensionKey, ReadInput, ReadResult, Seed, Workflow};

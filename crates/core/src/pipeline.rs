@@ -268,9 +268,11 @@ impl<'a> Mapper<'a> {
     /// fed with per-stage spans and per-read counters, and with stage
     /// intervals for the region sink it carries (pass
     /// [`ObsShard::disabled`] when not observing; every record below is
-    /// then a no-op and no clock is read). Callers that seed a read into
-    /// buffers they keep never build a [`ReadInput`] for it (the parent's
-    /// chunk workers, mate rescue).
+    /// then a no-op and no clock is read). The first kernel stage closes
+    /// from the shard's open mark, so the caller opens it
+    /// ([`ObsShard::open`]) where the read's timing starts. Callers that
+    /// seed a read into buffers they keep never build a [`ReadInput`] for
+    /// it (the parent's chunk workers, mate rescue).
     ///
     /// The read's canonically first seed is walked before anything else;
     /// when that walk is an exact full-length extension through every seed
@@ -303,7 +305,6 @@ impl<'a> Mapper<'a> {
             && process.max_clusters >= 1
             && process.max_extensions_per_read >= 1
             && process.cluster_score_cutoff.partial_cmp(&1.0) != Some(std::cmp::Ordering::Greater);
-        let start = obs.now();
         let settled = may_settle
             .then(|| {
                 extend_first(
@@ -312,14 +313,16 @@ impl<'a> Mapper<'a> {
                 )
             })
             .flatten();
-        let (walked, first_walk) =
-            if may_settle { obs.part(Stage::Extension, start) } else { (start, 0) };
-        let (extensions, extension_ns) = match settled {
+        let extensions = match settled {
             Some(extension) => {
+                obs.stage(Stage::Extension);
                 obs.inc(Ctr::ExtendFirstReads);
-                (vec![extension], first_walk)
+                vec![extension]
             }
             None => {
+                if may_settle {
+                    obs.part(Stage::Extension);
+                }
                 let read_len = bases.len() as u32;
                 let mut cluster_params = options.cluster;
                 // Giraffe derives the clustering limit from the read length.
@@ -333,7 +336,7 @@ impl<'a> Mapper<'a> {
                     probe,
                     &mut scratch.cluster,
                 );
-                let clustered = obs.stage(Stage::Clustering, walked);
+                obs.stage(Stage::Clustering);
                 let extensions = process_until_threshold_with_scratch(
                     graph,
                     cache,
@@ -346,11 +349,10 @@ impl<'a> Mapper<'a> {
                     probe,
                     &mut scratch.extend,
                 );
-                let (_, rest) = obs.part(Stage::Extension, clustered);
-                (extensions, first_walk + rest)
+                obs.stage(Stage::Extension);
+                extensions
             }
         };
-        obs.span(Stage::Extension, extension_ns);
         obs.inc(Ctr::ReadsMapped);
         obs.add(Ctr::SeedsTotal, seeds.len() as u64);
         obs.add(Ctr::ExtensionsTotal, extensions.len() as u64);
@@ -366,6 +368,35 @@ impl<'a> Mapper<'a> {
         ReadResult { read_id, extensions }
     }
 
+    /// Runs `body` on scheduler thread `thread`'s warm state for one
+    /// dispatch: the cache storage `slot` kept, rebound by
+    /// [`CachedGbwt::with_state`] (warm when the pangenome and capacity are
+    /// unchanged, cold otherwise), the kernel scratch, and a shard of
+    /// `metrics` carrying `sink`. Afterwards the cache statistics go into
+    /// the shard, the shard into `metrics` and the state back into `slot`;
+    /// the statistics and the cache's heap bytes are returned. The state is
+    /// taken, not borrowed: a panic in `body` leaves the default.
+    pub fn with_warm_worker<'s>(
+        &self,
+        slot: &mut ThreadPersist,
+        cache_capacity: usize,
+        metrics: &Metrics,
+        sink: &'s dyn RegionSink,
+        thread: usize,
+        body: impl FnOnce(&mut CachedGbwt<'a>, &mut MapScratch, &mut ObsShard<'s>),
+    ) -> (CacheStats, u64) {
+        let ThreadPersist { cache, mut scratch } = std::mem::take(slot);
+        let mut cache = CachedGbwt::with_state(self.gbz.gbwt(), cache_capacity, cache);
+        let mut obs = metrics.shard().with_sink(sink, thread);
+        body(&mut cache, &mut scratch, &mut obs);
+        let stats = cache.stats();
+        record_cache_stats(&mut obs, &stats);
+        metrics.absorb(&obs);
+        let heap_bytes = cache.heap_bytes() as u64;
+        *slot = ThreadPersist { cache: cache.into_state(), scratch };
+        (stats, heap_bytes)
+    }
+
     /// Runs the full parallel mapping loop without instrumentation.
     pub fn run(&self, dump: &crate::dump::SeedDump, options: &MappingOptions) -> MappingResults {
         self.run_with_sink_metrics(dump, options, &NullSink, Metrics::off_ref())
@@ -375,9 +406,10 @@ impl<'a> Mapper<'a> {
     /// dispatch — recording per-stage spans, per-read counters, cache
     /// events and scheduler activity in `metrics` and handing every stage
     /// interval to `sink`. Each worker thread records into a private
-    /// [`ObsShard`] that carries the sink and its thread index, and folds it
-    /// and its cache statistics in once, after its last read, so the hot
-    /// loop never touches the registry lock.
+    /// [`ObsShard`] that carries the sink and its thread index, opens its
+    /// mark once per read, and folds it and its cache statistics in once,
+    /// after its last read ([`Mapper::with_warm_worker`]), so the hot loop
+    /// never touches the registry lock.
     pub fn run_with_sink_metrics(
         &self,
         dump: &crate::dump::SeedDump,
@@ -392,7 +424,7 @@ impl<'a> Mapper<'a> {
         let reads = &dump.reads[..];
         let n = reads.len();
         let slots: Vec<OnceLock<ReadResult>> = (0..n).map(|_| OnceLock::new()).collect();
-        let stats: StatsCollector = Mutex::new(Vec::new());
+        let totals = Mutex::new((CacheStats::default(), 0u64));
         options.scheduler.run(
             options.batch_size,
             pool,
@@ -401,33 +433,21 @@ impl<'a> Mapper<'a> {
             threads,
             metrics,
             &|thread, slot, grains| {
-                // Warm-start from whatever this thread's slot kept from the
-                // last dispatch; `with_state` rebinds the cache storage warm
-                // when the pangenome and capacity are unchanged, cold
-                // otherwise. Taken, not borrowed: a panic leaves the default.
-                let ThreadPersist { cache, mut scratch } = std::mem::take(slot);
-                let mut cache =
-                    CachedGbwt::with_state(self.gbz.gbwt(), options.cache_capacity, cache);
-                let mut obs = metrics.shard().with_sink(sink, thread);
-                for i in grains {
-                    let input = &reads[i];
-                    let result = self.map_read_seeded(
-                        &mut cache,
-                        i as u64,
-                        &input.bases,
-                        &input.seeds,
-                        options,
-                        &mut NoProbe,
-                        &mut scratch,
-                        &mut obs,
-                    );
-                    slots[i].set(result).expect("each read mapped once");
-                }
-                let cache_stats = cache.stats();
-                stats.lock().unwrap().push((cache_stats, cache.heap_bytes() as u64));
-                record_cache_stats(&mut obs, &cache_stats);
-                metrics.absorb(&obs);
-                *slot = ThreadPersist { cache: cache.into_state(), scratch };
+                let map = |cache: &mut _, scratch: &mut _, obs: &mut ObsShard<'_>| {
+                    for i in grains {
+                        let ReadInput { bases, seeds } = &reads[i];
+                        obs.open();
+                        let result = self.map_read_seeded(
+                            cache, i as u64, bases, seeds, options, &mut NoProbe, scratch, obs,
+                        );
+                        slots[i].set(result).expect("each read mapped once");
+                    }
+                };
+                let (stats, heap_bytes) =
+                    self.with_warm_worker(slot, options.cache_capacity, metrics, sink, thread, map);
+                let mut totals = totals.lock().expect("no thread panics holding the totals");
+                totals.0.merge(&stats);
+                totals.1 += heap_bytes;
             },
         );
         let per_read = slots
@@ -438,10 +458,8 @@ impl<'a> Mapper<'a> {
                     .unwrap_or_else(|| panic!("scheduler never processed read {i}"))
             })
             .collect();
-        let (cache, cache_heap_bytes) = stats.lock().unwrap().iter().fold(
-            (CacheStats::default(), 0u64),
-            |(acc, bytes), (s, b)| (merge_cache_stats(acc, *s), bytes + b),
-        );
+        let (cache, cache_heap_bytes) =
+            totals.into_inner().expect("no thread panics holding the totals");
         MappingResults {
             per_read,
             wall: start.elapsed(),
@@ -455,22 +473,13 @@ impl<'a> Mapper<'a> {
 /// the five `Cache*` counters. The cache tracks its own statistics (reset
 /// when [`CachedGbwt::with_state`] rebinds it), so a worker adds them once,
 /// after its last read, rather than plumbing a probe through the kernels.
-pub fn record_cache_stats(obs: &mut ObsShard<'_>, stats: &CacheStats) {
+fn record_cache_stats(obs: &mut ObsShard<'_>, stats: &CacheStats) {
     obs.add(Ctr::CacheHits, stats.hits);
     obs.add(Ctr::CacheMisses, stats.misses);
     obs.add(Ctr::CacheEvictions, stats.evictions);
     obs.add(Ctr::CacheResizes, stats.rehashes);
     obs.add(Ctr::CacheRehashedSlots, stats.rehashed_slots);
 }
-
-fn merge_cache_stats(mut acc: CacheStats, s: CacheStats) -> CacheStats {
-    acc.merge(&s);
-    acc
-}
-
-/// Per-worker (statistics, cache heap bytes) pairs, folded into the
-/// run aggregate after the dispatch.
-type StatsCollector = Mutex<Vec<(CacheStats, u64)>>;
 
 /// What a scheduler thread keeps between dispatches: its cache storage
 /// (rebound warm when the pangenome and capacity match) and the kernel

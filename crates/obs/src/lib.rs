@@ -12,9 +12,10 @@
 //! - [`Stage`] spans: accumulated wall time + entry counts for the seven
 //!   pipeline stages (parse → seeding → clustering → extension → rescoring
 //!   → pairing → render). A shard can carry a [`RegionSink`] and its
-//!   worker's thread index ([`ObsShard::with_sink`]); each stage boundary
-//!   then reads the clock once and feeds the span and the sink from the
-//!   same instants.
+//!   worker's thread index ([`ObsShard::with_sink`]). The shard holds the
+//!   open mark: [`ObsShard::open`] reads the clock once per fragment and
+//!   each stage boundary reads it once more, closing the span in the shard
+//!   and the sink from the same instants.
 //! - [`Ctr`] counters, [`Hist`] histograms with fixed log2 buckets, and
 //!   max-merged [`Gauge`]s.
 //! - [`Report`]: the merged result, exportable as JSON.
@@ -30,227 +31,141 @@ use std::time::Instant;
 
 pub use mg_support::regions::{RegionSink, Stage};
 
-/// Monotonically increasing event counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Ctr {
-    /// Reads fully mapped by the proxy or parent pipeline.
-    ReadsMapped = 0,
-    /// Seeds produced across all reads.
-    SeedsTotal = 1,
-    /// Gapless extensions produced across all reads.
-    ExtensionsTotal = 2,
-    /// `CachedGbwt` record lookups served from the cache.
-    CacheHits = 3,
-    /// `CachedGbwt` record lookups that decoded from the backing GBWT.
-    CacheMisses = 4,
-    /// Entries dropped from the cache. The cache only grows (it never
-    /// evicts under memory pressure), so this counts cold invalidations:
-    /// cached entries discarded when a warm cache is re-bound to a
-    /// different GBWT or capacity.
-    CacheEvictions = 5,
-    /// Cache table doublings.
-    CacheResizes = 6,
-    /// Slots moved during cache table doublings.
-    CacheRehashedSlots = 7,
-    /// Work-stealing scheduler: batches claimed from another thread's share.
-    PoolSteals = 8,
-    /// Batches dispatched across all schedulers.
-    PoolBatches = 9,
-    /// Tasks completed by scheduler workers: reads on the proxy path,
-    /// fragments (one read, or one mate pair) on the parent's.
-    PoolTasksCompleted = 10,
-    /// Nanoseconds VG-style workers spent blocked on the shared queue.
-    PoolIdleNs = 11,
-    /// Configurations evaluated by the tuning sweep.
-    SweepPoints = 12,
-    /// Batches pushed through the streaming-ingestion hand-off queue.
-    StreamBatches = 13,
-    /// Reads delivered by the streaming-ingestion producer.
-    StreamReads = 14,
-    /// Nanoseconds the streaming producer spent blocked on a full queue
-    /// (backpressure applied by the mapping consumer).
-    StreamProducerBlockedNs = 15,
-    /// Anchors the extension kernel walked, the first walk of every read
-    /// included.
-    ExtendAnchorsWalked = 16,
-    /// Extension DFS subtrees skipped by branch-and-bound pruning (they
-    /// provably could not beat the best prefix already found).
-    ExtendPrunedFrames = 17,
-    /// Anchors not walked because an anchor of the same node and diagonal,
-    /// joined to them by matching read bases, yields the same extension
-    /// (the kernel's exact merge).
-    ExtendAnchorsMerged = 18,
-    /// Anchors not walked because they lie on an exact full-length
-    /// extension their read already has. With `extend_anchors_walked` and
-    /// `extend_anchors_merged` this adds up to the distinct anchors of the
-    /// clusters processed.
-    ExtendAnchorsSkipped = 19,
-    /// Mapping jobs that ran to `DONE`.
-    ServeJobsCompleted = 20,
-    /// Mapping jobs that ended with a per-job error frame (corrupt input
-    /// or a worker panic inside the job).
-    ServeJobsFailed = 21,
-    /// GAF bytes streamed to server clients.
-    ServeGafBytes = 22,
-    /// Server connections dropped for bytes that do not parse as frames.
-    ServeProtoErrors = 23,
-    /// Reads settled by the extension kernel's first walk — an exact
-    /// full-length extension every seed lies on — without clustering.
-    /// `reads_mapped − extend_first_reads` reads reached `cluster_seeds`.
-    ExtendFirstReads = 24,
+/// Declares a metric enum from one list: each variant with the stable
+/// lowercase name the exporters use, in index order, plus the enum's
+/// `COUNT`, `ALL` (declaration order) and `name()`.
+macro_rules! metric_enum {
+    ($(#[$meta:meta])* pub enum $enum:ident {
+        $($(#[$vmeta:meta])* $variant:ident => $name:literal,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum $enum {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $enum {
+            /// Number of variants.
+            pub const COUNT: usize = [$($name),*].len();
+            /// All variants, in declaration order.
+            pub const ALL: [$enum; $enum::COUNT] = [$($enum::$variant),*];
+
+            /// Stable lowercase name used by the exporters.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($enum::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl Ctr {
-    /// Number of counters.
-    pub const COUNT: usize = 25;
-    /// All counters, in declaration order.
-    pub const ALL: [Ctr; Ctr::COUNT] = [
-        Ctr::ReadsMapped,
-        Ctr::SeedsTotal,
-        Ctr::ExtensionsTotal,
-        Ctr::CacheHits,
-        Ctr::CacheMisses,
-        Ctr::CacheEvictions,
-        Ctr::CacheResizes,
-        Ctr::CacheRehashedSlots,
-        Ctr::PoolSteals,
-        Ctr::PoolBatches,
-        Ctr::PoolTasksCompleted,
-        Ctr::PoolIdleNs,
-        Ctr::SweepPoints,
-        Ctr::StreamBatches,
-        Ctr::StreamReads,
-        Ctr::StreamProducerBlockedNs,
-        Ctr::ExtendAnchorsWalked,
-        Ctr::ExtendPrunedFrames,
-        Ctr::ExtendAnchorsMerged,
-        Ctr::ExtendAnchorsSkipped,
-        Ctr::ServeJobsCompleted,
-        Ctr::ServeJobsFailed,
-        Ctr::ServeGafBytes,
-        Ctr::ServeProtoErrors,
-        Ctr::ExtendFirstReads,
-    ];
-
-    /// Stable lowercase name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            Ctr::ReadsMapped => "reads_mapped",
-            Ctr::SeedsTotal => "seeds_total",
-            Ctr::ExtensionsTotal => "extensions_total",
-            Ctr::CacheHits => "cache_hits",
-            Ctr::CacheMisses => "cache_misses",
-            Ctr::CacheEvictions => "cache_evictions",
-            Ctr::CacheResizes => "cache_resizes",
-            Ctr::CacheRehashedSlots => "cache_rehashed_slots",
-            Ctr::PoolSteals => "pool_steals",
-            Ctr::PoolBatches => "pool_batches",
-            Ctr::PoolTasksCompleted => "pool_tasks_completed",
-            Ctr::PoolIdleNs => "pool_idle_ns",
-            Ctr::SweepPoints => "sweep_points",
-            Ctr::StreamBatches => "stream_batches",
-            Ctr::StreamReads => "stream_reads",
-            Ctr::StreamProducerBlockedNs => "stream_producer_blocked_ns",
-            Ctr::ExtendAnchorsWalked => "extend_anchors_walked",
-            Ctr::ExtendPrunedFrames => "extend_pruned_frames",
-            Ctr::ExtendAnchorsMerged => "extend_anchors_merged",
-            Ctr::ExtendAnchorsSkipped => "extend_anchors_skipped",
-            Ctr::ServeJobsCompleted => "serve_jobs_completed",
-            Ctr::ServeJobsFailed => "serve_jobs_failed",
-            Ctr::ServeGafBytes => "serve_gaf_bytes",
-            Ctr::ServeProtoErrors => "serve_proto_errors",
-            Ctr::ExtendFirstReads => "extend_first_reads",
-        }
+metric_enum! {
+    /// Monotonically increasing event counters.
+    pub enum Ctr {
+        /// Reads fully mapped by the proxy or parent pipeline.
+        ReadsMapped => "reads_mapped",
+        /// Seeds produced across all reads.
+        SeedsTotal => "seeds_total",
+        /// Gapless extensions produced across all reads.
+        ExtensionsTotal => "extensions_total",
+        /// `CachedGbwt` record lookups served from the cache.
+        CacheHits => "cache_hits",
+        /// `CachedGbwt` record lookups that decoded from the backing GBWT.
+        CacheMisses => "cache_misses",
+        /// Entries dropped from the cache. The cache only grows (it never
+        /// evicts under memory pressure), so this counts cold invalidations:
+        /// cached entries discarded when a warm cache is re-bound to a
+        /// different GBWT or capacity.
+        CacheEvictions => "cache_evictions",
+        /// Cache table doublings.
+        CacheResizes => "cache_resizes",
+        /// Slots moved during cache table doublings.
+        CacheRehashedSlots => "cache_rehashed_slots",
+        /// Work-stealing scheduler: batches claimed from another thread's share.
+        PoolSteals => "pool_steals",
+        /// Batches dispatched across all schedulers.
+        PoolBatches => "pool_batches",
+        /// Tasks completed by scheduler workers: reads on the proxy path,
+        /// fragments (one read, or one mate pair) on the parent's.
+        PoolTasksCompleted => "pool_tasks_completed",
+        /// Nanoseconds VG-style workers spent blocked on the shared queue.
+        PoolIdleNs => "pool_idle_ns",
+        /// Configurations evaluated by the tuning sweep.
+        SweepPoints => "sweep_points",
+        /// Batches pushed through the streaming-ingestion hand-off queue.
+        StreamBatches => "stream_batches",
+        /// Reads delivered by the streaming-ingestion producer.
+        StreamReads => "stream_reads",
+        /// Nanoseconds the streaming producer spent blocked on a full queue
+        /// (backpressure applied by the mapping consumer).
+        StreamProducerBlockedNs => "stream_producer_blocked_ns",
+        /// Anchors the extension kernel walked, the first walk of every read
+        /// included.
+        ExtendAnchorsWalked => "extend_anchors_walked",
+        /// Extension DFS subtrees skipped by branch-and-bound pruning (they
+        /// provably could not beat the best prefix already found).
+        ExtendPrunedFrames => "extend_pruned_frames",
+        /// Anchors not walked because an anchor of the same node and diagonal,
+        /// joined to them by matching read bases, yields the same extension
+        /// (the kernel's exact merge).
+        ExtendAnchorsMerged => "extend_anchors_merged",
+        /// Anchors not walked because they lie on an exact full-length
+        /// extension their read already has. With `extend_anchors_walked` and
+        /// `extend_anchors_merged` this adds up to the distinct anchors of the
+        /// clusters processed.
+        ExtendAnchorsSkipped => "extend_anchors_skipped",
+        /// Mapping jobs that ran to `DONE`.
+        ServeJobsCompleted => "serve_jobs_completed",
+        /// Mapping jobs that ended with a per-job error frame (corrupt input
+        /// or a worker panic inside the job).
+        ServeJobsFailed => "serve_jobs_failed",
+        /// GAF bytes streamed to server clients.
+        ServeGafBytes => "serve_gaf_bytes",
+        /// Server connections dropped for bytes that do not parse as frames.
+        ServeProtoErrors => "serve_proto_errors",
+        /// Reads settled by the extension kernel's first walk — an exact
+        /// full-length extension every seed lies on — without clustering.
+        /// `reads_mapped − extend_first_reads` reads reached `cluster_seeds`.
+        ExtendFirstReads => "extend_first_reads",
     }
 }
 
-/// Histograms over per-event magnitudes, bucketed by log2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Hist {
-    /// Seeds found per read.
-    SeedsPerRead = 0,
-    /// Extensions produced per read.
-    ExtensionsPerRead = 1,
-    /// Reads per dispatched scheduler batch.
-    BatchReads = 2,
-    /// Tuning-sweep point makespans, in microseconds.
-    SweepMakespanUs = 3,
-    /// Reads per mapping chunk assembled by the streaming consumer.
-    StreamChunkReads = 4,
-    /// Server job latency (submit to `DONE`), in microseconds.
-    ServeJobLatencyUs = 5,
-    /// Time served jobs spent queued before their first chunk was
-    /// dispatched, in microseconds.
-    ServeQueueWaitUs = 6,
-    /// Reads per served mapping job.
-    ServeJobReads = 7,
-}
-
-impl Hist {
-    /// Number of histograms.
-    pub const COUNT: usize = 8;
-    /// All histograms, in declaration order.
-    pub const ALL: [Hist; Hist::COUNT] = [
-        Hist::SeedsPerRead,
-        Hist::ExtensionsPerRead,
-        Hist::BatchReads,
-        Hist::SweepMakespanUs,
-        Hist::StreamChunkReads,
-        Hist::ServeJobLatencyUs,
-        Hist::ServeQueueWaitUs,
-        Hist::ServeJobReads,
-    ];
-
-    /// Stable lowercase name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            Hist::SeedsPerRead => "seeds_per_read",
-            Hist::ExtensionsPerRead => "extensions_per_read",
-            Hist::BatchReads => "batch_reads",
-            Hist::SweepMakespanUs => "sweep_makespan_us",
-            Hist::StreamChunkReads => "stream_chunk_reads",
-            Hist::ServeJobLatencyUs => "serve_job_latency_us",
-            Hist::ServeQueueWaitUs => "serve_queue_wait_us",
-            Hist::ServeJobReads => "serve_job_reads",
-        }
+metric_enum! {
+    /// Histograms over per-event magnitudes, bucketed by log2.
+    pub enum Hist {
+        /// Seeds found per read.
+        SeedsPerRead => "seeds_per_read",
+        /// Extensions produced per read.
+        ExtensionsPerRead => "extensions_per_read",
+        /// Reads per dispatched scheduler batch.
+        BatchReads => "batch_reads",
+        /// Tuning-sweep point makespans, in microseconds.
+        SweepMakespanUs => "sweep_makespan_us",
+        /// Reads per mapping chunk assembled by the streaming consumer.
+        StreamChunkReads => "stream_chunk_reads",
+        /// Server job latency (submit to `DONE`), in microseconds.
+        ServeJobLatencyUs => "serve_job_latency_us",
+        /// Time served jobs spent queued before their first chunk was
+        /// dispatched, in microseconds.
+        ServeQueueWaitUs => "serve_queue_wait_us",
+        /// Reads per served mapping job.
+        ServeJobReads => "serve_job_reads",
     }
 }
 
-/// High-water marks merged by `max`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
-    /// Deepest VG-style shared-queue occupancy observed.
-    QueueDepthMax = 0,
-    /// Largest worker count a run used.
-    ThreadsMax = 1,
-    /// Deepest streaming-ingestion queue occupancy observed (in batches).
-    StreamQueueDepthMax = 2,
-    /// Most jobs the server executor interleaved at once.
-    ServeActiveMax = 3,
-}
-
-impl Gauge {
-    /// Number of gauges.
-    pub const COUNT: usize = 4;
-    /// All gauges, in declaration order.
-    pub const ALL: [Gauge; Gauge::COUNT] = [
-        Gauge::QueueDepthMax,
-        Gauge::ThreadsMax,
-        Gauge::StreamQueueDepthMax,
-        Gauge::ServeActiveMax,
-    ];
-
-    /// Stable lowercase name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::QueueDepthMax => "queue_depth_max",
-            Gauge::ThreadsMax => "threads_max",
-            Gauge::StreamQueueDepthMax => "stream_queue_depth_max",
-            Gauge::ServeActiveMax => "serve_active_max",
-        }
+metric_enum! {
+    /// High-water marks merged by `max`.
+    pub enum Gauge {
+        /// Deepest VG-style shared-queue occupancy observed.
+        QueueDepthMax => "queue_depth_max",
+        /// Largest worker count a run used.
+        ThreadsMax => "threads_max",
+        /// Deepest streaming-ingestion queue occupancy observed (in batches).
+        StreamQueueDepthMax => "stream_queue_depth_max",
+        /// Most jobs the server executor interleaved at once.
+        ServeActiveMax => "serve_active_max",
     }
 }
 
@@ -483,22 +398,15 @@ impl Report {
     }
 }
 
-/// A timestamp captured by [`ObsShard::now`], or returned by
-/// [`ObsShard::stage`] to open the next span. Carries `None` when the shard
-/// neither records nor has a sink attached, so the matching `stage` call is
-/// free.
-#[derive(Debug, Clone, Copy)]
-pub struct ObsInstant(Option<Instant>);
-
-impl ObsInstant {
-    /// A disabled timestamp; `stage()` with it records nothing.
-    pub const DISABLED: ObsInstant = ObsInstant(None);
-}
-
 /// Per-worker metric storage: plain arrays, no synchronization, recorded
 /// into by `&mut` on the hot path and merged into the [`Metrics`] registry
 /// once at worker finish. It can carry the worker's [`RegionSink`] and
 /// thread index, which every closed stage interval is handed to as well.
+///
+/// The shard holds the open mark: [`ObsShard::open`] reads the clock once
+/// per fragment, and each [`ObsShard::stage`] closes `[mark, now)` and moves
+/// the mark to `now`, so consecutive stages abut and a stage boundary costs
+/// one clock read.
 #[derive(Clone, Default)]
 pub struct ObsShard<'s> {
     on: bool,
@@ -506,6 +414,9 @@ pub struct ObsShard<'s> {
     /// The attached region sink and the thread index it is told; only a
     /// sink that records is attached.
     regions: Option<(&'s dyn RegionSink, usize)>,
+    /// Where the open interval started; `None` until [`ObsShard::open`]
+    /// runs on a shard that records or feeds a sink.
+    mark: Option<Instant>,
 }
 
 impl<'s> ObsShard<'s> {
@@ -523,12 +434,6 @@ impl<'s> ObsShard<'s> {
     pub fn with_sink(mut self, regions: &'s dyn RegionSink, thread: usize) -> ObsShard<'s> {
         self.regions = regions.is_recording().then_some((regions, thread));
         self
-    }
-
-    /// Whether this shard is recording.
-    #[inline(always)]
-    pub fn is_on(&self) -> bool {
-        self.on
     }
 
     /// Bumps a counter by 1.
@@ -561,47 +466,45 @@ impl<'s> ObsShard<'s> {
         }
     }
 
-    /// Captures a span start. Returns [`ObsInstant::DISABLED`] (no clock
-    /// read) when the shard is off and no sink is attached.
+    /// Sets the mark at now: the next [`ObsShard::stage`] starts here.
+    /// Reads no clock when the shard is off and no sink is attached.
     #[inline(always)]
-    pub fn now(&self) -> ObsInstant {
-        ObsInstant((self.on || self.regions.is_some()).then(Instant::now))
+    pub fn open(&mut self) {
+        self.mark = (self.on || self.regions.is_some()).then(Instant::now);
     }
 
-    /// Closes a span opened at `t0`, reading the clock once: the interval
-    /// is attributed to `stage` in the shard and handed to the attached
-    /// sink. Returns the closing instant, which opens the next span.
+    /// Closes `[mark, now)` as one span of `stage`, in the shard and the
+    /// attached sink, and moves the mark to now. Does nothing before
+    /// [`ObsShard::open`].
     #[inline(always)]
-    pub fn stage(&mut self, s: Stage, t0: ObsInstant) -> ObsInstant {
-        let (end, ns) = self.part(s, t0);
-        if self.on && end.0.is_some() {
+    pub fn stage(&mut self, s: Stage) {
+        if let Some(ns) = self.close(s) {
             self.rep.span(s, ns);
         }
-        end
     }
 
-    /// Closes one part of a stage that the shard records as a single span
-    /// summed by the caller: the part goes to the attached sink only, and
-    /// its closing instant and nanoseconds come back for [`ObsShard::span`].
+    /// [`ObsShard::stage`] for a part of a stage whose span a later
+    /// `stage` call of the same stage completes: the sink gets the part as
+    /// an interval of its own, and the shard adds its nanoseconds without
+    /// counting a span.
     #[inline(always)]
-    pub fn part(&self, s: Stage, t0: ObsInstant) -> (ObsInstant, u64) {
-        let Some(from) = t0.0 else {
-            return (ObsInstant::DISABLED, 0);
-        };
+    pub fn part(&mut self, s: Stage) {
+        if let Some(ns) = self.close(s) {
+            self.rep.stage_ns[s as usize] += ns;
+        }
+    }
+
+    /// Hands `[mark, now)` to the sink and moves the mark; returns the
+    /// interval's nanoseconds when the shard records.
+    #[inline(always)]
+    fn close(&mut self, s: Stage) -> Option<u64> {
+        let from = self.mark?;
         let to = Instant::now();
         if let Some((sink, thread)) = self.regions {
             sink.record(thread, s, from, to);
         }
-        (ObsInstant(Some(to)), (to - from).as_nanos() as u64)
-    }
-
-    /// Attributes `ns` nanoseconds, timed by the caller, to `stage` as one
-    /// span in the shard — for a span assembled from [`ObsShard::part`]s.
-    #[inline(always)]
-    pub fn span(&mut self, s: Stage, ns: u64) {
-        if self.on {
-            self.rep.span(s, ns);
-        }
+        self.mark = Some(to);
+        self.on.then(|| (to - from).as_nanos() as u64)
     }
 
     /// This shard's accumulated data.
@@ -727,6 +630,22 @@ mod tests {
     }
 
     #[test]
+    fn metrics_are_in_index_order_with_distinct_names() {
+        fn check<T: Copy>(all: &[T], index: impl Fn(T) -> usize, name: impl Fn(T) -> &'static str) {
+            for (i, &m) in all.iter().enumerate() {
+                assert_eq!(index(m), i, "{}", name(m));
+            }
+            let names: std::collections::HashSet<_> = all.iter().map(|&m| name(m)).collect();
+            assert_eq!(names.len(), all.len());
+        }
+        check(&Ctr::ALL, |c| c as usize, Ctr::name);
+        check(&Hist::ALL, |h| h as usize, Hist::name);
+        check(&Gauge::ALL, |g| g as usize, Gauge::name);
+        assert_eq!((Ctr::COUNT, Hist::COUNT, Gauge::COUNT), (25, 8, 4));
+        assert_eq!((Ctr::ExtendFirstReads.name(), Gauge::ServeActiveMax as usize), ("extend_first_reads", 3));
+    }
+
+    #[test]
     fn shard_records_and_registry_merges() {
         let metrics = Metrics::new();
         let mut a = metrics.shard();
@@ -754,9 +673,11 @@ mod tests {
     fn spans_accumulate() {
         let metrics = Metrics::new();
         let mut s = metrics.shard();
+        // Before the mark is opened there is nothing to close.
+        s.stage(Stage::Clustering);
+        s.open();
         for _ in 0..3 {
-            let t = s.now();
-            s.stage(Stage::Clustering, t);
+            s.stage(Stage::Clustering);
         }
         metrics.absorb(&s);
         let rep = metrics.report();
@@ -778,27 +699,32 @@ mod tests {
         let metrics = Metrics::new();
         let sink = Collector(Mutex::new(Vec::new()));
         let mut s = metrics.shard().with_sink(&sink, 3);
-        let t0 = s.now();
-        let t1 = s.stage(Stage::Clustering, t0);
-        let (t2, first) = s.part(Stage::Extension, t1);
-        let (t3, rest) = s.part(Stage::Extension, t2);
-        s.span(Stage::Extension, first + rest);
+        s.open();
+        s.stage(Stage::Clustering);
+        s.part(Stage::Extension);
+        s.stage(Stage::Extension);
         let events = sink.0.lock().unwrap().clone();
-        let [t0, t1, t2, t3] = [t0, t1, t2, t3].map(|t| t.0.expect("a timed shard reads the clock"));
         assert_eq!(
-            events,
-            vec![
-                (3, Stage::Clustering, t0, t1),
-                (3, Stage::Extension, t1, t2),
-                (3, Stage::Extension, t2, t3),
-            ]
+            events.iter().map(|&(thread, stage, ..)| (thread, stage)).collect::<Vec<_>>(),
+            [(3, Stage::Clustering), (3, Stage::Extension), (3, Stage::Extension)]
         );
+        // One clock read per boundary: each interval starts where the
+        // previous one ended.
+        for pair in events.windows(2) {
+            assert_eq!(pair[1].2, pair[0].3);
+        }
+        let ns = |e: &(usize, Stage, Instant, Instant)| (e.3 - e.2).as_nanos() as u64;
         let rep = s.report();
-        assert_eq!(rep.stage_ns(Stage::Clustering), (t1 - t0).as_nanos() as u64);
+        assert_eq!(rep.stage_ns(Stage::Clustering), ns(&events[0]));
         assert_eq!(rep.stage_count(Stage::Clustering), 1);
         // The parts reach the sink one by one and the shard as one span.
-        assert_eq!(rep.stage_ns(Stage::Extension), (t3 - t1).as_nanos() as u64);
+        assert_eq!(rep.stage_ns(Stage::Extension), ns(&events[1]) + ns(&events[2]));
         assert_eq!(rep.stage_count(Stage::Extension), 1);
+        // A fresh open starts a new run of intervals.
+        s.open();
+        s.stage(Stage::Seeding);
+        let events = sink.0.lock().unwrap().clone();
+        assert!(events[3].2 >= events[2].3);
     }
 
     #[test]
@@ -806,8 +732,8 @@ mod tests {
         let metrics = Metrics::off();
         let sink = Collector(Mutex::new(Vec::new()));
         let mut s = metrics.shard().with_sink(&sink, 1);
-        let t = s.now();
-        s.stage(Stage::Seeding, t);
+        s.open();
+        s.stage(Stage::Seeding);
         metrics.absorb(&s);
         assert_eq!(sink.0.lock().unwrap().len(), 1);
         assert_eq!(s.report(), &Report::default());
@@ -827,13 +753,13 @@ mod tests {
         }
         // Neither switch on: no clock is read at all.
         let mut off = Metrics::off().shard().with_sink(&Deaf, 0);
-        let t = off.now();
-        assert!(t.0.is_none());
-        off.stage(Stage::Extension, t);
+        off.open();
+        assert!(off.mark.is_none());
+        off.stage(Stage::Extension);
         // Metrics on: the shard records and the sink still sees nothing.
         let mut on = Metrics::new().shard().with_sink(&Deaf, 0);
-        let t = on.now();
-        on.stage(Stage::Extension, t);
+        on.open();
+        on.stage(Stage::Extension);
         assert_eq!(on.report().stage_count(Stage::Extension), 1);
     }
 
@@ -841,11 +767,10 @@ mod tests {
     fn off_registry_records_nothing() {
         let metrics = Metrics::off();
         let mut s = metrics.shard();
-        assert!(!s.is_on());
         s.inc(Ctr::ReadsMapped);
         s.observe(Hist::SeedsPerRead, 9);
-        let t = s.now();
-        s.stage(Stage::Extension, t);
+        s.open();
+        s.stage(Stage::Extension);
         metrics.absorb(&s);
         metrics.add(Ctr::PoolSteals, 5);
         let rep = metrics.report();

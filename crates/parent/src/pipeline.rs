@@ -22,16 +22,18 @@
 //! finishes it — rescue, pair check, and then one of two emitters: GAF
 //! bytes into a buffer the thread keeps (streaming, serving) or the
 //! captured per-read records of a [`ParentRun`] (the batch path, the
-//! paper's capture boundary). Each stage boundary reads the clock once into
-//! the worker's [`ObsShard`], which feeds the metrics registry (Figure 3,
-//! Table VI) and the [`RegionSink`] it carries (the Figure 2 timeline).
+//! paper's capture boundary). The worker's [`ObsShard`] opens its mark once
+//! per fragment; each stage boundary then reads the clock once and closes
+//! the stage from where the previous one ended, into the metrics registry
+//! (Figure 3, Table VI) and the [`RegionSink`] the shard carries (the
+//! Figure 2 timeline).
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use mg_core::dump::SeedDump;
 use mg_core::types::{ReadInput, ReadResult, Seed, Workflow};
-use mg_core::{record_cache_stats, MapScratch, Mapper, MappingOptions, StreamOptions, ThreadPersist};
+use mg_core::{MapScratch, Mapper, MappingOptions, StreamOptions};
 use mg_gbwt::{CachedGbwt, Gbz};
 use mg_index::{DistanceIndex, MinimizerIndex};
 use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
@@ -250,7 +252,8 @@ impl<'a> Parent<'a> {
     /// Seeds one read from the index into `seeds` and runs the kernels. The
     /// seeding buffers, the seed list and the kernel buffers all belong to
     /// the caller, so a worker that keeps them maps every read without
-    /// per-read heap allocation beyond the result it returns.
+    /// per-read heap allocation beyond the result it returns. The seeding
+    /// span closes from `obs`'s open mark.
     // Inlined so a `NoProbe` constant-folds away at each call site.
     #[allow(clippy::too_many_arguments)]
     #[inline]
@@ -266,7 +269,6 @@ impl<'a> Parent<'a> {
         obs: &mut ObsShard<'_>,
     ) -> ReadResult {
         {
-            let t0 = obs.now();
             // The probe stands for counters scoped to the kernel regions,
             // as the paper's were in Giraffe: instructions retired out here
             // are not its business, so none are charged. The memory the
@@ -287,7 +289,7 @@ impl<'a> Parent<'a> {
                 0x7000_0000_0000 + (read_id % 512) * 65536,
                 (seeds.len() * std::mem::size_of::<Seed>()).max(16) as u32,
             );
-            obs.stage(Stage::Seeding, t0);
+            obs.stage(Stage::Seeding);
         }
         self.mapper.map_read_seeded(
             cache,
@@ -318,11 +320,13 @@ impl<'a> Parent<'a> {
         thread: usize,
     ) -> Vec<Alignment> {
         let mut obs = ObsShard::disabled().with_sink(sink, thread);
+        obs.open();
         self.post_process_bases(&read_input.bases, result, options, &mut obs)
     }
 
     /// [`Parent::post_process`] from the read's bases alone (it never looks
-    /// at the seeds), timed as one [`Stage::Rescoring`] span.
+    /// at the seeds), timed as one [`Stage::Rescoring`] span from `obs`'s
+    /// open mark.
     pub(crate) fn post_process_bases(
         &self,
         bases: &[u8],
@@ -330,7 +334,6 @@ impl<'a> Parent<'a> {
         options: &ParentOptions,
         obs: &mut ObsShard<'_>,
     ) -> Vec<Alignment> {
-        let t0 = obs.now();
         let mut alignments = align_read(result, &options.align);
         // Gapped fallback: when the best extension leaves a read tail
         // uncovered, align the tail against the graph walk's continuation.
@@ -352,7 +355,7 @@ impl<'a> Parent<'a> {
                 }
             }
         }
-        obs.stage(Stage::Rescoring, t0);
+        obs.stage(Stage::Rescoring);
         alignments
     }
 
@@ -529,35 +532,34 @@ impl<'a> Parent<'a> {
             threads,
             sinks.metrics,
             &|thread, (persist, bufs), grains| {
-                // Taken, not borrowed: a panic leaves the default.
-                let ThreadPersist { cache, scratch } = std::mem::take(*persist);
                 // A dispatch that panicked leaves its survivors' bytes
                 // behind; every dispatch starts from empty buffers.
                 bufs.gaf.clear();
                 bufs.runs.clear();
-                let mut worker = FragmentWorker {
-                    parent: self,
-                    options,
-                    cache: CachedGbwt::with_state(
-                        self.mapper.gbz().gbwt(),
-                        options.mapping.cache_capacity,
-                        cache,
-                    ),
-                    scratch,
-                    obs: sinks.metrics.shard().with_sink(sinks.regions, thread),
-                    reads,
-                    base_id,
-                    width,
-                    bufs,
-                    emit,
-                };
-                for fragment in grains {
-                    worker.map_fragment(fragment);
-                }
-                record_cache_stats(&mut worker.obs, &worker.cache.stats());
-                sinks.metrics.absorb(&worker.obs);
-                **persist =
-                    ThreadPersist { cache: worker.cache.into_state(), scratch: worker.scratch };
+                self.mapper.with_warm_worker(
+                    persist,
+                    options.mapping.cache_capacity,
+                    sinks.metrics,
+                    sinks.regions,
+                    thread,
+                    |cache, scratch, obs| {
+                        let mut worker = FragmentWorker {
+                            parent: self,
+                            options,
+                            cache,
+                            scratch,
+                            obs,
+                            reads,
+                            base_id,
+                            width,
+                            bufs,
+                            emit,
+                        };
+                        for fragment in grains {
+                            worker.map_fragment(fragment);
+                        }
+                    },
+                );
             },
         );
     }
@@ -730,28 +732,28 @@ impl<'a> Parent<'a> {
 /// the scheduler assigns it and finishes each one — rescoring, and for a
 /// pair mate rescue and the fragment check, all on this thread's cache and
 /// scratch — then hands it to the emitter.
-struct FragmentWorker<'e, 'g> {
+struct FragmentWorker<'w, 'e, 'g> {
     parent: &'e Parent<'g>,
     options: &'e ParentOptions,
-    cache: CachedGbwt<'g>,
-    scratch: MapScratch,
-    /// Carries the dispatch's region sink and this worker's thread index.
-    obs: ObsShard<'e>,
+    cache: &'w mut CachedGbwt<'g>,
+    scratch: &'w mut MapScratch,
+    /// Carries the dispatch's region sink and this worker's thread index;
+    /// its mark is opened once per fragment.
+    obs: &'w mut ObsShard<'e>,
     reads: &'e [Vec<u8>],
     base_id: u64,
     /// Reads per fragment: 2 when paired, else 1.
     width: usize,
-    bufs: &'e mut FragmentBufs,
+    bufs: &'w mut FragmentBufs,
     emit: Emitter<'e>,
 }
 
-impl FragmentWorker<'_, '_> {
+impl FragmentWorker<'_, '_, '_> {
     /// Mate rescue, then mate consistency, for the pair at `lo`/`lo + 1`,
     /// on this worker's own cache: rescue output does not depend on cache
     /// state. The rescue's kernels are part of the pairing span and record
     /// nothing of their own. Returns the rescued results (index = mate).
     fn pair(&mut self, lo: usize, alignments: &mut [Vec<Alignment>; 2]) -> [Option<ReadResult>; 2] {
-        let t0 = self.obs.now();
         let mapper = &self.parent.mapper;
         let mut rescued = [None, None];
         let half_mapped = match (alignments[0].is_empty(), alignments[1].is_empty()) {
@@ -763,14 +765,14 @@ impl FragmentWorker<'_, '_> {
             if let Some(result) = rescue_mate_bases(
                 mapper,
                 self.parent.minimizer,
-                &mut self.cache,
+                self.cache,
                 self.base_id + (lo + unmapped) as u64,
                 &self.reads[lo + unmapped],
                 alignments[mapped][0].pos,
                 &self.options.mapping,
                 &self.options.rescue,
                 &mut NoProbe,
-                &mut self.scratch,
+                self.scratch,
                 &mut ObsShard::disabled(),
             ) {
                 alignments[unmapped] = align_read(&result, &self.options.align);
@@ -785,7 +787,7 @@ impl FragmentWorker<'_, '_> {
             &mut second[0],
             self.options.max_fragment,
         );
-        self.obs.stage(Stage::Pairing, t0);
+        self.obs.stage(Stage::Pairing);
         rescued
     }
 
@@ -797,6 +799,9 @@ impl FragmentWorker<'_, '_> {
         // fixed arrays until the emitter takes it.
         let mut results: [Option<ReadResult>; 2] = [None, None];
         let mut alignments: [Vec<Alignment>; 2] = [Vec::new(), Vec::new()];
+        // The one clock read that is not a stage boundary: every stage of
+        // the fragment closes from here on where the previous one ended.
+        self.obs.open();
         for k in 0..count {
             let read_id = self.base_id + (lo + k) as u64;
             if self.options.fault_read == Some(read_id) {
@@ -804,17 +809,16 @@ impl FragmentWorker<'_, '_> {
             }
             let bases = &self.reads[lo + k];
             let result = self.parent.seed_and_map(
-                &mut self.cache,
+                self.cache,
                 read_id,
                 bases,
                 self.options,
                 &mut NoProbe,
-                &mut self.scratch,
+                self.scratch,
                 &mut self.bufs.seeds[k],
-                &mut self.obs,
+                self.obs,
             );
-            alignments[k] =
-                self.parent.post_process_bases(bases, &result, self.options, &mut self.obs);
+            alignments[k] = self.parent.post_process_bases(bases, &result, self.options, self.obs);
             results[k] = Some(result);
         }
         let mut rescued = if count == 2 { self.pair(lo, &mut alignments) } else { [None, None] };
@@ -826,7 +830,6 @@ impl FragmentWorker<'_, '_> {
                 // mate's alignments find no extension there and emit
                 // nothing, on every path alike.
                 Emitter::Gaf { set_name } => {
-                    let t0 = self.obs.now();
                     read_to_gaf_into(
                         self.parent.mapper.gbz().graph(),
                         set_name,
@@ -835,15 +838,14 @@ impl FragmentWorker<'_, '_> {
                         &alignments[k],
                         &mut self.bufs.gaf,
                     );
-                    self.obs.stage(Stage::Render, t0);
+                    self.obs.stage(Stage::Render);
                 }
                 Emitter::Capture { reads, rescued: rescue_slots } => {
                     // Intake for the dump record: the one place the read and
                     // its seed list are copied.
-                    let t0 = self.obs.now();
                     let input =
                         ReadInput { bases: bases.clone(), seeds: self.bufs.seeds[k].clone() };
-                    self.obs.stage(Stage::Parse, t0);
+                    self.obs.stage(Stage::Parse);
                     let record = (input, result, std::mem::take(&mut alignments[k]));
                     let mut fresh = reads[lo + k].set(record).is_ok();
                     if let Some(result) = rescued[k].take() {
@@ -1122,6 +1124,83 @@ mod tests {
                 let pairs = if workflow == Workflow::Paired { reads.len() as u64 / 2 } else { 0 };
                 assert_eq!(rep.stage_count(Stage::Pairing), pairs, "{workflow} {emitter}");
                 assert!(rep.stage_count(Stage::Clustering) > 0, "{workflow} {emitter}");
+            }
+        }
+    }
+
+    /// Keeps every interval with its raw instants, in the order each
+    /// thread handed them over.
+    #[derive(Default)]
+    struct Intervals(Mutex<Vec<(usize, Instant, Instant)>>);
+
+    impl RegionSink for Intervals {
+        fn record(&self, thread: usize, _: Stage, start: Instant, end: Instant) {
+            self.0.lock().unwrap().push((thread, start, end));
+        }
+    }
+
+    impl Intervals {
+        /// The intervals that do not start where their thread's previous
+        /// one ended, and all of them.
+        fn breaks(&self) -> (u64, usize) {
+            let events = self.0.lock().unwrap();
+            let mut last_end = std::collections::HashMap::new();
+            let breaks = events
+                .iter()
+                .filter(|&&(thread, start, end)| last_end.insert(thread, end) != Some(start))
+                .count();
+            (breaks as u64, events.len())
+        }
+    }
+
+    #[test]
+    fn stage_intervals_abut_from_one_open_per_fragment() {
+        // Every stage closes where the previous one ended, so a thread's
+        // intervals break only where a fragment opens the mark: at most
+        // once per task, on both emitters and the proxy loop.
+        for workflow in [Workflow::Single, Workflow::Paired] {
+            let mut spec = InputSetSpec::tiny_for_tests();
+            spec.workflow = workflow;
+            spec.read_sim.fragment_len = 300;
+            spec.read_sim.fragment_jitter = 30;
+            let input = SyntheticInput::generate(&spec, 123);
+            let parent = Parent::new(&input.gbz, &input.minimizer_index, workflow);
+            let reads: Vec<Vec<u8>> = input.sim_reads.iter().map(|r| r.bases.clone()).collect();
+            let mut options = ParentOptions::default();
+            options.mapping.threads = 2;
+            let mut dump = None;
+            for path in ["capture", "stream", "proxy"] {
+                let (sink, metrics) = (Intervals::default(), Metrics::new());
+                match path {
+                    "capture" => {
+                        let run = parent.run_with_sink_metrics(&reads, &options, &sink, &metrics);
+                        dump = Some(run.dump);
+                    }
+                    "stream" => {
+                        parent
+                            .run_streaming_with_sink_metrics(
+                                reads.chunks(7).map(|c| Ok(c.to_vec())),
+                                &options,
+                                &StreamOptions::default(),
+                                "tiny",
+                                &mut Vec::new(),
+                                &sink,
+                                &metrics,
+                            )
+                            .unwrap();
+                    }
+                    _ => {
+                        let dump = dump.as_ref().expect("the capture run went first");
+                        parent.mapper().run_with_sink_metrics(dump, &options.mapping, &sink, &metrics);
+                    }
+                }
+                let (breaks, intervals) = sink.breaks();
+                let tasks = metrics.report().counter(Ctr::PoolTasksCompleted);
+                assert!(tasks > 0 && intervals as u64 > tasks, "{workflow} {path}");
+                assert!(
+                    breaks <= tasks,
+                    "{workflow} {path}: {breaks} of {intervals} intervals break, {tasks} tasks"
+                );
             }
         }
     }

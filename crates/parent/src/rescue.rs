@@ -74,7 +74,7 @@ pub fn rescue_mate<P: MemProbe>(
 /// [`rescue_mate`] from the mate's bases alone: the chunk workers rescue
 /// from the chunk's own read bytes and hold no [`ReadInput`] for the mate
 /// (the relaxed re-seed never looks at its first-pass seeds). The kernels
-/// record into `obs`.
+/// record into `obs`, timed from a mark opened after the re-seed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rescue_mate_bases<P: MemProbe>(
     mapper: &Mapper<'_>,
@@ -115,6 +115,9 @@ pub(crate) fn rescue_mate_bases<P: MemProbe>(
     if seeds.is_empty() {
         return None;
     }
+    // The kernels' stages are timed from here: the re-seed above is not
+    // theirs.
+    obs.open();
     let result =
         mapper.map_read_seeded(cache, mate_id, bases, &seeds, options, probe, scratch, obs);
     (!result.extensions.is_empty()).then_some(result)

@@ -72,8 +72,8 @@ cargo test --release -q --test corrupt_inputs files_truncated_after_open_leave_t
 echo "== Fig. 3 stage shares: extension largest, the two kernels most of the time (an optimized build's shares) =="
 cargo test --release -q -p mg-bench --lib fig3_reports
 
-echo "== the two sinks agree: profiler events and metrics spans per stage, count and time (an optimized build's timing) =="
-cargo test --release -q -p mg-parent --lib the_profiler_and_the_metrics_agree_on_every_stage
+echo "== the two sinks agree: profiler events and metrics spans per stage, count and time; stage intervals abut, one open per task (an optimized build's timing) =="
+cargo test --release -q -p mg-parent --lib -- the_profiler_and_the_metrics_agree_on_every_stage stage_intervals_abut_from_one_open_per_fragment
 
 echo "== kernel oracles (extension walk vs the per-base oracle, clustering vs the naive sweep; an optimized build's arithmetic) =="
 cargo test --release -q --test extend_walk --test cluster_oracle

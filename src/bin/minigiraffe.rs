@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -23,30 +24,59 @@ use minigiraffe::perf::Profiler;
 use minigiraffe::sched::SchedulerKind;
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 
+/// Stdout, locked once for the whole run: every subcommand prints through
+/// it with `say!`. The first failed write is kept and later ones are
+/// dropped, so a subcommand still finishes its work (the files it writes, a
+/// server it drains) whatever became of its stdout, and `main` reports the
+/// failure once, at exit.
+struct Out {
+    stdout: std::io::StdoutLock<'static>,
+    written: std::io::Result<()>,
+}
+
+impl Out {
+    fn print(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.written.is_ok() {
+            self.written = self.stdout.write_fmt(args);
+        }
+    }
+}
+
+/// `println!` into an [`Out`].
+macro_rules! say {
+    ($out:expr, $($arg:tt)*) => {
+        $out.print(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = Out { stdout: std::io::stdout().lock(), written: Ok(()) };
     let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("build-mgi") => cmd_build_mgi(&args[1..]),
-        Some("map") => cmd_map(&args[1..]),
-        Some("parent") => cmd_parent(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("tune") => cmd_tune(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
+        Some("generate") => cmd_generate(&args[1..], &mut out),
+        Some("build-mgi") => cmd_build_mgi(&args[1..], &mut out),
+        Some("map") => cmd_map(&args[1..], &mut out),
+        Some("parent") => cmd_parent(&args[1..], &mut out),
+        Some("serve") => cmd_serve(&args[1..], &mut out),
+        Some("validate") => cmd_validate(&args[1..], &mut out),
+        Some("tune") => cmd_tune(&args[1..], &mut out),
+        Some("info") => cmd_info(&args[1..], &mut out),
         Some("--help" | "-h" | "help") | None => {
-            print!("{USAGE}");
+            out.print(format_args!("{USAGE}"));
             Ok(())
         }
         Some(other) => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
+    let written = out.written.and_then(|()| out.stdout.flush());
+    match (result, written) {
+        (Err(message), _) => eprintln!("error: {message}"),
+        // A reader that closed the pipe early (`| head`) took what it wanted.
+        (Ok(()), Err(e)) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("error: writing to stdout: {e}");
         }
+        _ => return ExitCode::SUCCESS,
     }
+    ExitCode::FAILURE
 }
 
 const USAGE: &str = "\
@@ -250,14 +280,14 @@ fn load_bundle(
     }
 }
 
-fn cmd_build_mgi(args: &[String]) -> Result<(), String> {
+fn cmd_build_mgi(args: &[String], out: &mut Out) -> Result<(), String> {
     use minigiraffe::core::MgiBundle;
 
     let (positional, flags) = parse_flags(args, "build-mgi", &[&["out", "k", "w"]])?;
     let [mgz_path] = &positional[..] else {
         return Err("expected <pangenome.mgz>".into());
     };
-    let out: String = match flags.get("out") {
+    let out_path: String = match flags.get("out") {
         Some(path) => path.clone(),
         None => {
             let mut p = PathBuf::from(mgz_path);
@@ -279,20 +309,21 @@ fn cmd_build_mgi(args: &[String]) -> Result<(), String> {
     let build_start = std::time::Instant::now();
     let bundle = MgiBundle::build(gbz, params).map_err(|e| e.to_string())?;
     eprintln!("built indexes in {:.3}s", build_start.elapsed().as_secs_f64());
-    bundle.save(&out).map_err(|e| format!("writing {out}: {e}"))?;
+    bundle.save(&out_path).map_err(|e| format!("writing {out_path}: {e}"))?;
 
     // Reopen and verify the file we just wrote: checksums + structural
     // invariants via open, then the deep GBWT record decode.
     let verify_start = std::time::Instant::now();
-    let reopened = MgiBundle::open(&out).map_err(|e| format!("verifying {out}: {e}"))?;
+    let reopened = MgiBundle::open(&out_path).map_err(|e| format!("verifying {out_path}: {e}"))?;
     reopened
         .gbz()
         .gbwt()
         .validate_records()
-        .map_err(|e| format!("verifying {out}: {e}"))?;
-    let bytes = std::fs::metadata(&out).map_err(|e| e.to_string())?.len();
-    println!(
-        "wrote {out} ({bytes} bytes); verified in {:.3}s ({} distinct k-mers, {} nodes)",
+        .map_err(|e| format!("verifying {out_path}: {e}"))?;
+    let bytes = std::fs::metadata(&out_path).map_err(|e| e.to_string())?.len();
+    say!(
+        out,
+        "wrote {out_path} ({bytes} bytes); verified in {:.3}s ({} distinct k-mers, {} nodes)",
         verify_start.elapsed().as_secs_f64(),
         reopened.minimizer().distinct_kmers(),
         reopened.gbz().graph().node_count()
@@ -309,7 +340,7 @@ fn workflow_from_flags(
     Ok(if flag(flags, "paired", false)? { Workflow::Paired } else { Workflow::Single })
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String], out: &mut Out) -> Result<(), String> {
     use minigiraffe::parent::{Parent, ParentOptions};
     use minigiraffe::server::{MappingServer, ServerConfig};
 
@@ -364,15 +395,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     );
     let server = MappingServer::new(&parent, config);
     server.serve_tcp(listener).map_err(|e| format!("serving: {e}"))?;
-    println!("{}", server.stats_json());
+    say!(out, "{}", server.stats_json());
     Ok(())
 }
 
-fn cmd_parent(args: &[String]) -> Result<(), String> {
+fn cmd_parent(args: &[String], out: &mut Out) -> Result<(), String> {
     use minigiraffe::core::StreamOptions;
     use minigiraffe::parent::{run_to_gaf, Parent, ParentOptions};
     use minigiraffe::workload::FastqReader;
-    use std::io::Write as _;
 
     let (positional, flags) = parse_flags(
         args,
@@ -408,7 +438,8 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
         eprintln!("mapping {} reads...", reads.len());
         let run = parent.run(&reads, &options);
         let aligned = run.alignments.iter().filter(|a| !a.is_empty()).count();
-        println!(
+        say!(
+            out,
             "aligned {aligned}/{} reads ({} alignments) in {:.3}s",
             reads.len(),
             run.total_alignments(),
@@ -417,10 +448,10 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
         if let Some(gaf) = flags.get("gaf") {
             std::fs::write(gaf, run_to_gaf(bundle.gbz().graph(), &run, "read"))
                 .map_err(|e| format!("writing {gaf}: {e}"))?;
-            println!("wrote alignments to {gaf}");
+            say!(out, "wrote alignments to {gaf}");
         }
         run.dump.save(dump).map_err(|e| format!("writing {dump}: {e}"))?;
-        println!("wrote seed dump to {dump}");
+        say!(out, "wrote seed dump to {dump}");
         return Ok(());
     }
 
@@ -446,7 +477,8 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
     let flushed = gaf_out.flush();
     let summary = mapped.map_err(|e| e.to_string())?;
     flushed.map_err(|e| format!("flushing GAF: {e}"))?;
-    println!(
+    say!(
+        out,
         "mapped {} reads in {:.3}s ({} batches, {} chunks; queue high water {}, producer blocked {:.1} ms)",
         summary.reads,
         summary.wall.as_secs_f64(),
@@ -456,12 +488,12 @@ fn cmd_parent(args: &[String]) -> Result<(), String> {
         summary.producer_blocked_ns as f64 / 1e6
     );
     if let Some(gaf) = flags.get("gaf") {
-        println!("wrote alignments to {gaf}");
+        say!(out, "wrote alignments to {gaf}");
     }
     Ok(())
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
+fn cmd_generate(args: &[String], out: &mut Out) -> Result<(), String> {
     let (_, flags) = parse_flags(args, "generate", &[&["input-set", "seed", "scale", "out"]])?;
     let set = flags
         .get("input-set")
@@ -477,21 +509,21 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     };
     let seed: u64 = flag(&flags, "seed", 42)?;
     let scale: f64 = flag(&flags, "scale", 1.0)?;
-    let out: PathBuf = flags.get("out").ok_or("--out is required")?.into();
-    std::fs::create_dir_all(&out).map_err(|e| format!("creating {}: {e}", out.display()))?;
+    let out_dir: PathBuf = flags.get("out").ok_or("--out is required")?.into();
+    std::fs::create_dir_all(&out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
     let spec = spec.scaled(scale);
     eprintln!("generating {} ({} reads, seed {seed})...", spec.name, spec.reads);
     let input = SyntheticInput::generate(&spec, seed);
-    let gbz_path = out.join(format!("{}.mgz", spec.name));
-    let dump_path = out.join(format!("{}.bin", spec.name));
-    let fastq_path = out.join(format!("{}.fastq", spec.name));
+    let gbz_path = out_dir.join(format!("{}.mgz", spec.name));
+    let dump_path = out_dir.join(format!("{}.bin", spec.name));
+    let fastq_path = out_dir.join(format!("{}.fastq", spec.name));
     input.gbz.save(&gbz_path).map_err(|e| e.to_string())?;
     input.dump.save(&dump_path).map_err(|e| e.to_string())?;
     minigiraffe::workload::fastq::save_reads_fastq(&fastq_path, &input.sim_reads, spec.name)
         .map_err(|e| e.to_string())?;
-    println!("wrote {}", gbz_path.display());
-    println!("wrote {}", dump_path.display());
-    println!("wrote {}", fastq_path.display());
+    say!(out, "wrote {}", gbz_path.display());
+    say!(out, "wrote {}", dump_path.display());
+    say!(out, "wrote {}", fastq_path.display());
     Ok(())
 }
 
@@ -547,7 +579,7 @@ fn results_csv(results: &minigiraffe::core::MappingResults) -> Vec<u8> {
     out
 }
 
-fn cmd_map(args: &[String]) -> Result<(), String> {
+fn cmd_map(args: &[String], out: &mut Out) -> Result<(), String> {
     let (positional, flags) = parse_flags(
         args,
         "map",
@@ -589,27 +621,29 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
     } else {
         mapper.run(&dump, &options)
     };
-    println!(
+    say!(
+        out,
         "mapped {:.2}% of reads; {} extensions; makespan {:.3}s",
         results.mapped_fraction() * 100.0,
         results.total_extensions(),
         results.wall.as_secs_f64()
     );
-    println!(
+    say!(
+        out,
         "CachedGBWT: {} hits / {} misses ({:.1}% hit rate), {} rehashes",
         results.cache.hits,
         results.cache.misses,
         results.cache.hit_rate() * 100.0,
         results.cache.rehashes
     );
-    if let Some(out) = flags.get("out") {
-        std::fs::write(out, results_csv(&results)).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("wrote extensions to {out}");
+    if let Some(path) = flags.get("out") {
+        std::fs::write(path, results_csv(&results)).map_err(|e| format!("writing {path}: {e}"))?;
+        say!(out, "wrote extensions to {path}");
     }
     Ok(())
 }
 
-fn cmd_validate(args: &[String]) -> Result<(), String> {
+fn cmd_validate(args: &[String], out: &mut Out) -> Result<(), String> {
     let (positional, flags) = parse_flags(args, "validate", &[MAPPING_FLAGS])?;
     let [dump_path, gbz_path, expected_path] = &positional[..] else {
         return Err("expected <seeds.bin> <pangenome.mgz> <expected.csv>".into());
@@ -629,20 +663,21 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     let (want, got) = (canon(&expected), canon(&actual));
     let missing = want.iter().filter(|r| !got.contains(r)).count();
     let extra = got.iter().filter(|r| !want.contains(r)).count();
-    println!(
+    say!(
+        out,
         "expected {} extensions, produced {}; missing {missing}, extra {extra}",
         want.len(),
         got.len()
     );
     if missing == 0 && extra == 0 {
-        println!("PASS: 100% match");
+        say!(out, "PASS: 100% match");
         Ok(())
     } else {
         Err("outputs differ from expected".into())
     }
 }
 
-fn cmd_tune(args: &[String]) -> Result<(), String> {
+fn cmd_tune(args: &[String], out: &mut Out) -> Result<(), String> {
     use minigiraffe::tuning::{run_host_sweep, ParamSpace, TuningPoint};
 
     let (positional, flags) =
@@ -662,23 +697,26 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     let Some(best) = sweep.best() else {
         return Err("sweep produced no measurable configurations".into());
     };
-    println!(
+    say!(
+        out,
         "best:    {}  {:.4}s",
         best.point, best.makespan_s
     );
     match sweep.find(TuningPoint::default_config()) {
-        Some(default) => println!(
+        Some(default) => say!(
+            out,
             "default: {}  {:.4}s  (tuning speedup {:.2}x)",
             default.point,
             default.makespan_s,
             default.makespan_s / best.makespan_s
         ),
-        None => println!("default configuration not in the sweep space"),
+        None => say!(out, "default configuration not in the sweep space"),
     }
     let (sched, batch, capacity) = sweep.anova_by_parameter();
     for (name, a) in [("scheduler", sched), ("batch", batch), ("capacity", capacity)] {
         if let Some(a) = a {
-            println!(
+            say!(
+                out,
                 "anova {name:<9} F={:<8.2} p={:.3} {}",
                 a.f_statistic,
                 a.p_value,
@@ -689,36 +727,36 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(args: &[String]) -> Result<(), String> {
+fn cmd_info(args: &[String], out: &mut Out) -> Result<(), String> {
     let (positional, _) = parse_flags(args, "info", &[])?;
     let [path] = &positional[..] else {
         return Err("expected one data file".into());
     };
     if path.ends_with(".mgz") {
         let gbz = Gbz::load(path).map_err(|e| load_error(path, e))?;
-        println!("pangenome {path}");
-        println!("  nodes:        {}", gbz.graph().node_count());
-        println!("  edges:        {}", gbz.graph().edge_count());
-        println!("  sequence:     {} bp", gbz.graph().total_sequence_len());
-        println!("  haplotypes:   {}", gbz.gbwt().path_count());
-        println!("  gbwt visits:  {}", gbz.gbwt().total_visits());
-        println!("  compressed:   {} bytes", gbz.gbwt().compressed_bytes());
+        say!(out, "pangenome {path}");
+        say!(out, "  nodes:        {}", gbz.graph().node_count());
+        say!(out, "  edges:        {}", gbz.graph().edge_count());
+        say!(out, "  sequence:     {} bp", gbz.graph().total_sequence_len());
+        say!(out, "  haplotypes:   {}", gbz.gbwt().path_count());
+        say!(out, "  gbwt visits:  {}", gbz.gbwt().total_visits());
+        say!(out, "  compressed:   {} bytes", gbz.gbwt().compressed_bytes());
         let stats = gbz.gbwt().statistics();
-        println!("  bwt runs:     {} ({:.2}/record)", stats.total_runs, stats.avg_runs_per_record);
-        println!("  bytes/visit:  {:.2}", stats.bytes_per_visit);
+        say!(out, "  bwt runs:     {} ({:.2}/record)", stats.total_runs, stats.avg_runs_per_record);
+        say!(out, "  bytes/visit:  {:.2}", stats.bytes_per_visit);
     } else {
         let dump = SeedDump::load(path).map_err(|e| load_error(path, e))?;
-        println!("seed dump {path}");
-        println!("  workflow:     {}", dump.workflow);
-        println!("  reads:        {}", dump.reads.len());
-        println!("  bases:        {}", dump.total_bases());
-        println!("  seeds:        {}", dump.total_seeds());
+        say!(out, "seed dump {path}");
+        say!(out, "  workflow:     {}", dump.workflow);
+        say!(out, "  reads:        {}", dump.reads.len());
+        say!(out, "  bases:        {}", dump.total_bases());
+        say!(out, "  seeds:        {}", dump.total_seeds());
         let mean = if dump.reads.is_empty() {
             0.0
         } else {
             dump.total_seeds() as f64 / dump.reads.len() as f64
         };
-        println!("  seeds/read:   {mean:.1}");
+        say!(out, "  seeds/read:   {mean:.1}");
     }
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! the real binary.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use minigiraffe::obs::Stage;
 
@@ -181,6 +181,56 @@ fn map_instrument_writes_a_stage_timeline() {
     }
     assert!(rows.get("clustering").is_some_and(|&n| n >= 1), "no clustering row: {rows:?}");
     assert!(rows.get("extension").is_some_and(|&n| n >= 1), "no extension row: {rows:?}");
+}
+
+/// Runs the binary with `stdout` as its standard output; returns its exit
+/// code and stderr.
+fn run_into(args: &[&str], stdout: impl Into<Stdio>) -> (Option<i32>, String) {
+    let output = Command::new(binary())
+        .args(args)
+        .stdout(stdout)
+        .output()
+        .expect("spawn minigiraffe");
+    (output.status.code(), String::from_utf8_lossy(&output.stderr).into_owned())
+}
+
+#[test]
+fn a_closed_stdout_pipe_ends_the_output_quietly() {
+    let dir = TempDir::new("epipe");
+    let (ok, _, stderr) = run(&[
+        "generate", "--input-set", "tiny", "--seed", "9", "--out", &dir.path(""),
+    ]);
+    assert!(ok, "generate failed: {stderr}");
+    let closed = || {
+        // The reader is gone before the child starts: its first write
+        // fails with a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        writer
+    };
+    let (code, stderr) = run_into(&["info", &dir.path("tiny.mgz")], closed());
+    assert_eq!((code, stderr.as_str()), (Some(0), ""));
+    // The work is done whatever became of stdout.
+    let csv = dir.path("out.csv");
+    let (code, stderr) =
+        run_into(&["map", &dir.path("tiny.bin"), &dir.path("tiny.mgz"), "--out", &csv], closed());
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(!stderr.contains("error") && !stderr.contains("panicked"), "{stderr}");
+    assert!(std::fs::read_to_string(&csv).unwrap().starts_with("read_id,"));
+}
+
+#[test]
+fn a_full_stdout_is_an_error_not_a_panic() {
+    let dir = TempDir::new("enospc");
+    let (ok, _, stderr) = run(&[
+        "generate", "--input-set", "tiny", "--seed", "9", "--out", &dir.path(""),
+    ]);
+    assert!(ok, "generate failed: {stderr}");
+    let full = std::fs::OpenOptions::new().write(true).open("/dev/full").expect("/dev/full");
+    let (code, stderr) = run_into(&["info", &dir.path("tiny.mgz")], full);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: writing to stdout: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
