@@ -9,8 +9,8 @@
 //! A `.bin` file is an [`mg_support::mgi`] container with two sections:
 //! [`TAG_DUMP_META`] (workflow flag and read count) and [`TAG_DUMP_READS`]
 //! (each read's bases and delta-encoded seeds), both varint streams.
-//! [`SeedDump::load`] maps the file and decodes straight out of the
-//! mapping.
+//! [`DumpReader`] decodes a validated container a chunk of reads at a time
+//! straight out of its buffer; [`SeedDump::load`] drains it into one dump.
 
 use std::path::Path;
 
@@ -130,46 +130,13 @@ impl SeedDump {
         Self::from_mgi(&MgiFile::open_bytes(bytes.to_vec())?)
     }
 
-    /// Decodes the two dump sections of a validated container, borrowing
-    /// them from its mapping.
+    /// Decodes a validated container whole: its [`DumpReader`] drained
+    /// into one `Vec`.
     fn from_mgi(f: &MgiFile) -> Result<Self> {
-        f.expect_only(&[TAG_DUMP_META, TAG_DUMP_READS])?;
-        let mut meta = Cursor::new(f.section(TAG_DUMP_META)?);
-        let workflow = if meta.read_u64()? != 0 {
-            Workflow::Paired
-        } else {
-            Workflow::Single
-        };
-        let read_count = meta.read_u64()?;
-        let mut cur = Cursor::new(f.section(TAG_DUMP_READS)?);
-        // Counts and lengths are untrusted even under a valid checksum:
-        // each is bounded by the payload bytes left before anything is
-        // reserved for it (a read occupies at least 2 bytes, a seed 3).
-        let read_count = bounded(read_count, cur.remaining() / 2, "read count")?;
-        let mut reads = Vec::with_capacity(read_count);
-        for _ in 0..read_count {
-            let len = bounded(cur.read_u64()?, cur.remaining(), "read length")?;
-            let bases = cur.read_bytes(len)?.to_vec();
-            let seed_count = bounded(cur.read_u64()?, cur.remaining() / 3, "seed count")?;
-            let mut seeds = Vec::with_capacity(seed_count);
-            let mut read_offset = 0u32;
-            for _ in 0..seed_count {
-                read_offset = u32::try_from(cur.read_u64()?)
-                    .ok()
-                    .and_then(|delta| read_offset.checked_add(delta))
-                    .ok_or_else(|| Error::Corrupt("seed read offset overflows u32".into()))?;
-                let handle = Handle::from_gbwt(cur.read_u64()?)
-                    .ok_or_else(|| Error::Corrupt("seed handle encodes endmarker".into()))?;
-                let offset = u32::try_from(cur.read_u64()?)
-                    .map_err(|_| Error::Corrupt("seed node offset overflows u32".into()))?;
-                seeds.push(Seed::new(read_offset, GraphPos::new(handle, offset)));
-            }
-            reads.push(ReadInput { bases, seeds });
-        }
-        if !cur.is_at_end() {
-            return Err(Error::Corrupt("trailing bytes after reads".into()));
-        }
-        Ok(SeedDump { workflow, reads })
+        let mut reader = DumpReader::new(f)?;
+        let mut reads = Vec::with_capacity(reader.read_count());
+        reader.next_chunk(&mut reads, usize::MAX)?;
+        Ok(SeedDump { workflow: reader.workflow(), reads })
     }
 
     /// Writes a `.bin` dump file.
@@ -187,10 +154,141 @@ impl SeedDump {
     ///
     /// Returns filesystem and format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        // Mapped, not read: the decoder borrows its sections from the
-        // mapping, so the payload is never copied onto the heap.
         Self::from_mgi(&MgiFile::open(path.as_ref())?)
     }
+}
+
+/// The seed-dump decoder: reads a validated `.bin` container's reads a
+/// chunk at a time, borrowing its sections, so a caller that maps and
+/// drops each chunk holds the file and one chunk, never the decoded dump.
+///
+/// Every count and length is untrusted even under a valid checksum: each
+/// is bounded by the payload bytes left before anything is reserved for it
+/// (a read occupies at least 2 bytes, a seed 3), and bytes left after the
+/// last read are an error.
+///
+/// # Examples
+///
+/// ```
+/// use mg_core::dump::{DumpReader, SeedDump};
+/// use mg_core::types::{ReadInput, Workflow};
+/// use mg_support::mgi::MgiFile;
+///
+/// # fn main() -> mg_support::Result<()> {
+/// let read = |b: &[u8]| ReadInput { bases: b.to_vec(), seeds: Vec::new() };
+/// let dump = SeedDump::new(Workflow::Single, vec![read(b"AC"), read(b"GT"), read(b"A")]);
+/// let file = MgiFile::open_bytes(dump.to_bytes()?)?;
+/// let mut reader = DumpReader::new(&file)?;
+/// let mut chunk = Vec::new();
+/// reader.next_chunk(&mut chunk, 2)?;
+/// assert_eq!(chunk, dump.reads[..2]);
+/// reader.next_chunk(&mut chunk, 2)?;
+/// assert_eq!(chunk, dump.reads[2..]);
+/// reader.next_chunk(&mut chunk, 2)?;
+/// assert!(chunk.is_empty());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct DumpReader<'f> {
+    workflow: Workflow,
+    read_count: usize,
+    /// Reads not yet decoded.
+    left: usize,
+    cur: Cursor<'f>,
+}
+
+impl<'f> DumpReader<'f> {
+    /// Reads the metadata of a validated dump container and checks its
+    /// read count against the payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::BadTag`] for a container that is not a dump, and
+    /// codec or [`Error::Corrupt`] errors for malformed metadata.
+    pub fn new(f: &'f MgiFile) -> Result<Self> {
+        f.expect_only(&[TAG_DUMP_META, TAG_DUMP_READS])?;
+        let mut meta = Cursor::new(f.section(TAG_DUMP_META)?);
+        let workflow = if meta.read_u64()? != 0 {
+            Workflow::Paired
+        } else {
+            Workflow::Single
+        };
+        let read_count = meta.read_u64()?;
+        let cur = Cursor::new(f.section(TAG_DUMP_READS)?);
+        let read_count = bounded(read_count, cur.remaining() / 2, "read count")?;
+        Ok(DumpReader { workflow, read_count, left: read_count, cur })
+    }
+
+    /// Single- or paired-end, as the dump records it.
+    pub fn workflow(&self) -> Workflow {
+        self.workflow
+    }
+
+    /// Reads in the dump, decoded or not.
+    pub fn read_count(&self) -> usize {
+        self.read_count
+    }
+
+    /// Decodes the next `max` reads (fewer at the end) into `reads`, which
+    /// afterwards holds exactly them: empty once the dump is exhausted.
+    /// Reads already in `reads` are overwritten in place, so their `bases`
+    /// and `seeds` buffers are reused from chunk to chunk.
+    ///
+    /// # Errors
+    ///
+    /// Returns codec or [`Error::Corrupt`] errors for a malformed read, with
+    /// `reads` holding the reads of this call before it, and for bytes left
+    /// after the last read, with `reads` holding the whole chunk. Either
+    /// way the reader is spent: later calls decode nothing.
+    pub fn next_chunk(&mut self, reads: &mut Vec<ReadInput>, max: usize) -> Result<()> {
+        let take = max.min(self.left);
+        let mut filled = 0;
+        let mut outcome = Ok(());
+        while filled < take {
+            if filled == reads.len() {
+                reads.push(ReadInput::default());
+            }
+            if let Err(e) = decode_read(&mut self.cur, &mut reads[filled]) {
+                outcome = Err(e);
+                break;
+            }
+            filled += 1;
+        }
+        reads.truncate(filled);
+        self.left -= filled;
+        if outcome.is_ok() && self.left == 0 && !self.cur.is_at_end() {
+            outcome = Err(Error::Corrupt("trailing bytes after reads".into()));
+        }
+        if outcome.is_err() {
+            self.left = 0;
+            self.cur = Cursor::new(&[]);
+        }
+        outcome
+    }
+}
+
+/// Decodes the read at `cur` into `read`, reusing its buffers.
+fn decode_read(cur: &mut Cursor<'_>, read: &mut ReadInput) -> Result<()> {
+    let len = bounded(cur.read_u64()?, cur.remaining(), "read length")?;
+    read.bases.clear();
+    read.bases.extend_from_slice(cur.read_bytes(len)?);
+    let seed_count = bounded(cur.read_u64()?, cur.remaining() / 3, "seed count")?;
+    read.seeds.clear();
+    read.seeds.reserve(seed_count);
+    let mut read_offset = 0u32;
+    for _ in 0..seed_count {
+        read_offset = u32::try_from(cur.read_u64()?)
+            .ok()
+            .and_then(|delta| read_offset.checked_add(delta))
+            .ok_or_else(|| Error::Corrupt("seed read offset overflows u32".into()))?;
+        let handle = Handle::from_gbwt(cur.read_u64()?)
+            .ok_or_else(|| Error::Corrupt("seed handle encodes endmarker".into()))?;
+        let offset = u32::try_from(cur.read_u64()?)
+            .map_err(|_| Error::Corrupt("seed node offset overflows u32".into()))?;
+        read.seeds.push(Seed::new(read_offset, GraphPos::new(handle, offset)));
+    }
+    Ok(())
 }
 
 /// `value` as a `usize` no larger than `limit`, or [`Error::Corrupt`].

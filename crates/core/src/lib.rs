@@ -65,14 +65,14 @@ pub mod types;
 pub mod validate;
 
 pub use cluster::{cluster_seeds_with_scratch, Cluster, ClusterParams, ClusterScratch};
-pub use dump::SeedDump;
+pub use dump::{DumpReader, SeedDump};
 pub use extend::{
     extend_seed_with_scratch, process_until_threshold_with_scratch, ExtendParams, ExtendScratch,
     KernelStats, ProcessParams,
 };
 pub use mgi::{build_minimizer_index, MgiBundle};
 pub use pipeline::{
-    run_mapping, MapScratch, Mapper, MappingOptions, MappingResults,
+    run_mapping, DumpSummary, MapScratch, Mapper, MappingOptions, MappingResults,
     StreamOptions, ThreadPersist, Workers,
 };
 pub use types::{Extension, ExtensionKey, ReadInput, ReadResult, Seed, Workflow};

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use mg_gbwt::{CacheState, CacheStats, CachedGbwt, Gbz, HotTier};
 use mg_index::DistanceIndex;
 use mg_obs::{Ctr, Hist, Metrics, ObsShard, Stage};
-use mg_sched::{SchedulerKind, WorkerPool};
+use mg_sched::{chunk_grain_reads, SchedulerKind, WorkerPool};
 use mg_support::probe::{MemProbe, NoProbe};
 use mg_support::regions::{NullSink, RegionSink};
 
@@ -20,6 +20,7 @@ use crate::cluster::{cluster_seeds_with_scratch, ClusterParams, ClusterScratch};
 use crate::extend::{
     extend_first, process_until_threshold_with_scratch, ExtendParams, ExtendScratch, ProcessParams,
 };
+use crate::dump::DumpReader;
 use crate::types::{ReadInput, ReadResult, Seed};
 
 /// Reusable per-thread buffers for the two hot kernels.
@@ -78,10 +79,19 @@ impl Default for MappingOptions {
     }
 }
 
+impl MappingOptions {
+    /// Reads per mapping chunk on every streaming path — a seed dump
+    /// through [`Mapper::run_dump`], the parent's FASTQ stream, a served
+    /// job: one dispatch's worth, `threads × batch_size` (each at least 1).
+    pub fn chunk_reads(&self) -> usize {
+        self.threads.max(1).saturating_mul(self.batch_size.max(1))
+    }
+}
+
 /// Knobs of the parent pipeline's streaming-ingestion path, on top of
-/// [`MappingOptions`]. (The proxy maps a whole dump in one dispatch and
-/// does not stream; the type lives here beside the options it derives
-/// from.)
+/// [`MappingOptions`]. (The proxy streams a dump from a file already in
+/// memory and has no queue; the type lives here beside the options it
+/// derives from.)
 ///
 /// The streaming pipeline's in-flight memory is bounded by
 /// `(queue_batches + 1) × ingestion batch + one mapping chunk`: the queue
@@ -129,6 +139,34 @@ impl MappingResults {
         }
         let mapped = self.per_read.iter().filter(|r| !r.extensions.is_empty()).count();
         mapped as f64 / self.per_read.len() as f64
+    }
+}
+
+/// What [`Mapper::run_dump`] reports once a dump has been streamed.
+#[derive(Debug, Clone, Default)]
+pub struct DumpSummary {
+    /// Reads mapped.
+    pub reads: u64,
+    /// Reads with at least one extension.
+    pub mapped: u64,
+    /// Extensions across all reads.
+    pub extensions: u64,
+    /// Chunks dispatched.
+    pub chunks: u64,
+    /// Wall-clock time of the whole loop: decoding, mapping and the
+    /// per-chunk callback.
+    pub wall: Duration,
+    /// Cache statistics aggregated across chunks and worker threads.
+    pub cache: CacheStats,
+}
+
+impl DumpSummary {
+    /// Fraction of reads with at least one extension.
+    pub fn mapped_fraction(&self) -> f64 {
+        if self.reads == 0 {
+            return 0.0;
+        }
+        self.mapped as f64 / self.reads as f64
     }
 }
 
@@ -402,14 +440,10 @@ impl<'a> Mapper<'a> {
         self.run_with_sink_metrics(dump, options, &NullSink, Metrics::off_ref())
     }
 
-    /// Runs the full parallel mapping loop — the proxy's one scheduler
-    /// dispatch — recording per-stage spans, per-read counters, cache
-    /// events and scheduler activity in `metrics` and handing every stage
-    /// interval to `sink`. Each worker thread records into a private
-    /// [`ObsShard`] that carries the sink and its thread index, opens its
-    /// mark once per read, and folds it and its cache statistics in once,
-    /// after its last read ([`Mapper::with_warm_worker`]), so the hot loop
-    /// never touches the registry lock.
+    /// Runs the full parallel mapping loop — the whole dump as one
+    /// `Mapper::map_chunk` dispatch of `batch_size`-read grains — recording
+    /// per-stage spans, per-read counters, cache events and scheduler
+    /// activity in `metrics` and handing every stage interval to `sink`.
     pub fn run_with_sink_metrics(
         &self,
         dump: &crate::dump::SeedDump,
@@ -417,16 +451,55 @@ impl<'a> Mapper<'a> {
         sink: &dyn RegionSink,
         metrics: &Metrics,
     ) -> MappingResults {
+        let start = Instant::now();
+        let mut per_read = Vec::with_capacity(dump.reads.len());
+        let (cache, cache_heap_bytes) = self.map_chunk(
+            &dump.reads,
+            0,
+            options.batch_size,
+            options,
+            sink,
+            metrics,
+            &mut per_read,
+        );
+        MappingResults {
+            per_read,
+            wall: start.elapsed(),
+            cache,
+            cache_heap_bytes,
+        }
+    }
+
+    /// The proxy's one scheduler dispatch: maps `reads`, whose global read
+    /// ids are `base_id + i`, in grains of `grain` reads, and appends one
+    /// result per read to `out` in input order. Returns the cache statistics
+    /// and cache heap bytes summed over the worker threads.
+    ///
+    /// Each worker records into a private [`ObsShard`] that carries `sink`
+    /// and its thread index, opens its mark once per read, and folds it and
+    /// its cache statistics into `metrics` once, after its last read
+    /// ([`Mapper::with_warm_worker`]), so the hot loop never touches the
+    /// registry lock. Caches are rebound warm, so splitting a dump into
+    /// chunks changes neither a result nor, on one thread, a cache event.
+    #[allow(clippy::too_many_arguments)]
+    fn map_chunk(
+        &self,
+        reads: &[ReadInput],
+        base_id: u64,
+        grain: usize,
+        options: &MappingOptions,
+        sink: &dyn RegionSink,
+        metrics: &Metrics,
+        out: &mut Vec<ReadResult>,
+    ) -> (CacheStats, u64) {
         let threads = options.threads.max(1);
         let mut workers = self.lock_pool();
         let (pool, persist) = workers.split(threads);
-        let start = Instant::now();
-        let reads = &dump.reads[..];
         let n = reads.len();
         let slots: Vec<OnceLock<ReadResult>> = (0..n).map(|_| OnceLock::new()).collect();
         let totals = Mutex::new((CacheStats::default(), 0u64));
         options.scheduler.run(
-            options.batch_size,
+            grain,
             pool,
             persist,
             n,
@@ -438,7 +511,14 @@ impl<'a> Mapper<'a> {
                         let ReadInput { bases, seeds } = &reads[i];
                         obs.open();
                         let result = self.map_read_seeded(
-                            cache, i as u64, bases, seeds, options, &mut NoProbe, scratch, obs,
+                            cache,
+                            base_id + i as u64,
+                            bases,
+                            seeds,
+                            options,
+                            &mut NoProbe,
+                            scratch,
+                            obs,
                         );
                         slots[i].set(result).expect("each read mapped once");
                     }
@@ -450,22 +530,69 @@ impl<'a> Mapper<'a> {
                 totals.1 += heap_bytes;
             },
         );
-        let per_read = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(|| panic!("scheduler never processed read {i}"))
-            })
-            .collect();
-        let (cache, cache_heap_bytes) =
-            totals.into_inner().expect("no thread panics holding the totals");
-        MappingResults {
-            per_read,
-            wall: start.elapsed(),
-            cache,
-            cache_heap_bytes,
+        out.extend(slots.into_iter().enumerate().map(|(i, slot)| {
+            slot.into_inner()
+                .unwrap_or_else(|| panic!("scheduler never processed read {i}"))
+        }));
+        totals.into_inner().expect("no thread panics holding the totals")
+    }
+
+    /// Streams a seed dump through the mapper: decodes
+    /// [`MappingOptions::chunk_reads`] reads at a time into buffers reused
+    /// from chunk to chunk, maps each chunk in one `Mapper::map_chunk`
+    /// dispatch of [`chunk_grain_reads`] grains, and hands its results, in
+    /// read order, to `each`. Only the reader's file and one chunk are held
+    /// at a time; the concatenated results equal [`Mapper::run`] over the
+    /// whole dump.
+    ///
+    /// # Errors
+    ///
+    /// A malformed read stops the run after the reads before it were
+    /// mapped and handed to `each`; its error is returned. An error from
+    /// `each` stops the run at once and is returned.
+    pub fn run_dump(
+        &self,
+        reader: &mut DumpReader<'_>,
+        options: &MappingOptions,
+        sink: &dyn RegionSink,
+        metrics: &Metrics,
+        mut each: impl FnMut(&[ReadResult]) -> mg_support::Result<()>,
+    ) -> mg_support::Result<DumpSummary> {
+        let start = Instant::now();
+        let chunk = options.chunk_reads();
+        let mut summary = DumpSummary::default();
+        let mut reads = Vec::new();
+        let mut results = Vec::new();
+        loop {
+            let decoded = reader.next_chunk(&mut reads, chunk);
+            if !reads.is_empty() {
+                let grain = chunk_grain_reads(reads.len(), options.threads, options.batch_size);
+                results.clear();
+                let (cache, _) = self.map_chunk(
+                    &reads,
+                    summary.reads,
+                    grain,
+                    options,
+                    sink,
+                    metrics,
+                    &mut results,
+                );
+                summary.cache.merge(&cache);
+                summary.reads += reads.len() as u64;
+                summary.chunks += 1;
+                for r in &results {
+                    summary.mapped += u64::from(!r.extensions.is_empty());
+                    summary.extensions += r.extensions.len() as u64;
+                }
+                each(&results)?;
+            }
+            decoded?;
+            if reads.is_empty() {
+                break;
+            }
         }
+        summary.wall = start.elapsed();
+        Ok(summary)
     }
 }
 
@@ -595,6 +722,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn streaming_a_dump_equals_the_whole_dump_run() {
+        let gbz = sample_gbz();
+        let dump = sample_dump(&gbz, 30);
+        let file = mg_support::mgi::MgiFile::open_bytes(dump.to_bytes().unwrap()).unwrap();
+        for threads in [1usize, 2] {
+            for batch_size in [1usize, 4, 7, 512] {
+                let options = MappingOptions { threads, batch_size, ..Default::default() };
+                // Fresh mappers: both runs start with cold caches.
+                let whole = Mapper::new(&gbz).run(&dump, &options);
+                let mut reader = DumpReader::new(&file).unwrap();
+                let mut streamed = Vec::new();
+                let summary = Mapper::new(&gbz)
+                    .run_dump(&mut reader, &options, &NullSink, Metrics::off_ref(), |chunk| {
+                        assert!(chunk.len() <= options.chunk_reads());
+                        streamed.extend_from_slice(chunk);
+                        Ok(())
+                    })
+                    .unwrap();
+                assert_eq!(streamed, whole.per_read, "{threads} threads, batch {batch_size}");
+                assert_eq!(summary.reads, 30);
+                assert_eq!(summary.chunks as usize, 30usize.div_ceil(options.chunk_reads()));
+                assert_eq!(summary.extensions as usize, whole.total_extensions());
+                assert_eq!(summary.mapped_fraction(), whole.mapped_fraction());
+                if threads == 1 {
+                    // Caches are rebound warm between chunks: one thread
+                    // sees the same lookups hit and miss.
+                    assert_eq!(summary.cache, whole.cache, "batch {batch_size}");
+                }
+            }
+        }
+        // An error from the callback stops the run after that chunk.
+        let options = MappingOptions { batch_size: 4, ..Default::default() };
+        let mut reader = DumpReader::new(&file).unwrap();
+        let mut calls = 0;
+        let stopped = Mapper::new(&gbz).run_dump(&mut reader, &options, &NullSink, Metrics::off_ref(), |_| {
+            calls += 1;
+            Err(mg_support::Error::Corrupt("stop".into()))
+        });
+        assert!(matches!(stopped, Err(mg_support::Error::Corrupt(_))));
+        assert_eq!(calls, 1);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl std::fmt::Display for Workflow {
 ///
 /// This is what Giraffe's preprocessing hands the seed-and-extend stage, and
 /// exactly what the paper's `sequence-seeds.bin` dump captures.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReadInput {
     /// The read's bases (`ACGT`, possibly `N`).
     pub bases: Vec<u8>,

@@ -61,13 +61,6 @@ fn into_text(bytes: Vec<u8>) -> String {
     String::from_utf8(bytes).expect("GAF is built from str and ASCII pieces")
 }
 
-/// Renders one path as GAF step syntax (`>12<13>14`).
-pub fn path_to_gaf(path: &[Handle]) -> String {
-    let mut out = Vec::new();
-    push_path(&mut out, path);
-    into_text(out)
-}
-
 /// Appends every column after the read name (each with its leading tab):
 /// read length, read start, read end, strand, path, path length, path
 /// start, path end, matches, alignment block length, mapq, then the
@@ -119,24 +112,6 @@ fn push_columns(
         out.extend_from_slice(b"\tcg:Z:");
         out.extend_from_slice(cigar.as_bytes());
     }
-}
-
-/// Renders an alignment (plus the extension that produced it, for the path
-/// and read length) as a GAF line.
-///
-/// Columns: name, read length, read start, read end, strand, path, path
-/// length, path start, path end, matches, alignment block length, mapq,
-/// plus `AS`/`NM`/`pp` typed tags.
-pub fn alignment_to_gaf(
-    graph: &mg_graph::VariationGraph,
-    read_name: &str,
-    read_len: usize,
-    alignment: &Alignment,
-    extension: &Extension,
-) -> String {
-    let mut line = read_name.as_bytes().to_vec();
-    push_columns(&mut line, graph, read_len, alignment, extension);
-    into_text(line)
 }
 
 /// Appends one read's GAF lines to `out`: one per alignment whose extension
@@ -243,8 +218,12 @@ mod tests {
             Handle::reverse(NodeId::new(13)),
             Handle::forward(NodeId::new(14)),
         ];
-        assert_eq!(path_to_gaf(&path), ">12<13>14");
-        assert_eq!(path_to_gaf(&[]), "");
+        let mut out = Vec::new();
+        push_path(&mut out, &path);
+        assert_eq!(out, b">12<13>14");
+        out.clear();
+        push_path(&mut out, &[]);
+        assert!(out.is_empty());
     }
 
     #[test]

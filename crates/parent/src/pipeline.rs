@@ -207,12 +207,11 @@ impl<'a> Parent<'a> {
     }
 
     /// Reads per mapping chunk on the GAF-producing paths, streaming and
-    /// serving alike: one dispatch's worth, `threads × batch_size`, made
-    /// even (and at least 2) for paired workflows so that every chunk
+    /// serving alike: [`MappingOptions::chunk_reads`](mg_core::MappingOptions::chunk_reads),
+    /// made even (and at least 2) for paired workflows so that every chunk
     /// starts on a pair boundary.
     pub fn chunk_reads(&self, options: &ParentOptions) -> usize {
-        let mapping = &options.mapping;
-        let chunk = mapping.threads.max(1).saturating_mul(mapping.batch_size.max(1));
+        let chunk = options.mapping.chunk_reads();
         match self.workflow {
             Workflow::Paired => (chunk & !1).max(2),
             Workflow::Single => chunk,

@@ -18,10 +18,14 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use minigiraffe::core::{run_mapping, Mapper, MappingOptions, SeedDump};
+use minigiraffe::core::{DumpReader, Mapper, MappingOptions, ReadResult, SeedDump};
 use minigiraffe::gbwt::Gbz;
+use minigiraffe::obs::Metrics;
 use minigiraffe::perf::Profiler;
 use minigiraffe::sched::SchedulerKind;
+use minigiraffe::support::mgi::MgiFile;
+use minigiraffe::support::regions::{NullSink, RegionSink};
+use minigiraffe::support::Error;
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 
 /// Stdout, locked once for the whole run: every subcommand prints through
@@ -103,7 +107,11 @@ USAGE:
                   [--scheduler dynamic|ws|vg]
                   [--instrument <timeline.csv>] [--out <results.csv>]
       Run the proxy kernels; prints a summary and optionally writes
-      per-extension results and a region timeline.
+      per-extension results and a region timeline. The dump's checksums
+      are verified first; its reads are then decoded, mapped and written
+      one chunk of --threads x --batch reads at a time, so memory is the
+      dump file plus one chunk. A malformed read stops the run with an
+      error; the results of the reads before it have been written.
 
   minigiraffe parent <reads.fastq> <pangenome.mgz | --mgi <index.mgi>>
                      [--threads N] [--batch N] [--capacity N]
@@ -141,7 +149,8 @@ USAGE:
 
   minigiraffe validate <seeds.bin> <pangenome.mgz> <expected.csv>
       Map the dump and compare against an expected-output CSV
-      (written by `map --out`); exits nonzero on any mismatch.
+      (written by `map --out`) row for row, in any order, as multisets;
+      exits nonzero on any mismatch.
 
   minigiraffe tune <seeds.bin> <pangenome.mgz>
                    [--threads N] [--subsample F] [--repeats N]
@@ -552,31 +561,33 @@ fn options_from_flags(
     })
 }
 
-fn results_csv(results: &minigiraffe::core::MappingResults) -> Vec<u8> {
+/// The header of the extension CSV `map --out` writes.
+const CSV_HEADER: &[u8] = b"read_id,read_start,read_end,handle,offset,score,mismatches\n";
+
+/// Appends one CSV row per extension of `results`, in order.
+fn push_rows(out: &mut Vec<u8>, results: &[ReadResult]) {
     use minigiraffe::parent::gaf::{push_int, push_uint};
-    const HEADER: &[u8] = b"read_id,read_start,read_end,handle,offset,score,mismatches\n";
-    // A row is seven short integers; 48 bytes covers all but outliers.
-    let mut out = Vec::with_capacity(HEADER.len() + results.total_extensions() * 48);
-    out.extend_from_slice(HEADER);
-    for read in &results.per_read {
-        for e in &read.extensions {
-            for v in [
-                e.read_id,
-                u64::from(e.read_start),
-                u64::from(e.read_end),
-                e.pos.handle.packed(),
-                u64::from(e.pos.offset),
-            ] {
-                push_uint(&mut out, v);
-                out.push(b',');
-            }
-            push_int(&mut out, i64::from(e.score));
+    for e in results.iter().flat_map(|read| &read.extensions) {
+        for v in [
+            e.read_id,
+            u64::from(e.read_start),
+            u64::from(e.read_end),
+            e.pos.handle.packed(),
+            u64::from(e.pos.offset),
+        ] {
+            push_uint(out, v);
             out.push(b',');
-            push_uint(&mut out, u64::from(e.mismatches));
-            out.push(b'\n');
         }
+        push_int(out, i64::from(e.score));
+        out.push(b',');
+        push_uint(out, u64::from(e.mismatches));
+        out.push(b'\n');
     }
-    out
+}
+
+/// Opens a `.bin` seed dump, checking every section before any is read.
+fn open_dump(path: &str) -> Result<MgiFile, String> {
+    MgiFile::open(std::path::Path::new(path)).map_err(|e| load_error(path, e))
 }
 
 fn cmd_map(args: &[String], out: &mut Out) -> Result<(), String> {
@@ -585,59 +596,83 @@ fn cmd_map(args: &[String], out: &mut Out) -> Result<(), String> {
         "map",
         &[BUNDLE_FLAGS, MAPPING_FLAGS, &["instrument", "out"]],
     )?;
-    // A usage error surfaces before the dump is read, and the dump is read
-    // before the bundle is opened: its raw bytes are freed by then, so the
-    // bundle's pages do not stack on them at the peak.
+    // A usage error surfaces before the dump is opened, and a damaged dump
+    // before the bundle is: both are checked whole first. The dump's bytes
+    // stay resident for the run, but only one chunk of it is ever decoded,
+    // so memory is the file, the bundle and one chunk.
     let (dump_path, gbz_path) = match &positional[..] {
         [dump] if flags.contains_key("mgi") => (dump, None),
         [dump, gbz] => (dump, Some(gbz)),
         _ => return Err("expected <seeds.bin> <pangenome.mgz | --mgi index.mgi>".into()),
     };
-    let dump = SeedDump::load(dump_path).map_err(|e| load_error(dump_path, e))?;
+    let dump = open_dump(dump_path)?;
+    let mut reader = DumpReader::new(&dump).map_err(|e| load_error(dump_path, e))?;
     let bundle = load_bundle(gbz_path, &flags)?;
     let options = options_from_flags(&flags)?;
     eprintln!(
-        "mapping {} reads ({} seeds) with {} threads, batch {}, capacity {}, {} scheduler",
-        dump.reads.len(),
-        dump.total_seeds(),
+        "mapping {} reads with {} threads, batch {}, capacity {}, {} scheduler",
+        reader.read_count(),
         options.threads,
         options.batch_size,
         options.cache_capacity,
         options.scheduler
     );
+    let mut csv = match flags.get("out") {
+        Some(path) => {
+            let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+            let mut writer = std::io::BufWriter::new(file);
+            writer.write_all(CSV_HEADER).map_err(|e| format!("writing {path}: {e}"))?;
+            Some((path, writer))
+        }
+        None => None,
+    };
+    let mut rows = Vec::new();
+    let profiler = flags.get("instrument").map(|_| Profiler::new());
+    let sink: &dyn RegionSink = match &profiler {
+        Some(profiler) => profiler,
+        None => &NullSink,
+    };
     let mapper = Mapper::with_distance(bundle.gbz(), bundle.distance().clone());
-    let results = if let Some(timeline) = flags.get("instrument") {
-        let profiler = Profiler::new();
-        let results = mapper.run_with_sink_metrics(
-            &dump,
-            &options,
-            &profiler,
-            minigiraffe::obs::Metrics::off_ref(),
-        );
+    let mapped = mapper.run_dump(&mut reader, &options, sink, Metrics::off_ref(), |results| {
+        if let Some((_, writer)) = &mut csv {
+            rows.clear();
+            push_rows(&mut rows, results);
+            writer.write_all(&rows)?;
+        }
+        Ok(())
+    });
+    // A malformed read stops the run after the reads before it were mapped:
+    // their rows are flushed before the error is reported.
+    let flushed = match &mut csv {
+        Some((path, writer)) => writer.flush().map_err(|e| format!("writing {path}: {e}")),
+        None => Ok(()),
+    };
+    let summary = mapped.map_err(|e| match (e, &csv) {
+        (Error::Io(e), Some((path, _))) => format!("writing {path}: {e}"),
+        (e, _) => format!("reading {dump_path}: {e}"),
+    })?;
+    flushed?;
+    if let (Some(profiler), Some(timeline)) = (&profiler, flags.get("instrument")) {
         std::fs::write(timeline, profiler.timeline_csv())
             .map_err(|e| format!("writing {timeline}: {e}"))?;
         eprintln!("wrote region timeline to {timeline}");
-        results
-    } else {
-        mapper.run(&dump, &options)
-    };
+    }
     say!(
         out,
         "mapped {:.2}% of reads; {} extensions; makespan {:.3}s",
-        results.mapped_fraction() * 100.0,
-        results.total_extensions(),
-        results.wall.as_secs_f64()
+        summary.mapped_fraction() * 100.0,
+        summary.extensions,
+        summary.wall.as_secs_f64()
     );
     say!(
         out,
         "CachedGBWT: {} hits / {} misses ({:.1}% hit rate), {} rehashes",
-        results.cache.hits,
-        results.cache.misses,
-        results.cache.hit_rate() * 100.0,
-        results.cache.rehashes
+        summary.cache.hits,
+        summary.cache.misses,
+        summary.cache.hit_rate() * 100.0,
+        summary.cache.rehashes
     );
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, results_csv(&results)).map_err(|e| format!("writing {path}: {e}"))?;
+    if let Some((path, _)) = &csv {
         say!(out, "wrote extensions to {path}");
     }
     Ok(())
@@ -648,21 +683,38 @@ fn cmd_validate(args: &[String], out: &mut Out) -> Result<(), String> {
     let [dump_path, gbz_path, expected_path] = &positional[..] else {
         return Err("expected <seeds.bin> <pangenome.mgz> <expected.csv>".into());
     };
-    let (dump, gbz) = load_inputs(&[dump_path.clone(), gbz_path.clone()])?;
+    let dump = open_dump(dump_path)?;
+    let mut reader = DumpReader::new(&dump).map_err(|e| load_error(dump_path, e))?;
+    let gbz = Gbz::load(gbz_path).map_err(|e| load_error(gbz_path, e))?;
     let options = options_from_flags(&flags)?;
-    let results = run_mapping(&dump, &gbz, &options);
-    let actual = String::from_utf8(results_csv(&results)).expect("CSV is ASCII digits");
+    let mut produced = CSV_HEADER.to_vec();
+    Mapper::new(&gbz)
+        .run_dump(&mut reader, &options, &NullSink, Metrics::off_ref(), |results| {
+            push_rows(&mut produced, results);
+            Ok(())
+        })
+        .map_err(|e| format!("reading {dump_path}: {e}"))?;
+    let actual = String::from_utf8(produced).expect("CSV is ASCII digits");
     let expected = std::fs::read_to_string(expected_path)
         .map_err(|e| format!("reading {expected_path}: {e}"))?;
-    // Order-independent comparison of the CSV rows (multiset).
+    // Order-independent comparison of the CSV rows as multisets: one merge
+    // over the two sorted lists, a row missing as often as it is short.
     fn canon(s: &str) -> Vec<&str> {
         let mut rows: Vec<&str> = s.lines().skip(1).filter(|l| !l.is_empty()).collect();
         rows.sort_unstable();
         rows
     }
     let (want, got) = (canon(&expected), canon(&actual));
-    let missing = want.iter().filter(|r| !got.contains(r)).count();
-    let extra = got.iter().filter(|r| !want.contains(r)).count();
+    let (mut w, mut g, mut missing, mut extra) = (0, 0, 0, 0);
+    while w < want.len() && g < got.len() {
+        match want[w].cmp(got[g]) {
+            std::cmp::Ordering::Less => (missing, w) = (missing + 1, w + 1),
+            std::cmp::Ordering::Greater => (extra, g) = (extra + 1, g + 1),
+            std::cmp::Ordering::Equal => (w, g) = (w + 1, g + 1),
+        }
+    }
+    missing += want.len() - w;
+    extra += got.len() - g;
     say!(
         out,
         "expected {} extensions, produced {}; missing {missing}, extra {extra}",

@@ -265,6 +265,79 @@ fn validate_detects_tampered_expectations() {
 }
 
 #[test]
+fn validate_counts_a_duplicated_expected_row() {
+    let dir = TempDir::new("duplicate");
+    let (ok, _, stderr) = run(&["generate", "--input-set", "tiny", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    let (dump, mgz, results) = (dir.path("tiny.bin"), dir.path("tiny.mgz"), dir.path("results.csv"));
+    let (ok, _, stderr) = run(&["map", &dump, &mgz, "--out", &results]);
+    assert!(ok, "map failed: {stderr}");
+    // The rows are a multiset: an expected row the mapper produced once is
+    // missing once if it is expected twice.
+    let csv = std::fs::read_to_string(&results).unwrap();
+    let mut lines: Vec<&str> = csv.lines().collect();
+    lines.insert(2, lines[1]);
+    std::fs::write(dir.path("duplicated.csv"), lines.join("\n") + "\n").unwrap();
+    let (ok, stdout, stderr) = run(&["validate", &dump, &mgz, &dir.path("duplicated.csv")]);
+    assert!(!ok, "a duplicated expected row must fail validation: {stdout}");
+    assert!(stdout.contains("missing 1, extra 0"), "{stdout}{stderr}");
+    assert!(!stdout.contains("PASS"), "{stdout}");
+}
+
+#[test]
+fn map_on_a_hostile_dump_writes_the_good_prefix_then_fails() {
+    use minigiraffe::core::SeedDump;
+    use minigiraffe::support::mgi::{MgiFile, MgiWriter, TAG_DUMP_META, TAG_DUMP_READS};
+    use minigiraffe::support::varint;
+
+    let dir = TempDir::new("hostile");
+    let (ok, _, stderr) = run(&["generate", "--input-set", "tiny", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    let (dump, mgz) = (dir.path("tiny.bin"), dir.path("tiny.mgz"));
+    let good = SeedDump::load(&dump).unwrap();
+    assert_eq!(good.reads.len(), 40);
+    // Read 20 of 41 claims a node offset past u32: the checksums hold, the
+    // count check fails. At --batch 7 it falls inside the third chunk.
+    let payload = |reads: &[_]| {
+        let image = SeedDump::new(good.workflow, reads.to_vec()).to_bytes().unwrap();
+        MgiFile::open_bytes(image).unwrap().section(TAG_DUMP_READS).unwrap().to_vec()
+    };
+    let mut reads = payload(&good.reads[..20]);
+    for v in [0, 1, 0, 4, 1u64 << 32] {
+        varint::write_u64(&mut reads, v);
+    }
+    reads.extend(payload(&good.reads[20..]));
+    let mut meta = Vec::new();
+    varint::write_u64(&mut meta, 0);
+    varint::write_u64(&mut meta, 41);
+    let mut writer = MgiWriter::new();
+    writer.section(TAG_DUMP_META, meta);
+    writer.section(TAG_DUMP_READS, reads);
+    std::fs::write(dir.path("hostile.bin"), writer.finish()).unwrap();
+
+    let (all, out) = (dir.path("all.csv"), dir.path("out.csv"));
+    let (ok, _, stderr) = run(&["map", &dump, &mgz, "--out", &all]);
+    assert!(ok, "map failed: {stderr}");
+    let before: String = std::fs::read_to_string(&all)
+        .unwrap()
+        .lines()
+        .filter(|row| row.split(',').next().unwrap().parse::<u64>().map_or(true, |id| id < 20))
+        .map(|row| format!("{row}\n"))
+        .collect();
+    for threads in ["1", "2"] {
+        let args =
+            ["map", &dir.path("hostile.bin"), &mgz, "--threads", threads, "--batch", "7", "--out", &out];
+        let (code, stderr) = run_into(&args, Stdio::null());
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(
+            stderr.contains("corrupt data: seed node offset overflows u32"),
+            "the error must be the count check's: {stderr}"
+        );
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), before, "--threads {threads}");
+    }
+}
+
+#[test]
 fn bad_usage_fails_cleanly() {
     // Unknown subcommand.
     let (ok, _, stderr) = run(&["frobnicate"]);

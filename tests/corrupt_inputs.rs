@@ -20,12 +20,15 @@ use minigiraffe::graph::{Handle, NodeId};
 use minigiraffe::index::{DistanceIndex, GraphPos};
 use minigiraffe::parent::{run_to_gaf, Parent, ParentOptions};
 use minigiraffe::support::mgi::{
-    fnv1a, MgiFile, MgiWriter, TAG_CHAIN_STARTS, TAG_DIST_NODES, TAG_DUMP_META, TAG_DUMP_READS,
-    TAG_MIN_ENTRIES,
+    fnv1a, MgiFile, MgiWriter, TAG_CHAIN_STARTS, TAG_DIST_NODES, TAG_MIN_ENTRIES,
 };
-use minigiraffe::support::{varint, Error};
+use minigiraffe::support::Error;
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 use proptest::prelude::*;
+
+#[path = "common/hostile_dumps.rs"]
+mod hostile_dumps;
+use hostile_dumps::{hostile_cases, resectioned_dump, varints};
 
 fn sample_input() -> &'static SyntheticInput {
     static INPUT: OnceLock<SyntheticInput> = OnceLock::new();
@@ -167,23 +170,6 @@ fn small_dump() -> SeedDump {
     )
 }
 
-/// A `.bin` image with valid framing and checksums around the given meta
-/// and read payloads: what a hostile writer, not a damaged disk, produces.
-fn resectioned_dump(meta: &[u64], payload: &[u8]) -> Vec<u8> {
-    let mut writer = MgiWriter::new();
-    writer.section(TAG_DUMP_META, varints(meta));
-    writer.section(TAG_DUMP_READS, payload.to_vec());
-    writer.finish()
-}
-
-fn varints(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for &v in values {
-        varint::write_u64(&mut out, v);
-    }
-    out
-}
-
 #[test]
 fn seed_dump_truncated_at_every_byte_is_rejected() {
     let image = small_dump().to_bytes().unwrap();
@@ -221,25 +207,10 @@ fn seed_dump_rejects_trailing_garbage() {
 #[test]
 fn seed_dump_hostile_counts_are_corrupt_not_allocations() {
     // Every image below passes the container's checksums; each count or
-    // length is one no payload of that size could hold. An unbounded
-    // `Vec::with_capacity` on any of them aborts the whole test process.
-    let huge = 1u64 << 42;
+    // length is one no payload of that size could hold.
     let one_seed = [0u64, 4, 0];
-    let cases: Vec<(&str, Vec<u8>)> = vec![
-        ("read count", resectioned_dump(&[0, huge], &varints(&[0, 0]))),
-        ("read count past the payload", resectioned_dump(&[0, 2], &varints(&[0, 0, 0]))),
-        ("seed count", resectioned_dump(&[0, 1], &varints(&[0, huge]))),
-        ("seed count past the payload", resectioned_dump(&[0, 1], &varints(&[0, 2, 0, 4, 0, 0]))),
-        ("read length", resectioned_dump(&[0, 1], &varints(&[huge, 0]))),
-        ("read length past the payload", resectioned_dump(&[0, 1], &varints(&[3, 65, 0]))),
-        ("read offset", resectioned_dump(&[0, 1], &varints(&[0, 1, 1 << 32, 4, 0]))),
-        (
-            "summed read offset",
-            resectioned_dump(&[0, 1], &varints(&[0, 2, u64::from(u32::MAX), 4, 0, 1, 4, 0])),
-        ),
-        ("node offset", resectioned_dump(&[0, 1], &varints(&[0, 1, 0, 4, 1 << 32]))),
-    ];
-    for (what, image) in cases {
+    for (what, meta, payload) in hostile_cases() {
+        let image = resectioned_dump(&meta, &payload);
         let err = SeedDump::from_bytes(&image).expect_err(what);
         assert!(matches!(err, Error::Corrupt(_)), "{what}: {err:?}");
         // The file reader goes through the same checks.

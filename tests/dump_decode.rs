@@ -6,15 +6,22 @@
 //! section table, two aligned payloads) and decodes every varint one byte
 //! per loop turn with no fast path, so a change to `mg_support::varint` or
 //! to `SeedDump`'s reader that alters a decoded value, an accepted length
-//! or an error class shows here.
+//! or an error class shows here. The chunk reader the proxy streams with,
+//! `DumpReader`, must yield exactly what the whole-dump decode does at every
+//! chunk size, and fail at the same read with the same error.
 
-use minigiraffe::core::dump::SeedDump;
+use minigiraffe::core::dump::{DumpReader, SeedDump};
 use minigiraffe::core::types::{ReadInput, Seed, Workflow};
-use minigiraffe::graph::Handle;
+use minigiraffe::graph::{Handle, NodeId};
 use minigiraffe::index::GraphPos;
+use minigiraffe::support::mgi::{MgiFile, TAG_DUMP_READS};
 use minigiraffe::support::varint::{self, Cursor};
 use minigiraffe::support::Error;
 use proptest::prelude::*;
+
+#[path = "common/hostile_dumps.rs"]
+mod hostile_dumps;
+use hostile_dumps::{hostile_cases, resectioned_dump, varints};
 
 /// How a varint decode can fail.
 #[derive(Debug, PartialEq, Eq)]
@@ -223,8 +230,56 @@ fn raw_reads() -> impl Strategy<Value = Vec<RawRead>> {
     )
 }
 
+/// Chunk sizes the chunk reader is held to: one read, a pair, a size that
+/// leaves a ragged last chunk, and the whole dump at once.
+const CHUNK_SIZES: [usize; 4] = [1, 2, 7, usize::MAX];
+
+/// Every read `DumpReader` yields from `image` at chunk size `max`, and how
+/// it ended: the workflow after the last chunk, or the first error. Checks
+/// on the way that every chunk but the last is full.
+fn drain(image: &[u8], max: usize) -> (Vec<ReadInput>, Result<Workflow, String>) {
+    let file = match MgiFile::open_bytes(image.to_vec()) {
+        Ok(file) => file,
+        Err(e) => return (Vec::new(), Err(format!("{e:?}"))),
+    };
+    let mut reader = match DumpReader::new(&file) {
+        Ok(reader) => reader,
+        Err(e) => return (Vec::new(), Err(format!("{e:?}"))),
+    };
+    let (mut all, mut chunk) = (Vec::new(), Vec::new());
+    let mut short = false;
+    loop {
+        let outcome = reader.next_chunk(&mut chunk, max);
+        assert!(chunk.len() <= max);
+        all.extend_from_slice(&chunk);
+        if let Err(e) = outcome {
+            return (all, Err(format!("{e:?}")));
+        }
+        if chunk.is_empty() {
+            assert_eq!(all.len(), reader.read_count());
+            return (all, Ok(reader.workflow()));
+        }
+        assert!(!short, "a short chunk before the end at chunk size {max}");
+        short = chunk.len() < max;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The chunk reader yields exactly the whole-dump decode at every chunk
+    /// size.
+    #[test]
+    fn chunk_reader_equals_whole_decode(raw in raw_reads(), paired: bool) {
+        let dump = build_dump(raw, paired);
+        let image = dump.to_bytes().unwrap();
+        let whole = SeedDump::from_bytes(&image).unwrap();
+        for max in CHUNK_SIZES {
+            let (reads, end) = drain(&image, max);
+            prop_assert_eq!(&reads, &whole.reads);
+            prop_assert_eq!(end, Ok(whole.workflow));
+        }
+    }
 
     /// The reader, the naive reference and the value that was encoded agree
     /// on every dump, in both workflows.
@@ -243,6 +298,74 @@ proptest! {
     fn varint_equals_reference_on_noise(bytes in proptest::collection::vec(any::<u8>(), 0..14)) {
         prop_assert_eq!(production_varint(&bytes), naive_varint(&bytes));
     }
+}
+
+#[test]
+fn chunk_reader_fails_at_the_same_read_with_the_same_error() {
+    // The hostile images `tests/corrupt_inputs.rs` rejects, and bytes after
+    // the last read.
+    let mut cases = hostile_cases();
+    cases.push(("trailing bytes", vec![0, 0], varints(&[0])));
+    // The same hostile reads behind five good ones, so that the failing
+    // read falls inside a chunk, on a chunk boundary, or in the first one.
+    let good: Vec<ReadInput> = (0..5u64)
+        .map(|i| ReadInput {
+            bases: b"ACGTACGTAC"[..5 + i as usize].to_vec(),
+            seeds: vec![Seed::new(i as u32, GraphPos::new(Handle::forward(NodeId::new(2 + i)), 1))],
+        })
+        .collect();
+    let good_image = SeedDump::new(Workflow::Single, good.clone()).to_bytes().unwrap();
+    let good_file = MgiFile::open_bytes(good_image).unwrap();
+    let good_payload = good_file.section(TAG_DUMP_READS).unwrap();
+    for (what, meta, payload) in cases {
+        let prefixed = [good_payload, &payload].concat();
+        // A read count is checked before any read is decoded: behind the
+        // prefix it must still exceed what the payload has room for.
+        let (count, at) = if what.starts_with("read count") {
+            (meta[1].max(prefixed.len() as u64 / 2 + 1), 0)
+        } else {
+            (meta[1] + good.len() as u64, good.len())
+        };
+        let images = [
+            (resectioned_dump(&meta, &payload), 0),
+            (resectioned_dump(&[meta[0], count], &prefixed), at),
+        ];
+        for (image, at) in images {
+            let whole = SeedDump::from_bytes(&image).expect_err(what);
+            assert!(matches!(whole, Error::Corrupt(_)), "{what}: {whole:?}");
+            for max in CHUNK_SIZES {
+                let (reads, end) = drain(&image, max);
+                assert_eq!(end, Err(format!("{whole:?}")), "{what} at chunk size {max}");
+                // Trailing bytes are found after the last read: every read
+                // was yielded. Otherwise the reads before the bad one were.
+                assert_eq!(reads, good[..at], "{what} at chunk size {max}");
+            }
+        }
+    }
+}
+
+#[test]
+fn chunk_reader_reuses_read_buffers() {
+    let reads: Vec<ReadInput> = (0..6u64)
+        .map(|i| ReadInput {
+            bases: vec![b'A'; 40 - i as usize],
+            seeds: vec![Seed::new(0, GraphPos::new(Handle::forward(NodeId::new(2)), 0)); 3],
+        })
+        .collect();
+    let file = MgiFile::open_bytes(SeedDump::new(Workflow::Single, reads.clone()).to_bytes().unwrap())
+        .unwrap();
+    let mut reader = DumpReader::new(&file).unwrap();
+    let mut chunk = Vec::new();
+    reader.next_chunk(&mut chunk, 3).unwrap();
+    let buffers: Vec<(*const u8, *const Seed)> =
+        chunk.iter().map(|r| (r.bases.as_ptr(), r.seeds.as_ptr())).collect();
+    reader.next_chunk(&mut chunk, 3).unwrap();
+    // Each later read is shorter than the slot's earlier one: no slot had
+    // to grow, so every buffer is the one the first chunk allocated.
+    assert_eq!(chunk, reads[3..]);
+    let reused: Vec<(*const u8, *const Seed)> =
+        chunk.iter().map(|r| (r.bases.as_ptr(), r.seeds.as_ptr())).collect();
+    assert_eq!(reused, buffers);
 }
 
 #[test]
