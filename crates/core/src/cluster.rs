@@ -218,6 +218,24 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
     clusters
 }
 
+/// The one cluster of all of a read's seeds, scored as
+/// [`cluster_seeds_with_scratch`] scores its clusters: what that kernel
+/// returns when every seed lies on one walk of the read, so that every pair
+/// is within the read-length distance limit (DESIGN.md §4b). `seeds` is not
+/// empty.
+pub(crate) fn one_cluster<P: MemProbe>(
+    seeds: &[Seed],
+    read_len: u32,
+    params: &ClusterParams,
+    probe: &mut P,
+    scratch: &mut ClusterScratch,
+) -> Vec<Cluster> {
+    probe.touch(REGION_SEEDS, std::mem::size_of_val(seeds) as u32);
+    probe.instret(seeds.len() as u64 * 4);
+    let members = (0..seeds.len()).collect();
+    vec![score_cluster(seeds, members, read_len, params, &mut scratch.offsets)]
+}
+
 fn score_cluster(
     seeds: &[Seed],
     members: Vec<usize>,

@@ -157,6 +157,8 @@ pub struct ExtendScratch {
     /// [`process_until_threshold_with_scratch`] call takes it instead of
     /// walking that anchor again, and clears it.
     first_walk: Option<(Seed, Option<Extension>)>,
+    /// Every `(node, diagonal)` of the extension [`extend_first`] walked.
+    first_path: Vec<(Handle, i64)>,
     /// Read offsets, and nodes of the first walk, that the read's seeds hit
     /// ([`extend_first`]'s anchor accounting), one bit each.
     offsets_hit: Vec<u64>,
@@ -1026,25 +1028,47 @@ fn marked(bits: &[u64]) -> u64 {
     bits.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
+/// What [`extend_first`] made of a read's first walk.
+#[derive(Debug)]
+pub(crate) enum FirstWalk {
+    /// The walk is the read's whole result.
+    Settled(Extension),
+    /// Every seed lies on the walk: the read's clusters are one cluster of
+    /// all its seeds, and the clustering kernel need not run.
+    OneCluster,
+    /// The seeds go to the clustering kernel.
+    Cluster,
+}
+
 /// Extend first: walks the read's canonically first seed (the least by
-/// `(read_offset, pos)`) and returns the extension when that one walk is what
-/// clustering and [`process_until_threshold_with_scratch`] would report — an
-/// exact full-length extension scoring at least `min_extension_score` on
-/// which every seed lies, at a read offset inside the read and a node offset
-/// inside its node. Otherwise returns `None` and leaves the walk in
-/// `scratch` for the read's `process_until_threshold_with_scratch` call to
-/// reuse.
+/// `(read_offset, pos)`) and checks, in one pass over the seeds, whether
+/// every seed lies on the walk's extension — its `(handle, diagonal)` is
+/// one of the path's nodes, at a node offset inside that node and a read
+/// offset inside the read.
 ///
-/// Why that is the whole answer (DESIGN.md §4b): seeds on one walk are at
-/// most `read_len − 1` bases apart along it, so with the mapper's distance
-/// limit of at least `read_len` and a neighbour window of at least one they
-/// are one cluster; its canonically first anchor is this seed, which rule 1
-/// never merges away and which is walked first; rule 2 then skips every
-/// other anchor. The caller checks the window and that one cluster and one
-/// extension survive `max_clusters`, `cluster_score_cutoff` and
-/// `max_extensions_per_read`. The kernel statistics of a settled read are
-/// the ones that path records: one anchor walked, the rest merged (same
-/// node and diagonal — the read matches the node between them) or skipped.
+/// - [`FirstWalk::Settled`]: the extension is what clustering and
+///   [`process_until_threshold_with_scratch`] would report — exact,
+///   full-length, scoring at least `min_extension_score`, and every seed
+///   lies on it.
+/// - [`FirstWalk::OneCluster`]: every seed lies on the extension, which is
+///   not the whole answer (it has a mismatch, stops short, or scores under
+///   the floor); clustering would return one cluster of all the seeds.
+/// - [`FirstWalk::Cluster`]: the walk yields nothing or misses a seed.
+///
+/// In the last two cases the walk waits in `scratch` for the read's
+/// `process_until_threshold_with_scratch` call to reuse.
+///
+/// Why (DESIGN.md §4b): seeds on one walk are exactly their read-offset
+/// difference apart along it, at most `read_len − 1`, so with the mapper's
+/// distance limit of at least `read_len` and a neighbour window of at least
+/// one they are one cluster. For a settled read, its canonically first
+/// anchor is this seed, which rule 1 never merges away and which is walked
+/// first; rule 2 then skips every other anchor. The caller checks the
+/// window and that one cluster and one extension survive `max_clusters`,
+/// `cluster_score_cutoff` and `max_extensions_per_read`. The kernel
+/// statistics of a settled read are the ones that path records: one anchor
+/// walked, the rest merged (same node and diagonal — the read matches the
+/// node between them) or skipped.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn extend_first<P: MemProbe>(
     graph: &VariationGraph,
@@ -1056,54 +1080,59 @@ pub(crate) fn extend_first<P: MemProbe>(
     process: &ProcessParams,
     probe: &mut P,
     scratch: &mut ExtendScratch,
-) -> Option<Extension> {
-    let &first = seeds.iter().min()?;
+) -> FirstWalk {
+    let Some(&first) = seeds.iter().min() else {
+        return FirstWalk::Cluster;
+    };
     let walked = extend_seed_with_scratch(graph, cache, read, read_id, first, extend, probe, scratch);
-    let exact = walked.as_ref().filter(|ext| {
-        ext.score >= process.min_extension_score && is_exact_full_length(ext, read)
-    });
-    if let Some(ext) = exact {
-        scratch.exact_walks.clear();
-        let mut node_diagonal = -i64::from(ext.pos.offset);
+    let on_walk = walked.as_ref().is_some_and(|ext| {
+        let walk = &mut scratch.first_path;
+        walk.clear();
+        let mut node_diagonal = i64::from(ext.read_start) - i64::from(ext.pos.offset);
         for &h in &ext.path {
-            scratch.exact_walks.push((h, node_diagonal));
+            walk.push((h, node_diagonal));
             node_diagonal += graph.node_len(h.node()) as i64;
         }
-        let (walk, offsets, nodes) =
-            (&scratch.exact_walks, &mut scratch.offsets_hit, &mut scratch.nodes_hit);
+        let (offsets, nodes) = (&mut scratch.offsets_hit, &mut scratch.nodes_hit);
         offsets.clear();
         offsets.resize(read.len().div_ceil(64), 0);
         nodes.clear();
         nodes.resize(walk.len().div_ceil(64), 0);
-        let on_walk = seeds.iter().all(|s| {
+        seeds.iter().all(|s| {
             let Some(node) = walk.iter().position(|&w| w == (s.pos.handle, diagonal(s))) else {
                 return false;
             };
-            // The walk's node holds the read from its diagonal up to the
-            // next node's, the last one up to the read's end: a seed below
-            // that is inside the read and inside its node.
-            let end = walk.get(node + 1).map_or(read.len() as i64, |&(_, d)| d);
-            let inside = i64::from(s.read_offset) < end;
+            // The walk's node holds the read from its diagonal on for the
+            // node's length.
+            let inside = (s.read_offset as usize) < read.len()
+                && (s.pos.offset as usize) < graph.node_len(s.pos.handle.node());
             if inside {
                 mark(offsets, s.read_offset as usize);
                 mark(nodes, node);
             }
             inside
-        });
-        if on_walk {
-            // A read offset on the walk determines the seed, so the distinct
-            // anchors are the offsets hit; rule 1 leaves one per node hit.
-            let distinct = marked(offsets);
-            let anchors = if extend.match_score >= 0 { marked(nodes) } else { distinct };
-            let stats = &mut scratch.stats;
-            stats.anchors_walked += 1;
-            stats.anchors_merged += distinct - anchors;
-            stats.anchors_skipped += anchors - 1;
-            return walked;
-        }
+        })
+    });
+    let settles = walked.as_ref().is_some_and(|ext| {
+        on_walk && ext.score >= process.min_extension_score && is_exact_full_length(ext, read)
+    });
+    if settles {
+        // A read offset on the walk determines the seed, so the distinct
+        // anchors are the offsets hit; rule 1 leaves one per node hit.
+        let distinct = marked(&scratch.offsets_hit);
+        let anchors = if extend.match_score >= 0 { marked(&scratch.nodes_hit) } else { distinct };
+        let stats = &mut scratch.stats;
+        stats.anchors_walked += 1;
+        stats.anchors_merged += distinct - anchors;
+        stats.anchors_skipped += anchors - 1;
+        return FirstWalk::Settled(walked.expect("a settling walk yields an extension"));
     }
     scratch.first_walk = Some((first, walked));
-    None
+    if on_walk {
+        FirstWalk::OneCluster
+    } else {
+        FirstWalk::Cluster
+    }
 }
 
 /// Processes a read's clusters best-first, extending each cluster's

@@ -15,8 +15,10 @@
 //!
 //! The mapper walks each read's canonically first seed before step 1; when
 //! that walk is an exact full-length extension every seed lies on, it is
-//! the read's whole result and neither step runs — byte-identical to what
-//! they would report (DESIGN.md §4b).
+//! the read's whole result and neither step runs, and when every seed lies
+//! on a walk that is not, step 1 is one cluster of them all without the
+//! kernel — byte-identical to what the two steps would report (DESIGN.md
+//! §4b).
 //!
 //! The outer read loop is parallel and exposes the paper's three tuning
 //! parameters (scheduler, batch size, initial `CachedGBWT` capacity) via

@@ -16,9 +16,10 @@ use mg_sched::{chunk_grain_reads, SchedulerKind, WorkerPool};
 use mg_support::probe::{MemProbe, NoProbe};
 use mg_support::regions::{NullSink, RegionSink};
 
-use crate::cluster::{cluster_seeds_with_scratch, ClusterParams, ClusterScratch};
+use crate::cluster::{cluster_seeds_with_scratch, one_cluster, ClusterParams, ClusterScratch};
 use crate::extend::{
-    extend_first, process_until_threshold_with_scratch, ExtendParams, ExtendScratch, ProcessParams,
+    extend_first, process_until_threshold_with_scratch, ExtendParams, ExtendScratch, FirstWalk,
+    ProcessParams,
 };
 use crate::dump::DumpReader;
 use crate::types::{ReadInput, ReadResult, Seed};
@@ -315,11 +316,13 @@ impl<'a> Mapper<'a> {
     /// The read's canonically first seed is walked before anything else;
     /// when that walk is an exact full-length extension through every seed
     /// it is the read's result, and clustering never runs (DESIGN.md §4b).
-    /// Otherwise the seeds are clustered and the clusters extended, and the
-    /// first walk is not repeated. The extension stage covers both parts of
-    /// the kernel's work: on a read that reaches `cluster_seeds` the sink is
-    /// handed two extension intervals, the first walk and the
-    /// cluster-driven rest, and the shard records their sum as one span.
+    /// Otherwise the seeds are clustered — into one cluster of them all,
+    /// without `cluster_seeds`, when every seed lies on that walk — and the
+    /// clusters extended, and the first walk is not repeated. The extension
+    /// stage covers both parts of the kernel's work: on a read that reaches
+    /// the clustering stage the sink is handed two extension intervals, the
+    /// first walk and the cluster-driven rest, and the shard records their
+    /// sum as one span.
     #[allow(clippy::too_many_arguments)]
     pub fn map_read_seeded<P: MemProbe>(
         &self,
@@ -343,21 +346,21 @@ impl<'a> Mapper<'a> {
             && process.max_clusters >= 1
             && process.max_extensions_per_read >= 1
             && process.cluster_score_cutoff.partial_cmp(&1.0) != Some(std::cmp::Ordering::Greater);
-        let settled = may_settle
-            .then(|| {
-                extend_first(
-                    graph, cache, bases, read_id, seeds, &options.extend, process, probe,
-                    &mut scratch.extend,
-                )
-            })
-            .flatten();
-        let extensions = match settled {
-            Some(extension) => {
+        let first = if may_settle {
+            extend_first(
+                graph, cache, bases, read_id, seeds, &options.extend, process, probe,
+                &mut scratch.extend,
+            )
+        } else {
+            FirstWalk::Cluster
+        };
+        let extensions = match first {
+            FirstWalk::Settled(extension) => {
                 obs.stage(Stage::Extension);
                 obs.inc(Ctr::ExtendFirstReads);
                 vec![extension]
             }
-            None => {
+            first => {
                 if may_settle {
                     obs.part(Stage::Extension);
                 }
@@ -365,15 +368,19 @@ impl<'a> Mapper<'a> {
                 let mut cluster_params = options.cluster;
                 // Giraffe derives the clustering limit from the read length.
                 cluster_params.distance_limit = cluster_params.distance_limit.max(read_len as u64);
-                let clusters = cluster_seeds_with_scratch(
-                    graph,
-                    &self.dist,
-                    seeds,
-                    read_len,
-                    &cluster_params,
-                    probe,
-                    &mut scratch.cluster,
-                );
+                let clusters = if matches!(first, FirstWalk::OneCluster) {
+                    one_cluster(seeds, read_len, &cluster_params, probe, &mut scratch.cluster)
+                } else {
+                    cluster_seeds_with_scratch(
+                        graph,
+                        &self.dist,
+                        seeds,
+                        read_len,
+                        &cluster_params,
+                        probe,
+                        &mut scratch.cluster,
+                    )
+                };
                 obs.stage(Stage::Clustering);
                 let extensions = process_until_threshold_with_scratch(
                     graph,
@@ -867,6 +874,71 @@ mod tests {
         assert_eq!(stages.iter().filter(|s| **s == Stage::Clustering).count(), 2);
         // Once per read around the first walk, once more per clustered read.
         assert_eq!(stages.iter().filter(|s| **s == Stage::Extension).count(), 5 + 2);
+    }
+
+    /// Reads of the sample haplotype with a substitution at each offset in
+    /// turn, anchored at every base: whenever the first walk leaves one on
+    /// the one-cluster path, its one cluster is what the clustering kernel
+    /// computes, and an extra anchor on a walk node's diagonal but past the
+    /// node's end keeps it off that path.
+    #[test]
+    fn one_cluster_equals_the_clustering_kernel() {
+        let gbz = sample_gbz();
+        let mapper = Mapper::new(&gbz);
+        let graph = gbz.graph();
+        let mut hap = Vec::new();
+        for sym in gbz.gbwt().sequence(0).unwrap() {
+            let h = Handle::from_gbwt(sym).unwrap();
+            for (off, &b) in graph.oriented_sequence(h).iter().enumerate() {
+                hap.push((b, GraphPos::new(h, off as u32)));
+            }
+        }
+        let first_walk = |read: &[u8], seeds: &[Seed]| {
+            let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
+            extend_first(
+                graph,
+                &mut cache,
+                read,
+                0,
+                seeds,
+                &ExtendParams::default(),
+                &ProcessParams::default(),
+                &mut NoProbe,
+                &mut ExtendScratch::default(),
+            )
+        };
+        let mut one = 0;
+        for start in 0..3 {
+            for sub in 0..16 {
+                let mut read: Vec<u8> = hap[start..start + 16].iter().map(|&(b, _)| b).collect();
+                read[sub] = if read[sub] == b'A' { b'C' } else { b'A' };
+                let seeds: Vec<Seed> =
+                    (0..16).map(|r| Seed::new(r as u32, hap[start + r].1)).collect();
+                if !matches!(first_walk(&read, &seeds), FirstWalk::OneCluster) {
+                    continue;
+                }
+                one += 1;
+                let params = ClusterParams { distance_limit: 200, ..Default::default() };
+                let kernel = cluster_seeds_with_scratch(
+                    graph,
+                    mapper.distance_index(),
+                    &seeds,
+                    16,
+                    &params,
+                    &mut NoProbe,
+                    &mut ClusterScratch::default(),
+                );
+                let ours =
+                    one_cluster(&seeds, 16, &params, &mut NoProbe, &mut ClusterScratch::default());
+                assert_eq!(ours, kernel, "start {start}, substitution at {sub}");
+                // The first seed's node, on its diagonal, one node length on.
+                let past = GraphPos::new(seeds[0].pos.handle, seeds[0].pos.offset + 5);
+                let mut hostile = seeds.clone();
+                hostile.push(Seed::new(5, past));
+                assert!(matches!(first_walk(&read, &hostile), FirstWalk::Cluster));
+            }
+        }
+        assert!(one > 0, "no read took the one-cluster path");
     }
 
     #[test]

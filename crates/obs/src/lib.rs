@@ -127,7 +127,9 @@ metric_enum! {
         ServeProtoErrors => "serve_proto_errors",
         /// Reads settled by the extension kernel's first walk — an exact
         /// full-length extension every seed lies on — without clustering.
-        /// `reads_mapped − extend_first_reads` reads reached `cluster_seeds`.
+        /// `reads_mapped − extend_first_reads` reads reached the clustering
+        /// stage: those whose seeds all lie on the first walk as one cluster
+        /// of every seed, without `cluster_seeds`, the rest through it.
         ExtendFirstReads => "extend_first_reads",
     }
 }

@@ -42,7 +42,7 @@
 //! are structurally impossible to accept.
 
 use std::alloc::Layout;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::ops::Deref;
 use std::path::Path;
 use std::ptr::NonNull;
@@ -543,53 +543,77 @@ impl MgiWriter {
         self.sections.push((tag, payload));
     }
 
-    /// Assembles the full image: preamble, table, aligned payloads.
-    pub fn finish(self) -> Vec<u8> {
+    /// The canonical layout: each section's offset, then the file length.
+    fn layout(&self) -> (Vec<usize>, usize) {
+        let table_end = PREAMBLE_LEN + self.sections.len() * TABLE_ENTRY_LEN;
+        let mut offset = align_up(table_end, MGI_ALIGN);
+        let offsets = self
+            .sections
+            .iter()
+            .map(|(_, payload)| {
+                let at = offset;
+                offset = align_up(offset + payload.len(), MGI_ALIGN);
+                at
+            })
+            .collect();
+        (offsets, offset)
+    }
+
+    /// Writes the image laid out as [`MgiWriter::layout`] says: preamble,
+    /// table, then each payload behind its zero padding.
+    fn emit(&self, offsets: &[usize], file_len: usize, out: &mut impl Write) -> std::io::Result<()> {
+        const ZEROS: [u8; MGI_ALIGN] = [0; MGI_ALIGN];
         let count = self.sections.len();
-        let table_offset = PREAMBLE_LEN;
-        let mut offset = align_up(table_offset + count * TABLE_ENTRY_LEN, MGI_ALIGN);
         let mut table = Vec::with_capacity(count * TABLE_ENTRY_LEN);
-        let mut entries = Vec::with_capacity(count);
-        for (tag, payload) in &self.sections {
-            entries.push((*tag, offset, payload.len(), fnv1a(payload)));
-            offset = align_up(offset + payload.len(), MGI_ALIGN);
-        }
-        let file_len = offset;
-        for &(tag, off, len, sum) in &entries {
-            put_u32(&mut table, tag);
+        for ((tag, payload), &offset) in self.sections.iter().zip(offsets) {
+            put_u32(&mut table, *tag);
             put_u32(&mut table, 0);
-            put_u64(&mut table, off as u64);
-            put_u64(&mut table, len as u64);
-            put_u64(&mut table, sum);
+            put_u64(&mut table, offset as u64);
+            put_u64(&mut table, payload.len() as u64);
+            put_u64(&mut table, fnv1a(payload));
         }
-        let mut out = Vec::with_capacity(file_len);
-        out.extend_from_slice(&MGI_MAGIC);
-        put_u32(&mut out, MGI_VERSION);
-        put_u32(&mut out, MGI_ENDIAN);
-        put_u64(&mut out, file_len as u64);
-        put_u32(&mut out, count as u32);
-        put_u32(&mut out, 0);
-        put_u64(&mut out, table_offset as u64);
+        let mut head = Vec::with_capacity(PREAMBLE_LEN + table.len());
+        head.extend_from_slice(&MGI_MAGIC);
+        put_u32(&mut head, MGI_VERSION);
+        put_u32(&mut head, MGI_ENDIAN);
+        put_u64(&mut head, file_len as u64);
+        put_u32(&mut head, count as u32);
+        put_u32(&mut head, 0);
+        put_u64(&mut head, PREAMBLE_LEN as u64);
         // Checksum over the table itself, so a corrupted tag or table entry
         // is detected even when its payload bytes still check out.
-        put_u64(&mut out, fnv1a(&table));
-        debug_assert_eq!(out.len(), PREAMBLE_LEN);
-        out.extend_from_slice(&table);
-        for ((_, payload), &(_, off, _, _)) in self.sections.iter().zip(&entries) {
-            out.resize(off, 0);
-            out.extend_from_slice(payload);
+        put_u64(&mut head, fnv1a(&table));
+        debug_assert_eq!(head.len(), PREAMBLE_LEN);
+        head.extend_from_slice(&table);
+        out.write_all(&head)?;
+        let mut written = head.len();
+        for ((_, payload), &offset) in self.sections.iter().zip(offsets) {
+            out.write_all(&ZEROS[..offset - written])?;
+            out.write_all(payload)?;
+            written = offset + payload.len();
         }
-        out.resize(file_len, 0);
+        out.write_all(&ZEROS[..file_len - written])
+    }
+
+    /// Assembles the full image: preamble, table, aligned payloads.
+    pub fn finish(self) -> Vec<u8> {
+        let (offsets, file_len) = self.layout();
+        let mut out = Vec::with_capacity(file_len);
+        self.emit(&offsets, file_len, &mut out).expect("writing to a Vec cannot fail");
         out
     }
 
-    /// Assembles the image and writes it to `path`.
+    /// Writes the image to `path` section by section, without assembling
+    /// it in memory first.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Io`] on write failure.
     pub fn write_to(self, path: &Path) -> Result<()> {
-        std::fs::write(path, self.finish())?;
+        let (offsets, file_len) = self.layout();
+        let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
+        self.emit(&offsets, file_len, &mut file)?;
+        file.flush()?;
         Ok(())
     }
 }
@@ -982,7 +1006,17 @@ mod tests {
         let mut w = MgiWriter::new();
         w.section(TAG_GRAPH_SEQ_OFFSETS, payload);
         w.section(TAG_GRAPH_SEQ, b"ACGT".to_vec());
+        // An empty section, one that ends on the alignment, and one that
+        // needs padding: the streamed file is the assembled image.
+        w.section(TAG_GRAPH_META, Vec::new());
+        w.section(TAG_GRAPH_ADJ_OFFSETS, vec![7; MGI_ALIGN]);
+        w.section(TAG_GRAPH_ADJ_TARGETS, vec![9; MGI_ALIGN + 3]);
+        let mut image = MgiWriter::new();
+        for (tag, payload) in &w.sections {
+            image.section(*tag, payload.clone());
+        }
         w.write_to(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), image.finish());
         let f = MgiFile::open(&path).unwrap();
         let words: MappedSlice<u64> = f.section_slice(TAG_GRAPH_SEQ_OFFSETS).unwrap();
         assert_eq!(&words[..], &[42, 43, 44]);

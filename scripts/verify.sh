@@ -28,7 +28,7 @@ cargo test --release -q -p mg-sched
 echo "== streaming memory bounds (peak RSS over 50 windows of reads stays within the window; a 60-chunk seed dump within its file plus two chunks) =="
 cargo test --release -q -p mg-parent --test stream_rss --test dump_rss
 
-echo "== CLI memory bounds (parent streams FASTQ: 30000 reads peak within 2x of 2 reads; map streams its dump: 30000 reads peak within the dump file + 8 MiB of 2 reads) =="
+echo "== CLI memory bounds (parent streams FASTQ: 30000 reads peak within 2x of 2 reads; map streams its dump: 30000 reads peak within the dump file + 8 MiB of 2 reads; info within the dump file + 8 MiB) =="
 # A path that fell back to capturing every read's input or results would
 # grow with the input. Peak RSS is the child's own `VmHWM`, sampled from
 # /proc while it runs (as benchmark/ measures it): the launcher's pages
@@ -67,10 +67,18 @@ $bin parent "$rss_dir/two.fastq" "$rss_dir/B-yeast.mgz" --dump "$rss_dir/two.bin
 small=$(peak_rss_kib $bin map "$rss_dir/two.bin" "$rss_dir/B-yeast.mgz" --out "$rss_dir/two.csv")
 large=$(peak_rss_kib $bin map "$rss_dir/B-yeast.bin" "$rss_dir/B-yeast.mgz" --out "$rss_dir/all.csv")
 file_kib=$(( $(wc -c < "$rss_dir/B-yeast.bin") / 1024 ))
-rm -rf "$rss_dir"
 echo "map peak RSS: 2 reads ${small} KiB, 30000 reads ${large} KiB, dump file ${file_kib} KiB"
 if [ "$large" -gt $((small + file_kib + 8192)) ]; then
     echo "FAIL: map on 30000 reads peaked more than the dump file + 8 MiB above its 2-read peak" >&2
+    exit 1
+fi
+# `info` on 2 reads exits before the first sample, so its bound is
+# absolute: the dump file + 8 MiB, the process's own baseline included.
+large=$(peak_rss_kib $bin info "$rss_dir/B-yeast.bin")
+rm -rf "$rss_dir"
+echo "info peak RSS: 30000 reads ${large} KiB, dump file ${file_kib} KiB"
+if [ "$large" -gt $((file_kib + 8192)) ]; then
+    echo "FAIL: info on 30000 reads peaked above the dump file + 8 MiB" >&2
     exit 1
 fi
 

@@ -779,6 +779,9 @@ fn cmd_tune(args: &[String], out: &mut Out) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads `info` decodes at a time from a seed dump.
+const INFO_CHUNK_READS: usize = 512;
+
 fn cmd_info(args: &[String], out: &mut Out) -> Result<(), String> {
     let (positional, _) = parse_flags(args, "info", &[])?;
     let [path] = &positional[..] else {
@@ -797,17 +800,26 @@ fn cmd_info(args: &[String], out: &mut Out) -> Result<(), String> {
         say!(out, "  bwt runs:     {} ({:.2}/record)", stats.total_runs, stats.avg_runs_per_record);
         say!(out, "  bytes/visit:  {:.2}", stats.bytes_per_visit);
     } else {
-        let dump = SeedDump::load(path).map_err(|e| load_error(path, e))?;
+        // Counted a chunk at a time: memory is the file and one chunk.
+        let dump = open_dump(path)?;
+        let mut reader = DumpReader::new(&dump).map_err(|e| load_error(path, e))?;
+        let (mut bases, mut seeds) = (0usize, 0usize);
+        let mut chunk = Vec::new();
+        loop {
+            reader.next_chunk(&mut chunk, INFO_CHUNK_READS).map_err(|e| load_error(path, e))?;
+            if chunk.is_empty() {
+                break;
+            }
+            bases += chunk.iter().map(|r| r.bases.len()).sum::<usize>();
+            seeds += chunk.iter().map(|r| r.seeds.len()).sum::<usize>();
+        }
+        let reads = reader.read_count();
         say!(out, "seed dump {path}");
-        say!(out, "  workflow:     {}", dump.workflow);
-        say!(out, "  reads:        {}", dump.reads.len());
-        say!(out, "  bases:        {}", dump.total_bases());
-        say!(out, "  seeds:        {}", dump.total_seeds());
-        let mean = if dump.reads.is_empty() {
-            0.0
-        } else {
-            dump.total_seeds() as f64 / dump.reads.len() as f64
-        };
+        say!(out, "  workflow:     {}", reader.workflow());
+        say!(out, "  reads:        {reads}");
+        say!(out, "  bases:        {bases}");
+        say!(out, "  seeds:        {seeds}");
+        let mean = if reads == 0 { 0.0 } else { seeds as f64 / reads as f64 };
         say!(out, "  seeds/read:   {mean:.1}");
     }
     Ok(())

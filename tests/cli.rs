@@ -337,6 +337,46 @@ fn map_on_a_hostile_dump_writes_the_good_prefix_then_fails() {
     }
 }
 
+/// `info` counts a dump a chunk at a time; what it prints must be what a
+/// whole decode counts, across several chunks and a short last one.
+#[test]
+fn info_on_a_dump_prints_the_whole_decode_counts() {
+    use minigiraffe::core::{ReadInput, SeedDump, Workflow};
+
+    let dir = TempDir::new("info");
+    let (ok, _, stderr) = run(&["generate", "--input-set", "tiny", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    let tiny = SeedDump::load(dir.path("tiny.bin")).unwrap();
+    // 1,301 reads of varying length and seed count, paired.
+    let reads: Vec<ReadInput> = (0..1301)
+        .map(|i| {
+            let r = &tiny.reads[i % tiny.reads.len()];
+            let cut = i % 5;
+            ReadInput {
+                bases: r.bases[..r.bases.len() - cut].to_vec(),
+                seeds: r.seeds[..r.seeds.len().saturating_sub(cut)].to_vec(),
+            }
+        })
+        .collect();
+    let path = dir.path("many.bin");
+    SeedDump::new(Workflow::Paired, reads).save(&path).unwrap();
+    let whole = SeedDump::load(&path).unwrap();
+    let (ok, stdout, stderr) = run(&["info", &path]);
+    assert!(ok, "info failed: {stderr}");
+    let mean = whole.total_seeds() as f64 / whole.reads.len() as f64;
+    assert_eq!(
+        stdout,
+        format!(
+            "seed dump {path}\n  workflow:     {}\n  reads:        {}\n  bases:        {}\n  \
+             seeds:        {}\n  seeds/read:   {mean:.1}\n",
+            whole.workflow,
+            whole.reads.len(),
+            whole.total_bases(),
+            whole.total_seeds()
+        )
+    );
+}
+
 #[test]
 fn bad_usage_fails_cleanly() {
     // Unknown subcommand.

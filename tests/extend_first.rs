@@ -4,7 +4,9 @@
 //!
 //! The mapper may walk the read's canonically first seed before clustering
 //! and, when that walk is an exact full-length extension every seed lies on,
-//! report it without clustering (DESIGN.md §4b). Whatever it does, the whole
+//! report it without clustering; when every seed lies on a walk that is not
+//! the whole answer, it takes one cluster of all the seeds instead of
+//! running `cluster_seeds` (DESIGN.md §4b). Whatever it does, the whole
 //! `ReadResult` must equal the composition's, field for field; so must the
 //! kernel's anchor accounting (walked, merged, skipped). And the
 //! first walk is not paid for twice: the mapper performs exactly the
@@ -16,16 +18,20 @@
 //! Inputs: random pangenomes (the generator `extend_once.rs` uses), reads
 //! of every input-set profile, and hand-built geometry where a shortcut
 //! would be tempted — two exact walks sharing anchors, a repeat with one
-//! seed off the walk, an indel whose arms share a prefix — on both
+//! seed off the walk, an indel whose arms share a prefix, a substitution,
+//! a trimmed end, the reverse strand, a node offset past its node — on both
 //! comparison walks and the option settings under which one cluster or one
-//! extension is not what the composition reports.
+//! extension is not what the composition reports. The one-cluster case must
+//! come up among the random and the input-set reads, or the oracle would say
+//! nothing about it.
 
 use minigiraffe::core::{
     build_minimizer_index, cluster_seeds_with_scratch, extend_seed_with_scratch,
-    process_until_threshold_with_scratch, ClusterScratch, ExtendScratch, KernelStats, MapScratch,
-    Mapper, MappingOptions, ReadResult, Seed, Workflow,
+    process_until_threshold_with_scratch, ClusterScratch, Extension, ExtendScratch, KernelStats,
+    MapScratch, Mapper, MappingOptions, ReadResult, Seed, Workflow,
 };
 use minigiraffe::gbwt::{CachedGbwt, Gbz};
+use minigiraffe::graph::dna::reverse_complement;
 use minigiraffe::graph::pangenome::{PangenomeBuilder, Variant};
 use minigiraffe::graph::{Handle, NodeId};
 use minigiraffe::index::{GraphPos, MinimizerParams};
@@ -124,6 +130,63 @@ fn first_walk(mapper: &Mapper<'_>, read: &[u8], seeds: &[Seed], options: &Mappin
         &mut scratch,
     );
     (lookups(&cache), scratch.take_stats().pruned_frames)
+}
+
+/// What the mapper's first walk decides for a read under the default
+/// options, restated from DESIGN.md §4b.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// The walk is exact, full-length, and every seed lies on it.
+    Settles,
+    /// Every seed lies on the walk, which is not the whole answer: one
+    /// cluster of all the seeds, without `cluster_seeds`.
+    OneCluster,
+    /// The walk yields nothing or misses a seed.
+    Cluster,
+}
+
+/// The walk of the canonically first seed, and what it decides: a seed lies
+/// on it when its `(handle, read_offset − pos.offset)` is a node of the
+/// walk's path with that node's diagonal, its node offset inside the node
+/// and its read offset inside the read.
+fn rule(mapper: &Mapper<'_>, read: &[u8], seeds: &[Seed]) -> (Rule, Option<Extension>) {
+    let options = MappingOptions::default();
+    let graph = mapper.gbz().graph();
+    let Some(&first) = seeds.iter().min() else {
+        return (Rule::Cluster, None);
+    };
+    let mut cache = CachedGbwt::new(mapper.gbz().gbwt(), 64);
+    let walked = extend_seed_with_scratch(
+        graph,
+        &mut cache,
+        read,
+        7,
+        first,
+        &options.extend,
+        &mut NoProbe,
+        &mut ExtendScratch::default(),
+    );
+    let Some(ext) = walked else {
+        return (Rule::Cluster, None);
+    };
+    let mut diagonal = i64::from(ext.read_start) - i64::from(ext.pos.offset);
+    let mut nodes = Vec::new();
+    for &h in &ext.path {
+        nodes.push((h, diagonal));
+        diagonal += graph.node_len(h.node()) as i64;
+    }
+    let on_walk = seeds.iter().all(|s| {
+        nodes.contains(&(s.pos.handle, i64::from(s.read_offset) - i64::from(s.pos.offset)))
+            && (s.pos.offset as usize) < graph.node_len(s.pos.handle.node())
+            && (s.read_offset as usize) < read.len()
+    });
+    let exact = ext.mismatches == 0 && ext.read_start == 0 && ext.read_end as usize == read.len();
+    let outcome = match (on_walk, exact && ext.score >= options.process.min_extension_score) {
+        (true, true) => Rule::Settles,
+        (true, false) => Rule::OneCluster,
+        (false, _) => Rule::Cluster,
+    };
+    (outcome, Some(ext))
 }
 
 /// Maps one read through the mapper — on `scratch`, which the caller keeps
@@ -295,12 +358,14 @@ fn read_in_a_repeat_with_one_seed_off_the_walk() {
             let mut seeds = on_walk.clone();
             seeds.push(stray);
             seeds.reverse();
+            assert_eq!(rule(&mapper, &read, &seeds).0, Rule::Cluster, "gap {gap}, stray at {stray_offset}");
             for options in every_configuration() {
                 let what = format!("gap {gap}, stray anchor at read offset {stray_offset}");
                 check(&mapper, &mut scratch, &read, &seeds, &options, &what);
             }
         }
         // The same read with its anchors all on the walk.
+        assert_eq!(rule(&mapper, &read, &on_walk).0, Rule::Settles);
         for options in every_configuration() {
             check(&mapper, &mut scratch, &read, &on_walk, &options, &format!("gap {gap}, on the walk"));
         }
@@ -347,11 +412,13 @@ fn read_spanning_an_indel_whose_arms_share_a_prefix() {
 }
 
 /// Reads of every input-set profile, seeded as the parent seeds them (the
-/// proxy's dump), through one scratch per set.
+/// proxy's dump), through one scratch per set; some of them take the
+/// one-cluster path.
 #[test]
 fn reads_of_every_input_set() {
     let mut specs = vec![InputSetSpec::tiny_for_tests()];
     specs.extend(InputSetSpec::all());
+    let (mut one_cluster, mut total) = (0, 0);
     for spec in specs {
         let spec = spec.scaled(0.02);
         let input = SyntheticInput::generate(&spec, 11);
@@ -363,8 +430,33 @@ fn reads_of_every_input_set() {
             for options in configurations {
                 check(&mapper, &mut scratch, &r.bases, &r.seeds, &options, &format!("{} read {i}", spec.name));
             }
+            one_cluster += usize::from(rule(&mapper, &r.bases, &r.seeds).0 == Rule::OneCluster);
+            total += 1;
         }
     }
+    assert!(one_cluster > 0, "no read of {total} takes the one-cluster path");
+}
+
+/// Random reads the first walk leaves on the one-cluster path, held to the
+/// composition on both walks: the path must come up, or the proptest's
+/// oracle says nothing about it.
+#[test]
+fn one_cluster_comes_up_among_random_reads() {
+    let cases = 300;
+    let mut one_cluster = 0;
+    for case_seed in 0..cases {
+        let mut rng = StdRng::seed_from_u64(case_seed);
+        let (gbz, read, seeds) = common::random_read(&mut rng);
+        let mapper = Mapper::new(&gbz);
+        if rule(&mapper, &read, &seeds).0 == Rule::OneCluster {
+            one_cluster += 1;
+            let mut scratch = MapScratch::default();
+            for options in both_walks() {
+                check(&mapper, &mut scratch, &read, &seeds, &options, &format!("case {case_seed}"));
+            }
+        }
+    }
+    assert!(one_cluster > 0, "no case of {cases} takes the one-cluster path");
 }
 
 /// Reads the mapper cannot settle from one walk, next to ones it can, on
@@ -422,5 +514,108 @@ fn anchor_past_the_read_end_on_its_walk() {
     let seeds = vec![Seed::new(1, GraphPos::new(node, 9)), Seed::new(31, GraphPos::new(node, 39))];
     for options in every_configuration() {
         check(&mapper, &mut scratch, &reference[8..38], &seeds, &options, "anchor past the read");
+    }
+}
+
+/// A 96-base reference in 8-base nodes, one haplotype, and its bases with
+/// their graph positions: node `k` holds reference bases `8(k−1)..8k`.
+fn linear_in_short_nodes() -> (Gbz, Vec<(u8, GraphPos)>) {
+    let reference = b"GATCCTAGCAATGCCATGACTGATCGTAGCTAGTTGACCAGTAACGTTGCAAGCTTAGG\
+        CATCGATTACGGATCCTTCAGGACTTGCAGTCAAGT";
+    let p = PangenomeBuilder::new(reference.to_vec())
+        .haplotypes(vec![vec![]])
+        .max_node_len(8)
+        .build()
+        .unwrap();
+    let bases = haplotype_bases(&p, 0);
+    (Gbz::from_pangenome(p).unwrap(), bases)
+}
+
+/// Replaces read base `i` with the next letter of `ACGT`.
+fn substitute(read: &mut [u8], i: usize) {
+    read[i] = match read[i] {
+        b'A' => b'C',
+        b'C' => b'G',
+        b'G' => b'T',
+        _ => b'A',
+    };
+}
+
+/// Reference bases 4..44 with one substitution at read offset 21, anchored
+/// at every fourth base where it came from: the first walk crosses the
+/// substitution and every anchor lies on it, so the read takes the
+/// one-cluster path. With one more anchor on node 1's diagonal but at the
+/// node offset just past its end, that anchor is not on the walk and the
+/// read is clustered.
+#[test]
+fn one_substitution_with_every_seed_on_the_walk() {
+    let (gbz, bases) = linear_in_short_nodes();
+    let mapper = Mapper::new(&gbz);
+    let mut scratch = MapScratch::default();
+    let mut read: Vec<u8> = bases[4..44].iter().map(|&(b, _)| b).collect();
+    substitute(&mut read, 21);
+    let seeds: Vec<Seed> = (0..40).step_by(4).map(|r| Seed::new(r as u32, bases[4 + r].1)).collect();
+    let (outcome, walk) = rule(&mapper, &read, &seeds);
+    assert_eq!(outcome, Rule::OneCluster);
+    assert_eq!(walk.map(|e| (e.read_start, e.read_end, e.mismatches)), Some((0, 40, 1)));
+    for options in every_configuration() {
+        check(&mapper, &mut scratch, &read, &seeds, &options, "one substitution");
+    }
+    let mut past = seeds.clone();
+    past.push(Seed::new(4, GraphPos::new(Handle::forward(NodeId::new(1)), 8)));
+    assert_eq!(rule(&mapper, &read, &past).0, Rule::Cluster);
+    for options in every_configuration() {
+        check(&mapper, &mut scratch, &read, &past, &options, "node offset 8 on an 8-base node");
+    }
+}
+
+/// Reference bases 4..43 with a substitution at the second-last read
+/// offset: the walk trims the last two bases, and an anchor on the last
+/// one lies on the walk's last node past the extension's end. It is on the
+/// walk all the same.
+#[test]
+fn a_seed_past_the_trimmed_end_on_the_walks_last_node() {
+    let (gbz, bases) = linear_in_short_nodes();
+    let mapper = Mapper::new(&gbz);
+    let mut scratch = MapScratch::default();
+    let mut read: Vec<u8> = bases[4..43].iter().map(|&(b, _)| b).collect();
+    substitute(&mut read, 37);
+    let mut seeds: Vec<Seed> = (0..39).step_by(4).map(|r| Seed::new(r as u32, bases[4 + r].1)).collect();
+    seeds.push(Seed::new(38, bases[42].1));
+    let (outcome, walk) = rule(&mapper, &read, &seeds);
+    assert_eq!(outcome, Rule::OneCluster);
+    let walk = walk.unwrap();
+    assert_eq!((walk.read_start, walk.read_end), (0, 37));
+    assert_eq!(walk.path.last(), Some(&bases[42].1.handle));
+    for options in every_configuration() {
+        check(&mapper, &mut scratch, &read, &seeds, &options, "seed past the trimmed end");
+    }
+}
+
+/// The reverse complement of reference bases 4..44 with a substitution at
+/// read offset 15, anchored at every fourth base on the reverse strand.
+#[test]
+fn a_reverse_strand_read_with_every_seed_on_the_walk() {
+    let (gbz, bases) = linear_in_short_nodes();
+    let mapper = Mapper::new(&gbz);
+    let mut scratch = MapScratch::default();
+    let graph = gbz.graph();
+    let forward: Vec<u8> = bases[4..44].iter().map(|&(b, _)| b).collect();
+    let mut read = reverse_complement(&forward);
+    substitute(&mut read, 15);
+    let seeds: Vec<Seed> = (0..40)
+        .step_by(4)
+        .map(|r| {
+            let p = bases[43 - r].1;
+            let last = graph.node_len(p.handle.node()) as u32 - 1;
+            Seed::new(r as u32, GraphPos::new(p.handle.flip(), last - p.offset))
+        })
+        .collect();
+    assert!(seeds.iter().all(|s| s.pos.handle.orientation().is_reverse()));
+    let (outcome, walk) = rule(&mapper, &read, &seeds);
+    assert_eq!(outcome, Rule::OneCluster);
+    assert_eq!(walk.map(|e| (e.read_start, e.read_end, e.mismatches)), Some((0, 40, 1)));
+    for options in every_configuration() {
+        check(&mapper, &mut scratch, &read, &seeds, &options, "reverse strand");
     }
 }
