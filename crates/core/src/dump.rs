@@ -11,10 +11,12 @@
 //! (each read's bases and delta-encoded seeds), both varint streams.
 //! [`DumpReader`] decodes a validated container a chunk of reads at a time
 //! straight out of its buffer; [`SeedDump::load`] drains it into one dump.
+//! A dump does not name its pangenome, so decoding cannot tell whether a
+//! seed lies on it; [`check_seeds`] does, where the reads first meet one.
 
 use std::path::Path;
 
-use mg_graph::Handle;
+use mg_graph::{Handle, VariationGraph};
 use mg_index::GraphPos;
 use mg_support::mgi::{MgiFile, MgiWriter, TAG_DUMP_META, TAG_DUMP_READS};
 use mg_support::varint::{self, Cursor};
@@ -287,6 +289,56 @@ fn decode_read(cur: &mut Cursor<'_>, read: &mut ReadInput) -> Result<()> {
         let offset = u32::try_from(cur.read_u64()?)
             .map_err(|_| Error::Corrupt("seed node offset overflows u32".into()))?;
         read.seeds.push(Seed::new(read_offset, GraphPos::new(handle, offset)));
+    }
+    Ok(())
+}
+
+/// Checks that every seed of `reads` lies on `graph`: on a node the graph
+/// has, at an offset inside that node. A seed off the graph would reach the
+/// distance index and the kernels unchecked. On failure returns the index in
+/// `reads` of the first read holding such a seed, and the
+/// [`Error::Corrupt`] naming it; `first_id` is the read id of `reads[0]`.
+///
+/// # Examples
+///
+/// ```
+/// use mg_core::dump::check_seeds;
+/// use mg_core::types::{ReadInput, Seed};
+/// use mg_graph::{Handle, NodeId, VariationGraph};
+/// use mg_index::GraphPos;
+///
+/// let mut graph = VariationGraph::new();
+/// let node = graph.add_node(b"ACGTACGT").unwrap();
+/// let read = |offset| ReadInput {
+///     bases: b"ACGT".to_vec(),
+///     seeds: vec![Seed::new(0, GraphPos::new(Handle::forward(node), offset))],
+/// };
+/// assert!(check_seeds(&graph, &[read(7)], 0).is_ok());
+/// assert!(check_seeds(&graph, &[read(8)], 0).is_err());
+/// let (at, _) = check_seeds(&graph, &[read(0), read(16)], 0).unwrap_err();
+/// assert_eq!(at, 1);
+/// ```
+pub fn check_seeds(
+    graph: &VariationGraph,
+    reads: &[ReadInput],
+    first_id: u64,
+) -> std::result::Result<(), (usize, Error)> {
+    for (i, read) in reads.iter().enumerate() {
+        for seed in &read.seeds {
+            let (node, offset) = (seed.pos.handle.node(), seed.pos.offset);
+            let fault = if !graph.has_node(node) {
+                format!("node {node} is not in the pangenome")
+            } else {
+                let len = graph.node_len(node);
+                if (offset as usize) < len {
+                    continue;
+                }
+                format!("offset {offset} is past the {len} bases of node {node}")
+            };
+            let id = first_id + i as u64;
+            let at = seed.read_offset;
+            return Err((i, Error::Corrupt(format!("read {id}: seed at read offset {at}: {fault}"))));
+        }
     }
     Ok(())
 }

@@ -12,6 +12,12 @@
 //! merged before any is walked (rule 1), and anchors lying on an exact
 //! full-length extension the read already has are not walked at all (rule 2,
 //! from Giraffe's `GaplessExtender::extend`).
+//!
+//! There is one walk for the host and for the counter simulator. The probe
+//! the kernel runs under picks only how a node's bases are compared: eight
+//! at a time under [`NoProbe`](mg_support::probe::NoProbe), one at a time,
+//! each reported to the probe, under an active one ([`MemProbe::ACTIVE`]).
+//! Visit order, pruning and results are the same either way.
 
 use mg_gbwt::{BidirState, CachedGbwt, RecordEdge, SearchState, ENDMARKER};
 use mg_graph::{Handle, VariationGraph};
@@ -43,11 +49,6 @@ pub struct ExtendParams {
     /// Node-crossing budget per direction per seed: bounds the DFS over
     /// haplotype-consistent branches.
     pub max_branch_steps: usize,
-    /// Force the byte-at-a-time comparison loop even when no active probe
-    /// requires it. The scalar loop is the oracle the eight-bases-a-step
-    /// production walk is validated against; benches and differential tests
-    /// flip this to compare the two on otherwise identical pipelines.
-    pub force_scalar: bool,
 }
 
 impl Default for ExtendParams {
@@ -57,7 +58,6 @@ impl Default for ExtendParams {
             mismatch_penalty: 4,
             max_mismatches: 4,
             max_branch_steps: 64,
-            force_scalar: false,
         }
     }
 }
@@ -328,209 +328,15 @@ enum Dir {
     Left,
 }
 
-/// Walks one direction from the anchor: a DFS over haplotype-consistent
-/// branches, comparing read bases with node bases under a shared mismatch
-/// budget, keeping the best-scoring prefix. Both directions share one
-/// body; only index arithmetic and the branch record differ (see [`Dir`]).
-///
-/// Two interchangeable comparison loops implement the walk. The
-/// eight-bases-a-step loop ([`walk_words`]) is the production path; the
-/// byte-at-a-time scalar loop ([`walk_scalar`]) is the oracle, and the only
-/// path that emits per-base [`REGION_READ`]/[`REGION_GRAPH_SEQ`] probe
-/// traffic — so any probe that consumes that stream ([`MemProbe::ACTIVE`])
-/// routes here, as does [`ExtendParams::force_scalar`]. Both loops are
-/// bit-identical in every output (pinned by `tests/extend_walk.rs` and the
-/// GAF oracle).
-#[allow(clippy::too_many_arguments)]
-fn walk<P: MemProbe>(
-    dir: Dir,
-    graph: &VariationGraph,
-    cache: &mut CachedGbwt<'_>,
-    read: &[u8],
-    seed: Seed,
-    init: BidirState,
-    params: &ExtendParams,
-    budget: u32,
-    probe: &mut P,
-    scratch: &mut ExtendScratch,
-) -> DirectionResult {
-    if P::ACTIVE || params.force_scalar {
-        walk_scalar(dir, graph, cache, read, seed, init, params, budget, probe, scratch)
-    } else {
-        walk_words(dir, graph, cache, read, seed, init, params, budget, probe, scratch)
-    }
-}
-
-/// The scalar comparison walk: one byte compare per base, one probe touch
-/// per read byte and per graph byte. See [`walk`].
-#[allow(clippy::too_many_arguments)]
-fn walk_scalar<P: MemProbe>(
-    dir: Dir,
-    graph: &VariationGraph,
-    cache: &mut CachedGbwt<'_>,
-    read: &[u8],
-    seed: Seed,
-    init: BidirState,
-    params: &ExtendParams,
-    budget: u32,
-    probe: &mut P,
-    scratch: &mut ExtendScratch,
-) -> DirectionResult {
-    let mut best = DirectionResult {
-        score: 0,
-        consumed: 0,
-        mismatches: 0,
-        path: NO_PATH,
-        state: init,
-    };
-    let mut steps = 0usize;
-    scratch.arena.clear();
-    scratch.stack.clear();
-    scratch.stack.push(Frame {
-        state: init,
-        handle: seed.pos.handle,
-        // Bases consumed within the current node, counted in walk order.
-        node_off: 0,
-        consumed: 0,
-        score: 0,
-        mismatches: 0,
-        path: NO_PATH,
-    });
-    while let Some(mut frame) = scratch.stack.pop() {
-        // Branch-and-bound: frames pushed before the best prefix improved
-        // are often provably unable to beat it now; skipping them is exact
-        // (see `subtree_is_dead`) and prunes whole bubble arms once a
-        // clean full-length walk has been found.
-        let read_rem = match dir {
-            Dir::Right => read.len() - seed.read_offset as usize - frame.consumed as usize,
-            Dir::Left => (seed.read_offset - frame.consumed) as usize,
-        };
-        if subtree_is_dead(&frame, read_rem, &best, params) {
-            scratch.stats.pruned_frames += 1;
-            continue;
-        }
-        // How many bases this node offers in walk order, and the graph
-        // offset of the c-th of them. The anchor node only offers the span
-        // on the walk's side of the anchor (inclusive of the anchor base on
-        // the right, exclusive on the left).
-        let node_len = graph.node_len(frame.handle.node());
-        let on_anchor = frame.path == NO_PATH;
-        let avail = match (dir, on_anchor) {
-            (Dir::Right, true) => node_len - seed.pos.offset as usize,
-            (Dir::Left, true) => seed.pos.offset as usize,
-            (_, false) => node_len,
-        };
-        let graph_off = |c: usize| match dir {
-            Dir::Right => {
-                if on_anchor {
-                    seed.pos.offset as usize + c
-                } else {
-                    c
-                }
-            }
-            Dir::Left => avail - 1 - c,
-        };
-        loop {
-            // Read index of the next base, or stop at the read's edge.
-            let r = match dir {
-                Dir::Right => {
-                    let r = seed.read_offset as usize + frame.consumed as usize;
-                    if r >= read.len() {
-                        break;
-                    }
-                    r
-                }
-                Dir::Left => {
-                    if frame.consumed >= seed.read_offset {
-                        break;
-                    }
-                    (seed.read_offset - 1 - frame.consumed) as usize
-                }
-            };
-            if frame.node_off >= avail {
-                // Node exhausted: branch over haplotype-consistent edges —
-                // unless the subtree is already output-dead (children start
-                // from this frame's exact `(score, consumed)`, so the bound
-                // that would prune them at pop also holds here, and the
-                // record scan can be skipped outright).
-                let read_rem = match dir {
-                    Dir::Right => {
-                        read.len() - seed.read_offset as usize - frame.consumed as usize
-                    }
-                    Dir::Left => (seed.read_offset - frame.consumed) as usize,
-                };
-                if steps < params.max_branch_steps
-                    && !subtree_is_dead(&frame, read_rem, &best, params)
-                {
-                    branch_states_into(
-                        cache, &frame.state, dir == Dir::Left, &mut steps, params, probe,
-                        &mut scratch.branches, &mut scratch.tally,
-                    );
-                    for bi in 0..scratch.branches.len() {
-                        let (next_state, next_handle) = scratch.branches[bi];
-                        scratch.arena.push((frame.path, next_handle));
-                        scratch.stack.push(Frame {
-                            state: next_state,
-                            handle: next_handle,
-                            node_off: 0,
-                            consumed: frame.consumed,
-                            score: frame.score,
-                            mismatches: frame.mismatches,
-                            path: (scratch.arena.len() - 1) as u32,
-                        });
-                    }
-                }
-                break;
-            }
-            // Compare one base.
-            let g_off = graph_off(frame.node_off);
-            let read_base = read[r];
-            let graph_base = graph.base(frame.handle, g_off);
-            probe.touch(REGION_READ + r as u64, 1);
-            probe.touch(
-                REGION_GRAPH_SEQ + frame.handle.node().value() * GRAPH_SEQ_STRIDE + g_off as u64,
-                1,
-            );
-            probe.instret(6);
-            if read_base == graph_base {
-                frame.score += params.match_score;
-                probe.branch(true);
-            } else {
-                frame.mismatches += 1;
-                probe.branch(false);
-                if frame.mismatches > budget {
-                    break;
-                }
-                frame.score -= params.mismatch_penalty;
-            }
-            frame.node_off += 1;
-            frame.consumed += 1;
-            if frame.score > best.score
-                || (frame.score == best.score && frame.consumed > best.consumed)
-            {
-                // Plain scalar copy: the best path is just an arena index.
-                best = DirectionResult {
-                    score: frame.score,
-                    consumed: frame.consumed,
-                    mismatches: frame.mismatches,
-                    path: frame.path,
-                    state: frame.state,
-                };
-            }
-        }
-    }
-    best
-}
-
 /// Returns `true` when no continuation of `frame` can replace `best` under
 /// [`best_check`]'s comparison, so the frame's whole DFS subtree is
 /// output-dead and can be skipped. Admissible only for non-negative scoring
 /// (the default): the per-base score delta is then at most `match_score`,
 /// so the all-match continuation `(score + match_score * read_rem,
 /// consumed + read_rem)` bounds every reachable `(score, consumed)` pair.
-/// The bound uses only frame-local values that the scalar and packed walks
-/// hold identically at the same DFS points, so both walks prune the same
-/// frames and stay bit-for-bit comparable — including the shared branch
+/// The bound uses only frame-local values, which a frame holds identically
+/// whether its bases were compared a step or a base at a time, so the
+/// comparison step never changes which frames are pruned — nor the branch
 /// step budget, which evolves identically.
 #[inline(always)]
 fn subtree_is_dead(
@@ -547,8 +353,8 @@ fn subtree_is_dead(
     smax < best.score || (smax == best.score && cmax <= best.consumed)
 }
 
-/// Updates the running best prefix from the frame, with the scalar loop's
-/// exact comparison (better score, or equal score and longer prefix).
+/// Updates the running best prefix from the frame: a better score, or an
+/// equal score and a longer prefix.
 #[inline(always)]
 fn best_check(frame: &Frame, best: &mut DirectionResult) {
     if frame.score > best.score || (frame.score == best.score && frame.consumed > best.consumed) {
@@ -566,8 +372,8 @@ fn best_check(frame: &Frame, best: &mut DirectionResult) {
 ///
 /// With a non-negative match score the per-base score is monotone
 /// non-decreasing over the run and `consumed` strictly increases, so the
-/// run's final base dominates every scalar per-base best-check — one check
-/// at the end is bit-identical. A negative match score strictly decreases
+/// run's final base dominates every per-base best-check — one check at the
+/// end is bit-identical. A negative match score strictly decreases
 /// the score, so the checks cannot be batched; that configuration falls
 /// back to per-base updates.
 #[inline(always)]
@@ -590,14 +396,15 @@ fn apply_match_run(frame: &mut Frame, run: u32, params: &ExtendParams, best: &mu
     }
 }
 
-/// Bases compared per step of the production walk: the bytes of one `u64`.
+/// Bases compared per step of the walk when no active probe watches it: the
+/// bytes of one `u64`.
 const STEP: usize = 8;
 
 /// XOR of up to [`STEP`] read bytes with as many node bytes, arranged in
 /// walk order: the byte the walk reaches first is the low byte, so the
 /// non-zero bytes of the result, from the low end, are the mismatches in the
-/// order the scalar loop meets them. Rightward walks meet memory-first bytes
-/// first (little-endian load), leftward walks memory-last bytes first
+/// order a base-by-base walk meets them. Rightward walks meet memory-first
+/// bytes first (little-endian load), leftward walks memory-last bytes first
 /// (big-endian load); a slice shorter than a step is assembled byte by byte
 /// in the same order, its missing high bytes zero — equal on both sides.
 /// Bytes are compared as they are: a read `N`, or any byte that is no
@@ -615,10 +422,10 @@ fn xor_in_walk_order(dir: Dir, read: &[u8], node: &[u8]) -> u64 {
     }
 }
 
-/// The production comparison walk: XORs eight read bytes against eight node
-/// bytes per step, straight from the read and from the graph's ASCII arena
-/// of the walked orientation, and only spends per-base work on the
-/// mismatches. See [`walk`].
+/// Walks one direction from the anchor: a DFS over haplotype-consistent
+/// branches, comparing read bases with node bases under a shared mismatch
+/// budget, keeping the best-scoring prefix. Both directions share one body;
+/// only index arithmetic and the branch record differ (see [`Dir`]).
 ///
 /// A leftward walk compares the same bytes as a rightward one, back to
 /// front: the read's bytes left of the anchor against the bytes of
@@ -626,12 +433,17 @@ fn xor_in_walk_order(dir: Dir, read: &[u8], node: &[u8]) -> u64 {
 /// from the end of what is left. Nothing is packed, complemented or masked
 /// beforehand, so a read pays for exactly the bases its walks compare.
 ///
-/// Control flow, pruning and branch enumeration mirror [`walk_scalar`] step
-/// for step; matched bases are credited a run at a time
-/// ([`apply_match_run`]), which the oracle's per-base updates cannot tell
-/// apart.
+/// The probe picks only how a node's span is compared. Without an active
+/// probe ([`MemProbe::ACTIVE`] false, the production walk) a step XORs
+/// eight read bytes against eight node bytes and spends per-base work only
+/// on the mismatches. An active probe — the counter simulator's — gets one
+/// base a step, each reported as it is compared ([`report_base`]), so the
+/// simulator sees every logical access at base granularity. Visit order,
+/// pruning and the branch step budget are the same code either way, and
+/// matched bases are credited a run at a time ([`apply_match_run`]), which
+/// per-base updates cannot tell apart.
 #[allow(clippy::too_many_arguments)]
-fn walk_words<P: MemProbe>(
+fn walk<P: MemProbe>(
     dir: Dir,
     graph: &VariationGraph,
     cache: &mut CachedGbwt<'_>,
@@ -663,14 +475,19 @@ fn walk_words<P: MemProbe>(
         path: NO_PATH,
     });
     // The read bytes on the walk's side of the anchor, in memory order
-    // (inclusive of the anchor base on the right, exclusive on the left).
-    let read_side = match dir {
-        Dir::Right => &read[seed.read_offset as usize..],
-        Dir::Left => &read[..seed.read_offset as usize],
+    // (inclusive of the anchor base on the right, exclusive on the left),
+    // and where they start in the read.
+    let (read_from, read_side) = match dir {
+        Dir::Right => (seed.read_offset as usize, &read[seed.read_offset as usize..]),
+        Dir::Left => (0, &read[..seed.read_offset as usize]),
     };
+    // An active probe is told of each base as it is compared: one a step.
+    let step = if P::ACTIVE { 1 } else { STEP };
     while let Some(mut frame) = scratch.stack.pop() {
-        // Branch-and-bound, mirroring the scalar walk exactly (same bound,
-        // same frame-local inputs, so the same frames are pruned).
+        // Branch-and-bound: frames pushed before the best prefix improved
+        // are often provably unable to beat it now; skipping them is exact
+        // (see `subtree_is_dead`) and prunes whole bubble arms once a clean
+        // full-length walk has been found.
         let mut read_rem = read_side.len() - frame.consumed as usize;
         if subtree_is_dead(&frame, read_rem, &best, params) {
             scratch.stats.pruned_frames += 1;
@@ -679,31 +496,26 @@ fn walk_words<P: MemProbe>(
         // One node per turn: the frame walks its node, and at the boundary
         // carries on into the branch the stack would hand back first.
         loop {
-            // The node bytes this frame offers, in memory order: the whole
-            // node, or on the anchor node the part on the walk's side of the
-            // anchor.
+            // The node bytes this frame offers, in memory order, and where
+            // they start in the node: the whole node, or on the anchor node
+            // the part on the walk's side of the anchor.
             let node = graph.oriented_sequence(frame.handle);
-            let node_side = match (dir, frame.path == NO_PATH) {
-                (Dir::Right, true) => &node[seed.pos.offset as usize..],
-                (Dir::Left, true) => &node[..seed.pos.offset as usize],
-                (_, false) => node,
+            let (node_from, node_side) = match (dir, frame.path == NO_PATH) {
+                (Dir::Right, true) => (seed.pos.offset as usize, &node[seed.pos.offset as usize..]),
+                (Dir::Left, true) => (0, &node[..seed.pos.offset as usize]),
+                (_, false) => (0, node),
             };
-            // Same control order as the scalar loop: the read's edge ends
-            // the frame before the node boundary is allowed to branch.
+            // The read's edge ends the frame before the node boundary is
+            // allowed to branch.
             let span = read_rem.min(node_side.len() - frame.node_off);
             // What is left of both sides' bytes, cut to the span: the walk
             // meets `rs[i]` with `gs[i]`, rightwards from the front,
             // leftwards from the back.
-            let (rs, gs) = match dir {
-                Dir::Right => {
-                    let (r, g) = (frame.consumed as usize, frame.node_off);
-                    (&read_side[r..r + span], &node_side[g..g + span])
-                }
-                Dir::Left => {
-                    let (r, g) = (read_rem, node_side.len() - frame.node_off);
-                    (&read_side[r - span..r], &node_side[g - span..g])
-                }
+            let (r, g) = match dir {
+                Dir::Right => (frame.consumed as usize, frame.node_off),
+                Dir::Left => (read_rem - span, node_side.len() - frame.node_off - span),
             };
+            let (rs, gs) = (&read_side[r..r + span], &node_side[g..g + span]);
             // Matched bases seen since the last mismatch, not yet credited.
             let mut run = 0u32;
             let mut done = 0usize;
@@ -711,15 +523,20 @@ fn walk_words<P: MemProbe>(
                 if done == span {
                     break false;
                 }
-                let chunk = (span - done).min(STEP);
+                let chunk = (span - done).min(step);
                 // A tail after whole steps loads the span's last whole step
                 // again and drops the bases already walked; a span shorter
                 // than a step is assembled byte by byte.
-                let width = if span >= STEP { STEP } else { chunk };
+                let width = if span >= step { step } else { chunk };
                 let at = match dir {
                     Dir::Right => done + chunk - width..done + chunk,
                     Dir::Left => span - done - chunk..span - done - chunk + width,
                 };
+                if P::ACTIVE {
+                    let i = at.start;
+                    let (read_at, node_at) = (read_from + r + i, node_from + g + i);
+                    report_base(probe, read_at, frame.handle, node_at, rs[i] == gs[i]);
+                }
                 let mut xor =
                     xor_in_walk_order(dir, &rs[at.clone()], &gs[at]) >> (8 * (width - chunk));
                 // Bases of this step already accounted for.
@@ -730,8 +547,7 @@ fn walk_words<P: MemProbe>(
                     run = 0;
                     frame.mismatches += 1;
                     if frame.mismatches > budget {
-                        // Not consumed: the frame dies without branching,
-                        // exactly like the scalar loop's break.
+                        // Not consumed: the frame dies without branching.
                         break 'span true;
                     }
                     frame.score -= params.mismatch_penalty;
@@ -779,6 +595,23 @@ fn walk_words<P: MemProbe>(
         }
     }
     best
+}
+
+/// Reports one compared base to an active probe, as the cache simulator
+/// reads it: the read byte, the node byte in its [`REGION_GRAPH_SEQ`]
+/// window, six instructions, and whether the two matched.
+#[inline(always)]
+fn report_base<P: MemProbe>(
+    probe: &mut P,
+    read_at: usize,
+    handle: Handle,
+    node_at: usize,
+    matched: bool,
+) {
+    probe.touch(REGION_READ + read_at as u64, 1);
+    probe.touch(REGION_GRAPH_SEQ + handle.node().value() * GRAPH_SEQ_STRIDE + node_at as u64, 1);
+    probe.instret(6);
+    probe.branch(matched);
 }
 
 /// Enumerates the haplotype-consistent branch states at a node boundary
@@ -1578,8 +1411,6 @@ mod tests {
                                 [Handle::forward(NodeId::new(node)), Handle::reverse(NodeId::new(node))]
                             {
                                 let seed = Seed::new(read_off, GraphPos::new(handle, off));
-                                let scalar_params =
-                                    ExtendParams { force_scalar: true, ..*params };
                                 let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
                                 let production = extend_seed_with_scratch(
                                     gbz.graph(),
@@ -1592,18 +1423,19 @@ mod tests {
                                     &mut ExtendScratch::default(),
                                 );
                                 let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
-                                let scalar = extend_seed_with_scratch(
+                                // An active probe selects the per-base step.
+                                let per_base = extend_seed_with_scratch(
                                     gbz.graph(),
                                     &mut cache,
                                     read,
                                     0,
                                     seed,
-                                    &scalar_params,
-                                    &mut NoProbe,
+                                    params,
+                                    &mut CountingProbe::default(),
                                     &mut ExtendScratch::default(),
                                 );
                                 assert_eq!(
-                                    production, scalar,
+                                    production, per_base,
                                     "read {:?} params {:?} seed {:?}",
                                     std::str::from_utf8(read).unwrap(),
                                     params,

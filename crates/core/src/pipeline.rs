@@ -21,7 +21,7 @@ use crate::extend::{
     extend_first, process_until_threshold_with_scratch, ExtendParams, ExtendScratch, FirstWalk,
     ProcessParams,
 };
-use crate::dump::DumpReader;
+use crate::dump::{check_seeds, DumpReader};
 use crate::types::{ReadInput, ReadResult, Seed};
 
 /// Reusable per-thread buffers for the two hot kernels.
@@ -449,7 +449,7 @@ impl<'a> Mapper<'a> {
 
     /// Runs the full parallel mapping loop — the whole dump as one
     /// `Mapper::map_chunk` dispatch of `batch_size`-read grains — recording
-    /// per-stage spans, per-read counters, cache events and scheduler
+    /// per-stage spans, per-read counters, cache statistics and scheduler
     /// activity in `metrics` and handing every stage interval to `sink`.
     pub fn run_with_sink_metrics(
         &self,
@@ -487,7 +487,7 @@ impl<'a> Mapper<'a> {
     /// its cache statistics into `metrics` once, after its last read
     /// ([`Mapper::with_warm_worker`]), so the hot loop never touches the
     /// registry lock. Caches are rebound warm, so splitting a dump into
-    /// chunks changes neither a result nor, on one thread, a cache event.
+    /// chunks changes neither a result nor, on one thread, a cache statistic.
     #[allow(clippy::too_many_arguments)]
     fn map_chunk(
         &self,
@@ -554,9 +554,10 @@ impl<'a> Mapper<'a> {
     ///
     /// # Errors
     ///
-    /// A malformed read stops the run after the reads before it were
-    /// mapped and handed to `each`; its error is returned. An error from
-    /// `each` stops the run at once and is returned.
+    /// A malformed read, or one with a seed off the pangenome
+    /// ([`check_seeds`]), stops the run after the
+    /// reads before it were mapped and handed to `each`; its error is
+    /// returned. An error from `each` stops the run at once and is returned.
     pub fn run_dump(
         &self,
         reader: &mut DumpReader<'_>,
@@ -571,7 +572,13 @@ impl<'a> Mapper<'a> {
         let mut reads = Vec::new();
         let mut results = Vec::new();
         loop {
-            let decoded = reader.next_chunk(&mut reads, chunk);
+            let mut decoded = reader.next_chunk(&mut reads, chunk);
+            // A seed off the pangenome ends the run at its read, as a
+            // malformed read does.
+            if let Err((stray, e)) = check_seeds(self.gbz.graph(), &reads, summary.reads) {
+                reads.truncate(stray);
+                decoded = Err(e);
+            }
             if !reads.is_empty() {
                 let grain = chunk_grain_reads(reads.len(), options.threads, options.batch_size);
                 results.clear();

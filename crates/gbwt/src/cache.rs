@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use mg_support::probe::{CacheEvent, MemProbe};
+use mg_support::probe::MemProbe;
 use mg_support::rle::Run;
 
 use crate::gbwt::Gbwt;
@@ -337,7 +337,6 @@ impl<'a> CachedGbwt<'a> {
     pub fn record_with_probe<P: MemProbe>(&mut self, symbol: u64, probe: &mut P) -> RecordView<'_> {
         if self.state.slots.is_empty() {
             self.state.stats.misses += 1;
-            probe.cache_event(CacheEvent::Miss);
             self.gbwt
                 .record_into_with_probe(symbol, probe, &mut self.state.scratch);
             return self.state.scratch.view();
@@ -351,7 +350,6 @@ impl<'a> CachedGbwt<'a> {
             let found = self.state.slots[slot].key;
             if found == key {
                 self.state.stats.hits += 1;
-                probe.cache_event(CacheEvent::Hit);
                 // A hit is modelled as the slot line plus the record header
                 // (the caller's scan of edges/runs is charged by the kernels
                 // themselves, identically for hits and misses).
@@ -366,7 +364,6 @@ impl<'a> CachedGbwt<'a> {
         // Miss: decompress into the recycled scratch record, then copy it
         // into the slot and the arenas.
         self.state.stats.misses += 1;
-        probe.cache_event(CacheEvent::Miss);
         self.gbwt
             .record_into_with_probe(symbol, probe, &mut self.state.scratch);
         if (self.state.len + 1) * LOAD_DEN > self.capacity() * LOAD_NUM {
@@ -385,7 +382,6 @@ impl<'a> CachedGbwt<'a> {
         let doubled = vec![EMPTY_SLOT; self.capacity() * 2];
         let old = std::mem::replace(&mut self.state.slots, doubled);
         self.state.stats.rehashes += 1;
-        let moved_before = self.state.stats.rehashed_slots;
         for entry in old.into_iter().filter(|s| s.key != 0) {
             self.state.stats.rehashed_slots += 1;
             // Rehash cost: read the old slot, write the new one.
@@ -394,9 +390,6 @@ impl<'a> CachedGbwt<'a> {
             probe.touch(REGION_CACHE + slot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
             self.state.slots[slot] = entry;
         }
-        probe.cache_event(CacheEvent::Resize {
-            moved_slots: self.state.stats.rehashed_slots - moved_before,
-        });
     }
 
     /// Approximate heap footprint of the cache in bytes (drives the memory
@@ -572,26 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_receives_structured_cache_events() {
-        use mg_support::probe::CacheTally;
-        let g = chain_gbwt(64);
-        let mut cache = CachedGbwt::new(&g, 8);
-        let mut tally = CacheTally::default();
-        for sym in 2..g.alphabet_size() {
-            let _ = cache.record_with_probe(sym, &mut tally);
-        }
-        for sym in 2..g.alphabet_size() {
-            let _ = cache.record_with_probe(sym, &mut tally);
-        }
-        let stats = cache.stats();
-        assert_eq!(tally.hits, stats.hits);
-        assert_eq!(tally.misses, stats.misses);
-        assert_eq!(tally.resizes, stats.rehashes);
-        assert_eq!(tally.rehashed_slots, stats.rehashed_slots);
-        assert!(tally.resizes >= 3);
-    }
-
-    #[test]
     fn cold_rebind_counts_evictions() {
         let g1 = chain_gbwt(8);
         let g2 = chain_gbwt(8);
@@ -656,7 +629,6 @@ mod tests {
     enum Ev {
         Touch(u64, u32),
         Instret(u64),
-        Cache(CacheEvent),
     }
 
     /// A probe that keeps the whole event stream.
@@ -669,9 +641,6 @@ mod tests {
         }
         fn instret(&mut self, n: u64) {
             self.0.push(Ev::Instret(n));
-        }
-        fn cache_event(&mut self, e: CacheEvent) {
-            self.0.push(Ev::Cache(e));
         }
     }
 
@@ -724,7 +693,6 @@ mod tests {
             let region = |slot: usize| REGION_CACHE + slot as u64 * 64;
             if self.keys.is_empty() {
                 self.stats.misses += 1;
-                trace.cache_event(CacheEvent::Miss);
                 let _ = gbwt.record_with_probe(symbol, trace);
                 return;
             }
@@ -734,7 +702,6 @@ mod tests {
                 trace.instret(3);
                 if self.keys[slot] == symbol + 1 {
                     self.stats.hits += 1;
-                    trace.cache_event(CacheEvent::Hit);
                     trace.touch(region(slot) + 8, 64);
                     return;
                 }
@@ -744,7 +711,6 @@ mod tests {
                 slot = (slot + 1) % self.keys.len();
             }
             self.stats.misses += 1;
-            trace.cache_event(CacheEvent::Miss);
             let _ = gbwt.record_with_probe(symbol, trace);
             if (self.len + 1) * 4 > self.keys.len() * 3 {
                 let doubled = vec![0; self.keys.len() * 2];
@@ -759,7 +725,6 @@ mod tests {
                     self.keys[to] = key;
                 }
                 self.stats.rehashed_slots += moved;
-                trace.cache_event(CacheEvent::Resize { moved_slots: moved });
                 slot = self.free_slot(symbol);
             }
             self.keys[slot] = symbol + 1;

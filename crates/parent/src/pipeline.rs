@@ -57,8 +57,6 @@ pub struct ParentOptions {
     pub hard_hit_cap: usize,
     /// Maximum mate-pair fragment distance (paired workflows).
     pub max_fragment: u64,
-    /// Attempt mate rescue for half-mapped pairs (paired workflows).
-    pub enable_rescue: bool,
     /// Rescue configuration.
     pub rescue: RescueParams,
     /// Fault injection for resilience tests: panic inside the pool worker
@@ -79,7 +77,6 @@ impl Default for ParentOptions {
             align: AlignParams::default(),
             hard_hit_cap: 64,
             max_fragment: 1200,
-            enable_rescue: true,
             rescue: RescueParams::default(),
             fault_read: None,
         }
@@ -760,7 +757,7 @@ impl FragmentWorker<'_, '_, '_> {
             (true, false) => Some((1, 0)),
             _ => None,
         };
-        if let (true, Some((mapped, unmapped))) = (self.options.enable_rescue, half_mapped) {
+        if let Some((mapped, unmapped)) = half_mapped {
             if let Some(result) = rescue_mate_bases(
                 mapper,
                 self.parent.minimizer,

@@ -143,32 +143,23 @@ pub fn collect_features(
     name: &str,
 ) -> SimWorkload {
     let mut cache = CachedGbwt::new(mapper.gbz().gbwt(), options.cache_capacity);
-    let mut tasks = Vec::with_capacity(dump.reads.len());
-    let mut prev_probe = CountingProbe::default();
-    let mut probe = CountingProbe::default();
-    let mut prev_stats = cache.stats();
-    for (i, read) in dump.reads.iter().enumerate() {
-        let _ = mapper.map_read(&mut cache, i as u64, read, options, &mut probe);
-        let stats = cache.stats();
-        tasks.push(TaskFeatures {
-            instructions: probe.instructions - prev_probe.instructions,
-            bytes: probe.bytes - prev_probe.bytes,
-            cache_hits: stats.hits - prev_stats.hits,
-            cache_misses: stats.misses - prev_stats.misses,
-        });
-        prev_probe = probe;
-        prev_stats = stats;
-    }
-    let hot_bytes = mapper.gbz().gbwt().compressed_bytes() as u64;
-    let setup = cache_setup_instructions(options.cache_capacity);
-    SimWorkload {
-        name: name.to_string(),
-        tasks,
-        hot_bytes,
+    let mut prev = cache.stats();
+    let workload = collect_features_from(
+        dump.reads.len(),
+        mapper.gbz().gbwt().compressed_bytes() as u64,
         required_memory_gb,
-        setup_instructions_per_thread: setup,
-        private_hot_bytes: cache.heap_bytes() as u64,
-    }
+        name,
+        cache_setup_instructions(options.cache_capacity),
+        0, // the cache's footprint, known after the run below
+        |i, probe| {
+            let _ = mapper.map_read(&mut cache, i as u64, &dump.reads[i], options, probe);
+            let stats = cache.stats();
+            let delta = (stats.hits - prev.hits, stats.misses - prev.misses);
+            prev = stats;
+            delta
+        },
+    );
+    SimWorkload { private_hot_bytes: cache.heap_bytes() as u64, ..workload }
 }
 
 #[cfg(test)]

@@ -4,25 +4,11 @@
 //! [`NoProbe`] implementation compiles to nothing; during counter-validation
 //! experiments a recording probe (in `mg-perf`) feeds every logical memory
 //! access into a cache-hierarchy simulator, reproducing the role Linux
-//! `perf` hardware counters play in the paper.
-
-/// A structured cache event emitted by `CachedGbwt` through the probe it
-/// already receives, so the observability layer can count hits, misses,
-/// evictions, and resizes without widening the kernel signatures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheEvent {
-    /// A record lookup was served from the cache.
-    Hit,
-    /// A record lookup decoded from the backing index.
-    Miss,
-    /// `n` cached entries were discarded (cold re-bind of a warm cache).
-    Eviction(u64),
-    /// The cache table doubled; `moved_slots` occupied slots were rehashed.
-    Resize {
-        /// Occupied slots moved during the rehash.
-        moved_slots: u64,
-    },
-}
+//! `perf` hardware counters play in the paper. Both run the same kernel
+//! code: a probe's [`MemProbe::ACTIVE`] only picks whether the extension
+//! walk compares eight bases a step or one base a step, reporting each.
+//! Cache hits, misses and rehashes are not probe events; they are counted
+//! by the cache itself (`CachedGbwt::stats`).
 
 /// Receives the logical memory accesses and instruction counts of a kernel.
 ///
@@ -31,13 +17,15 @@ pub enum CacheEvent {
 /// pointers, so traces are deterministic across runs and machines.
 pub trait MemProbe {
     /// Whether this probe consumes the per-base `touch`/`instret`/`branch`
-    /// stream. Kernels with a data-parallel fast path may take it when
-    /// `ACTIVE` is `false`, skipping per-base event generation entirely;
-    /// when `true` they must run the scalar path so every logical access is
-    /// reported at base granularity (the cache-simulator contract).
+    /// stream. It selects how a kernel compares, never what it computes:
+    /// the extension walk compares eight bases a step when `ACTIVE` is
+    /// `false`, emitting no per-base events, and one base a step when it is
+    /// `true`, reporting every logical access at base granularity (the
+    /// cache-simulator contract). Visit order, pruning and results are the
+    /// same either way.
     ///
     /// Defaults to `true` — a probe must opt out explicitly. [`NoProbe`]
-    /// and [`CacheTally`] (which ignores memory traffic) set `false`.
+    /// sets `false`.
     const ACTIVE: bool = true;
 
     /// Records a read of `len` bytes at logical address `addr`.
@@ -49,11 +37,6 @@ pub trait MemProbe {
     /// Records a taken/not-taken branch outcome (for the top-down model).
     #[inline]
     fn branch(&mut self, _taken: bool) {}
-
-    /// Records a structured cache event. Defaults to a no-op so existing
-    /// probes (and `NoProbe`) pay nothing.
-    #[inline]
-    fn cache_event(&mut self, _e: CacheEvent) {}
 }
 
 /// A probe that ignores everything; optimizes away entirely.
@@ -108,48 +91,6 @@ impl MemProbe for CountingProbe {
     }
 }
 
-/// A probe that only tallies [`CacheEvent`]s, ignoring memory traffic. The
-/// instrumented mapping workers own one next to their metrics shard and
-/// fold the tallies in when they finish.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheTally {
-    /// Lookups served from the per-thread cache.
-    pub hits: u64,
-    /// Lookups that decoded from the backing index.
-    pub misses: u64,
-    /// Entries discarded by cold re-binds.
-    pub evictions: u64,
-    /// Table doublings.
-    pub resizes: u64,
-    /// Occupied slots moved across all doublings.
-    pub rehashed_slots: u64,
-}
-
-impl MemProbe for CacheTally {
-    /// Only [`CacheEvent`]s matter to the tally; it does not need the
-    /// per-base access stream.
-    const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn touch(&mut self, _addr: u64, _len: u32) {}
-
-    #[inline(always)]
-    fn instret(&mut self, _n: u64) {}
-
-    #[inline]
-    fn cache_event(&mut self, e: CacheEvent) {
-        match e {
-            CacheEvent::Hit => self.hits += 1,
-            CacheEvent::Miss => self.misses += 1,
-            CacheEvent::Eviction(n) => self.evictions += n,
-            CacheEvent::Resize { moved_slots } => {
-                self.resizes += 1;
-                self.rehashed_slots += moved_slots;
-            }
-        }
-    }
-}
-
 impl<P: MemProbe> MemProbe for &mut P {
     const ACTIVE: bool = P::ACTIVE;
 
@@ -166,11 +107,6 @@ impl<P: MemProbe> MemProbe for &mut P {
     #[inline(always)]
     fn branch(&mut self, taken: bool) {
         (**self).branch(taken);
-    }
-
-    #[inline(always)]
-    fn cache_event(&mut self, e: CacheEvent) {
-        (**self).cache_event(e);
     }
 }
 
@@ -210,34 +146,6 @@ mod tests {
         p.touch(123, 456);
         p.instret(789);
         p.branch(false);
-        p.cache_event(CacheEvent::Hit);
         assert_eq!(p, NoProbe);
-    }
-
-    #[test]
-    fn cache_tally_counts_events() {
-        let mut t = CacheTally::default();
-        t.cache_event(CacheEvent::Hit);
-        t.cache_event(CacheEvent::Hit);
-        t.cache_event(CacheEvent::Miss);
-        t.cache_event(CacheEvent::Eviction(4));
-        t.cache_event(CacheEvent::Resize { moved_slots: 16 });
-        t.cache_event(CacheEvent::Resize { moved_slots: 32 });
-        t.touch(0, 64); // ignored
-        assert_eq!(t.hits, 2);
-        assert_eq!(t.misses, 1);
-        assert_eq!(t.evictions, 4);
-        assert_eq!(t.resizes, 2);
-        assert_eq!(t.rehashed_slots, 48);
-    }
-
-    #[test]
-    fn cache_events_forward_through_mut_ref() {
-        let mut t = CacheTally::default();
-        {
-            let r = &mut t;
-            r.cache_event(CacheEvent::Miss);
-        }
-        assert_eq!(t.misses, 1);
     }
 }

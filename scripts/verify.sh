@@ -106,8 +106,8 @@ cargo test --release -q -p mg-bench --lib fig3_reports
 echo "== the two sinks agree: profiler events and metrics spans per stage, count and time; stage intervals abut, one open per task (an optimized build's timing) =="
 cargo test --release -q -p mg-parent --lib -- the_profiler_and_the_metrics_agree_on_every_stage stage_intervals_abut_from_one_open_per_fragment
 
-echo "== kernel oracles (extension walk vs the per-base oracle, clustering vs the naive sweep; an optimized build's arithmetic) =="
-cargo test --release -q --test extend_walk --test cluster_oracle
+echo "== kernel oracles (one extension walk: the eight-byte XOR step vs the per-base step, and the probed event stream against its pinned digests; clustering vs the naive sweep; an optimized build's arithmetic) =="
+cargo test --release -q --test extend_walk --test probe_stream --test cluster_oracle
 
 echo "== extend first / extend once (mapper vs cluster-then-extend, kernel vs every anchor extended; an optimized build's arithmetic) =="
 cargo test --release -q --test extend_first --test extend_once

@@ -18,6 +18,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use minigiraffe::core::dump::check_seeds;
 use minigiraffe::core::{DumpReader, Mapper, MappingOptions, ReadResult, SeedDump};
 use minigiraffe::gbwt::Gbz;
 use minigiraffe::obs::Metrics;
@@ -542,6 +543,7 @@ fn load_inputs(positional: &[String]) -> Result<(SeedDump, Gbz), String> {
     };
     let dump = SeedDump::load(dump_path).map_err(|e| load_error(dump_path, e))?;
     let gbz = Gbz::load(gbz_path).map_err(|e| load_error(gbz_path, e))?;
+    check_seeds(gbz.graph(), &dump.reads, 0).map_err(|(_, e)| load_error(dump_path, e))?;
     Ok((dump, gbz))
 }
 

@@ -337,6 +337,69 @@ fn map_on_a_hostile_dump_writes_the_good_prefix_then_fails() {
     }
 }
 
+/// A seed off the pangenome — a node the graph does not have, or a node
+/// offset past its node's end — passes every decoding check (a dump does not
+/// name its pangenome) and used to reach the kernels: the first panicked in
+/// `node_len`, the second underflowed the distance index. `map` writes the
+/// reads before the bad one, then every dump reader fails with the error.
+#[test]
+fn seeds_off_the_pangenome_are_corrupt_not_a_panic() {
+    use minigiraffe::core::{ReadInput, Seed, SeedDump};
+    use minigiraffe::graph::{Handle, NodeId};
+    use minigiraffe::index::GraphPos;
+
+    let dir = TempDir::new("offgraph");
+    // Seed 4's pangenome has 8-base nodes.
+    let (ok, _, stderr) =
+        run(&["generate", "--input-set", "tiny", "--seed", "4", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    let (dump, mgz) = (dir.path("tiny.bin"), dir.path("tiny.mgz"));
+    let good = SeedDump::load(&dump).unwrap();
+    let graph = minigiraffe::gbwt::Gbz::load(&mgz).unwrap().graph().clone();
+    let eight = (1..=graph.node_count() as u64)
+        .map(NodeId::new)
+        .find(|&n| graph.node_len(n) == 8)
+        .expect("the pangenome has an 8-base node");
+    let past_the_graph = NodeId::new(graph.node_count() as u64 + 5);
+    let (all, out) = (dir.path("all.csv"), dir.path("out.csv"));
+    let (ok, _, stderr) = run(&["map", &dump, &mgz, "--out", &all]);
+    assert!(ok, "map failed: {stderr}");
+    let before: String = std::fs::read_to_string(&all)
+        .unwrap()
+        .lines()
+        .filter(|row| row.split(',').next().unwrap().parse::<u64>().map_or(true, |id| id < 20))
+        .map(|row| format!("{row}\n"))
+        .collect();
+    for (node, offset, fault) in [
+        (past_the_graph, 0, format!("node {past_the_graph} is not in the pangenome")),
+        (eight, 16, format!("offset 16 is past the 8 bases of node {eight}")),
+    ] {
+        // Read 20 of 40 gains the bad seed, first in read order; at
+        // --batch 7 it falls inside the third chunk.
+        let mut reads = good.reads.clone();
+        let bad = Seed::new(0, GraphPos::new(Handle::forward(node), offset));
+        reads[20] = ReadInput { seeds: [vec![bad], reads[20].seeds.clone()].concat(), ..reads[20].clone() };
+        let hostile = dir.path("hostile.bin");
+        SeedDump::new(good.workflow, reads).save(&hostile).unwrap();
+        let message = format!("corrupt data: read 20: seed at read offset 0: {fault}");
+        for threads in ["1", "2"] {
+            let args = ["map", &hostile, &mgz, "--threads", threads, "--batch", "7", "--out", &out];
+            let (code, stderr) = run_into(&args, Stdio::null());
+            assert_eq!(code, Some(1), "{stderr}");
+            assert!(stderr.contains(&message), "map --threads {threads}: {stderr}");
+            assert_eq!(std::fs::read_to_string(&out).unwrap(), before, "--threads {threads}");
+        }
+        for args in [
+            vec!["validate", &hostile, &mgz, &all],
+            vec!["tune", &hostile, &mgz, "--threads", "1", "--repeats", "1"],
+        ] {
+            let (code, stderr) = run_into(&args, Stdio::null());
+            assert_eq!(code, Some(1), "{}: {stderr}", args[0]);
+            assert!(stderr.contains(&message), "{}: {stderr}", args[0]);
+        }
+    }
+}
+
 /// `info` counts a dump a chunk at a time; what it prints must be what a
 /// whole decode counts, across several chunks and a short last one.
 #[test]

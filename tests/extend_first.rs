@@ -19,11 +19,11 @@
 //! of every input-set profile, and hand-built geometry where a shortcut
 //! would be tempted — two exact walks sharing anchors, a repeat with one
 //! seed off the walk, an indel whose arms share a prefix, a substitution,
-//! a trimmed end, the reverse strand, a node offset past its node — on both
-//! comparison walks and the option settings under which one cluster or one
-//! extension is not what the composition reports. The one-cluster case must
-//! come up among the random and the input-set reads, or the oracle would say
-//! nothing about it.
+//! a trimmed end, the reverse strand, a node offset past its node — under
+//! both comparison steps of the walk and the option settings under which
+//! one cluster or one extension is not what the composition reports. The
+//! one-cluster case must come up among the random and the input-set reads,
+//! or the oracle would say nothing about it.
 
 use minigiraffe::core::{
     build_minimizer_index, cluster_seeds_with_scratch, extend_seed_with_scratch,
@@ -37,7 +37,7 @@ use minigiraffe::graph::{Handle, NodeId};
 use minigiraffe::index::{GraphPos, MinimizerParams};
 use minigiraffe::obs::{Ctr, Metrics};
 use minigiraffe::parent::{Parent, ParentOptions};
-use minigiraffe::support::probe::NoProbe;
+use minigiraffe::support::probe::{CountingProbe, NoProbe};
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -189,6 +189,15 @@ fn rule(mapper: &Mapper<'_>, read: &[u8], seeds: &[Seed]) -> (Rule, Option<Exten
     (outcome, Some(ext))
 }
 
+/// How [`check`] runs the mapper: its options, and whether under an active
+/// probe — which takes the extension walk's per-base comparison step — or
+/// under none, which takes the eight-base step.
+#[derive(Debug, Clone)]
+struct Config {
+    options: MappingOptions,
+    per_base: bool,
+}
+
 /// Maps one read through the mapper — on `scratch`, which the caller keeps
 /// across reads as a worker does — and holds it to the composition.
 fn check(
@@ -196,16 +205,22 @@ fn check(
     scratch: &mut MapScratch,
     read: &[u8],
     seeds: &[Seed],
-    options: &MappingOptions,
+    config: &Config,
     what: &str,
 ) {
+    let options = &config.options;
     let metrics = Metrics::new();
     let mut obs = metrics.shard();
     let mut cache = CachedGbwt::new(mapper.gbz().gbwt(), 64);
-    let got = mapper.map_read_seeded(&mut cache, 7, read, seeds, options, &mut NoProbe, scratch, &mut obs);
+    let got = if config.per_base {
+        let mut probe = CountingProbe::default();
+        mapper.map_read_seeded(&mut cache, 7, read, seeds, options, &mut probe, scratch, &mut obs)
+    } else {
+        mapper.map_read_seeded(&mut cache, 7, read, seeds, options, &mut NoProbe, scratch, &mut obs)
+    };
     let want = reference(mapper, read, seeds, options);
     let context = || {
-        format!("{what}: read {:?} seeds {seeds:?} options {options:?}", String::from_utf8_lossy(read))
+        format!("{what}: read {:?} seeds {seeds:?} config {config:?}", String::from_utf8_lossy(read))
     };
     assert_eq!(got, want.result, "{}", context());
     let rep = obs.report();
@@ -232,15 +247,11 @@ fn check(
     );
 }
 
-/// Both comparison walks.
-fn both_walks() -> Vec<MappingOptions> {
+/// The default options under both comparison steps.
+fn both_walks() -> Vec<Config> {
     [true, false]
         .into_iter()
-        .map(|force_scalar| {
-            let mut options = MappingOptions::default();
-            options.extend.force_scalar = force_scalar;
-            options
-        })
+        .map(|per_base| Config { options: MappingOptions::default(), per_base })
         .collect()
 }
 
@@ -276,9 +287,9 @@ fn guards() -> Vec<MappingOptions> {
     ]
 }
 
-fn every_configuration() -> Vec<MappingOptions> {
+fn every_configuration() -> Vec<Config> {
     let mut all = both_walks();
-    all.extend(guards());
+    all.extend(guards().into_iter().map(|options| Config { options, per_base: false }));
     all
 }
 
@@ -287,8 +298,8 @@ fn check_random_case(case_seed: u64) {
     let (gbz, read, seeds) = common::random_read(&mut rng);
     let mapper = Mapper::new(&gbz);
     let mut scratch = MapScratch::default();
-    for options in every_configuration() {
-        check(&mapper, &mut scratch, &read, &seeds, &options, &format!("case {case_seed}"));
+    for config in every_configuration() {
+        check(&mapper, &mut scratch, &read, &seeds, &config, &format!("case {case_seed}"));
     }
 }
 
@@ -359,15 +370,15 @@ fn read_in_a_repeat_with_one_seed_off_the_walk() {
             seeds.push(stray);
             seeds.reverse();
             assert_eq!(rule(&mapper, &read, &seeds).0, Rule::Cluster, "gap {gap}, stray at {stray_offset}");
-            for options in every_configuration() {
+            for config in every_configuration() {
                 let what = format!("gap {gap}, stray anchor at read offset {stray_offset}");
-                check(&mapper, &mut scratch, &read, &seeds, &options, &what);
+                check(&mapper, &mut scratch, &read, &seeds, &config, &what);
             }
         }
         // The same read with its anchors all on the walk.
         assert_eq!(rule(&mapper, &read, &on_walk).0, Rule::Settles);
-        for options in every_configuration() {
-            check(&mapper, &mut scratch, &read, &on_walk, &options, &format!("gap {gap}, on the walk"));
+        for config in every_configuration() {
+            check(&mapper, &mut scratch, &read, &on_walk, &config, &format!("gap {gap}, on the walk"));
         }
     }
 }
@@ -405,8 +416,8 @@ fn read_spanning_an_indel_whose_arms_share_a_prefix() {
         ("from the third base", everywhere[3..].to_vec()),
         ("minimizers", captured.seeds),
     ] {
-        for options in every_configuration() {
-            check(&mapper, &mut scratch, &read, &seeds, &options, what);
+        for config in every_configuration() {
+            check(&mapper, &mut scratch, &read, &seeds, &config, what);
         }
     }
 }
@@ -427,8 +438,8 @@ fn reads_of_every_input_set() {
         let reads = input.dump.reads.iter().take(40);
         for (i, r) in reads.enumerate() {
             let configurations = if i % 8 == 0 { every_configuration() } else { both_walks() };
-            for options in configurations {
-                check(&mapper, &mut scratch, &r.bases, &r.seeds, &options, &format!("{} read {i}", spec.name));
+            for config in configurations {
+                check(&mapper, &mut scratch, &r.bases, &r.seeds, &config, &format!("{} read {i}", spec.name));
             }
             one_cluster += usize::from(rule(&mapper, &r.bases, &r.seeds).0 == Rule::OneCluster);
             total += 1;
@@ -438,8 +449,8 @@ fn reads_of_every_input_set() {
 }
 
 /// Random reads the first walk leaves on the one-cluster path, held to the
-/// composition on both walks: the path must come up, or the proptest's
-/// oracle says nothing about it.
+/// composition under both comparison steps: the path must come up, or the
+/// proptest's oracle says nothing about it.
 #[test]
 fn one_cluster_comes_up_among_random_reads() {
     let cases = 300;
@@ -451,8 +462,8 @@ fn one_cluster_comes_up_among_random_reads() {
         if rule(&mapper, &read, &seeds).0 == Rule::OneCluster {
             one_cluster += 1;
             let mut scratch = MapScratch::default();
-            for options in both_walks() {
-                check(&mapper, &mut scratch, &read, &seeds, &options, &format!("case {case_seed}"));
+            for config in both_walks() {
+                check(&mapper, &mut scratch, &read, &seeds, &config, &format!("case {case_seed}"));
             }
         }
     }
@@ -478,7 +489,7 @@ fn remembered_walk_never_leaks_into_the_next_read() {
     mismatched[9] = if mismatched[9] == b'A' { b'C' } else { b'A' };
     let seed = Seed::new(0, bases[2].1);
     let off_walk = Seed::new(3, GraphPos::new(Handle::forward(NodeId::new(1)), 0));
-    for options in both_walks() {
+    for config in both_walks() {
         // Same first seed on different bases, alternating fast path and
         // fall-through in both orders.
         for (read, seeds) in [
@@ -489,7 +500,7 @@ fn remembered_walk_never_leaks_into_the_next_read() {
             (&exact, vec![seed, off_walk]),
             (&exact, vec![seed]),
         ] {
-            check(&mapper, &mut scratch, read, &seeds, &options, "alternating reads");
+            check(&mapper, &mut scratch, read, &seeds, &config, "alternating reads");
         }
     }
 }
@@ -512,8 +523,8 @@ fn anchor_past_the_read_end_on_its_walk() {
     let mut scratch = MapScratch::default();
     let node = Handle::forward(NodeId::new(1));
     let seeds = vec![Seed::new(1, GraphPos::new(node, 9)), Seed::new(31, GraphPos::new(node, 39))];
-    for options in every_configuration() {
-        check(&mapper, &mut scratch, &reference[8..38], &seeds, &options, "anchor past the read");
+    for config in every_configuration() {
+        check(&mapper, &mut scratch, &reference[8..38], &seeds, &config, "anchor past the read");
     }
 }
 
@@ -558,14 +569,14 @@ fn one_substitution_with_every_seed_on_the_walk() {
     let (outcome, walk) = rule(&mapper, &read, &seeds);
     assert_eq!(outcome, Rule::OneCluster);
     assert_eq!(walk.map(|e| (e.read_start, e.read_end, e.mismatches)), Some((0, 40, 1)));
-    for options in every_configuration() {
-        check(&mapper, &mut scratch, &read, &seeds, &options, "one substitution");
+    for config in every_configuration() {
+        check(&mapper, &mut scratch, &read, &seeds, &config, "one substitution");
     }
     let mut past = seeds.clone();
     past.push(Seed::new(4, GraphPos::new(Handle::forward(NodeId::new(1)), 8)));
     assert_eq!(rule(&mapper, &read, &past).0, Rule::Cluster);
-    for options in every_configuration() {
-        check(&mapper, &mut scratch, &read, &past, &options, "node offset 8 on an 8-base node");
+    for config in every_configuration() {
+        check(&mapper, &mut scratch, &read, &past, &config, "node offset 8 on an 8-base node");
     }
 }
 
@@ -587,8 +598,8 @@ fn a_seed_past_the_trimmed_end_on_the_walks_last_node() {
     let walk = walk.unwrap();
     assert_eq!((walk.read_start, walk.read_end), (0, 37));
     assert_eq!(walk.path.last(), Some(&bases[42].1.handle));
-    for options in every_configuration() {
-        check(&mapper, &mut scratch, &read, &seeds, &options, "seed past the trimmed end");
+    for config in every_configuration() {
+        check(&mapper, &mut scratch, &read, &seeds, &config, "seed past the trimmed end");
     }
 }
 
@@ -615,7 +626,7 @@ fn a_reverse_strand_read_with_every_seed_on_the_walk() {
     let (outcome, walk) = rule(&mapper, &read, &seeds);
     assert_eq!(outcome, Rule::OneCluster);
     assert_eq!(walk.map(|e| (e.read_start, e.read_end, e.mismatches)), Some((0, 40, 1)));
-    for options in every_configuration() {
-        check(&mapper, &mut scratch, &read, &seeds, &options, "reverse strand");
+    for config in every_configuration() {
+        check(&mapper, &mut scratch, &read, &seeds, &config, "reverse strand");
     }
 }

@@ -9,7 +9,7 @@
 //! the read already has is not walked, and whatever such an anchor yielded
 //! before that extension turned up, short of another exact full-length
 //! extension, is dropped. So the kernel must equal the reference after the
-//! same drop, on both comparison walks. The one
+//! same drop, under both comparison steps of the walk. The one
 //! documented exception — an anchor lying on one exact full-length walk
 //! yields a *different* one — is decided by canonical anchor order, and for
 //! those cases the test checks exactly that.
@@ -22,7 +22,7 @@ use minigiraffe::gbwt::{CachedGbwt, Gbz};
 use minigiraffe::graph::pangenome::{PangenomeBuilder, Variant};
 use minigiraffe::graph::{Handle, NodeId};
 use minigiraffe::index::GraphPos;
-use minigiraffe::support::probe::NoProbe;
+use minigiraffe::support::probe::{CountingProbe, MemProbe, NoProbe};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,19 +62,28 @@ fn random_case(rng: &mut StdRng) -> Case {
     Case { gbz, read, seeds, clusters }
 }
 
-fn kernel(case: &Case, extend: &ExtendParams, process: &ProcessParams) -> (Vec<Extension>, KernelStats) {
+/// The kernel over the case's clusters. The probe picks the comparison
+/// step: eight bases a step under [`NoProbe`], one base a step under an
+/// active probe.
+fn kernel(
+    case: &Case,
+    extend: &ExtendParams,
+    process: &ProcessParams,
+    probe: &mut impl MemProbe,
+) -> (Vec<Extension>, KernelStats) {
     let mut cache = CachedGbwt::new(case.gbz.gbwt(), 64);
     let mut scratch = ExtendScratch::default();
     let out = process_until_threshold_with_scratch(
         case.gbz.graph(), &mut cache, &case.read, 0, &case.seeds, &case.clusters, extend, process,
-        &mut NoProbe, &mut scratch,
+        probe, &mut scratch,
     );
     (out, scratch.take_stats())
 }
 
 /// Every distinct anchor of every processed cluster, in canonical order
 /// (clusters as given, anchors by `(read_offset, pos)`), with what the public
-/// single-seed extension makes of it (`None`: nothing reportable).
+/// single-seed extension makes of it (`None`: nothing reportable), walked a
+/// base a step under an active probe.
 fn every_anchor(
     case: &Case,
     extend: &ExtendParams,
@@ -93,8 +102,8 @@ fn every_anchor(
         anchors.dedup();
         for anchor in anchors {
             let ext = extend_seed_with_scratch(
-                case.gbz.graph(), &mut cache, &case.read, 0, anchor, extend, &mut NoProbe,
-                &mut scratch,
+                case.gbz.graph(), &mut cache, &case.read, 0, anchor, extend,
+                &mut CountingProbe::default(), &mut scratch,
             );
             all.push((anchor, ext.filter(|e| e.score >= process.min_extension_score)));
         }
@@ -195,8 +204,8 @@ fn canonicalize(mut all: Vec<Extension>, process: &ProcessParams) -> Vec<Extensi
 }
 
 /// (a) the kernel equals the extend-every-anchor reference after the drop;
-/// (b) on the scalar oracle walk and the production walk; (c) every distinct
-/// anchor is walked, merged away or skipped.
+/// (b) under the per-base and the eight-base comparison step; (c) every
+/// distinct anchor is walked, merged away or skipped.
 fn check_case(case_seed: u64) {
     let mut rng = StdRng::seed_from_u64(case_seed);
     let case = random_case(&mut rng);
@@ -208,17 +217,18 @@ fn check_case(case_seed: u64) {
         ..Default::default()
     };
     let process = ProcessParams::default();
-    let all = every_anchor(&case, &ExtendParams { force_scalar: true, ..extend }, &process);
+    let all = every_anchor(&case, &extend, &process);
     let want = reference_in_canonical_order(&case, &all, &process);
     if exact_walks_are_unambiguous(&case, &all) {
         assert_eq!(want, reference(&case, &all, &process), "case {case_seed}");
     }
-    for force_scalar in [true, false] {
-        let walk = ExtendParams { force_scalar, ..extend };
-        let (got, stats) = kernel(&case, &walk, &process);
+    for (step, (got, stats)) in [
+        ("per-base", kernel(&case, &extend, &process, &mut CountingProbe::default())),
+        ("eight-base", kernel(&case, &extend, &process, &mut NoProbe)),
+    ] {
         assert_eq!(
             got, want,
-            "case {case_seed} force_scalar {force_scalar} read {:?} seeds {:?}",
+            "case {case_seed} {step} step read {:?} seeds {:?}",
             String::from_utf8_lossy(&case.read), case.seeds
         );
         assert_eq!(
@@ -281,7 +291,7 @@ fn two_anchor_case(gbz: Gbz, read: Vec<u8>) -> Case {
 fn anchors_joined_by_matching_bases_merge() {
     let (gbz, reference) = one_node();
     let case = two_anchor_case(gbz, reference[8..38].to_vec());
-    let (got, stats) = kernel(&case, &ExtendParams::default(), &ProcessParams::default());
+    let (got, stats) = kernel(&case, &ExtendParams::default(), &ProcessParams::default(), &mut NoProbe);
     assert_eq!(stats.anchors_merged, 1);
     assert_eq!(got.len(), 1);
     assert_eq!((got[0].read_start, got[0].read_end, got[0].mismatches), (0, 30, 0));
@@ -301,7 +311,7 @@ fn a_mismatch_or_n_between_anchors_keeps_both() {
         assert_ne!(read[2], broken);
         read[2] = broken;
         let case = two_anchor_case(gbz, read);
-        let (got, stats) = kernel(&case, &ExtendParams::default(), &ProcessParams::default());
+        let (got, stats) = kernel(&case, &ExtendParams::default(), &ProcessParams::default(), &mut NoProbe);
         assert_eq!(stats.anchors_merged, 0, "break {}", broken as char);
         let spans: Vec<_> = got.iter().map(|e| (e.read_start, e.read_end, e.mismatches)).collect();
         assert_eq!(spans, vec![(3, 30, 0), (0, 30, 1)], "break {}", broken as char);
@@ -311,7 +321,7 @@ fn a_mismatch_or_n_between_anchors_keeps_both() {
 
 fn reference_of(case: &Case) -> Vec<Extension> {
     let process = ProcessParams::default();
-    let all = every_anchor(case, &ExtendParams { force_scalar: true, ..Default::default() }, &process);
+    let all = every_anchor(case, &ExtendParams::default(), &process);
     reference(case, &all, &process)
 }
 

@@ -1,15 +1,16 @@
-//! The production comparison walk against the per-base oracle
-//! (`ExtendParams::force_scalar`): every field of every extension must be
-//! equal, for single anchors and for whole reads through
-//! `process_until_threshold`, on random pangenomes whose nodes run from one
-//! base to two hundred — so spans of whole eight-base steps and every tail
-//! length under eight occur in both walk directions — and on hand-built
-//! cases that put a mismatch at every position of such a step, run the
-//! mismatch budget out in the middle of one, and feed the read bytes that
-//! equal no node base (`N`, lowercase).
+//! The extension walk's eight-base comparison step (taken under `NoProbe`)
+//! against its per-base step (taken under any active probe, here a
+//! `CountingProbe`): every field of every extension must be equal, for
+//! single anchors and for whole reads through `process_until_threshold`, on
+//! random pangenomes whose nodes run from one base to two hundred — so
+//! spans of whole eight-base steps and every tail length under eight occur
+//! in both walk directions — and on hand-built cases that put a mismatch
+//! at every position of such a step, run the mismatch budget out in the
+//! middle of one, and feed the read bytes that equal no node base (`N`,
+//! lowercase).
 //!
-//! The test knows nothing about how the production walk compares; it passes
-//! unchanged on any walk that agrees with the oracle.
+//! The test knows nothing about how either step compares; it passes
+//! unchanged on any walk whose two sides agree.
 
 use minigiraffe::core::{
     extend_seed_with_scratch, process_until_threshold_with_scratch, Cluster, ExtendParams,
@@ -20,7 +21,7 @@ use minigiraffe::graph::dna::reverse_complement;
 use minigiraffe::graph::pangenome::{PangenomeBuilder, Variant};
 use minigiraffe::graph::{Handle, NodeId};
 use minigiraffe::index::GraphPos;
-use minigiraffe::support::probe::NoProbe;
+use minigiraffe::support::probe::{CountingProbe, MemProbe, NoProbe};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,52 +42,50 @@ fn other_base(b: u8) -> u8 {
     BASES[(BASES.iter().position(|&x| x == b).unwrap_or(0) + 1) % 4]
 }
 
-/// One walk (production or oracle) with its own cache and scratch, both kept
-/// across calls as a mapping worker keeps them.
-struct Walker<'a> {
+/// One side of the comparison with its own cache, scratch and probe, all
+/// kept across calls as a mapping worker keeps them. The probe picks the
+/// comparison step.
+struct Walker<'a, P> {
     gbz: &'a Gbz,
     cache: CachedGbwt<'a>,
     scratch: ExtendScratch,
-    force_scalar: bool,
+    probe: P,
 }
 
-impl<'a> Walker<'a> {
-    fn new(gbz: &'a Gbz, force_scalar: bool) -> Self {
-        Walker {
-            gbz,
-            cache: CachedGbwt::new(gbz.gbwt(), 64),
-            scratch: ExtendScratch::default(),
-            force_scalar,
-        }
+impl<'a, P: MemProbe> Walker<'a, P> {
+    fn new(gbz: &'a Gbz, probe: P) -> Self {
+        Walker { gbz, cache: CachedGbwt::new(gbz.gbwt(), 64), scratch: ExtendScratch::default(), probe }
     }
 
     fn extend(&mut self, read: &[u8], seed: Seed, params: &ExtendParams) -> Option<Extension> {
-        let params = ExtendParams { force_scalar: self.force_scalar, ..*params };
         extend_seed_with_scratch(
-            self.gbz.graph(), &mut self.cache, read, 0, seed, &params, &mut NoProbe,
+            self.gbz.graph(), &mut self.cache, read, 0, seed, params, &mut self.probe,
             &mut self.scratch,
         )
     }
 
     fn process(&mut self, read: &[u8], seeds: &[Seed], params: &ExtendParams) -> Vec<Extension> {
-        let params = ExtendParams { force_scalar: self.force_scalar, ..*params };
         let clusters = [Cluster { seeds: (0..seeds.len()).collect(), score: 1.0, coverage: 1.0 }];
         process_until_threshold_with_scratch(
-            self.gbz.graph(), &mut self.cache, read, 0, seeds, &clusters, &params,
-            &ProcessParams::default(), &mut NoProbe, &mut self.scratch,
+            self.gbz.graph(), &mut self.cache, read, 0, seeds, &clusters, params,
+            &ProcessParams::default(), &mut self.probe, &mut self.scratch,
         )
     }
 }
 
-/// The production walk and the oracle side by side.
+/// The eight-base step (`production`) and the per-base step (`oracle`)
+/// side by side.
 struct Pair<'a> {
-    production: Walker<'a>,
-    oracle: Walker<'a>,
+    production: Walker<'a, NoProbe>,
+    oracle: Walker<'a, CountingProbe>,
 }
 
 impl<'a> Pair<'a> {
     fn new(gbz: &'a Gbz) -> Self {
-        Pair { production: Walker::new(gbz, false), oracle: Walker::new(gbz, true) }
+        Pair {
+            production: Walker::new(gbz, NoProbe),
+            oracle: Walker::new(gbz, CountingProbe::default()),
+        }
     }
 
     /// Extends one anchor both ways, demands equality, returns the result.
@@ -482,7 +481,7 @@ fn anchors_on_node_and_read_edges_for_every_small_length() {
 /// Whole reads over a bubble-rich graph with a non-positive match score: the
 /// run of matches between two mismatches must update the best prefix base
 /// by base (negative) or leave it on the longest tie (zero), exactly as the
-/// oracle's per-base loop does.
+/// per-base step does.
 #[test]
 fn non_positive_match_scores_agree_on_whole_reads() {
     for case_seed in 0..40u64 {

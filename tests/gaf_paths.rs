@@ -69,7 +69,6 @@ fn rescue_case() -> (SyntheticInput, ParentOptions) {
     spec.genome.repeat_len = 150;
     spec.hard_hit_cap = 2;
     let options = ParentOptions { hard_hit_cap: 2, ..Default::default() };
-    assert!(options.enable_rescue);
     let input = [5u64, 41, 97]
         .into_iter()
         .map(|seed| SyntheticInput::generate(&spec, seed))

@@ -11,8 +11,10 @@
 
 use std::path::PathBuf;
 
-use minigiraffe::core::{run_mapping, StreamOptions};
+use minigiraffe::core::{run_mapping, ReadResult, StreamOptions};
+use minigiraffe::gbwt::CachedGbwt;
 use minigiraffe::parent::{run_to_gaf, Parent, ParentOptions, ParentRun};
+use minigiraffe::support::probe::CountingProbe;
 use minigiraffe::support::regions::NullSink;
 use minigiraffe::workload::{write_fastq, FastqReader, FastqRecord, InputSetSpec, SyntheticInput};
 
@@ -63,19 +65,32 @@ fn proxy_gaf(
     options: &ParentOptions,
 ) -> String {
     let proxy = run_mapping(&run.dump, &input.gbz, &options.mapping);
+    render_gaf(parent, run, input, name, options, proxy.per_read)
+}
+
+/// Post-processes kernel results of the dump's reads with the parent's own
+/// rescoring path and renders them as GAF.
+fn render_gaf(
+    parent: &Parent<'_>,
+    run: &ParentRun,
+    input: &SyntheticInput,
+    name: &str,
+    options: &ParentOptions,
+    per_read: Vec<ReadResult>,
+) -> String {
     let alignments: Vec<_> = run
         .dump
         .reads
         .iter()
-        .zip(&proxy.per_read)
+        .zip(&per_read)
         .map(|(read_input, result)| parent.post_process(read_input, result, options, &NullSink, 0))
         .collect();
     let proxy_run = ParentRun {
-        kernel_results: proxy.per_read.clone(),
+        kernel_results: per_read,
         alignments,
         dump: run.dump.clone(),
         rescued: vec![None; run.dump.reads.len()],
-        wall: proxy.wall,
+        wall: run.wall,
     };
     run_to_gaf(input.gbz.graph(), &proxy_run, name)
 }
@@ -192,28 +207,44 @@ fn streaming_ingestion_reproduces_golden_gaf_across_schedulers() {
     }
 }
 
+/// The dump's reads mapped one at a time through `Mapper::map_read` under
+/// an active probe — which takes the extension walk's per-base comparison
+/// step — post-processed and rendered like [`proxy_gaf`].
+fn per_base_gaf(parent: &Parent<'_>, run: &ParentRun, input: &SyntheticInput, name: &str) -> String {
+    let options = ParentOptions::default();
+    let mut cache = CachedGbwt::new(input.gbz.gbwt(), options.mapping.cache_capacity);
+    let mut probe = CountingProbe::default();
+    let per_read = run
+        .dump
+        .reads
+        .iter()
+        .enumerate()
+        .map(|(id, read)| parent.mapper().map_read(&mut cache, id as u64, read, &options.mapping, &mut probe))
+        .collect();
+    assert!(probe.branches > 0, "{name}: the probe saw no base compared");
+    render_gaf(parent, run, input, name, &options, per_read)
+}
+
 #[test]
 fn production_walk_matches_scalar_oracle_gaf_across_schedulers() {
-    // The eight-bases-a-step extension walk (the production default —
-    // pooled workers map with no active probe) must land on the same GAF
-    // bytes as the scalar comparison loop, for every golden workload under
-    // every scheduler. `force_scalar` flips only the comparison loop; any
-    // divergence in span, score, path, or rescoring shows up byte-for-byte.
+    // The eight-bases-a-step comparison (the production default — pooled
+    // workers map with no active probe) must land on the same GAF bytes as
+    // the per-base step an active probe selects, for every golden workload
+    // under every scheduler; any divergence in span, score, path, or
+    // rescoring shows up byte-for-byte.
     for (name, input) in workloads() {
         let (parent, run, _) = parent_gaf(&input, &name);
+        let per_base = per_base_gaf(&parent, &run, &input, &name);
         for kind in minigiraffe::sched::SchedulerKind::ALL {
             let mut production_options = ParentOptions::default();
             production_options.mapping.scheduler = kind;
             production_options.mapping.threads = 4;
             production_options.mapping.batch_size = 3;
-            let mut scalar_options = production_options.clone();
-            scalar_options.mapping.extend.force_scalar = true;
             let production = proxy_gaf(&parent, &run, &input, &name, &production_options);
-            let scalar = proxy_gaf(&parent, &run, &input, &name, &scalar_options);
             assert!(!production.is_empty(), "{name}: no alignments under {kind}");
             assert_eq!(
-                production, scalar,
-                "{name}: production walk diverged from the scalar oracle under {kind}"
+                production, per_base,
+                "{name}: the eight-base step diverged from the per-base step under {kind}"
             );
         }
     }
