@@ -11,12 +11,13 @@
 //! (each read's bases and delta-encoded seeds), both varint streams.
 //! [`DumpReader`] decodes a validated container a chunk of reads at a time
 //! straight out of its buffer; [`SeedDump::load`] drains it into one dump.
-//! A dump does not name its pangenome, so decoding cannot tell whether a
-//! seed lies on it; [`check_seeds`] does, where the reads first meet one.
+//! A dump does not name its pangenome, so decoding alone cannot tell whether
+//! a seed lies on it; [`DumpReader::next_chunk_on`] decodes against one and
+//! checks each seed as it writes it, where the reads first meet the graph.
 
 use std::path::Path;
 
-use mg_graph::{Handle, VariationGraph};
+use mg_graph::{Handle, NodeId, VariationGraph};
 use mg_index::GraphPos;
 use mg_support::mgi::{MgiFile, MgiWriter, TAG_DUMP_META, TAG_DUMP_READS};
 use mg_support::varint::{self, Cursor};
@@ -244,14 +245,74 @@ impl<'f> DumpReader<'f> {
     /// after the last read, with `reads` holding the whole chunk. Either
     /// way the reader is spent: later calls decode nothing.
     pub fn next_chunk(&mut self, reads: &mut Vec<ReadInput>, max: usize) -> Result<()> {
+        self.decode_chunk(reads, max, None)
+    }
+
+    /// [`DumpReader::next_chunk`] for reads about to meet `graph`: each seed
+    /// must also lie on it, on a node the graph has at an offset inside that
+    /// node, and is checked as it is decoded. A seed off the graph would
+    /// reach the distance index and the kernels unchecked.
+    ///
+    /// # Errors
+    ///
+    /// As [`DumpReader::next_chunk`]; a seed off `graph` makes its read
+    /// malformed, with an [`Error::Corrupt`] naming the read's id (its
+    /// index in the dump) and the seed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mg_core::dump::{DumpReader, SeedDump};
+    /// use mg_core::types::{ReadInput, Seed, Workflow};
+    /// use mg_graph::{Handle, VariationGraph};
+    /// use mg_index::GraphPos;
+    /// use mg_support::mgi::MgiFile;
+    ///
+    /// # fn main() -> mg_support::Result<()> {
+    /// let mut graph = VariationGraph::new();
+    /// let node = graph.add_node(b"ACGTACGT")?;
+    /// let read = |offset| ReadInput {
+    ///     bases: b"ACGT".to_vec(),
+    ///     seeds: vec![Seed::new(0, GraphPos::new(Handle::forward(node), offset))],
+    /// };
+    /// let file = MgiFile::open_bytes(SeedDump::new(Workflow::Single, vec![read(7)]).to_bytes()?)?;
+    /// let mut chunk = Vec::new();
+    /// assert!(DumpReader::new(&file)?.next_chunk_on(&graph, &mut chunk, 8).is_ok());
+    /// let dump = SeedDump::new(Workflow::Single, vec![read(0), read(8), read(16)]);
+    /// let file = MgiFile::open_bytes(dump.to_bytes()?)?;
+    /// let err = DumpReader::new(&file)?.next_chunk_on(&graph, &mut chunk, 8).unwrap_err();
+    /// assert!(err.to_string().contains("read 1: seed at read offset 0: offset 8 is past"));
+    /// assert_eq!(chunk, dump.reads[..1]);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn next_chunk_on(
+        &mut self,
+        graph: &VariationGraph,
+        reads: &mut Vec<ReadInput>,
+        max: usize,
+    ) -> Result<()> {
+        self.decode_chunk(reads, max, Some(graph.sequence_offsets()))
+    }
+
+    /// Both chunk decoders; `nodes`, when given, is the pangenome's
+    /// [`VariationGraph::sequence_offsets`], which every seed must lie in.
+    fn decode_chunk(
+        &mut self,
+        reads: &mut Vec<ReadInput>,
+        max: usize,
+        nodes: Option<&[u64]>,
+    ) -> Result<()> {
         let take = max.min(self.left);
+        let first_id = (self.read_count - self.left) as u64;
         let mut filled = 0;
         let mut outcome = Ok(());
         while filled < take {
             if filled == reads.len() {
                 reads.push(ReadInput::default());
             }
-            if let Err(e) = decode_read(&mut self.cur, &mut reads[filled]) {
+            let id = first_id + filled as u64;
+            if let Err(e) = decode_read(&mut self.cur, &mut reads[filled], nodes, id) {
                 outcome = Err(e);
                 break;
             }
@@ -270,8 +331,14 @@ impl<'f> DumpReader<'f> {
     }
 }
 
-/// Decodes the read at `cur` into `read`, reusing its buffers.
-fn decode_read(cur: &mut Cursor<'_>, read: &mut ReadInput) -> Result<()> {
+/// Decodes the read at `cur`, read `id` of the dump, into `read`, reusing
+/// its buffers, and checks each seed against `nodes` when given.
+fn decode_read(
+    cur: &mut Cursor<'_>,
+    read: &mut ReadInput,
+    nodes: Option<&[u64]>,
+    id: u64,
+) -> Result<()> {
     let len = bounded(cur.read_u64()?, cur.remaining(), "read length")?;
     read.bases.clear();
     read.bases.extend_from_slice(cur.read_bytes(len)?);
@@ -288,59 +355,27 @@ fn decode_read(cur: &mut Cursor<'_>, read: &mut ReadInput) -> Result<()> {
             .ok_or_else(|| Error::Corrupt("seed handle encodes endmarker".into()))?;
         let offset = u32::try_from(cur.read_u64()?)
             .map_err(|_| Error::Corrupt("seed node offset overflows u32".into()))?;
+        if let Some(fault) = nodes.and_then(|nodes| off_graph(nodes, handle.node(), offset)) {
+            return Err(Error::Corrupt(format!(
+                "read {id}: seed at read offset {read_offset}: {fault}"
+            )));
+        }
         read.seeds.push(Seed::new(read_offset, GraphPos::new(handle, offset)));
     }
     Ok(())
 }
 
-/// Checks that every seed of `reads` lies on `graph`: on a node the graph
-/// has, at an offset inside that node. A seed off the graph would reach the
-/// distance index and the kernels unchecked. On failure returns the index in
-/// `reads` of the first read holding such a seed, and the
-/// [`Error::Corrupt`] naming it; `first_id` is the read id of `reads[0]`.
-///
-/// # Examples
-///
-/// ```
-/// use mg_core::dump::check_seeds;
-/// use mg_core::types::{ReadInput, Seed};
-/// use mg_graph::{Handle, NodeId, VariationGraph};
-/// use mg_index::GraphPos;
-///
-/// let mut graph = VariationGraph::new();
-/// let node = graph.add_node(b"ACGTACGT").unwrap();
-/// let read = |offset| ReadInput {
-///     bases: b"ACGT".to_vec(),
-///     seeds: vec![Seed::new(0, GraphPos::new(Handle::forward(node), offset))],
-/// };
-/// assert!(check_seeds(&graph, &[read(7)], 0).is_ok());
-/// assert!(check_seeds(&graph, &[read(8)], 0).is_err());
-/// let (at, _) = check_seeds(&graph, &[read(0), read(16)], 0).unwrap_err();
-/// assert_eq!(at, 1);
-/// ```
-pub fn check_seeds(
-    graph: &VariationGraph,
-    reads: &[ReadInput],
-    first_id: u64,
-) -> std::result::Result<(), (usize, Error)> {
-    for (i, read) in reads.iter().enumerate() {
-        for seed in &read.seeds {
-            let (node, offset) = (seed.pos.handle.node(), seed.pos.offset);
-            let fault = if !graph.has_node(node) {
-                format!("node {node} is not in the pangenome")
-            } else {
-                let len = graph.node_len(node);
-                if (offset as usize) < len {
-                    continue;
-                }
-                format!("offset {offset} is past the {len} bases of node {node}")
-            };
-            let id = first_id + i as u64;
-            let at = seed.read_offset;
-            return Err((i, Error::Corrupt(format!("read {id}: seed at read offset {at}: {fault}"))));
-        }
+/// Why a seed at `offset` on `node` lies off the pangenome whose sequence
+/// offsets are `nodes`, or `None` when it lies on it.
+#[inline]
+fn off_graph(nodes: &[u64], node: NodeId, offset: u32) -> Option<String> {
+    let i = usize::try_from(node.value()).unwrap_or(usize::MAX);
+    if i == 0 || i >= nodes.len() {
+        return Some(format!("node {node} is not in the pangenome"));
     }
-    Ok(())
+    let len = nodes[i] - nodes[i - 1];
+    (u64::from(offset) >= len)
+        .then(|| format!("offset {offset} is past the {len} bases of node {node}"))
 }
 
 /// `value` as a `usize` no larger than `limit`, or [`Error::Corrupt`].
@@ -356,7 +391,6 @@ fn bounded(value: u64, limit: usize, what: &str) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mg_graph::NodeId;
     use proptest::prelude::*;
 
     fn sample_dump(n: usize, workflow: Workflow) -> SeedDump {

@@ -21,7 +21,7 @@ use crate::extend::{
     extend_first, process_until_threshold_with_scratch, ExtendParams, ExtendScratch, FirstWalk,
     ProcessParams,
 };
-use crate::dump::{check_seeds, DumpReader};
+use crate::dump::DumpReader;
 use crate::types::{ReadInput, ReadResult, Seed};
 
 /// Reusable per-thread buffers for the two hot kernels.
@@ -554,8 +554,8 @@ impl<'a> Mapper<'a> {
     ///
     /// # Errors
     ///
-    /// A malformed read, or one with a seed off the pangenome
-    /// ([`check_seeds`]), stops the run after the
+    /// A malformed read, or one with a seed off the pangenome (the reader
+    /// decodes with [`DumpReader::next_chunk_on`]), stops the run after the
     /// reads before it were mapped and handed to `each`; its error is
     /// returned. An error from `each` stops the run at once and is returned.
     pub fn run_dump(
@@ -572,13 +572,9 @@ impl<'a> Mapper<'a> {
         let mut reads = Vec::new();
         let mut results = Vec::new();
         loop {
-            let mut decoded = reader.next_chunk(&mut reads, chunk);
             // A seed off the pangenome ends the run at its read, as a
             // malformed read does.
-            if let Err((stray, e)) = check_seeds(self.gbz.graph(), &reads, summary.reads) {
-                reads.truncate(stray);
-                decoded = Err(e);
-            }
+            let decoded = reader.next_chunk_on(self.gbz.graph(), &mut reads, chunk);
             if !reads.is_empty() {
                 let grain = chunk_grain_reads(reads.len(), options.threads, options.batch_size);
                 results.clear();

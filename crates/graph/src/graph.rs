@@ -138,6 +138,14 @@ impl VariationGraph {
         (node.value() as usize) <= self.node_count()
     }
 
+    /// The node boundaries in the sequence arena, `node_count + 1` of them
+    /// from 0: node `i` spans `[offsets[i - 1], offsets[i])`, so its length
+    /// is their difference. A plain slice, for checks that look up many
+    /// nodes in a row.
+    pub fn sequence_offsets(&self) -> &[u64] {
+        &self.seq_offsets
+    }
+
     /// Adds a node with the given forward sequence, returning its id.
     ///
     /// # Errors
@@ -255,16 +263,6 @@ impl VariationGraph {
             Orientation::Forward => &self.seq_data[range],
             Orientation::Reverse => &self.rc_seq_data[range],
         }
-    }
-
-    /// The base at `offset` along `handle`, without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist or `offset` is out of range.
-    #[inline]
-    pub fn base(&self, handle: Handle, offset: usize) -> u8 {
-        self.oriented_sequence(handle)[offset]
     }
 
     /// Handles reachable by one edge from `handle`, in sorted order.
@@ -511,10 +509,10 @@ mod tests {
         assert_eq!(g.sequence(Handle::forward(a)).as_ref(), b"ACG");
         assert_eq!(g.sequence(Handle::reverse(a)).as_ref(), b"CGT");
         for (i, &want) in b"ACG".iter().enumerate() {
-            assert_eq!(g.base(Handle::forward(a), i), want);
+            assert_eq!(g.oriented_sequence(Handle::forward(a))[i], want);
         }
         for (i, &want) in b"CGT".iter().enumerate() {
-            assert_eq!(g.base(Handle::reverse(a), i), want);
+            assert_eq!(g.oriented_sequence(Handle::reverse(a))[i], want);
         }
     }
 
@@ -788,7 +786,7 @@ mod tests {
                 for h in [Handle::forward(id), Handle::reverse(id)] {
                     let seq = g.sequence(h);
                     for (i, &b) in seq.iter().enumerate() {
-                        prop_assert_eq!(g.base(h, i), b);
+                        prop_assert_eq!(g.oriented_sequence(h)[i], b);
                     }
                 }
             }

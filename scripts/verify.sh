@@ -85,8 +85,9 @@ fi
 echo "== seeding oracle (extraction vs naive windows, table vs BTreeMap; release arithmetic wraps where debug panics) =="
 cargo test --release -q --test seeding
 
-echo "== decode oracle (seed-dump reader and varint vs a byte-at-a-time reference; hostile .mgz/.mgi/.bin files and cross-loading between them; an optimized build's arithmetic) =="
+echo "== decode oracle (seed-dump reader, its seed check and varint vs a byte-at-a-time reference; the container checksum vs pinned values and every bit flip; hostile .mgz/.mgi/.bin files and cross-loading between them; an optimized build's arithmetic) =="
 cargo test --release -q --test dump_decode --test corrupt_inputs --test formats
+cargo test --release -q -p mg-support --lib checksum
 
 echo "== unsafe audit (unsafe only in the container, its Pod impls and the worker pool; files truncated on disk after open stay readable, in an optimized build) =="
 # The benchmark harness is a separate package outside this audit: its

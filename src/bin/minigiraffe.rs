@@ -18,7 +18,6 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use minigiraffe::core::dump::check_seeds;
 use minigiraffe::core::{DumpReader, Mapper, MappingOptions, ReadResult, SeedDump};
 use minigiraffe::gbwt::Gbz;
 use minigiraffe::obs::Metrics;
@@ -227,22 +226,41 @@ fn minimizer_params_from_flags(
     Ok(minigiraffe::index::MinimizerParams { k, w })
 }
 
-/// The message for a `.mgz` or `.bin` that failed to load. A file that
-/// opens with `MGZ\0` was written in the stream container both formats
-/// used before they moved onto the `.mgi` section table, and one with an
-/// older container version by an older build; no reader for either
+/// Whether a file that failed to load was written by an older build. A file
+/// that opens with `MGZ\0` was written in the stream container `.mgz` and
+/// `.bin` used before they moved onto the `.mgi` section table, and one with
+/// an older container version by an older build; no reader for either
 /// remains, so the message says how to replace the file.
-fn load_error(path: &str, e: minigiraffe::support::Error) -> String {
+fn written_by_an_older_build(path: &str, e: &minigiraffe::support::Error) -> bool {
     use std::io::Read;
     let mut magic = [0u8; 4];
-    let retired = (std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut magic)).is_ok()
+    (std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut magic)).is_ok()
         && &magic == b"MGZ\0")
-        || matches!(e, minigiraffe::support::Error::UnsupportedVersion(_));
-    if retired {
+        || matches!(e, minigiraffe::support::Error::UnsupportedVersion(_))
+}
+
+/// The message for a `.mgz` that failed to load.
+fn load_error(path: &str, e: minigiraffe::support::Error) -> String {
+    if written_by_an_older_build(path, &e) {
         format!(
             "loading {path}: written in the container layout of an older build, which this \
              build no longer reads; regenerate it with `minigiraffe generate`, then rebuild \
              any .mgi from the new .mgz with `minigiraffe build-mgi`"
+        )
+    } else {
+        format!("loading {path}: {e}")
+    }
+}
+
+/// The message for a `.bin` seed dump that failed to load: an old one is
+/// regenerated with its pangenome or captured again from the parent.
+fn dump_error(path: &str, e: minigiraffe::support::Error) -> String {
+    if written_by_an_older_build(path, &e) {
+        format!(
+            "loading {path}: written in the container layout of an older build, which this \
+             build no longer reads; regenerate it with `minigiraffe generate` (then rebuild \
+             any .mgi from the new .mgz with `minigiraffe build-mgi`), or capture it again \
+             with `minigiraffe parent <reads.fastq> <pangenome.mgz> --dump {path}`"
         )
     } else {
         format!("loading {path}: {e}")
@@ -541,10 +559,14 @@ fn load_inputs(positional: &[String]) -> Result<(SeedDump, Gbz), String> {
     let [dump_path, gbz_path] = positional else {
         return Err("expected <seeds.bin> <pangenome.mgz>".into());
     };
-    let dump = SeedDump::load(dump_path).map_err(|e| load_error(dump_path, e))?;
+    let file = open_dump(dump_path)?;
     let gbz = Gbz::load(gbz_path).map_err(|e| load_error(gbz_path, e))?;
-    check_seeds(gbz.graph(), &dump.reads, 0).map_err(|(_, e)| load_error(dump_path, e))?;
-    Ok((dump, gbz))
+    let mut reader = DumpReader::new(&file).map_err(|e| dump_error(dump_path, e))?;
+    let mut reads = Vec::with_capacity(reader.read_count());
+    reader
+        .next_chunk_on(gbz.graph(), &mut reads, usize::MAX)
+        .map_err(|e| dump_error(dump_path, e))?;
+    Ok((SeedDump::new(reader.workflow(), reads), gbz))
 }
 
 fn options_from_flags(
@@ -589,7 +611,7 @@ fn push_rows(out: &mut Vec<u8>, results: &[ReadResult]) {
 
 /// Opens a `.bin` seed dump, checking every section before any is read.
 fn open_dump(path: &str) -> Result<MgiFile, String> {
-    MgiFile::open(std::path::Path::new(path)).map_err(|e| load_error(path, e))
+    MgiFile::open(std::path::Path::new(path)).map_err(|e| dump_error(path, e))
 }
 
 fn cmd_map(args: &[String], out: &mut Out) -> Result<(), String> {
@@ -608,7 +630,7 @@ fn cmd_map(args: &[String], out: &mut Out) -> Result<(), String> {
         _ => return Err("expected <seeds.bin> <pangenome.mgz | --mgi index.mgi>".into()),
     };
     let dump = open_dump(dump_path)?;
-    let mut reader = DumpReader::new(&dump).map_err(|e| load_error(dump_path, e))?;
+    let mut reader = DumpReader::new(&dump).map_err(|e| dump_error(dump_path, e))?;
     let bundle = load_bundle(gbz_path, &flags)?;
     let options = options_from_flags(&flags)?;
     eprintln!(
@@ -686,7 +708,7 @@ fn cmd_validate(args: &[String], out: &mut Out) -> Result<(), String> {
         return Err("expected <seeds.bin> <pangenome.mgz> <expected.csv>".into());
     };
     let dump = open_dump(dump_path)?;
-    let mut reader = DumpReader::new(&dump).map_err(|e| load_error(dump_path, e))?;
+    let mut reader = DumpReader::new(&dump).map_err(|e| dump_error(dump_path, e))?;
     let gbz = Gbz::load(gbz_path).map_err(|e| load_error(gbz_path, e))?;
     let options = options_from_flags(&flags)?;
     let mut produced = CSV_HEADER.to_vec();
@@ -804,11 +826,11 @@ fn cmd_info(args: &[String], out: &mut Out) -> Result<(), String> {
     } else {
         // Counted a chunk at a time: memory is the file and one chunk.
         let dump = open_dump(path)?;
-        let mut reader = DumpReader::new(&dump).map_err(|e| load_error(path, e))?;
+        let mut reader = DumpReader::new(&dump).map_err(|e| dump_error(path, e))?;
         let (mut bases, mut seeds) = (0usize, 0usize);
         let mut chunk = Vec::new();
         loop {
-            reader.next_chunk(&mut chunk, INFO_CHUNK_READS).map_err(|e| load_error(path, e))?;
+            reader.next_chunk(&mut chunk, INFO_CHUNK_READS).map_err(|e| dump_error(path, e))?;
             if chunk.is_empty() {
                 break;
             }

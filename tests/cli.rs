@@ -547,6 +547,66 @@ fn version_2_files_are_refused_with_a_rebuild_hint() {
 }
 
 #[test]
+fn version_3_files_are_refused_with_a_rebuild_hint() {
+    // Version 3 is the version-4 layout summed with FNV-1a: every file
+    // kind of that version is refused by the library as such and by the
+    // CLI with the command that replaces it.
+    use minigiraffe::support::Error;
+
+    let dir = TempDir::new("v3");
+    let (ok, _, stderr) = run(&["generate", "--input-set", "tiny", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    let (ok, _, stderr) =
+        run(&["build-mgi", &dir.path("tiny.mgz"), "--out", &dir.path("tiny.mgi")]);
+    assert!(ok, "build-mgi failed: {stderr}");
+    for name in ["tiny.mgi", "tiny.mgz", "tiny.bin"] {
+        let mut image = std::fs::read(dir.path(name)).unwrap();
+        image[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let old = dir.path(&format!("v3-{name}"));
+        std::fs::write(&old, image).unwrap();
+        let opened = minigiraffe::support::mgi::MgiFile::open(std::path::Path::new(&old));
+        assert!(matches!(opened, Err(Error::UnsupportedVersion(3))), "{name}: {opened:?}");
+    }
+    let (fastq, mgz, gaf) = (dir.path("tiny.fastq"), dir.path("tiny.mgz"), dir.path("out.gaf"));
+    let (old_mgi, old_mgz, old_bin) =
+        (dir.path("v3-tiny.mgi"), dir.path("v3-tiny.mgz"), dir.path("v3-tiny.bin"));
+    let (csv, mgi) = (dir.path("out.csv"), dir.path("rebuilt.mgi"));
+    let (ok, _, stderr) = run(&["parent", &fastq, "--mgi", &old_mgi, "--gaf", &gaf]);
+    assert!(!ok, "a version-3 .mgi must be refused");
+    assert!(stderr.contains("version 3") && stderr.contains("build-mgi"), "got: {stderr}");
+    for args in [
+        vec!["parent", &fastq, &old_mgz, "--gaf", &gaf],
+        vec!["build-mgi", &old_mgz, "--out", &mgi],
+        vec!["info", &old_mgz],
+    ] {
+        let (ok, _, stderr) = run(&args);
+        assert!(!ok, "{args:?} accepted a version-3 .mgz");
+        assert!(
+            stderr.contains(&old_mgz) && stderr.contains("minigiraffe generate"),
+            "{args:?} got: {stderr}"
+        );
+    }
+    for args in [
+        vec!["map", &old_bin, &mgz, "--out", &csv],
+        vec!["validate", &old_bin, &mgz, &csv],
+        vec!["tune", &old_bin, &mgz, "--threads", "1", "--repeats", "1"],
+        vec!["info", &old_bin],
+    ] {
+        let (ok, _, stderr) = run(&args);
+        assert!(!ok, "{args:?} accepted a version-3 .bin");
+        assert!(
+            stderr.contains(&old_bin)
+                && stderr.contains("minigiraffe generate")
+                && stderr.contains("--dump"),
+            "{args:?} got: {stderr}"
+        );
+    }
+    for out in [gaf, mgi, csv] {
+        assert!(!std::path::Path::new(&out).exists(), "{out} may not be written");
+    }
+}
+
+#[test]
 fn build_mgi_from_a_saved_mgz_equals_the_in_memory_build() {
     // Loading a `.mgz` loses nothing: the index `build-mgi` writes from the
     // saved file is byte for byte the one built from the generator's

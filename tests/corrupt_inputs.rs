@@ -20,7 +20,7 @@ use minigiraffe::graph::{Handle, NodeId};
 use minigiraffe::index::{DistanceIndex, GraphPos};
 use minigiraffe::parent::{run_to_gaf, Parent, ParentOptions};
 use minigiraffe::support::mgi::{
-    fnv1a, MgiFile, MgiWriter, TAG_CHAIN_STARTS, TAG_DIST_NODES, TAG_MIN_ENTRIES,
+    checksum, MgiFile, MgiWriter, TAG_CHAIN_STARTS, TAG_DIST_NODES, TAG_MIN_ENTRIES,
 };
 use minigiraffe::support::Error;
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
@@ -145,7 +145,7 @@ fn stamp_section_length(image: &[u8], frac: f64, huge: u64) -> (Vec<u8>, Vec<u8>
     let len_at = 48 + 32 * at(count, frac) + 16;
     stamped[len_at..len_at + 8].copy_from_slice(&huge.to_le_bytes());
     let mut resummed = stamped.clone();
-    let table_sum = fnv1a(&resummed[48..48 + 32 * count]);
+    let table_sum = checksum(&resummed[48..48 + 32 * count]);
     resummed[40..48].copy_from_slice(&table_sum.to_le_bytes());
     (stamped, resummed)
 }

@@ -12,9 +12,9 @@
 
 use minigiraffe::core::dump::{DumpReader, SeedDump};
 use minigiraffe::core::types::{ReadInput, Seed, Workflow};
-use minigiraffe::graph::{Handle, NodeId};
+use minigiraffe::graph::{Handle, NodeId, VariationGraph};
 use minigiraffe::index::GraphPos;
-use minigiraffe::support::mgi::{MgiFile, TAG_DUMP_READS};
+use minigiraffe::support::mgi::{checksum, MgiFile, TAG_DUMP_READS};
 use minigiraffe::support::varint::{self, Cursor};
 use minigiraffe::support::Error;
 use proptest::prelude::*;
@@ -87,7 +87,7 @@ impl<'a> Naive<'a> {
 
     /// One 32-byte section-table entry with the expected tag, whose
     /// payload must sit at `offset` in `image`: `[tag u32][0 u32]
-    /// [offset u64][len u64][fnv1a u64]`. Returns the payload and the
+    /// [offset u64][len u64][sum u64]`. Returns the payload and the
     /// offset where the next payload must start.
     fn entry(&mut self, image: &'a [u8], tag: u32, offset: usize) -> Option<(&'a [u8], usize)> {
         if self.le_u32()? != tag || self.le_u32()? != 0 || self.le_u64()? != offset as u64 {
@@ -95,16 +95,36 @@ impl<'a> Naive<'a> {
         }
         let len = usize::try_from(self.le_u64()?).ok()?;
         let payload = image.get(offset..offset.checked_add(len)?)?;
-        (self.le_u64()? == fnv1a(payload)).then_some((payload, align64(offset + len)))
+        (self.le_u64()? == reference_sum(payload)).then_some((payload, align64(offset + len)))
     }
 }
 
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in data {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x100000001b3);
+/// The container checksum of format version 4, written out a word at a
+/// time: word `i` (eight bytes, little-endian) steps lane `i % 4`, the last
+/// 0–7 bytes are one zero-padded tail word, and the sum starts from the
+/// length and steps through the four lanes and then the tail word.
+fn reference_sum(data: &[u8]) -> u64 {
+    fn step(state: u64, word: u64) -> u64 {
+        (state ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31)
     }
-    hash
+    let word_at = |at: usize, len: usize| {
+        (0..len).fold(0u64, |word, b| word | u64::from(data[at + b]) << (8 * b))
+    };
+    let mut lanes = [
+        0x243f_6a88_85a3_08d3u64,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    let words = data.len() / 8;
+    for i in 0..words {
+        lanes[i % 4] = step(lanes[i % 4], word_at(8 * i, 8));
+    }
+    let mut sum = data.len() as u64;
+    for lane in lanes {
+        sum = step(sum, lane);
+    }
+    step(sum, word_at(8 * words, data.len() % 8))
 }
 
 fn align64(n: usize) -> usize {
@@ -113,11 +133,11 @@ fn align64(n: usize) -> usize {
 
 /// The reference dump decoder; `None` for anything it cannot parse.
 fn naive_decode(image: &[u8]) -> Option<SeedDump> {
-    // Preamble (48 bytes): magic, version 3, endianness marker, file
+    // Preamble (48 bytes): magic, version 4, endianness marker, file
     // length, section count 2, reserved, table offset 48, table checksum.
     let mut file = Naive { data: image, pos: 0 };
     if file.bytes(8)? != b"MGIDX\0\0\0"
-        || file.le_u32()? != 3
+        || file.le_u32()? != 4
         || file.le_u32()? != 0x0102_0304
         || file.le_u64()? != image.len() as u64
         || file.le_u32()? != 2
@@ -128,7 +148,7 @@ fn naive_decode(image: &[u8]) -> Option<SeedDump> {
     }
     let table_sum = file.le_u64()?;
     let mut table = Naive { data: file.bytes(64)?, pos: 0 };
-    if fnv1a(table.data) != table_sum {
+    if reference_sum(table.data) != table_sum {
         return None;
     }
     // Payloads follow the table, each 64-byte aligned, zero padded.
@@ -238,6 +258,15 @@ const CHUNK_SIZES: [usize; 4] = [1, 2, 7, usize::MAX];
 /// it ended: the workflow after the last chunk, or the first error. Checks
 /// on the way that every chunk but the last is full.
 fn drain(image: &[u8], max: usize) -> (Vec<ReadInput>, Result<Workflow, String>) {
+    drain_on(None, image, max)
+}
+
+/// [`drain`], decoding with `next_chunk_on(graph)` when a graph is given.
+fn drain_on(
+    graph: Option<&VariationGraph>,
+    image: &[u8],
+    max: usize,
+) -> (Vec<ReadInput>, Result<Workflow, String>) {
     let file = match MgiFile::open_bytes(image.to_vec()) {
         Ok(file) => file,
         Err(e) => return (Vec::new(), Err(format!("{e:?}"))),
@@ -249,7 +278,10 @@ fn drain(image: &[u8], max: usize) -> (Vec<ReadInput>, Result<Workflow, String>)
     let (mut all, mut chunk) = (Vec::new(), Vec::new());
     let mut short = false;
     loop {
-        let outcome = reader.next_chunk(&mut chunk, max);
+        let outcome = match graph {
+            Some(graph) => reader.next_chunk_on(graph, &mut chunk, max),
+            None => reader.next_chunk(&mut chunk, max),
+        };
         assert!(chunk.len() <= max);
         all.extend_from_slice(&chunk);
         if let Err(e) = outcome {
@@ -341,6 +373,57 @@ fn chunk_reader_fails_at_the_same_read_with_the_same_error() {
                 assert_eq!(reads, good[..at], "{what} at chunk size {max}");
             }
         }
+    }
+}
+
+/// Decoding against a pangenome checks every seed as it is written: a read
+/// whose seed lies off the graph fails at every chunk size with the reads
+/// before it yielded, exactly where the unchecked decode would have gone on.
+#[test]
+fn chunk_reader_on_a_graph_stops_at_the_first_seed_off_it() {
+    let mut graph = VariationGraph::new();
+    for len in [3, 8, 1] {
+        graph.add_node(&b"ACGTACGT"[..len]).unwrap();
+    }
+    let seed = |node, offset| {
+        Seed::new(0, GraphPos::new(Handle::reverse(NodeId::new(node)), offset))
+    };
+    // The last base of every node, then each way off the graph.
+    let on = [seed(1, 2), seed(2, 7), seed(3, 0)];
+    let read = |seeds: &[Seed]| ReadInput { bases: b"ACGT".to_vec(), seeds: seeds.to_vec() };
+    for (bad, fault) in [
+        (seed(1, 3), "offset 3 is past the 3 bases of node 1"),
+        (seed(2, 8), "offset 8 is past the 8 bases of node 2"),
+        (seed(3, u32::MAX), "offset 4294967295 is past the 1 bases of node 3"),
+        (seed(4, 0), "node 4 is not in the pangenome"),
+        (seed(1 << 40, 0), "node 1099511627776 is not in the pangenome"),
+    ] {
+        for at in [0, 3, 6] {
+            let mut reads = vec![read(&on); 9];
+            reads[at] = read(&[on[0], bad]);
+            let image = SeedDump::new(Workflow::Single, reads.clone()).to_bytes().unwrap();
+            let message = format!("Corrupt(\"read {at}: seed at read offset 0: {fault}\")");
+            for max in CHUNK_SIZES {
+                let (yielded, end) = drain_on(Some(&graph), &image, max);
+                assert_eq!(end, Err(message.clone()), "chunk size {max}");
+                assert_eq!(yielded, reads[..at], "{fault} at read {at}, chunk size {max}");
+                assert_eq!(drain(&image, max), (reads.clone(), Ok(Workflow::Single)));
+            }
+        }
+    }
+    let image = SeedDump::new(Workflow::Paired, vec![read(&on); 5]).to_bytes().unwrap();
+    for max in CHUNK_SIZES {
+        assert_eq!(drain_on(Some(&graph), &image, max), drain(&image, max));
+    }
+}
+
+/// The oracle's checksum is the container's, across every lane and tail
+/// boundary.
+#[test]
+fn reference_sum_equals_the_container_checksum() {
+    let data: Vec<u8> = (0..300u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8).collect();
+    for len in 0..=data.len() {
+        assert_eq!(reference_sum(&data[..len]), checksum(&data[..len]), "length {len}");
     }
 }
 
