@@ -9,8 +9,9 @@
 //! A `.bin` file is an [`mg_support::mgi`] container with two sections:
 //! [`TAG_DUMP_META`] (workflow flag and read count) and [`TAG_DUMP_READS`]
 //! (each read's bases and delta-encoded seeds), both varint streams.
-//! [`DumpReader`] decodes a validated container a chunk of reads at a time
-//! straight out of its buffer; [`SeedDump::load`] drains it into one dump.
+//! [`DumpReader`] reads the reads section whole, its sum verified, and
+//! decodes it a chunk of reads at a time; [`SeedDump::load`] drains it into
+//! one dump.
 //! A dump does not name its pangenome, so decoding alone cannot tell whether
 //! a seed lies on it; [`DumpReader::next_chunk_on`] decodes against one and
 //! checks each seed as it writes it, where the reads first meet the graph.
@@ -73,18 +74,14 @@ impl SeedDump {
     }
 
     /// Keeps the first `fraction` of reads (the paper's autotuning
-    /// subsampling uses the first 10%). Paired dumps keep whole pairs.
+    /// subsampling uses the first 10%), as many as
+    /// [`DumpReader::subsample_len`] says.
     ///
     /// # Panics
     ///
     /// Panics unless `0.0 < fraction <= 1.0`.
     pub fn subsample(&self, fraction: f64) -> SeedDump {
-        assert!(fraction > 0.0 && fraction <= 1.0, "fraction must be in (0, 1]");
-        let mut count = ((self.reads.len() as f64) * fraction).round() as usize;
-        count = count.clamp(1.min(self.reads.len()), self.reads.len());
-        if self.workflow == Workflow::Paired {
-            count = count.next_multiple_of(2).min(self.reads.len());
-        }
+        let count = subsample_len(self.reads.len(), self.workflow, fraction);
         SeedDump {
             workflow: self.workflow,
             reads: self.reads[..count].to_vec(),
@@ -130,12 +127,12 @@ impl SeedDump {
     ///
     /// Returns container and codec errors on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Self::from_mgi(&MgiFile::open_bytes(bytes.to_vec())?)
+        Self::from_mgi(&mut MgiFile::open_bytes(bytes.to_vec())?)
     }
 
-    /// Decodes a validated container whole: its [`DumpReader`] drained
-    /// into one `Vec`.
-    fn from_mgi(f: &MgiFile) -> Result<Self> {
+    /// Decodes a container whole: its [`DumpReader`] drained into one
+    /// `Vec`.
+    fn from_mgi(f: &mut MgiFile) -> Result<Self> {
         let mut reader = DumpReader::new(f)?;
         let mut reads = Vec::with_capacity(reader.read_count());
         reader.next_chunk(&mut reads, usize::MAX)?;
@@ -157,13 +154,14 @@ impl SeedDump {
     ///
     /// Returns filesystem and format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        Self::from_mgi(&MgiFile::open(path.as_ref())?)
+        Self::from_mgi(&mut MgiFile::open(path.as_ref())?)
     }
 }
 
-/// The seed-dump decoder: reads a validated `.bin` container's reads a
-/// chunk at a time, borrowing its sections, so a caller that maps and
-/// drops each chunk holds the file and one chunk, never the decoded dump.
+/// The seed-dump decoder: holds a `.bin` container's reads section, read
+/// whole and its sum verified, and decodes it a chunk of reads at a time,
+/// so a caller that maps and drops each chunk holds the section and one
+/// chunk, never the decoded dump.
 ///
 /// Every count and length is untrusted even under a valid checksum: each
 /// is bounded by the payload bytes left before anything is reserved for it
@@ -180,8 +178,8 @@ impl SeedDump {
 /// # fn main() -> mg_support::Result<()> {
 /// let read = |b: &[u8]| ReadInput { bases: b.to_vec(), seeds: Vec::new() };
 /// let dump = SeedDump::new(Workflow::Single, vec![read(b"AC"), read(b"GT"), read(b"A")]);
-/// let file = MgiFile::open_bytes(dump.to_bytes()?)?;
-/// let mut reader = DumpReader::new(&file)?;
+/// let mut file = MgiFile::open_bytes(dump.to_bytes()?)?;
+/// let mut reader = DumpReader::new(&mut file)?;
 /// let mut chunk = Vec::new();
 /// reader.next_chunk(&mut chunk, 2)?;
 /// assert_eq!(chunk, dump.reads[..2]);
@@ -193,34 +191,39 @@ impl SeedDump {
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct DumpReader<'f> {
+pub struct DumpReader {
     workflow: Workflow,
     read_count: usize,
     /// Reads not yet decoded.
     left: usize,
-    cur: Cursor<'f>,
+    /// The reads section.
+    payload: Vec<u8>,
+    /// Bytes of `payload` decoded so far.
+    pos: usize,
 }
 
-impl<'f> DumpReader<'f> {
-    /// Reads the metadata of a validated dump container and checks its
-    /// read count against the payload.
+impl DumpReader {
+    /// Reads the two sections of a dump container, each checked against
+    /// its sum, and checks the read count against the payload.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::BadTag`] for a container that is not a dump, and
-    /// codec or [`Error::Corrupt`] errors for malformed metadata.
-    pub fn new(f: &'f MgiFile) -> Result<Self> {
+    /// Returns [`Error::BadTag`] for a container that is not a dump,
+    /// container errors for a section that does not check out, and codec
+    /// or [`Error::Corrupt`] errors for malformed metadata.
+    pub fn new(f: &mut MgiFile) -> Result<Self> {
         f.expect_only(&[TAG_DUMP_META, TAG_DUMP_READS])?;
-        let mut meta = Cursor::new(f.section(TAG_DUMP_META)?);
+        let meta = f.section(TAG_DUMP_META)?;
+        let mut meta = Cursor::new(&meta);
         let workflow = if meta.read_u64()? != 0 {
             Workflow::Paired
         } else {
             Workflow::Single
         };
         let read_count = meta.read_u64()?;
-        let cur = Cursor::new(f.section(TAG_DUMP_READS)?);
-        let read_count = bounded(read_count, cur.remaining() / 2, "read count")?;
-        Ok(DumpReader { workflow, read_count, left: read_count, cur })
+        let payload = f.section(TAG_DUMP_READS)?;
+        let read_count = bounded(read_count, payload.len() / 2, "read count")?;
+        Ok(DumpReader { workflow, read_count, left: read_count, payload, pos: 0 })
     }
 
     /// Single- or paired-end, as the dump records it.
@@ -231,6 +234,16 @@ impl<'f> DumpReader<'f> {
     /// Reads in the dump, decoded or not.
     pub fn read_count(&self) -> usize {
         self.read_count
+    }
+
+    /// How many leading reads [`SeedDump::subsample`] would keep of this
+    /// dump: decode that many first to hold only the subsample.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0.0 < fraction <= 1.0`.
+    pub fn subsample_len(&self, fraction: f64) -> usize {
+        subsample_len(self.read_count, self.workflow, fraction)
     }
 
     /// Decodes the next `max` reads (fewer at the end) into `reads`, which
@@ -275,12 +288,12 @@ impl<'f> DumpReader<'f> {
     ///     bases: b"ACGT".to_vec(),
     ///     seeds: vec![Seed::new(0, GraphPos::new(Handle::forward(node), offset))],
     /// };
-    /// let file = MgiFile::open_bytes(SeedDump::new(Workflow::Single, vec![read(7)]).to_bytes()?)?;
+    /// let mut file = MgiFile::open_bytes(SeedDump::new(Workflow::Single, vec![read(7)]).to_bytes()?)?;
     /// let mut chunk = Vec::new();
-    /// assert!(DumpReader::new(&file)?.next_chunk_on(&graph, &mut chunk, 8).is_ok());
+    /// assert!(DumpReader::new(&mut file)?.next_chunk_on(&graph, &mut chunk, 8).is_ok());
     /// let dump = SeedDump::new(Workflow::Single, vec![read(0), read(8), read(16)]);
-    /// let file = MgiFile::open_bytes(dump.to_bytes()?)?;
-    /// let err = DumpReader::new(&file)?.next_chunk_on(&graph, &mut chunk, 8).unwrap_err();
+    /// let mut file = MgiFile::open_bytes(dump.to_bytes()?)?;
+    /// let err = DumpReader::new(&mut file)?.next_chunk_on(&graph, &mut chunk, 8).unwrap_err();
     /// assert!(err.to_string().contains("read 1: seed at read offset 0: offset 8 is past"));
     /// assert_eq!(chunk, dump.reads[..1]);
     /// # Ok(())
@@ -305,6 +318,7 @@ impl<'f> DumpReader<'f> {
     ) -> Result<()> {
         let take = max.min(self.left);
         let first_id = (self.read_count - self.left) as u64;
+        let mut cur = Cursor::new(&self.payload[self.pos..]);
         let mut filled = 0;
         let mut outcome = Ok(());
         while filled < take {
@@ -312,7 +326,7 @@ impl<'f> DumpReader<'f> {
                 reads.push(ReadInput::default());
             }
             let id = first_id + filled as u64;
-            if let Err(e) = decode_read(&mut self.cur, &mut reads[filled], nodes, id) {
+            if let Err(e) = decode_read(&mut cur, &mut reads[filled], nodes, id) {
                 outcome = Err(e);
                 break;
             }
@@ -320,12 +334,14 @@ impl<'f> DumpReader<'f> {
         }
         reads.truncate(filled);
         self.left -= filled;
-        if outcome.is_ok() && self.left == 0 && !self.cur.is_at_end() {
+        if outcome.is_ok() && self.left == 0 && !cur.is_at_end() {
             outcome = Err(Error::Corrupt("trailing bytes after reads".into()));
         }
+        self.pos += cur.position();
         if outcome.is_err() {
             self.left = 0;
-            self.cur = Cursor::new(&[]);
+            self.payload = Vec::new();
+            self.pos = 0;
         }
         outcome
     }
@@ -376,6 +392,22 @@ fn off_graph(nodes: &[u64], node: NodeId, offset: u32) -> Option<String> {
     let len = nodes[i] - nodes[i - 1];
     (u64::from(offset) >= len)
         .then(|| format!("offset {offset} is past the {len} bases of node {node}"))
+}
+
+/// How many leading reads of `len` a subsample of `fraction` keeps: the
+/// rounded share, at least one read of a nonempty dump, and whole pairs of
+/// a paired one.
+///
+/// # Panics
+///
+/// Panics unless `0.0 < fraction <= 1.0`.
+fn subsample_len(len: usize, workflow: Workflow, fraction: f64) -> usize {
+    assert!(fraction > 0.0 && fraction <= 1.0, "fraction must be in (0, 1]");
+    let count = ((len as f64 * fraction).round() as usize).clamp(1.min(len), len);
+    match workflow {
+        Workflow::Paired => count.next_multiple_of(2).min(len),
+        Workflow::Single => count,
+    }
 }
 
 /// `value` as a `usize` no larger than `limit`, or [`Error::Corrupt`].
@@ -432,6 +464,23 @@ mod tests {
         let dump = sample_dump(8, Workflow::Single);
         assert_eq!(dump.total_seeds(), dump.reads.iter().map(|r| r.seeds.len()).sum());
         assert_eq!(dump.total_bases(), dump.reads.iter().map(|r| r.bases.len()).sum());
+    }
+
+    #[test]
+    fn decoding_the_subsample_prefix_equals_subsample() {
+        for workflow in [Workflow::Single, Workflow::Paired] {
+            for len in [0, 1, 2, 10] {
+                let dump = sample_dump(len, workflow);
+                for fraction in [0.11, 0.0001, 0.5, 1.0] {
+                    let mut file = MgiFile::open_bytes(dump.to_bytes().unwrap()).unwrap();
+                    let mut reader = DumpReader::new(&mut file).unwrap();
+                    let mut prefix = Vec::new();
+                    reader.next_chunk(&mut prefix, reader.subsample_len(fraction)).unwrap();
+                    let at = format!("{workflow} dump of {len}, fraction {fraction}");
+                    assert_eq!(prefix, dump.subsample(fraction).reads, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

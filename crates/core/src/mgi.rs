@@ -1,4 +1,4 @@
-//! The `.mgi` bundle: every index miniGiraffe needs, in one mappable file.
+//! The `.mgi` bundle: every index miniGiraffe needs, in one file.
 //!
 //! A `.mgz` pangenome holds only the graph and the GBWT, so the minimizer
 //! and distance indexes are rebuilt from scratch on every run that starts
@@ -6,15 +6,14 @@
 //! structures — the forward sequence arena, CSR adjacency, flat minimizer
 //! table, distance / chain index, and the compressed GBWT — into one
 //! [`mg_support::mgi`] container: the `.mgz`'s ten sections plus the
-//! minimizer and distance sections. Opening it is one read into an aligned
-//! buffer + bounds/checksum validation plus one pass that derives the
-//! graph's reverse-complement arena: no per-element decoding and no index
-//! rebuilds.
+//! minimizer and distance sections. Opening it streams each section once
+//! into the array it becomes, summing it on the way, then checks the
+//! structural invariants and derives the graph's reverse-complement arena
+//! in one pass: no index is rebuilt.
 //!
-//! The owned and mapped paths produce interchangeable values: every
-//! component type is backed by [`mg_support::mgi::Storage`], so a bundle
-//! loaded from disk compares equal to (and maps byte-identically with)
-//! the same bundle built in memory.
+//! Every component owns plain `Vec`s whether it was built or loaded, so a
+//! bundle loaded from disk compares equal to (and writes byte-identically
+//! with) the same bundle built in memory.
 //!
 //! # Examples
 //!
@@ -32,8 +31,8 @@
 //! let gbz = Gbz::from_pangenome(p)?;
 //! let bundle = MgiBundle::build(gbz, MinimizerParams { k: 5, w: 3 })?;
 //! let image = bundle.to_bytes();
-//! let mapped = MgiBundle::open_bytes(image)?;
-//! assert_eq!(&bundle, &mapped);
+//! let loaded = MgiBundle::open_bytes(image)?;
+//! assert_eq!(&bundle, &loaded);
 //! # Ok(())
 //! # }
 //! ```
@@ -134,12 +133,6 @@ impl MgiBundle {
         (self.gbz, self.minimizer, self.distance)
     }
 
-    /// True when the components borrow a mapped `.mgi` file rather than
-    /// owning heap copies.
-    pub fn is_mapped(&self) -> bool {
-        self.minimizer.is_mapped() || self.gbz.gbwt().is_mapped()
-    }
-
     /// Appends every component to a `.mgi` writer.
     pub fn write_mgi(&self, w: &mut MgiWriter) {
         self.gbz.write_mgi(w);
@@ -165,13 +158,13 @@ impl MgiBundle {
         w.write_to(path.as_ref())
     }
 
-    /// Borrows every component out of a validated `.mgi` container.
+    /// Loads every component from a `.mgi` container.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corrupt`] for any structural inconsistency; a
     /// bundle that loads successfully cannot make a later query panic.
-    pub fn from_mgi(f: &MgiFile) -> Result<Self> {
+    pub fn from_mgi(f: &mut MgiFile) -> Result<Self> {
         let gbz = Gbz::from_mgi(f)?;
         let minimizer = MinimizerIndex::from_mgi(f)?;
         let distance = DistanceIndex::from_mgi(f)?;
@@ -194,15 +187,15 @@ impl MgiBundle {
         })
     }
 
-    /// Maps a `.mgi` file and validates layout, checksums, and structural
-    /// invariants. Zero per-element decoding: the arenas are borrowed
-    /// straight from the mapping.
+    /// Reads a `.mgi` file and validates layout, checksums, and structural
+    /// invariants. Each section is streamed into its array once; nothing is
+    /// rebuilt.
     ///
     /// # Errors
     ///
     /// Returns IO errors and [`Error::Corrupt`] for malformed files.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Self::from_mgi(&MgiFile::open(path.as_ref())?)
+        Self::from_file(MgiFile::open(path.as_ref())?)
     }
 
     /// Opens an in-memory `.mgi` image (checksums verified).
@@ -211,7 +204,14 @@ impl MgiBundle {
     ///
     /// Returns [`Error::Corrupt`] for malformed images.
     pub fn open_bytes(bytes: Vec<u8>) -> Result<Self> {
-        Self::from_mgi(&MgiFile::open_bytes(bytes)?)
+        Self::from_file(MgiFile::open_bytes(bytes)?)
+    }
+
+    /// The bundle in `f`, once every section of it has been checked.
+    fn from_file(mut f: MgiFile) -> Result<Self> {
+        let bundle = Self::from_mgi(&mut f)?;
+        f.finish()?;
+        Ok(bundle)
     }
 }
 
@@ -234,12 +234,10 @@ mod tests {
     #[test]
     fn bytes_roundtrip_preserves_everything() {
         let bundle = sample_bundle();
-        assert!(!bundle.is_mapped());
-        let mapped = MgiBundle::open_bytes(bundle.to_bytes()).unwrap();
-        assert!(mapped.is_mapped());
-        assert_eq!(bundle, mapped);
-        // A re-serialization of the mapped bundle is byte-identical.
-        assert_eq!(bundle.to_bytes(), mapped.to_bytes());
+        let loaded = MgiBundle::open_bytes(bundle.to_bytes()).unwrap();
+        assert_eq!(bundle, loaded);
+        // A re-serialization of the loaded bundle is byte-identical.
+        assert_eq!(bundle.to_bytes(), loaded.to_bytes());
     }
 
     #[test]
@@ -249,8 +247,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.mgi");
         bundle.save(&path).unwrap();
-        let mapped = MgiBundle::open(&path).unwrap();
-        assert_eq!(bundle, mapped);
+        let loaded = MgiBundle::open(&path).unwrap();
+        assert_eq!(bundle, loaded);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

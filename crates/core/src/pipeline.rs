@@ -238,8 +238,8 @@ impl<'a> Mapper<'a> {
     }
 
     /// Assembles a mapper around a prebuilt distance index — the zero-work
-    /// constructor the `.mgi` path uses, where the index was validated out
-    /// of the mapped container instead of recomputed.
+    /// constructor the `.mgi` path uses, where the index was read from the
+    /// container and validated instead of recomputed.
     pub fn with_distance(gbz: &'a Gbz, dist: DistanceIndex) -> Self {
         Mapper {
             gbz,
@@ -548,7 +548,7 @@ impl<'a> Mapper<'a> {
     /// [`MappingOptions::chunk_reads`] reads at a time into buffers reused
     /// from chunk to chunk, maps each chunk in one `Mapper::map_chunk`
     /// dispatch of [`chunk_grain_reads`] grains, and hands its results, in
-    /// read order, to `each`. Only the reader's file and one chunk are held
+    /// read order, to `each`. Only the reader's payload and one chunk are held
     /// at a time; the concatenated results equal [`Mapper::run`] over the
     /// whole dump.
     ///
@@ -560,7 +560,7 @@ impl<'a> Mapper<'a> {
     /// returned. An error from `each` stops the run at once and is returned.
     pub fn run_dump(
         &self,
-        reader: &mut DumpReader<'_>,
+        reader: &mut DumpReader,
         options: &MappingOptions,
         sink: &dyn RegionSink,
         metrics: &Metrics,
@@ -738,13 +738,13 @@ mod tests {
     fn streaming_a_dump_equals_the_whole_dump_run() {
         let gbz = sample_gbz();
         let dump = sample_dump(&gbz, 30);
-        let file = mg_support::mgi::MgiFile::open_bytes(dump.to_bytes().unwrap()).unwrap();
+        let mut file = mg_support::mgi::MgiFile::open_bytes(dump.to_bytes().unwrap()).unwrap();
         for threads in [1usize, 2] {
             for batch_size in [1usize, 4, 7, 512] {
                 let options = MappingOptions { threads, batch_size, ..Default::default() };
                 // Fresh mappers: both runs start with cold caches.
                 let whole = Mapper::new(&gbz).run(&dump, &options);
-                let mut reader = DumpReader::new(&file).unwrap();
+                let mut reader = DumpReader::new(&mut file).unwrap();
                 let mut streamed = Vec::new();
                 let summary = Mapper::new(&gbz)
                     .run_dump(&mut reader, &options, &NullSink, Metrics::off_ref(), |chunk| {
@@ -767,7 +767,7 @@ mod tests {
         }
         // An error from the callback stops the run after that chunk.
         let options = MappingOptions { batch_size: 4, ..Default::default() };
-        let mut reader = DumpReader::new(&file).unwrap();
+        let mut reader = DumpReader::new(&mut file).unwrap();
         let mut calls = 0;
         let stopped = Mapper::new(&gbz).run_dump(&mut reader, &options, &NullSink, Metrics::off_ref(), |_| {
             calls += 1;

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mg_support::mgi::{
-    put_u64, put_u64_slice, FixedReader, MgiFile, MgiWriter, Storage, TAG_GBWT_ENDMARKER,
+    put_u64, put_u64_slice, FixedReader, MgiFile, MgiWriter, TAG_GBWT_ENDMARKER,
     TAG_GBWT_END_IDS, TAG_GBWT_META, TAG_GBWT_OFFSETS, TAG_GBWT_RECORDS,
 };
 use mg_support::probe::MemProbe;
@@ -189,12 +189,12 @@ pub struct GbwtStatistics {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Gbwt {
-    /// The compressed record blob; may borrow a mapped `.mgi` container.
-    records: Storage<u8>,
+    /// The compressed record blob.
+    records: Vec<u8>,
     /// Byte offsets of each record in `records`, indexed by `symbol - 2`;
     /// one trailing entry.
-    offsets: Storage<u64>,
-    endmarker: Storage<u8>,
+    offsets: Vec<u64>,
+    endmarker: Vec<u8>,
     sequence_count: u64,
     path_count: u64,
     bidirectional: bool,
@@ -202,7 +202,7 @@ pub struct Gbwt {
     total_visits: u64,
     /// Sequence id of each ending visit, addressed by the endmarker-edge
     /// offsets (grouped by final node symbol ascending).
-    end_ids: Storage<u64>,
+    end_ids: Vec<u64>,
     /// Process-unique identity for warm-cache reuse (see [`Gbwt::uid`]).
     /// Excluded from equality: two indexes with identical content compare
     /// equal even though their uids differ.
@@ -240,15 +240,15 @@ impl Gbwt {
         end_ids: Vec<u64>,
     ) -> Self {
         Gbwt {
-            records: records.into(),
-            offsets: offsets.into(),
-            endmarker: endmarker.into(),
+            records,
+            offsets,
+            endmarker,
             sequence_count,
             path_count,
             bidirectional,
             alphabet_size,
             total_visits,
-            end_ids: end_ids.into(),
+            end_ids,
             uid: NEXT_GBWT_UID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -503,14 +503,9 @@ impl Gbwt {
         }
     }
 
-    /// Whether the record blob borrows a mapped `.mgi` container.
-    pub fn is_mapped(&self) -> bool {
-        self.records.is_mapped()
-    }
-
     /// Appends the index to a `.mgi` container: the record blob, offset
     /// table, and endmarker land in their in-memory layouts so
-    /// [`Gbwt::from_mgi`] borrows them without decompressing anything.
+    /// [`Gbwt::from_mgi`] reads them back without decompressing anything.
     pub fn write_mgi(&self, w: &mut MgiWriter) {
         let mut meta = Vec::new();
         put_u64(&mut meta, self.sequence_count);
@@ -519,17 +514,17 @@ impl Gbwt {
         put_u64(&mut meta, self.alphabet_size);
         put_u64(&mut meta, self.total_visits);
         w.section(TAG_GBWT_META, meta);
-        w.section(TAG_GBWT_RECORDS, self.records.to_vec());
+        w.section(TAG_GBWT_RECORDS, self.records.clone());
         let mut buf = Vec::new();
         put_u64_slice(&mut buf, &self.offsets);
         w.section(TAG_GBWT_OFFSETS, buf);
-        w.section(TAG_GBWT_ENDMARKER, self.endmarker.to_vec());
+        w.section(TAG_GBWT_ENDMARKER, self.endmarker.clone());
         let mut buf = Vec::new();
         put_u64_slice(&mut buf, &self.end_ids);
         w.section(TAG_GBWT_END_IDS, buf);
     }
 
-    /// Borrows an index out of a validated container (`.mgz` or `.mgi`).
+    /// Loads an index from a container (`.mgz` or `.mgi`).
     ///
     /// Structural invariants (monotonic offsets covering the blob, the
     /// offset table matching the alphabet) are checked here; the encoded
@@ -539,8 +534,9 @@ impl Gbwt {
     /// # Errors
     ///
     /// Returns [`Error::Corrupt`] when any structural invariant fails.
-    pub fn from_mgi(f: &MgiFile) -> Result<Self> {
-        let mut meta = FixedReader::new(f.section(TAG_GBWT_META)?);
+    pub fn from_mgi(f: &mut MgiFile) -> Result<Self> {
+        let meta = f.section(TAG_GBWT_META)?;
+        let mut meta = FixedReader::new(&meta);
         let sequence_count = meta.read_u64()?;
         let path_count = meta.read_u64()?;
         let bidirectional_raw = meta.read_u64()?;
@@ -552,10 +548,10 @@ impl Gbwt {
         if bidirectional_raw > 1 {
             return Err(Error::Corrupt("GBWT bidirectional flag is not 0 or 1".into()));
         }
-        let records = f.section_storage::<u8>(TAG_GBWT_RECORDS)?;
-        let offsets = f.section_storage::<u64>(TAG_GBWT_OFFSETS)?;
-        let endmarker = f.section_storage::<u8>(TAG_GBWT_ENDMARKER)?;
-        let end_ids = f.section_storage::<u64>(TAG_GBWT_END_IDS)?;
+        let records = f.section(TAG_GBWT_RECORDS)?;
+        let offsets: Vec<u64> = f.array(TAG_GBWT_OFFSETS)?;
+        let endmarker = f.section(TAG_GBWT_ENDMARKER)?;
+        let end_ids: Vec<u64> = f.array(TAG_GBWT_END_IDS)?;
         if offsets.is_empty() {
             return Err(Error::Corrupt("missing record offsets".into()));
         }
@@ -763,7 +759,7 @@ mod tests {
     }
 
     /// `g` written with `write_mgi` and read back with `from_mgi` twice:
-    /// from the in-memory image, and from a file mapped with
+    /// from the in-memory image, and from a file opened with
     /// `MgiFile::open`.
     fn mgi_roundtrips(g: &Gbwt) -> [Gbwt; 2] {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -776,10 +772,10 @@ mod tests {
         g.write_mgi(&mut w);
         let image = w.finish();
         std::fs::write(&path, &image).unwrap();
-        let mapped = Gbwt::from_mgi(&MgiFile::open(&path).unwrap()).unwrap();
+        let from_file = Gbwt::from_mgi(&mut MgiFile::open(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).unwrap();
-        let owned = Gbwt::from_mgi(&MgiFile::open_bytes(image).unwrap()).unwrap();
-        [owned, mapped]
+        let from_bytes = Gbwt::from_mgi(&mut MgiFile::open_bytes(image).unwrap()).unwrap();
+        [from_bytes, from_file]
     }
 
     /// The diamond's five sections with `edit` applied, re-sectioned with
@@ -788,15 +784,16 @@ mod tests {
     fn crafted(edit: impl FnOnce(&mut [(u32, Vec<u8>)])) -> Result<Gbwt> {
         let mut w = MgiWriter::new();
         diamond_gbwt().write_mgi(&mut w);
-        let f = MgiFile::open_bytes(w.finish()).unwrap();
+        let mut f = MgiFile::open_bytes(w.finish()).unwrap();
+        let tags: Vec<u32> = f.tags().collect();
         let mut sections: Vec<(u32, Vec<u8>)> =
-            f.tags().map(|tag| (tag, f.section(tag).unwrap().to_vec())).collect();
+            tags.into_iter().map(|tag| (tag, f.section(tag).unwrap())).collect();
         edit(&mut sections);
         let mut w = MgiWriter::new();
         for (tag, payload) in sections {
             w.section(tag, payload);
         }
-        Gbwt::from_mgi(&MgiFile::open_bytes(w.finish()).unwrap())
+        Gbwt::from_mgi(&mut MgiFile::open_bytes(w.finish()).unwrap())
     }
 
     #[test]
@@ -853,8 +850,7 @@ mod tests {
         let g = diamond_gbwt();
         let mut w = MgiWriter::new();
         g.write_mgi(&mut w);
-        let f = MgiFile::open_bytes(w.finish()).unwrap();
-        let back = Gbwt::from_mgi(&f).unwrap();
+        let back = Gbwt::from_mgi(&mut MgiFile::open_bytes(w.finish()).unwrap()).unwrap();
         assert_eq!(back, g);
         assert!(back.validate_records().is_ok());
         for sym in 2..g.alphabet_size() {
@@ -980,7 +976,6 @@ mod tests {
             }
             let g = builder.build().unwrap();
             for back in mgi_roundtrips(&g) {
-                prop_assert!(back.is_mapped());
                 prop_assert_eq!(&back, &g);
                 prop_assert!(back.validate_records().is_ok());
             }

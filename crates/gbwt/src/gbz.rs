@@ -5,9 +5,9 @@
 //! whose GBWT records stay run-length compressed and are decoded one node
 //! at a time by the record cache. The file is an [`mg_support::mgi`]
 //! container holding exactly the ten sections [`Gbz::write_mgi`] emits —
-//! five for the graph, five for the GBWT — so loading is one read of the
-//! file plus validation, and an `.mgi` bundle is the same sections plus the prebuilt
-//! minimizer and distance indexes.
+//! five for the graph, five for the GBWT — so loading is one streamed read
+//! of each section plus validation, and an `.mgi` bundle is the same
+//! sections plus the prebuilt minimizer and distance indexes.
 
 use std::path::Path;
 
@@ -109,8 +109,7 @@ impl Gbz {
         Ok(self.mgz_writer().finish())
     }
 
-    /// Deserializes from an in-memory `.mgz` image, copying it into an
-    /// aligned buffer the graph and GBWT then borrow from.
+    /// Deserializes from an in-memory `.mgz` image.
     ///
     /// # Errors
     ///
@@ -118,7 +117,7 @@ impl Gbz {
     /// [`mg_support::Error::BadTag`] for a container holding any section
     /// besides the ten of a `.mgz` (an `.mgi` bundle, a seed dump).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Self::from_mgz(&MgiFile::open_bytes(bytes.to_vec())?)
+        Self::from_mgz(MgiFile::open_bytes(bytes.to_vec())?)
     }
 
     fn mgz_writer(&self) -> MgiWriter {
@@ -127,9 +126,11 @@ impl Gbz {
         w
     }
 
-    fn from_mgz(f: &MgiFile) -> Result<Self> {
+    fn from_mgz(mut f: MgiFile) -> Result<Self> {
         f.expect_only(&GBZ_TAGS)?;
-        Self::from_mgi(f)
+        let gbz = Self::from_mgi(&mut f)?;
+        f.finish()?;
+        Ok(gbz)
     }
 
     /// Appends graph and GBWT to a `.mgi` container in their in-memory
@@ -139,12 +140,12 @@ impl Gbz {
         self.gbwt.write_mgi(w);
     }
 
-    /// Borrows graph and GBWT out of a validated `.mgi` container.
+    /// Loads graph and GBWT from a `.mgi` container.
     ///
     /// # Errors
     ///
     /// Returns [`mg_support::Error::Corrupt`] for structural inconsistency.
-    pub fn from_mgi(f: &MgiFile) -> Result<Self> {
+    pub fn from_mgi(f: &mut MgiFile) -> Result<Self> {
         let graph = VariationGraph::from_mgi(f)?;
         let gbwt = Gbwt::from_mgi(f)?;
         Ok(Gbz { graph, gbwt })
@@ -159,15 +160,14 @@ impl Gbz {
         self.mgz_writer().write_to(path.as_ref())
     }
 
-    /// Maps a `.mgz` file and validates it; the graph and GBWT borrow their
-    /// arrays from the mapping.
+    /// Reads a `.mgz` file and validates it.
     ///
     /// # Errors
     ///
     /// Returns IO and format errors, including
     /// [`mg_support::Error::BadTag`] for a container that is not a `.mgz`.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        Self::from_mgz(&MgiFile::open(path.as_ref())?)
+        Self::from_mgz(MgiFile::open(path.as_ref())?)
     }
 }
 
@@ -214,8 +214,7 @@ mod tests {
         let gbz = sample_gbz();
         let mut w = MgiWriter::new();
         gbz.write_mgi(&mut w);
-        let f = MgiFile::open_bytes(w.finish()).unwrap();
-        let back = Gbz::from_mgi(&f).unwrap();
+        let back = Gbz::from_mgi(&mut MgiFile::open_bytes(w.finish()).unwrap()).unwrap();
         assert_eq!(gbz, back);
         for p in 0..4 {
             assert_eq!(

@@ -13,7 +13,7 @@
 //!   one of miniGiraffe's three tuning parameters;
 //! - the [`Gbz`] file (`.mgz`), our analog of the GBZ file format,
 //!   bundling graph + index (its records still run-length compressed) in
-//!   one checksummed container, borrowed from without decoding.
+//!   one checksummed container, each array read back as it was written.
 //!
 //! # Examples
 //!

@@ -10,7 +10,7 @@
 use std::borrow::Cow;
 
 use mg_support::mgi::{
-    self, FixedReader, MgiFile, MgiWriter, Storage, TAG_GRAPH_ADJ_OFFSETS, TAG_GRAPH_ADJ_TARGETS,
+    self, FixedReader, MgiFile, MgiWriter, TAG_GRAPH_ADJ_OFFSETS, TAG_GRAPH_ADJ_TARGETS,
     TAG_GRAPH_META, TAG_GRAPH_SEQ, TAG_GRAPH_SEQ_OFFSETS,
 };
 use mg_support::{Error, Result};
@@ -19,18 +19,18 @@ use crate::dna;
 use crate::handle::{Handle, NodeId, Orientation};
 
 /// Successor lists per oriented handle: nested vectors while the graph is
-/// being built, a flat CSR borrowed from a mapped `.mgi` afterwards. Both
-/// forms serve [`VariationGraph::successors`] as a plain slice.
+/// being built, a flat CSR once loaded from a container. Both forms serve
+/// [`VariationGraph::successors`] as a plain slice.
 #[derive(Debug, Clone)]
 enum AdjStore {
     /// Mutable per-handle vectors (build path).
     Dynamic(Vec<Vec<Handle>>),
-    /// Flat compressed-sparse-row form (zero-copy path).
+    /// Flat compressed-sparse-row form (loaded path).
     Csr {
         /// `offsets[i]..offsets[i + 1]` indexes row `i` in `targets`.
-        offsets: Storage<u64>,
+        offsets: Vec<u64>,
         /// Concatenated successor handles, each row sorted ascending.
-        targets: Storage<Handle>,
+        targets: Vec<Handle>,
     },
 }
 
@@ -80,7 +80,7 @@ impl Eq for AdjStore {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VariationGraph {
     /// Concatenated forward sequences of all nodes.
-    seq_data: Storage<u8>,
+    seq_data: Vec<u8>,
     /// Concatenated reverse-complement sequences, same offsets as
     /// `seq_data`: the precomputed arena that makes [`VariationGraph::sequence`]
     /// on a reverse handle a borrow instead of an allocation. Derived from
@@ -88,7 +88,7 @@ pub struct VariationGraph {
     /// stored, so it cannot disagree with the forward arena.
     rc_seq_data: Vec<u8>,
     /// `seq_offsets[i]..seq_offsets[i + 1]` is the sequence of node `i + 1`.
-    seq_offsets: Storage<u64>,
+    seq_offsets: Vec<u64>,
     /// Successor handles per oriented handle, indexed by `packed - 2`.
     adjacency: AdjStore,
     /// Total number of distinct (unoriented) edges.
@@ -105,9 +105,9 @@ impl VariationGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
         VariationGraph {
-            seq_data: Storage::default(),
+            seq_data: Vec::new(),
             rc_seq_data: Vec::new(),
-            seq_offsets: vec![0u64].into(),
+            seq_offsets: vec![0u64],
             adjacency: AdjStore::Dynamic(Vec::new()),
             edge_count: 0,
         }
@@ -155,8 +155,8 @@ impl VariationGraph {
     ///
     /// # Panics
     ///
-    /// Panics if the graph is borrowed from a `.mgi`/`.mgz` container
-    /// (mapped graphs are immutable).
+    /// Panics if the graph was loaded from a `.mgi`/`.mgz` container
+    /// (loaded graphs are immutable).
     pub fn add_node(&mut self, sequence: &[u8]) -> Result<NodeId> {
         if sequence.is_empty() {
             return Err(Error::Corrupt("empty node sequence".into()));
@@ -164,20 +164,19 @@ impl VariationGraph {
         if !dna::is_valid_sequence(sequence) {
             return Err(Error::Corrupt("node sequence contains non-ACGT bytes".into()));
         }
-        self.seq_data.vec_mut().extend_from_slice(sequence);
-        push_reverse_complement(&mut self.rc_seq_data, sequence);
-        let total = self.seq_data.len() as u64;
-        self.seq_offsets.vec_mut().push(total);
         let rows = self.dynamic_rows();
         rows.push(Vec::new()); // forward
         rows.push(Vec::new()); // reverse
+        self.seq_data.extend_from_slice(sequence);
+        push_reverse_complement(&mut self.rc_seq_data, sequence);
+        self.seq_offsets.push(self.seq_data.len() as u64);
         Ok(NodeId::new(self.node_count() as u64))
     }
 
     fn dynamic_rows(&mut self) -> &mut Vec<Vec<Handle>> {
         match &mut self.adjacency {
             AdjStore::Dynamic(rows) => rows,
-            AdjStore::Csr { .. } => panic!("cannot mutate a mapped graph"),
+            AdjStore::Csr { .. } => panic!("cannot mutate a loaded graph"),
         }
     }
 
@@ -186,8 +185,8 @@ impl VariationGraph {
     ///
     /// # Panics
     ///
-    /// Panics if either endpoint node does not exist, or if the graph is
-    /// borrowed from a container.
+    /// Panics if either endpoint node does not exist, or if the graph was
+    /// loaded from a container.
     pub fn add_edge(&mut self, from: Handle, to: Handle) {
         assert!(self.has_node(from.node()), "edge from missing node {}", from.node());
         assert!(self.has_node(to.node()), "edge to missing node {}", to.node());
@@ -325,21 +324,6 @@ impl VariationGraph {
         })
     }
 
-    /// Approximate heap usage in bytes (mapped backings count as zero).
-    pub fn heap_bytes(&self) -> usize {
-        let adj = match &self.adjacency {
-            AdjStore::Dynamic(rows) => rows
-                .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<Handle>() + std::mem::size_of::<Vec<Handle>>())
-                .sum::<usize>(),
-            AdjStore::Csr { offsets, targets } => offsets.heap_bytes() + targets.heap_bytes(),
-        };
-        self.seq_data.heap_bytes()
-            + self.rc_seq_data.capacity()
-            + self.seq_offsets.heap_bytes()
-            + adj
-    }
-
     /// Emits the graph's five `.mgi` sections: metadata, the forward ASCII
     /// arena and its node offsets, and the adjacency lists flattened to CSR
     /// — each in its in-memory little-endian layout. The reverse-complement
@@ -350,7 +334,7 @@ impl VariationGraph {
         mgi::put_u64(&mut meta, self.edge_count as u64);
         mgi::put_u64(&mut meta, self.seq_data.len() as u64);
         w.section(TAG_GRAPH_META, meta);
-        w.section(TAG_GRAPH_SEQ, self.seq_data.to_vec());
+        w.section(TAG_GRAPH_SEQ, self.seq_data.clone());
         let mut offs = Vec::new();
         mgi::put_u64_slice(&mut offs, &self.seq_offsets);
         w.section(TAG_GRAPH_SEQ_OFFSETS, offs);
@@ -371,28 +355,29 @@ impl VariationGraph {
         w.section(TAG_GRAPH_ADJ_TARGETS, targets);
     }
 
-    /// Rebuilds a graph from a mapped container (`.mgz` or `.mgi`),
-    /// borrowing the forward arena, its offsets and the adjacency zero-copy
-    /// and validating the structural invariants the accessors rely on
-    /// (offset monotonicity, alphabet, sorted in-bounds adjacency rows,
-    /// every edge's mirror present, the stored edge count exact) instead of
-    /// decoding elements. The reverse-complement arena is derived from the
-    /// forward one in a single pass.
+    /// Loads a graph from a container (`.mgz` or `.mgi`): reads the forward
+    /// arena, its offsets and the adjacency as flat arrays and validates
+    /// the structural invariants the accessors rely on (offset
+    /// monotonicity, alphabet, sorted in-bounds adjacency rows, every
+    /// edge's mirror present, the stored edge count exact). The
+    /// reverse-complement arena is derived from the forward one in a single
+    /// pass.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corrupt`] (or missing-section / cast errors) if any
     /// invariant fails.
-    pub fn from_mgi(f: &MgiFile) -> Result<Self> {
-        let mut meta = FixedReader::new(f.section(TAG_GRAPH_META)?);
+    pub fn from_mgi(f: &mut MgiFile) -> Result<Self> {
+        let meta = f.section(TAG_GRAPH_META)?;
+        let mut meta = FixedReader::new(&meta);
         let node_count = meta.read_u64()? as usize;
         let edge_count = meta.read_u64()? as usize;
         let seq_len = meta.read_u64()? as usize;
         if !meta.is_at_end() {
             return Err(Error::Corrupt("trailing bytes in graph metadata".into()));
         }
-        let seq_data: Storage<u8> = f.section_storage(TAG_GRAPH_SEQ)?;
-        let seq_offsets: Storage<u64> = f.section_storage(TAG_GRAPH_SEQ_OFFSETS)?;
+        let seq_data = f.section(TAG_GRAPH_SEQ)?;
+        let seq_offsets: Vec<u64> = f.array(TAG_GRAPH_SEQ_OFFSETS)?;
         if seq_data.len() != seq_len {
             return Err(Error::Corrupt(format!(
                 "sequence arena of {} bytes, metadata says {seq_len}",
@@ -415,8 +400,8 @@ impl VariationGraph {
         for w in seq_offsets.windows(2) {
             push_reverse_complement(&mut rc_seq_data, &seq_data[w[0] as usize..w[1] as usize]);
         }
-        let adj_offsets: Storage<u64> = f.section_storage(TAG_GRAPH_ADJ_OFFSETS)?;
-        let targets: Storage<Handle> = f.section_storage(TAG_GRAPH_ADJ_TARGETS)?;
+        let adj_offsets: Vec<u64> = f.array(TAG_GRAPH_ADJ_OFFSETS)?;
+        let targets: Vec<Handle> = f.array(TAG_GRAPH_ADJ_TARGETS)?;
         if adj_offsets.len() != 2 * node_count + 1 || adj_offsets.first() != Some(&0) {
             return Err(Error::Corrupt("adjacency offsets do not cover the handle set".into()));
         }
@@ -451,7 +436,7 @@ impl VariationGraph {
             edge_count,
         };
         // `add_edge` gives every edge its mirror and counts it once; a
-        // mapped graph must hold the same, or backward walks and the
+        // loaded graph must hold the same, or backward walks and the
         // distance index see a one-sided edge.
         for from in (2..=max_symbol).filter_map(Handle::from_gbwt) {
             let successors = graph.successors(from);
@@ -611,8 +596,9 @@ mod tests {
         let (g, _) = diamond();
         let mut w = MgiWriter::new();
         g.write_mgi(&mut w);
-        let f = MgiFile::open_bytes(w.finish()).unwrap();
-        f.tags().map(|tag| (tag, f.section(tag).unwrap().to_vec())).collect()
+        let mut f = MgiFile::open_bytes(w.finish()).unwrap();
+        let tags: Vec<u32> = f.tags().collect();
+        tags.into_iter().map(|tag| (tag, f.section(tag).unwrap())).collect()
     }
 
     /// Loads `sections` re-sectioned with fresh checksums: what a hostile
@@ -622,7 +608,7 @@ mod tests {
         for (tag, payload) in sections {
             w.section(tag, payload);
         }
-        VariationGraph::from_mgi(&MgiFile::open_bytes(w.finish()).unwrap())
+        VariationGraph::from_mgi(&mut MgiFile::open_bytes(w.finish()).unwrap())
     }
 
     /// The diamond with its adjacency rows and edge count replaced.
@@ -685,12 +671,11 @@ mod tests {
     fn mgi_roundtrip(g: &VariationGraph) -> VariationGraph {
         let mut w = MgiWriter::new();
         g.write_mgi(&mut w);
-        let f = MgiFile::open_bytes(w.finish()).unwrap();
-        VariationGraph::from_mgi(&f).unwrap()
+        VariationGraph::from_mgi(&mut MgiFile::open_bytes(w.finish()).unwrap()).unwrap()
     }
 
     /// `g` written with `write_mgi` and read back with `from_mgi` twice:
-    /// from the in-memory image, and from a file mapped with
+    /// from the in-memory image, and from a file opened with
     /// `MgiFile::open`.
     fn mgi_roundtrips(g: &VariationGraph) -> [VariationGraph; 2] {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -703,9 +688,9 @@ mod tests {
         let mut w = MgiWriter::new();
         g.write_mgi(&mut w);
         w.write_to(&path).unwrap();
-        let mapped = VariationGraph::from_mgi(&MgiFile::open(&path).unwrap()).unwrap();
+        let loaded = VariationGraph::from_mgi(&mut MgiFile::open(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).unwrap();
-        [mgi_roundtrip(g), mapped]
+        [mgi_roundtrip(g), loaded]
     }
 
     #[test]
@@ -716,7 +701,7 @@ mod tests {
         g.add_edge(Handle::forward(d), Handle::reverse(e));
         let mut w = MgiWriter::new();
         g.write_mgi(&mut w);
-        let f = MgiFile::open_bytes(w.finish()).unwrap();
+        let mut f = MgiFile::open_bytes(w.finish()).unwrap();
         // Each node sequence is stored once: no reverse-complement arena
         // (0x0102) and no 2-bit packed arenas (0x0110..=0x0112).
         let tags: Vec<u32> = f.tags().collect();
@@ -730,19 +715,45 @@ mod tests {
                 TAG_GRAPH_ADJ_TARGETS
             ]
         );
-        let back = VariationGraph::from_mgi(&f).unwrap();
+        let back = VariationGraph::from_mgi(&mut f).unwrap();
         assert_eq!(back, g);
         assert_eq!(back.successors(Handle::forward(a)), g.successors(Handle::forward(a)));
         assert!(back.has_edge(Handle::forward(b), Handle::forward(d)));
         assert_eq!(back.sequence(Handle::reverse(a)).as_ref(), b"CGT");
         // A 70-base node: its reverse handle spells the derived arena.
         assert_eq!(back.oriented_sequence(Handle::reverse(e)), dna::reverse_complement(&long));
-        // Mapped graphs are immutable.
-        let mut mapped = mgi_roundtrip(&g);
+        // Loaded graphs are immutable.
+        let mut loaded = mgi_roundtrip(&g);
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            mapped.add_edge(Handle::forward(a), Handle::forward(d));
+            loaded.add_edge(Handle::forward(a), Handle::forward(d));
         }))
         .is_err());
+    }
+
+    /// A graph whose arena and offsets span three read blocks loads whole,
+    /// and one flipped byte in the last block of its offsets, whose sum
+    /// the reader only knows at the end, loads no graph.
+    #[test]
+    fn multi_block_sections_load_and_a_late_flip_loads_nothing() {
+        let mut g = VariationGraph::new();
+        let nodes = 2 * mgi::BLOCK_LEN / 8 + 100;
+        for i in 0..nodes {
+            let id = g.add_node(&[dna::BASES[i % 4]; 8]).unwrap();
+            if i > 0 {
+                g.add_edge(Handle::forward(NodeId::new(id.value() - 1)), Handle::forward(id));
+            }
+        }
+        let mut w = MgiWriter::new();
+        g.write_mgi(&mut w);
+        let image = w.finish();
+        assert_eq!(VariationGraph::from_mgi(&mut MgiFile::open_bytes(image.clone()).unwrap()).unwrap(), g);
+        // The offsets section ends 8 bytes past the last node's offset.
+        let last_offset = (8 * nodes as u64).to_le_bytes();
+        let at = image.windows(8).rposition(|w| w == last_offset).unwrap();
+        let mut bad = image;
+        bad[at] ^= 0x40;
+        let loaded = VariationGraph::from_mgi(&mut MgiFile::open_bytes(bad).unwrap());
+        assert!(matches!(loaded, Err(Error::ChecksumMismatch { .. })), "{loaded:?}");
     }
 
     proptest! {

@@ -97,11 +97,15 @@ impl fmt::Display for Orientation {
 #[repr(transparent)]
 pub struct Handle(u64);
 
-// SAFETY: a handle is layout-identical to its packed `u64`, so slices of
-// handles can be borrowed straight out of a `.mgi` section. Any bit pattern
-// is structurally valid; semantic validity (the node exists) is checked by
-// the container readers.
-unsafe impl mg_support::mgi::Pod for Handle {}
+/// A container section of handles is their packed `u64`s, as
+/// [`Handle::packed`] gives them to the writer. Any value decodes; whether
+/// the node exists is the container readers' check.
+impl mg_support::mgi::Decode for Handle {
+    const SIZE: usize = 8;
+    fn decode(bytes: &[u8]) -> Handle {
+        Handle(u64::from_le_bytes(bytes.try_into().expect("8-byte handle")))
+    }
+}
 
 impl Handle {
     /// Creates a handle from a node id and orientation.

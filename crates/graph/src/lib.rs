@@ -38,6 +38,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dna;
 pub mod graph;
 pub mod handle;

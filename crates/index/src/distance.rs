@@ -31,10 +31,6 @@ pub struct DistanceScratch {
 
 /// The distance index: per-node records and the chain decomposition
 /// ([`ChainIndex`]), plus the exact search behind them.
-///
-/// The arrays live in [`mg_support::mgi::Storage`], so an index loaded from
-/// a `.mgi` container borrows the mapping directly instead of owning heap
-/// copies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceIndex {
     /// Snarl-lite chain decomposition and the per-node records: the O(1)
@@ -54,13 +50,13 @@ impl DistanceIndex {
         self.chains.write_mgi(w);
     }
 
-    /// Borrows an index out of a validated `.mgi` container.
+    /// Loads an index from a `.mgi` container.
     ///
     /// # Errors
     ///
     /// Returns [`mg_support::Error::Corrupt`] when any structural invariant
     /// fails.
-    pub fn from_mgi(f: &MgiFile) -> Result<Self> {
+    pub fn from_mgi(f: &mut MgiFile) -> Result<Self> {
         Ok(DistanceIndex { chains: ChainIndex::from_mgi(f)? })
     }
 
@@ -362,8 +358,7 @@ mod tests {
         let (p, d) = bubble();
         let mut w = MgiWriter::new();
         d.write_mgi(&mut w);
-        let f = MgiFile::open_bytes(w.finish()).unwrap();
-        let back = DistanceIndex::from_mgi(&f).unwrap();
+        let back = DistanceIndex::from_mgi(&mut MgiFile::open_bytes(w.finish()).unwrap()).unwrap();
         assert_eq!(back, d);
         let g = p.graph();
         for u in g.node_ids() {

@@ -10,6 +10,8 @@
 //!
 //! (The third index, the GBWT itself, lives in [`mg_gbwt`].)
 
+#![forbid(unsafe_code)]
+
 pub mod distance;
 pub mod minimizer;
 pub mod serialize;

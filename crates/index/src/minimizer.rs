@@ -7,15 +7,13 @@
 //! *seeds* that the clustering and extension kernels consume.
 
 use mg_graph::{dna, Handle, VariationGraph};
-use mg_support::mgi::Storage;
 use mg_support::{Error, Result};
 
 /// A position in the graph: a spot on an oriented node.
 ///
 /// `repr(C)` pins the layout (handle at 0, offset at 8, 4 tail padding
-/// bytes, 16 bytes total) so slices of positions can be borrowed straight
-/// out of a mapped `.mgi` section; the writer emits the padding explicitly
-/// as zeros so the bytes are canonical.
+/// bytes, 16 bytes total), the same as its 16 stored bytes in a `.mgi`
+/// section, whose padding the writer emits as zeros.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(C)]
 pub struct GraphPos {
@@ -24,10 +22,6 @@ pub struct GraphPos {
     /// Offset in bases along the handle's oriented sequence.
     pub offset: u32,
 }
-
-// SAFETY: every field tolerates any bit pattern (`Handle` is a transparent `u64`,
-// the offset a plain `u32`); semantic validity is the readers' job.
-unsafe impl mg_support::mgi::Pod for GraphPos {}
 
 impl GraphPos {
     /// Creates a graph position.
@@ -225,20 +219,15 @@ pub(crate) struct KmerEntry {
     pub count: u32,
 }
 
-// SAFETY: plain integers plus a `GraphPos` (itself `Pod`); the 4 padding bytes
-// inside `pos` are never read, and the writer emits them as zeros.
-unsafe impl mg_support::mgi::Pod for KmerEntry {}
-
 const _: () = assert!(std::mem::size_of::<KmerEntry>() == 32);
 
 /// The minimizer index over a graph's haplotype paths.
 ///
 /// One layout wherever the table lives: one [`KmerEntry`] per distinct
 /// k-mer in ascending order, and an arena holding, for each k-mer with more
-/// than one hit, the positions after its first — owned when built, borrowed
-/// from the mapping when opened from a `.mgi` container — plus a small
-/// owned bucket directory over the k-mers' top bits, derived whenever the
-/// arrays are assembled and never stored. Every position is stored once.
+/// than one hit, the positions after its first — plus a small bucket
+/// directory over the k-mers' top bits, derived whenever the arrays are
+/// assembled and never stored. Every position is stored once.
 ///
 /// # Examples
 ///
@@ -262,11 +251,11 @@ pub struct MinimizerIndex {
     params: MinimizerParams,
     /// One entry per distinct k-mer, strictly ascending, each within `2k`
     /// bits.
-    entries: Storage<KmerEntry>,
+    entries: Vec<KmerEntry>,
     /// Every position but the first of each multi-hit k-mer, concatenated
     /// in k-mer order; with the entry's first, each k-mer's run is sorted
     /// and deduplicated.
-    positions: Storage<GraphPos>,
+    positions: Vec<GraphPos>,
     /// Sum of every entry's count.
     total_positions: usize,
     /// Bucket directory: the k-mers whose top bits equal `b` are
@@ -280,13 +269,12 @@ pub struct MinimizerIndex {
 }
 
 /// Two indexes are equal when their tables are: same parameters, same
-/// entries, same arena. Where the arrays live (heap or mapping) does not
-/// matter, and the directory is a function of the k-mers.
+/// entries, same arena. The directory is a function of the k-mers.
 impl PartialEq for MinimizerIndex {
     fn eq(&self, other: &Self) -> bool {
         self.params == other.params
-            && self.entries[..] == other.entries[..]
-            && self.positions[..] == other.positions[..]
+            && self.entries == other.entries
+            && self.positions == other.positions
     }
 }
 
@@ -367,7 +355,7 @@ impl MinimizerIndex {
             }
             entries.push(entry);
         }
-        Self::from_flat_parts(params, Storage::Owned(entries), Storage::Owned(positions))
+        Self::from_flat_parts(params, entries, positions)
             .expect("sorted, deduplicated k-mers of k bases each")
     }
 
@@ -444,12 +432,6 @@ impl MinimizerIndex {
         Some(std::iter::once(entry.pos).chain(self.rest(entry).iter().copied()))
     }
 
-    /// Whether the table borrows a mapped `.mgi` container (as opposed to
-    /// owning heap memory).
-    pub fn is_mapped(&self) -> bool {
-        self.entries.is_mapped()
-    }
-
     /// Iterates over all indexed k-mers in ascending order.
     pub fn kmers(&self) -> impl Iterator<Item = u64> + '_ {
         self.entries.iter().map(|e| e.kmer)
@@ -471,8 +453,8 @@ impl MinimizerIndex {
     /// repeated, or wider than `2k` bits.
     pub(crate) fn from_flat_parts(
         params: MinimizerParams,
-        entries: Storage<KmerEntry>,
-        positions: Storage<GraphPos>,
+        entries: Vec<KmerEntry>,
+        positions: Vec<GraphPos>,
     ) -> Result<Self> {
         let (dir, dir_shift) = build_directory(&entries, params.k)?;
         let total_positions = entries.iter().map(|e| e.count as usize).sum();

@@ -2,11 +2,12 @@
 //!
 //! Giraffe ships its minimizer index as a standalone `.min` artifact built
 //! once and memory-mapped at mapping time; here the same flat table travels
-//! inside the `.mgi` beside the graph and the GBWT, and is borrowed from the
-//! mapping without decoding.
+//! inside the `.mgi` beside the graph and the GBWT, and is read back into
+//! its two arrays as it was written.
 
+use mg_graph::Handle;
 use mg_support::mgi::{
-    put_u32, put_u64, FixedReader, MgiFile, MgiWriter, TAG_MIN_ENTRIES, TAG_MIN_META,
+    put_u32, put_u64, Decode, FixedReader, MgiFile, MgiWriter, TAG_MIN_ENTRIES, TAG_MIN_META,
     TAG_MIN_POSITIONS,
 };
 use mg_support::{Error, Result};
@@ -21,12 +22,34 @@ fn put_pos(out: &mut Vec<u8>, pos: &GraphPos) {
     put_u32(out, 0);
 }
 
+/// A position as `put_pos` stores it; the padding is not read.
+impl Decode for GraphPos {
+    const SIZE: usize = 16;
+    fn decode(bytes: &[u8]) -> GraphPos {
+        GraphPos::new(Handle::decode(&bytes[..8]), u32::decode(&bytes[8..12]))
+    }
+}
+
+/// An entry as [`MinimizerIndex::write_mgi`] stores it: k-mer, first
+/// position, arena start, count.
+impl Decode for KmerEntry {
+    const SIZE: usize = 32;
+    fn decode(bytes: &[u8]) -> KmerEntry {
+        KmerEntry {
+            kmer: u64::decode(&bytes[..8]),
+            pos: GraphPos::decode(&bytes[8..24]),
+            start: u32::decode(&bytes[24..28]),
+            count: u32::decode(&bytes[28..]),
+        }
+    }
+}
+
 impl MinimizerIndex {
     /// Appends the index to a `.mgi` container in its flat in-memory form:
     /// one 32-byte entry per k-mer (k-mer, first position, arena start,
     /// count) and the 16-byte-per-position arena, every field and padding
-    /// byte written explicitly, so [`MinimizerIndex::from_mgi`] borrows both
-    /// without decoding.
+    /// byte written explicitly, so [`MinimizerIndex::from_mgi`] reads both
+    /// back without rebuilding anything.
     pub fn write_mgi(&self, w: &mut MgiWriter) {
         let params = self.params();
         let mut meta = Vec::new();
@@ -52,14 +75,15 @@ impl MinimizerIndex {
         w.section(TAG_MIN_POSITIONS, positions);
     }
 
-    /// Borrows an index out of a validated `.mgi` container: the arrays are
-    /// bounds- and invariant-checked but never copied or decoded.
+    /// Loads an index from a `.mgi` container: the two arrays are read as
+    /// they were written, then bounds- and invariant-checked.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corrupt`] when any structural invariant fails.
-    pub fn from_mgi(f: &MgiFile) -> Result<Self> {
-        let mut meta = FixedReader::new(f.section(TAG_MIN_META)?);
+    pub fn from_mgi(f: &mut MgiFile) -> Result<Self> {
+        let meta = f.section(TAG_MIN_META)?;
+        let mut meta = FixedReader::new(&meta);
         let k = meta.read_u64()? as usize;
         let w = meta.read_u64()? as usize;
         let kmer_count = meta.read_u64()?;
@@ -72,8 +96,8 @@ impl MinimizerIndex {
         }
         let params = MinimizerParams::new(k, w);
 
-        let entries = f.section_storage::<KmerEntry>(TAG_MIN_ENTRIES)?;
-        let positions = f.section_storage::<GraphPos>(TAG_MIN_POSITIONS)?;
+        let entries: Vec<KmerEntry> = f.array(TAG_MIN_ENTRIES)?;
+        let positions: Vec<GraphPos> = f.array(TAG_MIN_POSITIONS)?;
         if entries.len() as u64 != kmer_count {
             return Err(Error::Corrupt(format!(
                 "minimizer entry section holds {} entries, meta claims {kmer_count}",
@@ -159,14 +183,14 @@ mod tests {
     /// `edit` and re-sectioned with a fresh checksum (so the container
     /// accepts it and the index reader alone must judge it), then opened.
     fn resectioned(edit: impl Fn(u32, &mut Vec<u8>)) -> Result<MinimizerIndex> {
-        let f = MgiFile::open_bytes(mgi_bytes(&sample_index())).unwrap();
+        let mut f = MgiFile::open_bytes(mgi_bytes(&sample_index())).unwrap();
         let mut w = MgiWriter::new();
         for tag in [TAG_MIN_META, TAG_MIN_ENTRIES, TAG_MIN_POSITIONS] {
-            let mut payload = f.section(tag).unwrap().to_vec();
+            let mut payload = f.section(tag).unwrap();
             edit(tag, &mut payload);
             w.section(tag, payload);
         }
-        MinimizerIndex::from_mgi(&MgiFile::open_bytes(w.finish())?)
+        MinimizerIndex::from_mgi(&mut MgiFile::open_bytes(w.finish())?)
     }
 
     /// An edit setting meta word `i` (k, w, k-mer count, position count).
@@ -181,13 +205,12 @@ mod tests {
     #[test]
     fn mgi_roundtrip_is_query_identical() {
         let index = sample_index();
-        let f = MgiFile::open_bytes(mgi_bytes(&index)).unwrap();
-        let back = MinimizerIndex::from_mgi(&f).unwrap();
+        let back = MinimizerIndex::from_mgi(&mut MgiFile::open_bytes(mgi_bytes(&index)).unwrap()).unwrap();
         assert_eq!(back.params(), index.params());
         assert_eq!(back.distinct_kmers(), index.distinct_kmers());
         assert_eq!(back.total_positions(), index.total_positions());
         // Equality compares the table itself, so no query can tell the
-        // backings apart.
+        // built and the loaded index apart.
         assert_eq!(back, index);
         let read = b"ACGTTGCAACGTACGTTGCATTGACC";
         for cap in [1, 3, 1000] {
@@ -203,7 +226,7 @@ mod tests {
         // Every field and padding byte is written explicitly, so an index
         // and its reopened copy serialize to the same bytes.
         let a = sample_index();
-        let b = MinimizerIndex::from_mgi(&MgiFile::open_bytes(mgi_bytes(&a)).unwrap()).unwrap();
+        let b = MinimizerIndex::from_mgi(&mut MgiFile::open_bytes(mgi_bytes(&a)).unwrap()).unwrap();
         assert_eq!(mgi_bytes(&a), mgi_bytes(&b));
     }
 
@@ -214,8 +237,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.mgi");
         std::fs::write(&path, mgi_bytes(&index)).unwrap();
-        let back = MinimizerIndex::from_mgi(&MgiFile::open(&path).unwrap()).unwrap();
-        assert!(back.is_mapped());
+        let back = MinimizerIndex::from_mgi(&mut MgiFile::open(&path).unwrap()).unwrap();
         assert_eq!(back, index);
         drop(back);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -236,7 +258,7 @@ mod tests {
     fn corrupt_bytes_rejected() {
         let mut bytes = mgi_bytes(&sample_index());
         bytes.truncate(bytes.len() / 2);
-        assert!(MgiFile::open_bytes(bytes).and_then(|f| MinimizerIndex::from_mgi(&f)).is_err());
+        assert!(MgiFile::open_bytes(bytes).and_then(|mut f| MinimizerIndex::from_mgi(&mut f)).is_err());
     }
 
     #[test]

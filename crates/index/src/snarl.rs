@@ -21,7 +21,7 @@
 
 use mg_graph::{Handle, NodeId, Orientation, VariationGraph};
 use mg_support::mgi::{
-    put_u32, put_u32_slice, put_u64, put_u64_slice, FixedReader, MgiFile, MgiWriter, Pod, Storage,
+    put_u32, put_u32_slice, put_u64, put_u64_slice, Decode, FixedReader, MgiFile, MgiWriter,
     TAG_CHAIN_ANCHORS, TAG_CHAIN_PREFIX, TAG_CHAIN_STARTS, TAG_DIST_META, TAG_DIST_NODES,
 };
 use mg_support::{Error, Result};
@@ -68,11 +68,34 @@ pub struct NodeRecord {
     pub d_out: u32,
 }
 
-// SAFETY: eight `u32`s: no padding, and every bit pattern is a value (the reader
-// checks the semantic invariants).
-unsafe impl Pod for NodeRecord {}
-
 const _: () = assert!(std::mem::size_of::<NodeRecord>() == 32);
+
+impl NodeRecord {
+    /// The eight fields in the order [`ChainIndex::write_mgi`] stores them.
+    fn fields(&self) -> [u32; 8] {
+        let r = self;
+        [r.component, r.offset_min, r.len, r.chain, r.entry, r.exit, r.d_in, r.d_out]
+    }
+}
+
+/// A record as `NodeRecord::fields` lists it, each field a little-endian
+/// `u32`.
+impl Decode for NodeRecord {
+    const SIZE: usize = 32;
+    fn decode(bytes: &[u8]) -> NodeRecord {
+        let field = |i: usize| u32::decode(&bytes[4 * i..4 * i + 4]);
+        NodeRecord {
+            component: field(0),
+            offset_min: field(1),
+            len: field(2),
+            chain: field(3),
+            entry: field(4),
+            exit: field(5),
+            d_in: field(6),
+            d_out: field(7),
+        }
+    }
+}
 
 /// A 64-bit distance in a 32-bit field: [`NONE32`] when it does not fit
 /// (or is [`INF`]).
@@ -85,21 +108,21 @@ fn narrow(d: u64) -> u32 {
 /// Chains are stored in CSR form — one concatenated anchor/prefix arena
 /// plus per-chain start offsets — and the records address anchors by their
 /// arena index, so a query never reads the CSR offsets. Every array
-/// serializes to (and borrows from) a `.mgi` container verbatim.
+/// serializes to (and loads from) a `.mgi` container verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainIndex {
     /// One record per node, indexed by `id - 1`.
-    nodes: Storage<NodeRecord>,
+    nodes: Vec<NodeRecord>,
     component_count: u32,
     /// CSR offsets into `anchors`/`prefix_min`; chain `c` owns the range
     /// `chain_starts[c]..chain_starts[c + 1]`. Always at least `[0]`.
-    chain_starts: Storage<u64>,
+    chain_starts: Vec<u64>,
     /// Anchor node indices (`id - 1`) of all chains, concatenated in
     /// topological order.
-    anchors: Storage<u32>,
+    anchors: Vec<u32>,
     /// Per anchor: minimum bases from its chain's first anchor start to
     /// this anchor's start (0 at each chain's first anchor).
-    prefix_min: Storage<u64>,
+    prefix_min: Vec<u64>,
 }
 
 /// Outcome of an exact-distance query.
@@ -186,11 +209,11 @@ impl ChainIndex {
             })
             .collect();
         ChainIndex {
-            nodes: nodes.into(),
+            nodes,
             component_count: comp_nodes.len() as u32,
-            chain_starts: build.chain_starts.into(),
-            anchors: build.anchors.into(),
-            prefix_min: build.prefix_min.into(),
+            chain_starts: build.chain_starts,
+            anchors: build.anchors,
+            prefix_min: build.prefix_min,
         }
     }
 
@@ -229,10 +252,9 @@ impl ChainIndex {
         put_u32(&mut meta, self.component_count);
         put_u32(&mut meta, 0); // reserved / alignment
         w.section(TAG_DIST_META, meta);
-        let mut buf = Vec::with_capacity(self.nodes.len() * 32);
+        let mut buf = Vec::with_capacity(self.nodes.len() * NodeRecord::SIZE);
         for r in self.nodes.iter() {
-            let fields = [r.component, r.offset_min, r.len, r.chain, r.entry, r.exit, r.d_in, r.d_out];
-            put_u32_slice(&mut buf, &fields);
+            put_u32_slice(&mut buf, &r.fields());
         }
         w.section(TAG_DIST_NODES, buf);
         let mut buf = Vec::new();
@@ -246,8 +268,7 @@ impl ChainIndex {
         w.section(TAG_CHAIN_PREFIX, buf);
     }
 
-    /// Borrows the records and the decomposition out of a validated `.mgi`
-    /// container.
+    /// Loads the records and the decomposition from a `.mgi` container.
     ///
     /// Validation is strict enough that no later query can index out of
     /// bounds or underflow, whatever the (checksum-valid) bytes claim.
@@ -255,18 +276,19 @@ impl ChainIndex {
     /// # Errors
     ///
     /// Returns [`Error::Corrupt`] when any structural invariant fails.
-    pub fn from_mgi(f: &MgiFile) -> Result<Self> {
-        let mut meta = FixedReader::new(f.section(TAG_DIST_META)?);
+    pub fn from_mgi(f: &mut MgiFile) -> Result<Self> {
+        let meta = f.section(TAG_DIST_META)?;
+        let mut meta = FixedReader::new(&meta);
         let n = meta.read_u64()?;
         let component_count = meta.read_u32()?;
         let _reserved = meta.read_u32()?;
         if !meta.is_at_end() {
             return Err(Error::Corrupt("distance meta has trailing bytes".into()));
         }
-        let nodes = f.section_storage::<NodeRecord>(TAG_DIST_NODES)?;
-        let chain_starts = f.section_storage::<u64>(TAG_CHAIN_STARTS)?;
-        let anchors = f.section_storage::<u32>(TAG_CHAIN_ANCHORS)?;
-        let prefix_min = f.section_storage::<u64>(TAG_CHAIN_PREFIX)?;
+        let nodes: Vec<NodeRecord> = f.array(TAG_DIST_NODES)?;
+        let chain_starts: Vec<u64> = f.array(TAG_CHAIN_STARTS)?;
+        let anchors: Vec<u32> = f.array(TAG_CHAIN_ANCHORS)?;
+        let prefix_min: Vec<u64> = f.array(TAG_CHAIN_PREFIX)?;
         if nodes.len() as u64 != n {
             return Err(Error::Corrupt(format!(
                 "distance index holds {} node records, meta claims {n}",

@@ -49,7 +49,9 @@ use crate::rescue::{rescue_mate_bases, RescueParams};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParentOptions {
     /// Kernel options (threads, batch, cache capacity, kernels). The
-    /// parent's scheduler defaults to the VG batch dispatcher.
+    /// library default scheduler is the VG batch dispatcher; the
+    /// `minigiraffe` CLI overrides it with `dynamic` for every subcommand
+    /// unless `--scheduler` says otherwise.
     pub mapping: MappingOptions,
     /// Post-processing parameters.
     pub align: AlignParams,
@@ -172,7 +174,7 @@ impl<'a> Parent<'a> {
     }
 
     /// Builds the parent around a prebuilt distance index — e.g. one
-    /// borrowed out of a mapped `.mgi` bundle — skipping the
+    /// moved out of a loaded `.mgi` bundle — skipping the
     /// [`DistanceIndex::build`] graph traversal entirely.
     pub fn with_distance(
         gbz: &'a Gbz,

@@ -52,13 +52,14 @@ fn streaming_a_dump_holds_the_file_and_one_chunk() {
     }
     let input = SyntheticInput::generate(&InputSetSpec::tiny_for_tests(), 3);
     let per_copy = input.dump.reads.len();
-    let section = MgiFile::open_bytes(input.dump.to_bytes().unwrap()).unwrap();
-    let reads = section.section(TAG_DUMP_READS).unwrap();
+    let reads = MgiFile::open_bytes(input.dump.to_bytes().unwrap())
+        .and_then(|mut f| f.section(TAG_DUMP_READS))
+        .unwrap();
     let path = |tag: &str| std::env::temp_dir().join(format!("mg-dump-rss-{tag}-{}.bin", std::process::id()));
     let (small, large) = (Removed(path("small")), Removed(path("large")));
-    write_dump(&small.0, reads, per_copy, (2 * CHUNK_READS).div_ceil(per_copy));
+    write_dump(&small.0, &reads, per_copy, (2 * CHUNK_READS).div_ceil(per_copy));
     let copies = (CHUNKS * CHUNK_READS).div_ceil(per_copy);
-    write_dump(&large.0, reads, per_copy, copies);
+    write_dump(&large.0, &reads, per_copy, copies);
 
     let mapper = Mapper::new(&input.gbz);
     let options = MappingOptions {
@@ -67,8 +68,8 @@ fn streaming_a_dump_holds_the_file_and_one_chunk() {
         ..Default::default()
     };
     let stream = |path: &Path| {
-        let file = MgiFile::open(path).unwrap();
-        let mut reader = DumpReader::new(&file).unwrap();
+        let mut file = MgiFile::open(path).unwrap();
+        let mut reader = DumpReader::new(&mut file).unwrap();
         mapper
             .run_dump(&mut reader, &options, &NullSink, Metrics::off_ref(), |_| Ok(()))
             .unwrap()

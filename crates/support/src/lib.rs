@@ -8,8 +8,9 @@
 //! - [`rle`]: run-length encoding of `(symbol, run)` pairs, the body of
 //!   each GBWT node record.
 //! - [`mgi`]: the one on-disk container — a checksummed section table over
-//!   64-byte-aligned payloads, read into one aligned buffer on open — that
-//!   `.mgz` pangenomes, `.mgi` index bundles and `.bin` seed dumps all use.
+//!   64-byte-aligned payloads, each streamed into its own array as it is
+//!   summed — that `.mgz` pangenomes, `.mgi` index bundles and `.bin` seed
+//!   dumps all use.
 //! - [`probe`], [`regions`], [`mem`]: memory-access probes, region timers
 //!   and RSS readings for the characterization experiments.
 //!
@@ -25,6 +26,8 @@
 //! varint::write_u64(&mut buf, 300);
 //! assert_eq!(varint::read_u64(&buf).unwrap(), (300, 2));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod mem;

@@ -1,27 +1,23 @@
-//! The one on-disk container: validate, don't parse.
+//! The one on-disk container: validate, don't rebuild.
 //!
 //! A `.mgi` file holds the mapper's resident state — the forward node
 //! sequence arena and CSR adjacency, minimizer table, distance/snarl index,
-//! and compressed GBWT — in the exact little-endian layouts the in-memory
-//! structures use, so loading is one read of the file into an aligned
-//! buffer plus bounds/invariant validation, with zero per-element
-//! decoding. Each node sequence is stored once: the graph derives its
-//! reverse-complement arena from the forward one on load.
+//! and compressed GBWT — as flat little-endian arrays, so loading streams
+//! each section once into the array it becomes and then checks the
+//! structural invariants; no index is rebuilt. Each node sequence is stored
+//! once: the graph derives its reverse-complement arena from the forward
+//! one on load.
 //! The other two binary files use the same container with fewer sections:
 //! a `.mgz` pangenome holds exactly the graph and GBWT sections, a `.bin`
 //! seed dump its two dump sections. The pieces:
 //!
-//! - [`Mapping`]: a file's bytes, read once into a read-only heap buffer
-//!   aligned to [`MGI_ALIGN`] (never `mmap`ed: a file truncated on disk
-//!   after open cannot fault a reader).
-//! - [`MappedSlice`]: a typed `&[T]` view into a [`Mapping`] that keeps the
-//!   buffer alive via reference counting.
-//! - [`Storage`]: the owned-or-mapped backing used by index structures, so
-//!   one concrete type serves both the build path and the zero-copy path.
-//! - [`Pod`]: the marker trait for types whose slices may be reinterpreted
-//!   from container bytes.
-//! - [`MgiWriter`] / [`MgiFile`]: the container format itself — preamble,
-//!   fixed section table, 64-byte-aligned checksummed payloads.
+//! - [`MgiWriter`]: assembles the container — preamble, fixed section
+//!   table, 64-byte-aligned checksummed payloads.
+//! - [`MgiFile`]: opens one, checks the preamble and the table, then reads
+//!   each section on request in [`BLOCK_LEN`] blocks, summing every block
+//!   while it is still in cache: a `u8` section straight into its
+//!   `Vec<u8>`, a typed one decoded into a `Vec<T>` of a [`Decode`] type.
+//!   No section reaches its caller before its sum is verified.
 //!
 //! # Layout
 //!
@@ -46,12 +42,8 @@
 //! rejects anything else — overlapping sections, gaps, or trailing garbage
 //! are structurally impossible to accept.
 
-use std::alloc::Layout;
-use std::io::{Read, Write};
-use std::ops::Deref;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::ptr::NonNull;
-use std::sync::Arc;
 
 use crate::error::{Error, Result};
 
@@ -67,10 +59,13 @@ pub const MGI_VERSION: u32 = 4;
 /// Endianness marker; written as a native u32, so a big-endian writer
 /// produces different bytes and is rejected by little-endian readers.
 pub const MGI_ENDIAN: u32 = 0x0102_0304;
-/// Section payload alignment: one cache line, so the 32-byte records the
-/// index readers map (k-mer entries, node records) never straddle a line.
-/// Covers every element type's own alignment too.
+/// Section payload alignment: one cache line. Every payload starts on it
+/// and is zero padded to it.
 pub const MGI_ALIGN: usize = 64;
+/// Bytes [`MgiFile`] reads a section in: each block is summed and decoded
+/// while it is still in cache. A multiple of every [`Decode::SIZE`] and of
+/// the checksum's 32-byte lane group.
+pub const BLOCK_LEN: usize = 64 * 1024;
 
 const PREAMBLE_LEN: usize = 48;
 const TABLE_ENTRY_LEN: usize = 32;
@@ -121,31 +116,34 @@ pub const TAG_DUMP_META: u32 = 0x0500;
 /// Seed-dump reads: each read's bases and delta-encoded seeds (varints).
 pub const TAG_DUMP_READS: u32 = 0x0501;
 
-/// Marker for plain-old-data element types that may be reinterpreted from
-/// container little-endian bytes.
-///
-/// # Safety
-///
-/// Implementors must guarantee that every bit pattern of the non-padding
-/// bytes is a valid value, that the layout is stable (`#[repr(C)]` or
-/// `#[repr(transparent)]` over such types), and that the type holds no
-/// pointers or lifetimes. Types *may* contain trailing padding: casts only
-/// ever go from bytes to values (the writers serialize field by field), so
-/// padding bytes are never read.
-pub unsafe trait Pod: Copy + Send + Sync + 'static {}
+/// An element type a typed section decodes into: [`Decode::SIZE`]
+/// little-endian bytes per element, laid out as the type's writer puts
+/// them. Every byte pattern decodes; the index readers check what the
+/// values mean.
+pub trait Decode: Sized {
+    /// Bytes per element; divides [`BLOCK_LEN`].
+    const SIZE: usize;
+    /// The element stored in `bytes`, which holds exactly `SIZE` of them.
+    fn decode(bytes: &[u8]) -> Self;
+}
 
-// SAFETY: primitive integers: every bit pattern is a value, no padding, no
-// pointers.
-unsafe impl Pod for u8 {}
-// SAFETY: as for `u8`.
-unsafe impl Pod for u16 {}
-// SAFETY: as for `u8`.
-unsafe impl Pod for u32 {}
-// SAFETY: as for `u8`.
-unsafe impl Pod for u64 {}
+impl Decode for u32 {
+    const SIZE: usize = 4;
+    fn decode(bytes: &[u8]) -> u32 {
+        u32::from_le_bytes(bytes.try_into().expect("4-byte element"))
+    }
+}
+
+impl Decode for u64 {
+    const SIZE: usize = 8;
+    fn decode(bytes: &[u8]) -> u64 {
+        le_word(bytes)
+    }
+}
 
 /// The container checksum: of the section table and of every section
-/// payload (format version 4).
+/// payload (format version 4). The one-block case of the streaming sum
+/// [`MgiFile`] folds each section into as it reads it.
 ///
 /// Four independent 64-bit lanes take the input's 8-byte little-endian
 /// words in turn (word `i` goes to lane `i % 4`), each step
@@ -166,22 +164,13 @@ unsafe impl Pod for u64 {}
 /// assert_eq!(mg_support::mgi::checksum(b""), 0x4370_7fe7_305b_d2d5);
 /// ```
 pub fn checksum(data: &[u8]) -> u64 {
-    let mut lanes = SUM_SEEDS;
-    let mut blocks = data.chunks_exact(8 * SUM_SEEDS.len());
-    for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            *lane = sum_step(*lane, le_word(word));
-        }
-    }
-    let mut words = blocks.remainder().chunks_exact(8);
-    for (lane, word) in lanes.iter_mut().zip(&mut words) {
-        *lane = sum_step(*lane, le_word(word));
-    }
-    let mut tail = [0u8; 8];
-    tail[..words.remainder().len()].copy_from_slice(words.remainder());
-    let sum = lanes.into_iter().fold(data.len() as u64, sum_step);
-    sum_step(sum, u64::from_le_bytes(tail))
+    let mut sum = Sum::new();
+    sum.update(data);
+    sum.finish()
 }
+
+/// Bytes of one round of the four lanes.
+const LANE_GROUP: usize = 8 * SUM_SEEDS.len();
 
 /// The checksum's starting lanes: four distinct constants, so words
 /// swapped between lanes change the sum.
@@ -191,6 +180,50 @@ const SUM_SEEDS: [u64; 4] = [
     0xa409_3822_299f_31d0,
     0x082e_fa98_ec4e_6c89,
 ];
+
+/// [`checksum`] over input that arrives in blocks: every block but the last
+/// a whole number of lane groups.
+#[derive(Debug, Clone)]
+struct Sum {
+    lanes: [u64; 4],
+    len: u64,
+    /// The last block's bytes past its whole lane groups.
+    rest: [u8; LANE_GROUP],
+    rest_len: usize,
+}
+
+impl Sum {
+    fn new() -> Sum {
+        Sum { lanes: SUM_SEEDS, len: 0, rest: [0; LANE_GROUP], rest_len: 0 }
+    }
+
+    /// Folds in the next block.
+    fn update(&mut self, block: &[u8]) {
+        debug_assert_eq!(self.rest_len, 0, "only the last block may end inside a lane group");
+        let mut groups = block.chunks_exact(LANE_GROUP);
+        for group in &mut groups {
+            for (lane, word) in self.lanes.iter_mut().zip(group.chunks_exact(8)) {
+                *lane = sum_step(*lane, le_word(word));
+            }
+        }
+        let rest = groups.remainder();
+        self.rest[..rest.len()].copy_from_slice(rest);
+        self.rest_len = rest.len();
+        self.len += block.len() as u64;
+    }
+
+    /// The sum of every byte folded in.
+    fn finish(mut self) -> u64 {
+        let mut words = self.rest[..self.rest_len].chunks_exact(8);
+        for (lane, word) in self.lanes.iter_mut().zip(&mut words) {
+            *lane = sum_step(*lane, le_word(word));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        let sum = self.lanes.into_iter().fold(self.len, sum_step);
+        sum_step(sum, u64::from_le_bytes(tail))
+    }
+}
 
 /// One checksum step: a bijection of `lane` for a fixed `word` and of
 /// `word` for a fixed `lane`.
@@ -208,290 +241,6 @@ fn le_word(bytes: &[u8]) -> u64 {
 fn align_up(n: usize, align: usize) -> usize {
     n.div_ceil(align) * align
 }
-
-// ---------------------------------------------------------------------------
-// Mapping: a whole file in one aligned, read-only buffer.
-// ---------------------------------------------------------------------------
-
-/// A file's bytes in one read-only heap buffer aligned to [`MGI_ALIGN`],
-/// which preserves every alignment guarantee the typed section views rely
-/// on.
-///
-/// The file is read into the buffer at open, not memory-mapped: opening
-/// checksums every section, so every byte is read then anyway, and a file
-/// truncated or rewritten on disk afterwards cannot reach the views.
-#[derive(Debug)]
-pub struct Mapping {
-    /// `len` bytes allocated with `layout`; dangling (never dereferenced or
-    /// freed) when `len` is 0.
-    ptr: NonNull<u8>,
-    len: usize,
-    layout: Layout,
-}
-
-// SAFETY: a `Mapping` owns its buffer outright, and nothing writes to the
-// buffer after construction, so sharing or sending it is sharing or sending
-// plain immutable bytes.
-unsafe impl Send for Mapping {}
-// SAFETY: as for `Send`: the buffer is never written after construction.
-unsafe impl Sync for Mapping {}
-
-impl Mapping {
-    /// Reads all of `path` into an aligned buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] if the file cannot be read in full.
-    pub fn open(path: &Path) -> Result<Mapping> {
-        let mut file = std::fs::File::open(path)?;
-        let len = usize::try_from(file.metadata()?.len())
-            .map_err(|_| Error::Corrupt("file too large to read".into()))?;
-        let mut map = Mapping::zeroed(len);
-        file.read_exact(map.bytes_mut())?;
-        Ok(map)
-    }
-
-    /// Wraps an in-memory image, copying it into an aligned buffer.
-    pub fn from_vec(bytes: Vec<u8>) -> Mapping {
-        let mut map = Mapping::zeroed(bytes.len());
-        map.bytes_mut().copy_from_slice(&bytes);
-        map
-    }
-
-    /// A zero-filled aligned buffer of `len` bytes.
-    fn zeroed(len: usize) -> Mapping {
-        let layout = Layout::from_size_align(len, MGI_ALIGN).expect("valid mapping layout");
-        let ptr = if len == 0 {
-            NonNull::dangling()
-        } else {
-            // SAFETY: `layout` has a nonzero size.
-            let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
-            NonNull::new(ptr).unwrap_or_else(|| std::alloc::handle_alloc_error(layout))
-        };
-        Mapping { ptr, len, layout }
-    }
-
-    /// The buffer, writable while the mapping is built.
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        // SAFETY: `ptr` is valid for `len` initialized (zeroed) bytes, or
-        // dangling and well aligned when `len` is 0; `&mut self` makes this
-        // the only reference to them.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// The mapped bytes.
-    pub fn bytes(&self) -> &[u8] {
-        // SAFETY: `ptr` is valid for `len` initialized bytes (or dangling and
-        // well aligned when `len` is 0), and they are not written while
-        // `self` is borrowed.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// Total mapped length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the mapping is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl Drop for Mapping {
-    fn drop(&mut self) {
-        if self.len > 0 {
-            // SAFETY: `ptr` came from `alloc_zeroed(self.layout)` and is freed
-            // only here.
-            unsafe { std::alloc::dealloc(self.ptr.as_ptr(), self.layout) };
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MappedSlice: a typed view that keeps the mapping alive.
-// ---------------------------------------------------------------------------
-
-/// A `&[T]` view into a [`Mapping`], holding a reference count on the map
-/// so the view is self-contained ('static).
-pub struct MappedSlice<T: Pod> {
-    /// Keeps the bytes `ptr` points into alive and unchanged.
-    _map: Arc<Mapping>,
-    /// `len` elements of `T` inside `_map`, aligned for `T`.
-    ptr: *const T,
-    len: usize,
-}
-
-// SAFETY: the view only reads immutable bytes owned by the `Arc<Mapping>`
-// it holds (itself `Send + Sync`), and `T: Pod` is `Send + Sync`.
-unsafe impl<T: Pod> Send for MappedSlice<T> {}
-// SAFETY: as for `Send`: shared access is read-only.
-unsafe impl<T: Pod> Sync for MappedSlice<T> {}
-
-impl<T: Pod> MappedSlice<T> {
-    /// Casts `len_bytes` bytes at `offset` inside `map` into a typed slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corrupt`] if the range is out of bounds, the length
-    /// is not a multiple of `size_of::<T>()`, or the pointer is misaligned.
-    pub fn new(map: &Arc<Mapping>, offset: usize, len_bytes: usize) -> Result<MappedSlice<T>> {
-        let size = std::mem::size_of::<T>();
-        let end = offset
-            .checked_add(len_bytes)
-            .ok_or_else(|| Error::Corrupt("mapped slice range overflows".into()))?;
-        if end > map.len() {
-            return Err(Error::Corrupt(format!(
-                "mapped slice [{offset}, {end}) exceeds mapping of {} bytes",
-                map.len()
-            )));
-        }
-        if size == 0 || !len_bytes.is_multiple_of(size) {
-            return Err(Error::Corrupt(format!(
-                "mapped slice of {len_bytes} bytes is not a whole number of {size}-byte elements"
-            )));
-        }
-        let ptr = map.bytes()[offset..end].as_ptr();
-        if !(ptr as usize).is_multiple_of(std::mem::align_of::<T>()) {
-            return Err(Error::Corrupt(format!(
-                "mapped slice at offset {offset} is misaligned for {}-byte alignment",
-                std::mem::align_of::<T>()
-            )));
-        }
-        Ok(MappedSlice {
-            _map: Arc::clone(map),
-            ptr: ptr as *const T,
-            len: len_bytes / size,
-        })
-    }
-}
-
-impl<T: Pod> Deref for MappedSlice<T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        // SAFETY: `new` checked that the `len * size_of::<T>()` bytes at
-        // `ptr` lie inside the mapping and that `ptr` is aligned for `T`;
-        // `_map` keeps them alive and unwritten; and `T: Pod` makes every
-        // bit pattern of them a valid `T`.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-impl<T: Pod> Clone for MappedSlice<T> {
-    fn clone(&self) -> Self {
-        MappedSlice {
-            _map: Arc::clone(&self._map),
-            ptr: self.ptr,
-            len: self.len,
-        }
-    }
-}
-
-impl<T: Pod + std::fmt::Debug> std::fmt::Debug for MappedSlice<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MappedSlice")
-            .field("len", &self.len)
-            .finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Storage: owned-or-mapped backing for index structures.
-// ---------------------------------------------------------------------------
-
-/// The backing store of an index array: a plain `Vec` on the build path, a
-/// zero-copy [`MappedSlice`] when loaded from a `.mgi`.
-///
-/// Everything downstream reads through `Deref<Target = [T]>`, so hot paths
-/// are identical for both variants; only construction code mutates, via
-/// [`Storage::vec_mut`].
-pub enum Storage<T: Pod> {
-    /// Heap-owned elements (build path, legacy deserializers).
-    Owned(Vec<T>),
-    /// Borrowed from a live [`Mapping`].
-    Mapped(MappedSlice<T>),
-}
-
-impl<T: Pod> Storage<T> {
-    /// The owned vector, for construction-time mutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the storage is mapped: mapped index structures are
-    /// immutable by contract.
-    pub fn vec_mut(&mut self) -> &mut Vec<T> {
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Mapped(_) => panic!("cannot mutate mapped storage"),
-        }
-    }
-
-    /// Heap bytes owned by this storage (zero when mapped).
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            Storage::Owned(v) => v.capacity() * std::mem::size_of::<T>(),
-            Storage::Mapped(_) => 0,
-        }
-    }
-
-    /// Whether the backing is borrowed from a container [`Mapping`].
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, Storage::Mapped(_))
-    }
-}
-
-impl<T: Pod> Deref for Storage<T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Mapped(m) => m,
-        }
-    }
-}
-
-impl<T: Pod> Default for Storage<T> {
-    fn default() -> Self {
-        Storage::Owned(Vec::new())
-    }
-}
-
-impl<T: Pod> From<Vec<T>> for Storage<T> {
-    fn from(v: Vec<T>) -> Self {
-        Storage::Owned(v)
-    }
-}
-
-impl<T: Pod> From<MappedSlice<T>> for Storage<T> {
-    fn from(m: MappedSlice<T>) -> Self {
-        Storage::Mapped(m)
-    }
-}
-
-impl<T: Pod> Clone for Storage<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Storage::Owned(v) => Storage::Owned(v.clone()),
-            Storage::Mapped(m) => Storage::Mapped(m.clone()),
-        }
-    }
-}
-
-impl<T: Pod + std::fmt::Debug> std::fmt::Debug for Storage<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl<T: Pod + PartialEq> PartialEq for Storage<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self[..] == other[..]
-    }
-}
-
-impl<T: Pod + Eq> Eq for Storage<T> {}
 
 // ---------------------------------------------------------------------------
 // Little-endian scalar helpers for section payloads.
@@ -542,8 +291,7 @@ impl<'a> FixedReader<'a> {
     ///
     /// Returns [`Error::UnexpectedEof`] if fewer than 4 bytes remain.
     pub fn read_u32(&mut self) -> Result<u32> {
-        let bytes = self.take(4, "u32 field")?;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+        self.take(4, "u32 field").map(u32::decode)
     }
 
     /// Reads the next little-endian `u64`.
@@ -552,8 +300,7 @@ impl<'a> FixedReader<'a> {
     ///
     /// Returns [`Error::UnexpectedEof`] if fewer than 8 bytes remain.
     pub fn read_u64(&mut self) -> Result<u64> {
-        let bytes = self.take(8, "u64 field")?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        self.take(8, "u64 field").map(u64::decode)
     }
 
     /// Whether every byte has been consumed.
@@ -672,7 +419,7 @@ impl MgiWriter {
 }
 
 // ---------------------------------------------------------------------------
-// MgiFile: open + validate a container image.
+// MgiFile: open a container and stream its sections out of it.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
@@ -680,23 +427,40 @@ struct SectionEntry {
     tag: u32,
     offset: usize,
     len: usize,
+    /// The offset of the next section, or the file length after the last.
+    padded_end: usize,
+    sum: u64,
+    /// Whether the section's sum and padding have been verified.
+    verified: bool,
 }
 
-/// An opened, validated `.mgi` container.
+/// What an [`MgiFile`] reads from: the file, or an in-memory image.
+trait Source: Read + Seek + Send {}
+
+impl<T: Read + Seek + Send> Source for T {}
+
+/// An opened `.mgi` container whose sections are read on request.
 ///
-/// Opening validates the preamble (magic, version, endianness, exact file
-/// length), the canonical section layout (recomputed and compared, so
-/// overlaps, gaps, and trailing garbage are rejected), and every section
-/// checksum. Section payloads are then borrowed straight out of the
-/// mapping.
-#[derive(Debug)]
+/// Opening checks the preamble (magic, version, endianness, exact file
+/// length), the table's sum, the canonical section layout (recomputed and
+/// compared, so overlaps, gaps, and trailing garbage are rejected) and the
+/// zero padding behind the table. Reading a section checks its sum and the
+/// zero padding behind it before the bytes are handed over, and
+/// [`MgiFile::finish`] checks every section no reader asked for, so a
+/// loader that ends with it has checked every byte of the file.
 pub struct MgiFile {
-    map: Arc<Mapping>,
+    src: Box<dyn Source>,
     entries: Vec<SectionEntry>,
 }
 
+impl std::fmt::Debug for MgiFile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MgiFile").field("entries", &self.entries).finish_non_exhaustive()
+    }
+}
+
 impl MgiFile {
-    /// Reads and validates `path`, verifying all section checksums.
+    /// Opens `path` and checks its preamble, table and layout.
     ///
     /// # Errors
     ///
@@ -704,30 +468,35 @@ impl MgiFile {
     /// [`Error::UnsupportedVersion`] / [`Error::Corrupt`] /
     /// [`Error::ChecksumMismatch`] on validation failure.
     pub fn open(path: &Path) -> Result<MgiFile> {
-        MgiFile::from_mapping(Arc::new(Mapping::open(path)?))
+        let file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        MgiFile::from_source(Box::new(file), len)
     }
 
-    /// Validates an in-memory image (tests, in-process round trips).
+    /// Opens an in-memory image (tests, in-process round trips).
     ///
     /// # Errors
     ///
     /// Same conditions as [`MgiFile::open`].
     pub fn open_bytes(bytes: Vec<u8>) -> Result<MgiFile> {
-        MgiFile::from_mapping(Arc::new(Mapping::from_vec(bytes)))
+        let len = bytes.len() as u64;
+        MgiFile::from_source(Box::new(std::io::Cursor::new(bytes)), len)
     }
 
-    fn from_mapping(map: Arc<Mapping>) -> Result<MgiFile> {
-        let data = map.bytes();
-        if data.len() < PREAMBLE_LEN {
+    fn from_source(mut src: Box<dyn Source>, file_len: u64) -> Result<MgiFile> {
+        let data_len = usize::try_from(file_len)
+            .map_err(|_| Error::Corrupt("file too large to read".into()))?;
+        if data_len < PREAMBLE_LEN {
             return Err(Error::Corrupt(format!(
-                "file of {} bytes is smaller than the .mgi preamble",
-                data.len()
+                "file of {data_len} bytes is smaller than the .mgi preamble"
             )));
         }
-        if data[..8] != MGI_MAGIC {
+        let mut preamble = [0u8; PREAMBLE_LEN];
+        src.read_exact(&mut preamble)?;
+        if preamble[..8] != MGI_MAGIC {
             return Err(Error::BadMagic);
         }
-        let mut pre = FixedReader::new(&data[8..PREAMBLE_LEN]);
+        let mut pre = FixedReader::new(&preamble[8..]);
         let version = pre.read_u32()?;
         if version != MGI_VERSION {
             return Err(Error::UnsupportedVersion(version));
@@ -743,11 +512,10 @@ impl MgiFile {
                 ".mgi containers require a little-endian host".into(),
             ));
         }
-        let file_len = pre.read_u64()?;
-        if file_len != data.len() as u64 {
+        let claimed_len = pre.read_u64()?;
+        if claimed_len != file_len {
             return Err(Error::Corrupt(format!(
-                "preamble claims {file_len} bytes, file has {}",
-                data.len()
+                "preamble claims {claimed_len} bytes, file has {data_len}"
             )));
         }
         let count = pre.read_u32()? as usize;
@@ -764,12 +532,13 @@ impl MgiFile {
         let table_sum = pre.read_u64()?;
         let table_bytes = count
             .checked_mul(TABLE_ENTRY_LEN)
-            .filter(|&b| PREAMBLE_LEN + b <= data.len())
+            .filter(|&b| PREAMBLE_LEN + b <= data_len)
             .ok_or_else(|| {
                 Error::Corrupt(format!("section table of {count} entries exceeds the file"))
             })?;
-        let table = &data[PREAMBLE_LEN..PREAMBLE_LEN + table_bytes];
-        let computed = checksum(table);
+        let mut table = vec![0u8; table_bytes];
+        src.read_exact(&mut table)?;
+        let computed = checksum(&table);
         if computed != table_sum {
             return Err(Error::ChecksumMismatch {
                 stored: table_sum,
@@ -779,21 +548,22 @@ impl MgiFile {
         // The layout is canonical: recompute the one valid offset sequence
         // and demand the table matches it exactly. This single check makes
         // overlapping sections, gaps, and out-of-bounds payloads impossible.
-        let mut expected = align_up(PREAMBLE_LEN + table_bytes, MGI_ALIGN);
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let mut row = FixedReader::new(&table[i * TABLE_ENTRY_LEN..(i + 1) * TABLE_ENTRY_LEN]);
+        let table_end = PREAMBLE_LEN + table_bytes;
+        let mut expected = align_up(table_end, MGI_ALIGN);
+        let mut entries: Vec<SectionEntry> = Vec::with_capacity(count);
+        for row in table.chunks_exact(TABLE_ENTRY_LEN) {
+            let mut row = FixedReader::new(row);
             let tag = row.read_u32()?;
             let pad = row.read_u32()?;
             let offset = row.read_u64()? as usize;
             let len = row.read_u64()? as usize;
-            let stored = row.read_u64()?;
+            let sum = row.read_u64()?;
             if pad != 0 {
                 return Err(Error::Corrupt(format!(
                     "section {tag:#x}: reserved table field is nonzero"
                 )));
             }
-            if entries.iter().any(|e: &SectionEntry| e.tag == tag) {
+            if entries.iter().any(|e| e.tag == tag) {
                 return Err(Error::Corrupt(format!("duplicate section tag {tag:#x}")));
             }
             if offset != expected {
@@ -803,50 +573,24 @@ impl MgiFile {
             }
             let end = offset
                 .checked_add(len)
-                .filter(|&e| e <= data.len())
+                .filter(|&e| e <= data_len)
                 .ok_or_else(|| {
                     Error::Corrupt(format!("section {tag:#x} of {len} bytes exceeds the file"))
                 })?;
-            let computed = checksum(&data[offset..end]);
-            if computed != stored {
-                return Err(Error::ChecksumMismatch {
-                    stored,
-                    computed,
-                });
-            }
             expected = align_up(end, MGI_ALIGN);
-            entries.push(SectionEntry { tag, offset, len });
+            entries.push(SectionEntry { tag, offset, len, padded_end: expected, sum, verified: false });
         }
-        if expected != data.len() {
+        if expected != data_len {
             return Err(Error::Corrupt(format!(
-                "file has {} bytes after the last section's padded end {expected}",
-                data.len()
+                "file has {data_len} bytes after the last section's padded end {expected}"
             )));
         }
-        // Alignment padding — after the table and after every payload —
-        // must be zero: any flipped bit in the file is an error somewhere,
-        // never silently ignored.
-        let mut end = PREAMBLE_LEN + table_bytes;
-        for e in &entries {
-            if data[end..e.offset].iter().any(|&b| b != 0) {
-                return Err(Error::Corrupt(format!(
-                    "nonzero alignment padding before section {:#x}",
-                    e.tag
-                )));
-            }
-            end = e.offset + e.len;
-        }
-        if data[end..].iter().any(|&b| b != 0) {
-            return Err(Error::Corrupt(
-                "nonzero alignment padding after the last section".into(),
-            ));
-        }
-        Ok(MgiFile { map, entries })
-    }
-
-    /// The underlying mapping.
-    pub fn mapping(&self) -> &Arc<Mapping> {
-        &self.map
+        // Alignment padding — after the table here, after every payload as
+        // it is read — must be zero: any flipped bit in the file is an
+        // error somewhere, never silently ignored.
+        let first = entries.first().map_or(data_len, |e| e.offset);
+        read_padding(src.as_mut(), first - table_end, None)?;
+        Ok(MgiFile { src, entries })
     }
 
     /// Tags present in the container, in file order.
@@ -869,47 +613,117 @@ impl MgiFile {
         }
     }
 
-    fn entry(&self, tag: u32) -> Result<&SectionEntry> {
-        self.entries.iter().find(|e| e.tag == tag).ok_or(Error::BadTag {
+    fn index(&self, tag: u32) -> Result<usize> {
+        self.entries.iter().position(|e| e.tag == tag).ok_or(Error::BadTag {
             found: 0,
             expected: Some(tag),
         })
     }
 
-    /// Borrows a section's raw bytes.
+    /// Reads a section's raw bytes, straight into the returned `Vec`.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::BadTag`] if no section carries `tag`.
-    pub fn section(&self, tag: u32) -> Result<&[u8]> {
-        let e = self.entry(tag)?;
-        Ok(&self.map.bytes()[e.offset..e.offset + e.len])
+    /// Returns [`Error::BadTag`] if no section carries `tag`,
+    /// [`Error::ChecksumMismatch`] or [`Error::Corrupt`] if its bytes or
+    /// its padding do not check out, and [`Error::Io`] if the file cannot
+    /// be read.
+    pub fn section(&mut self, tag: u32) -> Result<Vec<u8>> {
+        let i = self.index(tag)?;
+        let mut out = vec![0u8; self.entries[i].len];
+        let mut sum = Sum::new();
+        self.src.seek(SeekFrom::Start(self.entries[i].offset as u64))?;
+        for block in out.chunks_mut(BLOCK_LEN) {
+            self.src.read_exact(block)?;
+            sum.update(block);
+        }
+        self.verify(i, sum)?;
+        Ok(out)
     }
 
-    /// Borrows a section as a typed zero-copy slice.
+    /// Reads a section of `T` elements, decoding each block into the
+    /// returned `Vec` as it is summed.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::BadTag`] for a missing section and
-    /// [`Error::Corrupt`] if the section length or alignment does not fit
-    /// `T`.
-    pub fn section_slice<T: Pod>(&self, tag: u32) -> Result<MappedSlice<T>> {
-        let e = self.entry(tag)?;
-        MappedSlice::new(&self.map, e.offset, e.len).map_err(|err| match err {
-            Error::Corrupt(msg) => Error::Corrupt(format!("section {tag:#x}: {msg}")),
-            other => other,
-        })
+    /// As [`MgiFile::section`], and [`Error::Corrupt`] if the section is
+    /// not a whole number of `T`.
+    pub fn array<T: Decode>(&mut self, tag: u32) -> Result<Vec<T>> {
+        const { assert!(BLOCK_LEN.is_multiple_of(T::SIZE)) };
+        let i = self.index(tag)?;
+        let len = self.entries[i].len;
+        if !len.is_multiple_of(T::SIZE) {
+            return Err(Error::Corrupt(format!(
+                "section {tag:#x} of {len} bytes is not a whole number of {}-byte elements",
+                T::SIZE
+            )));
+        }
+        let mut out = Vec::with_capacity(len / T::SIZE);
+        self.stream(i, |block| out.extend(block.chunks_exact(T::SIZE).map(T::decode)))?;
+        Ok(out)
     }
 
-    /// Borrows a section as typed [`Storage`], ready to drop into an index
-    /// structure.
+    /// Verifies every section no reader has read yet: its sum and its
+    /// padding, a block at a time, keeping none of it. A loader ends with
+    /// this, so a file it accepts has had every byte checked.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`MgiFile::section_slice`].
-    pub fn section_storage<T: Pod>(&self, tag: u32) -> Result<Storage<T>> {
-        Ok(Storage::Mapped(self.section_slice(tag)?))
+    /// As [`MgiFile::section`].
+    pub fn finish(&mut self) -> Result<()> {
+        for i in 0..self.entries.len() {
+            if !self.entries[i].verified {
+                self.stream(i, |_| {})?;
+            }
+        }
+        Ok(())
     }
+
+    /// Reads section `i` in [`BLOCK_LEN`] blocks through one scratch
+    /// buffer, summing each block before `each` sees it, then verifies it.
+    fn stream(&mut self, i: usize, mut each: impl FnMut(&[u8])) -> Result<()> {
+        let SectionEntry { offset, len, .. } = self.entries[i];
+        let mut block = vec![0u8; len.min(BLOCK_LEN)];
+        let mut sum = Sum::new();
+        self.src.seek(SeekFrom::Start(offset as u64))?;
+        let mut left = len;
+        while left > 0 {
+            let block = &mut block[..left.min(BLOCK_LEN)];
+            self.src.read_exact(block)?;
+            sum.update(block);
+            each(block);
+            left -= block.len();
+        }
+        self.verify(i, sum)
+    }
+
+    /// Checks section `i`'s sum, with the source just past its payload,
+    /// and the zero padding behind it.
+    fn verify(&mut self, i: usize, sum: Sum) -> Result<()> {
+        let e = self.entries[i];
+        let computed = sum.finish();
+        if computed != e.sum {
+            return Err(Error::ChecksumMismatch { stored: e.sum, computed });
+        }
+        read_padding(self.src.as_mut(), e.padded_end - e.offset - e.len, Some(e.tag))?;
+        self.entries[i].verified = true;
+        Ok(())
+    }
+}
+
+/// Reads the `len` bytes of alignment padding behind section `after` (or
+/// behind the table) and demands they are zero.
+fn read_padding(src: &mut dyn Source, len: usize, after: Option<u32>) -> Result<()> {
+    let mut pad = [0u8; MGI_ALIGN];
+    let pad = &mut pad[..len];
+    src.read_exact(pad)?;
+    if pad.iter().any(|&b| b != 0) {
+        return Err(Error::Corrupt(match after {
+            Some(tag) => format!("nonzero alignment padding after section {tag:#x}"),
+            None => "nonzero alignment padding after the section table".into(),
+        }));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -924,6 +738,13 @@ mod tests {
         w.finish()
     }
 
+    /// Opens `image` and reads every section's bytes, in file order.
+    fn read_all(image: Vec<u8>) -> Result<Vec<(u32, Vec<u8>)>> {
+        let mut f = MgiFile::open_bytes(image)?;
+        let tags: Vec<u32> = f.tags().collect();
+        tags.into_iter().map(|tag| Ok((tag, f.section(tag)?))).collect()
+    }
+
     /// Deterministic filler bytes (a 64-bit LCG's top byte per step).
     fn filler(len: usize, seed: u64) -> Vec<u8> {
         let mut x = seed;
@@ -935,6 +756,16 @@ mod tests {
             .collect()
     }
 
+    /// [`checksum`] fed as the reader feeds it: `block`-byte blocks, then
+    /// the rest.
+    fn streamed(data: &[u8], block: usize) -> u64 {
+        let mut sum = Sum::new();
+        for chunk in data.chunks(block) {
+            sum.update(chunk);
+        }
+        sum.finish()
+    }
+
     #[test]
     fn checksum_reference_values() {
         assert_eq!(checksum(b""), 0x4370_7fe7_305b_d2d5);
@@ -943,6 +774,27 @@ mod tests {
         // One 32-byte block, one more whole word, a 2-byte tail.
         let forty_two = b"0123456789abcdef0123456789abcdef0123456789";
         assert_eq!(checksum(forty_two), 0x1a36_81e7_27c5_a166);
+    }
+
+    #[test]
+    fn streamed_sum_equals_the_pinned_checksum_around_the_block_size() {
+        const B: usize = BLOCK_LEN;
+        let data = filler(2 * B + 7, 42);
+        let pinned: [(usize, u64); 9] = [
+            (0, 0x4370_7fe7_305b_d2d5),
+            (1, 0x506f_1f71_6f6c_a7a9),
+            (31, 0xe767_9365_4ba0_1190),
+            (32, 0xaec9_e2ef_b9a0_10e3),
+            (33, 0x5a02_6f06_f2ad_c2d2),
+            (B - 1, 0xb39d_13bd_c926_6b88),
+            (B, 0xd866_0a3e_ce2e_6a87),
+            (B + 1, 0x8589_0570_0b5f_badc),
+            (2 * B + 7, 0xe669_bd47_454e_788a),
+        ];
+        for (len, sum) in pinned {
+            assert_eq!(checksum(&data[..len]), sum, "checksum of {len} bytes");
+            assert_eq!(streamed(&data[..len], B), sum, "{len} bytes in blocks");
+        }
     }
 
     #[test]
@@ -997,6 +849,18 @@ mod tests {
             edited[at % payload.len()] ^= xor;
             proptest::prop_assert_ne!(checksum(&edited), checksum(&payload));
         }
+
+        /// The sum of blocks of any whole number of lane groups, the last
+        /// block ragged, is the sum of the whole.
+        #[test]
+        fn prop_streamed_sum_equals_checksum(
+            len in 0usize..3 * BLOCK_LEN,
+            groups in 1usize..=BLOCK_LEN / LANE_GROUP,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let data = filler(len, seed);
+            proptest::prop_assert_eq!(streamed(&data, groups * LANE_GROUP), checksum(&data));
+        }
     }
 
     #[test]
@@ -1015,9 +879,10 @@ mod tests {
 
     #[test]
     fn empty_container_roundtrips() {
-        let f = MgiFile::open_bytes(image(&[])).unwrap();
+        let mut f = MgiFile::open_bytes(image(&[])).unwrap();
         assert_eq!(f.tags().count(), 0);
         assert!(matches!(f.section(1), Err(Error::BadTag { .. })));
+        assert!(f.finish().is_ok());
     }
 
     #[test]
@@ -1027,34 +892,73 @@ mod tests {
             (TAG_GBWT_RECORDS, vec![7u8; 33]),
             (TAG_GRAPH_SEQ_OFFSETS, Vec::new()),
         ];
-        let f = MgiFile::open_bytes(image(&sections)).unwrap();
-        for (tag, payload) in &sections {
-            assert_eq!(f.section(*tag).unwrap(), &payload[..], "tag {tag:#x}");
+        assert_eq!(read_all(image(&sections)).unwrap(), sections);
+        // Sections read in any order, and more than once.
+        let mut f = MgiFile::open_bytes(image(&sections)).unwrap();
+        for (tag, payload) in sections.iter().rev().chain(&sections) {
+            assert_eq!(&f.section(*tag).unwrap(), payload, "tag {tag:#x}");
         }
-        let tags: Vec<u32> = f.tags().collect();
-        assert_eq!(tags, vec![TAG_GRAPH_SEQ, TAG_GBWT_RECORDS, TAG_GRAPH_SEQ_OFFSETS]);
     }
 
     #[test]
     fn typed_slices_decode_le_words() {
         let mut payload = Vec::new();
         put_u64_slice(&mut payload, &[1, u64::MAX, 0x0102_0304_0506_0708]);
-        let f = MgiFile::open_bytes(image(&[(TAG_GRAPH_SEQ_OFFSETS, payload)])).unwrap();
-        let words: MappedSlice<u64> = f.section_slice(TAG_GRAPH_SEQ_OFFSETS).unwrap();
-        assert_eq!(&words[..], &[1, u64::MAX, 0x0102_0304_0506_0708]);
-        let via_storage: Storage<u64> = f.section_storage(TAG_GRAPH_SEQ_OFFSETS).unwrap();
-        assert!(via_storage.is_mapped());
-        assert_eq!(via_storage.heap_bytes(), 0);
-        assert_eq!(&via_storage[..], &words[..]);
+        let mut f = MgiFile::open_bytes(image(&[(TAG_GRAPH_SEQ_OFFSETS, payload)])).unwrap();
+        let words: Vec<u64> = f.array(TAG_GRAPH_SEQ_OFFSETS).unwrap();
+        assert_eq!(words, [1, u64::MAX, 0x0102_0304_0506_0708]);
+        let halves: Vec<u32> = f.array(TAG_GRAPH_SEQ_OFFSETS).unwrap();
+        assert_eq!(halves, [1, 0, u32::MAX, u32::MAX, 0x0506_0708, 0x0102_0304]);
     }
 
     #[test]
     fn misaligned_element_size_rejected() {
-        let f = MgiFile::open_bytes(image(&[(TAG_GRAPH_SEQ_OFFSETS, vec![0u8; 12])])).unwrap();
-        assert!(matches!(
-            f.section_slice::<u64>(TAG_GRAPH_SEQ_OFFSETS),
-            Err(Error::Corrupt(_))
-        ));
+        // Twelve bytes are three `u32`s but not a whole number of `u64`s.
+        let mut f = MgiFile::open_bytes(image(&[(TAG_GRAPH_SEQ_OFFSETS, vec![0u8; 12])])).unwrap();
+        assert!(matches!(f.array::<u64>(TAG_GRAPH_SEQ_OFFSETS), Err(Error::Corrupt(_))));
+        assert_eq!(f.array::<u32>(TAG_GRAPH_SEQ_OFFSETS).unwrap(), [0; 3]);
+    }
+
+    #[test]
+    fn multi_block_sections_roundtrip_and_a_flip_in_the_last_block_is_caught() {
+        let bytes = filler(2 * BLOCK_LEN + 40, 3);
+        let good = image(&[(TAG_GBWT_RECORDS, bytes.clone()), (TAG_GBWT_END_IDS, bytes.clone())]);
+        let mut f = MgiFile::open_bytes(good.clone()).unwrap();
+        assert_eq!(f.section(TAG_GBWT_RECORDS).unwrap(), bytes);
+        let words: Vec<u64> = f.array(TAG_GBWT_END_IDS).unwrap();
+        assert!(words.iter().zip(bytes.chunks_exact(8)).all(|(&w, b)| w == u64::decode(b)));
+        // The last byte of each payload, in its third block.
+        let first = MgiFile::open_bytes(good.clone()).unwrap().entries[0];
+        let second = MgiFile::open_bytes(good.clone()).unwrap().entries[1];
+        for (at, tag) in [(first.offset + first.len - 1, TAG_GBWT_RECORDS), (second.offset + second.len - 1, TAG_GBWT_END_IDS)] {
+            let mut bad = good.clone();
+            bad[at] ^= 0x10;
+            let mut f = MgiFile::open_bytes(bad).unwrap();
+            let read = if tag == TAG_GBWT_RECORDS {
+                f.section(tag).map(drop)
+            } else {
+                f.array::<u64>(tag).map(drop)
+            };
+            assert!(matches!(read, Err(Error::ChecksumMismatch { .. })), "{tag:#x}: {read:?}");
+            assert!(matches!(f.finish(), Err(Error::ChecksumMismatch { .. })), "{tag:#x}");
+        }
+    }
+
+    #[test]
+    fn finish_checks_the_sections_nobody_read() {
+        let good = image(&[(TAG_GRAPH_SEQ, b"ACGT".to_vec()), (TAG_GRAPH_META, vec![1; 9])]);
+        let mut f = MgiFile::open_bytes(good.clone()).unwrap();
+        f.section(TAG_GRAPH_SEQ).unwrap();
+        assert!(f.finish().is_ok());
+        let meta = MgiFile::open_bytes(good.clone()).unwrap().entries[1];
+        let mut bad = good.clone();
+        bad[meta.offset] ^= 1;
+        let mut f = MgiFile::open_bytes(bad).unwrap();
+        f.section(TAG_GRAPH_SEQ).unwrap();
+        assert!(matches!(f.finish(), Err(Error::ChecksumMismatch { .. })));
+        let mut bad = good;
+        bad[meta.offset + meta.len] = 1;
+        assert!(matches!(MgiFile::open_bytes(bad).unwrap().finish(), Err(Error::Corrupt(_))));
     }
 
     #[test]
@@ -1065,13 +969,13 @@ mod tests {
         sections.push((TAG_GRAPH_SEQ_OFFSETS, payload));
         sections.push((TAG_GRAPH_SEQ, vec![b'A'; 100]));
         let good = image(&sections);
-        assert!(MgiFile::open_bytes(good.clone()).is_ok());
+        assert!(read_all(good.clone()).is_ok());
         for pos in 0..good.len() {
             for bit in [0x01u8, 0x80] {
                 let mut bad = good.clone();
                 bad[pos] ^= bit;
                 assert!(
-                    MgiFile::open_bytes(bad).is_err(),
+                    read_all(bad).is_err(),
                     "bit flip at byte {pos} (mask {bit:#x}) went undetected"
                 );
             }
@@ -1139,44 +1043,12 @@ mod tests {
         }
         w.write_to(&path).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), image.finish());
-        let f = MgiFile::open(&path).unwrap();
-        let words: MappedSlice<u64> = f.section_slice(TAG_GRAPH_SEQ_OFFSETS).unwrap();
-        assert_eq!(&words[..], &[42, 43, 44]);
+        let mut f = MgiFile::open(&path).unwrap();
+        assert_eq!(f.array::<u64>(TAG_GRAPH_SEQ_OFFSETS).unwrap(), [42, 43, 44]);
         assert_eq!(f.section(TAG_GRAPH_SEQ).unwrap(), b"ACGT");
-        drop(words);
+        assert!(f.finish().is_ok());
         drop(f);
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();
-    }
-
-    #[test]
-    fn storage_basics() {
-        let mut s: Storage<u64> = Storage::default();
-        s.vec_mut().extend_from_slice(&[1, 2, 3]);
-        assert_eq!(&s[..], &[1, 2, 3]);
-        assert!(!s.is_mapped());
-        assert!(s.heap_bytes() >= 24);
-        let t: Storage<u64> = vec![1, 2, 3].into();
-        assert_eq!(s, t);
-        let u = s.clone();
-        assert_eq!(u, t);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot mutate mapped storage")]
-    fn mapped_storage_rejects_mutation() {
-        let f = MgiFile::open_bytes(image(&[(TAG_GRAPH_SEQ_OFFSETS, vec![0u8; 8])])).unwrap();
-        let mut s: Storage<u64> = f.section_storage(TAG_GRAPH_SEQ_OFFSETS).unwrap();
-        s.vec_mut().push(1);
-    }
-
-    #[test]
-    fn mapping_from_vec_is_aligned_and_empty_safe() {
-        let m = Mapping::from_vec(vec![1, 2, 3]);
-        assert_eq!(m.bytes(), &[1, 2, 3]);
-        assert_eq!(m.bytes().as_ptr() as usize % MGI_ALIGN, 0);
-        let empty = Mapping::from_vec(Vec::new());
-        assert!(empty.is_empty());
-        assert_eq!(empty.bytes(), &[] as &[u8]);
     }
 }

@@ -94,13 +94,12 @@ USAGE:
 
   minigiraffe build-mgi <pangenome.mgz> [--out <index.mgi>]
                         [--k N] [--w N]
-      Build the zero-copy index container: pangenome + minimizer index
-      + distance index, persisted in their in-memory layouts. `map`,
-      `parent`, and `serve` accept it via --mgi and then start by
-      reading the file instead of decoding the pangenome and
-      rebuilding both indexes. The file is reopened and fully
-      verified (checksums + structural invariants + GBWT record
-      decode) before the command reports success.
+      Build the index container: pangenome + minimizer index +
+      distance index, persisted as flat arrays. `map`, `parent`, and
+      `serve` accept it via --mgi and then start by reading each array
+      back instead of rebuilding both indexes. The file is reopened
+      and fully verified (checksums + structural invariants + GBWT
+      record decode) before the command reports success.
 
   minigiraffe map <seeds.bin> <pangenome.mgz | --mgi <index.mgi>>
                   [--threads N] [--batch N] [--capacity N]
@@ -115,6 +114,7 @@ USAGE:
 
   minigiraffe parent <reads.fastq> <pangenome.mgz | --mgi <index.mgi>>
                      [--threads N] [--batch N] [--capacity N]
+                     [--scheduler dynamic|ws|vg]
                      [--gaf <out.gaf>] [--paired true]
                      [--stream <reads-per-batch> | --dump <seeds.bin>]
       Run the full Giraffe-like parent pipeline on raw reads: seeding,
@@ -160,6 +160,8 @@ USAGE:
 
   minigiraffe info <pangenome.mgz | seeds.bin>
       Print structural statistics of a data file.
+
+  --scheduler defaults to dynamic wherever it is accepted.
 ";
 
 /// Flags of `options_from_flags`.
@@ -268,8 +270,9 @@ fn dump_error(path: &str, e: minigiraffe::support::Error) -> String {
 }
 
 /// Resolves the pangenome + indexes for `map`/`parent`/`serve`: either a
-/// `--mgi` container read with zero per-element decoding, or a `.mgz`
-/// positional that is read the same way and then indexed from scratch.
+/// `--mgi` container whose arrays are read back as they were written, or
+/// a `.mgz` positional that is read the same way and then indexed from
+/// scratch.
 fn load_bundle(
     mgz_path: Option<&String>,
     flags: &std::collections::HashMap<String, String>,
@@ -292,7 +295,7 @@ fn load_bundle(
                 ),
                 e => format!("opening {mgi}: {e}"),
             })?;
-            eprintln!("opened {mgi} in {:.3}s (no decoding)", start.elapsed().as_secs_f64());
+            eprintln!("opened {mgi} in {:.3}s (no index rebuilt)", start.elapsed().as_secs_f64());
             Ok(bundle)
         }
         (None, Some(mgz)) => {
@@ -415,12 +418,8 @@ fn cmd_serve(args: &[String], out: &mut Out) -> Result<(), String> {
         config.options.mapping.threads,
         config.options.mapping.scheduler
     );
-    let parent = Parent::with_distance(
-        bundle.gbz(),
-        bundle.minimizer(),
-        bundle.distance().clone(),
-        workflow,
-    );
+    let (gbz, minimizer, distance) = bundle.into_parts();
+    let parent = Parent::with_distance(&gbz, &minimizer, distance, workflow);
     let server = MappingServer::new(&parent, config);
     server.serve_tcp(listener).map_err(|e| format!("serving: {e}"))?;
     say!(out, "{}", server.stats_json());
@@ -451,12 +450,8 @@ fn cmd_parent(args: &[String], out: &mut Out) -> Result<(), String> {
         mapping: options_from_flags(&flags)?,
         ..Default::default()
     };
-    let parent = Parent::with_distance(
-        bundle.gbz(),
-        bundle.minimizer(),
-        bundle.distance().clone(),
-        workflow_from_flags(&flags)?,
-    );
+    let (gbz, minimizer, distance) = bundle.into_parts();
+    let parent = Parent::with_distance(&gbz, &minimizer, distance, workflow_from_flags(&flags)?);
 
     if let Some(dump) = flags.get("dump") {
         // The capture boundary: every read's seeds and kernel results are
@@ -474,7 +469,7 @@ fn cmd_parent(args: &[String], out: &mut Out) -> Result<(), String> {
             run.wall.as_secs_f64()
         );
         if let Some(gaf) = flags.get("gaf") {
-            std::fs::write(gaf, run_to_gaf(bundle.gbz().graph(), &run, "read"))
+            std::fs::write(gaf, run_to_gaf(gbz.graph(), &run, "read"))
                 .map_err(|e| format!("writing {gaf}: {e}"))?;
             say!(out, "wrote alignments to {gaf}");
         }
@@ -537,6 +532,9 @@ fn cmd_generate(args: &[String], out: &mut Out) -> Result<(), String> {
     };
     let seed: u64 = flag(&flags, "seed", 42)?;
     let scale: f64 = flag(&flags, "scale", 1.0)?;
+    if !(scale > 0.0 && scale.is_finite()) {
+        return Err(format!("invalid --scale {scale}: must be a positive number"));
+    }
     let out_dir: PathBuf = flags.get("out").ok_or("--out is required")?.into();
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
     let spec = spec.scaled(scale);
@@ -555,18 +553,27 @@ fn cmd_generate(args: &[String], out: &mut Out) -> Result<(), String> {
     Ok(())
 }
 
-fn load_inputs(positional: &[String]) -> Result<(SeedDump, Gbz), String> {
+/// The pangenome and the first `fraction` of the dump's reads, as
+/// `SeedDump::subsample` keeps them. Only those are held; the rest are
+/// decoded a chunk at a time and checked against the pangenome, so a seed
+/// off it anywhere in the dump is an error.
+fn load_subsample(positional: &[String], fraction: f64) -> Result<(SeedDump, Gbz), String> {
     let [dump_path, gbz_path] = positional else {
         return Err("expected <seeds.bin> <pangenome.mgz>".into());
     };
-    let file = open_dump(dump_path)?;
+    let mut reader = open_dump(dump_path)?;
     let gbz = Gbz::load(gbz_path).map_err(|e| load_error(gbz_path, e))?;
-    let mut reader = DumpReader::new(&file).map_err(|e| dump_error(dump_path, e))?;
-    let mut reads = Vec::with_capacity(reader.read_count());
-    reader
-        .next_chunk_on(gbz.graph(), &mut reads, usize::MAX)
-        .map_err(|e| dump_error(dump_path, e))?;
-    Ok((SeedDump::new(reader.workflow(), reads), gbz))
+    let keep = reader.subsample_len(fraction);
+    let (mut reads, mut rest) = (Vec::with_capacity(keep), Vec::new());
+    reader.next_chunk_on(gbz.graph(), &mut reads, keep).map_err(|e| dump_error(dump_path, e))?;
+    loop {
+        reader
+            .next_chunk_on(gbz.graph(), &mut rest, INFO_CHUNK_READS)
+            .map_err(|e| dump_error(dump_path, e))?;
+        if rest.is_empty() {
+            return Ok((SeedDump::new(reader.workflow(), reads), gbz));
+        }
+    }
 }
 
 fn options_from_flags(
@@ -609,9 +616,12 @@ fn push_rows(out: &mut Vec<u8>, results: &[ReadResult]) {
     }
 }
 
-/// Opens a `.bin` seed dump, checking every section before any is read.
-fn open_dump(path: &str) -> Result<MgiFile, String> {
-    MgiFile::open(std::path::Path::new(path)).map_err(|e| dump_error(path, e))
+/// Opens a `.bin` seed dump and reads both its sections, each checked
+/// against its sum before any read is decoded.
+fn open_dump(path: &str) -> Result<DumpReader, String> {
+    MgiFile::open(std::path::Path::new(path))
+        .and_then(|mut file| DumpReader::new(&mut file))
+        .map_err(|e| dump_error(path, e))
 }
 
 fn cmd_map(args: &[String], out: &mut Out) -> Result<(), String> {
@@ -621,16 +631,15 @@ fn cmd_map(args: &[String], out: &mut Out) -> Result<(), String> {
         &[BUNDLE_FLAGS, MAPPING_FLAGS, &["instrument", "out"]],
     )?;
     // A usage error surfaces before the dump is opened, and a damaged dump
-    // before the bundle is: both are checked whole first. The dump's bytes
-    // stay resident for the run, but only one chunk of it is ever decoded,
-    // so memory is the file, the bundle and one chunk.
+    // before the bundle is: both are checked whole first. The dump's reads
+    // section stays resident for the run, but only one chunk of it is ever
+    // decoded, so memory is the section, the bundle and one chunk.
     let (dump_path, gbz_path) = match &positional[..] {
         [dump] if flags.contains_key("mgi") => (dump, None),
         [dump, gbz] => (dump, Some(gbz)),
         _ => return Err("expected <seeds.bin> <pangenome.mgz | --mgi index.mgi>".into()),
     };
-    let dump = open_dump(dump_path)?;
-    let mut reader = DumpReader::new(&dump).map_err(|e| dump_error(dump_path, e))?;
+    let mut reader = open_dump(dump_path)?;
     let bundle = load_bundle(gbz_path, &flags)?;
     let options = options_from_flags(&flags)?;
     eprintln!(
@@ -656,7 +665,8 @@ fn cmd_map(args: &[String], out: &mut Out) -> Result<(), String> {
         Some(profiler) => profiler,
         None => &NullSink,
     };
-    let mapper = Mapper::with_distance(bundle.gbz(), bundle.distance().clone());
+    let (gbz, _, distance) = bundle.into_parts();
+    let mapper = Mapper::with_distance(&gbz, distance);
     let mapped = mapper.run_dump(&mut reader, &options, sink, Metrics::off_ref(), |results| {
         if let Some((_, writer)) = &mut csv {
             rows.clear();
@@ -707,8 +717,7 @@ fn cmd_validate(args: &[String], out: &mut Out) -> Result<(), String> {
     let [dump_path, gbz_path, expected_path] = &positional[..] else {
         return Err("expected <seeds.bin> <pangenome.mgz> <expected.csv>".into());
     };
-    let dump = open_dump(dump_path)?;
-    let mut reader = DumpReader::new(&dump).map_err(|e| dump_error(dump_path, e))?;
+    let mut reader = open_dump(dump_path)?;
     let gbz = Gbz::load(gbz_path).map_err(|e| load_error(gbz_path, e))?;
     let options = options_from_flags(&flags)?;
     let mut produced = CSV_HEADER.to_vec();
@@ -758,11 +767,13 @@ fn cmd_tune(args: &[String], out: &mut Out) -> Result<(), String> {
 
     let (positional, flags) =
         parse_flags(args, "tune", &[&["threads", "subsample", "repeats"]])?;
-    let (dump, gbz) = load_inputs(&positional)?;
     let threads: usize = flag(&flags, "threads", 4)?;
     let subsample: f64 = flag(&flags, "subsample", 0.1)?;
     let repeats: usize = flag(&flags, "repeats", 2)?;
-    let dump = dump.subsample(subsample);
+    if !(subsample > 0.0 && subsample <= 1.0) {
+        return Err(format!("invalid --subsample {subsample}: must be in (0, 1]"));
+    }
+    let (dump, gbz) = load_subsample(&positional, subsample)?;
     let space = ParamSpace::default();
     eprintln!(
         "sweeping {} configurations over {} reads with {threads} threads ({repeats} repeats)...",
@@ -803,7 +814,7 @@ fn cmd_tune(args: &[String], out: &mut Out) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads `info` decodes at a time from a seed dump.
+/// Reads `info` and `tune` decode at a time from a seed dump.
 const INFO_CHUNK_READS: usize = 512;
 
 fn cmd_info(args: &[String], out: &mut Out) -> Result<(), String> {
@@ -824,9 +835,9 @@ fn cmd_info(args: &[String], out: &mut Out) -> Result<(), String> {
         say!(out, "  bwt runs:     {} ({:.2}/record)", stats.total_runs, stats.avg_runs_per_record);
         say!(out, "  bytes/visit:  {:.2}", stats.bytes_per_visit);
     } else {
-        // Counted a chunk at a time: memory is the file and one chunk.
-        let dump = open_dump(path)?;
-        let mut reader = DumpReader::new(&dump).map_err(|e| dump_error(path, e))?;
+        // Counted a chunk at a time: memory is the reads section and one
+        // chunk.
+        let mut reader = open_dump(path)?;
         let (mut bases, mut seeds) = (0usize, 0usize);
         let mut chunk = Vec::new();
         loop {

@@ -761,3 +761,46 @@ fn paired_flag_maps_mate_pairs_like_the_library() {
     assert!(ok, "{stderr}");
     assert!(!std::fs::read_to_string(dir.path("s.gaf")).unwrap().contains("pp:A:0"));
 }
+
+/// A `--subsample` outside (0, 1] or a `--scale` that is not a positive
+/// number is a usage error naming the flag, exit 1, before any file is
+/// read or created: never a panic.
+#[test]
+fn bad_subsample_and_scale_are_usage_errors() {
+    let dir = TempDir::new("bad-values");
+    let missing = dir.path("missing.bin");
+    for value in ["0", "1.5", "nan"] {
+        let args = ["tune", &missing, &missing, "--subsample", value, "--repeats", "1"];
+        let (code, stderr) = run_into(&args, Stdio::null());
+        assert_eq!(code, Some(1), "--subsample {value}: {stderr}");
+        assert!(stderr.contains("--subsample") && !stderr.contains("panicked"), "{stderr}");
+        assert!(!stderr.contains("missing.bin"), "read a file first: {stderr}");
+    }
+    for value in ["0", "-1", "nan"] {
+        let out = dir.path(&format!("out-{value}"));
+        let args = ["generate", "--input-set", "tiny", "--scale", value, "--out", &out];
+        let (code, stderr) = run_into(&args, Stdio::null());
+        assert_eq!(code, Some(1), "--scale {value}: {stderr}");
+        assert!(stderr.contains("--scale") && !stderr.contains("panicked"), "{stderr}");
+        assert!(!std::path::Path::new(&out).exists(), "--scale {value} created {out}");
+    }
+}
+
+/// `parent --scheduler vg` maps to the same GAF as the CLI's default
+/// (`dynamic`) scheduler.
+#[test]
+fn parent_scheduler_vg_writes_the_default_gaf() {
+    let dir = TempDir::new("sched-vg");
+    let (ok, _, stderr) = run(&["generate", "--input-set", "tiny", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    let (fastq, mgz) = (dir.path("tiny.fastq"), dir.path("tiny.mgz"));
+    let (default, vg) = (dir.path("default.gaf"), dir.path("vg.gaf"));
+    let (ok, _, stderr) = run(&["parent", &fastq, &mgz, "--threads", "2", "--gaf", &default]);
+    assert!(ok, "parent failed: {stderr}");
+    let args = ["parent", &fastq, &mgz, "--scheduler", "vg", "--threads", "2", "--gaf", &vg];
+    let (ok, _, stderr) = run(&args);
+    assert!(ok, "parent --scheduler vg failed: {stderr}");
+    let gaf = std::fs::read(&default).unwrap();
+    assert!(!gaf.is_empty());
+    assert_eq!(std::fs::read(&vg).unwrap(), gaf);
+}

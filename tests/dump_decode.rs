@@ -267,11 +267,11 @@ fn drain_on(
     image: &[u8],
     max: usize,
 ) -> (Vec<ReadInput>, Result<Workflow, String>) {
-    let file = match MgiFile::open_bytes(image.to_vec()) {
+    let mut file = match MgiFile::open_bytes(image.to_vec()) {
         Ok(file) => file,
         Err(e) => return (Vec::new(), Err(format!("{e:?}"))),
     };
-    let mut reader = match DumpReader::new(&file) {
+    let mut reader = match DumpReader::new(&mut file) {
         Ok(reader) => reader,
         Err(e) => return (Vec::new(), Err(format!("{e:?}"))),
     };
@@ -347,10 +347,10 @@ fn chunk_reader_fails_at_the_same_read_with_the_same_error() {
         })
         .collect();
     let good_image = SeedDump::new(Workflow::Single, good.clone()).to_bytes().unwrap();
-    let good_file = MgiFile::open_bytes(good_image).unwrap();
+    let mut good_file = MgiFile::open_bytes(good_image).unwrap();
     let good_payload = good_file.section(TAG_DUMP_READS).unwrap();
     for (what, meta, payload) in cases {
-        let prefixed = [good_payload, &payload].concat();
+        let prefixed = [&good_payload[..], &payload].concat();
         // A read count is checked before any read is decoded: behind the
         // prefix it must still exceed what the payload has room for.
         let (count, at) = if what.starts_with("read count") {
@@ -435,9 +435,10 @@ fn chunk_reader_reuses_read_buffers() {
             seeds: vec![Seed::new(0, GraphPos::new(Handle::forward(NodeId::new(2)), 0)); 3],
         })
         .collect();
-    let file = MgiFile::open_bytes(SeedDump::new(Workflow::Single, reads.clone()).to_bytes().unwrap())
-        .unwrap();
-    let mut reader = DumpReader::new(&file).unwrap();
+    let mut file =
+        MgiFile::open_bytes(SeedDump::new(Workflow::Single, reads.clone()).to_bytes().unwrap())
+            .unwrap();
+    let mut reader = DumpReader::new(&mut file).unwrap();
     let mut chunk = Vec::new();
     reader.next_chunk(&mut chunk, 3).unwrap();
     let buffers: Vec<(*const u8, *const Seed)> =

@@ -59,3 +59,19 @@ fn all_binary_formats_reject_cross_loading() {
     assert!(MgiBundle::open(&mgi_path).is_ok());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The writers' bytes are pinned: the container sum of one tiny `.mgz`,
+/// `.mgi` and `.bin` image, so a reader change that reaches the writer
+/// shows here.
+#[test]
+fn tiny_images_have_pinned_checksums() {
+    use minigiraffe::support::mgi::checksum;
+    let input = SyntheticInput::generate(&InputSetSpec::tiny_for_tests(), 5);
+    let mgz = input.gbz.to_bytes().unwrap();
+    let mgi = MgiBundle::build(input.gbz.clone(), input.spec.minimizer).unwrap().to_bytes();
+    let bin = input.dump.to_bytes().unwrap();
+    let sums = [checksum(&mgz), checksum(&mgi), checksum(&bin)];
+    let lens = [mgz.len(), mgi.len(), bin.len()];
+    assert_eq!(lens, [16192, 94208, 4864]);
+    assert_eq!(sums, [0x5c14_1c5d_56d2_2377, 0xd0fb_023e_ec8a_dfa6, 0x9aa0_9a03_462d_050f]);
+}

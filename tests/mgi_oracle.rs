@@ -1,10 +1,9 @@
-//! Differential oracle for the zero-copy `.mgi` container: a bundle
-//! roundtripped through a real file and opened back must drive the parent
-//! pipeline to the *byte-identical* GAF the owned, freshly-built indexes
-//! produce — on every golden workload. The mapped structures are not
-//! "equivalent"; they are the same arrays served from the page cache, and
-//! this test pins that all the way to the interchange format (and to the
-//! committed golden snapshots when present).
+//! Differential oracle for the `.mgi` container: a bundle roundtripped
+//! through a real file and opened back must drive the parent pipeline to
+//! the *byte-identical* GAF the freshly-built indexes produce — on every
+//! golden workload. The loaded structures are not "equivalent"; they are
+//! the same arrays read back, and this test pins that all the way to the
+//! interchange format (and to the committed golden snapshots when present).
 
 use std::path::PathBuf;
 
@@ -59,8 +58,7 @@ fn mapped_bundle_reproduces_parent_gaf_byte_for_byte() {
         let path = dir.join(format!("{name}.mgi"));
         bundle.save(&path).unwrap();
         let mapped = MgiBundle::open(&path).unwrap();
-        assert!(mapped.is_mapped(), "{name}: open() fell back to owned storage");
-        assert_eq!(bundle, mapped, "{name}: mapped bundle differs structurally");
+        assert_eq!(bundle, mapped, "{name}: loaded bundle differs structurally");
         mapped.gbz().gbwt().validate_records().unwrap();
 
         let mapped_parent = Parent::with_distance(
@@ -114,7 +112,7 @@ fn open_bytes_agrees_with_checked_open() {
     let checked = MgiBundle::open(&path).unwrap();
     assert_eq!(bundle, checked);
 
-    // Both backings answer the pipeline identically.
+    // Both loads answer the pipeline identically.
     let mut gafs = Vec::new();
     for b in [&from_bytes, &checked] {
         let parent = Parent::with_distance(
