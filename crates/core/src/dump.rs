@@ -9,9 +9,10 @@
 //! A `.bin` file is an [`mg_support::mgi`] container with two sections:
 //! [`TAG_DUMP_META`] (workflow flag and read count) and [`TAG_DUMP_READS`]
 //! (each read's bases and delta-encoded seeds), both varint streams.
-//! [`DumpReader`] reads the reads section whole, its sum verified, and
-//! decodes it a chunk of reads at a time; [`SeedDump::load`] drains it into
-//! one dump.
+//! [`DumpReader`] owns the file and decodes the reads section a chunk of
+//! reads at a time out of a window of 64 KiB blocks, never holding the
+//! section whole; it is the one decoder, and [`SeedDump::load`] and
+//! [`SeedDump::from_bytes`] drain it into one dump.
 //! A dump does not name its pangenome, so decoding alone cannot tell whether
 //! a seed lies on it; [`DumpReader::next_chunk_on`] decodes against one and
 //! checks each seed as it writes it, where the reads first meet the graph.
@@ -20,7 +21,7 @@ use std::path::Path;
 
 use mg_graph::{Handle, NodeId, VariationGraph};
 use mg_index::GraphPos;
-use mg_support::mgi::{MgiFile, MgiWriter, TAG_DUMP_META, TAG_DUMP_READS};
+use mg_support::mgi::{MgiFile, MgiWriter, SectionBlocks, TAG_DUMP_META, TAG_DUMP_READS};
 use mg_support::varint::{self, Cursor};
 use mg_support::{Error, Result};
 
@@ -127,13 +128,11 @@ impl SeedDump {
     ///
     /// Returns container and codec errors on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Self::from_mgi(&mut MgiFile::open_bytes(bytes.to_vec())?)
+        Self::drain(DumpReader::new(MgiFile::open_bytes(bytes.to_vec())?)?)
     }
 
-    /// Decodes a container whole: its [`DumpReader`] drained into one
-    /// `Vec`.
-    fn from_mgi(f: &mut MgiFile) -> Result<Self> {
-        let mut reader = DumpReader::new(f)?;
+    /// Decodes a dump whole: `reader` drained into one `Vec`.
+    fn drain(mut reader: DumpReader) -> Result<Self> {
         let mut reads = Vec::with_capacity(reader.read_count());
         reader.next_chunk(&mut reads, usize::MAX)?;
         Ok(SeedDump { workflow: reader.workflow(), reads })
@@ -154,19 +153,30 @@ impl SeedDump {
     ///
     /// Returns filesystem and format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        Self::from_mgi(&mut MgiFile::open(path.as_ref())?)
+        Self::drain(DumpReader::open(path)?)
     }
 }
 
-/// The seed-dump decoder: holds a `.bin` container's reads section, read
-/// whole and its sum verified, and decodes it a chunk of reads at a time,
-/// so a caller that maps and drops each chunk holds the section and one
-/// chunk, never the decoded dump.
+/// The seed-dump decoder: owns a `.bin` file and decodes its reads section
+/// a chunk of reads at a time out of a window of
+/// [`BLOCK_LEN`](mg_support::mgi::BLOCK_LEN) blocks, so a caller that maps
+/// and drops each chunk holds one block and one chunk, never the section
+/// nor the decoded dump.
 ///
+/// Opening verifies both sections' sums before any read is decoded, so a
+/// file damaged at rest fails before the first chunk. The reads section is
+/// then read a block at a time and summed again as it is (see
+/// [`MgiFile::into_blocks`]): a file cut short or rewritten on disk after
+/// it was opened fails the chunk that reaches the change, with an
+/// [`Error::Io`] or — at the last block — an [`Error::ChecksumMismatch`],
+/// as a malformed read does.
+///
+/// A read whose varints run past the window is decoded again once the next
+/// block is in; a read longer than a block grows the window to hold it.
 /// Every count and length is untrusted even under a valid checksum: each
-/// is bounded by the payload bytes left before anything is reserved for it
-/// (a read occupies at least 2 bytes, a seed 3), and bytes left after the
-/// last read are an error.
+/// is bounded by the section bytes left, in the window and behind it,
+/// before anything is reserved for it (a read occupies at least 2 bytes, a
+/// seed 3), and bytes left after the last read are an error.
 ///
 /// # Examples
 ///
@@ -178,8 +188,7 @@ impl SeedDump {
 /// # fn main() -> mg_support::Result<()> {
 /// let read = |b: &[u8]| ReadInput { bases: b.to_vec(), seeds: Vec::new() };
 /// let dump = SeedDump::new(Workflow::Single, vec![read(b"AC"), read(b"GT"), read(b"A")]);
-/// let mut file = MgiFile::open_bytes(dump.to_bytes()?)?;
-/// let mut reader = DumpReader::new(&mut file)?;
+/// let mut reader = DumpReader::new(MgiFile::open_bytes(dump.to_bytes()?)?)?;
 /// let mut chunk = Vec::new();
 /// reader.next_chunk(&mut chunk, 2)?;
 /// assert_eq!(chunk, dump.reads[..2]);
@@ -196,22 +205,35 @@ pub struct DumpReader {
     read_count: usize,
     /// Reads not yet decoded.
     left: usize,
-    /// The reads section.
-    payload: Vec<u8>,
-    /// Bytes of `payload` decoded so far.
+    /// The reads section, a block at a time.
+    blocks: SectionBlocks,
+    /// Section bytes read from `blocks`: the tail of one block, or of a
+    /// few for a read longer than one.
+    window: Vec<u8>,
+    /// Bytes of `window` decoded so far.
     pos: usize,
 }
 
 impl DumpReader {
-    /// Reads the two sections of a dump container, each checked against
-    /// its sum, and checks the read count against the payload.
+    /// Opens a `.bin` dump file: [`DumpReader::new`] on it.
+    ///
+    /// # Errors
+    ///
+    /// As [`MgiFile::open`] and [`DumpReader::new`].
+    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+        DumpReader::new(MgiFile::open(path.as_ref())?)
+    }
+
+    /// Takes a dump container: reads its metadata section, verifies its
+    /// reads section (see [`MgiFile::into_blocks`]) and checks the read
+    /// count against it. No read is decoded yet.
     ///
     /// # Errors
     ///
     /// Returns [`Error::BadTag`] for a container that is not a dump,
     /// container errors for a section that does not check out, and codec
     /// or [`Error::Corrupt`] errors for malformed metadata.
-    pub fn new(f: &mut MgiFile) -> Result<Self> {
+    pub fn new(mut f: MgiFile) -> Result<Self> {
         f.expect_only(&[TAG_DUMP_META, TAG_DUMP_READS])?;
         let meta = f.section(TAG_DUMP_META)?;
         let mut meta = Cursor::new(&meta);
@@ -221,9 +243,16 @@ impl DumpReader {
             Workflow::Single
         };
         let read_count = meta.read_u64()?;
-        let payload = f.section(TAG_DUMP_READS)?;
-        let read_count = bounded(read_count, payload.len() / 2, "read count")?;
-        Ok(DumpReader { workflow, read_count, left: read_count, payload, pos: 0 })
+        let blocks = f.into_blocks(TAG_DUMP_READS)?;
+        let read_count = bounded(read_count, blocks.remaining() / 2, "read count")?;
+        Ok(DumpReader {
+            workflow,
+            read_count,
+            left: read_count,
+            blocks,
+            window: Vec::new(),
+            pos: 0,
+        })
     }
 
     /// Single- or paired-end, as the dump records it.
@@ -253,10 +282,12 @@ impl DumpReader {
     ///
     /// # Errors
     ///
-    /// Returns codec or [`Error::Corrupt`] errors for a malformed read, with
-    /// `reads` holding the reads of this call before it, and for bytes left
-    /// after the last read, with `reads` holding the whole chunk. Either
-    /// way the reader is spent: later calls decode nothing.
+    /// Returns codec or [`Error::Corrupt`] errors for a malformed read, and
+    /// [`Error::Io`] or [`Error::ChecksumMismatch`] for a file changed on
+    /// disk since it was opened, with `reads` holding the reads of this
+    /// call before the fault; and [`Error::Corrupt`] for bytes left after
+    /// the last read, with `reads` holding the whole chunk. Either way the
+    /// reader is spent: later calls decode nothing.
     pub fn next_chunk(&mut self, reads: &mut Vec<ReadInput>, max: usize) -> Result<()> {
         self.decode_chunk(reads, max, None)
     }
@@ -288,12 +319,12 @@ impl DumpReader {
     ///     bases: b"ACGT".to_vec(),
     ///     seeds: vec![Seed::new(0, GraphPos::new(Handle::forward(node), offset))],
     /// };
-    /// let mut file = MgiFile::open_bytes(SeedDump::new(Workflow::Single, vec![read(7)]).to_bytes()?)?;
+    /// let file = MgiFile::open_bytes(SeedDump::new(Workflow::Single, vec![read(7)]).to_bytes()?)?;
     /// let mut chunk = Vec::new();
-    /// assert!(DumpReader::new(&mut file)?.next_chunk_on(&graph, &mut chunk, 8).is_ok());
+    /// assert!(DumpReader::new(file)?.next_chunk_on(&graph, &mut chunk, 8).is_ok());
     /// let dump = SeedDump::new(Workflow::Single, vec![read(0), read(8), read(16)]);
-    /// let mut file = MgiFile::open_bytes(dump.to_bytes()?)?;
-    /// let err = DumpReader::new(&mut file)?.next_chunk_on(&graph, &mut chunk, 8).unwrap_err();
+    /// let file = MgiFile::open_bytes(dump.to_bytes()?)?;
+    /// let err = DumpReader::new(file)?.next_chunk_on(&graph, &mut chunk, 8).unwrap_err();
     /// assert!(err.to_string().contains("read 1: seed at read offset 0: offset 8 is past"));
     /// assert_eq!(chunk, dump.reads[..1]);
     /// # Ok(())
@@ -318,7 +349,6 @@ impl DumpReader {
     ) -> Result<()> {
         let take = max.min(self.left);
         let first_id = (self.read_count - self.left) as u64;
-        let mut cur = Cursor::new(&self.payload[self.pos..]);
         let mut filled = 0;
         let mut outcome = Ok(());
         while filled < take {
@@ -326,7 +356,7 @@ impl DumpReader {
                 reads.push(ReadInput::default());
             }
             let id = first_id + filled as u64;
-            if let Err(e) = decode_read(&mut cur, &mut reads[filled], nodes, id) {
+            if let Err(e) = self.decode_next(&mut reads[filled], nodes, id) {
                 outcome = Err(e);
                 break;
             }
@@ -334,31 +364,57 @@ impl DumpReader {
         }
         reads.truncate(filled);
         self.left -= filled;
-        if outcome.is_ok() && self.left == 0 && !cur.is_at_end() {
+        if outcome.is_ok()
+            && self.left == 0
+            && (self.pos < self.window.len() || self.blocks.remaining() > 0)
+        {
             outcome = Err(Error::Corrupt("trailing bytes after reads".into()));
         }
-        self.pos += cur.position();
         if outcome.is_err() {
             self.left = 0;
-            self.payload = Vec::new();
+            self.window = Vec::new();
             self.pos = 0;
         }
         outcome
     }
+
+    /// Decodes the next read, read `id` of the dump, into `read`. A read
+    /// that runs past the window is decoded again from its start once the
+    /// next block is in.
+    fn decode_next(&mut self, read: &mut ReadInput, nodes: Option<&[u64]>, id: u64) -> Result<()> {
+        loop {
+            let mut cur = Cursor::new(&self.window[self.pos..]);
+            match decode_read(&mut cur, self.blocks.remaining(), read, nodes, id) {
+                Ok(()) => {
+                    self.pos += cur.position();
+                    return Ok(());
+                }
+                Err(Error::UnexpectedEof { .. }) if self.blocks.remaining() > 0 => {
+                    // Keep the undecoded tail, then append a block to it.
+                    self.window.drain(..self.pos);
+                    self.pos = 0;
+                    self.blocks.read_into(&mut self.window)?;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 /// Decodes the read at `cur`, read `id` of the dump, into `read`, reusing
-/// its buffers, and checks each seed against `nodes` when given.
+/// its buffers, and checks each seed against `nodes` when given. `behind`
+/// section bytes follow `cur`'s: counts and lengths are bounded by both.
 fn decode_read(
     cur: &mut Cursor<'_>,
+    behind: usize,
     read: &mut ReadInput,
     nodes: Option<&[u64]>,
     id: u64,
 ) -> Result<()> {
-    let len = bounded(cur.read_u64()?, cur.remaining(), "read length")?;
+    let len = bounded(cur.read_u64()?, cur.remaining() + behind, "read length")?;
     read.bases.clear();
     read.bases.extend_from_slice(cur.read_bytes(len)?);
-    let seed_count = bounded(cur.read_u64()?, cur.remaining() / 3, "seed count")?;
+    let seed_count = bounded(cur.read_u64()?, (cur.remaining() + behind) / 3, "seed count")?;
     read.seeds.clear();
     read.seeds.reserve(seed_count);
     let mut read_offset = 0u32;
@@ -472,8 +528,8 @@ mod tests {
             for len in [0, 1, 2, 10] {
                 let dump = sample_dump(len, workflow);
                 for fraction in [0.11, 0.0001, 0.5, 1.0] {
-                    let mut file = MgiFile::open_bytes(dump.to_bytes().unwrap()).unwrap();
-                    let mut reader = DumpReader::new(&mut file).unwrap();
+                    let file = MgiFile::open_bytes(dump.to_bytes().unwrap()).unwrap();
+                    let mut reader = DumpReader::new(file).unwrap();
                     let mut prefix = Vec::new();
                     reader.next_chunk(&mut prefix, reader.subsample_len(fraction)).unwrap();
                     let at = format!("{workflow} dump of {len}, fraction {fraction}");

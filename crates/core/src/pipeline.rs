@@ -548,16 +548,17 @@ impl<'a> Mapper<'a> {
     /// [`MappingOptions::chunk_reads`] reads at a time into buffers reused
     /// from chunk to chunk, maps each chunk in one `Mapper::map_chunk`
     /// dispatch of [`chunk_grain_reads`] grains, and hands its results, in
-    /// read order, to `each`. Only the reader's payload and one chunk are held
-    /// at a time; the concatenated results equal [`Mapper::run`] over the
-    /// whole dump.
+    /// read order, to `each`. Only the reader's window of the file and one
+    /// chunk are held at a time; the concatenated results equal
+    /// [`Mapper::run`] over the whole dump.
     ///
     /// # Errors
     ///
-    /// A malformed read, or one with a seed off the pangenome (the reader
-    /// decodes with [`DumpReader::next_chunk_on`]), stops the run after the
-    /// reads before it were mapped and handed to `each`; its error is
-    /// returned. An error from `each` stops the run at once and is returned.
+    /// A malformed read, one with a seed off the pangenome (the reader
+    /// decodes with [`DumpReader::next_chunk_on`]), or a dump file that
+    /// was cut short or rewritten since the reader opened it stops the run
+    /// after the reads before the fault were mapped and handed to `each`;
+    /// its error is returned. An error from `each` stops the run at once and is returned.
     pub fn run_dump(
         &self,
         reader: &mut DumpReader,
@@ -738,13 +739,16 @@ mod tests {
     fn streaming_a_dump_equals_the_whole_dump_run() {
         let gbz = sample_gbz();
         let dump = sample_dump(&gbz, 30);
-        let mut file = mg_support::mgi::MgiFile::open_bytes(dump.to_bytes().unwrap()).unwrap();
+        let image = dump.to_bytes().unwrap();
+        let reader = || {
+            DumpReader::new(mg_support::mgi::MgiFile::open_bytes(image.clone()).unwrap()).unwrap()
+        };
         for threads in [1usize, 2] {
             for batch_size in [1usize, 4, 7, 512] {
                 let options = MappingOptions { threads, batch_size, ..Default::default() };
                 // Fresh mappers: both runs start with cold caches.
                 let whole = Mapper::new(&gbz).run(&dump, &options);
-                let mut reader = DumpReader::new(&mut file).unwrap();
+                let mut reader = reader();
                 let mut streamed = Vec::new();
                 let summary = Mapper::new(&gbz)
                     .run_dump(&mut reader, &options, &NullSink, Metrics::off_ref(), |chunk| {
@@ -767,7 +771,7 @@ mod tests {
         }
         // An error from the callback stops the run after that chunk.
         let options = MappingOptions { batch_size: 4, ..Default::default() };
-        let mut reader = DumpReader::new(&mut file).unwrap();
+        let mut reader = reader();
         let mut calls = 0;
         let stopped = Mapper::new(&gbz).run_dump(&mut reader, &options, &NullSink, Metrics::off_ref(), |_| {
             calls += 1;

@@ -23,7 +23,6 @@ use minigiraffe::gbwt::Gbz;
 use minigiraffe::obs::Metrics;
 use minigiraffe::perf::Profiler;
 use minigiraffe::sched::SchedulerKind;
-use minigiraffe::support::mgi::MgiFile;
 use minigiraffe::support::regions::{NullSink, RegionSink};
 use minigiraffe::support::Error;
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
@@ -108,9 +107,11 @@ USAGE:
       Run the proxy kernels; prints a summary and optionally writes
       per-extension results and a region timeline. The dump's checksums
       are verified first; its reads are then decoded, mapped and written
-      one chunk of --threads x --batch reads at a time, so memory is the
-      dump file plus one chunk. A malformed read stops the run with an
-      error; the results of the reads before it have been written.
+      one chunk of --threads x --batch reads at a time, out of the file
+      read 64 KiB at a time, so memory is one block of the file plus one
+      chunk. A malformed read, or a dump changed on disk during the run,
+      stops the run with an error; the results of the reads before it
+      have been written.
 
   minigiraffe parent <reads.fastq> <pangenome.mgz | --mgi <index.mgi>>
                      [--threads N] [--batch N] [--capacity N]
@@ -616,12 +617,11 @@ fn push_rows(out: &mut Vec<u8>, results: &[ReadResult]) {
     }
 }
 
-/// Opens a `.bin` seed dump and reads both its sections, each checked
-/// against its sum before any read is decoded.
+/// Opens a `.bin` seed dump and checks both its sections against their
+/// sums before any read is decoded; the reads are then decoded a block of
+/// the file at a time.
 fn open_dump(path: &str) -> Result<DumpReader, String> {
-    MgiFile::open(std::path::Path::new(path))
-        .and_then(|mut file| DumpReader::new(&mut file))
-        .map_err(|e| dump_error(path, e))
+    DumpReader::open(path).map_err(|e| dump_error(path, e))
 }
 
 fn cmd_map(args: &[String], out: &mut Out) -> Result<(), String> {
@@ -632,8 +632,8 @@ fn cmd_map(args: &[String], out: &mut Out) -> Result<(), String> {
     )?;
     // A usage error surfaces before the dump is opened, and a damaged dump
     // before the bundle is: both are checked whole first. The dump's reads
-    // section stays resident for the run, but only one chunk of it is ever
-    // decoded, so memory is the section, the bundle and one chunk.
+    // are then read a block of the file and decoded a chunk at a time, so
+    // memory is the bundle, one block and one chunk.
     let (dump_path, gbz_path) = match &positional[..] {
         [dump] if flags.contains_key("mgi") => (dump, None),
         [dump, gbz] => (dump, Some(gbz)),
@@ -835,8 +835,8 @@ fn cmd_info(args: &[String], out: &mut Out) -> Result<(), String> {
         say!(out, "  bwt runs:     {} ({:.2}/record)", stats.total_runs, stats.avg_runs_per_record);
         say!(out, "  bytes/visit:  {:.2}", stats.bytes_per_visit);
     } else {
-        // Counted a chunk at a time: memory is the reads section and one
-        // chunk.
+        // Counted a chunk at a time: memory is one block of the file and
+        // one chunk.
         let mut reader = open_dump(path)?;
         let (mut bases, mut seeds) = (0usize, 0usize);
         let mut chunk = Vec::new();

@@ -337,6 +337,36 @@ fn map_on_a_hostile_dump_writes_the_good_prefix_then_fails() {
     }
 }
 
+/// `map` reads its dump a block at a time through the run, but checks every
+/// section sum first: a dump damaged at rest, here one base in its last
+/// block, fails before any row is written, not at that block.
+#[test]
+fn map_on_a_dump_damaged_at_rest_fails_before_any_row() {
+    use minigiraffe::core::{ReadInput, SeedDump};
+    use minigiraffe::support::mgi::BLOCK_LEN;
+
+    let dir = TempDir::new("at-rest");
+    let (ok, _, stderr) = run(&["generate", "--input-set", "tiny", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    let (dump, mgz) = (dir.path("tiny.bin"), dir.path("tiny.mgz"));
+    let good = SeedDump::load(&dump).unwrap();
+    // Several blocks of the generated reads, the last one 200 bases of `N`.
+    let mut reads: Vec<ReadInput> = good.reads.iter().cycle().take(3000).cloned().collect();
+    reads.push(ReadInput { bases: vec![b'N'; 200], seeds: Vec::new() });
+    let mut image = SeedDump::new(good.workflow, reads).to_bytes().unwrap();
+    assert!(image.len() > 4 * BLOCK_LEN);
+    let base = image.windows(200).rposition(|w| w.iter().all(|&b| b == b'N')).unwrap();
+    image[base + 100] = b'A';
+    std::fs::write(dir.path("damaged.bin"), image).unwrap();
+    let out = dir.path("out.csv");
+    let (code, stderr) =
+        run_into(&["map", &dir.path("damaged.bin"), &mgz, "--batch", "64", "--out", &out], Stdio::null());
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("checksum mismatch"), "{stderr}");
+    let rows = std::fs::read_to_string(&out).map_or(0, |csv| csv.lines().skip(1).count());
+    assert_eq!(rows, 0, "rows written before the damage was found");
+}
+
 /// A seed off the pangenome — a node the graph does not have, or a node
 /// offset past its node's end — passes every decoding check (a dump does not
 /// name its pangenome) and used to reach the kernels: the first panicked in

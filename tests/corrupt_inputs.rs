@@ -12,16 +12,18 @@
 
 use std::sync::OnceLock;
 
-use minigiraffe::core::dump::SeedDump;
+use minigiraffe::core::dump::{DumpReader, SeedDump};
 use minigiraffe::core::types::{ReadInput, Seed, Workflow};
-use minigiraffe::core::MgiBundle;
+use minigiraffe::core::{Mapper, MappingOptions, MgiBundle};
 use minigiraffe::gbwt::Gbz;
 use minigiraffe::graph::{Handle, NodeId};
 use minigiraffe::index::{DistanceIndex, GraphPos};
+use minigiraffe::obs::Metrics;
 use minigiraffe::parent::{run_to_gaf, Parent, ParentOptions};
 use minigiraffe::support::mgi::{
-    checksum, MgiFile, MgiWriter, TAG_CHAIN_STARTS, TAG_DIST_NODES, TAG_MIN_ENTRIES,
+    checksum, MgiFile, MgiWriter, BLOCK_LEN, TAG_CHAIN_STARTS, TAG_DIST_NODES, TAG_MIN_ENTRIES,
 };
+use minigiraffe::support::regions::NullSink;
 use minigiraffe::support::Error;
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 use proptest::prelude::*;
@@ -336,11 +338,13 @@ fn packed_record_sections_reject_truncation_wrong_stride_and_out_of_range_fields
     assert!(!decode_mgi(image), "k-mer entry on the endmarker: accepted");
 }
 
-/// A loaded `.mgz` and `.mgi` own their bytes: truncating both files on
-/// disk afterwards changes nothing the mapper reads, and the GAF mapped
+/// A loaded `.mgz` and `.mgi` own their bytes: truncating both index files
+/// on disk afterwards changes nothing the mapper reads, and the GAF mapped
 /// from them after the truncation equals the GAF from before it. (A
 /// memory-mapped container would fault on its next read instead; this
-/// test died with SIGBUS while containers were `mmap`ed.)
+/// test died with SIGBUS while containers were `mmap`ed.) A `.bin` seed
+/// dump is not loaded whole but read through the run; its rule is the next
+/// test's.
 #[test]
 fn files_truncated_after_open_leave_the_loaded_indexes_intact() {
     let input = sample_input();
@@ -377,4 +381,50 @@ fn files_truncated_after_open_leave_the_loaded_indexes_intact() {
     }
     assert_eq!(gaf(), before, "GAF changed after the files were truncated on disk");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A seed dump is read a block at a time through the run and summed again
+/// as it is, so a `.bin` cut short or rewritten on disk after
+/// `DumpReader` opened it fails the run, after the reads before the fault
+/// were mapped, as a malformed read does: it is never decoded silently.
+/// Cut short, the block that is gone is an `Io` error; rewritten, the read
+/// of the last block finds the second sum off.
+#[test]
+fn dumps_changed_on_disk_after_open_fail_the_run() {
+    let input = sample_input();
+    // Several blocks of the sample's reads, with one 200-base read of `N`
+    // whose bases can be rewritten without making any read malformed.
+    let mut reads: Vec<ReadInput> = input.dump.reads.iter().cycle().take(3000).cloned().collect();
+    reads[1500] = ReadInput { bases: vec![b'N'; 200], seeds: Vec::new() };
+    let total = reads.len() as u64;
+    let image = SeedDump::new(input.dump.workflow, reads).to_bytes().unwrap();
+    assert!(image.len() > 4 * BLOCK_LEN, "{} bytes is too few blocks", image.len());
+    let base = image.windows(200).position(|w| w.iter().all(|&b| b == b'N')).unwrap() + 100;
+    let path = std::env::temp_dir().join(format!("mg-changed-{}.bin", std::process::id()));
+    let options = MappingOptions { batch_size: 64, ..Default::default() };
+    let mapper = Mapper::new(&input.gbz);
+    for what in ["cut short", "rewritten"] {
+        std::fs::write(&path, &image).unwrap();
+        let mut reader = DumpReader::open(&path).unwrap();
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        if what == "cut short" {
+            file.set_len(image.len() as u64 / 2).unwrap();
+        } else {
+            use std::io::{Seek, SeekFrom, Write};
+            file.seek(SeekFrom::Start(base as u64)).unwrap();
+            file.write_all(b"A").unwrap();
+        }
+        let mut mapped = 0;
+        let run = mapper.run_dump(&mut reader, &options, &NullSink, Metrics::off_ref(), |chunk| {
+            mapped += chunk.len() as u64;
+            Ok(())
+        });
+        match (what, run) {
+            ("cut short", Err(Error::Io(_) | Error::Corrupt(_))) => {}
+            ("rewritten", Err(Error::ChecksumMismatch { .. })) => {}
+            (_, run) => panic!("dump {what} after open: {run:?}"),
+        }
+        assert!(0 < mapped && mapped < total, "dump {what}: mapped {mapped} of {total} reads");
+    }
+    std::fs::remove_file(&path).unwrap();
 }

@@ -5,16 +5,23 @@
 //! The reference below parses the `.mgi` container by hand (preamble,
 //! section table, two aligned payloads) and decodes every varint one byte
 //! per loop turn with no fast path, so a change to `mg_support::varint` or
-//! to `SeedDump`'s reader that alters a decoded value, an accepted length
+//! to the dump reader that alters a decoded value, an accepted length
 //! or an error class shows here. The chunk reader the proxy streams with,
 //! `DumpReader`, must yield exactly what the whole-dump decode does at every
 //! chunk size, and fail at the same read with the same error.
+//!
+//! `DumpReader` is the one decoder — `SeedDump::from_bytes` drains it — and
+//! it reads the reads section through a window of 64 KiB blocks. On dumps of
+//! more than three blocks it is held to `slice_decode`, a reference here
+//! that has the whole section as one byte slice: the same reads and the same
+//! error text, with reads straddling every block boundary, one read longer
+//! than two blocks, and faults placed past the first block.
 
 use minigiraffe::core::dump::{DumpReader, SeedDump};
 use minigiraffe::core::types::{ReadInput, Seed, Workflow};
 use minigiraffe::graph::{Handle, NodeId, VariationGraph};
 use minigiraffe::index::GraphPos;
-use minigiraffe::support::mgi::{checksum, MgiFile, TAG_DUMP_READS};
+use minigiraffe::support::mgi::{checksum, MgiFile, BLOCK_LEN, TAG_DUMP_READS};
 use minigiraffe::support::varint::{self, Cursor};
 use minigiraffe::support::Error;
 use proptest::prelude::*;
@@ -131,8 +138,9 @@ fn align64(n: usize) -> usize {
     n.div_ceil(64) * 64
 }
 
-/// The reference dump decoder; `None` for anything it cannot parse.
-fn naive_decode(image: &[u8]) -> Option<SeedDump> {
+/// The two payloads of a dump image, meta and reads, parsed by hand;
+/// `None` for a container that does not check out.
+fn naive_sections(image: &[u8]) -> Option<(&[u8], &[u8])> {
     // Preamble (48 bytes): magic, version 4, endianness marker, file
     // length, section count 2, reserved, table offset 48, table checksum.
     let mut file = Naive { data: image, pos: 0 };
@@ -154,9 +162,12 @@ fn naive_decode(image: &[u8]) -> Option<SeedDump> {
     // Payloads follow the table, each 64-byte aligned, zero padded.
     let (meta, next) = table.entry(image, 0x0500, align64(48 + 64))?;
     let (reads, end) = table.entry(image, 0x0501, next)?;
-    if end != image.len() {
-        return None;
-    }
+    (end == image.len()).then_some((meta, reads))
+}
+
+/// The reference dump decoder; `None` for anything it cannot parse.
+fn naive_decode(image: &[u8]) -> Option<SeedDump> {
+    let (meta, reads) = naive_sections(image)?;
     let mut meta = Naive { data: meta, pos: 0 };
     let workflow = if meta.varint()? != 0 {
         Workflow::Paired
@@ -267,11 +278,8 @@ fn drain_on(
     image: &[u8],
     max: usize,
 ) -> (Vec<ReadInput>, Result<Workflow, String>) {
-    let mut file = match MgiFile::open_bytes(image.to_vec()) {
-        Ok(file) => file,
-        Err(e) => return (Vec::new(), Err(format!("{e:?}"))),
-    };
-    let mut reader = match DumpReader::new(&mut file) {
+    let opened = MgiFile::open_bytes(image.to_vec()).and_then(DumpReader::new);
+    let mut reader = match opened {
         Ok(reader) => reader,
         Err(e) => return (Vec::new(), Err(format!("{e:?}"))),
     };
@@ -435,10 +443,10 @@ fn chunk_reader_reuses_read_buffers() {
             seeds: vec![Seed::new(0, GraphPos::new(Handle::forward(NodeId::new(2)), 0)); 3],
         })
         .collect();
-    let mut file =
+    let file =
         MgiFile::open_bytes(SeedDump::new(Workflow::Single, reads.clone()).to_bytes().unwrap())
             .unwrap();
-    let mut reader = DumpReader::new(&mut file).unwrap();
+    let mut reader = DumpReader::new(file).unwrap();
     let mut chunk = Vec::new();
     reader.next_chunk(&mut chunk, 3).unwrap();
     let buffers: Vec<(*const u8, *const Seed)> =
@@ -581,4 +589,263 @@ fn cursor_walks_mixed_widths_like_the_reference() {
     assert_eq!(cur.read_bytes(2).unwrap(), &[0x80, 0x80]);
     assert!(cur.is_at_end());
     assert!(matches!(cur.read_u64(), Err(Error::UnexpectedEof { .. })));
+}
+
+// ---------------------------------------------------------------------------
+// Multi-block dumps: the reader holds a window of 64 KiB blocks of the file,
+// never the reads section. Held here to a decoder that has the section as
+// one byte slice.
+// ---------------------------------------------------------------------------
+
+/// `value` as a `usize` no larger than `limit`, or the reader's error for it.
+fn room(what: &str, value: u64, limit: usize) -> Result<usize, Error> {
+    match usize::try_from(value) {
+        Ok(v) if v <= limit => Ok(v),
+        _ => Err(Error::Corrupt(format!(
+            "{what} {value} exceeds the {limit} the payload has room for"
+        ))),
+    }
+}
+
+impl Naive<'_> {
+    /// [`Naive::varint`] with the reader's error values.
+    fn varint_or_err(&mut self) -> Result<u64, Error> {
+        match naive_varint(&self.data[self.pos..]) {
+            Ok((value, n)) => {
+                self.pos += n;
+                Ok(value)
+            }
+            Err(Bad::Eof) => Err(Error::UnexpectedEof { context: "varint" }),
+            Err(Bad::Overflow) => Err(Error::VarintOverflow),
+        }
+    }
+
+    fn left(&self) -> usize {
+        self.data.len() - self.pos
+    }
+}
+
+/// Read `id` at `cur`, each count bounded by the section bytes after it and
+/// each seed checked against `graph` when given, with the reader's errors.
+fn slice_read(
+    cur: &mut Naive<'_>,
+    graph: Option<&VariationGraph>,
+    id: usize,
+) -> Result<ReadInput, Error> {
+    let corrupt = |what: &str| Error::Corrupt(what.into());
+    let len = room("read length", cur.varint_or_err()?, cur.left())?;
+    let bases = cur.bytes(len).ok_or(Error::UnexpectedEof { context: "bytes" })?.to_vec();
+    let seed_count = room("seed count", cur.varint_or_err()?, cur.left() / 3)?;
+    let mut seeds = Vec::new();
+    let mut read_offset = 0u32;
+    for _ in 0..seed_count {
+        let delta = cur.varint_or_err()?;
+        read_offset = u32::try_from(delta)
+            .ok()
+            .and_then(|delta| read_offset.checked_add(delta))
+            .ok_or_else(|| corrupt("seed read offset overflows u32"))?;
+        let handle = Handle::from_gbwt(cur.varint_or_err()?)
+            .ok_or_else(|| corrupt("seed handle encodes endmarker"))?;
+        let offset = u32::try_from(cur.varint_or_err()?)
+            .map_err(|_| corrupt("seed node offset overflows u32"))?;
+        if let Some(graph) = graph {
+            let node = handle.node();
+            let fault = if node.value() == 0 || node.value() > graph.node_count() as u64 {
+                Some(format!("node {node} is not in the pangenome"))
+            } else {
+                let len = graph.node_len(node);
+                (offset as usize >= len)
+                    .then(|| format!("offset {offset} is past the {len} bases of node {node}"))
+            };
+            if let Some(fault) = fault {
+                return Err(Error::Corrupt(format!(
+                    "read {id}: seed at read offset {read_offset}: {fault}"
+                )));
+            }
+        }
+        seeds.push(Seed::new(read_offset, GraphPos::new(handle, offset)));
+    }
+    Ok(ReadInput { bases, seeds })
+}
+
+/// Decoded reads, each with its byte range in the reads section.
+type Spans = Vec<(ReadInput, std::ops::Range<usize>)>;
+
+/// The reference for the streamed reader: the reads section decoded as one
+/// byte slice, with the reader's error values. Returns each read with its
+/// byte range in the section, and how the decode ended.
+fn slice_decode(image: &[u8], graph: Option<&VariationGraph>) -> (Spans, Result<Workflow, Error>) {
+    let (meta, payload) = naive_sections(image).expect("a container that checks out");
+    let mut meta = Naive { data: meta, pos: 0 };
+    let workflow = if meta.varint().unwrap() != 0 {
+        Workflow::Paired
+    } else {
+        Workflow::Single
+    };
+    let mut reads = Vec::new();
+    let count = match room("read count", meta.varint().unwrap(), payload.len() / 2) {
+        Ok(count) => count,
+        Err(e) => return (reads, Err(e)),
+    };
+    let mut cur = Naive { data: payload, pos: 0 };
+    for id in 0..count {
+        let start = cur.pos;
+        match slice_read(&mut cur, graph, id) {
+            Ok(read) => reads.push((read, start..cur.pos)),
+            Err(e) => return (reads, Err(e)),
+        }
+    }
+    if cur.left() > 0 {
+        return (reads, Err(Error::Corrupt("trailing bytes after reads".into())));
+    }
+    (reads, Ok(workflow))
+}
+
+/// The streamed reader on `image` at chunk sizes 1, 7 and all yields the
+/// reads [`slice_decode`] does and ends with the same error text. Returns
+/// the reference's read spans.
+fn streams_like_the_slice(image: &[u8], graph: Option<&VariationGraph>, what: &str) -> Spans {
+    let (spans, end) = slice_decode(image, graph);
+    let end = end.map_err(|e| format!("{e:?}"));
+    for max in [1, 7, usize::MAX] {
+        let (reads, got) = drain_on(graph, image, max);
+        assert_eq!(got, end, "{what} at chunk size {max}");
+        assert_eq!(reads.len(), spans.len(), "{what} at chunk size {max}");
+        if let Some(i) = reads.iter().zip(&spans).position(|(read, (want, _))| read != want) {
+            panic!("{what} at chunk size {max}: read {i} differs from the slice decode");
+        }
+    }
+    spans
+}
+
+/// A read of `len` bases of `base` and no seeds.
+fn plain(len: usize, base: u8) -> ReadInput {
+    ReadInput { bases: vec![base; len], seeds: Vec::new() }
+}
+
+/// Deterministic reads of 0..300 bases and 0..12 seeds, every seed on one
+/// of [`three_nodes`]' nodes.
+fn varied_reads(n: usize, seed: u64) -> Vec<ReadInput> {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = |below: u64| {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) % below
+    };
+    (0..n)
+        .map(|_| {
+            let bases = (0..next(300)).map(|_| b"ACGT"[next(4) as usize]).collect();
+            let mut read_offset = 0;
+            let seeds = (0..next(12))
+                .map(|_| {
+                    read_offset += next(200) as u32;
+                    let node = NodeId::new(1 + next(3));
+                    let handle = if next(2) == 0 { Handle::forward(node) } else { Handle::reverse(node) };
+                    Seed::new(read_offset, GraphPos::new(handle, next(200) as u32))
+                })
+                .collect();
+            ReadInput { bases, seeds }
+        })
+        .collect()
+}
+
+/// Three 200-base nodes: every seed [`varied_reads`] makes lies on them.
+fn three_nodes() -> VariationGraph {
+    let mut graph = VariationGraph::new();
+    for _ in 0..3 {
+        graph.add_node(&[b'A'; 200]).unwrap();
+    }
+    graph
+}
+
+/// Every block boundary of a dump of more than three blocks falls inside a
+/// read, and the first one at every byte of one read whose fields take
+/// one, two, five and ten varint bytes: the streamed reader decodes the
+/// reads, and reads the 140,000-base one longer than two blocks, exactly as
+/// the one-slice decode does, at every chunk size.
+#[test]
+fn multi_block_dumps_decode_like_one_slice_across_every_boundary() {
+    let wide = ReadInput {
+        // A two-byte length, then seeds of every field width.
+        bases: b"ACGT".repeat(33),
+        seeds: vec![
+            Seed::new(1 << 28, GraphPos::new(Handle::from_gbwt(1 << 63).unwrap(), 1 << 28)),
+            Seed::new((1 << 28) + 1, GraphPos::new(Handle::from_gbwt(300).unwrap(), 5)),
+            Seed::new((1 << 28) + 300, GraphPos::new(Handle::from_gbwt(1 << 30).unwrap(), 300)),
+        ],
+    };
+    let wide_len = {
+        let image = SeedDump::new(Workflow::Single, vec![wide.clone()]).to_bytes().unwrap();
+        naive_sections(&image).unwrap().1.len()
+    };
+    let giant = plain(140_000, b'G');
+    // `into` bytes of the wide read lie before the first boundary: it
+    // starts there, straddles it, or ends there. Its 132 bases are bytes
+    // 2..134; a cut deep inside them is like a cut near their ends.
+    for into in (0..=wide_len).filter(|into| !(5..131).contains(into)) {
+        // A filler of f bases takes f + 4 bytes: a three-byte length and
+        // a zero seed count.
+        let mut reads = vec![plain(BLOCK_LEN - into - 4, b'T'), wide.clone(), giant.clone()];
+        reads.extend(varied_reads(20, into as u64));
+        let image = SeedDump::new(Workflow::Single, reads).to_bytes().unwrap();
+        let spans = streams_like_the_slice(&image, None, &format!("{into} bytes in"));
+        let len = naive_sections(&image).unwrap().1.len();
+        assert!(3 * BLOCK_LEN < len, "{len} bytes is not more than three blocks");
+        assert_eq!(spans[1].1.start, BLOCK_LEN - into, "the wide read starts {into} bytes before");
+        for boundary in (BLOCK_LEN..len).step_by(BLOCK_LEN) {
+            let inside = spans.iter().any(|(_, s)| s.start < boundary && boundary < s.end);
+            let at_an_end = boundary == BLOCK_LEN && (into == 0 || into == wide_len);
+            assert!(inside || at_an_end, "{into} bytes in: no read straddles byte {boundary}");
+        }
+    }
+    // Reads of every size, over many blocks, boundaries where they fall.
+    let graph = three_nodes();
+    for seed in 0..4 {
+        let mut reads = varied_reads(3000, seed);
+        reads[1000] = giant.clone();
+        let image = SeedDump::new(Workflow::Paired, reads).to_bytes().unwrap();
+        assert!(naive_sections(&image).unwrap().1.len() > 4 * BLOCK_LEN);
+        streams_like_the_slice(&image, None, &format!("seed {seed}"));
+        streams_like_the_slice(&image, Some(&graph), &format!("seed {seed} on the graph"));
+    }
+}
+
+/// A hostile count, bytes after the last read, or a seed off the pangenome
+/// past the first block fail the streamed reader at the read the one-slice
+/// decode fails at, with the same error, after the same reads.
+#[test]
+fn multi_block_faults_past_the_first_block_fail_like_one_slice() {
+    let graph = three_nodes();
+    let good = varied_reads(1500, 9);
+    let good_image = SeedDump::new(Workflow::Single, good.clone()).to_bytes().unwrap();
+    let good_payload = naive_sections(&good_image).unwrap().1.to_vec();
+    assert!(good_payload.len() > 2 * BLOCK_LEN, "the faults must lie past the first block");
+    let mut cases = hostile_cases();
+    cases.push(("trailing bytes", vec![0, 0], varints(&[0])));
+    for (what, meta, payload) in cases {
+        let prefixed = [&good_payload[..], &payload].concat();
+        let count = if what.starts_with("read count") {
+            meta[1].max(prefixed.len() as u64 / 2 + 1)
+        } else {
+            meta[1] + good.len() as u64
+        };
+        let image = resectioned_dump(&[meta[0], count], &prefixed);
+        let (spans, end) = slice_decode(&image, None);
+        assert!(matches!(end, Err(Error::Corrupt(_))), "{what}: {end:?}");
+        let yielded = streams_like_the_slice(&image, None, what).len();
+        let expected = if what.starts_with("read count") { 0 } else { good.len() };
+        assert_eq!((spans.len(), yielded), (expected, expected), "{what}");
+    }
+    // A seed off the pangenome, in a read past the first block.
+    let off = Seed::new(0, GraphPos::new(Handle::forward(NodeId::new(2)), 200));
+    for at in [700, 1499] {
+        let mut reads = good.clone();
+        reads[at].seeds.insert(0, off);
+        let image = SeedDump::new(Workflow::Single, reads).to_bytes().unwrap();
+        let (spans, end) = slice_decode(&image, Some(&graph));
+        assert!(spans.last().unwrap().1.end > BLOCK_LEN, "read {at} lies in the first block");
+        let message = format!("read {at}: seed at read offset 0: offset 200 is past");
+        assert!(matches!(&end, Err(Error::Corrupt(m)) if m.starts_with(&message)), "{end:?}");
+        assert_eq!(streams_like_the_slice(&image, Some(&graph), "off the graph").len(), at);
+        assert!(slice_decode(&image, None).1.is_ok());
+    }
 }
