@@ -4,7 +4,7 @@ use crate::{render_table, required_memory_gb, sim_task_target, tile_factor, Ctx}
 use mg_core::{Mapper, MappingOptions};
 use mg_perf::{collect_features, simulate, MachineModel, SimSched};
 use mg_tuning::{
-    run_sim_sweep_cached, FeatureCache, ParamSpace, SweepResult, TuningPoint,
+    run_sim_sweep, FeatureCache, ParamSpace, SweepResult, TuningPoint,
 };
 use mg_workload::InputSetSpec;
 
@@ -182,7 +182,7 @@ pub fn tuning_study(ctx: &Ctx) -> TuningStudy {
         let tile = tile_factor(dump.reads.len(), sim_task_target(spec.name));
         let mut features = FeatureCache::default();
         for machine in &machines {
-            let sweep = run_sim_sweep_cached(
+            let sweep = run_sim_sweep(
                 machine,
                 &mapper,
                 &dump,

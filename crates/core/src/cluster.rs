@@ -2,17 +2,14 @@
 //!
 //! Seeds of one read are grouped into clusters of mutually close graph
 //! positions (within a distance limit derived from the read length) using
-//! the distance index, and each cluster gets a quality score from how much
-//! of the read its seeds cover. High-scoring clusters feed the extension
+//! the distance index, and each cluster gets a quality score: the distinct
+//! read offsets its seeds hit. High-scoring clusters feed the extension
 //! kernel.
 
 use mg_index::{DistanceIndex, DistanceScratch};
-use mg_support::probe::MemProbe;
+use mg_support::probe::{MemProbe, REGION_SEEDS};
 
 use crate::types::Seed;
-
-/// Logical address region of the per-read seed arrays (for tracing).
-pub const REGION_SEEDS: u64 = 0x5000_0000_0000;
 
 /// Clustering parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,8 +22,6 @@ pub struct ClusterParams {
     /// pair checks at `O(seeds × window)` like Giraffe's distance-index
     /// sweep bounds its work.
     pub neighbor_window: usize,
-    /// K-mer length used to convert seed counts into read coverage.
-    pub kmer_len: u32,
 }
 
 impl Default for ClusterParams {
@@ -34,7 +29,6 @@ impl Default for ClusterParams {
         ClusterParams {
             distance_limit: 200,
             neighbor_window: 12,
-            kmer_len: 29,
         }
     }
 }
@@ -47,8 +41,6 @@ pub struct Cluster {
     /// Cluster score: distinct read offsets represented (Giraffe's cluster
     /// score counts distinct minimizers).
     pub score: f64,
-    /// Fraction of the read covered by the cluster's seed k-mers.
-    pub coverage: f64,
 }
 
 /// Union-find over seed indices.
@@ -115,12 +107,14 @@ pub struct ClusterScratch {
 /// `neighbor_window` seeds, those in its component with an exact bounded
 /// distance query, and close pairs are unioned. Clusters come back sorted
 /// by score (descending), ties broken by first seed index — a
-/// deterministic order regardless of thread count.
+/// deterministic order regardless of thread count. The read's length is
+/// not read: the caller derives `distance_limit` from it, and a score
+/// counts read offsets.
 pub fn cluster_seeds_with_scratch<P: MemProbe>(
     graph: &mg_graph::VariationGraph,
     dist: &DistanceIndex,
     seeds: &[Seed],
-    read_len: u32,
+    _read_len: u32,
     params: &ClusterParams,
     probe: &mut P,
     scratch: &mut ClusterScratch,
@@ -128,7 +122,7 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
     if seeds.is_empty() {
         return Vec::new();
     }
-    probe.touch(REGION_SEEDS, std::mem::size_of_val(seeds) as u32);
+    probe.touch(REGION_SEEDS.base, std::mem::size_of_val(seeds) as u32);
     probe.instret(seeds.len() as u64 * 4);
 
     // Sort the seeds by linearized position so nearby seeds are adjacent.
@@ -205,7 +199,7 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
             end += 1;
         }
         let members: Vec<usize> = rooted[start..end].iter().map(|&(_, i)| i).collect();
-        clusters.push(score_cluster(seeds, members, read_len, params, &mut scratch.offsets));
+        clusters.push(score_cluster(seeds, members, &mut scratch.offsets));
         start = end;
     }
     clusters.sort_by(|a, b| {
@@ -225,51 +219,23 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
 /// empty.
 pub(crate) fn one_cluster<P: MemProbe>(
     seeds: &[Seed],
-    read_len: u32,
-    params: &ClusterParams,
     probe: &mut P,
     scratch: &mut ClusterScratch,
 ) -> Vec<Cluster> {
-    probe.touch(REGION_SEEDS, std::mem::size_of_val(seeds) as u32);
+    probe.touch(REGION_SEEDS.base, std::mem::size_of_val(seeds) as u32);
     probe.instret(seeds.len() as u64 * 4);
     let members = (0..seeds.len()).collect();
-    vec![score_cluster(seeds, members, read_len, params, &mut scratch.offsets)]
+    vec![score_cluster(seeds, members, &mut scratch.offsets)]
 }
 
-fn score_cluster(
-    seeds: &[Seed],
-    members: Vec<usize>,
-    read_len: u32,
-    params: &ClusterParams,
-    offsets: &mut Vec<u32>,
-) -> Cluster {
-    // Score: number of distinct read offsets (distinct minimizers).
+/// Scores a cluster by the number of distinct read offsets its seeds hit
+/// (distinct minimizers).
+fn score_cluster(seeds: &[Seed], members: Vec<usize>, offsets: &mut Vec<u32>) -> Cluster {
     offsets.clear();
     offsets.extend(members.iter().map(|&i| seeds[i].read_offset));
     offsets.sort_unstable();
     offsets.dedup();
-    let score = offsets.len() as f64;
-    // Coverage: union of [offset, offset + k) intervals over the read.
-    let mut covered = 0u64;
-    let mut cursor = 0u32;
-    for &off in offsets.iter() {
-        let start = off.max(cursor);
-        let end = (off + params.kmer_len).min(read_len.max(off));
-        if end > start {
-            covered += (end - start) as u64;
-        }
-        cursor = cursor.max(end);
-    }
-    let coverage = if read_len == 0 {
-        0.0
-    } else {
-        (covered as f64 / read_len as f64).min(1.0)
-    };
-    Cluster {
-        seeds: members,
-        score,
-        coverage,
-    }
+    Cluster { seeds: members, score: offsets.len() as f64 }
 }
 
 #[cfg(test)]
@@ -378,26 +344,6 @@ mod tests {
         );
         assert_eq!(out.len(), 1, "chain should union into one cluster");
         assert_eq!(out[0].seeds.len(), 8);
-    }
-
-    #[test]
-    fn coverage_accounts_for_overlap() {
-        let (p, d) = linear();
-        // Two seeds whose k-mers overlap on the read.
-        let seeds = [seed_at(&p, 0, 100), seed_at(&p, 10, 110)];
-        let params = ClusterParams { distance_limit: 100, kmer_len: 29, ..Default::default() };
-        let out = cluster_seeds_with_scratch(
-            p.graph(),
-            &d,
-            &seeds,
-            100,
-            &params,
-            &mut NoProbe,
-            &mut ClusterScratch::default(),
-        );
-        assert_eq!(out.len(), 1);
-        // Covered: [0, 39) = 39 bases of 100.
-        assert!((out[0].coverage - 0.39).abs() < 1e-9, "coverage {}", out[0].coverage);
     }
 
     #[test]

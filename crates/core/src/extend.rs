@@ -22,28 +22,24 @@
 use mg_gbwt::{BidirState, CachedGbwt, RecordEdge, SearchState, ENDMARKER};
 use mg_graph::{Handle, VariationGraph};
 use mg_index::GraphPos;
-use mg_support::probe::MemProbe;
+use mg_support::probe::{MemProbe, REGION_GRAPH_SEQ, REGION_READ};
 
 use crate::cluster::Cluster;
 use crate::types::{Extension, Seed};
 
-/// Logical address region of read bases (for the cache simulator).
-pub const REGION_READ: u64 = 0x4000_0000_0000;
-/// Logical address region of graph sequence bytes. Each node gets a
-/// 256-byte window; pangenome nodes are capped well below that
-/// (`PangenomeBuilder::max_node_len` defaults to 32), so windows never
-/// alias.
-pub const REGION_GRAPH_SEQ: u64 = 0x3000_0000_0000;
-/// Bytes reserved per node in [`REGION_GRAPH_SEQ`].
-const GRAPH_SEQ_STRIDE: u64 = 256;
-
 /// Scoring and search parameters of the gapless extension.
+///
+/// Both scores are unsigned: a match never lowers a walk's score and a
+/// mismatch never raises it, which is what branch-and-bound pruning, the
+/// run-at-a-time crediting of matches and rule 1 rest on (DESIGN.md §4b).
+/// They are 16 bits wide so that `i32::from` carries them into the walk's
+/// signed score without a cast that could flip their sign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtendParams {
     /// Score added per matching base.
-    pub match_score: i32,
+    pub match_score: u16,
     /// Score subtracted per mismatching base.
-    pub mismatch_penalty: i32,
+    pub mismatch_penalty: u16,
     /// Maximum mismatches tolerated inside one extension.
     pub max_mismatches: u32,
     /// Node-crossing budget per direction per seed: bounds the DFS over
@@ -174,8 +170,8 @@ pub struct ExtendScratch {
 /// distinct anchors of the clusters processed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Anchors walked, including the first walk of a read
-    /// [`extend_first`] settles and a remembered first walk reused.
+    /// Anchors walked, including the first walk of a read `extend_first`
+    /// settles and a remembered first walk reused.
     pub anchors_walked: u64,
     /// DFS subtrees skipped by branch-and-bound pruning (`subtree_is_dead`).
     pub pruned_frames: u64,
@@ -330,10 +326,10 @@ enum Dir {
 
 /// Returns `true` when no continuation of `frame` can replace `best` under
 /// [`best_check`]'s comparison, so the frame's whole DFS subtree is
-/// output-dead and can be skipped. Admissible only for non-negative scoring
-/// (the default): the per-base score delta is then at most `match_score`,
-/// so the all-match continuation `(score + match_score * read_rem,
-/// consumed + read_rem)` bounds every reachable `(score, consumed)` pair.
+/// output-dead and can be skipped. Exact because the scores are unsigned:
+/// the per-base score delta is at most `match_score`, so the all-match
+/// continuation `(score + match_score * read_rem, consumed + read_rem)`
+/// bounds every reachable `(score, consumed)` pair.
 /// The bound uses only frame-local values, which a frame holds identically
 /// whether its bases were compared a step or a base at a time, so the
 /// comparison step never changes which frames are pruned — nor the branch
@@ -345,10 +341,7 @@ fn subtree_is_dead(
     best: &DirectionResult,
     params: &ExtendParams,
 ) -> bool {
-    if params.match_score < 0 || params.mismatch_penalty < 0 {
-        return false;
-    }
-    let smax = frame.score + params.match_score * read_rem as i32;
+    let smax = frame.score + i32::from(params.match_score) * read_rem as i32;
     let cmax = frame.consumed + read_rem as u32;
     smax < best.score || (smax == best.score && cmax <= best.consumed)
 }
@@ -370,30 +363,19 @@ fn best_check(frame: &Frame, best: &mut DirectionResult) {
 
 /// Advances the frame over `run` consecutive matching bases.
 ///
-/// With a non-negative match score the per-base score is monotone
-/// non-decreasing over the run and `consumed` strictly increases, so the
-/// run's final base dominates every per-base best-check — one check at the
-/// end is bit-identical. A negative match score strictly decreases
-/// the score, so the checks cannot be batched; that configuration falls
-/// back to per-base updates.
+/// The match score is unsigned, so the score is monotone non-decreasing
+/// over the run and `consumed` strictly increases: the run's final base
+/// dominates every per-base best-check, and one check at the end is
+/// bit-identical.
 #[inline(always)]
 fn apply_match_run(frame: &mut Frame, run: u32, params: &ExtendParams, best: &mut DirectionResult) {
     if run == 0 {
         return;
     }
-    if params.match_score >= 0 {
-        frame.score += params.match_score * run as i32;
-        frame.consumed += run;
-        frame.node_off += run as usize;
-        best_check(frame, best);
-    } else {
-        for _ in 0..run {
-            frame.score += params.match_score;
-            frame.consumed += 1;
-            frame.node_off += 1;
-            best_check(frame, best);
-        }
-    }
+    frame.score += i32::from(params.match_score) * run as i32;
+    frame.consumed += run;
+    frame.node_off += run as usize;
+    best_check(frame, best);
 }
 
 /// Bases compared per step of the walk when no active probe watches it: the
@@ -550,7 +532,7 @@ fn walk<P: MemProbe>(
                         // Not consumed: the frame dies without branching.
                         break 'span true;
                     }
-                    frame.score -= params.mismatch_penalty;
+                    frame.score -= i32::from(params.mismatch_penalty);
                     frame.consumed += 1;
                     frame.node_off += 1;
                     best_check(&frame, &mut best);
@@ -608,8 +590,8 @@ fn report_base<P: MemProbe>(
     node_at: usize,
     matched: bool,
 ) {
-    probe.touch(REGION_READ + read_at as u64, 1);
-    probe.touch(REGION_GRAPH_SEQ + handle.node().value() * GRAPH_SEQ_STRIDE + node_at as u64, 1);
+    probe.touch(REGION_READ.at(read_at as u64), 1);
+    probe.touch(REGION_GRAPH_SEQ.at(handle.node().value()) + node_at as u64, 1);
     probe.instret(6);
     probe.branch(matched);
 }
@@ -729,12 +711,12 @@ type AnchorKey = (Handle, i64, u32);
 ///
 /// One sort brings exact duplicates (the same read offset hitting the same
 /// graph position via several minimizers) and the anchors of one node and
-/// one diagonal together. Rule 1, exact merge (`merge`; its proof needs
-/// matches not to lower the score, as pruning does): an anchor on the node
-/// and diagonal of the anchor before it, with the read equal to the node on
+/// one diagonal together. Rule 1, exact merge: an anchor on the node and
+/// diagonal of the anchor before it, with the read equal to the node on
 /// every base between the two, produces the same [`Extension`] as that one,
-/// field for field (DESIGN.md §4b has the proof) — so of every run the read
-/// matches without a break only the leftmost anchor is kept. Each anchor is
+/// field for field, because matches never lower the score (DESIGN.md §4b
+/// has the proof) — so of every run the read matches without a break only
+/// the leftmost anchor is kept. Each anchor is
 /// compared with its predecessor only: the predecessor either starts the
 /// run or was itself joined to it by matching bases. An `N` in the read
 /// never equals a node base, and an anchor past the end of the read or the
@@ -744,7 +726,6 @@ fn prepare_anchors(
     read: &[u8],
     seeds: &[Seed],
     cluster: &Cluster,
-    merge: bool,
     scratch: &mut ExtendScratch,
 ) {
     let keys = &mut scratch.anchor_keys;
@@ -760,14 +741,13 @@ fn prepare_anchors(
     for &(handle, diagonal, read_offset) in keys.iter() {
         // One diagonal, ascending read offsets: both ranges run forward.
         let (r1, g1) = (read_offset as usize, (i64::from(read_offset) - diagonal) as usize);
-        let merged = merge
-            && previous.is_some_and(|(h, d, r0)| {
-                (h, d) == (handle, diagonal) && r1 < read.len() && {
-                    let (r0, g0) = (r0 as usize, (i64::from(r0) - d) as usize);
-                    let node = graph.oriented_sequence(handle);
-                    g1 < node.len() && read[r0..r1] == node[g0..g1]
-                }
-            });
+        let merged = previous.is_some_and(|(h, d, r0)| {
+            (h, d) == (handle, diagonal) && r1 < read.len() && {
+                let (r0, g0) = (r0 as usize, (i64::from(r0) - d) as usize);
+                let node = graph.oriented_sequence(handle);
+                g1 < node.len() && read[r0..r1] == node[g0..g1]
+            }
+        });
         if !merged {
             scratch.anchors.push(Seed::new(read_offset, GraphPos::new(handle, g1 as u32)));
         }
@@ -953,7 +933,7 @@ pub(crate) fn extend_first<P: MemProbe>(
         // A read offset on the walk determines the seed, so the distinct
         // anchors are the offsets hit; rule 1 leaves one per node hit.
         let distinct = marked(&scratch.offsets_hit);
-        let anchors = if extend.match_score >= 0 { marked(&scratch.nodes_hit) } else { distinct };
+        let anchors = marked(&scratch.nodes_hit);
         let stats = &mut scratch.stats;
         stats.anchors_walked += 1;
         stats.anchors_merged += distinct - anchors;
@@ -992,7 +972,7 @@ pub fn process_until_threshold_with_scratch<P: MemProbe>(
         if cluster.score < best_cluster_score * process.cluster_score_cutoff {
             break;
         }
-        prepare_anchors(graph, read, seeds, cluster, extend.match_score >= 0, scratch);
+        prepare_anchors(graph, read, seeds, cluster, scratch);
         walk_anchors(graph, cache, read, read_id, extend, process, probe, scratch, &mut extensions);
     }
     // Rule 2 must not depend on when an exact full-length extension turned
@@ -1323,7 +1303,7 @@ mod tests {
         let read = b"AAAACCCCGGGGTTTT";
         // Two seeds anchoring the same alignment + one bogus seed.
         let seeds = vec![anchor(1, 0, 0), anchor(1, 2, 2), anchor(4, 0, 1)];
-        let clusters = vec![Cluster { seeds: vec![0, 1, 2], score: 3.0, coverage: 1.0 }];
+        let clusters = vec![Cluster { seeds: vec![0, 1, 2], score: 3.0 }];
         let exts = process_until_threshold_with_scratch(
             gbz.graph(),
             &mut cache,
@@ -1357,8 +1337,8 @@ mod tests {
         let read = b"AAAACCCCGGGGTTTT";
         let seeds = vec![anchor(1, 0, 0), anchor(4, 0, 12)];
         let clusters = vec![
-            Cluster { seeds: vec![0], score: 10.0, coverage: 1.0 },
-            Cluster { seeds: vec![1], score: 1.0, coverage: 0.1 },
+            Cluster { seeds: vec![0], score: 10.0 },
+            Cluster { seeds: vec![1], score: 1.0 },
         ];
         let process = ProcessParams { cluster_score_cutoff: 0.5, ..Default::default() };
         let exts = process_until_threshold_with_scratch(
@@ -1577,7 +1557,7 @@ mod tests {
         let gbz = bubble_gbz();
         let read = b"AAAACCGCGGGGTTTT";
         let seeds = vec![anchor(1, 0, 0), anchor(2, 0, 4), anchor(4, 2, 10)];
-        let clusters = vec![Cluster { seeds: vec![0, 1, 2], score: 3.0, coverage: 0.9 }];
+        let clusters = vec![Cluster { seeds: vec![0, 1, 2], score: 3.0 }];
         let run = || {
             let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
             process_until_threshold_with_scratch(

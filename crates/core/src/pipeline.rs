@@ -38,8 +38,8 @@ pub struct MapScratch {
     /// themselves (the parent pipeline and mate rescue); the proxy maps
     /// pre-seeded dumps and leaves these empty.
     pub seeding: mg_index::MinimizerScratch,
-    /// Seed-hit staging buffer for [`MinimizerIndex::query_into`]
-    /// (mg_index::MinimizerIndex::query_into).
+    /// Seed-hit staging buffer for
+    /// [`MinimizerIndex::query_into`](mg_index::MinimizerIndex::query_into).
     pub seed_hits: Vec<(u32, mg_index::GraphPos)>,
 }
 
@@ -123,8 +123,6 @@ pub struct MappingResults {
     pub wall: Duration,
     /// Cache statistics aggregated across worker threads.
     pub cache: CacheStats,
-    /// Aggregate cache heap: the sum of every worker's cache footprint.
-    pub cache_heap_bytes: u64,
 }
 
 impl MappingResults {
@@ -364,13 +362,14 @@ impl<'a> Mapper<'a> {
                 if may_settle {
                     obs.part(Stage::Extension);
                 }
-                let read_len = bases.len() as u32;
-                let mut cluster_params = options.cluster;
-                // Giraffe derives the clustering limit from the read length.
-                cluster_params.distance_limit = cluster_params.distance_limit.max(read_len as u64);
                 let clusters = if matches!(first, FirstWalk::OneCluster) {
-                    one_cluster(seeds, read_len, &cluster_params, probe, &mut scratch.cluster)
+                    one_cluster(seeds, probe, &mut scratch.cluster)
                 } else {
+                    let read_len = bases.len() as u32;
+                    let mut cluster_params = options.cluster;
+                    // Giraffe derives the clustering limit from the read length.
+                    cluster_params.distance_limit =
+                        cluster_params.distance_limit.max(read_len as u64);
                     cluster_seeds_with_scratch(
                         graph,
                         &self.dist,
@@ -419,8 +418,8 @@ impl<'a> Mapper<'a> {
     /// unchanged, cold otherwise), the kernel scratch, and a shard of
     /// `metrics` carrying `sink`. Afterwards the cache statistics go into
     /// the shard, the shard into `metrics` and the state back into `slot`;
-    /// the statistics and the cache's heap bytes are returned. The state is
-    /// taken, not borrowed: a panic in `body` leaves the default.
+    /// the statistics are returned. The state is taken, not borrowed: a
+    /// panic in `body` leaves the default.
     pub fn with_warm_worker<'s>(
         &self,
         slot: &mut ThreadPersist,
@@ -429,7 +428,7 @@ impl<'a> Mapper<'a> {
         sink: &'s dyn RegionSink,
         thread: usize,
         body: impl FnOnce(&mut CachedGbwt<'a>, &mut MapScratch, &mut ObsShard<'s>),
-    ) -> (CacheStats, u64) {
+    ) -> CacheStats {
         let ThreadPersist { cache, mut scratch } = std::mem::take(slot);
         let mut cache = CachedGbwt::with_state(self.gbz.gbwt(), cache_capacity, cache);
         let mut obs = metrics.shard().with_sink(sink, thread);
@@ -437,9 +436,8 @@ impl<'a> Mapper<'a> {
         let stats = cache.stats();
         record_cache_stats(&mut obs, &stats);
         metrics.absorb(&obs);
-        let heap_bytes = cache.heap_bytes() as u64;
         *slot = ThreadPersist { cache: cache.into_state(), scratch };
-        (stats, heap_bytes)
+        stats
     }
 
     /// Runs the full parallel mapping loop without instrumentation.
@@ -460,7 +458,7 @@ impl<'a> Mapper<'a> {
     ) -> MappingResults {
         let start = Instant::now();
         let mut per_read = Vec::with_capacity(dump.reads.len());
-        let (cache, cache_heap_bytes) = self.map_chunk(
+        let cache = self.map_chunk(
             &dump.reads,
             0,
             options.batch_size,
@@ -469,18 +467,13 @@ impl<'a> Mapper<'a> {
             metrics,
             &mut per_read,
         );
-        MappingResults {
-            per_read,
-            wall: start.elapsed(),
-            cache,
-            cache_heap_bytes,
-        }
+        MappingResults { per_read, wall: start.elapsed(), cache }
     }
 
     /// The proxy's one scheduler dispatch: maps `reads`, whose global read
     /// ids are `base_id + i`, in grains of `grain` reads, and appends one
     /// result per read to `out` in input order. Returns the cache statistics
-    /// and cache heap bytes summed over the worker threads.
+    /// summed over the worker threads.
     ///
     /// Each worker records into a private [`ObsShard`] that carries `sink`
     /// and its thread index, opens its mark once per read, and folds it and
@@ -498,13 +491,13 @@ impl<'a> Mapper<'a> {
         sink: &dyn RegionSink,
         metrics: &Metrics,
         out: &mut Vec<ReadResult>,
-    ) -> (CacheStats, u64) {
+    ) -> CacheStats {
         let threads = options.threads.max(1);
         let mut workers = self.lock_pool();
         let (pool, persist) = workers.split(threads);
         let n = reads.len();
         let slots: Vec<OnceLock<ReadResult>> = (0..n).map(|_| OnceLock::new()).collect();
-        let totals = Mutex::new((CacheStats::default(), 0u64));
+        let totals = Mutex::new(CacheStats::default());
         options.scheduler.run(
             grain,
             pool,
@@ -530,11 +523,9 @@ impl<'a> Mapper<'a> {
                         slots[i].set(result).expect("each read mapped once");
                     }
                 };
-                let (stats, heap_bytes) =
+                let stats =
                     self.with_warm_worker(slot, options.cache_capacity, metrics, sink, thread, map);
-                let mut totals = totals.lock().expect("no thread panics holding the totals");
-                totals.0.merge(&stats);
-                totals.1 += heap_bytes;
+                totals.lock().expect("no thread panics holding the totals").merge(&stats);
             },
         );
         out.extend(slots.into_iter().enumerate().map(|(i, slot)| {
@@ -579,7 +570,7 @@ impl<'a> Mapper<'a> {
             if !reads.is_empty() {
                 let grain = chunk_grain_reads(reads.len(), options.threads, options.batch_size);
                 results.clear();
-                let (cache, _) = self.map_chunk(
+                let cache = self.map_chunk(
                     &reads,
                     summary.reads,
                     grain,
@@ -706,7 +697,6 @@ mod tests {
         }
         assert!(results.mapped_fraction() > 0.999);
         assert!(results.cache.hits + results.cache.misses > 0);
-        assert!(results.cache_heap_bytes > 0);
     }
 
     #[test]
@@ -935,8 +925,7 @@ mod tests {
                     &mut NoProbe,
                     &mut ClusterScratch::default(),
                 );
-                let ours =
-                    one_cluster(&seeds, 16, &params, &mut NoProbe, &mut ClusterScratch::default());
+                let ours = one_cluster(&seeds, &mut NoProbe, &mut ClusterScratch::default());
                 assert_eq!(ours, kernel, "start {start}, substitution at {sub}");
                 // The first seed's node, on its diagonal, one node length on.
                 let past = GraphPos::new(seeds[0].pos.handle, seeds[0].pos.offset + 5);

@@ -10,7 +10,7 @@
 //! initialization and poor locality. This implementation reproduces those
 //! trade-offs directly.
 //!
-//! A table entry is one 64-byte [`Slot`], aligned to a cache line: the key,
+//! A table entry is one 64-byte `Slot`, aligned to a cache line: the key,
 //! the visit count and up to two edges inline, plus arena references for the
 //! runs and for the edges of records with more than two. A hit on a record
 //! with at most two edges — nearly all of them — reads that one line until
@@ -18,16 +18,12 @@
 
 use std::sync::Arc;
 
-use mg_support::probe::MemProbe;
+use mg_support::probe::{MemProbe, REGION_CACHE};
 use mg_support::rle::Run;
 
 use crate::gbwt::Gbwt;
 use crate::record::{DecodedRecord, RecordEdge, RecordView};
 
-/// Logical address region of cache table slots (for the cache simulator).
-pub const REGION_CACHE: u64 = 0x2000_0000_0000;
-/// Modelled bytes per cache slot when reporting accesses to the probe.
-const SLOT_BYTES: u64 = 64;
 
 /// Statistics accumulated by a [`CachedGbwt`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -139,7 +135,7 @@ const EMPTY_SLOT: Slot = Slot {
     run_start: 0,
     run_count: 0,
 };
-const _: () = assert!(std::mem::size_of::<Slot>() == SLOT_BYTES as usize);
+const _: () = assert!(std::mem::size_of::<Slot>() == REGION_CACHE.stride as usize);
 
 /// The detachable storage of a [`CachedGbwt`]: table, arenas, statistics,
 /// and the identity of the index it was warmed against.
@@ -345,7 +341,7 @@ impl<'a> CachedGbwt<'a> {
         let mask = self.capacity() - 1;
         let mut slot = self.slot_of(symbol);
         loop {
-            probe.touch(REGION_CACHE + slot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
+            probe.touch(REGION_CACHE.at(slot as u64), REGION_CACHE.stride as u32);
             probe.instret(3);
             let found = self.state.slots[slot].key;
             if found == key {
@@ -353,7 +349,7 @@ impl<'a> CachedGbwt<'a> {
                 // A hit is modelled as the slot line plus the record header
                 // (the caller's scan of edges/runs is charged by the kernels
                 // themselves, identically for hits and misses).
-                probe.touch(REGION_CACHE + slot as u64 * SLOT_BYTES + 8, 64);
+                probe.touch(REGION_CACHE.at(slot as u64) + 8, 64);
                 return self.state.view(slot);
             }
             if found == 0 {
@@ -372,7 +368,7 @@ impl<'a> CachedGbwt<'a> {
         }
         self.state.fill(slot, key);
         self.state.len += 1;
-        probe.touch(REGION_CACHE + slot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
+        probe.touch(REGION_CACHE.at(slot as u64), REGION_CACHE.stride as u32);
         self.state.view(slot)
     }
 
@@ -387,7 +383,7 @@ impl<'a> CachedGbwt<'a> {
             // Rehash cost: read the old slot, write the new one.
             probe.instret(6);
             let slot = self.free_slot(entry.key - 1);
-            probe.touch(REGION_CACHE + slot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
+            probe.touch(REGION_CACHE.at(slot as u64), REGION_CACHE.stride as u32);
             self.state.slots[slot] = entry;
         }
     }
@@ -690,7 +686,7 @@ mod tests {
         }
 
         fn lookup(&mut self, gbwt: &Gbwt, symbol: u64, trace: &mut Trace) {
-            let region = |slot: usize| REGION_CACHE + slot as u64 * 64;
+            let region = |slot: usize| REGION_CACHE.at(slot as u64);
             if self.keys.is_empty() {
                 self.stats.misses += 1;
                 let _ = gbwt.record_with_probe(symbol, trace);

@@ -6,7 +6,7 @@ use mg_support::mgi::{
     put_u64, put_u64_slice, FixedReader, MgiFile, MgiWriter, TAG_GBWT_ENDMARKER,
     TAG_GBWT_END_IDS, TAG_GBWT_META, TAG_GBWT_OFFSETS, TAG_GBWT_RECORDS,
 };
-use mg_support::probe::MemProbe;
+use mg_support::probe::{MemProbe, REGION_RECORDS};
 use mg_support::varint::Cursor;
 use mg_support::{Error, Result};
 
@@ -14,10 +14,6 @@ use crate::record::{DecodedRecord, ENDMARKER};
 
 /// Monotonic source of [`Gbwt::uid`] values.
 static NEXT_GBWT_UID: AtomicU64 = AtomicU64::new(1);
-
-/// Logical address region of the compressed record blob (see
-/// [`mg_support::probe`]).
-pub const REGION_RECORDS: u64 = 0x1000_0000_0000;
 
 /// A half-open range of visit offsets within one node record.
 ///
@@ -327,11 +323,11 @@ impl Gbwt {
         let start = self.offsets[idx] as usize;
         let end = self.offsets[idx + 1] as usize;
         probe.touch(
-            REGION_RECORDS + self.offsets.len() as u64 * 8 + start as u64,
+            REGION_RECORDS.at(self.offsets.len() as u64) + start as u64,
             (end - start) as u32,
         );
         // Offset-table lookup.
-        probe.touch(REGION_RECORDS + idx as u64 * 8, 16);
+        probe.touch(REGION_RECORDS.at(idx as u64), 16);
         let mut cur = Cursor::new(&self.records[start..end]);
         out.decode_into(&mut cur).expect("internal record is valid");
         // Decompression cost scales with the encoded size: varint decoding

@@ -223,7 +223,7 @@ const _: () = assert!(std::mem::size_of::<KmerEntry>() == 32);
 
 /// The minimizer index over a graph's haplotype paths.
 ///
-/// One layout wherever the table lives: one [`KmerEntry`] per distinct
+/// One layout wherever the table lives: one 32-byte `KmerEntry` per distinct
 /// k-mer in ascending order, and an arena holding, for each k-mer with more
 /// than one hit, the positions after its first — plus a small bucket
 /// directory over the k-mers' top bits, derived whenever the arrays are

@@ -38,7 +38,7 @@ use mg_gbwt::{CachedGbwt, Gbz};
 use mg_index::{DistanceIndex, MinimizerIndex};
 use mg_obs::{Ctr, Gauge, Hist, Metrics, ObsShard, Stage};
 use mg_sched::{bounded_queue, chunk_grain_reads, SchedulerKind};
-use mg_support::probe::{MemProbe, NoProbe};
+use mg_support::probe::{MemProbe, NoProbe, REGION_PARENT_READS, REGION_PARENT_SEEDS};
 use mg_support::regions::{NullSink, RegionSink};
 
 use crate::align::{align_read, pair_check, AlignParams, Alignment};
@@ -274,7 +274,7 @@ impl<'a> Parent<'a> {
             // with the critical functions, what it leaves in the caches is
             // what the kernels then find there, and it is what perturbs the
             // parent's counters away from the proxy's in the paper's Table V.
-            probe.touch(0x6000_0000_0000 + read_id * 4096, bases.len() as u32);
+            probe.touch(REGION_PARENT_READS.at(read_id), bases.len() as u32);
             self.minimizer.query_into(
                 bases,
                 options.hard_hit_cap,
@@ -284,7 +284,7 @@ impl<'a> Parent<'a> {
             seeds.clear();
             seeds.extend(scratch.seed_hits.iter().map(|&(off, pos)| Seed::new(off, pos)));
             probe.touch(
-                0x7000_0000_0000 + (read_id % 512) * 65536,
+                REGION_PARENT_SEEDS.at(read_id % REGION_PARENT_SEEDS.slots),
                 (seeds.len() * std::mem::size_of::<Seed>()).max(16) as u32,
             );
             obs.stage(Stage::Seeding);

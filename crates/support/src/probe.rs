@@ -14,7 +14,8 @@
 ///
 /// Addresses are *logical*: stable per-object identifiers (for example, the
 /// byte offset of a GBWT record in its backing buffer) rather than real
-/// pointers, so traces are deterministic across runs and machines.
+/// pointers, so traces are deterministic across runs and machines. Every
+/// address lies in one of the [`REGIONS`].
 pub trait MemProbe {
     /// Whether this probe consumes the per-base `touch`/`instret`/`branch`
     /// stream. It selects how a kernel compares, never what it computes:
@@ -38,6 +39,60 @@ pub trait MemProbe {
     #[inline]
     fn branch(&mut self, _taken: bool) {}
 }
+
+/// A region of the logical address space: room for `slots` elements of
+/// `stride` bytes each, from `base`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Region {
+    /// The first address.
+    pub base: u64,
+    /// Bytes per element.
+    pub stride: u64,
+    /// Elements the region has room for.
+    pub slots: u64,
+}
+
+impl Region {
+    /// The first address of element `index`.
+    #[inline(always)]
+    pub const fn at(self, index: u64) -> u64 {
+        self.base + index * self.stride
+    }
+}
+
+/// GBWT records: the offset table, 8 bytes an entry, then the record blob
+/// from the table's end.
+pub const REGION_RECORDS: Region = Region { base: 0x1000_0000_0000, stride: 8, slots: 1 << 41 };
+/// `CachedGbwt` table slots, one 64-byte line each.
+pub const REGION_CACHE: Region = Region { base: 0x2000_0000_0000, stride: 64, slots: 1 << 38 };
+/// Graph sequence bytes: a 256-byte window per node id. Pangenome nodes
+/// are capped well below that (`PangenomeBuilder::max_node_len` defaults
+/// to 32), so windows never alias.
+pub const REGION_GRAPH_SEQ: Region =
+    Region { base: 0x3000_0000_0000, stride: 256, slots: 1 << 36 };
+/// The bases of the read being extended, one byte each at its read offset.
+pub const REGION_READ: Region = Region { base: 0x4000_0000_0000, stride: 1, slots: 1 << 32 };
+/// The seed array of the read being clustered, touched whole from the base.
+pub const REGION_SEEDS: Region = Region { base: 0x5000_0000_0000, stride: 1, slots: 1 << 32 };
+/// The parent's seeding: a 4 KiB window of read bases per read id.
+pub const REGION_PARENT_READS: Region =
+    Region { base: 0x6000_0000_0000, stride: 4096, slots: 1 << 32 };
+/// The parent's seeding: the seed list it fills, one of a ring of 512
+/// 64 KiB buffers picked by read id.
+pub const REGION_PARENT_SEEDS: Region =
+    Region { base: 0x7000_0000_0000, stride: 65536, slots: 512 };
+
+/// The logical address map: every region a probe is told of. A new region
+/// goes here too, and the map's test checks that it overlaps no other.
+pub const REGIONS: [Region; 7] = [
+    REGION_RECORDS,
+    REGION_CACHE,
+    REGION_GRAPH_SEQ,
+    REGION_READ,
+    REGION_SEEDS,
+    REGION_PARENT_READS,
+    REGION_PARENT_SEEDS,
+];
 
 /// A probe that ignores everything; optimizes away entirely.
 ///
@@ -113,6 +168,18 @@ impl<P: MemProbe> MemProbe for &mut P {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn no_two_regions_overlap() {
+        let end = |r: Region| r.stride.checked_mul(r.slots).and_then(|n| n.checked_add(r.base));
+        let mut map = REGIONS;
+        map.sort_by_key(|r| r.base);
+        for pair in map.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            assert!(end(a).is_some_and(|end| end <= b.base), "{a:?} runs into {b:?}");
+        }
+        assert!(end(map[map.len() - 1]).is_some(), "the last region wraps the address space");
+    }
 
     #[test]
     fn counting_probe_accumulates() {

@@ -16,7 +16,4 @@ pub mod sweep;
 
 pub use space::{ParamSpace, TuningPoint};
 pub use stats::{f_distribution_p_value, geometric_mean, one_way_anova, Anova};
-pub use sweep::{
-    run_host_sweep, run_host_sweep_metrics, run_sim_sweep, run_sim_sweep_cached, FeatureCache,
-    SweepResult, TuningRecord,
-};
+pub use sweep::{run_host_sweep, run_sim_sweep, FeatureCache, SweepResult, TuningRecord};

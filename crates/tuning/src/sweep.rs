@@ -86,24 +86,13 @@ impl SweepResult {
 /// Sweeps the space with real proxy runs on the host machine.
 ///
 /// `repeats` runs are taken per point and the minimum kept (standard noise
-/// suppression for makespan measurements).
-pub fn run_host_sweep(
-    gbz: &Gbz,
-    dump: &SeedDump,
-    threads: usize,
-    space: &ParamSpace,
-    repeats: usize,
-    base_options: &MappingOptions,
-) -> SweepResult {
-    run_host_sweep_metrics(gbz, dump, threads, space, repeats, base_options, Metrics::off_ref())
-}
-
-/// [`run_host_sweep`] with a metrics registry: each measured point bumps
-/// the sweep-point counter and feeds the kept makespan into the
+/// suppression for makespan measurements). Each measured point bumps the
+/// sweep-point counter of `metrics` and feeds the kept makespan into its
 /// makespan histogram, and the proxy runs themselves record their full
-/// per-stage/cache/scheduler activity into the same registry.
+/// per-stage/cache/scheduler activity into the same registry
+/// ([`Metrics::off_ref`] records nothing).
 #[allow(clippy::too_many_arguments)]
-pub fn run_host_sweep_metrics(
+pub fn run_host_sweep(
     gbz: &Gbz,
     dump: &SeedDump,
     threads: usize,
@@ -200,37 +189,10 @@ impl FeatureCache {
 /// `tile` replicates the measured tasks so the simulated run has
 /// paper-proportional read counts (see
 /// [`mg_perf::SimWorkload::tiled`]); pass 1 to simulate the dump as-is.
+/// Task features come from `cache`, so sweeps of several machines over one
+/// input collect them once.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sim_sweep(
-    machine: &MachineModel,
-    mapper: &Mapper<'_>,
-    dump: &SeedDump,
-    space: &ParamSpace,
-    threads: usize,
-    base_options: &MappingOptions,
-    required_memory_gb: f64,
-    name: &str,
-    tile: usize,
-) -> SweepResult {
-    let mut cache = FeatureCache::default();
-    run_sim_sweep_cached(
-        machine,
-        mapper,
-        dump,
-        space,
-        threads,
-        base_options,
-        required_memory_gb,
-        name,
-        tile,
-        &mut cache,
-    )
-}
-
-/// [`run_sim_sweep`] with an external [`FeatureCache`], so feature
-/// collection is shared when sweeping several machines over one input.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sim_sweep_cached(
     machine: &MachineModel,
     mapper: &Mapper<'_>,
     dump: &SeedDump,
@@ -375,7 +337,8 @@ mod tests {
                 .collect(),
         );
         let space = ParamSpace::small();
-        let sweep = run_host_sweep(&gbz, &dump, 2, &space, 1, &MappingOptions::default());
+        let sweep =
+            run_host_sweep(&gbz, &dump, 2, &space, 1, &MappingOptions::default(), Metrics::off_ref());
         assert_eq!(sweep.records.len(), space.len());
         assert!(sweep.records.iter().all(|r| r.makespan_s >= 0.0));
         assert!(sweep.best().unwrap().makespan_s <= sweep.worst().unwrap().makespan_s);
@@ -405,7 +368,7 @@ mod tests {
         );
         let space = ParamSpace::small();
         let metrics = Metrics::new();
-        let sweep = run_host_sweep_metrics(
+        let sweep = run_host_sweep(
             &gbz,
             &dump,
             1,
@@ -460,6 +423,7 @@ mod tests {
             20.0,
             "smoke",
             4,
+            &mut FeatureCache::default(),
         );
         assert_eq!(sweep.records.len(), space.len());
         assert!(sweep.records.iter().all(|r| r.makespan_s > 0.0));
@@ -474,6 +438,7 @@ mod tests {
             20.0,
             "smoke",
             4,
+            &mut FeatureCache::default(),
         );
         assert_eq!(sweep, sweep2);
     }
@@ -498,6 +463,7 @@ mod tests {
             1.0,
             "tiny",
             100,
+            &mut FeatureCache::default(),
         );
         assert_eq!(sweep.records.len(), space.len());
         // `along(p, q)` is `p` moved to `q`'s value on one axis.
@@ -541,6 +507,7 @@ mod tests {
             300.0, // needs 300 GB
             "oom",
             1,
+            &mut FeatureCache::default(),
         );
         assert!(sweep.records.is_empty());
         // Every point was evaluated and counted as infeasible, and the

@@ -8,7 +8,7 @@
 
 use minigiraffe::core::{Mapper, MappingOptions};
 use minigiraffe::perf::MachineModel;
-use minigiraffe::tuning::{run_sim_sweep, ParamSpace, TuningPoint};
+use minigiraffe::tuning::{run_sim_sweep, FeatureCache, ParamSpace, TuningPoint};
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 
 fn main() {
@@ -40,6 +40,7 @@ fn main() {
         40.0,
         spec.name,
         tile,
+        &mut FeatureCache::default(),
     );
 
     let best = sweep.best().expect("sweep measured at least one configuration");

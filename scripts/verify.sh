@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate for the miniGiraffe-rs workspace:
 # build, tests, the release oracles, the CLI memory bounds, the unsafe audit,
-# lints, and the benchmark harness.
+# lints, rustdoc, and the benchmark harness.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -124,6 +124,9 @@ cargo test --release -q --test seeding kmers_at_one_at_the_cap_and_one_past_the_
 
 echo "== lints (--all-targets covers tests and examples, there are no benches) =="
 cargo clippy --all-targets -- -D warnings
+
+echo "== rustdoc (every intra-doc link resolves and no public doc links a private item) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --exclude proptest --exclude rand --no-deps
 
 echo "== benchmark harness (own tests, then every workload once at 1/20 scale) =="
 # The PR pipeline builds benchmark/ against these crates and runs it; it

@@ -780,7 +780,8 @@ fn cmd_tune(args: &[String], out: &mut Out) -> Result<(), String> {
         space.len(),
         dump.reads.len()
     );
-    let sweep = run_host_sweep(&gbz, &dump, threads, &space, repeats, &MappingOptions::default());
+    let options = MappingOptions::default();
+    let sweep = run_host_sweep(&gbz, &dump, threads, &space, repeats, &options, Metrics::off_ref());
     let Some(best) = sweep.best() else {
         return Err("sweep produced no measurable configurations".into());
     };

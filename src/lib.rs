@@ -11,7 +11,7 @@
 //! - [`index`]: minimizer and distance indices.
 //! - [`workload`]: synthetic pangenomes, read simulation, the paper's four
 //!   input-set profiles, and seed dumps.
-//! - [`sched`]: parallel schedulers (dynamic, static, work-stealing, VG-style).
+//! - [`sched`]: parallel schedulers (dynamic, work-stealing, VG-style).
 //! - [`obs`]: near-zero-overhead metrics (counters, histograms, stage spans)
 //!   threaded through the mapping loop, with JSON/CSV export.
 //! - [`core`]: the proxy itself — seed clustering and the seed-and-extend

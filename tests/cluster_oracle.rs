@@ -2,7 +2,7 @@
 //! position, test every seed against its next `neighbor_window` neighbours
 //! with the distance index — every pair, no shortcut for pairs already
 //! joined, no prefilter — take connected components, score them. The kernel
-//! must return the same `Vec<Cluster>` (members, scores, coverage, order),
+//! must return the same `Vec<Cluster>` (members, scores, order),
 //! reusing one scratch across reads; so every case also proves the kernel's
 //! `maybe_within` prefilter never drops a pair within the limit.
 
@@ -21,7 +21,6 @@ fn reference(
     graph: &VariationGraph,
     dist: &DistanceIndex,
     seeds: &[Seed],
-    read_len: u32,
     params: &ClusterParams,
 ) -> Vec<Cluster> {
     let mut order: Vec<usize> = (0..seeds.len()).collect();
@@ -64,13 +63,7 @@ fn reference(
             let mut offsets: Vec<u32> = members.iter().map(|&i| seeds[i].read_offset).collect();
             offsets.sort_unstable();
             offsets.dedup();
-            // Bases of the read under at least one of the cluster's k-mers.
-            let covered = (0..read_len)
-                .filter(|&base| offsets.iter().any(|&o| o <= base && base < o + params.kmer_len))
-                .count();
-            let coverage =
-                if read_len == 0 { 0.0 } else { (covered as f64 / f64::from(read_len)).min(1.0) };
-            Cluster { seeds: members, score: offsets.len() as f64, coverage }
+            Cluster { seeds: members, score: offsets.len() as f64 }
         })
         .collect();
     clusters.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.seeds[0].cmp(&b.seeds[0])));
@@ -142,10 +135,9 @@ fn check_case(case_seed: u64, scratch: &mut ClusterScratch) {
         let params = ClusterParams {
             distance_limit: rng.random_range(0u64..300),
             neighbor_window: rng.random_range(1usize..14),
-            kmer_len: rng.random_range(5u32..32),
         };
         let got = cluster_seeds_with_scratch(graph, &dist, &seeds, read_len, &params, &mut NoProbe, scratch);
-        let want = reference(graph, &dist, &seeds, read_len, &params);
+        let want = reference(graph, &dist, &seeds, &params);
         assert_eq!(got, want, "case {case_seed} params {params:?} seeds {seeds:?}");
     }
 }

@@ -257,9 +257,10 @@ fn both_walks() -> Vec<Config> {
 
 /// Settings under which the composition does not simply report the one
 /// exact extension: no neighbour is ever compared, no cluster or no
-/// extension is kept, matches cost, the one cluster falls below its own
-/// cutoff, the exact extension scores under the floor — plus a tight
-/// branch budget and no mismatch budget.
+/// extension is kept, the one cluster falls below its own cutoff, the exact
+/// extension scores under the floor — plus the scoring extremes (free
+/// mismatches; matches worth more than a mismatch costs, with no floor; no
+/// match score), a tight branch budget and no mismatch budget.
 fn guards() -> Vec<MappingOptions> {
     let edit = |f: &dyn Fn(&mut MappingOptions)| {
         let mut options = MappingOptions::default();
@@ -270,9 +271,9 @@ fn guards() -> Vec<MappingOptions> {
         edit(&|o| o.cluster.neighbor_window = 0),
         edit(&|o| o.process.max_clusters = 0),
         edit(&|o| o.process.max_extensions_per_read = 0),
-        edit(&|o| o.extend.match_score = -1),
+        edit(&|o| o.extend.mismatch_penalty = 0),
         edit(&|o| {
-            o.extend.match_score = -1;
+            o.extend.match_score = 5;
             o.process.min_extension_score = -1000;
         }),
         edit(&|o| {

@@ -56,7 +56,6 @@ fn random_case(rng: &mut StdRng) -> Case {
         .map(|(i, w)| Cluster {
             seeds: (w[0]..w[1]).collect(),
             score: 4.0 - i as f64 * 0.5,
-            coverage: 0.5,
         })
         .collect();
     Case { gbz, read, seeds, clusters }
@@ -283,7 +282,7 @@ fn two_anchor_case(gbz: Gbz, read: Vec<u8>) -> Case {
         Seed::new(1, GraphPos::new(node, 9)),
         Seed::new(12, GraphPos::new(node, 20)),
     ];
-    let clusters = vec![Cluster { seeds: vec![0, 1], score: 2.0, coverage: 1.0 }];
+    let clusters = vec![Cluster { seeds: vec![0, 1], score: 2.0 }];
     Case { gbz, read, seeds, clusters }
 }
 

@@ -65,7 +65,7 @@ impl<'a, P: MemProbe> Walker<'a, P> {
     }
 
     fn process(&mut self, read: &[u8], seeds: &[Seed], params: &ExtendParams) -> Vec<Extension> {
-        let clusters = [Cluster { seeds: (0..seeds.len()).collect(), score: 1.0, coverage: 1.0 }];
+        let clusters = [Cluster { seeds: (0..seeds.len()).collect(), score: 1.0 }];
         process_until_threshold_with_scratch(
             self.gbz.graph(), &mut self.cache, read, 0, seeds, &clusters, params,
             &ProcessParams::default(), &mut self.probe, &mut self.scratch,
@@ -186,9 +186,9 @@ fn read_from_path(rng: &mut StdRng, gbz: &Gbz, path: &[Handle]) -> (Vec<u8>, Vec
 }
 
 /// The scoring configurations every case runs under: the default, every
-/// mismatch budget from none to four, gentle and free mismatches, and the
-/// two match scores that take `apply_match_run`'s other paths (zero: runs
-/// that leave the score where it was; negative: per-base updates).
+/// mismatch budget from none to four, gentle and free mismatches, a zero
+/// match score (runs that leave the score where it was) and a match score
+/// above the penalty (a mismatch costs less than the next match earns).
 fn param_sets(rng: &mut StdRng) -> Vec<ExtendParams> {
     let budget = |max_mismatches| ExtendParams { max_mismatches, ..Default::default() };
     vec![
@@ -200,7 +200,7 @@ fn param_sets(rng: &mut StdRng) -> Vec<ExtendParams> {
         ExtendParams { mismatch_penalty: 1, ..budget(rng.random_range(0u32..=4)) },
         ExtendParams { mismatch_penalty: 0, match_score: 2, ..budget(rng.random_range(0u32..=4)) },
         ExtendParams { match_score: 0, ..budget(rng.random_range(0u32..=4)) },
-        ExtendParams { match_score: -1, mismatch_penalty: 2, ..budget(rng.random_range(0u32..=4)) },
+        ExtendParams { match_score: 3, mismatch_penalty: 2, ..budget(rng.random_range(0u32..=4)) },
         ExtendParams {
             max_branch_steps: rng.random_range(1usize..12),
             ..budget(rng.random_range(0u32..=4))
@@ -445,7 +445,7 @@ fn anchors_on_node_and_read_edges_for_every_small_length() {
         ExtendParams::default(),
         ExtendParams { max_mismatches: 1, mismatch_penalty: 1, ..Default::default() },
         ExtendParams { match_score: 0, ..Default::default() },
-        ExtendParams { match_score: -1, ..Default::default() },
+        ExtendParams { mismatch_penalty: 0, ..Default::default() },
     ];
     for node_len in 1usize..=17 {
         let gbz = linear_gbz(&reference, node_len);
@@ -478,12 +478,14 @@ fn anchors_on_node_and_read_edges_for_every_small_length() {
     }
 }
 
-/// Whole reads over a bubble-rich graph with a non-positive match score: the
-/// run of matches between two mismatches must update the best prefix base
-/// by base (negative) or leave it on the longest tie (zero), exactly as the
-/// per-base step does.
+/// Whole reads over a bubble-rich graph under extreme scores: a zero match
+/// score, under which a run of matches leaves the best prefix on the
+/// longest tie, and match scores above the mismatch penalty, under which a
+/// walk takes every mismatch its budget allows. Crediting the matches
+/// between two mismatches a run at a time must land where the per-base step
+/// does.
 #[test]
-fn non_positive_match_scores_agree_on_whole_reads() {
+fn extreme_match_scores_agree_on_whole_reads() {
     for case_seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0x5C0 + case_seed);
         let (gbz, paths) = random_gbz(&mut rng);
@@ -499,7 +501,7 @@ fn non_positive_match_scores_agree_on_whole_reads() {
             let r = rng.random_range(0..read.len());
             read[r] = other_base(read[r]);
         }
-        for match_score in [0, -1, -3] {
+        for match_score in [0, 2, 5] {
             for mismatch_penalty in [0, 1, 4] {
                 let params = ExtendParams { match_score, mismatch_penalty, ..Default::default() };
                 let what = format!("case {case_seed}");

@@ -7,7 +7,7 @@ use minigiraffe::gbwt::CachedGbwt;
 use minigiraffe::perf::{
     collect_features, cosine_similarity, simulate, CacheSimProbe, MachineModel, SimSched, TopDown,
 };
-use minigiraffe::tuning::{run_sim_sweep, ParamSpace, TuningPoint};
+use minigiraffe::tuning::{run_sim_sweep, FeatureCache, ParamSpace, TuningPoint};
 use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 
 fn tiny_input() -> SyntheticInput {
@@ -166,6 +166,7 @@ fn tuning_sweep_beats_or_matches_default() {
         40.0,
         "tiny",
         2000,
+        &mut FeatureCache::default(),
     );
     assert_eq!(sweep.records.len(), ParamSpace::default().len());
     let speedup = sweep.speedup_over(TuningPoint::default_config()).unwrap();
