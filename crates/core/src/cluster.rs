@@ -6,7 +6,7 @@
 //! read offsets its seeds hit. High-scoring clusters feed the extension
 //! kernel.
 
-use mg_index::{DistanceIndex, DistanceScratch};
+use mg_index::{DistanceIndex, DistanceScratch, NodeRecord};
 use mg_support::probe::{MemProbe, REGION_SEEDS};
 
 use crate::types::Seed;
@@ -44,6 +44,10 @@ pub struct Cluster {
 }
 
 /// Union-find over seed indices.
+///
+/// [`UnionFind::link`] makes the smaller root the joint root, and path
+/// compression points a member at its root, so every parent index is at
+/// most its member's own: a set's root is its smallest member.
 #[derive(Debug, Default)]
 struct UnionFind {
     parent: Vec<u32>,
@@ -79,7 +83,6 @@ impl UnionFind {
         self.parent[hi] = lo as u32;
         lo
     }
-
 }
 
 /// A seed's place in the position sort, computed once per seed:
@@ -88,26 +91,33 @@ impl UnionFind {
 type SortKey = (u32, u64, u64, u32, u32);
 
 /// Reusable per-thread storage of the clustering kernel: the position-sort
-/// order, the union-find, the distance-query scratch, the component
-/// gathering buffer, and the per-cluster offset buffer. A worker holds one
-/// and reuses it for every read it maps.
+/// order, each seed's node record, the union-find, the distance-query
+/// scratch, each seed's cluster and each cluster's size while the clusters
+/// are gathered, the per-cluster offset buffer, and the one cluster the
+/// one-cluster path lends out. A worker holds one and reuses it for every
+/// read it maps.
 #[derive(Debug, Default)]
 pub struct ClusterScratch {
     order: Vec<SortKey>,
+    records: Vec<NodeRecord>,
     uf: UnionFind,
     dist: DistanceScratch,
-    rooted: Vec<(usize, usize)>,
+    slot: Vec<u32>,
+    sizes: Vec<usize>,
     offsets: Vec<u32>,
+    one: Vec<Cluster>,
 }
 
 /// Clusters the seeds of one read on caller-provided scratch storage.
 ///
 /// Seeds are sorted by (component, linearized graph position), one node
-/// record read per seed; each seed is checked against the next
-/// `neighbor_window` seeds, those in its component with an exact bounded
-/// distance query, and close pairs are unioned. Clusters come back sorted
-/// by score (descending), ties broken by first seed index — a
-/// deterministic order regardless of thread count. The read's length is
+/// record read per seed and kept for the sweep; each seed is checked
+/// against the next `neighbor_window` seeds, those in its component with an
+/// exact bounded distance query answered from the two kept records, and
+/// close pairs are unioned. The sort puts a component's seeds together, so
+/// a seed's window ends at the first seed of another component. Clusters
+/// come back sorted by score (descending), ties broken by first seed index
+/// — a deterministic order regardless of thread count. The read's length is
 /// not read: the caller derives `distance_limit` from it, and a score
 /// counts read offsets.
 pub fn cluster_seeds_with_scratch<P: MemProbe>(
@@ -124,30 +134,32 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
     }
     probe.touch(REGION_SEEDS.base, std::mem::size_of_val(seeds) as u32);
     probe.instret(seeds.len() as u64 * 4);
+    let ClusterScratch { order, records, uf, dist: dist_scratch, slot, sizes, offsets, .. } = scratch;
 
     // Sort the seeds by linearized position so nearby seeds are adjacent.
-    let order = &mut scratch.order;
     order.clear();
-    order.extend(seeds.iter().enumerate().map(|(i, s)| {
-        let node = dist.node(s.pos.handle.node());
-        (
+    records.clear();
+    for (i, s) in seeds.iter().enumerate() {
+        let node = *dist.node(s.pos.handle.node());
+        order.push((
             node.component,
             u64::from(node.offset_min).saturating_add(s.pos.offset as u64),
             s.pos.handle.packed(),
             s.read_offset,
             i as u32,
-        )
-    }));
+        ));
+        records.push(node);
+    }
     order.sort_unstable();
     probe.instret((seeds.len() as f64 * (seeds.len() as f64).log2().max(1.0)) as u64);
 
-    let uf = &mut scratch.uf;
     uf.reset(seeds.len());
     let limit = params.distance_limit;
     for (rank, &(component, .., i)) in order.iter().enumerate() {
         let i = i as usize;
         let mut root = uf.find(i);
-        for &(other_component, .., j) in order.iter().skip(rank + 1).take(params.neighbor_window) {
+        let window = &order[rank + 1..][..params.neighbor_window.min(order.len() - rank - 1)];
+        for (k, &(other_component, .., j)) in window.iter().enumerate() {
             let j = j as usize;
             // Transitivity: pairs already clustered need no distance query
             // (this is what makes the sweep near-linear, like Giraffe's
@@ -159,10 +171,15 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
             }
             let (a, b) = (seeds[i].pos, seeds[j].pos);
             probe.instret(6);
-            // Seeds in different components are never close; the sort key
-            // already holds both components.
+            // Seeds in different components are never close, and the sort
+            // puts every later seed of the window in another component too.
+            // The simulator is told of each skipped one as the checks it
+            // would have taken.
             if component != other_component {
-                continue;
+                if P::ACTIVE {
+                    (k + 1..window.len()).for_each(|_| probe.instret(6));
+                }
+                break;
             }
             // Same-handle fast path: the offset gap is itself a walk.
             if a.handle == b.handle {
@@ -176,7 +193,9 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
             // Exact check, either direction.
             probe.instret(40);
             if dist
-                .min_undirected_distance_with(graph, a, b, limit, &mut scratch.dist)
+                .min_undirected_distance_with_records(
+                    graph, a, &records[i], b, &records[j], limit, dist_scratch,
+                )
                 .is_some_and(|d| d <= limit)
             {
                 root = uf.link(root, other);
@@ -184,23 +203,33 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
         }
     }
 
-    // Gather components: sort (root, index) pairs and slice into groups —
-    // no per-read hash map on the hot path.
-    let rooted = &mut scratch.rooted;
-    rooted.clear();
-    rooted.extend((0..seeds.len()).map(|i| (uf.find(i), i)));
-    rooted.sort_unstable();
-    let mut clusters: Vec<Cluster> = Vec::new();
-    let mut start = 0;
-    while start < rooted.len() {
-        let root = rooted[start].0;
-        let mut end = start + 1;
-        while end < rooted.len() && rooted[end].0 == root {
-            end += 1;
-        }
-        let members: Vec<usize> = rooted[start..end].iter().map(|&(_, i)| i).collect();
-        clusters.push(score_cluster(seeds, members, &mut scratch.offsets));
-        start = end;
+    // Gather the clusters without sorting: a set's root is its smallest
+    // member and every parent index is at most its member's, so one pass in
+    // index order meets each cluster at its root first and finds every
+    // other member's cluster at its parent. A second pass hands each
+    // cluster its members, ascending.
+    slot.clear();
+    sizes.clear();
+    for i in 0..seeds.len() {
+        let parent = uf.parent[i] as usize;
+        let c = if parent == i {
+            sizes.push(0);
+            sizes.len() - 1
+        } else {
+            slot[parent] as usize
+        };
+        sizes[c] += 1;
+        slot.push(c as u32);
+    }
+    let mut clusters: Vec<Cluster> = sizes
+        .iter()
+        .map(|&n| Cluster { seeds: Vec::with_capacity(n), score: 0.0 })
+        .collect();
+    for (i, &c) in slot.iter().enumerate() {
+        clusters[c as usize].seeds.push(i);
+    }
+    for cluster in clusters.iter_mut() {
+        cluster.score = distinct_offsets(seeds, &cluster.seeds, offsets);
     }
     clusters.sort_by(|a, b| {
         b.score
@@ -213,29 +242,38 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
 }
 
 /// The one cluster of all of a read's seeds, scored as
-/// [`cluster_seeds_with_scratch`] scores its clusters: what that kernel
-/// returns when every seed lies on one walk of the read, so that every pair
-/// is within the read-length distance limit (DESIGN.md §4b). `seeds` is not
-/// empty.
-pub(crate) fn one_cluster<P: MemProbe>(
+/// [`cluster_seeds_with_scratch`] scores its clusters, given the number of
+/// distinct read offsets among the seeds: what that kernel returns when
+/// every seed lies on one walk of the read, so that every pair is within
+/// the read-length distance limit (DESIGN.md §4b). `seeds` is not empty.
+/// The cluster is lent from `scratch`, whose storage it reuses.
+pub(crate) fn one_cluster<'s, P: MemProbe>(
     seeds: &[Seed],
+    distinct: u64,
     probe: &mut P,
-    scratch: &mut ClusterScratch,
-) -> Vec<Cluster> {
+    scratch: &'s mut ClusterScratch,
+) -> &'s [Cluster] {
     probe.touch(REGION_SEEDS.base, std::mem::size_of_val(seeds) as u32);
     probe.instret(seeds.len() as u64 * 4);
-    let members = (0..seeds.len()).collect();
-    vec![score_cluster(seeds, members, &mut scratch.offsets)]
+    let one = &mut scratch.one;
+    if one.is_empty() {
+        one.push(Cluster { seeds: Vec::new(), score: 0.0 });
+    }
+    let cluster = &mut one[0];
+    cluster.seeds.clear();
+    cluster.seeds.extend(0..seeds.len());
+    cluster.score = distinct as f64;
+    one
 }
 
-/// Scores a cluster by the number of distinct read offsets its seeds hit
+/// A cluster's score: the number of distinct read offsets its seeds hit
 /// (distinct minimizers).
-fn score_cluster(seeds: &[Seed], members: Vec<usize>, offsets: &mut Vec<u32>) -> Cluster {
+fn distinct_offsets(seeds: &[Seed], members: &[usize], offsets: &mut Vec<u32>) -> f64 {
     offsets.clear();
     offsets.extend(members.iter().map(|&i| seeds[i].read_offset));
     offsets.sort_unstable();
     offsets.dedup();
-    Cluster { seeds: members, score: offsets.len() as f64 }
+    offsets.len() as f64
 }
 
 #[cfg(test)]

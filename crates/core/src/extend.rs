@@ -135,8 +135,9 @@ pub struct ExtendScratch {
     /// Reconstructed paths of the two directional walks, in walk order.
     left_path: Vec<Handle>,
     right_path: Vec<Handle>,
-    /// Sort keys of the cluster's anchors while they are merged.
-    anchor_keys: Vec<AnchorKey>,
+    /// The cluster's distinct anchors in canonical order while they are
+    /// merged.
+    cluster_anchors: Vec<Seed>,
     /// Deduplicated, merged anchors of the cluster being processed.
     anchors: Vec<Seed>,
     /// Every `(node, diagonal)` the read's exact full-length extensions
@@ -702,25 +703,21 @@ fn diagonal(seed: &Seed) -> i64 {
     i64::from(seed.read_offset) - i64::from(seed.pos.offset)
 }
 
-/// An anchor as the merge pass sorts it: `(node, diagonal, read offset)`,
-/// computed once per anchor. The three determine the seed.
-type AnchorKey = (Handle, i64, u32);
-
 /// Fills `scratch.anchors` with the anchors of `cluster` that need walking,
 /// in the canonical `(read_offset, pos)` order.
 ///
-/// One sort brings exact duplicates (the same read offset hitting the same
-/// graph position via several minimizers) and the anchors of one node and
-/// one diagonal together. Rule 1, exact merge: an anchor on the node and
-/// diagonal of the anchor before it, with the read equal to the node on
-/// every base between the two, produces the same [`Extension`] as that one,
-/// field for field, because matches never lower the score (DESIGN.md §4b
-/// has the proof) — so of every run the read matches without a break only
-/// the leftmost anchor is kept. Each anchor is
-/// compared with its predecessor only: the predecessor either starts the
-/// run or was itself joined to it by matching bases. An `N` in the read
-/// never equals a node base, and an anchor past the end of the read or the
-/// node merges with nothing.
+/// One sort puts the cluster's seeds in canonical order and brings exact
+/// duplicates (the same read offset hitting the same graph position via
+/// several minimizers) together. Rule 1, exact merge: an anchor on the node
+/// and diagonal of the nearest anchor before it on that node and diagonal,
+/// with the read equal to the node on every base between the two, produces
+/// the same [`Extension`] as that one, field for field, because matches
+/// never lower the score (DESIGN.md §4b has the proof) — so of every run
+/// the read matches without a break only the leftmost anchor is kept. Each
+/// anchor is compared with that predecessor only: the predecessor either
+/// starts the run or was itself joined to it by matching bases. An `N` in
+/// the read never equals a node base, and an anchor past the end of the
+/// read or the node merges with nothing.
 fn prepare_anchors(
     graph: &VariationGraph,
     read: &[u8],
@@ -728,33 +725,47 @@ fn prepare_anchors(
     cluster: &Cluster,
     scratch: &mut ExtendScratch,
 ) {
-    let keys = &mut scratch.anchor_keys;
-    keys.clear();
-    keys.extend(cluster.seeds.iter().map(|&i| {
-        let s = &seeds[i];
-        (s.pos.handle, diagonal(s), s.read_offset)
-    }));
-    keys.sort_unstable();
-    keys.dedup();
+    let all = &mut scratch.cluster_anchors;
+    all.clear();
+    all.extend(cluster.seeds.iter().map(|&i| seeds[i]));
+    all.sort_unstable();
+    all.dedup();
     scratch.anchors.clear();
-    let mut previous: Option<AnchorKey> = None;
-    for &(handle, diagonal, read_offset) in keys.iter() {
-        // One diagonal, ascending read offsets: both ranges run forward.
-        let (r1, g1) = (read_offset as usize, (i64::from(read_offset) - diagonal) as usize);
-        let merged = previous.is_some_and(|(h, d, r0)| {
-            (h, d) == (handle, diagonal) && r1 < read.len() && {
-                let (r0, g0) = (r0 as usize, (i64::from(r0) - d) as usize);
-                let node = graph.oriented_sequence(handle);
-                g1 < node.len() && read[r0..r1] == node[g0..g1]
-            }
-        });
-        if !merged {
-            scratch.anchors.push(Seed::new(read_offset, GraphPos::new(handle, g1 as u32)));
+    for (k, &anchor) in all.iter().enumerate() {
+        if !merges_into_predecessor(graph, read, &all[..k], anchor) {
+            scratch.anchors.push(anchor);
         }
-        previous = Some((handle, diagonal, read_offset));
     }
-    scratch.stats.anchors_merged += (keys.len() - scratch.anchors.len()) as u64;
-    scratch.anchors.sort_unstable();
+    scratch.stats.anchors_merged += (all.len() - scratch.anchors.len()) as u64;
+}
+
+/// Rule 1 for `anchor`, given the distinct anchors before it in canonical
+/// order: whether the nearest of them on its node and diagonal joins it by
+/// matching read bases. That predecessor is the first one met going back,
+/// and it lies at most the anchor's node offset back in the read, since its
+/// own node offset, that offset less the read bases between them, is not
+/// negative; the search stops there.
+fn merges_into_predecessor(
+    graph: &VariationGraph,
+    read: &[u8],
+    before: &[Seed],
+    anchor: Seed,
+) -> bool {
+    let (r1, g1) = (anchor.read_offset, anchor.pos.offset);
+    let Some(previous) = before
+        .iter()
+        .rev()
+        .take_while(|s| u64::from(s.read_offset) + u64::from(g1) >= u64::from(r1))
+        .find(|s| s.pos.handle == anchor.pos.handle && diagonal(s) == diagonal(&anchor))
+    else {
+        return false;
+    };
+    let (r0, g0) = (previous.read_offset as usize, previous.pos.offset as usize);
+    let (r1, g1) = (r1 as usize, g1 as usize);
+    r1 < read.len() && {
+        let node = graph.oriented_sequence(anchor.pos.handle);
+        g1 < node.len() && read[r0..r1] == node[g0..g1]
+    }
 }
 
 /// `true` for an extension that covers the whole read without a mismatch.
@@ -842,13 +853,14 @@ fn marked(bits: &[u64]) -> u64 {
 }
 
 /// What [`extend_first`] made of a read's first walk.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) enum FirstWalk {
     /// The walk is the read's whole result.
     Settled(Extension),
     /// Every seed lies on the walk: the read's clusters are one cluster of
-    /// all its seeds, and the clustering kernel need not run.
-    OneCluster,
+    /// all its seeds, and the clustering kernel need not run. Holds the
+    /// number of distinct read offsets the seeds hit, the cluster's score.
+    OneCluster(u64),
     /// The seeds go to the clustering kernel.
     Cluster,
 }
@@ -870,6 +882,12 @@ pub(crate) enum FirstWalk {
 ///
 /// In the last two cases the walk waits in `scratch` for the read's
 /// `process_until_threshold_with_scratch` call to reuse.
+///
+/// The path's diagonals strictly increase (every node has a base), so a
+/// seed's diagonal names the one node of the path it can lie on. Seeds
+/// mostly arrive in read order, so the search starts at the node the seed
+/// before was found on; it looks at every node before it gives up, so any
+/// order of the seeds gets the same answer.
 ///
 /// Why (DESIGN.md §4b): seeds on one walk are exactly their read-offset
 /// difference apart along it, at most `read_len − 1`, so with the mapper's
@@ -899,6 +917,8 @@ pub(crate) fn extend_first<P: MemProbe>(
     };
     let walked = extend_seed_with_scratch(graph, cache, read, read_id, first, extend, probe, scratch);
     let on_walk = walked.as_ref().is_some_and(|ext| {
+        // The path's nodes with their diagonals, and the diagonal just past
+        // its last node.
         let walk = &mut scratch.first_path;
         walk.clear();
         let mut node_diagonal = i64::from(ext.read_start) - i64::from(ext.pos.offset);
@@ -906,19 +926,23 @@ pub(crate) fn extend_first<P: MemProbe>(
             walk.push((h, node_diagonal));
             node_diagonal += graph.node_len(h.node()) as i64;
         }
+        let past_end = node_diagonal;
         let (offsets, nodes) = (&mut scratch.offsets_hit, &mut scratch.nodes_hit);
         offsets.clear();
         offsets.resize(read.len().div_ceil(64), 0);
         nodes.clear();
         nodes.resize(walk.len().div_ceil(64), 0);
+        let mut at = 0;
         seeds.iter().all(|s| {
-            let Some(node) = walk.iter().position(|&w| w == (s.pos.handle, diagonal(s))) else {
+            let key = (s.pos.handle, diagonal(s));
+            let Some(node) = (at..walk.len()).chain(0..at).find(|&j| walk[j] == key) else {
                 return false;
             };
+            at = node;
             // The walk's node holds the read from its diagonal on for the
             // node's length.
-            let inside = (s.read_offset as usize) < read.len()
-                && (s.pos.offset as usize) < graph.node_len(s.pos.handle.node());
+            let len = walk.get(node + 1).map_or(past_end, |w| w.1) - key.1;
+            let inside = (s.read_offset as usize) < read.len() && i64::from(s.pos.offset) < len;
             if inside {
                 mark(offsets, s.read_offset as usize);
                 mark(nodes, node);
@@ -929,9 +953,9 @@ pub(crate) fn extend_first<P: MemProbe>(
     let settles = walked.as_ref().is_some_and(|ext| {
         on_walk && ext.score >= process.min_extension_score && is_exact_full_length(ext, read)
     });
+    // A read offset on the walk determines the seed, so the distinct
+    // anchors are the offsets hit; rule 1 leaves one per node hit.
     if settles {
-        // A read offset on the walk determines the seed, so the distinct
-        // anchors are the offsets hit; rule 1 leaves one per node hit.
         let distinct = marked(&scratch.offsets_hit);
         let anchors = marked(&scratch.nodes_hit);
         let stats = &mut scratch.stats;
@@ -942,7 +966,7 @@ pub(crate) fn extend_first<P: MemProbe>(
     }
     scratch.first_walk = Some((first, walked));
     if on_walk {
-        FirstWalk::OneCluster
+        FirstWalk::OneCluster(marked(&scratch.offsets_hit))
     } else {
         FirstWalk::Cluster
     }

@@ -362,15 +362,16 @@ impl<'a> Mapper<'a> {
                 if may_settle {
                     obs.part(Stage::Extension);
                 }
-                let clusters = if matches!(first, FirstWalk::OneCluster) {
-                    one_cluster(seeds, probe, &mut scratch.cluster)
+                let owned;
+                let clusters = if let FirstWalk::OneCluster(distinct) = first {
+                    one_cluster(seeds, distinct, probe, &mut scratch.cluster)
                 } else {
                     let read_len = bases.len() as u32;
                     let mut cluster_params = options.cluster;
                     // Giraffe derives the clustering limit from the read length.
                     cluster_params.distance_limit =
                         cluster_params.distance_limit.max(read_len as u64);
-                    cluster_seeds_with_scratch(
+                    owned = cluster_seeds_with_scratch(
                         graph,
                         &self.dist,
                         seeds,
@@ -378,7 +379,8 @@ impl<'a> Mapper<'a> {
                         &cluster_params,
                         probe,
                         &mut scratch.cluster,
-                    )
+                    );
+                    &owned
                 };
                 obs.stage(Stage::Clustering);
                 let extensions = process_until_threshold_with_scratch(
@@ -387,7 +389,7 @@ impl<'a> Mapper<'a> {
                     bases,
                     read_id,
                     seeds,
-                    &clusters,
+                    clusters,
                     &options.extend,
                     process,
                     probe,
@@ -911,9 +913,9 @@ mod tests {
                 read[sub] = if read[sub] == b'A' { b'C' } else { b'A' };
                 let seeds: Vec<Seed> =
                     (0..16).map(|r| Seed::new(r as u32, hap[start + r].1)).collect();
-                if !matches!(first_walk(&read, &seeds), FirstWalk::OneCluster) {
+                let FirstWalk::OneCluster(distinct) = first_walk(&read, &seeds) else {
                     continue;
-                }
+                };
                 one += 1;
                 let params = ClusterParams { distance_limit: 200, ..Default::default() };
                 let kernel = cluster_seeds_with_scratch(
@@ -925,8 +927,9 @@ mod tests {
                     &mut NoProbe,
                     &mut ClusterScratch::default(),
                 );
-                let ours = one_cluster(&seeds, &mut NoProbe, &mut ClusterScratch::default());
-                assert_eq!(ours, kernel, "start {start}, substitution at {sub}");
+                let mut scratch = ClusterScratch::default();
+                let ours = one_cluster(&seeds, distinct, &mut NoProbe, &mut scratch);
+                assert_eq!(ours, kernel.as_slice(), "start {start}, substitution at {sub}");
                 // The first seed's node, on its diagonal, one node length on.
                 let past = GraphPos::new(seeds[0].pos.handle, seeds[0].pos.offset + 5);
                 let mut hostile = seeds.clone();
@@ -935,6 +938,117 @@ mod tests {
             }
         }
         assert!(one > 0, "no read took the one-cluster path");
+    }
+
+    /// A read's seeds in any order: the first walk decides the same, and
+    /// the mapper reports the same result and kernel statistics, as for the
+    /// seeds in read-offset order. Hostile dumps may order seeds any way, so
+    /// no search over the seeds may assume an order. Reads that settle, that
+    /// take one cluster and that go to the clustering kernel (a seed past
+    /// its node's end, or a seed of another haplotype's allele) all occur.
+    #[test]
+    fn seed_order_changes_neither_the_first_walk_nor_the_result() {
+        let gbz = sample_gbz();
+        let mapper = Mapper::new(&gbz);
+        let graph = gbz.graph();
+        let haplotype = |i: u64| {
+            let mut hap = Vec::new();
+            for sym in gbz.gbwt().sequence(i).unwrap() {
+                let h = Handle::from_gbwt(sym).unwrap();
+                for (off, &b) in graph.oriented_sequence(h).iter().enumerate() {
+                    hap.push((b, GraphPos::new(h, off as u32)));
+                }
+            }
+            hap
+        };
+        let (hap, other) = (haplotype(0), haplotype(2));
+        let run = |read: &[u8], seeds: &[Seed]| {
+            let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
+            let first = extend_first(
+                graph,
+                &mut cache,
+                read,
+                0,
+                seeds,
+                &ExtendParams::default(),
+                &ProcessParams::default(),
+                &mut NoProbe,
+                &mut ExtendScratch::default(),
+            );
+            let metrics = Metrics::new();
+            let mut obs = metrics.shard();
+            let mut cache = CachedGbwt::new(gbz.gbwt(), 64);
+            let result = mapper.map_read_seeded(
+                &mut cache,
+                0,
+                read,
+                seeds,
+                &MappingOptions::default(),
+                &mut NoProbe,
+                &mut MapScratch::default(),
+                &mut obs,
+            );
+            let rep = obs.report();
+            let stats = [
+                Ctr::ExtendFirstReads,
+                Ctr::ExtendAnchorsWalked,
+                Ctr::ExtendAnchorsMerged,
+                Ctr::ExtendAnchorsSkipped,
+                Ctr::ExtendPrunedFrames,
+            ]
+            .map(|c| rep.counter(c));
+            (first, result, stats)
+        };
+        let mut outcomes = [0usize; 3];
+        let mut pick = 0x5EED_u64;
+        for start in 0..3 {
+            for sub in (0..16).map(Some).chain([None]) {
+                for extra in 0..3 {
+                    let mut read: Vec<u8> = hap[start..start + 16].iter().map(|&(b, _)| b).collect();
+                    if let Some(sub) = sub {
+                        read[sub] = if read[sub] == b'A' { b'C' } else { b'A' };
+                    }
+                    let mut seeds: Vec<Seed> =
+                        (0..16).step_by(3).map(|r| Seed::new(r as u32, hap[start + r].1)).collect();
+                    match extra {
+                        1 => seeds.push(Seed::new(
+                            5,
+                            GraphPos::new(seeds[0].pos.handle, seeds[0].pos.offset + 5),
+                        )),
+                        2 => seeds.push(Seed::new(7, other[start + 7].1)),
+                        _ => {}
+                    }
+                    seeds.sort_unstable();
+                    let want = run(&read, &seeds);
+                    outcomes[match want.0 {
+                        FirstWalk::Settled(_) => 0,
+                        FirstWalk::OneCluster(_) => 1,
+                        FirstWalk::Cluster => 2,
+                    }] += 1;
+                    let mut shuffled = seeds.clone();
+                    for round in 0..6 {
+                        match round {
+                            0 => shuffled.reverse(),
+                            1 => shuffled.rotate_left(1),
+                            _ => {
+                                for i in (1..shuffled.len()).rev() {
+                                    pick = pick
+                                        .wrapping_mul(6_364_136_223_846_793_005)
+                                        .wrapping_add(1_442_695_040_888_963_407);
+                                    shuffled.swap(i, (pick >> 33) as usize % (i + 1));
+                                }
+                            }
+                        }
+                        assert_eq!(
+                            run(&read, &shuffled),
+                            want,
+                            "start {start}, substitution {sub:?}, extra {extra}, seeds {shuffled:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(outcomes.iter().all(|&n| n > 0), "every outcome must occur: {outcomes:?}");
     }
 
     #[test]

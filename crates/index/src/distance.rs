@@ -162,13 +162,15 @@ impl DistanceIndex {
         // Dijkstra over handles: dist[h] = bases from position a to the
         // *start* of handle h.
         let a_len = graph.node_len(a.handle.node()) as u64;
-        let to_end = a_len - a.offset as u64; // bases from a to a.handle's end
+        // Bases from a to a.handle's end; from an offset past the end no
+        // edge is taken.
+        let to_end = a_len.checked_sub(u64::from(a.offset));
         scratch.dist.clear();
         scratch.heap.clear();
         let dist = &mut scratch.dist;
         let heap = &mut scratch.heap;
         for &next in graph.successors(a.handle) {
-            if to_end <= limit {
+            if let Some(to_end) = to_end.filter(|&d| d <= limit) {
                 let entry = dist.entry(next).or_insert(u64::MAX);
                 if to_end < *entry {
                     *entry = to_end;
@@ -226,11 +228,51 @@ impl DistanceIndex {
     ) -> Option<u64> {
         let forward = self.min_distance_with(graph, a, b, limit, scratch);
         let backward = self.min_distance_with(graph, b, a, limit, scratch);
-        match (forward, backward) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (Some(x), None) | (None, Some(x)) => Some(x),
-            (None, None) => None,
+        nearer(forward, backward)
+    }
+
+    /// [`DistanceIndex::min_undirected_distance_with`] for a caller that
+    /// already holds both nodes' records: `ra` must be the record of `a`'s
+    /// node and `rb` that of `b`'s, as [`DistanceIndex::node`] returns them.
+    /// Both directions are answered from the two records; only a direction
+    /// the chains cannot answer runs the bounded search. A component the
+    /// chains answer in is acyclic, so when they give a distance from `a` to
+    /// `b`, no path leads back from `b` to `a` (but for the same position,
+    /// at distance 0 both ways) and the other direction is not asked.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn min_undirected_distance_with_records(
+        &self,
+        graph: &VariationGraph,
+        a: GraphPos,
+        ra: &NodeRecord,
+        b: GraphPos,
+        rb: &NodeRecord,
+        limit: u64,
+        scratch: &mut DistanceScratch,
+    ) -> Option<u64> {
+        if ra.component != rb.component {
+            return None;
         }
+        let forward = match self.chains.exact_distance_between(a, ra, b, rb) {
+            ChainAnswer::Distance(d) => return (d <= limit).then_some(d),
+            ChainAnswer::Unreachable => None,
+            ChainAnswer::Unanswerable => self.min_distance_dijkstra(graph, a, b, limit, scratch),
+        };
+        let backward = match self.chains.exact_distance_between(b, rb, a, ra) {
+            ChainAnswer::Distance(d) => (d <= limit).then_some(d),
+            ChainAnswer::Unreachable => None,
+            ChainAnswer::Unanswerable => self.min_distance_dijkstra(graph, b, a, limit, scratch),
+        };
+        nearer(forward, backward)
+    }
+}
+
+/// The nearer of two directed distances, either of which may not exist.
+fn nearer(forward: Option<u64>, backward: Option<u64>) -> Option<u64> {
+    match (forward, backward) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, None) | (None, x) => x,
     }
 }
 
@@ -432,8 +474,93 @@ mod tests {
             .unwrap()
     }
 
+    /// A random graph the chains cannot answer in: a few short nodes and
+    /// random edges between random strands, so cycles and inversions occur.
+    fn random_tangle(seed: u64) -> VariationGraph {
+        let mut s = seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1;
+        let mut next = move |bound: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % bound
+        };
+        let mut g = VariationGraph::new();
+        let nodes: Vec<NodeId> = (0..3 + next(6))
+            .map(|_| {
+                let seq: Vec<u8> = (0..1 + next(5)).map(|_| b"ACGT"[next(4) as usize]).collect();
+                g.add_node(&seq).unwrap()
+            })
+            .collect();
+        let strand = |x: u64| if x == 0 { Orientation::Forward } else { Orientation::Reverse };
+        for _ in 0..2 * nodes.len() {
+            let from = Handle::new(nodes[next(nodes.len() as u64) as usize], strand(next(2)));
+            let to = Handle::new(nodes[next(nodes.len() as u64) as usize], strand(next(2)));
+            g.add_edge(from, to);
+        }
+        g
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+
+        /// The pair check from held records against the one that looks them
+        /// up: random pairs on random pangenomes and on random tangles
+        /// (cycles and inversions, which the chains cannot answer), one node
+        /// or two, all four orientation pairs, at offsets inside a node, at
+        /// its last base, at its end and past it, under random limits.
+        #[test]
+        fn prop_pair_check_from_records_equals_the_lookup(seed in 0u64..1_000_000) {
+            let pangenome = random_pangenome(seed);
+            let tangle = random_tangle(seed);
+            let mut answerable = 0usize;
+            let mut unanswerable = 0usize;
+            for g in [pangenome.graph(), &tangle] {
+                let d = DistanceIndex::build(g);
+                let mut scratch = DistanceScratch::default();
+                let mut pick = seed;
+                let n = g.node_count() as u64;
+                for pair in 0..24 {
+                    pick = pick.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                    let u = 1 + (pick >> 33) % n;
+                    let v = match pair % 3 {
+                        0 => u,
+                        1 => (u + (pick >> 13) % 6).min(n),
+                        _ => 1 + (pick >> 13) % n,
+                    };
+                    let (u, v) = (NodeId::new(u), NodeId::new(v));
+                    let limit = (pick >> 40) % 80;
+                    let offsets = |node: NodeId| {
+                        let len = g.node_len(node) as u32;
+                        [0, len / 2, len - 1, len, len + 1]
+                    };
+                    for (ou, ov) in [
+                        (Orientation::Forward, Orientation::Forward),
+                        (Orientation::Reverse, Orientation::Reverse),
+                        (Orientation::Forward, Orientation::Reverse),
+                        (Orientation::Reverse, Orientation::Forward),
+                    ] {
+                        for au in offsets(u) {
+                            for bv in offsets(v) {
+                                let a = GraphPos::new(Handle::new(u, ou), au);
+                                let b = GraphPos::new(Handle::new(v, ov), bv);
+                                match d.chains().exact_distance(a, b) {
+                                    ChainAnswer::Unanswerable => unanswerable += 1,
+                                    _ => answerable += 1,
+                                }
+                                proptest::prop_assert_eq!(
+                                    d.min_undirected_distance_with_records(
+                                        g, a, d.node(u), b, d.node(v), limit, &mut scratch,
+                                    ),
+                                    d.min_undirected_distance_with(g, a, b, limit, &mut scratch),
+                                    "{:?} - {:?} within {}", a, b, limit
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            proptest::prop_assert!(answerable > 0 && unanswerable > 0);
+        }
 
         /// The chain fast path against the bounded Dijkstra on random
         /// pangenomes with SNPs and indels: sampled node pairs, every

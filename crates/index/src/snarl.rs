@@ -349,7 +349,19 @@ impl ChainIndex {
     /// walking forward from `a`), answered from the two nodes' records and
     /// the prefix sums alone.
     pub fn exact_distance(&self, a: GraphPos, b: GraphPos) -> ChainAnswer {
-        let (ra, rb) = (self.node(a.handle.node()), self.node(b.handle.node()));
+        self.exact_distance_between(a, self.node(a.handle.node()), b, self.node(b.handle.node()))
+    }
+
+    /// [`ChainIndex::exact_distance`] from records the caller already holds:
+    /// `ra` and `rb` are the records of `a`'s and `b`'s nodes.
+    #[inline]
+    pub(crate) fn exact_distance_between(
+        &self,
+        a: GraphPos,
+        ra: &NodeRecord,
+        b: GraphPos,
+        rb: &NodeRecord,
+    ) -> ChainAnswer {
         // Out-of-range offsets (offset must be < node length) are not a
         // position this index reasons about.
         if a.offset >= ra.len || b.offset >= rb.len {
@@ -372,6 +384,7 @@ impl ChainIndex {
 
     /// [`ChainIndex::exact_distance`] between forward positions: offset
     /// `a_off` on the node of `ra` to offset `b_off` on the node of `rb`.
+    #[inline]
     fn forward_distance(
         &self,
         ra: &NodeRecord,
