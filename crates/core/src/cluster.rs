@@ -1,7 +1,8 @@
-//! The `cluster_seeds` kernel: Giraffe's second-hottest region.
+//! The `cluster_seeds` kernel: the first of Giraffe's two critical
+//! functions.
 //!
 //! Seeds of one read are grouped into clusters of mutually close graph
-//! positions (within a distance limit derived from the read length) using
+//! positions (within a distance limit of at least the read length) using
 //! the distance index, and each cluster gets a quality score: the distinct
 //! read offsets its seeds hit. High-scoring clusters feed the extension
 //! kernel.
@@ -11,25 +12,25 @@ use mg_support::probe::{MemProbe, REGION_SEEDS};
 
 use crate::types::Seed;
 
+/// How many sorted neighbours each seed is checked against. Bounds the pair
+/// checks at `O(seeds × window)` like Giraffe's distance-index sweep bounds
+/// its work. An unbounded window returns the same clusters on the
+/// benchmark's reads but is slower (EXPERIMENTS.md, "The unbounded window,
+/// measured again").
+pub const NEIGHBOR_WINDOW: usize = 12;
+
 /// Clustering parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterParams {
     /// Two seeds join a cluster when their minimum graph distance is at
-    /// most this many bases (Giraffe derives it from the read length; the
-    /// pipelines pass `read_len`).
+    /// most this many bases, or the read's length if that is more (Giraffe
+    /// derives the limit from the read length).
     pub distance_limit: u64,
-    /// How many sorted neighbours each seed is checked against. Bounds the
-    /// pair checks at `O(seeds × window)` like Giraffe's distance-index
-    /// sweep bounds its work.
-    pub neighbor_window: usize,
 }
 
 impl Default for ClusterParams {
     fn default() -> Self {
-        ClusterParams {
-            distance_limit: 200,
-            neighbor_window: 12,
-        }
+        ClusterParams { distance_limit: 200 }
     }
 }
 
@@ -110,21 +111,21 @@ pub struct ClusterScratch {
 
 /// Clusters the seeds of one read on caller-provided scratch storage.
 ///
-/// Seeds are sorted by (component, linearized graph position), one node
-/// record read per seed and kept for the sweep; each seed is checked
-/// against the next `neighbor_window` seeds, those in its component with an
-/// exact bounded distance query answered from the two kept records, and
-/// close pairs are unioned. The sort puts a component's seeds together, so
-/// a seed's window ends at the first seed of another component. Clusters
-/// come back sorted by score (descending), ties broken by first seed index
-/// — a deterministic order regardless of thread count. The read's length is
-/// not read: the caller derives `distance_limit` from it, and a score
-/// counts read offsets.
+/// Two seeds are close when their minimum graph distance, either way, is at
+/// most `max(params.distance_limit, read_len)`. Seeds are sorted by
+/// (component, linearized graph position), one node record read per seed
+/// and kept for the sweep; each seed is checked against the next
+/// [`NEIGHBOR_WINDOW`] seeds, those in its component with an exact bounded
+/// distance query answered from the two kept records, and close pairs are
+/// unioned. The sort puts a component's seeds together, so a seed's window
+/// ends at the first seed of another component. Clusters come back sorted
+/// by score (descending), ties broken by first seed index — a deterministic
+/// order regardless of thread count.
 pub fn cluster_seeds_with_scratch<P: MemProbe>(
     graph: &mg_graph::VariationGraph,
     dist: &DistanceIndex,
     seeds: &[Seed],
-    _read_len: u32,
+    read_len: u32,
     params: &ClusterParams,
     probe: &mut P,
     scratch: &mut ClusterScratch,
@@ -154,11 +155,11 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
     probe.instret((seeds.len() as f64 * (seeds.len() as f64).log2().max(1.0)) as u64);
 
     uf.reset(seeds.len());
-    let limit = params.distance_limit;
+    let limit = params.distance_limit.max(u64::from(read_len));
     for (rank, &(component, .., i)) in order.iter().enumerate() {
         let i = i as usize;
         let mut root = uf.find(i);
-        let window = &order[rank + 1..][..params.neighbor_window.min(order.len() - rank - 1)];
+        let window = &order[rank + 1..][..NEIGHBOR_WINDOW.min(order.len() - rank - 1)];
         for (k, &(other_component, .., j)) in window.iter().enumerate() {
             let j = j as usize;
             // Transitivity: pairs already clustered need no distance query
@@ -245,7 +246,7 @@ pub fn cluster_seeds_with_scratch<P: MemProbe>(
 /// [`cluster_seeds_with_scratch`] scores its clusters, given the number of
 /// distinct read offsets among the seeds: what that kernel returns when
 /// every seed lies on one walk of the read, so that every pair is within
-/// the read-length distance limit (DESIGN.md §4b). `seeds` is not empty.
+/// its read-length distance limit (DESIGN.md §4b). `seeds` is not empty.
 /// The cluster is lent from `scratch`, whose storage it reuses.
 pub(crate) fn one_cluster<'s, P: MemProbe>(
     seeds: &[Seed],
@@ -347,7 +348,7 @@ mod tests {
             seed_at(&p, 0, 1500),
             seed_at(&p, 30, 1530),
         ];
-        let params = ClusterParams { distance_limit: 150, ..Default::default() };
+        let params = ClusterParams { distance_limit: 150 };
         let out = cluster_seeds_with_scratch(
             p.graph(),
             &d,
@@ -370,7 +371,7 @@ mod tests {
         // transitive clustering must chain them.
         let (p, d) = linear();
         let seeds: Vec<Seed> = (0..8).map(|i| seed_at(&p, i * 5, 100 + i as u64 * 100)).collect();
-        let params = ClusterParams { distance_limit: 120, ..Default::default() };
+        let params = ClusterParams { distance_limit: 120 };
         let out = cluster_seeds_with_scratch(
             p.graph(),
             &d,
@@ -382,6 +383,30 @@ mod tests {
         );
         assert_eq!(out.len(), 1, "chain should union into one cluster");
         assert_eq!(out[0].seeds.len(), 8);
+    }
+
+    #[test]
+    fn the_read_length_raises_the_limit() {
+        let (p, d) = linear();
+        // 150 bases apart: beyond a limit of 100, within a 160-base read.
+        let seeds = [seed_at(&p, 0, 100), seed_at(&p, 5, 250)];
+        let params = ClusterParams { distance_limit: 100 };
+        let clusters = |read_len| {
+            cluster_seeds_with_scratch(
+                p.graph(),
+                &d,
+                &seeds,
+                read_len,
+                &params,
+                &mut NoProbe,
+                &mut ClusterScratch::default(),
+            )
+            .len()
+        };
+        assert_eq!(clusters(100), 2);
+        assert_eq!(clusters(149), 2);
+        assert_eq!(clusters(150), 1);
+        assert_eq!(clusters(160), 1);
     }
 
     #[test]
@@ -424,7 +449,7 @@ mod tests {
             &d,
             &[before, after],
             50,
-            &ClusterParams { distance_limit: 30, ..Default::default() },
+            &ClusterParams { distance_limit: 30 },
             &mut NoProbe,
             &mut ClusterScratch::default(),
         );
@@ -437,7 +462,7 @@ mod tests {
         let seeds: Vec<Seed> = (0..20)
             .map(|i| seed_at(&p, (i * 7) % 60, ((i * 137) % 1900) as u64))
             .collect();
-        let params = ClusterParams { distance_limit: 100, ..Default::default() };
+        let params = ClusterParams { distance_limit: 100 };
         let a = cluster_seeds_with_scratch(
             p.graph(),
             &d,

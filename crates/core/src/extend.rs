@@ -890,13 +890,13 @@ pub(crate) enum FirstWalk {
 /// order of the seeds gets the same answer.
 ///
 /// Why (DESIGN.md §4b): seeds on one walk are exactly their read-offset
-/// difference apart along it, at most `read_len − 1`, so with the mapper's
-/// distance limit of at least `read_len` and a neighbour window of at least
-/// one they are one cluster. For a settled read, its canonically first
-/// anchor is this seed, which rule 1 never merges away and which is walked
-/// first; rule 2 then skips every other anchor. The caller checks the
-/// window and that one cluster and one extension survive `max_clusters`,
-/// `cluster_score_cutoff` and `max_extensions_per_read`. The kernel
+/// difference apart along it, at most `read_len − 1`, and the clustering
+/// kernel's limit is at least `read_len` and compares each seed with its
+/// successor in the position sort, so they are one cluster. For a settled
+/// read, its canonically first anchor is this seed, which rule 1 never
+/// merges away and which is walked first; rule 2 then skips every other
+/// anchor. The caller checks that one cluster and one extension survive
+/// `max_clusters`, `cluster_score_cutoff` and `max_extensions_per_read`. The kernel
 /// statistics of a settled read are the ones that path records: one anchor
 /// walked, the rest merged (same node and diagonal — the read matches the
 /// node between them) or skipped.

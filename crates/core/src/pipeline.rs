@@ -336,12 +336,11 @@ impl<'a> Mapper<'a> {
         let graph = self.gbz.graph();
         let process = &options.process;
         // Where one exact walk through every seed is exactly what
-        // cluster-then-extend reports: neighbours in the position sort are
-        // compared, and one cluster and one extension survive the policy (a
-        // cluster is cut when its score is below `cutoff ×` the best one's,
-        // its own when it is the only one).
-        let may_settle = options.cluster.neighbor_window >= 1
-            && process.max_clusters >= 1
+        // cluster-then-extend reports: one cluster and one extension survive
+        // the policy (a cluster is cut when its score is below `cutoff ×` the
+        // best one's, its own when it is the only one). That the walk's seeds
+        // are one cluster, the kernel guarantees (DESIGN.md §4b).
+        let may_settle = process.max_clusters >= 1
             && process.max_extensions_per_read >= 1
             && process.cluster_score_cutoff.partial_cmp(&1.0) != Some(std::cmp::Ordering::Greater);
         let first = if may_settle {
@@ -366,17 +365,12 @@ impl<'a> Mapper<'a> {
                 let clusters = if let FirstWalk::OneCluster(distinct) = first {
                     one_cluster(seeds, distinct, probe, &mut scratch.cluster)
                 } else {
-                    let read_len = bases.len() as u32;
-                    let mut cluster_params = options.cluster;
-                    // Giraffe derives the clustering limit from the read length.
-                    cluster_params.distance_limit =
-                        cluster_params.distance_limit.max(read_len as u64);
                     owned = cluster_seeds_with_scratch(
                         graph,
                         &self.dist,
                         seeds,
-                        read_len,
-                        &cluster_params,
+                        bases.len() as u32,
+                        &options.cluster,
                         probe,
                         &mut scratch.cluster,
                     );
@@ -917,13 +911,12 @@ mod tests {
                     continue;
                 };
                 one += 1;
-                let params = ClusterParams { distance_limit: 200, ..Default::default() };
                 let kernel = cluster_seeds_with_scratch(
                     graph,
                     mapper.distance_index(),
                     &seeds,
                     16,
-                    &params,
+                    &ClusterParams::default(),
                     &mut NoProbe,
                     &mut ClusterScratch::default(),
                 );

@@ -20,9 +20,10 @@ use mg_support::Result;
 use crate::minimizer::GraphPos;
 use crate::snarl::{ChainAnswer, ChainIndex, NodeRecord};
 
-/// Reusable buffers for the bounded Dijkstra in
-/// [`DistanceIndex::min_distance_with`]; one per thread/kernel invocation
-/// keeps the per-query allocations off the clustering hot path.
+/// Reusable buffers for the bounded Dijkstra behind
+/// [`DistanceIndex::min_undirected_distance_with_records`]; one per
+/// thread/kernel invocation keeps the per-query allocations off the
+/// clustering hot path.
 #[derive(Debug, Default)]
 pub struct DistanceScratch {
     dist: HashMap<Handle, u64>,
@@ -60,19 +61,9 @@ impl DistanceIndex {
         Ok(DistanceIndex { chains: ChainIndex::from_mgi(f)? })
     }
 
-    /// The chain decomposition backing the O(1) fast path.
-    pub fn chains(&self) -> &ChainIndex {
-        &self.chains
-    }
-
     /// Number of indexed nodes.
     pub fn node_count(&self) -> usize {
         self.chains.nodes().len()
-    }
-
-    /// Number of connected components.
-    pub fn component_count(&self) -> u32 {
-        self.chains.component_count()
     }
 
     /// The record of `node`: its component, sort offset, length and chain
@@ -82,66 +73,12 @@ impl DistanceIndex {
         self.chains.node(node)
     }
 
-    /// Component id of a node.
-    pub fn component(&self, node: NodeId) -> u32 {
-        self.node(node).component
-    }
-
-    /// A linearized approximate position of the node (minimum bases from a
-    /// component source). Seeds sorted by this key put graph-nearby seeds
-    /// adjacent, which is how the clustering kernel bounds its pair checks.
-    pub fn approx_position(&self, node: NodeId) -> u64 {
-        u64::from(self.node(node).offset_min)
-    }
-
-    /// Whether two positions lie in one connected component; `false` means
-    /// no distance between them exists.
-    pub fn same_component(&self, a: GraphPos, b: GraphPos) -> bool {
-        self.component(a.handle.node()) == self.component(b.handle.node())
-    }
-
-    /// Exact minimum oriented distance from `a` to `b`, walking forward
-    /// along `a.handle`, capped at `limit`.
-    ///
-    /// The distance is the number of bases advanced from position `a` to
-    /// reach position `b` (0 when they are the same position). Returns
-    /// `None` if `b` is unreachable within `limit`.
-    pub fn min_distance(
-        &self,
-        graph: &VariationGraph,
-        a: GraphPos,
-        b: GraphPos,
-        limit: u64,
-    ) -> Option<u64> {
-        self.min_distance_with(graph, a, b, limit, &mut DistanceScratch::default())
-    }
-
-    /// [`DistanceIndex::min_distance`] with caller-provided scratch buffers
-    /// (the clustering kernel reuses one across all its pair checks).
-    pub fn min_distance_with(
-        &self,
-        graph: &VariationGraph,
-        a: GraphPos,
-        b: GraphPos,
-        limit: u64,
-        scratch: &mut DistanceScratch,
-    ) -> Option<u64> {
-        if !self.same_component(a, b) {
-            return None;
-        }
-        // Chain fast path: exact O(1) answers on bubble chains.
-        match self.chains.exact_distance(a, b) {
-            ChainAnswer::Distance(d) => return (d <= limit).then_some(d),
-            ChainAnswer::Unreachable => return None,
-            ChainAnswer::Unanswerable => {}
-        }
-        self.min_distance_dijkstra(graph, a, b, limit, scratch)
-    }
-
-    /// The exact bounded Dijkstra, bypassing the chain fast path. This is
-    /// the independent oracle the chain decomposition is validated against
-    /// (using [`DistanceIndex::min_distance_with`] for that would be
-    /// circular).
+    /// The exact bounded Dijkstra from `a` to `b`, walking forward along
+    /// `a.handle`, bypassing the chain fast path: the number of bases
+    /// advanced from position `a` to reach position `b` (0 when they are
+    /// the same position), or `None` if `b` is unreachable within `limit`.
+    /// This is the independent oracle the chain decomposition and the pair
+    /// check are validated against.
     #[doc(hidden)]
     pub fn min_distance_dijkstra(
         &self,
@@ -151,7 +88,7 @@ impl DistanceIndex {
         limit: u64,
         scratch: &mut DistanceScratch,
     ) -> Option<u64> {
-        if !self.same_component(a, b) {
+        if self.node(a.handle.node()).component != self.node(b.handle.node()).component {
             return None;
         }
         // Same handle, b ahead of a: direct.
@@ -206,7 +143,9 @@ impl DistanceIndex {
         best.filter(|&d| d <= limit)
     }
 
-    /// Minimum distance in either direction (`a` to `b` or `b` to `a`).
+    /// Minimum distance in either direction (`a` to `b` or `b` to `a`),
+    /// capped at `limit`: [`DistanceIndex::min_undirected_distance_with_records`]
+    /// with the two nodes' records looked up.
     pub fn min_undirected_distance(
         &self,
         graph: &VariationGraph,
@@ -214,26 +153,22 @@ impl DistanceIndex {
         b: GraphPos,
         limit: u64,
     ) -> Option<u64> {
-        self.min_undirected_distance_with(graph, a, b, limit, &mut DistanceScratch::default())
+        let (ra, rb) = (self.node(a.handle.node()), self.node(b.handle.node()));
+        self.min_undirected_distance_with_records(
+            graph,
+            a,
+            ra,
+            b,
+            rb,
+            limit,
+            &mut DistanceScratch::default(),
+        )
     }
 
-    /// [`DistanceIndex::min_undirected_distance`] with reusable scratch.
-    pub fn min_undirected_distance_with(
-        &self,
-        graph: &VariationGraph,
-        a: GraphPos,
-        b: GraphPos,
-        limit: u64,
-        scratch: &mut DistanceScratch,
-    ) -> Option<u64> {
-        let forward = self.min_distance_with(graph, a, b, limit, scratch);
-        let backward = self.min_distance_with(graph, b, a, limit, scratch);
-        nearer(forward, backward)
-    }
-
-    /// [`DistanceIndex::min_undirected_distance_with`] for a caller that
-    /// already holds both nodes' records: `ra` must be the record of `a`'s
-    /// node and `rb` that of `b`'s, as [`DistanceIndex::node`] returns them.
+    /// Minimum distance in either direction, capped at `limit`, for a
+    /// caller that already holds both nodes' records: `ra` must be the
+    /// record of `a`'s node and `rb` that of `b`'s, as
+    /// [`DistanceIndex::node`] returns them.
     /// Both directions are answered from the two records; only a direction
     /// the chains cannot answer runs the bounded search. A component the
     /// chains answer in is acyclic, so when they give a distance from `a` to
@@ -302,10 +237,44 @@ mod tests {
         GraphPos::new(Handle::new(NodeId::new(node), orient), off)
     }
 
+    /// The directed distance from `a` to `b` within `limit`, by the bounded
+    /// Dijkstra; where the chains answer, their answer must agree.
+    fn directed(
+        d: &DistanceIndex,
+        g: &VariationGraph,
+        a: GraphPos,
+        b: GraphPos,
+        limit: u64,
+    ) -> Option<u64> {
+        let exact = d.min_distance_dijkstra(g, a, b, limit, &mut DistanceScratch::default());
+        let chains = match d.chains.exact_distance(a, b) {
+            ChainAnswer::Distance(x) => (x <= limit).then_some(x),
+            ChainAnswer::Unreachable => None,
+            ChainAnswer::Unanswerable => exact,
+        };
+        assert_eq!(chains, exact, "{a:?} -> {b:?} within {limit}");
+        exact
+    }
+
+    /// The undirected distance by the bounded Dijkstra, both ways.
+    fn undirected(
+        d: &DistanceIndex,
+        g: &VariationGraph,
+        a: GraphPos,
+        b: GraphPos,
+        limit: u64,
+    ) -> Option<u64> {
+        let mut scratch = DistanceScratch::default();
+        nearer(
+            d.min_distance_dijkstra(g, a, b, limit, &mut scratch),
+            d.min_distance_dijkstra(g, b, a, limit, &mut scratch),
+        )
+    }
+
     #[test]
     fn single_component() {
         let (_, d) = bubble();
-        assert_eq!(d.component_count(), 1);
+        assert_eq!(d.chains.component_count(), 1);
     }
 
     #[test]
@@ -313,11 +282,11 @@ mod tests {
         let (p, d) = bubble();
         let a = pos(&p, 1, Orientation::Forward, 0);
         let b = pos(&p, 1, Orientation::Forward, 3);
-        assert_eq!(d.min_distance(p.graph(), a, b, 100), Some(3));
-        assert_eq!(d.min_distance(p.graph(), a, a, 100), Some(0));
+        assert_eq!(directed(&d, p.graph(), a, b, 100), Some(3));
+        assert_eq!(directed(&d, p.graph(), a, a, 100), Some(0));
         // Backwards on the same handle requires going around: impossible in
         // a DAG.
-        assert_eq!(d.min_distance(p.graph(), b, a, 100), None);
+        assert_eq!(directed(&d, p.graph(), b, a, 100), None);
     }
 
     #[test]
@@ -329,7 +298,7 @@ mod tests {
         let a = pos(&p, 1, Orientation::Forward, 0);
         let end = pos(&p, 4, Orientation::Forward, 0);
         // Through C: 4 + 1 = 5; through GG: 4 + 2 = 6.
-        assert_eq!(d.min_distance(p.graph(), a, end, 100), Some(5));
+        assert_eq!(directed(&d, p.graph(), a, end, 100), Some(5));
     }
 
     #[test]
@@ -337,9 +306,9 @@ mod tests {
         let (p, d) = bubble();
         let a = pos(&p, 1, Orientation::Forward, 0);
         let end = pos(&p, 4, Orientation::Forward, 3);
-        assert_eq!(d.min_distance(p.graph(), a, end, 100), Some(8));
-        assert_eq!(d.min_distance(p.graph(), a, end, 7), None);
-        assert_eq!(d.min_distance(p.graph(), a, end, 8), Some(8));
+        assert_eq!(directed(&d, p.graph(), a, end, 100), Some(8));
+        assert_eq!(directed(&d, p.graph(), a, end, 7), None);
+        assert_eq!(directed(&d, p.graph(), a, end, 8), Some(8));
     }
 
     #[test]
@@ -349,7 +318,7 @@ mod tests {
         let a = pos(&p, 4, Orientation::Reverse, 0);
         let b = pos(&p, 1, Orientation::Reverse, 0);
         // 4 bases of node 4, then 1 base of C: start of node 1 reverse = 5.
-        assert_eq!(d.min_distance(p.graph(), a, b, 100), Some(5));
+        assert_eq!(directed(&d, p.graph(), a, b, 100), Some(5));
     }
 
     #[test]
@@ -358,11 +327,12 @@ mod tests {
         let a = g.add_node(b"ACGT").unwrap();
         let b = g.add_node(b"TTTT").unwrap();
         let d = DistanceIndex::build(&g);
-        assert_eq!(d.component_count(), 2);
+        assert_eq!(d.chains.component_count(), 2);
         let pa = GraphPos::new(Handle::forward(a), 0);
         let pb = GraphPos::new(Handle::forward(b), 0);
-        assert!(!d.same_component(pa, pb));
-        assert_eq!(d.min_distance(&g, pa, pb, 1_000_000), None);
+        assert_ne!(d.node(a).component, d.node(b).component);
+        assert_eq!(directed(&d, &g, pa, pb, 1_000_000), None);
+        assert_eq!(d.min_undirected_distance(&g, pa, pb, 1_000_000), None);
     }
 
     #[test]
@@ -370,9 +340,11 @@ mod tests {
         let (p, d) = bubble();
         let a = pos(&p, 1, Orientation::Forward, 2);
         let b = pos(&p, 4, Orientation::Forward, 1);
-        let fwd = d.min_distance(p.graph(), a, b, 100);
+        let fwd = directed(&d, p.graph(), a, b, 100);
+        assert_eq!(directed(&d, p.graph(), b, a, 100), None);
         let both = d.min_undirected_distance(p.graph(), a, b, 100);
         assert_eq!(fwd, both);
+        assert_eq!(d.min_undirected_distance(p.graph(), b, a, 100), both);
     }
 
     #[test]
@@ -385,14 +357,14 @@ mod tests {
         let d = DistanceIndex::build(&g);
         let pa = GraphPos::new(Handle::forward(a), 0);
         let pb = GraphPos::new(Handle::forward(b), 0);
-        assert!(d.same_component(pa, pb));
-        assert_eq!(d.chains().chain_count(), 0, "no chain through a cycle");
+        assert_eq!(d.node(a).component, d.node(b).component);
+        assert_eq!(d.chains.chain_count(), 0, "no chain through a cycle");
         // Distance still exact: a->b = 2 bases.
-        assert_eq!(d.min_distance(&g, pa, pb, 100), Some(2));
+        assert_eq!(directed(&d, &g, pa, pb, 100), Some(2));
         // And b -> a around the cycle = 2.
-        assert_eq!(d.min_distance(&g, pb, pa, 100), Some(2));
+        assert_eq!(directed(&d, &g, pb, pa, 100), Some(2));
         // Same-position distance around the cycle stays 0 (not 4).
-        assert_eq!(d.min_distance(&g, pa, pa, 100), Some(0));
+        assert_eq!(directed(&d, &g, pa, pa, 100), Some(0));
     }
 
     #[test]
@@ -404,19 +376,17 @@ mod tests {
         assert_eq!(back, d);
         let g = p.graph();
         for u in g.node_ids() {
-            assert_eq!(back.component(u), d.component(u));
-            assert_eq!(back.approx_position(u), d.approx_position(u));
+            assert_eq!(back.node(u), d.node(u));
             for v in g.node_ids() {
                 let a = GraphPos::new(Handle::forward(u), 0);
                 let b = GraphPos::new(Handle::forward(v), 0);
-                assert_eq!(back.same_component(a, b), d.same_component(a, b));
                 assert_eq!(
-                    back.min_distance(g, a, b, 1000),
-                    d.min_distance(g, a, b, 1000)
+                    back.min_undirected_distance(g, a, b, 1000),
+                    d.min_undirected_distance(g, a, b, 1000)
                 );
             }
         }
-        assert_eq!(back.chains().chain_count(), d.chains().chain_count());
+        assert_eq!(back.chains.chain_count(), d.chains.chain_count());
     }
 
     #[test]
@@ -432,7 +402,7 @@ mod tests {
         let b = GraphPos::new(Handle::forward(last), 0);
         // 200 bases total; last node starts at 198 (22 nodes of 9, last 2).
         let expect = 198 - 3;
-        assert_eq!(d.min_distance(p.graph(), a, b, 1000), Some(expect));
+        assert_eq!(directed(&d, p.graph(), a, b, 1000), Some(expect));
     }
 
     /// A random pangenome from `seed`: SNPs, insertions, deletions and
@@ -503,11 +473,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
 
-        /// The pair check from held records against the one that looks them
-        /// up: random pairs on random pangenomes and on random tangles
-        /// (cycles and inversions, which the chains cannot answer), one node
-        /// or two, all four orientation pairs, at offsets inside a node, at
-        /// its last base, at its end and past it, under random limits.
+        /// The pair check, from held records and from looked-up ones,
+        /// against the bounded Dijkstra in both directions: random pairs on
+        /// random pangenomes and on random tangles (cycles and inversions,
+        /// which the chains cannot answer), one node or two, all four
+        /// orientation pairs, at offsets inside a node, at its last base, at
+        /// its end and past it, under random limits.
         #[test]
         fn prop_pair_check_from_records_equals_the_lookup(seed in 0u64..1_000_000) {
             let pangenome = random_pangenome(seed);
@@ -543,15 +514,21 @@ mod tests {
                             for bv in offsets(v) {
                                 let a = GraphPos::new(Handle::new(u, ou), au);
                                 let b = GraphPos::new(Handle::new(v, ov), bv);
-                                match d.chains().exact_distance(a, b) {
+                                match d.chains.exact_distance(a, b) {
                                     ChainAnswer::Unanswerable => unanswerable += 1,
                                     _ => answerable += 1,
                                 }
+                                let want = undirected(&d, g, a, b, limit);
                                 proptest::prop_assert_eq!(
                                     d.min_undirected_distance_with_records(
                                         g, a, d.node(u), b, d.node(v), limit, &mut scratch,
                                     ),
-                                    d.min_undirected_distance_with(g, a, b, limit, &mut scratch),
+                                    want,
+                                    "{:?} - {:?} within {}", a, b, limit
+                                );
+                                proptest::prop_assert_eq!(
+                                    d.min_undirected_distance(g, a, b, limit),
+                                    want,
                                     "{:?} - {:?} within {}", a, b, limit
                                 );
                             }
@@ -565,14 +542,14 @@ mod tests {
         /// The chain fast path against the bounded Dijkstra on random
         /// pangenomes with SNPs and indels: sampled node pairs, every
         /// offset of both nodes, all four orientation pairs. Wherever the
-        /// decomposition answers it must be exact, and the integrated query
-        /// must equal the Dijkstra at every limit.
+        /// decomposition answers it must be exact, and the pair check must
+        /// equal the Dijkstra both ways at every limit.
         #[test]
         fn prop_chain_fast_path_equals_dijkstra_at_every_offset(seed in 0u64..1_000_000) {
             let p = random_pangenome(seed);
             let g = p.graph();
             let d = DistanceIndex::build(g);
-            proptest::prop_assert!(d.chains().chain_count() > 0);
+            proptest::prop_assert!(d.chains.chain_count() > 0);
             let mut scratch = DistanceScratch::default();
             let mut pick = seed;
             let n = g.node_count() as u64;
@@ -596,7 +573,7 @@ mod tests {
                             let a = GraphPos::new(Handle::new(u, ou), au);
                             let b = GraphPos::new(Handle::new(v, ov), bv);
                             let truth = d.min_distance_dijkstra(g, a, b, 10_000, &mut scratch);
-                            match d.chains().exact_distance(a, b) {
+                            match d.chains.exact_distance(a, b) {
                                 ChainAnswer::Distance(x) => {
                                     answered += 1;
                                     proptest::prop_assert_eq!(truth, Some(x), "{:?} -> {:?}", a, b);
@@ -608,9 +585,9 @@ mod tests {
                                 ChainAnswer::Unanswerable => {}
                             }
                             proptest::prop_assert_eq!(
-                                d.min_distance_with(g, a, b, limit, &mut scratch),
-                                d.min_distance_dijkstra(g, a, b, limit, &mut scratch),
-                                "{:?} -> {:?} within {}", a, b, limit
+                                d.min_undirected_distance(g, a, b, limit),
+                                undirected(&d, g, a, b, limit),
+                                "{:?} - {:?} within {}", a, b, limit
                             );
                         }
                     }

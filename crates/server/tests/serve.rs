@@ -11,7 +11,7 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use mg_core::types::{Seed, Workflow};
-use mg_core::{cluster_seeds_with_scratch, ClusterParams, ClusterScratch};
+use mg_core::{cluster_seeds_with_scratch, ClusterScratch};
 use mg_obs::{Ctr, Hist};
 use mg_parent::{run_to_gaf, Parent, ParentOptions};
 use mg_sched::SchedulerKind;
@@ -97,17 +97,12 @@ fn distinct_anchors(parent: &Parent<'_>, reads: &[Vec<u8>], options: &ParentOpti
         .reads
         .iter()
         .map(|read| {
-            let read_len = read.bases.len() as u32;
-            let params = ClusterParams {
-                distance_limit: cluster.distance_limit.max(u64::from(read_len)),
-                ..cluster
-            };
             let clusters = cluster_seeds_with_scratch(
                 mapper.gbz().graph(),
                 mapper.distance_index(),
                 &read.seeds,
-                read_len,
-                &params,
+                read.bases.len() as u32,
+                &cluster,
                 &mut NoProbe,
                 &mut scratch,
             );

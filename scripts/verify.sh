@@ -108,7 +108,7 @@ cargo test --release -q -p mg-bench --lib fig3_reports
 echo "== the two sinks agree: profiler events and metrics spans per stage, count and time; stage intervals abut, one open per task (an optimized build's timing) =="
 cargo test --release -q -p mg-parent --lib -- the_profiler_and_the_metrics_agree_on_every_stage stage_intervals_abut_from_one_open_per_fragment
 
-echo "== kernel oracles (one extension walk: the eight-byte XOR step vs the per-base step, the pruned walk vs a walk that prunes nothing at match scores 1/2/3/5, and the probed event stream against its pinned digests; clustering vs the naive sweep, and its pair check from held node records vs the one that looks them up; extend-first's answer for a read's seeds in any order; an optimized build's arithmetic) =="
+echo "== kernel oracles (one extension walk: the eight-byte XOR step vs the per-base step, the pruned walk vs a walk that prunes nothing at match scores 1/2/3/5, and the probed event stream against its pinned digests; clustering vs a windowed sweep on random pangenomes and vs single linkage over every pair on simulated B-yeast and D-HPRC reads, both on Dijkstra distances; the pair check, from held and from looked-up node records, vs the bounded Dijkstra both ways; extend-first's answer for a read's seeds in any order; an optimized build's arithmetic) =="
 cargo test --release -q --test extend_walk --test extend_unpruned --test probe_stream --test cluster_oracle
 cargo test --release -q -p mg-index --lib prop_pair_check_from_records_equals_the_lookup
 cargo test --release -q -p mg-core --lib seed_order_changes_neither_the_first_walk_nor_the_result

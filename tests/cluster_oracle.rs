@@ -1,61 +1,73 @@
-//! `cluster_seeds` against a naive reference: sort the seeds by linearized
-//! position, test every seed against its next `neighbor_window` neighbours
-//! with the distance index — every pair, no shortcut for pairs already
-//! joined, no prefilter — take connected components, score them. The kernel
-//! must return the same `Vec<Cluster>` (members, scores, order),
-//! reusing one scratch across reads; so every case also proves the kernel's
-//! `maybe_within` prefilter never drops a pair within the limit.
+//! `cluster_seeds` against two naive references, both at the kernel's limit
+//! `max(distance_limit, read_len)` and both with distances from the bounded
+//! Dijkstra in both directions, not from the node records the kernel asks.
+//!
+//! - The windowed reference sorts the seeds by linearized position and
+//!   tests every seed against its next `NEIGHBOR_WINDOW` neighbours — every
+//!   pair, no shortcut for pairs already joined, no cut at a component's
+//!   end — then takes connected components and scores them. On random
+//!   pangenomes the kernel must return the same `Vec<Cluster>` (members,
+//!   scores, order), reusing one scratch across reads.
+//! - The all-pairs reference is single linkage over every pair of seeds. On
+//!   simulated reads of the B-yeast and D-HPRC shapes the kernel must equal
+//!   it on every read: there the window changes no cluster.
 
+use minigiraffe::core::cluster::NEIGHBOR_WINDOW;
+use minigiraffe::core::types::Workflow;
 use minigiraffe::core::{cluster_seeds_with_scratch, Cluster, ClusterParams, ClusterScratch, Seed};
 use minigiraffe::graph::pangenome::{PangenomeBuilder, Variant};
 use minigiraffe::graph::{Handle, NodeId, VariationGraph};
 use minigiraffe::index::{DistanceIndex, DistanceScratch, GraphPos};
 use minigiraffe::support::probe::NoProbe;
+use minigiraffe::workload::{InputSetSpec, SyntheticInput};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const BASES: &[u8; 4] = b"ACGT";
 
-fn reference(
-    graph: &VariationGraph,
-    dist: &DistanceIndex,
-    seeds: &[Seed],
-    params: &ClusterParams,
-) -> Vec<Cluster> {
-    let mut order: Vec<usize> = (0..seeds.len()).collect();
-    order.sort_by_key(|&i| {
-        let s = &seeds[i];
-        let node = s.pos.handle.node();
-        (
-            dist.component(node),
-            dist.approx_position(node).saturating_add(u64::from(s.pos.offset)),
-            s.pos.handle.packed(),
-            s.read_offset,
-            i,
-        )
-    });
-    let limit = params.distance_limit;
-    let mut scratch = DistanceScratch::default();
-    let mut close = |a: GraphPos, b: GraphPos| {
-        if a.handle == b.handle && u64::from(a.offset.abs_diff(b.offset)) <= limit {
-            return true;
-        }
-        dist.min_undirected_distance_with(graph, a, b, limit, &mut scratch)
-            .is_some_and(|d| d <= limit)
-    };
-    // Component label per seed: the smallest index it is joined to.
-    let mut label: Vec<usize> = (0..seeds.len()).collect();
-    for (rank, &i) in order.iter().enumerate() {
-        for &j in order.iter().skip(rank + 1).take(params.neighbor_window) {
-            if close(seeds[i].pos, seeds[j].pos) {
-                let (lo, hi) = (label[i].min(label[j]), label[i].max(label[j]));
-                for l in label.iter_mut().filter(|l| **l == hi) {
-                    *l = lo;
-                }
-            }
-        }
+/// Whether seeds `i` and `j` are within the kernel's limit either way, by
+/// the bounded Dijkstra.
+struct Close<'a> {
+    graph: &'a VariationGraph,
+    dist: &'a DistanceIndex,
+    seeds: &'a [Seed],
+    limit: u64,
+    scratch: DistanceScratch,
+}
+
+impl<'a> Close<'a> {
+    fn new(
+        graph: &'a VariationGraph,
+        dist: &'a DistanceIndex,
+        seeds: &'a [Seed],
+        read_len: u32,
+        params: &ClusterParams,
+    ) -> Self {
+        let limit = params.distance_limit.max(u64::from(read_len));
+        Close { graph, dist, seeds, limit, scratch: DistanceScratch::default() }
     }
+
+    fn test(&mut self, i: usize, j: usize) -> bool {
+        let (a, b) = (self.seeds[i].pos, self.seeds[j].pos);
+        let Close { graph, dist, limit, scratch, .. } = self;
+        dist.min_distance_dijkstra(graph, a, b, *limit, scratch).is_some()
+            || dist.min_distance_dijkstra(graph, b, a, *limit, scratch).is_some()
+    }
+}
+
+/// Puts `i` and `j` in one component: every seed is labelled with the
+/// smallest index it is joined to.
+fn join(label: &mut [usize], i: usize, j: usize) {
+    let (lo, hi) = (label[i].min(label[j]), label[i].max(label[j]));
+    for l in label.iter_mut().filter(|l| **l == hi) {
+        *l = lo;
+    }
+}
+
+/// The labelled components, scored by distinct read offsets and ordered as
+/// the kernel orders its clusters.
+fn clusters_of(seeds: &[Seed], label: &[usize]) -> Vec<Cluster> {
     let mut clusters: Vec<Cluster> = (0..seeds.len())
         .filter(|&root| label[root] == root)
         .map(|root| {
@@ -70,11 +82,67 @@ fn reference(
     clusters
 }
 
+/// Every seed against its next `NEIGHBOR_WINDOW` seeds in the position
+/// sort, component and sort offset read from each node's record.
+fn windowed_reference(
+    graph: &VariationGraph,
+    dist: &DistanceIndex,
+    seeds: &[Seed],
+    read_len: u32,
+    params: &ClusterParams,
+) -> Vec<Cluster> {
+    let mut order: Vec<usize> = (0..seeds.len()).collect();
+    order.sort_by_key(|&i| {
+        let s = &seeds[i];
+        let node = dist.node(s.pos.handle.node());
+        (
+            node.component,
+            u64::from(node.offset_min).saturating_add(u64::from(s.pos.offset)),
+            s.pos.handle.packed(),
+            s.read_offset,
+            i,
+        )
+    });
+    let mut close = Close::new(graph, dist, seeds, read_len, params);
+    let mut label: Vec<usize> = (0..seeds.len()).collect();
+    for (rank, &i) in order.iter().enumerate() {
+        for &j in order.iter().skip(rank + 1).take(NEIGHBOR_WINDOW) {
+            if close.test(i, j) {
+                join(&mut label, i, j);
+            }
+        }
+    }
+    clusters_of(seeds, &label)
+}
+
+/// Single linkage over every pair of seeds. A pair already in one
+/// component is not asked: its answer could not change the components.
+fn all_pairs_reference(
+    graph: &VariationGraph,
+    dist: &DistanceIndex,
+    seeds: &[Seed],
+    read_len: u32,
+    params: &ClusterParams,
+) -> Vec<Cluster> {
+    let mut close = Close::new(graph, dist, seeds, read_len, params);
+    let mut label: Vec<usize> = (0..seeds.len()).collect();
+    for i in 0..seeds.len() {
+        for j in i + 1..seeds.len() {
+            if label[i] != label[j] && close.test(i, j) {
+                join(&mut label, i, j);
+            }
+        }
+    }
+    clusters_of(seeds, &label)
+}
+
 /// A random pangenome and, per case, seeds in a few clumps (so chains form
 /// and break at the distance limit), exact duplicates, both strands, and
-/// noise anywhere in the graph.
-fn check_case(case_seed: u64, scratch: &mut ClusterScratch) {
+/// noise anywhere in the graph. Returns how many of its reads have seeds
+/// that all fit in one window, and how many do not.
+fn check_case(case_seed: u64, scratch: &mut ClusterScratch) -> [usize; 2] {
     let mut rng = StdRng::seed_from_u64(case_seed);
+    let mut counts = [0; 2];
     let pangenome = loop {
         let len = rng.random_range(200usize..1500);
         let reference: Vec<u8> = (0..len).map(|_| BASES[rng.random_range(0usize..4)]).collect();
@@ -132,14 +200,13 @@ fn check_case(case_seed: u64, scratch: &mut ClusterScratch) {
                 seeds.push(dup);
             }
         }
-        let params = ClusterParams {
-            distance_limit: rng.random_range(0u64..300),
-            neighbor_window: rng.random_range(1usize..14),
-        };
+        let params = ClusterParams { distance_limit: rng.random_range(0u64..300) };
         let got = cluster_seeds_with_scratch(graph, &dist, &seeds, read_len, &params, &mut NoProbe, scratch);
-        let want = reference(graph, &dist, &seeds, &params);
-        assert_eq!(got, want, "case {case_seed} params {params:?} seeds {seeds:?}");
+        let want = windowed_reference(graph, &dist, &seeds, read_len, &params);
+        assert_eq!(got, want, "case {case_seed} read {read_len} bp, {params:?}, seeds {seeds:?}");
+        counts[usize::from(seeds.len() > NEIGHBOR_WINDOW + 1)] += 1;
     }
+    counts
 }
 
 proptest! {
@@ -152,11 +219,46 @@ proptest! {
 }
 
 /// One scratch across many reads of many graphs: nothing of one read's
-/// order, forest or component list may leak into the next.
+/// order, forest or component list may leak into the next. The reads fall
+/// on both sides of the window: some have no more seeds than one window
+/// covers, some have more.
 #[test]
 fn one_scratch_serves_every_read() {
     let mut scratch = ClusterScratch::default();
+    let mut counts = [0; 2];
     for case_seed in 0..60 {
-        check_case(0xC1u64 << 32 | case_seed, &mut scratch);
+        let [within, beyond] = check_case(0xC1u64 << 32 | case_seed, &mut scratch);
+        counts[0] += within;
+        counts[1] += beyond;
+    }
+    assert!(counts[0] > 0 && counts[1] > 0, "reads within / beyond one window: {counts:?}");
+}
+
+/// The window changes nothing on the workload shapes: on simulated
+/// single-end reads of B-yeast (150 bp) and D-HPRC (148 bp), seed 42, the
+/// kernel at the mapper's default parameters equals single linkage over
+/// every pair on every read, and some of those reads have two clusters or
+/// more, so the equality is not vacuous.
+#[test]
+fn kernel_equals_all_pairs_on_the_workload_shapes() {
+    let params = ClusterParams::default();
+    for mut spec in [InputSetSpec::b_yeast(), InputSetSpec::d_hprc()] {
+        spec.workflow = Workflow::Single;
+        spec.reads = 4_000;
+        let input = SyntheticInput::generate(&spec, 42);
+        let graph = input.gbz.graph();
+        let dist = DistanceIndex::build(graph);
+        let mut scratch = ClusterScratch::default();
+        let mut split = 0;
+        for (id, read) in input.dump.reads.iter().enumerate() {
+            let read_len = read.bases.len() as u32;
+            let got = cluster_seeds_with_scratch(
+                graph, &dist, &read.seeds, read_len, &params, &mut NoProbe, &mut scratch,
+            );
+            let want = all_pairs_reference(graph, &dist, &read.seeds, read_len, &params);
+            assert_eq!(got, want, "{} read {id}", spec.name);
+            split += usize::from(got.len() >= 2);
+        }
+        assert!(split > 0, "{}: no read has two clusters", spec.name);
     }
 }

@@ -66,18 +66,15 @@ struct Reference {
     walks_first: bool,
 }
 
-/// The composition: cluster with the read-length limit, extend the clusters.
+/// The composition: cluster the seeds, extend the clusters.
 fn reference(mapper: &Mapper<'_>, read: &[u8], seeds: &[Seed], options: &MappingOptions) -> Reference {
     let graph = mapper.gbz().graph();
-    let read_len = read.len() as u32;
-    let mut cluster = options.cluster;
-    cluster.distance_limit = cluster.distance_limit.max(u64::from(read_len));
     let clusters = cluster_seeds_with_scratch(
         graph,
         mapper.distance_index(),
         seeds,
-        read_len,
-        &cluster,
+        read.len() as u32,
+        &options.cluster,
         &mut NoProbe,
         &mut ClusterScratch::default(),
     );
@@ -256,11 +253,11 @@ fn both_walks() -> Vec<Config> {
 }
 
 /// Settings under which the composition does not simply report the one
-/// exact extension: no neighbour is ever compared, no cluster or no
-/// extension is kept, the one cluster falls below its own cutoff, the exact
-/// extension scores under the floor — plus the scoring extremes (free
-/// mismatches; matches worth more than a mismatch costs, with no floor; no
-/// match score), a tight branch budget and no mismatch budget.
+/// exact extension: no cluster or no extension is kept, the one cluster
+/// falls below its own cutoff, the exact extension scores under the floor —
+/// plus the scoring extremes (free mismatches; matches worth more than a
+/// mismatch costs, with no floor; no match score), a tight branch budget
+/// and no mismatch budget.
 fn guards() -> Vec<MappingOptions> {
     let edit = |f: &dyn Fn(&mut MappingOptions)| {
         let mut options = MappingOptions::default();
@@ -268,7 +265,6 @@ fn guards() -> Vec<MappingOptions> {
         options
     };
     vec![
-        edit(&|o| o.cluster.neighbor_window = 0),
         edit(&|o| o.process.max_clusters = 0),
         edit(&|o| o.process.max_extensions_per_read = 0),
         edit(&|o| o.extend.mismatch_penalty = 0),
@@ -284,7 +280,6 @@ fn guards() -> Vec<MappingOptions> {
         edit(&|o| o.process.min_extension_score = 1000),
         edit(&|o| o.extend.max_branch_steps = 3),
         edit(&|o| o.extend.max_mismatches = 0),
-        edit(&|o| o.cluster.neighbor_window = 1),
     ]
 }
 
