@@ -411,9 +411,10 @@ mod tests {
 
     #[test]
     fn different_components_never_cluster() {
-        let mut g = mg_graph::VariationGraph::new();
+        let mut g = mg_graph::GraphBuilder::new();
         let a = g.add_node(b"AAAA").unwrap();
         let b = g.add_node(b"CCCC").unwrap();
+        let g = g.build();
         let d = DistanceIndex::build(&g);
         let seeds = [
             Seed::new(0, GraphPos::new(Handle::forward(a), 0)),

@@ -308,13 +308,14 @@ impl DumpReader {
     /// ```
     /// use mg_core::dump::{DumpReader, SeedDump};
     /// use mg_core::types::{ReadInput, Seed, Workflow};
-    /// use mg_graph::{Handle, VariationGraph};
+    /// use mg_graph::{GraphBuilder, Handle};
     /// use mg_index::GraphPos;
     /// use mg_support::mgi::MgiFile;
     ///
     /// # fn main() -> mg_support::Result<()> {
-    /// let mut graph = VariationGraph::new();
-    /// let node = graph.add_node(b"ACGTACGT")?;
+    /// let mut builder = GraphBuilder::new();
+    /// let node = builder.add_node(b"ACGTACGT")?;
+    /// let graph = builder.build();
     /// let read = |offset| ReadInput {
     ///     bases: b"ACGT".to_vec(),
     ///     seeds: vec![Seed::new(0, GraphPos::new(Handle::forward(node), offset))],

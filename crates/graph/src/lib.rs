@@ -7,10 +7,11 @@
 //!
 //! - [`handle`]: node identifiers and oriented node handles;
 //! - [`dna`]: base alphabet utilities (validation, complement);
-//! - [`graph::VariationGraph`]: the graph itself, with oriented traversal
-//!   over one ASCII arena per strand (only the forward one is written to
-//!   `.mgz` and `.mgi` containers; the reverse-complement arena is derived
-//!   on load);
+//! - [`graph::VariationGraph`]: the graph itself, immutable, with oriented
+//!   traversal over one ASCII arena per strand (only the forward one is
+//!   written to `.mgz` and `.mgi` containers; the reverse-complement arena
+//!   is derived on load) and one flat adjacency array whether it was built
+//!   in process by [`graph::GraphBuilder`] or loaded from a container;
 //! - [`pangenome`]: construction of a pangenome graph from a linear
 //!   reference plus a set of variants and a haplotype panel (who carries
 //!   which allele) — the synthetic stand-in for HPRC/1000GP graphs.
@@ -45,6 +46,6 @@ pub mod graph;
 pub mod handle;
 pub mod pangenome;
 
-pub use graph::VariationGraph;
+pub use graph::{GraphBuilder, VariationGraph};
 pub use handle::{Handle, NodeId, Orientation};
 pub use pangenome::{HaplotypePath, Pangenome, PangenomeBuilder, Variant};

@@ -9,7 +9,7 @@
 use mg_support::{Error, Result};
 
 use crate::dna;
-use crate::graph::VariationGraph;
+use crate::graph::{GraphBuilder, VariationGraph};
 use crate::handle::{Handle, NodeId};
 
 /// A single variant site against the reference.
@@ -236,13 +236,13 @@ impl PangenomeBuilder {
             }
         }
 
-        let mut graph = VariationGraph::new();
+        let mut graph = GraphBuilder::new();
         // Per reference chunk between variants: the chain of node ids.
         // allele_nodes[v][a] = node chain for allele a of variant v.
         let mut backbone_chunks: Vec<Vec<NodeId>> = Vec::new();
         let mut allele_nodes: Vec<Vec<Vec<NodeId>>> = Vec::new();
 
-        let add_chunk = |graph: &mut VariationGraph, seq: &[u8]| -> Result<Vec<NodeId>> {
+        let add_chunk = |graph: &mut GraphBuilder, seq: &[u8]| -> Result<Vec<NodeId>> {
             let mut chain = Vec::new();
             for piece in seq.chunks(self.max_node_len) {
                 let id = graph.add_node(piece)?;
@@ -278,7 +278,7 @@ impl PangenomeBuilder {
         // chunk/site structure, adding edges as we go. Empty chains (empty
         // chunks or deletion alleles) are bridged through because the edge is
         // always added between consecutive *visited* nodes.
-        let trace = |graph: &mut VariationGraph,
+        let trace = |graph: &mut GraphBuilder,
                      alleles: Option<&[usize]>|
          -> Vec<NodeId> {
             let mut path: Vec<NodeId> = Vec::new();
@@ -313,7 +313,7 @@ impl PangenomeBuilder {
         }
 
         Ok(Pangenome {
-            graph,
+            graph: graph.build(),
             paths,
             reference_backbone,
         })

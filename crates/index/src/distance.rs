@@ -1,24 +1,95 @@
 //! Distance index: minimum graph distances between positions.
 //!
 //! Giraffe's clustering stage groups seeds whose minimum graph distance is
-//! small. The real tool uses a snarl-tree distance index; we substitute a
-//! two-tier oracle with the same interface and complexity profile:
+//! small. The real tool uses a snarl-tree distance index; [`DistanceIndex`]
+//! has the same interface and complexity profile in one type:
 //!
-//! 1. the chain decomposition ([`ChainIndex`]), whose per-node records
-//!    answer "different component" and most exact distances on bubble
-//!    chains in O(1); and
+//! 1. one 32-byte [`NodeRecord`] per node and the chains of a snarl-lite
+//!    decomposition (built in [`crate::snarl`]), which answer "different
+//!    component" and most exact distances on bubble chains in O(1) from
+//!    two records and two prefix sums; and
 //! 2. an exact bounded Dijkstra over node lengths for everything else —
 //!    cheap because clustering limits are a few hundred bases and pangenome
 //!    nodes are short.
 
 use std::collections::{BinaryHeap, HashMap};
 
-use mg_graph::{Handle, NodeId, VariationGraph};
-use mg_support::mgi::{MgiFile, MgiWriter};
-use mg_support::Result;
+use mg_graph::{Handle, NodeId, Orientation, VariationGraph};
+use mg_support::mgi::{
+    put_u32, put_u32_slice, put_u64, put_u64_slice, Decode, FixedReader, MgiFile, MgiWriter,
+    TAG_CHAIN_ANCHORS, TAG_CHAIN_PREFIX, TAG_CHAIN_STARTS, TAG_DIST_META, TAG_DIST_NODES,
+};
+use mg_support::{Error, Result};
 
 use crate::minimizer::GraphPos;
-use crate::snarl::{ChainAnswer, ChainIndex, NodeRecord};
+
+/// "No chain" / "no anchor", and "no distance" in a record's 32-bit fields.
+pub const NONE32: u32 = u32::MAX;
+
+/// Everything the sort key and a chain query need to know about one node,
+/// in one 32-byte record (two to a cache line, never straddling one).
+///
+/// Distances and the sort offset are stored in 32 bits. A distance that
+/// does not fit is stored as [`NONE32`], which makes the pair unanswerable
+/// (the exact search takes over); a sort offset that does not fit
+/// saturates, which only ties seeds past 4 Gbp in one component.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(32))]
+pub struct NodeRecord {
+    /// Connected component (undirected).
+    pub component: u32,
+    /// Minimum bases from a component source to the start of the node's
+    /// forward orientation: the clustering sort key.
+    pub offset_min: u32,
+    /// Node length in bases.
+    pub len: u32,
+    /// Chain id, or [`NONE32`] for nodes in components the decomposition
+    /// cannot answer (cyclic, reverse edges).
+    pub chain: u32,
+    /// Index into the anchor arena of the anchor every forward path into
+    /// this node last crossed (its own index for an anchor); [`NONE32`]
+    /// before the chain's first anchor.
+    pub entry: u32,
+    /// Index into the anchor arena of the anchor every forward path from
+    /// this node must cross next (its own index for an anchor); [`NONE32`]
+    /// past the chain's last anchor.
+    pub exit: u32,
+    /// Min bases from the entry anchor's start to this node's start (0 for
+    /// anchors); [`NONE32`] when there is no entry or no path from it.
+    pub d_in: u32,
+    /// Min bases from this node's start to the exit anchor's start (0 for
+    /// anchors); [`NONE32`] when there is no exit or no path to it.
+    pub d_out: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<NodeRecord>() == 32);
+
+impl NodeRecord {
+    /// The eight fields in the order [`DistanceIndex::write_mgi`] stores them.
+    fn fields(&self) -> [u32; 8] {
+        let r = self;
+        [r.component, r.offset_min, r.len, r.chain, r.entry, r.exit, r.d_in, r.d_out]
+    }
+}
+
+/// A record as `NodeRecord::fields` lists it, each field a little-endian
+/// `u32`.
+impl Decode for NodeRecord {
+    const SIZE: usize = 32;
+    fn decode(bytes: &[u8]) -> NodeRecord {
+        let field = |i: usize| u32::decode(&bytes[4 * i..4 * i + 4]);
+        NodeRecord {
+            component: field(0),
+            offset_min: field(1),
+            len: field(2),
+            chain: field(3),
+            entry: field(4),
+            exit: field(5),
+            d_in: field(6),
+            d_out: field(7),
+        }
+    }
+}
 
 /// Reusable buffers for the bounded Dijkstra behind
 /// [`DistanceIndex::min_undirected_distance_with_records`]; one per
@@ -30,47 +101,250 @@ pub struct DistanceScratch {
     heap: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
 }
 
-/// The distance index: per-node records and the chain decomposition
-/// ([`ChainIndex`]), plus the exact search behind them.
+/// The distance index: the per-node records, the chain decomposition
+/// over them, and the exact search behind both.
+///
+/// Chains are stored in CSR form — one concatenated anchor/prefix arena
+/// plus per-chain start offsets — and the records address anchors by their
+/// arena index, so a query never reads the CSR offsets. Every array
+/// serializes to (and loads from) a `.mgi` container verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceIndex {
-    /// Snarl-lite chain decomposition and the per-node records: the O(1)
-    /// fast path for exact distances on bubble chains (the architecture of
-    /// Giraffe's real distance index).
-    chains: ChainIndex,
+    /// One record per node, indexed by `id - 1`.
+    pub(crate) nodes: Vec<NodeRecord>,
+    pub(crate) component_count: u32,
+    /// CSR offsets into `anchors`/`prefix_min`; chain `c` owns the range
+    /// `chain_starts[c]..chain_starts[c + 1]`. Always at least `[0]`.
+    pub(crate) chain_starts: Vec<u64>,
+    /// Anchor node indices (`id - 1`) of all chains, concatenated in
+    /// topological order.
+    pub(crate) anchors: Vec<u32>,
+    /// Per anchor: minimum bases from its chain's first anchor start to
+    /// this anchor's start (0 at each chain's first anchor).
+    pub(crate) prefix_min: Vec<u64>,
+}
+
+/// Outcome of a chain query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChainAnswer {
+    /// The decomposition cannot answer this pair; fall back to search.
+    Unanswerable,
+    /// The positions are provably unreachable in this direction.
+    Unreachable,
+    /// The exact minimum distance.
+    Distance(u64),
 }
 
 impl DistanceIndex {
-    /// Preprocesses `graph`.
-    pub fn build(graph: &VariationGraph) -> Self {
-        DistanceIndex { chains: ChainIndex::build(graph) }
-    }
-
-    /// Appends the index to a `.mgi` container in its in-memory layout.
-    pub fn write_mgi(&self, w: &mut MgiWriter) {
-        self.chains.write_mgi(w);
-    }
-
-    /// Loads an index from a `.mgi` container.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`mg_support::Error::Corrupt`] when any structural invariant
-    /// fails.
-    pub fn from_mgi(f: &mut MgiFile) -> Result<Self> {
-        Ok(DistanceIndex { chains: ChainIndex::from_mgi(f)? })
-    }
-
     /// Number of indexed nodes.
     pub fn node_count(&self) -> usize {
-        self.chains.nodes().len()
+        self.nodes.len()
     }
 
     /// The record of `node`: its component, sort offset, length and chain
     /// coordinates in one read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of the indexed graph.
     #[inline]
     pub fn node(&self, node: NodeId) -> &NodeRecord {
-        self.chains.node(node)
+        &self.nodes[(node.value() - 1) as usize]
+    }
+
+    /// Appends the records and the decomposition to a `.mgi` container in
+    /// their in-memory layouts: a meta section (node count, component
+    /// count), 32-byte records written field by field, and the chains'
+    /// CSR arrays.
+    pub fn write_mgi(&self, w: &mut MgiWriter) {
+        let mut meta = Vec::new();
+        put_u64(&mut meta, self.nodes.len() as u64);
+        put_u32(&mut meta, self.component_count);
+        put_u32(&mut meta, 0); // reserved / alignment
+        w.section(TAG_DIST_META, meta);
+        let mut buf = Vec::with_capacity(self.nodes.len() * NodeRecord::SIZE);
+        for r in self.nodes.iter() {
+            put_u32_slice(&mut buf, &r.fields());
+        }
+        w.section(TAG_DIST_NODES, buf);
+        let mut buf = Vec::new();
+        put_u64_slice(&mut buf, &self.chain_starts);
+        w.section(TAG_CHAIN_STARTS, buf);
+        let mut buf = Vec::new();
+        put_u32_slice(&mut buf, &self.anchors);
+        w.section(TAG_CHAIN_ANCHORS, buf);
+        let mut buf = Vec::new();
+        put_u64_slice(&mut buf, &self.prefix_min);
+        w.section(TAG_CHAIN_PREFIX, buf);
+    }
+
+    /// Loads the records and the decomposition from a `.mgi` container.
+    ///
+    /// Validation is strict enough that no later query can index out of
+    /// bounds or underflow, whatever the (checksum-valid) bytes claim.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corrupt`] when any structural invariant fails.
+    pub fn from_mgi(f: &mut MgiFile) -> Result<Self> {
+        let meta = f.section(TAG_DIST_META)?;
+        let mut meta = FixedReader::new(&meta);
+        let n = meta.read_u64()?;
+        let component_count = meta.read_u32()?;
+        let _reserved = meta.read_u32()?;
+        if !meta.is_at_end() {
+            return Err(Error::Corrupt("distance meta has trailing bytes".into()));
+        }
+        let nodes: Vec<NodeRecord> = f.array(TAG_DIST_NODES)?;
+        let chain_starts: Vec<u64> = f.array(TAG_CHAIN_STARTS)?;
+        let anchors: Vec<u32> = f.array(TAG_CHAIN_ANCHORS)?;
+        let prefix_min: Vec<u64> = f.array(TAG_CHAIN_PREFIX)?;
+        if nodes.len() as u64 != n {
+            return Err(Error::Corrupt(format!(
+                "distance index holds {} node records, meta claims {n}",
+                nodes.len()
+            )));
+        }
+        if chain_starts.first().copied() != Some(0)
+            || chain_starts.last().copied() != Some(anchors.len() as u64)
+            || !chain_starts.windows(2).all(|p| p[0] < p[1])
+        {
+            return Err(Error::Corrupt("chain CSR offsets malformed".into()));
+        }
+        if prefix_min.len() != anchors.len() {
+            return Err(Error::Corrupt("chain prefix arena disagrees with anchors".into()));
+        }
+        if anchors.iter().any(|&u| u as usize >= nodes.len()) {
+            return Err(Error::Corrupt("chain anchor references nonexistent node".into()));
+        }
+        for pm in chain_starts.windows(2).map(|c| &prefix_min[c[0] as usize..c[1] as usize]) {
+            if pm[0] != 0 || !pm.windows(2).all(|p| p[0] <= p[1]) {
+                return Err(Error::Corrupt(
+                    "chain prefix minima not zero-based and non-decreasing".into(),
+                ));
+            }
+        }
+        let chain_count = chain_starts.len() - 1;
+        for r in nodes.iter() {
+            if r.component >= component_count {
+                return Err(Error::Corrupt("node assigned to nonexistent component".into()));
+            }
+            // An anchor index must lie inside its node's own chain; a node
+            // on no chain names no anchor.
+            let range = match r.chain {
+                NONE32 => 0..0,
+                c if (c as usize) < chain_count => {
+                    chain_starts[c as usize]..chain_starts[c as usize + 1]
+                }
+                _ => return Err(Error::Corrupt("node assigned to nonexistent chain".into())),
+            };
+            for idx in [r.entry, r.exit] {
+                if idx != NONE32 && !range.contains(&u64::from(idx)) {
+                    return Err(Error::Corrupt(
+                        "anchor index beyond its chain's anchor list".into(),
+                    ));
+                }
+            }
+        }
+        Ok(DistanceIndex {
+            nodes,
+            component_count,
+            chain_starts,
+            anchors,
+            prefix_min,
+        })
+    }
+
+    /// Exact minimum oriented distance from `a` to `b` (bases advanced
+    /// walking forward from `a`), answered from the two nodes' records
+    /// `ra` and `rb` and the prefix sums alone.
+    #[inline]
+    pub(crate) fn chain_distance(
+        &self,
+        a: GraphPos,
+        ra: &NodeRecord,
+        b: GraphPos,
+        rb: &NodeRecord,
+    ) -> ChainAnswer {
+        // Out-of-range offsets (offset must be < node length) are not a
+        // position this index reasons about.
+        if a.offset >= ra.len || b.offset >= rb.len {
+            return ChainAnswer::Unanswerable;
+        }
+        let same_node = a.handle.node() == b.handle.node();
+        // Reverse-orientation walks mirror to forward walks in the
+        // opposite direction: dist(a⁻ -> b⁻) = dist(mirror(b) -> mirror(a)).
+        match (a.handle.orientation(), b.handle.orientation()) {
+            (Orientation::Forward, Orientation::Forward) => {
+                self.forward_distance(ra, a.offset, rb, b.offset, same_node)
+            }
+            (Orientation::Reverse, Orientation::Reverse) => {
+                let (b, a) = (b.flipped(rb.len), a.flipped(ra.len));
+                self.forward_distance(rb, b.offset, ra, a.offset, same_node)
+            }
+            _ => ChainAnswer::Unanswerable,
+        }
+    }
+
+    /// [`DistanceIndex::chain_distance`] between forward positions: offset
+    /// `a_off` on the node of `ra` to offset `b_off` on the node of `rb`.
+    #[inline]
+    fn forward_distance(
+        &self,
+        ra: &NodeRecord,
+        a_off: u32,
+        rb: &NodeRecord,
+        b_off: u32,
+        same_node: bool,
+    ) -> ChainAnswer {
+        if ra.chain == NONE32 || rb.chain != ra.chain {
+            return ChainAnswer::Unanswerable;
+        }
+        if same_node {
+            // Same node: DAG components cannot loop back.
+            return if b_off >= a_off {
+                ChainAnswer::Distance((b_off - a_off) as u64)
+            } else {
+                ChainAnswer::Unreachable
+            };
+        }
+        let (exit, entry) = (ra.exit, rb.entry);
+        if exit == NONE32 || entry == NONE32 {
+            return ChainAnswer::Unanswerable;
+        }
+        // Dead ends inside a segment (no path to the exit anchor) and
+        // unseeded entries (no path from the entry anchor, e.g. a second
+        // source) cannot be answered from the decomposition.
+        if ra.d_out == NONE32 || rb.d_in == NONE32 {
+            return ChainAnswer::Unanswerable;
+        }
+        if exit > entry {
+            let (entry_a, exit_b) = (ra.entry, rb.exit);
+            // Same bubble: the decomposition cannot see inside it.
+            if entry_a == entry && exit_b == exit {
+                return ChainAnswer::Unanswerable;
+            }
+            // b's region strictly precedes a's: impossible in a DAG.
+            if entry_a != NONE32 && entry < entry_a {
+                return ChainAnswer::Unreachable;
+            }
+            // b is the entry anchor of a's segment (or earlier anchor).
+            if rb.d_in == 0 && rb.d_out == 0 && entry <= entry_a {
+                return ChainAnswer::Unreachable;
+            }
+            return ChainAnswer::Unanswerable;
+        }
+        // Both anchors lie in the one chain (checked at open), so the
+        // prefix sums do not decrease from `exit` to `entry`.
+        let span = self.prefix_min[entry as usize] - self.prefix_min[exit as usize];
+        let total = i128::from(ra.d_out) + i128::from(span) + i128::from(rb.d_in)
+            + i128::from(b_off)
+            - i128::from(a_off);
+        if total < 0 {
+            ChainAnswer::Unreachable
+        } else {
+            ChainAnswer::Distance(total as u64)
+        }
     }
 
     /// The exact bounded Dijkstra from `a` to `b`, walking forward along
@@ -189,12 +463,12 @@ impl DistanceIndex {
         if ra.component != rb.component {
             return None;
         }
-        let forward = match self.chains.exact_distance_between(a, ra, b, rb) {
+        let forward = match self.chain_distance(a, ra, b, rb) {
             ChainAnswer::Distance(d) => return (d <= limit).then_some(d),
             ChainAnswer::Unreachable => None,
             ChainAnswer::Unanswerable => self.min_distance_dijkstra(graph, a, b, limit, scratch),
         };
-        let backward = match self.chains.exact_distance_between(b, rb, a, ra) {
+        let backward = match self.chain_distance(b, rb, a, ra) {
             ChainAnswer::Distance(d) => (d <= limit).then_some(d),
             ChainAnswer::Unreachable => None,
             ChainAnswer::Unanswerable => self.min_distance_dijkstra(graph, b, a, limit, scratch),
@@ -215,7 +489,19 @@ fn nearer(forward: Option<u64>, backward: Option<u64>) -> Option<u64> {
 mod tests {
     use super::*;
     use mg_graph::pangenome::{PangenomeBuilder, Variant};
-    use mg_graph::Orientation;
+    use mg_graph::GraphBuilder;
+
+    impl DistanceIndex {
+        /// [`DistanceIndex::chain_distance`] with both records looked up.
+        pub(crate) fn exact_distance(&self, a: GraphPos, b: GraphPos) -> ChainAnswer {
+            self.chain_distance(a, self.node(a.handle.node()), b, self.node(b.handle.node()))
+        }
+
+        /// Number of chains found.
+        pub(crate) fn chain_count(&self) -> usize {
+            self.chain_starts.len() - 1
+        }
+    }
 
     fn bubble() -> (mg_graph::Pangenome, DistanceIndex) {
         // AAAA [C|GG] TTTT : a SNP-ish bubble with unequal allele lengths.
@@ -247,7 +533,7 @@ mod tests {
         limit: u64,
     ) -> Option<u64> {
         let exact = d.min_distance_dijkstra(g, a, b, limit, &mut DistanceScratch::default());
-        let chains = match d.chains.exact_distance(a, b) {
+        let chains = match d.exact_distance(a, b) {
             ChainAnswer::Distance(x) => (x <= limit).then_some(x),
             ChainAnswer::Unreachable => None,
             ChainAnswer::Unanswerable => exact,
@@ -274,7 +560,7 @@ mod tests {
     #[test]
     fn single_component() {
         let (_, d) = bubble();
-        assert_eq!(d.chains.component_count(), 1);
+        assert_eq!(d.component_count, 1);
     }
 
     #[test]
@@ -323,11 +609,12 @@ mod tests {
 
     #[test]
     fn disconnected_components() {
-        let mut g = VariationGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(b"ACGT").unwrap();
         let b = g.add_node(b"TTTT").unwrap();
+        let g = g.build();
         let d = DistanceIndex::build(&g);
-        assert_eq!(d.chains.component_count(), 2);
+        assert_eq!(d.component_count, 2);
         let pa = GraphPos::new(Handle::forward(a), 0);
         let pb = GraphPos::new(Handle::forward(b), 0);
         assert_ne!(d.node(a).component, d.node(b).component);
@@ -349,16 +636,17 @@ mod tests {
 
     #[test]
     fn cyclic_component_detected() {
-        let mut g = VariationGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(b"AC").unwrap();
         let b = g.add_node(b"GT").unwrap();
         g.add_edge(Handle::forward(a), Handle::forward(b));
         g.add_edge(Handle::forward(b), Handle::forward(a));
+        let g = g.build();
         let d = DistanceIndex::build(&g);
         let pa = GraphPos::new(Handle::forward(a), 0);
         let pb = GraphPos::new(Handle::forward(b), 0);
         assert_eq!(d.node(a).component, d.node(b).component);
-        assert_eq!(d.chains.chain_count(), 0, "no chain through a cycle");
+        assert_eq!(d.chain_count(), 0, "no chain through a cycle");
         // Distance still exact: a->b = 2 bases.
         assert_eq!(directed(&d, &g, pa, pb, 100), Some(2));
         // And b -> a around the cycle = 2.
@@ -386,7 +674,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(back.chains.chain_count(), d.chains.chain_count());
+        assert_eq!(back.chain_count(), d.chain_count());
     }
 
     #[test]
@@ -454,7 +742,7 @@ mod tests {
             s ^= s << 17;
             s % bound
         };
-        let mut g = VariationGraph::new();
+        let mut g = GraphBuilder::new();
         let nodes: Vec<NodeId> = (0..3 + next(6))
             .map(|_| {
                 let seq: Vec<u8> = (0..1 + next(5)).map(|_| b"ACGT"[next(4) as usize]).collect();
@@ -467,7 +755,7 @@ mod tests {
             let to = Handle::new(nodes[next(nodes.len() as u64) as usize], strand(next(2)));
             g.add_edge(from, to);
         }
-        g
+        g.build()
     }
 
     proptest::proptest! {
@@ -514,7 +802,7 @@ mod tests {
                             for bv in offsets(v) {
                                 let a = GraphPos::new(Handle::new(u, ou), au);
                                 let b = GraphPos::new(Handle::new(v, ov), bv);
-                                match d.chains.exact_distance(a, b) {
+                                match d.exact_distance(a, b) {
                                     ChainAnswer::Unanswerable => unanswerable += 1,
                                     _ => answerable += 1,
                                 }
@@ -549,7 +837,7 @@ mod tests {
             let p = random_pangenome(seed);
             let g = p.graph();
             let d = DistanceIndex::build(g);
-            proptest::prop_assert!(d.chains.chain_count() > 0);
+            proptest::prop_assert!(d.chain_count() > 0);
             let mut scratch = DistanceScratch::default();
             let mut pick = seed;
             let n = g.node_count() as u64;
@@ -573,7 +861,7 @@ mod tests {
                             let a = GraphPos::new(Handle::new(u, ou), au);
                             let b = GraphPos::new(Handle::new(v, ov), bv);
                             let truth = d.min_distance_dijkstra(g, a, b, 10_000, &mut scratch);
-                            match d.chains.exact_distance(a, b) {
+                            match d.exact_distance(a, b) {
                                 ChainAnswer::Distance(x) => {
                                     answered += 1;
                                     proptest::prop_assert_eq!(truth, Some(x), "{:?} -> {:?}", a, b);

@@ -28,6 +28,14 @@ impl GraphPos {
     pub fn new(handle: Handle, offset: u32) -> Self {
         GraphPos { handle, offset }
     }
+
+    /// The same base read on the other strand: the flipped handle, at
+    /// offset `node_len - 1 - offset` along it. `node_len` is the length
+    /// of the position's node, and the offset must lie inside it.
+    #[inline]
+    pub fn flipped(self, node_len: u32) -> Self {
+        GraphPos { handle: self.handle.flip(), offset: node_len - 1 - self.offset }
+    }
 }
 
 /// A minimizer extracted from a sequence.

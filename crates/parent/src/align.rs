@@ -125,8 +125,9 @@ pub fn pair_check(
     let ok = match (first.first(), second.first()) {
         (Some(a), Some(b)) => {
             // R2 is reverse-complemented, so its graph position sits on the
-            // flipped strand; compare against the flipped position.
-            let b_pos = GraphPos::new(b.pos.handle.flip(), 0);
+            // flipped strand; compare against the same base on the other
+            // strand too.
+            let b_pos = b.pos.flipped(graph.node_len(b.pos.handle.node()) as u32);
             dist.min_undirected_distance(graph, a.pos, b_pos, max_fragment)
                 .is_some()
                 || dist
@@ -227,6 +228,42 @@ mod tests {
         let mut d = vec![mk(90)];
         pair_check(p.graph(), &dist, &mut c, &mut d, 500);
         assert!(!c[0].properly_paired && !d[0].properly_paired);
+    }
+
+    /// R2's alignment on a reverse strand is compared at the same base on
+    /// the forward strand, not at the start of the flipped node: the mate
+    /// at offset 5 of 100-base node 1's reverse strand is base 94 of its
+    /// forward strand, 6 bases before R1 on node 2, while the flipped
+    /// node's start is 100 bases before it.
+    #[test]
+    fn pair_check_mirrors_the_mates_offset() {
+        let mut g = mg_graph::GraphBuilder::new();
+        let one = g.add_node(&[b'A'; 100]).unwrap();
+        let two = g.add_node(&[b'C'; 10]).unwrap();
+        g.add_edge(Handle::forward(one), Handle::forward(two));
+        let g = g.build();
+        let dist = mg_index::DistanceIndex::build(&g);
+        let mk = |pos| Alignment {
+            read_id: 0,
+            pos,
+            read_start: 0,
+            read_end: 5,
+            score: 5,
+            mismatches: 0,
+            mapq: 60,
+            properly_paired: false,
+            haplotypes: Vec::new(),
+            tail_cigar: None,
+        };
+        let r1 = GraphPos::new(Handle::forward(two), 0);
+        let r2 = GraphPos::new(Handle::reverse(one), 5);
+        assert_eq!(r2.flipped(100), GraphPos::new(Handle::forward(one), 94));
+        let limit = 20;
+        assert_eq!(dist.min_undirected_distance(&g, r2.flipped(100), r1, limit), Some(6));
+        assert_eq!(dist.min_undirected_distance(&g, GraphPos::new(Handle::forward(one), 0), r1, limit), None);
+        let (mut a, mut b) = (vec![mk(r1)], vec![mk(r2)]);
+        pair_check(&g, &dist, &mut a, &mut b, limit);
+        assert!(a[0].properly_paired && b[0].properly_paired);
     }
 
     #[test]

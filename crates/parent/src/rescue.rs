@@ -103,12 +103,11 @@ pub(crate) fn rescue_mate_bases<P: MemProbe>(
         .seed_hits
         .iter()
         .filter_map(|&(off, pos)| {
-            let near = [pos, GraphPos::new(pos.handle.flip(), 0)]
-                .iter()
-                .any(|&candidate| {
-                    dist.min_undirected_distance(graph, anchor, candidate, params.max_fragment)
-                        .is_some()
-                });
+            let flipped = pos.flipped(graph.node_len(pos.handle.node()) as u32);
+            let near = [pos, flipped].iter().any(|&candidate| {
+                dist.min_undirected_distance(graph, anchor, candidate, params.max_fragment)
+                    .is_some()
+            });
             near.then_some(Seed::new(off, pos))
         })
         .collect();

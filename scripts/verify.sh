@@ -86,7 +86,7 @@ fi
 echo "== seeding oracle (extraction vs naive windows, table vs BTreeMap; release arithmetic wraps where debug panics) =="
 cargo test --release -q --test seeding
 
-echo "== decode oracle (seed-dump reader, its seed check and varint vs a byte-at-a-time reference; the container checksum, whole and streamed in blocks, vs pinned values and every bit flip; hostile .mgz/.mgi/.bin files and cross-loading between them; an optimized build's arithmetic) =="
+echo "== decode oracle (seed-dump reader, its seed check and varint vs a byte-at-a-time reference; the container checksum, whole and streamed in blocks, vs pinned values and every bit flip; hostile .mgz/.mgi/.bin files and cross-loading between them; the .mgz/.mgi bytes of tiny, B-yeast and D-HPRC pinned; an optimized build's arithmetic) =="
 cargo test --release -q --test dump_decode --test corrupt_inputs --test formats
 cargo test --release -q -p mg-support --lib checksum
 
@@ -119,9 +119,10 @@ cargo test --release -q --test extend_first --test extend_once
 echo "== gapped oracle (banded aligner vs the three-matrix reference, tail bound; an optimized build's arithmetic) =="
 cargo test --release -q -p mg-parent --lib gapped
 
-echo "== layout oracles (CachedGbwt slots vs the index's own decode and a reference hash table, the chain fast path vs Dijkstra at every offset, k-mers at one hit, the cap and one past it; an optimized build's arithmetic) =="
+echo "== layout oracles (CachedGbwt slots vs the index's own decode and a reference hash table, the chain fast path vs Dijkstra at every offset and the decomposition's answers vs Dijkstra on random bubble chains, the graph's CSR arrays through .mgi and back, k-mers at one hit, the cap and one past it; an optimized build's arithmetic) =="
 cargo test --release -q -p mg-gbwt --lib prop_lookups_and_stats_match_the_reference_table
-cargo test --release -q -p mg-index --lib prop_chain_fast_path_equals_dijkstra_at_every_offset
+cargo test --release -q -p mg-index --lib -- prop_chain_fast_path_equals_dijkstra_at_every_offset snarl::tests::prop_chain_distances_match_dijkstra
+cargo test --release -q -p mg-graph --lib prop_mgi_roundtrip
 cargo test --release -q --test seeding kmers_at_one_at_the_cap_and_one_past_the_cap
 
 echo "== lints (--all-targets covers tests and examples, there are no benches) =="

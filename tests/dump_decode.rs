@@ -19,7 +19,7 @@
 
 use minigiraffe::core::dump::{DumpReader, SeedDump};
 use minigiraffe::core::types::{ReadInput, Seed, Workflow};
-use minigiraffe::graph::{Handle, NodeId, VariationGraph};
+use minigiraffe::graph::{GraphBuilder, Handle, NodeId, VariationGraph};
 use minigiraffe::index::GraphPos;
 use minigiraffe::support::mgi::{checksum, MgiFile, BLOCK_LEN, TAG_DUMP_READS};
 use minigiraffe::support::varint::{self, Cursor};
@@ -389,10 +389,11 @@ fn chunk_reader_fails_at_the_same_read_with_the_same_error() {
 /// before it yielded, exactly where the unchecked decode would have gone on.
 #[test]
 fn chunk_reader_on_a_graph_stops_at_the_first_seed_off_it() {
-    let mut graph = VariationGraph::new();
+    let mut graph = GraphBuilder::new();
     for len in [3, 8, 1] {
         graph.add_node(&b"ACGTACGT"[..len]).unwrap();
     }
+    let graph = graph.build();
     let seed = |node, offset| {
         Seed::new(0, GraphPos::new(Handle::reverse(NodeId::new(node)), offset))
     };
@@ -750,11 +751,11 @@ fn varied_reads(n: usize, seed: u64) -> Vec<ReadInput> {
 
 /// Three 200-base nodes: every seed [`varied_reads`] makes lies on them.
 fn three_nodes() -> VariationGraph {
-    let mut graph = VariationGraph::new();
+    let mut graph = GraphBuilder::new();
     for _ in 0..3 {
         graph.add_node(&[b'A'; 200]).unwrap();
     }
-    graph
+    graph.build()
 }
 
 /// Every block boundary of a dump of more than three blocks falls inside a

@@ -75,3 +75,25 @@ fn tiny_images_have_pinned_checksums() {
     assert_eq!(lens, [16192, 94208, 4864]);
     assert_eq!(sums, [0x5c14_1c5d_56d2_2377, 0xd0fb_023e_ec8a_dfa6, 0x9aa0_9a03_462d_050f]);
 }
+
+/// The `.mgz` and `.mgi` bytes of the graph shapes the benchmark maps,
+/// B-yeast and D-HPRC at seed 42, are pinned: the graph writer, the
+/// pangenome builder and the chain decomposition must reproduce them to
+/// the byte. The read count is cut to four because only the indexes are
+/// pinned.
+#[test]
+fn benchmark_shape_images_have_pinned_checksums() {
+    use minigiraffe::support::mgi::checksum;
+    let pinned = [
+        (InputSetSpec::b_yeast(), [114_944, 561_088], [0x710e_f673_c771_1055, 0x7d79_69f8_7ed6_0902]),
+        (InputSetSpec::d_hprc(), [511_360, 2_261_376], [0x4c84_3499_2050_75e2, 0x5682_0462_17b8_24e7]),
+    ];
+    for (spec, lens, sums) in pinned {
+        let spec = InputSetSpec { reads: 4, ..spec };
+        let input = SyntheticInput::generate(&spec, 42);
+        let mgz = input.gbz.to_bytes().unwrap();
+        let mgi = MgiBundle::build(input.gbz.clone(), input.spec.minimizer).unwrap().to_bytes();
+        assert_eq!([mgz.len(), mgi.len()], lens, "{}", spec.name);
+        assert_eq!([checksum(&mgz), checksum(&mgi)], sums, "{}", spec.name);
+    }
+}
