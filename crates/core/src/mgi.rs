@@ -5,7 +5,7 @@
 //! from one. [`MgiBundle`] persists the **in-memory layouts** of all four
 //! structures — the forward sequence arena, CSR adjacency, flat minimizer
 //! table, distance / chain index, and the compressed GBWT — into one
-//! [`mg_support::mgi`] container: the `.mgz`'s ten sections plus the
+//! [`mg_support::mgi`] container: the `.mgz`'s nine sections plus the
 //! minimizer and distance sections. Opening it streams each section once
 //! into the array it becomes, summing it on the way, then checks the
 //! structural invariants and derives the graph's reverse-complement arena
@@ -58,8 +58,8 @@ pub struct MgiBundle {
 /// (forward sequences; the index adds the reverse orientation itself).
 ///
 /// This is the canonical construction shared by `minigiraffe build-mgi`,
-/// `parent`, and `serve`: one forward walk per path, symbols decoded to
-/// [`Handle`]s, indexed with `params`.
+/// `parent`, and `serve`: one forward walk per path (GBWT sequence `2p`),
+/// symbols decoded to [`Handle`]s, indexed with `params`.
 ///
 /// # Errors
 ///
@@ -68,8 +68,7 @@ pub struct MgiBundle {
 pub fn build_minimizer_index(gbz: &Gbz, params: MinimizerParams) -> Result<MinimizerIndex> {
     let mut paths = Vec::with_capacity(gbz.gbwt().path_count() as usize);
     for p in 0..gbz.gbwt().path_count() {
-        let seq_id = if gbz.gbwt().is_bidirectional() { 2 * p } else { p };
-        let symbols = gbz.gbwt().sequence(seq_id)?;
+        let symbols = gbz.gbwt().sequence(2 * p)?;
         let mut handles = Vec::with_capacity(symbols.len());
         for s in symbols {
             let h = Handle::from_gbwt(s).ok_or_else(|| {

@@ -33,20 +33,13 @@ use crate::record::{DecodedRecord, RecordEdge, ENDMARKER};
 #[derive(Debug, Clone, Default)]
 pub struct GbwtBuilder {
     paths: Vec<Vec<u64>>,
-    unidirectional: bool,
 }
 
 impl GbwtBuilder {
-    /// Creates a builder; bidirectional (each path indexed with its
-    /// reverse) by default, like the GBWTs Giraffe consumes.
+    /// Creates a builder. The index is always bidirectional: each path is
+    /// indexed with its reverse, like the GBWTs Giraffe consumes.
     pub fn new() -> Self {
         GbwtBuilder::default()
-    }
-
-    /// Index only the forward orientation of each path.
-    pub fn unidirectional(mut self) -> Self {
-        self.unidirectional = true;
-        self
     }
 
     /// Queues a haplotype path for insertion.
@@ -75,17 +68,15 @@ impl GbwtBuilder {
             return Err(Error::Corrupt("GBWT build requires at least one path".into()));
         }
         let path_count = self.paths.len() as u64;
-        // Sequence list: forward paths, optionally interleaved with their
-        // reverses (sequence 2p = forward, 2p + 1 = reverse).
-        let mut seqs: Vec<Vec<u64>> = Vec::new();
+        // Sequence list: forward paths interleaved with their reverses
+        // (sequence 2p = forward, 2p + 1 = reverse).
+        let mut seqs: Vec<Vec<u64>> = Vec::with_capacity(2 * self.paths.len());
         for path in &self.paths {
             seqs.push(path.clone());
-            if !self.unidirectional {
-                seqs.push(path.iter().rev().map(|&s| s ^ 1).collect());
-            }
+            seqs.push(path.iter().rev().map(|&s| s ^ 1).collect());
         }
         let order = visit_order(&seqs);
-        assemble(seqs, order, path_count, !self.unidirectional)
+        assemble(seqs, order, path_count)
     }
 }
 
@@ -165,12 +156,7 @@ fn visit_order(seqs: &[Vec<u64>]) -> VisitOrder {
 }
 
 /// Assembles all node records from ordered visits.
-fn assemble(
-    seqs: Vec<Vec<u64>>,
-    order: VisitOrder,
-    path_count: u64,
-    bidirectional: bool,
-) -> Result<Gbwt> {
+fn assemble(seqs: Vec<Vec<u64>>, order: VisitOrder, path_count: u64) -> Result<Gbwt> {
     let max_symbol = seqs
         .iter()
         .flat_map(|s| s.iter().copied())
@@ -218,15 +204,13 @@ fn assemble(
         })
         .collect();
 
-    // Encode records in symbol order. Sequence ends are collected into the
-    // ending-visit table: visits into the endmarker are grouped by their
-    // node symbol ascending (the loop order) and within a node by visit
-    // order, and the endmarker-edge offsets address that table — which is
-    // what makes `Gbwt::locate` work.
+    // Encode records in symbol order. A record's endmarker edge carries the
+    // number of sequence ends at smaller symbols: the ends are counted in
+    // node symbol order (the loop order), then in visit order.
     let mut records = Vec::new();
     let mut offsets = Vec::with_capacity(visits.len() + 1);
     let mut total_visits = 0u64;
-    let mut end_ids: Vec<u64> = Vec::new();
+    let mut ends = 0u64;
     for (sym_idx, bucket) in visits.iter().enumerate() {
         offsets.push(records.len() as u64);
         let symbol = sym_idx as u64 + 2;
@@ -250,12 +234,8 @@ fn assemble(
         let mut edge_syms: Vec<u64> = succs.clone();
         edge_syms.sort_unstable();
         edge_syms.dedup();
-        let end_base = end_ids.len() as u64;
-        for (&(p, _), &succ) in bucket.iter().zip(&succs) {
-            if succ == ENDMARKER {
-                end_ids.push(p as u64);
-            }
-        }
+        let end_base = ends;
+        ends += succs.iter().filter(|&&succ| succ == ENDMARKER).count() as u64;
         let edges: Vec<RecordEdge> = edge_syms
             .iter()
             .map(|&w| RecordEdge {
@@ -305,12 +285,9 @@ fn assemble(
         records,
         offsets,
         endmarker,
-        seqs.len() as u64,
         path_count,
-        bidirectional,
         max_symbol + 1,
         total_visits,
-        end_ids,
     ))
 }
 
@@ -355,42 +332,28 @@ mod tests {
     }
 
     #[test]
-    fn unidirectional_indexes_forward_only() {
-        let path = handles(&[(1, false), (2, false)]);
-        let gbwt = GbwtBuilder::new()
-            .unidirectional()
-            .insert(&path)
-            .build()
-            .unwrap();
-        assert_eq!(gbwt.sequence_count(), 1);
-        assert_eq!(gbwt.sequence(0).unwrap(), vec![2, 4]);
-    }
-
-    #[test]
     fn shared_prefix_paths_reconstruct() {
-        // Diamond: 1-2-4 and 1-3-4, twice each to create runs.
+        // Diamond: 1-2-4 and 1-3-4, twice each to create runs. Forward
+        // sequences are the even ids, each followed by its reverse.
         let a = handles(&[(1, false), (2, false), (4, false)]);
         let b = handles(&[(1, false), (3, false), (4, false)]);
-        let gbwt = GbwtBuilder::new()
-            .unidirectional()
-            .insert(&a)
-            .insert(&b)
-            .insert(&a)
-            .insert(&b)
-            .build()
-            .unwrap();
-        assert_eq!(gbwt.sequence(0).unwrap(), vec![2, 4, 8]);
-        assert_eq!(gbwt.sequence(1).unwrap(), vec![2, 6, 8]);
-        assert_eq!(gbwt.sequence(2).unwrap(), vec![2, 4, 8]);
-        assert_eq!(gbwt.sequence(3).unwrap(), vec![2, 6, 8]);
+        let gbwt = GbwtBuilder::new().insert(&a).insert(&b).insert(&a).insert(&b).build().unwrap();
+        assert_eq!(gbwt.sequence_count(), 8);
+        for p in [0, 2] {
+            assert_eq!(gbwt.sequence(2 * p).unwrap(), vec![2, 4, 8]);
+            assert_eq!(gbwt.sequence(2 * p + 1).unwrap(), vec![9, 5, 3]);
+            assert_eq!(gbwt.sequence(2 * p + 2).unwrap(), vec![2, 6, 8]);
+            assert_eq!(gbwt.sequence(2 * p + 3).unwrap(), vec![9, 7, 3]);
+        }
     }
 
     #[test]
     fn cyclic_path_reconstructs() {
-        // A path revisiting node 1: 1+ 2+ 1+ 2+.
+        // A path revisiting node 1: 1+ 2+ 1+ 2+, and its reverse 2- 1- 2- 1-.
         let path = handles(&[(1, false), (2, false), (1, false), (2, false)]);
-        let gbwt = GbwtBuilder::new().unidirectional().insert(&path).build().unwrap();
+        let gbwt = GbwtBuilder::new().insert(&path).build().unwrap();
         assert_eq!(gbwt.sequence(0).unwrap(), vec![2, 4, 2, 4]);
+        assert_eq!(gbwt.sequence(1).unwrap(), vec![5, 3, 5, 3]);
     }
 
     #[test]

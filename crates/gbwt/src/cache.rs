@@ -50,6 +50,8 @@ pub struct CacheStats {
 /// [`CachedGbwt::set_hot`]/[`CachedGbwt::with_hot`] (no-ops),
 /// `Mapper::build_hot_tier` (returns `None`) and [`CacheStats::hot_hits`]
 /// (always 0). A `benchmark` PR that drops those calls deletes all five.
+/// [`Gbwt::is_bidirectional`] (always `true`) is the same kind of stub,
+/// named by `benchmark/src/truth.rs` now that every index is bidirectional.
 #[derive(Debug)]
 pub enum HotTier {}
 

@@ -1,10 +1,15 @@
-//! The GBWT index: compressed records plus the queries Giraffe relies on.
+//! The GBWT index: compressed records plus the queries Giraffe relies on —
+//! following one sequence, and counting the haplotypes that match a
+//! pattern, one-way or in both directions. Every index holds each path and
+//! its reverse. Naming the haplotypes behind a match (`locate`, which a
+//! real GBWT answers from sampled document arrays) is not implemented: the
+//! mapper never asks it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mg_support::mgi::{
-    put_u64, put_u64_slice, FixedReader, MgiFile, MgiWriter, TAG_GBWT_ENDMARKER,
-    TAG_GBWT_END_IDS, TAG_GBWT_META, TAG_GBWT_OFFSETS, TAG_GBWT_RECORDS,
+    put_u64, put_u64_slice, FixedReader, MgiFile, MgiWriter, TAG_GBWT_ENDMARKER, TAG_GBWT_META,
+    TAG_GBWT_OFFSETS, TAG_GBWT_RECORDS,
 };
 use mg_support::probe::{MemProbe, REGION_RECORDS};
 use mg_support::varint::Cursor;
@@ -78,7 +83,7 @@ impl BidirState {
     }
 }
 
-/// Extends a unidirectional state through `record`, which must be the
+/// Extends a one-way [`SearchState`] through `record`, which must be the
 /// record of `state.node`. This is the range arithmetic behind
 /// [`Gbwt::extend`], factored out so callers holding a cached record (a
 /// [`crate::CachedGbwt`] entry) can skip the re-fetch.
@@ -163,7 +168,8 @@ pub struct GbwtStatistics {
     pub bytes_per_visit: f64,
 }
 
-/// The compressed GBWT index.
+/// The compressed GBWT index, always bidirectional: sequence `2p` is path
+/// `p` and sequence `2p + 1` its reverse.
 ///
 /// Records are decompressed on access; wrap the index in a
 /// [`crate::CachedGbwt`] to keep hot records decoded (this is the structure
@@ -191,14 +197,9 @@ pub struct Gbwt {
     /// one trailing entry.
     offsets: Vec<u64>,
     endmarker: Vec<u8>,
-    sequence_count: u64,
     path_count: u64,
-    bidirectional: bool,
     alphabet_size: u64,
     total_visits: u64,
-    /// Sequence id of each ending visit, addressed by the endmarker-edge
-    /// offsets (grouped by final node symbol ascending).
-    end_ids: Vec<u64>,
     /// Process-unique identity for warm-cache reuse (see [`Gbwt::uid`]).
     /// Excluded from equality: two indexes with identical content compare
     /// equal even though their uids differ.
@@ -210,12 +211,9 @@ impl PartialEq for Gbwt {
         self.records == other.records
             && self.offsets == other.offsets
             && self.endmarker == other.endmarker
-            && self.sequence_count == other.sequence_count
             && self.path_count == other.path_count
-            && self.bidirectional == other.bidirectional
             && self.alphabet_size == other.alphabet_size
             && self.total_visits == other.total_visits
-            && self.end_ids == other.end_ids
     }
 }
 
@@ -223,28 +221,21 @@ impl Eq for Gbwt {}
 
 impl Gbwt {
     /// Assembles an index from its parts (used by [`crate::GbwtBuilder`]).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         records: Vec<u8>,
         offsets: Vec<u64>,
         endmarker: Vec<u8>,
-        sequence_count: u64,
         path_count: u64,
-        bidirectional: bool,
         alphabet_size: u64,
         total_visits: u64,
-        end_ids: Vec<u64>,
     ) -> Self {
         Gbwt {
             records,
             offsets,
             endmarker,
-            sequence_count,
             path_count,
-            bidirectional,
             alphabet_size,
             total_visits,
-            end_ids,
             uid: NEXT_GBWT_UID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -258,9 +249,9 @@ impl Gbwt {
         self.uid
     }
 
-    /// Number of indexed sequences (paths × 2 when bidirectional).
+    /// Number of indexed sequences: every path and its reverse.
     pub fn sequence_count(&self) -> u64 {
-        self.sequence_count
+        2 * self.path_count
     }
 
     /// Number of *inserted* paths.
@@ -268,10 +259,10 @@ impl Gbwt {
         self.path_count
     }
 
-    /// Whether reverse sequences are indexed (required for bidirectional
-    /// search).
+    /// Always `true`: every index is bidirectional. Kept only because
+    /// `benchmark/src/truth.rs` names it; see [`crate::HotTier`].
     pub fn is_bidirectional(&self) -> bool {
-        self.bidirectional
+        true
     }
 
     /// One past the largest symbol with a record.
@@ -357,7 +348,7 @@ impl Gbwt {
     ///
     /// Returns `None` if `id` is out of range.
     pub fn sequence_start(&self, id: u64) -> Option<(u64, u64)> {
-        if id >= self.sequence_count {
+        if id >= self.sequence_count() {
             return None;
         }
         self.endmarker_record().lf(id)
@@ -402,12 +393,7 @@ impl Gbwt {
     }
 
     /// Starts a bidirectional search at a single symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is not bidirectional.
     pub fn find_bidir(&self, symbol: u64) -> BidirState {
-        assert!(self.bidirectional, "bidirectional search needs a bidirectional index");
         BidirState {
             forward: self.find(symbol),
             backward: self.find(symbol ^ 1),
@@ -415,12 +401,7 @@ impl Gbwt {
     }
 
     /// Extends a bidirectional state forward by `symbol`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is not bidirectional.
     pub fn extend_forward(&self, state: &BidirState, symbol: u64) -> BidirState {
-        assert!(self.bidirectional, "bidirectional search needs a bidirectional index");
         if state.is_empty() {
             return BidirState {
                 forward: SearchState::empty(symbol),
@@ -432,46 +413,8 @@ impl Gbwt {
 
     /// Extends a bidirectional state backward by `symbol` (the new first
     /// symbol of the pattern).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is not bidirectional.
     pub fn extend_backward(&self, state: &BidirState, symbol: u64) -> BidirState {
         self.extend_forward(&state.flipped(), symbol ^ 1).flipped()
-    }
-
-    /// Identifies the sequence that visit `(symbol, offset)` belongs to by
-    /// following it forward to its end — the GBWT `locate` query that lets
-    /// the mapper name the haplotypes supporting a match.
-    ///
-    /// Each step decompresses a record, so the cost is O(remaining path
-    /// length × decode); use it on the cold annotation path, not inside
-    /// mapping kernels.
-    ///
-    /// Returns `None` for invalid positions.
-    pub fn locate(&self, symbol: u64, offset: u64) -> Option<u64> {
-        let mut cursor = (symbol, offset);
-        loop {
-            let record = self.record(cursor.0);
-            match record.lf_full(cursor.1)? {
-                (ENDMARKER, end_idx) => {
-                    return self.end_ids.get(end_idx as usize).copied();
-                }
-                next => cursor = next,
-            }
-        }
-    }
-
-    /// Sequence ids of every haplotype position in `state`, ascending and
-    /// deduplicated. `limit` caps the work (positions located).
-    pub fn locate_state(&self, state: &SearchState, limit: usize) -> Vec<u64> {
-        let mut ids: Vec<u64> = (state.start..state.end)
-            .take(limit)
-            .filter_map(|offset| self.locate(state.node, offset))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
     }
 
     /// Structural statistics: `(total runs, average runs per nonempty
@@ -504,9 +447,10 @@ impl Gbwt {
     /// [`Gbwt::from_mgi`] reads them back without decompressing anything.
     pub fn write_mgi(&self, w: &mut MgiWriter) {
         let mut meta = Vec::new();
-        put_u64(&mut meta, self.sequence_count);
+        put_u64(&mut meta, self.sequence_count());
         put_u64(&mut meta, self.path_count);
-        put_u64(&mut meta, self.bidirectional as u64);
+        // The direction word: always 1 (bidirectional).
+        put_u64(&mut meta, 1);
         put_u64(&mut meta, self.alphabet_size);
         put_u64(&mut meta, self.total_visits);
         w.section(TAG_GBWT_META, meta);
@@ -515,15 +459,13 @@ impl Gbwt {
         put_u64_slice(&mut buf, &self.offsets);
         w.section(TAG_GBWT_OFFSETS, buf);
         w.section(TAG_GBWT_ENDMARKER, self.endmarker.clone());
-        let mut buf = Vec::new();
-        put_u64_slice(&mut buf, &self.end_ids);
-        w.section(TAG_GBWT_END_IDS, buf);
     }
 
     /// Loads an index from a container (`.mgz` or `.mgi`).
     ///
-    /// Structural invariants (monotonic offsets covering the blob, the
-    /// offset table matching the alphabet) are checked here; the encoded
+    /// Structural invariants (a bidirectional index of `2 × path_count`
+    /// sequences, monotonic offsets covering the blob, the offset table
+    /// matching the alphabet) are checked here; the encoded
     /// record bytes themselves are vouched for by the container's section
     /// checksums. [`Gbwt::validate_records`] is the opt-in deep check.
     ///
@@ -535,19 +477,25 @@ impl Gbwt {
         let mut meta = FixedReader::new(&meta);
         let sequence_count = meta.read_u64()?;
         let path_count = meta.read_u64()?;
-        let bidirectional_raw = meta.read_u64()?;
+        let direction = meta.read_u64()?;
         let alphabet_size = meta.read_u64()?;
         let total_visits = meta.read_u64()?;
         if !meta.is_at_end() {
             return Err(Error::Corrupt("GBWT meta has trailing bytes".into()));
         }
-        if bidirectional_raw > 1 {
-            return Err(Error::Corrupt("GBWT bidirectional flag is not 0 or 1".into()));
+        if direction != 1 {
+            return Err(Error::Corrupt(format!(
+                "GBWT direction word is {direction}, not 1: only bidirectional indexes load"
+            )));
+        }
+        if path_count.checked_mul(2) != Some(sequence_count) {
+            return Err(Error::Corrupt(format!(
+                "GBWT of {path_count} paths claims {sequence_count} sequences, not twice as many"
+            )));
         }
         let records = f.section(TAG_GBWT_RECORDS)?;
         let offsets: Vec<u64> = f.array(TAG_GBWT_OFFSETS)?;
         let endmarker = f.section(TAG_GBWT_ENDMARKER)?;
-        let end_ids: Vec<u64> = f.array(TAG_GBWT_END_IDS)?;
         if offsets.is_empty() {
             return Err(Error::Corrupt("missing record offsets".into()));
         }
@@ -567,12 +515,9 @@ impl Gbwt {
             records,
             offsets,
             endmarker,
-            sequence_count,
             path_count,
-            bidirectional: bidirectional_raw != 0,
             alphabet_size,
             total_visits,
-            end_ids,
             uid: NEXT_GBWT_UID.fetch_add(1, Ordering::Relaxed),
         })
     }
@@ -743,17 +688,6 @@ mod tests {
         assert_eq!(state.backward, state2.backward);
     }
 
-    #[test]
-    #[should_panic(expected = "bidirectional")]
-    fn bidir_on_unidirectional_panics() {
-        let g = GbwtBuilder::new()
-            .unidirectional()
-            .insert(&fwd(&[1, 2]))
-            .build()
-            .unwrap();
-        let _ = g.find_bidir(2);
-    }
-
     /// `g` written with `write_mgi` and read back with `from_mgi` twice:
     /// from the in-memory image, and from a file opened with
     /// `MgiFile::open`.
@@ -774,7 +708,7 @@ mod tests {
         [from_bytes, from_file]
     }
 
-    /// The diamond's five sections with `edit` applied, re-sectioned with
+    /// The diamond's four sections with `edit` applied, re-sectioned with
     /// fresh checksums: what a hostile writer, not a damaged disk,
     /// produces.
     fn crafted(edit: impl FnOnce(&mut [(u32, Vec<u8>)])) -> Result<Gbwt> {
@@ -801,47 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn locate_matches_sequence_reconstruction() {
-        // Walking any sequence and locating each visited position must
-        // return that sequence's id.
-        let g = diamond_gbwt();
-        for id in 0..g.sequence_count() {
-            let mut cursor = g.sequence_start(id).unwrap();
-            loop {
-                assert_eq!(
-                    g.locate(cursor.0, cursor.1),
-                    Some(id),
-                    "sequence {id} at {cursor:?}"
-                );
-                match g.follow(cursor.0, cursor.1) {
-                    Some(next) => cursor = next,
-                    None => break,
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn locate_state_names_matching_haplotypes() {
-        let g = diamond_gbwt();
-        // Pattern 1+ 3+ matches only path 2 (sequence 4).
-        let state = g.extend(&g.find(2), 6);
-        assert_eq!(g.locate_state(&state, 100), vec![4]);
-        // Pattern 1+ 2+ matches paths 0, 1, 3 (sequences 0, 2, 6).
-        let state = g.extend(&g.find(2), 4);
-        assert_eq!(g.locate_state(&state, 100), vec![0, 2, 6]);
-        // Limit caps the located positions.
-        assert_eq!(g.locate_state(&state, 1).len(), 1);
-    }
-
-    #[test]
-    fn locate_rejects_invalid_positions() {
-        let g = diamond_gbwt();
-        assert_eq!(g.locate(2, 999), None);
-        assert_eq!(g.locate(999, 0), None);
-    }
-
-    #[test]
     fn mgi_roundtrip_preserves_queries() {
         let g = diamond_gbwt();
         let mut w = MgiWriter::new();
@@ -855,8 +748,6 @@ mod tests {
         for id in 0..g.sequence_count() {
             assert_eq!(back.sequence(id).unwrap(), g.sequence(id).unwrap());
         }
-        let state = back.extend(&back.find(2), 6);
-        assert_eq!(back.locate_state(&state, 100), vec![4]);
     }
 
     #[test]
@@ -868,7 +759,7 @@ mod tests {
             crafted(|s| s[0].1[field * 8..field * 8 + 8].copy_from_slice(&value.to_le_bytes()))
         };
         assert!(matches!(meta_with(3, 1 << 40), Err(Error::Corrupt(_))));
-        assert!(matches!(meta_with(2, 2), Err(Error::Corrupt(_))), "bidirectional flag");
+        assert!(matches!(meta_with(2, 2), Err(Error::Corrupt(_))), "direction word");
         assert!(crafted(|_| ()).is_ok());
     }
 
@@ -940,16 +831,6 @@ mod tests {
                 state = g.extend(&state, s);
             }
             prop_assert_eq!(state.len(), naive_count(&g, &symbols));
-            // locate_state must name exactly the sequences containing the
-            // pattern (ids of sequences with >= 1 occurrence).
-            let mut expect_ids: Vec<u64> = (0..g.sequence_count())
-                .filter(|&id| {
-                    let seq = g.sequence(id).unwrap();
-                    seq.windows(symbols.len().min(seq.len() + 1)).any(|w| w == symbols)
-                })
-                .collect();
-            expect_ids.sort_unstable();
-            prop_assert_eq!(g.locate_state(&state, usize::MAX), expect_ids);
             // Bidirectional: same count, built backward.
             let mut bstate = g.find_bidir(*symbols.last().unwrap());
             for &s in symbols.iter().rev().skip(1) {

@@ -4,8 +4,8 @@
 //! from: one file holding both the sequence graph and the haplotype index,
 //! whose GBWT records stay run-length compressed and are decoded one node
 //! at a time by the record cache. The file is an [`mg_support::mgi`]
-//! container holding exactly the ten sections [`Gbz::write_mgi`] emits —
-//! five for the graph, five for the GBWT — so loading is one streamed read
+//! container holding exactly the nine sections [`Gbz::write_mgi`] emits —
+//! five for the graph, four for the GBWT — so loading is one streamed read
 //! of each section plus validation, and an `.mgi` bundle is the same
 //! sections plus the prebuilt minimizer and distance indexes.
 
@@ -13,16 +13,16 @@ use std::path::Path;
 
 use mg_graph::VariationGraph;
 use mg_support::mgi::{
-    MgiFile, MgiWriter, TAG_GBWT_ENDMARKER, TAG_GBWT_END_IDS, TAG_GBWT_META, TAG_GBWT_OFFSETS,
-    TAG_GBWT_RECORDS, TAG_GRAPH_ADJ_OFFSETS, TAG_GRAPH_ADJ_TARGETS, TAG_GRAPH_META, TAG_GRAPH_SEQ,
+    MgiFile, MgiWriter, TAG_GBWT_ENDMARKER, TAG_GBWT_META, TAG_GBWT_OFFSETS, TAG_GBWT_RECORDS,
+    TAG_GRAPH_ADJ_OFFSETS, TAG_GRAPH_ADJ_TARGETS, TAG_GRAPH_META, TAG_GRAPH_SEQ,
     TAG_GRAPH_SEQ_OFFSETS,
 };
 use mg_support::Result;
 
 use crate::gbwt::Gbwt;
 
-/// The sections of a `.mgz`: the graph's five, then the GBWT's five.
-const GBZ_TAGS: [u32; 10] = [
+/// The sections of a `.mgz`: the graph's five, then the GBWT's four.
+const GBZ_TAGS: [u32; 9] = [
     TAG_GRAPH_META,
     TAG_GRAPH_SEQ,
     TAG_GRAPH_SEQ_OFFSETS,
@@ -32,7 +32,6 @@ const GBZ_TAGS: [u32; 10] = [
     TAG_GBWT_RECORDS,
     TAG_GBWT_OFFSETS,
     TAG_GBWT_ENDMARKER,
-    TAG_GBWT_END_IDS,
 ];
 
 /// A pangenome reference ready for mapping: graph + haplotype index.
@@ -115,7 +114,7 @@ impl Gbz {
     ///
     /// Returns container errors for malformed input, and
     /// [`mg_support::Error::BadTag`] for a container holding any section
-    /// besides the ten of a `.mgz` (an `.mgi` bundle, a seed dump).
+    /// besides the nine of a `.mgz` (an `.mgi` bundle, a seed dump).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         Self::from_mgz(MgiFile::open_bytes(bytes.to_vec())?)
     }

@@ -132,33 +132,22 @@ impl DecodedRecord {
     /// Returns `(successor symbol, offset at successor)`, or `None` if
     /// `offset` is out of range or the visit ends here (endmarker edge).
     pub fn lf(&self, offset: u64) -> Option<(u64, u64)> {
-        match self.lf_full(offset) {
-            Some((ENDMARKER, _)) | None => None,
-            some => some,
-        }
-    }
-
-    /// Like [`DecodedRecord::lf`], but sequence ends map to
-    /// `(ENDMARKER, end_index)` where `end_index` addresses the index's
-    /// ending-visit table (see `Gbwt::locate`). `None` only for
-    /// out-of-range offsets.
-    pub fn lf_full(&self, offset: u64) -> Option<(u64, u64)> {
-        if offset >= self.total {
-            return None;
-        }
         let mut pos = 0u64;
-        // Count, per edge, how many of the first `offset` visits use it; the
-        // visit at `offset` continues to its edge at position
-        // edge.offset + (uses of that edge before `offset`).
-        let mut counts = vec![0u64; self.edges.len()];
-        for run in &self.runs {
-            let edge = run.symbol as usize;
+        for (i, run) in self.runs.iter().enumerate() {
             if offset < pos + run.len {
-                let within = offset - pos;
-                let edge_info = self.edges[edge];
-                return Some((edge_info.symbol, edge_info.offset + counts[edge] + within));
+                let edge = self.edges[run.symbol as usize];
+                if edge.symbol == ENDMARKER {
+                    return None;
+                }
+                // The visit continues to its edge at position edge.offset +
+                // (visits before it that use the same edge).
+                let before: u64 = self.runs[..i]
+                    .iter()
+                    .filter(|r| r.symbol == run.symbol)
+                    .map(|r| r.len)
+                    .sum();
+                return Some((edge.symbol, edge.offset + before + offset - pos));
             }
-            counts[edge] += run.len;
             pos += run.len;
         }
         None

@@ -22,8 +22,6 @@
 //! counted once: the sort offsets, each component's topological order and
 //! its anchor sweep.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use mg_graph::{Handle, NodeId, VariationGraph};
 
@@ -209,21 +207,21 @@ impl Build {
         } = self;
         let successors = |u: u32| graph.successors(Handle::forward(NodeId::new(u as u64 + 1)));
 
-        // Kahn over forward edges, smallest ready node id first.
-        let mut queue: BinaryHeap<Reverse<u32>> = nodes
+        // Kahn over forward edges, the ready nodes kept on a stack.
+        let mut ready: Vec<u32> = nodes
             .iter()
-            .filter(|&&u| indegree[u as usize] == 0)
-            .map(|&u| Reverse(u))
+            .copied()
+            .filter(|&u| indegree[u as usize] == 0)
             .collect();
         let mut topo: Vec<u32> = Vec::with_capacity(nodes.len());
-        while let Some(Reverse(u)) = queue.pop() {
+        while let Some(u) = ready.pop() {
             topo.push(u);
             for &next in successors(u) {
                 let v = (next.node().value() - 1) as u32;
                 let d = &mut unsorted_in[v as usize];
                 *d -= 1;
                 if *d == 0 {
-                    queue.push(Reverse(v));
+                    ready.push(v);
                 }
             }
         }

@@ -50,9 +50,6 @@ pub struct Alignment {
     /// Whether the mate-pair distance check passed (paired workflows only;
     /// `true` for single-end).
     pub properly_paired: bool,
-    /// GBWT sequence ids of haplotypes supporting the alignment's path
-    /// (capped; empty when annotation is off).
-    pub haplotypes: Vec<u64>,
     /// CIGAR of a gapped tail alignment appended by the fallback aligner,
     /// when gapless extension left read bases uncovered.
     pub tail_cigar: Option<String>,
@@ -88,29 +85,8 @@ fn make_alignment(e: &Extension, best: i32, second: i32, params: &AlignParams) -
         mismatches: e.mismatches,
         mapq,
         properly_paired: true,
-        haplotypes: Vec::new(),
         tail_cigar: None,
     }
-}
-
-/// Annotates an alignment with the haplotypes whose paths contain its walk,
-/// using the GBWT `locate` query (at most `limit` ids). An empty result
-/// means the path is not fully haplotype-consistent (possible after
-/// max-score trimming at node boundaries).
-pub fn annotate_haplotypes(
-    gbwt: &mg_gbwt::Gbwt,
-    alignment: &mut Alignment,
-    path: &[mg_graph::Handle],
-    limit: usize,
-) {
-    let Some((&first, rest)) = path.split_first() else {
-        return;
-    };
-    let mut state = gbwt.find(first.to_gbwt());
-    for h in rest {
-        state = gbwt.extend(&state, h.to_gbwt());
-    }
-    alignment.haplotypes = gbwt.locate_state(&state, limit);
 }
 
 /// Checks fragment-length consistency for a mate pair: the best alignments
@@ -215,7 +191,6 @@ mod tests {
             mismatches: 0,
             mapq: 60,
             properly_paired: false,
-            haplotypes: Vec::new(),
             tail_cigar: None,
         };
         // Nodes 1 and 30: 290 bases apart; fragment limit 500 passes.
@@ -252,7 +227,6 @@ mod tests {
             mismatches: 0,
             mapq: 60,
             properly_paired: false,
-            haplotypes: Vec::new(),
             tail_cigar: None,
         };
         let r1 = GraphPos::new(Handle::forward(two), 0);
@@ -283,57 +257,10 @@ mod tests {
             mismatches: 0,
             mapq: 60,
             properly_paired: true,
-            haplotypes: Vec::new(),
             tail_cigar: None,
         }];
         let mut b: Vec<Alignment> = vec![];
         pair_check(p.graph(), &dist, &mut a, &mut b, 500);
         assert!(!a[0].properly_paired);
-    }
-}
-
-#[cfg(test)]
-mod annotate_tests {
-    use super::*;
-    use mg_core::types::ReadResult;
-    use mg_graph::pangenome::{PangenomeBuilder, Variant};
-    use mg_graph::{Handle, NodeId};
-
-    #[test]
-    fn annotation_names_supporting_haplotypes() {
-        // Two haplotypes: only haplotype 1 takes the alt allele.
-        let p = PangenomeBuilder::new(b"AAAACCCCGGGGTTTT".to_vec())
-            .variants(vec![Variant::snp(6, b'G')])
-            .haplotypes(vec![vec![0], vec![1]])
-            .max_node_len(4)
-            .build()
-            .unwrap();
-        let paths = p.paths().to_vec();
-        let gbz = mg_gbwt::Gbz::from_pangenome(p).unwrap();
-        // Annotate an alignment whose path is haplotype 1's full walk.
-        let path = &paths[1].handles;
-        let ext = mg_core::types::Extension {
-            read_id: 0,
-            read_start: 0,
-            read_end: 16,
-            pos: mg_index::GraphPos::new(Handle::forward(NodeId::new(1)), 0),
-            path: path.clone(),
-            score: 16,
-            mismatches: 0,
-        };
-        let result = ReadResult { read_id: 0, extensions: vec![ext] };
-        let mut aligns = align_read(&result, &AlignParams::default());
-        annotate_haplotypes(gbz.gbwt(), &mut aligns[0], path, 16);
-        // Haplotype 1 forward = sequence 2.
-        assert_eq!(aligns[0].haplotypes, vec![2]);
-        // A shared prefix (first node only) is supported by both forwards.
-        let mut shared = aligns[0].clone();
-        annotate_haplotypes(gbz.gbwt(), &mut shared, &path[..1], 16);
-        assert_eq!(shared.haplotypes, vec![0, 2]);
-        // Empty path leaves annotation untouched.
-        let mut untouched = aligns[0].clone();
-        let before = untouched.haplotypes.clone();
-        annotate_haplotypes(gbz.gbwt(), &mut untouched, &[], 16);
-        assert_eq!(untouched.haplotypes, before);
     }
 }

@@ -64,7 +64,7 @@ fn into_text(bytes: Vec<u8>) -> String {
 /// Appends every column after the read name (each with its leading tab):
 /// read length, read start, read end, strand, path, path length, path
 /// start, path end, matches, alignment block length, mapq, then the
-/// `AS`/`NM`/`pp` typed tags and, when present, `hp` and `cg`.
+/// `AS`/`NM`/`pp` typed tags and, when present, `cg`.
 fn push_columns(
     out: &mut Vec<u8>,
     graph: &mg_graph::VariationGraph,
@@ -100,14 +100,6 @@ fn push_columns(
     out.extend_from_slice(b"\tNM:i:");
     push_uint(out, u64::from(alignment.mismatches));
     out.extend_from_slice(if alignment.properly_paired { b"\tpp:A:1" } else { b"\tpp:A:0" });
-    if let Some((first, rest)) = alignment.haplotypes.split_first() {
-        out.extend_from_slice(b"\thp:Z:");
-        push_uint(out, *first);
-        for id in rest {
-            out.push(b',');
-            push_uint(out, *id);
-        }
-    }
     if let Some(cigar) = &alignment.tail_cigar {
         out.extend_from_slice(b"\tcg:Z:");
         out.extend_from_slice(cigar.as_bytes());

@@ -30,7 +30,7 @@ pub mod gapped;
 pub mod pipeline;
 pub mod rescue;
 
-pub use align::{align_read, annotate_haplotypes, pair_check, AlignParams, Alignment};
+pub use align::{align_read, pair_check, AlignParams, Alignment};
 pub use gaf::{chunk_to_gaf, chunk_to_gaf_into, run_to_gaf};
 pub use gapped::{banded_global, cigar_string, CigarOp, GapParams, GappedAlignment};
 pub use pipeline::{Parent, ParentOptions, ParentRun, ParentStreamSummary};

@@ -58,8 +58,9 @@ pub const MGI_MAGIC: [u8; 8] = *b"MGIDX\0\0\0";
 /// `.mgz` with `minigiraffe build-mgi`. Version 3 stores the minimizer
 /// table and the distance index as packed per-k-mer and per-node records;
 /// version 4 keeps that layout and sums it with [`checksum`] instead of
-/// FNV-1a.
-pub const MGI_VERSION: u32 = 4;
+/// FNV-1a; version 5 drops the GBWT's ending-visit table (tag `0x0404`),
+/// which served only a haplotype query the mapper never made.
+pub const MGI_VERSION: u32 = 5;
 /// Endianness marker; written as a native u32, so a big-endian writer
 /// produces different bytes and is rejected by little-endian readers.
 pub const MGI_ENDIAN: u32 = 0x0102_0304;
@@ -105,7 +106,8 @@ pub const TAG_CHAIN_STARTS: u32 = 0x0316;
 pub const TAG_CHAIN_ANCHORS: u32 = 0x0317;
 /// Flattened chain prefix-distance sums (`u64`).
 pub const TAG_CHAIN_PREFIX: u32 = 0x0318;
-/// GBWT scalar metadata (counts, alphabet size, record length).
+/// GBWT scalar metadata: sequence count, path count, direction word
+/// (always 1, bidirectional), alphabet size, total visits (`u64` each).
 pub const TAG_GBWT_META: u32 = 0x0400;
 /// Concatenated compressed GBWT record bodies (`u8`).
 pub const TAG_GBWT_RECORDS: u32 = 0x0401;
@@ -113,8 +115,6 @@ pub const TAG_GBWT_RECORDS: u32 = 0x0401;
 pub const TAG_GBWT_OFFSETS: u32 = 0x0402;
 /// Compressed endmarker record body (`u8`).
 pub const TAG_GBWT_ENDMARKER: u32 = 0x0403;
-/// Sequence-end record ids (`u64`).
-pub const TAG_GBWT_END_IDS: u32 = 0x0404;
 /// Seed-dump metadata: workflow flag and read count (varints).
 pub const TAG_DUMP_META: u32 = 0x0500;
 /// Seed-dump reads: each read's bases and delta-encoded seeds (varints).
@@ -1038,15 +1038,15 @@ mod tests {
     #[test]
     fn multi_block_sections_roundtrip_and_a_flip_in_the_last_block_is_caught() {
         let bytes = filler(2 * BLOCK_LEN + 40, 3);
-        let good = image(&[(TAG_GBWT_RECORDS, bytes.clone()), (TAG_GBWT_END_IDS, bytes.clone())]);
+        let good = image(&[(TAG_GBWT_RECORDS, bytes.clone()), (TAG_CHAIN_PREFIX, bytes.clone())]);
         let mut f = MgiFile::open_bytes(good.clone()).unwrap();
         assert_eq!(f.section(TAG_GBWT_RECORDS).unwrap(), bytes);
-        let words: Vec<u64> = f.array(TAG_GBWT_END_IDS).unwrap();
+        let words: Vec<u64> = f.array(TAG_CHAIN_PREFIX).unwrap();
         assert!(words.iter().zip(bytes.chunks_exact(8)).all(|(&w, b)| w == u64::decode(b)));
         // The last byte of each payload, in its third block.
         let first = MgiFile::open_bytes(good.clone()).unwrap().entries[0];
         let second = MgiFile::open_bytes(good.clone()).unwrap().entries[1];
-        for (at, tag) in [(first.offset + first.len - 1, TAG_GBWT_RECORDS), (second.offset + second.len - 1, TAG_GBWT_END_IDS)] {
+        for (at, tag) in [(first.offset + first.len - 1, TAG_GBWT_RECORDS), (second.offset + second.len - 1, TAG_CHAIN_PREFIX)] {
             let mut bad = good.clone();
             bad[at] ^= 0x10;
             let mut f = MgiFile::open_bytes(bad).unwrap();
@@ -1180,7 +1180,7 @@ mod tests {
             MgiFile::open_bytes(wrong_magic),
             Err(Error::BadMagic)
         ));
-        for version in [1u8, 3, 99] {
+        for version in [1u8, 3, 4, 99] {
             let mut wrong_version = good.clone();
             wrong_version[8] = version;
             assert!(matches!(

@@ -86,7 +86,7 @@ fi
 echo "== seeding oracle (extraction vs naive windows, table vs BTreeMap; release arithmetic wraps where debug panics) =="
 cargo test --release -q --test seeding
 
-echo "== decode oracle (seed-dump reader, its seed check and varint vs a byte-at-a-time reference; the container checksum, whole and streamed in blocks, vs pinned values and every bit flip; hostile .mgz/.mgi/.bin files and cross-loading between them; the .mgz/.mgi bytes of tiny, B-yeast and D-HPRC pinned; an optimized build's arithmetic) =="
+echo "== decode oracle (seed-dump reader, its seed check and varint vs a byte-at-a-time reference; the container checksum, whole and streamed in blocks, vs pinned values and every bit flip; hostile .mgz/.mgi/.bin files and cross-loading between them; a GBWT meta of a one-way index, direction word 0 or one sequence per path, refused from .mgz and .mgi (gbwt_meta_of_a_one_way_index_is_corrupt); the .mgz/.mgi bytes of tiny, B-yeast and D-HPRC pinned, whole and section by section (every_section_of_the_pinned_images_is_pinned); an optimized build's arithmetic) =="
 cargo test --release -q --test dump_decode --test corrupt_inputs --test formats
 cargo test --release -q -p mg-support --lib checksum
 

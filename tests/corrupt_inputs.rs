@@ -338,6 +338,43 @@ fn packed_record_sections_reject_truncation_wrong_stride_and_out_of_range_fields
     assert!(!decode_mgi(image), "k-mer entry on the endmarker: accepted");
 }
 
+/// The GBWT meta section is five `u64`s: sequence count, path count,
+/// direction word, alphabet size, total visits. A meta that describes any
+/// index but a bidirectional one of twice as many sequences as paths —
+/// direction word 0, or word 1 with one sequence per path — is `Corrupt`
+/// from a `.mgz` and from an `.mgi`, re-checksummed so only the GBWT
+/// reader can object to it.
+#[test]
+fn gbwt_meta_of_a_one_way_index_is_corrupt() {
+    use minigiraffe::support::mgi::TAG_GBWT_META;
+    fn word(p: &[u8], i: usize) -> u64 {
+        u64::from_le_bytes(p[8 * i..8 * i + 8].try_into().unwrap())
+    }
+    type Edit = dyn Fn(&mut Vec<u8>);
+    let cases: [(&str, &Edit); 2] = [
+        ("direction word 0", &|p| {
+            p[16..24].copy_from_slice(&0u64.to_le_bytes())
+        }),
+        ("one sequence per path", &|p| {
+            assert_eq!(
+                (word(p, 0), word(p, 2)),
+                (2 * word(p, 1), 1),
+                "the sample is bidirectional"
+            );
+            let paths = p[8..16].to_vec();
+            p[..8].copy_from_slice(&paths);
+        }),
+    ];
+    assert!(Gbz::from_bytes(&resectioned_mgi(mgz_image(), TAG_GBWT_META, |_| {})).is_ok());
+    assert!(decode_mgi(resectioned_mgi(mgi_image(), TAG_GBWT_META, |_| {})));
+    for (name, edit) in cases {
+        let mgz = Gbz::from_bytes(&resectioned_mgi(mgz_image(), TAG_GBWT_META, edit));
+        assert!(matches!(mgz, Err(Error::Corrupt(_))), ".mgz with {name}: {:?}", mgz.err());
+        let mgi = MgiBundle::open_bytes(resectioned_mgi(mgi_image(), TAG_GBWT_META, edit));
+        assert!(matches!(mgi, Err(Error::Corrupt(_))), ".mgi with {name}: {:?}", mgi.err());
+    }
+}
+
 /// A loaded `.mgz` and `.mgi` own their bytes: truncating both index files
 /// on disk afterwards changes nothing the mapper reads, and the GAF mapped
 /// from them after the truncation equals the GAF from before it. (A

@@ -106,7 +106,7 @@ impl<'a> Naive<'a> {
     }
 }
 
-/// The container checksum of format version 4, written out a word at a
+/// The container checksum of format versions 4 and 5, written out a word at a
 /// time: word `i` (eight bytes, little-endian) steps lane `i % 4`, the last
 /// 0–7 bytes are one zero-padded tail word, and the sum starts from the
 /// length and steps through the four lanes and then the tail word.
@@ -141,11 +141,11 @@ fn align64(n: usize) -> usize {
 /// The two payloads of a dump image, meta and reads, parsed by hand;
 /// `None` for a container that does not check out.
 fn naive_sections(image: &[u8]) -> Option<(&[u8], &[u8])> {
-    // Preamble (48 bytes): magic, version 4, endianness marker, file
+    // Preamble (48 bytes): magic, version 5, endianness marker, file
     // length, section count 2, reserved, table offset 48, table checksum.
     let mut file = Naive { data: image, pos: 0 };
     if file.bytes(8)? != b"MGIDX\0\0\0"
-        || file.le_u32()? != 4
+        || file.le_u32()? != 5
         || file.le_u32()? != 0x0102_0304
         || file.le_u64()? != image.len() as u64
         || file.le_u32()? != 2

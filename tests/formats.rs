@@ -72,8 +72,8 @@ fn tiny_images_have_pinned_checksums() {
     let bin = input.dump.to_bytes().unwrap();
     let sums = [checksum(&mgz), checksum(&mgi), checksum(&bin)];
     let lens = [mgz.len(), mgi.len(), bin.len()];
-    assert_eq!(lens, [16192, 94208, 4864]);
-    assert_eq!(sums, [0x5c14_1c5d_56d2_2377, 0xd0fb_023e_ec8a_dfa6, 0x9aa0_9a03_462d_050f]);
+    assert_eq!(lens, [16128, 94144, 4864]);
+    assert_eq!(sums, [0x4aa9_8f1e_5f99_b495, 0x5920_2963_058e_4dcc, 0x55ed_9f1f_477b_802b]);
 }
 
 /// The `.mgz` and `.mgi` bytes of the graph shapes the benchmark maps,
@@ -85,8 +85,8 @@ fn tiny_images_have_pinned_checksums() {
 fn benchmark_shape_images_have_pinned_checksums() {
     use minigiraffe::support::mgi::checksum;
     let pinned = [
-        (InputSetSpec::b_yeast(), [114_944, 561_088], [0x710e_f673_c771_1055, 0x7d79_69f8_7ed6_0902]),
-        (InputSetSpec::d_hprc(), [511_360, 2_261_376], [0x4c84_3499_2050_75e2, 0x5682_0462_17b8_24e7]),
+        (InputSetSpec::b_yeast(), [114_816, 560_960], [0x30ad_8216_2d0e_469d, 0xd2e1_88a8_0736_1d50]),
+        (InputSetSpec::d_hprc(), [511_104, 2_261_120], [0xc386_a44c_5687_888d, 0xd6fd_f93a_bd52_cad6]),
     ];
     for (spec, lens, sums) in pinned {
         let spec = InputSetSpec { reads: 4, ..spec };
@@ -95,5 +95,114 @@ fn benchmark_shape_images_have_pinned_checksums() {
         let mgi = MgiBundle::build(input.gbz.clone(), input.spec.minimizer).unwrap().to_bytes();
         assert_eq!([mgz.len(), mgi.len()], lens, "{}", spec.name);
         assert_eq!([checksum(&mgz), checksum(&mgi)], sums, "{}", spec.name);
+    }
+}
+
+/// Every section of an image, as `(tag, len, checksum)` rows in file
+/// order.
+fn section_rows(image: Vec<u8>) -> Vec<(u32, usize, u64)> {
+    use minigiraffe::support::mgi::{checksum, MgiFile};
+    let mut file = MgiFile::open_bytes(image).unwrap();
+    let tags: Vec<u32> = file.tags().collect();
+    tags.into_iter()
+        .map(|tag| {
+            let bytes = file.section(tag).unwrap();
+            (tag, bytes.len(), checksum(&bytes))
+        })
+        .collect()
+}
+
+/// Each section of the pinned images is pinned on its own, so a format
+/// change that drops or moves a section shows which one, and that the
+/// others kept every byte. An `.mgi` holds its `.mgz`'s sections first,
+/// then the minimizer and distance sections.
+#[test]
+fn every_section_of_the_pinned_images_is_pinned() {
+    type Rows = &'static [(u32, usize, u64)];
+    let tiny_mgz: Rows = &[
+        (0x0100, 24, 0xa9e8aa795cc0b32d),
+        (0x0101, 3046, 0x9181e3d0a5510949),
+        (0x0103, 1424, 0x3ea48cf7b85f2e07),
+        (0x0104, 2840, 0x9994991ef5ad3686),
+        (0x0105, 2880, 0xd491429a010779e1),
+        (0x0400, 40, 0x9aea3b8e23a8e816),
+        (0x0401, 2346, 0xa37f15e7b3e759ff),
+        (0x0402, 2840, 0x0ac8c444dcf0db03),
+        (0x0403, 16, 0x07fe277ce741e9f7),
+    ];
+    let tiny_index: Rows = &[
+        (0x0200, 32, 0xfe0475957d478e4c),
+        (0x0204, 69920, 0x3cefb270128a76fb),
+        (0x0203, 16, 0x0e2ad1a748c23819),
+        (0x0300, 16, 0xc54d866b4ebf57d9),
+        (0x0305, 5664, 0xe71e1109e4aff310),
+        (0x0316, 144, 0x274b87d1b8c5d072),
+        (0x0317, 568, 0xf071ffa5fc89f293),
+        (0x0318, 1136, 0x72729288646f9a91),
+    ];
+    let tiny_bin: Rows = &[(0x0500, 2, 0x2a0917c663a27ede), (0x0501, 4641, 0xb7e2343c2d2c353a)];
+    let yeast_mgz: Rows = &[
+        (0x0100, 24, 0x6df849760aed2388),
+        (0x0101, 30455, 0x25edd0309c79d9bf),
+        (0x0103, 9128, 0x21ad76ba6e96d019),
+        (0x0104, 18248, 0xed8d3d79df4caca0),
+        (0x0105, 20752, 0xbf06adb7324063e0),
+        (0x0400, 40, 0x2c6c49158a507856),
+        (0x0401, 17195, 0x5700af7754d3a8b1),
+        (0x0402, 18248, 0x17ca55bba341ec82),
+        (0x0403, 24, 0x02e2caa59e4c16be),
+    ];
+    let yeast_index: Rows = &[
+        (0x0200, 32, 0xeb49fa0fa333b6a7),
+        (0x0204, 395840, 0xb5e20e1d4b040251),
+        (0x0203, 4816, 0x47e90a4b477ac52c),
+        (0x0300, 16, 0xab9034e1caf4a397),
+        (0x0305, 36480, 0x324aedfa941d11ca),
+        (0x0316, 936, 0x51e4163175d91cdf),
+        (0x0317, 2508, 0x7457e2e5522f119a),
+        (0x0318, 5016, 0x4f9f4cfead6e16b2),
+    ];
+    let hprc_mgz: Rows = &[
+        (0x0100, 24, 0xdedee0ad399c12e1),
+        (0x0101, 102086, 0x2870cef3bd7de226),
+        (0x0103, 42424, 0xe0fec1afd497c1af),
+        (0x0104, 84840, 0xf977982b44f36273),
+        (0x0105, 103040, 0xfe67b7b9db10f099),
+        (0x0400, 40, 0x746ac1840aa556ff),
+        (0x0401, 93175, 0xfc2824d72fd08c63),
+        (0x0402, 84840, 0x04d167a651bf1e05),
+        (0x0403, 40, 0xe9f30f0cad39357e),
+    ];
+    let hprc_index: Rows = &[
+        (0x0200, 32, 0x30ff23c8f177ec8f),
+        (0x0204, 1523264, 0xbc4aa9e7cd2ac3e4),
+        (0x0203, 23168, 0x9a90d0b3ea182f3c),
+        (0x0300, 16, 0x3c23b53dbcf7e768),
+        (0x0305, 169664, 0x1a01d091e3385aaf),
+        (0x0316, 2792, 0xe6374203bb5658a6),
+        (0x0317, 10232, 0x023aef38f393111e),
+        (0x0318, 20464, 0x7ebc5583c437ed30),
+    ];
+
+    let tiny = SyntheticInput::generate(&InputSetSpec::tiny_for_tests(), 5);
+    assert_eq!(section_rows(tiny.dump.to_bytes().unwrap()), tiny_bin, "tiny.bin");
+    let shapes = [
+        (tiny, tiny_mgz, tiny_index),
+        (
+            SyntheticInput::generate(&InputSetSpec { reads: 4, ..InputSetSpec::b_yeast() }, 42),
+            yeast_mgz,
+            yeast_index,
+        ),
+        (
+            SyntheticInput::generate(&InputSetSpec { reads: 4, ..InputSetSpec::d_hprc() }, 42),
+            hprc_mgz,
+            hprc_index,
+        ),
+    ];
+    for (input, mgz, index) in shapes {
+        let name = input.spec.name;
+        assert_eq!(section_rows(input.gbz.to_bytes().unwrap()), mgz, "{name}.mgz");
+        let mgi = MgiBundle::build(input.gbz.clone(), input.spec.minimizer).unwrap().to_bytes();
+        assert_eq!(section_rows(mgi), [mgz, index].concat(), "{name}.mgi");
     }
 }

@@ -193,7 +193,7 @@ fn build_frame(kind: usize, a: u64, b: u64, text: &[u8], blob: &[u8]) -> Frame {
 }
 
 /// What the old renderer did, kept as the reference: one `format!` per
-/// line, path and haplotype list through intermediate strings.
+/// line, the path through an intermediate string.
 fn reference_gaf(
     graph: &VariationGraph,
     set_name: &str,
@@ -233,10 +233,6 @@ fn reference_gaf(
                 a.mismatches,
                 u8::from(a.properly_paired),
             ));
-            if !a.haplotypes.is_empty() {
-                let ids: Vec<String> = a.haplotypes.iter().map(u64::to_string).collect();
-                out.push_str(&format!("\thp:Z:{}", ids.join(",")));
-            }
             if let Some(cigar) = &a.tail_cigar {
                 out.push_str(&format!("\tcg:Z:{cigar}"));
             }
@@ -252,7 +248,6 @@ type AlignmentSpec = (
     (u64, bool),                         // pos node, pos reversed
     Vec<(u64, bool)>,                    // path steps
     (i32, u8, bool),                     // score, mapq, properly paired
-    Vec<u64>,                            // haplotypes
     usize,                               // tail CIGAR choice
     bool,                                // orphan: no extension matches
 );
@@ -273,7 +268,7 @@ fn build_read(
 ) -> (ReadResult, Vec<Alignment>) {
     let mut result = ReadResult { read_id, extensions: Vec::new() };
     let mut alignments = Vec::new();
-    for ((read_start, block, mismatches, offset), pos, path, (score, mapq, paired), haps, cigar, orphan) in
+    for ((read_start, block, mismatches, offset), pos, path, (score, mapq, paired), cigar, orphan) in
         specs
     {
         let read_end = read_start.saturating_add(*block);
@@ -298,7 +293,6 @@ fn build_read(
             mismatches: (u64::from(*mismatches) % (u64::from(read_end - read_start) + 1)) as u32,
             mapq: *mapq,
             properly_paired: *paired,
-            haplotypes: haps.clone(),
             tail_cigar: [None, Some("7M".to_string()), Some("3M1I2M1D4M".to_string())]
                 [cigar % 3]
                 .clone(),
@@ -344,7 +338,7 @@ proptest! {
     }
 
     /// (d) The in-place renderer against the `format!` reference: reverse
-    /// handles, empty and multi-entry haplotype lists, tail CIGARs,
+    /// handles, tail CIGARs,
     /// coordinates up to `u32::MAX`, negative scores, unmapped reads,
     /// alignments whose extension is gone, non-zero `base_id`.
     #[test]
@@ -358,7 +352,6 @@ proptest! {
                         (any::<u64>(), any::<bool>()),
                         proptest::collection::vec((any::<u64>(), any::<bool>()), 0..6),
                         (any::<i32>(), any::<u8>(), any::<bool>()),
-                        proptest::collection::vec(any::<u64>(), 0..4),
                         0usize..3,
                         any::<bool>(),
                     ),
