@@ -364,9 +364,12 @@ impl Gbwt {
         let mut cursor = self
             .sequence_start(id)
             .ok_or_else(|| Error::Corrupt(format!("sequence {id} out of range")))?;
+        // One record decoded into at every step: no allocation per visit.
+        let mut record = DecodedRecord::empty();
         loop {
             out.push(cursor.0);
-            match self.follow(cursor.0, cursor.1) {
+            self.record_into_with_probe(cursor.0, &mut mg_support::probe::NoProbe, &mut record);
+            match record.lf(cursor.1) {
                 Some(next) => cursor = next,
                 None => break,
             }

@@ -6,6 +6,8 @@
 //! minimizer of a read, the graph positions where that k-mer occurs — the
 //! *seeds* that the clustering and extension kernels consume.
 
+use std::collections::HashSet;
+
 use mg_graph::{dna, Handle, VariationGraph};
 use mg_support::{Error, Result};
 
@@ -329,6 +331,21 @@ impl MinimizerIndex {
     /// Builds the index from haplotype paths, indexing both orientations of
     /// every path so reverse-strand reads seed on flipped handles.
     ///
+    /// Each distinct window is extracted once. A window's minimizer depends
+    /// only on its `w + k - 1` bases, and its position only on the handles
+    /// those bases lie on. So the windows that end in node `i` of an
+    /// oriented path are fixed by the key `path[first..=i]`: node `i` and
+    /// the fewest handles before it that hold `k + w - 2` bases, or every
+    /// handle back to the path start when there are fewer. (The key needs no
+    /// flag for a context the path start cut short: that is exactly a key
+    /// whose handles before `i` hold fewer than `k + w - 2` bases.) A step
+    /// whose key an earlier step had adds nothing. Each maximal run of new
+    /// steps is spelled once, from the last `k + w - 2` bases before it to
+    /// its end, and extracted: the full windows of that stretch are exactly
+    /// the windows that end in its nodes. Extraction drops only repeats of
+    /// one pair, so the pairs, and the table, are those of spelling every
+    /// path whole.
+    ///
     /// # Panics
     ///
     /// Panics if the arena outgrows 32-bit starts.
@@ -336,15 +353,20 @@ impl MinimizerIndex {
     where
         I: IntoIterator<Item = &'a [Handle]>,
     {
+        let forward: Vec<&[Handle]> = paths.into_iter().collect();
+        let flipped: Vec<Vec<Handle>> = forward
+            .iter()
+            .map(|path| path.iter().rev().map(|h| h.flip()).collect())
+            .collect();
+        let mut seen = HashSet::new();
         let mut pairs: Vec<(u64, GraphPos)> = Vec::new();
         let mut scratch = MinimizerScratch::default();
-        for path in paths {
-            Self::index_path(graph, path, params, &mut pairs, &mut scratch);
-            let flipped: Vec<Handle> = path.iter().rev().map(|h| h.flip()).collect();
-            Self::index_path(graph, &flipped, params, &mut pairs, &mut scratch);
+        for path in forward.iter().copied().chain(flipped.iter().map(Vec::as_slice)) {
+            Self::index_new_windows(graph, path, params, &mut seen, &mut pairs, &mut scratch);
         }
         // Sorting the pairs groups them by k-mer with each group's positions
-        // already in run order; haplotypes sharing a position collapse.
+        // already in run order; windows of different keys that share a
+        // position collapse.
         pairs.sort_unstable();
         pairs.dedup();
         let distinct = pairs.chunk_by(|a, b| a.0 == b.0).count();
@@ -367,9 +389,47 @@ impl MinimizerIndex {
             .expect("sorted, deduplicated k-mers of k bases each")
     }
 
+    /// Indexes the windows that end in the steps of `path` whose key (see
+    /// [`MinimizerIndex::build`]) is not yet in `seen`, and adds those keys.
+    fn index_new_windows<'p>(
+        graph: &VariationGraph,
+        path: &'p [Handle],
+        params: MinimizerParams,
+        seen: &mut HashSet<&'p [Handle]>,
+        pairs: &mut Vec<(u64, GraphPos)>,
+        scratch: &mut MinimizerScratch,
+    ) {
+        let context = params.k + params.w - 2;
+        let len = |h: Handle| graph.node_len(h.node());
+        // Step `i`'s key is `path[first..=i]`; `held` counts the bases of
+        // `path[first..i]`.
+        let (mut first, mut held) = (0, 0);
+        // The open run of new steps: where its first step's key starts, and
+        // how many bases of that handle lie before its context.
+        let mut run: Option<(usize, usize)> = None;
+        for i in 0..path.len() {
+            while first < i && held - len(path[first]) >= context {
+                held -= len(path[first]);
+                first += 1;
+            }
+            if seen.insert(&path[first..=i]) {
+                run.get_or_insert((first, held.saturating_sub(context)));
+            } else if let Some((from, skip)) = run.take() {
+                Self::index_path(graph, &path[from..i], skip, params, pairs, scratch);
+            }
+            held += len(path[i]);
+        }
+        if let Some((from, skip)) = run {
+            Self::index_path(graph, &path[from..], skip, params, pairs, scratch);
+        }
+    }
+
+    /// Indexes the windows of `path` spelled from base `skip` of its first
+    /// handle.
     fn index_path(
         graph: &VariationGraph,
         path: &[Handle],
+        skip: usize,
         params: MinimizerParams,
         pairs: &mut Vec<(u64, GraphPos)>,
         scratch: &mut MinimizerScratch,
@@ -378,17 +438,17 @@ impl MinimizerIndex {
         let mut seq = Vec::new();
         let mut node_ends = Vec::with_capacity(path.len());
         for &h in path {
-            seq.extend_from_slice(&graph.sequence(h));
+            seq.extend_from_slice(graph.oriented_sequence(h));
             node_ends.push(seq.len());
         }
         let mut mins = std::mem::take(&mut scratch.mins);
-        extract_minimizers_into(&seq, params, scratch, &mut mins);
+        extract_minimizers_into(&seq[skip..], params, scratch, &mut mins);
         // Minimizer offsets ascend, so one cursor over the node boundaries
         // places them all.
         let mut step = 0;
         let mut node_start = 0;
         for m in &mins {
-            let offset = m.offset as usize;
+            let offset = skip + m.offset as usize;
             while node_ends[step] <= offset {
                 node_start = node_ends[step];
                 step += 1;
@@ -684,8 +744,9 @@ mod tests {
     fn index_counts_are_consistent() {
         let (_, index) = sample_index();
         assert!(index.distinct_kmers() > 0);
-        let sum: usize = (0..0).len(); // placeholder to use total
-        let _ = sum;
+        let listed: usize = index.kmers().map(|kmer| index.positions(kmer).unwrap().count()).sum();
+        assert_eq!(index.total_positions(), listed);
+        assert_eq!(index.distinct_kmers(), index.kmers().count());
         assert!(index.total_positions() >= index.distinct_kmers());
     }
 

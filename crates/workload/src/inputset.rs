@@ -15,6 +15,7 @@
 //! laptop-sized graphs.
 
 use mg_core::dump::SeedDump;
+use mg_core::mgi::build_minimizer_index;
 use mg_core::types::{ReadInput, Seed, Workflow};
 use mg_gbwt::Gbz;
 use mg_graph::pangenome::PangenomeBuilder;
@@ -194,7 +195,8 @@ impl SyntheticInput {
     ///
     /// # Errors
     ///
-    /// Returns construction errors from the pangenome builder or GBWT.
+    /// Returns construction errors from the pangenome builder, the GBWT or
+    /// the minimizer build.
     pub fn try_generate(spec: &InputSetSpec, seed: u64) -> Result<Self> {
         let reference = random_genome(&spec.genome, seed);
         let variants = random_variants(&reference, &spec.variants, seed);
@@ -209,12 +211,8 @@ impl SyntheticInput {
             .iter()
             .map(|p| p.sequence(pangenome.graph()))
             .collect();
-        let minimizer_index = MinimizerIndex::build(
-            pangenome.graph(),
-            pangenome.paths().iter().map(|p| p.handles.as_slice()),
-            spec.minimizer,
-        );
         let gbz = Gbz::from_pangenome(pangenome)?;
+        let minimizer_index = build_minimizer_index(&gbz, spec.minimizer)?;
 
         let sim_reads = match spec.workflow {
             Workflow::Single => simulate_single(&hap_seqs, spec.reads, &spec.read_sim, seed),

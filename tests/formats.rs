@@ -76,16 +76,18 @@ fn tiny_images_have_pinned_checksums() {
     assert_eq!(sums, [0x4aa9_8f1e_5f99_b495, 0x5920_2963_058e_4dcc, 0x55ed_9f1f_477b_802b]);
 }
 
-/// The `.mgz` and `.mgi` bytes of the graph shapes the benchmark maps,
-/// B-yeast and D-HPRC at seed 42, are pinned: the graph writer, the
-/// pangenome builder and the chain decomposition must reproduce them to
-/// the byte. The read count is cut to four because only the indexes are
+/// The `.mgz` and `.mgi` bytes of the four paper shapes at seed 42 are
+/// pinned (B-yeast, C-HPRC and D-HPRC are the graphs the benchmark maps):
+/// the graph writer, the pangenome builder, the minimizer build and the
+/// chain decomposition must reproduce them to the byte. The read count is cut to four because only the indexes are
 /// pinned.
 #[test]
 fn benchmark_shape_images_have_pinned_checksums() {
     use minigiraffe::support::mgi::checksum;
     let pinned = [
+        (InputSetSpec::a_human(), [691_520, 2_950_400], [0xc4db_0d60_8399_43a3, 0xc13e_4c86_76d4_76cb]),
         (InputSetSpec::b_yeast(), [114_816, 560_960], [0x30ad_8216_2d0e_469d, 0xd2e1_88a8_0736_1d50]),
+        (InputSetSpec::c_hprc(), [381_440, 1_737_728], [0x9adb_7dcf_0975_36a3, 0x1e0b_669e_5e23_68f4]),
         (InputSetSpec::d_hprc(), [511_104, 2_261_120], [0xc386_a44c_5687_888d, 0xd6fd_f93a_bd52_cad6]),
     ];
     for (spec, lens, sums) in pinned {
@@ -141,6 +143,27 @@ fn every_section_of_the_pinned_images_is_pinned() {
         (0x0318, 1136, 0x72729288646f9a91),
     ];
     let tiny_bin: Rows = &[(0x0500, 2, 0x2a0917c663a27ede), (0x0501, 4641, 0xb7e2343c2d2c353a)];
+    let human_mgz: Rows = &[
+        (0x0100, 24, 0x8b8a7d66e1c5ba6f),
+        (0x0101, 122756, 0x810ce0d6f5902782),
+        (0x0103, 56880, 0x53494d18ac200698),
+        (0x0104, 113752, 0xd5362d9e2d3ba466),
+        (0x0105, 142128, 0xceea01f8512f5c23),
+        (0x0400, 40, 0x1cb24f17e178252c),
+        (0x0401, 141446, 0x395e03d5e1f6f18b),
+        (0x0402, 113752, 0xb72dc45bf04e5fc3),
+        (0x0403, 56, 0xb1b3177e034ed060),
+    ];
+    let human_index: Rows = &[
+        (0x0200, 32, 0x73824f18ed044755),
+        (0x0204, 1956672, 0x9505f449fae10b6d),
+        (0x0203, 33264, 0xcd50d0e8dcb82e62),
+        (0x0300, 16, 0xc1eb8cf3cf395309),
+        (0x0305, 227488, 0xc1c09a7e179f291e),
+        (0x0316, 2776, 0xdafcb52e303f4131),
+        (0x0317, 12736, 0x9294a9e8d9a9a462),
+        (0x0318, 25472, 0xd59aac9876f9b883),
+    ];
     let yeast_mgz: Rows = &[
         (0x0100, 24, 0x6df849760aed2388),
         (0x0101, 30455, 0x25edd0309c79d9bf),
@@ -161,6 +184,27 @@ fn every_section_of_the_pinned_images_is_pinned() {
         (0x0316, 936, 0x51e4163175d91cdf),
         (0x0317, 2508, 0x7457e2e5522f119a),
         (0x0318, 5016, 0x4f9f4cfead6e16b2),
+    ];
+    let chprc_mgz: Rows = &[
+        (0x0100, 24, 0xafd348bc666fb468),
+        (0x0101, 81535, 0x58551a8e44229acf),
+        (0x0103, 30928, 0xa02c8c0d19c703f2),
+        (0x0104, 61848, 0x51bbe2715cc81eb5),
+        (0x0105, 76000, 0xfc65760dd244c88c),
+        (0x0400, 40, 0xa927160f5e2ce494),
+        (0x0401, 68530, 0x03d18036fc7786d4),
+        (0x0402, 61848, 0xd4130f3dfc6b8200),
+        (0x0403, 40, 0x843411d13b89af4d),
+    ];
+    let chprc_index: Rows = &[
+        (0x0200, 32, 0xc15b66e7f851b029),
+        (0x0204, 1189984, 0xfdc29018552c586f),
+        (0x0203, 18608, 0xf16b886211dd8512),
+        (0x0300, 16, 0x72a78c3643970b98),
+        (0x0305, 123680, 0xd5b2a98bfb01ac03),
+        (0x0316, 1816, 0x8f966cfa95cc35a9),
+        (0x0317, 7212, 0x8ecda99985df0c95),
+        (0x0318, 14424, 0xa3b38f0e40fdb672),
     ];
     let hprc_mgz: Rows = &[
         (0x0100, 24, 0xdedee0ad399c12e1),
@@ -184,20 +228,15 @@ fn every_section_of_the_pinned_images_is_pinned() {
         (0x0318, 20464, 0x7ebc5583c437ed30),
     ];
 
+    let shape = |spec| SyntheticInput::generate(&InputSetSpec { reads: 4, ..spec }, 42);
     let tiny = SyntheticInput::generate(&InputSetSpec::tiny_for_tests(), 5);
     assert_eq!(section_rows(tiny.dump.to_bytes().unwrap()), tiny_bin, "tiny.bin");
     let shapes = [
         (tiny, tiny_mgz, tiny_index),
-        (
-            SyntheticInput::generate(&InputSetSpec { reads: 4, ..InputSetSpec::b_yeast() }, 42),
-            yeast_mgz,
-            yeast_index,
-        ),
-        (
-            SyntheticInput::generate(&InputSetSpec { reads: 4, ..InputSetSpec::d_hprc() }, 42),
-            hprc_mgz,
-            hprc_index,
-        ),
+        (shape(InputSetSpec::a_human()), human_mgz, human_index),
+        (shape(InputSetSpec::b_yeast()), yeast_mgz, yeast_index),
+        (shape(InputSetSpec::c_hprc()), chprc_mgz, chprc_index),
+        (shape(InputSetSpec::d_hprc()), hprc_mgz, hprc_index),
     ];
     for (input, mgz, index) in shapes {
         let name = input.spec.name;

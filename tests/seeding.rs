@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use minigiraffe::graph::pangenome::{Pangenome, PangenomeBuilder};
+use minigiraffe::graph::pangenome::{Pangenome, PangenomeBuilder, Variant};
 use minigiraffe::graph::{dna, Handle};
 use minigiraffe::index::minimizer::hash_kmer;
 use minigiraffe::index::{
@@ -25,6 +25,7 @@ use minigiraffe::workload::genome::{random_genome, random_panel, random_variants
 use minigiraffe::workload::genome::{GenomeParams, VariantParams};
 use minigiraffe::workload::reads::simulate_single;
 use minigiraffe::workload::ReadSimParams;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -435,6 +436,75 @@ fn kmers_at_one_at_the_cap_and_one_past_the_cap() {
                 assert_eq!(index.query(&read, CAP + 1).len(), *copies);
             }
         }
+    }
+}
+
+/// A random pangenome for the build oracle: a reference of 1 to 160 bases
+/// in two or four letters (so distinct paths often spell equal windows and
+/// k-mers tie on hash), SNPs, insertions and deletions 1 to 12 bases apart,
+/// 1 to 16 haplotypes, and nodes capped at 1 to 40 bases, so a window's
+/// context spans up to `k + w - 2` nodes and many paths are shorter than
+/// one context.
+fn random_pangenome(rng: &mut StdRng) -> Pangenome {
+    fn bases(rng: &mut StdRng, len: usize, letters: usize) -> Vec<u8> {
+        (0..len).map(|_| b"ACGT"[rng.random_range(0..letters)]).collect()
+    }
+    loop {
+        let letters = if rng.random_bool(0.5) { 2 } else { 4 };
+        let len = rng.random_range(1usize..=160);
+        let reference = bases(rng, len, letters);
+        let mut variants = Vec::new();
+        let mut pos = 0usize;
+        loop {
+            pos += rng.random_range(1usize..=12);
+            if pos + 6 >= reference.len() {
+                break;
+            }
+            variants.push(match rng.random_range(0u32..4) {
+                0 => {
+                    let len = rng.random_range(1usize..6);
+                    Variant::insertion(pos, bases(rng, len, letters))
+                }
+                1 => Variant::deletion(pos, rng.random_range(1usize..5)),
+                _ => Variant::snp(pos, b"ACGT"[rng.random_range(0..letters)]),
+            });
+        }
+        let haplotypes: Vec<Vec<usize>> = (0..rng.random_range(1usize..=16))
+            .map(|_| variants.iter().map(|_| rng.random_range(0usize..2)).collect())
+            .collect();
+        let max_node_len = if rng.random_bool(0.5) {
+            rng.random_range(1usize..=3)
+        } else {
+            rng.random_range(1usize..=40)
+        };
+        // Rejected draws (overlapping sites, an alt equal to the reference
+        // base) are redrawn.
+        if let Ok(p) = PangenomeBuilder::new(reference)
+            .variants(variants)
+            .haplotypes(haplotypes)
+            .max_node_len(max_node_len)
+            .build()
+        {
+            return p;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The build, which extracts each distinct window once, answers every
+    /// lookup exactly as the table of every path spelled whole, for k from
+    /// 2 to 31 and w from 1 to 12.
+    #[test]
+    fn prop_build_answers_every_lookup_as_the_reference_table(case_seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(case_seed);
+        let p = random_pangenome(&mut rng);
+        let k = rng.random_range(2usize..=31);
+        let params = MinimizerParams::new(k, rng.random_range(1usize..=12));
+        let built = build(&p, params);
+        let tag = format!("case {case_seed} k={} w={}", params.k, params.w);
+        assert_table_matches(&[built.clone(), built], &reference_table(&p, params), &tag);
     }
 }
 
